@@ -9,7 +9,7 @@ fn main() {
         "{:>9} {:>15} {:>17} {:>15}",
         "prefixes", "policy classes", "behavior classes", "forwarding ECs"
     );
-    for n in [10usize, 100, 500, 2000] {
+    for n in [10usize, 100, 1_000, 10_000, 100_000] {
         let r = ec_scaling(n, 8, 9);
         println!(
             "{:>9} {:>15} {:>17} {:>15}",

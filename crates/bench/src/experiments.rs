@@ -785,6 +785,59 @@ pub fn all_delivered(sim: &Simulation, dst: std::net::Ipv4Addr) -> bool {
     })
 }
 
+// ---------------------------------------------------------------------
+// A12 — simulator scale
+// ---------------------------------------------------------------------
+
+/// One row of the simulator-scale table.
+pub struct SimScaleRow {
+    /// Prefixes announced on both exits.
+    pub prefixes: usize,
+    /// Events captured over the whole run.
+    pub events: usize,
+    /// Wall-clock seconds to converge both tables.
+    pub converge_s: f64,
+    /// Wall-clock seconds for the Fig. 2 fault plus its rollback.
+    pub fault_rollback_s: f64,
+}
+
+/// Runs A12: the 12-router two-exit network carries `n_prefixes` on both
+/// exits, then the preferred exit's local-pref is demoted below the
+/// backup's and restored — two soft reconfigurations over the full table,
+/// each swinging every prefix at every router.
+pub fn sim_scaling(n_prefixes: usize, seed: u64) -> SimScaleRow {
+    use std::time::Instant;
+    let (mut sim, left, right) = cpvr_sim::scenario::two_exit_scenario(
+        12,
+        LatencyProfile::cisco(),
+        CaptureProfile::ideal(),
+        seed,
+    );
+    sim.start();
+    sim.run_to_quiescence(usize::MAX);
+    let prefixes = cpvr_sim::workload::prefix_block(n_prefixes);
+    let t0 = Instant::now();
+    sim.schedule_ext_announce(sim.now() + SimTime::from_millis(1), right, &prefixes);
+    sim.schedule_ext_announce(sim.now() + SimTime::from_millis(30), left, &prefixes);
+    sim.run_to_quiescence(usize::MAX);
+    let converge_s = t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
+    for lp in [10, 30] {
+        let change = ConfigChange::SetImport {
+            peer: PeerRef::External(right),
+            map: RouteMap::set_all(vec![SetAction::LocalPref(lp)]),
+        };
+        sim.schedule_config(sim.now() + SimTime::from_millis(20), RouterId(11), change);
+        sim.run_to_quiescence(usize::MAX);
+    }
+    SimScaleRow {
+        prefixes: n_prefixes,
+        events: sim.trace().len(),
+        converge_s,
+        fault_rollback_s: t0.elapsed().as_secs_f64(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,7 +23,7 @@
 
 use crate::config::{BgpConfig, ConfigChange};
 use crate::decision::{best_path, Candidate};
-use crate::rib::{AdjRibIn, AdjRibOut};
+use crate::rib::{PrefixRib, Rib, Selected};
 use crate::route::{BgpRoute, BgpUpdate, NextHop, PeerRef, DEFAULT_LOCAL_PREF};
 use cpvr_dataplane::FibAction;
 use cpvr_topo::LinkId;
@@ -80,7 +80,8 @@ pub struct FibChange {
 pub struct BgpOutputs {
     /// Updates to send, per peer.
     pub msgs: Vec<(PeerRef, BgpUpdate)>,
-    /// Loc-RIB deltas (the "RIB update" control-plane outputs of §4.1).
+    /// Loc-RIB deltas (the "RIB update" control-plane outputs of §4.1),
+    /// at most one per prefix, in ascending prefix order.
     pub rib_changes: Vec<RibChange>,
     /// FIB deltas (the "FIB update" control-plane outputs of §4.1).
     pub fib_changes: Vec<FibChange>,
@@ -93,22 +94,11 @@ impl BgpOutputs {
     }
 }
 
-/// The best route currently selected for a prefix, with its provenance.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Selected {
-    route: BgpRoute,
-    from: PeerRef,
-}
-
 /// One router's BGP speaker. See the module docs for semantics.
 #[derive(Clone, Debug)]
 pub struct BgpInstance {
     cfg: BgpConfig,
-    adj_in: AdjRibIn,
-    loc_rib: BTreeMap<Ipv4Prefix, Selected>,
-    adj_out: AdjRibOut,
-    /// Shadow of what we've asked the FIB to hold.
-    fib_view: BTreeMap<Ipv4Prefix, FibAction>,
+    rib: Rib,
 }
 
 impl BgpInstance {
@@ -116,10 +106,7 @@ impl BgpInstance {
     pub fn new(cfg: BgpConfig) -> Self {
         BgpInstance {
             cfg,
-            adj_in: AdjRibIn::new(),
-            loc_rib: BTreeMap::new(),
-            adj_out: AdjRibOut::new(),
-            fib_view: BTreeMap::new(),
+            rib: Rib::new(),
         }
     }
 
@@ -135,12 +122,16 @@ impl BgpInstance {
 
     /// The current best route per prefix (post-import-policy).
     pub fn loc_rib(&self) -> BTreeMap<Ipv4Prefix, &BgpRoute> {
-        self.loc_rib.iter().map(|(p, s)| (*p, &s.route)).collect()
+        let table = self.rib.table.iter();
+        table
+            .filter_map(|(p, rec)| Some((*p, &rec.best.as_ref()?.route)))
+            .collect()
     }
 
-    /// The raw Adj-RIB-In (for diagnostics and tests).
-    pub fn adj_rib_in(&self) -> &AdjRibIn {
-        &self.adj_in
+    /// The RIB table, whose paths are the raw Adj-RIB-In (for
+    /// diagnostics and tests).
+    pub fn adj_rib_in(&self) -> &Rib {
+        &self.rib
     }
 
     /// Handles a BGP update received from `from`.
@@ -157,12 +148,12 @@ impl BgpInstance {
         let add_path = self.cfg.add_path && !session_ebgp;
         let mut affected: Vec<Ipv4Prefix> = Vec::new();
         // Withdrawals first (RFC ordering), then announcements.
-        for (prefix, originator) in &update.withdraw {
-            if self.adj_in.withdraw(from, *prefix, *originator) > 0 {
-                affected.push(*prefix);
+        for (prefix, originator) in update.withdraw {
+            if self.rib.withdraw(from, prefix, originator) > 0 {
+                affected.push(prefix);
             }
         }
-        for route in &update.announce {
+        for route in update.announce {
             // eBGP loop prevention: our own AS in the path means the route
             // went through us already.
             if session_ebgp && route.as_path.contains(&self.cfg.asn) {
@@ -172,8 +163,8 @@ impl BgpInstance {
             if !session_ebgp && route.originator == self.cfg.router {
                 continue;
             }
-            self.adj_in.announce(from, route.clone(), add_path);
             affected.push(route.prefix);
+            self.rib.announce(from, route, add_path);
         }
         affected.sort();
         affected.dedup();
@@ -185,257 +176,227 @@ impl BgpInstance {
     /// Adj-RIB-In routes — no peer needs to re-advertise. This is the
     /// paper's Fig. 5 "soft reconfiguration" event.
     pub fn apply_config(&mut self, change: &ConfigChange, igp: &dyn IgpView) -> BgpOutputs {
-        // Session removal must also flush learned state.
-        let mut extra_affected: Vec<Ipv4Prefix> = Vec::new();
-        if let ConfigChange::RemoveSession(peer) = change {
-            extra_affected = self.adj_in.drop_peer(*peer);
-        }
         if !change.apply(&mut self.cfg) {
             return BgpOutputs::default();
         }
-        let mut prefixes = self.all_known_prefixes();
-        prefixes.extend(extra_affected);
-        prefixes.sort();
-        prefixes.dedup();
-        self.reevaluate(&prefixes, igp)
+        // Session removal also flushes what was learned from the peer and
+        // what was advertised to it: the peer discards the latter, so a
+        // re-added session must send the table again.
+        if let ConfigChange::RemoveSession(peer) = change {
+            self.rib.drop_peer(*peer);
+            self.rib.drop_sent_to(*peer);
+        }
+        self.reevaluate_all(igp)
     }
 
     /// Handles a peer session going down: flush everything learned from it.
     pub fn peer_down(&mut self, peer: PeerRef, igp: &dyn IgpView) -> BgpOutputs {
-        let affected = self.adj_in.drop_peer(peer);
+        let affected = self.rib.drop_peer(peer);
         self.reevaluate(&affected, igp)
     }
 
     /// The IGP changed (metrics or reachability): re-run the decision
     /// process everywhere, since next-hop resolution may differ.
     pub fn igp_changed(&mut self, igp: &dyn IgpView) -> BgpOutputs {
-        let prefixes = self.all_known_prefixes();
-        self.reevaluate(&prefixes, igp)
+        self.reevaluate_all(igp)
     }
 
-    fn all_known_prefixes(&self) -> Vec<Ipv4Prefix> {
-        let mut v = self.adj_in.prefixes();
-        v.extend(self.loc_rib.keys().copied());
-        v.sort();
-        v.dedup();
-        v
+    /// Re-runs selection for `prefixes` (ascending) and emits all
+    /// resulting deltas and messages.
+    fn reevaluate(&mut self, prefixes: &[Ipv4Prefix], igp: &dyn IgpView) -> BgpOutputs {
+        let mut pass = Pass::new(&self.cfg, igp);
+        for prefix in prefixes {
+            if let Some(rec) = self.rib.table.get_mut(prefix) {
+                pass.prefix(*prefix, rec);
+                if rec.is_empty() {
+                    self.rib.table.remove(prefix);
+                }
+            }
+        }
+        pass.finish()
+    }
+
+    /// [`reevaluate`](Self::reevaluate) over every prefix held: one
+    /// in-order walk of the table.
+    fn reevaluate_all(&mut self, igp: &dyn IgpView) -> BgpOutputs {
+        let mut pass = Pass::new(&self.cfg, igp);
+        self.rib.table.retain(|prefix, rec| {
+            pass.prefix(*prefix, rec);
+            !rec.is_empty()
+        });
+        pass.finish()
+    }
+}
+
+/// One run of the decision process over some prefixes: what it reads,
+/// and the outputs it accumulates.
+struct Pass<'a> {
+    cfg: &'a BgpConfig,
+    igp: &'a dyn IgpView,
+    out: BgpOutputs,
+    /// The update under construction for each of `cfg.sessions`.
+    updates: Vec<BgpUpdate>,
+    /// Scratch: the originators a peer is to keep for the prefix at hand.
+    kept: Vec<RouterId>,
+}
+
+impl<'a> Pass<'a> {
+    fn new(cfg: &'a BgpConfig, igp: &'a dyn IgpView) -> Self {
+        Pass {
+            cfg,
+            igp,
+            out: BgpOutputs::default(),
+            updates: vec![BgpUpdate::default(); cfg.sessions.len()],
+            kept: Vec::new(),
+        }
+    }
+
+    /// The outputs, with one message per peer that has something to hear.
+    fn finish(mut self) -> BgpOutputs {
+        let peers = self.cfg.sessions.iter().map(|s| s.peer);
+        self.out.msgs = peers
+            .zip(self.updates)
+            .filter(|(_, u)| !u.is_empty())
+            .collect();
+        self.out.msgs.sort_by_key(|(peer, _)| *peer);
+        self.out
+    }
+
+    /// Re-runs selection for one prefix: Loc-RIB delta, FIB delta,
+    /// advertisements.
+    fn prefix(&mut self, prefix: Ipv4Prefix, rec: &mut PrefixRib) {
+        let cands = self.candidates(rec);
+        let best = best_path(self.cfg.vendor, &cands).map(|i| &cands[i]);
+        if rec.best.as_ref().map(|s| (s.from, &s.route)) != best.map(|c| (c.from, &c.route)) {
+            rec.best = best.map(|c| Selected {
+                route: c.route.clone(),
+                from: c.from,
+            });
+            let route = rec.best.as_ref().map(|s| s.route.clone());
+            self.out.rib_changes.push(RibChange { prefix, route });
+        }
+        let action = rec.best.as_ref().and_then(|s| self.resolve(&s.route));
+        if action != rec.fib {
+            self.out.fib_changes.push(FibChange { prefix, action });
+            rec.fib = action;
+        }
+        self.adverts(prefix, &cands, rec);
     }
 
     /// Builds the decision-process candidates for a prefix.
-    fn candidates(&self, prefix: Ipv4Prefix, igp: &dyn IgpView) -> Vec<Candidate> {
-        let mut out = Vec::new();
-        for (peer, raw, seq) in self.adj_in.paths_for(prefix) {
-            let Some(session) = self.cfg.session(peer) else {
-                continue;
-            };
-            let Some(route) = session.import.apply(raw) else {
-                continue;
-            };
+    fn candidates(&self, rec: &PrefixRib) -> Vec<Candidate> {
+        let me = self.cfg.router;
+        let candidate = |(&(peer, _), (raw, seq)): (&(PeerRef, RouterId), &(BgpRoute, u64))| {
+            let session = self.cfg.session(peer)?;
+            let route = session.import.apply(raw)?;
             let igp_metric = match route.next_hop {
-                NextHop::External(_) => Some(0),
-                NextHop::Router(r) => {
-                    if r == self.cfg.router {
-                        Some(0)
-                    } else {
-                        igp.metric_to(r)
-                    }
-                }
+                NextHop::Router(r) if r != me => self.igp.metric_to(r),
+                _ => Some(0),
             };
-            out.push(Candidate {
+            Some(Candidate {
                 route,
                 from: peer,
                 weight: session.weight,
-                seq,
+                seq: *seq,
                 igp_metric,
                 ebgp: session.ebgp,
-            });
-        }
-        out
-    }
-
-    /// Re-runs selection for `prefixes` and emits all resulting deltas and
-    /// messages.
-    fn reevaluate(&mut self, prefixes: &[Ipv4Prefix], igp: &dyn IgpView) -> BgpOutputs {
-        let mut out = BgpOutputs::default();
-        // Per-peer accumulated update messages.
-        let mut per_peer: BTreeMap<PeerRef, BgpUpdate> = BTreeMap::new();
-        for &prefix in prefixes {
-            let cands = self.candidates(prefix, igp);
-            let best = best_path(self.cfg.vendor, &cands).map(|i| Selected {
-                route: cands[i].route.clone(),
-                from: cands[i].from,
-            });
-            // Loc-RIB delta.
-            let old = self.loc_rib.get(&prefix);
-            if old != best.as_ref() {
-                out.rib_changes.push(RibChange {
-                    prefix,
-                    route: best.as_ref().map(|s| s.route.clone()),
-                });
-                match &best {
-                    Some(s) => {
-                        self.loc_rib.insert(prefix, s.clone());
-                    }
-                    None => {
-                        self.loc_rib.remove(&prefix);
-                    }
-                }
-            }
-            // FIB delta.
-            let action = self
-                .loc_rib
-                .get(&prefix)
-                .and_then(|s| self.resolve(&s.route, igp));
-            let old_action = self.fib_view.get(&prefix).copied();
-            if action != old_action {
-                out.fib_changes.push(FibChange { prefix, action });
-                match action {
-                    Some(a) => {
-                        self.fib_view.insert(prefix, a);
-                    }
-                    None => {
-                        self.fib_view.remove(&prefix);
-                    }
-                }
-            }
-            // Advertisements.
-            self.emit_adverts(prefix, &cands, &mut per_peer);
-        }
-        out.msgs = per_peer
-            .into_iter()
-            .filter(|(_, u)| !u.is_empty())
-            .collect();
-        out
+            })
+        };
+        rec.paths.iter().filter_map(candidate).collect()
     }
 
     /// Resolves a selected route to a FIB action through the IGP.
-    fn resolve(&self, route: &BgpRoute, igp: &dyn IgpView) -> Option<FibAction> {
+    fn resolve(&self, route: &BgpRoute) -> Option<FibAction> {
         match route.next_hop {
             NextHop::External(p) => Some(FibAction::Exit(p)),
+            // Selected our own injected route with a rewritten next hop;
+            // should not happen, but degrade to drop.
+            NextHop::Router(r) if r == self.cfg.router => None,
             NextHop::Router(r) => {
-                if r == self.cfg.router {
-                    // Selected our own injected route with a rewritten next
-                    // hop; should not happen, but degrade to drop.
-                    None
-                } else {
-                    igp.next_hop_to(r).map(|(_, link)| FibAction::Forward(link))
-                }
+                let hop = self.igp.next_hop_to(r);
+                hop.map(|(_, link)| FibAction::Forward(link))
             }
         }
     }
 
     /// Computes the advertisements for one prefix toward every peer and
     /// diffs them against Adj-RIB-Out, appending announce/withdraw to the
-    /// per-peer update builders.
-    fn emit_adverts(
-        &mut self,
-        prefix: Ipv4Prefix,
-        cands: &[Candidate],
-        per_peer: &mut BTreeMap<PeerRef, BgpUpdate>,
-    ) {
-        let best = self.loc_rib.get(&prefix).cloned();
-        let peers: Vec<PeerRef> = self.cfg.sessions.iter().map(|s| s.peer).collect();
-        for peer in peers {
-            let desired: Vec<BgpRoute> = self.desired_for_peer(peer, prefix, cands, best.as_ref());
-            // Apply export policy.
-            let session = self.cfg.session(peer).expect("session exists");
-            let exported: Vec<BgpRoute> = desired
-                .iter()
-                .filter_map(|r| session.export.apply(r))
-                .collect();
-            // Withdraw originators no longer advertised.
-            let old_origs = self.adj_out.originators(peer, prefix);
-            let update = per_peer.entry(peer).or_default();
-            for o in old_origs {
-                if !exported.iter().any(|r| r.originator == o) {
-                    self.adj_out.clear(peer, prefix, Some(o));
-                    update.withdraw.push((prefix, Some(o)));
+    /// per-session updates. A route is copied only to be rewritten for
+    /// the boundary it crosses (once per prefix, not per peer) or to be
+    /// recorded as sent.
+    fn adverts(&mut self, prefix: Ipv4Prefix, cands: &[Candidate], rec: &mut PrefixRib) {
+        let cfg = self.cfg;
+        let next_hop_self = |route: &BgpRoute| BgpRoute {
+            next_hop: NextHop::Router(cfg.router),
+            originator: cfg.router,
+            ..route.clone()
+        };
+        let best = rec.best.as_ref();
+        // How the best route was learned. (A sessionless source is
+        // classified by its reference kind, for robustness.)
+        let source = best.and_then(|s| cfg.session(s.from));
+        let learned_ebgp = best.is_some_and(|s| source.map_or(s.from.is_external(), |f| f.ebgp));
+        let from_client = source.is_some_and(|f| f.rr_client);
+        let (mut ebgp_form, mut ibgp_form, mut add_paths) = (None, None, None);
+        for (session, update) in cfg.sessions.iter().zip(&mut self.updates) {
+            let peer = session.peer;
+            // A route is never advertised back to the peer it came from.
+            let sel = best.filter(|s| s.from != peer);
+            // The raw (pre-export-policy) routes we want `peer` to have.
+            let desired: &[BgpRoute] = if session.ebgp {
+                // eBGP export (external peer, or an in-domain router of
+                // another AS): the best route with our AS prepended and
+                // attributes scoped to the AS boundary (local-pref reset,
+                // next-hop-self).
+                sel.map_or(&[], |s| {
+                    std::slice::from_ref(ebgp_form.get_or_insert_with(|| {
+                        let mut r = next_hop_self(&s.route);
+                        r.as_path.insert(0, cfg.asn);
+                        r.local_pref = DEFAULT_LOCAL_PREF;
+                        r
+                    }))
+                })
+            } else if cfg.add_path {
+                // Add-Path over iBGP: every surviving eBGP-learned path,
+                // next-hop-self.
+                add_paths.get_or_insert_with(|| {
+                    let ebgp = cands.iter().filter(|c| c.ebgp);
+                    ebgp.map(|c| next_hop_self(&c.route)).collect::<Vec<_>>()
+                })
+            } else {
+                // iBGP, best path only. Without route reflection, only
+                // eBGP-learned routes are advertised (full mesh). With
+                // reflection (RFC 4456, one level): client routes go to
+                // every iBGP peer, non-client iBGP routes go to clients.
+                // Reflected routes keep their next hop and originator (a
+                // reflector is not on the data path); the originator
+                // check on receive prevents reflection loops.
+                match sel {
+                    Some(s) if learned_ebgp => std::slice::from_ref(
+                        ibgp_form.get_or_insert_with(|| next_hop_self(&s.route)),
+                    ),
+                    Some(s) if from_client || session.rr_client => std::slice::from_ref(&s.route),
+                    _ => &[],
                 }
-            }
-            // Announce new/changed routes.
-            for r in exported {
-                if !self.adj_out.already_sent(peer, &r) {
-                    self.adj_out.record(peer, r.clone());
+            };
+            // Announce new/changed routes that pass export policy.
+            self.kept.clear();
+            for r in desired.iter().filter_map(|r| session.export.eval(r)) {
+                let key = (peer, r.originator);
+                self.kept.push(r.originator);
+                if rec.sent.get(&key) != Some(&*r) {
+                    let r = r.into_owned();
+                    rec.sent.insert(key, r.clone());
                     update.announce.push(r);
                 }
             }
-        }
-    }
-
-    /// Is the session to `p` an eBGP session? (Sessionless peers are
-    /// classified by their reference kind, for robustness.)
-    fn session_is_ebgp(&self, p: PeerRef) -> bool {
-        self.cfg
-            .session(p)
-            .map(|s| s.ebgp)
-            .unwrap_or_else(|| p.is_external())
-    }
-
-    /// The raw (pre-export-policy) routes we want `peer` to have for
-    /// `prefix`.
-    fn desired_for_peer(
-        &self,
-        peer: PeerRef,
-        _prefix: Ipv4Prefix,
-        cands: &[Candidate],
-        best: Option<&Selected>,
-    ) -> Vec<BgpRoute> {
-        if self.session_is_ebgp(peer) {
-            // eBGP export (external peer, or an in-domain router of
-            // another AS): the best route, never back to its source, with
-            // our AS prepended and attributes scoped to the AS boundary
-            // (local-pref reset, next-hop-self).
-            let Some(sel) = best else { return Vec::new() };
-            if sel.from == peer {
-                return Vec::new();
-            }
-            let mut r = sel.route.clone();
-            r.as_path.insert(0, self.cfg.asn);
-            r.local_pref = DEFAULT_LOCAL_PREF;
-            r.next_hop = NextHop::Router(self.cfg.router);
-            r.originator = self.cfg.router;
-            vec![r]
-        } else if self.cfg.add_path {
-            // Add-Path over iBGP: every surviving eBGP-learned path,
-            // next-hop-self.
-            cands
-                .iter()
-                .filter(|c| c.ebgp)
-                .map(|c| {
-                    let mut r = c.route.clone();
-                    r.next_hop = NextHop::Router(self.cfg.router);
-                    r.originator = self.cfg.router;
-                    r
-                })
-                .collect()
-        } else {
-            // iBGP, best path only. Without route reflection, only
-            // eBGP-learned routes are advertised (full mesh). With
-            // reflection (RFC 4456, one level): client routes go to every
-            // iBGP peer, non-client iBGP routes go to clients. Reflected
-            // routes keep their next hop and originator (a reflector is
-            // not on the data path); the originator check on receive
-            // prevents reflection loops.
-            match best {
-                Some(sel) if sel.from != peer => {
-                    let learned_ebgp = self.session_is_ebgp(sel.from);
-                    let from_client = self
-                        .cfg
-                        .session(sel.from)
-                        .map(|s| s.rr_client)
-                        .unwrap_or(false);
-                    let to_client = self.cfg.session(peer).map(|s| s.rr_client).unwrap_or(false);
-                    if !(learned_ebgp || from_client || to_client) {
-                        return Vec::new();
-                    }
-                    let mut r = sel.route.clone();
-                    if learned_ebgp {
-                        r.next_hop = NextHop::Router(self.cfg.router);
-                        r.originator = self.cfg.router;
-                    }
-                    vec![r]
-                }
-                _ => Vec::new(),
+            // Withdraw originators no longer advertised.
+            let held = (peer, RouterId(u32::MIN))..=(peer, RouterId(u32::MAX));
+            let stale = rec.sent.range(held).map(|(key, _)| *key);
+            let stale: Vec<_> = stale.filter(|(_, o)| !self.kept.contains(o)).collect();
+            for key in stale {
+                rec.sent.remove(&key);
+                update.withdraw.push((prefix, Some(key.1)));
             }
         }
     }
@@ -690,8 +651,8 @@ mod tests {
         // R3 got the route from R1 over iBGP; it must not advertise it to
         // R2 (full mesh). Directly inspect: R3 has no adj-out entries to
         // internal peers.
-        assert!(insts[2].adj_out.sent_to(int(0)).is_empty());
-        assert!(insts[2].adj_out.sent_to(int(1)).is_empty());
+        assert!(insts[2].rib.sent_to(int(0)).is_empty());
+        assert!(insts[2].rib.sent_to(int(1)).is_empty());
     }
 
     #[test]
@@ -701,7 +662,7 @@ mod tests {
         // After convergence, R2's best is via R1 (LP 20). R2 should export
         // to its own external peer Ext1 with AS prepended.
         let _ = out;
-        let sent = insts[1].adj_out.sent_to(ext(1));
+        let sent = insts[1].rib.sent_to(ext(1));
         assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].as_path.first(), Some(&AsNum(65000)));
         assert_eq!(sent[0].local_pref, DEFAULT_LOCAL_PREF);
@@ -712,7 +673,7 @@ mod tests {
         let mut insts = paper_instances();
         announce_external(&mut insts, 0, 0, 100);
         // R1's best is its own eBGP route from Ext0: nothing goes back.
-        assert!(insts[0].adj_out.sent_to(ext(0)).is_empty());
+        assert!(insts[0].rib.sent_to(ext(0)).is_empty());
     }
 
     #[test]
@@ -755,6 +716,27 @@ mod tests {
         assert!(insts[0].loc_rib().is_empty());
         // Withdrawals propagate to iBGP peers.
         assert!(out.msgs.iter().any(|(_, u)| !u.withdraw.is_empty()));
+    }
+
+    #[test]
+    fn readded_session_is_sent_the_table_again() {
+        let mut insts = paper_instances();
+        announce_external(&mut insts, 0, 0, 100);
+        assert_eq!(insts[0].rib.sent_to(int(2)).len(), 1);
+        // Remove R1's session to R3, then apply the inverse — what the
+        // repair engine's rollback does (§6).
+        let igp = igp_for(0);
+        let remove = ConfigChange::RemoveSession(int(2));
+        let inverse = remove.inverse(insts[0].config()).unwrap();
+        let out = insts[0].apply_config(&remove, &igp);
+        assert!(out.is_empty(), "nobody left to tell: {out:?}");
+        assert!(insts[0].rib.sent_to(int(2)).is_empty());
+        let out = insts[0].apply_config(&inverse, &igp);
+        assert_eq!(out.msgs.len(), 1, "{:?}", out.msgs);
+        let (peer, update) = &out.msgs[0];
+        assert_eq!(*peer, int(2));
+        assert_eq!(update.announce.len(), 1);
+        assert_eq!(update.announce[0].prefix, p(PFX));
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! * proper RIB structure ([`rib`]): raw Adj-RIB-In (so *soft
 //!   reconfiguration* — re-running policy over stored routes, the 25 s
 //!   event in the paper's Fig. 5 — is possible), Loc-RIB, and Adj-RIB-Out
-//!   (so withdrawals and duplicate suppression are exact).
+//!   (so withdrawals and duplicate suppression are exact) — one record
+//!   per prefix in one ordered table, so work follows the paths touched,
+//!   not the table size.
 //! * iBGP/eBGP dissemination rules (full-mesh iBGP, no re-advertisement of
 //!   iBGP-learned routes to iBGP peers, next-hop-self at the border), and
 //!   optional **BGP Add-Path**, which the paper's §8 identifies as the

@@ -10,6 +10,7 @@
 
 use crate::route::BgpRoute;
 use cpvr_types::{AsNum, Ipv4Prefix};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A single match condition inside a clause. All conditions in a clause
@@ -142,19 +143,27 @@ impl RouteMap {
     /// Evaluates the map: `Some(modified route)` on permit, `None` on
     /// deny.
     pub fn apply(&self, route: &BgpRoute) -> Option<BgpRoute> {
-        for clause in &self.clauses {
-            if clause.matches.iter().all(|m| m.matches(route)) {
-                if !clause.permit {
-                    return None;
-                }
+        self.eval(route).map(Cow::into_owned)
+    }
+
+    /// [`apply`](Self::apply) without copying a route the map permits
+    /// unchanged (borrowed) — only a firing set action makes a copy.
+    pub fn eval<'a>(&self, route: &'a BgpRoute) -> Option<Cow<'a, BgpRoute>> {
+        let fired = self
+            .clauses
+            .iter()
+            .find(|c| c.matches.iter().all(|m| m.matches(route)));
+        match fired {
+            Some(clause) if !clause.permit => None,
+            Some(clause) if !clause.sets.is_empty() => {
                 let mut out = route.clone();
                 for s in &clause.sets {
                     s.apply(&mut out);
                 }
-                return Some(out);
+                Some(Cow::Owned(out))
             }
+            _ => Some(Cow::Borrowed(route)),
         }
-        Some(route.clone())
     }
 }
 

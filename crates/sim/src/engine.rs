@@ -224,7 +224,7 @@ impl Simulation {
                     change: None,
                     inverse: None,
                 },
-                &[],
+                None,
             );
             let out = self.routers[r].igp.start(&self.topo);
             self.process_igp_outputs(rid, now, out, vec![root]);
@@ -339,7 +339,7 @@ impl Simulation {
         router: RouterId,
         time: SimTime,
         kind: IoKind,
-        parents: &[EventId],
+        parents: impl IntoIterator<Item = EventId>,
     ) -> EventId {
         let id = EventId(self.trace.events.len() as u32);
         let arrived_at = self.capture.sample(time, &mut self.rng);
@@ -353,9 +353,8 @@ impl Simulation {
         if let Some(sink) = &mut self.sink {
             sink.on_event(self.trace.events.last().expect("just pushed"));
         }
-        for p in parents {
-            self.trace.truth_edges.push((*p, id));
-        }
+        let edges = parents.into_iter().map(|p| (p, id));
+        self.trace.truth_edges.extend(edges);
         id
     }
 
@@ -384,7 +383,7 @@ impl Simulation {
                             route: None,
                         }
                     };
-                    recv_ids.push(self.emit(to, t, kind, &causes));
+                    recv_ids.push(self.emit(to, t, kind, causes.iter().copied()));
                 }
                 let out = self.routers[to.index()].igp.recv(&self.topo, from, msg);
                 self.process_igp_outputs(to, t, out, recv_ids);
@@ -397,7 +396,8 @@ impl Simulation {
                 withdraw_causes,
             } => {
                 // Emit recv events, tracking parents per prefix.
-                let mut parents: BTreeMap<Ipv4Prefix, Vec<EventId>> = BTreeMap::new();
+                let mut recv_ids =
+                    Vec::with_capacity(update.withdraw.len() + update.announce.len());
                 for (i, (prefix, _orig)) in update.withdraw.iter().enumerate() {
                     let cause = withdraw_causes.get(i).copied().flatten();
                     let id = self.emit(
@@ -408,9 +408,9 @@ impl Simulation {
                             prefix: Some(*prefix),
                             from: Some(from),
                         },
-                        cause.as_slice(),
+                        cause,
                     );
-                    parents.entry(*prefix).or_default().push(id);
+                    recv_ids.push((*prefix, id));
                 }
                 for (i, route) in update.announce.iter().enumerate() {
                     let cause = announce_causes.get(i).copied().flatten();
@@ -423,16 +423,18 @@ impl Simulation {
                             from: Some(from),
                             route: Some(route.clone()),
                         },
-                        cause.as_slice(),
+                        cause,
                     );
-                    parents.entry(route.prefix).or_default().push(id);
+                    recv_ids.push((route.prefix, id));
                 }
+                // Stable: a prefix's recv events stay in emission order.
+                recv_ids.sort_by_key(|(prefix, _)| *prefix);
                 let out = {
                     let router = &mut self.routers[to.index()];
                     let view = IgpTableView::new(router.igp.table(), &self.topo);
                     router.bgp.recv_update(from, update, &view)
                 };
-                self.process_bgp_outputs(to, t, out, &parents, &[]);
+                self.process_bgp_outputs(to, t, out, &recv_ids, &[]);
             }
             SimEvent::ConfigEntered { router, change } => {
                 // Compute the inverse against the configuration currently
@@ -446,7 +448,7 @@ impl Simulation {
                         change: Some(change.clone()),
                         inverse,
                     },
-                    &[],
+                    None,
                 );
                 let delay = self.latency.config_apply.sample(&mut self.rng);
                 self.push(
@@ -469,14 +471,14 @@ impl Simulation {
                     IoKind::SoftReconfig {
                         desc: change.to_string(),
                     },
-                    cause.as_slice(),
+                    cause,
                 );
                 let out = {
                     let r = &mut self.routers[router.index()];
                     let view = IgpTableView::new(r.igp.table(), &self.topo);
                     r.bgp.apply_config(&change, &view)
                 };
-                self.process_bgp_outputs(router, t, out, &BTreeMap::new(), &[soft]);
+                self.process_bgp_outputs(router, t, out, &[], &[soft]);
             }
             SimEvent::LinkChange { link, up } => {
                 let state = if up { LinkState::Up } else { LinkState::Down };
@@ -495,7 +497,7 @@ impl Simulation {
                             link: Some(link),
                             peer: None,
                         },
-                        &[],
+                        None,
                     );
                     let out = self.routers[r.index()].igp.link_change(&self.topo);
                     self.process_igp_outputs(r, t_n, out, vec![id]);
@@ -516,7 +518,7 @@ impl Simulation {
                         link: None,
                         peer: Some(peer),
                     },
-                    &[],
+                    None,
                 );
                 if !up {
                     let out = {
@@ -524,7 +526,7 @@ impl Simulation {
                         let view = IgpTableView::new(r.igp.table(), &self.topo);
                         r.bgp.peer_down(PeerRef::External(peer), &view)
                     };
-                    self.process_bgp_outputs(router, t_n, out, &BTreeMap::new(), &[id]);
+                    self.process_bgp_outputs(router, t_n, out, &[], &[id]);
                 }
             }
             SimEvent::FibApply { update } => {
@@ -570,7 +572,7 @@ impl Simulation {
                     prefix: d.prefix,
                 },
             };
-            let id = self.emit(router, t_rib, kind, &parents);
+            let id = self.emit(router, t_rib, kind, parents.iter().copied());
             rib_ids.insert(d.prefix, id);
             // IGP routes are installed in the FIB too.
             let t_fib = t_rib + self.latency.fib_install.sample(&mut self.rng);
@@ -591,7 +593,7 @@ impl Simulation {
                 }
                 None => (IoKind::FibRemove { prefix: d.prefix }, None),
             };
-            let fid = self.emit(router, t_fib, kind, &[id]);
+            let fid = self.emit(router, t_fib, kind, Some(id));
             fib_ids.insert(d.prefix, fid);
             let update = FibUpdate {
                 router,
@@ -638,7 +640,7 @@ impl Simulation {
                         route: None,
                     }
                 };
-                send_ids.push(self.emit(router, t_send, kind, &own));
+                send_ids.push(self.emit(router, t_send, kind, own));
             }
             let prop = self.latency.link_prop.sample(&mut self.rng);
             self.push(
@@ -660,54 +662,48 @@ impl Simulation {
             };
             if !out.is_empty() {
                 let rib_parents: Vec<EventId> = rib_ids.values().copied().collect();
-                self.process_bgp_outputs(router, t_rib, out, &BTreeMap::new(), &rib_parents);
+                self.process_bgp_outputs(router, t_rib, out, &[], &rib_parents);
             }
         }
     }
 
     /// Emits RIB / FIB / send events for one router's BGP outputs and
     /// schedules message deliveries. Parents for a prefix come from
-    /// `parents_by_prefix`, falling back to `default_parents`.
+    /// `recv_ids` (sorted by prefix), falling back to `default_parents`.
     fn process_bgp_outputs(
         &mut self,
         router: RouterId,
         t: SimTime,
         out: BgpOutputs,
-        parents_by_prefix: &BTreeMap<Ipv4Prefix, Vec<EventId>>,
+        recv_ids: &[(Ipv4Prefix, EventId)],
         default_parents: &[EventId],
     ) {
-        let lookup = |prefix: Ipv4Prefix,
-                      parents_by_prefix: &BTreeMap<Ipv4Prefix, Vec<EventId>>|
-         -> Vec<EventId> {
-            parents_by_prefix
-                .get(&prefix)
-                .cloned()
-                .unwrap_or_else(|| default_parents.to_vec())
-        };
         let t_rib = t + self.latency.decision.sample(&mut self.rng);
-        let mut rib_ids: BTreeMap<Ipv4Prefix, EventId> = BTreeMap::new();
-        for c in &out.rib_changes {
-            let parents = lookup(c.prefix, parents_by_prefix);
-            let kind = match &c.route {
+        // Sorted by prefix, because `rib_changes` is.
+        let mut rib_ids: Vec<(Ipv4Prefix, EventId)> = Vec::with_capacity(out.rib_changes.len());
+        for c in out.rib_changes {
+            let kind = match c.route {
                 Some(r) => IoKind::RibInstall {
                     proto: Proto::Bgp,
                     prefix: c.prefix,
-                    route: Some(r.clone()),
+                    route: Some(r),
                 },
                 None => IoKind::RibRemove {
                     proto: Proto::Bgp,
                     prefix: c.prefix,
                 },
             };
-            let id = self.emit(router, t_rib, kind, &parents);
-            rib_ids.insert(c.prefix, id);
+            let id = self.emit(
+                router,
+                t_rib,
+                kind,
+                parents_of(c.prefix, &[], recv_ids, default_parents),
+            );
+            debug_assert!(rib_ids.last().is_none_or(|(p, _)| *p < c.prefix));
+            rib_ids.push((c.prefix, id));
         }
         for c in &out.fib_changes {
             let t_fib = t_rib + self.latency.fib_install.sample(&mut self.rng);
-            let parents: Vec<EventId> = match rib_ids.get(&c.prefix) {
-                Some(id) => vec![*id],
-                None => lookup(c.prefix, parents_by_prefix),
-            };
             let kind = match c.action {
                 Some(a) => IoKind::FibInstall {
                     prefix: c.prefix,
@@ -715,7 +711,12 @@ impl Simulation {
                 },
                 None => IoKind::FibRemove { prefix: c.prefix },
             };
-            let _fid = self.emit(router, t_fib, kind, &parents);
+            self.emit(
+                router,
+                t_fib,
+                kind,
+                parents_of(c.prefix, &rib_ids, recv_ids, default_parents),
+            );
             let update = FibUpdate {
                 router,
                 prefix: c.prefix,
@@ -735,10 +736,6 @@ impl Simulation {
             let t_send = t_rib + self.latency.advert_send.sample(&mut self.rng);
             let mut withdraw_causes: Vec<Option<EventId>> = Vec::new();
             for (prefix, _orig) in &update.withdraw {
-                let parents: Vec<EventId> = match rib_ids.get(prefix) {
-                    Some(id) => vec![*id],
-                    None => lookup(*prefix, parents_by_prefix),
-                };
                 let id = self.emit(
                     router,
                     t_send,
@@ -747,16 +744,12 @@ impl Simulation {
                         prefix: Some(*prefix),
                         to: Some(peer),
                     },
-                    &parents,
+                    parents_of(*prefix, &rib_ids, recv_ids, default_parents),
                 );
                 withdraw_causes.push(Some(id));
             }
             let mut announce_causes: Vec<Option<EventId>> = Vec::new();
             for route in &update.announce {
-                let parents: Vec<EventId> = match rib_ids.get(&route.prefix) {
-                    Some(id) => vec![*id],
-                    None => lookup(route.prefix, parents_by_prefix),
-                };
                 let id = self.emit(
                     router,
                     t_send,
@@ -766,7 +759,7 @@ impl Simulation {
                         to: Some(peer),
                         route: Some(route.clone()),
                     },
-                    &parents,
+                    parents_of(route.prefix, &rib_ids, recv_ids, default_parents),
                 );
                 announce_causes.push(Some(id));
             }
@@ -785,4 +778,28 @@ impl Simulation {
             }
         }
     }
+}
+
+/// The events a BGP output for `prefix` hangs off: the prefix's RIB event
+/// when its batch has one ([R install P in BGP RIB] → …, §4.1), else the
+/// recv events for the prefix, else the batch's `fallback` parents. Both
+/// id lists are sorted by prefix.
+fn parents_of<'a>(
+    prefix: Ipv4Prefix,
+    rib_ids: &'a [(Ipv4Prefix, EventId)],
+    recv_ids: &'a [(Ipv4Prefix, EventId)],
+    fallback: &'a [EventId],
+) -> impl Iterator<Item = EventId> + 'a {
+    let run = |sorted: &'a [(Ipv4Prefix, EventId)]| {
+        let lo = sorted.partition_point(|(p, _)| *p < prefix);
+        let n = sorted[lo..].partition_point(|(p, _)| *p == prefix);
+        &sorted[lo..lo + n]
+    };
+    let mut ids = run(rib_ids);
+    if ids.is_empty() {
+        ids = run(recv_ids);
+    }
+    let fallback = if ids.is_empty() { fallback } else { &[] };
+    let ids = ids.iter().map(|(_, id)| *id);
+    ids.chain(fallback.iter().copied())
 }

@@ -6,12 +6,13 @@ use cpvr_types::{AsNum, Ipv4Prefix, RouterId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// `n` disjoint /24 prefixes under `100.0.0.0/8` — a synthetic external
-/// routing table.
+/// `n` disjoint /24 prefixes — a synthetic external routing table. The
+/// first 2^16 fill `100.0.0.0/8`; larger tables spill into the /8s that
+/// follow, up to `223.0.0.0/8`.
 pub fn prefix_block(n: usize) -> Vec<Ipv4Prefix> {
-    assert!(n <= 65536, "only 2^16 /24s under a /8");
+    assert!(n <= 124 << 16, "only 124 unicast /8s from 100.0.0.0 up");
     (0..n as u32)
-        .map(|i| Ipv4Prefix::from_bits(u32::from_be_bytes([100, (i >> 8) as u8, i as u8, 0]), 24))
+        .map(|i| Ipv4Prefix::from_bits((100 << 24) + (i << 8), 24))
         .collect()
 }
 
@@ -119,6 +120,15 @@ mod tests {
     }
 
     #[test]
+    fn prefix_block_spills_into_following_slash_eights() {
+        let ps = prefix_block(65_536 + 300);
+        assert_eq!(ps[65_535].to_string(), "100.255.255.0/24");
+        assert_eq!(ps[65_536].to_string(), "101.0.0.0/24");
+        assert_eq!(ps[65_536 + 299].to_string(), "101.1.43.0/24");
+        assert!(ps.windows(2).all(|w| w[0] < w[1] && !w[0].overlaps(&w[1])));
+    }
+
+    #[test]
     fn policy_classes_in_range_and_skewed() {
         let classes = policy_classes(10_000, 8, 42);
         assert_eq!(classes.len(), 10_000);
@@ -151,6 +161,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn too_many_prefixes_panics() {
-        prefix_block(70_000);
+        prefix_block((124 << 16) + 1);
     }
 }

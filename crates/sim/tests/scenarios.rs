@@ -1,7 +1,7 @@
 //! End-to-end simulator tests reproducing the paper's scenarios.
 
 use cpvr_bgp::{ConfigChange, PeerRef, RouteMap, SetAction};
-use cpvr_dataplane::TraceOutcome;
+use cpvr_dataplane::{FibAction, TraceOutcome};
 use cpvr_sim::scenario::{paper_scenario, two_exit_scenario};
 use cpvr_sim::{CaptureProfile, IoKind, LatencyProfile, Proto};
 use cpvr_types::{RouterId, SimTime};
@@ -319,6 +319,48 @@ fn link_failure_converges_and_reroutes() {
         "R1 must fail over to its local exit; path {:?}",
         t.router_path()
     );
+}
+
+/// Every router's FIB as `(prefix, action)` pairs.
+fn fib_contents(sim: &cpvr_sim::Simulation) -> Vec<Vec<(cpvr_types::Ipv4Prefix, FibAction)>> {
+    (0..sim.topology().num_routers() as u32)
+        .map(|r| {
+            let entries = sim.dataplane().fib(RouterId(r)).entries();
+            entries.iter().map(|(p, e)| (*p, e.action)).collect()
+        })
+        .collect()
+}
+
+#[test]
+fn session_removal_rolls_back_to_the_pre_fault_fibs() {
+    // §6 "revert is safe": tear the R2—R3 iBGP session down at both ends,
+    // then apply the inverses the capture recorded, as the repair engine
+    // does. R3 loses P with the session (R1's best is R2's route, so R1
+    // has nothing of its own to offer) and must get it back from R2.
+    let mut s = converged_paper();
+    let before = fib_contents(&s.sim);
+    let fault_from = s.sim.trace().len();
+    for (router, peer) in [(1, 2), (2, 1)] {
+        let change = ConfigChange::RemoveSession(PeerRef::Internal(RouterId(peer)));
+        let at = s.sim.now() + SimTime::from_millis(10);
+        s.sim.schedule_config(at, RouterId(router), change);
+    }
+    s.sim.run_to_quiescence(MAX_EVENTS);
+    assert_ne!(fib_contents(&s.sim), before, "the fault must bite");
+    let rollback: Vec<(RouterId, ConfigChange)> = s.sim.trace().events[fault_from..]
+        .iter()
+        .filter_map(|e| match &e.kind {
+            IoKind::ConfigChange { inverse, .. } => Some((e.router, inverse.clone()?)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(rollback.len(), 2);
+    for (router, inverse) in rollback {
+        let at = s.sim.now() + SimTime::from_millis(10);
+        s.sim.schedule_config(at, router, inverse);
+    }
+    s.sim.run_to_quiescence(MAX_EVENTS);
+    assert_eq!(fib_contents(&s.sim), before);
 }
 
 #[test]

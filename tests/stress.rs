@@ -2,10 +2,11 @@
 //! whole stack at once, with invariants that must hold regardless of
 //! scale.
 
-use cpvr::bgp::{BgpConfig, PeerRef, SessionCfg};
+use cpvr::bgp::{BgpConfig, ConfigChange, PeerRef, RouteMap, SessionCfg, SetAction};
 use cpvr::core::infer::{evaluate, infer_hbg, InferConfig};
 use cpvr::core::snapshot::consistency_check;
 use cpvr::dataplane::TraceOutcome;
+use cpvr::sim::scenario::two_exit_scenario;
 use cpvr::sim::workload::{churn_plan, prefix_block, random_topology};
 use cpvr::sim::{CaptureProfile, IgpKind, LatencyProfile, RouterConfig, Simulation};
 use cpvr::types::{AsNum, RouterId, SimTime};
@@ -218,4 +219,54 @@ fn ec_count_scales_with_prefixes_not_events() {
     // bounded by total distinct prefixes.
     let total = sim.dataplane().all_prefixes().len();
     assert_eq!(ecs.len(), total, "disjoint prefixes: one EC each");
+}
+
+/// Seconds the Fig. 2 fault plus its rollback take on the 12-router
+/// two-exit network carrying `n_prefixes` on both exits: two soft
+/// reconfigurations over the full table, each swinging every prefix at
+/// every router. Also checks the rollback restores the data plane.
+fn soft_reconfig_secs(n_prefixes: usize) -> f64 {
+    let (mut sim, left, right) =
+        two_exit_scenario(12, LatencyProfile::cisco(), CaptureProfile::ideal(), 5);
+    sim.start();
+    sim.run_to_quiescence(MAX_EVENTS);
+    let prefixes = prefix_block(n_prefixes);
+    sim.schedule_ext_announce(sim.now() + SimTime::from_millis(1), right, &prefixes);
+    sim.schedule_ext_announce(sim.now() + SimTime::from_millis(30), left, &prefixes);
+    sim.run_to_quiescence(MAX_EVENTS);
+    let fibs = |sim: &Simulation| -> Vec<_> {
+        let routers = (0..12).map(|r| sim.dataplane().fib(RouterId(r)).entries());
+        routers
+            .map(|fib| fib.iter().map(|(p, e)| (*p, e.action)).collect::<Vec<_>>())
+            .collect()
+    };
+    let before = fibs(&sim);
+    let t0 = std::time::Instant::now();
+    for lp in [10, 30] {
+        let change = ConfigChange::SetImport {
+            peer: PeerRef::External(right),
+            map: RouteMap::set_all(vec![SetAction::LocalPref(lp)]),
+        };
+        sim.schedule_config(sim.now() + SimTime::from_millis(20), RouterId(11), change);
+        sim.run_to_quiescence(MAX_EVENTS);
+        assert_eq!(fibs(&sim) == before, lp == 30, "after local-pref {lp}");
+    }
+    t0.elapsed().as_secs_f64()
+}
+
+#[test]
+fn soft_reconfig_cost_follows_the_table_not_its_square() {
+    // A ratio, so it holds on any machine: 4x the table may cost at most
+    // 8x the time. With RIBs that scan the whole table per prefix it was
+    // ~29x. Best of two interleaved runs each, against scheduler noise.
+    let (mut small, mut large) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..2 {
+        small = small.min(soft_reconfig_secs(512));
+        large = large.min(soft_reconfig_secs(2048));
+    }
+    let ratio = large / small;
+    assert!(
+        ratio <= 8.0,
+        "512 prefixes: {small:.3}s, 2048 prefixes: {large:.3}s, ratio {ratio:.1}"
+    );
 }
