@@ -1403,7 +1403,7 @@ impl MemberFold {
         let mut out: BTreeMap<String, u64> = BTreeMap::new();
         for b in [&self.local, &self.cross] {
             for (rule, n) in b.edge_counts() {
-                *out.entry(rule.clone()).or_default() += n;
+                *out.entry(rule).or_default() += n;
             }
         }
         out
@@ -1465,7 +1465,7 @@ pub fn merge_members(mut folds: Vec<MemberFold>) -> io::Result<FoldReport> {
                 hbg.add(*h);
             }
             for (rule, n) in b.edge_counts() {
-                *edge_counts.entry(rule.clone()).or_default() += n;
+                *edge_counts.entry(rule).or_default() += n;
             }
         }
         // Per-router state lives wholly with the owning member.

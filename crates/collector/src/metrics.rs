@@ -630,8 +630,8 @@ impl CollectorMetrics {
         self.hbg_edges.set(b.hbg().edges().len() as i64);
         for (source, n) in b.edge_counts() {
             self.registry
-                .gauge_with("cpvr_hbg_edges_offered", &[("rule", source)])
-                .set(*n as i64);
+                .gauge_with("cpvr_hbg_edges_offered", &[("rule", &source)])
+                .set(n as i64);
         }
         let (issued, resolved) = pipeline.tracker().wait_stats();
         self.waits_issued.set(issued as i64);

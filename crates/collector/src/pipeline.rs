@@ -433,11 +433,19 @@ impl IngestPipeline {
     /// Advances both consumers to `watermark` and returns the snapshot
     /// verdict there. Watermarks never move backwards; a stale value is
     /// clamped to the current one.
+    ///
+    /// The tracker's FIB delta feed is discarded here: no collector
+    /// fold consumes it (a downstream verifier is rebuilt from
+    /// [`tracker`](Self::tracker)`().dataplane()`), and left undrained
+    /// it would hold one update per FIB event for the collector's
+    /// lifetime.
     pub fn advance(&mut self, watermark: SimTime) -> SnapshotStatus {
         let wm = self.watermark.map_or(watermark, |w| w.max(watermark));
         self.watermark = Some(wm);
         self.builder.advance(wm);
-        self.tracker.advance(wm)
+        let status = self.tracker.advance(wm);
+        self.tracker.drain_applied();
+        status
     }
 
     /// The last advanced watermark, if any.
@@ -477,8 +485,10 @@ impl IngestPipeline {
         &self.tracker
     }
 
-    /// Mutable access to the tracker (for draining FIB deltas into a
-    /// downstream verifier).
+    /// Mutable access to the tracker. Its
+    /// [`drain_applied`](ConsistencyTracker::drain_applied) feed is
+    /// always empty between calls: [`advance`](Self::advance) discards
+    /// it.
     pub fn tracker_mut(&mut self) -> &mut ConsistencyTracker {
         &mut self.tracker
     }
@@ -781,6 +791,49 @@ mod tests {
         assert_eq!(t.offer(r, 1), Offer::Fresh);
         assert!(t.finished(r));
         assert_eq!(t.global_min(), Some(SimTime::MAX));
+    }
+
+    /// No collector fold drains the tracker's FIB delta feed, so the
+    /// pipeline must not let it accumulate: after any number of
+    /// advances nothing is left behind, while the data plane those
+    /// deltas built is intact.
+    #[test]
+    fn advance_leaves_no_undrained_fib_deltas() {
+        use cpvr_sim::workload::prefix_block;
+        use cpvr_sim::{EventId, IoKind};
+        const N: u64 = 600;
+        let prefixes = prefix_block(8);
+        let mut p = IngestPipeline::new(PipelineConfig::new(2));
+        for k in 0..6 {
+            for i in k * N / 6..(k + 1) * N / 6 {
+                let time = SimTime::from_micros(i + 1);
+                let prefix = prefixes[i as usize % prefixes.len()];
+                p.ingest(&IoEvent {
+                    id: EventId(i as u32),
+                    router: RouterId((i % 2) as u32),
+                    time,
+                    arrived_at: Some(time),
+                    kind: if (i / 16) % 2 == 1 {
+                        IoKind::FibInstall {
+                            prefix,
+                            action: cpvr_dataplane::FibAction::Drop,
+                        }
+                    } else {
+                        IoKind::FibRemove { prefix }
+                    },
+                });
+            }
+            p.advance(SimTime::from_micros((k + 1) * N / 6));
+            assert!(p.tracker_mut().drain_applied().is_empty(), "advance {k}");
+        }
+        assert_eq!(p.builder().processed() as u64, N);
+        let installed: usize = (0..2)
+            .map(|r| p.tracker().dataplane().fib(RouterId(r)).len())
+            .sum();
+        assert!(
+            installed > 0,
+            "the deltas were applied before being dropped"
+        );
     }
 
     #[test]

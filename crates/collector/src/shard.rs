@@ -161,7 +161,7 @@ impl FoldReport {
     /// Edges offered per inference rule, merged across builders.
     pub fn edge_counts(&self) -> BTreeMap<String, u64> {
         match self {
-            FoldReport::Single(p) => p.builder().edge_counts().clone(),
+            FoldReport::Single(p) => p.builder().edge_counts(),
             FoldReport::Sharded(s) => s.edge_counts.clone(),
             FoldReport::Member(m) => m.edge_counts(),
         }
@@ -1009,7 +1009,7 @@ pub(crate) fn coordinator_loop(
                 hbg.add(*h);
             }
             for (rule, n) in b.edge_counts() {
-                *edge_counts.entry(rule.clone()).or_default() += n;
+                *edge_counts.entry(rule).or_default() += n;
             }
         }
         // Per-router state lives wholly with the owning shard.

@@ -15,72 +15,83 @@
 //! the future (RIB/FIB/send processing delays), so the builder cannot
 //! fold an event into the sweep the moment it is ingested — a
 //! lower-stamped event may still arrive. Ingested events are therefore
-//! buffered in a priority queue and folded in `(time, id)` order only up
-//! to an explicit **watermark** the caller advances
-//! ([`advance`](HbgBuilder::advance)). The simulator guarantees that
-//! after running to time `t` every event stamped ≤ `t` has been emitted,
-//! so the control loop advances the watermark to its verification
-//! horizon and gets exactly the graph the batch path would infer over
-//! the same events — bit-for-bit, per
+//! buffered and folded in `(time, id)` order only up to an explicit
+//! **watermark** the caller advances ([`advance`](HbgBuilder::advance)).
+//! The simulator guarantees that after running to time `t` every event
+//! stamped ≤ `t` has been emitted, so the control loop advances the
+//! watermark to its verification horizon and gets exactly the graph the
+//! batch path would infer over the same events — bit-for-bit, per
 //! [`canonical_edges`](crate::hbg::Hbg::canonical_edges).
+//!
+//! ## The pending queue pays only for disorder
+//!
+//! Capture streams arrive *nearly* in `(time, id)` order: one router's
+//! export is in order, and routers interleave within a batch. The
+//! buffer is one queue holding a sorted run followed by an unsorted tail
+//! (`Pending`, below): an event that extends the run costs a push and a
+//! pop, nothing else; stragglers are sorted — adaptively, so their own
+//! in-order stretches are merged rather than re-sorted — once per
+//! advance, together with only the part of the run they interleave with.
+//! In steady state folding an event allocates nothing: the queue, the
+//! per-event edge buffer and the graph's flat adjacency arrays grow
+//! geometrically and are reused, and the rule cells keep their first id
+//! inline ([`rules`](crate::rules)).
 
-use crate::hbg::Hbg;
+use crate::hbg::{Hbg, Hbr, HbrSource};
 use crate::infer::{Cand, InferConfig, PatternEngine, SweepState};
 use crate::rules::{RuleScope, RuleSweep};
 use cpvr_sim::{EventId, IoEvent};
 use cpvr_types::SimTime;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
-/// Arena storage for ingested events awaiting the watermark.
-///
-/// Events land in stable slots (`Vec<Option<IoEvent>>` plus a free
-/// list), and the ordering heap holds only a compact copyable key —
-/// `(time, id, slot)` — instead of the event itself. Heap sifts during
-/// ingest/advance therefore move 24-byte keys, not multi-hundred-byte
-/// events dragging `String`/`Vec` fields around, and a drained slot is
-/// reused by the next ingest instead of round-tripping through the
-/// allocator. The slot index participates in the key only as a final
-/// tiebreak; `(time, id)` alone decides the canonical sweep order.
+/// Ingested events awaiting the watermark: `queue[..sorted]` is a
+/// `(time, id)`-sorted run that [`pop_through`](Self::pop_through) drains
+/// from the front; `queue[sorted..]` is the tail of arrivals that sorted
+/// before the run's last event (or behind another straggler), in arrival
+/// order.
 #[derive(Clone, Default)]
-struct PendingArena {
-    slots: Vec<Option<IoEvent>>,
-    free: Vec<u32>,
-    heap: BinaryHeap<Reverse<(SimTime, EventId, u32)>>,
+struct Pending {
+    queue: VecDeque<IoEvent>,
+    sorted: usize,
 }
 
-impl PendingArena {
+fn key(e: &IoEvent) -> (SimTime, EventId) {
+    (e.time, e.id)
+}
+
+impl Pending {
     fn push(&mut self, e: &IoEvent) {
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(e.clone());
-                s
-            }
-            None => {
-                let s = u32::try_from(self.slots.len()).expect("under 2^32 pending events");
-                self.slots.push(Some(e.clone()));
-                s
-            }
-        };
-        self.heap.push(Reverse((e.time, e.id, slot)));
+        if self.sorted == self.queue.len() && self.queue.back().is_none_or(|b| key(b) <= key(e)) {
+            self.sorted += 1;
+        }
+        self.queue.push_back(e.clone());
     }
 
-    /// The `(time, id)` key of the earliest pending event.
-    fn peek_key(&self) -> Option<(SimTime, EventId)> {
-        self.heap.peek().map(|Reverse((t, id, _))| (*t, *id))
+    /// Folds the tail into the run. Only the suffix of the run that some
+    /// straggler sorts into is touched, and the sort is stable-adaptive:
+    /// it finds that suffix and the tail's in-order stretches as
+    /// already-sorted runs and merges them.
+    fn settle(&mut self) {
+        if self.sorted == self.queue.len() {
+            return;
+        }
+        let all = self.queue.make_contiguous();
+        let (run, tail) = all.split_at(self.sorted);
+        let first = tail.iter().map(key).min().expect("tail is non-empty");
+        let lo = run.partition_point(|e| key(e) <= first);
+        all[lo..].sort_by_key(key);
+        self.sorted = all.len();
     }
 
-    /// Removes and returns the earliest pending event, releasing its
-    /// slot for reuse.
-    fn pop(&mut self) -> Option<IoEvent> {
-        let Reverse((_, _, slot)) = self.heap.pop()?;
-        let e = self.slots[slot as usize].take().expect("slot occupied");
-        self.free.push(slot);
-        Some(e)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
+    /// Removes and returns the earliest event of the run if it is
+    /// stamped at or before `watermark`. Call [`settle`](Self::settle)
+    /// first: the tail is not looked at.
+    fn pop_through(&mut self, watermark: SimTime) -> Option<IoEvent> {
+        if self.queue.front()?.time > watermark {
+            return None;
+        }
+        self.sorted -= 1;
+        self.queue.pop_front()
     }
 }
 
@@ -108,8 +119,10 @@ pub struct HbgBuilder {
     scope: RuleScope,
     patterns: Option<(PatternEngine, bool)>,
     state: SweepState,
+    /// Event times for the pattern engine's candidate ranking; empty
+    /// unless a [`PatternEngine`] is attached.
     times: HashMap<EventId, SimTime>,
-    pending: PendingArena,
+    pending: Pending,
     /// `None` until the first [`advance`](Self::advance).
     watermark: Option<SimTime>,
     /// `(time, id)` of the last event folded into the sweep. New ingests
@@ -117,12 +130,12 @@ pub struct HbgBuilder {
     /// have already run.
     last_folded: Option<(SimTime, EventId)>,
     processed: usize,
-    /// Edges offered to the graph, keyed by their [`HbrSource`]
-    /// rendering (`"rule:<name>"`, `"pattern"`, …) — the per-rule
-    /// attribution a scrape turns into labeled gauges.
-    ///
-    /// [`HbrSource`]: crate::hbg::HbrSource
-    edge_counts: BTreeMap<String, u64>,
+    /// Edges offered to the graph per [`HbrSource`] — the per-rule
+    /// attribution a scrape turns into labeled gauges. A handful of
+    /// distinct sources, so a scanned list.
+    edge_counts: Vec<(HbrSource, u64)>,
+    /// One event's inferred edges; kept to reuse its allocation.
+    out: Vec<Hbr>,
     g: Hbg,
 }
 
@@ -149,17 +162,18 @@ impl HbgBuilder {
                 .map(|m| (PatternEngine::compile(m, cfg.min_confidence), cfg.proximate)),
             state: SweepState::default(),
             times: HashMap::new(),
-            pending: PendingArena::default(),
+            pending: Pending::default(),
             watermark: None,
             last_folded: None,
             processed: 0,
-            edge_counts: BTreeMap::new(),
+            edge_counts: Vec::new(),
+            out: Vec::new(),
             g: Hbg::new(0),
         }
     }
 
-    /// Buffers one captured event. Cheap (O(log pending)); no inference
-    /// happens until [`advance`](Self::advance).
+    /// Buffers one captured event. Cheap (a push); no inference happens
+    /// until [`advance`](Self::advance).
     ///
     /// # Panics
     ///
@@ -179,7 +193,9 @@ impl HbgBuilder {
             );
         }
         self.g.grow_to(e.id.index() + 1);
-        self.times.insert(e.id, e.time);
+        if self.patterns.is_some() {
+            self.times.insert(e.id, e.time);
+        }
         self.pending.push(e);
     }
 
@@ -188,18 +204,10 @@ impl HbgBuilder {
     /// watermark never moves backwards.
     pub fn advance(&mut self, watermark: SimTime) -> usize {
         let mut folded = 0;
-        while let Some((t, _)) = self.pending.peek_key() {
-            if t > watermark {
-                break;
-            }
-            let e = self.pending.pop().expect("peeked");
+        self.pending.settle();
+        while let Some(e) = self.pending.pop_through(watermark) {
             if let Some(sweep) = &mut self.rules {
-                let mut out = Vec::new();
-                sweep.step(&e, self.scope, &mut out);
-                for h in out {
-                    *self.edge_counts.entry(h.source.to_string()).or_default() += 1;
-                    self.g.add(h);
-                }
+                sweep.step(&e, self.scope, &mut self.out);
             }
             if let Some((engine, proximate)) = &self.patterns {
                 let mut cands: Vec<Cand> = Vec::new();
@@ -207,13 +215,15 @@ impl HbgBuilder {
                 if *proximate {
                     PatternEngine::retain_proximate(&mut cands);
                 }
-                for (_, _, h) in cands {
-                    *self.edge_counts.entry(h.source.to_string()).or_default() += 1;
-                    self.g.add(h);
-                }
-            }
-            if self.patterns.is_some() {
+                self.out.extend(cands.into_iter().map(|(_, _, h)| h));
                 self.state.note(&e);
+            }
+            for h in self.out.drain(..) {
+                match self.edge_counts.iter_mut().find(|(s, _)| *s == h.source) {
+                    Some((_, n)) => *n += 1,
+                    None => self.edge_counts.push((h.source, 1)),
+                }
+                self.g.add(h);
             }
             self.last_folded = Some((e.time, e.id));
             folded += 1;
@@ -242,16 +252,19 @@ impl HbgBuilder {
 
     /// How many ingested events are still waiting for the watermark.
     pub fn pending(&self) -> usize {
-        self.pending.len()
+        self.pending.queue.len()
     }
 
     /// Edges *offered* to the graph so far, keyed by the rendering of
-    /// their [`HbrSource`](crate::hbg::HbrSource) (`"rule:<name>"`,
-    /// `"pattern"`). Offers, not residents: the graph keeps at most one
+    /// their [`HbrSource`] (`"rule:<name>"`, `"pattern"`), which is built
+    /// on each call. Offers, not residents: the graph keeps at most one
     /// edge per target and prefers higher confidence, so the sum here
     /// can exceed [`hbg`](Self::hbg)`().edges().len()`.
-    pub fn edge_counts(&self) -> &BTreeMap<String, u64> {
-        &self.edge_counts
+    pub fn edge_counts(&self) -> BTreeMap<String, u64> {
+        self.edge_counts
+            .iter()
+            .map(|(source, n)| (source.to_string(), *n))
+            .collect()
     }
 
     /// Rebuilds a builder from a durably logged history: ingests every

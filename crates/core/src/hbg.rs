@@ -61,21 +61,65 @@ pub struct Hbr {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Hbg {
-    n: usize,
     edges: Vec<Hbr>,
-    out_adj: Vec<Vec<usize>>,
-    in_adj: Vec<Vec<usize>>,
+    /// Edge indices by source event and by target event.
+    outs: Adjacency,
+    ins: Adjacency,
+}
+
+/// "No edge" in the adjacency threading.
+const NIL: u32 = u32::MAX;
+
+/// One direction's adjacency lists, threaded through flat arrays in
+/// insertion order: a vertex costs one fixed-size `(head, tail)` cell
+/// and an edge one `next` index — no per-vertex heap allocation.
+#[derive(Clone, Debug, Default)]
+struct Adjacency {
+    ends: Vec<(u32, u32)>,
+    next: Vec<u32>,
+}
+
+impl Adjacency {
+    fn grow_to(&mut self, n: usize) {
+        if n > self.ends.len() {
+            self.ends.resize(n, (NIL, NIL));
+        }
+    }
+
+    /// Appends the newest edge, `idx == next.len()`, to `v`'s list.
+    fn push(&mut self, v: EventId, idx: u32) {
+        self.next.push(NIL);
+        let (head, tail) = &mut self.ends[v.index()];
+        match *tail {
+            NIL => *head = idx,
+            last => self.next[last as usize] = idx,
+        }
+        *tail = idx;
+    }
+
+    /// The edge indices on `v`'s list, in insertion order.
+    fn of(&self, v: EventId) -> impl Iterator<Item = usize> + '_ {
+        let mut i = self.ends[v.index()].0;
+        std::iter::from_fn(move || {
+            let cur = i as usize;
+            // `NIL` is past the end of `next` (`Hbg::add` caps the edge
+            // count below it), so it ends the walk.
+            i = *self.next.get(cur)?;
+            Some(cur)
+        })
+    }
 }
 
 impl Hbg {
     /// An empty graph over `n` events.
     pub fn new(n: usize) -> Self {
-        Hbg {
-            n,
-            edges: Vec::new(),
-            out_adj: vec![Vec::new(); n],
-            in_adj: vec![Vec::new(); n],
-        }
+        let mut g = Hbg::default();
+        g.grow_to(n);
+        g
+    }
+
+    fn in_edges(&self, e: EventId) -> impl Iterator<Item = &Hbr> {
+        self.ins.of(e).map(|i| &self.edges[i])
     }
 
     /// Builds the oracle graph from a trace's ground-truth edges
@@ -95,7 +139,7 @@ impl Hbg {
 
     /// Number of events the graph covers.
     pub fn num_events(&self) -> usize {
-        self.n
+        self.outs.ends.len()
     }
 
     /// All edges.
@@ -110,35 +154,38 @@ impl Hbg {
     ///
     /// Panics if either endpoint is out of range.
     pub fn add(&mut self, hbr: Hbr) {
+        let n = self.num_events();
         assert!(
-            hbr.from.index() < self.n && hbr.to.index() < self.n,
+            hbr.from.index() < n && hbr.to.index() < n,
             "event out of range"
         );
-        if let Some(idx) = self.out_adj[hbr.from.index()]
-            .iter()
-            .copied()
-            .find(|&i| self.edges[i].to == hbr.to)
-        {
-            if self.edges[idx].confidence < hbr.confidence {
-                self.edges[idx] = hbr;
+        // In-lists are short (one consequent's antecedents); out-lists
+        // are not (a soft reconfiguration parents every RIB change).
+        let dup = self
+            .ins
+            .of(hbr.to)
+            .find(|&i| self.edges[i].from == hbr.from);
+        if let Some(i) = dup {
+            if self.edges[i].confidence < hbr.confidence {
+                self.edges[i] = hbr;
             }
             return;
         }
-        let idx = self.edges.len();
+        let idx = u32::try_from(self.edges.len())
+            .ok()
+            .filter(|i| *i != NIL)
+            .expect("under 2^32 - 1 edges");
         self.edges.push(hbr);
-        self.out_adj[hbr.from.index()].push(idx);
-        self.in_adj[hbr.to.index()].push(idx);
+        self.outs.push(hbr.from, idx);
+        self.ins.push(hbr.to, idx);
     }
 
     /// Extends the graph to cover `n` events (no-op if it already does).
     /// The incremental builder grows the graph as events are ingested,
     /// before their edges are inferred.
     pub fn grow_to(&mut self, n: usize) {
-        if n > self.n {
-            self.out_adj.resize_with(n, Vec::new);
-            self.in_adj.resize_with(n, Vec::new);
-            self.n = n;
-        }
+        self.outs.grow_to(n);
+        self.ins.grow_to(n);
     }
 
     /// The edges in canonical order — sorted by `(from, to)`, which is
@@ -154,9 +201,7 @@ impl Hbg {
 
     /// Direct antecedents of `e` with confidence ≥ `min_conf`.
     pub fn parents(&self, e: EventId, min_conf: f64) -> Vec<EventId> {
-        self.in_adj[e.index()]
-            .iter()
-            .map(|&i| &self.edges[i])
+        self.in_edges(e)
             .filter(|h| h.confidence >= min_conf)
             .map(|h| h.from)
             .collect()
@@ -164,9 +209,9 @@ impl Hbg {
 
     /// Direct consequents of `e` with confidence ≥ `min_conf`.
     pub fn children(&self, e: EventId, min_conf: f64) -> Vec<EventId> {
-        self.out_adj[e.index()]
-            .iter()
-            .map(|&i| &self.edges[i])
+        self.outs
+            .of(e)
+            .map(|i| &self.edges[i])
             .filter(|h| h.confidence >= min_conf)
             .map(|h| h.to)
             .collect()
@@ -183,7 +228,7 @@ impl Hbg {
     }
 
     fn closure(&self, e: EventId, min_conf: f64, up: bool) -> Vec<EventId> {
-        let mut seen = vec![false; self.n];
+        let mut seen = vec![false; self.num_events()];
         let mut stack = vec![e];
         let mut out = Vec::new();
         while let Some(cur) = stack.pop() {
@@ -231,15 +276,10 @@ impl Hbg {
         let mut s = String::new();
         for e in trace.by_time() {
             s.push_str(&format!("{e}\n"));
-            for p in self.parents(e.id, min_conf) {
-                let edge = self.in_adj[e.id.index()]
-                    .iter()
-                    .map(|&i| &self.edges[i])
-                    .find(|h| h.from == p)
-                    .expect("parent edge exists");
+            for edge in self.in_edges(e.id).filter(|h| h.confidence >= min_conf) {
                 s.push_str(&format!(
                     "    <- {} ({} conf {:.2})\n",
-                    trace.events[p.index()],
+                    trace.events[edge.from.index()],
                     edge.source,
                     edge.confidence
                 ));

@@ -36,7 +36,7 @@ use crate::predict::fib_template;
 use crate::provenance::provenance_path;
 use crate::repair::RepairPlan;
 use cpvr_dataplane::{FibAction, FibUpdate, UpdateKind};
-use cpvr_sim::{EventId, IoKind, Trace};
+use cpvr_sim::{EventId, IoEvent, IoKind, Trace};
 use cpvr_types::hash;
 use cpvr_types::json::{self, FromJson};
 use cpvr_types::{varint, Ipv4Prefix, RouterId, SimTime};
@@ -156,18 +156,28 @@ pub fn prove(
 
     // The FIB consequences of the root cause, in (time,id) fold order,
     // plus the pre-consequence state of every touched (router, prefix)
-    // pair — reconstructed by walking the whole captured FIB stream so
-    // the removal steps know which action they removed.
+    // pair — reconstructed by walking the captured FIB stream so the
+    // removal steps know which action they removed. Only the touched
+    // pairs' history matters, so the walk tracks (and sorts) nothing
+    // else: its cost follows the incident, not the trace.
     let consequences: BTreeSet<EventId> = std::iter::once(plan.root.event)
         .chain(hbg.descendants(plan.root.event, min_confidence))
+        .collect();
+    let fib_key = |e: &IoEvent| match &e.kind {
+        IoKind::FibInstall { prefix, .. } | IoKind::FibRemove { prefix } if e.time <= horizon => {
+            Some((e.router, *prefix))
+        }
+        _ => None,
+    };
+    let touched: BTreeSet<(RouterId, Ipv4Prefix)> = consequences
+        .iter()
+        .filter_map(|id| trace.events.get(id.index()))
+        .filter_map(fib_key)
         .collect();
     let mut fib_events: Vec<_> = trace
         .events
         .iter()
-        .filter(|e| {
-            e.time <= horizon
-                && matches!(e.kind, IoKind::FibInstall { .. } | IoKind::FibRemove { .. })
-        })
+        .filter(|e| fib_key(e).is_some_and(|key| touched.contains(&key)))
         .collect();
     fib_events.sort_by_key(|e| (e.time, e.id));
     let mut state: BTreeMap<(RouterId, Ipv4Prefix), (FibAction, SimTime)> = BTreeMap::new();

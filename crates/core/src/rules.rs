@@ -71,21 +71,29 @@ pub fn sig(e: &IoEvent) -> (KindClass, Option<Proto>) {
 
 /// A "most recent occurrence" cell: all event ids sharing the latest
 /// timestamp for a key (batched I/Os share timestamps, e.g. the
-/// announcements of one BGP update message).
+/// announcements of one BGP update message). The first id lives inline;
+/// only a same-timestamp batch spills to the heap.
 #[derive(Clone, Debug, Default)]
 struct Latest {
     time: SimTime,
-    ids: Vec<EventId>,
+    /// `None` until the first [`note`](Self::note).
+    first: Option<EventId>,
+    rest: Vec<EventId>,
 }
 
 impl Latest {
     fn note(&mut self, id: EventId, t: SimTime) {
-        if self.ids.is_empty() || t > self.time {
+        if self.first.is_none() || t > self.time {
             self.time = t;
-            self.ids = vec![id];
+            self.first = Some(id);
+            self.rest.clear();
         } else if t == self.time {
-            self.ids.push(id);
+            self.rest.push(id);
         }
+    }
+
+    fn ids(&self) -> impl Iterator<Item = EventId> + '_ {
+        self.first.into_iter().chain(self.rest.iter().copied())
     }
 }
 
@@ -114,27 +122,25 @@ struct Maps {
     config: HashMap<RouterId, Latest>,
 }
 
-/// One candidate antecedent set with the rule that proposed it.
-struct Candidate {
-    time: SimTime,
-    ids: Vec<EventId>,
-    rule: &'static str,
+/// The candidate antecedent cells of one consequent, each with the rule
+/// that proposed it: borrowed from the [`Maps`], on the stack. No arm of
+/// [`RuleSweep::step`] proposes more than six.
+#[derive(Default)]
+struct Candidates<'a> {
+    cells: [Option<(&'a Latest, &'static str)>; 6],
+    len: usize,
 }
 
-fn push_candidate(
-    out: &mut Vec<Candidate>,
-    cell: Option<&Latest>,
-    rule: &'static str,
-    before: SimTime,
-) {
-    if let Some(l) = cell {
-        if !l.ids.is_empty() && l.time <= before {
-            out.push(Candidate {
-                time: l.time,
-                ids: l.ids.clone(),
-                rule,
-            });
+impl<'a> Candidates<'a> {
+    fn push(&mut self, cell: Option<&'a Latest>, rule: &'static str, before: SimTime) {
+        if let Some(l) = cell.filter(|l| l.first.is_some() && l.time <= before) {
+            self.cells[self.len] = Some((l, rule));
+            self.len += 1;
         }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&'a Latest, &'static str)> + '_ {
+        self.cells[..self.len].iter().flatten().copied()
     }
 }
 
@@ -186,7 +192,7 @@ impl RuleSweep {
     /// fed in `(time, id)` order.
     pub fn step(&mut self, e: &IoEvent, scope: RuleScope, out: &mut Vec<Hbr>) {
         let maps = &self.maps;
-        let mut cands: Vec<Candidate> = Vec::new();
+        let mut cands = Candidates::default();
         let r = e.router;
         let t = e.time;
         let local = scope != RuleScope::CrossOnly;
@@ -196,7 +202,7 @@ impl RuleSweep {
                 // Inputs from outside the control plane: roots.
             }
             IoKind::SoftReconfig { .. } if local => {
-                push_candidate(&mut cands, maps.config.get(&r), "config->soft", t);
+                cands.push(maps.config.get(&r), "config->soft", t);
             }
             IoKind::RecvAdvert {
                 proto,
@@ -212,8 +218,7 @@ impl RuleSweep {
             } if cross => {
                 // [R' send P to R] → [R recv P from R'].
                 if let Some(PeerRef::Internal(sender)) = from {
-                    push_candidate(
-                        &mut cands,
+                    cands.push(
                         maps.send.get(&(*sender, r, *proto, *prefix)),
                         "send->recv",
                         t,
@@ -226,34 +231,24 @@ impl RuleSweep {
                 // [recv advert P] → [install P in RIB], plus the
                 // non-message triggers: soft reconfig, hardware change,
                 // and (for BGP) IGP RIB changes that re-resolve next hops.
-                push_candidate(
-                    &mut cands,
-                    maps.recv.get(&(r, *proto, Some(*prefix))),
-                    "recv->rib",
-                    t,
-                );
+                cands.push(maps.recv.get(&(r, *proto, Some(*prefix))), "recv->rib", t);
                 if *proto != Proto::Bgp {
                     // Link-state and DV protocols update many prefixes per
                     // message; the message is not per-prefix (OSPF) or may
                     // batch (RIP/EIGRP).
-                    push_candidate(&mut cands, maps.recv_any.get(&(r, *proto)), "recv*->rib", t);
+                    cands.push(maps.recv_any.get(&(r, *proto)), "recv*->rib", t);
                 }
-                push_candidate(&mut cands, maps.soft.get(&r), "soft->rib", t);
-                push_candidate(&mut cands, maps.link.get(&r), "link->rib", t);
-                push_candidate(&mut cands, maps.config.get(&r), "config->rib", t);
+                cands.push(maps.soft.get(&r), "soft->rib", t);
+                cands.push(maps.link.get(&r), "link->rib", t);
+                cands.push(maps.config.get(&r), "config->rib", t);
                 if *proto == Proto::Bgp {
-                    push_candidate(&mut cands, maps.igp_rib_any.get(&r), "igprib->bgprib", t);
+                    cands.push(maps.igp_rib_any.get(&r), "igprib->bgprib", t);
                 }
             }
             IoKind::FibInstall { prefix, .. } | IoKind::FibRemove { prefix } if local => {
                 // [install P in RIB] → [install P in FIB], any protocol.
                 for proto in [Proto::Bgp, Proto::Ospf, Proto::Rip, Proto::Eigrp] {
-                    push_candidate(
-                        &mut cands,
-                        maps.rib.get(&(r, proto, *prefix)),
-                        "rib->fib",
-                        t,
-                    );
+                    cands.push(maps.rib.get(&(r, proto, *prefix)), "rib->fib", t);
                 }
             }
             IoKind::SendAdvert { proto, prefix, .. }
@@ -264,53 +259,28 @@ impl RuleSweep {
                     Proto::Eigrp => {
                         // EIGRP: [install P in FIB] → [send P] (§4.1).
                         if let Some(p) = prefix {
-                            push_candidate(&mut cands, maps.fib.get(&(r, *p)), "fib->send", t);
+                            cands.push(maps.fib.get(&(r, *p)), "fib->send", t);
                         }
-                        push_candidate(
-                            &mut cands,
-                            maps.recv_any.get(&(r, Proto::Eigrp)),
-                            "recv*->send",
-                            t,
-                        );
+                        cands.push(maps.recv_any.get(&(r, Proto::Eigrp)), "recv*->send", t);
                     }
                     Proto::Bgp => {
                         // BGP: [install P in BGP RIB] → [send P].
                         if let Some(p) = prefix {
-                            push_candidate(
-                                &mut cands,
-                                maps.rib.get(&(r, Proto::Bgp, *p)),
-                                "rib->send",
-                                t,
-                            );
-                            push_candidate(
-                                &mut cands,
-                                maps.recv.get(&(r, Proto::Bgp, Some(*p))),
-                                "recv->send",
-                                t,
-                            );
+                            cands.push(maps.rib.get(&(r, Proto::Bgp, *p)), "rib->send", t);
+                            cands.push(maps.recv.get(&(r, Proto::Bgp, Some(*p))), "recv->send", t);
                         }
-                        push_candidate(&mut cands, maps.soft.get(&r), "soft->send", t);
+                        cands.push(maps.soft.get(&r), "soft->send", t);
                     }
                     Proto::Ospf | Proto::Rip => {
                         if let Some(p) = prefix {
-                            push_candidate(
-                                &mut cands,
-                                maps.rib.get(&(r, *proto, *p)),
-                                "rib->send",
-                                t,
-                            );
+                            cands.push(maps.rib.get(&(r, *proto, *p)), "rib->send", t);
                         }
                         // Flooding: a send is usually triggered directly
                         // by the message (or hardware event) that carried
                         // the news.
-                        push_candidate(
-                            &mut cands,
-                            maps.recv_any.get(&(r, *proto)),
-                            "recv*->send",
-                            t,
-                        );
-                        push_candidate(&mut cands, maps.link.get(&r), "link->send", t);
-                        push_candidate(&mut cands, maps.config.get(&r), "config->send", t);
+                        cands.push(maps.recv_any.get(&(r, *proto)), "recv*->send", t);
+                        cands.push(maps.link.get(&r), "link->send", t);
+                        cands.push(maps.config.get(&r), "config->send", t);
                     }
                 }
             }
@@ -318,18 +288,14 @@ impl RuleSweep {
         }
         // The most recent candidate class wins (causes are proximate);
         // ties across classes all count.
-        if let Some(best_t) = cands.iter().map(|c| c.time).max() {
-            for c in cands.into_iter().filter(|c| c.time == best_t) {
-                for id in c.ids {
-                    if id != e.id {
-                        out.push(Hbr {
-                            from: id,
-                            to: e.id,
-                            confidence: 1.0,
-                            source: HbrSource::Rule(c.rule),
-                        });
-                    }
-                }
+        if let Some(best_t) = cands.iter().map(|(l, _)| l.time).max() {
+            for (l, rule) in cands.iter().filter(|(l, _)| l.time == best_t) {
+                out.extend(l.ids().filter(|id| *id != e.id).map(|id| Hbr {
+                    from: id,
+                    to: e.id,
+                    confidence: 1.0,
+                    source: HbrSource::Rule(rule),
+                }));
             }
         }
         // Update the maps with this event.

@@ -20,11 +20,11 @@
 
 use cpvr_bgp::PeerRef;
 use cpvr_dataplane::{DataPlane, FibAction, FibUpdate, UpdateKind};
-use cpvr_sim::{IoEvent, IoKind, Proto, Trace};
+use cpvr_sim::{EventId, IoEvent, IoKind, Proto, Trace};
 use cpvr_topo::Topology;
 use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
 use cpvr_verify::{verify, Policy, VerifyReport};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The verdict on a snapshot horizon.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -159,10 +159,9 @@ pub fn classify_conv(e: &IoEvent) -> Option<(ConvKey, bool)> {
 /// What the tracker needs to remember about one event after ingest.
 #[derive(Clone)]
 enum Digest {
-    Send(ConvKey),
-    Recv(ConvKey),
-    FibInstall(Ipv4Prefix, FibAction),
-    FibRemove(Ipv4Prefix),
+    /// One side of an internal conversation (`true` = the send side).
+    Conv(ConvKey, bool),
+    Fib(UpdateKind, Ipv4Prefix, FibAction),
     Other,
 }
 
@@ -170,23 +169,208 @@ enum Digest {
 #[derive(Clone)]
 struct StreamRecord {
     time: SimTime,
-    id: cpvr_sim::EventId,
+    id: EventId,
     /// Raw sampled arrival; `None` = the record was lost.
     raw: Option<SimTime>,
     digest: Digest,
 }
 
-/// One router's export stream: records in `(time, id)` order plus the
-/// consumption frontier.
+/// One router's export stream: the not-yet-consumed records in
+/// `(time, id)` order behind the consumption frontier.
 #[derive(Clone, Default)]
 struct RouterStream {
-    records: Vec<StreamRecord>,
-    /// Records before this index are consumed (arrived and applied) or
-    /// permanently lost.
-    next: usize,
+    records: VecDeque<StreamRecord>,
+    /// `(time, id)` of the last record consumed (arrived and applied) or
+    /// permanently lost; consumed records are dropped.
+    consumed: Option<(SimTime, EventId)>,
     /// Running maximum of raw arrivals — the FIFO-export clamp of
     /// [`Trace::effective_arrivals`].
     high: Option<SimTime>,
+}
+
+impl RouterStream {
+    fn push(&mut self, e: &IoEvent) {
+        let digest = match (classify_conv(e), &e.kind) {
+            (Some((key, is_send)), _) => Digest::Conv(key, is_send),
+            (None, IoKind::FibInstall { prefix, action }) => {
+                Digest::Fib(UpdateKind::Install, *prefix, *action)
+            }
+            (None, IoKind::FibRemove { prefix }) => {
+                Digest::Fib(UpdateKind::Remove, *prefix, FibAction::Drop)
+            }
+            _ => Digest::Other,
+        };
+        let rec = StreamRecord {
+            time: e.time,
+            id: e.id,
+            raw: e.arrived_at,
+            digest,
+        };
+        let key = (rec.time, rec.id);
+        debug_assert!(
+            self.consumed.is_none_or(|c| c < key),
+            "event {} at {} ingested behind the consumption frontier",
+            e.id,
+            e.time
+        );
+        // A router exports in order, so the record nearly always extends
+        // the stream.
+        if self.records.back().is_none_or(|b| (b.time, b.id) < key) {
+            self.records.push_back(rec);
+        } else {
+            let pos = self.records.partition_point(|r| (r.time, r.id) < key);
+            self.records.insert(pos, rec);
+        }
+    }
+
+    /// Removes and returns the next record if it has arrived by
+    /// `horizon`, stepping over lost ones.
+    fn pop_arrived(&mut self, horizon: SimTime) -> Option<StreamRecord> {
+        loop {
+            let rec = self.records.front()?;
+            match rec.raw {
+                // Lost: never arrives, never clamps later records. Step
+                // over it permanently — but only once the horizon has
+                // passed its event time, so that a not-yet-ingested event
+                // with an earlier stamp (a future-stamped loss can
+                // precede one) cannot land behind the frontier. Nothing
+                // is missed by stopping: records after it are stamped
+                // even later, so none of them can have arrived by this
+                // horizon either.
+                None if rec.time > horizon => return None,
+                None => {}
+                Some(raw) => {
+                    let eff = self.high.map_or(raw, |h| h.max(raw));
+                    if eff > horizon {
+                        // Effective arrivals are monotone along the
+                        // stream, so nothing further has arrived either.
+                        return None;
+                    }
+                    self.high = Some(eff);
+                }
+            }
+            let rec = self.records.pop_front().expect("peeked");
+            self.consumed = Some((rec.time, rec.id));
+            if rec.raw.is_some() {
+                return Some(rec);
+            }
+        }
+    }
+}
+
+/// Per-conversation send/recv times and the causal-closure verdict over
+/// them. Both sides of a key live on a single router each, so the lists
+/// grow append-only in time order and only keys that gained records need
+/// rechecking.
+#[derive(Clone, Default)]
+struct Conversations {
+    sends: BTreeMap<ConvKey, Vec<SimTime>>,
+    recvs: BTreeMap<ConvKey, Vec<SimTime>>,
+    /// Keys that gained a record since their last recheck.
+    dirty: BTreeSet<ConvKey>,
+    /// Keys currently failing causal closure.
+    bad: BTreeSet<ConvKey>,
+}
+
+impl Conversations {
+    fn note(&mut self, d: &ConvDigest) {
+        let side = if d.is_send {
+            &mut self.sends
+        } else {
+            &mut self.recvs
+        };
+        side.entry(d.key).or_default().push(d.time);
+        self.dirty.insert(d.key);
+    }
+
+    /// Re-judges the keys that gained records: the i-th recv (time
+    /// order) needs at least i+1 sends no later than it. Both lists are
+    /// append-only sorted, so one merge-walk decides a key.
+    fn recheck(&mut self) {
+        for key in std::mem::take(&mut self.dirty) {
+            let rs = self.recvs.get(&key).map_or(&[][..], |v| &v[..]);
+            let ss = self.sends.get(&key).map_or(&[][..], |v| &v[..]);
+            let mut avail = 0usize;
+            let ok = rs.iter().enumerate().all(|(i, rt)| {
+                while avail < ss.len() && ss[avail] <= *rt {
+                    avail += 1;
+                }
+                avail > i
+            });
+            if ok {
+                self.bad.remove(&key);
+            } else {
+                self.bad.insert(key);
+            }
+        }
+    }
+
+    /// Senders of the failing conversations, sorted and deduplicated.
+    fn missing(&self) -> Vec<RouterId> {
+        let mut rs: Vec<RouterId> = self.bad.iter().map(|k| k.0).collect();
+        rs.dedup(); // BTreeSet iteration is sorted by (sender, ..)
+        rs
+    }
+}
+
+/// The per-router half of the tracker — export streams and the data
+/// plane replayed from them — shared by [`ConsistencyTracker`] and
+/// [`TrackerSlice`].
+#[derive(Clone)]
+struct Streams {
+    streams: Vec<RouterStream>,
+    dp: DataPlane,
+}
+
+impl Streams {
+    fn new(n_routers: usize) -> Self {
+        Streams {
+            streams: vec![RouterStream::default(); n_routers],
+            dp: DataPlane::new(n_routers),
+        }
+    }
+
+    fn ingest(&mut self, e: &IoEvent) {
+        self.streams[e.router.index()].push(e);
+    }
+
+    /// Consumes every record that has arrived by `horizon`, each
+    /// router's in stream order: FIB records are applied to the data
+    /// plane and reported to `on_fib`, conversation records are handed
+    /// to `on_conv`.
+    fn replay(
+        &mut self,
+        horizon: SimTime,
+        mut on_conv: impl FnMut(ConvDigest),
+        mut on_fib: impl FnMut(FibUpdate),
+    ) {
+        for (r, stream) in self.streams.iter_mut().enumerate() {
+            let router = RouterId(r as u32);
+            while let Some(rec) = stream.pop_arrived(horizon) {
+                match rec.digest {
+                    Digest::Conv(key, is_send) => on_conv(ConvDigest {
+                        key,
+                        is_send,
+                        time: rec.time,
+                    }),
+                    Digest::Fib(kind, prefix, action) => {
+                        let u = FibUpdate {
+                            router,
+                            prefix,
+                            kind,
+                            action,
+                            at: rec.time,
+                        };
+                        self.dp.apply(&u);
+                        on_fib(u);
+                    }
+                    Digest::Other => {}
+                }
+                self.dp
+                    .set_taken_at(router, rec.time.max(self.dp.taken_at(router)));
+            }
+        }
+    }
 }
 
 /// Incremental consistency checking and snapshot assembly.
@@ -201,7 +385,7 @@ struct RouterStream {
 /// non-negative, so a record's (FIFO-clamped) arrival is never before
 /// its event time; combined with per-router FIFO export this makes the
 /// arrived set of each router a *prefix* of its `(time, id)`-ordered
-/// stream, so a per-router frontier pointer suffices — and because FIB
+/// stream, so a per-router frontier suffices — and because FIB
 /// state and capture times are per-router, replaying each router's
 /// prefix independently reconstructs exactly the
 /// [`snapshot_arrived_by`] data plane. Second, both sides of a
@@ -210,15 +394,9 @@ struct RouterStream {
 /// their causal-closure verdict rechecked.
 #[derive(Clone)]
 pub struct ConsistencyTracker {
-    streams: Vec<RouterStream>,
-    sends: BTreeMap<ConvKey, Vec<SimTime>>,
-    recvs: BTreeMap<ConvKey, Vec<SimTime>>,
-    /// Keys that gained a record since their last recheck.
-    dirty: std::collections::BTreeSet<ConvKey>,
-    /// Keys currently failing causal closure.
-    bad: std::collections::BTreeSet<ConvKey>,
-    dp: DataPlane,
-    /// FIB updates applied to `dp` since the last
+    streams: Streams,
+    convs: Conversations,
+    /// FIB updates applied to the data plane since the last
     /// [`drain_applied`](Self::drain_applied) — the delta feed for an
     /// incremental verifier mirroring this tracker's data plane.
     applied: Vec<FibUpdate>,
@@ -237,12 +415,8 @@ impl ConsistencyTracker {
     /// A tracker for a network of `n_routers`.
     pub fn new(n_routers: usize) -> Self {
         ConsistencyTracker {
-            streams: vec![RouterStream::default(); n_routers],
-            sends: BTreeMap::new(),
-            recvs: BTreeMap::new(),
-            dirty: std::collections::BTreeSet::new(),
-            bad: std::collections::BTreeSet::new(),
-            dp: DataPlane::new(n_routers),
+            streams: Streams::new(n_routers),
+            convs: Conversations::default(),
             applied: Vec::new(),
             waits_issued: 0,
             waits_resolved: 0,
@@ -257,52 +431,7 @@ impl ConsistencyTracker {
     /// everything stamped ≤ `t` has been emitted once the clock reaches
     /// `t`.
     pub fn ingest(&mut self, e: &IoEvent) {
-        let digest = match &e.kind {
-            IoKind::SendAdvert {
-                proto,
-                prefix,
-                to: Some(PeerRef::Internal(to)),
-                ..
-            }
-            | IoKind::SendWithdraw {
-                proto,
-                prefix,
-                to: Some(PeerRef::Internal(to)),
-                ..
-            } => Digest::Send((e.router, *to, *proto, *prefix)),
-            IoKind::RecvAdvert {
-                proto,
-                prefix,
-                from: Some(PeerRef::Internal(from)),
-                ..
-            }
-            | IoKind::RecvWithdraw {
-                proto,
-                prefix,
-                from: Some(PeerRef::Internal(from)),
-                ..
-            } => Digest::Recv((*from, e.router, *proto, *prefix)),
-            IoKind::FibInstall { prefix, action } => Digest::FibInstall(*prefix, *action),
-            IoKind::FibRemove { prefix } => Digest::FibRemove(*prefix),
-            _ => Digest::Other,
-        };
-        let stream = &mut self.streams[e.router.index()];
-        let rec = StreamRecord {
-            time: e.time,
-            id: e.id,
-            raw: e.arrived_at,
-            digest,
-        };
-        let pos = stream
-            .records
-            .partition_point(|r| (r.time, r.id) < (rec.time, rec.id));
-        debug_assert!(
-            pos >= stream.next,
-            "event {} at {} ingested behind the consumption frontier",
-            e.id,
-            e.time
-        );
-        stream.records.insert(pos, rec);
+        self.streams.ingest(e);
     }
 
     /// Advances the verification horizon: applies every record that has
@@ -310,70 +439,10 @@ impl ConsistencyTracker {
     /// returns the causal-closure verdict — identical to
     /// [`consistency_check`] over the same events.
     pub fn advance(&mut self, horizon: SimTime) -> SnapshotStatus {
-        for (r, stream) in self.streams.iter_mut().enumerate() {
-            let router = RouterId(r as u32);
-            while let Some(rec) = stream.records.get(stream.next) {
-                let Some(raw) = rec.raw else {
-                    // Lost: never arrives, never clamps later records.
-                    // Step over it permanently — but only once the
-                    // horizon has passed its event time, so that a
-                    // not-yet-ingested event with an earlier stamp (a
-                    // future-stamped loss can precede one) cannot land
-                    // behind the frontier. Nothing is missed by stopping:
-                    // records after it are stamped even later, so none of
-                    // them can have arrived by this horizon either.
-                    if rec.time > horizon {
-                        break;
-                    }
-                    stream.next += 1;
-                    continue;
-                };
-                let eff = stream.high.map_or(raw, |h| h.max(raw));
-                if eff > horizon {
-                    // Effective arrivals are monotone along the stream,
-                    // so nothing further has arrived either.
-                    break;
-                }
-                stream.high = Some(eff);
-                match &rec.digest {
-                    Digest::Send(key) => {
-                        self.sends.entry(*key).or_default().push(rec.time);
-                        self.dirty.insert(*key);
-                    }
-                    Digest::Recv(key) => {
-                        self.recvs.entry(*key).or_default().push(rec.time);
-                        self.dirty.insert(*key);
-                    }
-                    Digest::FibInstall(prefix, action) => {
-                        let u = FibUpdate {
-                            router,
-                            prefix: *prefix,
-                            kind: UpdateKind::Install,
-                            action: *action,
-                            at: rec.time,
-                        };
-                        self.dp.apply(&u);
-                        self.applied.push(u);
-                    }
-                    Digest::FibRemove(prefix) => {
-                        let u = FibUpdate {
-                            router,
-                            prefix: *prefix,
-                            kind: UpdateKind::Remove,
-                            action: FibAction::Drop,
-                            at: rec.time,
-                        };
-                        self.dp.apply(&u);
-                        self.applied.push(u);
-                    }
-                    Digest::Other => {}
-                }
-                self.dp
-                    .set_taken_at(router, rec.time.max(self.dp.taken_at(router)));
-                stream.next += 1;
-            }
-        }
-        self.recheck_dirty();
+        let (convs, applied) = (&mut self.convs, &mut self.applied);
+        self.streams
+            .replay(horizon, |d| convs.note(&d), |u| applied.push(u));
+        self.convs.recheck();
         let st = self.status();
         match (self.waiting, st.is_consistent()) {
             (false, false) => {
@@ -398,40 +467,12 @@ impl ConsistencyTracker {
         (self.waits_issued, self.waits_resolved)
     }
 
-    fn recheck_dirty(&mut self) {
-        for key in std::mem::take(&mut self.dirty) {
-            let rs = self.recvs.get(&key).map_or(&[][..], |v| &v[..]);
-            let ss = self.sends.get(&key).map_or(&[][..], |v| &v[..]);
-            // The i-th recv (time order) needs at least i+1 sends no
-            // later than it. Both lists are append-only sorted.
-            let mut avail = 0usize;
-            let mut si = 0usize;
-            let mut ok = true;
-            for (i, rt) in rs.iter().enumerate() {
-                while si < ss.len() && ss[si] <= *rt {
-                    si += 1;
-                    avail += 1;
-                }
-                if avail < i + 1 {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                self.bad.remove(&key);
-            } else {
-                self.bad.insert(key);
-            }
-        }
-    }
-
     /// The verdict at the current horizon, without advancing.
     pub fn status(&self) -> SnapshotStatus {
-        if self.bad.is_empty() {
+        let missing = self.convs.missing();
+        if missing.is_empty() {
             SnapshotStatus::Consistent
         } else {
-            let mut missing: Vec<RouterId> = self.bad.iter().map(|k| k.0).collect();
-            missing.dedup(); // BTreeSet iteration is sorted by (sender, ..)
             SnapshotStatus::WaitFor(missing)
         }
     }
@@ -439,13 +480,15 @@ impl ConsistencyTracker {
     /// The data plane assembled from the arrived FIB records — identical
     /// to [`snapshot_arrived_by`] at the current horizon.
     pub fn dataplane(&self) -> &DataPlane {
-        &self.dp
+        &self.streams.dp
     }
 
     /// Takes the FIB updates applied since the last drain, in application
     /// order. Replaying them against a mirror of the previous drain's
     /// data plane reproduces [`dataplane`](Self::dataplane) exactly,
     /// which is how the control loop feeds its incremental verifier.
+    /// Whoever advances a tracker must drain it: the feed grows by one
+    /// entry per arrived FIB record until taken.
     pub fn drain_applied(&mut self) -> Vec<FibUpdate> {
         std::mem::take(&mut self.applied)
     }
@@ -551,12 +594,8 @@ impl cpvr_types::json::FromJson for ConvDigest {
 pub struct TrackerSlice {
     shard: u32,
     plan: crate::shard::ShardPlan,
-    streams: Vec<RouterStream>,
-    sends: BTreeMap<ConvKey, Vec<SimTime>>,
-    recvs: BTreeMap<ConvKey, Vec<SimTime>>,
-    dirty: std::collections::BTreeSet<ConvKey>,
-    bad: std::collections::BTreeSet<ConvKey>,
-    dp: DataPlane,
+    streams: Streams,
+    convs: Conversations,
 }
 
 impl TrackerSlice {
@@ -565,12 +604,8 @@ impl TrackerSlice {
         TrackerSlice {
             shard,
             plan,
-            streams: vec![RouterStream::default(); n_routers],
-            sends: BTreeMap::new(),
-            recvs: BTreeMap::new(),
-            dirty: std::collections::BTreeSet::new(),
-            bad: std::collections::BTreeSet::new(),
-            dp: DataPlane::new(n_routers),
+            streams: Streams::new(n_routers),
+            convs: Conversations::default(),
         }
     }
 
@@ -585,102 +620,30 @@ impl TrackerSlice {
             e.router,
             self.shard
         );
-        let digest = match classify_conv(e) {
-            Some((key, true)) => Digest::Send(key),
-            Some((key, false)) => Digest::Recv(key),
-            None => match &e.kind {
-                IoKind::FibInstall { prefix, action } => Digest::FibInstall(*prefix, *action),
-                IoKind::FibRemove { prefix } => Digest::FibRemove(*prefix),
-                _ => Digest::Other,
-            },
-        };
-        let stream = &mut self.streams[e.router.index()];
-        let rec = StreamRecord {
-            time: e.time,
-            id: e.id,
-            raw: e.arrived_at,
-            digest,
-        };
-        let pos = stream
-            .records
-            .partition_point(|r| (r.time, r.id) < (rec.time, rec.id));
-        debug_assert!(
-            pos >= stream.next,
-            "event {} at {} ingested behind the consumption frontier",
-            e.id,
-            e.time
-        );
-        stream.records.insert(pos, rec);
+        self.streams.ingest(e);
     }
 
     /// Replays the owned streams up to `horizon` (the
-    /// [`ConsistencyTracker::advance`] loop, including the lost-record
+    /// [`ConsistencyTracker::advance`] replay, including the lost-record
     /// and FIFO-clamp discipline), applying owned-conversation digests
     /// locally and pushing foreign ones into `outbox[owner]`.
     ///
     /// Callers follow with the barrier exchange, [`absorb`](Self::absorb)
     /// of delivered digests, and [`recheck`](Self::recheck).
     pub fn advance_collect(&mut self, horizon: SimTime, outbox: &mut [Vec<ConvDigest>]) {
-        for (r, stream) in self.streams.iter_mut().enumerate() {
-            let router = RouterId(r as u32);
-            while let Some(rec) = stream.records.get(stream.next) {
-                let Some(raw) = rec.raw else {
-                    if rec.time > horizon {
-                        break;
-                    }
-                    stream.next += 1;
-                    continue;
-                };
-                let eff = stream.high.map_or(raw, |h| h.max(raw));
-                if eff > horizon {
-                    break;
+        let (convs, plan, shard) = (&mut self.convs, &self.plan, self.shard);
+        self.streams.replay(
+            horizon,
+            |d| {
+                let owner = plan.of_conv(&d.key);
+                if owner == shard {
+                    convs.note(&d);
+                } else {
+                    outbox[owner as usize].push(d);
                 }
-                stream.high = Some(eff);
-                match &rec.digest {
-                    Digest::Send(key) | Digest::Recv(key) => {
-                        let is_send = matches!(rec.digest, Digest::Send(_));
-                        let owner = self.plan.of_conv(key);
-                        if owner == self.shard {
-                            let side = if is_send {
-                                self.sends.entry(*key).or_default()
-                            } else {
-                                self.recvs.entry(*key).or_default()
-                            };
-                            side.push(rec.time);
-                            self.dirty.insert(*key);
-                        } else {
-                            outbox[owner as usize].push(ConvDigest {
-                                key: *key,
-                                is_send,
-                                time: rec.time,
-                            });
-                        }
-                    }
-                    Digest::FibInstall(prefix, action) => {
-                        self.dp.apply(&FibUpdate {
-                            router,
-                            prefix: *prefix,
-                            kind: UpdateKind::Install,
-                            action: *action,
-                            at: rec.time,
-                        });
-                    }
-                    Digest::FibRemove(prefix) => {
-                        self.dp.apply(&FibUpdate {
-                            router,
-                            prefix: *prefix,
-                            kind: UpdateKind::Remove,
-                            action: FibAction::Drop,
-                            at: rec.time,
-                        });
-                    }
-                    Digest::Other => {}
-                }
-                self.dp
-                    .set_taken_at(router, rec.time.max(self.dp.taken_at(router)));
-                stream.next += 1;
-            }
-        }
+            },
+            |_| {},
+        );
     }
 
     /// Applies a digest delivered from another shard's
@@ -690,40 +653,13 @@ impl TrackerSlice {
     /// ordered batch.
     pub fn absorb(&mut self, d: &ConvDigest) {
         debug_assert_eq!(self.plan.of_conv(&d.key), self.shard);
-        let side = if d.is_send {
-            self.sends.entry(d.key).or_default()
-        } else {
-            self.recvs.entry(d.key).or_default()
-        };
-        side.push(d.time);
-        self.dirty.insert(d.key);
+        self.convs.note(d);
     }
 
     /// Re-judges causal closure for conversations that gained records
     /// this round — the same merge-walk as the monolithic tracker.
     pub fn recheck(&mut self) {
-        for key in std::mem::take(&mut self.dirty) {
-            let rs = self.recvs.get(&key).map_or(&[][..], |v| &v[..]);
-            let ss = self.sends.get(&key).map_or(&[][..], |v| &v[..]);
-            let mut avail = 0usize;
-            let mut si = 0usize;
-            let mut ok = true;
-            for (i, rt) in rs.iter().enumerate() {
-                while si < ss.len() && ss[si] <= *rt {
-                    si += 1;
-                    avail += 1;
-                }
-                if avail < i + 1 {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                self.bad.remove(&key);
-            } else {
-                self.bad.insert(key);
-            }
-        }
+        self.convs.recheck();
     }
 
     /// Senders of this slice's failing conversations, sorted and
@@ -731,16 +667,14 @@ impl TrackerSlice {
     /// deduplicating yields exactly the monolithic
     /// [`SnapshotStatus::WaitFor`] list.
     pub fn missing(&self) -> Vec<RouterId> {
-        let mut rs: Vec<RouterId> = self.bad.iter().map(|k| k.0).collect();
-        rs.dedup();
-        rs
+        self.convs.missing()
     }
 
     /// The slice's data plane: only the owned routers' FIBs and capture
     /// times are ever touched, so the coordinator merges slices by
     /// copying per-router state from each owner.
     pub fn dataplane(&self) -> &DataPlane {
-        &self.dp
+        &self.streams.dp
     }
 }
 

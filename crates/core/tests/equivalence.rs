@@ -12,7 +12,8 @@
 use cpvr_bgp::PeerRef;
 use cpvr_core::builder::HbgBuilder;
 use cpvr_core::infer::{infer_hbg, infer_hbg_parallel, InferConfig, PatternMiner};
-use cpvr_core::Hbg;
+use cpvr_core::snapshot::snapshot_arrived_by;
+use cpvr_core::{consistency_check, ConsistencyTracker, Hbg};
 use cpvr_dataplane::FibAction;
 use cpvr_sim::scenario::two_exit_scenario;
 use cpvr_sim::{CaptureProfile, EventId, IoEvent, IoKind, LatencyProfile, Proto, Trace};
@@ -214,6 +215,63 @@ proptest! {
         }
         b.advance(SimTime::MAX);
         assert_same(&seq, b.hbg(), "interleaved");
+    }
+
+    /// The fold is insensitive to the *order* events are ingested in, as
+    /// long as it respects the fold frontier — which is all a collector
+    /// merging skewed router streams can promise. Each router's records
+    /// are delivered in its own order but `skew` late relative to the
+    /// others; at random points the watermark advances to just below
+    /// the earliest stamp still undelivered (the min-over-sources rule).
+    /// At every such point the tracker's verdict and data plane equal
+    /// the batch check over the whole trace, and at the end the graph
+    /// equals batch inference. Capture delays (and losses) are random,
+    /// so the tracker really waits.
+    #[test]
+    fn frontier_consistent_orders_agree(
+        rows in arb_rows(120),
+        capture in prop::collection::vec(prop::option::of(0u64..600), 120),
+        skew in prop::collection::vec(0u64..400, ROUTERS as usize),
+        advance_at in prop::collection::vec(any::<bool>(), 120),
+    ) {
+        let mut trace = build_trace(rows);
+        for (e, delay) in trace.events.iter_mut().zip(&capture) {
+            e.arrived_at = delay.map(|d| e.time + SimTime::from_micros(d));
+        }
+        let cfg = InferConfig { rules: true, patterns: None, min_confidence: 0.0, proximate: false };
+        let n = ROUTERS as usize;
+        let mut delivery: Vec<&IoEvent> = trace.events.iter().collect();
+        delivery.sort_by_key(|e| {
+            (e.time + SimTime::from_micros(skew[e.router.index()]), e.time, e.id)
+        });
+        let mut b = HbgBuilder::new(&cfg);
+        let mut tracker = ConsistencyTracker::new(n);
+        let check = |tracker: &ConsistencyTracker, status, h: SimTime| {
+            assert_eq!(status, consistency_check(&trace, h), "verdict at {h}");
+            let (got, want) = (tracker.dataplane(), snapshot_arrived_by(&trace, n, h));
+            for r in (0..n as u32).map(RouterId) {
+                assert_eq!(got.fib(r).entries(), want.fib(r).entries(), "{r} at {h}");
+                assert_eq!(got.taken_at(r), want.taken_at(r), "{r} at {h}");
+            }
+        };
+        for (k, e) in delivery.iter().enumerate() {
+            b.ingest(e);
+            tracker.ingest(e);
+            if advance_at[k] {
+                let undelivered = delivery[k + 1..].iter().map(|e| e.time).min();
+                let Some(h) = undelivered.and_then(|t| t.as_nanos().checked_sub(1)) else {
+                    continue;
+                };
+                let h = SimTime::from_nanos(h);
+                b.advance(h);
+                let status = tracker.advance(h);
+                check(&tracker, status, h);
+            }
+        }
+        b.advance(SimTime::MAX);
+        let status = tracker.advance(SimTime::MAX);
+        check(&tracker, status, SimTime::MAX);
+        assert_same(&infer_hbg(&trace, &cfg), b.hbg(), "frontier-consistent order");
     }
 
     /// The same equivalences on real simulator traces (with the miner

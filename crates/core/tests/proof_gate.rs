@@ -232,3 +232,54 @@ fn minted_proof_roundtrips_both_codecs() {
     assert_eq!(back, m.proof);
     assert_eq!(back.repair_id(), m.proof.repair_id());
 }
+
+/// `prove` reconstructs the pre-consequence FIB state from the captured
+/// stream but only needs the history of the pairs the root cause's
+/// consequences touch: interleaving 50 000 FIB events on unrelated
+/// prefixes (same routers, stamps spread across the whole capture) must
+/// not move one byte of the proof — undo and redo included.
+#[test]
+fn unrelated_fib_history_does_not_change_the_proof() {
+    use cpvr_dataplane::FibAction;
+    use cpvr_sim::workload::prefix_block;
+    use cpvr_sim::{EventId, IoEvent};
+
+    let m = mint(21);
+    assert!(
+        !m.proof.transcript.redo.is_empty(),
+        "the incident has FIB consequences"
+    );
+    let mut trace = m.sim.trace().clone();
+    let span = m.sim.now().as_nanos();
+    let unrelated = prefix_block(1024);
+    const NOISE: u64 = 50_000;
+    for i in 0..NOISE {
+        let prefix = unrelated[(i * 7) as usize % unrelated.len()];
+        let time = SimTime::from_nanos(span / NOISE * i);
+        trace.events.push(IoEvent {
+            id: EventId(trace.events.len() as u32),
+            router: RouterId((i % 3) as u32),
+            time,
+            arrived_at: Some(time),
+            kind: if (i / 3) % 2 == 0 {
+                IoKind::FibInstall {
+                    prefix,
+                    action: FibAction::Drop,
+                }
+            } else {
+                IoKind::FibRemove { prefix }
+            },
+        });
+    }
+    let cfg = InferConfig {
+        rules: true,
+        patterns: None,
+        min_confidence: 0.8,
+        proximate: false,
+    };
+    let hbg = infer_hbg(&trace, &cfg);
+    let noisy = prove(&trace, &hbg, &m.verifier, &m.plan, m.proof.target, 0.8);
+    assert_eq!(noisy.transcript.undo, m.proof.transcript.undo);
+    assert_eq!(noisy.transcript.redo, m.proof.transcript.redo);
+    assert_eq!(noisy, m.proof);
+}

@@ -144,10 +144,10 @@ impl<V> PrefixTrie<V> {
 
     /// Removes and returns the value at `prefix`, pruning now-empty nodes.
     pub fn remove(&mut self, prefix: &Ipv4Prefix) -> Option<V> {
-        // Record the path so empty leaves can be pruned afterwards.
-        let mut path = Vec::with_capacity(prefix.len() as usize + 1);
+        // Record the path (root plus at most 32 bits, on the stack) so
+        // empty leaves can be pruned afterwards.
+        let mut path = [0u32; 33];
         let mut node = 0u32;
-        path.push(node);
         for i in 0..prefix.len() {
             let b = prefix.bit(i) as usize;
             let child = self.nodes[node as usize].children[b];
@@ -155,12 +155,12 @@ impl<V> PrefixTrie<V> {
                 return None;
             }
             node = child;
-            path.push(node);
+            path[i as usize + 1] = node;
         }
         let removed = self.nodes[node as usize].value.take()?;
         self.len -= 1;
         // Prune empty leaf nodes bottom-up (never the root).
-        for i in (1..path.len()).rev() {
+        for i in (1..=prefix.len() as usize).rev() {
             let n = path[i];
             let nd = &self.nodes[n as usize];
             if nd.value.is_some() || nd.children[0] != NO_NODE || nd.children[1] != NO_NODE {
