@@ -26,8 +26,8 @@
 //!    with the round (an empty digest list still ships — it is the
 //!    round-completion marker).
 //! 2. **Partial verdict** (`try_complete`, first half): once every
-//!    peer's round batch arrived, absorb them in member order, recheck,
-//!    and broadcast this slice's missing set as a [`PartialVerdict`].
+//!    peer's round batch arrived, absorb them in member order and
+//!    broadcast this slice's missing set as a [`PartialVerdict`].
 //! 3. **Merge** (`try_complete`, second half): once every peer's
 //!    partial arrived, the union of missing sets — sorted and
 //!    deduplicated — is the *global* snapshot verdict, bit-identical to
@@ -75,8 +75,8 @@ use crate::wal::{self, Wal, WalConfig};
 use cpvr_core::builder::HbgBuilder;
 use cpvr_core::hbg::Hbg;
 use cpvr_core::rules::RuleScope;
-use cpvr_core::snapshot::{classify_conv, ConvDigest, SnapshotStatus, TrackerSlice};
-use cpvr_core::{chain_over, FederationPlan, RepairProof};
+use cpvr_core::snapshot::{ConvDigest, SnapshotStatus, TrackerSlice};
+use cpvr_core::{chain_over, FederationPlan, FoldRecord, RepairProof};
 use cpvr_dataplane::DataPlane;
 use cpvr_obs::trace::stage;
 use cpvr_obs::RingHandle;
@@ -562,12 +562,13 @@ impl MemberState {
         if let Some(raw) = raw {
             self.journal_bytes(raw);
         }
-        self.local.ingest(event);
-        self.slice.ingest(event);
-        if let Some((key, _)) = classify_conv(event) {
+        let rec = FoldRecord::of(event);
+        self.local.ingest_record(rec);
+        self.slice.ingest_record(rec, event.arrived_at);
+        if let Some((key, _)) = rec.conv() {
             let owner = self.plan.of_conv(&key);
             if owner == self.member {
-                self.cross.ingest(event);
+                self.cross.ingest_record(rec);
             } else {
                 self.eager[owner as usize].push((seq, event.clone()));
             }
@@ -842,8 +843,8 @@ impl MemberState {
         }
         let me = self.member as usize;
         let members = self.members as usize;
-        // Phase 2: absorb every peer's round digests in member order,
-        // recheck, and broadcast this slice's partial verdict.
+        // Phase 2: absorb every peer's round digests in member order
+        // and broadcast this slice's partial verdict.
         if self
             .rounds
             .get(&f)
@@ -871,7 +872,6 @@ impl MemberState {
                     self.slice.absorb(d);
                 }
             }
-            self.slice.recheck();
             let missing = self.slice.missing();
             self.rounds
                 .get_mut(&f)
@@ -1042,14 +1042,15 @@ impl MemberState {
                         if self.cross_seen.contains_key(&e.id) {
                             continue;
                         }
-                        let Some((key, _)) = classify_conv(e) else {
+                        let rec = FoldRecord::of(e);
+                        let Some((key, _)) = rec.conv() else {
                             continue;
                         };
                         if self.plan.of_conv(&key) != self.member {
                             continue;
                         }
                         self.cross_seen.insert(e.id, e.time);
-                        self.cross.ingest(e);
+                        self.cross.ingest_record(rec);
                         fresh += 1;
                     }
                     if let Some(m) = &self.metrics {

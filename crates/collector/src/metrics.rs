@@ -12,8 +12,9 @@
 //!
 //! [`Collector::start`]: crate::collector::Collector::start
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use cpvr_core::HbrSource;
 use cpvr_obs::{
     Counter, ExpoFormat, FlightRecorder, Gauge, Histogram, MetricKind, MetricsRegistry, Snapshot,
     SpanRecorder,
@@ -82,6 +83,9 @@ pub struct CollectorMetrics {
     pub(crate) events_folded: Gauge,
     pub(crate) events_pending: Gauge,
     pub(crate) hbg_edges: Gauge,
+    /// The `cpvr_hbg_edges_offered{rule=…}` gauges, each resolved in
+    /// the registry the first time its source is published.
+    edges_offered: Mutex<Vec<(HbrSource, Gauge)>>,
     pub(crate) snapshot_consistent: Gauge,
     pub(crate) waits_issued: Gauge,
     pub(crate) waits_resolved: Gauge,
@@ -530,6 +534,7 @@ impl CollectorMetrics {
             events_folded: r.gauge("cpvr_events_folded"),
             events_pending: r.gauge("cpvr_events_pending"),
             hbg_edges: r.gauge("cpvr_hbg_edges"),
+            edges_offered: Mutex::new(Vec::new()),
             snapshot_consistent: r.gauge("cpvr_snapshot_consistent"),
             waits_issued: r.gauge("cpvr_tracker_waits_issued"),
             waits_resolved: r.gauge("cpvr_tracker_waits_resolved"),
@@ -628,11 +633,18 @@ impl CollectorMetrics {
         self.events_folded.set(b.processed() as i64);
         self.events_pending.set(b.pending() as i64);
         self.hbg_edges.set(b.hbg().edges().len() as i64);
-        for (source, n) in b.edge_counts() {
-            self.registry
-                .gauge_with("cpvr_hbg_edges_offered", &[("rule", &source)])
-                .set(n as i64);
+        let mut offered = self.edges_offered.lock().expect("a publisher panicked");
+        for (source, n) in b.edge_tallies() {
+            let known = offered.iter().position(|(s, _)| s == source);
+            let i = known.unwrap_or_else(|| {
+                let labels = [("rule", &*source.to_string())];
+                let gauge = self.registry.gauge_with("cpvr_hbg_edges_offered", &labels);
+                offered.push((*source, gauge));
+                offered.len() - 1
+            });
+            offered[i].1.set(*n as i64);
         }
+        drop(offered);
         let (issued, resolved) = pipeline.tracker().wait_stats();
         self.waits_issued.set(issued as i64);
         self.waits_resolved.set(resolved as i64);

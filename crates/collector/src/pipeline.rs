@@ -33,6 +33,7 @@ use crate::wal;
 use cpvr_core::builder::HbgBuilder;
 use cpvr_core::infer::InferConfig;
 use cpvr_core::snapshot::{ConsistencyTracker, SnapshotStatus};
+use cpvr_core::FoldRecord;
 use cpvr_sim::IoEvent;
 use cpvr_types::intern::InternStore;
 use cpvr_types::{RouterId, SimTime};
@@ -421,12 +422,14 @@ impl IngestPipeline {
         &self.repairs
     }
 
-    /// Buffers one event into both consumers. The caller is responsible
-    /// for having deduplicated it (see [`SourceTable::offer`]); the
-    /// fold is deterministic, not idempotent.
+    /// Classifies one event and buffers the record into both consumers.
+    /// The caller is responsible for having deduplicated it (see
+    /// [`SourceTable::offer`]); the fold is deterministic, not
+    /// idempotent.
     pub fn ingest(&mut self, e: &IoEvent) {
-        self.builder.ingest(e);
-        self.tracker.ingest(e);
+        let rec = FoldRecord::of(e);
+        self.builder.ingest_record(rec);
+        self.tracker.ingest_record(rec, e.arrived_at);
         self.events += 1;
     }
 

@@ -35,8 +35,8 @@
 //!    outboxes.
 //! 2. `Deliver { digests }`: the coordinator regroups the outboxes in
 //!    origin-shard order and forwards each shard its foreign digests;
-//!    workers absorb, recheck causal closure, and report their missing
-//!    sets plus fold counters.
+//!    workers absorb them and report their missing sets plus fold
+//!    counters.
 //!
 //! The coordinator merges the missing sets into the global verdict —
 //! provably equal to the monolithic [`ConsistencyTracker`] verdict at
@@ -60,8 +60,8 @@ use crate::wal::{FsyncPolicy, Wal};
 use cpvr_core::builder::HbgBuilder;
 use cpvr_core::hbg::{Hbg, Hbr};
 use cpvr_core::rules::RuleScope;
-use cpvr_core::snapshot::{classify_conv, ConvDigest, SnapshotStatus, TrackerSlice};
-use cpvr_core::ShardPlan;
+use cpvr_core::snapshot::{ConvDigest, SnapshotStatus, TrackerSlice};
+use cpvr_core::{FoldRecord, ShardPlan};
 use cpvr_dataplane::DataPlane;
 use cpvr_obs::Stage;
 use cpvr_sim::IoEvent;
@@ -255,9 +255,9 @@ pub(crate) enum WorkerMsg {
         upto: u64,
         fin: bool,
     },
-    /// Copies of events whose conversations this worker owns but whose
+    /// Records of events whose conversations this worker owns but whose
     /// routers it does not — feed for the cross-scope builder only.
-    IngestCross { events: Vec<IoEvent> },
+    IngestCross { records: Vec<FoldRecord> },
     /// WAL-recovered events for owned routers: ingest without
     /// journaling or acking (they are already durable).
     Seed { events: Vec<IoEvent> },
@@ -275,8 +275,8 @@ pub(crate) enum WorkerMsg {
     /// Barrier phase 1: journal the watermark (unless seeding from
     /// recovery), fold to `wm`, reply with foreign-conversation digests.
     Advance { wm: SimTime, journal: bool },
-    /// Barrier phase 2: absorb foreign digests, recheck, reply with the
-    /// missing set and fold counters.
+    /// Barrier phase 2: absorb foreign digests, reply with the missing
+    /// set and fold counters.
     Deliver { digests: Vec<ConvDigest> },
     /// Close the WAL and hand the whole worker state back.
     Shutdown,
@@ -415,16 +415,18 @@ impl Worker {
         true
     }
 
-    /// Ingests one owned-router event into the local builder, the
-    /// tracker slice, and (when this shard also owns its conversation)
-    /// the cross builder.
+    /// Classifies one owned-router event and buffers the record into
+    /// the local builder, the tracker slice, and (when this shard also
+    /// owns its conversation) the cross builder.
     fn ingest(&mut self, e: &IoEvent) {
-        self.local.ingest(e);
-        self.slice.ingest(e);
-        if let Some((key, _)) = classify_conv(e) {
-            if self.plan.of_conv(&key) == self.shard {
-                self.cross.ingest(e);
-            }
+        let rec = FoldRecord::of(e);
+        self.local.ingest_record(rec);
+        self.slice.ingest_record(rec, e.arrived_at);
+        if rec
+            .conv()
+            .is_some_and(|(key, _)| self.plan.of_conv(&key) == self.shard)
+        {
+            self.cross.ingest_record(rec);
         }
         self.events += 1;
     }
@@ -491,9 +493,9 @@ impl Worker {
                         }
                     }
                 }
-                WorkerMsg::IngestCross { events } => {
-                    for e in &events {
-                        self.cross.ingest(e);
+                WorkerMsg::IngestCross { records } => {
+                    for rec in records {
+                        self.cross.ingest_record(rec);
                     }
                 }
                 WorkerMsg::Seed { events } => {
@@ -551,7 +553,6 @@ impl Worker {
                     for d in &digests {
                         self.slice.absorb(d);
                     }
-                    self.slice.recheck();
                     if let Some(m) = &self.metrics {
                         if let Some(g) = m.shard_fold_lag.get(self.shard as usize) {
                             g.set(self.local.pending() as i64);
@@ -699,15 +700,10 @@ pub(crate) fn coordinator_loop(
     // monolithic recovery exactly.
     if !recovered_events.is_empty() {
         let mut seeds: Vec<Vec<IoEvent>> = (0..shards).map(|_| Vec::new()).collect();
-        let mut crosses: Vec<Vec<IoEvent>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut crosses: Vec<Vec<FoldRecord>> = (0..shards).map(|_| Vec::new()).collect();
         for e in recovered_events {
             let owner = plan.of_router(e.router);
-            if let Some((key, _)) = classify_conv(&e) {
-                let conv_owner = plan.of_conv(&key);
-                if conv_owner != owner {
-                    crosses[conv_owner as usize].push(e.clone());
-                }
-            }
+            cross_route(&plan, owner, &e, &mut crosses);
             seeds[owner as usize].push(e);
         }
         for (k, events) in seeds.into_iter().enumerate() {
@@ -715,11 +711,7 @@ pub(crate) fn coordinator_loop(
                 let _ = workers[k].tx.send(WorkerMsg::Seed { events });
             }
         }
-        for (k, events) in crosses.into_iter().enumerate() {
-            if !events.is_empty() {
-                let _ = workers[k].tx.send(WorkerMsg::IngestCross { events });
-            }
-        }
+        send_crosses(&workers, crosses);
     }
     if let Some(wm) = recovered_wm {
         run_barrier(
@@ -829,20 +821,12 @@ pub(crate) fn coordinator_loop(
                     // owner's batch can trigger any later barrier, so a
                     // shard's cross builder always has both sides of an
                     // HBR by the time the watermark folds it.
-                    let mut crosses: Vec<Vec<IoEvent>> = (0..shards).map(|_| Vec::new()).collect();
+                    let mut crosses: Vec<Vec<FoldRecord>> =
+                        (0..shards).map(|_| Vec::new()).collect();
                     for rec in &fresh {
-                        if let Some((key, _)) = classify_conv(&rec.event) {
-                            let conv_owner = plan.of_conv(&key) as usize;
-                            if conv_owner != owner {
-                                crosses[conv_owner].push(rec.event.clone());
-                            }
-                        }
+                        cross_route(&plan, owner as u32, &rec.event, &mut crosses);
                     }
-                    for (k, events) in crosses.into_iter().enumerate() {
-                        if !events.is_empty() {
-                            let _ = workers[k].tx.send(WorkerMsg::IngestCross { events });
-                        }
-                    }
+                    send_crosses(&workers, crosses);
                     let _ = workers[owner].tx.send(WorkerMsg::Ingest {
                         conn,
                         source,
@@ -1040,6 +1024,26 @@ pub(crate) fn coordinator_loop(
         repairs,
     }));
     (report, wal_err)
+}
+
+/// Stages the fold record of `e` for the shard owning its conversation,
+/// when that is not `owner`, the shard owning its router.
+fn cross_route(plan: &ShardPlan, owner: u32, e: &IoEvent, crosses: &mut [Vec<FoldRecord>]) {
+    let rec = FoldRecord::of(e);
+    if let Some((key, _)) = rec.conv() {
+        let conv_owner = plan.of_conv(&key);
+        if conv_owner != owner {
+            crosses[conv_owner as usize].push(rec);
+        }
+    }
+}
+
+fn send_crosses(workers: &[ShardHandle], crosses: Vec<Vec<FoldRecord>>) {
+    for (k, records) in crosses.into_iter().enumerate() {
+        if !records.is_empty() {
+            let _ = workers[k].tx.send(WorkerMsg::IngestCross { records });
+        }
+    }
 }
 
 /// Sends an ack through the owning worker's socket, mirroring the

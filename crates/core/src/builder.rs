@@ -23,26 +23,32 @@
 //! batch path would infer over the same events — bit-for-bit, per
 //! [`canonical_edges`](crate::hbg::Hbg::canonical_edges).
 //!
-//! ## The pending queue pays only for disorder
+//! ## The pending queue holds records and pays only for disorder
+//!
+//! What waits for the watermark is the event's 48-byte [`FoldRecord`],
+//! classified once at ingest — not the 184-byte [`IoEvent`] with its
+//! description, config payload or BGP route — and the sweeps match on
+//! the record. A caller that also feeds a tracker classifies once for
+//! both ([`ingest_record`](HbgBuilder::ingest_record)).
 //!
 //! Capture streams arrive *nearly* in `(time, id)` order: one router's
 //! export is in order, and routers interleave within a batch. The
 //! buffer is one queue holding a sorted run followed by an unsorted tail
-//! (`Pending`, below): an event that extends the run costs a push and a
+//! (`Pending`, below): a record that extends the run costs a push and a
 //! pop, nothing else; stragglers are sorted — adaptively, so their own
 //! in-order stretches are merged rather than re-sorted — once per
 //! advance, together with only the part of the run they interleave with.
-//! In steady state folding an event allocates nothing: the queue, the
-//! per-event edge buffer and the graph's flat adjacency arrays grow
-//! geometrically and are reused, and the rule cells keep their first id
-//! inline ([`rules`](crate::rules)).
+//! Folding an event allocates nothing: the queue, the per-event edge
+//! buffer and the graph's flat adjacency arrays grow geometrically and
+//! are reused, and the rule cells keep their first id inline
+//! ([`rules`](crate::rules)).
 
 use crate::hbg::{Hbg, Hbr, HbrSource};
 use crate::infer::{Cand, InferConfig, PatternEngine, SweepState};
-use crate::rules::{RuleScope, RuleSweep};
+use crate::rules::{FoldRecord, RuleScope, RuleSweep};
 use cpvr_sim::{EventId, IoEvent};
 use cpvr_types::SimTime;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Ingested events awaiting the watermark: `queue[..sorted]` is a
 /// `(time, id)`-sorted run that [`pop_through`](Self::pop_through) drains
@@ -51,20 +57,16 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 /// order.
 #[derive(Clone, Default)]
 struct Pending {
-    queue: VecDeque<IoEvent>,
+    queue: VecDeque<FoldRecord>,
     sorted: usize,
 }
 
-fn key(e: &IoEvent) -> (SimTime, EventId) {
-    (e.time, e.id)
-}
-
 impl Pending {
-    fn push(&mut self, e: &IoEvent) {
-        if self.sorted == self.queue.len() && self.queue.back().is_none_or(|b| key(b) <= key(e)) {
+    fn push(&mut self, e: FoldRecord) {
+        if self.sorted == self.queue.len() && self.queue.back().is_none_or(|b| b.key() <= e.key()) {
             self.sorted += 1;
         }
-        self.queue.push_back(e.clone());
+        self.queue.push_back(e);
     }
 
     /// Folds the tail into the run. Only the suffix of the run that some
@@ -77,16 +79,20 @@ impl Pending {
         }
         let all = self.queue.make_contiguous();
         let (run, tail) = all.split_at(self.sorted);
-        let first = tail.iter().map(key).min().expect("tail is non-empty");
-        let lo = run.partition_point(|e| key(e) <= first);
-        all[lo..].sort_by_key(key);
+        let first = tail
+            .iter()
+            .map(FoldRecord::key)
+            .min()
+            .expect("tail is non-empty");
+        let lo = run.partition_point(|e| e.key() <= first);
+        all[lo..].sort_by_key(FoldRecord::key);
         self.sorted = all.len();
     }
 
     /// Removes and returns the earliest event of the run if it is
     /// stamped at or before `watermark`. Call [`settle`](Self::settle)
     /// first: the tail is not looked at.
-    fn pop_through(&mut self, watermark: SimTime) -> Option<IoEvent> {
+    fn pop_through(&mut self, watermark: SimTime) -> Option<FoldRecord> {
         if self.queue.front()?.time > watermark {
             return None;
         }
@@ -119,9 +125,6 @@ pub struct HbgBuilder {
     scope: RuleScope,
     patterns: Option<(PatternEngine, bool)>,
     state: SweepState,
-    /// Event times for the pattern engine's candidate ranking; empty
-    /// unless a [`PatternEngine`] is attached.
-    times: HashMap<EventId, SimTime>,
     pending: Pending,
     /// `None` until the first [`advance`](Self::advance).
     watermark: Option<SimTime>,
@@ -161,7 +164,6 @@ impl HbgBuilder {
                 .patterns
                 .map(|m| (PatternEngine::compile(m, cfg.min_confidence), cfg.proximate)),
             state: SweepState::default(),
-            times: HashMap::new(),
             pending: Pending::default(),
             watermark: None,
             last_folded: None,
@@ -172,7 +174,13 @@ impl HbgBuilder {
         }
     }
 
-    /// Buffers one captured event. Cheap (a push); no inference happens
+    /// Classifies and buffers one captured event:
+    /// [`ingest_record`](Self::ingest_record) of its [`FoldRecord`].
+    pub fn ingest(&mut self, e: &IoEvent) {
+        self.ingest_record(FoldRecord::of(e));
+    }
+
+    /// Buffers one classified event. Cheap (a push); no inference happens
     /// until [`advance`](Self::advance).
     ///
     /// # Panics
@@ -183,19 +191,16 @@ impl HbgBuilder {
     /// never trips this: the simulator emits everything stamped ≤ `t`
     /// before its clock passes `t`, and event ids increase with emission
     /// order.
-    pub fn ingest(&mut self, e: &IoEvent) {
+    pub fn ingest_record(&mut self, e: FoldRecord) {
         if let Some(frontier) = self.last_folded {
             assert!(
-                (e.time, e.id) > frontier,
+                e.key() > frontier,
                 "event {} at {} ingested behind the fold frontier {frontier:?}",
                 e.id,
                 e.time,
             );
         }
         self.g.grow_to(e.id.index() + 1);
-        if self.patterns.is_some() {
-            self.times.insert(e.id, e.time);
-        }
         self.pending.push(e);
     }
 
@@ -207,11 +212,11 @@ impl HbgBuilder {
         self.pending.settle();
         while let Some(e) = self.pending.pop_through(watermark) {
             if let Some(sweep) = &mut self.rules {
-                sweep.step(&e, self.scope, &mut self.out);
+                sweep.step_record(&e, self.scope, &mut self.out);
             }
             if let Some((engine, proximate)) = &self.patterns {
                 let mut cands: Vec<Cand> = Vec::new();
-                engine.collect(&e, &self.state, &self.times, true, true, &mut cands);
+                engine.collect(&e, &self.state, true, true, &mut cands);
                 if *proximate {
                     PatternEngine::retain_proximate(&mut cands);
                 }
@@ -225,7 +230,7 @@ impl HbgBuilder {
                 }
                 self.g.add(h);
             }
-            self.last_folded = Some((e.time, e.id));
+            self.last_folded = Some(e.key());
             folded += 1;
         }
         self.processed += folded;
@@ -255,11 +260,17 @@ impl HbgBuilder {
         self.pending.queue.len()
     }
 
-    /// Edges *offered* to the graph so far, keyed by the rendering of
-    /// their [`HbrSource`] (`"rule:<name>"`, `"pattern"`), which is built
-    /// on each call. Offers, not residents: the graph keeps at most one
-    /// edge per target and prefers higher confidence, so the sum here
-    /// can exceed [`hbg`](Self::hbg)`().edges().len()`.
+    /// Edges *offered* to the graph so far per [`HbrSource`], in the
+    /// order the sources first fired; entries are only ever appended.
+    pub fn edge_tallies(&self) -> &[(HbrSource, u64)] {
+        &self.edge_counts
+    }
+
+    /// [`edge_tallies`](Self::edge_tallies) keyed by the rendering of
+    /// the source (`"rule:<name>"`, `"pattern"`), which is built on each
+    /// call. Offers, not residents: the graph keeps at most one edge per
+    /// target and prefers higher confidence, so the sum here can exceed
+    /// [`hbg`](Self::hbg)`().edges().len()`.
     pub fn edge_counts(&self) -> BTreeMap<String, u64> {
         self.edge_counts
             .iter()

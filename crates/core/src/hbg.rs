@@ -25,9 +25,12 @@ pub enum HbrSource {
 impl fmt::Display for HbrSource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            HbrSource::Rule(name) => write!(f, "rule:{name}"),
-            HbrSource::Pattern => write!(f, "pattern"),
-            HbrSource::Truth => write!(f, "truth"),
+            HbrSource::Rule(name) => {
+                f.write_str("rule:")?;
+                f.write_str(name)
+            }
+            HbrSource::Pattern => f.write_str("pattern"),
+            HbrSource::Truth => f.write_str("truth"),
         }
     }
 }
@@ -122,6 +125,11 @@ impl Hbg {
         self.ins.of(e).map(|i| &self.edges[i])
     }
 
+    /// The edges out of `e`, in insertion order.
+    pub fn out_edges(&self, e: EventId) -> impl Iterator<Item = &Hbr> {
+        self.outs.of(e).map(|i| &self.edges[i])
+    }
+
     /// Builds the oracle graph from a trace's ground-truth edges
     /// (testing only — inference never sees this).
     pub fn from_truth(trace: &Trace) -> Self {
@@ -209,9 +217,7 @@ impl Hbg {
 
     /// Direct consequents of `e` with confidence ≥ `min_conf`.
     pub fn children(&self, e: EventId, min_conf: f64) -> Vec<EventId> {
-        self.outs
-            .of(e)
-            .map(|i| &self.edges[i])
+        self.out_edges(e)
             .filter(|h| h.confidence >= min_conf)
             .map(|h| h.to)
             .collect()

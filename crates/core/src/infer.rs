@@ -16,8 +16,8 @@
 //! against the simulator's ground truth for experiment A2.
 
 use crate::hbg::{Hbg, Hbr, HbrSource};
-use crate::rules::{match_rules, sig, KindClass, RuleScope, RuleSweep};
-use cpvr_sim::{EventId, IoEvent, IoKind, Proto, Trace};
+use crate::rules::{match_rules, FoldRecord, KindClass, RuleScope, RuleSweep};
+use cpvr_sim::{EventId, IoEvent, Proto, Trace};
 use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
 use std::collections::{BTreeMap, HashMap};
 
@@ -76,11 +76,9 @@ impl PatternMiner {
     /// Learns from one (policy-compliant) trace. Call repeatedly to pool
     /// training data.
     pub fn train(&mut self, trace: &Trace) {
-        let mut sorted: Vec<&IoEvent> = trace.events.iter().collect();
-        sorted.sort_by_key(|e| (e.time, e.id));
         let mut state = SweepState::default();
-        for e in &sorted {
-            let s_b = sig(e);
+        for e in &records(&trace.events) {
+            let s_b = e.sig();
             *self.totals.entry(s_b).or_insert(0) += 1;
             for (s_a, rel) in state.predecessor_sigs(e, self.window) {
                 *self.counts.entry((s_a, s_b, rel)).or_insert(0) += 1;
@@ -122,15 +120,12 @@ impl PatternMiner {
     /// cost in protocol knowledge.
     pub fn apply_with(&self, events: &[&IoEvent], min_conf: f64, proximate_only: bool) -> Vec<Hbr> {
         let engine = PatternEngine::compile(self, min_conf);
-        let times: HashMap<EventId, SimTime> = events.iter().map(|e| (e.id, e.time)).collect();
-        let mut sorted: Vec<&IoEvent> = events.to_vec();
-        sorted.sort_by_key(|e| (e.time, e.id));
         let mut state = SweepState::default();
         let mut out = Vec::new();
         let mut cands: Vec<Cand> = Vec::new();
-        for e in &sorted {
+        for e in &records(events.iter().copied()) {
             cands.clear();
-            engine.collect(e, &state, &times, true, true, &mut cands);
+            engine.collect(e, &state, true, true, &mut cands);
             if proximate_only {
                 PatternEngine::retain_proximate(&mut cands);
             }
@@ -144,6 +139,13 @@ impl PatternMiner {
     pub fn apply(&self, events: &[&IoEvent], min_conf: f64) -> Vec<Hbr> {
         self.apply_with(events, min_conf, false)
     }
+}
+
+/// The fold records of `events`, in `(time, id)` order.
+fn records<'a>(events: impl IntoIterator<Item = &'a IoEvent>) -> Vec<FoldRecord> {
+    let mut out: Vec<FoldRecord> = events.into_iter().map(FoldRecord::of).collect();
+    out.sort_by_key(FoldRecord::key);
+    out
 }
 
 /// A miner's patterns compiled for application: filtered by confidence
@@ -188,14 +190,13 @@ impl PatternEngine {
     /// relation in separate passes and merges per consequent.
     pub(crate) fn collect(
         &self,
-        e: &IoEvent,
+        e: &FoldRecord,
         state: &SweepState,
-        times: &HashMap<EventId, SimTime>,
         local: bool,
         cross: bool,
         out: &mut Vec<Cand>,
     ) {
-        let Some(pats) = self.by_cons.get(&sig(e)) else {
+        let Some(pats) = self.by_cons.get(&e.sig()) else {
             return;
         };
         for p in pats {
@@ -203,8 +204,10 @@ impl PatternEngine {
             if if is_cross { !cross } else { !local } {
                 continue;
             }
-            for id in state.latest_matching(e, p.ante, p.rel, self.window) {
-                let t = times.get(&id).copied().unwrap_or(SimTime::ZERO);
+            let Some((t, ids)) = state.latest_matching(e, p.ante, p.rel, self.window) else {
+                continue;
+            };
+            for id in ids.iter().copied().filter(|id| *id != e.id) {
                 out.push((
                     t,
                     Self::rank(p.rel),
@@ -241,8 +244,8 @@ pub(crate) struct SweepState {
 }
 
 impl SweepState {
-    pub(crate) fn note(&mut self, e: &IoEvent) {
-        let s = sig(e);
+    pub(crate) fn note(&mut self, e: &FoldRecord) {
+        let s = e.sig();
         let cell = self
             .same
             .entry((e.router, s))
@@ -252,7 +255,7 @@ impl SweepState {
         } else {
             cell.1.push(e.id);
         }
-        if let Some(p) = e.kind.prefix() {
+        if let Some(p) = e.prefix {
             let cell = self
                 .same_prefix
                 .entry((e.router, p, s))
@@ -276,7 +279,7 @@ impl SweepState {
 
     /// Signatures of the nearest predecessors of `e` under each relation
     /// (for training).
-    fn predecessor_sigs(&self, e: &IoEvent, window: SimTime) -> Vec<(Sig, Relation)> {
+    fn predecessor_sigs(&self, e: &FoldRecord, window: SimTime) -> Vec<(Sig, Relation)> {
         let mut out = Vec::new();
         let horizon = e.time.saturating_sub(window);
         for ((router, s), (t, ids)) in &self.same {
@@ -284,7 +287,7 @@ impl SweepState {
                 out.push((*s, Relation::SameRouter));
             }
         }
-        if let Some(p) = e.kind.prefix() {
+        if let Some(p) = e.prefix {
             for ((router, prefix, s), (t, ids)) in &self.same_prefix {
                 if *router == e.router
                     && *prefix == p
@@ -311,41 +314,34 @@ impl SweepState {
         out
     }
 
-    /// Ids of the nearest predecessor(s) of `e` with signature `ante`
-    /// under `rel` (for application).
+    /// The nearest predecessor(s) of `e` with signature `ante` under
+    /// `rel` (for application): their shared time and their ids, `e`'s
+    /// own possibly among them.
     pub(crate) fn latest_matching(
         &self,
-        e: &IoEvent,
+        e: &FoldRecord,
         ante: Sig,
         rel: Relation,
         window: SimTime,
-    ) -> Vec<cpvr_sim::EventId> {
-        let horizon = e.time.saturating_sub(window);
-        match rel {
-            Relation::SameRouter => match self.same.get(&(e.router, ante)) {
-                Some((t, ids)) if *t >= horizon && *t <= e.time => {
-                    ids.iter().copied().filter(|id| *id != e.id).collect()
+    ) -> Option<(SimTime, &[EventId])> {
+        let (t, ids) = match rel {
+            Relation::SameRouter => {
+                let (t, ids) = self.same.get(&(e.router, ante))?;
+                (*t, ids)
+            }
+            Relation::SameRouterPrefix => {
+                let (t, ids) = self.same_prefix.get(&(e.router, e.prefix?, ante))?;
+                (*t, ids)
+            }
+            Relation::CrossRouter => {
+                let (t, ids, router) = self.cross.get(&(e.prefix?, ante))?;
+                if *router == e.router {
+                    return None;
                 }
-                _ => Vec::new(),
-            },
-            Relation::SameRouterPrefix => match e
-                .kind
-                .prefix()
-                .and_then(|p| self.same_prefix.get(&(e.router, p, ante)))
-            {
-                Some((t, ids)) if *t >= horizon && *t <= e.time => {
-                    ids.iter().copied().filter(|id| *id != e.id).collect()
-                }
-                _ => Vec::new(),
-            },
-            Relation::CrossRouter => match e.kind.prefix().and_then(|p| self.cross.get(&(p, ante)))
-            {
-                Some((t, ids, router)) if *router != e.router && *t >= horizon && *t <= e.time => {
-                    ids.clone()
-                }
-                _ => Vec::new(),
-            },
-        }
+                (*t, ids)
+            }
+        };
+        (t >= e.time.saturating_sub(window) && t <= e.time).then_some((t, &ids[..]))
     }
 }
 
@@ -405,11 +401,11 @@ pub fn infer_hbg(trace: &Trace, cfg: &InferConfig<'_>) -> Hbg {
 /// (cross-router, sharded by prefix). Each shard reproduces exactly the
 /// candidates the sequential sweep would have produced for its half of
 /// the logic, so the union over shards equals the sequential output.
-enum Shard<'a> {
+enum Shard {
     /// All events of one router; runs the router-local half.
-    Local(Vec<&'a IoEvent>),
+    Local(Vec<FoldRecord>),
     /// The events of one conversation/prefix; runs the cross-router half.
-    Cross(Vec<&'a IoEvent>),
+    Cross(Vec<FoldRecord>),
 }
 
 /// Runs `work` over `shards` on up to `threads` OS threads (contiguous
@@ -462,7 +458,7 @@ pub fn infer_hbg_parallel(trace: &Trace, cfg: &InferConfig<'_>, threads: usize) 
         threads
     };
     let mut g = Hbg::new(trace.len());
-    let sorted = trace.by_time();
+    let sorted = records(&trace.events);
 
     if cfg.rules {
         // Local shards see every event of their router; cross shards see
@@ -470,21 +466,16 @@ pub fn infer_hbg_parallel(trace: &Trace, cfg: &InferConfig<'_>, threads: usize) 
         // match no rule other than send→recv, and the send→recv candidate
         // map is keyed (sender, addressee, proto, prefix), all of which
         // the (proto, prefix) grouping holds constant per shard.
-        let mut local: BTreeMap<RouterId, Vec<&IoEvent>> = BTreeMap::new();
-        let mut cross: BTreeMap<(Proto, Option<Ipv4Prefix>), Vec<&IoEvent>> = BTreeMap::new();
+        let mut local: BTreeMap<RouterId, Vec<FoldRecord>> = BTreeMap::new();
+        let mut cross: BTreeMap<(Proto, Option<Ipv4Prefix>), Vec<FoldRecord>> = BTreeMap::new();
         for e in &sorted {
-            local.entry(e.router).or_default().push(e);
-            match &e.kind {
-                IoKind::SendAdvert { proto, prefix, .. }
-                | IoKind::SendWithdraw { proto, prefix, .. }
-                | IoKind::RecvAdvert { proto, prefix, .. }
-                | IoKind::RecvWithdraw { proto, prefix, .. } => {
-                    cross.entry((*proto, *prefix)).or_default().push(e);
-                }
-                _ => {}
+            local.entry(e.router).or_default().push(*e);
+            use KindClass::{RecvAd, RecvWd, SendAd, SendWd};
+            if let (SendAd | SendWd | RecvAd | RecvWd, Some(proto)) = e.sig() {
+                cross.entry((proto, e.prefix)).or_default().push(*e);
             }
         }
-        let shards: Vec<Shard<'_>> = local
+        let shards: Vec<Shard> = local
             .into_values()
             .map(Shard::Local)
             .chain(cross.into_values().map(Shard::Cross))
@@ -496,8 +487,8 @@ pub fn infer_hbg_parallel(trace: &Trace, cfg: &InferConfig<'_>, threads: usize) 
             };
             let mut sweep = RuleSweep::new();
             let mut out = Vec::new();
-            for e in events {
-                sweep.step(e, scope, &mut out);
+            for e in &events {
+                sweep.step_record(e, scope, &mut out);
             }
             out
         });
@@ -508,23 +499,20 @@ pub fn infer_hbg_parallel(trace: &Trace, cfg: &InferConfig<'_>, threads: usize) 
 
     if let Some(miner) = cfg.patterns {
         let engine = PatternEngine::compile(miner, cfg.min_confidence);
-        let times: HashMap<EventId, SimTime> =
-            trace.events.iter().map(|e| (e.id, e.time)).collect();
-        let mut local: BTreeMap<RouterId, Vec<&IoEvent>> = BTreeMap::new();
-        let mut cross: BTreeMap<Ipv4Prefix, Vec<&IoEvent>> = BTreeMap::new();
+        let mut local: BTreeMap<RouterId, Vec<FoldRecord>> = BTreeMap::new();
+        let mut cross: BTreeMap<Ipv4Prefix, Vec<FoldRecord>> = BTreeMap::new();
         for e in &sorted {
-            local.entry(e.router).or_default().push(e);
-            if let Some(p) = e.kind.prefix() {
-                cross.entry(p).or_default().push(e);
+            local.entry(e.router).or_default().push(*e);
+            if let Some(p) = e.prefix {
+                cross.entry(p).or_default().push(*e);
             }
         }
-        let shards: Vec<Shard<'_>> = local
+        let shards: Vec<Shard> = local
             .into_values()
             .map(Shard::Local)
             .chain(cross.into_values().map(Shard::Cross))
             .collect();
         let engine = &engine;
-        let times = &times;
         // Each shard reports (consequent, candidates) pairs; candidates
         // from different shards are merged per consequent *before* the
         // proximate filter, which is what makes the filter see exactly
@@ -536,9 +524,9 @@ pub fn infer_hbg_parallel(trace: &Trace, cfg: &InferConfig<'_>, threads: usize) 
             };
             let mut state = SweepState::default();
             let mut out: Vec<(EventId, Vec<Cand>)> = Vec::new();
-            for e in events {
+            for e in &events {
                 let mut cands = Vec::new();
-                engine.collect(e, &state, times, is_local, !is_local, &mut cands);
+                engine.collect(e, &state, is_local, !is_local, &mut cands);
                 if !cands.is_empty() {
                     out.push((e.id, cands));
                 }

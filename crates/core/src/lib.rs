@@ -57,6 +57,7 @@ pub use predict::OutcomePredictor;
 pub use proof::{chain_over, gate_repair, prove, PredictedBehavior, ProvenanceHop, RepairProof};
 pub use provenance::{provenance_path, root_causes, RootCause};
 pub use repair::{propose_repairs, propose_repairs_report, RepairPlan, RepairReport};
+pub use rules::FoldRecord;
 pub use shard::{FederationPlan, ShardPlan};
 pub use snapshot::{
     classify_conv, consistency_check, consistent_snapshot, ConsistencyTracker, ConvDigest, ConvKey,

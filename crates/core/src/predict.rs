@@ -14,7 +14,7 @@
 //! would-be state and block/revert the root cause early.
 
 use crate::hbg::Hbg;
-use crate::rules::{sig, KindClass};
+use crate::rules::{FoldRecord, KindClass};
 use cpvr_dataplane::{DataPlane, FibAction, FibEntry};
 use cpvr_sim::{IoEvent, IoKind, Proto, Trace};
 use cpvr_topo::Topology;
@@ -47,7 +47,7 @@ fn input_sig(e: &IoEvent) -> Option<InputSig> {
     if !e.kind.is_input() {
         return None;
     }
-    let (class, proto) = sig(e);
+    let (class, proto) = FoldRecord::of(e).sig();
     let local_pref = match &e.kind {
         IoKind::RecvAdvert { route: Some(r), .. } => Some(r.local_pref),
         _ => None,

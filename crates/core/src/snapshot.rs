@@ -18,13 +18,13 @@
 //! answers by *waiting* for the named routers instead of raising a false
 //! alarm.
 
-use cpvr_bgp::PeerRef;
-use cpvr_dataplane::{DataPlane, FibAction, FibUpdate, UpdateKind};
-use cpvr_sim::{EventId, IoEvent, IoKind, Proto, Trace};
+use crate::rules::FoldRecord;
+use cpvr_dataplane::{DataPlane, FibUpdate};
+use cpvr_sim::{EventId, IoEvent, Proto, Trace};
 use cpvr_topo::Topology;
 use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
 use cpvr_verify::{verify, Policy, VerifyReport};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// The verdict on a snapshot horizon.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,46 +52,12 @@ pub fn consistency_check(trace: &Trace, horizon: SimTime) -> SnapshotStatus {
 
 /// [`consistency_check`] over an explicit arrived-event set.
 pub fn consistency_check_events(arrived: &[&IoEvent]) -> SnapshotStatus {
-    type Key = (RouterId, RouterId, Proto, Option<Ipv4Prefix>);
-    let mut sends: BTreeMap<Key, Vec<SimTime>> = BTreeMap::new();
-    let mut recvs: BTreeMap<Key, Vec<SimTime>> = BTreeMap::new();
+    let mut sends: BTreeMap<ConvKey, Vec<SimTime>> = BTreeMap::new();
+    let mut recvs: BTreeMap<ConvKey, Vec<SimTime>> = BTreeMap::new();
     for e in arrived {
-        match &e.kind {
-            IoKind::SendAdvert {
-                proto,
-                prefix,
-                to: Some(PeerRef::Internal(to)),
-                ..
-            }
-            | IoKind::SendWithdraw {
-                proto,
-                prefix,
-                to: Some(PeerRef::Internal(to)),
-                ..
-            } => {
-                sends
-                    .entry((e.router, *to, *proto, *prefix))
-                    .or_default()
-                    .push(e.time);
-            }
-            IoKind::RecvAdvert {
-                proto,
-                prefix,
-                from: Some(PeerRef::Internal(from)),
-                ..
-            }
-            | IoKind::RecvWithdraw {
-                proto,
-                prefix,
-                from: Some(PeerRef::Internal(from)),
-                ..
-            } => {
-                recvs
-                    .entry((*from, e.router, *proto, *prefix))
-                    .or_default()
-                    .push(e.time);
-            }
-            _ => {}
+        if let Some((key, is_send)) = classify_conv(e) {
+            let side = if is_send { &mut sends } else { &mut recvs };
+            side.entry(key).or_default().push(e.time);
         }
     }
     let mut missing: Vec<RouterId> = Vec::new();
@@ -121,58 +87,21 @@ pub fn consistency_check_events(arrived: &[&IoEvent]) -> SnapshotStatus {
 /// A send/recv conversation: `(sender, addressee, proto, prefix)`.
 pub type ConvKey = (RouterId, RouterId, Proto, Option<Ipv4Prefix>);
 
-/// Classifies an event as one side of an internal conversation:
-/// `Some((key, is_send))` for internal send/recv advert/withdraw
-/// events, `None` otherwise. This is the routing predicate the sharded
-/// collector uses to decide which shard's conversation slice an event
-/// must also reach.
+/// Classifies an event as one side of an internal conversation
+/// ([`FoldRecord::conv`]): `Some((key, is_send))` for internal send/recv
+/// advert/withdraw events, `None` otherwise. This is the routing
+/// predicate the sharded collector uses to decide which shard's
+/// conversation slice an event must also reach.
 pub fn classify_conv(e: &IoEvent) -> Option<(ConvKey, bool)> {
-    match &e.kind {
-        IoKind::SendAdvert {
-            proto,
-            prefix,
-            to: Some(PeerRef::Internal(to)),
-            ..
-        }
-        | IoKind::SendWithdraw {
-            proto,
-            prefix,
-            to: Some(PeerRef::Internal(to)),
-            ..
-        } => Some(((e.router, *to, *proto, *prefix), true)),
-        IoKind::RecvAdvert {
-            proto,
-            prefix,
-            from: Some(PeerRef::Internal(from)),
-            ..
-        }
-        | IoKind::RecvWithdraw {
-            proto,
-            prefix,
-            from: Some(PeerRef::Internal(from)),
-            ..
-        } => Some(((*from, e.router, *proto, *prefix), false)),
-        _ => None,
-    }
-}
-
-/// What the tracker needs to remember about one event after ingest.
-#[derive(Clone)]
-enum Digest {
-    /// One side of an internal conversation (`true` = the send side).
-    Conv(ConvKey, bool),
-    Fib(UpdateKind, Ipv4Prefix, FibAction),
-    Other,
+    FoldRecord::of(e).conv()
 }
 
 /// One ingested record on a router's export stream.
 #[derive(Clone)]
 struct StreamRecord {
-    time: SimTime,
-    id: EventId,
+    rec: FoldRecord,
     /// Raw sampled arrival; `None` = the record was lost.
     raw: Option<SimTime>,
-    digest: Digest,
 }
 
 /// One router's export stream: the not-yet-consumed records in
@@ -189,46 +118,30 @@ struct RouterStream {
 }
 
 impl RouterStream {
-    fn push(&mut self, e: &IoEvent) {
-        let digest = match (classify_conv(e), &e.kind) {
-            (Some((key, is_send)), _) => Digest::Conv(key, is_send),
-            (None, IoKind::FibInstall { prefix, action }) => {
-                Digest::Fib(UpdateKind::Install, *prefix, *action)
-            }
-            (None, IoKind::FibRemove { prefix }) => {
-                Digest::Fib(UpdateKind::Remove, *prefix, FibAction::Drop)
-            }
-            _ => Digest::Other,
-        };
-        let rec = StreamRecord {
-            time: e.time,
-            id: e.id,
-            raw: e.arrived_at,
-            digest,
-        };
-        let key = (rec.time, rec.id);
+    fn push(&mut self, rec: FoldRecord, raw: Option<SimTime>) {
+        let key = rec.key();
         debug_assert!(
             self.consumed.is_none_or(|c| c < key),
             "event {} at {} ingested behind the consumption frontier",
-            e.id,
-            e.time
+            rec.id,
+            rec.time
         );
         // A router exports in order, so the record nearly always extends
         // the stream.
-        if self.records.back().is_none_or(|b| (b.time, b.id) < key) {
-            self.records.push_back(rec);
+        if self.records.back().is_none_or(|b| b.rec.key() < key) {
+            self.records.push_back(StreamRecord { rec, raw });
         } else {
-            let pos = self.records.partition_point(|r| (r.time, r.id) < key);
-            self.records.insert(pos, rec);
+            let pos = self.records.partition_point(|r| r.rec.key() < key);
+            self.records.insert(pos, StreamRecord { rec, raw });
         }
     }
 
     /// Removes and returns the next record if it has arrived by
     /// `horizon`, stepping over lost ones.
-    fn pop_arrived(&mut self, horizon: SimTime) -> Option<StreamRecord> {
+    fn pop_arrived(&mut self, horizon: SimTime) -> Option<FoldRecord> {
         loop {
-            let rec = self.records.front()?;
-            match rec.raw {
+            let StreamRecord { rec, raw } = self.records.front()?;
+            match *raw {
                 // Lost: never arrives, never clamps later records. Step
                 // over it permanently — but only once the horizon has
                 // passed its event time, so that a not-yet-ingested event
@@ -249,67 +162,79 @@ impl RouterStream {
                     self.high = Some(eff);
                 }
             }
-            let rec = self.records.pop_front().expect("peeked");
-            self.consumed = Some((rec.time, rec.id));
-            if rec.raw.is_some() {
+            let StreamRecord { rec, raw } = self.records.pop_front().expect("peeked");
+            self.consumed = Some(rec.key());
+            if raw.is_some() {
                 return Some(rec);
             }
         }
     }
 }
 
-/// Per-conversation send/recv times and the causal-closure verdict over
-/// them. Both sides of a key live on a single router each, so the lists
-/// grow append-only in time order and only keys that gained records need
-/// rechecking.
+/// One conversation's records still waiting for their counterpart. The
+/// i-th recv (time order) needs at least i+1 sends no later than it;
+/// both sides live on a single router each and so arrive in time order,
+/// which makes that "the i-th send is no later than the i-th recv" — a
+/// pair, once matched, stays matched and is dropped.
+#[derive(Clone, Default)]
+struct Conv {
+    /// Times of the side that is ahead: sends no recv has claimed yet,
+    /// or recvs whose send has not arrived — the failing state.
+    ahead: VecDeque<SimTime>,
+    recvs_ahead: bool,
+    /// A recv's send was stamped after it: nothing that arrives later
+    /// can satisfy it, so nothing more is kept.
+    broken: bool,
+}
+
+impl Conv {
+    fn failing(&self) -> bool {
+        self.broken || (self.recvs_ahead && !self.ahead.is_empty())
+    }
+}
+
+/// The causal-closure verdict over the conversations, kept current per
+/// record: resident times are bounded by what is in flight.
 #[derive(Clone, Default)]
 struct Conversations {
-    sends: BTreeMap<ConvKey, Vec<SimTime>>,
-    recvs: BTreeMap<ConvKey, Vec<SimTime>>,
-    /// Keys that gained a record since their last recheck.
-    dirty: BTreeSet<ConvKey>,
-    /// Keys currently failing causal closure.
-    bad: BTreeSet<ConvKey>,
+    convs: HashMap<ConvKey, Conv>,
+    /// Per sender, how many of its conversations fail causal closure
+    /// (entries stay once made, possibly at zero).
+    failing: BTreeMap<RouterId, u32>,
 }
 
 impl Conversations {
     fn note(&mut self, d: &ConvDigest) {
-        let side = if d.is_send {
-            &mut self.sends
+        let c = self.convs.entry(d.key).or_default();
+        if c.broken {
+            return;
+        }
+        let was_failing = c.failing();
+        if c.ahead.is_empty() || c.recvs_ahead != d.is_send {
+            c.recvs_ahead = !d.is_send;
+            c.ahead.push_back(d.time);
         } else {
-            &mut self.recvs
-        };
-        side.entry(d.key).or_default().push(d.time);
-        self.dirty.insert(d.key);
-    }
-
-    /// Re-judges the keys that gained records: the i-th recv (time
-    /// order) needs at least i+1 sends no later than it. Both lists are
-    /// append-only sorted, so one merge-walk decides a key.
-    fn recheck(&mut self) {
-        for key in std::mem::take(&mut self.dirty) {
-            let rs = self.recvs.get(&key).map_or(&[][..], |v| &v[..]);
-            let ss = self.sends.get(&key).map_or(&[][..], |v| &v[..]);
-            let mut avail = 0usize;
-            let ok = rs.iter().enumerate().all(|(i, rt)| {
-                while avail < ss.len() && ss[avail] <= *rt {
-                    avail += 1;
-                }
-                avail > i
-            });
-            if ok {
-                self.bad.remove(&key);
+            let other = c.ahead.pop_front().expect("checked non-empty");
+            let (send, recv) = if d.is_send {
+                (d.time, other)
             } else {
-                self.bad.insert(key);
+                (other, d.time)
+            };
+            if send > recv {
+                c.broken = true;
+                c.ahead = VecDeque::new();
             }
+        }
+        if c.failing() != was_failing {
+            let n = self.failing.entry(d.key.0).or_default();
+            *n = if was_failing { *n - 1 } else { *n + 1 };
         }
     }
 
     /// Senders of the failing conversations, sorted and deduplicated.
     fn missing(&self) -> Vec<RouterId> {
-        let mut rs: Vec<RouterId> = self.bad.iter().map(|k| k.0).collect();
-        rs.dedup(); // BTreeSet iteration is sorted by (sender, ..)
-        rs
+        let failing = self.failing.iter().filter(|(_, n)| **n > 0);
+        failing.map(|(sender, _)| *sender).collect()
     }
 }
 
@@ -330,8 +255,8 @@ impl Streams {
         }
     }
 
-    fn ingest(&mut self, e: &IoEvent) {
-        self.streams[e.router.index()].push(e);
+    fn ingest(&mut self, rec: FoldRecord, raw: Option<SimTime>) {
+        self.streams[rec.router.index()].push(rec, raw);
     }
 
     /// Consumes every record that has arrived by `horizon`, each
@@ -347,24 +272,15 @@ impl Streams {
         for (r, stream) in self.streams.iter_mut().enumerate() {
             let router = RouterId(r as u32);
             while let Some(rec) = stream.pop_arrived(horizon) {
-                match rec.digest {
-                    Digest::Conv(key, is_send) => on_conv(ConvDigest {
+                if let Some((key, is_send)) = rec.conv() {
+                    on_conv(ConvDigest {
                         key,
                         is_send,
                         time: rec.time,
-                    }),
-                    Digest::Fib(kind, prefix, action) => {
-                        let u = FibUpdate {
-                            router,
-                            prefix,
-                            kind,
-                            action,
-                            at: rec.time,
-                        };
-                        self.dp.apply(&u);
-                        on_fib(u);
-                    }
-                    Digest::Other => {}
+                    });
+                } else if let Some(u) = rec.fib_update() {
+                    self.dp.apply(&u);
+                    on_fib(u);
                 }
                 self.dp
                     .set_taken_at(router, rec.time.max(self.dp.taken_at(router)));
@@ -390,8 +306,8 @@ impl Streams {
 /// prefix independently reconstructs exactly the
 /// [`snapshot_arrived_by`] data plane. Second, both sides of a
 /// conversation key live on a single router each, so per-key send/recv
-/// time lists grow append-only and only keys that gained records need
-/// their causal-closure verdict rechecked.
+/// times arrive in order: a recv once matched by its send stays
+/// matched, and only the unmatched tail of a conversation is kept.
 #[derive(Clone)]
 pub struct ConsistencyTracker {
     streams: Streams,
@@ -431,18 +347,23 @@ impl ConsistencyTracker {
     /// everything stamped ≤ `t` has been emitted once the clock reaches
     /// `t`.
     pub fn ingest(&mut self, e: &IoEvent) {
-        self.streams.ingest(e);
+        self.ingest_record(FoldRecord::of(e), e.arrived_at);
+    }
+
+    /// [`ingest`](Self::ingest) of an already classified event and its
+    /// raw arrival (`None` = the record was lost).
+    pub fn ingest_record(&mut self, rec: FoldRecord, arrived_at: Option<SimTime>) {
+        self.streams.ingest(rec, arrived_at);
     }
 
     /// Advances the verification horizon: applies every record that has
-    /// arrived by `horizon`, rechecks the conversations they touched, and
-    /// returns the causal-closure verdict — identical to
+    /// arrived by `horizon`, matches the conversation records among them,
+    /// and returns the causal-closure verdict — identical to
     /// [`consistency_check`] over the same events.
     pub fn advance(&mut self, horizon: SimTime) -> SnapshotStatus {
         let (convs, applied) = (&mut self.convs, &mut self.applied);
         self.streams
             .replay(horizon, |d| convs.note(&d), |u| applied.push(u));
-        self.convs.recheck();
         let st = self.status();
         match (self.waiting, st.is_consistent()) {
             (false, false) => {
@@ -580,8 +501,7 @@ impl cpvr_types::json::FromJson for ConvDigest {
 /// exactly like [`ConsistencyTracker::advance`], but sends/recvs whose
 /// conversation another shard owns are emitted into a per-destination
 /// outbox instead of being applied; the destination slice applies them
-/// via [`absorb`](Self::absorb) and re-judges via
-/// [`recheck`](Self::recheck). Per conversation side, records originate
+/// via [`absorb`](Self::absorb). Per conversation side, records originate
 /// from exactly one stream and are delivered in stream order, so each
 /// slice's send/recv lists are identical to the monolithic tracker's —
 /// which makes the union of [`missing`](Self::missing) across slices
@@ -609,18 +529,18 @@ impl TrackerSlice {
         }
     }
 
-    /// Buffers one captured event, exactly like
-    /// [`ConsistencyTracker::ingest`]. The caller routes events so that
-    /// `e.router` is owned by this slice's shard.
-    pub fn ingest(&mut self, e: &IoEvent) {
+    /// Buffers one classified event and its raw arrival, exactly like
+    /// [`ConsistencyTracker::ingest_record`]. The caller routes events so
+    /// that `rec.router` is owned by this slice's shard.
+    pub fn ingest_record(&mut self, rec: FoldRecord, arrived_at: Option<SimTime>) {
         debug_assert_eq!(
-            self.plan.of_router(e.router),
+            self.plan.of_router(rec.router),
             self.shard,
             "event for router {:?} ingested into slice {}",
-            e.router,
+            rec.router,
             self.shard
         );
-        self.streams.ingest(e);
+        self.streams.ingest(rec, arrived_at);
     }
 
     /// Replays the owned streams up to `horizon` (the
@@ -628,8 +548,8 @@ impl TrackerSlice {
     /// and FIFO-clamp discipline), applying owned-conversation digests
     /// locally and pushing foreign ones into `outbox[owner]`.
     ///
-    /// Callers follow with the barrier exchange, [`absorb`](Self::absorb)
-    /// of delivered digests, and [`recheck`](Self::recheck).
+    /// Callers follow with the barrier exchange and
+    /// [`absorb`](Self::absorb) of delivered digests.
     pub fn advance_collect(&mut self, horizon: SimTime, outbox: &mut [Vec<ConvDigest>]) {
         let (convs, plan, shard) = (&mut self.convs, &self.plan, self.shard);
         self.streams.replay(
@@ -656,12 +576,6 @@ impl TrackerSlice {
         self.convs.note(d);
     }
 
-    /// Re-judges causal closure for conversations that gained records
-    /// this round — the same merge-walk as the monolithic tracker.
-    pub fn recheck(&mut self) {
-        self.convs.recheck();
-    }
-
     /// Senders of this slice's failing conversations, sorted and
     /// deduplicated. Concatenating all slices' lists, sorting, and
     /// deduplicating yields exactly the monolithic
@@ -686,22 +600,8 @@ pub fn snapshot_arrived_by(trace: &Trace, n_routers: usize, horizon: SimTime) ->
     arrived.sort_by_key(|e| (e.time, e.id));
     let mut dp = DataPlane::new(n_routers);
     for e in arrived {
-        match &e.kind {
-            IoKind::FibInstall { prefix, action } => dp.apply(&FibUpdate {
-                router: e.router,
-                prefix: *prefix,
-                kind: UpdateKind::Install,
-                action: *action,
-                at: e.time,
-            }),
-            IoKind::FibRemove { prefix } => dp.apply(&FibUpdate {
-                router: e.router,
-                prefix: *prefix,
-                kind: UpdateKind::Remove,
-                action: FibAction::Drop,
-                at: e.time,
-            }),
-            _ => {}
+        if let Some(u) = FoldRecord::of(e).fib_update() {
+            dp.apply(&u);
         }
         dp.set_taken_at(e.router, e.time.max(dp.taken_at(e.router)));
     }
@@ -804,28 +704,8 @@ pub fn verify_throughout(
     let mut dp = DataPlane::new(n);
     let mut report = TransientReport::default();
     for e in events {
-        let (prefix, update) = match &e.kind {
-            IoKind::FibInstall { prefix, action } => (
-                *prefix,
-                FibUpdate {
-                    router: e.router,
-                    prefix: *prefix,
-                    kind: UpdateKind::Install,
-                    action: *action,
-                    at: e.time,
-                },
-            ),
-            IoKind::FibRemove { prefix } => (
-                *prefix,
-                FibUpdate {
-                    router: e.router,
-                    prefix: *prefix,
-                    kind: UpdateKind::Remove,
-                    action: FibAction::Drop,
-                    at: e.time,
-                },
-            ),
-            _ => continue,
+        let Some(update) = FoldRecord::of(e).fib_update() else {
+            continue;
         };
         if e.time > to {
             break;
@@ -835,7 +715,7 @@ pub fn verify_throughout(
             continue;
         }
         report.checkpoints += 1;
-        let vr = cpvr_verify::verify_incremental(topo, &dp, policies, &[prefix]);
+        let vr = cpvr_verify::verify_incremental(topo, &dp, policies, &[update.prefix]);
         if !vr.ok() {
             report.violating.push((e.time, vr.violations.len()));
         }
@@ -846,7 +726,9 @@ pub fn verify_throughout(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpvr_sim::EventId;
+    use cpvr_bgp::PeerRef;
+    use cpvr_dataplane::FibAction;
+    use cpvr_sim::IoKind;
 
     fn pfx(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()
@@ -1074,6 +956,53 @@ mod tests {
         );
     }
 
+    /// One conversation, a thousand updates, every third send record
+    /// late: the verdict tracks the batch check at every horizon, and
+    /// what the tracker keeps of the conversation is what is in flight —
+    /// not its history.
+    #[test]
+    fn a_busy_conversation_keeps_only_what_is_in_flight() {
+        let mut b = TB::new();
+        let p = pfx("8.8.8.0/24");
+        let at = |us: u64| Some(SimTime::from_micros(us));
+        for i in 0..1000u64 {
+            let late = if i % 3 == 0 { 10 } else { 0 };
+            let (sent, rcvd) = (10 * i + 1, 10 * i + 5);
+            for (router, t_us, arrives, kind) in [
+                (1, sent, sent + 1 + late, send(0, p)),
+                (0, rcvd, rcvd + 1, recv(1, p)),
+            ] {
+                let id = b.ev(router, 0, None, kind);
+                let e = &mut b.trace.events[id.index()];
+                (e.time, e.arrived_at) = (SimTime::from_micros(t_us), at(arrives));
+            }
+        }
+        // Delivered as captured: each update just ahead of its horizon.
+        let mut tracker = ConsistencyTracker::new(2);
+        let mut delivered = Trace::default();
+        let mut waits = 0;
+        for (i, update) in b.trace.events.chunks(2).enumerate() {
+            for e in update {
+                tracker.ingest(e);
+                delivered.events.push(e.clone());
+            }
+            let horizon = SimTime::from_micros(10 * i as u64 + 9);
+            let got = tracker.advance(horizon);
+            assert_eq!(got, consistency_check(&delivered, horizon), "advance {i}");
+            waits += usize::from(!got.is_consistent());
+            let resident: usize = tracker.convs.convs.values().map(|c| c.ahead.len()).sum();
+            assert!(resident <= 1, "advance {i}: {resident} times resident");
+        }
+        assert_eq!(waits, 334, "every late send is waited for");
+        assert_eq!(tracker.wait_stats(), (334, 333));
+        assert_eq!(tracker.convs.convs.len(), 1);
+        assert!(tracker
+            .convs
+            .convs
+            .values()
+            .all(|c| c.ahead.capacity() <= 8));
+    }
+
     #[test]
     fn drain_applied_replays_to_the_tracker_dataplane() {
         let mut b = TB::new();
@@ -1160,7 +1089,8 @@ mod tests {
                     .collect();
                 for e in &trace.events {
                     mono.ingest(e);
-                    slices[plan.of_router(e.router) as usize].ingest(e);
+                    slices[plan.of_router(e.router) as usize]
+                        .ingest_record(FoldRecord::of(e), e.arrived_at);
                 }
                 let end = trace.events.iter().map(|e| e.time).max().unwrap();
                 for step in 1..=20u64 {
@@ -1180,8 +1110,7 @@ mod tests {
                         }
                     }
                     let mut missing: Vec<RouterId> = Vec::new();
-                    for slice in slices.iter_mut() {
-                        slice.recheck();
+                    for slice in &slices {
                         missing.extend(slice.missing());
                     }
                     missing.sort();

@@ -2,43 +2,60 @@
 //!
 //! The §7 feasibility argument needs the per-update check to be cheap
 //! *per update*; the first thing that breaks that is an allocator call
-//! per event. This test counts heap allocations (not time, so it is
+//! per event. These tests count heap allocations (not time, so they are
 //! immune to a noisy machine) while [`HbgBuilder`] and
-//! [`ConsistencyTracker`] fold router-local RIB→FIB install/remove pairs
-//! over a fixed prefix set, and holds the steady state — the second
-//! 50 000 events, after every map has seen its keys — to 0.05
-//! allocations per event: amortised buffer growth only.
+//! [`ConsistencyTracker`] fold
 //!
-//! This file holds exactly one test: the counting allocator is
-//! process-global, and the count is only taken on the test's own thread.
+//! * router-local RIB→FIB install/remove pairs over a fixed prefix set,
+//!   holding the steady state — the second 50 000 events, after every
+//!   map has seen its keys — to 0.05 allocations per event: amortised
+//!   buffer growth only;
+//! * a simulator-generated BGP churn trace whose adverts and RIB
+//!   installs carry their routes (`as_path` and all), as the collector's
+//!   `IngestPipeline` folds it — one [`FoldRecord`] per event, handed to
+//!   both consumers — holding the whole fold to 0.35 allocations per
+//!   event. What is left is state the fold must create: a cell per
+//!   `(router, prefix)` and per conversation. Buffering the events
+//!   themselves cost one more allocation for every route.
+//!
+//! The count is per thread, so the tests may run side by side.
 
-use cpvr_core::{ConsistencyTracker, HbgBuilder, InferConfig};
+use cpvr_bgp::{BgpConfig, PeerRef, SessionCfg};
+use cpvr_core::{ConsistencyTracker, FoldRecord, HbgBuilder, InferConfig};
 use cpvr_dataplane::FibAction;
-use cpvr_sim::workload::prefix_block;
-use cpvr_sim::{EventId, IoEvent, IoKind, Proto};
-use cpvr_types::{RouterId, SimTime};
+use cpvr_sim::workload::{churn_plan, prefix_block, random_topology};
+use cpvr_sim::{
+    CaptureProfile, EventId, IgpKind, IoEvent, IoKind, LatencyProfile, Proto, RouterConfig,
+    Simulation,
+};
+use cpvr_types::{AsNum, RouterId, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's allocations since it started counting; `None` when
+    /// it is not.
+    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
 struct Counting;
 
 fn count() {
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    }
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+}
+
+/// Heap allocations (and reallocations) `work` makes on this thread.
+fn allocations_of(work: impl FnOnce()) -> u64 {
+    ALLOCATIONS.with(|n| n.set(Some(0)));
+    work();
+    ALLOCATIONS
+        .with(|n| n.replace(None))
+        .expect("counting was on")
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; counting touches only an
-// atomic and a const-initialised thread-local, neither of which
-// allocates.
+// which upholds the `GlobalAlloc` contract; counting touches only a
+// const-initialised thread-local, which does not allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
@@ -143,10 +160,7 @@ fn steady_state_fold_stays_within_the_allocation_budget() {
     };
     let (warm_up, steady) = events.split_at(PASS);
     fold(warm_up);
-    COUNTING.with(|c| c.set(true));
-    fold(steady);
-    COUNTING.with(|c| c.set(false));
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocations = allocations_of(|| fold(steady));
 
     assert_eq!(builder.processed(), 2 * PASS);
     assert_eq!(
@@ -160,5 +174,101 @@ fn steady_state_fold_stays_within_the_allocation_budget() {
         "{allocations} heap allocations while folding {PASS} steady-state events \
          ({:.3} per event); the budget is 0.05 per event ({budget})",
         allocations as f64 / PASS as f64
+    );
+}
+
+/// A full iBGP mesh of 12 routers with three uplinks under
+/// announce/withdraw churn, syslog-skewed capture: the ledger's
+/// `bgp-merger` shape. Adverts and BGP RIB installs carry their route.
+fn bgp_churn_trace() -> Vec<IoEvent> {
+    const MAX_EVENTS: usize = 4_000_000;
+    let (topo, peers) = random_topology(12, 8, 3, 7);
+    let n = topo.num_routers() as u32;
+    let configs = (0..n)
+        .map(|r| {
+            let mut bgp = BgpConfig::new(RouterId(r), AsNum(65000));
+            let mesh = (0..n).filter(|o| *o != r);
+            bgp.sessions
+                .extend(mesh.map(|o| SessionCfg::new(PeerRef::Internal(RouterId(o)))));
+            let uplinks = peers
+                .iter()
+                .filter(|up| topo.ext_peer(**up).attach.0 == RouterId(r));
+            bgp.sessions
+                .extend(uplinks.map(|up| SessionCfg::new(PeerRef::External(*up))));
+            RouterConfig {
+                bgp,
+                igp: IgpKind::Ospf,
+            }
+        })
+        .collect();
+    let mut sim = Simulation::new(
+        topo,
+        configs,
+        LatencyProfile::cisco(),
+        CaptureProfile::syslog(),
+        1,
+    );
+    sim.start();
+    sim.run_to_quiescence(MAX_EVENTS);
+    let prefixes = prefix_block(256);
+    let base = sim.now();
+    for (t_ms, peer, prefix, announce) in churn_plan(3_000, peers.len(), prefixes.len(), 1) {
+        let at = base + SimTime::from_millis(t_ms);
+        if announce {
+            sim.schedule_ext_announce(at, peers[peer], &[prefixes[prefix]]);
+        } else {
+            sim.schedule_ext_withdraw(at, peers[peer], &[prefixes[prefix]]);
+        }
+    }
+    sim.run_to_quiescence(MAX_EVENTS);
+    sim.trace().events.clone()
+}
+
+#[test]
+fn route_bearing_bgp_fold_stays_within_the_allocation_budget() {
+    let events = bgp_churn_trace();
+    assert!(events.len() >= 50_000, "only {} events", events.len());
+    let with_route = |e: &&IoEvent| {
+        matches!(
+            e.kind,
+            IoKind::RecvAdvert { route: Some(_), .. }
+                | IoKind::SendAdvert { route: Some(_), .. }
+                | IoKind::RibInstall { route: Some(_), .. }
+        )
+    };
+    let routes = events.iter().filter(with_route).count();
+    assert!(2 * routes > events.len(), "{routes} events carry a route");
+    let mut order: Vec<&IoEvent> = events.iter().collect();
+    order.sort_by_key(|e| (e.time, e.id));
+
+    let mut builder = HbgBuilder::new(&InferConfig {
+        rules: true,
+        patterns: None,
+        min_confidence: 0.9,
+        proximate: false,
+    });
+    let mut tracker = ConsistencyTracker::new(12);
+    let allocations = allocations_of(|| {
+        for batch in order.chunks(BATCH) {
+            for e in batch {
+                let rec = FoldRecord::of(e);
+                builder.ingest_record(rec);
+                tracker.ingest_record(rec, e.arrived_at);
+            }
+            let h = batch.last().expect("chunks are non-empty").time;
+            builder.advance(h);
+            tracker.advance(h);
+            tracker.drain_applied();
+        }
+    });
+
+    assert_eq!(builder.processed(), events.len());
+    assert!(builder.hbg().edges().len() > events.len() / 2);
+    let per_event = allocations as f64 / events.len() as f64;
+    assert!(
+        per_event <= 0.35,
+        "{allocations} heap allocations while folding {} events ({per_event:.3} per event); \
+         the budget is 0.35 per event",
+        events.len()
     );
 }
