@@ -13,8 +13,7 @@
 //! (JSON) and v3 (binary/interned) event codecs, interleaved so machine
 //! drift hits both arms equally.
 //!
-//! The workload itself lives in `cpvr_bench::ingest` so the CI
-//! perf-budget gate (`src/bin/perf_budget.rs`) measures the same thing.
+//! The workload itself lives in `cpvr_bench::ingest`.
 
 use cpvr_bench::ingest::IngestSession;
 use cpvr_collector::wal::{FsyncPolicy, TempDir, WalConfig};
@@ -79,15 +78,10 @@ fn bench(c: &mut Criterion) {
         (off - on) / off * 100.0
     );
 
-    // A9: sharded-fold scaling under a durable WAL. Same workload at
-    // every point; only the worker count and fsync cadence move. The
-    // 1-shard point is the legacy inline merger (fsync on the fold
-    // thread); every other point is the sharded fold with per-shard
-    // segment series and group-committed fsyncs. Under `Always` that
-    // pairing is where the win lives: the single merger serializes one
-    // fsync per batch while the workers' sync tickets coalesce into
-    // shared group-commit cycles. Best of three rounds per point to
-    // shave scheduler noise.
+    // A9: fold-shard scaling under a durable WAL. Same workload and
+    // the same engine at every point (per-shard segment series,
+    // group-committed fsyncs); only the worker count and fsync cadence
+    // move. Best of three rounds per point to shave scheduler noise.
     for (cadence, fsync) in [
         ("always", FsyncPolicy::Always),
         ("everyn-256", FsyncPolicy::EveryN(256)),
@@ -113,7 +107,7 @@ fn bench(c: &mut Criterion) {
     // A10: wire-codec A/B. The same session shapes as A7/A9, each run
     // with the v2 (JSON) arm and the v3 (binary/interned) arm
     // interleaved round by round; the ratio column is the headline
-    // number the perf budget gates on (v3 ≥ 1.5× v2 at shards=4).
+    // number.
     for (name, shards, fsync) in [
         ("no-wal shards=1", 1u32, None),
         ("no-wal shards=4", 4, None),

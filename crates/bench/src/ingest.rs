@@ -1,8 +1,7 @@
 //! Shared networked-ingest workload: the synthetic event stream and
-//! collector session used by the A7/A9 throughput experiments
-//! (`benches/ingest_throughput.rs`) and by the CI perf-budget gate
-//! (`src/bin/perf_budget.rs`). Keeping the workload in one place means
-//! the gate measures exactly what the experiment reports.
+//! collector session used by the A7–A10 throughput experiments
+//! (`benches/ingest_throughput.rs`) and the codec benches
+//! (`benches/obs_overhead.rs`).
 
 use cpvr_collector::collector::{Collector, CollectorConfig};
 use cpvr_collector::wal::{wait_for, WalConfig};
@@ -139,125 +138,5 @@ impl IngestSession {
         let t0 = std::time::Instant::now();
         let moved = self.run();
         (moved, t0.elapsed().as_secs_f64())
-    }
-}
-
-/// What the federation spent beyond folding events: the traffic and
-/// latency of the inter-collector protocol itself (experiment A11).
-#[derive(Clone, Debug, Default)]
-pub struct FedCost {
-    /// Boundary events shipped between members, summed over senders.
-    pub boundary_events: u64,
-    /// Bytes of peer frames shipped between members, summed over senders.
-    pub boundary_bytes: u64,
-    /// Worst member's p99 partial-verdict round latency (open → global
-    /// verdict), in nanoseconds.
-    pub round_p99_nanos: u64,
-}
-
-/// The same synthetic workload as [`IngestSession`], folded by a
-/// federation of collectors instead of one: each connection streams to
-/// the member owning its router, members exchange frontiers, boundary
-/// edges, and partial verdicts, and the shutdown merge must still be
-/// the whole fold. The returned [`FedCost`] is what that distribution
-/// cost on the wire.
-#[derive(Clone, Debug)]
-pub struct FedIngestSession {
-    /// Concurrent router connections (also the router count).
-    pub n_conns: u32,
-    /// Total events across all connections.
-    pub total_events: usize,
-    /// Federation size.
-    pub members: u32,
-    /// Event codec every router connection speaks (peer frames between
-    /// members are always v2 JSON).
-    pub codec: CodecVersion,
-}
-
-impl Default for FedIngestSession {
-    fn default() -> Self {
-        FedIngestSession {
-            n_conns: DEFAULT_CONNS,
-            total_events: DEFAULT_EVENTS,
-            members: 3,
-            codec: CodecVersion::V2,
-        }
-    }
-}
-
-impl FedIngestSession {
-    /// Runs the session and returns `(events_moved, fed_cost)`.
-    pub fn run(&self) -> (u64, FedCost) {
-        use cpvr_collector::wal::TempDir;
-        use cpvr_core::FederationPlan;
-        use cpvr_federation::Federation;
-
-        let tmp = TempDir::new("fed-ingest").expect("temp wal root");
-        let fed = Federation::launch(
-            FederationPlan::uniform(self.members),
-            self.n_conns,
-            tmp.path(),
-        )
-        .expect("launch federation");
-        let mut threads = Vec::new();
-        for conn in 0..self.n_conns {
-            let addr = fed.addr_of_router(RouterId(conn));
-            let (n_conns, total, codec) = (self.n_conns, self.total_events, self.codec);
-            threads.push(std::thread::spawn(move || {
-                let mut sink = SocketSink::connect_with_codec(
-                    addr,
-                    RouterId(conn),
-                    n_conns,
-                    ReconnectPolicy::default(),
-                    codec,
-                )
-                .expect("connect");
-                for (j, e) in synthetic_events(conn, n_conns, total).iter().enumerate() {
-                    sink.send(e).expect("send");
-                    if (j + 1) % WATERMARK_EVERY == 0 {
-                        sink.watermark(e.time).expect("watermark");
-                    }
-                }
-                sink.bye().expect("bye");
-                assert!(
-                    sink.drain(Duration::from_secs(60)).expect("drain"),
-                    "conn {conn}: events left unacked"
-                );
-            }));
-        }
-        for t in threads {
-            t.join().unwrap();
-        }
-        for m in 0..fed.members() {
-            assert!(
-                wait_for(Duration::from_secs(60), || {
-                    fed.handle(m).stats().watermark == Some(SimTime::MAX)
-                }),
-                "member {m} did not drain: {:?}",
-                fed.handle(m).stats()
-            );
-        }
-        let report = fed.shutdown().expect("shutdown");
-        let total = (self.total_events / self.n_conns as usize * self.n_conns as usize) as u64;
-        assert_eq!(report.global.events(), total, "merged fold lost events");
-        let mut cost = FedCost::default();
-        for member in &report.members {
-            assert_eq!(member.stats.decode_errors, 0);
-            if let Some(snap) = &member.metrics {
-                cost.boundary_events += snap.counter_total("cpvr_boundary_events_sent_total");
-                cost.boundary_bytes += snap.counter_total("cpvr_boundary_bytes_sent_total");
-                if let Some(h) = snap.histogram("cpvr_partial_verdict_nanos", &[]) {
-                    cost.round_p99_nanos = cost.round_p99_nanos.max(h.p99());
-                }
-            }
-        }
-        (total, cost)
-    }
-
-    /// Runs the session once and returns `(events_moved, seconds, cost)`.
-    pub fn run_timed(&self) -> (u64, f64, FedCost) {
-        let t0 = std::time::Instant::now();
-        let (moved, cost) = self.run();
-        (moved, t0.elapsed().as_secs_f64(), cost)
     }
 }

@@ -1,6 +1,6 @@
-//! The threaded TCP collector: accepts one connection per router,
-//! merges the per-router frame streams into watermark order, journals
-//! everything through the WAL, and drives the [`IngestPipeline`].
+//! The threaded TCP collector: accepts one connection per router, turns
+//! the per-router frame streams into typed messages, and hands them to
+//! the one ingest engine (`session`).
 //!
 //! ## Threading model
 //!
@@ -9,78 +9,85 @@
 //! - an **accept thread** polls a nonblocking listener and spawns one
 //!   **reader thread** per connection;
 //! - reader threads decode frames through the resynchronizing
-//!   [`Decoder`] (the CPU-heavy JSON parse happens here, in parallel
-//!   across connections) and push typed messages into a **bounded**
-//!   channel — when the merger falls behind, readers block, TCP windows
-//!   fill, and backpressure reaches the senders. A corrupt frame is
-//!   *quarantined* (counted, skipped, the reader resynchronizes); only
-//!   protocol violations (bad hello, garbage that passed its CRC) kill
-//!   a connection;
-//! - a single **merger thread** owns the WAL, the pipeline, and its
-//!   [`SourceTable`]. It deduplicates events by per-source sequence
-//!   number, applies frontier-gated watermark promises, and folds
-//!   events only up to the *minimum* applied promise over all
-//!   non-evicted sources, which is the merge point at which the global
+//!   [`Decoder`] (the CPU-heavy parse happens here, in parallel across
+//!   connections) and push typed messages into a **bounded** channel —
+//!   when the session falls behind, readers block, TCP windows fill, and
+//!   backpressure reaches the senders. A corrupt frame is *quarantined*
+//!   (counted, skipped, the reader resynchronizes); only protocol
+//!   violations (bad hello, garbage that passed its CRC) kill a
+//!   connection;
+//! - one **session thread** runs the session loop: it owns the
+//!   [`SourceTable`], deduplicates events by per-source sequence number,
+//!   applies frontier-gated watermark promises, runs the **liveness
+//!   leases** (a source silent past [`LeaseConfig::lagging_after`] is
+//!   flagged, one silent past [`LeaseConfig::evict_after`] is evicted
+//!   from the watermark gate — journaled, and re-admitted on its next
+//!   handshake — so one dead router cannot stall verification forever),
+//!   and lets the fold advance only up to the *minimum* applied promise
+//!   over all non-evicted sources, the merge point at which the global
 //!   `(time, id)` order is known — the precondition for
-//!   [`HbgBuilder::advance`]'s deterministic sweep. It also writes
-//!   [`Frame::Ack`] frames back to each client so they can prune their
-//!   replay buffers, and runs the **liveness leases**: a source silent
-//!   past [`LeaseConfig::lagging_after`] is flagged, one silent past
-//!   [`LeaseConfig::evict_after`] is evicted from the watermark gate
-//!   (journaled, and re-admitted on its next handshake) so one dead
-//!   router cannot stall verification forever.
+//!   [`HbgBuilder::advance`]'s deterministic sweep;
+//! - behind the session, a backend folds: `shards` **fold workers**
+//!   ([`crate::shard`]; each journals its routers' events into its own
+//!   WAL series, folds them, and writes [`Frame::Ack`] frames back so
+//!   clients can prune their replay buffers) plus one **group-commit
+//!   thread** for their fsyncs — or, on a federation member, the
+//!   session thread itself, with the other shards remote
+//!   ([`crate::federation`]). `shards = 1` is one worker, not a
+//!   different program.
 //!
 //! ## Durability ordering
 //!
-//! The merger appends an event's wire frame to the WAL *before*
-//! ingesting it, a (global) watermark frame *before* advancing, and an
-//! eviction/re-admission frame *before* changing the gate — and an ack
-//! is only sent *after* the events it covers were journaled. The log is
-//! therefore always at least as complete as the in-memory state, so
-//! replaying it (see [`IngestPipeline::recover`]) reconstructs the
-//! pre-crash pipeline exactly: at-least-once logging plus sequence
+//! An event's wire frame is appended to the WAL *before* the event is
+//! ingested, a (global) watermark frame *before* the fold advances to
+//! it, and an eviction/re-admission frame *before* the gate changes —
+//! and an ack is only sent *after* the events it covers were journaled.
+//! The log is therefore always at least as complete as the in-memory
+//! state, so replaying it (see [`IngestPipeline::recover`]) reconstructs
+//! the pre-crash fold exactly: at-least-once logging plus sequence
 //! deduplication plus a deterministic fold is effectively exactly-once
 //! recovery.
 //!
 //! [`HbgBuilder::advance`]: cpvr_core::builder::HbgBuilder::advance
 //! [`SourceTable`]: crate::pipeline::SourceTable
 //! [`Decoder`]: crate::codec::Decoder
+//! [`IngestPipeline::recover`]: crate::pipeline::IngestPipeline::recover
 
 use crate::codec::{
-    encode_frame, DecodedMsg, Decoder, Frame, Hello, PeerHello, RepairRecord, RepairStage, VERSION,
+    encode_frame, DecodedMsg, Decoder, Frame, Hello, PeerHello, RepairRecord, VERSION,
 };
-use crate::federation::{member_loop, recover_member, CollectorRole, FederationConfig, PeerFrame};
-use crate::group_commit::{GroupCommit, GroupCommitHandle};
+use crate::federation::{recover_member, CollectorRole, FederationConfig, PeerFrame};
+use crate::group_commit::GroupCommitHandle;
 use crate::metrics::{CollectorMetrics, DEFAULT_SPAN_SAMPLE};
-use crate::pipeline::{IngestPipeline, Offer, PipelineConfig, RecoveryReport, SourceState};
-use crate::shard::{coordinator_loop, FoldReport};
-use crate::wal::{FsyncPolicy, Wal, WalConfig, WalMetrics};
+use crate::pipeline::{PipelineConfig, RecoveryReport, WalScan};
+use crate::session;
+use crate::shard::{FoldReport, Shards};
+use crate::wal::{Wal, WalConfig};
 use cpvr_core::ShardPlan;
 use cpvr_obs::trace::stage;
-use cpvr_obs::{ExpoFormat, FlightDump, RingHandle, Snapshot, Stage};
+use cpvr_obs::{ExpoFormat, FlightDump, RingHandle, Snapshot};
 use cpvr_sim::IoEvent;
 use cpvr_types::trace::TRACE_CTX_WIRE_LEN;
 use cpvr_types::{RouterId, SimTime, TraceCtx};
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Liveness-lease thresholds for the merger's sweep.
+/// Liveness-lease thresholds for the session loop's sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct LeaseConfig {
-    /// A source silent this long is marked [`SourceState::Lagging`]
+    /// A source silent this long is marked [`SourceState::Lagging`](crate::pipeline::SourceState::Lagging)
     /// (diagnostic only — it still gates the watermark).
     pub lagging_after: Duration,
     /// A source silent this long is evicted from the watermark gate so
     /// the fold can resume without it. Must exceed `lagging_after`.
     pub evict_after: Duration,
-    /// How often the merger sweeps the leases (also the granularity of
-    /// its `recv` timeout).
+    /// How often the session loop sweeps the leases (also the
+    /// granularity of its `recv` timeout).
     pub sweep_interval: Duration,
     /// Watermark-stall watchdog: if events have been ingested but the
     /// global min-watermark has not advanced for this long, the
@@ -120,7 +127,7 @@ pub struct CollectorConfig {
     /// Deployment shape handed to the pipeline; also the number of
     /// distinct sources that must report before any event is folded.
     pub pipeline: PipelineConfig,
-    /// Bounded channel capacity between readers and the merger. Full
+    /// Bounded channel capacity between readers and the session. Full
     /// channel = blocked readers = TCP backpressure.
     pub channel_capacity: usize,
     /// A connection that stays silent this long is dropped. (The
@@ -141,11 +148,12 @@ pub struct CollectorConfig {
     /// Event-flight span sampling stride: one in this many sequence
     /// numbers per source gets a causal latency breakdown.
     pub span_sample: u64,
-    /// How many fold workers to shard the merger across. `1` (the
-    /// default) runs the legacy single-merger path; `N > 1` partitions
-    /// routers and conversations across `N` worker threads joined by a
-    /// two-phase watermark barrier (see [`crate::shard`]), each with its
-    /// own WAL segment series and group-committed fsyncs.
+    /// How many fold workers run behind the session loop (default
+    /// `1`). Routers and conversations are partitioned across the
+    /// workers, which are joined by a two-phase watermark barrier (see
+    /// [`crate::shard`]); each has its own WAL segment series, and one
+    /// group-commit thread fsyncs them all. Every count runs the same
+    /// code and folds to the same state.
     pub shards: u32,
     /// The partition to shard by. `None` uses
     /// [`ShardPlan::uniform`]`(shards)`; deployments that know their
@@ -205,14 +213,14 @@ impl CollectorConfig {
         self
     }
 
-    /// Shards the merger fold across `shards` worker threads (uniform
+    /// Folds on `shards` worker threads (uniform
     /// router partition unless [`Self::with_plan`] overrides it).
     pub fn with_shards(mut self, shards: u32) -> Self {
         self.shards = shards.max(1);
         self
     }
 
-    /// Shards the merger fold by an explicit [`ShardPlan`] (e.g. built
+    /// Partitions the fold by an explicit [`ShardPlan`] (e.g. built
     /// from the deployment's union prefix trie).
     pub fn with_plan(mut self, plan: ShardPlan) -> Self {
         self.shards = plan.shards();
@@ -320,7 +328,7 @@ impl SharedStats {
 }
 
 /// One decoded event, carrying its wire encoding for the WAL when one
-/// is configured (re-encoding in the merger would serialize the cost).
+/// is configured (re-encoding downstream would serialize the cost).
 pub(crate) struct EventRec {
     pub(crate) seq: u64,
     pub(crate) event: IoEvent,
@@ -330,13 +338,13 @@ pub(crate) struct EventRec {
     pub(crate) trace: Option<TraceCtx>,
 }
 
-/// What a reader thread hands to the merger.
+/// What a reader thread hands to the session loop.
 ///
 /// Events travel in batches: nothing is folded until the next
 /// watermark anyway, so a reader may hold events back until the read
 /// chunk is drained (or the batch cap) with zero semantic cost — and
 /// the channel carries far fewer messages than one per event, which is
-/// what keeps the single merger from becoming the contention point.
+/// what keeps the one session thread from becoming the contention point.
 pub(crate) enum Msg {
     Hello {
         conn: u64,
@@ -392,7 +400,7 @@ pub(crate) enum Msg {
         raw: Option<Vec<u8>>,
     },
     /// A repair-lifecycle record submitted through
-    /// [`CollectorHandle::journal_repair`]. The merger journals it
+    /// [`CollectorHandle::journal_repair`]. The session journals it
     /// (kind 16) before folding it into the ledger, then signals
     /// `done` — so the caller returns only once the record is durable.
     Repair {
@@ -404,144 +412,26 @@ pub(crate) enum Msg {
     },
 }
 
-/// Cap on events per channel message; bounds merger-side latency and
+/// Cap on events per channel message; bounds session-side latency and
 /// channel memory (capacity × batch × event size).
 const EVENT_BATCH_MAX: usize = 256;
 
-/// How long the merger will block writing an ack before giving the
-/// connection up for congested (the client reconnects on ack stall).
+/// How long an ack write may block before the connection is given up
+/// for congested (the client reconnects on ack stall).
 const ACK_WRITE_TIMEOUT: Duration = Duration::from_millis(50);
 
-/// Flight-recorder ring capacities: readers record one decode stamp
-/// per traced frame plus anomaly markers; the merger records every
-/// journal/fold/repair stamp, so its ring is deeper.
+/// Flight-recorder ring capacity of a reader thread: one decode stamp
+/// per traced frame plus anomaly markers.
 const READER_RING_SLOTS: usize = 128;
-pub(crate) const MERGER_RING_SLOTS: usize = 512;
 
 /// Quarantined frames on one connection within one burst window before
 /// the reader takes a `crc-burst` flight dump.
 const CRC_BURST_THRESHOLD: u64 = 32;
 
-/// Traced events the merger holds between journaling and the watermark
-/// advance that folds them (overflow simply drops the oldest stamp —
-/// tracing is best-effort by design).
-const TRACED_PENDING_MAX: usize = 1024;
-
-/// The flight-recorder stage code for one repair-lifecycle stage.
-pub(crate) fn repair_stage_code(s: RepairStage) -> u32 {
-    match s {
-        RepairStage::Proposed => stage::REPAIR_PROPOSED,
-        RepairStage::Proven => stage::REPAIR_PROVEN,
-        RepairStage::Gated => stage::REPAIR_GATED,
-        RepairStage::Applied => stage::REPAIR_APPLIED,
-        RepairStage::Blocked => stage::REPAIR_BLOCKED,
-        RepairStage::RolledBack => stage::REPAIR_ROLLED_BACK,
-    }
-}
-
-/// Emits one repair-lifecycle flight record (minting the deterministic
-/// repair trace when the journaled record carries none) and, when the
-/// gate came back DIVERGED or ERROR, freezes an anomaly dump. Shared by
-/// the merger, the sharded coordinator, and federation members.
-pub(crate) fn flight_repair_record(
-    record: &RepairRecord,
-    flight: Option<&RingHandle>,
-    metrics: Option<&CollectorMetrics>,
-) {
-    let ctx = record
-        .trace
-        .unwrap_or_else(|| TraceCtx::for_repair(record.repair_id));
-    let verdict = u64::from(record.verdict.unwrap_or(0));
-    if let Some(f) = flight {
-        f.record(
-            repair_stage_code(record.stage),
-            Some(ctx),
-            record.repair_id,
-            verdict,
-        );
-    }
-    if record.stage == RepairStage::Gated && matches!(record.verdict, Some(1) | Some(2)) {
-        if let Some(f) = flight {
-            f.record(
-                stage::GATE_ANOMALY,
-                Some(ctx.child(stage::REPAIR_GATED)),
-                record.repair_id,
-                verdict,
-            );
-        }
-        if let Some(m) = metrics {
-            m.flight_dump(if record.verdict == Some(1) {
-                "diverged"
-            } else {
-                "gate-error"
-            });
-        }
-    }
-}
-
-/// The watermark-stall watchdog: tracks how long the fold horizon has
-/// sat still while ingested events wait behind it, publishing the
-/// `cpvr_watermark_stall_seconds` gauge and firing the one-shot flight
-/// dump past [`LeaseConfig::stall_after`].
-pub(crate) struct StallWatch {
-    last: Option<SimTime>,
-    since: Instant,
-    /// Events ingested since the watermark last moved — a still
-    /// watermark with nothing behind it is idle, not stalled.
-    pending: bool,
-}
-
-impl StallWatch {
-    pub(crate) fn new(initial: Option<SimTime>) -> StallWatch {
-        StallWatch {
-            last: initial,
-            since: Instant::now(),
-            pending: false,
-        }
-    }
-
-    /// Marks that events arrived (they now wait on the next advance).
-    pub(crate) fn ingested(&mut self) {
-        self.pending = true;
-    }
-
-    /// One watchdog tick against the current watermark.
-    pub(crate) fn observe(
-        &mut self,
-        wm: Option<SimTime>,
-        stall_after: Duration,
-        metrics: Option<&CollectorMetrics>,
-        flight: Option<&RingHandle>,
-    ) {
-        if wm != self.last {
-            self.last = wm;
-            self.since = Instant::now();
-            self.pending = false;
-            if let Some(m) = metrics {
-                m.watermark_stall_seconds.set(0);
-                m.flight.clear_stall();
-            }
-            return;
-        }
-        if !self.pending {
-            return;
-        }
-        let stalled = self.since.elapsed();
-        let Some(m) = metrics else { return };
-        m.watermark_stall_seconds.set(stalled.as_secs() as i64);
-        if stalled >= stall_after {
-            if let Some(f) = flight {
-                f.record(stage::WATERMARK_STALL, None, stalled.as_secs(), 0);
-            }
-            m.flight_stall_dump();
-        }
-    }
-}
-
 /// The final accounting returned by [`CollectorHandle::shutdown`].
 pub struct CollectorReport {
-    /// The verification state at shutdown — the legacy pipeline for
-    /// `shards = 1`, the merged shard states otherwise.
+    /// The verification state at shutdown: the fold shards' merged
+    /// view.
     pub pipeline: FoldReport,
     /// Final counters.
     pub stats: CollectorStats,
@@ -552,7 +442,7 @@ pub struct CollectorReport {
     /// What WAL recovery found at startup (`Some` iff a WAL was
     /// configured).
     pub recovery: Option<RecoveryReport>,
-    /// The final metrics snapshot, taken after the merger drained
+    /// The final metrics snapshot, taken after the session drained
     /// (`Some` iff metrics were enabled) — the shutdown `dump`.
     pub metrics: Option<Snapshot>,
     /// Whether this collector ran standalone or as a federation member
@@ -569,12 +459,12 @@ pub struct CollectorHandle {
     stop: Arc<AtomicBool>,
     stats: Arc<SharedStats>,
     accept: Option<JoinHandle<()>>,
-    merger: Option<JoinHandle<(FoldReport, Option<io::Error>)>>,
+    session: Option<JoinHandle<(FoldReport, Option<io::Error>)>>,
     recovery: Option<RecoveryReport>,
     metrics: Option<Arc<CollectorMetrics>>,
     group_commit: Option<GroupCommitHandle>,
-    /// Local channel into the merger for repair-lifecycle records;
-    /// dropped in `shutdown` so the merger's receive loop can end.
+    /// Local channel into the session for repair-lifecycle records;
+    /// dropped in `shutdown` so the session's receive loop can end.
     tx: Option<SyncSender<Msg>>,
 }
 
@@ -583,7 +473,7 @@ pub struct Collector;
 
 impl Collector {
     /// Binds `addr`, recovers from the WAL if one is configured, and
-    /// starts the accept/reader/merger threads.
+    /// starts the accept, session and fold threads.
     pub fn start(cfg: CollectorConfig, addr: impl ToSocketAddrs) -> io::Result<CollectorHandle> {
         Self::start_on(cfg, TcpListener::bind(addr)?)
     }
@@ -618,12 +508,18 @@ impl Collector {
                 );
             }
         }
-        let members = cfg.federation.as_ref().map_or(0, |f| f.plan.members());
+        // A federation member folds one shard on its session thread;
+        // the per-shard series belong to worker threads.
+        let workers = cfg.plan.as_ref().map_or(shards, ShardPlan::shards);
+        let (worker_series, members) = match &cfg.federation {
+            Some(fed) => (0, fed.plan.members()),
+            None => (workers, 0),
+        };
         let metrics = cfg.metrics.then(|| {
             Arc::new(CollectorMetrics::new_federated(
                 cfg.pipeline.n_routers,
                 cfg.span_sample,
-                shards,
+                worker_series,
                 members,
             ))
         });
@@ -638,159 +534,50 @@ impl Collector {
                 m.flight.set_member(i64::from(fed.member));
             }
         }
-        let wal_metrics = |m: &Arc<CollectorMetrics>| {
-            let r = &m.registry;
-            WalMetrics {
-                appends: r.counter("cpvr_wal_appends_total"),
-                bytes: r.counter("cpvr_wal_bytes_total"),
-                syncs: r.counter("cpvr_wal_syncs_total"),
-                rotations: r.counter("cpvr_wal_rotations_total"),
-                fsync_nanos: r.histogram("cpvr_wal_fsync_nanos"),
-            }
-        };
 
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(SharedStats::default());
         let (tx, rx) = std::sync::mpsc::sync_channel::<Msg>(cfg.channel_capacity.max(1));
 
+        // Recover, build the backend, and hand both to the one session
+        // loop. The two backends differ in how a watermark becomes a
+        // verdict, and therefore in what their journals must replay.
         let mut group_commit = None;
-        let (merger, recovery) = if let Some(fed) = cfg.federation.clone() {
-            // Federation member: a single merger-style thread owns the
-            // WAL, this member's fold slice, and the peer links.
-            // Recovery replays the journal through the same accept
-            // logic the live loop uses, *regenerating* every outbound
-            // peer frame from genesis under a fresh session (peers
-            // dedup semantically), so no outbound state needs
-            // journaling beyond this member's own frontier history.
+        let (session, recovery) = if let Some(fed) = &cfg.federation {
+            // Recovery replays the journal through the same apply path
+            // the live member uses, *regenerating* every outbound peer
+            // frame from genesis under a fresh session (peers dedup
+            // semantically), so no outbound state needs journaling
+            // beyond this member's own frontier history.
             let wal_cfg = cfg.wal.clone().expect("validated above");
-            let (state, report) = recover_member(&cfg, fed, &wal_cfg)?;
+            let (mut member, sources, repairs, report) = recover_member(&cfg, fed, &wal_cfg)?;
             let mut wal = Wal::open(wal_cfg)?;
             if let Some(m) = &metrics {
-                wal.set_metrics(wal_metrics(m));
+                wal.set_metrics(m.wal_metrics());
             }
-            let merger = {
-                let stats = Arc::clone(&stats);
-                let lease = cfg.lease;
-                let metrics = metrics.clone();
-                thread::Builder::new().name("cpvr-member".into()).spawn(
-                    move || -> (FoldReport, Option<io::Error>) {
-                        member_loop(rx, state, wal, lease, &stats, metrics)
-                    },
-                )?
-            };
-            (merger, Some(report))
-        } else if shards == 1 {
-            // The legacy single-merger path, byte for byte: the sharded
-            // fold's correctness oracle.
-            let (pipeline, recovery, wal) = match &cfg.wal {
-                Some(wal_cfg) => {
-                    let (pipeline, report) = IngestPipeline::recover(cfg.pipeline, &wal_cfg.dir)?;
-                    let mut wal = Wal::open(wal_cfg.clone())?;
-                    if let Some(m) = &metrics {
-                        wal.set_metrics(wal_metrics(m));
-                    }
-                    (pipeline, Some(report), Some(wal))
-                }
-                None => (IngestPipeline::new(cfg.pipeline), None, None),
-            };
-            let merger = {
-                let stats = Arc::clone(&stats);
-                let lease = cfg.lease;
-                let metrics = metrics.clone();
-                thread::Builder::new().name("cpvr-merger".into()).spawn(
-                    move || -> (FoldReport, Option<io::Error>) {
-                        let (pipeline, wal_err) =
-                            merger_loop(rx, pipeline, wal, lease, &stats, metrics.as_deref());
-                        (FoldReport::Single(Box::new(pipeline)), wal_err)
-                    },
-                )?
-            };
-            (merger, recovery)
+            member.go_live(wal, metrics.clone());
+            let session = session::spawn(rx, member, sources, repairs, &cfg, &stats, &metrics)?;
+            (session, Some(report))
         } else {
-            let plan = cfg
-                .plan
-                .clone()
-                .unwrap_or_else(|| ShardPlan::uniform(shards));
-            // Recovery reuses the monolithic replay to reconstruct the
-            // source table and watermark, then reseeds the workers from
-            // the recovered event list.
-            let (sources, recovered_wm, recovered_events, recovered_repairs, recovery, wals) =
-                match &cfg.wal {
-                    Some(wal_cfg) => {
-                        let (pipeline, report, events) = IngestPipeline::recover_parts(
-                            cfg.pipeline,
-                            &wal_cfg.dir,
-                            shards as usize,
-                        )?;
-                        let mut wals = Vec::with_capacity(shards as usize);
-                        for k in 0..shards {
-                            let mut series_cfg = wal_cfg.clone().for_series(k);
-                            series_cfg.deferred_sync = true;
-                            let mut w = Wal::open(series_cfg)?;
-                            if let Some(m) = &metrics {
-                                w.set_metrics(wal_metrics(m));
-                            }
-                            wals.push(w);
-                        }
-                        (
-                            pipeline.sources().clone(),
-                            pipeline.watermark(),
-                            events,
-                            pipeline.repairs().clone(),
-                            Some(report),
-                            wals,
-                        )
-                    }
-                    None => (
-                        crate::pipeline::SourceTable::new(cfg.pipeline.n_routers),
-                        None,
-                        Vec::new(),
-                        crate::repair_journal::RepairLedger::new(),
-                        None,
-                        Vec::new(),
-                    ),
-                };
-            // The group-commit thread, shared by every worker's WAL
-            // series. Cadence: `EveryN(n)` syncs once per `n` appends
-            // across the whole fleet; `Always` syncs via per-batch
-            // tickets; `Never` only on rotation/close/stop.
-            let gc = (!wals.is_empty()).then(|| {
-                let cadence = match cfg.wal.as_ref().map_or(FsyncPolicy::Never, |w| w.fsync) {
-                    FsyncPolicy::EveryN(n) => n.max(1),
-                    FsyncPolicy::Always | FsyncPolicy::Never => u32::MAX,
-                };
-                let gc_metrics = metrics.as_ref().map(|m| {
-                    (
-                        m.registry.counter("cpvr_wal_syncs_total"),
-                        m.registry.histogram("cpvr_wal_fsync_nanos"),
-                    )
-                });
-                GroupCommit::start(cadence, gc_metrics)
-            });
-            group_commit = gc.as_ref().map(GroupCommit::handle);
-            let merger = {
-                let stats = Arc::clone(&stats);
-                let metrics = metrics.clone();
-                let cfg = cfg.clone();
-                thread::Builder::new().name("cpvr-merger".into()).spawn(
-                    move || -> (FoldReport, Option<io::Error>) {
-                        coordinator_loop(
-                            rx,
-                            cfg,
-                            plan,
-                            sources,
-                            recovered_wm,
-                            recovered_events,
-                            recovered_repairs,
-                            wals,
-                            gc,
-                            &stats,
-                            metrics,
-                        )
-                    },
-                )?
+            // The journal scan yields the source table, the repair
+            // ledger and the recovered watermark; the workers fold the
+            // scanned events themselves, once.
+            let scan = match &cfg.wal {
+                Some(wal_cfg) => WalScan::read(cfg.pipeline, &wal_cfg.dir, workers as usize)?,
+                None => WalScan::empty(cfg.pipeline),
             };
-            (merger, recovery)
+            let backend = Shards::start(&cfg, scan.report.watermark, scan.events, metrics.clone())?;
+            group_commit = backend.group_commit();
+            let session = session::spawn(
+                rx,
+                backend,
+                scan.sources,
+                scan.repairs,
+                &cfg,
+                &stats,
+                &metrics,
+            )?;
+            (session, cfg.wal.is_some().then_some(scan.report))
         };
 
         let handle_tx = tx.clone();
@@ -809,7 +596,7 @@ impl Collector {
             stop,
             stats,
             accept: Some(accept),
-            merger: Some(merger),
+            session: Some(session),
             recovery,
             metrics,
             group_commit,
@@ -829,8 +616,9 @@ impl CollectorHandle {
         self.stats.snapshot()
     }
 
-    /// The sharded fold's group-commit handle, when one is running
-    /// (`shards > 1` with a WAL). Exposed as a fault-injection hook:
+    /// The fold workers' group-commit handle, when one is running (any
+    /// shard count with a WAL; a federation member journals inline and
+    /// has none). Exposed as a fault-injection hook:
     /// [`crash`](GroupCommitHandle::crash) kills the sync thread as an
     /// I/O fault would, after which `shutdown` must surface the error
     /// while every event acked *before* the crash stays replayable.
@@ -849,7 +637,7 @@ impl CollectorHandle {
         self.metrics.as_ref()
     }
 
-    /// Journals one repair-lifecycle record through the merger,
+    /// Journals one repair-lifecycle record through the session,
     /// blocking until the record has been appended to the WAL and
     /// folded into the ledger — so the control plane may act on a
     /// stage only after it is durable, and a crash between any two
@@ -864,10 +652,10 @@ impl CollectorHandle {
             record,
             done: Some(done_tx),
         })
-        .map_err(|_| io::Error::other("collector merger is gone"))?;
+        .map_err(|_| io::Error::other("collector session is gone"))?;
         done_rx
             .recv()
-            .map_err(|_| io::Error::other("collector merger dropped the repair record"))
+            .map_err(|_| io::Error::other("collector session dropped the repair record"))
     }
 
     /// Stops accepting, drains every connection, closes the WAL, and
@@ -878,27 +666,26 @@ impl CollectorHandle {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let (pipeline, wal_err) = match self.merger.take() {
+        let (pipeline, wal_err) = match self.session.take() {
             Some(h) => h
                 .join()
-                .map_err(|_| io::Error::other("merger thread panicked"))?,
+                .map_err(|_| io::Error::other("session thread panicked"))?,
             None => unreachable!("shutdown consumes self"),
         };
         if let Some(e) = wal_err {
             return Err(e);
         }
         let stalled = pipeline.stalled_sources();
-        let role = match &pipeline {
-            FoldReport::Member(m) => m.role(),
-            _ => CollectorRole::Standalone,
-        };
+        let role = pipeline
+            .member()
+            .map_or(CollectorRole::Standalone, |m| m.role());
         Ok(CollectorReport {
             pipeline,
             stats: self.stats.snapshot(),
             stalled,
             role,
             recovery: self.recovery.take(),
-            // Snapshot after the merger joined: these are the final
+            // Snapshot after the session joined: these are the final
             // values, nothing is still incrementing.
             metrics: self.metrics.take().map(|m| m.snapshot()),
         })
@@ -963,8 +750,8 @@ fn accept_loop(
     for h in readers {
         let _ = h.join();
     }
-    // `tx` drops here; once every reader's clone is gone the merger's
-    // receive loop ends and it returns the pipeline.
+    // `tx` drops here; once every reader's clone is gone the session's
+    // receive loop ends and it returns the fold.
 }
 
 /// A `Read` adapter over a nonblocking-timeout socket that turns
@@ -1013,12 +800,12 @@ enum FrameOutcome {
     Continue,
     /// Protocol violation: close the connection (already counted).
     Fatal(String),
-    /// The merger hung up; nothing left to report to.
-    MergerGone,
+    /// The session hung up; nothing left to report to.
+    SessionGone,
 }
 
 /// Handles one decoded frame from a connection: validates the protocol
-/// state machine and forwards typed messages to the merger.
+/// state machine and forwards typed messages to the session.
 #[allow(clippy::too_many_arguments)]
 fn on_frame(
     msg: DecodedMsg,
@@ -1055,7 +842,7 @@ fn on_frame(
             batch: std::mem::take(batch),
         };
         if tx.send(msg).is_err() {
-            return FrameOutcome::MergerGone;
+            return FrameOutcome::SessionGone;
         }
     }
     let msg = match frame {
@@ -1091,7 +878,7 @@ fn on_frame(
             Msg::Hello { conn, hello, ack }
         }
         // A scrape is answered inline by the reader thread — the
-        // registry is shared, so no merger round-trip — and is legal
+        // registry is shared, so no session round-trip — and is legal
         // before (or entirely without) a hello: a monitoring probe is
         // not an event source and owes the collector no handshake.
         Frame::MetricsReq { format } => {
@@ -1235,7 +1022,7 @@ fn on_frame(
                     batch: std::mem::take(batch),
                 };
                 if tx.send(msg).is_err() {
-                    return FrameOutcome::MergerGone;
+                    return FrameOutcome::SessionGone;
                 }
             }
             return FrameOutcome::Continue;
@@ -1244,7 +1031,7 @@ fn on_frame(
         Frame::Heartbeat => Msg::Heartbeat { conn },
         Frame::Bye { frontier } => Msg::Bye { conn, frontier },
         // The reader's decoder already absorbed the definition; all the
-        // merger does with it is journal the original bytes, so there
+        // session does with it is journal the original bytes, so there
         // is nothing to forward on a WAL-less collector.
         Frame::Intern(def) => match raw {
             Some(raw) => Msg::Intern {
@@ -1265,7 +1052,7 @@ fn on_frame(
         | Frame::Repair(_) => return FrameOutcome::Continue,
     };
     if tx.send(msg).is_err() {
-        return FrameOutcome::MergerGone;
+        return FrameOutcome::SessionGone;
     }
     FrameOutcome::Continue
 }
@@ -1345,7 +1132,7 @@ fn reader_loop(
                     ) {
                         FrameOutcome::Continue => {}
                         FrameOutcome::Fatal(why) => break 'conn Some(why),
-                        FrameOutcome::MergerGone => return,
+                        FrameOutcome::SessionGone => return,
                     }
                 }
                 break None;
@@ -1399,7 +1186,7 @@ fn reader_loop(
             ) {
                 FrameOutcome::Continue => {}
                 FrameOutcome::Fatal(why) => break 'conn Some(why),
-                FrameOutcome::MergerGone => return,
+                FrameOutcome::SessionGone => return,
             }
         }
         // Quarantined frames accumulate in the decoder; publish the
@@ -1434,7 +1221,7 @@ fn reader_loop(
             }
             reported_skipped = skipped;
         }
-        // Flush per read chunk: the merger acks per batch, and a
+        // Flush per read chunk: acks go out per batch, and a
         // client's replay-buffer pruning is only as fresh as its acks.
         if !batch.is_empty()
             && tx
@@ -1466,516 +1253,4 @@ fn reader_loop(
         let _ = tx.send(Msg::Events { conn, batch });
     }
     let _ = tx.send(Msg::Closed { conn });
-}
-
-/// Appends one already-encoded frame to the WAL, latching the first
-/// error (the merger keeps running degraded rather than dropping the
-/// in-memory state on a full disk).
-pub(crate) fn journal(wal: &mut Option<Wal>, wal_err: &mut Option<io::Error>, bytes: &[u8]) {
-    if wal_err.is_some() {
-        return;
-    }
-    if let Some(w) = wal.as_mut() {
-        if let Err(e) = w.append(bytes) {
-            *wal_err = Some(e);
-        }
-    }
-}
-
-/// Advances the fold to the source table's global minimum promise, if
-/// it moved — journaling the new global watermark first.
-#[allow(clippy::too_many_arguments)]
-fn try_advance(
-    pipeline: &mut IngestPipeline,
-    wal: &mut Option<Wal>,
-    wal_err: &mut Option<io::Error>,
-    advanced: &mut Option<SimTime>,
-    stats: &SharedStats,
-    metrics: Option<&CollectorMetrics>,
-    flight: Option<&RingHandle>,
-    traced: &mut Vec<(SimTime, TraceCtx)>,
-) {
-    let Some(global) = pipeline.sources().global_min() else {
-        return;
-    };
-    if advanced.is_some_and(|wm| global <= wm) {
-        return;
-    }
-    // Journal the *global* watermark before advancing, so recovery
-    // re-advances to exactly the folded horizon. The frontier field is
-    // meaningless for a global watermark; zero by convention.
-    journal(
-        wal,
-        wal_err,
-        &encode_frame(&Frame::Watermark {
-            t: global,
-            frontier: 0,
-        }),
-    );
-    let folded_before = pipeline.builder().processed();
-    let start = Instant::now();
-    let status = pipeline.advance(global);
-    if let Some(m) = metrics {
-        m.fold_nanos.observe_since(start);
-        m.fold_batch
-            .observe((pipeline.builder().processed() - folded_before) as u64);
-        m.publish_pipeline(pipeline);
-        m.spans
-            .fold_up_to(global.as_nanos(), status.is_consistent());
-    }
-    // Traced flights at or behind the new horizon just got folded —
-    // close their merger-side hop.
-    if let Some(f) = flight {
-        traced.retain(|(t, ctx)| {
-            if *t > global {
-                return true;
-            }
-            f.record(
-                stage::FOLDED,
-                Some(ctx.child(stage::JOURNALED)),
-                t.as_nanos(),
-                0,
-            );
-            false
-        });
-    } else {
-        traced.clear();
-    }
-    *advanced = Some(global);
-    stats.set_watermark(global);
-}
-
-/// Writes an ack on a connection's write handle; a failed or timed-out
-/// write forfeits the handle (the client reconnects on ack stall).
-/// Returns whether the ack actually went out — callers that count acked
-/// events must not count a forfeited write.
-pub(crate) fn send_ack(acks: &mut HashMap<u64, TcpStream>, conn: u64, upto: u64) -> bool {
-    if let Some(s) = acks.get_mut(&conn) {
-        if s.write_all(&encode_frame(&Frame::Ack { upto })).is_ok() {
-            return true;
-        }
-        acks.remove(&conn);
-    }
-    false
-}
-
-/// Acks a connection's contiguous prefix and, once the source's bye
-/// promise has been *applied*, confirms end-of-stream with a fin. Byes
-/// carry no sequence number, so the fin is the only way a draining
-/// client can know its bye was not lost in flight. Returns whether the
-/// ack write succeeded.
-fn acknowledge(
-    pipeline: &IngestPipeline,
-    acks: &mut HashMap<u64, TcpStream>,
-    conn: u64,
-    source: RouterId,
-) -> bool {
-    let acked = send_ack(acks, conn, pipeline.sources().next_seq(source));
-    if pipeline.sources().finished(source) {
-        if let Some(s) = acks.get_mut(&conn) {
-            if s.write_all(&encode_frame(&Frame::Fin)).is_err() {
-                acks.remove(&conn);
-            }
-        }
-    }
-    acked
-}
-
-fn merger_loop(
-    rx: Receiver<Msg>,
-    mut pipeline: IngestPipeline,
-    mut wal: Option<Wal>,
-    lease: LeaseConfig,
-    stats: &SharedStats,
-    metrics: Option<&CollectorMetrics>,
-) -> (IngestPipeline, Option<io::Error>) {
-    let n_routers = pipeline.config().n_routers;
-    // Which router each live connection speaks for, and the ack write
-    // handle per connection. A reconnect replaces the connection but
-    // the router's state lives in the pipeline's source table.
-    let mut conn_source: HashMap<u64, RouterId> = HashMap::new();
-    let mut acks: HashMap<u64, TcpStream> = HashMap::new();
-    let mut wal_err: Option<io::Error> = None;
-    let flight = metrics.map(|m| m.flight.register("merger", MERGER_RING_SLOTS));
-    let flight = flight.as_ref();
-    // Traced flights journaled but not yet swept up by a watermark.
-    let mut traced: Vec<(SimTime, TraceCtx)> = Vec::new();
-
-    // Resuming after recovery: the recovered watermark keeps gating
-    // late events even before sources reconnect.
-    let mut advanced: Option<SimTime> = pipeline.watermark();
-    let mut stall = StallWatch::new(advanced);
-    if let Some(wm) = advanced {
-        stats.set_watermark(wm);
-    }
-    if let Some(m) = metrics {
-        // Scrapes arriving before any traffic should still see the
-        // recovered state, not all-zero gauges.
-        m.publish_pipeline(&pipeline);
-    }
-
-    // Liveness leases: every source starts its clock at merger start,
-    // so a router that never comes up at all is still evicted on
-    // schedule instead of gating the fold forever.
-    let mut last_heard: Vec<Instant> = vec![Instant::now(); n_routers as usize];
-    let mut last_sweep = Instant::now();
-    // `recv_timeout` must not overflow Instant arithmetic on huge
-    // (disabled-lease) intervals.
-    let tick = lease.sweep_interval.min(Duration::from_secs(3600));
-
-    loop {
-        let msg = match rx.recv_timeout(tick) {
-            Ok(m) => Some(m),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        if let Some(msg) = msg {
-            match msg {
-                Msg::Hello { conn, hello, ack } => {
-                    let source = hello.source;
-                    last_heard[source.0 as usize] = Instant::now();
-                    if pipeline.sources().state(source) == SourceState::Evicted {
-                        // Journal the re-admission before widening the
-                        // gate, mirroring the eviction below.
-                        journal(
-                            &mut wal,
-                            &mut wal_err,
-                            &encode_frame(&Frame::Admit { source }),
-                        );
-                        pipeline.sources_mut().admit(source);
-                        stats.readmissions.fetch_add(1, Ordering::Relaxed);
-                        if let Some(m) = metrics {
-                            m.readmissions.inc();
-                        }
-                    }
-                    // Journal the handshake so recovery re-learns the
-                    // session and keeps deduplicating its replays.
-                    journal(
-                        &mut wal,
-                        &mut wal_err,
-                        &encode_frame(&Frame::Hello(hello.clone())),
-                    );
-                    pipeline
-                        .sources_mut()
-                        .hello(source, hello.session, hello.first_seq);
-                    conn_source.insert(conn, source);
-                    if let Some(a) = ack {
-                        acks.insert(conn, a);
-                    }
-                    // An immediate ack tells a reconnecting client how
-                    // much of its planned replay is already here.
-                    acknowledge(&pipeline, &mut acks, conn, source);
-                    if let Some(m) = metrics {
-                        m.set_source_codec(source.0, hello.codec);
-                        // A hello can flip a source back to Live —
-                        // republish so lease-state scrapes see it now,
-                        // not at the next watermark advance.
-                        m.publish_pipeline(&pipeline);
-                    }
-                }
-                Msg::Events { conn, batch } => {
-                    let Some(&source) = conn_source.get(&conn) else {
-                        continue;
-                    };
-                    last_heard[source.0 as usize] = Instant::now();
-                    pipeline.sources_mut().refresh(source);
-                    let mut ingested = 0u64;
-                    let mut journaled = 0u64;
-                    let mut late = 0u64;
-                    let mut dups = 0u64;
-                    let mut gaps = 0u64;
-                    for rec in &batch {
-                        match pipeline.sources_mut().offer(source, rec.seq) {
-                            Offer::Duplicate => dups += 1,
-                            Offer::Gap => gaps += 1,
-                            Offer::Fresh => {
-                                // Events at or behind the advanced
-                                // watermark land behind the fold
-                                // frontier; only possible for sources
-                                // replaying after an eviction let the
-                                // fold pass them. Count and drop — the
-                                // ack still covers them so the client
-                                // stops re-sending.
-                                if advanced.is_some_and(|wm| rec.event.time <= wm) {
-                                    late += 1;
-                                    continue;
-                                }
-                                // Journal before ingesting: the log
-                                // must never lag the in-memory state.
-                                if let Some(raw) = rec.raw.as_ref() {
-                                    journal(&mut wal, &mut wal_err, raw);
-                                    if wal_err.is_none() {
-                                        journaled += 1;
-                                        if let Some(m) = metrics {
-                                            m.spans.stamp(source.0, rec.seq, Stage::Journaled);
-                                        }
-                                    }
-                                }
-                                if let Some(ctx) = rec.trace {
-                                    if let Some(f) = flight {
-                                        f.record(
-                                            stage::JOURNALED,
-                                            Some(ctx.child(stage::DECODED)),
-                                            u64::from(source.0),
-                                            rec.seq,
-                                        );
-                                    }
-                                    if traced.len() < TRACED_PENDING_MAX {
-                                        traced.push((rec.event.time, ctx));
-                                    }
-                                }
-                                pipeline.ingest(&rec.event);
-                                ingested += 1;
-                                if let Some(m) = metrics {
-                                    // The fold keys off simulated event
-                                    // time; the span needs it to know
-                                    // which watermark sweeps it up.
-                                    m.spans.event_time(
-                                        source.0,
-                                        rec.seq,
-                                        rec.event.time.as_nanos(),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    stats.events.fetch_add(ingested, Ordering::Relaxed);
-                    if late > 0 {
-                        stats.late_events.fetch_add(late, Ordering::Relaxed);
-                    }
-                    if dups > 0 {
-                        stats.duplicate_events.fetch_add(dups, Ordering::Relaxed);
-                    }
-                    if gaps > 0 {
-                        stats.gap_events.fetch_add(gaps, Ordering::Relaxed);
-                    }
-                    if let Some(m) = metrics {
-                        m.events_received.add(ingested);
-                        m.events_journaled.add(journaled);
-                        m.events_duplicate.add(dups);
-                        m.events_gap.add(gaps);
-                        m.events_late.add(late);
-                    }
-                    if ingested > 0 {
-                        stall.ingested();
-                    }
-                    // Filling a gap may have settled a parked promise.
-                    try_advance(
-                        &mut pipeline,
-                        &mut wal,
-                        &mut wal_err,
-                        &mut advanced,
-                        stats,
-                        metrics,
-                        flight,
-                        &mut traced,
-                    );
-                    // Ack only after the batch was journaled: an acked
-                    // event is a durable event.
-                    let acked = acknowledge(&pipeline, &mut acks, conn, source);
-                    if let Some(m) = metrics {
-                        if acked {
-                            // Acked ⇐ journaled by construction: only
-                            // ingested (hence journaled-if-WAL) events
-                            // are behind the acked cursor, and we count
-                            // them only when the ack actually went out.
-                            m.events_acked.add(ingested);
-                            for rec in &batch {
-                                m.spans.stamp(source.0, rec.seq, Stage::Acked);
-                            }
-                        }
-                    }
-                }
-                Msg::Watermark { conn, t, frontier } => {
-                    let Some(&source) = conn_source.get(&conn) else {
-                        continue;
-                    };
-                    last_heard[source.0 as usize] = Instant::now();
-                    pipeline.sources_mut().refresh(source);
-                    pipeline.sources_mut().promise(source, t, frontier);
-                    try_advance(
-                        &mut pipeline,
-                        &mut wal,
-                        &mut wal_err,
-                        &mut advanced,
-                        stats,
-                        metrics,
-                        flight,
-                        &mut traced,
-                    );
-                    acknowledge(&pipeline, &mut acks, conn, source);
-                }
-                Msg::Heartbeat { conn } => {
-                    let Some(&source) = conn_source.get(&conn) else {
-                        continue;
-                    };
-                    last_heard[source.0 as usize] = Instant::now();
-                    pipeline.sources_mut().refresh(source);
-                    acknowledge(&pipeline, &mut acks, conn, source);
-                }
-                Msg::Bye { conn, frontier } => {
-                    let Some(&source) = conn_source.get(&conn) else {
-                        continue;
-                    };
-                    last_heard[source.0 as usize] = Instant::now();
-                    pipeline.sources_mut().refresh(source);
-                    // A graceful goodbye: the source promises it will
-                    // never emit again, gated on its final frontier
-                    // like any other promise.
-                    pipeline.sources_mut().bye(source, frontier);
-                    try_advance(
-                        &mut pipeline,
-                        &mut wal,
-                        &mut wal_err,
-                        &mut advanced,
-                        stats,
-                        metrics,
-                        flight,
-                        &mut traced,
-                    );
-                    acknowledge(&pipeline, &mut acks, conn, source);
-                }
-                Msg::Intern { router: _, raw } => {
-                    // Journal the definition before any event that uses
-                    // it (the reader flushed its batch first, so channel
-                    // order is stream order). Idempotent on replay, so
-                    // journaling a definition whose events never arrive
-                    // is harmless.
-                    journal(&mut wal, &mut wal_err, &raw);
-                }
-                Msg::Repair { record, done } => {
-                    // Journal the lifecycle record before folding it, so
-                    // the ledger never runs ahead of the log; the `done`
-                    // ack (sent after both) is the caller's durability
-                    // barrier.
-                    journal(
-                        &mut wal,
-                        &mut wal_err,
-                        &encode_frame(&Frame::Repair(record.clone())),
-                    );
-                    pipeline.accept_repair(&record);
-                    stats.repair_records.fetch_add(1, Ordering::Relaxed);
-                    if let Some(m) = metrics {
-                        m.publish_repair(&record, pipeline.repairs().in_flight().len());
-                    }
-                    flight_repair_record(&record, flight, metrics);
-                    if let Some(done) = done {
-                        let _ = done.send(());
-                    }
-                }
-                // Peer frames exist only on federated collectors, whose
-                // member loop replaces this one; on_frame kills any
-                // connection that sends them here first.
-                Msg::PeerHello { .. } | Msg::Peer { .. } => {}
-                Msg::Closed { conn } => {
-                    // Keep the router's state: an abnormal close stalls
-                    // the global merge at its promise until the lease
-                    // evicts it — the conservative choice.
-                    conn_source.remove(&conn);
-                    acks.remove(&conn);
-                }
-            }
-        }
-        if last_sweep.elapsed() >= tick {
-            sweep_leases(
-                &mut pipeline,
-                &mut wal,
-                &mut wal_err,
-                &mut advanced,
-                &last_heard,
-                &lease,
-                &mut conn_source,
-                &mut acks,
-                stats,
-                metrics,
-                flight,
-                &mut traced,
-            );
-            last_sweep = Instant::now();
-        }
-        stall.observe(advanced, lease.stall_after, metrics, flight);
-    }
-    if let Some(w) = wal {
-        if let (Err(e), None) = (w.close(), &wal_err) {
-            wal_err = Some(e);
-        }
-    }
-    (pipeline, wal_err)
-}
-
-/// One pass of the liveness leases: flag silent sources as lagging,
-/// evict ones silent past the eviction threshold (journaled first), and
-/// advance the fold if an eviction released the gate.
-#[allow(clippy::too_many_arguments)]
-fn sweep_leases(
-    pipeline: &mut IngestPipeline,
-    wal: &mut Option<Wal>,
-    wal_err: &mut Option<io::Error>,
-    advanced: &mut Option<SimTime>,
-    last_heard: &[Instant],
-    lease: &LeaseConfig,
-    conn_source: &mut HashMap<u64, RouterId>,
-    acks: &mut HashMap<u64, TcpStream>,
-    stats: &SharedStats,
-    metrics: Option<&CollectorMetrics>,
-    flight: Option<&RingHandle>,
-    traced: &mut Vec<(SimTime, TraceCtx)>,
-) {
-    let now = Instant::now();
-    let mut evicted_any = false;
-    for (i, heard) in last_heard.iter().enumerate() {
-        let r = RouterId(i as u32);
-        // A source that delivered its whole stream (settled bye) owes
-        // nobody a heartbeat; an already evicted one is already out.
-        if pipeline.sources().state(r) == SourceState::Evicted || pipeline.sources().finished(r) {
-            continue;
-        }
-        let silent = now.saturating_duration_since(*heard);
-        if silent >= lease.evict_after {
-            journal(wal, wal_err, &encode_frame(&Frame::Evict { source: r }));
-            pipeline.sources_mut().evict(r);
-            stats.evictions.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = metrics {
-                m.evictions.inc();
-            }
-            // Every eviction freezes exactly one black box: the dump
-            // holds the ring state that explains *why* the fold was
-            // gated when the lease gave up on this source.
-            if let Some(f) = flight {
-                f.record(stage::EVICTION, None, u64::from(r.0), silent.as_secs());
-            }
-            if let Some(m) = metrics {
-                m.flight_dump("eviction");
-            }
-            evicted_any = true;
-            // Hang up on the evicted source: re-admission requires a
-            // fresh hello, and clients only re-hello on reconnect, so
-            // leaving the connection up would strand a source that is
-            // merely slow (not dead) in un-admitted limbo.
-            let conns: Vec<u64> = conn_source
-                .iter()
-                .filter(|&(_, s)| *s == r)
-                .map(|(&c, _)| c)
-                .collect();
-            for c in conns {
-                conn_source.remove(&c);
-                if let Some(s) = acks.remove(&c) {
-                    let _ = s.shutdown(std::net::Shutdown::Both);
-                }
-            }
-        } else if silent >= lease.lagging_after {
-            pipeline.sources_mut().set_lagging(r);
-        }
-    }
-    if evicted_any {
-        try_advance(
-            pipeline, wal, wal_err, advanced, stats, metrics, flight, traced,
-        );
-    }
-    if let Some(m) = metrics {
-        // Every sweep republishes the lease gauges, so a scrape sees a
-        // source flip Live → Lagging → Evicted as it happens rather
-        // than only when the watermark next moves.
-        m.publish_pipeline(pipeline);
-    }
 }

@@ -3,13 +3,18 @@
 //! streams.
 //!
 //! A federation member is one shard of the [`FederationPlan`], promoted
-//! to its own process: it accepts only its owned routers' streams,
-//! keeps a [`RuleScope::LocalOnly`] builder over those streams, a
-//! [`RuleScope::CrossOnly`] builder over the *conversations* it owns,
-//! and a [`TrackerSlice`] for the verification walk — exactly the
-//! in-process sharded worker's state, but connected to its siblings
-//! over the wire codec's peer frames (kinds 12–15) rather than a
-//! channel barrier.
+//! to its own process. It runs the same session loop
+//! (`session`) as every collector and folds the same
+//! `FoldShard` a worker thread does — a local-rule builder over its
+//! owned routers' streams, a cross-rule builder over the
+//! *conversations* it owns, and a tracker slice for the verification
+//! walk — but its sibling shards are remote: `MemberState` is the
+//! session's backend whose barrier is a round of the wire codec's peer
+//! frames (kinds 12–15) rather than a channel exchange. Everything
+//! client-facing (handshakes, dedup, the late gate, leases, acks'
+//! ordering, stall watch, repair ledger) is the session loop's; this
+//! module holds only the peer links, the inbound cursors, and the
+//! round machine.
 //!
 //! ## The federated round
 //!
@@ -20,8 +25,8 @@
 //! serial — a new horizon opens only after the previous round's global
 //! verdict lands — in three phases:
 //!
-//! 1. **Open** (`open_round`): journal the horizon marker, fold both
-//!    builders, run [`TrackerSlice::advance_collect`], and ship each
+//! 1. **Open** (`open_round`): journal the horizon marker, fold the
+//!    shard (`FoldShard::advance_collect`), and ship each
 //!    peer its boundary digests as a [`BoundaryEdges`] frame tagged
 //!    with the round (an empty digest list still ships — it is the
 //!    round-completion marker).
@@ -30,9 +35,9 @@
 //!    broadcast this slice's missing set as a [`PartialVerdict`].
 //! 3. **Merge** (`try_complete`, second half): once every peer's
 //!    partial arrived, the union of missing sets — sorted and
-//!    deduplicated — is the *global* snapshot verdict, bit-identical to
-//!    the monolithic tracker's by the [`TrackerSlice`] decomposition
-//!    property. Only then does the next queued horizon open.
+//!    deduplicated by the shared `Verdict` — is the *global* snapshot
+//!    verdict, bit-identical to the monolithic tracker's by the tracker
+//!    slice's decomposition property. Only then does the next queued horizon open.
 //!
 //! Cross-member happens-before edges need the raw boundary *events*,
 //! not just digests: an accepted event whose conversation belongs to a
@@ -63,21 +68,15 @@ use crate::codec::{
     decode_frame, encode_frame, BoundaryEdges, Decoder, Frame, FrontierExchange, PartialVerdict,
     PeerHello, PeerRepairProof, RepairRecord, RepairStage,
 };
-use crate::collector::{
-    flight_repair_record, journal, send_ack, CollectorConfig, LeaseConfig, Msg, SharedStats,
-    StallWatch, MERGER_RING_SLOTS,
-};
+use crate::collector::{CollectorConfig, EventRec};
 use crate::metrics::CollectorMetrics;
-use crate::pipeline::{Offer, RecoveryReport, SourceState, SourceTable};
+use crate::pipeline::{Offer, RecoveryReport, SourceTable};
 use crate::repair_journal::RepairLedger;
-use crate::shard::{FoldReport, ShardedFold};
+use crate::session::{AckSockets, Backend, FOLD_RING_SLOTS};
+use crate::shard::{FoldGauges, FoldReport, FoldShard, Verdict};
 use crate::wal::{self, Wal, WalConfig};
-use cpvr_core::builder::HbgBuilder;
-use cpvr_core::hbg::Hbg;
-use cpvr_core::rules::RuleScope;
-use cpvr_core::snapshot::{ConvDigest, SnapshotStatus, TrackerSlice};
+use cpvr_core::snapshot::{ConvDigest, SnapshotStatus};
 use cpvr_core::{chain_over, FederationPlan, FoldRecord, RepairProof};
-use cpvr_dataplane::DataPlane;
 use cpvr_obs::trace::stage;
 use cpvr_obs::RingHandle;
 use cpvr_sim::{EventId, IoEvent};
@@ -89,7 +88,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -132,7 +131,7 @@ pub struct FederationConfig {
 /// member of a federation — with its last view of every peer.
 #[derive(Clone, Debug)]
 pub enum CollectorRole {
-    /// Not federated (single merger or in-process shards).
+    /// Not federated: its fold shards all run in-process.
     Standalone,
     /// One member of an N-collector federation.
     Member {
@@ -397,22 +396,25 @@ impl Round {
     }
 }
 
-/// One federation member's fold state. The same apply methods serve the
-/// live loop and WAL replay: during replay `wal` is `None` (journaling
-/// no-ops) and outbound frames accumulate in the link buffers.
+/// One federation member's fold state: a [`FoldShard`] whose sibling
+/// shards are remote, and the [`Backend`] the session loop drives. The
+/// same apply methods serve the live loop and WAL replay: during replay
+/// `wal` is `None` (journaling no-ops) and outbound frames accumulate
+/// in the link buffers.
 pub(crate) struct MemberState {
     member: u32,
     members: u32,
     n_routers: u32,
     plan: FederationPlan,
-    pub(crate) sources: SourceTable,
-    local: HbgBuilder,
-    cross: HbgBuilder,
-    slice: TrackerSlice,
+    fold: FoldShard,
     /// Outbound links, indexed by member; `None` at the own index.
     links: Vec<Option<PeerLink>>,
     /// Inbound cursors, indexed by member.
     cursors: Vec<PeerCursor>,
+    /// Which member each inbound peer connection speaks for.
+    conn_peer: HashMap<u64, u32>,
+    /// Ack write handles of client and inbound peer connections.
+    acks: AckSockets,
     /// Each peer's last advertised minimum (own slot unused).
     peer_min: Vec<Option<SimTime>>,
     /// Each peer's last advertised frontier detail (own slot unused).
@@ -428,7 +430,7 @@ pub(crate) struct MemberState {
     rounds: BTreeMap<SimTime, Round>,
     /// The horizon of the currently open (or last opened) round; the
     /// late-event gate.
-    pub(crate) advanced: Option<SimTime>,
+    advanced: Option<SimTime>,
     /// The last horizon whose *global* verdict landed.
     completed: Option<SimTime>,
     /// Eager boundary events staged per peer since the last flush.
@@ -436,22 +438,15 @@ pub(crate) struct MemberState {
     /// Ids (with times) of foreign boundary events already in the cross
     /// builder; pruned at each opened horizon.
     cross_seen: HashMap<EventId, SimTime>,
-    events: u64,
-    status: SnapshotStatus,
-    waiting: bool,
-    waits_issued: u64,
-    waits_resolved: u64,
+    verdict: Verdict,
     replaying: bool,
     wal: Option<Wal>,
     wal_err: Option<io::Error>,
     metrics: Option<Arc<CollectorMetrics>>,
-    /// Flight-recorder ring for this member's fold thread (`None`
-    /// during replay and when metrics are off — recovery must not
-    /// re-emit anomaly dumps the live run already wrote).
+    /// Flight-recorder ring for the round machine (`None` during replay
+    /// and when metrics are off — recovery must not re-emit records the
+    /// live run already wrote).
     flight: Option<RingHandle>,
-    /// This member's own repair-lifecycle ledger (journaled kind-16
-    /// records submitted through the handle).
-    repairs: RepairLedger,
     /// Peer-gated repairs received as [`PeerRepairProof`] frames, after
     /// independent re-validation. Keyed by repair id; first frame wins
     /// (regenerated replays are duplicates).
@@ -462,17 +457,6 @@ impl MemberState {
     fn new(cfg: &CollectorConfig, fed: &FederationConfig) -> Self {
         let n_routers = cfg.pipeline.n_routers;
         let members = fed.plan.members();
-        let infer = cfg.pipeline.infer();
-        let mut sources = SourceTable::new(n_routers);
-        for r in 0..n_routers {
-            let r = RouterId(r);
-            if fed.plan.of_router(r) != fed.member {
-                // Non-owned routers never gate this member's frontier —
-                // the plan, not the lease, says they are someone else's
-                // responsibility. Plan-derived, so never journaled.
-                sources.evict(r);
-            }
-        }
         let session = fresh_session();
         let links = (0..members)
             .map(|j| {
@@ -492,16 +476,11 @@ impl MemberState {
             members,
             n_routers,
             plan: fed.plan.clone(),
-            sources,
-            local: HbgBuilder::new_scoped(&infer, RuleScope::LocalOnly),
-            cross: HbgBuilder::new_scoped(&infer, RuleScope::CrossOnly),
-            slice: TrackerSlice::new(
-                n_routers as usize,
-                fed.plan.as_shard_plan().clone(),
-                fed.member,
-            ),
+            fold: FoldShard::new(&cfg.pipeline, fed.plan.as_shard_plan().clone(), fed.member),
             links,
             cursors: vec![PeerCursor::default(); members as usize],
+            conn_peer: HashMap::new(),
+            acks: AckSockets::default(),
             peer_min: vec![None; members as usize],
             peer_frontier: vec![Vec::new(); members as usize],
             last_sent_min: None,
@@ -511,31 +490,44 @@ impl MemberState {
             completed: None,
             eager: vec![Vec::new(); members as usize],
             cross_seen: HashMap::new(),
-            events: 0,
-            status: SnapshotStatus::Consistent,
-            waiting: false,
-            waits_issued: 0,
-            waits_resolved: 0,
+            verdict: Verdict::default(),
             replaying: true,
             wal: None,
             wal_err: None,
             metrics: None,
             flight: None,
-            repairs: RepairLedger::new(),
             peer_repairs: BTreeMap::new(),
         }
     }
 
-    pub(crate) fn owns(&self, r: RouterId) -> bool {
-        self.plan.of_router(r) == self.member
+    /// Ends replay: from here on records are journaled into `wal`,
+    /// horizons open on their own, and the round machine leaves flight
+    /// records.
+    pub(crate) fn go_live(&mut self, wal: Wal, metrics: Option<Arc<CollectorMetrics>>) {
+        self.wal = Some(wal);
+        self.flight = metrics
+            .as_ref()
+            .map(|m| m.flight.register("member", FOLD_RING_SLOTS));
+        self.metrics = metrics;
+        self.replaying = false;
     }
 
+    /// Appends one already-encoded frame to the WAL, latching the first
+    /// error (the fold keeps running degraded rather than dropping the
+    /// in-memory state on a full disk).
     fn journal_bytes(&mut self, bytes: &[u8]) {
-        journal(&mut self.wal, &mut self.wal_err, bytes);
+        if self.wal_err.is_some() {
+            return;
+        }
+        if let Some(w) = self.wal.as_mut() {
+            self.wal_err = w.append(bytes).err();
+        }
     }
 
-    fn cursor_next(&self, pm: u32) -> u64 {
-        self.cursors[pm as usize].next_seq
+    /// The other members' indices.
+    fn peers(&self) -> impl Iterator<Item = usize> {
+        let me = self.member as usize;
+        (0..self.members as usize).filter(move |j| *j != me)
     }
 
     /// Sends a frame on the link to member `j` (no-op for self).
@@ -548,32 +540,16 @@ impl MemberState {
         }
     }
 
-    fn maintain_links(&mut self) {
-        for l in self.links.iter_mut().flatten() {
-            l.maintain();
-        }
-    }
-
-    /// Ingests one accepted own-router event: local builder, tracker
-    /// slice, and — by conversation ownership — either the own cross
-    /// builder or the eager boundary outbox for the owning peer.
+    /// Ingests one accepted own-router event — journaled first, so the
+    /// log never lags the state — staging it for the peer that owns its
+    /// conversation when this member does not.
     fn apply_own_event(&mut self, seq: u64, event: &IoEvent, raw: Option<&[u8]>) {
-        // Journal before ingesting: the log must never lag the state.
         if let Some(raw) = raw {
             self.journal_bytes(raw);
         }
-        let rec = FoldRecord::of(event);
-        self.local.ingest_record(rec);
-        self.slice.ingest_record(rec, event.arrived_at);
-        if let Some((key, _)) = rec.conv() {
-            let owner = self.plan.of_conv(&key);
-            if owner == self.member {
-                self.cross.ingest_record(rec);
-            } else {
-                self.eager[owner as usize].push((seq, event.clone()));
-            }
+        if let Some(owner) = self.fold.ingest(event) {
+            self.eager[owner as usize].push((seq, event.clone()));
         }
-        self.events += 1;
     }
 
     /// Ships every staged eager boundary batch as an untagged
@@ -607,32 +583,14 @@ impl MemberState {
         }
     }
 
-    /// Folds one repair-lifecycle record: journal (no-op on replay —
-    /// the WAL handle is absent, like every other replayed record),
-    /// ledger, metrics, and — the moment a repair is `Gated` — the
-    /// proof broadcast to every peer. Recovery replays this same path,
-    /// so a recovering owner regenerates its proof advertisements the
-    /// way it regenerates frontier history.
-    pub(crate) fn accept_repair_record(&mut self, r: &RepairRecord) {
-        self.journal_bytes(&encode_frame(&Frame::Repair(r.clone())));
-        if !self.repairs.accept(r) {
-            return;
-        }
-        if let Some(m) = &self.metrics {
-            m.publish_repair(r, self.repairs.in_flight().len());
-        }
-        flight_repair_record(r, self.flight.as_ref(), self.metrics.as_deref());
-        if r.stage == RepairStage::Gated {
-            self.broadcast_repair(r.repair_id);
-        }
-    }
-
     /// Ships a gated repair's proof (and this member's verdict for it)
     /// to every peer. The proof travels as its JSON encoding plus the
     /// FNV-1a digest of the stored binary bytes, so receivers can prove
-    /// they reconstructed the identical artifact.
-    fn broadcast_repair(&mut self, repair_id: u64) {
-        let Some(e) = self.repairs.get(repair_id) else {
+    /// they reconstructed the identical artifact. Recovery replays this
+    /// same path, so a recovering owner regenerates its proof
+    /// advertisements the way it regenerates frontier history.
+    fn broadcast_repair(&mut self, ledger: &RepairLedger, repair_id: u64) {
+        let Some(e) = ledger.get(repair_id) else {
             return;
         };
         let Some(verdict) = e.verdict else { return };
@@ -656,10 +614,7 @@ impl MemberState {
                 u64::from(verdict),
             );
         }
-        for j in 0..self.members as usize {
-            if j == self.member as usize {
-                continue;
-            }
+        for j in self.peers() {
             let proof = proof_json.clone();
             self.send_to(j, move |seq| {
                 Frame::PeerRepairProof(PeerRepairProof {
@@ -681,12 +636,9 @@ impl MemberState {
     /// The federated fold minimum: the least of the own source-table
     /// minimum and every peer's advertised minimum (`None` while any
     /// of them is unknown).
-    fn fed_min(&self) -> Option<SimTime> {
-        let mut min = self.sources.global_min()?;
-        for j in 0..self.members as usize {
-            if j == self.member as usize {
-                continue;
-            }
+    fn fed_min(&self, sources: &SourceTable) -> Option<SimTime> {
+        let mut min = sources.global_min()?;
+        for j in self.peers() {
             min = min.min(self.peer_min[j]?);
         }
         Some(min)
@@ -703,8 +655,8 @@ impl MemberState {
     /// moved, journaling the record first: a recovering member must
     /// regenerate the identical frontier history, or a peer that never
     /// saw some intermediate value would fold a different round grid.
-    fn maybe_send_frontier(&mut self) {
-        let Some(m) = self.sources.global_min() else {
+    fn maybe_send_frontier(&mut self, sources: &SourceTable) {
+        let Some(m) = sources.global_min() else {
             return;
         };
         if self.last_sent_min >= Some(m) {
@@ -715,7 +667,7 @@ impl MemberState {
         let frontier: Vec<(RouterId, Option<SimTime>)> = (0..self.n_routers)
             .map(RouterId)
             .filter(|r| self.owns(*r))
-            .map(|r| (r, self.sources.promise_of(r)))
+            .map(|r| (r, sources.promise_of(r)))
             .collect();
         self.journal_bytes(&encode_frame(&Frame::FrontierExchange(FrontierExchange {
             member: self.member,
@@ -723,15 +675,17 @@ impl MemberState {
             min: Some(m),
             frontier: frontier.clone(),
         })));
-        self.send_frontier(Some(m), frontier);
+        self.send_frontier(Some(m), frontier, sources);
     }
 
-    fn send_frontier(&mut self, min: Option<SimTime>, frontier: Vec<(RouterId, Option<SimTime>)>) {
+    fn send_frontier(
+        &mut self,
+        min: Option<SimTime>,
+        frontier: Vec<(RouterId, Option<SimTime>)>,
+        sources: &SourceTable,
+    ) {
         let member = self.member;
-        for j in 0..self.members as usize {
-            if j == self.member as usize {
-                continue;
-            }
+        for j in self.peers() {
             let fr = frontier.clone();
             self.send_to(j, move |seq| {
                 Frame::FrontierExchange(FrontierExchange {
@@ -742,15 +696,7 @@ impl MemberState {
                 })
             });
         }
-        self.publish_peers();
-    }
-
-    /// Everything that must happen after the own watermark gate may
-    /// have moved: advertise the frontier, queue the federated minimum,
-    /// and drive the round machine.
-    fn after_gate_change(&mut self, stats: Option<&SharedStats>) {
-        self.maybe_send_frontier();
-        self.pump(stats);
+        self.publish_peers(sources);
     }
 
     /// Drives the round machine: completes the open round as far as
@@ -760,9 +706,9 @@ impl MemberState {
     /// to the horizon, so every member will open the very same round).
     /// During replay the journaled markers are the sole authority on
     /// which rounds opened.
-    fn pump(&mut self, stats: Option<&SharedStats>) {
+    fn pump(&mut self, sources: &SourceTable) {
         loop {
-            if self.try_complete(stats) {
+            if self.try_complete() {
                 continue;
             }
             if self.replaying || self.advanced > self.completed {
@@ -775,7 +721,7 @@ impl MemberState {
                 self.pending_horizons.remove(&f);
                 continue;
             }
-            if self.fed_min() < Some(f) {
+            if self.fed_min(sources) < Some(f) {
                 return;
             }
             self.pending_horizons.remove(&f);
@@ -787,10 +733,7 @@ impl MemberState {
     /// collect boundary digests, and ship each peer its tagged batch.
     fn open_round(&mut self, f: SimTime) {
         self.journal_bytes(&encode_frame(&Frame::Watermark { t: f, frontier: 0 }));
-        self.local.advance(f);
-        self.cross.advance(f);
-        let mut outboxes: Vec<Vec<ConvDigest>> = vec![Vec::new(); self.members as usize];
-        self.slice.advance_collect(f, &mut outboxes);
+        let outboxes = self.fold.advance_collect(f);
         // Boundary events at or behind the horizon are folded; their
         // dedup entries have no future duplicates to catch (the late
         // gate drops those first).
@@ -836,7 +779,7 @@ impl MemberState {
 
     /// Phases 2 and 3 of the open round, as far as arrived peer state
     /// allows. Returns whether the round fully completed.
-    fn try_complete(&mut self, stats: Option<&SharedStats>) -> bool {
+    fn try_complete(&mut self) -> bool {
         let Some(f) = self.advanced else { return false };
         if self.completed >= Some(f) {
             return false;
@@ -857,26 +800,12 @@ impl MemberState {
             if !ready {
                 return false;
             }
-            let batches: Vec<Vec<ConvDigest>> = {
-                let r = self.rounds.get_mut(&f).expect("round checked above");
-                r.digests
-                    .iter_mut()
-                    .map(|d| d.take().unwrap_or_default())
-                    .collect()
-            };
-            for (j, batch) in batches.iter().enumerate() {
-                if j == me {
-                    continue;
-                }
-                for d in batch {
-                    self.slice.absorb(d);
-                }
+            let r = self.rounds.get_mut(&f).expect("round checked above");
+            for batch in r.digests.iter_mut().filter_map(Option::take) {
+                self.fold.absorb(&batch);
             }
-            let missing = self.slice.missing();
-            self.rounds
-                .get_mut(&f)
-                .expect("round checked above")
-                .local_missing = Some(missing.clone());
+            let missing = self.fold.missing();
+            r.local_missing = Some(missing.clone());
             let member = self.member;
             let partial_trace = Some(TraceCtx::for_round(f).child(stage::ROUND_PARTIAL));
             if let Some(fl) = self.flight.as_ref() {
@@ -887,10 +816,7 @@ impl MemberState {
                     missing.len() as u64,
                 );
             }
-            for j in 0..members {
-                if j == me {
-                    continue;
-                }
+            for j in self.peers() {
                 let missing = missing.clone();
                 self.send_to(j, move |seq| {
                     Frame::PartialVerdict(PartialVerdict {
@@ -916,47 +842,23 @@ impl MemberState {
         }
         let r = self.rounds.remove(&f).expect("round checked above");
         let mut missing: Vec<RouterId> = r.local_missing.unwrap_or_default();
-        for (j, p) in r.partials.into_iter().enumerate() {
-            if j == me {
-                continue;
-            }
-            missing.extend(p.unwrap_or_default());
-        }
-        missing.sort_unstable();
-        missing.dedup();
-        let missing_n = missing.len() as u64;
-        self.status = if missing.is_empty() {
-            SnapshotStatus::Consistent
-        } else {
-            SnapshotStatus::WaitFor(missing)
-        };
-        // The monolithic tracker's wait accounting, replayed on the
-        // merged verdict sequence — member-count-invariant.
-        match (self.waiting, self.status.is_consistent()) {
-            (false, false) => {
-                self.waits_issued += 1;
-                self.waiting = true;
-            }
-            (true, true) => {
-                self.waits_resolved += 1;
-                self.waiting = false;
-            }
-            _ => {}
-        }
+        missing.extend(r.partials.into_iter().flatten().flatten());
+        self.verdict.merge(missing);
+        // The watermark the session publishes is the *completed* round:
+        // once a client (or harness) observes it, the global verdict for
+        // that horizon has landed on this member.
         self.completed = Some(f);
         if let Some(fl) = self.flight.as_ref() {
+            let missing_n = match self.verdict.status() {
+                SnapshotStatus::WaitFor(m) => m.len() as u64,
+                _ => 0,
+            };
             fl.record(
                 stage::ROUND_COMPLETE,
                 Some(TraceCtx::for_round(f).child(stage::ROUND_PARTIAL)),
                 f.as_nanos(),
                 missing_n,
             );
-        }
-        if let Some(s) = stats {
-            // The watermark stat is the *completed* round: once a
-            // client (or harness) observes it, the global verdict for
-            // that horizon has landed on this member.
-            s.set_watermark(f);
         }
         if let Some(m) = &self.metrics {
             m.fed_rounds.inc();
@@ -991,11 +893,11 @@ impl MemberState {
     /// journals (raw, before acking) and applies it if it is exactly
     /// next in sequence; duplicates and gaps drop (the link replay
     /// heals gaps). Returns whether the cursor moved.
-    pub(crate) fn accept_peer_frame(
+    fn accept_peer_frame(
         &mut self,
         frame: &PeerFrame,
         raw: Option<&[u8]>,
-        stats: Option<&SharedStats>,
+        sources: &SourceTable,
     ) -> bool {
         let pm = frame.member();
         if pm >= self.members || pm == self.member {
@@ -1009,11 +911,11 @@ impl MemberState {
         if let Some(raw) = raw {
             self.journal_bytes(raw);
         }
-        self.apply_peer_frame(frame, stats);
+        self.apply_peer_frame(frame, sources);
         true
     }
 
-    fn apply_peer_frame(&mut self, frame: &PeerFrame, stats: Option<&SharedStats>) {
+    fn apply_peer_frame(&mut self, frame: &PeerFrame, sources: &SourceTable) {
         match frame {
             PeerFrame::Frontier(f) => {
                 let pm = f.member as usize;
@@ -1028,8 +930,8 @@ impl MemberState {
                 if let Some(v) = f.min {
                     self.queue_horizon(v);
                 }
-                self.publish_peers();
-                self.pump(stats);
+                self.publish_peers(sources);
+                self.pump(sources);
             }
             PeerFrame::Boundary(b) => match b.round {
                 None => {
@@ -1050,7 +952,7 @@ impl MemberState {
                             continue;
                         }
                         self.cross_seen.insert(e.id, e.time);
-                        self.cross.ingest_record(rec);
+                        self.fold.ingest_cross(rec);
                         fresh += 1;
                     }
                     if let Some(m) = &self.metrics {
@@ -1075,7 +977,7 @@ impl MemberState {
                     if slot.is_none() {
                         *slot = Some(b.digests.clone());
                     }
-                    self.pump(stats);
+                    self.pump(sources);
                 }
             },
             PeerFrame::Partial(p) => {
@@ -1091,7 +993,7 @@ impl MemberState {
                 if slot.is_none() {
                     *slot = Some(p.missing.clone());
                 }
-                self.pump(stats);
+                self.pump(sources);
             }
             PeerFrame::Repair(p) => {
                 // First frame per repair wins: a recovering owner's
@@ -1146,7 +1048,7 @@ impl MemberState {
 
     /// Publishes the per-peer frontier and lag gauges (the own slot
     /// carries the own source-table minimum).
-    fn publish_peers(&self) {
+    fn publish_peers(&self, sources: &SourceTable) {
         let Some(m) = &self.metrics else { return };
         if m.peer_frontier.len() != self.members as usize {
             return;
@@ -1155,7 +1057,7 @@ impl MemberState {
         let mins: Vec<Option<SimTime>> = (0..self.members as usize)
             .map(|j| {
                 if j == me {
-                    self.sources.global_min()
+                    sources.global_min()
                 } else {
                     self.peer_min[j]
                 }
@@ -1172,114 +1074,23 @@ impl MemberState {
         }
     }
 
-    /// One liveness-lease sweep over the *owned* routers.
-    fn sweep(
-        &mut self,
-        last_heard: &[Instant],
-        lease: &LeaseConfig,
-        conn_source: &mut HashMap<u64, RouterId>,
-        acks: &mut HashMap<u64, TcpStream>,
-        stats: &SharedStats,
-    ) {
-        let now = Instant::now();
-        let mut evicted_any = false;
-        for (i, heard) in last_heard.iter().enumerate() {
-            let r = RouterId(i as u32);
-            if !self.owns(r)
-                || self.sources.state(r) == SourceState::Evicted
-                || self.sources.finished(r)
-            {
-                continue;
-            }
-            let silent = now.saturating_duration_since(*heard);
-            if silent >= lease.evict_after {
-                self.journal_bytes(&encode_frame(&Frame::Evict { source: r }));
-                self.sources.evict(r);
-                stats.evictions.fetch_add(1, Ordering::Relaxed);
-                if let Some(fl) = self.flight.as_ref() {
-                    fl.record(stage::EVICTION, None, u64::from(r.0), silent.as_secs());
-                }
-                if let Some(m) = &self.metrics {
-                    m.evictions.inc();
-                    m.flight_dump("eviction");
-                }
-                evicted_any = true;
-                let conns: Vec<u64> = conn_source
-                    .iter()
-                    .filter(|&(_, s)| *s == r)
-                    .map(|(&c, _)| c)
-                    .collect();
-                for c in conns {
-                    conn_source.remove(&c);
-                    if let Some(s) = acks.remove(&c) {
-                        let _ = s.shutdown(std::net::Shutdown::Both);
-                    }
-                }
-            } else if silent >= lease.lagging_after {
-                self.sources.set_lagging(r);
-            }
-        }
-        if evicted_any {
-            self.after_gate_change(Some(stats));
-        }
-        if let Some(m) = &self.metrics {
-            m.publish_sources(&self.sources);
-        }
-        self.publish_peers();
-    }
-
-    /// Acks a client connection's contiguous cursor (plus fin once the
-    /// source's bye settled). Returns whether the ack went out.
-    fn acknowledge(&self, acks: &mut HashMap<u64, TcpStream>, conn: u64, source: RouterId) -> bool {
-        let acked = send_ack(acks, conn, self.sources.next_seq(source));
-        if self.sources.finished(source) {
-            if let Some(s) = acks.get_mut(&conn) {
-                if s.write_all(&encode_frame(&Frame::Fin)).is_err() {
-                    acks.remove(&conn);
-                }
-            }
-        }
-        acked
-    }
-
     // ---- replay-only entry points -----------------------------------
-
-    fn replay_hello(&mut self, source: RouterId, session: u64, first_seq: u64) {
-        if self.owns(source) && self.sources.contains(source) {
-            self.sources.hello(source, session, first_seq);
-        }
-    }
-
-    fn replay_event(&mut self, seq: u64, event: &IoEvent) -> bool {
-        let r = event.router;
-        if !self.sources.contains(r) || !self.owns(r) {
-            return false;
-        }
-        if self.sources.offer(r, seq) != Offer::Fresh {
-            return false;
-        }
-        if self.advanced.is_some_and(|wm| event.time <= wm) {
-            return false;
-        }
-        self.apply_own_event(seq, event, None);
-        true
-    }
 
     /// Replays a journaled self-authored frontier record: restores the
     /// advertised-minimum history and regenerates the outbound frames.
-    fn replay_own_frontier(&mut self, f: FrontierExchange) {
+    fn replay_own_frontier(&mut self, f: FrontierExchange, sources: &SourceTable) {
         if f.min > self.last_sent_min {
             self.last_sent_min = f.min;
         }
         if let Some(v) = f.min {
             self.queue_horizon(v);
         }
-        self.send_frontier(f.min, f.frontier);
+        self.send_frontier(f.min, f.frontier, sources);
     }
 
     /// Replays a journaled round marker: the sole authority on which
     /// horizons opened before the crash.
-    fn replay_marker(&mut self, f: SimTime) {
+    fn replay_marker(&mut self, f: SimTime, sources: &SourceTable) {
         // The marker supersedes queued horizons at or below it.
         self.pending_horizons.retain(|h| *h > f);
         if Some(f) <= self.advanced {
@@ -1288,69 +1099,176 @@ impl MemberState {
         // Serial rounds: the previous round completed before this
         // marker was journaled, so opening here cannot reorder folds.
         self.open_round(f);
-        self.pump(None);
-    }
-
-    fn close(&mut self) -> Option<io::Error> {
-        let mut err = self.wal_err.take();
-        if let Some(w) = self.wal.take() {
-            if let (Err(e), None) = (w.close(), &err) {
-                err = Some(e);
-            }
-        }
-        err
-    }
-
-    fn into_fold(mut self) -> MemberFold {
-        let peers = (0..self.members)
-            .filter(|j| *j != self.member)
-            .map(|j| PeerSummary {
-                member: j,
-                min: self.peer_min[j as usize],
-                frontier: std::mem::take(&mut self.peer_frontier[j as usize]),
-                unacked: self.links[j as usize]
-                    .as_ref()
-                    .map_or(0, |l| l.buf.len() as u64),
-            })
-            .collect();
-        MemberFold {
-            member: self.member,
-            members: self.members,
-            n_routers: self.n_routers,
-            plan: self.plan,
-            local: self.local,
-            cross: self.cross,
-            slice: self.slice,
-            events: self.events,
-            status: self.status,
-            waits: (self.waits_issued, self.waits_resolved),
-            watermark: self.completed,
-            stalled: self.sources.stalled(),
-            peers,
-            repairs: self.repairs,
-            peer_repairs: self.peer_repairs,
-        }
+        self.pump(sources);
     }
 }
 
-/// One member's final fold state: its slice of the global
-/// happens-before graph and the last *global* verdict it merged.
+impl Backend for MemberState {
+    fn owns(&self, r: RouterId) -> bool {
+        self.plan.of_router(r) == self.member
+    }
+
+    fn gate(&self) -> Option<SimTime> {
+        self.advanced
+    }
+
+    /// The *completed* (global) horizon: a member whose rounds stop
+    /// landing is stalled even if its own sources stay chatty.
+    fn watermark(&self) -> Option<SimTime> {
+        self.completed
+    }
+
+    fn verdict(&self) -> &Verdict {
+        &self.verdict
+    }
+
+    fn gauges(&self) -> FoldGauges {
+        self.fold.gauges()
+    }
+
+    fn journal(&mut self, _home: Option<RouterId>, bytes: Vec<u8>, done: Option<SyncSender<()>>) {
+        self.journal_bytes(&bytes);
+        if let Some(done) = done {
+            let _ = done.send(());
+        }
+    }
+
+    fn ingest(&mut self, conn: u64, _source: RouterId, batch: Vec<EventRec>, upto: u64, fin: bool) {
+        for rec in &batch {
+            self.apply_own_event(rec.seq, &rec.event, rec.raw.as_deref());
+        }
+        self.flush_eager();
+        let acked = self.acks.ack(conn, upto, fin);
+        if let Some(m) = &self.metrics {
+            let n = batch.len() as u64;
+            if self.wal_err.is_none() {
+                m.events_journaled.add(n);
+            }
+            if acked {
+                m.events_acked.add(n);
+            }
+        }
+    }
+
+    fn adopt(&mut self, conn: u64, _source: RouterId, ack: Option<TcpStream>) {
+        self.acks.adopt(conn, ack);
+    }
+
+    fn ack(&mut self, conn: u64, _source: RouterId, upto: u64, fin: bool) {
+        self.acks.ack(conn, upto, fin);
+    }
+
+    fn drop_conn(&mut self, conn: u64, _source: Option<RouterId>) {
+        self.conn_peer.remove(&conn);
+        self.acks.drop_conn(conn);
+    }
+
+    /// Advertises the frontier and drives the round machine.
+    fn gate_moved(&mut self, sources: &SourceTable) {
+        self.maybe_send_frontier(sources);
+        self.pump(sources);
+    }
+
+    /// The moment a repair is `Gated`, its proof goes to every peer.
+    fn repair_accepted(&mut self, ledger: &RepairLedger, record: &RepairRecord) {
+        if record.stage == RepairStage::Gated {
+            self.broadcast_repair(ledger, record.repair_id);
+        }
+    }
+
+    fn peer_hello(&mut self, conn: u64, hello: PeerHello, ack: Option<TcpStream>) {
+        if !self.on_peer_hello(&hello) {
+            return;
+        }
+        // Journal the handshake so replay re-learns the session and
+        // keeps deduplicating the peer's regenerated stream.
+        let member = hello.member;
+        self.journal_bytes(&encode_frame(&Frame::PeerHello(hello)));
+        self.conn_peer.insert(conn, member);
+        self.acks.adopt(conn, ack);
+        self.acks
+            .ack(conn, self.cursors[member as usize].next_seq, false);
+    }
+
+    fn peer_frame(
+        &mut self,
+        conn: u64,
+        frame: PeerFrame,
+        raw: Option<Vec<u8>>,
+        sources: &SourceTable,
+    ) {
+        // Drop a frame mislabeled against its connection's handshake.
+        let Some(&pm) = self
+            .conn_peer
+            .get(&conn)
+            .filter(|pm| **pm == frame.member())
+        else {
+            return;
+        };
+        self.accept_peer_frame(&frame, raw.as_deref(), sources);
+        // Ack the cursor even on duplicates: re-acks let a replaying
+        // peer prune its buffer.
+        self.acks
+            .ack(conn, self.cursors[pm as usize].next_seq, false);
+    }
+
+    /// Peer links need pumping (reconnects, ack drains) even when no
+    /// client traffic arrives. Reconnects and go-back-N buffer pruning
+    /// are fine at this granularity; round progress itself is
+    /// message-driven and never waits on it.
+    fn link_tick(&self) -> Option<Duration> {
+        Some(LINK_TICK)
+    }
+
+    fn tick(&mut self, sources: &SourceTable) {
+        for l in self.links.iter_mut().flatten() {
+            l.maintain();
+        }
+        self.publish_peers(sources);
+    }
+
+    fn finish(
+        mut self,
+        stalled: Vec<RouterId>,
+        repairs: RepairLedger,
+    ) -> (FoldReport, Option<io::Error>) {
+        let mut wal_err = self.wal_err.take();
+        if let Some(w) = self.wal.take() {
+            wal_err = wal_err.or(w.close().err());
+        }
+        let peers = self
+            .peers()
+            .map(|j| PeerSummary {
+                member: j as u32,
+                min: self.peer_min[j],
+                frontier: std::mem::take(&mut self.peer_frontier[j]),
+                unacked: self.links[j].as_ref().map_or(0, |l| l.buf.len() as u64),
+            })
+            .collect();
+        let mut report = FoldReport::new(
+            vec![self.fold],
+            &self.verdict,
+            self.completed,
+            stalled,
+            repairs,
+        );
+        report.member = Some(Box::new(MemberFold {
+            member: self.member,
+            members: self.members,
+            peers,
+            peer_repairs: self.peer_repairs,
+        }));
+        (report, wal_err)
+    }
+}
+
+/// What a federation member's [`FoldReport`] carries beside the fold:
+/// its place in the federation and its last view of its peers.
 pub struct MemberFold {
-    pub(crate) member: u32,
-    pub(crate) members: u32,
-    pub(crate) n_routers: u32,
-    pub(crate) plan: FederationPlan,
-    pub(crate) local: HbgBuilder,
-    pub(crate) cross: HbgBuilder,
-    pub(crate) slice: TrackerSlice,
-    pub(crate) events: u64,
-    pub(crate) status: SnapshotStatus,
-    pub(crate) waits: (u64, u64),
-    pub(crate) watermark: Option<SimTime>,
-    pub(crate) stalled: Vec<RouterId>,
-    pub(crate) peers: Vec<PeerSummary>,
-    pub(crate) repairs: RepairLedger,
-    pub(crate) peer_repairs: BTreeMap<u64, PeerProofStatus>,
+    member: u32,
+    members: u32,
+    peers: Vec<PeerSummary>,
+    peer_repairs: BTreeMap<u64, PeerProofStatus>,
 }
 
 impl MemberFold {
@@ -1383,192 +1301,132 @@ impl MemberFold {
             peers: self.peers.clone(),
         }
     }
-
-    /// This member's partial happens-before graph: the union of its
-    /// local-rule edges (owned routers) and cross-rule edges (owned
-    /// conversations). Member partials are edge-disjoint by scope, so
-    /// the union over members is the monolithic graph.
-    pub fn partial_hbg(&self) -> Hbg {
-        let mut hbg = Hbg::new(0);
-        for b in [&self.local, &self.cross] {
-            hbg.grow_to(b.hbg().num_events());
-            for h in b.hbg().edges() {
-                hbg.add(*h);
-            }
-        }
-        hbg
-    }
-
-    /// Edge counts by rule name across both builders.
-    pub fn edge_counts(&self) -> BTreeMap<String, u64> {
-        let mut out: BTreeMap<String, u64> = BTreeMap::new();
-        for b in [&self.local, &self.cross] {
-            for (rule, n) in b.edge_counts() {
-                *out.entry(rule).or_default() += n;
-            }
-        }
-        out
-    }
 }
 
-/// Merges every member's fold into a single global report — the same
-/// merge the in-process sharded coordinator runs at shutdown. Errors if
-/// the members disagree on the global verdict, wait statistics, or
-/// completed watermark: the federation's invariant is that they cannot.
-pub fn merge_members(mut folds: Vec<MemberFold>) -> io::Result<FoldReport> {
-    if folds.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "no member folds to merge",
-        ));
+/// Merges every member's fold into a single global report: the members'
+/// fold shards side by side, exactly as a sharded collector reports its
+/// workers'. Errors if the members disagree on the global verdict, wait
+/// statistics, or completed watermark: the federation's invariant is
+/// that they cannot.
+pub fn merge_members(mut folds: Vec<FoldReport>) -> io::Result<FoldReport> {
+    let invalid = |why: &str| Err(io::Error::new(io::ErrorKind::InvalidInput, why));
+    let index = |f: &FoldReport| f.member.as_ref().map(|m| (m.member, m.members));
+    folds.sort_by_key(index);
+    let complete = folds
+        .iter()
+        .enumerate()
+        .all(|(i, f)| index(f) == Some((i as u32, folds.len() as u32)));
+    if folds.is_empty() || !complete {
+        return invalid("member folds do not form one complete federation");
     }
-    folds.sort_by_key(|f| f.member);
-    let members = folds[0].members;
-    let n_routers = folds[0].n_routers;
-    if folds.len() != members as usize
-        || folds.iter().enumerate().any(|(i, f)| f.member != i as u32)
-    {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "member folds do not form one complete federation",
-        ));
-    }
-    for f in &folds[1..] {
-        if f.status != folds[0].status
-            || f.waits != folds[0].waits
-            || f.watermark != folds[0].watermark
-        {
+    let mut global = folds.remove(0);
+    global.member = None;
+    for (i, f) in folds.into_iter().enumerate() {
+        if (&f.status, f.waits, f.watermark) != (&global.status, global.waits, global.watermark) {
             return Err(io::Error::other(format!(
                 "federation members disagree on the global verdict (member {} vs member 0)",
-                f.member
+                i + 1
             )));
         }
+        global.repairs.absorb(&f.repairs);
+        global.parts.extend(f.parts);
+        global.stalled.extend(f.stalled);
     }
-    let mut hbg = Hbg::new(0);
-    let mut edge_counts: BTreeMap<String, u64> = BTreeMap::new();
-    let mut dataplane = DataPlane::new(n_routers as usize);
-    let mut events = 0u64;
-    let mut processed = 0usize;
-    let mut pending = 0usize;
-    let mut stalled: Vec<RouterId> = Vec::new();
-    let mut repairs = RepairLedger::new();
-    let status = folds[0].status.clone();
-    let waits = folds[0].waits;
-    let watermark = folds[0].watermark;
-    for f in folds {
-        repairs.absorb(&f.repairs);
-        events += f.events;
-        processed += f.local.processed();
-        pending += f.local.pending();
-        for b in [&f.local, &f.cross] {
-            hbg.grow_to(b.hbg().num_events());
-            for h in b.hbg().edges() {
-                hbg.add(*h);
-            }
-            for (rule, n) in b.edge_counts() {
-                *edge_counts.entry(rule).or_default() += n;
-            }
-        }
-        // Per-router state lives wholly with the owning member.
-        let dp = f.slice.dataplane();
-        for r in 0..n_routers {
-            let router = RouterId(r);
-            if f.plan.of_router(router) == f.member {
-                for (prefix, entry) in dp.fib(router).entries() {
-                    dataplane.fib_mut(router).install(prefix, entry);
-                }
-                dataplane.set_taken_at(router, dp.taken_at(router));
-            }
-        }
-        stalled.extend(f.stalled);
-    }
-    stalled.sort_unstable();
-    stalled.dedup();
-    Ok(FoldReport::Sharded(Box::new(ShardedFold {
-        shards: members,
-        events,
-        processed,
-        pending,
-        hbg,
-        edge_counts,
-        status,
-        waits,
-        dataplane,
-        watermark,
-        stalled,
-        repairs,
-    })))
+    global.stalled.sort_unstable();
+    global.stalled.dedup();
+    Ok(global)
 }
 
 /// Rebuilds a member's state from its journal: the records replay
-/// through the identical live apply path (with journaling and stats
-/// disabled), which both restores the fold and regenerates every
-/// outbound peer frame — under a fresh session — into the link buffers.
+/// through the identical live apply path (with journaling disabled),
+/// which both restores the fold and regenerates every outbound peer
+/// frame — under a fresh session — into the link buffers. Returns the
+/// state together with what the session loop resumes from: the source
+/// table and the repair ledger.
 pub(crate) fn recover_member(
     cfg: &CollectorConfig,
-    fed: FederationConfig,
+    fed: &FederationConfig,
     wal_cfg: &WalConfig,
-) -> io::Result<(MemberState, RecoveryReport)> {
-    let mut st = MemberState::new(cfg, &fed);
+) -> io::Result<(MemberState, SourceTable, RepairLedger, RecoveryReport)> {
+    let mut st = MemberState::new(cfg, fed);
+    let mut sources = SourceTable::new(cfg.pipeline.n_routers);
+    for r in (0..cfg.pipeline.n_routers).map(RouterId) {
+        if !st.owns(r) {
+            // Non-owned routers never gate this member's frontier — the
+            // plan, not the lease, says they are someone else's
+            // responsibility. Plan-derived, so never journaled.
+            sources.evict(r);
+        }
+    }
+    let mut repairs = RepairLedger::new();
     let replay = wal::replay(&wal_cfg.dir)?;
     let mut interns = InternStore::new();
     let mut events_replayed = 0usize;
     let mut repairs_replayed = 0usize;
     let mut corrupt = 0usize;
     for record in &replay.records {
-        match decode_frame(record) {
-            Ok(Some((raw, used))) if used == record.len() => match raw.decode_with(&interns) {
-                Ok(Frame::Intern(def)) => {
-                    interns.apply(def.router, def.space, def.symbol, &def.bytes);
+        let frame = match decode_frame(record) {
+            Ok(Some((raw, used))) if used == record.len() => raw.decode_with(&interns),
+            _ => {
+                corrupt += 1;
+                continue;
+            }
+        };
+        // Records about routers this member does not own (or does not
+        // know) are not its to replay.
+        let mine = |r: RouterId| sources.contains(r) && st.owns(r);
+        match frame {
+            Ok(Frame::Intern(def)) => {
+                interns.apply(def.router, def.space, def.symbol, &def.bytes);
+            }
+            Ok(Frame::Hello(h)) if mine(h.source) => {
+                sources.hello(h.source, h.session, h.first_seq);
+            }
+            Ok(Frame::Event { seq, event }) if mine(event.router) => {
+                if sources.offer(event.router, seq) == Offer::Fresh
+                    && st.advanced.is_none_or(|wm| event.time > wm)
+                {
+                    st.apply_own_event(seq, &event, None);
+                    st.flush_eager();
+                    events_replayed += 1;
                 }
-                Ok(Frame::Hello(h)) => st.replay_hello(h.source, h.session, h.first_seq),
-                Ok(Frame::Event { seq, event }) => {
-                    if st.replay_event(seq, &event) {
-                        events_replayed += 1;
-                        st.flush_eager();
-                    }
+            }
+            Ok(Frame::Watermark { t, .. }) => st.replay_marker(t, &sources),
+            Ok(Frame::Evict { source }) if mine(source) => {
+                sources.evict(source);
+            }
+            Ok(Frame::Admit { source }) if mine(source) => {
+                sources.admit(source);
+            }
+            Ok(Frame::PeerHello(h)) => {
+                st.on_peer_hello(&h);
+            }
+            Ok(Frame::FrontierExchange(f)) if f.member == st.member => {
+                st.replay_own_frontier(f, &sources);
+            }
+            Ok(Frame::FrontierExchange(f)) => {
+                st.accept_peer_frame(&PeerFrame::Frontier(f), None, &sources);
+            }
+            Ok(Frame::BoundaryEdges(b)) => {
+                st.accept_peer_frame(&PeerFrame::Boundary(b), None, &sources);
+            }
+            Ok(Frame::PartialVerdict(p)) => {
+                st.accept_peer_frame(&PeerFrame::Partial(p), None, &sources);
+            }
+            Ok(Frame::Repair(r)) => {
+                // Replaying through the live path regenerates the
+                // proof broadcast for gated repairs (peers dedup by
+                // repair id), exactly like frontier history.
+                if repairs.accept(&r) {
+                    st.repair_accepted(&repairs, &r);
                 }
-                Ok(Frame::Watermark { t, .. }) => st.replay_marker(t),
-                Ok(Frame::Evict { source }) => {
-                    if st.owns(source) && st.sources.contains(source) {
-                        st.sources.evict(source);
-                    }
-                }
-                Ok(Frame::Admit { source }) => {
-                    if st.owns(source) && st.sources.contains(source) {
-                        st.sources.admit(source);
-                    }
-                }
-                Ok(Frame::PeerHello(h)) => {
-                    st.on_peer_hello(&h);
-                }
-                Ok(Frame::FrontierExchange(f)) => {
-                    if f.member == st.member {
-                        st.replay_own_frontier(f);
-                    } else {
-                        st.accept_peer_frame(&PeerFrame::Frontier(f), None, None);
-                    }
-                }
-                Ok(Frame::BoundaryEdges(b)) => {
-                    st.accept_peer_frame(&PeerFrame::Boundary(b), None, None);
-                }
-                Ok(Frame::PartialVerdict(p)) => {
-                    st.accept_peer_frame(&PeerFrame::Partial(p), None, None);
-                }
-                Ok(Frame::Repair(r)) => {
-                    // Replaying through the live path regenerates the
-                    // proof broadcast for gated repairs (peers dedup by
-                    // repair id), exactly like frontier history.
-                    st.accept_repair_record(&r);
-                    repairs_replayed += 1;
-                }
-                Ok(Frame::PeerRepairProof(p)) => {
-                    st.accept_peer_frame(&PeerFrame::Repair(p), None, None);
-                }
-                Ok(_) => {}
-                Err(_) => corrupt += 1,
-            },
-            _ => corrupt += 1,
+                repairs_replayed += 1;
+            }
+            Ok(Frame::PeerRepairProof(p)) => {
+                st.accept_peer_frame(&PeerFrame::Repair(p), None, &sources);
+            }
+            Ok(_) => {}
+            Err(_) => corrupt += 1,
         }
     }
     let report = RecoveryReport {
@@ -1578,251 +1436,11 @@ pub(crate) fn recover_member(
         torn_tail: replay.torn,
         segments: replay.segments,
         corrupt_records: corrupt,
-        evicted: st
-            .sources
+        evicted: sources
             .evicted()
             .into_iter()
             .filter(|r| st.owns(*r))
             .collect(),
     };
-    Ok((st, report))
-}
-
-/// The federation member's merger thread: the legacy merger loop's
-/// client handling (hello/events/watermark/bye, journal-then-ack,
-/// liveness leases over the *owned* routers) plus the peer protocol —
-/// inbound cursors with journal-then-ack, outbound links with
-/// go-back-N replay, and the serial round machine.
-pub(crate) fn member_loop(
-    rx: Receiver<Msg>,
-    mut st: MemberState,
-    wal: Wal,
-    lease: LeaseConfig,
-    stats: &SharedStats,
-    metrics: Option<Arc<CollectorMetrics>>,
-) -> (FoldReport, Option<io::Error>) {
-    st.wal = Some(wal);
-    st.metrics = metrics.clone();
-    st.flight = metrics
-        .as_ref()
-        .map(|m| m.flight.register("member", MERGER_RING_SLOTS));
-    st.replaying = false;
-    // The member's stall watchdog runs over the *completed* (global)
-    // horizon: a member whose rounds stop landing is stalled even if
-    // its own sources stay chatty.
-    let mut stall = StallWatch::new(st.completed);
-    if let Some(wm) = st.completed {
-        stats.set_watermark(wm);
-    }
-    if let Some(m) = &metrics {
-        m.publish_sources(&st.sources);
-    }
-    st.publish_peers();
-    // Catch up grid values whose frontier exchanges were journaled but
-    // whose rounds a crash interrupted before the marker.
-    st.pump(Some(stats));
-
-    let n_routers = st.n_routers;
-    let mut conn_source: HashMap<u64, RouterId> = HashMap::new();
-    let mut conn_peer: HashMap<u64, u32> = HashMap::new();
-    let mut acks: HashMap<u64, TcpStream> = HashMap::new();
-    let mut last_heard: Vec<Instant> = vec![Instant::now(); n_routers as usize];
-    let mut last_sweep = Instant::now();
-    let sweep_every = lease.sweep_interval.min(Duration::from_secs(3600));
-    let tick = sweep_every.min(LINK_TICK);
-
-    let mut last_maintain = Instant::now() - tick;
-    loop {
-        // Tick-granular, not per-message: maintain() blocks ~1 ms per
-        // link polling acks, which would pace the whole round machine
-        // if paid on every inbound frame. Reconnects and go-back-N
-        // buffer pruning are fine at 50 ms granularity; round progress
-        // itself is message-driven and never waits on maintenance.
-        if last_maintain.elapsed() >= tick {
-            st.maintain_links();
-            last_maintain = Instant::now();
-        }
-        let msg = match rx.recv_timeout(tick) {
-            Ok(m) => Some(m),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        if let Some(msg) = msg {
-            match msg {
-                Msg::Hello { conn, hello, ack } => {
-                    let source = hello.source;
-                    if !st.sources.contains(source) || !st.owns(source) {
-                        // A mis-wired client: this router belongs to
-                        // another member. Dropping the ack handle hangs
-                        // up; the sink will resolve its real collector.
-                        drop(ack);
-                        continue;
-                    }
-                    last_heard[source.0 as usize] = Instant::now();
-                    if st.sources.state(source) == SourceState::Evicted {
-                        st.journal_bytes(&encode_frame(&Frame::Admit { source }));
-                        st.sources.admit(source);
-                        stats.readmissions.fetch_add(1, Ordering::Relaxed);
-                        if let Some(m) = &metrics {
-                            m.readmissions.inc();
-                        }
-                    }
-                    st.journal_bytes(&encode_frame(&Frame::Hello(hello.clone())));
-                    st.sources.hello(source, hello.session, hello.first_seq);
-                    conn_source.insert(conn, source);
-                    if let Some(a) = ack {
-                        acks.insert(conn, a);
-                    }
-                    st.acknowledge(&mut acks, conn, source);
-                    if let Some(m) = &metrics {
-                        m.set_source_codec(source.0, hello.codec);
-                        m.publish_sources(&st.sources);
-                    }
-                    st.after_gate_change(Some(stats));
-                }
-                Msg::Events { conn, batch } => {
-                    let Some(&source) = conn_source.get(&conn) else {
-                        continue;
-                    };
-                    last_heard[source.0 as usize] = Instant::now();
-                    st.sources.refresh(source);
-                    let mut ingested = 0u64;
-                    let mut late = 0u64;
-                    let mut dups = 0u64;
-                    let mut gaps = 0u64;
-                    for rec in &batch {
-                        match st.sources.offer(source, rec.seq) {
-                            Offer::Duplicate => dups += 1,
-                            Offer::Gap => gaps += 1,
-                            Offer::Fresh => {
-                                if st.advanced.is_some_and(|wm| rec.event.time <= wm) {
-                                    late += 1;
-                                    continue;
-                                }
-                                st.apply_own_event(rec.seq, &rec.event, rec.raw.as_deref());
-                                ingested += 1;
-                            }
-                        }
-                    }
-                    st.flush_eager();
-                    if ingested > 0 {
-                        stall.ingested();
-                    }
-                    stats.events.fetch_add(ingested, Ordering::Relaxed);
-                    if late > 0 {
-                        stats.late_events.fetch_add(late, Ordering::Relaxed);
-                    }
-                    if dups > 0 {
-                        stats.duplicate_events.fetch_add(dups, Ordering::Relaxed);
-                    }
-                    if gaps > 0 {
-                        stats.gap_events.fetch_add(gaps, Ordering::Relaxed);
-                    }
-                    if let Some(m) = &metrics {
-                        m.events_received.add(ingested);
-                        if st.wal_err.is_none() {
-                            m.events_journaled.add(ingested);
-                        }
-                        m.events_duplicate.add(dups);
-                        m.events_gap.add(gaps);
-                        m.events_late.add(late);
-                    }
-                    // A gap fill may have settled a parked promise.
-                    st.after_gate_change(Some(stats));
-                    let acked = st.acknowledge(&mut acks, conn, source);
-                    if acked {
-                        if let Some(m) = &metrics {
-                            m.events_acked.add(ingested);
-                        }
-                    }
-                }
-                Msg::Watermark { conn, t, frontier } => {
-                    let Some(&source) = conn_source.get(&conn) else {
-                        continue;
-                    };
-                    last_heard[source.0 as usize] = Instant::now();
-                    st.sources.refresh(source);
-                    st.sources.promise(source, t, frontier);
-                    st.after_gate_change(Some(stats));
-                    st.acknowledge(&mut acks, conn, source);
-                }
-                Msg::Heartbeat { conn } => {
-                    let Some(&source) = conn_source.get(&conn) else {
-                        continue;
-                    };
-                    last_heard[source.0 as usize] = Instant::now();
-                    st.sources.refresh(source);
-                    st.acknowledge(&mut acks, conn, source);
-                }
-                Msg::Bye { conn, frontier } => {
-                    let Some(&source) = conn_source.get(&conn) else {
-                        continue;
-                    };
-                    last_heard[source.0 as usize] = Instant::now();
-                    st.sources.refresh(source);
-                    st.sources.bye(source, frontier);
-                    st.after_gate_change(Some(stats));
-                    st.acknowledge(&mut acks, conn, source);
-                }
-                Msg::Intern { router: _, raw } => {
-                    st.journal_bytes(&raw);
-                }
-                Msg::Repair { record, done } => {
-                    // Journal + fold + (on Gated) the peer broadcast;
-                    // the `done` ack after all of it is the caller's
-                    // durability barrier.
-                    st.accept_repair_record(&record);
-                    stats.repair_records.fetch_add(1, Ordering::Relaxed);
-                    if let Some(done) = done {
-                        let _ = done.send(());
-                    }
-                }
-                Msg::PeerHello { conn, hello, ack } => {
-                    if !st.on_peer_hello(&hello) {
-                        drop(ack);
-                        continue;
-                    }
-                    // Journal the handshake so replay re-learns the
-                    // session and keeps deduplicating the peer's
-                    // regenerated stream.
-                    st.journal_bytes(&encode_frame(&Frame::PeerHello(hello.clone())));
-                    conn_peer.insert(conn, hello.member);
-                    if let Some(a) = ack {
-                        acks.insert(conn, a);
-                    }
-                    send_ack(&mut acks, conn, st.cursor_next(hello.member));
-                }
-                Msg::Peer { conn, frame, raw } => {
-                    let Some(&pm) = conn_peer.get(&conn) else {
-                        continue;
-                    };
-                    if frame.member() != pm {
-                        // A frame mislabeled against its handshake.
-                        continue;
-                    }
-                    st.accept_peer_frame(&frame, raw.as_deref(), Some(stats));
-                    // Ack the cursor even on duplicates: re-acks let a
-                    // replaying peer prune its buffer.
-                    send_ack(&mut acks, conn, st.cursor_next(pm));
-                }
-                Msg::Closed { conn } => {
-                    conn_source.remove(&conn);
-                    conn_peer.remove(&conn);
-                    acks.remove(&conn);
-                }
-            }
-        }
-        if last_sweep.elapsed() >= sweep_every {
-            st.sweep(&last_heard, &lease, &mut conn_source, &mut acks, stats);
-            last_sweep = Instant::now();
-        }
-        stall.observe(
-            st.completed,
-            lease.stall_after,
-            metrics.as_deref(),
-            st.flight.as_ref(),
-        );
-    }
-    let wal_err = st.close();
-    (FoldReport::Member(Box::new(st.into_fold())), wal_err)
+    Ok((st, sources, repairs, report))
 }

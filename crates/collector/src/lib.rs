@@ -21,18 +21,21 @@
 //! * [`wal`] — a segmented append-only write-ahead log whose records
 //!   are exactly the wire frames, with configurable fsync policy and
 //!   torn-tail detection on replay.
-//! * [`pipeline`] + [`collector`] — the threaded TCP server: one reader
-//!   thread per router connection, a bounded channel for backpressure,
-//!   and a single merger thread that journals to the WAL, deduplicates
-//!   events by sequence number, applies frontier-gated watermark
-//!   promises, runs per-source liveness leases (silent sources are
-//!   marked lagging, then evicted from the watermark gate so the fold
-//!   resumes), and folds events into
-//!   [`HbgBuilder`](cpvr_core::builder::HbgBuilder) and
-//!   [`ConsistencyTracker`](cpvr_core::snapshot::ConsistencyTracker)
-//!   only up to the minimum applied promise across all non-evicted
-//!   sources — the merge point where the global `(time, id)` order is
-//!   known.
+//! * [`pipeline`] + [`collector`] + [`shard`] + [`federation`] — the
+//!   threaded TCP server: one reader thread per router connection, a
+//!   bounded channel for backpressure, and **one ingest engine** — a
+//!   single session loop that deduplicates events by sequence number,
+//!   applies frontier-gated watermark promises, runs per-source
+//!   liveness leases (silent sources are marked lagging, then evicted
+//!   from the watermark gate so the fold resumes), and lets the fold
+//!   advance only up to the minimum applied promise across all
+//!   non-evicted sources — the merge point where the global
+//!   `(time, id)` order is known. Behind it, `shards ≥ 1` fold workers
+//!   (or, for a federation member, remote sibling collectors) journal
+//!   to the WAL and fold [`FoldShard`](shard)s of
+//!   [`HbgBuilder`](cpvr_core::builder::HbgBuilder)s and a
+//!   [`TrackerSlice`](cpvr_core::snapshot::TrackerSlice) whose union is
+//!   the in-process [`IngestPipeline`] fold.
 //! * [`client`] — [`SocketSink`], an
 //!   [`EventSink`](cpvr_sim::EventSink) that ships a router's tap over
 //!   a socket with a bounded replay buffer, ack-driven pruning, and
@@ -53,9 +56,9 @@
 //!   the collector, dropping, corrupting, duplicating, delaying, and
 //!   disconnecting the byte stream on a reproducible schedule.
 //!
-//! Crash recovery is the point of the WAL: the merger journals every
-//! event before ingesting it and every global watermark before
-//! advancing, so the log is always at least as complete as the
+//! Crash recovery is the point of the WAL: every event is journaled
+//! before it is ingested and every global watermark before the fold
+//! advances, so the log is always at least as complete as the
 //! in-memory state. Replaying it (ingest everything, advance once to
 //! the last logged watermark) reconstructs the pre-crash pipeline
 //! *bit-identically* — the fold is deterministic in `(time, id)` order
@@ -77,6 +80,7 @@ pub mod group_commit;
 pub mod metrics;
 pub mod pipeline;
 pub mod repair_journal;
+mod session;
 pub mod shard;
 pub mod wal;
 
@@ -98,5 +102,5 @@ pub use pipeline::{
     IngestPipeline, Offer, PipelineConfig, RecoveryReport, SourceState, SourceTable,
 };
 pub use repair_journal::{RepairEntry, RepairLedger};
-pub use shard::{FoldReport, ShardedFold};
+pub use shard::FoldReport;
 pub use wal::{FsyncPolicy, Wal, WalConfig, WalMetrics, WalReplay};

@@ -2,7 +2,8 @@
 //! the ingest path publishes, declared up front in one place.
 //!
 //! [`CollectorMetrics`] is built once at [`Collector::start`] and shared
-//! (`Arc`) by the reader threads, the merger, and the WAL. Declaring
+//! (`Arc`) by the reader threads, the session loop, the fold workers, and
+//! the WAL. Declaring
 //! every family here — before any handle is resolved — is what lets the
 //! `obs-strict` feature turn a typo'd or undeclared metric name into a
 //! panic in CI instead of a silently empty time series in production.
@@ -22,7 +23,9 @@ use cpvr_obs::{
 use cpvr_types::{RouterId, SimTime};
 
 use crate::codec::{RepairRecord, RepairStage};
-use crate::pipeline::{IngestPipeline, SourceState, SourceTable};
+use crate::pipeline::{SourceState, SourceTable};
+use crate::shard::{FoldGauges, Verdict};
+use crate::wal::WalMetrics;
 
 /// Default sampling stride for event-flight spans: one in this many
 /// sequence numbers per source gets a full causal latency breakdown.
@@ -68,7 +71,7 @@ pub struct CollectorMetrics {
     pub(crate) decode_nanos: Histogram,
     pub(crate) metrics_scrapes: Counter,
 
-    // Merger: per-event accounting.
+    // Session: per-event accounting.
     pub(crate) events_received: Counter,
     pub(crate) events_journaled: Counter,
     pub(crate) events_acked: Counter,
@@ -78,7 +81,7 @@ pub struct CollectorMetrics {
     pub(crate) evictions: Counter,
     pub(crate) readmissions: Counter,
 
-    // Merger: fold / watermark state.
+    // Session: fold / watermark state.
     pub(crate) watermark_nanos: Gauge,
     pub(crate) events_folded: Gauge,
     pub(crate) events_pending: Gauge,
@@ -92,7 +95,8 @@ pub struct CollectorMetrics {
     pub(crate) fold_nanos: Histogram,
     pub(crate) fold_batch: Histogram,
 
-    // Sharded fold (empty vecs when the collector runs unsharded).
+    // Fold shards (one slot per worker; empty on a federation member,
+    // whose barrier is the federated round).
     pub(crate) barrier_rounds: Counter,
     pub(crate) shard_frontier: Vec<Gauge>,
     pub(crate) shard_fold_lag: Vec<Gauge>,
@@ -141,8 +145,7 @@ pub struct CollectorMetrics {
 
 impl CollectorMetrics {
     /// Declares every family and resolves the static handles for a
-    /// deployment of `n_routers`, folded by `shards` workers (1 for the
-    /// legacy single-merger path).
+    /// deployment of `n_routers`, folded by `shards` worker threads.
     pub fn new(n_routers: u32, span_sample: u64, shards: u32) -> Self {
         Self::new_federated(n_routers, span_sample, shards, 0)
     }
@@ -191,11 +194,11 @@ impl CollectorMetrics {
             "MetricsReq frames served",
         );
 
-        // Merger event accounting.
+        // Session event accounting.
         r.declare(
             "cpvr_events_received_total",
             MetricKind::Counter,
-            "Fresh events accepted by the merger (post dedup/gap/late filtering)",
+            "Fresh events accepted by the session (post dedup/gap/late filtering)",
         );
         r.declare(
             "cpvr_events_journaled_total",
@@ -457,26 +460,19 @@ impl CollectorMetrics {
             "Wall-clock latency of one WAL flush+fsync",
         );
 
-        let spans = if shards > 1 {
-            SpanRecorder::new_sharded(r, span_sample, SPAN_CAP, shards)
-        } else {
-            SpanRecorder::new(r, span_sample, SPAN_CAP)
-        };
+        let spans = SpanRecorder::new_sharded(r, span_sample, SPAN_CAP, shards);
 
         let mut shard_frontier = Vec::new();
         let mut shard_fold_lag = Vec::new();
         let mut shard_barrier_stall = Vec::new();
-        if shards > 1 {
-            for k in 0..shards {
-                let label = k.to_string();
-                let l: &[(&str, &str)] = &[("shard", &label)];
-                shard_frontier.push(r.gauge_with("cpvr_shard_frontier_nanos", l));
-                shard_fold_lag.push(r.gauge_with("cpvr_shard_fold_lag_events", l));
-                shard_barrier_stall.push(r.histogram_with("cpvr_shard_barrier_stall_nanos", l));
-            }
-            for g in &shard_frontier {
-                g.set(-1);
-            }
+        for k in 0..shards {
+            let label = k.to_string();
+            let l: &[(&str, &str)] = &[("shard", &label)];
+            let frontier = r.gauge_with("cpvr_shard_frontier_nanos", l);
+            frontier.set(-1);
+            shard_frontier.push(frontier);
+            shard_fold_lag.push(r.gauge_with("cpvr_shard_fold_lag_events", l));
+            shard_barrier_stall.push(r.histogram_with("cpvr_shard_barrier_stall_nanos", l));
         }
 
         let mut peer_frontier = Vec::new();
@@ -625,16 +621,15 @@ impl CollectorMetrics {
         }
     }
 
-    /// Publishes the fold-side gauges from the pipeline's current
-    /// state: builder/tracker counters, HBG size, per-rule edge offers,
-    /// and the per-source lease/lag/cursor gauges.
-    pub(crate) fn publish_pipeline(&self, pipeline: &IngestPipeline) {
-        let b = pipeline.builder();
-        self.events_folded.set(b.processed() as i64);
-        self.events_pending.set(b.pending() as i64);
-        self.hbg_edges.set(b.hbg().edges().len() as i64);
+    /// Publishes the fold-side gauges after an advance: fold counters,
+    /// HBG size, per-rule edge offers, the verdict and its wait
+    /// accounting, and the verdict horizon.
+    pub(crate) fn publish_fold(&self, g: &FoldGauges, verdict: &Verdict, wm: Option<SimTime>) {
+        self.events_folded.set(g.processed as i64);
+        self.events_pending.set(g.pending as i64);
+        self.hbg_edges.set(g.edges as i64);
         let mut offered = self.edges_offered.lock().expect("a publisher panicked");
-        for (source, n) in b.edge_tallies() {
+        for (source, n) in &g.offered {
             let known = offered.iter().position(|(s, _)| s == source);
             let i = known.unwrap_or_else(|| {
                 let labels = [("rule", &*source.to_string())];
@@ -645,15 +640,26 @@ impl CollectorMetrics {
             offered[i].1.set(*n as i64);
         }
         drop(offered);
-        let (issued, resolved) = pipeline.tracker().wait_stats();
+        let (issued, resolved) = verdict.waits();
         self.waits_issued.set(issued as i64);
         self.waits_resolved.set(resolved as i64);
         self.snapshot_consistent
-            .set(pipeline.status().is_consistent() as i64);
-        if let Some(wm) = pipeline.watermark() {
+            .set(verdict.status().is_consistent() as i64);
+        if let Some(wm) = wm {
             self.watermark_nanos.set(wm.as_nanos() as i64);
         }
-        self.publish_sources(pipeline.sources());
+    }
+
+    /// The WAL-layer handles a journal publishes into.
+    pub(crate) fn wal_metrics(&self) -> WalMetrics {
+        let r = &self.registry;
+        WalMetrics {
+            appends: r.counter("cpvr_wal_appends_total"),
+            bytes: r.counter("cpvr_wal_bytes_total"),
+            syncs: r.counter("cpvr_wal_syncs_total"),
+            rotations: r.counter("cpvr_wal_rotations_total"),
+            fsync_nanos: r.histogram("cpvr_wal_fsync_nanos"),
+        }
     }
 
     /// Publishes the effects of one freshly journaled repair-lifecycle
@@ -673,8 +679,7 @@ impl CollectorMetrics {
     }
 
     /// Publishes the per-source lease/lag/cursor gauges from a source
-    /// table. The sharded coordinator calls this directly — it owns the
-    /// table but not an [`IngestPipeline`].
+    /// table.
     pub(crate) fn publish_sources(&self, table: &SourceTable) {
         let furthest: Option<SimTime> = (0..self.sources.state.len() as u32)
             .filter_map(|i| table.promise_of(RouterId(i)))

@@ -3,8 +3,9 @@
 //! [`IngestPipeline`] bundles the two incremental consumers of the
 //! event stream — [`HbgBuilder`] for happens-before inference and
 //! [`ConsistencyTracker`] for causally consistent snapshots — behind
-//! one ingest/advance surface, so the collector's merger thread and the
-//! WAL recovery path drive them identically.
+//! one ingest/advance surface. It is the in-process *reference fold*:
+//! what WAL recovery rebuilds, and what every collector deployment —
+//! any shard count, any federation — is held bit-identical to.
 //!
 //! The pipeline also owns the [`SourceTable`]: per-router sequence
 //! cursors (duplicate/gap detection for at-least-once delivery),
@@ -180,6 +181,11 @@ impl SourceTable {
         &mut self.entries[r.0 as usize]
     }
 
+    /// How many routers this table was sized for.
+    pub(crate) fn n_routers(&self) -> usize {
+        self.entries.len()
+    }
+
     /// Whether `r` names a router this table was sized for.
     pub fn contains(&self, r: RouterId) -> bool {
         (r.0 as usize) < self.entries.len()
@@ -227,7 +233,7 @@ impl SourceTable {
         e.session = Some(session);
         // An evicted source is only re-admitted explicitly (and
         // journaled) via `admit` — a handshake alone must not widen
-        // the watermark gate behind the merger's back.
+        // the watermark gate behind the session loop's back.
         if e.state != SourceState::Evicted {
             e.state = SourceState::Live;
         }
@@ -466,7 +472,7 @@ impl IngestPipeline {
         &self.sources
     }
 
-    /// Mutable access to the source table (the merger drives hellos,
+    /// Mutable access to the source table (a driver feeds hellos,
     /// offers, promises, and leases through this).
     pub fn sources_mut(&mut self) -> &mut SourceTable {
         &mut self.sources
@@ -506,14 +512,10 @@ impl IngestPipeline {
         self.cfg
     }
 
-    /// Rebuilds a pipeline from the WAL at `dir`.
-    ///
-    /// Every intact record is decoded as a wire frame; events are
-    /// ingested (and their sequence numbers replayed into the source
-    /// table so reconnect replays stay deduplicated across the
-    /// restart), journaled evictions/re-admissions rebuild the
-    /// watermark gate, and the pipeline is advanced once to the largest
-    /// logged watermark. The collector logs an event frame *before*
+    /// Rebuilds a pipeline from the WAL at `dir`: the scan of the
+    /// directory (`WalScan`), folded. Every scanned event is ingested in
+    /// `(time, id)` order and the pipeline is advanced once to the
+    /// recovered watermark. The collector logs an event frame *before*
     /// ingesting it and a watermark frame *before* advancing, so the
     /// durable log is always at least as complete as the in-memory
     /// state it is recovered to — and deterministic folding makes
@@ -528,32 +530,74 @@ impl IngestPipeline {
         Ok((pipeline, report))
     }
 
-    /// [`recover`](Self::recover), exposing the replayed event list
-    /// (for the sharded collector to redistribute to its workers) and
+    /// [`recover`](Self::recover), exposing the replayed event list and
     /// replaying independent WAL series on up to `threads` reader
     /// threads. The result is identical at every thread count: series
     /// are merged in deterministic series order regardless of which
     /// thread read them.
-    ///
-    /// A sharded collector journals into one series per shard, each
-    /// worker logging every barrier watermark *before* folding to it.
-    /// The recovered watermark is therefore the **minimum over all
-    /// series of that series' largest logged watermark** (`None` if any
-    /// series never logged one): an event missing from series `k` was
-    /// accepted after `k` last logged a watermark `W_k`, and events
-    /// accepted after a barrier at `W` are stamped later than `W`, so
-    /// nothing at or below `min_k W_k` can be missing. With a single
-    /// series this degenerates to the largest logged watermark — the
-    /// legacy rule, byte for byte.
     pub fn recover_parts(
         cfg: PipelineConfig,
         dir: &Path,
         threads: usize,
     ) -> io::Result<(Self, RecoveryReport, Vec<IoEvent>)> {
-        let replayed = wal::replay_all(dir, threads)?;
+        let scan = WalScan::read(cfg, dir, threads)?;
         let mut pipeline = Self::new(cfg);
+        pipeline.sources = scan.sources;
+        pipeline.repairs = scan.repairs;
+        for e in &scan.events {
+            pipeline.ingest(e);
+        }
+        if let Some(wm) = scan.report.watermark {
+            pipeline.advance(wm);
+        }
+        Ok((pipeline, scan.report, scan.events))
+    }
+}
+
+/// What a WAL directory says, before anything is folded: the part of
+/// recovery the collector's engine start and [`IngestPipeline::recover`]
+/// share. The engine seeds its fold shards from `events`; `recover`
+/// folds them into one pipeline.
+pub(crate) struct WalScan {
+    /// Sequence cursors, sessions, and eviction state of every source.
+    pub(crate) sources: SourceTable,
+    /// Every journaled event, in `(time, id)` order.
+    pub(crate) events: Vec<IoEvent>,
+    /// The fold of every journaled repair-lifecycle record.
+    pub(crate) repairs: RepairLedger,
+    /// The summary, including the recovered watermark.
+    pub(crate) report: RecoveryReport,
+}
+
+impl WalScan {
+    /// What a collector without a journal starts from.
+    pub(crate) fn empty(cfg: PipelineConfig) -> Self {
+        WalScan {
+            sources: SourceTable::new(cfg.n_routers),
+            events: Vec::new(),
+            repairs: RepairLedger::new(),
+            report: RecoveryReport::default(),
+        }
+    }
+
+    /// Decodes every intact record of every series in `dir` (series
+    /// replayed on up to `threads` threads, merged in series order).
+    ///
+    /// A collector journals into one series per fold shard, each
+    /// logging every barrier watermark *before* folding to it. The
+    /// recovered watermark is therefore the **minimum over all series
+    /// of that series' largest logged watermark** (`None` if any series
+    /// never logged one): an event missing from series `k` was accepted
+    /// after `k` last logged a watermark `W_k`, and events accepted
+    /// after a barrier at `W` are stamped later than `W`, so nothing at
+    /// or below `min_k W_k` can be missing. With a single series this
+    /// is the largest logged watermark.
+    pub(crate) fn read(cfg: PipelineConfig, dir: &Path, threads: usize) -> io::Result<Self> {
+        let replayed = wal::replay_all(dir, threads)?;
+        let mut sources = SourceTable::new(cfg.n_routers);
         let mut events: Vec<IoEvent> = Vec::new();
-        let mut repair_records: Vec<RepairRecord> = Vec::new();
+        let mut repairs = RepairLedger::new();
+        let mut repairs_replayed = 0usize;
         // Each series' largest logged watermark (`None` = that series
         // never logged one).
         let mut series_wms: Vec<Option<SimTime>> = Vec::with_capacity(replayed.len());
@@ -582,8 +626,8 @@ impl IngestPipeline {
                                 interns.apply(def.router, def.space, def.symbol, &def.bytes);
                             }
                             Ok(Frame::Event { seq, event }) => {
-                                if pipeline.sources.contains(event.router) {
-                                    let e = pipeline.sources.entry_mut(event.router);
+                                if sources.contains(event.router) {
+                                    let e = sources.entry_mut(event.router);
                                     e.next_seq = e.next_seq.max(seq + 1);
                                 }
                                 events.push(event);
@@ -592,8 +636,8 @@ impl IngestPipeline {
                                 series_wm = Some(series_wm.map_or(t, |w| w.max(t)));
                             }
                             Ok(Frame::Hello(h)) => {
-                                if pipeline.sources.contains(h.source) {
-                                    let e = pipeline.sources.entry_mut(h.source);
+                                if sources.contains(h.source) {
+                                    let e = sources.entry_mut(h.source);
                                     e.session = Some(h.session);
                                     if e.state == SourceState::NeverConnected {
                                         e.state = SourceState::Live;
@@ -601,29 +645,31 @@ impl IngestPipeline {
                                 }
                             }
                             Ok(Frame::Evict { source }) => {
-                                if pipeline.sources.contains(source) {
-                                    pipeline.sources.evict(source);
+                                if sources.contains(source) {
+                                    sources.evict(source);
                                 }
                             }
                             Ok(Frame::Admit { source }) => {
-                                if pipeline.sources.contains(source) {
-                                    pipeline.sources.admit(source);
+                                if sources.contains(source) {
+                                    sources.admit(source);
                                 }
                             }
-                            // Repair lifecycle records fold into the
-                            // ledger after the scan: `replay_all`
-                            // returns series in deterministic order,
-                            // so the fold order — and hence the ledger
-                            // — is identical on every recovery.
-                            Ok(Frame::Repair(r)) => repair_records.push(r),
+                            // `replay_all` returns series in
+                            // deterministic order, so the ledger's fold
+                            // order is identical on every recovery.
+                            Ok(Frame::Repair(r)) => {
+                                if repairs.accept(&r) {
+                                    repairs_replayed += 1;
+                                }
+                            }
                             // Flight-recorder dump requests are a live
                             // diagnostic exchange; they are never
                             // journaled, but tolerate them if found.
                             Ok(Frame::DumpReq) | Ok(Frame::DumpResp { .. }) => {}
                             // Peer frames are only journaled by
                             // federation members, which recover through
-                            // their own ordered replay; a standalone or
-                            // sharded pipeline ignores any it finds.
+                            // their own ordered replay; a standalone
+                            // collector ignores any it finds.
                             Ok(Frame::Bye { .. })
                             | Ok(Frame::Ack { .. })
                             | Ok(Frame::Fin)
@@ -656,18 +702,6 @@ impl IngestPipeline {
         // series the journal order already respects the fold frontier;
         // across series only the (time, id) order is meaningful.)
         events.sort_by_key(|e| (e.time, e.id));
-        for e in &events {
-            pipeline.ingest(e);
-        }
-        if let Some(wm) = watermark {
-            pipeline.advance(wm);
-        }
-        let mut repairs_replayed = 0usize;
-        for r in &repair_records {
-            if pipeline.repairs.accept(r) {
-                repairs_replayed += 1;
-            }
-        }
         let report = RecoveryReport {
             events_replayed: events.len(),
             repairs_replayed,
@@ -675,14 +709,19 @@ impl IngestPipeline {
             torn_tail: torn,
             segments,
             corrupt_records: corrupt,
-            evicted: pipeline.sources.evicted(),
+            evicted: sources.evicted(),
         };
-        Ok((pipeline, report, events))
+        Ok(WalScan {
+            sources,
+            events,
+            repairs,
+            report,
+        })
     }
 }
 
 /// What a WAL recovery found.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RecoveryReport {
     /// Event frames replayed into the pipeline.
     pub events_replayed: usize,
@@ -852,7 +891,7 @@ mod tests {
         assert!(!t.evict(RouterId(1)), "double eviction is a no-op");
         assert_eq!(t.global_min(), Some(SimTime::from_millis(3)));
         // A hello from the evicted source does not silently re-admit —
-        // the merger must do that explicitly (and journal it).
+        // the session loop must do that explicitly (and journal it).
         t.hello(RouterId(1), 2, 0);
         assert_eq!(t.state(RouterId(1)), SourceState::Evicted);
         assert!(t.admit(RouterId(1)));

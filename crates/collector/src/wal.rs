@@ -64,7 +64,7 @@ pub struct WalConfig {
     pub segment_bytes: u64,
     /// Durability policy for the active segment.
     pub fsync: FsyncPolicy,
-    /// Which segment series this handle writes. `None` is the legacy
+    /// Which segment series this handle writes. `None` is the
     /// unnumbered series (`wal-NNNNNNNN.seg`); `Some(k)` is shard `k`'s
     /// series (`wal-s<k>-NNNNNNNN.seg`). Series share the directory but
     /// never a file, so one writer per series needs no locking.
@@ -80,7 +80,7 @@ pub struct WalConfig {
 
 impl WalConfig {
     /// A config with default tuning (8 MiB segments, sync every 256
-    /// records, legacy series, inline durability) for the given
+    /// records, unnumbered series, inline durability) for the given
     /// directory.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         WalConfig {
@@ -165,7 +165,7 @@ fn list_segments(dir: &Path, series: Option<u32>) -> io::Result<Vec<u64>> {
     Ok(out)
 }
 
-/// Lists the segment series present in a WAL directory: the legacy
+/// Lists the segment series present in a WAL directory: the
 /// unnumbered series first (if present), then shard series in ascending
 /// order. A missing directory lists as empty.
 pub fn list_series(dir: &Path) -> io::Result<Vec<Option<u32>>> {
@@ -403,7 +403,7 @@ pub fn replay_series(dir: &Path, series: Option<u32>) -> io::Result<WalReplay> {
 /// Replays every series in a WAL directory, using up to `threads`
 /// reader threads (series are independent files, so they replay in
 /// parallel). Results are returned in deterministic series order (the
-/// legacy unnumbered series first, then shard series ascending) — the
+/// unnumbered series first, then shard series ascending) — the
 /// same result at any thread count.
 pub fn replay_all(dir: &Path, threads: usize) -> io::Result<Vec<(Option<u32>, WalReplay)>> {
     let series = list_series(dir)?;

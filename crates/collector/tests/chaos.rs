@@ -14,75 +14,22 @@
 //! job via `CHAOS_SEED`); the `#[ignore]`d variant runs a wider
 //! randomized sweep for soak testing.
 
+mod common;
+
+use common::{assert_same_fold, dataplane_fingerprint, events_for, sample_events, N_ROUTERS};
 use cpvr_collector::client::{ReconnectPolicy, SocketSink};
 use cpvr_collector::collector::{Collector, CollectorConfig, CollectorReport, LeaseConfig};
 use cpvr_collector::fault::{ChaosProxy, FaultPlan};
 use cpvr_collector::pipeline::{IngestPipeline, PipelineConfig};
 use cpvr_collector::wal::{wait_for, TempDir, WalConfig};
 use cpvr_collector::CodecVersion;
-use cpvr_dataplane::{DataPlane, FibEntry};
-use cpvr_sim::scenario::paper_scenario;
-use cpvr_sim::{CaptureProfile, IoEvent, LatencyProfile};
-use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
+use cpvr_sim::IoEvent;
+use cpvr_types::{RouterId, SimTime};
 use std::time::Duration;
-
-const N_ROUTERS: u32 = 3;
-
-type DpFingerprint = Vec<(u32, Vec<(Ipv4Prefix, FibEntry)>, SimTime)>;
-
-fn dataplane_fingerprint(dp: &DataPlane) -> DpFingerprint {
-    (0..dp.num_routers() as u32)
-        .map(|r| {
-            let r = RouterId(r);
-            (r.0, dp.fib(r).entries(), dp.taken_at(r))
-        })
-        .collect()
-}
-
-fn sample_events(seed: u64) -> Vec<IoEvent> {
-    let mut s = paper_scenario(LatencyProfile::fast(), CaptureProfile::ideal(), seed);
-    s.sim.start();
-    s.sim.run_to_quiescence(100_000);
-    s.sim
-        .schedule_ext_announce(s.sim.now() + SimTime::from_millis(5), s.ext_r1, &[s.prefix]);
-    s.sim.schedule_ext_announce(
-        s.sim.now() + SimTime::from_millis(400),
-        s.ext_r2,
-        &[s.prefix],
-    );
-    s.sim.run_to_quiescence(100_000);
-    s.sim.trace().events.clone()
-}
 
 /// The fault-free truth every chaotic run must reproduce exactly.
 fn reference_pipeline(events: &[IoEvent]) -> IngestPipeline {
-    let mut p = IngestPipeline::new(PipelineConfig::new(N_ROUTERS));
-    for e in events {
-        p.ingest(e);
-    }
-    p.advance(SimTime::MAX);
-    p
-}
-
-fn assert_bit_identical(report: &CollectorReport, reference: &IngestPipeline, label: &str) {
-    let got = &report.pipeline;
-    assert_eq!(got.events(), reference.events(), "{label}: event count");
-    assert_eq!(
-        got.processed(),
-        reference.builder().processed(),
-        "{label}: folded event count"
-    );
-    assert_eq!(
-        got.canonical_edges(),
-        reference.builder().hbg().canonical_edges(),
-        "{label}: HBG must be bit-identical"
-    );
-    assert_eq!(got.status(), reference.status(), "{label}: verdict");
-    assert_eq!(
-        dataplane_fingerprint(got.dataplane()),
-        dataplane_fingerprint(reference.tracker().dataplane()),
-        "{label}: data plane"
-    );
+    common::reference_pipeline(events, &[SimTime::MAX])
 }
 
 /// An aggressive client: reconnect fast and treat short ack stalls as
@@ -131,12 +78,7 @@ fn run_chaotic(events: &[IoEvent], seed: u64, dir: &TempDir) -> CollectorReport 
         let proxy_addr = proxy.local_addr();
         proxies.push(proxy);
 
-        let mut mine: Vec<IoEvent> = events
-            .iter()
-            .filter(|e| e.router == router)
-            .cloned()
-            .collect();
-        mine.sort_by_key(|e| (e.time, e.id));
+        let mine = events_for(events, router);
         let steps = steps.clone();
         threads.push(std::thread::spawn(move || {
             let mut sink = SocketSink::connect_with_codec(
@@ -312,7 +254,7 @@ fn chaos_seeds() -> Vec<u64> {
 
 /// How many fold shards the chaos collector runs. CI's matrix crosses
 /// the seeds with `CHAOS_SHARDS` ∈ {1, 2, 4}; locally it defaults to
-/// the legacy single merger.
+/// one.
 fn chaos_shards() -> u32 {
     match std::env::var("CHAOS_SHARDS") {
         Ok(s) => s.parse().expect("CHAOS_SHARDS must be a u32"),
@@ -341,7 +283,7 @@ fn chaotic_ingestion_is_bit_identical_to_fault_free() {
     for seed in chaos_seeds() {
         let dir = TempDir::new(&format!("chaos-{seed}")).unwrap();
         let report = run_chaotic(&events, seed, &dir);
-        assert_bit_identical(&report, &reference, &format!("seed {seed}"));
+        assert_same_fold(&report.pipeline, &reference, &format!("seed {seed}"));
 
         // And the durable log must reconstruct the same state again:
         // crash-after-chaos is still exactly-once.
@@ -381,7 +323,7 @@ fn chaotic_ingestion_soak() {
         let seed = base + i;
         let dir = TempDir::new(&format!("chaos-soak-{seed}")).unwrap();
         let report = run_chaotic(&events, seed, &dir);
-        assert_bit_identical(&report, &reference, &format!("soak seed {seed}"));
+        assert_same_fold(&report.pipeline, &reference, &format!("soak seed {seed}"));
     }
 }
 
@@ -410,7 +352,8 @@ fn eviction_unblocks_the_fold_and_readmission_restores_identity() {
     let dir = TempDir::new("chaos-evict").unwrap();
     let cfg = CollectorConfig::new(N_ROUTERS)
         .with_wal(WalConfig::new(dir.path()))
-        .with_lease(lease);
+        .with_lease(lease)
+        .with_shards(chaos_shards());
     let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
     let addr = handle.local_addr();
 
@@ -420,16 +363,10 @@ fn eviction_unblocks_the_fold_and_readmission_restores_identity() {
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     for r in 1..N_ROUTERS {
         let router = RouterId(r);
-        let mine: Vec<IoEvent> = events
-            .iter()
-            .filter(|e| e.router == router)
-            .cloned()
-            .collect();
+        let sorted = events_for(&events, router);
         let stop = std::sync::Arc::clone(&stop);
         healthy.push(std::thread::spawn(move || {
             let mut sink = SocketSink::connect(addr, router, N_ROUTERS).expect("connect");
-            let mut sorted = mine;
-            sorted.sort_by_key(|e| (e.time, e.id));
             let split = sorted.partition_point(|e| e.time <= mid);
             for e in &sorted[..split] {
                 sink.send(e).expect("send");
@@ -450,12 +387,7 @@ fn eviction_unblocks_the_fold_and_readmission_restores_identity() {
 
     // The straggler: deliver everything ≤ mid (and get it acked — acked
     // ⇒ journaled ⇒ ingested), promise nothing, fall silent.
-    let mut strag: Vec<IoEvent> = events
-        .iter()
-        .filter(|e| e.router == straggler)
-        .cloned()
-        .collect();
-    strag.sort_by_key(|e| (e.time, e.id));
+    let strag = events_for(&events, straggler);
     let split = strag.partition_point(|e| e.time <= mid);
     let mut sink = SocketSink::connect(addr, straggler, N_ROUTERS).expect("connect straggler");
     for e in &strag[..split] {
@@ -538,7 +470,7 @@ fn eviction_unblocks_the_fold_and_readmission_restores_identity() {
     // before the eviction, and its phase-2 events are all above `mid`,
     // so nothing was folded past — identity survives the eviction.
     assert_eq!(report.stats.late_events, 0);
-    assert_bit_identical(&report, &reference, "eviction");
+    assert_same_fold(&report.pipeline, &reference, "eviction");
 
     // The journaled Evict/Admit pair is part of the durable history.
     let (_, rr) = IngestPipeline::recover(PipelineConfig::new(N_ROUTERS), dir.path()).unwrap();
@@ -566,15 +498,9 @@ fn transparent_proxy_is_invisible() {
         let proxy = ChaosProxy::start(addr, FaultPlan::none()).expect("start proxy");
         let proxy_addr = proxy.local_addr();
         proxies.push(proxy);
-        let mine: Vec<IoEvent> = events
-            .iter()
-            .filter(|e| e.router == router)
-            .cloned()
-            .collect();
+        let sorted = events_for(&events, router);
         threads.push(std::thread::spawn(move || {
             let mut sink = SocketSink::connect(proxy_addr, router, N_ROUTERS).expect("connect");
-            let mut sorted = mine;
-            sorted.sort_by_key(|e| (e.time, e.id));
             for e in &sorted {
                 sink.send(e).expect("send");
             }
@@ -597,5 +523,5 @@ fn transparent_proxy_is_invisible() {
     for p in proxies {
         assert_eq!(p.shutdown().injected, 0);
     }
-    assert_bit_identical(&report, &reference, "transparent proxy");
+    assert_same_fold(&report.pipeline, &reference, "transparent proxy");
 }

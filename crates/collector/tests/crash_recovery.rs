@@ -6,48 +6,21 @@
 //! plane) to be bit-identical to the uninterrupted run. A torn trailing
 //! record (crash mid-append) is thrown in at every other cut point.
 
+mod common;
+
+use common::{dataplane_fingerprint, events_for, sample_events, N_ROUTERS};
 use cpvr_collector::codec::{decode_frame, Frame};
 use cpvr_collector::collector::{Collector, CollectorConfig};
 use cpvr_collector::pipeline::{IngestPipeline, PipelineConfig};
 use cpvr_collector::wal::{self, wait_for, TempDir, Wal, WalConfig};
-use cpvr_collector::SocketSink;
-use cpvr_dataplane::{DataPlane, FibEntry};
-use cpvr_sim::scenario::paper_scenario;
-use cpvr_sim::{CaptureProfile, IoEvent, LatencyProfile};
-use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
+use cpvr_collector::{FoldReport, SocketSink};
+use cpvr_sim::IoEvent;
+use cpvr_types::{RouterId, SimTime};
 use std::time::Duration;
 
-const N_ROUTERS: u32 = 3;
-
-type DpFingerprint = Vec<(u32, Vec<(Ipv4Prefix, FibEntry)>, SimTime)>;
-
-fn dataplane_fingerprint(dp: &DataPlane) -> DpFingerprint {
-    (0..dp.num_routers() as u32)
-        .map(|r| {
-            let r = RouterId(r);
-            (r.0, dp.fib(r).entries(), dp.taken_at(r))
-        })
-        .collect()
-}
-
-fn sample_events(seed: u64) -> Vec<IoEvent> {
-    let mut s = paper_scenario(LatencyProfile::fast(), CaptureProfile::ideal(), seed);
-    s.sim.start();
-    s.sim.run_to_quiescence(100_000);
-    s.sim
-        .schedule_ext_announce(s.sim.now() + SimTime::from_millis(5), s.ext_r1, &[s.prefix]);
-    s.sim.schedule_ext_announce(
-        s.sim.now() + SimTime::from_millis(400),
-        s.ext_r2,
-        &[s.prefix],
-    );
-    s.sim.run_to_quiescence(100_000);
-    s.sim.trace().events.clone()
-}
-
 /// Streams `events` through a fresh collector journaling into `dir` and
-/// returns the final pipeline once everything is folded.
-fn stream_through_collector(events: &[IoEvent], dir: &std::path::Path) -> IngestPipeline {
+/// returns the final fold once everything is folded.
+fn stream_through_collector(events: &[IoEvent], dir: &std::path::Path) -> FoldReport {
     let cfg = CollectorConfig::new(N_ROUTERS).with_wal(WalConfig::new(dir));
     let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
     let addr = handle.local_addr();
@@ -58,12 +31,7 @@ fn stream_through_collector(events: &[IoEvent], dir: &std::path::Path) -> Ingest
     let mut handles = Vec::new();
     for r in 0..N_ROUTERS {
         let router = RouterId(r);
-        let mut mine: Vec<IoEvent> = events
-            .iter()
-            .filter(|e| e.router == router)
-            .cloned()
-            .collect();
-        mine.sort_by_key(|e| (e.time, e.id));
+        let mine = events_for(events, router);
         let steps = steps.clone();
         handles.push(std::thread::spawn(move || {
             let mut sink = SocketSink::connect(addr, router, N_ROUTERS).expect("connect");
@@ -94,10 +62,7 @@ fn stream_through_collector(events: &[IoEvent], dir: &std::path::Path) -> Ingest
         "collector never folded the full stream: {:?}",
         handle.stats()
     );
-    match handle.shutdown().expect("clean shutdown").pipeline {
-        cpvr_collector::FoldReport::Single(p) => *p,
-        _ => unreachable!("collector runs unsharded here"),
-    }
+    handle.shutdown().expect("clean shutdown").pipeline
 }
 
 #[test]
@@ -199,18 +164,18 @@ fn recovery_from_any_record_boundary_is_bit_identical() {
         );
         assert_eq!(
             pipeline.builder().processed(),
-            reference.builder().processed(),
+            reference.processed(),
             "cut {cut}: folded event count"
         );
         assert_eq!(
             pipeline.builder().hbg().canonical_edges(),
-            reference.builder().hbg().canonical_edges(),
+            reference.canonical_edges(),
             "cut {cut}: HBG must be bit-identical"
         );
         assert_eq!(pipeline.status(), reference.status(), "cut {cut}: verdict");
         assert_eq!(
             dataplane_fingerprint(pipeline.tracker().dataplane()),
-            dataplane_fingerprint(reference.tracker().dataplane()),
+            dataplane_fingerprint(reference.dataplane()),
             "cut {cut}: data plane"
         );
     }
@@ -238,7 +203,7 @@ fn collector_restart_resumes_from_recovered_watermark() {
     let report = handle.shutdown().expect("clean shutdown");
     assert_eq!(
         report.pipeline.canonical_edges(),
-        reference.builder().hbg().canonical_edges()
+        reference.canonical_edges()
     );
     assert_eq!(report.pipeline.status(), reference.status());
 
@@ -246,4 +211,69 @@ fn collector_restart_resumes_from_recovered_watermark() {
     let after = wal::replay(wal_dir.path()).unwrap();
     assert_eq!(after.records.len(), before.records.len());
     assert_eq!(after.segments, before.segments + 1);
+}
+
+/// On-disk compatibility: `tests/fixtures/inline-merger-wal` is the WAL
+/// directory the collector wrote at `shards = 1` *before* it ran the
+/// one ingest engine (the inline merger, commit 3bb7120): the paper
+/// scenario, seed 41, every event up to the trace's midpoint from a
+/// mixed v2/v3 fleet, folded to a watermark at the midpoint, no byes.
+/// Today's one-shard collector must recover it to the same state, keep
+/// journaling into the same unnumbered series, and finish the stream.
+#[test]
+fn a_journal_written_by_the_inline_merger_recovers_and_keeps_ingesting() {
+    let events = sample_events(41);
+    let end = events.iter().map(|e| e.time).max().unwrap();
+    let mid = SimTime::from_nanos(end.as_nanos() / 2);
+    let journaled = events.iter().filter(|e| e.time <= mid).count();
+    assert!(0 < journaled && journaled < events.len());
+
+    let dir = TempDir::new("crash-fixture").unwrap();
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/inline-merger-wal"
+    );
+    for entry in std::fs::read_dir(fixture).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.path().join(entry.file_name())).unwrap();
+    }
+
+    let cfg = CollectorConfig::new(N_ROUTERS).with_wal(WalConfig::new(dir.path()));
+    let handle = Collector::start(cfg, "127.0.0.1:0").expect("start over the fixture");
+    let recovered = handle.recovery().expect("wal configured").clone();
+    assert_eq!(recovered.events_replayed, journaled);
+    assert_eq!(recovered.watermark, Some(mid));
+    assert_eq!(recovered.corrupt_records, 0);
+    assert!(!recovered.torn_tail);
+    assert!(wait_for(Duration::from_secs(10), || {
+        handle.stats().watermark == Some(mid)
+    }));
+
+    // The routers come back as fresh sessions and send the rest.
+    let addr = handle.local_addr();
+    for r in (0..N_ROUTERS).map(RouterId) {
+        let mut sink = SocketSink::connect(addr, r, N_ROUTERS).expect("connect");
+        for e in events_for(&events, r).iter().filter(|e| e.time > mid) {
+            sink.send(e).expect("send");
+        }
+        sink.bye().expect("bye");
+        assert!(sink.drain(Duration::from_secs(30)).expect("drain"));
+    }
+    assert!(
+        wait_for(Duration::from_secs(30), || {
+            handle.stats().watermark == Some(SimTime::MAX)
+        }),
+        "the resumed stream never finished: {:?}",
+        handle.stats()
+    );
+    let report = handle.shutdown().expect("clean shutdown");
+    assert_eq!(report.stats.late_events, 0);
+    let reference = common::reference_pipeline(&events, &[SimTime::MAX]);
+    common::assert_same_fold(&report.pipeline, &reference, "fixture");
+
+    // Still one unnumbered series, which a third start recovers whole.
+    assert_eq!(wal::list_series(dir.path()).unwrap(), vec![None]);
+    let (again, _) = IngestPipeline::recover(PipelineConfig::new(N_ROUTERS), dir.path()).unwrap();
+    assert_eq!(again.events(), events.len() as u64);
+    assert_eq!(again.watermark(), Some(SimTime::MAX));
 }

@@ -6,7 +6,7 @@
 //! one black-box dump.
 
 use cpvr_collector::codec::{CodecVersion, RepairRecord, RepairStage};
-use cpvr_collector::collector::{Collector, CollectorConfig};
+use cpvr_collector::collector::{Collector, CollectorConfig, LeaseConfig};
 use cpvr_collector::wal::{wait_for, TempDir, WalConfig};
 use cpvr_collector::{dump_flight, SocketSink};
 use cpvr_core::provenance::{RootCause, RootCauseKind};
@@ -88,13 +88,21 @@ fn rec(id: u64, stage: RepairStage, at: u64, verdict: Option<u8>, proof: Vec<u8>
 
 /// A sampled event flight leaves one causally chained record at every
 /// hop: the sink mints the context into the v3 trailer, the reader
-/// records `decoded`, the merger records `journaled`, and the watermark
+/// records `decoded`, the session records `journaled`, and the watermark
 /// advance that folds it records `folded` — all under the same trace
 /// id, recoverable on demand over the wire via `DumpReq`.
 #[test]
 fn traced_flight_spans_sink_to_fold() {
+    for shards in [1, 2] {
+        traced_flight_spans_sink_to_fold_at(shards);
+    }
+}
+
+fn traced_flight_spans_sink_to_fold_at(shards: u32) {
     let dir = TempDir::new("flight-e2e").unwrap();
-    let cfg = CollectorConfig::new(1).with_wal(WalConfig::new(dir.path()));
+    let cfg = CollectorConfig::new(1)
+        .with_wal(WalConfig::new(dir.path()))
+        .with_shards(shards);
     let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
     let addr = handle.local_addr();
 
@@ -263,8 +271,16 @@ fn repair_trace_stitches_across_the_federation() {
 /// gate-anomaly marker chained to the repair's trace.
 #[test]
 fn diverged_gate_verdict_freezes_one_dump() {
+    for shards in [1, 2] {
+        diverged_gate_verdict_freezes_one_dump_at(shards);
+    }
+}
+
+fn diverged_gate_verdict_freezes_one_dump_at(shards: u32) {
     let dir = TempDir::new("flight-diverged").unwrap();
-    let cfg = CollectorConfig::new(1).with_wal(WalConfig::new(dir.path()));
+    let cfg = CollectorConfig::new(1)
+        .with_wal(WalConfig::new(dir.path()))
+        .with_shards(shards);
     let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
 
     let rid = 0xd1f_f00d;
@@ -310,5 +326,60 @@ fn diverged_gate_verdict_freezes_one_dump() {
         "dump must contain the gate anomaly on the repair's trace"
     );
 
+    handle.shutdown().expect("clean shutdown");
+}
+
+/// A withheld promise stalls the watermark while ingested events wait
+/// behind it: past `stall_after` the watchdog freezes exactly one
+/// `stall` dump however long the stall lasts, and re-arms once the
+/// watermark moves — at any shard count, since the session loop owns
+/// the watchdog.
+#[test]
+fn a_stalled_watermark_freezes_one_dump_and_rearms() {
+    let dir = TempDir::new("flight-stall").unwrap();
+    let cfg = CollectorConfig::new(2)
+        .with_wal(WalConfig::new(dir.path()))
+        .with_shards(2)
+        .with_lease(LeaseConfig {
+            sweep_interval: Duration::from_millis(10),
+            stall_after: Duration::from_millis(100),
+            ..LeaseConfig::disabled()
+        });
+    let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
+    let addr = handle.local_addr();
+    let stall_dumps = || {
+        std::fs::read_dir(dir.path())
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().starts_with("flight-stall-"))
+            .count()
+    };
+
+    let mut talker = SocketSink::connect(addr, RouterId(0), 2).expect("connect");
+    let mut silent = SocketSink::connect(addr, RouterId(1), 2).expect("connect");
+    talker.send(&sample_event(0, 1)).expect("send");
+    talker.watermark(SimTime::from_millis(1)).expect("promise");
+    // Router 1 withholds its promise: the event waits behind the gate.
+    assert!(
+        wait_for(Duration::from_secs(10), || stall_dumps() == 1),
+        "the stall never froze a dump"
+    );
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(stall_dumps(), 1, "one dump per stall episode, not per tick");
+
+    // The promise arrives, the watermark moves, the watchdog re-arms...
+    silent.watermark(SimTime::from_millis(1)).expect("promise");
+    assert!(wait_for(Duration::from_secs(10), || {
+        handle.stats().watermark == Some(SimTime::from_millis(1))
+    }));
+    // ...so a second stall is a second episode.
+    talker.send(&sample_event(1, 2)).expect("send");
+    talker.watermark(SimTime::from_millis(2)).expect("promise");
+    assert!(
+        wait_for(Duration::from_secs(10), || stall_dumps() == 2),
+        "the re-armed watchdog never fired"
+    );
+
+    drop((talker, silent));
     handle.shutdown().expect("clean shutdown");
 }

@@ -3,47 +3,17 @@
 //! watermarks — and require the resulting verification state to be
 //! bit-identical to an in-process run over the same events.
 
+mod common;
+
+use common::{dataplane_fingerprint, sample_events, N_ROUTERS};
 use cpvr_collector::client::{scrape, scrape_snapshot, SocketSink};
 use cpvr_collector::collector::{Collector, CollectorConfig};
 use cpvr_collector::pipeline::{IngestPipeline, PipelineConfig};
 use cpvr_collector::wal::wait_for;
-use cpvr_dataplane::{DataPlane, FibEntry};
 use cpvr_obs::ExpoFormat;
-use cpvr_sim::scenario::paper_scenario;
-use cpvr_sim::{CaptureProfile, IoEvent, LatencyProfile};
-use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
+use cpvr_sim::IoEvent;
+use cpvr_types::{RouterId, SimTime};
 use std::time::Duration;
-
-const N_ROUTERS: u32 = 3;
-
-/// A comparable rendering of every FIB entry and capture time.
-type DpFingerprint = Vec<(u32, Vec<(Ipv4Prefix, FibEntry)>, SimTime)>;
-
-fn dataplane_fingerprint(dp: &DataPlane) -> DpFingerprint {
-    (0..dp.num_routers() as u32)
-        .map(|r| {
-            let r = RouterId(r);
-            (r.0, dp.fib(r).entries(), dp.taken_at(r))
-        })
-        .collect()
-}
-
-/// Runs the paper scenario to quiescence twice (announce, re-announce)
-/// and returns the full capture trace.
-fn sample_events(seed: u64) -> Vec<IoEvent> {
-    let mut s = paper_scenario(LatencyProfile::fast(), CaptureProfile::ideal(), seed);
-    s.sim.start();
-    s.sim.run_to_quiescence(100_000);
-    s.sim
-        .schedule_ext_announce(s.sim.now() + SimTime::from_millis(5), s.ext_r1, &[s.prefix]);
-    s.sim.schedule_ext_announce(
-        s.sim.now() + SimTime::from_millis(400),
-        s.ext_r2,
-        &[s.prefix],
-    );
-    s.sim.run_to_quiescence(100_000);
-    s.sim.trace().events.clone()
-}
 
 #[test]
 fn concurrent_streams_match_in_process_pipeline() {

@@ -6,55 +6,19 @@
 //! a *mixed-format* journal) must replay to that same state after a
 //! crash.
 
+mod common;
+
+use common::{dataplane_fingerprint, events_for, sample_events, N_ROUTERS};
 use cpvr_collector::collector::{Collector, CollectorConfig, CollectorReport};
 use cpvr_collector::pipeline::{IngestPipeline, PipelineConfig};
 use cpvr_collector::wal::{wait_for, TempDir, WalConfig};
 use cpvr_collector::{CodecVersion, ReconnectPolicy, SocketSink};
-use cpvr_dataplane::{DataPlane, FibEntry};
-use cpvr_sim::scenario::paper_scenario;
-use cpvr_sim::{CaptureProfile, IoEvent, LatencyProfile};
-use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
+use cpvr_sim::IoEvent;
+use cpvr_types::{RouterId, SimTime};
 use std::path::Path;
 use std::time::Duration;
 
-const N_ROUTERS: u32 = 3;
 const SHARDS: u32 = 2;
-
-type DpFingerprint = Vec<(u32, Vec<(Ipv4Prefix, FibEntry)>, SimTime)>;
-
-fn dataplane_fingerprint(dp: &DataPlane) -> DpFingerprint {
-    (0..dp.num_routers() as u32)
-        .map(|r| {
-            let r = RouterId(r);
-            (r.0, dp.fib(r).entries(), dp.taken_at(r))
-        })
-        .collect()
-}
-
-fn sample_events(seed: u64) -> Vec<IoEvent> {
-    let mut s = paper_scenario(LatencyProfile::fast(), CaptureProfile::ideal(), seed);
-    s.sim.start();
-    s.sim.run_to_quiescence(100_000);
-    s.sim
-        .schedule_ext_announce(s.sim.now() + SimTime::from_millis(5), s.ext_r1, &[s.prefix]);
-    s.sim.schedule_ext_announce(
-        s.sim.now() + SimTime::from_millis(400),
-        s.ext_r2,
-        &[s.prefix],
-    );
-    s.sim.run_to_quiescence(100_000);
-    s.sim.trace().events.clone()
-}
-
-fn events_for(events: &[IoEvent], router: RouterId) -> Vec<IoEvent> {
-    let mut mine: Vec<IoEvent> = events
-        .iter()
-        .filter(|e| e.router == router)
-        .cloned()
-        .collect();
-    mine.sort_by_key(|e| (e.time, e.id));
-    mine
-}
 
 /// Streams the trace with one thread per router, `codec_of(r)` choosing
 /// each connection's event codec, into a collector with `SHARDS` shards

@@ -9,7 +9,7 @@ use cpvr_collector::codec::{decode_frame, Frame, RepairRecord, RepairStage};
 use cpvr_collector::collector::{Collector, CollectorConfig};
 use cpvr_collector::pipeline::{IngestPipeline, PipelineConfig};
 use cpvr_collector::wal::{self, wait_for, TempDir, Wal, WalConfig};
-use cpvr_collector::{FoldReport, RepairLedger};
+use cpvr_collector::RepairLedger;
 use cpvr_core::{
     gate_repair, infer_hbg, propose_repairs, propose_repairs_report, prove, root_causes,
     ConsistencyTracker, FederationPlan, InferConfig, RepairProof,
@@ -275,7 +275,7 @@ fn sharded_restart_recovers_the_same_ledger() {
             handle.journal_repair(r.clone()).expect("journal");
         }
         let report = handle.shutdown().expect("clean shutdown");
-        assert!(matches!(report.pipeline, FoldReport::Sharded(_)));
+        assert_eq!(report.pipeline.shards(), 4);
         report.pipeline.repairs().clone()
     };
     assert_eq!(reference.records(), records.len() as u64);
@@ -356,10 +356,8 @@ fn federated_peers_revalidate_the_gated_proof() {
 
     for peer in [1u32, 2] {
         let rep = fed.stop_member(peer).expect("stop peer");
-        let fold = match rep.fold.expect("fold") {
-            FoldReport::Member(f) => *f,
-            _ => panic!("peer {peer} reported a non-member fold"),
-        };
+        let fold = rep.fold.expect("fold");
+        let fold = fold.member().expect("a peer reports a member fold");
         assert_eq!(
             fold.peer_repairs().len(),
             1,

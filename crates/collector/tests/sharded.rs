@@ -1,65 +1,46 @@
-//! Sharded-fold equivalence and durability tests.
+//! Fold-shard equivalence and durability tests.
 //!
-//! The single-merger fold (`--shards 1`) is the byte-for-byte oracle:
-//! every shard count must reproduce its events, HBG edge multiset,
-//! snapshot verdicts, wait accounting, and assembled data plane on the
-//! same trace. The WAL side gets the same treatment: an N-series log
-//! must replay to the same state whether recovered with 1 thread or N,
-//! and the group-commit protocol must keep "acked ⇒ durable" honest
-//! even when the sync thread dies mid-run.
+//! The in-process [`IngestPipeline`] is the oracle: every shard count —
+//! one included, it runs the same engine — must reproduce its events,
+//! HBG edge multiset, snapshot verdicts, wait accounting, and assembled
+//! data plane on the same trace. The WAL side gets the same treatment:
+//! an N-series log must replay to the same state whether recovered with
+//! 1 thread or N, and the group-commit protocol must keep "acked ⇒
+//! durable" honest even when the sync thread dies mid-run.
 
+mod common;
+
+use common::{
+    assert_same_fold, dataplane_fingerprint, events_for, reference_pipeline, sample_events,
+    sample_events_with, N_ROUTERS,
+};
 use cpvr_collector::collector::{Collector, CollectorConfig, CollectorHandle, CollectorReport};
 use cpvr_collector::pipeline::{IngestPipeline, PipelineConfig};
 use cpvr_collector::wal::{wait_for, FsyncPolicy, TempDir, WalConfig};
 use cpvr_collector::SocketSink;
-use cpvr_dataplane::{DataPlane, FibEntry};
-use cpvr_sim::scenario::paper_scenario;
-use cpvr_sim::{CaptureProfile, IoEvent, LatencyProfile};
-use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
+use cpvr_sim::{CaptureProfile, IoEvent};
+use cpvr_types::{RouterId, SimTime};
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-const N_ROUTERS: u32 = 3;
-
-type DpFingerprint = Vec<(u32, Vec<(Ipv4Prefix, FibEntry)>, SimTime)>;
-
-fn dataplane_fingerprint(dp: &DataPlane) -> DpFingerprint {
-    (0..dp.num_routers() as u32)
-        .map(|r| {
-            let r = RouterId(r);
-            (r.0, dp.fib(r).entries(), dp.taken_at(r))
-        })
-        .collect()
-}
-
-fn sample_events(seed: u64) -> Vec<IoEvent> {
-    sample_events_with(CaptureProfile::ideal(), seed)
-}
-
-fn sample_events_with(capture: CaptureProfile, seed: u64) -> Vec<IoEvent> {
-    let mut s = paper_scenario(LatencyProfile::fast(), capture, seed);
-    s.sim.start();
-    s.sim.run_to_quiescence(100_000);
-    s.sim
-        .schedule_ext_announce(s.sim.now() + SimTime::from_millis(5), s.ext_r1, &[s.prefix]);
-    s.sim.schedule_ext_announce(
-        s.sim.now() + SimTime::from_millis(400),
-        s.ext_r2,
-        &[s.prefix],
-    );
-    s.sim.run_to_quiescence(100_000);
-    s.sim.trace().events.clone()
-}
-
-/// `events` for one router, in the deterministic wire order.
-fn events_for(events: &[IoEvent], router: RouterId) -> Vec<IoEvent> {
-    let mut mine: Vec<IoEvent> = events
+/// The horizon grid `run_phased` steps through: fine, and reaching past
+/// the last capture *arrival* — WaitFor verdicts live in arrival-time
+/// windows (a recv exported quickly while its send is still in capture
+/// transit), so coarse event-time steps would only ever see Consistent.
+fn phased_grid(events: &[IoEvent]) -> Vec<SimTime> {
+    let end = events
         .iter()
-        .filter(|e| e.router == router)
-        .cloned()
-        .collect();
-    mine.sort_by_key(|e| (e.time, e.id));
-    mine
+        .map(|e| e.arrived_at.unwrap_or(e.time))
+        .max()
+        .unwrap();
+    let step = SimTime::from_millis(2);
+    let mut grid = Vec::new();
+    let mut t = SimTime::ZERO;
+    while t < end + step {
+        t += step;
+        grid.push(t);
+    }
+    grid
 }
 
 /// Streams the whole trace in *phases*: every connection sends and
@@ -85,19 +66,7 @@ fn run_phased(events: &[IoEvent], shards: u32) -> CollectorReport {
             sink.source().0
         );
     }
-    // A fine horizon grid reaching past the last capture *arrival*:
-    // WaitFor verdicts live in arrival-time windows (a recv exported
-    // quickly while its send is still in capture transit), so coarse
-    // event-time steps would only ever see Consistent.
-    let end = events
-        .iter()
-        .map(|e| e.arrived_at.unwrap_or(e.time))
-        .max()
-        .unwrap();
-    let step = SimTime::from_millis(2);
-    let mut t = SimTime::ZERO;
-    while t < end + step {
-        t += step;
+    for t in phased_grid(events) {
         for sink in &mut sinks {
             sink.watermark(t).expect("watermark");
         }
@@ -165,68 +134,35 @@ fn stream_trace(handle: &CollectorHandle, events: &[IoEvent]) {
     );
 }
 
-/// The identity that makes `--shards N` safe to deploy: on the same
-/// trace, every shard count produces the single-merger state — down to
-/// the §4.3 wait counters, which only compare under a deterministic
-/// barrier schedule (hence the phased streaming).
+/// The identity that makes any `--shards N` safe to deploy: on the same
+/// trace, every shard count produces the in-process pipeline's state —
+/// down to the §4.3 wait counters, which only compare under a
+/// deterministic barrier schedule (hence the phased streaming).
 #[test]
-fn sharded_fold_is_equivalent_across_shard_counts() {
+fn every_shard_count_folds_to_the_in_process_reference() {
     // Syslog-skewed capture: records reach the verifier tens of
     // milliseconds after their event times, so intermediate horizons
     // genuinely cut conversations open and the tracker issues WaitFor.
     let events = sample_events_with(CaptureProfile::syslog(), 17);
     assert!(events.len() > 100, "scenario should produce a real trace");
-    let base = run_phased(&events, 1);
-    assert_eq!(base.pipeline.shards(), 1);
+    let mut grid = phased_grid(&events);
+    grid.push(SimTime::MAX);
+    let reference = reference_pipeline(&events, &grid);
     assert!(
-        base.pipeline.wait_stats().0 > 0,
+        reference.tracker().wait_stats().0 > 0,
         "the stepped schedule should issue real WaitFor verdicts, \
          otherwise the wait-accounting comparison below is vacuous"
     );
-    for shards in [2u32, 4] {
+    for shards in [1u32, 2, 4] {
         let got = run_phased(&events, shards);
         assert_eq!(got.pipeline.shards(), shards);
-        assert_eq!(got.stats.events, base.stats.events, "shards={shards}");
-        assert_eq!(
-            got.pipeline.events(),
-            base.pipeline.events(),
-            "shards={shards}"
-        );
-        assert_eq!(
-            got.pipeline.processed(),
-            base.pipeline.processed(),
-            "shards={shards}: folded event count"
-        );
+        assert_eq!(got.stats.events, reference.events(), "shards={shards}");
         assert_eq!(got.pipeline.pending(), 0, "shards={shards}");
-        assert_eq!(
-            got.pipeline.canonical_edges(),
-            base.pipeline.canonical_edges(),
-            "shards={shards}: HBG must be bit-identical"
-        );
-        assert_eq!(
-            got.pipeline.edge_counts(),
-            base.pipeline.edge_counts(),
-            "shards={shards}: per-rule edge counts"
-        );
-        assert_eq!(
-            got.pipeline.status(),
-            base.pipeline.status(),
-            "shards={shards}: snapshot verdict"
-        );
+        assert_same_fold(&got.pipeline, &reference, &format!("shards={shards}"));
         assert_eq!(
             got.pipeline.wait_stats(),
-            base.pipeline.wait_stats(),
+            reference.tracker().wait_stats(),
             "shards={shards}: wait accounting must survive sharding"
-        );
-        assert_eq!(
-            got.pipeline.watermark(),
-            base.pipeline.watermark(),
-            "shards={shards}"
-        );
-        assert_eq!(
-            dataplane_fingerprint(got.pipeline.dataplane()),
-            dataplane_fingerprint(base.pipeline.dataplane()),
-            "shards={shards}: assembled data plane"
         );
     }
 }
@@ -285,12 +221,18 @@ fn parallel_wal_recovery_matches_serial_replay() {
 /// as a shutdown error, never be swallowed.
 #[test]
 fn events_acked_before_group_commit_crash_are_durable() {
+    for shards in [1, 2] {
+        acked_before_group_commit_crash_are_durable(shards);
+    }
+}
+
+fn acked_before_group_commit_crash_are_durable(shards: u32) {
     let events = sample_events(23);
     let dir = TempDir::new("gc-crash").unwrap();
     let mut wal_cfg = WalConfig::new(dir.path());
     wal_cfg.fsync = FsyncPolicy::Always;
     let cfg = CollectorConfig::new(N_ROUTERS)
-        .with_shards(2)
+        .with_shards(shards)
         .with_wal(wal_cfg);
     let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
     let addr = handle.local_addr();
@@ -313,12 +255,11 @@ fn events_acked_before_group_commit_crash_are_durable() {
     assert!(!acked_before_crash.is_empty());
 
     // Kill the sync thread exactly as an I/O fault would. The fold
-    // keeps running degraded (like the legacy merger under a WAL
-    // error): later events still fold and ack, but durability is gone
-    // and shutdown has to say so.
+    // keeps running degraded: later events still fold and ack, but
+    // durability is gone and shutdown has to say so.
     handle
         .group_commit()
-        .expect("sharded WAL => group-commit handle")
+        .expect("WAL => group-commit handle")
         .crash();
 
     for sink in &mut sinks {
@@ -349,7 +290,8 @@ fn events_acked_before_group_commit_crash_are_durable() {
 
     // Everything acked before the crash is in the log.
     let (_, report, replayed) =
-        IngestPipeline::recover_parts(PipelineConfig::new(N_ROUTERS), dir.path(), 2).unwrap();
+        IngestPipeline::recover_parts(PipelineConfig::new(N_ROUTERS), dir.path(), shards as usize)
+            .unwrap();
     let on_disk: BTreeSet<(u32, u32)> = replayed.iter().map(|e| (e.router.0, e.id.0)).collect();
     for key in &acked_before_crash {
         assert!(
@@ -358,6 +300,42 @@ fn events_acked_before_group_commit_crash_are_durable() {
         );
     }
     assert!(report.events_replayed >= acked_before_crash.len());
+}
+
+/// Under `FsyncPolicy::Always` an ack means *fsynced*, at every shard
+/// count: each acked batch must have been preceded by a sync of its own
+/// (the worker waits on a group-commit ticket before writing the ack).
+#[test]
+fn an_ack_under_always_follows_an_fsync() {
+    for shards in [1u32, 2] {
+        let events = sample_events(31);
+        let dir = TempDir::new("always-fsync").unwrap();
+        let mut wal_cfg = WalConfig::new(dir.path());
+        wal_cfg.fsync = FsyncPolicy::Always;
+        let cfg = CollectorConfig::new(N_ROUTERS)
+            .with_shards(shards)
+            .with_wal(wal_cfg);
+        let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
+        let syncs = || {
+            let m = handle.metrics().expect("metrics on by default");
+            m.snapshot().counter_total("cpvr_wal_syncs_total")
+        };
+        let router = RouterId(0);
+        let mut sink =
+            SocketSink::connect(handle.local_addr(), router, N_ROUTERS).expect("connect");
+        for e in events_for(&events, router).iter().take(8) {
+            let before = syncs();
+            sink.send(e).expect("send");
+            assert!(sink.drain(Duration::from_secs(30)).expect("drain"));
+            assert!(
+                syncs() > before,
+                "shards={shards}: event {:?} was acked without an fsync",
+                e.id
+            );
+        }
+        drop(sink);
+        handle.shutdown().expect("clean shutdown");
+    }
 }
 
 /// `EveryN` group commit across per-shard segment rotation: tiny

@@ -18,11 +18,10 @@
 //!   the crash-recovery path: the member replays its journal,
 //!   regenerates its outbound peer traffic under a new session, and the
 //!   surviving peers deduplicate the replayed stream.
-//! * [`Federation::shutdown`] collects every member's
-//!   [`MemberFold`](cpvr_collector::MemberFold) and merges them with
-//!   [`merge_members`] into one global [`FoldReport`] — erroring if the
-//!   members disagree on the global verdict, which the federated round
-//!   protocol guarantees they cannot.
+//! * [`Federation::shutdown`] collects every member's [`FoldReport`]
+//!   and merges them with [`merge_members`] into one global report —
+//!   erroring if the members disagree on the global verdict, which the
+//!   federated round protocol guarantees they cannot.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +29,7 @@
 use cpvr_collector::collector::{Collector, CollectorConfig, CollectorHandle, CollectorStats};
 use cpvr_collector::pipeline::RecoveryReport;
 use cpvr_collector::wal::WalConfig;
-use cpvr_collector::{merge_members, CollectorRole, FederationConfig, FoldReport, MemberFold};
+use cpvr_collector::{merge_members, CollectorRole, FederationConfig, FoldReport};
 use cpvr_core::FederationPlan;
 use cpvr_obs::Snapshot;
 use cpvr_types::RouterId;
@@ -233,21 +232,14 @@ impl Federation {
     /// report. Every member must be running; the merge errors if the
     /// members disagree on verdict, wait stats, or watermark.
     pub fn shutdown(self) -> io::Result<FederationReport> {
-        let mut folds: Vec<MemberFold> = Vec::with_capacity(self.handles.len());
+        let mut folds: Vec<FoldReport> = Vec::with_capacity(self.handles.len());
         let mut members = Vec::with_capacity(self.handles.len());
         for (i, slot) in self.handles.into_iter().enumerate() {
             let handle = slot.ok_or_else(|| {
                 io::Error::other(format!("member {i} is stopped; restart it before shutdown"))
             })?;
             let report = handle.shutdown()?;
-            match report.pipeline {
-                FoldReport::Member(m) => folds.push(*m),
-                _ => {
-                    return Err(io::Error::other(format!(
-                        "member {i} did not report a federation fold"
-                    )))
-                }
-            }
+            folds.push(report.pipeline);
             members.push(MemberReport {
                 stats: report.stats,
                 role: report.role,

@@ -13,7 +13,7 @@
 use cpvr_collector::collector::{Collector, CollectorConfig, CollectorReport};
 use cpvr_collector::fault::{ChaosProxy, FaultPlan};
 use cpvr_collector::wal::{wait_for, TempDir, WalConfig};
-use cpvr_collector::{CollectorRole, FederationConfig, FoldReport, SocketSink};
+use cpvr_collector::{CollectorRole, FederationConfig, SocketSink};
 use cpvr_core::FederationPlan;
 use cpvr_dataplane::{DataPlane, FibEntry};
 use cpvr_federation::{Federation, FederationReport};
@@ -244,7 +244,7 @@ fn federated_fold_matches_single_collector() {
     }
     finish(&fed, sinks);
     let report = fed.shutdown().expect("merge");
-    assert!(matches!(report.global, FoldReport::Sharded(_)));
+    assert_eq!(report.global.shards(), 3, "one fold shard per member");
     assert_equivalent(&report, &single, "live");
 }
 
