@@ -8,6 +8,7 @@ use cpvr_core::snapshot::{consistency_check, naive_verify_at, verify_when_consis
 use cpvr_core::{ControlLoop, Hbg};
 use cpvr_dataplane::TraceOutcome;
 use cpvr_sim::scenario::{paper_scenario, PaperScenario};
+use cpvr_sim::workload::IbgpShape;
 use cpvr_sim::{CaptureProfile, IoKind, LatencyProfile, Simulation, Trace};
 use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
 use cpvr_verify::ec::behavior_classes;
@@ -835,6 +836,57 @@ pub fn sim_scaling(n_prefixes: usize, seed: u64) -> SimScaleRow {
         events: sim.trace().len(),
         converge_s,
         fault_rollback_s: t0.elapsed().as_secs_f64(),
+    }
+}
+
+/// One row of the router-count axis of the simulator-scale table.
+pub struct RouterScaleRow {
+    /// Routers in the network.
+    pub routers: usize,
+    /// Events captured by the churn (after IGP and session start-up).
+    pub events: usize,
+    /// Wall-clock nanoseconds of the churn per captured event.
+    pub ns_per_event: f64,
+    /// Heap allocations of the churn per captured event.
+    pub allocs_per_event: f64,
+}
+
+/// Runs A16: a random connected `routers`-router network with three
+/// uplinks and the iBGP sessions of `shape` converges, then `items`
+/// external announce/withdraw churn items run over 128 prefixes under
+/// syslog capture — the ledger's `bgp-merger` generator with the session
+/// count as the axis. `allocations` reads the caller's allocation counter
+/// (the counting allocator has to be the binary's global one).
+pub fn router_scaling(
+    routers: usize,
+    shape: IbgpShape,
+    items: usize,
+    seed: u64,
+    allocations: fn() -> u64,
+) -> RouterScaleRow {
+    use cpvr_sim::workload::{ibgp_configs, prefix_block, random_topology, schedule_churn};
+    let (topo, uplinks) = random_topology(routers, routers * 2 / 3, 3, 7);
+    let configs = ibgp_configs(&topo, &uplinks, shape);
+    let mut sim = Simulation::new(
+        topo,
+        configs,
+        LatencyProfile::cisco(),
+        CaptureProfile::syslog(),
+        seed,
+    );
+    sim.start();
+    sim.run_to_quiescence(usize::MAX);
+    let before = sim.trace().len();
+    let (t0, a0) = (std::time::Instant::now(), allocations());
+    schedule_churn(&mut sim, &uplinks, &prefix_block(128), items, seed);
+    sim.run_to_quiescence(usize::MAX);
+    let (elapsed, allocs) = (t0.elapsed(), allocations() - a0);
+    let events = sim.trace().len() - before;
+    RouterScaleRow {
+        routers,
+        events,
+        ns_per_event: elapsed.as_nanos() as f64 / events as f64,
+        allocs_per_event: allocs as f64 / events as f64,
     }
 }
 

@@ -10,6 +10,7 @@
 
 use crate::route::{BgpRoute, PeerRef};
 use cpvr_types::RouterId;
+use std::sync::Arc;
 
 /// Which vendor's decision process to emulate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -30,8 +31,9 @@ pub enum VendorProfile {
 /// One candidate path for a prefix, as seen by the decision process.
 #[derive(Clone, Debug)]
 pub struct Candidate {
-    /// The route, after import policy.
-    pub route: BgpRoute,
+    /// The route, after import policy — shared with the Adj-RIB-In when
+    /// the policy left it as received.
+    pub route: Arc<BgpRoute>,
     /// Which peer it was learned from.
     pub from: PeerRef,
     /// Cisco weight assigned by session config (0 otherwise).
@@ -70,52 +72,88 @@ impl Candidate {
 /// 9. lowest originator router id
 /// 10. lowest peer reference (final deterministic tie-break)
 pub fn best_path(vendor: VendorProfile, cands: &[Candidate]) -> Option<usize> {
-    let mut alive: Vec<usize> = (0..cands.len())
-        .filter(|&i| cands[i].igp_metric.is_some())
-        .collect();
-    if alive.is_empty() {
-        return None;
-    }
-
-    // Generic "keep the maximum by key" reducer.
-    fn keep_max_by<K: Ord>(alive: &mut Vec<usize>, key: impl Fn(usize) -> K) {
-        let best = alive.iter().map(|&i| key(i)).max().unwrap();
-        alive.retain(|&i| key(i) == best);
+    // The survivors so far, as indices into `cands` in input order. Held
+    // on the stack for any realistic path count; the heap only beyond.
+    const INLINE: usize = 32;
+    let (mut inline, mut spilled) = ([0usize; INLINE], Vec::new());
+    let slots: &mut [usize] = if cands.len() <= INLINE {
+        &mut inline
+    } else {
+        spilled.resize(cands.len(), 0);
+        &mut spilled
+    };
+    let mut alive = Survivors { slots, len: 0 };
+    for i in (0..cands.len()).filter(|&i| cands[i].igp_metric.is_some()) {
+        alive.slots[alive.len] = i;
+        alive.len += 1;
     }
 
     if vendor == VendorProfile::Cisco {
-        keep_max_by(&mut alive, |i| cands[i].weight);
+        alive.keep_max_by(|i| cands[i].weight);
     }
-    keep_max_by(&mut alive, |i| cands[i].route.local_pref);
-    keep_max_by(&mut alive, |i| {
-        std::cmp::Reverse(cands[i].route.as_path.len())
-    });
-    keep_max_by(&mut alive, |i| std::cmp::Reverse(cands[i].route.origin));
+    alive.keep_max_by(|i| cands[i].route.local_pref);
+    alive.keep_max_by(|i| std::cmp::Reverse(cands[i].route.as_path.len()));
+    alive.keep_max_by(|i| std::cmp::Reverse(cands[i].route.origin));
 
     // MED: eliminate any candidate beaten by another from the same
-    // neighboring AS with a lower MED.
-    let meds: Vec<usize> = alive.clone();
-    alive.retain(|&i| {
-        !meds.iter().any(|&j| {
-            j != i
-                && cands[j].route.neighbor_as() == cands[i].route.neighbor_as()
+    // neighboring AS with a lower MED. Judging each against those kept so
+    // far and those not yet judged is judging it against them all: one
+    // that beats another is itself beaten only by a still lower MED from
+    // the same AS, and the lowest are never removed.
+    alive.retain(|i, kept, unjudged| {
+        !kept.iter().chain(unjudged).any(|&j| {
+            cands[j].route.neighbor_as() == cands[i].route.neighbor_as()
                 && cands[j].route.med < cands[i].route.med
         })
     });
 
-    keep_max_by(&mut alive, |i| cands[i].is_ebgp());
-    keep_max_by(&mut alive, |i| {
-        std::cmp::Reverse(cands[i].igp_metric.unwrap())
-    });
+    alive.keep_max_by(|i| cands[i].is_ebgp());
+    alive.keep_max_by(|i| std::cmp::Reverse(cands[i].igp_metric));
 
-    if vendor == VendorProfile::Cisco && alive.iter().all(|&i| cands[i].is_ebgp()) {
-        keep_max_by(&mut alive, |i| std::cmp::Reverse(cands[i].seq));
+    if vendor == VendorProfile::Cisco && alive.iter().all(|i| cands[i].is_ebgp()) {
+        alive.keep_max_by(|i| std::cmp::Reverse(cands[i].seq));
     }
 
-    keep_max_by(&mut alive, |i| std::cmp::Reverse(cands[i].route.originator));
-    keep_max_by(&mut alive, |i| std::cmp::Reverse(cands[i].from));
+    alive.keep_max_by(|i| std::cmp::Reverse(cands[i].route.originator));
+    alive.keep_max_by(|i| std::cmp::Reverse(cands[i].from));
 
-    alive.first().copied()
+    alive.slots[..alive.len].first().copied()
+}
+
+/// The candidates still in the running: `slots[..len]`, in input order.
+struct Survivors<'a> {
+    slots: &'a mut [usize],
+    len: usize,
+}
+
+impl Survivors<'_> {
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots[..self.len].iter().copied()
+    }
+
+    /// Filters in place. `keep` sees the survivor, those kept before it
+    /// and those after it.
+    fn retain(&mut self, keep: impl Fn(usize, &[usize], &[usize]) -> bool) {
+        let mut kept = 0;
+        for at in 0..self.len {
+            let i = self.slots[at];
+            if keep(i, &self.slots[..kept], &self.slots[at + 1..self.len]) {
+                self.slots[kept] = i;
+                kept += 1;
+            }
+        }
+        self.len = kept;
+    }
+
+    /// Keeps the survivors whose `key` is the maximum. One survivor (or
+    /// none) is already decided: no step can remove it.
+    fn keep_max_by<K: Ord>(&mut self, key: impl Fn(usize) -> K) {
+        if self.len < 2 {
+            return;
+        }
+        let best = self.iter().map(&key).max().expect("two or more survivors");
+        self.retain(|i, _, _| key(i) == best);
+    }
 }
 
 /// Convenience: the best candidate itself.
@@ -175,7 +213,7 @@ mod tests {
 
     fn cand(route: BgpRoute, from: PeerRef) -> Candidate {
         Candidate {
-            route,
+            route: Arc::new(route),
             from,
             weight: 0,
             seq: 0,
@@ -195,26 +233,26 @@ mod tests {
     #[test]
     fn local_pref_dominates() {
         let mut a = cand(base_route(), internal(1));
-        a.route.local_pref = 20;
+        Arc::make_mut(&mut a.route).local_pref = 20;
         let mut b = cand(base_route(), internal(2));
-        b.route.local_pref = 30;
-        b.route.as_path = vec![AsNum(1), AsNum(2), AsNum(3)]; // longer, but LP wins
+        Arc::make_mut(&mut b.route).local_pref = 30;
+        Arc::make_mut(&mut b.route).as_path = vec![AsNum(1), AsNum(2), AsNum(3)]; // longer, but LP wins
         assert_eq!(best_path(VendorProfile::Standard, &[a, b]), Some(1));
     }
 
     #[test]
     fn as_path_length_breaks_lp_tie() {
         let mut a = cand(base_route(), internal(1));
-        a.route.as_path = vec![AsNum(1), AsNum(2)];
+        Arc::make_mut(&mut a.route).as_path = vec![AsNum(1), AsNum(2)];
         let mut b = cand(base_route(), internal(2));
-        b.route.as_path = vec![AsNum(3)];
+        Arc::make_mut(&mut b.route).as_path = vec![AsNum(3)];
         assert_eq!(best_path(VendorProfile::Standard, &[a, b]), Some(1));
     }
 
     #[test]
     fn origin_breaks_path_tie() {
         let mut a = cand(base_route(), internal(1));
-        a.route.origin = Origin::Incomplete;
+        Arc::make_mut(&mut a.route).origin = Origin::Incomplete;
         let b = cand(base_route(), internal(2));
         assert_eq!(best_path(VendorProfile::Standard, &[a, b]), Some(1));
     }
@@ -223,18 +261,18 @@ mod tests {
     fn med_compared_within_same_neighbor_as_only() {
         // Same neighbor AS: lower MED wins.
         let mut a = cand(base_route(), internal(1));
-        a.route.med = 50;
+        Arc::make_mut(&mut a.route).med = 50;
         let mut b = cand(base_route(), internal(2));
-        b.route.med = 10;
+        Arc::make_mut(&mut b.route).med = 10;
         assert_eq!(
             best_path(VendorProfile::Standard, &[a.clone(), b.clone()]),
             Some(1)
         );
         // Different neighbor AS: MED ignored; falls to later tie-breaks
         // (lower originator wins).
-        a.route.as_path = vec![AsNum(300)];
-        a.route.originator = RouterId(0);
-        b.route.originator = RouterId(1);
+        Arc::make_mut(&mut a.route).as_path = vec![AsNum(300)];
+        Arc::make_mut(&mut a.route).originator = RouterId(0);
+        Arc::make_mut(&mut b.route).originator = RouterId(1);
         assert_eq!(best_path(VendorProfile::Standard, &[a, b]), Some(0));
     }
 
@@ -267,10 +305,10 @@ mod tests {
     fn cisco_weight_wins_over_everything() {
         let mut a = cand(base_route(), external(0));
         a.weight = 100;
-        a.route.local_pref = 10;
-        a.route.as_path = vec![AsNum(1); 5];
+        Arc::make_mut(&mut a.route).local_pref = 10;
+        Arc::make_mut(&mut a.route).as_path = vec![AsNum(1); 5];
         let mut b = cand(base_route(), external(1));
-        b.route.local_pref = 200;
+        Arc::make_mut(&mut b.route).local_pref = 200;
         // Cisco: weight decides.
         assert_eq!(
             best_path(VendorProfile::Cisco, &[a.clone(), b.clone()]),
@@ -286,10 +324,10 @@ mod tests {
         // originator id; b arrived first (seq 1) with higher id.
         let mut a = cand(base_route(), external(0));
         a.seq = 5;
-        a.route.originator = RouterId(0);
+        Arc::make_mut(&mut a.route).originator = RouterId(0);
         let mut b = cand(base_route(), external(1));
         b.seq = 1;
-        b.route.originator = RouterId(1);
+        Arc::make_mut(&mut b.route).originator = RouterId(1);
         // This is the paper's vendor-divergence scenario: same inputs,
         // different vendor, different selected route.
         assert_eq!(
@@ -307,10 +345,10 @@ mod tests {
     fn cisco_oldest_rule_skipped_when_ibgp_present() {
         let mut a = cand(base_route(), internal(1));
         a.seq = 5;
-        a.route.originator = RouterId(0);
+        Arc::make_mut(&mut a.route).originator = RouterId(0);
         let mut b = cand(base_route(), internal(2));
         b.seq = 1;
-        b.route.originator = RouterId(1);
+        Arc::make_mut(&mut b.route).originator = RouterId(1);
         // Both iBGP → oldest rule does not apply even on Cisco.
         assert_eq!(best_path(VendorProfile::Cisco, &[a, b]), Some(0));
     }
@@ -330,12 +368,12 @@ mod tests {
     #[test]
     fn multipath_returns_equal_best_set() {
         let mut a = cand(base_route(), external(0));
-        a.route.originator = RouterId(0);
+        Arc::make_mut(&mut a.route).originator = RouterId(0);
         let mut b = cand(base_route(), external(1));
-        b.route.originator = RouterId(1);
+        Arc::make_mut(&mut b.route).originator = RouterId(1);
         let mut c = cand(base_route(), external(2));
-        c.route.local_pref = 10; // worse
-        c.route.originator = RouterId(2);
+        Arc::make_mut(&mut c.route).local_pref = 10; // worse
+        Arc::make_mut(&mut c.route).originator = RouterId(2);
         let mp = best_paths_multipath(VendorProfile::Standard, &[a, b, c]);
         assert_eq!(mp, vec![0, 1]);
     }

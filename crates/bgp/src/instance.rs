@@ -21,14 +21,16 @@
 //!   advertised to iBGP peers, keyed by originator — the determinism
 //!   mechanism the paper's §8 calls out.
 
-use crate::config::{BgpConfig, ConfigChange};
+use crate::config::{BgpConfig, ConfigChange, SessionCfg};
 use crate::decision::{best_path, Candidate};
 use crate::rib::{PrefixRib, Rib, Selected};
 use crate::route::{BgpRoute, BgpUpdate, NextHop, PeerRef, DEFAULT_LOCAL_PREF};
 use cpvr_dataplane::FibAction;
 use cpvr_topo::LinkId;
 use cpvr_types::{Ipv4Prefix, RouterId};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// What BGP needs to know from the IGP: distance and first hop to other
 /// routers in the domain (for next-hop resolution and the IGP-metric
@@ -63,7 +65,7 @@ pub struct RibChange {
     /// The affected prefix.
     pub prefix: Ipv4Prefix,
     /// The new best route, or `None` if the prefix lost its route.
-    pub route: Option<BgpRoute>,
+    pub route: Option<Arc<BgpRoute>>,
 }
 
 /// A FIB delta requested by BGP.
@@ -99,14 +101,80 @@ impl BgpOutputs {
 pub struct BgpInstance {
     cfg: BgpConfig,
     rib: Rib,
+    sessions: SessionIndex,
+    scratch: Scratch,
+}
+
+/// `cfg.sessions` by peer. The configuration keeps its sessions in the
+/// order they were entered (messages are assembled in that order); the
+/// decision process looks sessions up by peer — per update, per path, per
+/// prefix — and walks them next to the peer-ordered Adj-RIB-Out, so it
+/// goes through this. Rebuilt whenever a session is added or removed.
+#[derive(Clone, Debug)]
+struct SessionIndex {
+    /// Every session as `(peer, position in cfg.sessions)`, ascending.
+    by_peer: Vec<(PeerRef, u32)>,
+    /// The part of `by_peer` that also hears routes learned from
+    /// non-client iBGP peers: eBGP sessions and reflector clients. In a
+    /// full mesh that is a border router's uplinks and nobody else.
+    beyond_mesh: Vec<(PeerRef, u32)>,
+}
+
+impl SessionIndex {
+    fn of(cfg: &BgpConfig) -> Self {
+        let positions = 0..cfg.sessions.len() as u32;
+        let mut by_peer: Vec<_> = cfg.sessions.iter().map(|s| s.peer).zip(positions).collect();
+        by_peer.sort_unstable();
+        let beyond_mesh = by_peer.iter().copied().filter(|&(_, at)| {
+            let session = &cfg.sessions[at as usize];
+            session.ebgp || session.rr_client
+        });
+        SessionIndex {
+            beyond_mesh: beyond_mesh.collect(),
+            by_peer,
+        }
+    }
+
+    /// Where `peer`'s session sits in `cfg.sessions` (the first, as
+    /// [`BgpConfig::session`] has it, should a peer be configured twice).
+    fn position(&self, peer: PeerRef) -> Option<usize> {
+        let first = self.by_peer.partition_point(|(p, _)| *p < peer);
+        let (found, at) = self.by_peer.get(first)?;
+        (*found == peer).then_some(*at as usize)
+    }
+
+    fn get<'c>(&self, cfg: &'c BgpConfig, peer: PeerRef) -> Option<&'c SessionCfg> {
+        self.position(peer).map(|at| &cfg.sessions[at])
+    }
+}
+
+/// Buffers the decision process fills and empties on every pass, kept so
+/// that a pass allocates for what it emits, not for its bookkeeping. All
+/// are empty between passes.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    /// The prefixes a received update touched.
+    affected: Vec<Ipv4Prefix>,
+    /// The update under construction for each of `cfg.sessions`.
+    updates: Vec<BgpUpdate>,
+    /// The candidates of the prefix at hand.
+    cands: Vec<Candidate>,
+    /// The Add-Path set of the prefix at hand, once a session asked.
+    add_paths: Vec<Arc<BgpRoute>>,
+    /// The Adj-RIB-Out keys of the prefix at hand.
+    held: Vec<(PeerRef, RouterId)>,
+    /// The originators a peer is to keep for the prefix at hand.
+    kept: Vec<RouterId>,
 }
 
 impl BgpInstance {
     /// Creates a speaker with the given configuration.
     pub fn new(cfg: BgpConfig) -> Self {
         BgpInstance {
+            sessions: SessionIndex::of(&cfg),
             cfg,
             rib: Rib::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -124,7 +192,7 @@ impl BgpInstance {
     pub fn loc_rib(&self) -> BTreeMap<Ipv4Prefix, &BgpRoute> {
         let table = self.rib.table.iter();
         table
-            .filter_map(|(p, rec)| Some((*p, &rec.best.as_ref()?.route)))
+            .filter_map(|(p, rec)| Some((*p, &*rec.best.as_ref()?.route)))
             .collect()
     }
 
@@ -141,12 +209,12 @@ impl BgpInstance {
         update: BgpUpdate,
         igp: &dyn IgpView,
     ) -> BgpOutputs {
-        let Some(session) = self.cfg.session(from) else {
+        let Some(session) = self.sessions.get(&self.cfg, from) else {
             return BgpOutputs::default(); // no session: drop silently
         };
         let session_ebgp = session.ebgp;
         let add_path = self.cfg.add_path && !session_ebgp;
-        let mut affected: Vec<Ipv4Prefix> = Vec::new();
+        let mut affected = std::mem::take(&mut self.scratch.affected);
         // Withdrawals first (RFC ordering), then announcements.
         for (prefix, originator) in update.withdraw {
             if self.rib.withdraw(from, prefix, originator) > 0 {
@@ -166,9 +234,12 @@ impl BgpInstance {
             affected.push(route.prefix);
             self.rib.announce(from, route, add_path);
         }
-        affected.sort();
+        affected.sort_unstable();
         affected.dedup();
-        self.reevaluate(&affected, igp)
+        let out = self.reevaluate(&affected, igp);
+        affected.clear();
+        self.scratch.affected = affected;
+        out
     }
 
     /// Applies a configuration change, then performs *soft
@@ -178,6 +249,9 @@ impl BgpInstance {
     pub fn apply_config(&mut self, change: &ConfigChange, igp: &dyn IgpView) -> BgpOutputs {
         if !change.apply(&mut self.cfg) {
             return BgpOutputs::default();
+        }
+        if let ConfigChange::AddSession(_) | ConfigChange::RemoveSession(_) = change {
+            self.sessions = SessionIndex::of(&self.cfg);
         }
         // Session removal also flushes what was learned from the peer and
         // what was advertised to it: the peer discards the latter, so a
@@ -204,7 +278,7 @@ impl BgpInstance {
     /// Re-runs selection for `prefixes` (ascending) and emits all
     /// resulting deltas and messages.
     fn reevaluate(&mut self, prefixes: &[Ipv4Prefix], igp: &dyn IgpView) -> BgpOutputs {
-        let mut pass = Pass::new(&self.cfg, igp);
+        let mut pass = Pass::new(&self.cfg, &self.sessions, &mut self.scratch, igp);
         for prefix in prefixes {
             if let Some(rec) = self.rib.table.get_mut(prefix) {
                 pass.prefix(*prefix, rec);
@@ -219,7 +293,7 @@ impl BgpInstance {
     /// [`reevaluate`](Self::reevaluate) over every prefix held: one
     /// in-order walk of the table.
     fn reevaluate_all(&mut self, igp: &dyn IgpView) -> BgpOutputs {
-        let mut pass = Pass::new(&self.cfg, igp);
+        let mut pass = Pass::new(&self.cfg, &self.sessions, &mut self.scratch, igp);
         self.rib.table.retain(|prefix, rec| {
             pass.prefix(*prefix, rec);
             !rec.is_empty()
@@ -229,34 +303,42 @@ impl BgpInstance {
 }
 
 /// One run of the decision process over some prefixes: what it reads,
-/// and the outputs it accumulates.
+/// its working buffers, and the outputs it accumulates.
 struct Pass<'a> {
     cfg: &'a BgpConfig,
+    sessions: &'a SessionIndex,
     igp: &'a dyn IgpView,
+    scratch: &'a mut Scratch,
     out: BgpOutputs,
-    /// The update under construction for each of `cfg.sessions`.
-    updates: Vec<BgpUpdate>,
-    /// Scratch: the originators a peer is to keep for the prefix at hand.
-    kept: Vec<RouterId>,
 }
 
 impl<'a> Pass<'a> {
-    fn new(cfg: &'a BgpConfig, igp: &'a dyn IgpView) -> Self {
+    fn new(
+        cfg: &'a BgpConfig,
+        sessions: &'a SessionIndex,
+        scratch: &'a mut Scratch,
+        igp: &'a dyn IgpView,
+    ) -> Self {
+        let empty = BgpUpdate::default;
+        scratch.updates.resize_with(cfg.sessions.len(), empty);
         Pass {
             cfg,
+            sessions,
             igp,
+            scratch,
             out: BgpOutputs::default(),
-            updates: vec![BgpUpdate::default(); cfg.sessions.len()],
-            kept: Vec::new(),
         }
     }
 
     /// The outputs, with one message per peer that has something to hear.
     fn finish(mut self) -> BgpOutputs {
+        self.scratch.cands.clear();
+        self.scratch.add_paths.clear();
         let peers = self.cfg.sessions.iter().map(|s| s.peer);
         self.out.msgs = peers
-            .zip(self.updates)
+            .zip(&mut self.scratch.updates)
             .filter(|(_, u)| !u.is_empty())
+            .map(|(peer, u)| (peer, std::mem::take(u)))
             .collect();
         self.out.msgs.sort_by_key(|(peer, _)| *peer);
         self.out
@@ -265,14 +347,16 @@ impl<'a> Pass<'a> {
     /// Re-runs selection for one prefix: Loc-RIB delta, FIB delta,
     /// advertisements.
     fn prefix(&mut self, prefix: Ipv4Prefix, rec: &mut PrefixRib) {
-        let cands = self.candidates(rec);
-        let best = best_path(self.cfg.vendor, &cands).map(|i| &cands[i]);
+        self.candidates(rec);
+        let cands = &self.scratch.cands;
+        let best = best_path(self.cfg.vendor, cands).map(|i| &cands[i]);
+        // (`==` on shared routes is by identity first, by value second.)
         if rec.best.as_ref().map(|s| (s.from, &s.route)) != best.map(|c| (c.from, &c.route)) {
             rec.best = best.map(|c| Selected {
-                route: c.route.clone(),
+                route: Arc::clone(&c.route),
                 from: c.from,
             });
-            let route = rec.best.as_ref().map(|s| s.route.clone());
+            let route = best.map(|c| Arc::clone(&c.route));
             self.out.rib_changes.push(RibChange { prefix, route });
         }
         let action = rec.best.as_ref().and_then(|s| self.resolve(&s.route));
@@ -280,29 +364,34 @@ impl<'a> Pass<'a> {
             self.out.fib_changes.push(FibChange { prefix, action });
             rec.fib = action;
         }
-        self.adverts(prefix, &cands, rec);
+        self.adverts(prefix, rec);
     }
 
-    /// Builds the decision-process candidates for a prefix.
-    fn candidates(&self, rec: &PrefixRib) -> Vec<Candidate> {
+    /// Builds the decision-process candidates for a prefix. A candidate
+    /// shares the Adj-RIB-In route unless import policy rewrites it.
+    fn candidates(&mut self, rec: &PrefixRib) {
         let me = self.cfg.router;
-        let candidate = |(&(peer, _), (raw, seq)): (&(PeerRef, RouterId), &(BgpRoute, u64))| {
-            let session = self.cfg.session(peer)?;
-            let route = session.import.apply(raw)?;
+        self.scratch.cands.clear();
+        for (&(peer, _), (raw, seq)) in &rec.paths {
+            let Some(session) = self.sessions.get(self.cfg, peer) else {
+                continue;
+            };
+            let Some(route) = session.import.eval(raw) else {
+                continue;
+            };
             let igp_metric = match route.next_hop {
                 NextHop::Router(r) if r != me => self.igp.metric_to(r),
                 _ => Some(0),
             };
-            Some(Candidate {
+            self.scratch.cands.push(Candidate {
                 route,
                 from: peer,
                 weight: session.weight,
                 seq: *seq,
                 igp_metric,
                 ebgp: session.ebgp,
-            })
-        };
-        rec.paths.iter().filter_map(candidate).collect()
+            });
+        }
     }
 
     /// Resolves a selected route to a FIB action through the IGP.
@@ -319,13 +408,28 @@ impl<'a> Pass<'a> {
         }
     }
 
-    /// Computes the advertisements for one prefix toward every peer and
-    /// diffs them against Adj-RIB-Out, appending announce/withdraw to the
-    /// per-session updates. A route is copied only to be rewritten for
-    /// the boundary it crosses (once per prefix, not per peer) or to be
-    /// recorded as sent.
-    fn adverts(&mut self, prefix: Ipv4Prefix, cands: &[Candidate], rec: &mut PrefixRib) {
-        let cfg = self.cfg;
+    /// Computes the advertisements for one prefix and diffs them against
+    /// Adj-RIB-Out, appending announce/withdraw to the per-session updates.
+    /// A route is allocated only to be rewritten for the boundary it
+    /// crosses (once per prefix, not per peer) or by an export set action;
+    /// what is announced and what is recorded as sent are counts on that
+    /// one allocation.
+    ///
+    /// Only the sessions the best route's provenance lets hear anything
+    /// are visited, in peer order — the order Adj-RIB-Out is keyed in, so
+    /// each one's records are the next run of `held`. Whatever the peers
+    /// in between still hold is withdrawn; a peer that is to hear nothing
+    /// and holds nothing costs nothing.
+    fn adverts(&mut self, prefix: Ipv4Prefix, rec: &mut PrefixRib) {
+        let (cfg, sessions) = (self.cfg, self.sessions);
+        let Scratch {
+            updates,
+            cands,
+            add_paths,
+            held,
+            kept,
+            ..
+        } = &mut *self.scratch;
         let next_hop_self = |route: &BgpRoute| BgpRoute {
             next_hop: NextHop::Router(cfg.router),
             originator: cfg.router,
@@ -334,16 +438,47 @@ impl<'a> Pass<'a> {
         let best = rec.best.as_ref();
         // How the best route was learned. (A sessionless source is
         // classified by its reference kind, for robustness.)
-        let source = best.and_then(|s| cfg.session(s.from));
+        let source = best.and_then(|s| sessions.get(cfg, s.from));
         let learned_ebgp = best.is_some_and(|s| source.map_or(s.from.is_external(), |f| f.ebgp));
         let from_client = source.is_some_and(|f| f.rr_client);
-        let (mut ebgp_form, mut ibgp_form, mut add_paths) = (None, None, None);
-        for (session, update) in cfg.sessions.iter().zip(&mut self.updates) {
-            let peer = session.peer;
+        // An Add-Path set, an eBGP-learned or a client's route may go to
+        // any peer; any other route only across the AS boundary and to
+        // clients; no route, to nobody.
+        let hearers = if cfg.add_path || learned_ebgp || from_client {
+            &sessions.by_peer
+        } else if best.is_some() {
+            &sessions.beyond_mesh
+        } else {
+            &[][..]
+        };
+        let (mut ebgp_form, mut ibgp_form) = (None, None);
+        add_paths.clear();
+        let mut add_paths_built = false;
+        held.clear();
+        held.extend(rec.sent.keys().copied());
+        let mut held = held.as_slice();
+        // Withdraws everything in `run`: records of peers not visited.
+        type Sent = BTreeMap<(PeerRef, RouterId), Arc<BgpRoute>>;
+        let withdraw_all = |run: &[_], sent: &mut Sent, updates: &mut [BgpUpdate]| {
+            for key @ (peer, originator) in run {
+                if let Some(at) = sessions.position(*peer) {
+                    sent.remove(key);
+                    updates[at].withdraw.push((prefix, Some(*originator)));
+                }
+            }
+        };
+        for &(peer, at) in hearers {
+            let session = &cfg.sessions[at as usize];
+            // What `peer` holds: the run of `held` under its key.
+            let below = held.iter().take_while(|(p, _)| *p < peer).count();
+            withdraw_all(&held[..below], &mut rec.sent, updates);
+            let mine = held[below..].iter().take_while(|(p, _)| *p == peer);
+            let (mine, rest) = held[below..].split_at(mine.count());
+            held = rest;
             // A route is never advertised back to the peer it came from.
             let sel = best.filter(|s| s.from != peer);
             // The raw (pre-export-policy) routes we want `peer` to have.
-            let desired: &[BgpRoute] = if session.ebgp {
+            let desired: &[Arc<BgpRoute>] = if session.ebgp {
                 // eBGP export (external peer, or an in-domain router of
                 // another AS): the best route with our AS prepended and
                 // attributes scoped to the AS boundary (local-pref reset,
@@ -353,16 +488,18 @@ impl<'a> Pass<'a> {
                         let mut r = next_hop_self(&s.route);
                         r.as_path.insert(0, cfg.asn);
                         r.local_pref = DEFAULT_LOCAL_PREF;
-                        r
+                        Arc::new(r)
                     }))
                 })
             } else if cfg.add_path {
                 // Add-Path over iBGP: every surviving eBGP-learned path,
                 // next-hop-self.
-                add_paths.get_or_insert_with(|| {
+                if !add_paths_built {
                     let ebgp = cands.iter().filter(|c| c.ebgp);
-                    ebgp.map(|c| next_hop_self(&c.route)).collect::<Vec<_>>()
-                })
+                    add_paths.extend(ebgp.map(|c| Arc::new(next_hop_self(&c.route))));
+                    add_paths_built = true;
+                }
+                add_paths
             } else {
                 // iBGP, best path only. Without route reflection, only
                 // eBGP-learned routes are advertised (full mesh). With
@@ -373,32 +510,36 @@ impl<'a> Pass<'a> {
                 // check on receive prevents reflection loops.
                 match sel {
                     Some(s) if learned_ebgp => std::slice::from_ref(
-                        ibgp_form.get_or_insert_with(|| next_hop_self(&s.route)),
+                        ibgp_form.get_or_insert_with(|| Arc::new(next_hop_self(&s.route))),
                     ),
                     Some(s) if from_client || session.rr_client => std::slice::from_ref(&s.route),
                     _ => &[],
                 }
             };
             // Announce new/changed routes that pass export policy.
-            self.kept.clear();
+            kept.clear();
             for r in desired.iter().filter_map(|r| session.export.eval(r)) {
-                let key = (peer, r.originator);
-                self.kept.push(r.originator);
-                if rec.sent.get(&key) != Some(&*r) {
-                    let r = r.into_owned();
-                    rec.sent.insert(key, r.clone());
-                    update.announce.push(r);
+                kept.push(r.originator);
+                match rec.sent.entry((peer, r.originator)) {
+                    Entry::Occupied(sent) if *sent.get() == r => continue,
+                    Entry::Occupied(mut sent) => {
+                        sent.insert(Arc::clone(&r));
+                    }
+                    Entry::Vacant(unsent) => {
+                        unsent.insert(Arc::clone(&r));
+                    }
                 }
+                updates[at as usize].announce.push(r);
             }
             // Withdraw originators no longer advertised.
-            let held = (peer, RouterId(u32::MIN))..=(peer, RouterId(u32::MAX));
-            let stale = rec.sent.range(held).map(|(key, _)| *key);
-            let stale: Vec<_> = stale.filter(|(_, o)| !self.kept.contains(o)).collect();
-            for key in stale {
-                rec.sent.remove(&key);
-                update.withdraw.push((prefix, Some(key.1)));
+            for &(_, originator) in mine.iter().filter(|(_, o)| !kept.contains(o)) {
+                rec.sent.remove(&(peer, originator));
+                updates[at as usize]
+                    .withdraw
+                    .push((prefix, Some(originator)));
             }
         }
+        withdraw_all(held, &mut rec.sent, updates);
     }
 }
 
@@ -509,7 +650,7 @@ mod tests {
         let out = insts[router as usize].recv_update(
             ext(peer),
             BgpUpdate {
-                announce: vec![route],
+                announce: vec![Arc::new(route)],
                 withdraw: vec![],
             },
             &igp,
@@ -685,7 +826,7 @@ mod tests {
         let out = insts[0].recv_update(
             ext(0),
             BgpUpdate {
-                announce: vec![route],
+                announce: vec![Arc::new(route)],
                 withdraw: vec![],
             },
             &igp,
@@ -740,6 +881,28 @@ mod tests {
     }
 
     #[test]
+    fn a_route_is_one_allocation_until_something_rewrites_it() {
+        let mut insts = paper_instances();
+        announce_external(&mut insts, 0, 0, 100);
+        let held = |i: usize| &insts[i].rib.table[&p(PFX)];
+        // R3 imports unchanged: Adj-RIB-In and Loc-RIB hold the very
+        // route R1 sent — which is the one R1 recorded as sent, to R2 and
+        // to R3 alike (one next-hop-self form per prefix, not per peer).
+        let (received, _) = &held(2).paths[&(int(0), RouterId(0))];
+        let to_r3 = &held(0).sent[&(int(2), RouterId(0))];
+        let to_r2 = &held(0).sent[&(int(1), RouterId(0))];
+        assert!(Arc::ptr_eq(received, &held(2).best.as_ref().unwrap().route));
+        assert!(Arc::ptr_eq(received, to_r3));
+        assert!(Arc::ptr_eq(to_r2, to_r3));
+        // R1's import policy sets local-pref 20: its Loc-RIB route is a
+        // rewritten copy, the Adj-RIB-In keeps the route as received.
+        let (raw, _) = &held(0).paths[&(ext(0), RouterId(0))];
+        let best = &held(0).best.as_ref().unwrap().route;
+        assert!(!Arc::ptr_eq(raw, best));
+        assert_eq!((raw.local_pref, best.local_pref), (DEFAULT_LOCAL_PREF, 20));
+    }
+
+    #[test]
     fn add_path_advertises_all_paths() {
         // R1 has two external peers announcing the same prefix; with
         // Add-Path, both paths reach R2.
@@ -768,7 +931,7 @@ mod tests {
             let out = r1.recv_update(
                 ext(peer),
                 BgpUpdate {
-                    announce: vec![route],
+                    announce: vec![Arc::new(route)],
                     withdraw: vec![],
                 },
                 &igp,
@@ -800,7 +963,7 @@ mod tests {
         let out = insts[0].recv_update(
             ext(0),
             BgpUpdate {
-                announce: vec![route],
+                announce: vec![Arc::new(route)],
                 withdraw: vec![],
             },
             &igp,
@@ -865,7 +1028,7 @@ mod tests {
             let _ = inst.recv_update(
                 int(1),
                 BgpUpdate {
-                    announce: vec![mk_route(1)],
+                    announce: vec![Arc::new(mk_route(1))],
                     withdraw: vec![],
                 },
                 &igp,
@@ -873,7 +1036,7 @@ mod tests {
             let _ = inst.recv_update(
                 int(0),
                 BgpUpdate {
-                    announce: vec![mk_route(0)],
+                    announce: vec![Arc::new(mk_route(0))],
                     withdraw: vec![],
                 },
                 &igp,
@@ -902,7 +1065,7 @@ mod tests {
             let _ = inst.recv_update(
                 ext(1),
                 BgpUpdate {
-                    announce: vec![ra],
+                    announce: vec![Arc::new(ra)],
                     withdraw: vec![],
                 },
                 &igp,
@@ -912,7 +1075,7 @@ mod tests {
             let _ = inst.recv_update(
                 ext(0),
                 BgpUpdate {
-                    announce: vec![rb],
+                    announce: vec![Arc::new(rb)],
                     withdraw: vec![],
                 },
                 &igp,

@@ -10,8 +10,8 @@
 
 use crate::route::BgpRoute;
 use cpvr_types::{AsNum, Ipv4Prefix};
-use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// A single match condition inside a clause. All conditions in a clause
 /// must hold for the clause to fire.
@@ -140,15 +140,11 @@ impl RouteMap {
         }
     }
 
-    /// Evaluates the map: `Some(modified route)` on permit, `None` on
-    /// deny.
-    pub fn apply(&self, route: &BgpRoute) -> Option<BgpRoute> {
-        self.eval(route).map(Cow::into_owned)
-    }
-
-    /// [`apply`](Self::apply) without copying a route the map permits
-    /// unchanged (borrowed) — only a firing set action makes a copy.
-    pub fn eval<'a>(&self, route: &'a BgpRoute) -> Option<Cow<'a, BgpRoute>> {
+    /// Evaluates the map: `Some(route)` on permit, `None` on deny. A
+    /// route the map permits unchanged comes back as the same allocation
+    /// (one more reference); only a firing set action makes a copy, which
+    /// is what keeps a route shared from Adj-RIB-In to Adj-RIB-Out.
+    pub fn eval(&self, route: &Arc<BgpRoute>) -> Option<Arc<BgpRoute>> {
         let fired = self
             .clauses
             .iter()
@@ -156,13 +152,13 @@ impl RouteMap {
         match fired {
             Some(clause) if !clause.permit => None,
             Some(clause) if !clause.sets.is_empty() => {
-                let mut out = route.clone();
+                let mut out = BgpRoute::clone(route);
                 for s in &clause.sets {
                     s.apply(&mut out);
                 }
-                Some(Cow::Owned(out))
+                Some(Arc::new(out))
             }
-            _ => Some(Cow::Borrowed(route)),
+            _ => Some(Arc::clone(route)),
         }
     }
 }
@@ -199,8 +195,8 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn route(prefix: &str) -> BgpRoute {
-        BgpRoute {
+    fn route(prefix: &str) -> Arc<BgpRoute> {
+        Arc::new(BgpRoute {
             prefix: p(prefix),
             next_hop: NextHop::Router(RouterId(0)),
             local_pref: 100,
@@ -209,25 +205,30 @@ mod tests {
             med: 0,
             communities: BTreeSet::new(),
             originator: RouterId(0),
-        }
+        })
     }
 
     #[test]
     fn empty_map_permits_unchanged() {
         let r = route("8.8.8.0/24");
-        assert_eq!(RouteMap::permit_any().apply(&r), Some(r));
+        let out = RouteMap::permit_any().eval(&r).unwrap();
+        assert!(
+            Arc::ptr_eq(&out, &r),
+            "permitted unchanged: shared, not copied"
+        );
     }
 
     #[test]
     fn deny_any_drops() {
-        assert_eq!(RouteMap::deny_any().apply(&route("8.8.8.0/24")), None);
+        assert_eq!(RouteMap::deny_any().eval(&route("8.8.8.0/24")), None);
     }
 
     #[test]
     fn set_local_pref() {
         let m = RouteMap::set_all(vec![SetAction::LocalPref(30)]);
-        let out = m.apply(&route("8.8.8.0/24")).unwrap();
-        assert_eq!(out.local_pref, 30);
+        let r = route("8.8.8.0/24");
+        let out = m.eval(&r).unwrap();
+        assert_eq!((out.local_pref, r.local_pref), (30, 100));
     }
 
     #[test]
@@ -242,8 +243,8 @@ mod tests {
                 Clause::permit_all(vec![SetAction::LocalPref(50)]),
             ],
         };
-        assert_eq!(m.apply(&route("8.8.8.0/24")).unwrap().local_pref, 200);
-        assert_eq!(m.apply(&route("9.9.9.0/24")).unwrap().local_pref, 50);
+        assert_eq!(m.eval(&route("8.8.8.0/24")).unwrap().local_pref, 200);
+        assert_eq!(m.eval(&route("9.9.9.0/24")).unwrap().local_pref, 50);
     }
 
     #[test]
@@ -255,8 +256,8 @@ mod tests {
                 sets: Vec::new(),
             }],
         };
-        assert!(m.apply(&route("10.1.0.0/16")).is_none());
-        assert!(m.apply(&route("8.8.8.0/24")).is_some());
+        assert!(m.eval(&route("10.1.0.0/16")).is_none());
+        assert!(m.eval(&route("8.8.8.0/24")).is_some());
     }
 
     #[test]
@@ -270,15 +271,15 @@ mod tests {
             }],
         };
         assert!(
-            m.apply(&r).is_some(),
+            m.eval(&r).is_some(),
             "no community yet: fall through to permit"
         );
-        r.communities.insert(666);
-        assert!(m.apply(&r).is_none(), "blackhole community denies");
+        Arc::make_mut(&mut r).communities.insert(666);
+        assert!(m.eval(&r).is_none(), "blackhole community denies");
         let tagger = RouteMap::set_all(vec![SetAction::AddCommunity(7)]);
-        assert!(tagger.apply(&r).unwrap().communities.contains(&7));
+        assert!(tagger.eval(&r).unwrap().communities.contains(&7));
         let untagger = RouteMap::set_all(vec![SetAction::RemoveCommunity(666)]);
-        assert!(!untagger.apply(&r).unwrap().communities.contains(&666));
+        assert!(!untagger.eval(&r).unwrap().communities.contains(&666));
     }
 
     #[test]
@@ -293,7 +294,7 @@ mod tests {
     #[test]
     fn prepend_lengthens_path() {
         let m = RouteMap::set_all(vec![SetAction::Prepend(AsNum(65000), 3)]);
-        let out = m.apply(&route("8.8.8.0/24")).unwrap();
+        let out = m.eval(&route("8.8.8.0/24")).unwrap();
         assert_eq!(out.as_path.len(), 5);
         assert_eq!(out.as_path[0], AsNum(65000));
         assert_eq!(out.as_path[2], AsNum(65000));

@@ -27,20 +27,22 @@
 //! | operation | cost |
 //! |---|---|
 //! | [`announce`](Rib::announce), [`withdraw`](Rib::withdraw), [`paths_for`](Rib::paths_for), [`originators`](Rib::originators) | O(log n + k) |
-//! | re-evaluating one prefix (`BgpInstance`) | O(log n + k · sessions) |
-//! | soft reconfiguration, IGP change | one walk: O(n · k · sessions) |
+//! | re-evaluating one prefix (`BgpInstance`) | O(log n + k + peers that hear something) |
+//! | soft reconfiguration, IGP change | one walk: O(n · (k + peers that hear something)) |
 //! | [`drop_peer`](Rib::drop_peer), [`drop_sent_to`](Rib::drop_sent_to), [`sent_to`](Rib::sent_to) (session teardown, inspection) | O(n · k) |
 
 use crate::route::{BgpRoute, PeerRef};
 use cpvr_dataplane::FibAction;
 use cpvr_types::{Ipv4Prefix, RouterId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The best route selected for a prefix, with its provenance.
 #[derive(Clone, Debug)]
 pub(crate) struct Selected {
-    /// The route, after import policy.
-    pub(crate) route: BgpRoute,
+    /// The route, after import policy: the Adj-RIB-In's own allocation
+    /// unless the policy rewrote it.
+    pub(crate) route: Arc<BgpRoute>,
     /// The peer it was learned from.
     pub(crate) from: PeerRef,
 }
@@ -50,13 +52,13 @@ pub(crate) struct Selected {
 pub(crate) struct PrefixRib {
     /// Adj-RIB-In: raw routes by `(peer, originator)`, each with its
     /// arrival sequence number.
-    pub(crate) paths: BTreeMap<(PeerRef, RouterId), (BgpRoute, u64)>,
+    pub(crate) paths: BTreeMap<(PeerRef, RouterId), (Arc<BgpRoute>, u64)>,
     /// Loc-RIB: the selected best route (post-import-policy).
     pub(crate) best: Option<Selected>,
     /// Adj-RIB-Out: what has been advertised, by `(peer, originator)`.
     /// Needed to emit precise withdrawals and suppress duplicate
     /// announcements.
-    pub(crate) sent: BTreeMap<(PeerRef, RouterId), BgpRoute>,
+    pub(crate) sent: BTreeMap<(PeerRef, RouterId), Arc<BgpRoute>>,
     /// Shadow of what the FIB has been asked to hold.
     pub(crate) fib: Option<FibAction>,
 }
@@ -85,7 +87,7 @@ impl Rib {
     /// Records an announcement from `peer`. If `add_path` is false, any
     /// other paths for the prefix from this peer are implicitly replaced.
     /// Returns the arrival sequence number.
-    pub fn announce(&mut self, peer: PeerRef, route: BgpRoute, add_path: bool) -> u64 {
+    pub fn announce(&mut self, peer: PeerRef, route: Arc<BgpRoute>, add_path: bool) -> u64 {
         let paths = &mut self.table.entry(route.prefix).or_default().paths;
         if !add_path {
             paths.retain(|(pr, _), _| *pr != peer);
@@ -146,7 +148,7 @@ impl Rib {
             .get(&prefix)
             .into_iter()
             .flat_map(|rec| &rec.paths)
-            .map(|((pr, _), (route, seq))| (*pr, route, *seq))
+            .map(|((pr, _), (route, seq))| (*pr, &**route, *seq))
             .collect()
     }
 
@@ -157,7 +159,7 @@ impl Rib {
             .values()
             .flat_map(|rec| &rec.sent)
             .filter(|((pr, _), _)| *pr == peer)
-            .map(|(_, r)| r)
+            .map(|(_, r)| &**r)
             .collect()
     }
 
@@ -185,8 +187,8 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn route(prefix: &str, originator: u32) -> BgpRoute {
-        BgpRoute {
+    fn route(prefix: &str, originator: u32) -> Arc<BgpRoute> {
+        Arc::new(BgpRoute {
             prefix: p(prefix),
             next_hop: NextHop::Router(RouterId(originator)),
             local_pref: 100,
@@ -195,7 +197,7 @@ mod tests {
             med: 0,
             communities: BTreeSet::new(),
             originator: RouterId(originator),
-        }
+        })
     }
 
     fn ext(n: u32) -> PeerRef {
@@ -207,7 +209,7 @@ mod tests {
     }
 
     /// Records `route` as advertised to `peer`, as the speaker would.
-    fn record(rib: &mut Rib, peer: PeerRef, route: BgpRoute) {
+    fn record(rib: &mut Rib, peer: PeerRef, route: Arc<BgpRoute>) {
         let rec = rib.table.entry(route.prefix).or_default();
         rec.sent.insert((peer, route.originator), route);
     }

@@ -4,6 +4,7 @@ use cpvr_topo::ExtPeerId;
 use cpvr_types::{AsNum, Ipv4Prefix, RouterId};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies a BGP peer of some router: either another router in the
 /// domain (iBGP) or an external neighbor (eBGP).
@@ -80,6 +81,12 @@ pub enum Origin {
 }
 
 /// A BGP route: one path to one prefix, with the standard attributes.
+///
+/// Routes travel and rest as `Arc<BgpRoute>`: a route is allocated where
+/// it is created or rewritten — an external announcement, a route-map
+/// set action that fires, the next-hop-self / eBGP form of a best route
+/// — and every holder after that (updates in flight, Adj-RIB-In,
+/// Loc-RIB, Adj-RIB-Out, captured I/O events) keeps a reference count.
 #[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub struct BgpRoute {
     /// Destination prefix.
@@ -148,7 +155,7 @@ impl fmt::Display for BgpRoute {
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct BgpUpdate {
     /// Announced routes.
-    pub announce: Vec<BgpRoute>,
+    pub announce: Vec<Arc<BgpRoute>>,
     /// Withdrawn prefixes. With Add-Path, a withdrawal names the
     /// originator whose path is withdrawn; without, the originator is the
     /// sender's best-path originator and receivers clear the whole

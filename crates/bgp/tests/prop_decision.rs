@@ -8,6 +8,7 @@ use cpvr_topo::ExtPeerId;
 use cpvr_types::{AsNum, Ipv4Prefix, RouterId};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn arb_vendor() -> impl Strategy<Value = VendorProfile> {
     prop_oneof![
@@ -35,7 +36,7 @@ prop_compose! {
         as_path.extend(std::iter::repeat_n(AsNum(999), path_len - 1));
         Candidate {
             ebgp: ext,
-            route: BgpRoute {
+            route: Arc::new(BgpRoute {
                 prefix: "8.8.8.0/24".parse::<Ipv4Prefix>().unwrap(),
                 next_hop: NextHop::Router(RouterId(originator)),
                 local_pref: lp,
@@ -48,7 +49,7 @@ prop_compose! {
                 med,
                 communities: BTreeSet::new(),
                 originator: RouterId(originator),
-            },
+            }),
             from: if ext {
                 PeerRef::External(ExtPeerId(peer))
             } else {
@@ -74,8 +75,49 @@ fn key(c: &Candidate) -> (u32, usize, PeerRef, u64, Option<u32>, RouterId, u32) 
     )
 }
 
+/// The decision process as first written — a `Vec` of survivors filtered
+/// step by step, the MED step against a copy of the set — kept as the
+/// oracle for the allocation-free [`best_path`].
+fn reference_best_path(vendor: VendorProfile, cands: &[Candidate]) -> Option<usize> {
+    use std::cmp::Reverse;
+    fn keep_max_by<K: Ord>(alive: &mut Vec<usize>, key: impl Fn(usize) -> K) {
+        if let Some(best) = alive.iter().map(|&i| key(i)).max() {
+            alive.retain(|&i| key(i) == best);
+        }
+    }
+    let eligible = (0..cands.len()).filter(|&i| cands[i].igp_metric.is_some());
+    let mut alive: Vec<usize> = eligible.collect();
+    if vendor == VendorProfile::Cisco {
+        keep_max_by(&mut alive, |i| cands[i].weight);
+    }
+    keep_max_by(&mut alive, |i| cands[i].route.local_pref);
+    keep_max_by(&mut alive, |i| Reverse(cands[i].route.as_path.len()));
+    keep_max_by(&mut alive, |i| Reverse(cands[i].route.origin));
+    let meds = alive.clone();
+    alive.retain(|&i| {
+        !meds.iter().any(|&j| {
+            cands[j].route.neighbor_as() == cands[i].route.neighbor_as()
+                && cands[j].route.med < cands[i].route.med
+        })
+    });
+    keep_max_by(&mut alive, |i| cands[i].ebgp);
+    keep_max_by(&mut alive, |i| Reverse(cands[i].igp_metric));
+    if vendor == VendorProfile::Cisco && alive.iter().all(|&i| cands[i].ebgp) {
+        keep_max_by(&mut alive, |i| Reverse(cands[i].seq));
+    }
+    keep_max_by(&mut alive, |i| Reverse(cands[i].route.originator));
+    keep_max_by(&mut alive, |i| Reverse(cands[i].from));
+    alive.first().copied()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn agrees_with_the_reference_process(vendor in arb_vendor(), cands in prop::collection::vec(arb_candidate(), 0..48)) {
+        // Up to 48 paths: past the 32 the survivors hold on the stack.
+        prop_assert_eq!(best_path(vendor, &cands), reference_best_path(vendor, &cands));
+    }
 
     #[test]
     fn winner_is_always_eligible(vendor in arb_vendor(), cands in prop::collection::vec(arb_candidate(), 0..8)) {
@@ -124,10 +166,11 @@ proptest! {
         // is actually decisive, then check it.
         let mut cands = cands;
         for c in &mut cands {
-            c.route.local_pref = 100;
-            c.route.as_path = vec![AsNum(100)];
-            c.route.origin = Origin::Igp;
-            c.route.med = 0;
+            let route = Arc::make_mut(&mut c.route);
+            route.local_pref = 100;
+            route.as_path = vec![AsNum(100)];
+            route.origin = Origin::Igp;
+            route.med = 0;
             c.weight = 0;
         }
         if let Some(i) = best_path(VendorProfile::Standard, &cands) {
@@ -165,9 +208,7 @@ proptest! {
         // elimination is total and IIA holds).
         let mut cands = cands;
         for c in &mut cands {
-            let tail: Vec<AsNum> = c.route.as_path.iter().skip(1).copied().collect();
-            c.route.as_path = vec![AsNum(100)];
-            c.route.as_path.extend(tail);
+            Arc::make_mut(&mut c.route).as_path[0] = AsNum(100);
         }
         if let Some(i) = best_path(vendor, &cands) {
             let victim = victim % cands.len();

@@ -16,6 +16,7 @@ use cpvr_types::intern::InternStore;
 use cpvr_types::{AsNum, Ipv4Prefix, RouterId, SimTime};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Characters chosen to stress both codecs: JSON metacharacters and
 /// escapes for v2, multi-byte UTF-8 and embedded NULs for the interned
@@ -60,7 +61,7 @@ fn arb_origin() -> impl Strategy<Value = Origin> {
     ]
 }
 
-fn arb_route() -> impl Strategy<Value = BgpRoute> {
+fn arb_route() -> impl Strategy<Value = Arc<BgpRoute>> {
     (
         arb_prefix(),
         prop_oneof![
@@ -76,7 +77,7 @@ fn arb_route() -> impl Strategy<Value = BgpRoute> {
     )
         .prop_map(
             |(prefix, next_hop, local_pref, as_path, origin, med, communities, originator)| {
-                BgpRoute {
+                Arc::new(BgpRoute {
                     prefix,
                     next_hop,
                     local_pref,
@@ -85,7 +86,7 @@ fn arb_route() -> impl Strategy<Value = BgpRoute> {
                     med,
                     communities,
                     originator: RouterId(originator),
-                }
+                })
             },
         )
 }
@@ -227,6 +228,71 @@ fn roundtrip(version: CodecVersion, events: &[IoEvent]) -> Vec<IoEvent> {
     assert_eq!(dec.corrupt_frames(), 0);
     assert_eq!(dec.pending(), 0);
     out
+}
+
+/// The bytes on the wire do not depend on how a route is held in memory:
+/// one hand-built event per route-bearing variant, encoded by each codec
+/// on a fresh connection, is pinned as `(stream length, FNV-1a 64)` —
+/// values recorded on the commit before captured routes became shared
+/// (`Option<Arc<BgpRoute>>`, was `Option<BgpRoute>`).
+#[test]
+fn route_bearing_events_keep_their_wire_bytes() {
+    let prefix: Ipv4Prefix = "100.0.7.0/24".parse().unwrap();
+    let route = Arc::new(BgpRoute {
+        prefix,
+        next_hop: NextHop::Router(RouterId(3)),
+        local_pref: 200,
+        as_path: vec![AsNum(65000), AsNum(100)],
+        origin: Origin::Egp,
+        med: 17,
+        communities: BTreeSet::from([12, 65000]),
+        originator: RouterId(3),
+    });
+    let proto = Proto::Bgp;
+    let kinds = [
+        IoKind::RecvAdvert {
+            proto,
+            prefix: Some(prefix),
+            from: Some(PeerRef::Internal(RouterId(3))),
+            route: Some(Arc::clone(&route)),
+        },
+        IoKind::RibInstall {
+            proto,
+            prefix,
+            route: Some(Arc::clone(&route)),
+        },
+        IoKind::SendAdvert {
+            proto,
+            prefix: Some(prefix),
+            to: Some(PeerRef::External(ExtPeerId(1))),
+            route: Some(route),
+        },
+    ];
+    let events: Vec<IoEvent> = (0u32..)
+        .zip(kinds)
+        .map(|(i, kind)| IoEvent {
+            id: EventId(i),
+            router: RouterId(2),
+            time: SimTime::from_micros(1_000 + u64::from(i)),
+            arrived_at: Some(SimTime::from_micros(1_500 + u64::from(i))),
+            kind,
+        })
+        .collect();
+    for (version, want) in [
+        (CodecVersion::V2, (936usize, 2_092_260_921_727_305_870u64)),
+        (CodecVersion::V3, (161, 11_849_076_264_737_931_050)),
+    ] {
+        let mut enc = EventEncoder::new(version);
+        let mut stream = Vec::new();
+        for (seq, e) in events.iter().enumerate() {
+            enc.encode_into(seq as u64, e, &mut stream);
+        }
+        let fnv = stream.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((stream.len(), fnv), want, "{version:?} stream moved");
+        assert_eq!(roundtrip(version, &events), events);
+    }
 }
 
 proptest! {

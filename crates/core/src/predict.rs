@@ -371,7 +371,7 @@ mod tests {
                 proto: Proto::Bgp,
                 prefix: Some(new_prefix),
                 from: Some(cpvr_bgp::PeerRef::External(left)),
-                route: Some(route),
+                route: Some(route.into()),
             },
         };
         // Against a policy demanding the RIGHT exit, the input is

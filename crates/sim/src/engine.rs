@@ -20,6 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Decides whether a FIB update may reach the hardware. Returning `false`
 /// blocks it: the control plane believes the update happened, the data
@@ -243,7 +244,7 @@ impl Simulation {
         let asn = p.asn;
         let announce: Vec<_> = prefixes
             .iter()
-            .map(|px| cpvr_bgp::BgpRoute::external(*px, peer, asn, router))
+            .map(|px| Arc::new(cpvr_bgp::BgpRoute::external(*px, peer, asn, router)))
             .collect();
         let n = announce.len();
         let prop = self.latency.link_prop.sample(&mut self.rng);
@@ -421,7 +422,7 @@ impl Simulation {
                             proto: Proto::Bgp,
                             prefix: Some(route.prefix),
                             from: Some(from),
-                            route: Some(route.clone()),
+                            route: Some(Arc::clone(route)),
                         },
                         cause,
                     );
@@ -616,16 +617,10 @@ impl Simulation {
             for (prefix, is_withdraw) in msg.captured_prefixes() {
                 // Parent: the RIB (or FIB for EIGRP) event for this
                 // prefix when one exists, otherwise the batch parents.
-                let own: Vec<EventId> = match prefix.and_then(|p| {
-                    if after_fib {
-                        fib_ids.get(&p)
-                    } else {
-                        rib_ids.get(&p)
-                    }
-                }) {
-                    Some(id) => vec![*id],
-                    None => parents.clone(),
-                };
+                let ids = if after_fib { &fib_ids } else { &rib_ids };
+                let own = prefix.and_then(|p| ids.get(&p)).copied();
+                let batch: &[EventId] = if own.is_some() { &[] } else { &parents };
+                let own = own.into_iter().chain(batch.iter().copied());
                 let kind = if is_withdraw {
                     IoKind::SendWithdraw {
                         proto,
@@ -757,7 +752,7 @@ impl Simulation {
                         proto: Proto::Bgp,
                         prefix: Some(route.prefix),
                         to: Some(peer),
-                        route: Some(route.clone()),
+                        route: Some(Arc::clone(route)),
                     },
                     parents_of(route.prefix, &rib_ids, recv_ids, default_parents),
                 );

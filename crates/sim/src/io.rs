@@ -10,6 +10,7 @@ use cpvr_bgp::{BgpRoute, PeerRef};
 use cpvr_dataplane::{DataPlane, FibAction, FibUpdate, UpdateKind};
 use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of an event in its [`Trace`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -114,8 +115,10 @@ pub enum IoKind {
         prefix: Option<Ipv4Prefix>,
         /// Sending peer, if identifiable.
         from: Option<PeerRef>,
-        /// The BGP route carried, for BGP advertisements.
-        route: Option<BgpRoute>,
+        /// The BGP route carried, for BGP advertisements: a reference to
+        /// the speaker's own allocation (`Arc`, because captured events
+        /// are read on other threads — sinks, senders, the collector).
+        route: Option<Arc<BgpRoute>>,
     },
     /// Input: a route withdrawal arrived.
     RecvWithdraw {
@@ -132,8 +135,9 @@ pub enum IoKind {
         proto: Proto,
         /// The prefix.
         prefix: Ipv4Prefix,
-        /// The BGP route installed, for BGP RIB events.
-        route: Option<BgpRoute>,
+        /// The BGP route installed, for BGP RIB events (shared, as in
+        /// [`IoKind::RecvAdvert`]).
+        route: Option<Arc<BgpRoute>>,
     },
     /// Output: a route left a protocol RIB.
     RibRemove {
@@ -162,8 +166,9 @@ pub enum IoKind {
         prefix: Option<Ipv4Prefix>,
         /// Destination peer.
         to: Option<PeerRef>,
-        /// The BGP route carried, for BGP advertisements.
-        route: Option<BgpRoute>,
+        /// The BGP route carried, for BGP advertisements (shared, as in
+        /// [`IoKind::RecvAdvert`]).
+        route: Option<Arc<BgpRoute>>,
     },
     /// Output: a route withdrawal was sent.
     SendWithdraw {

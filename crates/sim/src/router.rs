@@ -47,23 +47,26 @@ impl IgpMsg {
     /// `(prefix, is_withdraw)` pairs this message conveys, for I/O
     /// capture. OSPF LSAs are not per-prefix and yield a single
     /// `(None, false)` entry.
-    pub fn captured_prefixes(&self) -> Vec<(Option<Ipv4Prefix>, bool)> {
-        match self {
-            IgpMsg::Ospf(_) => vec![(None, false)],
-            IgpMsg::Rip(m) => m
-                .routes
-                .iter()
-                .map(|(p, metric)| (Some(*p), *metric >= cpvr_igp::rip::INFINITY))
-                .collect(),
-            IgpMsg::Eigrp(EigrpMsg::Update { routes }) => routes
-                .iter()
-                .map(|(p, rd)| (Some(*p), *rd == cpvr_igp::eigrp::UNREACHABLE))
-                .collect(),
-            IgpMsg::Eigrp(EigrpMsg::Query { prefix }) => vec![(Some(*prefix), true)],
-            IgpMsg::Eigrp(EigrpMsg::Reply { prefix, rd }) => {
-                vec![(Some(*prefix), *rd == cpvr_igp::eigrp::UNREACHABLE)]
+    pub fn captured_prefixes(&self) -> impl Iterator<Item = (Option<Ipv4Prefix>, bool)> + '_ {
+        // A message is one entry, or the vectors of a distance-vector
+        // update, which withdraw from some metric up.
+        type Vectors = [(Ipv4Prefix, u32)];
+        let (one, vectors, dead_from): (_, &Vectors, u32) = match self {
+            IgpMsg::Ospf(_) => (Some((None, false)), &[], 0),
+            IgpMsg::Rip(m) => (None, &m.routes, cpvr_igp::rip::INFINITY),
+            IgpMsg::Eigrp(EigrpMsg::Update { routes }) => {
+                (None, routes, cpvr_igp::eigrp::UNREACHABLE)
             }
-        }
+            IgpMsg::Eigrp(EigrpMsg::Query { prefix }) => (Some((Some(*prefix), true)), &[], 0),
+            IgpMsg::Eigrp(EigrpMsg::Reply { prefix, rd }) => {
+                let dead = *rd == cpvr_igp::eigrp::UNREACHABLE;
+                (Some((Some(*prefix), dead)), &[], 0)
+            }
+        };
+        let vectors = vectors
+            .iter()
+            .map(move |(p, m)| (Some(*p), *m >= dead_from));
+        one.into_iter().chain(vectors)
     }
 }
 
@@ -260,17 +263,21 @@ mod tests {
         let m = IgpMsg::Rip(RipMsg {
             routes: vec![(p, 3), (p, cpvr_igp::rip::INFINITY)],
         });
-        let got = m.captured_prefixes();
-        assert_eq!(got, vec![(Some(p), false), (Some(p), true)]);
+        let captured = |m: &IgpMsg| m.captured_prefixes().collect::<Vec<_>>();
+        assert_eq!(captured(&m), vec![(Some(p), false), (Some(p), true)]);
         let q = IgpMsg::Eigrp(EigrpMsg::Query { prefix: p });
-        assert_eq!(q.captured_prefixes(), vec![(Some(p), true)]);
+        assert_eq!(captured(&q), vec![(Some(p), true)]);
+        let poison = IgpMsg::Eigrp(EigrpMsg::Update {
+            routes: vec![(p, 7), (p, cpvr_igp::eigrp::UNREACHABLE)],
+        });
+        assert_eq!(captured(&poison), vec![(Some(p), false), (Some(p), true)]);
         let lsa_like = IgpMsg::Ospf(OspfMsg::Flood(cpvr_igp::ospf::Lsa {
             origin: RouterId(0),
             seq: 1,
             links: vec![],
             stubs: vec![],
         }));
-        assert_eq!(lsa_like.captured_prefixes(), vec![(None, false)]);
+        assert_eq!(captured(&lsa_like), vec![(None, false)]);
     }
 
     #[test]

@@ -39,6 +39,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use cpvr_bgp::{BgpRoute, NextHop, Origin, PeerRef};
 use cpvr_dataplane::FibAction;
@@ -276,7 +277,7 @@ impl Enc<'_> {
         self.u32v(r.originator.0);
     }
 
-    fn opt_route(&mut self, r: &Option<BgpRoute>) {
+    fn opt_route(&mut self, r: &Option<Arc<BgpRoute>>) {
         match r {
             None => self.byte(0),
             Some(r) => {
@@ -608,9 +609,9 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn opt_route(&mut self) -> Result<Option<BgpRoute>, WireError> {
+    fn opt_route(&mut self) -> Result<Option<Arc<BgpRoute>>, WireError> {
         Ok(if self.presence("route presence")? {
-            Some(self.route()?)
+            Some(Arc::new(self.route()?))
         } else {
             None
         })
@@ -776,8 +777,8 @@ pub fn decode_event_traced(
 mod tests {
     use super::*;
 
-    fn sample_route(pfx: Ipv4Prefix) -> BgpRoute {
-        BgpRoute {
+    fn sample_route(pfx: Ipv4Prefix) -> Arc<BgpRoute> {
+        Arc::new(BgpRoute {
             prefix: pfx,
             next_hop: NextHop::Router(RouterId(3)),
             local_pref: 200,
@@ -786,7 +787,7 @@ mod tests {
             med: 17,
             communities: [65000u32, 12].into_iter().collect(),
             originator: RouterId(3),
-        }
+        })
     }
 
     fn sample_events() -> Vec<IoEvent> {

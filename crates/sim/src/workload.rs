@@ -1,8 +1,11 @@
 //! Workload generators for benchmarks and large-scale experiments.
 
+use crate::engine::Simulation;
+use crate::router::{IgpKind, RouterConfig};
+use cpvr_bgp::{BgpConfig, PeerRef, SessionCfg};
 use cpvr_topo::builder::TopologyBuilder;
 use cpvr_topo::{ExtPeerId, Topology};
-use cpvr_types::{AsNum, Ipv4Prefix, RouterId};
+use cpvr_types::{AsNum, Ipv4Prefix, RouterId, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -103,9 +106,90 @@ pub fn churn_plan(
         .collect()
 }
 
+/// How [`ibgp_configs`] lays out the iBGP sessions.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IbgpShape {
+    /// Every router peers with every other: `n - 1` sessions per speaker.
+    FullMesh,
+    /// Router 0 reflects between all the others, its clients (RFC 4456):
+    /// `n - 1` sessions at the reflector, one at every client.
+    ReflectorStar,
+}
+
+/// One OSPF router configuration per router of `topo`, all in AS 65000:
+/// the iBGP sessions of `shape` in ascending peer order, then an eBGP
+/// session for every one of `uplinks` attached at the router — the
+/// session order the ledger's `bgp-merger` generator configures.
+pub fn ibgp_configs(topo: &Topology, uplinks: &[ExtPeerId], shape: IbgpShape) -> Vec<RouterConfig> {
+    let n = topo.num_routers() as u32;
+    let hub = RouterId(0);
+    (0..n)
+        .map(|r| {
+            let me = RouterId(r);
+            let mut bgp = BgpConfig::new(me, AsNum(65000));
+            for other in (0..n).map(RouterId).filter(|o| *o != me) {
+                bgp.sessions.extend(match shape {
+                    IbgpShape::FullMesh => Some(SessionCfg::new(PeerRef::Internal(other))),
+                    IbgpShape::ReflectorStar if me == hub => Some(SessionCfg::ibgp_client(other)),
+                    IbgpShape::ReflectorStar if other == hub => {
+                        Some(SessionCfg::new(PeerRef::Internal(hub)))
+                    }
+                    IbgpShape::ReflectorStar => None,
+                });
+            }
+            for up in uplinks {
+                if topo.ext_peer(*up).attach.0 == me {
+                    bgp.sessions.push(SessionCfg::new(PeerRef::External(*up)));
+                }
+            }
+            RouterConfig {
+                bgp,
+                igp: IgpKind::Ospf,
+            }
+        })
+        .collect()
+}
+
+/// Schedules [`churn_plan`]`(items, …, seed)` on `sim`, starting at its
+/// current time: each item has one of `uplinks` announce or withdraw one
+/// of `prefixes`.
+pub fn schedule_churn(
+    sim: &mut Simulation,
+    uplinks: &[ExtPeerId],
+    prefixes: &[Ipv4Prefix],
+    items: usize,
+    seed: u64,
+) {
+    let base = sim.now();
+    for (t_ms, peer, prefix, announce) in churn_plan(items, uplinks.len(), prefixes.len(), seed) {
+        let at = base + SimTime::from_millis(t_ms);
+        if announce {
+            sim.schedule_ext_announce(at, uplinks[peer], &[prefixes[prefix]]);
+        } else {
+            sim.schedule_ext_withdraw(at, uplinks[peer], &[prefixes[prefix]]);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ibgp_shapes_configure_the_expected_sessions() {
+        let (topo, peers) = random_topology(6, 3, 2, 1);
+        let mesh = ibgp_configs(&topo, &peers, IbgpShape::FullMesh);
+        let star = ibgp_configs(&topo, &peers, IbgpShape::ReflectorStar);
+        let ibgp = |c: &RouterConfig| c.bgp.sessions.iter().filter(|s| !s.ebgp).count();
+        let ebgp = |cs: &[RouterConfig]| -> usize {
+            cs.iter().map(|c| c.bgp.sessions.len() - ibgp(c)).sum()
+        };
+        assert!(mesh.iter().all(|c| ibgp(c) == 5));
+        assert_eq!(ibgp(&star[0]), 5);
+        assert!(star[0].bgp.sessions.iter().all(|s| s.ebgp || s.rr_client));
+        assert!(star[1..].iter().all(|c| ibgp(c) == 1));
+        assert_eq!((ebgp(&mesh), ebgp(&star)), (2, 2));
+    }
 
     #[test]
     fn prefix_block_disjoint() {

@@ -8,13 +8,15 @@
 //! which the engine draws from its RNG moves a digest. The values were
 //! recorded on the commit *before* the RIBs were re-indexed by prefix, so
 //! that refactor's "same trace" contract is a failing test, not a promise
-//! (DESIGN.md, "Trace bit-identity").
+//! (DESIGN.md, "Trace bit-identity"); scenarios (f)–(h) were added, and
+//! recorded, on the commit before routes became shared (`Arc<BgpRoute>`)
+//! and the decision pass stopped visiting sessions that hear nothing.
 
 use cpvr_bgp::{
     BgpConfig, Clause, ConfigChange, MatchCond, PeerRef, RouteMap, SessionCfg, SetAction,
 };
-use cpvr_sim::scenario::{paper_scenario, two_exit_scenario};
-use cpvr_sim::workload::{churn_plan, prefix_block, random_topology};
+use cpvr_sim::scenario::{paper_scenario, paper_scenario_with_igp, two_exit_scenario};
+use cpvr_sim::workload::{churn_plan, prefix_block, random_topology, schedule_churn};
 use cpvr_sim::{CaptureProfile, IgpKind, LatencyProfile, RouterConfig, Simulation, Trace};
 use cpvr_topo::{ExtPeerId, LinkId, Topology, TopologyBuilder};
 use cpvr_types::{AsNum, Ipv4Prefix, RouterId, SimTime};
@@ -99,6 +101,20 @@ fn ibgp_sim(
 
 fn full_mesh(me: RouterId, other: RouterId) -> Option<SessionCfg> {
     (me != other).then(|| SessionCfg::new(PeerRef::Internal(other)))
+}
+
+/// `hub` reflects between all the others, its clients; they peer with it
+/// alone.
+fn reflector_star(hub: RouterId) -> impl Fn(RouterId, RouterId) -> Option<SessionCfg> {
+    move |me, other| {
+        if me == hub && other != hub {
+            Some(SessionCfg::ibgp_client(other))
+        } else if me != hub && other == hub {
+            Some(SessionCfg::new(PeerRef::Internal(hub)))
+        } else {
+            None
+        }
+    }
 }
 
 /// (a) The paper's triangle: both uplinks announce P, the Fig. 2
@@ -188,16 +204,7 @@ fn route_reflection(seed: u64) -> u64 {
     b.link(spokes[0], spokes[1], 10);
     let up_a = b.external_peer("UpA", AsNum(100), spokes[0]);
     let up_b = b.external_peer("UpB", AsNum(200), spokes[3]);
-    let star = move |me: RouterId, other: RouterId| {
-        if me == hub && other != hub {
-            Some(SessionCfg::ibgp_client(other))
-        } else if me != hub && other == hub {
-            Some(SessionCfg::new(PeerRef::Internal(hub)))
-        } else {
-            None
-        }
-    };
-    let mut sim = ibgp_sim(b.build(), &[up_a, up_b], false, star, seed);
+    let mut sim = ibgp_sim(b.build(), &[up_a, up_b], false, reflector_star(hub), seed);
     let prefixes = prefix_block(48);
     sim.schedule_ext_announce(sim.now() + ms(1), up_a, &prefixes[..32]);
     sim.schedule_ext_announce(sim.now() + ms(7), up_b, &prefixes[16..]);
@@ -243,10 +250,75 @@ fn add_path(seed: u64) -> u64 {
     digest(sim.trace())
 }
 
+/// (f) The scaling shape: a random 48-router full mesh (47 sessions per
+/// speaker) with three uplinks under 600 announce/withdraw churn items —
+/// most sessions hear nothing for most re-evaluated prefixes.
+fn wide_mesh_churn(seed: u64) -> u64 {
+    let (topo, peers) = random_topology(48, 24, 3, 13);
+    let mut sim = ibgp_sim(topo, &peers, false, full_mesh, seed);
+    schedule_churn(&mut sim, &peers, &prefix_block(64), 600, seed);
+    sim.run_to_quiescence(MAX_EVENTS);
+    digest(sim.trace())
+}
+
+/// (g) A wide reflector: 48 routers, R1 reflecting between 47 clients,
+/// three uplinks announcing overlapping tables, then a withdraw /
+/// re-announce round on each — the `rr_client` / learned-over-eBGP /
+/// never-back-to-the-source case analysis, per session, at scale.
+fn wide_reflector_star(seed: u64) -> u64 {
+    let (topo, peers) = random_topology(48, 24, 3, 17);
+    let mut sim = ibgp_sim(topo, &peers, false, reflector_star(RouterId(0)), seed);
+    let prefixes = prefix_block(96);
+    for (i, up) in peers.iter().enumerate() {
+        let at = sim.now() + ms(5 * i as u64 + 1);
+        sim.schedule_ext_announce(at, *up, &prefixes[16 * i..16 * i + 64]);
+    }
+    sim.run_to_quiescence(MAX_EVENTS);
+    for (i, up) in peers.iter().enumerate() {
+        let round = &prefixes[16 * i + 8..16 * i + 40];
+        sim.schedule_ext_withdraw(sim.now() + ms(1), *up, round);
+        sim.run_to_quiescence(MAX_EVENTS);
+        sim.schedule_ext_announce(sim.now() + ms(1), *up, round);
+        sim.run_to_quiescence(MAX_EVENTS);
+    }
+    digest(sim.trace())
+}
+
+/// (h) The paper's triangle over a distance-vector underlay: both
+/// uplinks announce P, then a link fails and heals — per-prefix IGP
+/// adverts, poisons and (for EIGRP) queries and replies, each captured
+/// send hanging off its own prefix's RIB (EIGRP: FIB) event.
+fn distance_vector_underlay(igp: IgpKind, seed: u64) -> u64 {
+    let (latency, capture) = (LatencyProfile::cisco(), CaptureProfile::syslog());
+    let mut s = paper_scenario_with_igp(latency, capture, seed, igp);
+    s.sim.start();
+    s.sim.run_to_quiescence(MAX_EVENTS);
+    s.sim
+        .schedule_ext_announce(s.sim.now() + ms(10), s.ext_r1, &[s.prefix]);
+    s.sim
+        .schedule_ext_announce(s.sim.now() + ms(500), s.ext_r2, &[s.prefix]);
+    s.sim.run_to_quiescence(MAX_EVENTS);
+    for up in [false, true] {
+        s.sim
+            .schedule_link_change(s.sim.now() + ms(5), LinkId(0), up);
+        s.sim.run_to_quiescence(MAX_EVENTS);
+    }
+    digest(s.sim.trace())
+}
+
+fn rip_underlay(seed: u64) -> u64 {
+    distance_vector_underlay(IgpKind::Rip, seed)
+}
+
+fn eigrp_underlay(seed: u64) -> u64 {
+    distance_vector_underlay(IgpKind::Eigrp, seed)
+}
+
 type Scenario = fn(u64) -> u64;
 
-/// `(scenario, seed, digest)` — recorded on the parent of the RIB
-/// re-indexing; never edit a value to make a refactor pass.
+/// `(scenario, seed, digest)` — recorded on the parent of the refactor
+/// each guards (see the module docs); never edit a value to make a
+/// refactor pass.
 const GOLDEN: &[(&str, Scenario, u64, u64)] = &[
     (
         "paper_fault_rollback",
@@ -298,6 +370,16 @@ const GOLDEN: &[(&str, Scenario, u64, u64)] = &[
     ),
     ("add_path", add_path, 1, 0x91ec_f6a9_6a2f_834c),
     ("add_path", add_path, 2, 0x5a97_9cf3_d00f_ddc2),
+    // (f)–(h): recorded on the parent of the shared-route change.
+    ("wide_mesh_churn", wide_mesh_churn, 1, 0x1183_5bd4_c01f_d1f1),
+    (
+        "wide_reflector_star",
+        wide_reflector_star,
+        1,
+        0x7924_09a2_8550_095b,
+    ),
+    ("rip_underlay", rip_underlay, 1, 0x74da_650e_fc99_881d),
+    ("eigrp_underlay", eigrp_underlay, 1, 0xcf77_26a9_7609_17ca),
 ];
 
 #[test]

@@ -15,6 +15,7 @@ use cpvr_types::json::{from_str, to_string_compact, to_string_pretty};
 use cpvr_types::{AsNum, Ipv4Prefix, RouterId, SimTime};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn arb_prefix() -> impl Strategy<Value = Ipv4Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(bits, len)| Ipv4Prefix::from_bits(bits, len))
@@ -45,7 +46,7 @@ fn arb_fib_action() -> impl Strategy<Value = FibAction> {
     ]
 }
 
-fn arb_route() -> impl Strategy<Value = BgpRoute> {
+fn arb_route() -> impl Strategy<Value = Arc<BgpRoute>> {
     (
         arb_prefix(),
         prop_oneof![
@@ -64,15 +65,17 @@ fn arb_route() -> impl Strategy<Value = BgpRoute> {
         0u32..16,
     )
         .prop_map(
-            |(prefix, next_hop, local_pref, as_path, origin, med, comms, originator)| BgpRoute {
-                prefix,
-                next_hop,
-                local_pref,
-                as_path,
-                origin,
-                med,
-                communities: comms.into_iter().collect::<BTreeSet<u32>>(),
-                originator: RouterId(originator),
+            |(prefix, next_hop, local_pref, as_path, origin, med, comms, originator)| {
+                Arc::new(BgpRoute {
+                    prefix,
+                    next_hop,
+                    local_pref,
+                    as_path,
+                    origin,
+                    med,
+                    communities: comms.into_iter().collect::<BTreeSet<u32>>(),
+                    originator: RouterId(originator),
+                })
             },
         )
 }
@@ -285,7 +288,7 @@ proptest! {
 #[test]
 fn every_variant_roundtrips() {
     let p: Ipv4Prefix = "10.0.0.0/8".parse().unwrap();
-    let route = BgpRoute {
+    let route = Arc::new(BgpRoute {
         prefix: p,
         next_hop: NextHop::Router(RouterId(1)),
         local_pref: 200,
@@ -294,7 +297,7 @@ fn every_variant_roundtrips() {
         med: 5,
         communities: [7u32, 8].into_iter().collect(),
         originator: RouterId(2),
-    };
+    });
     let change = ConfigChange::SetWeight {
         peer: PeerRef::Internal(RouterId(0)),
         weight: 50,
@@ -366,5 +369,17 @@ fn every_variant_roundtrips() {
         let back: IoEvent =
             from_str(&compact).unwrap_or_else(|err| panic!("variant {i} compact: {err}"));
         assert_eq!(back, e, "variant {i} compact");
+        // A shared route is written as the route: the text recorded when
+        // events held their routes by value.
+        if i == 3 {
+            assert_eq!(compact, RECV_ADVERT_JSON);
+        }
     }
 }
+
+const RECV_ADVERT_JSON: &str = concat!(
+    r#"{"id":3,"router":0,"time":51000,"arrived_at":null,"kind":{"RecvAdvert":{"proto":"Bgp","#,
+    r#""prefix":"10.0.0.0/8","from":{"External":0},"route":{"prefix":"10.0.0.0/8","#,
+    r#""next_hop":{"Router":1},"local_pref":200,"as_path":[65001,65002],"origin":"Igp","#,
+    r#""med":5,"communities":[7,8],"originator":2}}}}"#,
+);

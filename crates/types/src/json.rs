@@ -15,6 +15,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// A parsed JSON document.
 ///
@@ -372,6 +373,19 @@ impl<T: FromJson> FromJson for Option<T> {
             Value::Null => Ok(None),
             other => Ok(Some(T::from_json(other)?)),
         }
+    }
+}
+
+/// A shared value is its value: the count is not part of the encoding.
+impl<T: ToJson> ToJson for Arc<T> {
+    fn to_json(&self) -> Value {
+        (**self).to_json()
+    }
+}
+
+impl<T: FromJson> FromJson for Arc<T> {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        T::from_json(v).map(Arc::new)
     }
 }
 

@@ -37,7 +37,7 @@ fn main() {
         let _ = speaker.recv_update(
             PeerRef::External(ExtPeerId(1)),
             BgpUpdate {
-                announce: vec![older],
+                announce: vec![older.into()],
                 withdraw: vec![],
             },
             &igp,
@@ -47,7 +47,7 @@ fn main() {
         let _ = speaker.recv_update(
             PeerRef::External(ExtPeerId(0)),
             BgpUpdate {
-                announce: vec![newer],
+                announce: vec![newer.into()],
                 withdraw: vec![],
             },
             &igp,
@@ -93,7 +93,7 @@ fn main() {
             let _ = speaker.recv_update(
                 PeerRef::External(ExtPeerId(peer)),
                 BgpUpdate {
-                    announce: vec![route],
+                    announce: vec![route.into()],
                     withdraw: vec![],
                 },
                 &igp,

@@ -34,7 +34,7 @@ fn announce(inst: &mut BgpInstance, peer: u32, originator: u32, prefix: Ipv4Pref
     let _ = inst.recv_update(
         PeerRef::External(ExtPeerId(peer)),
         BgpUpdate {
-            announce: vec![r],
+            announce: vec![r.into()],
             withdraw: vec![],
         },
         &igp,
