@@ -1,12 +1,12 @@
 //! A1 machinery: equivalence-class computation vs prefix count, plus the
-//! verifier itself — batch at 1/2/4 threads and the resident incremental
+//! verifier itself — the batch oracle and the resident incremental
 //! engine's cost per single FIB delta.
 
 use cpvr_bench::scaled_scenario;
 use cpvr_dataplane::{DataPlane, FibUpdate, UpdateKind};
 use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
 use cpvr_verify::ec::{behavior_classes, equivalence_classes};
-use cpvr_verify::{verify_parallel, IncrementalVerifier, Policy};
+use cpvr_verify::{verify, IncrementalVerifier, Policy};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 /// One `Reachable` policy for every 10th installed prefix — enough
@@ -61,14 +61,10 @@ fn bench(c: &mut Criterion) {
             b.iter(|| behavior_classes(dp))
         });
 
-        // Full batch verification, fanned across 1/2/4 worker threads.
-        for threads in [1usize, 2, 4] {
-            g.bench_with_input(
-                BenchmarkId::new(format!("verify_parallel_t{threads}"), k),
-                &dp,
-                |b, dp| b.iter(|| verify_parallel(&topo, dp, &policies, threads)),
-            );
-        }
+        // Full batch verification.
+        g.bench_with_input(BenchmarkId::new("verify", k), &dp, |b, dp| {
+            b.iter(|| verify(&topo, dp, &policies))
+        });
 
         // Incremental: one FIB delta (install a /28, then undo it) against
         // a resident verifier — the steady-state cost per update. Each

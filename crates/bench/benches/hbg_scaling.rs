@@ -2,7 +2,7 @@
 //! churn.
 
 use cpvr_bench::scaled_scenario;
-use cpvr_core::infer::{infer_hbg, infer_hbg_parallel, InferConfig};
+use cpvr_core::infer::{infer_hbg, InferConfig};
 use cpvr_sim::IoKind;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -45,29 +45,6 @@ fn bench(c: &mut Criterion) {
                 })
             },
         );
-        for threads in [1usize, 2, 4] {
-            g.bench_with_input(
-                BenchmarkId::new(
-                    format!("construct_par/{threads}t"),
-                    format!("{}ev", trace.len()),
-                ),
-                &trace,
-                |b, t| {
-                    b.iter(|| {
-                        infer_hbg_parallel(
-                            t,
-                            &InferConfig {
-                                rules: true,
-                                patterns: None,
-                                min_confidence: 0.0,
-                                proximate: false,
-                            },
-                            threads,
-                        )
-                    })
-                },
-            );
-        }
         g.bench_with_input(
             BenchmarkId::new("root_ancestors", format!("{}ev", trace.len())),
             &hbg,

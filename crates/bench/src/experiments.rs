@@ -6,7 +6,6 @@ use cpvr_core::provenance::{root_causes, RootCauseKind};
 use cpvr_core::repair::blocking_divergence;
 use cpvr_core::snapshot::{consistency_check, naive_verify_at, verify_when_consistent};
 use cpvr_core::{ControlLoop, Hbg};
-use cpvr_dataplane::TraceOutcome;
 use cpvr_sim::scenario::{paper_scenario, PaperScenario};
 use cpvr_sim::workload::IbgpShape;
 use cpvr_sim::{CaptureProfile, IoKind, LatencyProfile, Simulation, Trace};
@@ -771,19 +770,6 @@ pub fn scaled_scenario(n: usize, k: usize, seed: u64) -> Simulation {
     );
     sim.run_to_quiescence(MAX_EVENTS * 8);
     sim
-}
-
-/// True when every router delivers the probe somewhere (sanity check for
-/// scaled scenarios).
-pub fn all_delivered(sim: &Simulation, dst: std::net::Ipv4Addr) -> bool {
-    (0..sim.topology().num_routers() as u32).all(|r| {
-        matches!(
-            sim.dataplane()
-                .trace(sim.topology(), RouterId(r), dst)
-                .outcome,
-            TraceOutcome::Exited(_) | TraceOutcome::DeliveredLocal(_)
-        )
-    })
 }
 
 // ---------------------------------------------------------------------

@@ -9,7 +9,6 @@
 //! tie-break versus the standard/Juniper lowest-router-id tie-break.
 
 use crate::route::{BgpRoute, PeerRef};
-use cpvr_types::RouterId;
 use std::sync::Arc;
 
 /// Which vendor's decision process to emulate.
@@ -184,18 +183,12 @@ pub fn best_paths_multipath(vendor: VendorProfile, cands: &[Candidate]) -> Vec<u
         .collect()
 }
 
-/// The router-id tie-break order used in tests and documentation: lower
-/// originator wins.
-pub fn originator_order(a: RouterId, b: RouterId) -> std::cmp::Ordering {
-    a.cmp(&b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::route::{NextHop, Origin};
     use cpvr_topo::ExtPeerId;
-    use cpvr_types::{AsNum, Ipv4Prefix};
+    use cpvr_types::{AsNum, Ipv4Prefix, RouterId};
     use std::collections::BTreeSet;
 
     fn base_route() -> BgpRoute {

@@ -196,12 +196,6 @@ impl BgpInstance {
             .collect()
     }
 
-    /// The RIB table, whose paths are the raw Adj-RIB-In (for
-    /// diagnostics and tests).
-    pub fn adj_rib_in(&self) -> &Rib {
-        &self.rib
-    }
-
     /// Handles a BGP update received from `from`.
     pub fn recv_update(
         &mut self,

@@ -33,7 +33,7 @@
 //! last-resort failure mode.
 
 use crate::codec::{encode_frame, write_frame, CodecVersion, Decoder, EventEncoder, Frame, Hello};
-use cpvr_obs::{Counter, ExpoFormat, Gauge, MetricKind, MetricsRegistry, Snapshot};
+use cpvr_obs::{ExpoFormat, Snapshot};
 use cpvr_sim::{EventSink, IoEvent};
 use cpvr_types::{RouterId, SimTime, TraceCtx};
 use rand::rngs::StdRng;
@@ -73,65 +73,6 @@ impl Default for ReconnectPolicy {
             max_delay: Duration::from_secs(1),
             replay_capacity: 16 * 1024,
             stall_after: Duration::from_millis(500),
-        }
-    }
-}
-
-/// Client-side telemetry handles for one [`SocketSink`], labeled by the
-/// router it speaks for. [`declare`](SinkMetrics::declare) the families
-/// once per registry, then build one bundle per sink with
-/// [`for_router`](SinkMetrics::for_router) — splitting declaration from
-/// resolution is what keeps `obs-strict` happy when many sinks share a
-/// registry.
-pub struct SinkMetrics {
-    sent: Counter,
-    connects: Counter,
-    reconnects: Counter,
-    replay_depth: Gauge,
-    backoff_ms: Gauge,
-}
-
-impl SinkMetrics {
-    /// Declares the client metric families. Call exactly once per
-    /// registry, before any [`for_router`](Self::for_router).
-    pub fn declare(reg: &MetricsRegistry) {
-        reg.declare(
-            "cpvr_client_sent_total",
-            MetricKind::Counter,
-            "Events accepted by the sink (assigned a sequence number)",
-        );
-        reg.declare(
-            "cpvr_client_connects_total",
-            MetricKind::Counter,
-            "Successful connection establishments, including the first",
-        );
-        reg.declare(
-            "cpvr_client_reconnects_total",
-            MetricKind::Counter,
-            "Successful re-establishments after a failure (connects beyond the first)",
-        );
-        reg.declare(
-            "cpvr_client_replay_depth",
-            MetricKind::Gauge,
-            "Events currently held for replay (sent but unacknowledged)",
-        );
-        reg.declare(
-            "cpvr_client_backoff_ms",
-            MetricKind::Gauge,
-            "Current reconnect backoff delay in ms (0 while connected)",
-        );
-    }
-
-    /// Resolves the handles for one router's sink.
-    pub fn for_router(reg: &MetricsRegistry, source: RouterId) -> Self {
-        let label = source.0.to_string();
-        let l: &[(&str, &str)] = &[("router", &label)];
-        SinkMetrics {
-            sent: reg.counter_with("cpvr_client_sent_total", l),
-            connects: reg.counter_with("cpvr_client_connects_total", l),
-            reconnects: reg.counter_with("cpvr_client_reconnects_total", l),
-            replay_depth: reg.gauge_with("cpvr_client_replay_depth", l),
-            backoff_ms: reg.gauge_with("cpvr_client_backoff_ms", l),
         }
     }
 }
@@ -190,8 +131,6 @@ pub struct SocketSink {
     sent: u64,
     /// Successful connection establishments.
     connects: u64,
-    /// Optional telemetry; mirrors of the plain counters above.
-    metrics: Option<SinkMetrics>,
     /// Trace-stamp every Nth event with a [`TraceCtx`] trailer
     /// (0 = tracing off). Only the v3 codec carries the trailer; a v2
     /// sink's stamps are dropped at encode time, byte-identically to an
@@ -248,21 +187,10 @@ impl SocketSink {
             error: None,
             sent: 0,
             connects: 0,
-            metrics: None,
             trace_every: 0,
         };
         sink.establish()?;
         Ok(sink)
-    }
-
-    /// Attaches a telemetry bundle. The first connect already happened
-    /// in `connect_with`, so it is credited here retroactively.
-    pub fn attach_metrics(&mut self, m: SinkMetrics) {
-        m.connects.add(self.connects);
-        m.reconnects.add(self.connects.saturating_sub(1));
-        m.sent.add(self.sent);
-        m.replay_depth.set(self.buffer.len() as i64);
-        self.metrics = Some(m);
     }
 
     /// Samples every `every`-th event for causal tracing: the sampled
@@ -340,9 +268,6 @@ impl SocketSink {
         let mut last_err: Option<io::Error> = None;
         for attempt in 0..self.policy.max_attempts.max(1) {
             if attempt > 0 {
-                if let Some(m) = &self.metrics {
-                    m.backoff_ms.set(delay.as_millis() as i64);
-                }
                 // Jitter in [0.5, 1.5): reconnect storms from many
                 // clients decorrelate instead of synchronizing.
                 let jitter = self.rng.gen_range(0.5f64..1.5);
@@ -352,13 +277,6 @@ impl SocketSink {
             match self.try_establish() {
                 Ok(()) => {
                     self.connects += 1;
-                    if let Some(m) = &self.metrics {
-                        m.connects.inc();
-                        if self.connects > 1 {
-                            m.reconnects.inc();
-                        }
-                        m.backoff_ms.set(0);
-                    }
                     return Ok(());
                 }
                 Err(e) => last_err = Some(e),
@@ -474,9 +392,6 @@ impl SocketSink {
                                 while self.buffer.front().is_some_and(|(s, _)| *s < self.acked) {
                                     self.buffer.pop_front();
                                 }
-                                if let Some(m) = &self.metrics {
-                                    m.replay_depth.set(self.buffer.len() as i64);
-                                }
                             }
                             Ok(Frame::Fin) => self.fin_seen = true,
                             _ => {}
@@ -531,10 +446,6 @@ impl SocketSink {
         self.next_seq += 1;
         self.sent += 1;
         self.buffer.push_back((seq, bytes));
-        if let Some(m) = &self.metrics {
-            m.sent.inc();
-            m.replay_depth.set(self.buffer.len() as i64);
-        }
         // Write straight from the buffer entry (no clone); a failure
         // reconnects, and the reconnect replay covers it.
         if let Some(w) = self.stream.as_mut() {

@@ -58,7 +58,7 @@ use crate::codec::{
 };
 use crate::federation::{recover_member, CollectorRole, FederationConfig, PeerFrame};
 use crate::group_commit::GroupCommitHandle;
-use crate::metrics::{CollectorMetrics, DEFAULT_SPAN_SAMPLE};
+use crate::metrics::CollectorMetrics;
 use crate::pipeline::{PipelineConfig, RecoveryReport, WalScan};
 use crate::session;
 use crate::shard::{FoldReport, Shards};
@@ -145,9 +145,6 @@ pub struct CollectorConfig {
     /// Whether to run the telemetry registry (default on; the cost on
     /// the ingest path is a handful of relaxed atomics per event).
     pub metrics: bool,
-    /// Event-flight span sampling stride: one in this many sequence
-    /// numbers per source gets a causal latency breakdown.
-    pub span_sample: u64,
     /// How many fold workers run behind the session loop (default
     /// `1`). Routers and conversations are partitioned across the
     /// workers, which are joined by a two-phase watermark barrier (see
@@ -180,7 +177,6 @@ impl CollectorConfig {
             lease: LeaseConfig::default(),
             wal: None,
             metrics: true,
-            span_sample: DEFAULT_SPAN_SAMPLE,
             shards: 1,
             plan: None,
             federation: None,
@@ -204,12 +200,6 @@ impl CollectorConfig {
     /// snapshot).
     pub fn without_metrics(mut self) -> Self {
         self.metrics = false;
-        self
-    }
-
-    /// Overrides the event-flight span sampling stride.
-    pub fn with_span_sample(mut self, every: u64) -> Self {
-        self.span_sample = every.max(1);
         self
     }
 
@@ -518,7 +508,6 @@ impl Collector {
         let metrics = cfg.metrics.then(|| {
             Arc::new(CollectorMetrics::new_federated(
                 cfg.pipeline.n_routers,
-                cfg.span_sample,
                 worker_series,
                 members,
             ))

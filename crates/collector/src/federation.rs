@@ -126,9 +126,10 @@ pub struct FederationConfig {
     pub peers: Vec<SocketAddr>,
 }
 
-/// What kind of collector produced a [`CollectorReport`]
-/// (`crate::CollectorReport`): a standalone/sharded collector, or one
-/// member of a federation — with its last view of every peer.
+/// What kind of collector produced a
+/// [`CollectorReport`](crate::CollectorReport): a standalone/sharded
+/// collector, or one member of a federation — with its last view of
+/// every peer.
 #[derive(Clone, Debug)]
 pub enum CollectorRole {
     /// Not federated: its fold shards all run in-process.
@@ -142,13 +143,6 @@ pub enum CollectorRole {
         /// Final state of every *other* member, as seen over the wire.
         peers: Vec<PeerSummary>,
     },
-}
-
-impl CollectorRole {
-    /// Whether this collector ran as a federation member.
-    pub fn is_member(&self) -> bool {
-        matches!(self, CollectorRole::Member { .. })
-    }
 }
 
 /// A member's last knowledge of one peer.
@@ -1280,11 +1274,6 @@ impl MemberFold {
     /// Federation size.
     pub fn members(&self) -> u32 {
         self.members
-    }
-
-    /// Final per-peer link state.
-    pub fn peer_summaries(&self) -> &[PeerSummary] {
-        &self.peers
     }
 
     /// Repairs other members gated and advertised to this one, with the

@@ -16,8 +16,8 @@
 //!   [`IoEvent`](cpvr_sim::IoEvent)s in the workspace's own JSON
 //!   encoding, the `Hello` / `Watermark` / `Heartbeat` / `Bye` control
 //!   frames (v2: sequence numbers, acks, and watermark frontiers), and
-//!   a resynchronizing streaming [`Decoder`](codec::Decoder) that
-//!   quarantines corrupt frames instead of poisoning the connection.
+//!   a resynchronizing streaming [`codec::Decoder`] that quarantines
+//!   corrupt frames instead of poisoning the connection.
 //! * [`wal`] — a segmented append-only write-ahead log whose records
 //!   are exactly the wire frames, with configurable fsync policy and
 //!   torn-tail detection on replay.
@@ -51,10 +51,10 @@
 //!   `Frame::MetricsReq` (Prometheus text or the workspace JSON), and
 //!   dumped into the [`CollectorReport`] at shutdown.
 //! * [`fault`] — a deterministic fault-injection harness: a seeded
-//!   [`FaultPlan`](fault::FaultPlan) applied by a
-//!   [`ChaosProxy`](fault::ChaosProxy) that sits between clients and
-//!   the collector, dropping, corrupting, duplicating, delaying, and
-//!   disconnecting the byte stream on a reproducible schedule.
+//!   [`fault::FaultPlan`] applied by a [`fault::ChaosProxy`] that sits
+//!   between clients and the collector, dropping, corrupting,
+//!   duplicating, delaying, and disconnecting the byte stream on a
+//!   reproducible schedule.
 //!
 //! Crash recovery is the point of the WAL: every event is journaled
 //! before it is ingested and every global watermark before the fold
@@ -84,7 +84,7 @@ mod session;
 pub mod shard;
 pub mod wal;
 
-pub use client::{dump_flight, scrape, scrape_snapshot, ReconnectPolicy, SinkMetrics, SocketSink};
+pub use client::{dump_flight, scrape, scrape_snapshot, ReconnectPolicy, SocketSink};
 pub use codec::{
     CodecVersion, DecodedMsg, Decoder, EventEncoder, Frame, Hello, PeerRepairProof, RawFrame,
     RepairRecord, RepairStage,

@@ -27,9 +27,9 @@ use crate::pipeline::{SourceState, SourceTable};
 use crate::shard::{FoldGauges, Verdict};
 use crate::wal::WalMetrics;
 
-/// Default sampling stride for event-flight spans: one in this many
-/// sequence numbers per source gets a full causal latency breakdown.
-pub const DEFAULT_SPAN_SAMPLE: u64 = 64;
+/// Sampling stride for event-flight spans: one in this many sequence
+/// numbers per source gets a full causal latency breakdown.
+const DEFAULT_SPAN_SAMPLE: u64 = 64;
 
 /// Cap on concurrently tracked flights (beyond it, new samples are
 /// dropped and counted, never allocated).
@@ -145,15 +145,10 @@ pub struct CollectorMetrics {
 
 impl CollectorMetrics {
     /// Declares every family and resolves the static handles for a
-    /// deployment of `n_routers`, folded by `shards` worker threads.
-    pub fn new(n_routers: u32, span_sample: u64, shards: u32) -> Self {
-        Self::new_federated(n_routers, span_sample, shards, 0)
-    }
-
-    /// Like [`new`](Self::new), but for a federation member of an
-    /// `members`-way federation (`members == 0` or `1` means standalone:
-    /// no per-peer series are resolved).
-    pub fn new_federated(n_routers: u32, span_sample: u64, shards: u32, members: u32) -> Self {
+    /// deployment of `n_routers`, folded by `shards` worker threads, as
+    /// one member of a `members`-way federation (`members == 0` or `1`
+    /// means standalone: no per-peer series are resolved).
+    pub fn new_federated(n_routers: u32, shards: u32, members: u32) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
         let r = &registry;
 
@@ -460,7 +455,7 @@ impl CollectorMetrics {
             "Wall-clock latency of one WAL flush+fsync",
         );
 
-        let spans = SpanRecorder::new_sharded(r, span_sample, SPAN_CAP, shards);
+        let spans = SpanRecorder::new_sharded(r, DEFAULT_SPAN_SAMPLE, SPAN_CAP, shards);
 
         let mut shard_frontier = Vec::new();
         let mut shard_fold_lag = Vec::new();

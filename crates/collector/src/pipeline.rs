@@ -28,7 +28,7 @@
 //! bit-identical to the state the crashed process had at that
 //! watermark — and the connections can resume from there.
 
-use crate::codec::{decode_frame, Frame, RepairRecord};
+use crate::codec::{decode_frame, Frame};
 use crate::repair_journal::RepairLedger;
 use crate::wal;
 use cpvr_core::builder::HbgBuilder;
@@ -417,12 +417,6 @@ impl IngestPipeline {
         }
     }
 
-    /// Folds one journaled repair-lifecycle record into the ledger.
-    /// Returns `false` for an exact duplicate.
-    pub fn accept_repair(&mut self, r: &RepairRecord) -> bool {
-        self.repairs.accept(r)
-    }
-
     /// The repair-lifecycle ledger.
     pub fn repairs(&self) -> &RepairLedger {
         &self.repairs
@@ -470,12 +464,6 @@ impl IngestPipeline {
     /// The per-source delivery/liveness table.
     pub fn sources(&self) -> &SourceTable {
         &self.sources
-    }
-
-    /// Mutable access to the source table (a driver feeds hellos,
-    /// offers, promises, and leases through this).
-    pub fn sources_mut(&mut self) -> &mut SourceTable {
-        &mut self.sources
     }
 
     /// The sources currently preventing the watermark from advancing.

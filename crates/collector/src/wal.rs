@@ -272,18 +272,6 @@ impl Wal {
         self.file.get_ref().try_clone()
     }
 
-    /// Credits `n` records as durably synced by an out-of-band fsync of
-    /// [`active_file`](Self::active_file) (group commit). Keeps
-    /// [`pending_sync`](Self::pending_sync) and
-    /// [`syncs`](Self::syncs) meaningful in deferred mode.
-    pub fn note_synced(&mut self, n: u32) {
-        self.since_sync = self.since_sync.saturating_sub(n);
-        self.syncs += 1;
-        if let Some(m) = &self.metrics {
-            m.syncs.inc();
-        }
-    }
-
     /// Flushes and fsyncs the active segment.
     pub fn sync(&mut self) -> io::Result<()> {
         let start = std::time::Instant::now();

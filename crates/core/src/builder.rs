@@ -6,7 +6,7 @@
 //! obstacle to running verification *inside* the control plane. The
 //! [`HbgBuilder`] instead ingests [`IoEvent`]s as the network emits them
 //! and keeps the graph current in O(new events): the same sweep state
-//! the batch matchers use ([`RuleSweep`], [`SweepState`]) is simply kept
+//! the batch matchers use ([`RuleSweep`], `SweepState`) is simply kept
 //! alive between epochs instead of being rebuilt.
 //!
 //! ## Watermarks
@@ -156,7 +156,18 @@ impl HbgBuilder {
     /// conversations' send/recv events; the union of edges across all
     /// such builders equals a single [`RuleScope::All`] builder over
     /// the whole stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` selects patterns and `scope` is not
+    /// [`RuleScope::All`]: the pattern engine is not scoped, so each
+    /// shard builder would emit pattern edges over its partial event
+    /// set.
     pub fn new_scoped(cfg: &InferConfig<'_>, scope: RuleScope) -> Self {
+        assert!(
+            scope == RuleScope::All || cfg.patterns.is_none(),
+            "pattern inference cannot be scoped: a {scope:?} builder sees only part of the stream",
+        );
         HbgBuilder {
             rules: cfg.rules.then(RuleSweep::new),
             scope,
@@ -216,7 +227,7 @@ impl HbgBuilder {
             }
             if let Some((engine, proximate)) = &self.patterns {
                 let mut cands: Vec<Cand> = Vec::new();
-                engine.collect(&e, &self.state, true, true, &mut cands);
+                engine.collect(&e, &self.state, &mut cands);
                 if *proximate {
                     PatternEngine::retain_proximate(&mut cands);
                 }
@@ -424,66 +435,17 @@ mod tests {
         b.ingest(sorted[0]);
     }
 
-    /// Scoped shard builders (per-router `LocalOnly` + per-conversation
-    /// `CrossOnly`) must union to the monolithic `All` graph — the edge
-    /// half of the sharded-fold oracle.
     #[test]
-    fn scoped_shard_builders_union_to_monolithic() {
-        use crate::shard::ShardPlan;
-        use crate::snapshot::classify_conv;
-        let trace = sample_trace(5);
+    #[should_panic(expected = "pattern inference cannot be scoped")]
+    fn scoped_builder_rejects_patterns() {
+        let miner = PatternMiner::new(SimTime::from_millis(5), 3);
         let cfg = InferConfig {
             rules: true,
-            patterns: None,
-            min_confidence: 0.0,
+            patterns: Some(&miner),
+            min_confidence: 0.6,
             proximate: false,
         };
-        let mono = {
-            let mut b = HbgBuilder::new(&cfg);
-            for e in &trace.events {
-                b.ingest(e);
-            }
-            b.advance(SimTime::MAX);
-            b
-        };
-        for shards in [2u32, 3] {
-            let plan = ShardPlan::uniform(shards);
-            let mut locals: Vec<HbgBuilder> = (0..shards)
-                .map(|_| HbgBuilder::new_scoped(&cfg, RuleScope::LocalOnly))
-                .collect();
-            let mut crosses: Vec<HbgBuilder> = (0..shards)
-                .map(|_| HbgBuilder::new_scoped(&cfg, RuleScope::CrossOnly))
-                .collect();
-            for e in &trace.events {
-                locals[plan.of_router(e.router) as usize].ingest(e);
-                if let Some((key, _)) = classify_conv(e) {
-                    crosses[plan.of_conv(&key) as usize].ingest(e);
-                }
-            }
-            let mut merged = crate::hbg::Hbg::new(0);
-            let mut processed = 0;
-            for b in locals.iter_mut() {
-                b.advance(SimTime::MAX);
-                processed += b.processed();
-                merged.grow_to(b.hbg().num_events());
-                for h in b.hbg().edges() {
-                    merged.add(*h);
-                }
-            }
-            for b in crosses.iter_mut() {
-                b.advance(SimTime::MAX);
-                merged.grow_to(b.hbg().num_events());
-                for h in b.hbg().edges() {
-                    merged.add(*h);
-                }
-            }
-            assert_eq!(processed, mono.processed(), "shards {shards}");
-            assert_eq!(
-                merged.canonical_edges(),
-                mono.hbg().canonical_edges(),
-                "shards {shards}"
-            );
-        }
+        HbgBuilder::new_scoped(&cfg, RuleScope::LocalOnly);
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! must equal the centralized walk; the interesting output is the
 //! message count.
 
-use crate::hbg::{Hbg, Hbr};
-use crate::provenance::{root_causes, RootCause};
+use crate::hbg::Hbr;
 use crate::rules::match_rules;
 use cpvr_sim::{EventId, IoEvent, IoKind, Trace};
 use cpvr_types::RouterId;
@@ -130,31 +129,6 @@ pub fn distributed_root_events(
     (roots.into_iter().collect(), stats)
 }
 
-/// Convenience: distributed provenance with classification, for
-/// comparison against the centralized [`root_causes`].
-pub fn distributed_root_causes(
-    trace: &Trace,
-    subs: &[RouterSubgraph],
-    from: EventId,
-) -> (Vec<RootCause>, DistProvenanceStats) {
-    let (events, stats) = distributed_root_events(trace, subs, from);
-    // Reuse the centralized classifier on the found leaves by building a
-    // tiny graph: leaves have no parents, so classification only needs
-    // the events themselves.
-    let refs: Vec<&IoEvent> = trace.events.iter().collect();
-    let hbrs = match_rules(&refs);
-    let mut g = Hbg::new(trace.len());
-    for h in hbrs {
-        g.add(h);
-    }
-    let centralized = root_causes(trace, &g, from, 0.5);
-    let filtered: Vec<RootCause> = centralized
-        .into_iter()
-        .filter(|c| events.contains(&c.event))
-        .collect();
-    (filtered, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,18 +209,6 @@ mod tests {
         // were exchanged and multiple routers participated.
         assert!(stats.messages > 0);
         assert!(stats.routers_involved >= 2);
-    }
-
-    #[test]
-    fn distributed_classification_finds_the_config_root() {
-        let (trace, bad) = fig2_trace();
-        let subs = partition(&trace);
-        let (causes, _) = distributed_root_causes(&trace, &subs, bad);
-        assert!(causes.iter().any(|c| c.router == RouterId(1)
-            && matches!(
-                c.kind,
-                crate::provenance::RootCauseKind::ConfigChange { .. }
-            )));
     }
 
     #[test]

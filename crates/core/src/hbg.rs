@@ -130,21 +130,6 @@ impl Hbg {
         self.outs.of(e).map(|i| &self.edges[i])
     }
 
-    /// Builds the oracle graph from a trace's ground-truth edges
-    /// (testing only — inference never sees this).
-    pub fn from_truth(trace: &Trace) -> Self {
-        let mut g = Hbg::new(trace.len());
-        for (a, b) in &trace.truth_edges {
-            g.add(Hbr {
-                from: *a,
-                to: *b,
-                confidence: 1.0,
-                source: HbrSource::Truth,
-            });
-        }
-        g
-    }
-
     /// Number of events the graph covers.
     pub fn num_events(&self) -> usize {
         self.outs.ends.len()

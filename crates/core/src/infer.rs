@@ -16,10 +16,10 @@
 //! against the simulator's ground truth for experiment A2.
 
 use crate::hbg::{Hbg, Hbr, HbrSource};
-use crate::rules::{match_rules, FoldRecord, KindClass, RuleScope, RuleSweep};
+use crate::rules::{match_rules, FoldRecord, KindClass};
 use cpvr_sim::{EventId, IoEvent, Proto, Trace};
 use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 pub(crate) type Sig = (KindClass, Option<Proto>);
 
@@ -125,7 +125,7 @@ impl PatternMiner {
         let mut cands: Vec<Cand> = Vec::new();
         for e in &records(events.iter().copied()) {
             cands.clear();
-            engine.collect(e, &state, true, true, &mut cands);
+            engine.collect(e, &state, &mut cands);
             if proximate_only {
                 PatternEngine::retain_proximate(&mut cands);
             }
@@ -133,11 +133,6 @@ impl PatternMiner {
             state.note(e);
         }
         out
-    }
-
-    /// [`apply_with`](Self::apply_with) keeping every matched pattern.
-    pub fn apply(&self, events: &[&IoEvent], min_conf: f64) -> Vec<Hbr> {
-        self.apply_with(events, min_conf, false)
     }
 }
 
@@ -150,7 +145,7 @@ fn records<'a>(events: impl IntoIterator<Item = &'a IoEvent>) -> Vec<FoldRecord>
 
 /// A miner's patterns compiled for application: filtered by confidence
 /// and indexed by consequent signature. One compiled engine is shared by
-/// the batch sweep, the parallel shards, and the incremental builder.
+/// the batch sweep and the incremental builder.
 #[derive(Clone)]
 pub(crate) struct PatternEngine {
     window: SimTime,
@@ -184,26 +179,12 @@ impl PatternEngine {
     }
 
     /// Collects the pattern candidates whose consequent is `e`, as
-    /// `(antecedent time, specificity rank, edge)` triples. `local` and
-    /// `cross` select which relation families to consider — sharded
-    /// application runs the router-local relations and the cross-router
-    /// relation in separate passes and merges per consequent.
-    pub(crate) fn collect(
-        &self,
-        e: &FoldRecord,
-        state: &SweepState,
-        local: bool,
-        cross: bool,
-        out: &mut Vec<Cand>,
-    ) {
+    /// `(antecedent time, specificity rank, edge)` triples.
+    pub(crate) fn collect(&self, e: &FoldRecord, state: &SweepState, out: &mut Vec<Cand>) {
         let Some(pats) = self.by_cons.get(&e.sig()) else {
             return;
         };
         for p in pats {
-            let is_cross = p.rel == Relation::CrossRouter;
-            if if is_cross { !cross } else { !local } {
-                continue;
-            }
             let Some((t, ids)) = state.latest_matching(e, p.ante, p.rel, self.window) else {
                 continue;
             };
@@ -389,170 +370,6 @@ pub fn infer_hbg(trace: &Trace, cfg: &InferConfig<'_>) -> Hbg {
     g
 }
 
-/// One unit of parallel inference work.
-///
-/// Every rule except send→recv, and every pattern relation except
-/// cross-router, is *router-local*: its candidate state is keyed by the
-/// consequent's router and written only by that router's events. So the
-/// trace partitions cleanly into per-router [`Local`](Shard::Local)
-/// shards plus [`Cross`](Shard::Cross) shards carrying the one
-/// conversation-scoped rule (send→recv, sharded by `(proto, prefix)`
-/// over send/recv events) or the one prefix-scoped pattern relation
-/// (cross-router, sharded by prefix). Each shard reproduces exactly the
-/// candidates the sequential sweep would have produced for its half of
-/// the logic, so the union over shards equals the sequential output.
-enum Shard {
-    /// All events of one router; runs the router-local half.
-    Local(Vec<FoldRecord>),
-    /// The events of one conversation/prefix; runs the cross-router half.
-    Cross(Vec<FoldRecord>),
-}
-
-/// Runs `work` over `shards` on up to `threads` OS threads (contiguous
-/// chunks of the shard list per thread) and concatenates the per-shard
-/// outputs **in the original shard order**, so the result is
-/// bit-identical to a serial fold regardless of scheduling.
-fn run_sharded<T, R, F>(shards: Vec<T>, threads: usize, work: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> Vec<R> + Sync,
-{
-    if threads <= 1 || shards.len() <= 1 {
-        return shards.into_iter().flat_map(&work).collect();
-    }
-    let chunk = shards.len().div_ceil(threads);
-    let mut groups: Vec<Vec<T>> = Vec::new();
-    let mut iter = shards.into_iter();
-    loop {
-        let group: Vec<T> = iter.by_ref().take(chunk).collect();
-        if group.is_empty() {
-            break;
-        }
-        groups.push(group);
-    }
-    let work = &work;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = groups
-            .into_iter()
-            .map(|group| s.spawn(move || group.into_iter().flat_map(work).collect::<Vec<R>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("inference shard panicked"))
-            .collect()
-    })
-}
-
-/// Parallel [`infer_hbg`]: shards the trace by `(router)` and
-/// `(proto/prefix)` partitions and fans the shards across `threads` OS
-/// threads (`0` = use all available cores). Produces the **same edge
-/// set, confidences, and sources** as the sequential path — see
-/// [`Shard`] for why the partition is lossless — so callers can switch
-/// freely between the two; the equivalence proptests in
-/// `tests/equivalence.rs` pin this down.
-pub fn infer_hbg_parallel(trace: &Trace, cfg: &InferConfig<'_>, threads: usize) -> Hbg {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    };
-    let mut g = Hbg::new(trace.len());
-    let sorted = records(&trace.events);
-
-    if cfg.rules {
-        // Local shards see every event of their router; cross shards see
-        // only the send/recv events of their conversation — recv events
-        // match no rule other than send→recv, and the send→recv candidate
-        // map is keyed (sender, addressee, proto, prefix), all of which
-        // the (proto, prefix) grouping holds constant per shard.
-        let mut local: BTreeMap<RouterId, Vec<FoldRecord>> = BTreeMap::new();
-        let mut cross: BTreeMap<(Proto, Option<Ipv4Prefix>), Vec<FoldRecord>> = BTreeMap::new();
-        for e in &sorted {
-            local.entry(e.router).or_default().push(*e);
-            use KindClass::{RecvAd, RecvWd, SendAd, SendWd};
-            if let (SendAd | SendWd | RecvAd | RecvWd, Some(proto)) = e.sig() {
-                cross.entry((proto, e.prefix)).or_default().push(*e);
-            }
-        }
-        let shards: Vec<Shard> = local
-            .into_values()
-            .map(Shard::Local)
-            .chain(cross.into_values().map(Shard::Cross))
-            .collect();
-        let edges = run_sharded(shards, threads, |shard| {
-            let (events, scope) = match shard {
-                Shard::Local(v) => (v, RuleScope::LocalOnly),
-                Shard::Cross(v) => (v, RuleScope::CrossOnly),
-            };
-            let mut sweep = RuleSweep::new();
-            let mut out = Vec::new();
-            for e in &events {
-                sweep.step_record(e, scope, &mut out);
-            }
-            out
-        });
-        for h in edges {
-            g.add(h);
-        }
-    }
-
-    if let Some(miner) = cfg.patterns {
-        let engine = PatternEngine::compile(miner, cfg.min_confidence);
-        let mut local: BTreeMap<RouterId, Vec<FoldRecord>> = BTreeMap::new();
-        let mut cross: BTreeMap<Ipv4Prefix, Vec<FoldRecord>> = BTreeMap::new();
-        for e in &sorted {
-            local.entry(e.router).or_default().push(*e);
-            if let Some(p) = e.prefix {
-                cross.entry(p).or_default().push(*e);
-            }
-        }
-        let shards: Vec<Shard> = local
-            .into_values()
-            .map(Shard::Local)
-            .chain(cross.into_values().map(Shard::Cross))
-            .collect();
-        let engine = &engine;
-        // Each shard reports (consequent, candidates) pairs; candidates
-        // from different shards are merged per consequent *before* the
-        // proximate filter, which is what makes the filter see exactly
-        // the candidate set the sequential sweep sees.
-        let per_cons = run_sharded(shards, threads, move |shard| {
-            let (events, is_local) = match shard {
-                Shard::Local(v) => (v, true),
-                Shard::Cross(v) => (v, false),
-            };
-            let mut state = SweepState::default();
-            let mut out: Vec<(EventId, Vec<Cand>)> = Vec::new();
-            for e in &events {
-                let mut cands = Vec::new();
-                engine.collect(e, &state, is_local, !is_local, &mut cands);
-                if !cands.is_empty() {
-                    out.push((e.id, cands));
-                }
-                state.note(e);
-            }
-            out
-        });
-        let mut merged: HashMap<EventId, Vec<Cand>> = HashMap::new();
-        for (id, cands) in per_cons {
-            merged.entry(id).or_default().extend(cands);
-        }
-        for e in &sorted {
-            if let Some(mut cands) = merged.remove(&e.id) {
-                if cfg.proximate {
-                    PatternEngine::retain_proximate(&mut cands);
-                }
-                for (_, _, h) in cands {
-                    g.add(h);
-                }
-            }
-        }
-    }
-
-    g
-}
-
 /// Grades a graph against ground truth at a confidence threshold.
 pub fn evaluate(g: &Hbg, trace: &Trace, min_conf: f64) -> InferStats {
     let (precision, recall, tp) = g.score_against_truth(trace, min_conf);
@@ -702,30 +519,6 @@ mod tests {
         let mut strict = PatternMiner::new(SimTime::from_millis(5), 1_000_000);
         strict.train(&sample_trace(1));
         assert!(strict.patterns().is_empty());
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_real_trace() {
-        let mut miner = PatternMiner::new(SimTime::from_millis(5), 3);
-        miner.train(&sample_trace(1));
-        let target = sample_trace(9);
-        for proximate in [false, true] {
-            let cfg = InferConfig {
-                rules: true,
-                patterns: Some(&miner),
-                min_confidence: 0.6,
-                proximate,
-            };
-            let seq = infer_hbg(&target, &cfg);
-            for threads in [1, 2, 4, 0] {
-                let par = infer_hbg_parallel(&target, &cfg, threads);
-                assert_eq!(
-                    seq.canonical_edges(),
-                    par.canonical_edges(),
-                    "threads={threads} proximate={proximate}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -48,11 +48,11 @@ pub mod whatif;
 
 pub use builder::HbgBuilder;
 pub use control::{ControlLoop, GuardAction, GuardReport};
-pub use distributed::{distributed_root_causes, partition, RouterSubgraph};
+pub use distributed::{partition, RouterSubgraph};
 pub use export::{trace_from_json, trace_to_json};
 pub use gate::{install_inline_gate, GateStats};
 pub use hbg::{Hbg, Hbr, HbrSource};
-pub use infer::{infer_hbg, infer_hbg_parallel, InferConfig, InferStats, PatternMiner};
+pub use infer::{infer_hbg, InferConfig, InferStats, PatternMiner};
 pub use predict::OutcomePredictor;
 pub use proof::{chain_over, gate_repair, prove, PredictedBehavior, ProvenanceHop, RepairProof};
 pub use provenance::{provenance_path, root_causes, RootCause};
@@ -60,6 +60,6 @@ pub use repair::{propose_repairs, propose_repairs_report, RepairPlan, RepairRepo
 pub use rules::FoldRecord;
 pub use shard::{FederationPlan, ShardPlan};
 pub use snapshot::{
-    classify_conv, consistency_check, consistent_snapshot, ConsistencyTracker, ConvDigest, ConvKey,
-    SnapshotStatus, TrackerSlice,
+    classify_conv, consistency_check, ConsistencyTracker, ConvDigest, ConvKey, SnapshotStatus,
+    TrackerSlice,
 };

@@ -105,12 +105,6 @@ pub fn chain_over(hops: &[ProvenanceHop]) -> Vec<u64> {
 }
 
 impl RepairProof {
-    /// The chain tip — the single digest that commits to the whole
-    /// provenance path. Zero for an empty path.
-    pub fn chain_tip(&self) -> u64 {
-        self.chain.last().copied().unwrap_or(0)
-    }
-
     /// A stable identifier for this proof: the FNV-1a digest of its
     /// binary encoding. Journal records for every lifecycle stage of
     /// one repair carry the same id.

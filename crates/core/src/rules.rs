@@ -291,7 +291,7 @@ impl<'a> Candidates<'a> {
 /// mixes candidates across the two halves.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RuleScope {
-    /// Apply every rule (the sequential batch and incremental paths).
+    /// Apply every rule (the batch oracle and the unsharded builder).
     All,
     /// Router-local rules only; the send→recv rule is skipped. Feed one
     /// router's events.
@@ -307,9 +307,9 @@ pub enum RuleScope {
 ///
 /// Feed events in `(time, id)` order via [`step`](RuleSweep::step); each
 /// call appends the HBRs whose consequent is that event. This is the one
-/// code path shared by [`match_rules`] (batch), the parallel shards of
-/// [`infer_hbg_parallel`](crate::infer::infer_hbg_parallel), and the
-/// incremental [`HbgBuilder`](crate::builder::HbgBuilder).
+/// code path shared by [`match_rules`] (the batch oracle) and the
+/// incremental [`HbgBuilder`](crate::builder::HbgBuilder), whole or
+/// scoped per fold shard.
 #[derive(Clone, Default)]
 pub struct RuleSweep {
     maps: Maps,

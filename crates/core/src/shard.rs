@@ -12,11 +12,10 @@
 //!   in the fold) are assigned by **prefix range**
 //!   ([`of_prefix`](ShardPlan::of_prefix)): the address space is split
 //!   into `shards` contiguous ranges, either uniformly or balanced over
-//!   the prefixes observed in a
-//!   [`PrefixTrie`](cpvr_types::PrefixTrie) (e.g. the data plane's
-//!   union trie). Conversations with no prefix fall back to the
-//!   addressee router's shard — EC affinity, so repeated traffic for one
-//!   equivalence class lands on one shard.
+//!   the prefixes observed in a [`cpvr_types::PrefixTrie`] (e.g. the
+//!   data plane's union trie). Conversations with no prefix fall back
+//!   to the addressee router's shard — EC affinity, so repeated traffic
+//!   for one equivalence class lands on one shard.
 //!
 //! The plan is pure data (a boundary table); every thread can hold a
 //! copy and route without coordination.

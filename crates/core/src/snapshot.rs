@@ -46,15 +46,9 @@ impl SnapshotStatus {
 
 /// Checks causal closure of the events that have arrived by `horizon`.
 pub fn consistency_check(trace: &Trace, horizon: SimTime) -> SnapshotStatus {
-    let arrived = trace.arrived_by(horizon);
-    consistency_check_events(&arrived)
-}
-
-/// [`consistency_check`] over an explicit arrived-event set.
-pub fn consistency_check_events(arrived: &[&IoEvent]) -> SnapshotStatus {
     let mut sends: BTreeMap<ConvKey, Vec<SimTime>> = BTreeMap::new();
     let mut recvs: BTreeMap<ConvKey, Vec<SimTime>> = BTreeMap::new();
-    for e in arrived {
+    for e in trace.arrived_by(horizon) {
         if let Some((key, is_send)) = classify_conv(e) {
             let side = if is_send { &mut sends } else { &mut recvs };
             side.entry(key).or_default().push(e.time);
@@ -608,19 +602,6 @@ pub fn snapshot_arrived_by(trace: &Trace, n_routers: usize, horizon: SimTime) ->
     dp
 }
 
-/// The HBG-gated snapshot: `Ok(dataplane)` when the horizon is causally
-/// closed, `Err(routers to wait for)` otherwise.
-pub fn consistent_snapshot(
-    trace: &Trace,
-    n_routers: usize,
-    horizon: SimTime,
-) -> Result<DataPlane, Vec<RouterId>> {
-    match consistency_check(trace, horizon) {
-        SnapshotStatus::Consistent => Ok(snapshot_arrived_by(trace, n_routers, horizon)),
-        SnapshotStatus::WaitFor(rs) => Err(rs),
-    }
-}
-
 /// Verifies at `horizon` the naive way: whatever arrived is the truth.
 /// This is what produces Fig. 1c's false loop alarm.
 pub fn naive_verify_at(
@@ -645,17 +626,14 @@ pub fn verify_when_consistent(
     max_horizon: SimTime,
     step: SimTime,
 ) -> Option<(SimTime, VerifyReport)> {
-    loop {
-        match consistent_snapshot(trace, topo.num_routers(), horizon) {
-            Ok(dp) => return Some((horizon, verify(topo, &dp, policies))),
-            Err(_) => {
-                if horizon >= max_horizon {
-                    return None;
-                }
-                horizon = (horizon + step).min(max_horizon);
-            }
+    while !consistency_check(trace, horizon).is_consistent() {
+        if horizon >= max_horizon {
+            return None;
         }
+        horizon = (horizon + step).min(max_horizon);
     }
+    let dp = snapshot_arrived_by(trace, topo.num_routers(), horizon);
+    Some((horizon, verify(topo, &dp, policies)))
 }
 
 /// A sweep of the data plane's true state across an interval: one

@@ -1,19 +1,20 @@
-//! Equivalence properties of the three HBG construction strategies.
+//! Equivalence of the production fold and its batch oracles.
 //!
-//! The parallel sharded path ([`infer_hbg_parallel`]) and the
-//! incremental builder ([`HbgBuilder`]) both promise **bit-identical**
-//! output to sequential batch inference ([`infer_hbg`]) — same edge set,
-//! same confidences, same sources. These properties pin that promise
-//! down on adversarial inputs: randomized traces with clustered
+//! The incremental builder ([`HbgBuilder`]) — whole, or split into the
+//! scoped per-shard builders the collector's fold shards run — promises
+//! **bit-identical** output to batch inference ([`infer_hbg`]): same
+//! edge set, same confidences, same sources. These properties pin that
+//! promise down on adversarial inputs: randomized traces with clustered
 //! timestamps (plenty of ties), shared prefixes across routers, events
 //! with and without prefixes, and every I/O kind — far messier than any
 //! simulator run.
 
 use cpvr_bgp::PeerRef;
 use cpvr_core::builder::HbgBuilder;
-use cpvr_core::infer::{infer_hbg, infer_hbg_parallel, InferConfig, PatternMiner};
-use cpvr_core::snapshot::snapshot_arrived_by;
-use cpvr_core::{consistency_check, ConsistencyTracker, Hbg};
+use cpvr_core::infer::{infer_hbg, InferConfig, PatternMiner};
+use cpvr_core::rules::RuleScope;
+use cpvr_core::snapshot::{classify_conv, snapshot_arrived_by};
+use cpvr_core::{consistency_check, ConsistencyTracker, Hbg, ShardPlan};
 use cpvr_dataplane::FibAction;
 use cpvr_sim::scenario::two_exit_scenario;
 use cpvr_sim::{CaptureProfile, EventId, IoEvent, IoKind, LatencyProfile, Proto, Trace};
@@ -151,25 +152,56 @@ fn incremental(trace: &Trace, cfg: &InferConfig<'_>, steps: u64) -> Hbg {
     b.hbg().clone()
 }
 
+/// Folds the way the collector's fold shards do: under a uniform plan
+/// each shard runs a `LocalOnly` builder over its routers' events and a
+/// `CrossOnly` builder over its conversations' send/recv events. Returns
+/// the union of every builder's edges.
+fn scoped_union(trace: &Trace, cfg: &InferConfig<'_>, shards: u32) -> Hbg {
+    let plan = ShardPlan::uniform(shards);
+    let scoped = |scope| -> Vec<HbgBuilder> {
+        (0..shards)
+            .map(|_| HbgBuilder::new_scoped(cfg, scope))
+            .collect()
+    };
+    let (mut locals, mut crosses) = (scoped(RuleScope::LocalOnly), scoped(RuleScope::CrossOnly));
+    for e in &trace.events {
+        locals[plan.of_router(e.router) as usize].ingest(e);
+        if let Some((key, _)) = classify_conv(e) {
+            crosses[plan.of_conv(&key) as usize].ingest(e);
+        }
+    }
+    let mut merged = Hbg::new(0);
+    for b in locals.iter_mut().chain(crosses.iter_mut()) {
+        b.advance(SimTime::MAX);
+        merged.grow_to(b.hbg().num_events());
+        for h in b.hbg().edges() {
+            merged.add(*h);
+        }
+    }
+    let local_events: usize = locals.iter().map(HbgBuilder::processed).sum();
+    assert_eq!(local_events, trace.len(), "every event has one home shard");
+    merged
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Rules only: sequential, parallel at several thread counts, and
+    /// Rules only: batch, the scoped per-shard builders at two plans, and
     /// incremental (single and stepped watermarks) all agree.
     #[test]
     fn rules_all_strategies_agree(rows in arb_rows(120)) {
         let trace = build_trace(rows);
         let cfg = InferConfig { rules: true, patterns: None, min_confidence: 0.0, proximate: false };
         let seq = infer_hbg(&trace, &cfg);
-        for threads in [1usize, 2, 3, 8] {
-            assert_same(&seq, &infer_hbg_parallel(&trace, &cfg, threads), "parallel");
+        for shards in [2u32, 3] {
+            assert_same(&seq, &scoped_union(&trace, &cfg, shards), "scoped shard builders");
         }
         assert_same(&seq, &incremental(&trace, &cfg, 1), "incremental");
         assert_same(&seq, &incremental(&trace, &cfg, 9), "incremental stepped");
     }
 
     /// Rules + mined patterns, with and without the proximate-cause
-    /// filter: every strategy produces the same graph.
+    /// filter: the builder produces the batch graph.
     #[test]
     fn patterns_all_strategies_agree(
         train in arb_rows(120),
@@ -186,9 +218,6 @@ proptest! {
             proximate,
         };
         let seq = infer_hbg(&trace, &cfg);
-        for threads in [1usize, 2, 3, 8] {
-            assert_same(&seq, &infer_hbg_parallel(&trace, &cfg, threads), "parallel");
-        }
         assert_same(&seq, &incremental(&trace, &cfg, 1), "incremental");
         assert_same(&seq, &incremental(&trace, &cfg, 7), "incremental stepped");
     }
@@ -300,9 +329,6 @@ proptest! {
                 patterns.is_none() || !seq.edges().is_empty(),
                 "sanity: real traces must produce edges"
             );
-            for threads in [2usize, 8] {
-                assert_same(&seq, &infer_hbg_parallel(&trace, &cfg, threads), "parallel");
-            }
             assert_same(&seq, &incremental(&trace, &cfg, 5), "incremental");
         }
     }

@@ -342,7 +342,7 @@ pub mod prop {
             }
         }
 
-        /// The result of [`vec`].
+        /// The result of [`vec()`].
         pub struct VecStrategy<S> {
             element: S,
             size: SizeRange,

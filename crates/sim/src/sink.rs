@@ -76,11 +76,6 @@ impl RouterShardSink {
     pub fn new(shards: Vec<Box<dyn EventSink>>) -> Self {
         RouterShardSink { shards }
     }
-
-    /// The inner sinks, for teardown.
-    pub fn into_shards(self) -> Vec<Box<dyn EventSink>> {
-        self.shards
-    }
 }
 
 impl EventSink for RouterShardSink {

@@ -22,7 +22,7 @@ pub fn prefix_block(n: usize) -> Vec<Ipv4Prefix> {
 /// Assigns each prefix to one of `classes` policy classes. Prefixes in
 /// the same class receive identical treatment everywhere, so the
 /// verifier's equivalence-class slicing should discover ≈`classes`
-/// classes — the §6 observation (citing [7]) that even 100K-prefix
+/// classes — the §6 observation (citing \[7\]) that even 100K-prefix
 /// networks have <15 ECs.
 ///
 /// Returns `class_of[prefix_index] ∈ 0..classes`, assigned with a skewed

@@ -88,11 +88,6 @@ impl Ipv4Prefix {
         self.len == 0
     }
 
-    /// The netmask as raw bits (e.g. `/24` → `0xffff_ff00`).
-    pub fn mask_bits(&self) -> u32 {
-        mask(self.len)
-    }
-
     /// The first address covered by the prefix (the network address).
     pub fn first_addr(&self) -> Ipv4Addr {
         Ipv4Addr::from(self.bits)

@@ -11,12 +11,12 @@
 //! each applying only its local FIB — and tallies the costs of both
 //! schemes so experiment A3 can compare them.
 
-use crate::ec::{equivalence_classes, EquivClass};
+use crate::ec::equivalence_classes;
 use crate::policy::Policy;
-use crate::verifier::{verify, verify_incremental, VerifyReport};
+use crate::verifier::{verify, VerifyReport};
 use cpvr_dataplane::{DataPlane, FibAction, Hop, TraceOutcome, TraceResult};
 use cpvr_topo::Topology;
-use cpvr_types::{Ipv4Prefix, RouterId};
+use cpvr_types::RouterId;
 
 /// Cost tallies for one verification pass under both schemes.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -55,41 +55,11 @@ pub fn distributed_verify(
     policies: &[Policy],
 ) -> (VerifyReport, DistStats) {
     let ecs = equivalence_classes(dp);
-    let stats = tally_schemes(topo, dp, &ecs);
-    let report = verify(topo, dp, policies);
-    (report, stats)
-}
-
-/// The delta flavor of [`distributed_verify`]: the partial-result walks
-/// (and the centralized comparison) cover only equivalence classes whose
-/// owning prefix overlaps one of the `changed` prefixes, and the verdict
-/// comes from [`verify_incremental`] with the same scope. This models §5
-/// composed with the incremental engine: after a FIB update, routers
-/// re-exchange partial results only for the affected slices of the
-/// address space.
-pub fn distributed_verify_delta(
-    topo: &Topology,
-    dp: &DataPlane,
-    policies: &[Policy],
-    changed: &[Ipv4Prefix],
-) -> (VerifyReport, DistStats) {
-    let ecs: Vec<EquivClass> = equivalence_classes(dp)
-        .into_iter()
-        .filter(|ec| changed.iter().any(|c| c.overlaps(&ec.prefix)))
-        .collect();
-    let stats = tally_schemes(topo, dp, &ecs);
-    let report = verify_incremental(topo, dp, policies, changed);
-    (report, stats)
-}
-
-/// Executes the distributed partial-result walks over `ecs` and tallies
-/// the costs of the distributed and centralized schemes.
-fn tally_schemes(topo: &Topology, dp: &DataPlane, ecs: &[EquivClass]) -> DistStats {
     let mut stats = DistStats::default();
     let mut node_work = vec![0usize; dp.num_routers()];
 
     // --- distributed execution: per-EC, per-ingress partial results ----
-    for ec in ecs {
+    for ec in &ecs {
         for ingress in 0..dp.num_routers() as u32 {
             let mut partial = PartialResult {
                 representative: ec.representative,
@@ -140,7 +110,7 @@ fn tally_schemes(topo: &Topology, dp: &DataPlane, ecs: &[EquivClass]) -> DistSta
     // Count per-hop lookups of the central tracer, for a fair work-total
     // comparison.
     let mut central_lookups = 0usize;
-    for ec in ecs {
+    for ec in &ecs {
         for ingress in 0..dp.num_routers() as u32 {
             let t: TraceResult = dp.trace(topo, RouterId(ingress), ec.representative);
             central_lookups += t
@@ -155,94 +125,7 @@ fn tally_schemes(topo: &Topology, dp: &DataPlane, ecs: &[EquivClass]) -> DistSta
         }
     }
     stats.central_work = central_lookups;
-    stats
-}
-
-/// Cost tallies for one federated verification pass: the distributed
-/// walk of [`distributed_verify`], re-partitioned so each *collector
-/// member* (not each router) is an execution site. A partial result
-/// hopping between two routers owned by the same member is free on the
-/// inter-collector fabric; only owner-crossing hops ship bytes.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct FedStats {
-    /// All partial-result messages (identical to
-    /// [`DistStats::dist_messages`] for the same inputs).
-    pub messages: usize,
-    /// The subset of `messages` whose source and destination routers are
-    /// owned by different members — the traffic that actually crosses a
-    /// collector↔collector link.
-    pub boundary_messages: usize,
-    /// FIB lookups executed within each member's router subset.
-    pub per_member_work: Vec<usize>,
-    /// The busiest member's lookup count (the federation's bottleneck).
-    pub max_member_work: usize,
-}
-
-/// Runs the distributed partial-result walk partitioned across a
-/// federation of collector members. `owner` maps each router to the
-/// member that folds its stream (e.g. `|r| plan.of_router(r)` for a
-/// `FederationPlan`); `members` is the federation size.
-///
-/// The verdict is the centralized [`verify`]'s — federation changes
-/// *where* the walk executes and what crosses the inter-collector
-/// links, never the answer. The returned [`FedStats`] tallies that
-/// placement: total messages, the owner-crossing subset, and per-member
-/// work.
-pub fn federated_verify(
-    topo: &Topology,
-    dp: &DataPlane,
-    policies: &[Policy],
-    members: u32,
-    owner: impl Fn(RouterId) -> u32,
-) -> (VerifyReport, FedStats) {
-    let ecs = equivalence_classes(dp);
-    let members = members.max(1) as usize;
-    let mut stats = FedStats {
-        per_member_work: vec![0; members],
-        ..FedStats::default()
-    };
-
-    for ec in &ecs {
-        for ingress in 0..dp.num_routers() as u32 {
-            let mut partial = PartialResult {
-                representative: ec.representative,
-                at: RouterId(ingress),
-                path: vec![RouterId(ingress)],
-            };
-            loop {
-                let here = partial.at;
-                stats.per_member_work[owner(here) as usize % members] += 1;
-                let hit = dp.fib(here).lookup(partial.representative);
-                let next = match hit {
-                    Some((_, e)) => match e.action {
-                        FibAction::Forward(l) if topo.link(l).state.is_up() => {
-                            Some(topo.link(l).other_end(here).0)
-                        }
-                        _ => None,
-                    },
-                    None => None,
-                };
-                match next {
-                    Some(nb) => {
-                        stats.messages += 1;
-                        if owner(here) != owner(nb) {
-                            stats.boundary_messages += 1;
-                        }
-                        if partial.path.contains(&nb) {
-                            break; // loop closed downstream
-                        }
-                        partial.at = nb;
-                        partial.path.push(nb);
-                    }
-                    None => break,
-                }
-            }
-        }
-    }
-    stats.max_member_work = stats.per_member_work.iter().copied().max().unwrap_or(0);
-
-    let report = verify(topo, dp, policies);
-    (report, stats)
+    (verify(topo, dp, policies), stats)
 }
 
 #[cfg(test)]
@@ -327,109 +210,6 @@ mod tests {
         };
         let (_, stats) = distributed_verify(&topo, &dp, &[pol]);
         assert_eq!(stats.central_snapshot_entries, 4);
-    }
-
-    #[test]
-    fn delta_walks_only_affected_classes() {
-        let (topo, mut dp, r) = line_dp(5);
-        // A second, unrelated prefix doubles the full walk cost.
-        for i in 0..5u32 {
-            let action = dp
-                .fib(RouterId(i))
-                .get(&p("8.8.8.0/24"))
-                .map(|e| e.action)
-                .unwrap();
-            dp.fib_mut(RouterId(i))
-                .install(p("9.9.9.0/24"), entry(action));
-        }
-        let pols = vec![
-            Policy::ExitsVia {
-                prefix: p("8.8.8.0/24"),
-                peer: r,
-            },
-            Policy::ExitsVia {
-                prefix: p("9.9.9.0/24"),
-                peer: r,
-            },
-        ];
-        let (full_report, full) = distributed_verify(&topo, &dp, &pols);
-        let (delta_report, delta) = distributed_verify_delta(&topo, &dp, &pols, &[p("8.8.8.0/24")]);
-        assert!(full_report.ok() && delta_report.ok());
-        // Half the classes → half the messages and work.
-        assert_eq!(delta.dist_messages * 2, full.dist_messages);
-        assert_eq!(delta.dist_total_work * 2, full.dist_total_work);
-        assert!(delta_report.traces_run < full_report.traces_run);
-        // Verdict scoping matches verify_incremental exactly.
-        let scoped = verify_incremental(&topo, &dp, &pols, &[p("8.8.8.0/24")]);
-        assert_eq!(delta_report.violations, scoped.violations);
-        assert_eq!(delta_report.ecs_checked, scoped.ecs_checked);
-    }
-
-    #[test]
-    fn federated_verdict_identical_to_centralized() {
-        let (topo, dp, r) = line_dp(6);
-        let pol = Policy::ExitsVia {
-            prefix: p("8.8.8.0/24"),
-            peer: r,
-        };
-        let central = verify(&topo, &dp, std::slice::from_ref(&pol));
-        let (fed, stats) = federated_verify(&topo, &dp, std::slice::from_ref(&pol), 3, |r| r.0 / 2);
-        assert_eq!(fed.violations, central.violations);
-        assert_eq!(fed.ecs_checked, central.ecs_checked);
-        assert!(stats.messages > 0);
-        assert_eq!(stats.per_member_work.len(), 3);
-    }
-
-    #[test]
-    fn federated_message_total_matches_distributed_walk() {
-        // Federation repartitions the same walk: every hop is still a
-        // message, only its boundary-ness changes with ownership.
-        let (topo, dp, _) = line_dp(8);
-        let pol = Policy::Reachable {
-            prefix: p("8.8.8.0/24"),
-        };
-        let (_, dist) = distributed_verify(&topo, &dp, std::slice::from_ref(&pol));
-        let (_, fed) = federated_verify(&topo, &dp, std::slice::from_ref(&pol), 4, |r| r.0 % 4);
-        assert_eq!(fed.messages, dist.dist_messages);
-        assert_eq!(
-            fed.per_member_work.iter().sum::<usize>(),
-            dist.dist_total_work
-        );
-    }
-
-    #[test]
-    fn boundary_messages_track_ownership() {
-        let (topo, dp, _) = line_dp(8);
-        let pol = Policy::Reachable {
-            prefix: p("8.8.8.0/24"),
-        };
-        // One member: nothing ever crosses a collector boundary.
-        let (_, solo) = federated_verify(&topo, &dp, std::slice::from_ref(&pol), 1, |_| 0);
-        assert_eq!(solo.boundary_messages, 0);
-        assert!(solo.messages > 0);
-        // One member per router: every hop crosses a boundary.
-        let (_, shredded) = federated_verify(&topo, &dp, std::slice::from_ref(&pol), 8, |r| r.0);
-        assert_eq!(shredded.boundary_messages, shredded.messages);
-        // Two contiguous blocks on a line: only the single mid-line hop
-        // per walk crosses, so boundary traffic is a strict subset.
-        let (_, blocks) = federated_verify(&topo, &dp, std::slice::from_ref(&pol), 2, |r| r.0 / 4);
-        assert!(blocks.boundary_messages > 0);
-        assert!(blocks.boundary_messages < blocks.messages);
-        assert_eq!(blocks.messages, shredded.messages);
-    }
-
-    #[test]
-    fn federated_loop_walk_terminates() {
-        let (topo, mut dp, _) = line_dp(3);
-        let l12 = topo.link_between(RouterId(0), RouterId(1)).unwrap().id;
-        dp.fib_mut(RouterId(1))
-            .install(p("8.8.8.0/24"), entry(FibAction::Forward(l12)));
-        let pol = Policy::LoopFree {
-            prefix: p("8.8.8.0/24"),
-        };
-        let (report, stats) = federated_verify(&topo, &dp, std::slice::from_ref(&pol), 3, |r| r.0);
-        assert!(!report.ok());
-        assert!(stats.messages < 100, "walk must terminate");
     }
 
     #[test]

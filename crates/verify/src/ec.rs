@@ -10,7 +10,7 @@
 //!    exhaustive.
 //! 2. **Behavioral classes** ([`behavior_classes`]): group the *prefixes*
 //!    by their network-wide forwarding vector (what every router does
-//!    with them). This is the §6 observation (citing [7]) that large
+//!    with them). This is the §6 observation (citing \[7\]) that large
 //!    networks treat most destinations identically — <15 classes for
 //!    100K prefixes — which makes outcome prediction for early blocking
 //!    feasible.

@@ -71,27 +71,13 @@ pub struct IncrementalVerifier {
     /// sorts before every owner it covers.
     verdicts: BTreeMap<(usize, Ipv4Prefix), ClassResult>,
     behavior: BehaviorCache,
-    threads: usize,
     stats: IncrementalStats,
 }
 
 impl IncrementalVerifier {
     /// Builds the verifier from a data-plane snapshot, checking every
-    /// class once, single-threaded.
+    /// class once.
     pub fn new(topo: Topology, dp: DataPlane, policies: Vec<Policy>) -> Self {
-        Self::with_threads(topo, dp, policies, 1)
-    }
-
-    /// Like [`new`](Self::new), fanning the initial full check (and every
-    /// later rebuild) across `threads` workers (`0` = one per core).
-    /// Delta checks after a single update touch few classes and always
-    /// run inline.
-    pub fn with_threads(
-        topo: Topology,
-        dp: DataPlane,
-        policies: Vec<Policy>,
-        threads: usize,
-    ) -> Self {
         let mut v = IncrementalVerifier {
             topo,
             policies,
@@ -99,7 +85,6 @@ impl IncrementalVerifier {
             installed: PrefixTrie::new(),
             verdicts: BTreeMap::new(),
             behavior: BehaviorCache::new(),
-            threads,
             stats: IncrementalStats::default(),
         };
         v.rebuild();
@@ -118,7 +103,7 @@ impl IncrementalVerifier {
                 jobs.push((idx, ec));
             }
         }
-        let results = run_class_checks(&self.topo, &self.dp, &self.policies, &jobs, self.threads);
+        let results = run_class_checks(&self.topo, &self.dp, &self.policies, &jobs);
         self.verdicts.clear();
         for ((idx, ec), (violations, traces)) in jobs.into_iter().zip(results) {
             self.stats.classes_recomputed += 1;
@@ -209,7 +194,7 @@ impl IncrementalVerifier {
                 }
             }
         }
-        let results = run_class_checks(&self.topo, &self.dp, &self.policies, &jobs, 1);
+        let results = run_class_checks(&self.topo, &self.dp, &self.policies, &jobs);
         let mut report = VerifyReport {
             ecs_checked: jobs.len(),
             ..VerifyReport::default()
@@ -385,20 +370,6 @@ mod tests {
         let iv = IncrementalVerifier::new(topo.clone(), dp, policies.clone());
         assert!(iv.ok());
         assert_batch_equivalent(&iv, &topo, &policies);
-    }
-
-    #[test]
-    fn parallel_build_matches_batch() {
-        let (topo, dp, policies) = setup();
-        for threads in [0, 2, 4] {
-            let iv = IncrementalVerifier::with_threads(
-                topo.clone(),
-                dp.clone(),
-                policies.clone(),
-                threads,
-            );
-            assert_batch_equivalent(&iv, &topo, &policies);
-        }
     }
 
     #[test]

@@ -14,11 +14,10 @@
 //!   blackhole freedom, waypointing, and the paper's running example
 //!   ("exit via R2 while its uplink is up, else R1") as
 //!   [`Policy::PreferredExit`].
-//! * [`verifier`] — the checker: full ([`verify`]), parallel
-//!   ([`verify_parallel`]), and incremental (delta-scoped,
-//!   [`verify_incremental`]) verification over a
-//!   [`DataPlane`](cpvr_dataplane::DataPlane) snapshot.
-//! * [`incremental`] — the resident engine: [`IncrementalVerifier`]
+//! * [`verifier`] — the batch checker, kept as the oracle: full
+//!   ([`verify`]) and delta-scoped ([`verify_incremental`]) verification
+//!   over a [`DataPlane`](cpvr_dataplane::DataPlane) snapshot.
+//! * [`incremental`] — the production engine: [`IncrementalVerifier`]
 //!   keeps the equivalence classes and per-class verdicts live across a
 //!   stream of FIB updates, re-checking only classes whose address space
 //!   intersects each update.
@@ -29,18 +28,20 @@
 //!   tentative apply by discarding the shadow.
 //! * [`distributed`] — the §5 sketch of distributed verification: routers
 //!   exchange partial per-EC results instead of centralizing the
-//!   snapshot; this module models the message/work tradeoff.
+//!   snapshot; this module models the message/work tradeoff
+//!   (experiment A3 only).
 //!
 //! # Batch-equivalence invariant
 //!
-//! Every fast path in this crate is defined by equivalence to the slow
-//! one. [`verify_parallel`] at any thread count returns bit-for-bit the
-//! report [`verify`] returns. [`IncrementalVerifier::report`] after any
-//! sequence of applied updates equals [`verify`] run from scratch on the
-//! same snapshot — same violations in the same order, same `ecs_checked`,
-//! same `traces_run`. The property tests in `tests/prop_incremental.rs`
-//! pin both under randomized install/remove sequences; performance work
-//! must never buy speed with a weaker verdict.
+//! The fast path in this crate is defined by equivalence to the slow
+//! one. [`IncrementalVerifier::report`] after any sequence of applied
+//! updates equals [`verify`] run from scratch on the same snapshot — same
+//! violations in the same order, same `ecs_checked`, same `traces_run` —
+//! and each [`IncrementalVerifier::apply`] returns what
+//! [`verify_incremental`] returns for that update's prefix. The property
+//! tests in `tests/prop_incremental.rs` pin both under randomized
+//! install/remove sequences; performance work must never buy speed with
+//! a weaker verdict.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +53,7 @@ pub mod policy;
 pub mod replay;
 pub mod verifier;
 
-pub use distributed::{distributed_verify, distributed_verify_delta, DistStats};
+pub use distributed::{distributed_verify, DistStats};
 pub use ec::{
     behavior_classes, class_of, equivalence_classes, equivalence_classes_in, BehaviorCache,
     EquivClass,
@@ -60,6 +61,4 @@ pub use ec::{
 pub use incremental::{IncrementalStats, IncrementalVerifier};
 pub use policy::{Policy, Violation};
 pub use replay::{violation_sigs, ReplayGate, ReplayTranscript, ReplayVerdict, ViolationSig};
-pub use verifier::{
-    policy_equivalence_classes, verify, verify_incremental, verify_parallel, VerifyReport,
-};
+pub use verifier::{policy_equivalence_classes, verify, verify_incremental, VerifyReport};

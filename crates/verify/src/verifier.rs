@@ -1,4 +1,4 @@
-//! The data-plane checker: full, parallel, and incremental verification.
+//! The data-plane checker: full and delta-scoped batch verification.
 
 use crate::ec::{class_of, EquivClass};
 use crate::policy::{Policy, Violation};
@@ -48,34 +48,31 @@ impl VerifyReport {
 /// assert_eq!(report.violations.len(), 2);
 /// ```
 pub fn verify(topo: &Topology, dp: &DataPlane, policies: &[Policy]) -> VerifyReport {
-    verify_parallel(topo, dp, policies, 1)
+    verify_classes(topo, dp, policies, |_| true)
 }
 
-/// Like [`verify`], but fans the independent per-class checks across
-/// `threads` scoped worker threads (`0` = one per available core).
-///
-/// Each (policy, class) pair traces its own representative through an
-/// immutable data-plane snapshot, so the checks share no state; results
-/// are concatenated in job order, making the report identical to the
-/// sequential one.
-pub fn verify_parallel(
+/// Checks every policy against those of its equivalence classes that
+/// `in_scope` selects, in (policy, class) order.
+fn verify_classes(
     topo: &Topology,
     dp: &DataPlane,
     policies: &[Policy],
-    threads: usize,
+    in_scope: impl Fn(&EquivClass) -> bool,
 ) -> VerifyReport {
     let union = dp.prefix_union();
     let mut jobs: Vec<(usize, EquivClass)> = Vec::new();
     for (idx, policy) in policies.iter().enumerate() {
         for ec in classes_under(&union, policy.prefix()) {
-            jobs.push((idx, ec));
+            if in_scope(&ec) {
+                jobs.push((idx, ec));
+            }
         }
     }
     let mut report = VerifyReport {
         ecs_checked: jobs.len(),
         ..VerifyReport::default()
     };
-    for (violations, traces) in run_class_checks(topo, dp, policies, &jobs, threads) {
+    for (violations, traces) in run_class_checks(topo, dp, policies, &jobs) {
         report.traces_run += traces;
         report.violations.extend(violations);
     }
@@ -116,49 +113,16 @@ pub fn policy_equivalence_classes(dp: &DataPlane, scope: Ipv4Prefix) -> Vec<Equi
 }
 
 /// Runs `(policy index, class)` jobs, each yielding its violations and
-/// trace count, preserving job order. `threads == 0` uses one thread per
-/// available core; `threads <= 1` runs inline.
+/// trace count, in job order.
 pub(crate) fn run_class_checks(
     topo: &Topology,
     dp: &DataPlane,
     policies: &[Policy],
     jobs: &[(usize, EquivClass)],
-    threads: usize,
 ) -> Vec<(Vec<Violation>, usize)> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    let threads = threads.min(jobs.len().max(1));
-    if threads <= 1 {
-        return jobs
-            .iter()
-            .map(|(idx, ec)| check_class(topo, dp, *idx, &policies[*idx], ec))
-            .collect();
-    }
-    // Contiguous chunks + in-order joins keep the concatenation equal to
-    // the sequential result (same idiom as `infer_hbg_parallel`).
-    let chunk = jobs.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(jobs.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = jobs
-            .chunks(chunk)
-            .map(|part| {
-                s.spawn(move || {
-                    part.iter()
-                        .map(|(idx, ec)| check_class(topo, dp, *idx, &policies[*idx], ec))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("class-check worker panicked"));
-        }
-    });
-    out
+    jobs.iter()
+        .map(|(idx, ec)| check_class(topo, dp, *idx, &policies[*idx], ec))
+        .collect()
 }
 
 /// Incremental verification: like [`verify`], but re-checks only the
@@ -174,29 +138,14 @@ pub fn verify_incremental(
     policies: &[Policy],
     changed: &[Ipv4Prefix],
 ) -> VerifyReport {
-    let union = dp.prefix_union();
-    let mut jobs: Vec<(usize, EquivClass)> = Vec::new();
-    for (idx, policy) in policies.iter().enumerate() {
-        for ec in classes_under(&union, policy.prefix()) {
-            if changed.iter().any(|c| c.overlaps(&ec.prefix)) {
-                jobs.push((idx, ec));
-            }
-        }
-    }
-    let mut report = VerifyReport {
-        ecs_checked: jobs.len(),
-        ..VerifyReport::default()
-    };
-    for (violations, traces) in run_class_checks(topo, dp, policies, &jobs, 1) {
-        report.traces_run += traces;
-        report.violations.extend(violations);
-    }
-    report
+    verify_classes(topo, dp, policies, |ec| {
+        changed.iter().any(|c| c.overlaps(&ec.prefix))
+    })
 }
 
 /// Checks one policy against one equivalence class, returning the
 /// violations found and the number of traces run.
-pub(crate) fn check_class(
+fn check_class(
     topo: &Topology,
     dp: &DataPlane,
     idx: usize,
@@ -435,29 +384,6 @@ mod tests {
         assert!(!report.ok());
         for v in &report.violations {
             assert!(p("8.8.8.0/25").contains_addr(v.representative));
-        }
-    }
-
-    #[test]
-    fn parallel_verify_matches_sequential() {
-        let (topo, mut dp, e1, e2) = good_paper_dp();
-        dp.fib_mut(RouterId(0))
-            .install(p("8.8.8.0/25"), entry(FibAction::Exit(e1)));
-        let policies = vec![
-            paper_policy(e1, e2),
-            Policy::Reachable {
-                prefix: p("8.8.8.0/24"),
-            },
-            Policy::LoopFree {
-                prefix: p("8.8.8.0/24"),
-            },
-        ];
-        let seq = verify(&topo, &dp, &policies);
-        for threads in [0, 2, 4, 8] {
-            let par = verify_parallel(&topo, &dp, &policies, threads);
-            assert_eq!(par.violations, seq.violations, "threads={threads}");
-            assert_eq!(par.ecs_checked, seq.ecs_checked);
-            assert_eq!(par.traces_run, seq.traces_run);
         }
     }
 

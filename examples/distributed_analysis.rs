@@ -16,7 +16,7 @@
 use cpvr::bgp::{ConfigChange, PeerRef, RouteMap, SetAction};
 use cpvr::collector::wal::{wait_for, TempDir};
 use cpvr::collector::SocketSink;
-use cpvr::core::distributed::{distributed_root_causes, partition};
+use cpvr::core::distributed::{distributed_root_events, partition};
 use cpvr::core::FederationPlan;
 use cpvr::federation::Federation;
 use cpvr::sim::scenario::two_exit_scenario;
@@ -85,7 +85,7 @@ fn main() {
         .expect("R1 reprogrammed P");
 
     let subs = partition(&trace);
-    let (causes, pstats) = distributed_root_causes(&trace, &subs, bad);
+    let (roots, pstats) = distributed_root_events(&trace, &subs, bad);
     println!(
         "\ndistributed provenance from {}:",
         trace.events[bad.index()]
@@ -95,9 +95,9 @@ fn main() {
         "  routers involved         : {} of 8",
         pstats.routers_involved
     );
-    println!("  root causes:");
-    for c in &causes {
-        println!("    {c}");
+    println!("  root events:");
+    for id in &roots {
+        println!("    {}", trace.events[id.index()]);
     }
 
     // --- the same trace through a *real* federation --------------------
