@@ -138,11 +138,15 @@ pub enum ConfigChange {
     },
     /// Enable or disable Add-Path.
     SetAddPath(bool),
-    /// Add a new session.
-    AddSession(SessionCfg),
+    /// Add a new session. Boxed: a whole [`SessionCfg`] inline would
+    /// set the size of every `ConfigChange`, two of which ride in every
+    /// captured event whatever its kind.
+    AddSession(Box<SessionCfg>),
     /// Remove a session.
     RemoveSession(PeerRef),
 }
+
+const _: () = assert!(std::mem::size_of::<ConfigChange>() <= 40);
 
 impl ConfigChange {
     /// Computes the inverse change given the configuration *before* this
@@ -172,7 +176,8 @@ impl ConfigChange {
             ConfigChange::SetAddPath(_) => Some(ConfigChange::SetAddPath(before.add_path)),
             ConfigChange::AddSession(s) => Some(ConfigChange::RemoveSession(s.peer)),
             ConfigChange::RemoveSession(p) => {
-                before.session(*p).cloned().map(ConfigChange::AddSession)
+                let session = before.session(*p).cloned();
+                session.map(|s| ConfigChange::AddSession(Box::new(s)))
             }
         }
     }
@@ -210,7 +215,7 @@ impl ConfigChange {
                 if cfg.session(s.peer).is_some() {
                     return false;
                 }
-                cfg.sessions.push(s.clone());
+                cfg.sessions.push((**s).clone());
                 true
             }
             ConfigChange::RemoveSession(p) => {
@@ -284,7 +289,7 @@ mod tests {
     fn add_remove_session_invert_each_other() {
         let mut c = cfg();
         let s = SessionCfg::new(PeerRef::Internal(RouterId(2)));
-        let add = ConfigChange::AddSession(s.clone());
+        let add = ConfigChange::AddSession(Box::new(s));
         let inv = add.inverse(&c).unwrap();
         assert!(add.apply(&mut c));
         assert_eq!(c.sessions.len(), 3);
@@ -302,7 +307,8 @@ mod tests {
     #[test]
     fn duplicate_add_session_rejected() {
         let mut c = cfg();
-        let add = ConfigChange::AddSession(SessionCfg::new(PeerRef::Internal(RouterId(1))));
+        let session = SessionCfg::new(PeerRef::Internal(RouterId(1)));
+        let add = ConfigChange::AddSession(Box::new(session));
         assert!(!add.apply(&mut c));
     }
 

@@ -24,8 +24,8 @@ use crate::snapshot::ConvKey;
 use cpvr_bgp::PeerRef;
 use cpvr_dataplane::{FibAction, FibUpdate, UpdateKind};
 use cpvr_sim::{EventId, IoEvent, IoKind, Proto};
+use cpvr_types::hash::WordMap;
 use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
-use std::collections::HashMap;
 
 /// Coarse event classes used by rule matching and pattern mining.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
@@ -205,7 +205,7 @@ struct RouterCells {
     /// Per protocol, the latest recv (advert or withdraw) of any prefix
     /// (for OSPF-style and fallback matching).
     recv_any: [Latest; 4],
-    prefixes: HashMap<Ipv4Prefix, PrefixCell>,
+    prefixes: WordMap<Ipv4Prefix, PrefixCell>,
 }
 
 /// Everything the sweep remembers about one prefix of one router. A
@@ -237,7 +237,7 @@ struct ProtoCells {
 #[derive(Clone, Default)]
 struct Maps {
     routers: Vec<RouterCells>,
-    send: HashMap<ConvKey, Latest>,
+    send: WordMap<ConvKey, Latest>,
 }
 
 /// The candidate antecedent cells of one consequent, each with the rule

@@ -69,7 +69,7 @@ impl ShardPlan {
     /// collector uses the data plane's
     /// [`prefix_union`](cpvr_dataplane::DataPlane::prefix_union)).
     pub fn from_union_trie<V>(trie: &PrefixTrie<V>, shards: u32) -> Self {
-        Self::from_prefixes(&trie.prefixes(), shards)
+        Self::from_prefixes(&trie.prefixes().collect::<Vec<_>>(), shards)
     }
 
     /// Number of shards in the plan.

@@ -22,9 +22,10 @@ use crate::rules::FoldRecord;
 use cpvr_dataplane::{DataPlane, FibUpdate};
 use cpvr_sim::{EventId, IoEvent, Proto, Trace};
 use cpvr_topo::Topology;
+use cpvr_types::hash::WordMap;
 use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
 use cpvr_verify::{verify, Policy, VerifyReport};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// The verdict on a snapshot horizon.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -191,7 +192,7 @@ impl Conv {
 /// record: resident times are bounded by what is in flight.
 #[derive(Clone, Default)]
 struct Conversations {
-    convs: HashMap<ConvKey, Conv>,
+    convs: WordMap<ConvKey, Conv>,
     /// Per sender, how many of its conversations fail causal closure
     /// (entries stay once made, possibly at zero).
     failing: BTreeMap<RouterId, u32>,

@@ -115,16 +115,12 @@ impl Fib {
 
     /// All entries in prefix order.
     pub fn entries(&self) -> Vec<(Ipv4Prefix, FibEntry)> {
-        self.entries
-            .iter()
-            .into_iter()
-            .map(|(p, e)| (p, *e))
-            .collect()
+        self.entries.iter().map(|(p, e)| (p, *e)).collect()
     }
 
     /// All prefixes with an entry, in prefix order.
     pub fn prefixes(&self) -> Vec<Ipv4Prefix> {
-        self.entries.prefixes()
+        self.entries.prefixes().collect()
     }
 
     /// The underlying prefix trie, for callers that want to walk the

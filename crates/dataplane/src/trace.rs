@@ -237,7 +237,7 @@ impl DataPlane {
     /// The union of all prefixes present in any FIB, deduplicated, in
     /// prefix order. This is the input to equivalence-class slicing.
     pub fn all_prefixes(&self) -> Vec<Ipv4Prefix> {
-        self.prefix_union().prefixes()
+        self.prefix_union().prefixes().collect()
     }
 
     /// The union of all installed prefixes as a trie, each mapped to the
@@ -248,7 +248,7 @@ impl DataPlane {
     pub fn prefix_union(&self) -> PrefixTrie<usize> {
         let mut t: PrefixTrie<usize> = PrefixTrie::new();
         for f in &self.fibs {
-            for (p, _) in f.trie().iter() {
+            for p in f.trie().prefixes() {
                 match t.get_mut(&p) {
                     Some(c) => *c += 1,
                     None => {

@@ -309,6 +309,10 @@ pub struct IoEvent {
     pub kind: IoKind,
 }
 
+// The ledger sorts and clones captured traces and every sink and queue
+// moves events by value: a byte here is a byte per captured I/O.
+const _: () = assert!(std::mem::size_of::<IoEvent>() <= 136);
+
 impl fmt::Display for IoEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

@@ -133,14 +133,14 @@ fn arb_config_change() -> impl Strategy<Value = ConfigChange> {
             any::<bool>()
         )
             .prop_map(|(peer, import, export, weight, ebgp, rr_client)| {
-                ConfigChange::AddSession(SessionCfg {
+                ConfigChange::AddSession(Box::new(SessionCfg {
                     peer,
                     import,
                     export,
                     weight,
                     ebgp,
                     rr_client,
-                })
+                }))
             }),
         arb_peer().prop_map(ConfigChange::RemoveSession),
     ]

@@ -389,6 +389,20 @@ impl<T: FromJson> FromJson for Arc<T> {
     }
 }
 
+/// A boxed value is its value: where it lives is not part of the
+/// encoding.
+impl<T: ToJson> ToJson for Box<T> {
+    fn to_json(&self) -> Value {
+        (**self).to_json()
+    }
+}
+
+impl<T: FromJson> FromJson for Box<T> {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        T::from_json(v).map(Box::new)
+    }
+}
+
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Value {
         Value::Array(self.iter().map(ToJson::to_json).collect())

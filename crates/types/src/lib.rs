@@ -4,7 +4,7 @@
 //!
 //! * [`Ipv4Prefix`] — an IPv4 prefix with the host bits masked off,
 //!   supporting containment and overlap tests ([`prefix`]).
-//! * [`PrefixTrie`] — a binary trie keyed by prefixes with
+//! * [`PrefixTrie`] — an ordered map keyed by prefixes with
 //!   longest-prefix-match lookup, the core data structure behind FIBs,
 //!   RIBs, and equivalence-class computation ([`trie`]).
 //! * Identifier newtypes ([`RouterId`], [`AsNum`], [`IfaceId`]) that keep
@@ -41,4 +41,4 @@ pub use intern::{InternStore, InternTable, Interns};
 pub use prefix::{Ipv4Prefix, PrefixParseError};
 pub use time::SimTime;
 pub use trace::TraceCtx;
-pub use trie::{Covering, PrefixTrie};
+pub use trie::PrefixTrie;

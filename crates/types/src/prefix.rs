@@ -14,7 +14,8 @@ use std::str::FromStr;
 /// The host bits are always stored as zero, so two `Ipv4Prefix` values are
 /// equal iff they denote the same set of addresses. Ordering is
 /// lexicographic on `(network, length)`, which places a prefix immediately
-/// before its more-specific children — convenient for sorted dumps.
+/// before everything it covers — a binary trie's depth-first order, which
+/// is what [`PrefixTrie`](crate::PrefixTrie) is built on.
 ///
 /// ```
 /// use cpvr_types::Ipv4Prefix;
@@ -141,16 +142,6 @@ impl Ipv4Prefix {
             len: self.len + 1,
         };
         Some((left, right))
-    }
-
-    /// The value of bit `i` (0 = most significant) of the network address.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 32`.
-    pub fn bit(&self, i: u8) -> bool {
-        assert!(i < 32);
-        (self.bits >> (31 - i)) & 1 == 1
     }
 }
 
@@ -297,15 +288,6 @@ mod tests {
         assert_eq!(net.last_addr(), Ipv4Addr::new(192, 168, 1, 255));
         let host = p("5.6.7.8/32");
         assert_eq!(host.first_addr(), host.last_addr());
-    }
-
-    #[test]
-    fn bit_extraction() {
-        let net = p("128.0.0.0/1");
-        assert!(net.bit(0));
-        let net = p("64.0.0.0/2");
-        assert!(!net.bit(0));
-        assert!(net.bit(1));
     }
 
     #[test]

@@ -1,30 +1,19 @@
-//! A binary prefix trie with longest-prefix-match lookup.
+//! A prefix-keyed ordered map with longest-prefix-match lookup.
 //!
 //! This is the workhorse structure for RIBs, FIBs, and the verifier's
-//! equivalence-class slicing. It is a plain (non-compressed) binary trie
-//! over prefix bits, arena-allocated for cache friendliness and so removal
-//! never invalidates other nodes' indices. Simplicity over cleverness, per
-//! the workspace guides: no path compression, no unsafe.
+//! equivalence-class slicing. [`Ipv4Prefix`] orders by `(network,
+//! length)`, which is exactly a binary trie's depth-first order: a prefix
+//! sorts immediately before everything it covers, and the addresses it
+//! covers form one contiguous key range. So the table is a
+//! `BTreeMap<Ipv4Prefix, V>` — a subtree is a range scan, the maximal
+//! descendants are "first key in the range, skip past what it covers,
+//! repeat", and longest-prefix-match is a predecessor walk — and costs
+//! what it stores: one key and one value per prefix, no path nodes.
 
 use crate::prefix::Ipv4Prefix;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-
-const NO_NODE: u32 = u32::MAX;
-
-#[derive(Clone, Debug)]
-struct Node<V> {
-    children: [u32; 2],
-    value: Option<V>,
-}
-
-impl<V> Node<V> {
-    fn new() -> Self {
-        Node {
-            children: [NO_NODE, NO_NODE],
-            value: None,
-        }
-    }
-}
+use std::ops::Bound::{Excluded, Included};
 
 /// A map from [`Ipv4Prefix`] to `V` supporting longest-prefix-match.
 ///
@@ -40,9 +29,7 @@ impl<V> Node<V> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct PrefixTrie<V> {
-    nodes: Vec<Node<V>>,
-    free: Vec<u32>,
-    len: usize,
+    map: BTreeMap<Ipv4Prefix, V>,
 }
 
 impl<V> Default for PrefixTrie<V> {
@@ -52,182 +39,102 @@ impl<V> Default for PrefixTrie<V> {
 }
 
 impl<V> PrefixTrie<V> {
-    /// Creates an empty trie.
+    /// Creates an empty table.
     pub fn new() -> Self {
         PrefixTrie {
-            nodes: vec![Node::new()],
-            free: Vec::new(),
-            len: 0,
+            map: BTreeMap::new(),
         }
     }
 
     /// The number of prefixes stored.
     pub fn len(&self) -> usize {
-        self.len
+        self.map.len()
     }
 
     /// True if no prefixes are stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.map.is_empty()
     }
 
     /// Removes every entry.
     pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.nodes.push(Node::new());
-        self.free.clear();
-        self.len = 0;
-    }
-
-    fn alloc(&mut self) -> u32 {
-        if let Some(i) = self.free.pop() {
-            self.nodes[i as usize] = Node::new();
-            i
-        } else {
-            self.nodes.push(Node::new());
-            (self.nodes.len() - 1) as u32
-        }
+        self.map.clear();
     }
 
     /// Inserts `value` at `prefix`, returning the previous value if any.
     pub fn insert(&mut self, prefix: Ipv4Prefix, value: V) -> Option<V> {
-        let mut node = 0u32;
-        for i in 0..prefix.len() {
-            let b = prefix.bit(i) as usize;
-            let child = self.nodes[node as usize].children[b];
-            node = if child == NO_NODE {
-                let new = self.alloc();
-                self.nodes[node as usize].children[b] = new;
-                new
-            } else {
-                child
-            };
-        }
-        let old = self.nodes[node as usize].value.replace(value);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
-    }
-
-    /// Walks to the node for `prefix`, returning its index if the path
-    /// exists.
-    fn find_node(&self, prefix: &Ipv4Prefix) -> Option<u32> {
-        let mut node = 0u32;
-        for i in 0..prefix.len() {
-            let b = prefix.bit(i) as usize;
-            let child = self.nodes[node as usize].children[b];
-            if child == NO_NODE {
-                return None;
-            }
-            node = child;
-        }
-        Some(node)
+        self.map.insert(prefix, value)
     }
 
     /// Returns the value stored exactly at `prefix`.
     pub fn get(&self, prefix: &Ipv4Prefix) -> Option<&V> {
-        self.find_node(prefix)
-            .and_then(|n| self.nodes[n as usize].value.as_ref())
+        self.map.get(prefix)
     }
 
     /// Returns a mutable reference to the value stored exactly at `prefix`.
     pub fn get_mut(&mut self, prefix: &Ipv4Prefix) -> Option<&mut V> {
-        self.find_node(prefix)
-            .and_then(|n| self.nodes[n as usize].value.as_mut())
+        self.map.get_mut(prefix)
     }
 
     /// True if a value is stored exactly at `prefix`.
     pub fn contains(&self, prefix: &Ipv4Prefix) -> bool {
-        self.get(prefix).is_some()
+        self.map.contains_key(prefix)
     }
 
-    /// Removes and returns the value at `prefix`, pruning now-empty nodes.
+    /// Removes and returns the value at `prefix`.
     pub fn remove(&mut self, prefix: &Ipv4Prefix) -> Option<V> {
-        // Record the path (root plus at most 32 bits, on the stack) so
-        // empty leaves can be pruned afterwards.
-        let mut path = [0u32; 33];
-        let mut node = 0u32;
-        for i in 0..prefix.len() {
-            let b = prefix.bit(i) as usize;
-            let child = self.nodes[node as usize].children[b];
-            if child == NO_NODE {
-                return None;
+        self.map.remove(prefix)
+    }
+
+    /// The most specific entry containing `addr` among those of length
+    /// at most `max_len`.
+    ///
+    /// Every such entry sorts at or before `probe`, the would-be entry
+    /// of length `max_len`, and a longer one sorts after a shorter one,
+    /// so if `probe`'s predecessor contains `addr` it is the answer. If
+    /// it does not, it parts from `addr` at some bit `d < max_len` where
+    /// it has a 0 and `addr` a 1 — an entry containing `addr` and longer
+    /// than `d` would have that 1 and sort after it — so the search
+    /// resumes at length `d`: at most 33 rounds, one or two in practice.
+    fn match_up_to(&self, addr: Ipv4Addr, max_len: u8) -> Option<(Ipv4Prefix, &V)> {
+        let mut probe = Ipv4Prefix::new(addr, max_len);
+        loop {
+            let (hit, v) = self.map.range(..=probe).next_back()?;
+            if hit.contains_addr(addr) {
+                return Some((*hit, v));
             }
-            node = child;
-            path[i as usize + 1] = node;
+            let parted = (hit.bits() ^ u32::from(addr)).leading_zeros();
+            probe = Ipv4Prefix::new(addr, parted as u8);
         }
-        let removed = self.nodes[node as usize].value.take()?;
-        self.len -= 1;
-        // Prune empty leaf nodes bottom-up (never the root).
-        for i in (1..=prefix.len() as usize).rev() {
-            let n = path[i];
-            let nd = &self.nodes[n as usize];
-            if nd.value.is_some() || nd.children[0] != NO_NODE || nd.children[1] != NO_NODE {
-                break;
-            }
-            let parent = path[i - 1];
-            let b = prefix.bit((i - 1) as u8) as usize;
-            self.nodes[parent as usize].children[b] = NO_NODE;
-            self.free.push(n);
-        }
-        Some(removed)
     }
 
     /// Longest-prefix-match: the most specific entry containing `addr`.
     pub fn longest_match(&self, addr: Ipv4Addr) -> Option<(Ipv4Prefix, &V)> {
-        let bits = u32::from(addr);
-        let mut node = 0u32;
-        let mut best: Option<(u8, &V)> = None;
-        if let Some(v) = self.nodes[0].value.as_ref() {
-            best = Some((0, v));
-        }
-        for depth in 0..32u8 {
-            let b = ((bits >> (31 - depth)) & 1) as usize;
-            let child = self.nodes[node as usize].children[b];
-            if child == NO_NODE {
-                break;
-            }
-            node = child;
-            if let Some(v) = self.nodes[node as usize].value.as_ref() {
-                best = Some((depth + 1, v));
-            }
-        }
-        best.map(|(len, v)| (Ipv4Prefix::new(addr, len), v))
+        self.match_up_to(addr, 32)
     }
 
     /// All entries whose prefix contains `addr`, least specific first.
     pub fn matches(&self, addr: Ipv4Addr) -> Vec<(Ipv4Prefix, &V)> {
-        let bits = u32::from(addr);
         let mut out = Vec::new();
-        let mut node = 0u32;
-        if let Some(v) = self.nodes[0].value.as_ref() {
-            out.push((Ipv4Prefix::DEFAULT, v));
+        let mut max_len = Some(32);
+        while let Some(hit) = max_len.and_then(|l| self.match_up_to(addr, l)) {
+            max_len = hit.0.len().checked_sub(1);
+            out.push(hit);
         }
-        for depth in 0..32u8 {
-            let b = ((bits >> (31 - depth)) & 1) as usize;
-            let child = self.nodes[node as usize].children[b];
-            if child == NO_NODE {
-                break;
-            }
-            node = child;
-            if let Some(v) = self.nodes[node as usize].value.as_ref() {
-                out.push((Ipv4Prefix::new(addr, depth + 1), v));
-            }
-        }
+        out.reverse();
         out
     }
 
     /// The *maximal* stored proper descendants of `prefix`: every stored
     /// prefix strictly covered by `prefix` that has no stored ancestor
     /// strictly between itself and `prefix`. Their address ranges are
-    /// pairwise disjoint and returned in ascending order, which is
+    /// pairwise disjoint and yielded in ascending order, which is
     /// exactly what equivalence-class slicing needs to find the space a
-    /// prefix owns itself.
+    /// prefix owns itself. `prefix` itself need not be stored.
     ///
-    /// Each trie node below `prefix` is visited at most once and descent
-    /// stops at the first stored value, so a full sweep calling this for
-    /// every stored prefix costs O(nodes) = O(n·W) total, not O(n²).
+    /// Each step is one ordered lookup — the first key after everything
+    /// the previous child covers — so a child's own subtree is never
+    /// visited, and a caller that stops early pays only for what it took.
     ///
     /// ```
     /// use cpvr_types::{Ipv4Prefix, PrefixTrie};
@@ -238,157 +145,46 @@ impl<V> PrefixTrie<V> {
     /// }
     /// let kids: Vec<String> = t
     ///     .children_of(&"10.0.0.0/8".parse().unwrap())
-    ///     .into_iter()
     ///     .map(|(p, _)| p.to_string())
     ///     .collect();
     /// // The /24 is hidden behind the /16; the /8 itself is excluded.
     /// assert_eq!(kids, vec!["10.0.0.0/16", "10.128.0.0/9"]);
     /// ```
-    pub fn children_of(&self, prefix: &Ipv4Prefix) -> Vec<(Ipv4Prefix, &V)> {
-        let Some(start) = self.find_node(prefix) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        if let Some((l, r)) = prefix.children() {
-            let nd = &self.nodes[start as usize];
-            if nd.children[0] != NO_NODE {
-                self.walk_maximal(nd.children[0], l, &mut out);
-            }
-            if nd.children[1] != NO_NODE {
-                self.walk_maximal(nd.children[1], r, &mut out);
-            }
-        }
-        out
-    }
-
-    fn walk_maximal<'a>(
-        &'a self,
-        node: u32,
-        prefix: Ipv4Prefix,
-        out: &mut Vec<(Ipv4Prefix, &'a V)>,
-    ) {
-        let nd = &self.nodes[node as usize];
-        if let Some(v) = nd.value.as_ref() {
-            out.push((prefix, v));
-            return; // maximal: never descend past a stored prefix
-        }
-        if let Some((l, r)) = prefix.children() {
-            if nd.children[0] != NO_NODE {
-                self.walk_maximal(nd.children[0], l, out);
-            }
-            if nd.children[1] != NO_NODE {
-                self.walk_maximal(nd.children[1], r, out);
-            }
-        }
-    }
-
-    /// Lazily iterates over every stored entry whose prefix contains
-    /// `addr`, least specific first — the allocation-free sibling of
-    /// [`matches`](Self::matches), for hot paths that usually stop early
-    /// (e.g. collecting the stored ancestors of an updated prefix).
-    ///
-    /// ```
-    /// use cpvr_types::{Ipv4Prefix, PrefixTrie};
-    ///
-    /// let mut t = PrefixTrie::new();
-    /// t.insert("0.0.0.0/0".parse::<Ipv4Prefix>().unwrap(), 0u8);
-    /// t.insert("10.0.0.0/8".parse().unwrap(), 8);
-    /// t.insert("10.1.0.0/16".parse().unwrap(), 16);
-    /// t.insert("11.0.0.0/8".parse().unwrap(), 99);
-    /// let lens: Vec<u8> = t.covering("10.1.2.3".parse().unwrap()).map(|(_, v)| *v).collect();
-    /// assert_eq!(lens, vec![0, 8, 16]);
-    /// ```
-    pub fn covering(&self, addr: Ipv4Addr) -> Covering<'_, V> {
-        Covering {
-            trie: self,
-            bits: u32::from(addr),
-            node: 0,
-            depth: 0,
-        }
+    pub fn children_of(&self, prefix: &Ipv4Prefix) -> impl Iterator<Item = (Ipv4Prefix, &V)> {
+        // A prefix's subtree ends at the host route of its last address,
+        // so "past everything `p` covers" is a bound, not `last + 1`.
+        let end = Ipv4Prefix::host(prefix.last_addr());
+        let mut after = *prefix;
+        std::iter::from_fn(move || {
+            let (p, v) = self.map.range((Excluded(after), Included(end))).next()?;
+            after = Ipv4Prefix::host(p.last_addr());
+            Some((*p, v))
+        })
     }
 
     /// All stored entries covered by `root` (including `root` itself),
     /// in depth-first prefix order.
-    pub fn covered_by(&self, root: &Ipv4Prefix) -> Vec<(Ipv4Prefix, &V)> {
-        let Some(start) = self.find_node(root) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        self.walk(start, *root, &mut |p, v| out.push((p, v)));
-        out
+    pub fn covered_by(&self, root: &Ipv4Prefix) -> impl Iterator<Item = (Ipv4Prefix, &V)> {
+        let end = Ipv4Prefix::host(root.last_addr());
+        self.map.range(*root..=end).map(|(p, v)| (*p, v))
     }
 
-    /// Visits every entry in depth-first prefix order.
-    pub fn iter(&self) -> Vec<(Ipv4Prefix, &V)> {
-        let mut out = Vec::new();
-        self.walk(0, Ipv4Prefix::DEFAULT, &mut |p, v| out.push((p, v)));
-        out
+    /// Every entry in depth-first prefix order.
+    pub fn iter(&self) -> impl Iterator<Item = (Ipv4Prefix, &V)> {
+        self.map.iter().map(|(p, v)| (*p, v))
     }
 
     /// All stored prefixes in depth-first prefix order.
-    pub fn prefixes(&self) -> Vec<Ipv4Prefix> {
-        self.iter().into_iter().map(|(p, _)| p).collect()
-    }
-
-    fn walk<'a>(&'a self, node: u32, prefix: Ipv4Prefix, f: &mut impl FnMut(Ipv4Prefix, &'a V)) {
-        let nd = &self.nodes[node as usize];
-        if let Some(v) = nd.value.as_ref() {
-            f(prefix, v);
-        }
-        if prefix.len() < 32 {
-            if let Some((l, r)) = prefix.children() {
-                if nd.children[0] != NO_NODE {
-                    self.walk(nd.children[0], l, f);
-                }
-                if nd.children[1] != NO_NODE {
-                    self.walk(nd.children[1], r, f);
-                }
-            }
-        }
-    }
-}
-
-/// Iterator over the stored entries containing one address, least
-/// specific first. Created by [`PrefixTrie::covering`].
-pub struct Covering<'a, V> {
-    trie: &'a PrefixTrie<V>,
-    bits: u32,
-    /// The next node to examine; `NO_NODE` when exhausted.
-    node: u32,
-    depth: u8,
-}
-
-impl<'a, V> Iterator for Covering<'a, V> {
-    type Item = (Ipv4Prefix, &'a V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.node != NO_NODE {
-            let nd = &self.trie.nodes[self.node as usize];
-            let depth = self.depth;
-            // Step down along the address's bit path before yielding, so
-            // the cursor is already positioned for the next call.
-            if depth < 32 {
-                let b = ((self.bits >> (31 - depth)) & 1) as usize;
-                self.node = nd.children[b];
-                self.depth = depth + 1;
-            } else {
-                self.node = NO_NODE;
-            }
-            if let Some(v) = nd.value.as_ref() {
-                return Some((Ipv4Prefix::new(Ipv4Addr::from(self.bits), depth), v));
-            }
-        }
-        None
+    pub fn prefixes(&self) -> impl Iterator<Item = Ipv4Prefix> + '_ {
+        self.map.keys().copied()
     }
 }
 
 impl<V> FromIterator<(Ipv4Prefix, V)> for PrefixTrie<V> {
     fn from_iter<T: IntoIterator<Item = (Ipv4Prefix, V)>>(iter: T) -> Self {
-        let mut t = PrefixTrie::new();
-        for (p, v) in iter {
-            t.insert(p, v);
+        PrefixTrie {
+            map: iter.into_iter().collect(),
         }
-        t
     }
 }
 
@@ -402,6 +198,10 @@ mod tests {
 
     fn a(s: &str) -> Ipv4Addr {
         s.parse().unwrap()
+    }
+
+    fn kids(t: &PrefixTrie<()>, root: &str) -> Vec<Ipv4Prefix> {
+        t.children_of(&p(root)).map(|(c, _)| c).collect()
     }
 
     #[test]
@@ -481,7 +281,7 @@ mod tests {
         for s in ["10.128.0.0/9", "10.0.0.0/8", "0.0.0.0/0", "10.0.0.0/9"] {
             t.insert(p(s), s.to_string());
         }
-        let order: Vec<Ipv4Prefix> = t.prefixes();
+        let order: Vec<Ipv4Prefix> = t.prefixes().collect();
         assert_eq!(
             order,
             vec![
@@ -499,13 +299,13 @@ mod tests {
         t.insert(p("10.0.0.0/8"), 1);
         t.insert(p("10.1.0.0/16"), 2);
         t.insert(p("11.0.0.0/8"), 3);
-        let sub: Vec<i32> = t
-            .covered_by(&p("10.0.0.0/8"))
-            .into_iter()
-            .map(|(_, v)| *v)
-            .collect();
+        let sub: Vec<i32> = t.covered_by(&p("10.0.0.0/8")).map(|(_, v)| *v).collect();
         assert_eq!(sub, vec![1, 2]);
-        assert!(t.covered_by(&p("12.0.0.0/8")).is_empty());
+        assert_eq!(t.covered_by(&p("12.0.0.0/8")).count(), 0);
+        // A root that is not stored still scopes its subtree, and a
+        // stored ancestor with the same network address stays outside.
+        let sub: Vec<i32> = t.covered_by(&p("10.0.0.0/9")).map(|(_, v)| *v).collect();
+        assert_eq!(sub, vec![2]);
     }
 
     #[test]
@@ -516,23 +316,6 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t.remove(&Ipv4Prefix::DEFAULT), Some(42));
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn free_list_reuse() {
-        let mut t = PrefixTrie::new();
-        for i in 0..100u32 {
-            t.insert(Ipv4Prefix::from_bits(i << 8, 24), i);
-        }
-        let cap = t.nodes.len();
-        for i in 0..100u32 {
-            t.remove(&Ipv4Prefix::from_bits(i << 8, 24));
-        }
-        for i in 0..100u32 {
-            t.insert(Ipv4Prefix::from_bits(i << 8, 24), i);
-        }
-        assert_eq!(t.nodes.len(), cap, "freed nodes should be reused");
-        assert_eq!(t.len(), 100);
     }
 
     #[test]
@@ -548,47 +331,57 @@ mod tests {
         ] {
             t.insert(p(s), ());
         }
-        let kids: Vec<Ipv4Prefix> = t
-            .children_of(&p("10.0.0.0/8"))
-            .into_iter()
-            .map(|(c, _)| c)
-            .collect();
         // The /24 is shadowed by the /16; 11/8 is outside; ranges ascend.
         assert_eq!(
-            kids,
+            kids(&t, "10.0.0.0/8"),
             vec![p("10.0.0.0/16"), p("10.64.0.0/16"), p("10.128.0.0/9")]
         );
-        // A prefix with no stored path below it has no children.
-        assert!(t.children_of(&p("12.0.0.0/8")).is_empty());
-        // Children of a non-stored prefix on a stored path still work.
-        let kids: Vec<Ipv4Prefix> = t
-            .children_of(&p("10.0.0.0/12"))
-            .into_iter()
-            .map(|(c, _)| c)
-            .collect();
-        assert_eq!(kids, vec![p("10.0.0.0/16")]);
+        // A prefix with nothing stored below it has no children.
+        assert!(kids(&t, "12.0.0.0/8").is_empty());
+        assert!(kids(&t, "10.0.0.0/24").is_empty());
+        // Children of a prefix that is not stored itself still work.
+        assert_eq!(kids(&t, "10.0.0.0/12"), vec![p("10.0.0.0/16")]);
     }
 
+    /// Skipping past a child that ends at 255.255.255.255 must end the
+    /// scan, not wrap around to 0.0.0.0.
     #[test]
-    fn covering_iterates_lazily_and_matches_matches() {
+    fn children_of_at_the_top_of_the_address_space() {
         let mut t = PrefixTrie::new();
-        t.insert(p("0.0.0.0/0"), 0u32);
+        for s in ["0.0.0.0/0", "128.0.0.0/1", "255.255.255.255/32"] {
+            t.insert(p(s), ());
+        }
+        assert_eq!(kids(&t, "0.0.0.0/0"), vec![p("128.0.0.0/1")]);
+        assert_eq!(kids(&t, "128.0.0.0/1"), vec![p("255.255.255.255/32")]);
+        assert!(kids(&t, "255.255.255.255/32").is_empty());
+        t.remove(&p("128.0.0.0/1"));
+        assert_eq!(kids(&t, "0.0.0.0/0"), vec![p("255.255.255.255/32")]);
+        let all: Vec<Ipv4Prefix> = t.covered_by(&Ipv4Prefix::DEFAULT).map(|(c, _)| c).collect();
+        assert_eq!(all, vec![p("0.0.0.0/0"), p("255.255.255.255/32")]);
+    }
+
+    /// The address's predecessor in key order is a more-specific sibling
+    /// that does not contain it, so the probe has to shorten — twice
+    /// here — before it lands on the covering entry.
+    #[test]
+    fn lpm_walks_back_past_more_specific_siblings() {
+        let mut t = PrefixTrie::new();
         t.insert(p("10.0.0.0/8"), 8);
         t.insert(p("10.1.0.0/16"), 16);
-        t.insert(p("10.2.0.0/16"), 99);
-        let addr = a("10.1.2.3");
-        let lazy: Vec<(Ipv4Prefix, u32)> = t.covering(addr).map(|(c, v)| (c, *v)).collect();
-        let eager: Vec<(Ipv4Prefix, u32)> =
-            t.matches(addr).into_iter().map(|(c, v)| (c, *v)).collect();
-        assert_eq!(lazy, eager);
-        // Early termination is cheap: take(1) yields the default route.
-        assert_eq!(
-            t.covering(addr).next().map(|(c, _)| c),
-            Some(p("0.0.0.0/0"))
-        );
-        // No covering entries at all.
-        let empty: PrefixTrie<()> = PrefixTrie::new();
-        assert_eq!(empty.covering(addr).count(), 0);
+        t.insert(p("10.1.2.0/24"), 24);
+        t.insert(p("10.1.2.4/30"), 30);
+        let lpm = |s: &str| t.longest_match(a(s)).map(|(pre, v)| (pre, *v));
+        // Predecessor of 10.1.3.9 is the /30, then the /24; the /16 holds it.
+        assert_eq!(lpm("10.1.3.9"), Some((p("10.1.0.0/16"), 16)));
+        // Predecessor of 10.2.0.1 is the /30 again; only the /8 holds it.
+        assert_eq!(lpm("10.2.0.1"), Some((p("10.0.0.0/8"), 8)));
+        assert_eq!(lpm("10.1.2.9"), Some((p("10.1.2.0/24"), 24)));
+        assert_eq!(lpm("10.1.2.5"), Some((p("10.1.2.4/30"), 30)));
+        // Every predecessor parts from the address; nothing holds it.
+        assert_eq!(lpm("11.0.0.1"), None);
+        assert_eq!(lpm("9.255.255.255"), None);
+        let all: Vec<i32> = t.matches(a("10.1.2.5")).into_iter().map(|m| *m.1).collect();
+        assert_eq!(all, vec![8, 16, 24, 30]);
     }
 
     #[test]

@@ -1,15 +1,19 @@
-//! Property-based tests: the trie must behave exactly like a model
-//! implementation built on a sorted map with linear-scan LPM.
+//! Property-based tests: the prefix table must behave exactly like a
+//! model that answers every query by scanning all stored entries.
 
 use cpvr_types::{Ipv4Prefix, PrefixTrie};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-/// Strategy producing an arbitrary prefix, biased toward short masks so
-/// containment relationships actually occur.
+/// Strategy producing an arbitrary prefix; half of them draw their bits
+/// from a few positions only, so that long masks nest too and containment
+/// relationships actually occur at every depth.
 fn arb_prefix() -> impl Strategy<Value = Ipv4Prefix> {
-    (any::<u32>(), 0u8..=32).prop_map(|(bits, len)| Ipv4Prefix::from_bits(bits, len))
+    (any::<u32>(), any::<bool>(), 0u8..=32).prop_map(|(bits, dense, len)| {
+        let bits = if dense { bits & 0xc030_0c03 } else { bits };
+        Ipv4Prefix::from_bits(bits, len)
+    })
 }
 
 #[derive(Debug, Clone)]
@@ -64,9 +68,33 @@ proptest! {
     #[test]
     fn iter_matches_sorted_model(entries in prop::collection::btree_map(arb_prefix(), any::<u32>(), 0..64)) {
         let trie: PrefixTrie<u32> = entries.iter().map(|(p, v)| (*p, *v)).collect();
-        let got: Vec<(Ipv4Prefix, u32)> = trie.iter().into_iter().map(|(p, v)| (p, *v)).collect();
-        let want: Vec<(Ipv4Prefix, u32)> = entries.into_iter().collect();
-        prop_assert_eq!(got, want);
+        let got: Vec<(Ipv4Prefix, u32)> = trie.iter().map(|(p, v)| (p, *v)).collect();
+        // Iteration order is the sorted `(bits, len)` order — spelled out,
+        // not borrowed from `Ipv4Prefix: Ord`, which the table relies on.
+        let mut want: Vec<(Ipv4Prefix, u32)> = entries.into_iter().collect();
+        want.sort_by_key(|(p, _)| (p.bits(), p.len()));
+        prop_assert_eq!(&got, &want);
+        let keys: Vec<Ipv4Prefix> = trie.prefixes().collect();
+        prop_assert_eq!(keys, want.iter().map(|(p, _)| *p).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn covered_by_is_the_stored_subtree(
+        entries in prop::collection::btree_map(arb_prefix(), any::<u32>(), 0..64),
+        root in arb_prefix(),
+    ) {
+        let trie: PrefixTrie<u32> = entries.iter().map(|(p, v)| (*p, *v)).collect();
+        // `root` is usually not stored; sometimes make it so.
+        let roots = [Some(root), entries.keys().next().copied()];
+        for root in roots.into_iter().flatten() {
+            let got: Vec<(Ipv4Prefix, u32)> = trie.covered_by(&root).map(|(p, v)| (p, *v)).collect();
+            let want: Vec<(Ipv4Prefix, u32)> = entries
+                .iter()
+                .filter(|(q, _)| root.covers(q))
+                .map(|(q, v)| (*q, *v))
+                .collect();
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]
@@ -74,8 +102,10 @@ proptest! {
         let trie: PrefixTrie<u32> = entries.iter().map(|(p, v)| (*p, *v)).collect();
         let addr = Ipv4Addr::from(bits);
         let all = trie.matches(addr);
-        // Every reported prefix must contain the address, in increasing
-        // specificity, and the last one must equal the LPM result.
+        // Every stored prefix containing the address is reported, in
+        // increasing specificity, and the last one is the LPM result.
+        let want: Vec<Ipv4Prefix> = entries.keys().filter(|p| p.contains_addr(addr)).copied().collect();
+        prop_assert_eq!(all.iter().map(|(p, _)| *p).collect::<Vec<_>>(), want);
         for w in all.windows(2) {
             prop_assert!(w[0].0.len() < w[1].0.len());
         }
@@ -89,39 +119,37 @@ proptest! {
     }
 
     #[test]
-    fn covering_agrees_with_matches(entries in prop::collection::btree_map(arb_prefix(), any::<u32>(), 0..64), bits in any::<u32>()) {
-        let trie: PrefixTrie<u32> = entries.iter().map(|(p, v)| (*p, *v)).collect();
-        let addr = Ipv4Addr::from(bits);
-        let lazy: Vec<(Ipv4Prefix, u32)> = trie.covering(addr).map(|(p, v)| (p, *v)).collect();
-        let eager: Vec<(Ipv4Prefix, u32)> =
-            trie.matches(addr).into_iter().map(|(p, v)| (p, *v)).collect();
-        prop_assert_eq!(lazy, eager);
-    }
-
-    #[test]
     fn children_of_are_maximal_proper_descendants(
         entries in prop::collection::btree_map(arb_prefix(), any::<u32>(), 0..64),
         root in arb_prefix(),
     ) {
         let trie: PrefixTrie<u32> = entries.iter().map(|(p, v)| (*p, *v)).collect();
-        let kids: Vec<Ipv4Prefix> = trie.children_of(&root).into_iter().map(|(p, _)| p).collect();
-        // Model: stored q strictly under root with no stored r strictly
-        // between root and q.
-        let model: Vec<Ipv4Prefix> = entries
-            .keys()
-            .filter(|q| root.covers(q) && **q != root)
-            .filter(|q| {
-                !entries
-                    .keys()
-                    .any(|r| *r != root && r != *q && root.covers(r) && r.covers(q))
-            })
-            .copied()
-            .collect();
-        prop_assert_eq!(&kids, &model);
-        // Maximal children are pairwise disjoint and ascend by range.
-        for w in kids.windows(2) {
-            prop_assert!(!w[0].overlaps(&w[1]));
-            prop_assert!(w[0].last_addr() < w[1].first_addr());
+        // A random root is almost never stored; its stored ancestors and
+        // the default route (whose last child may end the address space)
+        // are the roots the verifier actually asks about.
+        let mut roots = vec![root, Ipv4Prefix::DEFAULT];
+        roots.extend(entries.keys().next().and_then(|q| q.parent()));
+        roots.extend(entries.keys().next_back());
+        for root in roots {
+            let kids: Vec<Ipv4Prefix> = trie.children_of(&root).map(|(p, _)| p).collect();
+            // Model: stored q strictly under root with no stored r
+            // strictly between root and q.
+            let model: Vec<Ipv4Prefix> = entries
+                .keys()
+                .filter(|q| root.covers(q) && **q != root)
+                .filter(|q| {
+                    !entries
+                        .keys()
+                        .any(|r| *r != root && r != *q && root.covers(r) && r.covers(q))
+                })
+                .copied()
+                .collect();
+            prop_assert_eq!(&kids, &model);
+            // Maximal children are pairwise disjoint and ascend by range.
+            for w in kids.windows(2) {
+                prop_assert!(!w[0].overlaps(&w[1]));
+                prop_assert!(w[0].last_addr() < w[1].first_addr());
+            }
         }
     }
 

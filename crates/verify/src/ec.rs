@@ -38,9 +38,9 @@ pub struct EquivClass {
 /// policy keyed on known prefixes.
 ///
 /// Implemented by inserting the prefixes into a [`PrefixTrie`] and
-/// walking it ([`equivalence_classes_in`]) — O(n·W) for n prefixes of
-/// width ≤ W bits, replacing the all-pairs `covers()` scan this crate
-/// started with.
+/// walking it ([`equivalence_classes_in`]) — one ordered lookup per
+/// class boundary, O(n log n) for n prefixes, replacing the all-pairs
+/// `covers()` scan this crate started with.
 pub fn equivalence_classes_of(prefixes: &[Ipv4Prefix]) -> Vec<EquivClass> {
     let trie: PrefixTrie<()> = prefixes.iter().map(|p| (*p, ())).collect();
     equivalence_classes_in(&trie)
@@ -51,10 +51,7 @@ pub fn equivalence_classes_of(prefixes: &[Ipv4Prefix]) -> Vec<EquivClass> {
 /// descendants leave uncovered. Stored order is prefix order, so the
 /// output matches [`equivalence_classes_of`] on the same prefix set.
 pub fn equivalence_classes_in<V>(trie: &PrefixTrie<V>) -> Vec<EquivClass> {
-    trie.iter()
-        .into_iter()
-        .filter_map(|(p, _)| class_of(trie, p))
-        .collect()
+    trie.prefixes().filter_map(|p| class_of(trie, p)).collect()
 }
 
 /// The class owned by `prefix` given the prefixes stored in `trie`, or
@@ -62,14 +59,13 @@ pub fn equivalence_classes_in<V>(trie: &PrefixTrie<V>) -> Vec<EquivClass> {
 /// `prefix` itself need not be stored — a policy scope gets its class
 /// the same way.
 pub fn class_of<V>(trie: &PrefixTrie<V>, prefix: Ipv4Prefix) -> Option<EquivClass> {
-    // children_of returns maximal descendants: pairwise disjoint ranges
-    // in ascending order, exactly what the cursor sweep needs.
-    let ranges: Vec<(u32, u32)> = trie
+    // children_of yields maximal descendants: pairwise disjoint ranges
+    // in ascending order, exactly what the cursor sweep needs — and the
+    // sweep stops asking at the first gap.
+    let ranges = trie
         .children_of(&prefix)
-        .into_iter()
-        .map(|(c, _)| (u32::from(c.first_addr()), u32::from(c.last_addr())))
-        .collect();
-    uncovered_address(prefix, &ranges).map(|rep| EquivClass {
+        .map(|(c, _)| (u32::from(c.first_addr()), u32::from(c.last_addr())));
+    uncovered_address(prefix, ranges).map(|rep| EquivClass {
         prefix,
         representative: rep,
     })
@@ -83,11 +79,11 @@ pub fn equivalence_classes(dp: &DataPlane) -> Vec<EquivClass> {
 
 /// Finds the lowest address in `p` not covered by any of the disjoint,
 /// ascending `[start, end]` ranges (all inside `p`).
-fn uncovered_address(p: Ipv4Prefix, ranges: &[(u32, u32)]) -> Option<Ipv4Addr> {
+fn uncovered_address(p: Ipv4Prefix, ranges: impl Iterator<Item = (u32, u32)>) -> Option<Ipv4Addr> {
     let mut cursor = u32::from(p.first_addr());
     let end = u32::from(p.last_addr());
     for (s, e) in ranges {
-        if *s > cursor {
+        if s > cursor {
             return Some(Ipv4Addr::from(cursor));
         }
         cursor = cursor.max(e.checked_add(1)?);

@@ -141,10 +141,11 @@ fn forty_eight_router_mesh_churn_stays_in_budget() {
     churn_stays_in_budget(48, 32);
 }
 
-/// Sharing routes must not be paid for by the fold: the collector and
-/// the fold core move `IoEvent`s by value, and `churn-sharded` (which
-/// never builds a `Simulation`) is sensitive to their size.
+/// The generator's sort, the trace clone, every sink and the collector
+/// move `IoEvent`s by value, and `churn-sharded` (which never builds a
+/// `Simulation`) is sensitive to their size: the same bound the type
+/// asserts beside its definition, held where the allocation bars are.
 #[test]
 fn io_event_layout_is_unchanged() {
-    assert_eq!(std::mem::size_of::<IoEvent>(), 184);
+    assert!(std::mem::size_of::<IoEvent>() <= 136);
 }
