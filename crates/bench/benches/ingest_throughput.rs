@@ -9,15 +9,14 @@
 //! session folded by 1, 2, 4, and 8 shard workers (per-shard segment
 //! series, group-committed fsyncs).
 //!
-//! A10 adds the codec axis: every session shape A/B'd between the v2
-//! (JSON) and v3 (binary/interned) event codecs, interleaved so machine
-//! drift hits both arms equally.
+//! Every connection speaks the one event codec (binary v3); A10's
+//! v2-vs-v3 arms went with the v2 sender (EXPERIMENTS.md keeps their
+//! table).
 //!
 //! The workload itself lives in `cpvr_bench::ingest`.
 
 use cpvr_bench::ingest::IngestSession;
 use cpvr_collector::wal::{FsyncPolicy, TempDir, WalConfig};
-use cpvr_collector::CodecVersion;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn run_session(wal: Option<WalConfig>, metrics: bool) -> u64 {
@@ -104,42 +103,6 @@ fn bench(c: &mut Criterion) {
         }
     }
 
-    // A10: wire-codec A/B. The same session shapes as A7/A9, each run
-    // with the v2 (JSON) arm and the v3 (binary/interned) arm
-    // interleaved round by round; the ratio column is the headline
-    // number.
-    for (name, shards, fsync) in [
-        ("no-wal shards=1", 1u32, None),
-        ("no-wal shards=4", 4, None),
-        ("wal-everyn-256 shards=4", 4, Some(FsyncPolicy::EveryN(256))),
-    ] {
-        let mut v2 = 0.0f64;
-        let mut v3 = 0.0f64;
-        const ROUNDS: u32 = 3;
-        for _ in 0..ROUNDS {
-            for (codec, acc) in [(CodecVersion::V2, &mut v2), (CodecVersion::V3, &mut v3)] {
-                let tmp = TempDir::new("ingest-bench-codec").unwrap();
-                let wal = fsync.map(|f| {
-                    let mut w = WalConfig::new(tmp.path());
-                    w.fsync = f;
-                    w
-                });
-                let session = IngestSession {
-                    shards,
-                    wal,
-                    codec,
-                    ..IngestSession::default()
-                };
-                let (moved, dt) = session.run_timed();
-                *acc = acc.max(moved as f64 / dt);
-            }
-        }
-        println!(
-            "[A10 {name}] v2 {v2:.0} events/sec vs v3 {v3:.0} events/sec (v3/v2 = {:.2}x)",
-            v3 / v2
-        );
-    }
-
     let mut g = c.benchmark_group("ingest_throughput");
     g.sample_size(10);
     g.bench_function("loopback-8conns-no-wal", |b| {
@@ -161,27 +124,6 @@ fn bench(c: &mut Criterion) {
             IngestSession {
                 shards: 4,
                 wal: Some(WalConfig::new(tmp.path())),
-                ..IngestSession::default()
-            }
-            .run()
-        })
-    });
-    g.bench_function("loopback-8conns-no-wal-v3", |b| {
-        b.iter(|| {
-            IngestSession {
-                codec: CodecVersion::V3,
-                ..IngestSession::default()
-            }
-            .run()
-        })
-    });
-    g.bench_function("loopback-8conns-wal-4shards-v3", |b| {
-        b.iter(|| {
-            let tmp = TempDir::new("ingest-bench-wal4v3").unwrap();
-            IngestSession {
-                shards: 4,
-                wal: Some(WalConfig::new(tmp.path())),
-                codec: CodecVersion::V3,
                 ..IngestSession::default()
             }
             .run()

@@ -4,14 +4,14 @@
 //! these numbers bound the end-to-end overhead measured by the A/B run
 //! in `ingest_throughput` (`[A8 obs-overhead]`).
 //!
-//! The codec group is the A10 per-event cost floor: one event encoded
-//! into / decoded out of a reusable buffer under each wire codec (v2
-//! JSON vs v3 binary) — the same operation the collector's
-//! `cpvr_decode_nanos` histogram times on live reader threads.
+//! The codec group is the per-event cost floor of the wire: one event
+//! encoded into / decoded out of a reusable buffer — the same operation
+//! the collector's `cpvr_decode_nanos` histogram times on live reader
+//! threads.
 
 use cpvr_bench::ingest::synthetic_events;
 use cpvr_collector::{CodecVersion, Decoder, EventEncoder, Frame};
-use cpvr_obs::{render_prometheus, MetricKind, MetricsRegistry, SpanRecorder, Stage};
+use cpvr_obs::{render_prometheus, FlightRecorder, MetricKind, MetricsRegistry};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -71,16 +71,14 @@ fn bench(c: &mut Criterion) {
         }
     }
 
-    // Span stamping at the default 1-in-64 sampling: the common case is
-    // the cheap modulo miss, the rare case a mutex-guarded map insert.
+    // What a sampled flight pays per hop: one flight-recorder record
+    // (the unsampled 63 in 64 pay a branch on an `Option`).
     {
-        let reg = MetricsRegistry::new();
-        let spans = SpanRecorder::new(&reg, 64, 4096);
+        let ring = FlightRecorder::new().register("bench", 512);
         let mut seq = 0u64;
-        g.bench_function("span_received_sampled_1_in_64", |b| {
+        g.bench_function("flight_record", |b| {
             b.iter(|| {
-                spans.received(0, seq);
-                spans.stamp(0, seq, Stage::Journaled);
+                ring.record(2, None, 0, black_box(seq));
                 seq = seq.wrapping_add(1);
             })
         });
@@ -100,51 +98,49 @@ fn bench(c: &mut Criterion) {
 
     g.finish();
 
-    // Per-event codec costs, v2 vs v3, on the A7 synthetic workload.
-    // Encoders keep their scratch buffers and intern tables warm across
+    // Per-event codec costs on the A7 synthetic workload. The encoder
+    // keeps its scratch buffers and intern tables warm across
     // iterations, exactly like a long-lived connection.
     let mut g = c.benchmark_group("codec");
     let events = synthetic_events(0, 1, 512);
-    for (name, version) in [("v2", CodecVersion::V2), ("v3", CodecVersion::V3)] {
-        let mut enc = EventEncoder::new(version);
-        let mut out = Vec::new();
-        let mut i = 0usize;
-        g.bench_function(format!("encode_event_{name}"), |b| {
-            b.iter(|| {
-                out.clear();
-                enc.encode_into(i as u64, &events[i % events.len()], &mut out);
-                i += 1;
-                black_box(out.len())
-            })
-        });
+    let mut enc = EventEncoder::new(CodecVersion::V3);
+    let mut out = Vec::new();
+    let mut i = 0usize;
+    g.bench_function("encode_event_v3", |b| {
+        b.iter(|| {
+            out.clear();
+            enc.encode_into(i as u64, &events[i % events.len()], &mut out);
+            i += 1;
+            black_box(out.len())
+        })
+    });
 
-        // One pre-encoded stream, decoded frame by frame: the decode
-        // half of the same histogram.
-        let mut enc = EventEncoder::new(version);
-        let mut stream = Vec::new();
-        for (seq, e) in events.iter().enumerate() {
-            enc.encode_into(seq as u64, e, &mut stream);
-        }
-        g.bench_function(format!("decode_event_{name}"), |b| {
-            let mut dec = Decoder::new();
-            let mut decoded = 0u64;
-            b.iter(|| {
-                loop {
-                    match dec.next_message(false) {
-                        Some(Ok(msg)) => {
-                            if let Frame::Event { .. } = msg.frame {
-                                decoded += 1;
-                                break;
-                            }
-                        }
-                        Some(Err(e)) => panic!("clean stream must decode: {e}"),
-                        None => dec.feed(&stream),
-                    }
-                }
-                black_box(decoded)
-            })
-        });
+    // One pre-encoded stream, decoded frame by frame: the decode half
+    // of the same histogram.
+    let mut enc = EventEncoder::new(CodecVersion::V3);
+    let mut stream = Vec::new();
+    for (seq, e) in events.iter().enumerate() {
+        enc.encode_into(seq as u64, e, &mut stream);
     }
+    g.bench_function("decode_event_v3", |b| {
+        let mut dec = Decoder::new();
+        let mut decoded = 0u64;
+        b.iter(|| {
+            loop {
+                match dec.next_message(false) {
+                    Some(Ok(msg)) => {
+                        if let Frame::Event { .. } = msg.frame {
+                            decoded += 1;
+                            break;
+                        }
+                    }
+                    Some(Err(e)) => panic!("clean stream must decode: {e}"),
+                    None => dec.feed(&stream),
+                }
+            }
+            black_box(decoded)
+        })
+    });
     g.finish();
 }
 

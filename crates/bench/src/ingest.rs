@@ -1,11 +1,11 @@
 //! Shared networked-ingest workload: the synthetic event stream and
-//! collector session used by the A7–A10 throughput experiments
+//! collector session used by the A7–A9 throughput experiments
 //! (`benches/ingest_throughput.rs`) and the codec benches
 //! (`benches/obs_overhead.rs`).
 
 use cpvr_collector::collector::{Collector, CollectorConfig};
 use cpvr_collector::wal::{wait_for, WalConfig};
-use cpvr_collector::{CodecVersion, ReconnectPolicy, SocketSink};
+use cpvr_collector::SocketSink;
 use cpvr_dataplane::FibAction;
 use cpvr_sim::{EventId, IoEvent, IoKind};
 use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
@@ -61,8 +61,6 @@ pub struct IngestSession {
     pub wal: Option<WalConfig>,
     /// Whether the telemetry registry is live during the session.
     pub metrics: bool,
-    /// Event codec every connection speaks (v2 JSON or v3 binary).
-    pub codec: CodecVersion,
 }
 
 impl Default for IngestSession {
@@ -73,7 +71,6 @@ impl Default for IngestSession {
             shards: 1,
             wal: None,
             metrics: true,
-            codec: CodecVersion::V2,
         }
     }
 }
@@ -89,16 +86,9 @@ impl IngestSession {
         let addr = handle.local_addr();
         let mut threads = Vec::new();
         for conn in 0..self.n_conns {
-            let (n_conns, total, codec) = (self.n_conns, self.total_events, self.codec);
+            let (n_conns, total) = (self.n_conns, self.total_events);
             threads.push(std::thread::spawn(move || {
-                let mut sink = SocketSink::connect_with_codec(
-                    addr,
-                    RouterId(conn),
-                    n_conns,
-                    ReconnectPolicy::default(),
-                    codec,
-                )
-                .expect("connect");
+                let mut sink = SocketSink::connect(addr, RouterId(conn), n_conns).expect("connect");
                 for (j, e) in synthetic_events(conn, n_conns, total).iter().enumerate() {
                     sink.send(e).expect("send");
                     if (j + 1) % WATERMARK_EVERY == 0 {

@@ -21,10 +21,11 @@
 //! lag (federated mode), WAL fsync p99, and the flight recorder's
 //! state (anomaly dumps written so far and the watermark-stall gauge).
 //!
-//! `--trace-every N` samples every Nth event per router for causal
-//! tracing: the sinks speak the v3 codec and stamp sampled frames with
-//! a `TraceCtx` trailer, so the collector's flight recorder chains
-//! decode → journal → fold hops for those flights. Dumps written on an
+//! The collector's flight recorder follows one event in 64 per router
+//! on its own, chaining decode → journal → fold hops under one trace
+//! id. `--trace-every N` makes the *sinks* sample every Nth event
+//! instead, stamping those frames with a `TraceCtx` trailer, so the
+//! sample is denser and starts at the sender. Dumps written on an
 //! anomaly (or fetched with `DumpReq`) stitch into causal timelines
 //! with `cpvr-trace`.
 //!
@@ -40,7 +41,6 @@
 //! exclusive with `--shards`.
 
 use cpvr_collector::client::scrape_snapshot;
-use cpvr_collector::codec::CodecVersion;
 use cpvr_collector::collector::{Collector, CollectorConfig};
 use cpvr_collector::pipeline::{IngestPipeline, PipelineConfig};
 use cpvr_collector::wal::{wait_for, TempDir, WalConfig};
@@ -296,21 +296,7 @@ fn main() -> std::io::Result<()> {
     let mut s = paper_scenario(LatencyProfile::fast(), CaptureProfile::ideal(), 42);
     let sinks: Vec<Rc<RefCell<SocketSink>>> = (0..N_ROUTERS)
         .map(|r| {
-            // Tracing needs the v3 trailer on the wire; without it the
-            // default codec keeps the hot path byte-identical to v2.
-            let codec = if trace_every > 0 {
-                CodecVersion::V3
-            } else {
-                CodecVersion::default()
-            };
-            SocketSink::connect_with_codec(
-                addr_of_router(RouterId(r)),
-                RouterId(r),
-                N_ROUTERS,
-                Default::default(),
-                codec,
-            )
-            .map(|mut s| {
+            SocketSink::connect(addr_of_router(RouterId(r)), RouterId(r), N_ROUTERS).map(|mut s| {
                 s.set_trace_sampling(trace_every);
                 Rc::new(RefCell::new(s))
             })

@@ -119,9 +119,9 @@ pub struct SocketSink {
     fin_seen: bool,
     /// Decodes the collector→client ack stream; reset per connection.
     ack_dec: Decoder,
-    /// Encodes event frames (v2 JSON or v3 binary) into reusable
-    /// scratch buffers; for v3 it also owns this session's intern
-    /// tables, whose definition frames are replayed on every reconnect.
+    /// Encodes event frames into reusable scratch buffers and owns this
+    /// session's intern tables, whose definition frames are replayed on
+    /// every reconnect.
     enc: EventEncoder,
     /// Backoff jitter.
     rng: StdRng,
@@ -132,9 +132,7 @@ pub struct SocketSink {
     /// Successful connection establishments.
     connects: u64,
     /// Trace-stamp every Nth event with a [`TraceCtx`] trailer
-    /// (0 = tracing off). Only the v3 codec carries the trailer; a v2
-    /// sink's stamps are dropped at encode time, byte-identically to an
-    /// untraced stream.
+    /// (0 = tracing off).
     trace_every: u64,
 }
 
@@ -145,17 +143,19 @@ impl SocketSink {
         Self::connect_with(addr, source, n_routers, ReconnectPolicy::default())
     }
 
-    /// Connects with an explicit policy, speaking v2 (JSON) events.
+    /// Connects with an explicit policy.
     pub fn connect_with(
         addr: impl ToSocketAddrs,
         source: RouterId,
         n_routers: u32,
         policy: ReconnectPolicy,
     ) -> io::Result<Self> {
-        Self::connect_with_codec(addr, source, n_routers, policy, CodecVersion::V2)
+        Self::connect_with_codec(addr, source, n_routers, policy, CodecVersion::V3)
     }
 
-    /// Connects with an explicit policy and event codec.
+    /// The one constructor. `codec` selects nothing — there is one event
+    /// codec; the parameter is pinned by the benchmark ledger's sources
+    /// (see [`CodecVersion`]), so call [`connect_with`](Self::connect_with).
     pub fn connect_with_codec(
         addr: impl ToSocketAddrs,
         source: RouterId,
@@ -195,10 +195,14 @@ impl SocketSink {
 
     /// Samples every `every`-th event for causal tracing: the sampled
     /// event's frame carries a [`TraceCtx`] trailer minted from
-    /// `(session, seq)`, which the collector's flight recorder picks up
-    /// at every hop (decode, journal, fold). `0` disables tracing.
-    /// Deterministic: the same session and sequence always mint the
-    /// same trace id, so a go-back-N replay re-sends the same context.
+    /// `(session, seq)`, which the collector's flight recorder follows
+    /// through every hop (decode, journal, fold) as a child of this
+    /// sink's send. The collector samples flights on its own — the same
+    /// context for every 64th sequence number that arrives untraced —
+    /// so this only adds the sender-side hop, or a denser sample. `0`
+    /// disables it. Deterministic: the same session and sequence always
+    /// mint the same trace id, so a go-back-N replay re-sends the same
+    /// context.
     pub fn set_trace_sampling(&mut self, every: u64) {
         self.trace_every = every;
     }
@@ -211,11 +215,6 @@ impl SocketSink {
     /// This client instance's session id.
     pub fn session(&self) -> u64 {
         self.session
-    }
-
-    /// The event codec this connection announced in its Hello.
-    pub fn codec(&self) -> CodecVersion {
-        self.enc.version()
     }
 
     /// Events accepted so far.
@@ -303,10 +302,9 @@ impl SocketSink {
                 n_routers: self.n_routers,
                 session: self.session,
                 first_seq,
-                codec: self.enc.version().byte(),
             }),
         )?;
-        // v3: re-send every intern definition made this session before
+        // Re-send every intern definition made this session before
         // any event can reference one. The collector we reach may have
         // restarted with an empty symbol table, and acked (pruned)
         // events may have been the ones carrying the original
@@ -383,8 +381,8 @@ impl SocketSink {
                 }
                 Pump::Data(n) => {
                     self.ack_dec.feed(&buf[..n]);
-                    while let Some(raw) = self.ack_dec.next_frame() {
-                        match raw.decode() {
+                    while let Some(msg) = self.ack_dec.next_message(false) {
+                        match msg.map(|m| m.frame) {
                             Ok(Frame::Ack { upto }) => {
                                 if upto > self.acked {
                                     self.acked = upto;
@@ -575,11 +573,16 @@ impl SocketSink {
     }
 }
 
-/// Scrapes a collector's metrics over the wire: connects, sends one
-/// [`Frame::MetricsReq`], and returns the response body rendered in
-/// `format`. No hello is needed — scrapes are legal on a bare
-/// connection, so a monitoring probe stays a three-frame exchange.
-pub fn scrape(addr: impl ToSocketAddrs, format: ExpoFormat) -> io::Result<String> {
+/// One request/response exchange on a bare connection: connects, sends
+/// `request`, and returns the body of the first frame `body_of` accepts
+/// (anything else interleaved on the wire is not ours). No hello is
+/// needed — probes are legal without joining the event protocol.
+fn probe(
+    addr: impl ToSocketAddrs,
+    request: &Frame,
+    what: &str,
+    body_of: impl Fn(Frame) -> Option<Vec<u8>>,
+) -> io::Result<String> {
     let addr = addr
         .to_socket_addrs()?
         .next()
@@ -587,9 +590,7 @@ pub fn scrape(addr: impl ToSocketAddrs, format: ExpoFormat) -> io::Result<String
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-    stream.write_all(&encode_frame(&Frame::MetricsReq {
-        format: format.as_byte(),
-    }))?;
+    stream.write_all(&encode_frame(request))?;
     stream.flush()?;
     let deadline = Instant::now() + Duration::from_secs(5);
     let mut dec = Decoder::new();
@@ -599,7 +600,7 @@ pub fn scrape(addr: impl ToSocketAddrs, format: ExpoFormat) -> io::Result<String
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
-                    "collector closed the connection before answering the scrape",
+                    format!("collector closed the connection before answering the {what}"),
                 ))
             }
             Ok(n) => n,
@@ -609,7 +610,7 @@ pub fn scrape(addr: impl ToSocketAddrs, format: ExpoFormat) -> io::Result<String
                 if Instant::now() >= deadline {
                     return Err(io::Error::new(
                         io::ErrorKind::TimedOut,
-                        "scrape timed out waiting for a metrics response",
+                        format!("{what} timed out waiting for a response"),
                     ));
                 }
                 continue;
@@ -618,65 +619,37 @@ pub fn scrape(addr: impl ToSocketAddrs, format: ExpoFormat) -> io::Result<String
             Err(e) => return Err(e),
         };
         dec.feed(&buf[..n]);
-        while let Some(raw) = dec.next_frame() {
-            if let Ok(Frame::MetricsResp { body }) = raw.decode() {
+        while let Some(msg) = dec.next_message(false) {
+            if let Some(body) = msg.ok().and_then(|m| body_of(m.frame)) {
                 return String::from_utf8(body)
-                    .map_err(|_| io::Error::other("metrics response body was not UTF-8"));
+                    .map_err(|_| io::Error::other(format!("{what} response body was not UTF-8")));
             }
-            // Anything else interleaved on the wire is not ours.
         }
     }
 }
 
-/// Requests an on-demand flight-recorder dump over the wire: connects,
-/// sends one [`Frame::DumpReq`], and returns the JSON-encoded
-/// [`FlightDump`](cpvr_obs::FlightDump) body. Like a metrics scrape, no
-/// hello is needed — a stuck collector can be interrogated from a bare
-/// connection without joining the protocol.
+/// Scrapes a collector's metrics over the wire: sends one
+/// [`Frame::MetricsReq`] and returns the response body rendered in
+/// `format`. A monitoring probe is a three-frame exchange.
+pub fn scrape(addr: impl ToSocketAddrs, format: ExpoFormat) -> io::Result<String> {
+    let request = Frame::MetricsReq {
+        format: format.as_byte(),
+    };
+    probe(addr, &request, "scrape", |f| match f {
+        Frame::MetricsResp { body } => Some(body),
+        _ => None,
+    })
+}
+
+/// Requests an on-demand flight-recorder dump over the wire: sends one
+/// [`Frame::DumpReq`] and returns the JSON-encoded
+/// [`FlightDump`](cpvr_obs::FlightDump) body. Like a metrics scrape, a
+/// stuck collector can be interrogated without joining the protocol.
 pub fn dump_flight(addr: impl ToSocketAddrs) -> io::Result<String> {
-    let addr = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::other("address resolved to nothing"))?;
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-    stream.write_all(&encode_frame(&Frame::DumpReq))?;
-    stream.flush()?;
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let mut dec = Decoder::new();
-    let mut buf = [0u8; 64 * 1024];
-    loop {
-        let n = match stream.read(&mut buf) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "collector closed the connection before answering the dump request",
-                ))
-            }
-            Ok(n) => n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "dump request timed out waiting for a response",
-                    ));
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        dec.feed(&buf[..n]);
-        while let Some(raw) = dec.next_frame() {
-            if let Ok(Frame::DumpResp { body }) = raw.decode() {
-                return String::from_utf8(body)
-                    .map_err(|_| io::Error::other("dump response body was not UTF-8"));
-            }
-        }
-    }
+    probe(addr, &Frame::DumpReq, "dump request", |f| match f {
+        Frame::DumpResp { body } => Some(body),
+        _ => None,
+    })
 }
 
 /// Scrapes a collector in JSON and parses the body back into a typed

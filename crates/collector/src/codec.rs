@@ -1,4 +1,5 @@
-//! The versioned wire codec framing captured I/O events.
+//! The wire codec: one framer, one parser, two event bodies on disk,
+//! one on the wire.
 //!
 //! Routers (or, here, the simulator acting as a load generator) stream
 //! frames to the collector over TCP. A frame is a fixed 12-byte header
@@ -14,12 +15,46 @@
 //! The CRC-32 (IEEE, [`cpvr_types::crc32`]) covers the kind byte and the
 //! payload, so neither can be corrupted undetected; the length field is
 //! implicitly covered because a wrong length misaligns the payload and
-//! fails the check. Payloads are the workspace's hand-rolled JSON
-//! ([`cpvr_types::json`]) for structured frames ([`Frame::Hello`], the
-//! event part of [`Frame::Event`]) and raw little-endian integers for
-//! the high-frequency control frames.
+//! fails the check.
 //!
-//! Protocol **v2** adds fault tolerance to the framing:
+//! **One framer.** [`append_frame_with`] writes every header there is;
+//! [`encode_frame`] is the one typed encoder on top of it (control
+//! frames, peer frames, journal records) and [`EventEncoder`] the
+//! per-connection event encoder.
+//!
+//! **One parser.** [`Decoder`] is the only thing that reads a header.
+//! Fed a byte stream that may be damaged in flight
+//! ([`feed`](Decoder::feed) / [`next_message`](Decoder::next_message))
+//! it **resynchronizes**: a corrupt frame is counted and skipped by
+//! scanning forward to the next plausible header instead of poisoning
+//! the whole connection. Handed one WAL record
+//! ([`decode_record`](Decoder::decode_record)) it is strict: the record
+//! is exactly one intact frame or an error. A recovered log is just a
+//! frame stream read from disk instead of a socket, so both paths share
+//! the header check, the payload decoders and the symbol store.
+//!
+//! **One event body on the wire.** Senders speak version 3 only: the
+//! binary body of [`cpvr_sim::wire`] — varint integers and interned
+//! symbols instead of strings — with first symbol uses preceded by
+//! [`Frame::Intern`] definition frames (kind 11). The [`Decoder`]
+//! accumulates the definitions, so event bodies decode **in place,
+//! straight out of the read buffer**: no payload copy, no JSON tree, no
+//! per-event `String` allocation.
+//!
+//! **Two event bodies on disk.** The version byte is *per frame*, and
+//! journals written before PR 24 hold version-2 event frames (an 8-byte
+//! little-endian sequence number followed by the event as compact
+//! JSON) interleaved with version-3 ones. The parser therefore keeps
+//! reading both; nothing in this workspace sends version 2 any more.
+//! [`encode_frame`] still renders a typed [`Frame::Event`] that way —
+//! the legacy rendering the compatibility tests build old journals
+//! from.
+//!
+//! Everything that is not an event body is version-agnostic: compact
+//! JSON ([`cpvr_types::json`]) for the handshakes and the federation
+//! peer frames, raw little-endian integers for the high-frequency
+//! control frames, and a binary record for the repair journal. The
+//! fault-tolerance vocabulary rides on those:
 //!
 //! * every [`Frame::Event`] carries a per-session **sequence number**,
 //!   so the collector can detect duplicates (re-sent after a reconnect)
@@ -37,59 +72,34 @@
 //! * [`Frame::Evict`] / [`Frame::Admit`] never travel on a socket: the
 //!   collector journals them so a recovered pipeline remembers which
 //!   stragglers were evicted from the watermark gate.
-//!
-//! The same encoding doubles as the WAL record format
-//! ([`crate::wal`]): a recovered log is just a frame stream read from
-//! disk instead of a socket, so one decoder serves both paths.
-//!
-//! For byte streams that may be damaged in flight, [`Decoder`] decodes
-//! incrementally and **resynchronizes**: a corrupt frame is counted and
-//! skipped by scanning forward to the next plausible header instead of
-//! poisoning the whole connection.
-//!
-//! Protocol **v3** replaces the JSON event payload with the binary body
-//! of [`cpvr_sim::wire`]: varint integers and interned symbols instead
-//! of strings. The version byte is *per frame*, so v2 and v3 frames
-//! interleave freely on one stream (and in one WAL): control frames
-//! keep their v2 encodings, while a v3 sender marks its event frames
-//! with version 3 and precedes first symbol uses with [`Frame::Intern`]
-//! definition frames (kind 11). Negotiation is soft — [`Hello::codec`]
-//! announces the sender's event codec (old peers omit the field and
-//! default to 2) — and the [`Decoder`] accumulates intern definitions
-//! so v3 event bodies decode **in place, straight out of the read
-//! buffer** ([`Decoder::next_message`]): no payload copy, no JSON tree,
-//! no per-event `String` allocation.
 
 use cpvr_core::snapshot::ConvDigest;
 use cpvr_sim::wire::{self, InternDef, WireError};
 use cpvr_sim::IoEvent;
 use cpvr_types::crc32;
 use cpvr_types::intern::InternStore;
-use cpvr_types::json::{from_str, to_string_compact, to_string_compact_into, JsonError};
+use cpvr_types::json::{from_str, to_string_compact, JsonError};
 use cpvr_types::trace::TRACE_CTX_WIRE_LEN;
 use cpvr_types::{varint, Interns, RouterId, SimTime, TraceCtx};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// First two bytes of every frame.
 pub const MAGIC: [u8; 2] = *b"CW";
 
-/// Baseline protocol version: JSON event payloads. v2 added event
-/// sequence numbers, ack/heartbeat frames, and watermark frontiers.
-/// Control frames are encoded at this version regardless of the
-/// negotiated event codec, so any peer can read them.
+/// The header version of every frame except v3 event bodies and intern
+/// definitions: control, peer and journal frames are encoded at this
+/// version, and a version-2 *event* frame (JSON body) is the read-only
+/// journal format.
 pub const VERSION: u8 = 2;
 
-/// Binary event codec version: varint/interned event bodies
-/// ([`cpvr_sim::wire`]) and [`Frame::Intern`] definition frames. The
-/// version byte is per frame — a stream may interleave v2 and v3
-/// frames — so this is a *capability*, not a mode switch.
+/// The header version of binary event bodies ([`cpvr_sim::wire`]) and
+/// [`Frame::Intern`] definition frames — the only event encoding a
+/// sender emits.
 pub const VERSION_V3: u8 = 3;
 
-/// True for the frame header versions this build can read.
-fn version_ok(v: u8) -> bool {
-    v == VERSION || v == VERSION_V3
-}
+/// The header versions this build reads.
+pub const ACCEPTED_VERSIONS: [u8; 2] = [VERSION, VERSION_V3];
 
 /// Frames larger than this are rejected before allocation — a corrupt or
 /// hostile length field must not OOM the collector.
@@ -101,35 +111,14 @@ pub const HEADER_LEN: usize = 12;
 /// Highest valid kind byte.
 const MAX_KIND: u8 = 19;
 
-/// Which codec a sender uses for its event frames. Control frames are
-/// always v2; this only selects the `Frame::Event` encoding (and, for
-/// [`CodecVersion::V3`], the emission of [`Frame::Intern`] frames).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// The event codec a sender speaks. There is one; the type survives only
+/// because the benchmark ledger's pinned sources name it in
+/// [`EventEncoder::new`] and `SocketSink::connect_with_codec`, and goes
+/// with those signatures at the next `benchmark/` change.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CodecVersion {
-    /// Compact-JSON event payloads (the PR-4 wire format).
-    #[default]
-    V2,
     /// Binary varint/interned event payloads ([`cpvr_sim::wire`]).
     V3,
-}
-
-impl CodecVersion {
-    /// The header version byte for event frames of this codec.
-    pub fn byte(self) -> u8 {
-        match self {
-            CodecVersion::V2 => VERSION,
-            CodecVersion::V3 => VERSION_V3,
-        }
-    }
-
-    /// Parses a header/Hello codec byte; `None` if unknown.
-    pub fn from_byte(b: u8) -> Option<Self> {
-        match b {
-            VERSION => Some(CodecVersion::V2),
-            VERSION_V3 => Some(CodecVersion::V3),
-            _ => None,
-        }
-    }
 }
 
 /// The connection handshake: the first frame on every connection.
@@ -151,17 +140,13 @@ pub struct Hello {
     /// send: 0 for a fresh stream, the oldest unacknowledged sequence
     /// for a reconnect replay.
     pub first_seq: u64,
-    /// The event codec this connection will use ([`VERSION`] or
-    /// [`VERSION_V3`]). Old senders omit the field, which decodes as 2
-    /// — that is the whole negotiation: the collector learns what to
-    /// expect (and reports it per source), while the per-frame version
-    /// byte keeps every frame self-describing.
-    pub codec: u8,
 }
 
-// Hand-rolled (not `impl_json_struct!`) because `codec` must be
-// *optional* on decode: a v2 peer's Hello has no such field, and the
-// macro rejects missing fields.
+// Hand-rolled (not `impl_json_struct!`) for the `codec` member: every
+// hello written says 3, the byte senders have put there since the
+// binary codec landed, so the encoding does not move. Nothing reads it
+// back — journals hold hellos that say 2 or omit the member, and the
+// per-frame version byte is what decides how a body is parsed.
 impl cpvr_types::json::ToJson for Hello {
     fn to_json(&self) -> cpvr_types::json::Value {
         use cpvr_types::json::Value;
@@ -170,7 +155,7 @@ impl cpvr_types::json::ToJson for Hello {
             ("n_routers".to_string(), self.n_routers.to_json()),
             ("session".to_string(), self.session.to_json()),
             ("first_seq".to_string(), self.first_seq.to_json()),
-            ("codec".to_string(), Value::U64(u64::from(self.codec))),
+            ("codec".to_string(), Value::U64(u64::from(VERSION_V3))),
         ])
     }
 }
@@ -178,21 +163,11 @@ impl cpvr_types::json::ToJson for Hello {
 impl cpvr_types::json::FromJson for Hello {
     fn from_json(v: &cpvr_types::json::Value) -> Result<Self, cpvr_types::json::JsonError> {
         use cpvr_types::json::FromJson;
-        let codec = match v.field("codec") {
-            Ok(val) => {
-                let n = u64::from_json(val)?;
-                u8::try_from(n).map_err(|_| {
-                    cpvr_types::json::JsonError::new(format!("codec {n} out of range"))
-                })?
-            }
-            Err(_) => VERSION,
-        };
         Ok(Hello {
             source: FromJson::from_json(v.field("source")?)?,
             n_routers: FromJson::from_json(v.field("n_routers")?)?,
             session: FromJson::from_json(v.field("session")?)?,
             first_seq: FromJson::from_json(v.field("first_seq")?)?,
-            codec,
         })
     }
 }
@@ -769,12 +744,21 @@ pub enum CodecError {
     Io(io::Error),
     /// The first two bytes were not [`MAGIC`].
     BadMagic([u8; 2]),
-    /// The version byte disagrees with [`VERSION`].
+    /// The version byte is not one of [`ACCEPTED_VERSIONS`].
     BadVersion(u8),
     /// An unknown kind byte.
     BadKind(u8),
     /// The length field exceeds [`MAX_FRAME_LEN`].
     TooLarge(u32),
+    /// A journal record is not exactly one frame: its header describes
+    /// `frame` bytes (or it is shorter than a header) and the record
+    /// holds `got`.
+    BadLength {
+        /// Header plus payload, as the header states them.
+        frame: usize,
+        /// The record's length.
+        got: usize,
+    },
     /// The checksum over kind + payload did not match.
     BadCrc {
         /// CRC stated in the header.
@@ -798,10 +782,16 @@ impl fmt::Display for CodecError {
             CodecError::Io(e) => write!(f, "i/o error: {e}"),
             CodecError::BadMagic(m) => write!(f, "bad magic {m:02x?}"),
             CodecError::BadVersion(v) => {
-                write!(f, "protocol version {v} (this build speaks {VERSION})")
+                write!(
+                    f,
+                    "protocol version {v} (this build reads {ACCEPTED_VERSIONS:?})"
+                )
             }
             CodecError::BadKind(k) => write!(f, "unknown frame kind {k}"),
             CodecError::TooLarge(n) => write!(f, "frame length {n} exceeds {MAX_FRAME_LEN}"),
+            CodecError::BadLength { frame, got } => {
+                write!(f, "record holds {got} bytes, its frame is {frame}")
+            }
             CodecError::BadCrc { expected, got } => {
                 write!(
                     f,
@@ -835,22 +825,6 @@ impl From<WireError> for CodecError {
     }
 }
 
-/// A frame as raw bytes: validated header + undecoded payload. This is
-/// what the collector's reader threads hand to the merger, so the WAL
-/// can append the already-encoded bytes without re-serializing, and
-/// decoding can stay on the (parallel) reader side via
-/// [`decode`](RawFrame::decode).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RawFrame {
-    /// The header version byte ([`VERSION`] or [`VERSION_V3`]): decides
-    /// how an event payload is interpreted (JSON vs binary body).
-    pub version: u8,
-    /// The kind byte (already validated to be a known kind).
-    pub kind: u8,
-    /// The payload bytes (CRC already verified).
-    pub payload: Vec<u8>,
-}
-
 fn le_u64(bytes: &[u8], what: &'static str) -> Result<u64, CodecError> {
     let arr: [u8; 8] = bytes.try_into().map_err(|_| CodecError::BadPayload(what))?;
     Ok(u64::from_le_bytes(arr))
@@ -861,144 +835,116 @@ fn le_u32(bytes: &[u8], what: &'static str) -> Result<u32, CodecError> {
     Ok(u32::from_le_bytes(arr))
 }
 
-impl RawFrame {
-    /// Decodes the payload into a typed [`Frame`], with no intern
-    /// context: v3 event bodies that reference symbols fail with
-    /// [`CodecError::Wire`]. Stateful readers (the live [`Decoder`],
-    /// WAL replay) use [`decode_with`](RawFrame::decode_with).
-    pub fn decode(&self) -> Result<Frame, CodecError> {
-        self.decode_with(&InternStore::new())
-    }
+fn json_payload<T: cpvr_types::json::FromJson>(
+    payload: &[u8],
+    not_utf8: &'static str,
+) -> Result<T, CodecError> {
+    let text = std::str::from_utf8(payload).map_err(|_| CodecError::BadPayload(not_utf8))?;
+    Ok(from_str(text)?)
+}
 
-    /// Decodes the payload into a typed [`Frame`], resolving v3 event
-    /// bodies against the accumulated symbol definitions in `store`.
-    pub fn decode_with(&self, store: &InternStore) -> Result<Frame, CodecError> {
-        match self.kind {
-            0 => {
-                let text = std::str::from_utf8(&self.payload)
-                    .map_err(|_| CodecError::BadPayload("hello payload is not utf-8"))?;
-                Ok(Frame::Hello(from_str(text)?))
-            }
-            1 if self.version == VERSION_V3 => {
-                let (seq, event) = wire::decode_event(&self.payload, store)?;
-                Ok(Frame::Event { seq, event })
-            }
-            1 => {
-                if self.payload.len() < 8 {
-                    return Err(CodecError::BadPayload("event payload shorter than its seq"));
-                }
-                let seq = le_u64(&self.payload[..8], "event seq")?;
-                let text = std::str::from_utf8(&self.payload[8..])
-                    .map_err(|_| CodecError::BadPayload("event payload is not utf-8"))?;
-                Ok(Frame::Event {
-                    seq,
-                    event: from_str(text)?,
-                })
-            }
-            2 => {
-                if self.payload.len() != 16 {
-                    return Err(CodecError::BadPayload("watermark payload is not 16 bytes"));
-                }
-                Ok(Frame::Watermark {
-                    t: SimTime::from_nanos(le_u64(&self.payload[..8], "watermark time")?),
-                    frontier: le_u64(&self.payload[8..], "watermark frontier")?,
-                })
-            }
-            3 => Ok(Frame::Bye {
-                frontier: le_u64(&self.payload, "bye frontier")?,
-            }),
-            4 => Ok(Frame::Ack {
-                upto: le_u64(&self.payload, "ack upto")?,
-            }),
-            5 => {
-                if self.payload.is_empty() {
-                    Ok(Frame::Heartbeat)
-                } else {
-                    Err(CodecError::BadPayload("heartbeat carries no payload"))
-                }
-            }
-            6 => Ok(Frame::Evict {
-                source: RouterId(le_u32(&self.payload, "evict source")?),
-            }),
-            7 => Ok(Frame::Admit {
-                source: RouterId(le_u32(&self.payload, "admit source")?),
-            }),
-            8 => {
-                if self.payload.is_empty() {
-                    Ok(Frame::Fin)
-                } else {
-                    Err(CodecError::BadPayload("fin carries no payload"))
-                }
-            }
-            9 => {
-                if self.payload.len() == 1 {
-                    Ok(Frame::MetricsReq {
-                        format: self.payload[0],
-                    })
-                } else {
-                    Err(CodecError::BadPayload("metrics request is one format byte"))
-                }
-            }
-            10 => Ok(Frame::MetricsResp {
-                body: self.payload.clone(),
-            }),
-            11 => Ok(Frame::Intern(wire::decode_intern_def(&self.payload)?)),
-            12 => {
-                let text = std::str::from_utf8(&self.payload)
-                    .map_err(|_| CodecError::BadPayload("peer hello payload is not utf-8"))?;
-                Ok(Frame::PeerHello(from_str(text)?))
-            }
-            13 => {
-                let text = std::str::from_utf8(&self.payload)
-                    .map_err(|_| CodecError::BadPayload("frontier payload is not utf-8"))?;
-                Ok(Frame::FrontierExchange(from_str(text)?))
-            }
-            14 => {
-                let text = std::str::from_utf8(&self.payload)
-                    .map_err(|_| CodecError::BadPayload("boundary payload is not utf-8"))?;
-                Ok(Frame::BoundaryEdges(from_str(text)?))
-            }
-            15 => {
-                let text = std::str::from_utf8(&self.payload)
-                    .map_err(|_| CodecError::BadPayload("partial verdict payload is not utf-8"))?;
-                Ok(Frame::PartialVerdict(from_str(text)?))
-            }
-            16 => Ok(Frame::Repair(RepairRecord::decode_payload(&self.payload)?)),
-            17 => {
-                let text = std::str::from_utf8(&self.payload)
-                    .map_err(|_| CodecError::BadPayload("peer repair proof is not utf-8"))?;
-                Ok(Frame::PeerRepairProof(from_str(text)?))
-            }
-            18 => {
-                if self.payload.is_empty() {
-                    Ok(Frame::DumpReq)
-                } else {
-                    Err(CodecError::BadPayload("dump request carries no payload"))
-                }
-            }
-            19 => Ok(Frame::DumpResp {
-                body: self.payload.clone(),
-            }),
-            k => Err(CodecError::BadKind(k)),
+fn empty_payload(payload: &[u8], frame: Frame, what: &'static str) -> Result<Frame, CodecError> {
+    if payload.is_empty() {
+        Ok(frame)
+    } else {
+        Err(CodecError::BadPayload(what))
+    }
+}
+
+/// Decodes one CRC-checked payload into a typed [`Frame`] (plus the
+/// causal-trace trailer of a v3 event body, if it carries one). v3 event
+/// bodies resolve their symbols in `interns`; a [`Frame::Intern`]
+/// definition is bound there before it is returned, so whatever follows
+/// it on the stream or in the journal can use the symbol.
+fn decode_payload(
+    version: u8,
+    kind: u8,
+    payload: &[u8],
+    interns: &mut InternStore,
+) -> Result<(Frame, Option<TraceCtx>), CodecError> {
+    let frame = match kind {
+        0 => Frame::Hello(json_payload(payload, "hello payload is not utf-8")?),
+        1 if version == VERSION_V3 => {
+            let (seq, event, trace) = wire::decode_event_traced(payload, interns)?;
+            return Ok((Frame::Event { seq, event }, trace));
         }
-    }
+        // The read-only journal format: nothing sends this any more.
+        1 => {
+            if payload.len() < 8 {
+                return Err(CodecError::BadPayload("event payload shorter than its seq"));
+            }
+            Frame::Event {
+                seq: le_u64(&payload[..8], "event seq")?,
+                event: json_payload(&payload[8..], "event payload is not utf-8")?,
+            }
+        }
+        2 => {
+            if payload.len() != 16 {
+                return Err(CodecError::BadPayload("watermark payload is not 16 bytes"));
+            }
+            Frame::Watermark {
+                t: SimTime::from_nanos(le_u64(&payload[..8], "watermark time")?),
+                frontier: le_u64(&payload[8..], "watermark frontier")?,
+            }
+        }
+        3 => Frame::Bye {
+            frontier: le_u64(payload, "bye frontier")?,
+        },
+        4 => Frame::Ack {
+            upto: le_u64(payload, "ack upto")?,
+        },
+        5 => empty_payload(payload, Frame::Heartbeat, "heartbeat carries no payload")?,
+        6 => Frame::Evict {
+            source: RouterId(le_u32(payload, "evict source")?),
+        },
+        7 => Frame::Admit {
+            source: RouterId(le_u32(payload, "admit source")?),
+        },
+        8 => empty_payload(payload, Frame::Fin, "fin carries no payload")?,
+        9 => match payload {
+            [format] => Frame::MetricsReq { format: *format },
+            _ => return Err(CodecError::BadPayload("metrics request is one format byte")),
+        },
+        10 => Frame::MetricsResp {
+            body: payload.to_vec(),
+        },
+        11 => {
+            let def = wire::decode_intern_def(payload)?;
+            interns.apply(def.router, def.space, def.symbol, &def.bytes);
+            Frame::Intern(def)
+        }
+        12 => Frame::PeerHello(json_payload(payload, "peer hello payload is not utf-8")?),
+        13 => Frame::FrontierExchange(json_payload(payload, "frontier payload is not utf-8")?),
+        14 => Frame::BoundaryEdges(json_payload(payload, "boundary payload is not utf-8")?),
+        15 => Frame::PartialVerdict(json_payload(
+            payload,
+            "partial verdict payload is not utf-8",
+        )?),
+        16 => Frame::Repair(RepairRecord::decode_payload(payload)?),
+        17 => Frame::PeerRepairProof(json_payload(payload, "peer repair proof is not utf-8")?),
+        18 => empty_payload(payload, Frame::DumpReq, "dump request carries no payload")?,
+        19 => Frame::DumpResp {
+            body: payload.to_vec(),
+        },
+        k => return Err(CodecError::BadKind(k)),
+    };
+    Ok((frame, None))
+}
 
-    /// The full wire encoding (header + payload) of this frame — also
-    /// the WAL record payload format.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        append_frame_with(&mut out, self.version, self.kind, |p| {
-            p.extend_from_slice(&self.payload)
-        });
-        out
-    }
+/// The CRC a frame's header states: over the kind byte, then the
+/// payload.
+fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
+    let mut crc = crc32::Crc32::new();
+    crc.update(&[kind]);
+    crc.update(payload);
+    crc.finish()
 }
 
 /// Appends one whole frame to `out` in a single pass: the header is
 /// written with placeholder length/CRC fields, `fill` appends the
 /// payload bytes in place, and the placeholders are patched afterwards.
-/// No intermediate payload `Vec` — this is the allocation-free core
-/// both codecs' encoders share.
+/// No intermediate payload `Vec` — this is the one framer every encoder
+/// goes through.
 pub fn append_frame_with<F: FnOnce(&mut Vec<u8>)>(
     out: &mut Vec<u8>,
     version: u8,
@@ -1014,133 +960,94 @@ pub fn append_frame_with<F: FnOnce(&mut Vec<u8>)>(
     let len = out.len() - start - HEADER_LEN;
     debug_assert!(len as u32 <= MAX_FRAME_LEN);
     out[start + 4..start + 8].copy_from_slice(&(len as u32).to_le_bytes());
-    let mut crc = crc32::Crc32::new();
-    crc.update(&[kind]);
-    crc.update(&out[start + HEADER_LEN..]);
-    let crc = crc.finish();
+    let crc = frame_crc(kind, &out[start + HEADER_LEN..]);
     out[start + 8..start + 12].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Serializes a typed frame to its raw form.
-pub fn raw_frame(f: &Frame) -> RawFrame {
-    let payload = match f {
-        Frame::Hello(h) => to_string_compact(h).into_bytes(),
+/// Encodes a typed frame to wire bytes — also the WAL record format.
+///
+/// Intern frames are a v3-only kind; everything else is framed at the
+/// baseline version any reader accepts. That includes a typed
+/// [`Frame::Event`], which this path renders in the **legacy** form (an
+/// 8-byte sequence number and the event as compact JSON): no sender
+/// reaches it — they hold an [`EventEncoder`] — but the compatibility
+/// tests build pre-PR-24 journals with it.
+pub fn encode_frame(f: &Frame) -> Vec<u8> {
+    let version = if matches!(f, Frame::Intern(_)) {
+        VERSION_V3
+    } else {
+        VERSION
+    };
+    fn json<T: cpvr_types::json::ToJson>(p: &mut Vec<u8>, v: &T) {
+        p.extend_from_slice(to_string_compact(v).as_bytes());
+    }
+    let mut out = Vec::new();
+    append_frame_with(&mut out, version, f.kind(), |p| match f {
+        Frame::Hello(h) => json(p, h),
         Frame::Event { seq, event } => {
-            let json = to_string_compact(event);
-            let mut p = Vec::with_capacity(8 + json.len());
             p.extend_from_slice(&seq.to_le_bytes());
-            p.extend_from_slice(json.as_bytes());
-            p
+            json(p, event);
         }
         Frame::Watermark { t, frontier } => {
-            let mut p = Vec::with_capacity(16);
             p.extend_from_slice(&t.as_nanos().to_le_bytes());
             p.extend_from_slice(&frontier.to_le_bytes());
-            p
         }
-        Frame::Bye { frontier } => frontier.to_le_bytes().to_vec(),
-        Frame::Ack { upto } => upto.to_le_bytes().to_vec(),
-        Frame::Heartbeat => Vec::new(),
-        Frame::Evict { source } => source.0.to_le_bytes().to_vec(),
-        Frame::Admit { source } => source.0.to_le_bytes().to_vec(),
-        Frame::Fin => Vec::new(),
-        Frame::MetricsReq { format } => vec![*format],
-        Frame::MetricsResp { body } => body.clone(),
-        Frame::Intern(def) => {
-            let mut p = Vec::new();
-            wire::encode_intern_def(def, &mut p);
-            p
+        Frame::Bye { frontier } => p.extend_from_slice(&frontier.to_le_bytes()),
+        Frame::Ack { upto } => p.extend_from_slice(&upto.to_le_bytes()),
+        Frame::Heartbeat | Frame::Fin | Frame::DumpReq => {}
+        Frame::Evict { source } | Frame::Admit { source } => {
+            p.extend_from_slice(&source.0.to_le_bytes())
         }
-        // Peer frames are v2 JSON by design: federation links must stay
-        // readable by any member regardless of the event codec its
-        // routers negotiated.
-        Frame::PeerHello(h) => to_string_compact(h).into_bytes(),
-        Frame::FrontierExchange(f) => to_string_compact(f).into_bytes(),
-        Frame::BoundaryEdges(b) => to_string_compact(b).into_bytes(),
-        Frame::PartialVerdict(p) => to_string_compact(p).into_bytes(),
-        Frame::Repair(r) => r.encode_payload(),
-        Frame::PeerRepairProof(p) => to_string_compact(p).into_bytes(),
-        Frame::DumpReq => Vec::new(),
-        Frame::DumpResp { body } => body.clone(),
-    };
-    RawFrame {
-        // Intern frames are a v3-only kind; everything else (including
-        // `Frame::Event`, which this typed path renders as JSON) stays
-        // at the baseline version any peer can read.
-        version: if matches!(f, Frame::Intern(_)) {
-            VERSION_V3
-        } else {
-            VERSION
-        },
-        kind: f.kind(),
-        payload,
-    }
-}
-
-/// Encodes a frame to wire bytes.
-pub fn encode_frame(f: &Frame) -> Vec<u8> {
-    raw_frame(f).encode()
-}
-
-/// Encodes a v2 event frame without cloning the event. One-shot
-/// convenience; connections should hold an [`EventEncoder`] so the
-/// scratch buffers are reused across events.
-pub fn encode_event(seq: u64, event: &IoEvent) -> Vec<u8> {
-    let mut out = Vec::new();
-    EventEncoder::new(CodecVersion::V2).encode_into(seq, event, &mut out);
+        Frame::MetricsReq { format } => p.push(*format),
+        Frame::MetricsResp { body } | Frame::DumpResp { body } => p.extend_from_slice(body),
+        Frame::Intern(def) => wire::encode_intern_def(def, p),
+        // Peer frames are JSON by design: federation links must stay
+        // readable by any member, whatever its routers speak.
+        Frame::PeerHello(h) => json(p, h),
+        Frame::FrontierExchange(f) => json(p, f),
+        Frame::BoundaryEdges(b) => json(p, b),
+        Frame::PartialVerdict(v) => json(p, v),
+        Frame::Repair(r) => p.extend_from_slice(&r.encode_payload()),
+        Frame::PeerRepairProof(r) => json(p, r),
+    });
     out
 }
 
-/// A per-connection event encoder for either codec.
+/// The per-connection event encoder.
 ///
-/// Owns the scratch state an event frame needs — the JSON render buffer
-/// (v2), the binary body buffer and intern tables (v3) — so steady-state
-/// encoding writes straight into the caller's output buffer without
-/// per-event allocations. (The old free-function path rendered the JSON
-/// `String`, copied it into a payload `Vec`, then copied *that* into the
-/// encoded frame: two allocations and a double copy per event.)
-///
-/// For [`CodecVersion::V3`], `encode_into` appends any fresh
-/// [`Frame::Intern`] definitions *before* the event frame, and
+/// Owns the scratch state an event frame needs — the binary body buffer
+/// and the connection's intern tables — so steady-state encoding writes
+/// straight into the caller's output buffer without per-event
+/// allocations. `encode_into` appends any fresh [`Frame::Intern`]
+/// definitions *before* the event frame, and
 /// [`definition_frames`](EventEncoder::definition_frames) replays every
 /// definition made so far — a reconnecting client must re-send those
 /// first, because the collector it reaches may have restarted without
 /// the session's symbol table.
 #[derive(Debug, Default)]
 pub struct EventEncoder {
-    version: CodecVersion,
     interns: Interns,
     defs: Vec<InternDef>,
     all_defs: Vec<u8>,
-    json: String,
     body: Vec<u8>,
 }
 
 impl EventEncoder {
-    /// A fresh encoder for the given codec.
-    pub fn new(version: CodecVersion) -> Self {
-        EventEncoder {
-            version,
-            ..Self::default()
-        }
+    /// A fresh encoder. The argument selects nothing — there is one
+    /// event codec; the signature is pinned by the benchmark ledger
+    /// (see [`CodecVersion`]).
+    pub fn new(_version: CodecVersion) -> Self {
+        Self::default()
     }
 
-    /// The codec this encoder emits.
-    pub fn version(&self) -> CodecVersion {
-        self.version
-    }
-
-    /// Appends the frame(s) for one event to `out`: for v3, any fresh
-    /// intern definition frames first, then the event frame; for v2,
-    /// just the JSON event frame.
+    /// Appends the frames for one event to `out`: any fresh intern
+    /// definition frames first, then the event frame.
     pub fn encode_into(&mut self, seq: u64, event: &IoEvent, out: &mut Vec<u8>) {
         self.encode_into_traced(seq, event, None, out);
     }
 
     /// [`encode_into`](EventEncoder::encode_into) with an optional
-    /// causal-trace trailer on the event body. Only the v3 codec can
-    /// carry the trailer; for v2 the context is silently dropped (the
-    /// JSON event layout predates tracing and must stay byte-stable).
+    /// causal-trace trailer on the event body.
     pub fn encode_into_traced(
         &mut self,
         seq: u64,
@@ -1148,41 +1055,29 @@ impl EventEncoder {
         trace: Option<TraceCtx>,
         out: &mut Vec<u8>,
     ) {
-        match self.version {
-            CodecVersion::V2 => {
-                self.json.clear();
-                to_string_compact_into(event, &mut self.json);
-                let json = &self.json;
-                append_frame_with(out, VERSION, 1, |p| {
-                    p.extend_from_slice(&seq.to_le_bytes());
-                    p.extend_from_slice(json.as_bytes());
-                });
-            }
-            CodecVersion::V3 => {
-                self.body.clear();
-                self.defs.clear();
-                wire::encode_event_traced(
-                    seq,
-                    event,
-                    trace,
-                    &mut self.interns,
-                    &mut self.defs,
-                    &mut self.body,
-                );
-                for def in &self.defs {
-                    append_frame_with(out, VERSION_V3, 11, |p| wire::encode_intern_def(def, p));
-                    append_frame_with(&mut self.all_defs, VERSION_V3, 11, |p| {
-                        wire::encode_intern_def(def, p)
-                    });
-                }
-                let body = &self.body;
-                append_frame_with(out, VERSION_V3, 1, |p| p.extend_from_slice(body));
-            }
+        self.body.clear();
+        self.defs.clear();
+        wire::encode_event_traced(
+            seq,
+            event,
+            trace,
+            &mut self.interns,
+            &mut self.defs,
+            &mut self.body,
+        );
+        for def in &self.defs {
+            let at = self.all_defs.len();
+            append_frame_with(&mut self.all_defs, VERSION_V3, 11, |p| {
+                wire::encode_intern_def(def, p)
+            });
+            out.extend_from_slice(&self.all_defs[at..]);
         }
+        let body = &self.body;
+        append_frame_with(out, VERSION_V3, 1, |p| p.extend_from_slice(body));
     }
 
     /// The encoded bytes of *every* intern definition this encoder has
-    /// ever made, in definition order. Empty for v2.
+    /// ever made, in definition order.
     pub fn definition_frames(&self) -> &[u8] {
         &self.all_defs
     }
@@ -1193,110 +1088,54 @@ pub fn write_frame<W: Write>(w: &mut W, f: &Frame) -> io::Result<()> {
     w.write_all(&encode_frame(f))
 }
 
-/// Parses one frame from the front of `bytes`; returns the frame and how
-/// many bytes it consumed. `Ok(None)` means `bytes` is a clean prefix of
-/// a frame (more data needed) — the torn-tail signal during WAL replay.
-pub fn decode_frame(bytes: &[u8]) -> Result<Option<(RawFrame, usize)>, CodecError> {
-    if bytes.len() < HEADER_LEN {
-        return Ok(None);
-    }
-    let header = &bytes[..HEADER_LEN];
-    if header[0..2] != MAGIC {
-        return Err(CodecError::BadMagic([header[0], header[1]]));
-    }
-    if !version_ok(header[2]) {
-        return Err(CodecError::BadVersion(header[2]));
-    }
-    let kind = header[3];
-    if kind > MAX_KIND {
-        return Err(CodecError::BadKind(kind));
-    }
-    let len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_LEN {
-        return Err(CodecError::TooLarge(len));
-    }
-    let expected = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    let end = HEADER_LEN + len as usize;
-    if bytes.len() < end {
-        return Ok(None);
-    }
-    let payload = &bytes[HEADER_LEN..end];
-    let mut crc = crc32::Crc32::new();
-    crc.update(&[kind]);
-    crc.update(payload);
-    let got = crc.finish();
-    if got != expected {
-        return Err(CodecError::BadCrc { expected, got });
-    }
-    Ok(Some((
-        RawFrame {
-            version: header[2],
-            kind,
-            payload: payload.to_vec(),
-        },
-        end,
-    )))
+/// The fields of a frame header that passed [`parse_header`].
+struct Header {
+    version: u8,
+    kind: u8,
+    /// Header plus payload, in bytes.
+    frame_len: usize,
+    crc: u32,
 }
 
-/// Reads one frame from a blocking reader. `Ok(None)` signals a clean
-/// end-of-stream (EOF exactly at a frame boundary); EOF mid-frame is an
-/// [`CodecError::Io`] with `UnexpectedEof`. This strict reader is for
-/// *trusted* streams (tests, tooling); connection readers facing
-/// possibly damaged bytes should use [`Decoder`], which resynchronizes
-/// instead of failing.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<RawFrame>, CodecError> {
-    let mut header = [0u8; HEADER_LEN];
-    // Distinguish clean EOF (no bytes at all) from a truncated header.
-    let mut filled = 0;
-    while filled < HEADER_LEN {
-        match r.read(&mut header[filled..])? {
-            0 if filled == 0 => return Ok(None),
-            0 => {
-                return Err(CodecError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof inside frame header",
-                )))
-            }
-            n => filled += n,
-        }
+/// Reads and validates the header at the front of `bytes` — the one
+/// place a header's fields are taken apart, for the stream scanner and
+/// the strict record path alike.
+fn parse_header(bytes: &[u8]) -> Result<Header, CodecError> {
+    let Some(h) = bytes.first_chunk::<HEADER_LEN>() else {
+        return Err(CodecError::BadLength {
+            frame: HEADER_LEN,
+            got: bytes.len(),
+        });
+    };
+    if h[..2] != MAGIC {
+        return Err(CodecError::BadMagic([h[0], h[1]]));
     }
-    if header[0..2] != MAGIC {
-        return Err(CodecError::BadMagic([header[0], header[1]]));
+    let (version, kind) = (h[2], h[3]);
+    if !ACCEPTED_VERSIONS.contains(&version) {
+        return Err(CodecError::BadVersion(version));
     }
-    if !version_ok(header[2]) {
-        return Err(CodecError::BadVersion(header[2]));
-    }
-    let kind = header[3];
     if kind > MAX_KIND {
         return Err(CodecError::BadKind(kind));
     }
-    let len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+    let len = u32::from_le_bytes([h[4], h[5], h[6], h[7]]);
     if len > MAX_FRAME_LEN {
         return Err(CodecError::TooLarge(len));
     }
-    let expected = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    let mut crc = crc32::Crc32::new();
-    crc.update(&[kind]);
-    crc.update(&payload);
-    let got = crc.finish();
-    if got != expected {
-        return Err(CodecError::BadCrc { expected, got });
-    }
-    Ok(Some(RawFrame {
-        version: header[2],
+    Ok(Header {
+        version,
         kind,
-        payload,
-    }))
+        frame_len: HEADER_LEN + len as usize,
+        crc: u32::from_le_bytes([h[8], h[9], h[10], h[11]]),
+    })
 }
 
-/// An incremental, resynchronizing frame decoder for byte streams that
-/// may arrive damaged (bit flips, dropped ranges, duplicated chunks).
+/// The frame parser: incremental and resynchronizing over byte streams
+/// that may arrive damaged (bit flips, dropped ranges, duplicated
+/// chunks), strict over whole journal records.
 ///
 /// Feed it raw bytes as they arrive ([`feed`](Decoder::feed)) and pop
-/// intact frames ([`next_frame`](Decoder::next_frame)). A frame that fails
-/// validation is *quarantined*: counted in
+/// decoded frames ([`next_message`](Decoder::next_message)). A frame
+/// that fails validation is *quarantined*: counted in
 /// [`corrupt_frames`](Decoder::corrupt_frames), skipped, and the
 /// decoder scans forward for the next plausible header instead of
 /// giving up on the stream. Bytes discarded during the hunt are counted
@@ -1304,11 +1143,13 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<RawFrame>, CodecError> {
 /// frame passed its CRC, resynchronization can only ever *drop* data,
 /// never invent it — and the sequence-number layer above recovers the
 /// drops by retransmission.
-/// For v3 streams the decoder is also the **intern state holder**:
-/// [`next_message`](Decoder::next_message) absorbs [`Frame::Intern`]
-/// definitions into a per-router [`InternStore`] and decodes v3 event
-/// bodies *in place* — borrowed straight from the read buffer, through
-/// the store, into an [`IoEvent`] — with no payload copy and no JSON.
+///
+/// The decoder is also the **intern state holder**: it absorbs
+/// [`Frame::Intern`] definitions into a per-router [`InternStore`] and
+/// decodes v3 event bodies *in place* — borrowed straight from the read
+/// buffer, through the store, into an [`IoEvent`] — with no payload
+/// copy and no JSON. One decoder serves one connection, or one WAL
+/// series ([`decode_record`](Decoder::decode_record)).
 #[derive(Debug, Default)]
 pub struct Decoder {
     buf: Vec<u8>,
@@ -1323,11 +1164,9 @@ pub struct Decoder {
 pub struct DecodedMsg {
     /// The typed frame.
     pub frame: Frame,
-    /// The header version the frame arrived with.
-    pub version: u8,
     /// The frame's full wire bytes (header + payload), captured only
     /// when requested — this is what the WAL journals, byte-for-byte as
-    /// received, so replay sees the same codec mix the live path saw.
+    /// received.
     pub raw: Option<Vec<u8>>,
     /// The causal-trace trailer of a v3 event frame, if it carried one
     /// (`None` for every other frame and for untraced events).
@@ -1377,11 +1216,11 @@ impl Decoder {
     }
 
     /// Scans to the next intact frame, skipping and counting damaged
-    /// bytes. On a hit, `pos` is advanced past the frame and the
-    /// returned range `(start, end)` locates it in `buf` — compaction
-    /// is deferred to the caller so the range stays valid while the
+    /// bytes. On a hit, `pos` is advanced past the frame and the frame's
+    /// header and start offset in `buf` are returned — compaction is
+    /// deferred to the caller so the offset stays valid while the
     /// payload is borrowed in place.
-    fn scan_frame(&mut self) -> Option<(usize, usize)> {
+    fn scan_frame(&mut self) -> Option<(Header, usize)> {
         loop {
             let avail = self.buf.len() - self.pos;
             if avail == 0 {
@@ -1415,27 +1254,19 @@ impl Decoder {
                 self.compact();
                 return None;
             }
-            let h = &self.buf[self.pos..self.pos + HEADER_LEN];
-            let kind = h[3];
-            let len = u32::from_le_bytes(h[4..8].try_into().expect("4 bytes"));
-            if !version_ok(h[2]) || kind > MAX_KIND || len > MAX_FRAME_LEN {
+            let Ok(h) = parse_header(&self.buf[self.pos..]) else {
                 // Implausible header: almost certainly a false magic
                 // inside garbage. Shift one byte and keep scanning.
                 self.corrupt += 1;
                 self.skip(1);
                 continue;
-            }
-            let total = HEADER_LEN + len as usize;
-            if avail < total {
+            };
+            if avail < h.frame_len {
                 self.compact();
                 return None; // plausible frame, payload still in flight
             }
-            let expected = u32::from_le_bytes(h[8..12].try_into().expect("4 bytes"));
-            let payload = &self.buf[self.pos + HEADER_LEN..self.pos + total];
-            let mut crc = crc32::Crc32::new();
-            crc.update(&[kind]);
-            crc.update(payload);
-            if crc.finish() != expected {
+            let payload = &self.buf[self.pos + HEADER_LEN..self.pos + h.frame_len];
+            if frame_crc(h.kind, payload) != h.crc {
                 // A real frame with a damaged payload, or a false
                 // header whose length field pointed into unrelated
                 // bytes. Either way, skip just the magic and rescan —
@@ -1446,24 +1277,9 @@ impl Decoder {
                 continue;
             }
             let start = self.pos;
-            self.pos += total;
-            return Some((start, start + total));
+            self.pos += h.frame_len;
+            return Some((h, start));
         }
-    }
-
-    /// Pops the next intact frame, skipping and counting damaged bytes.
-    /// Returns `None` when the buffer holds no complete frame (feed
-    /// more data, or the stream ended — see
-    /// [`drain_eof`](Decoder::drain_eof)).
-    pub fn next_frame(&mut self) -> Option<RawFrame> {
-        let (start, end) = self.scan_frame()?;
-        let frame = RawFrame {
-            version: self.buf[start + 2],
-            kind: self.buf[start + 3],
-            payload: self.buf[start + HEADER_LEN..end].to_vec(),
-        };
-        self.compact();
-        Some(frame)
     }
 
     /// Pops and fully decodes the next intact frame — the collector's
@@ -1477,75 +1293,55 @@ impl Decoder {
     /// passed its CRC but failed payload decoding — the caller decides
     /// whether that is fatal for the connection.
     pub fn next_message(&mut self, keep_raw: bool) -> Option<Result<DecodedMsg, CodecError>> {
-        let (start, end) = self.scan_frame()?;
-        let version = self.buf[start + 2];
-        let kind = self.buf[start + 3];
-        let payload = &self.buf[start + HEADER_LEN..end];
-        let mut trace = None;
-        let decoded = if kind == 1 && version == VERSION_V3 {
-            wire::decode_event_traced(payload, &self.interns)
-                .map(|(seq, event, ctx)| {
-                    trace = ctx;
-                    Frame::Event { seq, event }
-                })
-                .map_err(CodecError::from)
-        } else {
-            RawFrame {
-                version,
-                kind,
-                payload: payload.to_vec(),
-            }
-            .decode_with(&self.interns)
-        };
-        let raw = keep_raw.then(|| self.buf[start..end].to_vec());
-        if let Ok(Frame::Intern(def)) = &decoded {
-            self.interns
-                .apply(def.router, def.space, def.symbol, &def.bytes);
-        }
+        let (h, start) = self.scan_frame()?;
+        let bytes = &self.buf[start..start + h.frame_len];
+        let decoded = decode_payload(h.version, h.kind, &bytes[HEADER_LEN..], &mut self.interns);
+        let raw = keep_raw.then(|| bytes.to_vec());
         self.compact();
-        Some(decoded.map(|frame| DecodedMsg {
-            frame,
-            version,
-            raw,
-            trace,
-        }))
+        Some(decoded.map(|(frame, trace)| DecodedMsg { frame, raw, trace }))
+    }
+
+    /// Decodes one journal record, which must be exactly one intact
+    /// frame: anything shorter or longer is [`CodecError::BadLength`],
+    /// a header or checksum fault is its own error, and nothing is
+    /// skipped or resynchronized. Shares the intern store with
+    /// [`next_message`](Decoder::next_message): records decoded in
+    /// journal order see every definition before its first use, exactly
+    /// as the live connection did.
+    pub fn decode_record(&mut self, record: &[u8]) -> Result<Frame, CodecError> {
+        let h = parse_header(record)?;
+        if record.len() != h.frame_len {
+            return Err(CodecError::BadLength {
+                frame: h.frame_len,
+                got: record.len(),
+            });
+        }
+        let payload = &record[HEADER_LEN..];
+        let got = frame_crc(h.kind, payload);
+        if got != h.crc {
+            return Err(CodecError::BadCrc {
+                expected: h.crc,
+                got,
+            });
+        }
+        decode_payload(h.version, h.kind, payload, &mut self.interns).map(|(frame, _)| frame)
     }
 
     /// Signals that no more bytes will ever arrive: any pending partial
     /// frame is garbage. Repeatedly rescans the remainder (a truncated
     /// frame's payload may contain a later, complete frame after a
-    /// duplication fault) and returns any frames found; the buffer is
-    /// empty afterwards.
-    pub fn drain_eof(&mut self) -> Vec<RawFrame> {
-        let mut out = Vec::new();
-        while self.pending() > 0 {
-            if let Some(f) = self.next_frame() {
-                out.push(f);
-                continue;
-            }
-            // `next_frame` stalled on a partial frame: discard its first
-            // byte(s) and rescan what remains.
-            if self.pending() > 0 {
-                self.corrupt += 1;
-                self.skip(1);
-            }
-        }
-        self.buf.clear();
-        self.pos = 0;
-        out
-    }
-
-    /// [`drain_eof`](Decoder::drain_eof) for the fully decoding path:
-    /// returns every remaining frame as a [`DecodedMsg`] (or its decode
-    /// error), with intern definitions absorbed along the way, and
-    /// leaves the buffer empty.
-    pub fn drain_eof_messages(&mut self, keep_raw: bool) -> Vec<Result<DecodedMsg, CodecError>> {
+    /// duplication fault) and returns every frame found as a
+    /// [`DecodedMsg`] (or its decode error), with intern definitions
+    /// absorbed along the way; the buffer is empty afterwards.
+    pub fn finish(&mut self, keep_raw: bool) -> Vec<Result<DecodedMsg, CodecError>> {
         let mut out = Vec::new();
         while self.pending() > 0 {
             if let Some(m) = self.next_message(keep_raw) {
                 out.push(m);
                 continue;
             }
+            // `next_message` stalled on a partial frame: discard its
+            // first byte and rescan what remains.
             if self.pending() > 0 {
                 self.corrupt += 1;
                 self.skip(1);
@@ -1582,7 +1378,6 @@ mod tests {
                 n_routers: 3,
                 session: 0xfeed_beef,
                 first_seq: 17,
-                codec: VERSION,
             }),
             Frame::Intern(InternDef {
                 router: 2,
@@ -1684,13 +1479,33 @@ mod tests {
         ]
     }
 
+    /// Decodes one whole frame with no symbols defined.
+    fn decode(bytes: &[u8]) -> Result<Frame, CodecError> {
+        Decoder::new().decode_record(bytes)
+    }
+
+    /// Every frame left in `dec`, including what only end-of-stream
+    /// rescanning finds; frames that fail payload decoding are dropped.
+    fn drain(dec: &mut Decoder) -> Vec<Frame> {
+        let mut got = Vec::new();
+        while let Some(msg) = dec.next_message(false) {
+            got.extend(msg.ok().map(|m| m.frame));
+        }
+        got.extend(dec.finish(false).into_iter().flatten().map(|m| m.frame));
+        got
+    }
+
+    fn event_frame(seq: u64) -> Frame {
+        Frame::Event {
+            seq,
+            event: sample_event(),
+        }
+    }
+
     #[test]
     fn frames_roundtrip_through_bytes() {
         for f in &sample_frames() {
-            let bytes = encode_frame(f);
-            let (raw, used) = decode_frame(&bytes).unwrap().expect("complete frame");
-            assert_eq!(used, bytes.len());
-            assert_eq!(&raw.decode().unwrap(), f);
+            assert_eq!(&decode(&encode_frame(f)).unwrap(), f);
         }
     }
 
@@ -1701,43 +1516,27 @@ mod tests {
         for f in &frames {
             write_frame(&mut buf, f).unwrap();
         }
-        let mut r = buf.as_slice();
+        let mut dec = Decoder::new();
+        dec.feed(&buf);
         for f in &frames {
-            let raw = read_frame(&mut r).unwrap().expect("frame present");
-            assert_eq!(&raw.decode().unwrap(), f);
+            let msg = dec.next_message(false).expect("frame present").unwrap();
+            assert_eq!(&msg.frame, f);
         }
-        assert!(read_frame(&mut r).unwrap().is_none(), "clean eof");
-    }
-
-    #[test]
-    fn encode_event_matches_frame_encoding() {
-        let e = sample_event();
-        assert_eq!(
-            encode_event(33, &e),
-            encode_frame(&Frame::Event { seq: 33, event: e })
-        );
+        assert!(dec.next_message(false).is_none(), "clean end of stream");
+        assert_eq!(dec.pending(), 0);
     }
 
     #[test]
     fn corruption_is_detected() {
-        let mut bytes = encode_frame(&Frame::Event {
-            seq: 1,
-            event: sample_event(),
-        });
+        let mut bytes = encode_frame(&event_frame(1));
         // Flip one payload byte: CRC must catch it.
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
-        assert!(matches!(
-            decode_frame(&bytes),
-            Err(CodecError::BadCrc { .. })
-        ));
+        assert!(matches!(decode(&bytes), Err(CodecError::BadCrc { .. })));
         // Flip the kind byte: also covered by the CRC.
         let mut bytes = encode_frame(&Frame::Heartbeat);
         bytes[3] = 2;
-        assert!(matches!(
-            decode_frame(&bytes),
-            Err(CodecError::BadCrc { .. })
-        ));
+        assert!(matches!(decode(&bytes), Err(CodecError::BadCrc { .. })));
     }
 
     #[test]
@@ -1745,31 +1544,51 @@ mod tests {
         let good = encode_frame(&Frame::Heartbeat);
         let mut bad = good.clone();
         bad[0] = b'X';
-        assert!(matches!(decode_frame(&bad), Err(CodecError::BadMagic(_))));
-        // Version 3 is valid now, so probe with one well past both.
+        assert!(matches!(decode(&bad), Err(CodecError::BadMagic(_))));
+        // Versions 2 and 3 are both read, so probe with one past both;
+        // the message names the accepted set.
         let mut bad = good.clone();
         bad[2] = 9;
-        assert!(matches!(decode_frame(&bad), Err(CodecError::BadVersion(_))));
+        let err = decode(&bad).unwrap_err();
+        assert!(matches!(err, CodecError::BadVersion(9)));
+        assert!(err.to_string().ends_with("(this build reads [2, 3])"));
+        let mut bad = good.clone();
+        bad[3] = MAX_KIND + 1;
+        assert!(matches!(decode(&bad), Err(CodecError::BadKind(_))));
         let mut bad = good;
         bad[4..8].copy_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
-        assert!(matches!(decode_frame(&bad), Err(CodecError::TooLarge(_))));
+        assert!(matches!(decode(&bad), Err(CodecError::TooLarge(_))));
     }
 
     #[test]
     fn truncated_frames_ask_for_more() {
-        let bytes = encode_frame(&Frame::Event {
-            seq: 0,
-            event: sample_event(),
-        });
+        let bytes = encode_frame(&event_frame(0));
         for cut in [0, 1, HEADER_LEN - 1, HEADER_LEN, bytes.len() - 1] {
+            // On a stream, a clean prefix is "feed me more"...
+            let mut dec = Decoder::new();
+            dec.feed(&bytes[..cut]);
+            assert!(dec.next_message(false).is_none(), "cut at {cut}");
+            assert_eq!((dec.pending(), dec.corrupt_frames()), (cut, 0));
+            // ...and as a whole record it is an error, never a frame.
             assert!(
-                decode_frame(&bytes[..cut]).unwrap().is_none(),
-                "cut at {cut} must be a clean prefix"
+                matches!(decode(&bytes[..cut]), Err(CodecError::BadLength { got, .. }) if got == cut),
+                "cut at {cut}"
             );
         }
-        // A truncated stream read is an UnexpectedEof error, not a frame.
-        let mut r = &bytes[..bytes.len() - 1];
-        assert!(matches!(read_frame(&mut r), Err(CodecError::Io(_))));
+    }
+
+    #[test]
+    fn a_record_is_exactly_one_frame() {
+        let frame = encode_frame(&Frame::Ack { upto: 5 });
+        let mut long = frame.clone();
+        long.extend_from_slice(&encode_frame(&Frame::Heartbeat));
+        match decode(&long) {
+            Err(CodecError::BadLength { frame: want, got }) => {
+                assert_eq!((want, got), (frame.len(), long.len()));
+            }
+            other => panic!("trailing bytes must be rejected, got {other:?}"),
+        }
+        assert_eq!(decode(&frame).unwrap(), Frame::Ack { upto: 5 });
     }
 
     #[test]
@@ -1784,13 +1603,12 @@ mod tests {
             (9, 2),
             (18, 1),
         ] {
-            let raw = RawFrame {
-                version: VERSION,
-                kind,
-                payload: vec![1; wrong],
-            };
+            let mut bytes = Vec::new();
+            append_frame_with(&mut bytes, VERSION, kind, |p| {
+                p.extend_from_slice(&vec![1; wrong])
+            });
             assert!(
-                matches!(raw.decode(), Err(CodecError::BadPayload(_))),
+                matches!(decode(&bytes), Err(CodecError::BadPayload(_))),
                 "kind {kind} with {wrong}-byte payload must be rejected"
             );
         }
@@ -1808,8 +1626,8 @@ mod tests {
         // Feed one byte at a time: partial frames must never error.
         for b in &bytes {
             dec.feed(std::slice::from_ref(b));
-            while let Some(raw) = dec.next_frame() {
-                got.push(raw.decode().unwrap());
+            while let Some(msg) = dec.next_message(false) {
+                got.push(msg.unwrap().frame);
             }
         }
         assert_eq!(got, frames);
@@ -1820,44 +1638,22 @@ mod tests {
 
     #[test]
     fn decoder_quarantines_a_flipped_frame_and_resyncs() {
-        let a = encode_frame(&Frame::Event {
-            seq: 1,
-            event: sample_event(),
-        });
-        let mut b = encode_frame(&Frame::Event {
-            seq: 2,
-            event: sample_event(),
-        });
-        let c = encode_frame(&Frame::Event {
-            seq: 3,
-            event: sample_event(),
-        });
+        let a = encode_frame(&event_frame(1));
+        let mut b = encode_frame(&event_frame(2));
+        let c = encode_frame(&event_frame(3));
         let mid = b.len() / 2;
         b[mid] ^= 0x40; // damage the middle frame's payload
         let mut dec = Decoder::new();
         dec.feed(&a);
         dec.feed(&b);
         dec.feed(&c);
-        let mut got = Vec::new();
-        while let Some(raw) = dec.next_frame() {
-            got.push(raw.decode().unwrap());
-        }
-        got.extend(dec.drain_eof().iter().map(|r| r.decode().unwrap()));
+        let got = drain(&mut dec);
         assert!(
-            got.contains(&Frame::Event {
-                seq: 1,
-                event: sample_event()
-            }) && got.contains(&Frame::Event {
-                seq: 3,
-                event: sample_event()
-            }),
+            got.contains(&event_frame(1)) && got.contains(&event_frame(3)),
             "good frames must survive: {got:?}"
         );
         assert!(
-            !got.contains(&Frame::Event {
-                seq: 2,
-                event: sample_event()
-            }),
+            !got.contains(&event_frame(2)),
             "the damaged frame must be quarantined"
         );
         assert!(dec.corrupt_frames() >= 1);
@@ -1869,41 +1665,28 @@ mod tests {
         dec.feed(b"not a frame at all, just noise CW?");
         let frame = encode_frame(&Frame::Ack { upto: 5 });
         dec.feed(&frame);
-        let got = dec.next_frame().expect("frame after garbage");
-        assert_eq!(got.decode().unwrap(), Frame::Ack { upto: 5 });
+        let got = dec.next_message(false).expect("frame after garbage");
+        assert_eq!(got.unwrap().frame, Frame::Ack { upto: 5 });
         assert!(dec.skipped_bytes() > 0);
     }
 
     #[test]
     fn decoder_survives_a_dropped_byte_range() {
-        let frames: Vec<Frame> = (0..5)
-            .map(|i| Frame::Event {
-                seq: i,
-                event: sample_event(),
-            })
-            .collect();
         let mut bytes = Vec::new();
-        for f in &frames {
-            bytes.extend_from_slice(&encode_frame(f));
+        for seq in 0..5 {
+            bytes.extend_from_slice(&encode_frame(&event_frame(seq)));
         }
         // Drop 30 bytes spanning the boundary of frames 1 and 2.
-        let flen = encode_frame(&frames[0]).len();
+        let flen = encode_frame(&event_frame(0)).len();
         let cut = flen * 2 - 10;
         bytes.drain(cut..cut + 30);
         let mut dec = Decoder::new();
         dec.feed(&bytes);
-        let mut got = Vec::new();
-        while let Some(raw) = dec.next_frame() {
-            if let Ok(f) = raw.decode() {
-                got.push(f);
-            }
-        }
-        got.extend(dec.drain_eof().iter().filter_map(|r| r.decode().ok()));
+        let got = drain(&mut dec);
         // Frames 0, 3, 4 are untouched and must all survive.
         for seq in [0u64, 3, 4] {
             assert!(
-                got.iter()
-                    .any(|f| matches!(f, Frame::Event { seq: s, .. } if *s == seq)),
+                got.contains(&event_frame(seq)),
                 "frame {seq} should survive the dropped range: {got:?}"
             );
         }
@@ -1927,8 +1710,7 @@ mod tests {
         for (kind, json) in cases {
             let mut out = Vec::new();
             append_frame_with(&mut out, VERSION, kind, |p| p.extend_from_slice(json));
-            let (raw, _) = decode_frame(&out).unwrap().expect("complete");
-            match raw.decode().unwrap() {
+            match decode(&out).unwrap() {
                 Frame::BoundaryEdges(b) => assert_eq!(b.trace, None),
                 Frame::PartialVerdict(p) => assert_eq!(p.trace, None),
                 Frame::PeerRepairProof(p) => assert_eq!(p.trace, None),
@@ -1965,19 +1747,19 @@ mod tests {
     }
 
     #[test]
-    fn hello_without_codec_field_defaults_to_v2() {
-        // A v2 peer's Hello omits the codec field entirely; build that
-        // payload by hand and make sure decode still accepts it.
-        let json = br#"{"source":4,"n_routers":3,"session":99,"first_seq":0}"#;
-        let mut out = Vec::new();
-        append_frame_with(&mut out, VERSION, 0, |p| p.extend_from_slice(json));
-        let (raw, _) = decode_frame(&out).unwrap().expect("complete");
-        match raw.decode().unwrap() {
-            Frame::Hello(h) => {
-                assert_eq!(h.source, RouterId(4));
-                assert_eq!(h.codec, VERSION);
+    fn hello_without_codec_field_still_decodes() {
+        // Journals hold hellos from before the member existed, and ones
+        // that say 2; build both payloads by hand.
+        for json in [
+            &br#"{"source":4,"n_routers":3,"session":99,"first_seq":0}"#[..],
+            br#"{"source":4,"n_routers":3,"session":99,"first_seq":0,"codec":2}"#,
+        ] {
+            let mut out = Vec::new();
+            append_frame_with(&mut out, VERSION, 0, |p| p.extend_from_slice(json));
+            match decode(&out).unwrap() {
+                Frame::Hello(h) => assert_eq!((h.source, h.session), (RouterId(4), 99)),
+                other => panic!("expected hello, got {other:?}"),
             }
-            other => panic!("expected hello, got {other:?}"),
         }
     }
 
@@ -2003,19 +1785,19 @@ mod tests {
         assert!(!enc.definition_frames().is_empty());
         let mut dec = Decoder::new();
         dec.feed(&stream);
+        // What a journal of the captured raw bytes replays to.
+        let mut journal = Decoder::new();
         let mut got = Vec::new();
         let mut defs = 0;
         while let Some(msg) = dec.next_message(true) {
             let msg = msg.expect("clean stream decodes");
+            // Journaled bytes are the original wire bytes.
+            let raw = msg.raw.expect("raw requested");
+            assert_eq!(raw[2], VERSION_V3);
+            assert_eq!(journal.decode_record(&raw).unwrap(), msg.frame);
             match msg.frame {
                 Frame::Event { seq, event } => {
-                    assert_eq!(msg.version, VERSION_V3);
                     assert_eq!(seq, got.len() as u64);
-                    // Journaled bytes are the original wire bytes.
-                    let raw = msg.raw.expect("raw requested");
-                    let (reparsed, used) = decode_frame(&raw).unwrap().expect("full frame");
-                    assert_eq!(used, raw.len());
-                    assert_eq!(reparsed.version, VERSION_V3);
                     got.push(event);
                 }
                 Frame::Intern(_) => defs += 1,
@@ -2030,22 +1812,23 @@ mod tests {
 
     #[test]
     fn v2_and_v3_frames_interleave_on_one_stream() {
+        // Old journals interleave the two event bodies; the typed
+        // encoder's legacy rendering stands in for the v2 sender.
         let event = sample_event();
-        let mut v2 = EventEncoder::new(CodecVersion::V2);
+        let v2 = |seq| encode_frame(&event_frame(seq));
         let mut v3 = EventEncoder::new(CodecVersion::V3);
-        let mut stream = Vec::new();
-        v2.encode_into(0, &event, &mut stream);
+        let mut stream = v2(0);
         v3.encode_into(1, &event, &mut stream);
         stream.extend_from_slice(&encode_frame(&Frame::Heartbeat));
         v3.encode_into(2, &event, &mut stream);
-        v2.encode_into(3, &event, &mut stream);
+        stream.extend_from_slice(&v2(3));
         let mut dec = Decoder::new();
         dec.feed(&stream);
         let mut seqs = Vec::new();
         while let Some(msg) = dec.next_message(false) {
             match msg.expect("clean stream").frame {
                 Frame::Event { seq, event: e } => {
-                    assert_eq!(e, event, "both codecs must yield the same event");
+                    assert_eq!(e, event, "both bodies must yield the same event");
                     seqs.push(seq);
                 }
                 Frame::Intern(_) | Frame::Heartbeat => {}
@@ -2064,43 +1847,27 @@ mod tests {
         let mut stream = Vec::new();
         enc.encode_into(7, &sample_event(), &mut stream);
         // Strip the definition frames, keep only the final event frame.
-        let mut frames = Vec::new();
-        let mut rest = &stream[..];
-        while let Some((raw, used)) = decode_frame(rest).unwrap() {
-            frames.push((raw, rest[..used].to_vec()));
-            rest = &rest[used..];
-        }
-        let (event_raw, event_bytes) = frames.pop().expect("event frame");
-        assert_eq!(event_raw.kind, 1);
+        let event_bytes = &stream[enc.definition_frames().len()..];
         let mut dec = Decoder::new();
-        dec.feed(&event_bytes);
+        dec.feed(event_bytes);
         match dec.next_message(false) {
             Some(Err(CodecError::Wire(WireError::UnknownSymbol { .. }))) => {}
             other => panic!("expected unknown-symbol error, got {other:?}"),
         }
-        // Stateless decode of the same raw frame fails the same way.
+        // The same frame as a journal record fails the same way, until
+        // the record before it has defined the symbol.
+        let mut journal = Decoder::new();
         assert!(matches!(
-            event_raw.decode(),
+            journal.decode_record(event_bytes),
             Err(CodecError::Wire(WireError::UnknownSymbol { .. }))
         ));
-    }
-
-    #[test]
-    fn event_encoder_reuses_scratch_and_matches_one_shot_encoding() {
-        let event = sample_event();
-        let mut enc = EventEncoder::new(CodecVersion::V2);
-        let mut a = Vec::new();
-        enc.encode_into(5, &event, &mut a);
-        let mut b = Vec::new();
-        enc.encode_into(5, &event, &mut b);
-        assert_eq!(a, b, "scratch reuse must not change the encoding");
-        assert_eq!(a, encode_event(5, &event));
+        journal.decode_record(enc.definition_frames()).unwrap();
         assert_eq!(
-            a,
-            encode_frame(&Frame::Event {
-                seq: 5,
-                event: event.clone()
-            })
+            journal.decode_record(event_bytes).unwrap(),
+            Frame::Event {
+                seq: 7,
+                event: sample_event()
+            }
         );
     }
 
@@ -2109,24 +1876,21 @@ mod tests {
 
         /// Arbitrary garbage through the decoder: never panics, never
         /// yields a frame that fails CRC-validated decoding, and always
-        /// terminates with an empty buffer at EOF.
+        /// terminates with an empty buffer at EOF. The same bytes as one
+        /// journal record are an error or a frame, never a panic.
         #[test]
         fn decoder_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..2048),
                                            chunk in 1usize..64) {
             let mut dec = Decoder::new();
             for piece in bytes.chunks(chunk) {
                 dec.feed(piece);
-                while let Some(raw) = dec.next_frame() {
-                    // Whatever survives the CRC must be a known kind;
-                    // payload decoding may still reject it, cleanly.
-                    prop_assert!(raw.kind <= MAX_KIND);
-                    let _ = raw.decode();
-                }
+                // Whatever survives the CRC may still be rejected by
+                // its payload decoder, cleanly.
+                while dec.next_message(false).is_some() {}
             }
-            for raw in dec.drain_eof() {
-                let _ = raw.decode();
-            }
+            dec.finish(false);
             prop_assert_eq!(dec.pending(), 0);
+            let _ = decode(&bytes);
         }
 
         /// A valid frame stream with a random contiguous slice replaced
@@ -2161,17 +1925,13 @@ mod tests {
             }
             let mut dec = Decoder::new();
             dec.feed(&stream);
-            let mut got: Vec<u64> = Vec::new();
-            while let Some(raw) = dec.next_frame() {
-                if let Ok(Frame::Event { seq, .. }) = raw.decode() {
-                    got.push(seq);
-                }
-            }
-            for raw in dec.drain_eof() {
-                if let Ok(Frame::Event { seq, .. }) = raw.decode() {
-                    got.push(seq);
-                }
-            }
+            let got: Vec<u64> = drain(&mut dec)
+                .into_iter()
+                .filter_map(|f| match f {
+                    Frame::Event { seq, .. } => Some(seq),
+                    _ => None,
+                })
+                .collect();
             // Every frame wholly outside the damaged range survives.
             for (i, w) in bounds.windows(2).enumerate() {
                 let untouched = w[1] <= at || w[0] >= end;
@@ -2185,15 +1945,14 @@ mod tests {
             prop_assert_eq!(dec.pending(), 0);
         }
 
-        /// Trace contexts round-trip across the codecs: a v3 event
-        /// carries its trailer through the decoder; v2 events drop it
-        /// byte-identically to an untraced encode; peer frames carry
-        /// their optional ctx through JSON (absent stays absent).
+        /// Trace contexts round-trip: a v3 event carries its trailer
+        /// through the decoder; peer frames carry their optional ctx
+        /// through JSON (absent stays absent).
         #[test]
-        fn trace_ctx_round_trips_across_codecs(trace_id in 1u64..u64::MAX,
-                                               parent in any::<u32>(),
-                                               seq in any::<u64>(),
-                                               traced in any::<bool>()) {
+        fn trace_ctx_round_trips(trace_id in 1u64..u64::MAX,
+                                 parent in any::<u32>(),
+                                 seq in any::<u64>(),
+                                 traced in any::<bool>()) {
             let ctx = traced.then_some(TraceCtx { trace_id, parent });
             let event = sample_event();
             let mut enc = EventEncoder::new(CodecVersion::V3);
@@ -2211,15 +1970,6 @@ mod tests {
                 }
             }
             prop_assert_eq!(seen, Some(ctx));
-            // The v2 JSON layout predates tracing: a traced encode is
-            // byte-identical to an untraced one.
-            let mut v2 = EventEncoder::new(CodecVersion::V2);
-            let mut a = Vec::new();
-            v2.encode_into_traced(seq, &event, ctx, &mut a);
-            let mut b = Vec::new();
-            v2.encode_into(seq, &event, &mut b);
-            prop_assert_eq!(a, b);
-            // Peer frames: optional ctx through v2 JSON.
             for f in [
                 Frame::PartialVerdict(PartialVerdict {
                     member: 0,
@@ -2246,14 +1996,12 @@ mod tests {
                     trace: ctx,
                 }),
             ] {
-                let bytes = encode_frame(&f);
-                let (raw, _) = decode_frame(&bytes).unwrap().expect("complete");
-                prop_assert_eq!(raw.decode().unwrap(), f);
+                prop_assert_eq!(decode(&encode_frame(&f)).unwrap(), f);
             }
         }
 
-        /// Truncation at any point is a clean "need more data" from
-        /// `decode_frame`, never a panic or a bogus frame.
+        /// Truncation at any point never yields a frame: a stream waits
+        /// for the rest, a journal record is rejected.
         #[test]
         fn truncation_never_yields_a_frame(cut_frac in 0.0f64..1.0) {
             let bytes = encode_frame(&Frame::Event { seq: 3, event: IoEvent {
@@ -2264,7 +2012,11 @@ mod tests {
                 kind: IoKind::FibRemove { prefix: "10.0.0.0/8".parse().unwrap() },
             }});
             let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
-            prop_assert!(decode_frame(&bytes[..cut]).unwrap().is_none());
+            let mut dec = Decoder::new();
+            dec.feed(&bytes[..cut]);
+            prop_assert!(dec.next_message(false).is_none());
+            let is_bad_length = matches!(decode(&bytes[..cut]), Err(CodecError::BadLength { .. }));
+            prop_assert!(is_bad_length);
         }
     }
 }

@@ -54,7 +54,7 @@
 //! [`IngestPipeline::recover`]: crate::pipeline::IngestPipeline::recover
 
 use crate::codec::{
-    encode_frame, DecodedMsg, Decoder, Frame, Hello, PeerHello, RepairRecord, VERSION,
+    encode_frame, DecodedMsg, Decoder, Frame, Hello, PeerHello, RepairRecord, ACCEPTED_VERSIONS,
 };
 use crate::federation::{recover_member, CollectorRole, FederationConfig, PeerFrame};
 use crate::group_commit::GroupCommitHandle;
@@ -195,14 +195,6 @@ impl CollectorConfig {
         self
     }
 
-    /// Disables the telemetry registry entirely (the metrics-off arm of
-    /// the overhead benchmark; `MetricsReq` then serves an empty
-    /// snapshot).
-    pub fn without_metrics(mut self) -> Self {
-        self.metrics = false;
-        self
-    }
-
     /// Folds on `shards` worker threads (uniform
     /// router partition unless [`Self::with_plan`] overrides it).
     pub fn with_shards(mut self, shards: u32) -> Self {
@@ -323,9 +315,10 @@ pub(crate) struct EventRec {
     pub(crate) seq: u64,
     pub(crate) event: IoEvent,
     pub(crate) raw: Option<Vec<u8>>,
-    /// The trace context the frame's v3 trailer carried, if the sender
-    /// sampled this flight for causal tracing.
-    pub(crate) trace: Option<TraceCtx>,
+    /// Set on a sampled flight: the trace context its hops are recorded
+    /// under — the one the frame's trailer carried, or the one the
+    /// reader minted for it — and when the reader decoded it.
+    pub(crate) trace: Option<(TraceCtx, Instant)>,
 }
 
 /// What a reader thread hands to the session loop.
@@ -411,8 +404,13 @@ const EVENT_BATCH_MAX: usize = 256;
 const ACK_WRITE_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// Flight-recorder ring capacity of a reader thread: one decode stamp
-/// per traced frame plus anomaly markers.
+/// per sampled flight plus anomaly markers.
 const READER_RING_SLOTS: usize = 128;
+
+/// Flight sampling stride: an event that arrives without a trace trailer
+/// is followed through the pipeline anyway when its sequence number is a
+/// multiple of this.
+const FLIGHT_SAMPLE: u64 = 64;
 
 /// Quarantined frames on one connection within one burst window before
 /// the reader takes a `crc-burst` flight dump.
@@ -803,7 +801,7 @@ fn on_frame(
     tx: &SyncSender<Msg>,
     stats: &SharedStats,
     greeted: &mut bool,
-    source: &mut Option<RouterId>,
+    session: &mut Option<u64>,
     is_peer: &mut bool,
     batch: &mut Vec<EventRec>,
     expect_n_routers: u32,
@@ -844,7 +842,7 @@ fn on_frame(
                     stats,
                     format!(
                         "peer believes the network has {} routers, collector is configured for {} \
-                         (protocol v{VERSION})",
+                         (this build reads protocol versions {ACCEPTED_VERSIONS:?})",
                         hello.n_routers, expect_n_routers
                     ),
                 );
@@ -859,7 +857,7 @@ fn on_frame(
                 );
             }
             *greeted = true;
-            *source = Some(hello.source);
+            *session = Some(hello.session);
             let ack = stream.try_clone().ok();
             if let Some(a) = &ack {
                 let _ = a.set_write_timeout(Some(ACK_WRITE_TIMEOUT));
@@ -978,27 +976,34 @@ fn on_frame(
             raw,
         },
         Frame::Event { seq, event } => {
-            // Open the causal span at the earliest point the event
-            // exists inside the collector process.
-            if let (Some(m), Some(src)) = (metrics, *source) {
-                m.spans.received(src.0, seq);
+            if let (Some(_), Some(m)) = (trace, metrics) {
+                m.trace_bytes.add(TRACE_CTX_WIRE_LEN as u64);
             }
-            if let Some(ctx) = trace {
-                if let Some(m) = metrics {
-                    m.trace_bytes.add(TRACE_CTX_WIRE_LEN as u64);
-                }
-                if let Some(f) = flight {
-                    f.record(
-                        stage::DECODED,
-                        Some(ctx.child(stage::SINK_SEND)),
-                        u64::from(event.router.0),
-                        seq,
-                    );
-                }
+            // The one place a flight is sampled: a sender that traces
+            // chose this event itself; otherwise every `FLIGHT_SAMPLE`-th
+            // sequence number gets the context that sender would have
+            // minted, so the hops below read the same either way. The
+            // flight opens here, the earliest point the event exists
+            // inside the collector process.
+            let sampled = flight.is_some() && seq.is_multiple_of(FLIGHT_SAMPLE);
+            let trace = trace
+                .or_else(|| {
+                    (*session)
+                        .filter(|_| sampled)
+                        .map(|s| TraceCtx::for_flight(s, seq))
+                })
+                .map(|ctx| (ctx, Instant::now()));
+            if let (Some((ctx, _)), Some(f)) = (trace, flight) {
+                f.record(
+                    stage::DECODED,
+                    Some(ctx.child(stage::SINK_SEND)),
+                    u64::from(event.router.0),
+                    seq,
+                );
             }
             // `raw` is the frame's original wire bytes (captured only
-            // when a WAL is configured): the journal preserves the
-            // sender's codec byte-for-byte instead of re-encoding.
+            // when a WAL is configured): the journal holds them
+            // byte-for-byte instead of re-encoding.
             batch.push(EventRec {
                 seq,
                 event,
@@ -1072,7 +1077,7 @@ fn reader_loop(
     let mut dec = Decoder::new();
     let mut buf = vec![0u8; 64 * 1024];
     let mut greeted = false;
-    let mut source: Option<RouterId> = None;
+    let mut session: Option<u64> = None;
     let mut is_peer = false;
     let mut batch: Vec<EventRec> = Vec::new();
     let mut reported_corrupt = 0u64;
@@ -1093,7 +1098,7 @@ fn reader_loop(
             Ok(0) => {
                 // EOF: whatever is still buffered is all we will ever
                 // get — let the decoder fish out any complete frames.
-                for msg in dec.drain_eof_messages(wal_enabled) {
+                for msg in dec.finish(wal_enabled) {
                     let msg = match msg {
                         Ok(m) => m,
                         Err(e) => {
@@ -1111,7 +1116,7 @@ fn reader_loop(
                         &tx,
                         &stats,
                         &mut greeted,
-                        &mut source,
+                        &mut session,
                         &mut is_peer,
                         &mut batch,
                         expect_n_routers,
@@ -1165,7 +1170,7 @@ fn reader_loop(
                 &tx,
                 &stats,
                 &mut greeted,
-                &mut source,
+                &mut session,
                 &mut is_peer,
                 &mut batch,
                 expect_n_routers,

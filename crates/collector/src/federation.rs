@@ -65,8 +65,8 @@
 //! — so a regenerated stream is harmless and a missing one is healed.
 
 use crate::codec::{
-    decode_frame, encode_frame, BoundaryEdges, Decoder, Frame, FrontierExchange, PartialVerdict,
-    PeerHello, PeerRepairProof, RepairRecord, RepairStage,
+    encode_frame, BoundaryEdges, Decoder, Frame, FrontierExchange, PartialVerdict, PeerHello,
+    PeerRepairProof, RepairRecord, RepairStage,
 };
 use crate::collector::{CollectorConfig, EventRec};
 use crate::metrics::CollectorMetrics;
@@ -80,7 +80,6 @@ use cpvr_core::{chain_over, FederationPlan, FoldRecord, RepairProof};
 use cpvr_obs::trace::stage;
 use cpvr_obs::RingHandle;
 use cpvr_sim::{EventId, IoEvent};
-use cpvr_types::intern::InternStore;
 use cpvr_types::json::{from_str, to_string_compact};
 use cpvr_types::trace::TRACE_CTX_WIRE_LEN;
 use cpvr_types::{fnv1a64, RouterId, SimTime, TraceCtx};
@@ -1349,25 +1348,16 @@ pub(crate) fn recover_member(
     }
     let mut repairs = RepairLedger::new();
     let replay = wal::replay(&wal_cfg.dir)?;
-    let mut interns = InternStore::new();
+    let mut dec = Decoder::new();
     let mut events_replayed = 0usize;
     let mut repairs_replayed = 0usize;
     let mut corrupt = 0usize;
     for record in &replay.records {
-        let frame = match decode_frame(record) {
-            Ok(Some((raw, used))) if used == record.len() => raw.decode_with(&interns),
-            _ => {
-                corrupt += 1;
-                continue;
-            }
-        };
+        let frame = dec.decode_record(record);
         // Records about routers this member does not own (or does not
         // know) are not its to replay.
         let mine = |r: RouterId| sources.contains(r) && st.owns(r);
         match frame {
-            Ok(Frame::Intern(def)) => {
-                interns.apply(def.router, def.space, def.symbol, &def.bytes);
-            }
             Ok(Frame::Hello(h)) if mine(h.source) => {
                 sources.hello(h.source, h.session, h.first_seq);
             }

@@ -12,12 +12,13 @@
 //!
 //! Six layers, bottom up:
 //!
-//! * [`codec`] — a versioned, CRC-protected wire format framing
-//!   [`IoEvent`](cpvr_sim::IoEvent)s in the workspace's own JSON
-//!   encoding, the `Hello` / `Watermark` / `Heartbeat` / `Bye` control
-//!   frames (v2: sequence numbers, acks, and watermark frontiers), and
-//!   a resynchronizing streaming [`codec::Decoder`] that quarantines
-//!   corrupt frames instead of poisoning the connection.
+//! * [`codec`] — a CRC-protected wire format: one framer, one binary
+//!   event encoding for [`IoEvent`](cpvr_sim::IoEvent)s, the `Hello` /
+//!   `Watermark` / `Heartbeat` / `Bye` control frames (sequence
+//!   numbers, acks, and watermark frontiers), and one parser,
+//!   [`codec::Decoder`] — resynchronizing over sockets, where it
+//!   quarantines corrupt frames instead of poisoning the connection,
+//!   and strict over journal records.
 //! * [`wal`] — a segmented append-only write-ahead log whose records
 //!   are exactly the wire frames, with configurable fsync policy and
 //!   torn-tail detection on replay.
@@ -44,10 +45,10 @@
 //!   `collectord` example).
 //! * [`metrics`] — the collector's telemetry surface over
 //!   [`cpvr_obs`]: every counter/gauge/histogram the ingest path
-//!   publishes, declared in one place ([`CollectorMetrics`]), plus
-//!   sampled event-flight spans tracing individual events from
-//!   `received` through `journaled`/`acked` to `folded` and
-//!   `snapshot-consistent`. Scraped live over the same TCP port via
+//!   publishes, declared in one place ([`CollectorMetrics`]), plus the
+//!   flight recorder, which follows one event in 64 from `received`
+//!   through `journaled`/`acked` to `folded` and `snapshot-consistent`
+//!   and feeds the `cpvr_flight_*` latency histograms. Scraped live over the same TCP port via
 //!   `Frame::MetricsReq` (Prometheus text or the workspace JSON), and
 //!   dumped into the [`CollectorReport`] at shutdown.
 //! * [`fault`] — a deterministic fault-injection harness: a seeded
@@ -86,8 +87,8 @@ pub mod wal;
 
 pub use client::{dump_flight, scrape, scrape_snapshot, ReconnectPolicy, SocketSink};
 pub use codec::{
-    CodecVersion, DecodedMsg, Decoder, EventEncoder, Frame, Hello, PeerRepairProof, RawFrame,
-    RepairRecord, RepairStage,
+    CodecVersion, DecodedMsg, Decoder, EventEncoder, Frame, Hello, PeerRepairProof, RepairRecord,
+    RepairStage,
 };
 pub use collector::{
     Collector, CollectorConfig, CollectorHandle, CollectorReport, CollectorStats, LeaseConfig,

@@ -18,7 +18,6 @@ use std::sync::{Arc, Mutex};
 use cpvr_core::HbrSource;
 use cpvr_obs::{
     Counter, ExpoFormat, FlightRecorder, Gauge, Histogram, MetricKind, MetricsRegistry, Snapshot,
-    SpanRecorder,
 };
 use cpvr_types::{RouterId, SimTime};
 
@@ -26,14 +25,6 @@ use crate::codec::{RepairRecord, RepairStage};
 use crate::pipeline::{SourceState, SourceTable};
 use crate::shard::{FoldGauges, Verdict};
 use crate::wal::WalMetrics;
-
-/// Sampling stride for event-flight spans: one in this many sequence
-/// numbers per source gets a full causal latency breakdown.
-const DEFAULT_SPAN_SAMPLE: u64 = 64;
-
-/// Cap on concurrently tracked flights (beyond it, new samples are
-/// dropped and counted, never allocated).
-const SPAN_CAP: usize = 4096;
 
 /// The numeric encoding of [`SourceState`] published by the per-source
 /// state gauge (`cpvr_source_state`).
@@ -51,7 +42,6 @@ struct SourceGauges {
     state: Vec<Gauge>,
     lag_nanos: Vec<Gauge>,
     next_seq: Vec<Gauge>,
-    codec: Vec<Gauge>,
 }
 
 /// All metric handles the collector's threads write through, plus the
@@ -59,8 +49,6 @@ struct SourceGauges {
 pub struct CollectorMetrics {
     /// The registry every series lives in; scrapes snapshot this.
     pub registry: Arc<MetricsRegistry>,
-    /// Sampled event-flight spans (received → … → consistent).
-    pub spans: SpanRecorder,
 
     // Connection / decode layer (reader threads).
     pub(crate) connections: Counter,
@@ -139,6 +127,16 @@ pub struct CollectorMetrics {
     pub(crate) flight_ring_overwrites: Gauge,
     pub(crate) trace_bytes: Counter,
     pub(crate) watermark_stall_seconds: Gauge,
+    // Sampled event flights (received → journaled → acked → folded →
+    // consistent), observed from the records the flight recorder's hops
+    // are stamped from.
+    pub(crate) flights_started: Counter,
+    pub(crate) flights_completed: Counter,
+    pub(crate) flights_dropped: Counter,
+    pub(crate) flight_received_to_journaled: Histogram,
+    pub(crate) flight_journaled_to_acked: Histogram,
+    pub(crate) flight_received_to_folded: Histogram,
+    pub(crate) flight_folded_to_consistent: Histogram,
 
     sources: SourceGauges,
 }
@@ -406,6 +404,42 @@ impl CollectorMetrics {
             "Seconds since the global min-watermark last advanced (0 while it moves)",
         );
 
+        r.declare(
+            "cpvr_flights_started_total",
+            MetricKind::Counter,
+            "Sampled event flights opened at Received",
+        );
+        r.declare(
+            "cpvr_flights_completed_total",
+            MetricKind::Counter,
+            "Sampled event flights that reached a consistent snapshot",
+        );
+        r.declare(
+            "cpvr_flights_dropped_total",
+            MetricKind::Counter,
+            "Sampled event flights evicted by the in-flight cap",
+        );
+        r.declare(
+            "cpvr_flight_received_to_journaled_nanos",
+            MetricKind::Histogram,
+            "Latency from socket receive to WAL append",
+        );
+        r.declare(
+            "cpvr_flight_journaled_to_acked_nanos",
+            MetricKind::Histogram,
+            "Latency from WAL append to the covering Ack",
+        );
+        r.declare(
+            "cpvr_flight_received_to_folded_nanos",
+            MetricKind::Histogram,
+            "End-to-end latency from receive to HBG fold",
+        );
+        r.declare(
+            "cpvr_flight_folded_to_consistent_nanos",
+            MetricKind::Histogram,
+            "Wait between HBG fold and snapshot consistency (the paper's wait-instead-of-false-alarm)",
+        );
+
         // Per-source liveness / lag.
         r.declare(
             "cpvr_source_state",
@@ -421,11 +455,6 @@ impl CollectorMetrics {
             "cpvr_source_next_seq",
             MetricKind::Gauge,
             "One past the highest contiguously accepted sequence number for the source",
-        );
-        r.declare(
-            "cpvr_source_codec",
-            MetricKind::Gauge,
-            "Event codec version the source's last hello announced (0 before any hello)",
         );
 
         // WAL.
@@ -454,8 +483,6 @@ impl CollectorMetrics {
             MetricKind::Histogram,
             "Wall-clock latency of one WAL flush+fsync",
         );
-
-        let spans = SpanRecorder::new_sharded(r, DEFAULT_SPAN_SAMPLE, SPAN_CAP, shards);
 
         let mut shard_frontier = Vec::new();
         let mut shard_fold_lag = Vec::new();
@@ -487,21 +514,18 @@ impl CollectorMetrics {
         let mut state = Vec::with_capacity(n_routers as usize);
         let mut lag_nanos = Vec::with_capacity(n_routers as usize);
         let mut next_seq = Vec::with_capacity(n_routers as usize);
-        let mut codec = Vec::with_capacity(n_routers as usize);
         for i in 0..n_routers {
             let label = i.to_string();
             let l: &[(&str, &str)] = &[("router", &label)];
             state.push(r.gauge_with("cpvr_source_state", l));
             lag_nanos.push(r.gauge_with("cpvr_source_lag_nanos", l));
             next_seq.push(r.gauge_with("cpvr_source_next_seq", l));
-            codec.push(r.gauge_with("cpvr_source_codec", l));
         }
         for g in &lag_nanos {
             g.set(-1);
         }
 
         CollectorMetrics {
-            spans,
             connections: r.counter("cpvr_connections_total"),
             bytes: r.counter("cpvr_bytes_received_total"),
             frames_corrupt: r.counter("cpvr_frames_corrupt_total"),
@@ -554,11 +578,17 @@ impl CollectorMetrics {
             flight_ring_overwrites: r.gauge("cpvr_flight_ring_overwrites"),
             trace_bytes: r.counter("cpvr_trace_bytes_total"),
             watermark_stall_seconds: r.gauge("cpvr_watermark_stall_seconds"),
+            flights_started: r.counter("cpvr_flights_started_total"),
+            flights_completed: r.counter("cpvr_flights_completed_total"),
+            flights_dropped: r.counter("cpvr_flights_dropped_total"),
+            flight_received_to_journaled: r.histogram("cpvr_flight_received_to_journaled_nanos"),
+            flight_journaled_to_acked: r.histogram("cpvr_flight_journaled_to_acked_nanos"),
+            flight_received_to_folded: r.histogram("cpvr_flight_received_to_folded_nanos"),
+            flight_folded_to_consistent: r.histogram("cpvr_flight_folded_to_consistent_nanos"),
             sources: SourceGauges {
                 state,
                 lag_nanos,
                 next_seq,
-                codec,
             },
             registry,
         }
@@ -605,15 +635,6 @@ impl CollectorMetrics {
                 .set(self.flight.ring_overwrites() as i64);
         }
         path
-    }
-
-    /// Publishes the event codec a source's hello announced (the
-    /// per-frame version byte remains authoritative for decoding; this
-    /// gauge is the fleet-rollout observability signal).
-    pub(crate) fn set_source_codec(&self, router: u32, codec: u8) {
-        if let Some(g) = self.sources.codec.get(router as usize) {
-            g.set(i64::from(codec));
-        }
     }
 
     /// Publishes the fold-side gauges after an advance: fold counters,

@@ -28,7 +28,7 @@
 //! bit-identical to the state the crashed process had at that
 //! watermark — and the connections can resume from there.
 
-use crate::codec::{decode_frame, Frame};
+use crate::codec::{Decoder, Frame};
 use crate::repair_journal::RepairLedger;
 use crate::wal;
 use cpvr_core::builder::HbgBuilder;
@@ -36,7 +36,6 @@ use cpvr_core::infer::InferConfig;
 use cpvr_core::snapshot::{ConsistencyTracker, SnapshotStatus};
 use cpvr_core::FoldRecord;
 use cpvr_sim::IoEvent;
-use cpvr_types::intern::InternStore;
 use cpvr_types::{RouterId, SimTime};
 use std::io;
 use std::path::Path;
@@ -596,83 +595,76 @@ impl WalScan {
             torn |= r.torn;
             segments += r.segments;
             let mut series_wm: Option<SimTime> = None;
-            // v3 symbol definitions are journaled into the same series
-            // as the events that use them, *before* first use, so a
-            // per-series store replayed in scan order resolves every
-            // symbol — exactly like the live decoder did.
-            let mut interns = InternStore::new();
+            // Symbol definitions are journaled into the same series as
+            // the events that use them, *before* first use, so one
+            // decoder per series, fed in scan order, resolves every
+            // symbol — exactly like the live connection's did.
+            let mut dec = Decoder::new();
             for record in &r.records {
-                // A WAL record is one full wire frame; its CRC was
+                // A WAL record is one full wire frame; its bytes were
                 // already checked by the record-level checksum, so a
                 // decode failure here means a writer bug, not disk
                 // corruption. Skip and count rather than abort
                 // recovery.
-                match decode_frame(record) {
-                    Ok(Some((raw, used))) if used == record.len() => {
-                        match raw.decode_with(&interns) {
-                            Ok(Frame::Intern(def)) => {
-                                interns.apply(def.router, def.space, def.symbol, &def.bytes);
+                match dec.decode_record(record) {
+                    Ok(Frame::Event { seq, event }) => {
+                        if sources.contains(event.router) {
+                            let e = sources.entry_mut(event.router);
+                            e.next_seq = e.next_seq.max(seq + 1);
+                        }
+                        events.push(event);
+                    }
+                    Ok(Frame::Watermark { t, .. }) => {
+                        series_wm = Some(series_wm.map_or(t, |w| w.max(t)));
+                    }
+                    Ok(Frame::Hello(h)) => {
+                        if sources.contains(h.source) {
+                            let e = sources.entry_mut(h.source);
+                            e.session = Some(h.session);
+                            if e.state == SourceState::NeverConnected {
+                                e.state = SourceState::Live;
                             }
-                            Ok(Frame::Event { seq, event }) => {
-                                if sources.contains(event.router) {
-                                    let e = sources.entry_mut(event.router);
-                                    e.next_seq = e.next_seq.max(seq + 1);
-                                }
-                                events.push(event);
-                            }
-                            Ok(Frame::Watermark { t, .. }) => {
-                                series_wm = Some(series_wm.map_or(t, |w| w.max(t)));
-                            }
-                            Ok(Frame::Hello(h)) => {
-                                if sources.contains(h.source) {
-                                    let e = sources.entry_mut(h.source);
-                                    e.session = Some(h.session);
-                                    if e.state == SourceState::NeverConnected {
-                                        e.state = SourceState::Live;
-                                    }
-                                }
-                            }
-                            Ok(Frame::Evict { source }) => {
-                                if sources.contains(source) {
-                                    sources.evict(source);
-                                }
-                            }
-                            Ok(Frame::Admit { source }) => {
-                                if sources.contains(source) {
-                                    sources.admit(source);
-                                }
-                            }
-                            // `replay_all` returns series in
-                            // deterministic order, so the ledger's fold
-                            // order is identical on every recovery.
-                            Ok(Frame::Repair(r)) => {
-                                if repairs.accept(&r) {
-                                    repairs_replayed += 1;
-                                }
-                            }
-                            // Flight-recorder dump requests are a live
-                            // diagnostic exchange; they are never
-                            // journaled, but tolerate them if found.
-                            Ok(Frame::DumpReq) | Ok(Frame::DumpResp { .. }) => {}
-                            // Peer frames are only journaled by
-                            // federation members, which recover through
-                            // their own ordered replay; a standalone
-                            // collector ignores any it finds.
-                            Ok(Frame::Bye { .. })
-                            | Ok(Frame::Ack { .. })
-                            | Ok(Frame::Fin)
-                            | Ok(Frame::Heartbeat)
-                            | Ok(Frame::MetricsReq { .. })
-                            | Ok(Frame::MetricsResp { .. })
-                            | Ok(Frame::PeerHello(_))
-                            | Ok(Frame::FrontierExchange(_))
-                            | Ok(Frame::BoundaryEdges(_))
-                            | Ok(Frame::PartialVerdict(_))
-                            | Ok(Frame::PeerRepairProof(_)) => {}
-                            Err(_) => corrupt += 1,
                         }
                     }
-                    _ => corrupt += 1,
+                    Ok(Frame::Evict { source }) => {
+                        if sources.contains(source) {
+                            sources.evict(source);
+                        }
+                    }
+                    Ok(Frame::Admit { source }) => {
+                        if sources.contains(source) {
+                            sources.admit(source);
+                        }
+                    }
+                    // `replay_all` returns series in deterministic
+                    // order, so the ledger's fold order is identical on
+                    // every recovery.
+                    Ok(Frame::Repair(r)) => {
+                        if repairs.accept(&r) {
+                            repairs_replayed += 1;
+                        }
+                    }
+                    // The decoder already bound the definition. Dump
+                    // requests are a live diagnostic exchange, never
+                    // journaled, but tolerated if found. Peer frames
+                    // are only journaled by federation members, which
+                    // recover through their own ordered replay; a
+                    // standalone collector ignores any it finds.
+                    Ok(Frame::Intern(_))
+                    | Ok(Frame::DumpReq)
+                    | Ok(Frame::DumpResp { .. })
+                    | Ok(Frame::Bye { .. })
+                    | Ok(Frame::Ack { .. })
+                    | Ok(Frame::Fin)
+                    | Ok(Frame::Heartbeat)
+                    | Ok(Frame::MetricsReq { .. })
+                    | Ok(Frame::MetricsResp { .. })
+                    | Ok(Frame::PeerHello(_))
+                    | Ok(Frame::FrontierExchange(_))
+                    | Ok(Frame::BoundaryEdges(_))
+                    | Ok(Frame::PartialVerdict(_))
+                    | Ok(Frame::PeerRepairProof(_)) => {}
+                    Err(_) => corrupt += 1,
                 }
             }
             series_wms.push(series_wm);

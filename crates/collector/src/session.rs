@@ -58,10 +58,23 @@ use std::time::{Duration, Instant};
 /// and round stamp, so they are deeper than a reader's.
 pub(crate) const FOLD_RING_SLOTS: usize = 512;
 
-/// Traced events the session holds between journaling and the
-/// watermark advance that folds them (overflow simply drops the stamp —
-/// tracing is best-effort by design).
+/// Sampled flights the session holds between journaling and the
+/// consistent verdict that completes them (overflow drops the flight and
+/// counts it — tracing is best-effort by design).
 const TRACED_PENDING_MAX: usize = 1024;
+
+/// One sampled flight between the hand-off to the backend and the
+/// verdict that completes it.
+struct Flight {
+    /// The event's own (simulated) timestamp: the watermark that passes
+    /// it is the advance that folds it.
+    time: SimTime,
+    ctx: TraceCtx,
+    /// When the reader decoded the frame.
+    received: Instant,
+    /// When a watermark advance folded it, once one has.
+    folded: Option<Instant>,
+}
 
 /// What the session loop needs from whatever folds the events.
 ///
@@ -287,8 +300,9 @@ struct Session<'a, B> {
     /// so a router that never comes up at all is still evicted on
     /// schedule instead of gating the fold forever.
     last_heard: Vec<Instant>,
-    /// Traced flights journaled but not yet swept up by a watermark.
-    traced: Vec<(SimTime, TraceCtx)>,
+    /// Sampled flights handed to the backend and not yet part of a
+    /// consistent snapshot.
+    traced: Vec<Flight>,
     /// Events folded as of the last published advance.
     folded: usize,
     stall: StallWatch,
@@ -324,8 +338,6 @@ impl<B: Backend> Session<'_, B> {
         };
         if let Some(m) = self.metrics {
             m.fold_nanos.observe_since(start);
-            let consistent = self.backend.verdict().status().is_consistent();
-            m.spans.fold_up_to(wm.as_nanos(), consistent);
         }
         let folded_before = self.folded;
         self.publish();
@@ -333,22 +345,37 @@ impl<B: Backend> Session<'_, B> {
             m.fold_batch
                 .observe(self.folded.saturating_sub(folded_before) as u64);
         }
-        // Traced flights at or behind the new horizon just got folded —
-        // close their session-side hop.
-        let flight = self.flight.as_ref();
-        self.traced.retain(|(t, ctx)| {
-            if *t > wm {
+        // Sampled flights at or behind the new horizon are folded — the
+        // first advance to pass one closes its session-side hop — and a
+        // folded flight completes at the first consistent verdict: the
+        // time in between is §4.3's wait instead of a false alarm.
+        let consistent = self.backend.verdict().status().is_consistent();
+        let (flight, metrics) = (self.flight.as_ref(), self.metrics);
+        let now = Instant::now();
+        self.traced.retain_mut(|fl| {
+            if fl.time > wm {
                 return true;
             }
-            if let Some(f) = flight {
-                f.record(
-                    stage::FOLDED,
-                    Some(ctx.child(stage::JOURNALED)),
-                    t.as_nanos(),
-                    0,
-                );
+            let folded = *fl.folded.get_or_insert_with(|| {
+                if let Some(f) = flight {
+                    f.record(
+                        stage::FOLDED,
+                        Some(fl.ctx.child(stage::JOURNALED)),
+                        fl.time.as_nanos(),
+                        0,
+                    );
+                }
+                if let Some(m) = metrics {
+                    m.flight_received_to_folded.observe_since(fl.received);
+                }
+                now
+            });
+            if let (true, Some(m)) = (consistent, metrics) {
+                m.flight_folded_to_consistent
+                    .observe(now.duration_since(folded).as_nanos() as u64);
+                m.flights_completed.inc();
             }
-            false
+            !consistent
         });
         // Last: whoever polls the stats for this watermark may rely on
         // the gauges and flight records above being there already.
@@ -396,7 +423,7 @@ impl<B: Backend> Session<'_, B> {
                 }
                 // Journal the handshake so recovery re-learns the
                 // session and keeps deduplicating its replays.
-                let (session, first_seq, codec) = (hello.session, hello.first_seq, hello.codec);
+                let (session, first_seq) = (hello.session, hello.first_seq);
                 self.backend
                     .journal(Some(source), encode_frame(&Frame::Hello(hello)), None);
                 self.sources.hello(source, session, first_seq);
@@ -406,7 +433,6 @@ impl<B: Backend> Session<'_, B> {
                 // of its planned replay is already here.
                 self.ack(conn, source);
                 if let Some(m) = self.metrics {
-                    m.set_source_codec(source.0, codec);
                     // A hello can flip a source back to Live — republish
                     // so lease-state scrapes see it now, not at the next
                     // watermark advance.
@@ -436,7 +462,7 @@ impl<B: Backend> Session<'_, B> {
                             // backend journals the batch before it folds
                             // or acks any of it, and before the barrier
                             // that stamps `FOLDED`.
-                            if let Some(ctx) = rec.trace {
+                            if let Some((ctx, received)) = rec.trace {
                                 if let Some(f) = &self.flight {
                                     f.record(
                                         stage::JOURNALED,
@@ -445,8 +471,22 @@ impl<B: Backend> Session<'_, B> {
                                         rec.seq,
                                     );
                                 }
-                                if self.traced.len() < TRACED_PENDING_MAX {
-                                    self.traced.push((rec.event.time, ctx));
+                                let room = self.traced.len() < TRACED_PENDING_MAX;
+                                if room {
+                                    self.traced.push(Flight {
+                                        time: rec.event.time,
+                                        ctx,
+                                        received,
+                                        folded: None,
+                                    });
+                                }
+                                if let Some(m) = self.metrics {
+                                    let n = if room {
+                                        &m.flights_started
+                                    } else {
+                                        &m.flights_dropped
+                                    };
+                                    n.inc();
                                 }
                             }
                             fresh.push(rec);

@@ -71,7 +71,6 @@ use cpvr_core::rules::RuleScope;
 use cpvr_core::snapshot::{ConvDigest, SnapshotStatus, TrackerSlice};
 use cpvr_core::{FoldRecord, HbrSource, ShardPlan};
 use cpvr_dataplane::DataPlane;
-use cpvr_obs::Stage;
 use cpvr_sim::IoEvent;
 use cpvr_types::{RouterId, SimTime};
 use std::collections::BTreeMap;
@@ -421,7 +420,6 @@ enum WorkerMsg {
     /// ingest, then ack `upto`.
     Ingest {
         conn: u64,
-        source: RouterId,
         batch: Vec<EventRec>,
         upto: u64,
         fin: bool,
@@ -539,19 +537,21 @@ impl Worker {
             match msg {
                 WorkerMsg::Ingest {
                     conn,
-                    source,
                     batch,
                     upto,
                     fin,
                 } => {
+                    // Sampled flights in the batch, by when each was
+                    // appended to the journal.
+                    let mut flights: Vec<Instant> = Vec::new();
                     let mut journaled = 0u32;
                     for rec in &batch {
                         if let Some(raw) = rec.raw.as_ref() {
                             if self.journal(raw) {
                                 journaled += 1;
-                                if let Some(m) = &self.metrics {
-                                    m.spans.stamp(source.0, rec.seq, Stage::Journaled);
-                                    m.spans.stamp_shard(source.0, rec.seq, shard);
+                                if let (Some(m), Some((_, received))) = (&self.metrics, rec.trace) {
+                                    m.flight_received_to_journaled.observe_since(received);
+                                    flights.push(Instant::now());
                                 }
                             }
                         }
@@ -559,13 +559,6 @@ impl Worker {
                     self.commit(journaled);
                     for rec in &batch {
                         self.fold.ingest(&rec.event);
-                        if let Some(m) = &self.metrics {
-                            // The fold keys off simulated event time;
-                            // the span needs it to know which watermark
-                            // sweeps it up.
-                            m.spans
-                                .event_time(source.0, rec.seq, rec.event.time.as_nanos());
-                        }
                     }
                     if let Some(m) = &self.metrics {
                         m.events_journaled.add(u64::from(journaled));
@@ -576,8 +569,8 @@ impl Worker {
                     if self.acks.ack(conn, upto, fin) {
                         if let Some(m) = &self.metrics {
                             m.events_acked.add(batch.len() as u64);
-                            for rec in &batch {
-                                m.spans.stamp(source.0, rec.seq, Stage::Acked);
+                            for appended in flights {
+                                m.flight_journaled_to_acked.observe_since(appended);
                             }
                         }
                     }
@@ -913,7 +906,6 @@ impl Backend for Shards {
         self.send_crosses(crosses);
         let _ = self.workers[owner as usize].tx.send(WorkerMsg::Ingest {
             conn,
-            source,
             batch,
             upto,
             fin,

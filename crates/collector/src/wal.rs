@@ -19,7 +19,7 @@
 //! The CRC-32 (IEEE) covers the payload. Replay walks segments in name
 //! order and stops at the first torn record (short read or CRC
 //! mismatch) — everything before it is the durable prefix. Payloads
-//! here are encoded wire frames ([`crate::codec::RawFrame::encode`]),
+//! here are encoded wire frames ([`crate::codec::encode_frame`]),
 //! so the WAL reuses the codec's own corruption detection end to end.
 //!
 //! A fresh [`Wal::open`] never writes into an existing segment: it

@@ -22,7 +22,6 @@ use cpvr_collector::collector::{Collector, CollectorConfig, CollectorReport, Lea
 use cpvr_collector::fault::{ChaosProxy, FaultPlan};
 use cpvr_collector::pipeline::{IngestPipeline, PipelineConfig};
 use cpvr_collector::wal::{wait_for, TempDir, WalConfig};
-use cpvr_collector::CodecVersion;
 use cpvr_sim::IoEvent;
 use cpvr_types::{RouterId, SimTime};
 use std::time::Duration;
@@ -81,14 +80,8 @@ fn run_chaotic(events: &[IoEvent], seed: u64, dir: &TempDir) -> CollectorReport 
         let mine = events_for(events, router);
         let steps = steps.clone();
         threads.push(std::thread::spawn(move || {
-            let mut sink = SocketSink::connect_with_codec(
-                proxy_addr,
-                router,
-                N_ROUTERS,
-                chaos_policy(),
-                chaos_codec(),
-            )
-            .expect("connect through proxy");
+            let mut sink = SocketSink::connect_with(proxy_addr, router, N_ROUTERS, chaos_policy())
+                .expect("connect through proxy");
             let mut next = 0usize;
             for &t in &steps {
                 while next < mine.len() && mine[next].time <= t {
@@ -259,20 +252,6 @@ fn chaos_shards() -> u32 {
     match std::env::var("CHAOS_SHARDS") {
         Ok(s) => s.parse().expect("CHAOS_SHARDS must be a u32"),
         Err(_) => 1,
-    }
-}
-
-/// Which event codec the chaotic clients speak. CI's matrix crosses the
-/// seeds with `CHAOS_CODEC` ∈ {2, 3}, so the fault machinery — CRC
-/// quarantine, go-back-N replay (which for v3 includes the intern
-/// definition blanket on every reconnect), dedup — is proven under both
-/// wire formats. Locally it defaults to the binary codec, the path with
-/// the most moving parts.
-fn chaos_codec() -> CodecVersion {
-    match std::env::var("CHAOS_CODEC").as_deref() {
-        Ok("2") => CodecVersion::V2,
-        Ok("3") | Err(_) => CodecVersion::V3,
-        Ok(other) => panic!("CHAOS_CODEC must be 2 or 3, got {other:?}"),
     }
 }
 

@@ -9,7 +9,7 @@
 mod common;
 
 use common::{dataplane_fingerprint, events_for, sample_events, N_ROUTERS};
-use cpvr_collector::codec::{decode_frame, Frame};
+use cpvr_collector::codec::{Decoder, Frame};
 use cpvr_collector::collector::{Collector, CollectorConfig};
 use cpvr_collector::pipeline::{IngestPipeline, PipelineConfig};
 use cpvr_collector::wal::{self, wait_for, TempDir, Wal, WalConfig};
@@ -80,6 +80,13 @@ fn recovery_from_any_record_boundary_is_bit_identical() {
         records.len() > events.len(),
         "log should hold every event plus watermark records"
     );
+    // One decoder over the whole series, as recovery uses: an event's
+    // symbols are defined by the intern records ahead of it.
+    let mut dec = Decoder::new();
+    let frames: Vec<Frame> = records
+        .iter()
+        .map(|rec| dec.decode_record(rec).unwrap())
+        .collect();
 
     // Crash points: every boundary for small logs, else ~48 samples
     // always including the empty log, a single record, and both ends.
@@ -132,11 +139,9 @@ fn recovery_from_any_record_boundary_is_bit_identical() {
         // in the durable prefix — exactly what the crashed merger had
         // advanced to.
         let mut last_wm = None;
-        for rec in &records[..cut] {
-            if let Frame::Watermark { t, .. } =
-                decode_frame(rec).unwrap().unwrap().0.decode().unwrap()
-            {
-                last_wm = Some(t);
+        for frame in &frames[..cut] {
+            if let Frame::Watermark { t, .. } = frame {
+                last_wm = Some(*t);
             }
         }
         assert_eq!(pipeline.watermark(), last_wm, "cut {cut}");
@@ -144,14 +149,14 @@ fn recovery_from_any_record_boundary_is_bit_identical() {
 
         // Resume: feed the not-yet-durable remainder of the stream,
         // exactly as reconnecting routers would re-send it.
-        for rec in &records[cut..] {
-            match decode_frame(rec).unwrap().unwrap().0.decode().unwrap() {
-                Frame::Event { event, .. } => pipeline.ingest(&event),
+        for frame in &frames[cut..] {
+            match frame {
+                Frame::Event { event, .. } => pipeline.ingest(event),
                 Frame::Watermark { t, .. } => {
-                    pipeline.advance(t);
+                    pipeline.advance(*t);
                 }
                 // Session bookkeeping doesn't affect the fold.
-                Frame::Hello(_) | Frame::Evict { .. } | Frame::Admit { .. } => {}
+                Frame::Hello(_) | Frame::Intern(_) | Frame::Evict { .. } | Frame::Admit { .. } => {}
                 other => panic!("unexpected frame in log: {other:?}"),
             }
         }
@@ -276,4 +281,98 @@ fn a_journal_written_by_the_inline_merger_recovers_and_keeps_ingesting() {
     let (again, _) = IngestPipeline::recover(PipelineConfig::new(N_ROUTERS), dir.path()).unwrap();
     assert_eq!(again.events(), events.len() as u64);
     assert_eq!(again.watermark(), Some(SimTime::MAX));
+}
+
+/// Sinks that outlive their collector. The first start journals the
+/// first half of each router's stream — and with it every symbol
+/// definition, which the sinks then prune from their replay buffers
+/// along with the acked events that carried them. The second start gets
+/// the same sinks' reconnects, so its part of the journal can only be
+/// decoded by itself because a reconnect re-sends `definition_frames()`
+/// wholesale: recovered alone, the post-restart segments are the fold of
+/// the second half.
+#[test]
+fn a_reconnect_after_a_restart_leaves_a_self_contained_journal() {
+    let events = sample_events(17);
+    let end = events.iter().map(|e| e.time).max().unwrap();
+    let mid = SimTime::from_nanos(end.as_nanos() / 2);
+    let (first, second): (Vec<IoEvent>, Vec<IoEvent>) =
+        events.iter().cloned().partition(|e| e.time <= mid);
+    assert!(!first.is_empty() && !second.is_empty());
+
+    let dir = TempDir::new("crash-reconnect").unwrap();
+    let segments = || -> Vec<std::path::PathBuf> {
+        let mut s: Vec<_> = std::fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "seg"))
+            .collect();
+        s.sort();
+        s
+    };
+    let cfg = || CollectorConfig::new(N_ROUTERS).with_wal(WalConfig::new(dir.path()));
+    let handle = Collector::start(cfg(), "127.0.0.1:0").expect("bind loopback");
+    let addr = handle.local_addr();
+    let mut sinks: Vec<SocketSink> = (0..N_ROUTERS)
+        .map(|r| SocketSink::connect(addr, RouterId(r), N_ROUTERS).expect("connect"))
+        .collect();
+    for sink in &mut sinks {
+        for e in events_for(&first, sink.source()) {
+            sink.send(&e).expect("send");
+        }
+        sink.watermark(mid).expect("watermark");
+        assert!(sink.drain(Duration::from_secs(30)).expect("drain"));
+        assert_eq!(sink.unacked(), 0, "nothing left to replay");
+    }
+    assert!(wait_for(Duration::from_secs(30), || {
+        handle.stats().watermark == Some(mid)
+    }));
+    handle.shutdown().expect("clean shutdown");
+    let before_restart = segments();
+
+    // Same address, same directory: the sinks find the new collector by
+    // reconnecting, and it journals into a fresh segment.
+    let handle = Collector::start(cfg(), addr).expect("restart on the same port");
+    assert_eq!(handle.recovery().unwrap().events_replayed, first.len());
+    for sink in &mut sinks {
+        for e in events_for(&second, sink.source()) {
+            sink.send(&e).expect("send");
+        }
+        sink.bye().expect("bye");
+        assert!(sink.drain(Duration::from_secs(30)).expect("drain"));
+        assert!(sink.reconnects() >= 1);
+    }
+    assert!(wait_for(Duration::from_secs(30), || {
+        handle.stats().watermark == Some(SimTime::MAX)
+    }));
+    let report = handle.shutdown().expect("clean shutdown");
+    assert_eq!(report.stats.decode_errors, 0);
+    let whole = common::reference_pipeline(&events, &[SimTime::MAX]);
+    common::assert_same_fold(&report.pipeline, &whole, "across the restart");
+
+    // The second start's segments, alone.
+    let alone = TempDir::new("crash-reconnect-alone").unwrap();
+    let after_restart: Vec<_> = segments()
+        .into_iter()
+        .filter(|p| !before_restart.contains(p))
+        .collect();
+    assert!(!after_restart.is_empty());
+    for seg in &after_restart {
+        std::fs::copy(seg, alone.path().join(seg.file_name().unwrap())).unwrap();
+    }
+    let (recovered, rr) =
+        IngestPipeline::recover(PipelineConfig::new(N_ROUTERS), alone.path()).unwrap();
+    assert_eq!(rr.corrupt_records, 0, "every symbol was defined again");
+    assert_eq!(rr.events_replayed, second.len());
+    let reference = common::reference_pipeline(&second, &[SimTime::MAX]);
+    assert_eq!(
+        recovered.builder().hbg().canonical_edges(),
+        reference.builder().hbg().canonical_edges()
+    );
+    assert_eq!(recovered.status(), reference.status());
+    assert_eq!(recovered.watermark(), reference.watermark());
+    assert_eq!(
+        dataplane_fingerprint(recovered.tracker().dataplane()),
+        dataplane_fingerprint(reference.tracker().dataplane())
+    );
 }

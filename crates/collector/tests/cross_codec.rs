@@ -1,13 +1,16 @@
-//! Cross-codec equivalence: the v2 (JSON) and v3 (binary/interned)
-//! event codecs must be interchangeable representations of the same
-//! [`IoEvent`] — every event round-trips through *both* codecs to the
-//! identical value, including adversarial description strings and
-//! degenerate prefixes — and the v3 decoder must reject truncated or
-//! corrupted input cleanly (quarantine or typed error, never a panic,
-//! never a silently wrong event).
+//! The event codec's oracle: every [`IoEvent`] round-trips through the
+//! v3 (binary/interned) encoding to the identical value, including
+//! adversarial description strings and degenerate prefixes; the bytes
+//! of both on-disk event bodies are pinned; and the v3 decoder rejects
+//! truncated or corrupted input cleanly (quarantine or typed error,
+//! never a panic, never a silently wrong event). That the JSON body a
+//! v2 journal holds round-trips any event is `cpvr-sim`'s
+//! `prop_io_json.rs`.
 
 use cpvr_bgp::{BgpRoute, ConfigChange, NextHop, Origin, PeerRef};
-use cpvr_collector::codec::{decode_frame, CodecError, CodecVersion, Decoder, EventEncoder, Frame};
+use cpvr_collector::codec::{
+    encode_frame, CodecError, CodecVersion, Decoder, EventEncoder, Frame, HEADER_LEN,
+};
 use cpvr_dataplane::FibAction;
 use cpvr_sim::wire;
 use cpvr_sim::{EventId, IoEvent, IoKind, Proto};
@@ -18,9 +21,9 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Characters chosen to stress both codecs: JSON metacharacters and
-/// escapes for v2, multi-byte UTF-8 and embedded NULs for the interned
-/// v3 path.
+/// Characters chosen to stress the interned-string path (multi-byte
+/// UTF-8, embedded NULs) and the JSON blobs a body can carry
+/// (metacharacters and escapes).
 const DESC_PALETTE: &[char] = &[
     'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\r', '\t', '\0', '\u{7f}', 'é', 'λ', '中', '🦀',
     '\u{202e}', '\u{fffd}',
@@ -203,17 +206,21 @@ fn arb_event() -> impl Strategy<Value = IoEvent> {
         })
 }
 
-/// Encodes `events` with one per-connection encoder of the given codec
-/// and decodes the stream back through one collector-side [`Decoder`],
-/// asserting the sequence numbers arrive in order.
-fn roundtrip(version: CodecVersion, events: &[IoEvent]) -> Vec<IoEvent> {
-    let mut enc = EventEncoder::new(version);
+/// Encodes `events`, numbered from 0, with one per-connection encoder.
+fn encode(events: &[IoEvent]) -> Vec<u8> {
+    let mut enc = EventEncoder::new(CodecVersion::V3);
     let mut stream = Vec::new();
     for (i, e) in events.iter().enumerate() {
         enc.encode_into(i as u64, e, &mut stream);
     }
+    stream
+}
+
+/// Decodes an event stream back through one collector-side [`Decoder`],
+/// asserting the sequence numbers arrive in order.
+fn decode(stream: &[u8]) -> Vec<IoEvent> {
     let mut dec = Decoder::new();
-    dec.feed(&stream);
+    dec.feed(stream);
     let mut out = Vec::new();
     while let Some(msg) = dec.next_message(false) {
         match msg.expect("clean stream must decode").frame {
@@ -231,9 +238,11 @@ fn roundtrip(version: CodecVersion, events: &[IoEvent]) -> Vec<IoEvent> {
 }
 
 /// The bytes on the wire do not depend on how a route is held in memory:
-/// one hand-built event per route-bearing variant, encoded by each codec
-/// on a fresh connection, is pinned as `(stream length, FNV-1a 64)` —
-/// values recorded on the commit before captured routes became shared
+/// one hand-built event per route-bearing variant, in each event body —
+/// the sender's v3 on a fresh connection, and the v2 JSON rendering old
+/// journals hold (`encode_frame`'s legacy form; byte for byte what the
+/// v2 sender wrote) — is pinned as `(stream length, FNV-1a 64)`: values
+/// recorded on the commit before captured routes became shared
 /// (`Option<Arc<BgpRoute>>`, was `Option<BgpRoute>`).
 #[test]
 fn route_bearing_events_keep_their_wire_bytes() {
@@ -278,34 +287,35 @@ fn route_bearing_events_keep_their_wire_bytes() {
             kind,
         })
         .collect();
-    for (version, want) in [
-        (CodecVersion::V2, (936usize, 2_092_260_921_727_305_870u64)),
-        (CodecVersion::V3, (161, 11_849_076_264_737_931_050)),
+    let v2: Vec<u8> = (0u64..)
+        .zip(&events)
+        .flat_map(|(seq, e)| {
+            let event = e.clone();
+            encode_frame(&Frame::Event { seq, event })
+        })
+        .collect();
+    for (version, stream, want) in [
+        ("v2", v2, (936usize, 2_092_260_921_727_305_870u64)),
+        ("v3", encode(&events), (161, 11_849_076_264_737_931_050)),
     ] {
-        let mut enc = EventEncoder::new(version);
-        let mut stream = Vec::new();
-        for (seq, e) in events.iter().enumerate() {
-            enc.encode_into(seq as u64, e, &mut stream);
-        }
         let fnv = stream.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!((stream.len(), fnv), want, "{version:?} stream moved");
-        assert_eq!(roundtrip(version, &events), events);
+        assert_eq!((stream.len(), fnv), want, "{version} stream moved");
+        assert_eq!(decode(&stream), events);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// The tentpole oracle at the codec layer: encode each random event
-    /// with v2 and with v3; both decodes must yield the original event,
-    /// so every downstream fold sees identical inputs whichever codec a
-    /// source negotiated. Like a real connection, each stream carries
-    /// one router's tap — the encoder's intern table is
-    /// connection-scoped and definitions are keyed by that router.
+    /// The oracle at the codec layer: every random event decodes back
+    /// to itself, so the fold sees exactly what the tap captured. Like
+    /// a real connection, each stream carries one router's tap — the
+    /// encoder's intern table is connection-scoped and definitions are
+    /// keyed by that router.
     #[test]
-    fn v2_and_v3_roundtrip_to_the_identical_event(
+    fn events_roundtrip_to_the_identical_event(
         events in prop::collection::vec(arb_event(), 1..8),
         router in any::<u32>()
     ) {
@@ -316,10 +326,7 @@ proptest! {
                 e
             })
             .collect();
-        let via_v2 = roundtrip(CodecVersion::V2, &events);
-        let via_v3 = roundtrip(CodecVersion::V3, &events);
-        prop_assert_eq!(&via_v2, &events);
-        prop_assert_eq!(&via_v3, &events);
+        prop_assert_eq!(&decode(&encode(&events)), &events);
     }
 
     /// The raw v3 body decoder on arbitrary bytes: typed error or valid
@@ -341,21 +348,19 @@ proptest! {
         let mut enc = EventEncoder::new(CodecVersion::V3);
         let mut stream = Vec::new();
         enc.encode_into(5, &event, &mut stream);
-        // Pull the event frame (the last frame) out of the stream.
-        let mut frames = Vec::new();
-        let mut rest = &stream[..];
-        while let Some((raw, used)) = decode_frame(rest).unwrap() {
-            frames.push(raw);
-            rest = &rest[used..];
-        }
-        let body = frames.pop().expect("event frame").payload;
-        // Build the store the full stream would have produced, so the
-        // only failure mode under test is the truncation itself.
+        // Pull the event frame's body (the last frame) out of the
+        // stream, and build the store the frames before it define, so
+        // the only failure mode under test is the truncation itself.
+        let mut dec = Decoder::new();
+        dec.feed(&stream);
         let mut store = InternStore::new();
-        for f in &frames {
-            if let Ok(Frame::Intern(d)) = f.decode() {
+        let mut body = Vec::new();
+        while let Some(msg) = dec.next_message(true) {
+            let msg = msg.expect("clean stream");
+            if let Frame::Intern(d) = &msg.frame {
                 store.apply(d.router, d.space, d.symbol, &d.bytes);
             }
+            body = msg.raw.expect("raw requested")[HEADER_LEN..].to_vec();
         }
         let cut = (body.len() as f64 * cut_frac) as usize;
         if cut < body.len() {

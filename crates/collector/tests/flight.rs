@@ -5,7 +5,7 @@
 //! independent re-validation — and every anomaly must freeze exactly
 //! one black-box dump.
 
-use cpvr_collector::codec::{CodecVersion, RepairRecord, RepairStage};
+use cpvr_collector::codec::{RepairRecord, RepairStage};
 use cpvr_collector::collector::{Collector, CollectorConfig, LeaseConfig};
 use cpvr_collector::wal::{wait_for, TempDir, WalConfig};
 use cpvr_collector::{dump_flight, SocketSink};
@@ -87,18 +87,22 @@ fn rec(id: u64, stage: RepairStage, at: u64, verdict: Option<u8>, proof: Vec<u8>
 }
 
 /// A sampled event flight leaves one causally chained record at every
-/// hop: the sink mints the context into the v3 trailer, the reader
-/// records `decoded`, the session records `journaled`, and the watermark
-/// advance that folds it records `folded` — all under the same trace
-/// id, recoverable on demand over the wire via `DumpReq`.
+/// hop: the reader records `decoded`, the session records `journaled`,
+/// and the watermark advance that folds it records `folded` — all under
+/// the same trace id, recoverable on demand over the wire via `DumpReq`.
+/// The context is the one the sink minted into the event's trailer, or,
+/// from a sink that does not trace, the same one minted by the reader
+/// for sequence number 0 (its 1-in-64 sample).
 #[test]
 fn traced_flight_spans_sink_to_fold() {
     for shards in [1, 2] {
-        traced_flight_spans_sink_to_fold_at(shards);
+        for sink_traces in [true, false] {
+            traced_flight_spans_sink_to_fold_at(shards, sink_traces);
+        }
     }
 }
 
-fn traced_flight_spans_sink_to_fold_at(shards: u32) {
+fn traced_flight_spans_sink_to_fold_at(shards: u32, sink_traces: bool) {
     let dir = TempDir::new("flight-e2e").unwrap();
     let cfg = CollectorConfig::new(1)
         .with_wal(WalConfig::new(dir.path()))
@@ -106,10 +110,10 @@ fn traced_flight_spans_sink_to_fold_at(shards: u32) {
     let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
     let addr = handle.local_addr();
 
-    let mut sink =
-        SocketSink::connect_with_codec(addr, RouterId(0), 1, Default::default(), CodecVersion::V3)
-            .expect("connect");
-    sink.set_trace_sampling(1);
+    let mut sink = SocketSink::connect(addr, RouterId(0), 1).expect("connect");
+    if sink_traces {
+        sink.set_trace_sampling(1);
+    }
     let session = sink.session();
     for i in 0..4u32 {
         sink.send(&sample_event(i, u64::from(i) + 1)).expect("send");

@@ -9,7 +9,7 @@ use common::{dataplane_fingerprint, sample_events, N_ROUTERS};
 use cpvr_collector::client::{scrape, scrape_snapshot, SocketSink};
 use cpvr_collector::collector::{Collector, CollectorConfig};
 use cpvr_collector::pipeline::{IngestPipeline, PipelineConfig};
-use cpvr_collector::wal::wait_for;
+use cpvr_collector::wal::{wait_for, TempDir, WalConfig};
 use cpvr_obs::ExpoFormat;
 use cpvr_sim::IoEvent;
 use cpvr_types::{RouterId, SimTime};
@@ -27,9 +27,11 @@ fn concurrent_streams_match_in_process_pipeline() {
     }
     let ref_status = reference.advance(SimTime::MAX);
 
-    // Collector under test.
-    let handle =
-        Collector::start(CollectorConfig::new(N_ROUTERS), "127.0.0.1:0").expect("bind loopback");
+    // Collector under test (journaling, so sampled flights have a
+    // journal hop to time).
+    let wal_dir = TempDir::new("loopback").unwrap();
+    let cfg = CollectorConfig::new(N_ROUTERS).with_wal(WalConfig::new(wal_dir.path()));
+    let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
     let addr = handle.local_addr();
 
     // One client thread per router, each stepping through the shared
@@ -95,10 +97,25 @@ fn concurrent_streams_match_in_process_pipeline() {
         u64::from(N_ROUTERS) + 1
     );
     assert_eq!(snap.counter_total("cpvr_frames_corrupt_total"), 0);
-    assert!(
-        snap.counter_total("cpvr_flights_started_total") > 0,
-        "sampled event-flight spans should have opened"
-    );
+    // One event in 64 is followed through the pipeline; at the final
+    // (consistent) watermark every such flight has completed and left
+    // one observation per transition.
+    let flights = snap.counter_total("cpvr_flights_started_total");
+    assert!(flights > 0, "sampled event flights should have opened");
+    assert_eq!(snap.counter_total("cpvr_flights_completed_total"), flights);
+    assert_eq!(snap.counter_total("cpvr_flights_dropped_total"), 0);
+    for h in [
+        "cpvr_flight_received_to_journaled_nanos",
+        "cpvr_flight_journaled_to_acked_nanos",
+        "cpvr_flight_received_to_folded_nanos",
+        "cpvr_flight_folded_to_consistent_nanos",
+    ] {
+        assert_eq!(
+            snap.histogram(h, &[]).map(|h| h.count),
+            Some(flights),
+            "{h}"
+        );
+    }
     // The same numbers in Prometheus text, for anything that speaks it.
     let prom = scrape(addr, ExpoFormat::Prometheus).expect("scrape Prometheus");
     assert!(prom.contains("# TYPE cpvr_events_received_total counter"));
@@ -167,7 +184,6 @@ fn hello_mismatch_is_rejected_without_poisoning_the_collector() {
         n_routers: N_ROUTERS + 1,
         session: 0xbad,
         first_seq: 0,
-        codec: 2,
     })))
     .expect("write bad hello");
     assert!(

@@ -5,7 +5,7 @@
 //! the owning member gates and its peers independently re-validate the
 //! advertised proof.
 
-use cpvr_collector::codec::{decode_frame, Frame, RepairRecord, RepairStage};
+use cpvr_collector::codec::{Decoder, Frame, RepairRecord, RepairStage};
 use cpvr_collector::collector::{Collector, CollectorConfig};
 use cpvr_collector::pipeline::{IngestPipeline, PipelineConfig};
 use cpvr_collector::wal::{self, wait_for, TempDir, Wal, WalConfig};
@@ -147,8 +147,9 @@ fn lifecycle(proof: &RepairProof, verdict_code: u8) -> Vec<RepairRecord> {
 /// expected recovery state for a given durable prefix.
 fn fold_prefix(records: &[Vec<u8>]) -> RepairLedger {
     let mut ledger = RepairLedger::new();
+    let mut dec = Decoder::new();
     for bytes in records {
-        if let Frame::Repair(r) = decode_frame(bytes).unwrap().unwrap().0.decode().unwrap() {
+        if let Frame::Repair(r) = dec.decode_record(bytes).unwrap() {
             ledger.accept(&r);
         }
     }

@@ -348,7 +348,9 @@ fn group_commit_survives_per_shard_segment_rotation() {
     let events = sample_events(29);
     let dir = TempDir::new("gc-rotate").unwrap();
     let mut wal_cfg = WalConfig::new(dir.path());
-    wal_cfg.segment_bytes = 4 * 1024;
+    // A binary event record is a few dozen bytes, so each series is a
+    // couple of KiB in all.
+    wal_cfg.segment_bytes = 512;
     wal_cfg.fsync = FsyncPolicy::EveryN(4);
     let cfg = CollectorConfig::new(N_ROUTERS)
         .with_shards(SHARDS)

@@ -7,20 +7,20 @@
 //! or `prometheus` (the workspace builds hermetically from vendored
 //! code only).
 //!
-//! Four pieces:
+//! Three pieces:
 //!
 //! - [`MetricsRegistry`]: named counters (sharded across per-thread
 //!   cells, folded on scrape), gauges, and log-bucketed histograms with
 //!   p50/p90/p99/max. Writes are relaxed atomics — cheap enough for the
 //!   ingest hot path.
-//! - [`SpanRecorder`]: sampled *event-flight* spans keyed by
-//!   `(source, seq)`, stamped received → journaled → acked → folded →
-//!   snapshot-consistent → verified. Transition latencies land in
-//!   registry histograms.
 //! - [`trace`]: the black-box flight recorder — per-thread lock-free
 //!   ring buffers of causal records, anomaly-triggered `flight-*.json`
 //!   dumps, and stitching of dumps from federation members into Chrome
-//!   `trace_event` timelines keyed by `TraceCtx` trace ids.
+//!   `trace_event` timelines keyed by `TraceCtx` trace ids. It is the
+//!   one flight tracker: the collector follows one event in 64 through
+//!   decoded → journaled → folded hops here and observes the
+//!   transition latencies into registry histograms from the same
+//!   records.
 //! - [`expo`]: Prometheus text and compact-JSON exposition of a
 //!   [`Snapshot`], served live over the collector's `MetricsReq` /
 //!   `MetricsResp` frames and embedded in `CollectorReport` at
@@ -32,7 +32,6 @@
 
 pub mod expo;
 pub mod registry;
-pub mod span;
 pub mod trace;
 
 pub use expo::{parse_json, render_json, render_prometheus, ExpoFormat};
@@ -40,5 +39,4 @@ pub use registry::{
     Counter, CounterSample, Gauge, GaugeSample, Histogram, HistogramSample, MetricKind,
     MetricsRegistry, Snapshot,
 };
-pub use span::{SpanRecorder, Stage};
 pub use trace::{chrome_trace, stitch, FlightDump, FlightRecord, FlightRecorder, RingHandle};
