@@ -37,8 +37,8 @@
 //! members instead of one daemon: each member owns a router subset,
 //! folds only its owners' streams, and exchanges frontiers, boundary
 //! edges, and partial verdicts over the same TCP codec. The shutdown
-//! merge is provably identical to the single collector. Mutually
-//! exclusive with `--shards`.
+//! merge is provably identical to the single collector. With `--shards`
+//! too, every member folds its subset on that many worker threads.
 
 use cpvr_collector::client::scrape_snapshot;
 use cpvr_collector::collector::{Collector, CollectorConfig};
@@ -77,7 +77,7 @@ fn main() -> std::io::Result<()> {
                      \x20                          print ingest rate, lag, wal fsync p99, and\n\
                      \x20                          flight-recorder state (dumps written, stall)\n\
                      \x20 --shards N               shard the merger fold across N workers\n\
-                     \x20 --federate N             run N peer-connected members (excludes --shards)\n\
+                     \x20 --federate N             run N peer-connected members (each on --shards N)\n\
                      \x20 --trace-every N          sample every Nth event per router for causal\n\
                      \x20                          tracing (v3 trailer; stitch dumps with cpvr-trace)\n\
                      \x20 WAL_DIR                  persist the write-ahead log here (default: temp)"
@@ -116,11 +116,6 @@ fn main() -> std::io::Result<()> {
             _ => wal_arg = Some(PathBuf::from(a)),
         }
     }
-    assert!(
-        federate <= 1 || fold_shards <= 1,
-        "--federate and --shards are mutually exclusive"
-    );
-
     // Keep the temp dir alive (and thus undeleted) until we are done.
     let mut _tmp_guard: Option<TempDir> = None;
     let wal_dir: PathBuf = match wal_arg {
@@ -134,14 +129,16 @@ fn main() -> std::io::Result<()> {
     };
 
     // --- the daemon(s) ----------------------------------------------------
-    // Either one collector (optionally sharded in-process), or a
-    // federation of N members each owning a router subset.
+    // Either one collector, or a federation of N members each owning a
+    // router subset — either way on `fold_shards` worker threads each.
     let mut single: Option<_> = None;
     let mut fed: Option<Federation> = None;
     if federate > 1 {
-        let f = Federation::launch(FederationPlan::uniform(federate), N_ROUTERS, &wal_dir)?;
+        let base = CollectorConfig::new(N_ROUTERS).with_shards(fold_shards);
+        let f = Federation::launch_with(FederationPlan::uniform(federate), base, &wal_dir)?;
         println!(
-            "collectord federation of {federate} members, wal root {}",
+            "collectord federation of {federate} members ({fold_shards} fold shard(s) each), \
+             wal root {}",
             wal_dir.display()
         );
         for m in 0..f.members() {

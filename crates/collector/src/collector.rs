@@ -27,14 +27,16 @@
 //!   over all non-evicted sources, the merge point at which the global
 //!   `(time, id)` order is known — the precondition for
 //!   [`HbgBuilder::advance`]'s deterministic sweep;
-//! - behind the session, a backend folds: `shards` **fold workers**
+//! - behind the session, one engine folds: `shards` **fold workers**
 //!   ([`crate::shard`]; each journals its routers' events into its own
 //!   WAL series, folds them, and writes [`Frame::Ack`] frames back so
 //!   clients can prune their replay buffers) plus one **group-commit
-//!   thread** for their fsyncs — or, on a federation member, the
-//!   session thread itself, with the other shards remote
+//!   thread** for their fsyncs. On a federation member the same
+//!   workers fold the member's slice of the plan, and the other
+//!   members' shards take part in each barrier round over peer links
 //!   ([`crate::federation`]). `shards = 1` is one worker, not a
-//!   different program.
+//!   different program, and a member is a collector, not a different
+//!   program either.
 //!
 //! ## Durability ordering
 //!
@@ -54,16 +56,17 @@
 //! [`IngestPipeline::recover`]: crate::pipeline::IngestPipeline::recover
 
 use crate::codec::{
-    encode_frame, DecodedMsg, Decoder, Frame, Hello, PeerHello, RepairRecord, ACCEPTED_VERSIONS,
+    encode_frame, CodecError, DecodedMsg, Decoder, Frame, Hello, PeerHello, RepairRecord,
+    ACCEPTED_VERSIONS,
 };
-use crate::federation::{recover_member, CollectorRole, FederationConfig, PeerFrame};
+use crate::federation::{CollectorRole, FederationConfig};
 use crate::group_commit::GroupCommitHandle;
 use crate::metrics::CollectorMetrics;
 use crate::pipeline::{PipelineConfig, RecoveryReport, WalScan};
 use crate::session;
 use crate::shard::{FoldReport, Shards};
-use crate::wal::{Wal, WalConfig};
-use cpvr_core::ShardPlan;
+use crate::wal::WalConfig;
+use cpvr_core::{FoldRecord, ShardPlan};
 use cpvr_obs::trace::stage;
 use cpvr_obs::{ExpoFormat, FlightDump, RingHandle, Snapshot};
 use cpvr_sim::IoEvent;
@@ -147,22 +150,25 @@ pub struct CollectorConfig {
     pub metrics: bool,
     /// How many fold workers run behind the session loop (default
     /// `1`). Routers and conversations are partitioned across the
-    /// workers, which are joined by a two-phase watermark barrier (see
+    /// workers, which are joined by a barrier round (see
     /// [`crate::shard`]); each has its own WAL segment series, and one
     /// group-commit thread fsyncs them all. Every count runs the same
-    /// code and folds to the same state.
+    /// code and folds to the same state — on a federation member too,
+    /// where the workers split the member's slot of the federation plan.
     pub shards: u32,
     /// The partition to shard by. `None` uses
     /// [`ShardPlan::uniform`]`(shards)`; deployments that know their
     /// prefix layout should pass
     /// [`ShardPlan::from_union_trie`]/[`ShardPlan::from_prefixes`] so
-    /// conversation ownership follows prefix ranges.
+    /// conversation ownership follows prefix ranges. A federation
+    /// member ignores it: its plan is
+    /// [`FederationPlan::shard_plan`](cpvr_core::FederationPlan::shard_plan)`(shards)`.
     pub plan: Option<ShardPlan>,
     /// Runs this collector as one member of a federation: it folds only
     /// the routers its [`FederationPlan`](cpvr_core::FederationPlan)
     /// assigns to it and exchanges frontiers, boundary edges, and
     /// partial verdicts with its peers (see [`crate::federation`]).
-    /// Requires a WAL and `shards == 1`.
+    /// Requires a WAL.
     pub federation: Option<FederationConfig>,
 }
 
@@ -211,13 +217,22 @@ impl CollectorConfig {
     }
 
     /// Runs this collector as one federation member (see
-    /// [`crate::federation`]). [`Collector::start`] rejects the config
-    /// unless a WAL is configured and `shards == 1` — a member *is* a
-    /// shard of the federation, and its durability story (regenerating
-    /// outbound peer traffic on recovery) requires the journal.
+    /// [`crate::federation`]), folding its slot of the federation plan
+    /// on `shards` workers. [`Collector::start`] rejects the config
+    /// unless a WAL is configured: a member's durability story
+    /// (regenerating outbound peer traffic on recovery) requires the
+    /// journal.
     pub fn with_federation(mut self, fed: FederationConfig) -> Self {
         self.federation = Some(fed);
         self
+    }
+
+    /// How many fold workers this collector runs.
+    pub(crate) fn fold_shards(&self) -> u32 {
+        match (&self.plan, &self.federation) {
+            (Some(plan), None) => plan.shards(),
+            _ => self.shards.max(1),
+        }
     }
 }
 
@@ -309,16 +324,36 @@ impl SharedStats {
     }
 }
 
-/// One decoded event, carrying its wire encoding for the WAL when one
-/// is configured (re-encoding downstream would serialize the cost).
+/// One decoded event, classified once into its fold record, carrying
+/// its wire encoding for the WAL when one is configured (re-encoding
+/// downstream would serialize the cost).
 pub(crate) struct EventRec {
     pub(crate) seq: u64,
-    pub(crate) event: IoEvent,
+    pub(crate) rec: FoldRecord,
+    pub(crate) arrived_at: Option<SimTime>,
+    /// The event itself, kept only on a federation member, which may
+    /// forward it to a peer as a boundary event: the fold needs nothing
+    /// but the record.
+    pub(crate) event: Option<Box<IoEvent>>,
     pub(crate) raw: Option<Vec<u8>>,
     /// Set on a sampled flight: the trace context its hops are recorded
     /// under — the one the frame's trailer carried, or the one the
     /// reader minted for it — and when the reader decoded it.
     pub(crate) trace: Option<(TraceCtx, Instant)>,
+}
+
+impl EventRec {
+    /// Classifies `event`, keeping it only if a peer may need it.
+    pub(crate) fn new(seq: u64, event: IoEvent, keep: bool) -> Self {
+        EventRec {
+            seq,
+            rec: FoldRecord::of(&event),
+            arrived_at: event.arrived_at,
+            event: keep.then(|| Box::new(event)),
+            raw: None,
+            trace: None,
+        }
+    }
 }
 
 /// What a reader thread hands to the session loop.
@@ -373,13 +408,13 @@ pub(crate) enum Msg {
         /// the sending member.
         ack: Option<TcpStream>,
     },
-    /// A frontier / boundary-edge / partial-verdict frame from a
-    /// federation peer, with its original wire bytes for the journal
-    /// (`None` on a WAL-less collector — which `start` rejects for
-    /// members, so in practice always `Some`).
+    /// A frontier / boundary-edge / partial-verdict / repair-proof
+    /// frame from a federation peer, with its original wire bytes for
+    /// the journal (`None` on a WAL-less collector — which `start`
+    /// rejects for members, so in practice always `Some`).
     Peer {
         conn: u64,
-        frame: PeerFrame,
+        frame: Frame,
         raw: Option<Vec<u8>>,
     },
     /// A repair-lifecycle record submitted through
@@ -474,14 +509,8 @@ impl Collector {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
 
-        let shards = cfg.shards.max(1);
         if let Some(fed) = &cfg.federation {
             let bad = |why: &str| Err(io::Error::new(io::ErrorKind::InvalidInput, why));
-            if shards != 1 {
-                return bad(
-                    "a federation member is itself one shard of the federation; shards must be 1",
-                );
-            }
             if cfg.wal.is_none() {
                 return bad(
                     "federation requires a WAL: recovery regenerates peer traffic from the journal",
@@ -496,17 +525,12 @@ impl Collector {
                 );
             }
         }
-        // A federation member folds one shard on its session thread;
-        // the per-shard series belong to worker threads.
-        let workers = cfg.plan.as_ref().map_or(shards, ShardPlan::shards);
-        let (worker_series, members) = match &cfg.federation {
-            Some(fed) => (0, fed.plan.members()),
-            None => (workers, 0),
-        };
+        let workers = cfg.fold_shards();
+        let members = cfg.federation.as_ref().map_or(0, |f| f.plan.members());
         let metrics = cfg.metrics.then(|| {
-            Arc::new(CollectorMetrics::new_federated(
+            Arc::new(CollectorMetrics::new(
                 cfg.pipeline.n_routers,
-                worker_series,
+                workers,
                 members,
             ))
         });
@@ -526,46 +550,26 @@ impl Collector {
         let stats = Arc::new(SharedStats::default());
         let (tx, rx) = std::sync::mpsc::sync_channel::<Msg>(cfg.channel_capacity.max(1));
 
-        // Recover, build the backend, and hand both to the one session
-        // loop. The two backends differ in how a watermark becomes a
-        // verdict, and therefore in what their journals must replay.
-        let mut group_commit = None;
-        let (session, recovery) = if let Some(fed) = &cfg.federation {
-            // Recovery replays the journal through the same apply path
-            // the live member uses, *regenerating* every outbound peer
-            // frame from genesis under a fresh session (peers dedup
-            // semantically), so no outbound state needs journaling
-            // beyond this member's own frontier history.
-            let wal_cfg = cfg.wal.clone().expect("validated above");
-            let (mut member, sources, repairs, report) = recover_member(&cfg, fed, &wal_cfg)?;
-            let mut wal = Wal::open(wal_cfg)?;
-            if let Some(m) = &metrics {
-                wal.set_metrics(m.wal_metrics());
-            }
-            member.go_live(wal, metrics.clone());
-            let session = session::spawn(rx, member, sources, repairs, &cfg, &stats, &metrics)?;
-            (session, Some(report))
-        } else {
-            // The journal scan yields the source table, the repair
-            // ledger and the recovered watermark; the workers fold the
-            // scanned events themselves, once.
-            let scan = match &cfg.wal {
-                Some(wal_cfg) => WalScan::read(cfg.pipeline, &wal_cfg.dir, workers as usize)?,
-                None => WalScan::empty(cfg.pipeline),
-            };
-            let backend = Shards::start(&cfg, scan.report.watermark, scan.events, metrics.clone())?;
-            group_commit = backend.group_commit();
-            let session = session::spawn(
-                rx,
-                backend,
-                scan.sources,
-                scan.repairs,
-                &cfg,
-                &stats,
-                &metrics,
-            )?;
-            (session, cfg.wal.is_some().then_some(scan.report))
+        // The journal scan yields the source table, the repair ledger,
+        // the recovered watermark and (on a member) the peer and round
+        // records to replay; the workers fold the scanned events
+        // themselves, once.
+        let mut scan = match &cfg.wal {
+            Some(wal_cfg) => WalScan::read(cfg.pipeline, &wal_cfg.dir, workers as usize)?,
+            None => WalScan::empty(cfg.pipeline),
         };
+        let shards = Shards::start(&cfg, &mut scan, metrics.clone())?;
+        let group_commit = shards.group_commit();
+        let session = session::spawn(
+            rx,
+            shards,
+            scan.sources,
+            scan.repairs,
+            &cfg,
+            &stats,
+            &metrics,
+        )?;
+        let recovery = cfg.wal.is_some().then_some(scan.report);
 
         let handle_tx = tx.clone();
         let accept = {
@@ -604,8 +608,8 @@ impl CollectorHandle {
     }
 
     /// The fold workers' group-commit handle, when one is running (any
-    /// shard count with a WAL; a federation member journals inline and
-    /// has none). Exposed as a fault-injection hook:
+    /// shard count with a WAL, federation members included). Exposed as
+    /// a fault-injection hook:
     /// [`crash`](GroupCommitHandle::crash) kills the sync thread as an
     /// I/O fault would, after which `shutdown` must surface the error
     /// while every event acked *before* the crash stays replayable.
@@ -687,6 +691,7 @@ fn accept_loop(
     cfg: CollectorConfig,
     metrics: Option<Arc<CollectorMetrics>>,
 ) {
+    let cfg = Arc::new(cfg);
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
     let mut next_conn: u64 = 0;
     while !stop.load(Ordering::SeqCst) {
@@ -698,32 +703,11 @@ fn accept_loop(
                 if let Some(m) = &metrics {
                     m.connections.inc();
                 }
-                let tx = tx.clone();
-                let stop = Arc::clone(&stop);
-                let stats = Arc::clone(&stats);
-                let metrics = metrics.clone();
-                let idle = cfg.idle_timeout;
-                let poll = cfg.poll_interval;
-                let expect_n = cfg.pipeline.n_routers;
-                let wal_enabled = cfg.wal.is_some();
-                let federated = cfg.federation.is_some();
+                let (tx, stop, stats) = (tx.clone(), Arc::clone(&stop), Arc::clone(&stats));
+                let (cfg, metrics) = (Arc::clone(&cfg), metrics.clone());
                 let h = thread::Builder::new()
                     .name(format!("cpvr-reader-{conn}"))
-                    .spawn(move || {
-                        reader_loop(
-                            stream,
-                            conn,
-                            tx,
-                            stop,
-                            stats,
-                            idle,
-                            poll,
-                            expect_n,
-                            wal_enabled,
-                            federated,
-                            metrics,
-                        )
-                    })
+                    .spawn(move || reader_loop(stream, conn, tx, stop, stats, &cfg, metrics))
                     .expect("spawn reader thread");
                 readers.push(h);
             }
@@ -791,304 +775,327 @@ enum FrameOutcome {
     SessionGone,
 }
 
-/// Handles one decoded frame from a connection: validates the protocol
-/// state machine and forwards typed messages to the session.
-#[allow(clippy::too_many_arguments)]
-fn on_frame(
-    msg: DecodedMsg,
+/// One connection's reader state: the protocol state machine
+/// [`on_frame`](Self::on_frame) drives, the events batched for the
+/// session, and the decoder counters already published.
+struct Reader<'a> {
     conn: u64,
-    stream: &TcpStream,
-    tx: &SyncSender<Msg>,
-    stats: &SharedStats,
-    greeted: &mut bool,
-    session: &mut Option<u64>,
-    is_peer: &mut bool,
-    batch: &mut Vec<EventRec>,
-    expect_n_routers: u32,
-    federated: bool,
-    metrics: Option<&CollectorMetrics>,
-    flight: Option<&RingHandle>,
-) -> FrameOutcome {
-    let fatal_decode = |stats: &SharedStats, why: String| {
-        stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = metrics {
+    stream: &'a TcpStream,
+    tx: SyncSender<Msg>,
+    stats: &'a SharedStats,
+    cfg: &'a CollectorConfig,
+    metrics: Option<&'a CollectorMetrics>,
+    /// This connection's flight-recorder ring (decode-stage records and
+    /// the CRC-burst anomaly trigger).
+    flight: Option<RingHandle>,
+    greeted: bool,
+    session: Option<u64>,
+    is_peer: bool,
+    batch: Vec<EventRec>,
+    reported_corrupt: u64,
+    reported_skipped: u64,
+}
+
+impl Reader<'_> {
+    /// A protocol violation: counted, and the connection closes.
+    fn fatal(&self, why: String) -> FrameOutcome {
+        self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
+        if let Some(m) = self.metrics {
             m.decode_errors.inc();
         }
         FrameOutcome::Fatal(why)
-    };
-    let DecodedMsg {
-        frame, raw, trace, ..
-    } = msg;
-    let flush_before = !matches!(frame, Frame::Event { .. });
-    if flush_before && !batch.is_empty() {
-        // Pending events must land before the control frame that
-        // follows them — a watermark's promise covers them, and an ack
-        // solicited by a heartbeat must account for them.
-        let msg = Msg::Events {
-            conn,
-            batch: std::mem::take(batch),
-        };
-        if tx.send(msg).is_err() {
+    }
+
+    /// Hands the batched events to the session; `false` once it is gone.
+    fn flush(&mut self) -> bool {
+        let batch = std::mem::take(&mut self.batch);
+        batch.is_empty()
+            || self
+                .tx
+                .send(Msg::Events {
+                    conn: self.conn,
+                    batch,
+                })
+                .is_ok()
+    }
+
+    /// Handles one decoder result. A decode error behind a valid CRC
+    /// means these bytes are what the peer actually sent: a peer bug,
+    /// not line noise — fatal.
+    fn handle(&mut self, msg: Result<DecodedMsg, CodecError>) -> FrameOutcome {
+        match msg {
+            Ok(msg) => self.on_frame(msg),
+            Err(e) => self.fatal(e.to_string()),
+        }
+    }
+
+    /// Handles one decoded frame: validates the protocol state machine
+    /// and forwards typed messages to the session.
+    fn on_frame(&mut self, msg: DecodedMsg) -> FrameOutcome {
+        let (conn, stream, metrics) = (self.conn, self.stream, self.metrics);
+        let (expect_n_routers, federated) =
+            (self.cfg.pipeline.n_routers, self.cfg.federation.is_some());
+        let DecodedMsg {
+            frame, raw, trace, ..
+        } = msg;
+        // Pending events must land before the control frame that follows
+        // them — a watermark's promise covers them, and an ack solicited
+        // by a heartbeat must account for them.
+        if !matches!(frame, Frame::Event { .. }) && !self.flush() {
             return FrameOutcome::SessionGone;
         }
-    }
-    let msg = match frame {
-        Frame::Hello(hello) => {
-            if *greeted {
-                return fatal_decode(stats, "duplicate hello".into());
-            }
-            if hello.n_routers != expect_n_routers {
-                return fatal_decode(
-                    stats,
-                    format!(
+        let flight = self.flight.as_ref();
+        let msg = match frame {
+            Frame::Hello(hello) => {
+                if self.greeted {
+                    return self.fatal("duplicate hello".into());
+                }
+                if hello.n_routers != expect_n_routers {
+                    return self.fatal(format!(
                         "peer believes the network has {} routers, collector is configured for {} \
-                         (this build reads protocol versions {ACCEPTED_VERSIONS:?})",
+                             (this build reads protocol versions {ACCEPTED_VERSIONS:?})",
                         hello.n_routers, expect_n_routers
-                    ),
-                );
-            }
-            if hello.source.0 >= expect_n_routers {
-                return fatal_decode(
-                    stats,
-                    format!(
+                    ));
+                }
+                if hello.source.0 >= expect_n_routers {
+                    return self.fatal(format!(
                         "peer claims to be router {} of a {expect_n_routers}-router network",
                         hello.source.0
-                    ),
-                );
-            }
-            *greeted = true;
-            *session = Some(hello.session);
-            let ack = stream.try_clone().ok();
-            if let Some(a) = &ack {
-                let _ = a.set_write_timeout(Some(ACK_WRITE_TIMEOUT));
-            }
-            Msg::Hello { conn, hello, ack }
-        }
-        // A scrape is answered inline by the reader thread — the
-        // registry is shared, so no session round-trip — and is legal
-        // before (or entirely without) a hello: a monitoring probe is
-        // not an event source and owes the collector no handshake.
-        Frame::MetricsReq { format } => {
-            let body = match metrics {
-                Some(m) => m.render(format),
-                // Metrics disabled: an empty snapshot in the requested
-                // format, not a dead connection — probes stay cheap.
-                None => ExpoFormat::from_byte(format)
-                    .unwrap_or(ExpoFormat::Json)
-                    .render(&Snapshot::default())
-                    .into_bytes(),
-            };
-            let mut w = stream;
-            if w.write_all(&encode_frame(&Frame::MetricsResp { body }))
-                .is_err()
-            {
-                return FrameOutcome::Fatal("metrics response write failed".into());
-            }
-            return FrameOutcome::Continue;
-        }
-        // Responses flow collector → client; inbound ones are noise.
-        Frame::MetricsResp { .. } => return FrameOutcome::Continue,
-        // An on-demand flight-recorder snapshot, answered inline like a
-        // scrape (and, like one, legal without a hello — a debugging
-        // probe owes no handshake). Metrics disabled means there is no
-        // recorder; an empty dump keeps the probe protocol total.
-        Frame::DumpReq => {
-            let dump = match metrics {
-                Some(m) => m.flight.snapshot("dump-req"),
-                None => FlightDump {
-                    member: -1,
-                    reason: "dump-req".into(),
-                    records: Vec::new(),
-                },
-            };
-            let body = cpvr_types::json::to_string_compact(&dump).into_bytes();
-            let mut w = stream;
-            if w.write_all(&encode_frame(&Frame::DumpResp { body }))
-                .is_err()
-            {
-                return FrameOutcome::Fatal("dump response write failed".into());
-            }
-            return FrameOutcome::Continue;
-        }
-        Frame::DumpResp { .. } => return FrameOutcome::Continue,
-        // A peer collector's handshake: only meaningful on a federation
-        // member, and — like a router hello — only as the connection's
-        // first frame.
-        Frame::PeerHello(hello) => {
-            if !federated {
-                return fatal_decode(
-                    stats,
-                    "peer hello on a collector that is not a federation member".into(),
-                );
-            }
-            if *greeted {
-                return fatal_decode(stats, "duplicate hello".into());
-            }
-            if hello.n_routers != expect_n_routers {
-                return fatal_decode(
-                    stats,
-                    format!(
-                        "peer member believes the network has {} routers, collector is \
-                         configured for {}",
-                        hello.n_routers, expect_n_routers
-                    ),
-                );
-            }
-            *greeted = true;
-            *is_peer = true;
-            let ack = stream.try_clone().ok();
-            if let Some(a) = &ack {
-                let _ = a.set_write_timeout(Some(ACK_WRITE_TIMEOUT));
-            }
-            Msg::PeerHello { conn, hello, ack }
-        }
-        _ if !*greeted => {
-            return fatal_decode(stats, "first frame was not a hello".into());
-        }
-        // Peer traffic is only legal on a connection a PeerHello opened;
-        // a router client sending it is a peer bug, not line noise.
-        Frame::FrontierExchange(_)
-        | Frame::BoundaryEdges(_)
-        | Frame::PartialVerdict(_)
-        | Frame::PeerRepairProof(_)
-            if !*is_peer =>
-        {
-            return fatal_decode(stats, "peer frame on a router connection".into());
-        }
-        Frame::FrontierExchange(f) => Msg::Peer {
-            conn,
-            frame: PeerFrame::Frontier(f),
-            raw,
-        },
-        Frame::BoundaryEdges(b) => Msg::Peer {
-            conn,
-            frame: PeerFrame::Boundary(b),
-            raw,
-        },
-        Frame::PartialVerdict(p) => Msg::Peer {
-            conn,
-            frame: PeerFrame::Partial(p),
-            raw,
-        },
-        Frame::PeerRepairProof(p) => Msg::Peer {
-            conn,
-            frame: PeerFrame::Repair(p),
-            raw,
-        },
-        Frame::Event { seq, event } => {
-            if let (Some(_), Some(m)) = (trace, metrics) {
-                m.trace_bytes.add(TRACE_CTX_WIRE_LEN as u64);
-            }
-            // The one place a flight is sampled: a sender that traces
-            // chose this event itself; otherwise every `FLIGHT_SAMPLE`-th
-            // sequence number gets the context that sender would have
-            // minted, so the hops below read the same either way. The
-            // flight opens here, the earliest point the event exists
-            // inside the collector process.
-            let sampled = flight.is_some() && seq.is_multiple_of(FLIGHT_SAMPLE);
-            let trace = trace
-                .or_else(|| {
-                    (*session)
-                        .filter(|_| sampled)
-                        .map(|s| TraceCtx::for_flight(s, seq))
-                })
-                .map(|ctx| (ctx, Instant::now()));
-            if let (Some((ctx, _)), Some(f)) = (trace, flight) {
-                f.record(
-                    stage::DECODED,
-                    Some(ctx.child(stage::SINK_SEND)),
-                    u64::from(event.router.0),
-                    seq,
-                );
-            }
-            // `raw` is the frame's original wire bytes (captured only
-            // when a WAL is configured): the journal holds them
-            // byte-for-byte instead of re-encoding.
-            batch.push(EventRec {
-                seq,
-                event,
-                raw,
-                trace,
-            });
-            if batch.len() >= EVENT_BATCH_MAX {
-                let msg = Msg::Events {
-                    conn,
-                    batch: std::mem::take(batch),
-                };
-                if tx.send(msg).is_err() {
-                    return FrameOutcome::SessionGone;
+                    ));
                 }
+                self.greeted = true;
+                self.session = Some(hello.session);
+                let ack = stream.try_clone().ok();
+                if let Some(a) = &ack {
+                    let _ = a.set_write_timeout(Some(ACK_WRITE_TIMEOUT));
+                }
+                Msg::Hello { conn, hello, ack }
             }
-            return FrameOutcome::Continue;
-        }
-        Frame::Watermark { t, frontier } => Msg::Watermark { conn, t, frontier },
-        Frame::Heartbeat => Msg::Heartbeat { conn },
-        Frame::Bye { frontier } => Msg::Bye { conn, frontier },
-        // The reader's decoder already absorbed the definition; all the
-        // session does with it is journal the original bytes, so there
-        // is nothing to forward on a WAL-less collector.
-        Frame::Intern(def) => match raw {
-            Some(raw) => Msg::Intern {
-                router: def.router,
+            // A scrape is answered inline by the reader thread — the
+            // registry is shared, so no session round-trip — and is legal
+            // before (or entirely without) a hello: a monitoring probe is
+            // not an event source and owes the collector no handshake.
+            Frame::MetricsReq { format } => {
+                let body = match metrics {
+                    Some(m) => m.render(format),
+                    // Metrics disabled: an empty snapshot in the requested
+                    // format, not a dead connection — probes stay cheap.
+                    None => ExpoFormat::from_byte(format)
+                        .unwrap_or(ExpoFormat::Json)
+                        .render(&Snapshot::default())
+                        .into_bytes(),
+                };
+                let mut w = stream;
+                if w.write_all(&encode_frame(&Frame::MetricsResp { body }))
+                    .is_err()
+                {
+                    return FrameOutcome::Fatal("metrics response write failed".into());
+                }
+                return FrameOutcome::Continue;
+            }
+            // Responses flow collector → client; inbound ones are noise.
+            Frame::MetricsResp { .. } => return FrameOutcome::Continue,
+            // An on-demand flight-recorder snapshot, answered inline like a
+            // scrape (and, like one, legal without a hello — a debugging
+            // probe owes no handshake). Metrics disabled means there is no
+            // recorder; an empty dump keeps the probe protocol total.
+            Frame::DumpReq => {
+                let dump = match metrics {
+                    Some(m) => m.flight.snapshot("dump-req"),
+                    None => FlightDump {
+                        member: -1,
+                        reason: "dump-req".into(),
+                        records: Vec::new(),
+                    },
+                };
+                let body = cpvr_types::json::to_string_compact(&dump).into_bytes();
+                let mut w = stream;
+                if w.write_all(&encode_frame(&Frame::DumpResp { body }))
+                    .is_err()
+                {
+                    return FrameOutcome::Fatal("dump response write failed".into());
+                }
+                return FrameOutcome::Continue;
+            }
+            Frame::DumpResp { .. } => return FrameOutcome::Continue,
+            // A peer collector's handshake: only meaningful on a federation
+            // member, and — like a router hello — only as the connection's
+            // first frame.
+            Frame::PeerHello(hello) => {
+                if !federated {
+                    return self
+                        .fatal("peer hello on a collector that is not a federation member".into());
+                }
+                if self.greeted {
+                    return self.fatal("duplicate hello".into());
+                }
+                if hello.n_routers != expect_n_routers {
+                    return self.fatal(format!(
+                        "peer member believes the network has {} routers, collector is \
+                             configured for {}",
+                        hello.n_routers, expect_n_routers
+                    ));
+                }
+                self.greeted = true;
+                self.is_peer = true;
+                let ack = stream.try_clone().ok();
+                if let Some(a) = &ack {
+                    let _ = a.set_write_timeout(Some(ACK_WRITE_TIMEOUT));
+                }
+                Msg::PeerHello { conn, hello, ack }
+            }
+            _ if !self.greeted => {
+                return self.fatal("first frame was not a hello".into());
+            }
+            // Peer traffic is only legal on a connection a PeerHello opened;
+            // a router client sending it is a peer bug, not line noise.
+            Frame::FrontierExchange(_)
+            | Frame::BoundaryEdges(_)
+            | Frame::PartialVerdict(_)
+            | Frame::PeerRepairProof(_)
+                if !self.is_peer =>
+            {
+                return self.fatal("peer frame on a router connection".into());
+            }
+            peer @ (Frame::FrontierExchange(_)
+            | Frame::BoundaryEdges(_)
+            | Frame::PartialVerdict(_)
+            | Frame::PeerRepairProof(_)) => Msg::Peer {
+                conn,
+                frame: peer,
                 raw,
             },
-            None => return FrameOutcome::Continue,
-        },
-        // Acks/fins flow collector → client; evictions/admissions and
-        // repair-lifecycle records exist only in the journal (repairs
-        // enter through [`CollectorHandle::journal_repair`], not the
-        // wire). Arriving over the wire they are meaningless — ignore
-        // rather than kill, in the spirit of resynchronization.
-        Frame::Ack { .. }
-        | Frame::Fin
-        | Frame::Evict { .. }
-        | Frame::Admit { .. }
-        | Frame::Repair(_) => return FrameOutcome::Continue,
-    };
-    if tx.send(msg).is_err() {
-        return FrameOutcome::SessionGone;
+            Frame::Event { seq, event } => {
+                if let (Some(_), Some(m)) = (trace, metrics) {
+                    m.trace_bytes.add(TRACE_CTX_WIRE_LEN as u64);
+                }
+                // The one place a flight is sampled: a sender that traces
+                // chose this event itself; otherwise every `FLIGHT_SAMPLE`-th
+                // sequence number gets the context that sender would have
+                // minted, so the hops below read the same either way. The
+                // flight opens here, the earliest point the event exists
+                // inside the collector process.
+                let sampled = flight.is_some() && seq.is_multiple_of(FLIGHT_SAMPLE);
+                let trace = trace
+                    .or_else(|| {
+                        self.session
+                            .filter(|_| sampled)
+                            .map(|s| TraceCtx::for_flight(s, seq))
+                    })
+                    .map(|ctx| (ctx, Instant::now()));
+                if let (Some((ctx, _)), Some(f)) = (trace, flight) {
+                    f.record(
+                        stage::DECODED,
+                        Some(ctx.child(stage::SINK_SEND)),
+                        u64::from(event.router.0),
+                        seq,
+                    );
+                }
+                // `raw` is the frame's original wire bytes (captured only
+                // when a WAL is configured): the journal holds them
+                // byte-for-byte instead of re-encoding.
+                self.batch.push(EventRec {
+                    raw,
+                    trace,
+                    ..EventRec::new(seq, event, federated)
+                });
+                if self.batch.len() >= EVENT_BATCH_MAX {
+                    let msg = Msg::Events {
+                        conn,
+                        batch: std::mem::take(&mut self.batch),
+                    };
+                    if self.tx.send(msg).is_err() {
+                        return FrameOutcome::SessionGone;
+                    }
+                }
+                return FrameOutcome::Continue;
+            }
+            Frame::Watermark { t, frontier } => Msg::Watermark { conn, t, frontier },
+            Frame::Heartbeat => Msg::Heartbeat { conn },
+            Frame::Bye { frontier } => Msg::Bye { conn, frontier },
+            // The reader's decoder already absorbed the definition; all the
+            // session does with it is journal the original bytes, so there
+            // is nothing to forward on a WAL-less collector.
+            Frame::Intern(def) => match raw {
+                Some(raw) => Msg::Intern {
+                    router: def.router,
+                    raw,
+                },
+                None => return FrameOutcome::Continue,
+            },
+            // Acks/fins flow collector → client; evictions/admissions and
+            // repair-lifecycle records exist only in the journal (repairs
+            // enter through [`CollectorHandle::journal_repair`], not the
+            // wire). Arriving over the wire they are meaningless — ignore
+            // rather than kill, in the spirit of resynchronization.
+            Frame::Ack { .. }
+            | Frame::Fin
+            | Frame::Evict { .. }
+            | Frame::Admit { .. }
+            | Frame::Repair(_) => return FrameOutcome::Continue,
+        };
+        if self.tx.send(msg).is_err() {
+            return FrameOutcome::SessionGone;
+        }
+        FrameOutcome::Continue
     }
-    FrameOutcome::Continue
+
+    /// Publishes the decoder's quarantine and resync counters' growth;
+    /// returns the quarantined-frame total.
+    fn publish_decoder(&mut self, dec: &Decoder) -> u64 {
+        let (corrupt, skipped) = (dec.corrupt_frames(), dec.skipped_bytes());
+        let new_corrupt = corrupt - self.reported_corrupt;
+        self.stats
+            .corrupt_frames
+            .fetch_add(new_corrupt, Ordering::Relaxed);
+        if let Some(m) = self.metrics {
+            m.frames_corrupt.add(new_corrupt);
+            m.resync_bytes.add(skipped - self.reported_skipped);
+        }
+        (self.reported_corrupt, self.reported_skipped) = (corrupt, skipped);
+        corrupt
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn reader_loop(
     stream: TcpStream,
     conn: u64,
     tx: SyncSender<Msg>,
     stop: Arc<AtomicBool>,
     stats: Arc<SharedStats>,
-    idle: Duration,
-    poll: Duration,
-    expect_n_routers: u32,
-    wal_enabled: bool,
-    federated: bool,
+    cfg: &CollectorConfig,
     metrics: Option<Arc<CollectorMetrics>>,
 ) {
     let metrics = metrics.as_deref();
+    let wal_enabled = cfg.wal.is_some();
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(poll));
+    let _ = stream.set_read_timeout(Some(cfg.poll_interval));
     let mut r = PollingReader {
         stream: &stream,
         stop: &stop,
-        idle,
+        idle: cfg.idle_timeout,
         last_data: Instant::now(),
     };
     let mut dec = Decoder::new();
     let mut buf = vec![0u8; 64 * 1024];
-    let mut greeted = false;
-    let mut session: Option<u64> = None;
-    let mut is_peer = false;
-    let mut batch: Vec<EventRec> = Vec::new();
-    let mut reported_corrupt = 0u64;
-    let mut reported_skipped = 0u64;
-    // This connection's flight-recorder ring (decode-stage records and
-    // the CRC-burst anomaly trigger).
-    let flight = metrics.map(|m| {
-        m.flight
-            .register(&format!("reader-{conn}"), READER_RING_SLOTS)
-    });
-    let flight = flight.as_ref();
+    let mut rd = Reader {
+        conn,
+        stream: &stream,
+        tx,
+        stats: &stats,
+        cfg,
+        metrics,
+        flight: metrics.map(|m| {
+            m.flight
+                .register(&format!("reader-{conn}"), READER_RING_SLOTS)
+        }),
+        greeted: false,
+        session: None,
+        is_peer: false,
+        batch: Vec::new(),
+        reported_corrupt: 0,
+        reported_skipped: 0,
+    };
     let mut crc_burst_base = 0u64;
     // The loop's break value describes why the connection ended; it is
     // currently only useful to a debugger, but the plumbing keeps the
@@ -1099,31 +1106,7 @@ fn reader_loop(
                 // EOF: whatever is still buffered is all we will ever
                 // get — let the decoder fish out any complete frames.
                 for msg in dec.finish(wal_enabled) {
-                    let msg = match msg {
-                        Ok(m) => m,
-                        Err(e) => {
-                            stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                            if let Some(m) = metrics {
-                                m.decode_errors.inc();
-                            }
-                            break 'conn Some(e.to_string());
-                        }
-                    };
-                    match on_frame(
-                        msg,
-                        conn,
-                        &stream,
-                        &tx,
-                        &stats,
-                        &mut greeted,
-                        &mut session,
-                        &mut is_peer,
-                        &mut batch,
-                        expect_n_routers,
-                        federated,
-                        metrics,
-                        flight,
-                    ) {
+                    match rd.handle(msg) {
                         FrameOutcome::Continue => {}
                         FrameOutcome::Fatal(why) => break 'conn Some(why),
                         FrameOutcome::SessionGone => return,
@@ -1150,34 +1133,7 @@ fn reader_loop(
             if let Some(m) = metrics {
                 m.decode_nanos.observe_since(t0);
             }
-            let msg = match msg {
-                Ok(m) => m,
-                Err(e) => {
-                    // The CRC was valid, so these bytes are what the
-                    // peer actually sent: a peer bug, not line noise.
-                    // Fatal.
-                    stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    if let Some(m) = metrics {
-                        m.decode_errors.inc();
-                    }
-                    break 'conn Some(e.to_string());
-                }
-            };
-            match on_frame(
-                msg,
-                conn,
-                &stream,
-                &tx,
-                &stats,
-                &mut greeted,
-                &mut session,
-                &mut is_peer,
-                &mut batch,
-                expect_n_routers,
-                federated,
-                metrics,
-                flight,
-            ) {
+            match rd.handle(msg) {
                 FrameOutcome::Continue => {}
                 FrameOutcome::Fatal(why) => break 'conn Some(why),
                 FrameOutcome::SessionGone => return,
@@ -1185,22 +1141,13 @@ fn reader_loop(
         }
         // Quarantined frames accumulate in the decoder; publish the
         // delta so the counter tracks live.
-        let corrupt = dec.corrupt_frames();
-        if corrupt > reported_corrupt {
-            stats
-                .corrupt_frames
-                .fetch_add(corrupt - reported_corrupt, Ordering::Relaxed);
-            if let Some(m) = metrics {
-                m.frames_corrupt.add(corrupt - reported_corrupt);
-            }
-            reported_corrupt = corrupt;
-        }
+        let corrupt = rd.publish_decoder(&dec);
         // A burst of quarantined frames on one connection is an anomaly
         // worth a black-box dump (one per burst; the base re-arms so a
         // persistently noisy link produces one dump per threshold run,
         // not one per frame).
         if corrupt.saturating_sub(crc_burst_base) >= CRC_BURST_THRESHOLD {
-            if let Some(f) = flight {
+            if let Some(f) = &rd.flight {
                 f.record(stage::CRC_BURST, None, conn, corrupt);
             }
             if let Some(m) = metrics {
@@ -1208,43 +1155,13 @@ fn reader_loop(
             }
             crc_burst_base = corrupt;
         }
-        let skipped = dec.skipped_bytes();
-        if skipped > reported_skipped {
-            if let Some(m) = metrics {
-                m.resync_bytes.add(skipped - reported_skipped);
-            }
-            reported_skipped = skipped;
-        }
         // Flush per read chunk: acks go out per batch, and a
         // client's replay-buffer pruning is only as fresh as its acks.
-        if !batch.is_empty()
-            && tx
-                .send(Msg::Events {
-                    conn,
-                    batch: std::mem::take(&mut batch),
-                })
-                .is_err()
-        {
+        if !rd.flush() {
             return;
         }
     };
-    let corrupt = dec.corrupt_frames();
-    if corrupt > reported_corrupt {
-        stats
-            .corrupt_frames
-            .fetch_add(corrupt - reported_corrupt, Ordering::Relaxed);
-        if let Some(m) = metrics {
-            m.frames_corrupt.add(corrupt - reported_corrupt);
-        }
-    }
-    let skipped = dec.skipped_bytes();
-    if skipped > reported_skipped {
-        if let Some(m) = metrics {
-            m.resync_bytes.add(skipped - reported_skipped);
-        }
-    }
-    if !batch.is_empty() {
-        let _ = tx.send(Msg::Events { conn, batch });
-    }
-    let _ = tx.send(Msg::Closed { conn });
+    rd.publish_decoder(&dec);
+    rd.flush();
+    let _ = rd.tx.send(Msg::Closed { conn });
 }

@@ -2,79 +2,64 @@
 //! subset, exchanging *partial* happens-before state instead of raw
 //! streams.
 //!
-//! A federation member is one shard of the [`FederationPlan`], promoted
-//! to its own process. It runs the same session loop
-//! (`session`) as every collector and folds the same
-//! `FoldShard` a worker thread does — a local-rule builder over its
-//! owned routers' streams, a cross-rule builder over the
-//! *conversations* it owns, and a tracker slice for the verification
-//! walk — but its sibling shards are remote: `MemberState` is the
-//! session's backend whose barrier is a round of the wire codec's peer
-//! frames (kinds 12–15) rather than a channel exchange. Everything
-//! client-facing (handshakes, dedup, the late gate, leases, acks'
-//! ordering, stall watch, repair ledger) is the session loop's; this
-//! module holds only the peer links, the inbound cursors, and the
-//! round machine.
+//! A federation member is one slot of the [`FederationPlan`], promoted
+//! to its own process, and runs the one engine every collector runs:
+//! the session loop over `shard::Shards`, with
+//! `cfg.shards` workers folding the member's slot
+//! ([`FederationPlan::shard_plan`]). The other members' shards are
+//! remote, and `Peers` — which `Shards` owns only on a member — stands
+//! in for them in every barrier round over the wire codec's peer frames
+//! (kinds 12–15). This module holds the peer links, the inbound
+//! cursors, the frontier advertisements and round grid, eager boundary
+//! forwarding, and peer repair-proof checks.
 //!
 //! ## The federated round
 //!
 //! Every member advertises its own source-table minimum with
 //! [`FrontierExchange`] frames whenever it moves. The **federated
 //! minimum** is the least of all members' advertised minima; each
-//! observed value is queued as a fold horizon. Rounds are strictly
-//! serial — a new horizon opens only after the previous round's global
-//! verdict lands — in three phases:
+//! observed value is queued as a fold horizon, and rounds are strictly
+//! serial. In a round, a member ships each peer its boundary digests as
+//! a [`BoundaryEdges`] frame tagged with the round (an empty one still
+//! ships — it is the round-completion marker), delivers the peers'
+//! once all arrived, broadcasts its shards' missing sets as a
+//! [`PartialVerdict`], and merges every member's into the *global*
+//! verdict once all arrived — bit-identical to the monolithic
+//! tracker's by the tracker slice's decomposition property.
 //!
-//! 1. **Open** (`open_round`): journal the horizon marker, fold the
-//!    shard (`FoldShard::advance_collect`), and ship each
-//!    peer its boundary digests as a [`BoundaryEdges`] frame tagged
-//!    with the round (an empty digest list still ships — it is the
-//!    round-completion marker).
-//! 2. **Partial verdict** (`try_complete`, first half): once every
-//!    peer's round batch arrived, absorb them in member order and
-//!    broadcast this slice's missing set as a [`PartialVerdict`].
-//! 3. **Merge** (`try_complete`, second half): once every peer's
-//!    partial arrived, the union of missing sets — sorted and
-//!    deduplicated by the shared `Verdict` — is the *global* snapshot
-//!    verdict, bit-identical to the monolithic tracker's by the tracker
-//!    slice's decomposition property. Only then does the next queued horizon open.
-//!
-//! Cross-member happens-before edges need the raw boundary *events*,
-//! not just digests: an accepted event whose conversation belongs to a
-//! peer is eagerly forwarded in an untagged [`BoundaryEdges`] frame.
-//! TCP FIFO ordering makes the fold sound: a peer forwards every
-//! boundary event at or below `F` before it advertises a minimum of
-//! `F` on the same link, so by the time the federated minimum reaches
-//! `F` the cross builder has everything it will ever see below `F`.
+//! Cross-member happens-before edges need the raw boundary *events*:
+//! every ingested batch forwards the accepted events whose
+//! conversations a peer owns in an untagged [`BoundaryEdges`] frame,
+//! eagerly, not at round open. TCP FIFO ordering makes the fold sound:
+//! a member forwards every boundary event at or below `F` before it
+//! advertises a minimum of `F` on the same link.
 //!
 //! ## Durability and recovery
 //!
-//! Members journal, in arrival order: client hellos and events (raw
-//! bytes), inbound peer frames (raw bytes, *before* acking — peer links
-//! run the same go-back-N replay discipline as client sinks), their own
-//! outbound [`FrontierExchange`] records (so a recovering member
-//! regenerates the very same step-by-step frontier history its peers
-//! gated rounds on), and a watermark marker per opened round. All other
-//! outbound traffic is *not* journaled: recovery replays the journal
-//! through the identical apply path (the WAL handle is absent, so
-//! journaling no-ops) and thereby regenerates every round digest,
-//! partial verdict, and eager boundary batch into the peer links'
-//! send buffers under a fresh session. Receivers deduplicate
-//! semantically — frontier minima max-merge, round frames at or behind
-//! the completed horizon drop, boundary events deduplicate by event id
-//! — so a regenerated stream is harmless and a missing one is healed.
+//! Members journal like every collector, plus — into series 0, in
+//! session order — inbound peer frames (before the ack that follows
+//! them there: peer links run the client sinks' go-back-N discipline),
+//! peer hellos, their own [`FrontierExchange`] records (so a recovering
+//! member regenerates the very frontier history its peers gated rounds
+//! on), and a marker per opened round. Recovery scans the journal like
+//! any collector's, seeds the workers (forwarding boundary events
+//! afresh), then replays series 0's peer and round records through the
+//! live apply path with journaling off, regenerating every round digest
+//! and partial verdict into the link buffers under a fresh session.
+//! Receivers deduplicate semantically — frontier minima max-merge,
+//! round frames at or behind the completed horizon drop, boundary
+//! events deduplicate by event id.
 
 use crate::codec::{
     encode_frame, BoundaryEdges, Decoder, Frame, FrontierExchange, PartialVerdict, PeerHello,
-    PeerRepairProof, RepairRecord, RepairStage,
+    PeerRepairProof,
 };
-use crate::collector::{CollectorConfig, EventRec};
+use crate::collector::CollectorConfig;
 use crate::metrics::CollectorMetrics;
-use crate::pipeline::{Offer, RecoveryReport, SourceTable};
+use crate::pipeline::SourceTable;
 use crate::repair_journal::RepairLedger;
-use crate::session::{AckSockets, Backend, FOLD_RING_SLOTS};
-use crate::shard::{FoldGauges, FoldReport, FoldShard, Verdict};
-use crate::wal::{self, Wal, WalConfig};
+use crate::session::FOLD_RING_SLOTS;
+use crate::shard::{FoldReport, WorkerMsg};
 use cpvr_core::snapshot::{ConvDigest, SnapshotStatus};
 use cpvr_core::{chain_over, FederationPlan, FoldRecord, RepairProof};
 use cpvr_obs::trace::stage;
@@ -101,9 +86,9 @@ const PEER_CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 /// Reconnect backoff bounds.
 const PEER_RECONNECT_MIN: Duration = Duration::from_millis(50);
 const PEER_RECONNECT_MAX: Duration = Duration::from_secs(2);
-/// The member loop's maximum recv timeout: peer links need pumping
-/// (reconnects, ack drains) even when no client traffic arrives.
-const LINK_TICK: Duration = Duration::from_millis(50);
+/// The session loop's maximum recv timeout on a member: peer links need
+/// pumping (reconnects, ack drains) even when no client traffic arrives.
+pub(crate) const LINK_TICK: Duration = Duration::from_millis(50);
 
 /// A process-unique peer session id: a peer that sees a *new* session
 /// resets its inbound cursor to the announced `first_seq` instead of
@@ -157,34 +142,17 @@ pub struct PeerSummary {
     pub unacked: u64,
 }
 
-/// An inbound peer frame, decoded by the reader and routed to the
-/// member loop (the peer analogue of the client [`Msg`] variants).
-#[derive(Clone, Debug)]
-pub(crate) enum PeerFrame {
-    Frontier(FrontierExchange),
-    Boundary(BoundaryEdges),
-    Partial(PartialVerdict),
-    Repair(PeerRepairProof),
-}
-
-impl PeerFrame {
-    pub(crate) fn member(&self) -> u32 {
-        match self {
-            PeerFrame::Frontier(f) => f.member,
-            PeerFrame::Boundary(b) => b.member,
-            PeerFrame::Partial(p) => p.member,
-            PeerFrame::Repair(r) => r.member,
-        }
-    }
-
-    fn seq(&self) -> u64 {
-        match self {
-            PeerFrame::Frontier(f) => f.seq,
-            PeerFrame::Boundary(b) => b.seq,
-            PeerFrame::Partial(p) => p.seq,
-            PeerFrame::Repair(r) => r.seq,
-        }
-    }
+/// The `(member, link sequence)` header of a peer frame (kinds 12–15,
+/// the ones that travel member to member over a go-back-N link); `None`
+/// for any other frame.
+pub(crate) fn peer_header(frame: &Frame) -> Option<(u32, u64)> {
+    Some(match frame {
+        Frame::FrontierExchange(f) => (f.member, f.seq),
+        Frame::BoundaryEdges(b) => (b.member, b.seq),
+        Frame::PartialVerdict(p) => (p.member, p.seq),
+        Frame::PeerRepairProof(r) => (r.member, r.seq),
+        _ => return None,
+    })
 }
 
 /// A member's record of one peer-advertised repair proof, after
@@ -219,12 +187,10 @@ impl PeerProofStatus {
 /// stay buffered until the peer acks past them, and are replayed in
 /// order (behind a fresh [`PeerHello`]) on every reconnect.
 struct PeerLink {
-    /// Our own member index (stamped into the hello).
-    from: u32,
-    members: u32,
-    n_routers: u32,
+    /// The handshake every (re)connect opens with; `first_seq` is
+    /// filled in at connect time.
+    hello: PeerHello,
     addr: SocketAddr,
-    session: u64,
     next_seq: u64,
     /// Unacked frames in send order: `(seq, wire bytes)`.
     buf: VecDeque<(u64, Vec<u8>)>,
@@ -235,13 +201,10 @@ struct PeerLink {
 }
 
 impl PeerLink {
-    fn new(from: u32, members: u32, n_routers: u32, addr: SocketAddr, session: u64) -> Self {
+    fn new(hello: PeerHello, addr: SocketAddr) -> Self {
         PeerLink {
-            from,
-            members,
-            n_routers,
+            hello,
             addr,
-            session,
             next_seq: 1,
             buf: VecDeque::new(),
             conn: None,
@@ -291,13 +254,8 @@ impl PeerLink {
                     self.backoff = PEER_RECONNECT_MIN;
                     // Go-back-N: hello announces where the replay
                     // starts, then the entire unacked window follows.
-                    let hello = encode_frame(&Frame::PeerHello(PeerHello {
-                        member: self.from,
-                        members: self.members,
-                        n_routers: self.n_routers,
-                        session: self.session,
-                        first_seq: self.buf.front().map_or(self.next_seq, |(s, _)| *s),
-                    }));
+                    self.hello.first_seq = self.buf.front().map_or(self.next_seq, |(s, _)| *s);
+                    let hello = encode_frame(&Frame::PeerHello(self.hello.clone()));
                     let replay: Vec<Vec<u8>> = self.buf.iter().map(|(_, b)| b.clone()).collect();
                     let mut ok = true;
                     if let Some(c) = self.conn.as_mut() {
@@ -364,50 +322,25 @@ struct PeerCursor {
     next_seq: u64,
 }
 
-/// One in-flight federated round at a fold horizon.
-struct Round {
-    /// Per-origin-member round digests (`None` until that member's
-    /// tagged batch arrived; the own slot is unused — own-conversation
-    /// digests apply inline during `advance_collect`).
-    digests: Vec<Option<Vec<ConvDigest>>>,
-    /// Per-origin-member partial verdicts.
-    partials: Vec<Option<Vec<RouterId>>>,
-    /// Set once phase 2 ran (peers' digests absorbed, own partial
-    /// broadcast): this slice's missing set at the horizon.
-    local_missing: Option<Vec<RouterId>>,
-    opened_at: Option<Instant>,
-}
-
-impl Round {
-    fn new(members: usize) -> Self {
-        Round {
-            digests: vec![None; members],
-            partials: vec![None; members],
-            local_missing: None,
-            opened_at: None,
-        }
-    }
-}
-
-/// One federation member's fold state: a [`FoldShard`] whose sibling
-/// shards are remote, and the [`Backend`] the session loop drives. The
-/// same apply methods serve the live loop and WAL replay: during replay
-/// `wal` is `None` (journaling no-ops) and outbound frames accumulate
-/// in the link buffers.
-pub(crate) struct MemberState {
-    member: u32,
-    members: u32,
+/// A federation member's peers, as the [`Shards`](crate::shard::Shards)
+/// engine sees them: the remote participants of every barrier round. It
+/// holds the outbound links and inbound cursors, the frontier
+/// advertisements and the round grid they build, the peers' round
+/// contributions until their round merges, eager boundary forwarding,
+/// and peer repair-proof checks. The same methods serve the live loop
+/// and WAL replay: during replay nothing is journaled or acked, and
+/// outbound frames accumulate in the link buffers.
+pub(crate) struct Peers {
+    pub(crate) member: u32,
+    pub(crate) members: u32,
     n_routers: u32,
     plan: FederationPlan,
-    fold: FoldShard,
     /// Outbound links, indexed by member; `None` at the own index.
     links: Vec<Option<PeerLink>>,
     /// Inbound cursors, indexed by member.
     cursors: Vec<PeerCursor>,
     /// Which member each inbound peer connection speaks for.
     conn_peer: HashMap<u64, u32>,
-    /// Ack write handles of client and inbound peer connections.
-    acks: AckSockets,
     /// Each peer's last advertised minimum (own slot unused).
     peer_min: Vec<Option<SimTime>>,
     /// Each peer's last advertised frontier detail (own slot unused).
@@ -420,21 +353,19 @@ pub(crate) struct MemberState {
     /// fold at a horizon a peer's own-minimum sampling skipped, or the
     /// peers' round grids diverge and rounds deadlock.
     pending_horizons: BTreeSet<SimTime>,
-    rounds: BTreeMap<SimTime, Round>,
-    /// The horizon of the currently open (or last opened) round; the
-    /// late-event gate.
-    advanced: Option<SimTime>,
-    /// The last horizon whose *global* verdict landed.
-    completed: Option<SimTime>,
+    /// The peers' round digests and partial verdicts, by `(horizon,
+    /// member)`, until their round merges.
+    digests: BTreeMap<(SimTime, u32), Vec<ConvDigest>>,
+    partials: BTreeMap<(SimTime, u32), Vec<RouterId>>,
     /// Eager boundary events staged per peer since the last flush.
     eager: Vec<Vec<(u64, IoEvent)>>,
-    /// Ids (with times) of foreign boundary events already in the cross
-    /// builder; pruned at each opened horizon.
+    /// Ids (with times) of foreign boundary events already handed to a
+    /// cross builder; pruned at each opened horizon.
     cross_seen: HashMap<EventId, SimTime>,
-    verdict: Verdict,
-    replaying: bool,
-    wal: Option<Wal>,
-    wal_err: Option<io::Error>,
+    /// Worker 0's inbox, which journals this member's peer, frontier and
+    /// round records into series 0 and holds the inbound peers' ack
+    /// sockets. `None` while the journal replays.
+    series0: Option<SyncSender<WorkerMsg>>,
     metrics: Option<Arc<CollectorMetrics>>,
     /// Flight-recorder ring for the round machine (`None` during replay
     /// and when metrics are off — recovery must not re-emit records the
@@ -446,75 +377,73 @@ pub(crate) struct MemberState {
     peer_repairs: BTreeMap<u64, PeerProofStatus>,
 }
 
-impl MemberState {
-    fn new(cfg: &CollectorConfig, fed: &FederationConfig) -> Self {
+impl Peers {
+    pub(crate) fn new(cfg: &CollectorConfig, fed: &FederationConfig) -> Self {
         let n_routers = cfg.pipeline.n_routers;
         let members = fed.plan.members();
-        let session = fresh_session();
+        let hello = PeerHello {
+            member: fed.member,
+            members,
+            n_routers,
+            session: fresh_session(),
+            first_seq: 1,
+        };
         let links = (0..members)
-            .map(|j| {
-                (j != fed.member).then(|| {
-                    PeerLink::new(
-                        fed.member,
-                        members,
-                        n_routers,
-                        fed.peers[j as usize],
-                        session,
-                    )
-                })
-            })
+            .map(|j| (j != fed.member).then(|| PeerLink::new(hello.clone(), fed.peers[j as usize])))
             .collect();
-        MemberState {
+        Peers {
             member: fed.member,
             members,
             n_routers,
             plan: fed.plan.clone(),
-            fold: FoldShard::new(&cfg.pipeline, fed.plan.as_shard_plan().clone(), fed.member),
             links,
             cursors: vec![PeerCursor::default(); members as usize],
             conn_peer: HashMap::new(),
-            acks: AckSockets::default(),
             peer_min: vec![None; members as usize],
             peer_frontier: vec![Vec::new(); members as usize],
             last_sent_min: None,
             pending_horizons: BTreeSet::new(),
-            rounds: BTreeMap::new(),
-            advanced: None,
-            completed: None,
+            digests: BTreeMap::new(),
+            partials: BTreeMap::new(),
             eager: vec![Vec::new(); members as usize],
             cross_seen: HashMap::new(),
-            verdict: Verdict::default(),
-            replaying: true,
-            wal: None,
-            wal_err: None,
+            series0: None,
             metrics: None,
             flight: None,
             peer_repairs: BTreeMap::new(),
         }
     }
 
-    /// Ends replay: from here on records are journaled into `wal`,
+    /// Ends replay: from here on records are journaled through worker 0,
     /// horizons open on their own, and the round machine leaves flight
     /// records.
-    pub(crate) fn go_live(&mut self, wal: Wal, metrics: Option<Arc<CollectorMetrics>>) {
-        self.wal = Some(wal);
+    pub(crate) fn go_live(
+        &mut self,
+        series0: SyncSender<WorkerMsg>,
+        metrics: Option<Arc<CollectorMetrics>>,
+    ) {
+        self.series0 = Some(series0);
         self.flight = metrics
             .as_ref()
             .map(|m| m.flight.register("member", FOLD_RING_SLOTS));
         self.metrics = metrics;
-        self.replaying = false;
     }
 
-    /// Appends one already-encoded frame to the WAL, latching the first
-    /// error (the fold keeps running degraded rather than dropping the
-    /// in-memory state on a full disk).
-    fn journal_bytes(&mut self, bytes: &[u8]) {
-        if self.wal_err.is_some() {
-            return;
+    /// Whether this member folds `r`'s stream.
+    pub(crate) fn owns(&self, r: RouterId) -> bool {
+        self.plan.of_router(r) == self.member
+    }
+
+    /// Hands worker 0 a message (journal or peer ack); a no-op during
+    /// replay.
+    fn to_series0(&self, msg: WorkerMsg) {
+        if let Some(tx) = &self.series0 {
+            let _ = tx.send(msg);
         }
-        if let Some(w) = self.wal.as_mut() {
-            self.wal_err = w.append(bytes).err();
-        }
+    }
+
+    fn journal(&self, bytes: Vec<u8>) {
+        self.to_series0(WorkerMsg::Journal { bytes, done: None });
     }
 
     /// The other members' indices.
@@ -533,21 +462,39 @@ impl MemberState {
         }
     }
 
-    /// Ingests one accepted own-router event — journaled first, so the
-    /// log never lags the state — staging it for the peer that owns its
-    /// conversation when this member does not.
-    fn apply_own_event(&mut self, seq: u64, event: &IoEvent, raw: Option<&[u8]>) {
-        if let Some(raw) = raw {
-            self.journal_bytes(raw);
+    /// Sends every peer the frame `make` builds for its link sequence
+    /// number, counting the trace trailer if the frame carries one.
+    fn broadcast(&mut self, traced: bool, make: impl Fn(u64) -> Frame) {
+        for j in self.peers() {
+            self.send_to(j, &make);
+            if traced {
+                self.count_trace();
+            }
         }
-        if let Some(owner) = self.fold.ingest(event) {
-            self.eager[owner as usize].push((seq, event.clone()));
+    }
+
+    fn count_trace(&self) {
+        if let Some(m) = &self.metrics {
+            m.trace_bytes.add(TRACE_CTX_WIRE_LEN as u64);
         }
+    }
+
+    /// Leaves one round-machine flight record (none during replay).
+    fn record(&self, stage: u32, ctx: TraceCtx, a: u64, b: u64) {
+        if let Some(f) = &self.flight {
+            f.record(stage, Some(ctx), a, b);
+        }
+    }
+
+    /// Stages an own-router event for member `j`, which owns its
+    /// conversation.
+    pub(crate) fn stage(&mut self, j: u32, seq: u64, event: &IoEvent) {
+        self.eager[j as usize].push((seq, event.clone()));
     }
 
     /// Ships every staged eager boundary batch as an untagged
     /// [`BoundaryEdges`] frame.
-    fn flush_eager(&mut self) {
+    pub(crate) fn flush_eager(&mut self) {
         for j in 0..self.members as usize {
             if self.eager[j].is_empty() {
                 continue;
@@ -582,7 +529,7 @@ impl MemberState {
     /// they reconstructed the identical artifact. Recovery replays this
     /// same path, so a recovering owner regenerates its proof
     /// advertisements the way it regenerates frontier history.
-    fn broadcast_repair(&mut self, ledger: &RepairLedger, repair_id: u64) {
+    pub(crate) fn broadcast_repair(&mut self, ledger: &RepairLedger, repair_id: u64) {
         let Some(e) = ledger.get(repair_id) else {
             return;
         };
@@ -598,32 +545,21 @@ impl MemberState {
         let member = self.member;
         // The proof advertisement carries the repair's trace context so
         // peers stitch their re-validation onto the same causal chain.
-        let trace = Some(TraceCtx::for_repair(repair_id).child(stage::PROOF_BROADCAST));
-        if let Some(f) = self.flight.as_ref() {
-            f.record(
-                stage::PROOF_BROADCAST,
-                Some(TraceCtx::for_repair(repair_id).child(stage::REPAIR_GATED)),
+        let ctx = TraceCtx::for_repair(repair_id);
+        let trace = Some(ctx.child(stage::PROOF_BROADCAST));
+        let gated = ctx.child(stage::REPAIR_GATED);
+        self.record(stage::PROOF_BROADCAST, gated, repair_id, u64::from(verdict));
+        self.broadcast(true, |seq| {
+            Frame::PeerRepairProof(PeerRepairProof {
+                member,
+                seq,
                 repair_id,
-                u64::from(verdict),
-            );
-        }
-        for j in self.peers() {
-            let proof = proof_json.clone();
-            self.send_to(j, move |seq| {
-                Frame::PeerRepairProof(PeerRepairProof {
-                    member,
-                    seq,
-                    repair_id,
-                    digest,
-                    verdict,
-                    proof,
-                    trace,
-                })
-            });
-            if let Some(m) = &self.metrics {
-                m.trace_bytes.add(TRACE_CTX_WIRE_LEN as u64);
-            }
-        }
+                digest,
+                verdict,
+                proof: proof_json.clone(),
+                trace,
+            })
+        });
     }
 
     /// The federated fold minimum: the least of the own source-table
@@ -637,96 +573,79 @@ impl MemberState {
         Some(min)
     }
 
-    /// Adds one advertised minimum to the round grid.
-    fn queue_horizon(&mut self, t: SimTime) {
-        if Some(t) > self.advanced {
-            self.pending_horizons.insert(t);
+    /// The next round to open: the lowest grid value above `advanced`,
+    /// once nothing is in flight *and* the federated minimum has reached
+    /// it (every member's streams are complete up to the horizon, so
+    /// every member will open the very same round). Never during
+    /// replay, where the journaled markers are the sole authority on
+    /// which rounds opened.
+    pub(crate) fn next_horizon(
+        &mut self,
+        sources: &SourceTable,
+        advanced: Option<SimTime>,
+    ) -> Option<SimTime> {
+        self.series0.as_ref()?;
+        if let Some(a) = advanced {
+            self.supersede(a);
         }
+        let f = *self.pending_horizons.first()?;
+        if self.fed_min(sources) < Some(f) {
+            return None;
+        }
+        self.pending_horizons.remove(&f);
+        Some(f)
+    }
+
+    /// Drops the grid values at or below an opened horizon.
+    pub(crate) fn supersede(&mut self, opened: SimTime) {
+        self.pending_horizons = self.pending_horizons.split_off(&opened);
+        self.pending_horizons.remove(&opened);
     }
 
     /// Advertises the own source-table minimum to every peer if it
     /// moved, journaling the record first: a recovering member must
     /// regenerate the identical frontier history, or a peer that never
     /// saw some intermediate value would fold a different round grid.
-    fn maybe_send_frontier(&mut self, sources: &SourceTable) {
+    pub(crate) fn advertise(&mut self, sources: &SourceTable) {
         let Some(m) = sources.global_min() else {
             return;
         };
         if self.last_sent_min >= Some(m) {
             return;
         }
-        self.last_sent_min = Some(m);
-        self.queue_horizon(m);
-        let frontier: Vec<(RouterId, Option<SimTime>)> = (0..self.n_routers)
-            .map(RouterId)
-            .filter(|r| self.owns(*r))
-            .map(|r| (r, sources.promise_of(r)))
-            .collect();
-        self.journal_bytes(&encode_frame(&Frame::FrontierExchange(FrontierExchange {
+        let f = FrontierExchange {
             member: self.member,
             seq: 0,
             min: Some(m),
-            frontier: frontier.clone(),
-        })));
-        self.send_frontier(Some(m), frontier, sources);
-    }
-
-    fn send_frontier(
-        &mut self,
-        min: Option<SimTime>,
-        frontier: Vec<(RouterId, Option<SimTime>)>,
-        sources: &SourceTable,
-    ) {
-        let member = self.member;
-        for j in self.peers() {
-            let fr = frontier.clone();
-            self.send_to(j, move |seq| {
-                Frame::FrontierExchange(FrontierExchange {
-                    member,
-                    seq,
-                    min,
-                    frontier: fr,
-                })
-            });
-        }
+            frontier: (0..self.n_routers)
+                .map(RouterId)
+                .filter(|r| self.owns(*r))
+                .map(|r| (r, sources.promise_of(r)))
+                .collect(),
+        };
+        self.journal(encode_frame(&Frame::FrontierExchange(f.clone())));
+        self.replay_own_frontier(f);
         self.publish_peers(sources);
     }
 
-    /// Drives the round machine: completes the open round as far as
-    /// arrived peer state allows and — live only — opens the next
-    /// queued horizon once nothing is in flight *and* the federated
-    /// minimum has reached it (every member's streams are complete up
-    /// to the horizon, so every member will open the very same round).
-    /// During replay the journaled markers are the sole authority on
-    /// which rounds opened.
-    fn pump(&mut self, sources: &SourceTable) {
-        loop {
-            if self.try_complete() {
-                continue;
-            }
-            if self.replaying || self.advanced > self.completed {
-                return;
-            }
-            let Some(&f) = self.pending_horizons.iter().next() else {
-                return;
-            };
-            if Some(f) <= self.advanced {
-                self.pending_horizons.remove(&f);
-                continue;
-            }
-            if self.fed_min(sources) < Some(f) {
-                return;
-            }
-            self.pending_horizons.remove(&f);
-            self.open_round(f);
-        }
+    /// Applies one own frontier record — live, or replayed from the
+    /// journal: restores the advertised-minimum history and sends it.
+    pub(crate) fn replay_own_frontier(&mut self, f: FrontierExchange) {
+        self.last_sent_min = self.last_sent_min.max(f.min);
+        self.pending_horizons.extend(f.min);
+        self.broadcast(false, |seq| {
+            Frame::FrontierExchange(FrontierExchange {
+                seq,
+                frontier: f.frontier.clone(),
+                ..f
+            })
+        });
     }
 
-    /// Phase 1 of a round: journal the marker, fold to the horizon,
-    /// collect boundary digests, and ship each peer its tagged batch.
-    fn open_round(&mut self, f: SimTime) {
-        self.journal_bytes(&encode_frame(&Frame::Watermark { t: f, frontier: 0 }));
-        let outboxes = self.fold.advance_collect(f);
+    /// Ships each peer its round digests as a [`BoundaryEdges`] frame
+    /// tagged with the round (an empty digest list still ships — it is
+    /// the round-completion marker).
+    pub(crate) fn open_round(&mut self, f: SimTime, outboxes: Vec<Vec<ConvDigest>>) {
         // Boundary events at or behind the horizon are folded; their
         // dedup entries have no future duplicates to catch (the late
         // gate drops those first).
@@ -735,15 +654,9 @@ impl MemberState {
         // Round frames are trace-stamped with the horizon-derived
         // context: every member mints the same id for the same horizon,
         // so the round's hops stitch without any clock agreement.
-        let round_trace = Some(TraceCtx::for_round(f).child(stage::ROUND_OPENED));
-        if let Some(fl) = self.flight.as_ref() {
-            fl.record(
-                stage::ROUND_OPENED,
-                Some(TraceCtx::for_round(f)),
-                f.as_nanos(),
-                u64::from(member),
-            );
-        }
+        let ctx = TraceCtx::for_round(f);
+        let round_trace = Some(ctx.child(stage::ROUND_OPENED));
+        self.record(stage::ROUND_OPENED, ctx, f.as_nanos(), u64::from(member));
         for (j, digests) in outboxes.into_iter().enumerate() {
             if j == self.member as usize {
                 continue;
@@ -758,118 +671,82 @@ impl MemberState {
                     trace: round_trace,
                 })
             });
-            if let Some(m) = &self.metrics {
-                m.trace_bytes.add(TRACE_CTX_WIRE_LEN as u64);
-            }
+            self.count_trace();
         }
-        let r = self
-            .rounds
-            .entry(f)
-            .or_insert_with(|| Round::new(self.members as usize));
-        r.opened_at = Some(Instant::now());
-        self.advanced = Some(f);
     }
 
-    /// Phases 2 and 3 of the open round, as far as arrived peer state
-    /// allows. Returns whether the round fully completed.
-    fn try_complete(&mut self) -> bool {
-        let Some(f) = self.advanced else { return false };
-        if self.completed >= Some(f) {
-            return false;
-        }
-        let me = self.member as usize;
-        let members = self.members as usize;
-        // Phase 2: absorb every peer's round digests in member order
-        // and broadcast this slice's partial verdict.
-        if self
-            .rounds
-            .get(&f)
-            .is_none_or(|r| r.local_missing.is_none())
-        {
-            let ready = self
-                .rounds
-                .get(&f)
-                .is_some_and(|r| (0..members).all(|j| j == me || r.digests[j].is_some()));
-            if !ready {
-                return false;
-            }
-            let r = self.rounds.get_mut(&f).expect("round checked above");
-            for batch in r.digests.iter_mut().filter_map(Option::take) {
-                self.fold.absorb(&batch);
-            }
-            let missing = self.fold.missing();
-            r.local_missing = Some(missing.clone());
-            let member = self.member;
-            let partial_trace = Some(TraceCtx::for_round(f).child(stage::ROUND_PARTIAL));
-            if let Some(fl) = self.flight.as_ref() {
-                fl.record(
-                    stage::ROUND_PARTIAL,
-                    Some(TraceCtx::for_round(f).child(stage::ROUND_BOUNDARY)),
-                    f.as_nanos(),
-                    missing.len() as u64,
-                );
-            }
-            for j in self.peers() {
-                let missing = missing.clone();
-                self.send_to(j, move |seq| {
-                    Frame::PartialVerdict(PartialVerdict {
-                        member,
-                        seq,
-                        round: f,
-                        missing,
-                        trace: partial_trace,
-                    })
-                });
-                if let Some(m) = &self.metrics {
-                    m.trace_bytes.add(TRACE_CTX_WIRE_LEN as u64);
-                }
-            }
-        }
-        // Phase 3: merge every member's partial into the global verdict.
-        let ready = self
-            .rounds
-            .get(&f)
-            .is_some_and(|r| (0..members).all(|j| j == me || r.partials[j].is_some()));
-        if !ready {
-            return false;
-        }
-        let r = self.rounds.remove(&f).expect("round checked above");
-        let mut missing: Vec<RouterId> = r.local_missing.unwrap_or_default();
-        missing.extend(r.partials.into_iter().flatten().flatten());
-        self.verdict.merge(missing);
-        // The watermark the session publishes is the *completed* round:
-        // once a client (or harness) observes it, the global verdict for
-        // that horizon has landed on this member.
-        self.completed = Some(f);
-        if let Some(fl) = self.flight.as_ref() {
-            let missing_n = match self.verdict.status() {
-                SnapshotStatus::WaitFor(m) => m.len() as u64,
-                _ => 0,
-            };
-            fl.record(
-                stage::ROUND_COMPLETE,
-                Some(TraceCtx::for_round(f).child(stage::ROUND_PARTIAL)),
-                f.as_nanos(),
-                missing_n,
-            );
-        }
+    /// Broadcasts this member's partial verdict for round `f`.
+    pub(crate) fn send_partial(&mut self, f: SimTime, missing: &[RouterId]) {
+        let (member, ctx) = (self.member, TraceCtx::for_round(f));
+        let boundary = ctx.child(stage::ROUND_BOUNDARY);
+        self.record(
+            stage::ROUND_PARTIAL,
+            boundary,
+            f.as_nanos(),
+            missing.len() as u64,
+        );
+        self.broadcast(true, |seq| {
+            Frame::PartialVerdict(PartialVerdict {
+                member,
+                seq,
+                round: f,
+                missing: missing.to_vec(),
+                trace: Some(ctx.child(stage::ROUND_PARTIAL)),
+            })
+        });
+    }
+
+    /// The round at `f` merged its global verdict.
+    pub(crate) fn round_complete(&mut self, f: SimTime, status: &SnapshotStatus, opened: Instant) {
+        let missing = match status {
+            SnapshotStatus::WaitFor(m) => m.len() as u64,
+            _ => 0,
+        };
+        let ctx = TraceCtx::for_round(f).child(stage::ROUND_PARTIAL);
+        self.record(stage::ROUND_COMPLETE, ctx, f.as_nanos(), missing);
+        // Digests a recovering peer re-sent while the round was in
+        // flight are duplicates now.
+        self.digests.retain(|(t, _), _| *t > f);
         if let Some(m) = &self.metrics {
             m.fed_rounds.inc();
-            if let Some(t0) = r.opened_at {
-                m.partial_verdict_nanos.observe_since(t0);
-            }
+            m.partial_verdict_nanos.observe_since(opened);
         }
-        true
     }
 
-    /// Validates and applies a peer handshake to the inbound cursor.
+    /// Files member `from`'s round digests for horizon `t` (first frame
+    /// wins). A round tag is always some member's advertised value, so
+    /// it joins the grid even if the advertisement is still in flight.
+    pub(crate) fn file_digests(&mut self, t: SimTime, from: u32, digests: Vec<ConvDigest>) {
+        self.pending_horizons.insert(t);
+        self.digests.entry((t, from)).or_insert(digests);
+    }
+
+    /// Files member `from`'s partial verdict for horizon `t`, likewise.
+    pub(crate) fn file_partial(&mut self, t: SimTime, from: u32, missing: Vec<RouterId>) {
+        self.pending_horizons.insert(t);
+        self.partials.entry((t, from)).or_insert(missing);
+    }
+
+    /// Every peer's round digests for `f`, in member order — `None`
+    /// until all of them arrived.
+    pub(crate) fn take_digests(&mut self, f: SimTime) -> Option<Vec<ConvDigest>> {
+        let filed = take_round(&mut self.digests, f, self.members - 1)?;
+        Some(filed.into_iter().flatten().collect())
+    }
+
+    /// Every peer's missing set for `f` — `None` until all of them
+    /// arrived.
+    pub(crate) fn take_partials(&mut self, f: SimTime) -> Option<Vec<RouterId>> {
+        let filed = take_round(&mut self.partials, f, self.members - 1)?;
+        Some(filed.into_iter().flatten().collect())
+    }
+
+    /// Validates a peer handshake and applies it to the inbound cursor.
     /// Returns whether the hello was acceptable.
-    fn on_peer_hello(&mut self, hello: &PeerHello) -> bool {
+    pub(crate) fn greet(&mut self, hello: &PeerHello) -> bool {
         let pm = hello.member;
-        if pm >= self.members || pm == self.member {
-            return false;
-        }
-        if hello.members != self.members || hello.n_routers != self.n_routers {
+        let fits = hello.members == self.members && hello.n_routers == self.n_routers;
+        if !fits || pm >= self.members || pm == self.member {
             return false;
         }
         let cur = &mut self.cursors[pm as usize];
@@ -882,160 +759,151 @@ impl MemberState {
         true
     }
 
-    /// Accepts one inbound peer frame through the go-back-N cursor —
-    /// journals (raw, before acking) and applies it if it is exactly
-    /// next in sequence; duplicates and gaps drop (the link replay
-    /// heals gaps). Returns whether the cursor moved.
-    fn accept_peer_frame(
-        &mut self,
-        frame: &PeerFrame,
-        raw: Option<&[u8]>,
-        sources: &SourceTable,
-    ) -> bool {
-        let pm = frame.member();
-        if pm >= self.members || pm == self.member {
-            return false;
+    /// A live peer handshake: journaled so replay re-learns the session
+    /// and keeps deduplicating the peer's regenerated stream, then acked
+    /// with the cursor.
+    pub(crate) fn hello(&mut self, conn: u64, hello: PeerHello, ack: Option<TcpStream>) {
+        if !self.greet(&hello) {
+            return;
         }
-        let cur = &mut self.cursors[pm as usize];
-        if cur.session.is_none() || frame.seq() != cur.next_seq {
+        let member = hello.member;
+        self.journal(encode_frame(&Frame::PeerHello(hello)));
+        self.conn_peer.insert(conn, member);
+        self.to_series0(WorkerMsg::Adopt { conn, ack });
+        let upto = self.cursors[member as usize].next_seq;
+        self.to_series0(WorkerMsg::Ack {
+            conn,
+            upto,
+            fin: false,
+        });
+    }
+
+    /// Moves the go-back-N cursor past `frame` if it is exactly next in
+    /// sequence; duplicates and gaps drop (the link replay heals gaps).
+    pub(crate) fn in_sequence(&mut self, frame: &Frame) -> bool {
+        let Some((pm, seq)) = peer_header(frame).filter(|(pm, _)| *pm != self.member) else {
+            return false;
+        };
+        let Some(cur) = self.cursors.get_mut(pm as usize) else {
+            return false;
+        };
+        if cur.session.is_none() || seq != cur.next_seq {
             return false;
         }
         cur.next_seq += 1;
-        if let Some(raw) = raw {
-            self.journal_bytes(raw);
-        }
-        self.apply_peer_frame(frame, sources);
         true
     }
 
-    fn apply_peer_frame(&mut self, frame: &PeerFrame, sources: &SourceTable) {
-        match frame {
-            PeerFrame::Frontier(f) => {
-                let pm = f.member as usize;
-                // Max-merge: a recovering peer replays its frontier
-                // history from genesis; regressions are stale.
-                if f.min > self.peer_min[pm] {
-                    self.peer_min[pm] = f.min;
-                    self.peer_frontier[pm] = f.frontier.clone();
-                }
-                // Every advertised value joins the round grid, even a
-                // stale replay's: grid values are forever.
-                if let Some(v) = f.min {
-                    self.queue_horizon(v);
-                }
-                self.publish_peers(sources);
-                self.pump(sources);
+    /// A live inbound peer frame: whether to apply it — iff it is next
+    /// in sequence on a connection greeted as its sender — after handing
+    /// its wire bytes to series 0, appended before the ack that follows
+    /// them there.
+    pub(crate) fn receive(&mut self, conn: u64, frame: &Frame, raw: Option<Vec<u8>>) -> bool {
+        // Drop a frame mislabeled against its connection's handshake.
+        let member = peer_header(frame).map(|(m, _)| m);
+        let Some(&pm) = self.conn_peer.get(&conn).filter(|pm| Some(**pm) == member) else {
+            return false;
+        };
+        let fresh = self.in_sequence(frame);
+        if let (true, Some(raw)) = (fresh, raw) {
+            self.journal(raw);
+        }
+        // Ack the cursor even on duplicates: re-acks let a replaying
+        // peer prune its buffer.
+        let upto = self.cursors[pm as usize].next_seq;
+        self.to_series0(WorkerMsg::Ack {
+            conn,
+            upto,
+            fin: false,
+        });
+        fresh
+    }
+
+    /// Forgets an inbound peer connection; returns whether it was one.
+    pub(crate) fn forget(&mut self, conn: u64) -> bool {
+        self.conn_peer.remove(&conn).is_some()
+    }
+
+    /// A peer's frontier advertisement.
+    pub(crate) fn frontier(&mut self, f: FrontierExchange, sources: &SourceTable) {
+        let pm = f.member as usize;
+        // Max-merge: a recovering peer replays its frontier history from
+        // genesis; regressions are stale.
+        if f.min > self.peer_min[pm] {
+            self.peer_min[pm] = f.min;
+            self.peer_frontier[pm] = f.frontier;
+        }
+        // Every advertised value joins the round grid, even a stale
+        // replay's: grid values are forever.
+        self.pending_horizons.extend(f.min);
+        self.publish_peers(sources);
+    }
+
+    /// The fold records of a peer's eager boundary events that are new,
+    /// ahead of the late gate, and about conversations this member owns.
+    pub(crate) fn boundary_events(
+        &mut self,
+        b: &BoundaryEdges,
+        advanced: Option<SimTime>,
+    ) -> Vec<FoldRecord> {
+        let mut fresh = Vec::new();
+        for (_, e) in &b.events {
+            if advanced.is_some_and(|wm| e.time <= wm) || self.cross_seen.contains_key(&e.id) {
+                continue;
             }
-            PeerFrame::Boundary(b) => match b.round {
-                None => {
-                    // Eager boundary events for conversations we own.
-                    let mut fresh = 0u64;
-                    for (_, e) in &b.events {
-                        if self.advanced.is_some_and(|wm| e.time <= wm) {
-                            continue;
-                        }
-                        if self.cross_seen.contains_key(&e.id) {
-                            continue;
-                        }
-                        let rec = FoldRecord::of(e);
-                        let Some((key, _)) = rec.conv() else {
-                            continue;
-                        };
-                        if self.plan.of_conv(&key) != self.member {
-                            continue;
-                        }
-                        self.cross_seen.insert(e.id, e.time);
-                        self.fold.ingest_cross(rec);
-                        fresh += 1;
-                    }
-                    if let Some(m) = &self.metrics {
-                        m.boundary_events_received.add(fresh);
-                    }
-                }
-                Some(t) => {
-                    // A round contribution. Anything at or behind the
-                    // completed horizon is a recovering peer's replay.
-                    if self.completed >= Some(t) {
-                        return;
-                    }
-                    // Defense in depth: a round tag is always some
-                    // member's advertised value, so it belongs to the
-                    // grid even if the advertisement is still in flight.
-                    self.queue_horizon(t);
-                    let r = self
-                        .rounds
-                        .entry(t)
-                        .or_insert_with(|| Round::new(self.members as usize));
-                    let slot = &mut r.digests[b.member as usize];
-                    if slot.is_none() {
-                        *slot = Some(b.digests.clone());
-                    }
-                    self.pump(sources);
-                }
+            let rec = FoldRecord::of(e);
+            if rec
+                .conv()
+                .is_some_and(|(key, _)| self.plan.of_conv(&key) == self.member)
+            {
+                self.cross_seen.insert(e.id, e.time);
+                fresh.push(rec);
+            }
+        }
+        if let Some(m) = &self.metrics {
+            m.boundary_events_received.add(fresh.len() as u64);
+        }
+        fresh
+    }
+
+    /// Re-validates a peer-advertised repair proof. First frame per
+    /// repair wins: a recovering owner's regenerated broadcast is a
+    /// duplicate, and the validation is deterministic in the frame
+    /// contents anyway.
+    pub(crate) fn check_proof(&mut self, p: &PeerRepairProof) {
+        if self.peer_repairs.contains_key(&p.repair_id) {
+            return;
+        }
+        let (chain_ok, digest_ok) = match from_str::<RepairProof>(&p.proof) {
+            Ok(proof) => (
+                !proof.provenance.is_empty() && chain_over(&proof.provenance) == proof.chain,
+                fnv1a64(&proof.encode_binary()) == p.digest,
+            ),
+            Err(_) => (false, false),
+        };
+        self.peer_repairs.insert(
+            p.repair_id,
+            PeerProofStatus {
+                from: p.member,
+                verdict: p.verdict,
+                chain_ok,
+                digest_ok,
             },
-            PeerFrame::Partial(p) => {
-                if self.completed >= Some(p.round) {
-                    return;
-                }
-                self.queue_horizon(p.round);
-                let r = self
-                    .rounds
-                    .entry(p.round)
-                    .or_insert_with(|| Round::new(self.members as usize));
-                let slot = &mut r.partials[p.member as usize];
-                if slot.is_none() {
-                    *slot = Some(p.missing.clone());
-                }
-                self.pump(sources);
-            }
-            PeerFrame::Repair(p) => {
-                // First frame per repair wins: a recovering owner's
-                // regenerated broadcast is a duplicate, and the
-                // validation is deterministic in the frame contents
-                // anyway.
-                if self.peer_repairs.contains_key(&p.repair_id) {
-                    return;
-                }
-                let (chain_ok, digest_ok) = match from_str::<RepairProof>(&p.proof) {
-                    Ok(proof) => (
-                        !proof.provenance.is_empty()
-                            && chain_over(&proof.provenance) == proof.chain,
-                        fnv1a64(&proof.encode_binary()) == p.digest,
-                    ),
-                    Err(_) => (false, false),
-                };
-                self.peer_repairs.insert(
-                    p.repair_id,
-                    PeerProofStatus {
-                        from: p.member,
-                        verdict: p.verdict,
-                        chain_ok,
-                        digest_ok,
-                    },
-                );
-                if let Some(fl) = self.flight.as_ref() {
-                    // Stitch the peer's re-validation onto the owner's
-                    // repair chain: the frame's context (or the
-                    // digest-minted fallback) keys the same trace id on
-                    // every member.
-                    let ctx = p
-                        .trace
-                        .unwrap_or_else(|| TraceCtx::for_repair(p.repair_id))
-                        .child(stage::PROOF_BROADCAST);
-                    fl.record(
-                        stage::PEER_PROOF_VERIFIED,
-                        Some(ctx),
-                        p.repair_id,
-                        u64::from(p.member) << 2 | u64::from(chain_ok) << 1 | u64::from(digest_ok),
-                    );
-                }
-                if let Some(m) = &self.metrics {
-                    m.repair_peer_proofs.inc();
-                    if p.trace.is_some() {
-                        m.trace_bytes.add(TRACE_CTX_WIRE_LEN as u64);
-                    }
-                }
-            }
+        );
+        // Stitch the peer's re-validation onto the owner's repair chain:
+        // the frame's context (or the digest-minted fallback) keys the
+        // same trace id on every member.
+        let ctx = p
+            .trace
+            .unwrap_or_else(|| TraceCtx::for_repair(p.repair_id))
+            .child(stage::PROOF_BROADCAST);
+        let checks = u64::from(p.member) << 2 | u64::from(chain_ok) << 1 | u64::from(digest_ok);
+        self.record(stage::PEER_PROOF_VERIFIED, ctx, p.repair_id, checks);
+        if p.trace.is_some() {
+            self.count_trace();
+        }
+        if let Some(m) = &self.metrics {
+            m.repair_peer_proofs.inc();
         }
     }
 
@@ -1046,16 +914,8 @@ impl MemberState {
         if m.peer_frontier.len() != self.members as usize {
             return;
         }
-        let me = self.member as usize;
-        let mins: Vec<Option<SimTime>> = (0..self.members as usize)
-            .map(|j| {
-                if j == me {
-                    sources.global_min()
-                } else {
-                    self.peer_min[j]
-                }
-            })
-            .collect();
+        let mut mins = self.peer_min.clone();
+        mins[self.member as usize] = sources.global_min();
         let furthest = mins.iter().filter_map(|v| *v).max();
         for (j, v) in mins.iter().enumerate() {
             m.peer_frontier[j].set(v.map_or(-1, |t| t.as_nanos() as i64));
@@ -1067,168 +927,19 @@ impl MemberState {
         }
     }
 
-    // ---- replay-only entry points -----------------------------------
-
-    /// Replays a journaled self-authored frontier record: restores the
-    /// advertised-minimum history and regenerates the outbound frames.
-    fn replay_own_frontier(&mut self, f: FrontierExchange, sources: &SourceTable) {
-        if f.min > self.last_sent_min {
-            self.last_sent_min = f.min;
-        }
-        if let Some(v) = f.min {
-            self.queue_horizon(v);
-        }
-        self.send_frontier(f.min, f.frontier, sources);
-    }
-
-    /// Replays a journaled round marker: the sole authority on which
-    /// horizons opened before the crash.
-    fn replay_marker(&mut self, f: SimTime, sources: &SourceTable) {
-        // The marker supersedes queued horizons at or below it.
-        self.pending_horizons.retain(|h| *h > f);
-        if Some(f) <= self.advanced {
-            return;
-        }
-        // Serial rounds: the previous round completed before this
-        // marker was journaled, so opening here cannot reorder folds.
-        self.open_round(f);
-        self.pump(sources);
-    }
-}
-
-impl Backend for MemberState {
-    fn owns(&self, r: RouterId) -> bool {
-        self.plan.of_router(r) == self.member
-    }
-
-    fn gate(&self) -> Option<SimTime> {
-        self.advanced
-    }
-
-    /// The *completed* (global) horizon: a member whose rounds stop
-    /// landing is stalled even if its own sources stay chatty.
-    fn watermark(&self) -> Option<SimTime> {
-        self.completed
-    }
-
-    fn verdict(&self) -> &Verdict {
-        &self.verdict
-    }
-
-    fn gauges(&self) -> FoldGauges {
-        self.fold.gauges()
-    }
-
-    fn journal(&mut self, _home: Option<RouterId>, bytes: Vec<u8>, done: Option<SyncSender<()>>) {
-        self.journal_bytes(&bytes);
-        if let Some(done) = done {
-            let _ = done.send(());
-        }
-    }
-
-    fn ingest(&mut self, conn: u64, _source: RouterId, batch: Vec<EventRec>, upto: u64, fin: bool) {
-        for rec in &batch {
-            self.apply_own_event(rec.seq, &rec.event, rec.raw.as_deref());
-        }
-        self.flush_eager();
-        let acked = self.acks.ack(conn, upto, fin);
-        if let Some(m) = &self.metrics {
-            let n = batch.len() as u64;
-            if self.wal_err.is_none() {
-                m.events_journaled.add(n);
-            }
-            if acked {
-                m.events_acked.add(n);
-            }
-        }
-    }
-
-    fn adopt(&mut self, conn: u64, _source: RouterId, ack: Option<TcpStream>) {
-        self.acks.adopt(conn, ack);
-    }
-
-    fn ack(&mut self, conn: u64, _source: RouterId, upto: u64, fin: bool) {
-        self.acks.ack(conn, upto, fin);
-    }
-
-    fn drop_conn(&mut self, conn: u64, _source: Option<RouterId>) {
-        self.conn_peer.remove(&conn);
-        self.acks.drop_conn(conn);
-    }
-
-    /// Advertises the frontier and drives the round machine.
-    fn gate_moved(&mut self, sources: &SourceTable) {
-        self.maybe_send_frontier(sources);
-        self.pump(sources);
-    }
-
-    /// The moment a repair is `Gated`, its proof goes to every peer.
-    fn repair_accepted(&mut self, ledger: &RepairLedger, record: &RepairRecord) {
-        if record.stage == RepairStage::Gated {
-            self.broadcast_repair(ledger, record.repair_id);
-        }
-    }
-
-    fn peer_hello(&mut self, conn: u64, hello: PeerHello, ack: Option<TcpStream>) {
-        if !self.on_peer_hello(&hello) {
-            return;
-        }
-        // Journal the handshake so replay re-learns the session and
-        // keeps deduplicating the peer's regenerated stream.
-        let member = hello.member;
-        self.journal_bytes(&encode_frame(&Frame::PeerHello(hello)));
-        self.conn_peer.insert(conn, member);
-        self.acks.adopt(conn, ack);
-        self.acks
-            .ack(conn, self.cursors[member as usize].next_seq, false);
-    }
-
-    fn peer_frame(
-        &mut self,
-        conn: u64,
-        frame: PeerFrame,
-        raw: Option<Vec<u8>>,
-        sources: &SourceTable,
-    ) {
-        // Drop a frame mislabeled against its connection's handshake.
-        let Some(&pm) = self
-            .conn_peer
-            .get(&conn)
-            .filter(|pm| **pm == frame.member())
-        else {
-            return;
-        };
-        self.accept_peer_frame(&frame, raw.as_deref(), sources);
-        // Ack the cursor even on duplicates: re-acks let a replaying
-        // peer prune its buffer.
-        self.acks
-            .ack(conn, self.cursors[pm as usize].next_seq, false);
-    }
-
     /// Peer links need pumping (reconnects, ack drains) even when no
     /// client traffic arrives. Reconnects and go-back-N buffer pruning
-    /// are fine at this granularity; round progress itself is
+    /// are fine at [`LINK_TICK`] granularity; round progress itself is
     /// message-driven and never waits on it.
-    fn link_tick(&self) -> Option<Duration> {
-        Some(LINK_TICK)
-    }
-
-    fn tick(&mut self, sources: &SourceTable) {
+    pub(crate) fn tick(&mut self, sources: &SourceTable) {
         for l in self.links.iter_mut().flatten() {
             l.maintain();
         }
         self.publish_peers(sources);
     }
 
-    fn finish(
-        mut self,
-        stalled: Vec<RouterId>,
-        repairs: RepairLedger,
-    ) -> (FoldReport, Option<io::Error>) {
-        let mut wal_err = self.wal_err.take();
-        if let Some(w) = self.wal.take() {
-            wal_err = wal_err.or(w.close().err());
-        }
+    /// What the member's fold report carries beside the fold.
+    pub(crate) fn into_fold(mut self) -> MemberFold {
         let peers = self
             .peers()
             .map(|j| PeerSummary {
@@ -1238,21 +949,24 @@ impl Backend for MemberState {
                 unacked: self.links[j].as_ref().map_or(0, |l| l.buf.len() as u64),
             })
             .collect();
-        let mut report = FoldReport::new(
-            vec![self.fold],
-            &self.verdict,
-            self.completed,
-            stalled,
-            repairs,
-        );
-        report.member = Some(Box::new(MemberFold {
+        MemberFold {
             member: self.member,
             members: self.members,
             peers,
             peer_repairs: self.peer_repairs,
-        }));
-        (report, wal_err)
+        }
     }
+}
+
+/// Removes and returns, in member order, the `n` peers' entries filed
+/// for round `f` — once all of them are.
+fn take_round<T>(filed: &mut BTreeMap<(SimTime, u32), T>, f: SimTime, n: u32) -> Option<Vec<T>> {
+    let round = (f, 0)..=(f, u32::MAX);
+    if filed.range(round.clone()).count() < n as usize {
+        return None;
+    }
+    let keys: Vec<(SimTime, u32)> = filed.range(round).map(|(k, _)| *k).collect();
+    Some(keys.iter().filter_map(|k| filed.remove(k)).collect())
 }
 
 /// What a federation member's [`FoldReport`] carries beside the fold:
@@ -1323,103 +1037,4 @@ pub fn merge_members(mut folds: Vec<FoldReport>) -> io::Result<FoldReport> {
     global.stalled.sort_unstable();
     global.stalled.dedup();
     Ok(global)
-}
-
-/// Rebuilds a member's state from its journal: the records replay
-/// through the identical live apply path (with journaling disabled),
-/// which both restores the fold and regenerates every outbound peer
-/// frame — under a fresh session — into the link buffers. Returns the
-/// state together with what the session loop resumes from: the source
-/// table and the repair ledger.
-pub(crate) fn recover_member(
-    cfg: &CollectorConfig,
-    fed: &FederationConfig,
-    wal_cfg: &WalConfig,
-) -> io::Result<(MemberState, SourceTable, RepairLedger, RecoveryReport)> {
-    let mut st = MemberState::new(cfg, fed);
-    let mut sources = SourceTable::new(cfg.pipeline.n_routers);
-    for r in (0..cfg.pipeline.n_routers).map(RouterId) {
-        if !st.owns(r) {
-            // Non-owned routers never gate this member's frontier — the
-            // plan, not the lease, says they are someone else's
-            // responsibility. Plan-derived, so never journaled.
-            sources.evict(r);
-        }
-    }
-    let mut repairs = RepairLedger::new();
-    let replay = wal::replay(&wal_cfg.dir)?;
-    let mut dec = Decoder::new();
-    let mut events_replayed = 0usize;
-    let mut repairs_replayed = 0usize;
-    let mut corrupt = 0usize;
-    for record in &replay.records {
-        let frame = dec.decode_record(record);
-        // Records about routers this member does not own (or does not
-        // know) are not its to replay.
-        let mine = |r: RouterId| sources.contains(r) && st.owns(r);
-        match frame {
-            Ok(Frame::Hello(h)) if mine(h.source) => {
-                sources.hello(h.source, h.session, h.first_seq);
-            }
-            Ok(Frame::Event { seq, event }) if mine(event.router) => {
-                if sources.offer(event.router, seq) == Offer::Fresh
-                    && st.advanced.is_none_or(|wm| event.time > wm)
-                {
-                    st.apply_own_event(seq, &event, None);
-                    st.flush_eager();
-                    events_replayed += 1;
-                }
-            }
-            Ok(Frame::Watermark { t, .. }) => st.replay_marker(t, &sources),
-            Ok(Frame::Evict { source }) if mine(source) => {
-                sources.evict(source);
-            }
-            Ok(Frame::Admit { source }) if mine(source) => {
-                sources.admit(source);
-            }
-            Ok(Frame::PeerHello(h)) => {
-                st.on_peer_hello(&h);
-            }
-            Ok(Frame::FrontierExchange(f)) if f.member == st.member => {
-                st.replay_own_frontier(f, &sources);
-            }
-            Ok(Frame::FrontierExchange(f)) => {
-                st.accept_peer_frame(&PeerFrame::Frontier(f), None, &sources);
-            }
-            Ok(Frame::BoundaryEdges(b)) => {
-                st.accept_peer_frame(&PeerFrame::Boundary(b), None, &sources);
-            }
-            Ok(Frame::PartialVerdict(p)) => {
-                st.accept_peer_frame(&PeerFrame::Partial(p), None, &sources);
-            }
-            Ok(Frame::Repair(r)) => {
-                // Replaying through the live path regenerates the
-                // proof broadcast for gated repairs (peers dedup by
-                // repair id), exactly like frontier history.
-                if repairs.accept(&r) {
-                    st.repair_accepted(&repairs, &r);
-                }
-                repairs_replayed += 1;
-            }
-            Ok(Frame::PeerRepairProof(p)) => {
-                st.accept_peer_frame(&PeerFrame::Repair(p), None, &sources);
-            }
-            Ok(_) => {}
-            Err(_) => corrupt += 1,
-        }
-    }
-    let report = RecoveryReport {
-        events_replayed,
-        repairs_replayed,
-        watermark: st.completed,
-        torn_tail: replay.torn,
-        segments: replay.segments,
-        corrupt_records: corrupt,
-        evicted: sources
-            .evicted()
-            .into_iter()
-            .filter(|r| st.owns(*r))
-            .collect(),
-    };
-    Ok((st, sources, repairs, report))
 }

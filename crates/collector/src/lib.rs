@@ -32,8 +32,9 @@
 //!   advance only up to the minimum applied promise across all
 //!   non-evicted sources — the merge point where the global
 //!   `(time, id)` order is known. Behind it, `shards ≥ 1` fold workers
-//!   (or, for a federation member, remote sibling collectors) journal
-//!   to the WAL and fold [`FoldShard`](shard)s of
+//!   (on a federation member, joined in every barrier round by the
+//!   other members' shards) journal to the WAL and fold
+//!   [`FoldShard`](shard)s of
 //!   [`HbgBuilder`](cpvr_core::builder::HbgBuilder)s and a
 //!   [`TrackerSlice`](cpvr_core::snapshot::TrackerSlice) whose union is
 //!   the in-process [`IngestPipeline`] fold.

@@ -83,8 +83,7 @@ pub struct CollectorMetrics {
     pub(crate) fold_nanos: Histogram,
     pub(crate) fold_batch: Histogram,
 
-    // Fold shards (one slot per worker; empty on a federation member,
-    // whose barrier is the federated round).
+    // Fold shards (one slot per worker).
     pub(crate) barrier_rounds: Counter,
     pub(crate) shard_frontier: Vec<Gauge>,
     pub(crate) shard_fold_lag: Vec<Gauge>,
@@ -146,7 +145,7 @@ impl CollectorMetrics {
     /// deployment of `n_routers`, folded by `shards` worker threads, as
     /// one member of a `members`-way federation (`members == 0` or `1`
     /// means standalone: no per-peer series are resolved).
-    pub fn new_federated(n_routers: u32, shards: u32, members: u32) -> Self {
+    pub fn new(n_routers: u32, shards: u32, members: u32) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
         let r = &registry;
 
@@ -285,7 +284,7 @@ impl CollectorMetrics {
         r.declare(
             "cpvr_barrier_rounds_total",
             MetricKind::Counter,
-            "Two-phase cross-shard barrier rounds driven by the coordinator",
+            "Barrier rounds completed (on a federation member, every federated round)",
         );
         r.declare(
             "cpvr_shard_frontier_nanos",

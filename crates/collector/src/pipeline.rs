@@ -531,13 +531,14 @@ impl IngestPipeline {
         let mut pipeline = Self::new(cfg);
         pipeline.sources = scan.sources;
         pipeline.repairs = scan.repairs;
-        for e in &scan.events {
+        for (_, e) in &scan.events {
             pipeline.ingest(e);
         }
         if let Some(wm) = scan.report.watermark {
             pipeline.advance(wm);
         }
-        Ok((pipeline, scan.report, scan.events))
+        let events = scan.events.into_iter().map(|(_, e)| e).collect();
+        Ok((pipeline, scan.report, events))
     }
 }
 
@@ -548,8 +549,14 @@ impl IngestPipeline {
 pub(crate) struct WalScan {
     /// Sequence cursors, sessions, and eviction state of every source.
     pub(crate) sources: SourceTable,
-    /// Every journaled event, in `(time, id)` order.
-    pub(crate) events: Vec<IoEvent>,
+    /// Every journaled event with its source sequence number, in
+    /// `(time, id)` order.
+    pub(crate) events: Vec<(u64, IoEvent)>,
+    /// Series 0's round markers, peer-protocol records and accepted
+    /// repair records (the latter two live in series 0 only), in journal
+    /// order: what a federation member replays through its live apply
+    /// path.
+    pub(crate) peer_log: Vec<Frame>,
     /// The fold of every journaled repair-lifecycle record.
     pub(crate) repairs: RepairLedger,
     /// The summary, including the recovered watermark.
@@ -562,6 +569,7 @@ impl WalScan {
         WalScan {
             sources: SourceTable::new(cfg.n_routers),
             events: Vec::new(),
+            peer_log: Vec::new(),
             repairs: RepairLedger::new(),
             report: RecoveryReport::default(),
         }
@@ -582,7 +590,8 @@ impl WalScan {
     pub(crate) fn read(cfg: PipelineConfig, dir: &Path, threads: usize) -> io::Result<Self> {
         let replayed = wal::replay_all(dir, threads)?;
         let mut sources = SourceTable::new(cfg.n_routers);
-        let mut events: Vec<IoEvent> = Vec::new();
+        let mut events: Vec<(u64, IoEvent)> = Vec::new();
+        let mut peer_log: Vec<Frame> = Vec::new();
         let mut repairs = RepairLedger::new();
         let mut repairs_replayed = 0usize;
         // Each series' largest logged watermark (`None` = that series
@@ -591,7 +600,7 @@ impl WalScan {
         let mut torn = false;
         let mut segments = 0usize;
         let mut corrupt = 0usize;
-        for (_series, r) in &replayed {
+        for (i, (_series, r)) in replayed.iter().enumerate() {
             torn |= r.torn;
             segments += r.segments;
             let mut series_wm: Option<SimTime> = None;
@@ -612,10 +621,13 @@ impl WalScan {
                             let e = sources.entry_mut(event.router);
                             e.next_seq = e.next_seq.max(seq + 1);
                         }
-                        events.push(event);
+                        events.push((seq, event));
                     }
-                    Ok(Frame::Watermark { t, .. }) => {
+                    Ok(Frame::Watermark { t, frontier }) => {
                         series_wm = Some(series_wm.map_or(t, |w| w.max(t)));
+                        if i == 0 {
+                            peer_log.push(Frame::Watermark { t, frontier });
+                        }
                     }
                     Ok(Frame::Hello(h)) => {
                         if sources.contains(h.source) {
@@ -642,14 +654,21 @@ impl WalScan {
                     Ok(Frame::Repair(r)) => {
                         if repairs.accept(&r) {
                             repairs_replayed += 1;
+                            peer_log.push(Frame::Repair(r));
                         }
                     }
+                    // Repairs and (only on federation members) peer frames
+                    // are all journaled into series 0, in session order.
+                    Ok(
+                        peer @ (Frame::PeerHello(_)
+                        | Frame::FrontierExchange(_)
+                        | Frame::BoundaryEdges(_)
+                        | Frame::PartialVerdict(_)
+                        | Frame::PeerRepairProof(_)),
+                    ) => peer_log.push(peer),
                     // The decoder already bound the definition. Dump
                     // requests are a live diagnostic exchange, never
-                    // journaled, but tolerated if found. Peer frames
-                    // are only journaled by federation members, which
-                    // recover through their own ordered replay; a
-                    // standalone collector ignores any it finds.
+                    // journaled, but tolerated if found.
                     Ok(Frame::Intern(_))
                     | Ok(Frame::DumpReq)
                     | Ok(Frame::DumpResp { .. })
@@ -658,12 +677,7 @@ impl WalScan {
                     | Ok(Frame::Fin)
                     | Ok(Frame::Heartbeat)
                     | Ok(Frame::MetricsReq { .. })
-                    | Ok(Frame::MetricsResp { .. })
-                    | Ok(Frame::PeerHello(_))
-                    | Ok(Frame::FrontierExchange(_))
-                    | Ok(Frame::BoundaryEdges(_))
-                    | Ok(Frame::PartialVerdict(_))
-                    | Ok(Frame::PeerRepairProof(_)) => {}
+                    | Ok(Frame::MetricsResp { .. }) => {}
                     Err(_) => corrupt += 1,
                 }
             }
@@ -681,7 +695,7 @@ impl WalScan {
         // duplicate-free ingest order is deterministic. (Within one
         // series the journal order already respects the fold frontier;
         // across series only the (time, id) order is meaningful.)
-        events.sort_by_key(|e| (e.time, e.id));
+        events.sort_by_key(|(_, e)| (e.time, e.id));
         let report = RecoveryReport {
             events_replayed: events.len(),
             repairs_replayed,
@@ -694,6 +708,7 @@ impl WalScan {
         Ok(WalScan {
             sources,
             events,
+            peer_log,
             repairs,
             report,
         })

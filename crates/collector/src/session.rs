@@ -1,61 +1,51 @@
-//! The one ingest engine: a single session loop that owns everything
-//! protocol-shaped, over a [`Backend`] that owns the fold.
+//! The session loop: the one place everything protocol-shaped is
+//! decided, in front of the one ingest engine, [`Shards`].
 //!
-//! Every collector — one fold shard, `N` fold shards, or one member of
-//! a federation — runs [`run`] on its session thread. The loop holds the
-//! [`SourceTable`] (dedup cursors, frontier-gated promises, lease
-//! state), the connection → router map, the late-event gate, the
-//! duplicate/gap/late counters, the liveness-lease sweep (evict →
-//! journal → hang up → flight dump), the watermark-stall watchdog, the
-//! repair ledger and its flight records, and the publication of
-//! [`SharedStats`] and the metrics gauges. Each of those decisions is
-//! made here and nowhere else; DESIGN.md §6 "One ingest engine" lists
-//! them.
-//!
-//! What differs between deployments is only *how a watermark becomes a
-//! verdict*, and that is the [`Backend`]:
-//!
-//! - [`Shards`](crate::shard::Shards): `N ≥ 1` worker threads, each
-//!   with a [`FoldShard`](crate::shard::FoldShard), its own WAL series
-//!   and the ack sockets of the routers it owns, joined by a two-phase
-//!   channel barrier and one group-commit thread.
-//! - [`MemberState`](crate::federation::MemberState): one
-//!   `FoldShard` folded on the session thread, whose sibling shards are
-//!   remote collectors reached over go-back-N peer links; the barrier
-//!   is the serial federated round.
+//! Every collector — one fold shard, `N` fold shards, or a member of a
+//! federation running either — runs [`run`] on its session thread. The
+//! loop holds the [`SourceTable`] (dedup cursors, frontier-gated
+//! promises, lease state), the connection → router map, the late-event
+//! gate, the duplicate/gap/late counters, the liveness-lease sweep
+//! (evict → journal → hang up → flight dump), the watermark-stall
+//! watchdog, the repair ledger and its flight records, and the
+//! publication of [`SharedStats`] and the metrics gauges. Each of those
+//! decisions is made here and nowhere else; DESIGN.md §6 "One ingest
+//! engine" lists them. How a watermark becomes a verdict — the fold
+//! workers, their barrier round, and on a member the peers taking part
+//! in it — is [`Shards`]'.
 //!
 //! ## Durability ordering
 //!
 //! The session hands a control record (hello, eviction, re-admission,
-//! repair) to [`Backend::journal`] *before* it changes the state the
-//! record describes, and a backend appends an event's wire bytes
+//! repair) to [`Shards::journal`] *before* it changes the state the
+//! record describes, and the engine appends an event's wire bytes
 //! before folding the event, a watermark record before advancing to
 //! it, and writes an ack only after the events it covers were
 //! journaled (and committed, per the fsync policy). The log is
 //! therefore always at least as complete as the in-memory state.
 
-use crate::codec::{encode_frame, Frame, PeerHello, RepairRecord, RepairStage};
+use crate::codec::{encode_frame, Frame, RepairRecord, RepairStage};
 use crate::collector::{CollectorConfig, EventRec, LeaseConfig, Msg, SharedStats};
-use crate::federation::PeerFrame;
+use crate::federation::LINK_TICK;
 use crate::metrics::CollectorMetrics;
 use crate::pipeline::{Offer, SourceState, SourceTable};
 use crate::repair_journal::RepairLedger;
-use crate::shard::{FoldGauges, FoldReport, Verdict};
+use crate::shard::{FoldReport, Shards, WorkerMsg};
 use cpvr_obs::trace::stage;
 use cpvr_obs::RingHandle;
 use cpvr_types::{RouterId, SimTime, TraceCtx};
 use std::collections::HashMap;
-use std::io::{self, Write};
-use std::net::TcpStream;
+use std::io;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Flight-recorder ring capacity of a fold thread (the session's ring,
-/// and a federation member's): they record every journal/fold/repair
-/// and round stamp, so they are deeper than a reader's.
+/// Flight-recorder ring capacity of the session thread's rings (its
+/// own, and a federation member's round machine): they record every
+/// journal/fold/repair and round stamp, so they are deeper than a
+/// reader's.
 pub(crate) const FOLD_RING_SLOTS: usize = 512;
 
 /// Sampled flights the session holds between journaling and the
@@ -63,7 +53,7 @@ pub(crate) const FOLD_RING_SLOTS: usize = 512;
 /// counts it — tracing is best-effort by design).
 const TRACED_PENDING_MAX: usize = 1024;
 
-/// One sampled flight between the hand-off to the backend and the
+/// One sampled flight between the hand-off to the engine and the
 /// verdict that completes it.
 struct Flight {
     /// The event's own (simulated) timestamp: the watermark that passes
@@ -74,113 +64,6 @@ struct Flight {
     received: Instant,
     /// When a watermark advance folded it, once one has.
     folded: Option<Instant>,
-}
-
-/// What the session loop needs from whatever folds the events.
-///
-/// A backend sees only deduplicated, in-order, non-late events and
-/// already-decided protocol transitions; it never touches the source
-/// table except to read the gate.
-pub(crate) trait Backend {
-    /// Whether this engine folds `r`'s stream (a federation member
-    /// folds only the routers its plan assigns it).
-    fn owns(&self, r: RouterId) -> bool;
-    /// The late gate: the horizon the fold has been (or is being)
-    /// advanced to. A fresh event at or behind it can no longer be
-    /// folded in order.
-    fn gate(&self) -> Option<SimTime>;
-    /// The horizon of the last *global* verdict.
-    fn watermark(&self) -> Option<SimTime>;
-    /// The verdict at [`watermark`](Self::watermark) and its wait
-    /// accounting.
-    fn verdict(&self) -> &Verdict;
-    /// Fold counters as of the last advance.
-    fn gauges(&self) -> FoldGauges;
-    /// Appends one control record to the series that journals `home`'s
-    /// stream (`None`: the series global records live in), signalling
-    /// `done` once the append is flushed.
-    fn journal(&mut self, home: Option<RouterId>, bytes: Vec<u8>, done: Option<SyncSender<()>>);
-    /// Journals and buffers a batch of fresh events from `source`, then
-    /// acks `upto` (and `fin`) on `conn`.
-    fn ingest(&mut self, conn: u64, source: RouterId, batch: Vec<EventRec>, upto: u64, fin: bool);
-    /// Takes over a greeted connection's write handle.
-    fn adopt(&mut self, conn: u64, source: RouterId, ack: Option<TcpStream>);
-    /// Acks `upto` (and `fin`) on `conn`.
-    fn ack(&mut self, conn: u64, source: RouterId, upto: u64, fin: bool);
-    /// Forgets `conn` and hangs up on it (`source` is `None` for a
-    /// connection that never greeted as a router).
-    fn drop_conn(&mut self, conn: u64, source: Option<RouterId>);
-    /// The source table's minimum promise may have moved: advance the
-    /// fold as far as it allows.
-    fn gate_moved(&mut self, sources: &SourceTable);
-    /// A repair record was journaled and was new to the ledger.
-    fn repair_accepted(&mut self, _ledger: &RepairLedger, _record: &RepairRecord) {}
-    /// A sibling collector's handshake.
-    fn peer_hello(&mut self, _conn: u64, _hello: PeerHello, _ack: Option<TcpStream>) {}
-    /// A sibling collector's frame; may complete rounds.
-    fn peer_frame(
-        &mut self,
-        _conn: u64,
-        _frame: PeerFrame,
-        _raw: Option<Vec<u8>>,
-        _sources: &SourceTable,
-    ) {
-    }
-    /// How often [`tick`](Self::tick) must run even when no message
-    /// arrives (`None`: only as often as the lease sweep).
-    fn link_tick(&self) -> Option<Duration> {
-        None
-    }
-    /// Periodic upkeep that no message drives (peer-link reconnects).
-    fn tick(&mut self, _sources: &SourceTable) {}
-    /// Closes the journal and hands the fold state back.
-    fn finish(
-        self,
-        stalled: Vec<RouterId>,
-        repairs: RepairLedger,
-    ) -> (FoldReport, Option<io::Error>);
-}
-
-/// The ack write handles of a set of connections. An ack is written by
-/// whichever thread journaled the events it covers, so the fold workers
-/// and the federation member each hold one of these.
-#[derive(Default)]
-pub(crate) struct AckSockets(HashMap<u64, TcpStream>);
-
-impl AckSockets {
-    pub(crate) fn adopt(&mut self, conn: u64, ack: Option<TcpStream>) {
-        if let Some(a) = ack {
-            self.0.insert(conn, a);
-        }
-    }
-
-    /// Acks the contiguous prefix below `upto` and, once the source's
-    /// bye promise has been *applied* (`fin`), confirms end-of-stream
-    /// with a fin: byes carry no sequence number, so the fin is the only
-    /// way a draining client can know its bye was not lost in flight. A
-    /// failed or timed-out write forfeits the handle (the client
-    /// reconnects on ack stall). Returns whether the ack went out —
-    /// callers that count acked events must not count a forfeited write.
-    pub(crate) fn ack(&mut self, conn: u64, upto: u64, fin: bool) -> bool {
-        let Some(s) = self.0.get_mut(&conn) else {
-            return false;
-        };
-        if s.write_all(&encode_frame(&Frame::Ack { upto })).is_err() {
-            self.0.remove(&conn);
-            return false;
-        }
-        if fin && s.write_all(&encode_frame(&Frame::Fin)).is_err() {
-            self.0.remove(&conn);
-        }
-        true
-    }
-
-    /// Forgets `conn` and hangs up on it.
-    pub(crate) fn drop_conn(&mut self, conn: u64) {
-        if let Some(s) = self.0.remove(&conn) {
-            let _ = s.shutdown(std::net::Shutdown::Both);
-        }
-    }
 }
 
 /// The flight-recorder stage code for one repair-lifecycle stage.
@@ -289,8 +172,8 @@ impl StallWatch {
 }
 
 /// The session loop's state: everything protocol-shaped.
-struct Session<'a, B> {
-    backend: B,
+struct Session<'a> {
+    shards: Shards,
     sources: SourceTable,
     repairs: RepairLedger,
     /// Which router each live connection speaks for. A reconnect
@@ -300,7 +183,7 @@ struct Session<'a, B> {
     /// so a router that never comes up at all is still evicted on
     /// schedule instead of gating the fold forever.
     last_heard: Vec<Instant>,
-    /// Sampled flights handed to the backend and not yet part of a
+    /// Sampled flights handed to the engine and not yet part of a
     /// consistent snapshot.
     traced: Vec<Flight>,
     /// Events folded as of the last published advance.
@@ -312,7 +195,7 @@ struct Session<'a, B> {
     flight: Option<RingHandle>,
 }
 
-impl<B: Backend> Session<'_, B> {
+impl Session<'_> {
     /// Looks up the router behind `conn` and renews its lease.
     fn heard_from(&mut self, conn: u64) -> Option<RouterId> {
         let source = *self.conn_source.get(&conn)?;
@@ -322,18 +205,18 @@ impl<B: Backend> Session<'_, B> {
     }
 
     fn ack(&mut self, conn: u64, source: RouterId) {
-        let upto = self.sources.next_seq(source);
-        self.backend
-            .ack(conn, source, upto, self.sources.finished(source));
+        let (upto, fin) = (self.sources.next_seq(source), self.sources.finished(source));
+        self.shards
+            .send(Some(source), WorkerMsg::Ack { conn, upto, fin });
     }
 
-    /// Runs one backend step that may land verdicts, then publishes
+    /// Runs one engine step that may land verdicts, then publishes
     /// whatever horizon it reached.
-    fn drive(&mut self, step: impl FnOnce(&mut B, &SourceTable)) {
-        let before = self.backend.watermark();
+    fn drive(&mut self, step: impl FnOnce(&mut Shards, &SourceTable)) {
+        let before = self.shards.completed;
         let start = Instant::now();
-        step(&mut self.backend, &self.sources);
-        let Some(wm) = self.backend.watermark().filter(|wm| Some(*wm) != before) else {
+        step(&mut self.shards, &self.sources);
+        let Some(wm) = self.shards.completed.filter(|wm| Some(*wm) != before) else {
             return;
         };
         if let Some(m) = self.metrics {
@@ -349,7 +232,7 @@ impl<B: Backend> Session<'_, B> {
         // first advance to pass one closes its session-side hop — and a
         // folded flight completes at the first consistent verdict: the
         // time in between is §4.3's wait instead of a false alarm.
-        let consistent = self.backend.verdict().status().is_consistent();
+        let consistent = &self.shards.verdict.status().is_consistent();
         let (flight, metrics) = (self.flight.as_ref(), self.metrics);
         let now = Instant::now();
         self.traced.retain_mut(|fl| {
@@ -388,10 +271,13 @@ impl<B: Backend> Session<'_, B> {
 
     /// Publishes the fold and per-source gauges.
     fn publish(&mut self) {
-        let gauges = self.backend.gauges();
-        self.folded = gauges.processed;
+        self.folded = self.shards.gauges.processed;
         if let Some(m) = self.metrics {
-            m.publish_fold(&gauges, self.backend.verdict(), self.backend.watermark());
+            m.publish_fold(
+                &self.shards.gauges,
+                &self.shards.verdict,
+                self.shards.completed,
+            );
             m.publish_sources(&self.sources);
         }
     }
@@ -400,7 +286,7 @@ impl<B: Backend> Session<'_, B> {
         match msg {
             Msg::Hello { conn, hello, ack } => {
                 let source = hello.source;
-                if !self.backend.owns(source) {
+                if !self.shards.owns(source) {
                     // A mis-wired client: this router belongs to
                     // another collector. Dropping the ack handle hangs
                     // up; the sink will resolve its real collector.
@@ -410,11 +296,8 @@ impl<B: Backend> Session<'_, B> {
                 if self.sources.state(source) == SourceState::Evicted {
                     // Journal the re-admission before widening the
                     // gate, mirroring the eviction in `sweep`.
-                    self.backend.journal(
-                        Some(source),
-                        encode_frame(&Frame::Admit { source }),
-                        None,
-                    );
+                    self.shards
+                        .journal(Some(source), encode_frame(&Frame::Admit { source }), None);
                     self.sources.admit(source);
                     self.stats.readmissions.fetch_add(1, Ordering::Relaxed);
                     if let Some(m) = self.metrics {
@@ -424,11 +307,12 @@ impl<B: Backend> Session<'_, B> {
                 // Journal the handshake so recovery re-learns the
                 // session and keeps deduplicating its replays.
                 let (session, first_seq) = (hello.session, hello.first_seq);
-                self.backend
+                self.shards
                     .journal(Some(source), encode_frame(&Frame::Hello(hello)), None);
                 self.sources.hello(source, session, first_seq);
                 self.conn_source.insert(conn, source);
-                self.backend.adopt(conn, source, ack);
+                self.shards
+                    .send(Some(source), WorkerMsg::Adopt { conn, ack });
                 // An immediate ack tells a reconnecting client how much
                 // of its planned replay is already here.
                 self.ack(conn, source);
@@ -444,7 +328,7 @@ impl<B: Backend> Session<'_, B> {
                 let Some(source) = self.heard_from(conn) else {
                     return;
                 };
-                let gate = self.backend.gate();
+                let gate = self.shards.advanced;
                 let mut fresh: Vec<EventRec> = Vec::with_capacity(batch.len());
                 let (mut late, mut dups, mut gaps) = (0u64, 0u64, 0u64);
                 for rec in batch {
@@ -456,10 +340,10 @@ impl<B: Backend> Session<'_, B> {
                         // replaying after an eviction let the fold pass
                         // them. Count and drop — the ack still covers
                         // them so the client stops re-sending.
-                        Offer::Fresh if gate.is_some_and(|wm| rec.event.time <= wm) => late += 1,
+                        Offer::Fresh if gate.is_some_and(|wm| rec.rec.time <= wm) => late += 1,
                         Offer::Fresh => {
                             // The hop is stamped at the hand-off: the
-                            // backend journals the batch before it folds
+                            // engine journals the batch before it folds
                             // or acks any of it, and before the barrier
                             // that stamps `FOLDED`.
                             if let Some((ctx, received)) = rec.trace {
@@ -474,7 +358,7 @@ impl<B: Backend> Session<'_, B> {
                                 let room = self.traced.len() < TRACED_PENDING_MAX;
                                 if room {
                                     self.traced.push(Flight {
-                                        time: rec.event.time,
+                                        time: rec.rec.time,
                                         ctx,
                                         received,
                                         folded: None,
@@ -511,7 +395,7 @@ impl<B: Backend> Session<'_, B> {
                 }
                 let upto = self.sources.next_seq(source);
                 let fin = self.sources.finished(source);
-                self.backend.ingest(conn, source, fresh, upto, fin);
+                self.shards.ingest(conn, source, fresh, upto, fin);
                 // Filling a gap may have settled a parked promise.
                 self.gate_moved();
             }
@@ -545,13 +429,13 @@ impl<B: Backend> Session<'_, B> {
             // order — so a per-series replay sees define-before-use.
             // Idempotent on replay, so a definition whose events never
             // arrive is harmless.
-            Msg::Intern { router, raw } => self.backend.journal(Some(RouterId(router)), raw, None),
+            Msg::Intern { router, raw } => self.shards.journal(Some(RouterId(router)), raw, None),
             Msg::Repair { record, done } => {
                 // Journal the lifecycle record before folding it, so the
                 // ledger never runs ahead of the log; `done` (signalled
                 // once the append is flushed) is the caller's durability
                 // barrier.
-                self.backend
+                self.shards
                     .journal(None, encode_frame(&Frame::Repair(record.clone())), done);
                 self.stats.repair_records.fetch_add(1, Ordering::Relaxed);
                 if self.repairs.accept(&record) {
@@ -559,10 +443,18 @@ impl<B: Backend> Session<'_, B> {
                         m.publish_repair(&record, self.repairs.in_flight().len());
                     }
                     flight_repair_record(&record, self.flight.as_ref(), self.metrics);
-                    self.backend.repair_accepted(&self.repairs, &record);
+                    // The moment a repair is `Gated`, its proof goes to
+                    // every peer.
+                    if let (Some(p), RepairStage::Gated) = (&mut self.shards.peers, record.stage) {
+                        p.broadcast_repair(&self.repairs, record.repair_id);
+                    }
                 }
             }
-            Msg::PeerHello { conn, hello, ack } => self.backend.peer_hello(conn, hello, ack),
+            Msg::PeerHello { conn, hello, ack } => {
+                if let Some(p) = &mut self.shards.peers {
+                    p.hello(conn, hello, ack);
+                }
+            }
             Msg::Peer { conn, frame, raw } => {
                 self.drive(|b, sources| b.peer_frame(conn, frame, raw, sources));
             }
@@ -571,7 +463,7 @@ impl<B: Backend> Session<'_, B> {
                 // global merge at its promise until the lease evicts it —
                 // the conservative choice.
                 let source = self.conn_source.remove(&conn);
-                self.backend.drop_conn(conn, source);
+                self.shards.drop_conn(conn, source);
             }
         }
     }
@@ -592,7 +484,7 @@ impl<B: Backend> Session<'_, B> {
             }
             let silent = now.saturating_duration_since(self.last_heard[i]);
             if silent >= self.lease.evict_after {
-                self.backend
+                self.shards
                     .journal(Some(r), encode_frame(&Frame::Evict { source: r }), None);
                 self.sources.evict(r);
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
@@ -611,10 +503,10 @@ impl<B: Backend> Session<'_, B> {
                 // fresh hello, and clients only re-hello on reconnect, so
                 // leaving the connection up would strand a source that is
                 // merely slow (not dead) in un-admitted limbo.
-                let backend = &mut self.backend;
+                let shards = &mut self.shards;
                 self.conn_source.retain(|&conn, source| {
                     if *source == r {
-                        backend.drop_conn(conn, Some(r));
+                        shards.drop_conn(conn, Some(r));
                     }
                     *source != r
                 });
@@ -634,11 +526,11 @@ impl<B: Backend> Session<'_, B> {
     }
 }
 
-/// Starts the session thread: [`run`] over `backend`, resuming from the
+/// Starts the session thread: [`run`] over `shards`, resuming from the
 /// recovered `sources` and `repairs`.
-pub(crate) fn spawn<B: Backend + Send + 'static>(
+pub(crate) fn spawn(
     rx: Receiver<Msg>,
-    backend: B,
+    shards: Shards,
     sources: SourceTable,
     repairs: RepairLedger,
     cfg: &CollectorConfig,
@@ -651,7 +543,7 @@ pub(crate) fn spawn<B: Backend + Send + 'static>(
         .spawn(move || {
             run(
                 rx,
-                backend,
+                shards,
                 sources,
                 repairs,
                 lease,
@@ -662,10 +554,10 @@ pub(crate) fn spawn<B: Backend + Send + 'static>(
 }
 
 /// Runs the session loop until every sender of `rx` is gone, then
-/// closes the backend and returns the fold.
-fn run<B: Backend>(
+/// closes the engine and returns the fold.
+fn run(
     rx: Receiver<Msg>,
-    backend: B,
+    shards: Shards,
     sources: SourceTable,
     repairs: RepairLedger,
     lease: LeaseConfig,
@@ -674,10 +566,10 @@ fn run<B: Backend>(
 ) -> (FoldReport, Option<io::Error>) {
     // Resuming after recovery: the recovered watermark keeps gating
     // late events even before sources reconnect.
-    let recovered = backend.watermark();
+    let recovered = shards.completed;
     let last_heard = vec![Instant::now(); sources.n_routers()];
     let mut s = Session {
-        backend,
+        shards,
         sources,
         repairs,
         conn_source: HashMap::new(),
@@ -696,14 +588,14 @@ fn run<B: Backend>(
     // Scrapes arriving before any traffic should still see the
     // recovered state, not all-zero gauges.
     s.publish();
-    // A recovered backend may have work its journal had not finished.
+    // A recovered engine may have work its journal had not finished.
     s.gate_moved();
 
     let sweep_every = lease.sweep_interval.min(Duration::from_secs(3600));
-    let tick = s
-        .backend
-        .link_tick()
-        .map_or(sweep_every, |t| t.min(sweep_every));
+    let tick = match s.shards.peers {
+        Some(_) => LINK_TICK.min(sweep_every),
+        None => sweep_every,
+    };
     let mut last_sweep = Instant::now();
     let mut last_tick: Option<Instant> = None;
     loop {
@@ -711,7 +603,9 @@ fn run<B: Backend>(
         // link polling acks, which would pace the whole round machine
         // if paid on every inbound frame.
         if last_tick.is_none_or(|t| t.elapsed() >= tick) {
-            s.backend.tick(&s.sources);
+            if let Some(p) = &mut s.shards.peers {
+                p.tick(&s.sources);
+            }
             last_tick = Some(Instant::now());
         }
         match rx.recv_timeout(tick) {
@@ -724,11 +618,11 @@ fn run<B: Backend>(
             last_sweep = Instant::now();
         }
         s.stall.observe(
-            s.backend.watermark(),
+            s.shards.completed,
             lease.stall_after,
             metrics,
             s.flight.as_ref(),
         );
     }
-    s.backend.finish(s.sources.stalled(), s.repairs)
+    s.shards.finish(s.sources.stalled(), s.repairs)
 }

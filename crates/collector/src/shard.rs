@@ -1,69 +1,65 @@
-//! The fold shard, and the `Shards` backend that runs `N ≥ 1` of them
-//! on worker threads behind a cross-shard digest barrier.
+//! The fold shard, and `Shards` — the one ingest engine behind the
+//! session loop: `N ≥ 1` fold shards on worker threads, joined by a
+//! barrier round whose participants are those workers plus, on a
+//! federation member, the other members' shards.
 //!
 //! ## One fold-shard type
 //!
-//! A `FoldShard` is the unit of fold state, whoever runs it — a
-//! worker thread here, or a federation member
-//! ([`crate::federation`]). Shard `k` of a [`ShardPlan`] holds:
-//!
-//! - a [`RuleScope::LocalOnly`] [`HbgBuilder`] over the routers the
-//!   shard owns (`ShardPlan::of_router`),
-//! - a [`RuleScope::CrossOnly`] [`HbgBuilder`] over the send/recv
-//!   events of the *conversations* the shard owns
-//!   (`ShardPlan::of_conv` — prefix range, with the addressee-router
-//!   fallback for events that carry no prefix),
-//! - a [`TrackerSlice`] over the owned router streams.
-//!
-//! The shards of a plan are edge-disjoint by scope and their union is
-//! the monolithic fold — for one shard trivially so — which is what
-//! [`FoldReport`] materializes and what every equivalence test compares
-//! against the in-process [`IngestPipeline`].
+//! Shard `k` of a [`ShardPlan`] holds a [`RuleScope::LocalOnly`]
+//! [`HbgBuilder`] over the routers it owns (`of_router`), a
+//! [`RuleScope::CrossOnly`] one over the send/recv events of the
+//! *conversations* it owns (`of_conv` — prefix range, with the
+//! addressee-router fallback for events that carry no prefix), and a
+//! [`TrackerSlice`] over the owned router streams. The shards of a plan
+//! are edge-disjoint by scope and their union is the monolithic fold,
+//! which is what [`FoldReport`] materializes and what every equivalence
+//! test compares against the in-process [`IngestPipeline`]. A
+//! federation member's shards are its slice
+//! ([`FederationPlan::shard_plan`]) of one global plan, so the members'
+//! reports merge the same way.
 //!
 //! ## Topology
 //!
-//! The session loop (`session`) keeps everything connection- and
-//! protocol-shaped. Behind it, each **fold worker** owns one
-//! `FoldShard` plus what must stay ordered with it:
+//! Each **fold worker** owns one `FoldShard`, its own WAL segment series
+//! (`wal-s<K>-NNNNNNNN.seg`; a one-shard collector writes the unnumbered
+//! `wal-NNNNNNNN.seg` series), flushed per batch and fsynced by the
+//! shared group-commit thread, and the ack sockets of what it journals,
+//! so an ack is written strictly after the events it covers. The reader
+//! classified each event once ([`FoldRecord`]); the engine only routes
+//! the record — to its router's worker, to the worker owning its
+//! conversation when that is another, or to the member owning it as an
+//! eager boundary forward.
 //!
-//! - its own WAL segment series (`wal-s<K>-NNNNNNNN.seg`; a one-shard
-//!   collector writes the unnumbered `wal-NNNNNNNN.seg` series),
-//!   flushed per batch and fsynced by the shared group-commit thread,
-//!   and
-//! - the ack sockets of the routers it owns, so an ack is written
-//!   strictly after the worker journaled the events it covers.
+//! ## The barrier round
 //!
-//! ## The barrier
-//!
-//! A watermark advance is a two-phase barrier driven synchronously
-//! over the workers' bounded inboxes:
-//!
-//! 1. `Advance { wm }`: every worker journals the watermark to its own
-//!    series, folds its builders to `wm`, and replays its tracker
-//!    streams ([`TrackerSlice::advance_collect`]) — conversation sides
-//!    owned by *other* shards (the recv-advert → send-advert HBRs that
-//!    span shards) come back as [`ConvDigest`] outboxes.
-//! 2. `Deliver { digests }`: the outboxes are regrouped in origin-shard
-//!    order and each shard is forwarded its foreign digests; workers
-//!    absorb them and report their missing sets plus fold counters.
-//!
-//! The missing sets merge into the global `Verdict` — provably equal
-//! to the monolithic [`ConsistencyTracker`] verdict at the same horizon
-//! (see the equivalence tests in `cpvr-core`) — and wait transitions
-//! are counted on the merged sequence, so §4.3 wait statistics are
-//! shard-count-invariant.
+//! A watermark advance to horizon `f` is one round. *Phase 1*: every
+//! worker journals the watermark to its own series, folds to `f`, and
+//! returns as [`ConvDigest`] outboxes the conversation sides other
+//! shards own ([`TrackerSlice::advance_collect`]); a peer's ship to it,
+//! and each peer's own arrive. *Deliver*: each own shard gets its
+//! foreign digests in origin order (the peers' after the own, in member
+//! order). *Phase 2*: workers report their missing sets, which a member
+//! ships to the peers as its partial verdict while theirs arrive.
+//! *Merge*: every missing set merges into the global `Verdict` —
+//! provably equal to the monolithic [`ConsistencyTracker`] verdict — and
+//! wait transitions are counted on the merged sequence, so §4.3 wait
+//! statistics are shard- and member-count-invariant. With no peers
+//! nothing waits and a round runs in one call; a member's round pauses
+//! wherever a peer's contribution is missing and resumes when the
+//! session loop hands it over.
 //!
 //! [`RuleScope::LocalOnly`]: cpvr_core::rules::RuleScope
+//! [`RuleScope::CrossOnly`]: cpvr_core::rules::RuleScope
 //! [`ConsistencyTracker`]: cpvr_core::snapshot::ConsistencyTracker
+//! [`FederationPlan::shard_plan`]: cpvr_core::FederationPlan::shard_plan
 
-use crate::codec::{encode_frame, Frame};
+use crate::codec::{encode_frame, Frame, RepairStage};
 use crate::collector::{CollectorConfig, EventRec};
-use crate::federation::MemberFold;
+use crate::federation::{MemberFold, Peers};
 use crate::group_commit::{GroupCommit, GroupCommitHandle};
 use crate::metrics::CollectorMetrics;
-use crate::pipeline::{IngestPipeline, PipelineConfig, SourceTable};
+use crate::pipeline::{IngestPipeline, PipelineConfig, SourceTable, WalScan};
 use crate::repair_journal::RepairLedger;
-use crate::session::{AckSockets, Backend};
 use crate::wal::{FsyncPolicy, Wal};
 use cpvr_core::builder::HbgBuilder;
 use cpvr_core::hbg::{Hbg, Hbr};
@@ -73,8 +69,8 @@ use cpvr_core::{FoldRecord, HbrSource, ShardPlan};
 use cpvr_dataplane::DataPlane;
 use cpvr_sim::IoEvent;
 use cpvr_types::{RouterId, SimTime};
-use std::collections::BTreeMap;
-use std::io;
+use std::collections::{BTreeMap, HashMap};
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::{Arc, OnceLock};
@@ -105,28 +101,20 @@ impl FoldShard {
         }
     }
 
-    /// Classifies one owned-router event and buffers the record into
-    /// the local builder, the tracker slice, and (when this shard also
-    /// owns its conversation) the cross builder. Returns the shard that
-    /// owns the conversation when that is another one — it needs the
-    /// record too, through [`ingest_cross`](Self::ingest_cross).
-    pub(crate) fn ingest(&mut self, e: &IoEvent) -> Option<u32> {
-        let rec = FoldRecord::of(e);
+    /// Buffers one owned-router event's record (with its raw arrival)
+    /// into the local builder, the tracker slice, and — when this shard
+    /// also owns its conversation — the cross builder (the shard that
+    /// does gets it as a `WorkerMsg::IngestCross` record).
+    pub(crate) fn ingest(&mut self, rec: FoldRecord, arrived_at: Option<SimTime>) {
         self.local.ingest_record(rec);
-        self.slice.ingest_record(rec, e.arrived_at);
+        self.slice.ingest_record(rec, arrived_at);
         self.events += 1;
-        let owner = self.plan.of_conv(&rec.conv()?.0);
-        if owner != self.shard {
-            return Some(owner);
+        if rec
+            .conv()
+            .is_some_and(|(key, _)| self.plan.of_conv(&key) == self.shard)
+        {
+            self.cross.ingest_record(rec);
         }
-        self.cross.ingest_record(rec);
-        None
-    }
-
-    /// Buffers a record whose conversation this shard owns but whose
-    /// router it does not — feed for the cross-scope builder only.
-    pub(crate) fn ingest_cross(&mut self, rec: FoldRecord) {
-        self.cross.ingest_record(rec);
     }
 
     /// Folds both builders and the tracker slice to `wm`; returns, per
@@ -138,18 +126,6 @@ impl FoldShard {
         let mut outboxes = vec![Vec::new(); self.plan.shards() as usize];
         self.slice.advance_collect(wm, &mut outboxes);
         outboxes
-    }
-
-    /// Applies the digests other shards collected for this one.
-    pub(crate) fn absorb(&mut self, digests: &[ConvDigest]) {
-        for d in digests {
-            self.slice.absorb(d);
-        }
-    }
-
-    /// The routers this shard's part of the snapshot still waits for.
-    pub(crate) fn missing(&self) -> Vec<RouterId> {
-        self.slice.missing()
     }
 
     pub(crate) fn gauges(&self) -> FoldGauges {
@@ -198,23 +174,12 @@ impl FoldGauges {
 /// The global snapshot verdict and its wait accounting: the merge of
 /// every shard's missing set at one horizon, and the §4.3 transitions
 /// the monolithic tracker would have counted on that verdict sequence.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct Verdict {
     status: SnapshotStatus,
     waiting: bool,
     issued: u64,
     resolved: u64,
-}
-
-impl Default for Verdict {
-    fn default() -> Self {
-        Verdict {
-            status: SnapshotStatus::Consistent,
-            waiting: false,
-            issued: 0,
-            resolved: 0,
-        }
-    }
 }
 
 impl Verdict {
@@ -258,7 +223,7 @@ impl Verdict {
 /// [`IngestPipeline`] on the same trace.
 ///
 /// A federation member's report is a *partial* view (its HBG holds only
-/// the member's local and owned-conversation edges, its data plane only
+/// its shards' local and owned-conversation edges, its data plane only
 /// the owned routers) with the member extras beside it;
 /// [`merge_members`](crate::federation::merge_members) combines the
 /// members of one federation into the global report.
@@ -314,25 +279,6 @@ fn merge(parts: &[FoldShard]) -> Merged {
 }
 
 impl FoldReport {
-    pub(crate) fn new(
-        parts: Vec<FoldShard>,
-        verdict: &Verdict,
-        watermark: Option<SimTime>,
-        stalled: Vec<RouterId>,
-        repairs: RepairLedger,
-    ) -> Self {
-        FoldReport {
-            parts,
-            merged: OnceLock::new(),
-            status: verdict.status.clone(),
-            waits: verdict.waits(),
-            watermark,
-            stalled,
-            repairs,
-            member: None,
-        }
-    }
-
     fn merged(&self) -> &Merged {
         self.merged.get_or_init(|| merge(&self.parts))
     }
@@ -415,24 +361,20 @@ impl FoldReport {
 /// What the session thread sends a fold worker. Bounded channel; the
 /// session blocks when a worker falls behind, which is the same
 /// backpressure story as the reader → session channel.
-enum WorkerMsg {
-    /// Fresh, in-order, non-late events for an owned router: journal,
-    /// ingest, then ack `upto`.
+pub(crate) enum WorkerMsg {
+    /// Fresh, in-order, non-late, classified events for an owned
+    /// router: journal the wire bytes (WAL-recovered events carry none —
+    /// they are durable already), ingest, then ack `(conn, upto, fin)`.
     Ingest {
-        conn: u64,
         batch: Vec<EventRec>,
-        upto: u64,
-        fin: bool,
+        ack: Option<(u64, u64, bool)>,
     },
     /// Records of events whose conversations this worker owns but whose
     /// routers it does not.
     IngestCross { records: Vec<FoldRecord> },
-    /// WAL-recovered events for owned routers: ingest without
-    /// journaling or acking (they are already durable).
-    Seed { events: Vec<IoEvent> },
-    /// Journal a control record (hello/evict/admit/intern/repair);
-    /// `done` (repair records only) is signalled once the append is
-    /// flushed, as the submitter's durability barrier.
+    /// Journal a control record; `done` (repair records only) is
+    /// signalled once the append is flushed, as the submitter's
+    /// durability barrier.
     Journal {
         bytes: Vec<u8>,
         done: Option<SyncSender<()>>,
@@ -443,8 +385,8 @@ enum WorkerMsg {
     Ack { conn: u64, upto: u64, fin: bool },
     /// Drop (and hang up) a connection's ack socket.
     DropConn { conn: u64 },
-    /// Barrier phase 1: journal the watermark (unless seeding from
-    /// recovery), fold to `wm`, reply with foreign-conversation digests.
+    /// Barrier phase 1: journal the watermark (unless recovering), fold
+    /// to `wm`, reply with foreign-conversation digests.
     Advance { wm: SimTime, journal: bool },
     /// Barrier phase 2: absorb foreign digests, reply with the missing
     /// set and fold counters.
@@ -455,30 +397,31 @@ enum WorkerMsg {
 
 /// What a fold worker sends back.
 enum Reply {
-    /// Barrier phase 1 result: per-destination-shard digest outboxes.
     Phase1 {
-        shard: u32,
+        local: usize,
         outboxes: Vec<Vec<ConvDigest>>,
     },
-    /// Barrier phase 2 result: the shard's verdict inputs and counters.
     Phase2 {
         missing: Vec<RouterId>,
         gauges: FoldGauges,
     },
-    /// Shutdown result: the worker's fold shard.
-    Done(Box<(FoldShard, Option<io::Error>)>),
+    Done(Box<(usize, FoldShard, Option<io::Error>)>),
 }
 
 /// One fold worker: owns a fold shard, its WAL series, and the ack
-/// sockets of its routers.
+/// sockets of what it journals — its routers' connections, and on
+/// worker 0 the inbound peer links'.
 struct Worker {
+    /// This worker's index among the collector's own shards (also its
+    /// WAL series and metric label).
+    local: usize,
     fold: FoldShard,
     wal: Option<Wal>,
     gc: Option<GroupCommitHandle>,
     fsync: FsyncPolicy,
     last_segment: u64,
     wal_err: Option<io::Error>,
-    acks: AckSockets,
+    acks: HashMap<u64, TcpStream>,
     metrics: Option<Arc<CollectorMetrics>>,
     reply: Sender<Reply>,
 }
@@ -517,7 +460,7 @@ impl Worker {
             // thread must fsync that one from now on.
             if w.segment_index() != self.last_segment {
                 self.last_segment = w.segment_index();
-                if !gc.register(self.fold.shard, w.active_file()?) {
+                if !gc.register(self.local as u32, w.active_file()?) {
                     return Err(gone());
                 }
             }
@@ -531,16 +474,32 @@ impl Worker {
         self.wal_err = committed.err();
     }
 
+    /// Acks the contiguous prefix below `upto` and, once the source's
+    /// bye promise has been *applied* (`fin`), confirms end-of-stream
+    /// with a fin: byes carry no sequence number, so the fin is the only
+    /// way a draining client can know its bye was not lost in flight. A
+    /// failed or timed-out write forfeits the handle (the client
+    /// reconnects on ack stall). Returns whether the ack went out —
+    /// callers that count acked events must not count a forfeited write.
+    fn ack(&mut self, conn: u64, upto: u64, fin: bool) -> bool {
+        let Some(s) = self.acks.get_mut(&conn) else {
+            return false;
+        };
+        if s.write_all(&encode_frame(&Frame::Ack { upto })).is_err() {
+            self.acks.remove(&conn);
+            return false;
+        }
+        if fin && s.write_all(&encode_frame(&Frame::Fin)).is_err() {
+            self.acks.remove(&conn);
+        }
+        true
+    }
+
     fn run(mut self, rx: Receiver<WorkerMsg>) {
-        let shard = self.fold.shard;
+        let local = self.local;
         while let Ok(msg) = rx.recv() {
             match msg {
-                WorkerMsg::Ingest {
-                    conn,
-                    batch,
-                    upto,
-                    fin,
-                } => {
+                WorkerMsg::Ingest { batch, ack } => {
                     // Sampled flights in the batch, by when each was
                     // appended to the journal.
                     let mut flights: Vec<Instant> = Vec::new();
@@ -558,7 +517,7 @@ impl Worker {
                     }
                     self.commit(journaled);
                     for rec in &batch {
-                        self.fold.ingest(&rec.event);
+                        self.fold.ingest(rec.rec, rec.arrived_at);
                     }
                     if let Some(m) = &self.metrics {
                         m.events_journaled.add(u64::from(journaled));
@@ -566,23 +525,21 @@ impl Worker {
                     // Ack only after the batch was journaled *and*
                     // committed per policy: acked ⇒ durable. Count only
                     // an ack that actually went out.
-                    if self.acks.ack(conn, upto, fin) {
-                        if let Some(m) = &self.metrics {
-                            m.events_acked.add(batch.len() as u64);
-                            for appended in flights {
-                                m.flight_journaled_to_acked.observe_since(appended);
-                            }
+                    let Some((conn, upto, fin)) = ack else {
+                        continue;
+                    };
+                    if let (true, Some(m)) = (self.ack(conn, upto, fin), &self.metrics) {
+                        m.events_acked.add(batch.len() as u64);
+                        for appended in flights {
+                            m.flight_journaled_to_acked.observe_since(appended);
                         }
                     }
                 }
+                // Records whose conversations this shard owns but whose
+                // routers it does not: cross-builder feed only.
                 WorkerMsg::IngestCross { records } => {
                     for rec in records {
-                        self.fold.ingest_cross(rec);
-                    }
-                }
-                WorkerMsg::Seed { events } => {
-                    for e in &events {
-                        self.fold.ingest(e);
+                        self.fold.cross.ingest_record(rec);
                     }
                 }
                 WorkerMsg::Journal { bytes, done } => {
@@ -593,11 +550,19 @@ impl Worker {
                         let _ = done.send(());
                     }
                 }
-                WorkerMsg::Adopt { conn, ack } => self.acks.adopt(conn, ack),
-                WorkerMsg::Ack { conn, upto, fin } => {
-                    self.acks.ack(conn, upto, fin);
+                WorkerMsg::Adopt { conn, ack } => {
+                    if let Some(a) = ack {
+                        self.acks.insert(conn, a);
+                    }
                 }
-                WorkerMsg::DropConn { conn } => self.acks.drop_conn(conn),
+                WorkerMsg::Ack { conn, upto, fin } => {
+                    self.ack(conn, upto, fin);
+                }
+                WorkerMsg::DropConn { conn } => {
+                    if let Some(s) = self.acks.remove(&conn) {
+                        let _ = s.shutdown(std::net::Shutdown::Both);
+                    }
+                }
                 WorkerMsg::Advance { wm, journal } => {
                     // The watermark record precedes the fold in this
                     // series, which is what makes the recovered
@@ -610,24 +575,30 @@ impl Worker {
                         self.commit(1);
                     }
                     let outboxes = self.fold.advance_collect(wm);
-                    if let Some(m) = &self.metrics {
-                        if let Some(g) = m.shard_frontier.get(shard as usize) {
-                            g.set(wm.as_nanos() as i64);
-                        }
+                    if let Some(g) = self
+                        .metrics
+                        .as_ref()
+                        .and_then(|m| m.shard_frontier.get(local))
+                    {
+                        g.set(wm.as_nanos() as i64);
                     }
-                    if self.reply.send(Reply::Phase1 { shard, outboxes }).is_err() {
+                    if self.reply.send(Reply::Phase1 { local, outboxes }).is_err() {
                         return;
                     }
                 }
                 WorkerMsg::Deliver { digests } => {
-                    self.fold.absorb(&digests);
-                    let gauges = self.fold.gauges();
-                    if let Some(m) = &self.metrics {
-                        if let Some(g) = m.shard_fold_lag.get(shard as usize) {
-                            g.set(gauges.pending as i64);
-                        }
+                    for d in &digests {
+                        self.fold.slice.absorb(d);
                     }
-                    let missing = self.fold.missing();
+                    let gauges = self.fold.gauges();
+                    if let Some(g) = self
+                        .metrics
+                        .as_ref()
+                        .and_then(|m| m.shard_fold_lag.get(local))
+                    {
+                        g.set(gauges.pending as i64);
+                    }
+                    let missing = self.fold.slice.missing();
                     if self.reply.send(Reply::Phase2 { missing, gauges }).is_err() {
                         return;
                     }
@@ -638,9 +609,9 @@ impl Worker {
                             self.wal_err = Some(e);
                         }
                     }
-                    let _ = self
-                        .reply
-                        .send(Reply::Done(Box::new((self.fold, self.wal_err))));
+                    let _ =
+                        self.reply
+                            .send(Reply::Done(Box::new((local, self.fold, self.wal_err))));
                     return;
                 }
             }
@@ -648,44 +619,72 @@ impl Worker {
     }
 }
 
-/// One shard's live handle held by the session thread.
-struct ShardHandle {
-    tx: SyncSender<WorkerMsg>,
-    join: JoinHandle<()>,
+/// The one barrier round in flight, at horizon `at`.
+struct Round {
+    at: SimTime,
+    /// Phase-1 digests regrouped per own destination shard, in origin
+    /// order; the peers' join them at delivery.
+    deliver: Vec<Vec<ConvDigest>>,
+    /// The own shards' missing sets, once phase 2 ran.
+    missing: Option<Vec<RouterId>>,
+    opened: Instant,
 }
 
-/// The in-process backend: `plan.shards()` fold workers, the two-phase
-/// channel barrier, and one group-commit thread for all their WAL
-/// series.
+/// The ingest engine behind the session loop: the collector's own fold
+/// workers, one group-commit thread for their WAL series, and — on a
+/// federation member — the [`Peers`] standing in for the other members'
+/// shards in every barrier round.
 pub(crate) struct Shards {
     plan: ShardPlan,
-    workers: Vec<ShardHandle>,
+    /// The global index of this collector's first shard (`member · n`
+    /// on a federation member, 0 otherwise).
+    base: u32,
+    workers: Vec<SyncSender<WorkerMsg>>,
+    joins: Vec<JoinHandle<()>>,
     replies: Receiver<Reply>,
     gc: Option<GroupCommit>,
-    /// The last barrier's horizon: late gate and verdict watermark.
-    advanced: Option<SimTime>,
-    verdict: Verdict,
-    gauges: FoldGauges,
+    /// The horizon of the open (or last opened) round: the late gate. A
+    /// fresh event at or behind it can no longer be folded in order.
+    pub(crate) advanced: Option<SimTime>,
+    /// The horizon of the last merged verdict, which the session
+    /// publishes: a member whose rounds stop landing is stalled even if
+    /// its own sources stay chatty.
+    pub(crate) completed: Option<SimTime>,
+    /// The verdict at `completed` and its wait accounting.
+    pub(crate) verdict: Verdict,
+    /// Fold counters as of the last round.
+    pub(crate) gauges: FoldGauges,
+    round: Option<Round>,
+    /// The other members' shards, on a federation member.
+    pub(crate) peers: Option<Peers>,
     metrics: Option<Arc<CollectorMetrics>>,
 }
 
 impl Shards {
-    /// Opens one WAL series per shard (when `cfg.wal` is set), starts
-    /// the group-commit thread and the workers, seeds them with the
-    /// WAL-recovered `events` (already durable: no re-journaling, no
-    /// acks), and runs a barrier at the recovered watermark so verdict
-    /// and wait accounting match a monolithic recovery exactly.
+    /// Opens one WAL series per own shard (when `cfg.wal` is set),
+    /// starts the group-commit thread and the workers, and seeds them
+    /// with the WAL-recovered events in `scan` (already durable: no
+    /// re-journaling, no acks). A standalone collector then runs one
+    /// barrier at the recovered watermark, so verdict and wait
+    /// accounting match a monolithic recovery exactly; a federation
+    /// member instead replays its journaled peer and round records
+    /// through the live apply path, which regenerates its rounds, its
+    /// verdict history and every outbound peer frame.
     pub(crate) fn start(
         cfg: &CollectorConfig,
-        recovered_wm: Option<SimTime>,
-        events: Vec<IoEvent>,
+        scan: &mut WalScan,
         metrics: Option<Arc<CollectorMetrics>>,
     ) -> io::Result<Shards> {
-        let plan = cfg
-            .plan
-            .clone()
-            .unwrap_or_else(|| ShardPlan::uniform(cfg.shards.max(1)));
-        let shards = plan.shards();
+        let shards = cfg.fold_shards();
+        let fed = cfg.federation.as_ref();
+        let base = fed.map_or(0, |f| f.member * shards);
+        let plan = match fed {
+            Some(f) => f.plan.shard_plan(shards),
+            None => cfg
+                .plan
+                .clone()
+                .unwrap_or_else(|| ShardPlan::uniform(shards)),
+        };
         let fsync = cfg.wal.as_ref().map_or(FsyncPolicy::Never, |w| w.fsync);
         // Cadence: `EveryN(n)` syncs once per `n` appends across all
         // series; `Always` syncs via per-batch tickets; `Never` only on
@@ -705,7 +704,7 @@ impl Shards {
         });
 
         let (reply_tx, replies) = std::sync::mpsc::channel::<Reply>();
-        let mut workers = Vec::with_capacity(shards as usize);
+        let (mut workers, mut joins) = (Vec::new(), Vec::new());
         for k in 0..shards {
             let mut wal = None;
             let mut last_segment = 0;
@@ -726,51 +725,75 @@ impl Shards {
                 wal = Some(w);
             }
             let worker = Worker {
-                fold: FoldShard::new(&cfg.pipeline, plan.clone(), k),
+                local: k as usize,
+                fold: FoldShard::new(&cfg.pipeline, plan.clone(), base + k),
                 wal,
                 gc: gc.as_ref().map(GroupCommit::handle),
                 fsync,
                 last_segment,
                 wal_err: None,
-                acks: AckSockets::default(),
+                acks: HashMap::new(),
                 metrics: metrics.clone(),
                 reply: reply_tx.clone(),
             };
             let (tx, rx) = std::sync::mpsc::sync_channel(cfg.channel_capacity.max(1));
-            let join = thread::Builder::new()
-                .name(format!("cpvr-fold-{k}"))
-                .spawn(move || worker.run(rx))?;
-            workers.push(ShardHandle { tx, join });
+            workers.push(tx);
+            joins.push(
+                thread::Builder::new()
+                    .name(format!("cpvr-fold-{k}"))
+                    .spawn(move || worker.run(rx))?,
+            );
         }
         let mut this = Shards {
             plan,
+            base,
             workers,
+            joins,
             replies,
             gc,
-            advanced: recovered_wm,
+            advanced: None,
+            completed: None,
             verdict: Verdict::default(),
             gauges: FoldGauges::default(),
+            round: None,
+            peers: fed.map(|f| Peers::new(cfg, f)),
             metrics,
         };
-        if !events.is_empty() {
-            let mut seeds: Vec<Vec<IoEvent>> = vec![Vec::new(); shards as usize];
-            let mut crosses = vec![Vec::new(); shards as usize];
-            for e in events {
-                let owner = this.plan.of_router(e.router);
-                this.cross_route(owner, &e, &mut crosses);
-                seeds[owner as usize].push(e);
+        this.seed(std::mem::take(&mut scan.events));
+        if this.peers.is_none() {
+            if let Some(wm) = scan.report.watermark {
+                // Not journaled: the watermark is already durable in
+                // every series that folded to it.
+                this.open(wm, false);
+                this.try_complete();
             }
-            for (w, events) in this.workers.iter().zip(seeds) {
-                if !events.is_empty() {
-                    let _ = w.tx.send(WorkerMsg::Seed { events });
-                }
-            }
-            this.send_crosses(crosses);
+            return Ok(this);
         }
-        if let Some(wm) = recovered_wm {
-            // Not journaled: the watermark is already durable in every
-            // series that folded to it.
-            this.barrier(wm, false);
+        for r in (0..cfg.pipeline.n_routers).map(RouterId) {
+            if !this.owns(r) {
+                // Non-owned routers never gate this member's frontier —
+                // the plan, not the lease, says they are someone else's
+                // responsibility. Plan-derived, so never journaled.
+                scan.sources.evict(r);
+            }
+        }
+        // The replay leaves no telemetry: the live run already counted
+        // what it regenerates.
+        let metrics = this.metrics.take();
+        let durable = scan.report.watermark;
+        for frame in std::mem::take(&mut scan.peer_log) {
+            // A marker some series lacks (`> durable`, the min over series
+            // of their last marker) opened a round whose events in that
+            // series may be lost; the live run reopens it.
+            if !matches!(frame, Frame::Watermark { t, .. } if Some(t) > durable) {
+                this.replay(frame, &scan.sources, &scan.repairs);
+            }
+        }
+        scan.report.watermark = this.completed;
+        this.metrics = metrics.clone();
+        let series0 = this.workers[0].clone();
+        if let Some(p) = this.peers.as_mut() {
+            p.go_live(series0, metrics);
         }
         Ok(this)
     }
@@ -780,185 +803,373 @@ impl Shards {
         self.gc.as_ref().map(GroupCommit::handle)
     }
 
-    fn owner(&self, r: RouterId) -> &SyncSender<WorkerMsg> {
-        &self.workers[self.plan.of_router(r) as usize].tx
+    /// The index among this collector's workers of global shard `g`, if
+    /// it is one of them.
+    fn local(&self, g: u32) -> Option<usize> {
+        g.checked_sub(self.base)
+            .map(|k| k as usize)
+            .filter(|k| *k < self.workers.len())
     }
 
-    /// Stages the fold record of `e` for the shard owning its
-    /// conversation, when that is not `owner`, the shard owning its
-    /// router.
-    fn cross_route(&self, owner: u32, e: &IoEvent, crosses: &mut [Vec<FoldRecord>]) {
-        let rec = FoldRecord::of(e);
-        if let Some((key, _)) = rec.conv() {
-            let conv_owner = self.plan.of_conv(&key);
-            if conv_owner != owner {
-                crosses[conv_owner as usize].push(rec);
-            }
+    /// The worker journaling `home`'s stream: its owner — or worker 0,
+    /// for records with no home (repairs, whose one canonical home is
+    /// series 0, so a replay reassembles the same lifecycle order) and
+    /// for routers this member does not own.
+    fn worker(&self, home: Option<RouterId>) -> &SyncSender<WorkerMsg> {
+        let k = home.and_then(|r| self.local(self.plan.of_router(r)));
+        &self.workers[k.unwrap_or(0)]
+    }
+
+    /// Hands `home`'s worker one message (see [`worker`](Self::worker)).
+    pub(crate) fn send(&self, home: Option<RouterId>, msg: WorkerMsg) {
+        let _ = self.worker(home).send(msg);
+    }
+
+    /// Appends one control record to the series journaling `home`'s
+    /// stream, signalling `done` once the append is flushed.
+    pub(crate) fn journal(
+        &self,
+        home: Option<RouterId>,
+        bytes: Vec<u8>,
+        done: Option<SyncSender<()>>,
+    ) {
+        self.send(home, WorkerMsg::Journal { bytes, done });
+    }
+
+    /// Stages `rec`'s fold record for the shard owning its conversation
+    /// when that is not `owner`, the shard owning its router: an own
+    /// shard's cross builder, or the eager forward to the member whose
+    /// shard it is.
+    fn route_cross(&mut self, owner: u32, rec: &EventRec, crosses: &mut [Vec<FoldRecord>]) {
+        let Some((key, _)) = rec.rec.conv() else {
+            return;
+        };
+        let g = self.plan.of_conv(&key);
+        match (g == owner, self.local(g), self.peers.as_mut(), &rec.event) {
+            (true, ..) => {}
+            (_, Some(k), ..) => crosses[k].push(rec.rec),
+            (_, None, Some(p), Some(e)) => p.stage(self.plan.member_of(g), rec.seq, e),
+            _ => {}
         }
     }
 
-    fn send_crosses(&self, crosses: Vec<Vec<FoldRecord>>) {
+    /// Cross-conversation copies go out *before* the owner's batch can
+    /// trigger any later barrier, so a shard's cross builder always has
+    /// both sides of an HBR by the time the watermark folds it.
+    fn send_crosses(&mut self, crosses: Vec<Vec<FoldRecord>>) {
         for (w, records) in self.workers.iter().zip(crosses) {
             if !records.is_empty() {
-                let _ = w.tx.send(WorkerMsg::IngestCross { records });
+                let _ = w.send(WorkerMsg::IngestCross { records });
+            }
+        }
+        if let Some(p) = self.peers.as_mut() {
+            p.flush_eager();
+        }
+    }
+
+    /// Hands WAL-recovered events to their owning workers.
+    fn seed(&mut self, events: Vec<(u64, IoEvent)>) {
+        let mut seeds: Vec<Vec<EventRec>> = self.workers.iter().map(|_| Vec::new()).collect();
+        let mut crosses = vec![Vec::new(); self.workers.len()];
+        for (seq, event) in events {
+            // Already durable, never traced.
+            let rec = EventRec::new(seq, event, self.peers.is_some());
+            let owner = self.plan.of_router(rec.rec.router);
+            self.route_cross(owner, &rec, &mut crosses);
+            seeds[self.local(owner).unwrap_or(0)].push(rec);
+        }
+        self.send_crosses(crosses);
+        for (w, batch) in self.workers.iter().zip(seeds) {
+            if !batch.is_empty() {
+                let _ = w.send(WorkerMsg::Ingest { batch, ack: None });
             }
         }
     }
 
-    /// Runs one two-phase barrier at `wm` across all workers and merges
-    /// the verdict.
-    fn barrier(&mut self, wm: SimTime, journal: bool) {
-        let shards = self.workers.len();
-        let start = Instant::now();
-        for w in &self.workers {
-            let _ = w.tx.send(WorkerMsg::Advance { wm, journal });
+    /// Journals and buffers a batch of fresh events from `source`, then
+    /// acks `upto` (and `fin`) on `conn`.
+    pub(crate) fn ingest(
+        &mut self,
+        conn: u64,
+        source: RouterId,
+        batch: Vec<EventRec>,
+        upto: u64,
+        fin: bool,
+    ) {
+        let owner = self.plan.of_router(source);
+        let mut crosses = vec![Vec::new(); self.workers.len()];
+        for rec in &batch {
+            self.route_cross(owner, rec, &mut crosses);
         }
-        // Phase 1: collect every shard's foreign-digest outboxes.
-        let mut outboxes: Vec<Vec<Vec<ConvDigest>>> = vec![Vec::new(); shards];
-        for _ in 0..shards {
+        self.send_crosses(crosses);
+        let ack = Some((conn, upto, fin));
+        self.send(Some(source), WorkerMsg::Ingest { batch, ack });
+    }
+
+    /// Phase 1 of the round at `f`: every own worker journals the
+    /// watermark (unless recovering), folds to it, and returns its
+    /// foreign-conversation digests — regrouped here per own
+    /// destination shard, and shipped per member to the peers.
+    fn open(&mut self, f: SimTime, journal: bool) {
+        self.advanced = Some(f);
+        let opened = Instant::now();
+        for w in &self.workers {
+            let _ = w.send(WorkerMsg::Advance { wm: f, journal });
+        }
+        let mut outboxes: Vec<Vec<Vec<ConvDigest>>> = vec![Vec::new(); self.workers.len()];
+        for _ in 0..self.workers.len() {
             let Ok(Reply::Phase1 {
-                shard,
+                local,
                 outboxes: out,
             }) = self.replies.recv()
             else {
                 return;
             };
-            if let Some(m) = &self.metrics {
-                if let Some(h) = m.shard_barrier_stall.get(shard as usize) {
-                    h.observe_since(start);
-                }
+            if let Some(h) = self
+                .metrics
+                .as_ref()
+                .and_then(|m| m.shard_barrier_stall.get(local))
+            {
+                h.observe_since(opened);
             }
-            outboxes[shard as usize] = out;
+            outboxes[local] = out;
         }
         // Regroup per destination, in origin-shard order: digests for one
         // conversation side all originate from a single stream on a single
         // shard, so this concatenation preserves stream order.
-        let mut deliver: Vec<Vec<ConvDigest>> = vec![Vec::new(); shards];
+        let mut deliver = vec![Vec::new(); self.workers.len()];
+        let mut remote = vec![Vec::new(); self.peers.as_ref().map_or(0, |p| p.members as usize)];
         for origin in outboxes {
-            for (dest, digests) in origin.into_iter().enumerate() {
-                deliver[dest].extend(digests);
+            for (g, digests) in (0..).zip(origin) {
+                match self.local(g) {
+                    Some(k) => deliver[k].extend(digests),
+                    None => remote[self.plan.member_of(g) as usize].extend(digests),
+                }
             }
         }
-        for (w, digests) in self.workers.iter().zip(deliver) {
-            let _ = w.tx.send(WorkerMsg::Deliver { digests });
+        if let Some(p) = self.peers.as_mut() {
+            p.open_round(f, remote);
         }
-        // Phase 2: merge the missing sets into the global verdict.
-        let mut missing: Vec<RouterId> = Vec::new();
-        let mut gauges = FoldGauges::default();
-        for _ in 0..shards {
-            let Ok(Reply::Phase2 {
-                missing: m,
-                gauges: g,
-            }) = self.replies.recv()
-            else {
-                return;
-            };
-            missing.extend(m);
-            gauges.add(&g);
-        }
-        self.verdict.merge(missing);
-        self.gauges = gauges;
-        if let Some(m) = &self.metrics {
-            m.barrier_rounds.inc();
-        }
-    }
-}
-
-impl Backend for Shards {
-    fn owns(&self, _r: RouterId) -> bool {
-        true
-    }
-
-    fn gate(&self) -> Option<SimTime> {
-        self.advanced
-    }
-
-    fn watermark(&self) -> Option<SimTime> {
-        self.advanced
-    }
-
-    fn verdict(&self) -> &Verdict {
-        &self.verdict
-    }
-
-    fn gauges(&self) -> FoldGauges {
-        self.gauges.clone()
-    }
-
-    /// Repairs are global, not per-router: shard 0's series is their
-    /// one canonical home, so a replay reassembles the same lifecycle
-    /// order.
-    fn journal(&mut self, home: Option<RouterId>, bytes: Vec<u8>, done: Option<SyncSender<()>>) {
-        let tx = home.map_or(&self.workers[0].tx, |r| self.owner(r));
-        let _ = tx.send(WorkerMsg::Journal { bytes, done });
-    }
-
-    fn ingest(&mut self, conn: u64, source: RouterId, batch: Vec<EventRec>, upto: u64, fin: bool) {
-        // Cross-conversation copies go out *before* the owner's batch
-        // can trigger any later barrier, so a shard's cross builder
-        // always has both sides of an HBR by the time the watermark
-        // folds it.
-        let owner = self.plan.of_router(source);
-        let mut crosses = vec![Vec::new(); self.workers.len()];
-        for rec in &batch {
-            self.cross_route(owner, &rec.event, &mut crosses);
-        }
-        self.send_crosses(crosses);
-        let _ = self.workers[owner as usize].tx.send(WorkerMsg::Ingest {
-            conn,
-            batch,
-            upto,
-            fin,
+        self.round = Some(Round {
+            at: f,
+            deliver,
+            missing: None,
+            opened,
         });
     }
 
-    fn adopt(&mut self, conn: u64, source: RouterId, ack: Option<TcpStream>) {
-        let _ = self.owner(source).send(WorkerMsg::Adopt { conn, ack });
+    /// The rest of the open round, as far as the peers' contributions
+    /// allow (without peers nothing waits): deliver the own and every
+    /// peer's digests, phase 2 (the own shards' missing sets, shipped to
+    /// the peers as this member's partial verdict), then one merge of
+    /// every missing set into the global verdict. Returns whether the
+    /// round completed.
+    fn try_complete(&mut self) -> bool {
+        let Some(mut round) = self.round.take() else {
+            return false;
+        };
+        if round.missing.is_none() {
+            let Some(from_peers) = self
+                .peers
+                .as_mut()
+                .map_or(Some(Vec::new()), |p| p.take_digests(round.at))
+            else {
+                self.round = Some(round);
+                return false;
+            };
+            for d in from_peers {
+                if let Some(k) = self.local(self.plan.of_conv(&d.key)) {
+                    round.deliver[k].push(d);
+                }
+            }
+            for (w, digests) in self.workers.iter().zip(std::mem::take(&mut round.deliver)) {
+                let _ = w.send(WorkerMsg::Deliver { digests });
+            }
+            let (mut missing, mut gauges) = (Vec::new(), FoldGauges::default());
+            for _ in 0..self.workers.len() {
+                let Ok(Reply::Phase2 {
+                    missing: m,
+                    gauges: g,
+                }) = self.replies.recv()
+                else {
+                    return false;
+                };
+                missing.extend(m);
+                gauges.add(&g);
+            }
+            self.gauges = gauges;
+            if let Some(p) = self.peers.as_mut() {
+                p.send_partial(round.at, &missing);
+            }
+            round.missing = Some(missing);
+        }
+        let Some(from_peers) = self
+            .peers
+            .as_mut()
+            .map_or(Some(Vec::new()), |p| p.take_partials(round.at))
+        else {
+            self.round = Some(round);
+            return false;
+        };
+        let mut missing = round.missing.unwrap_or_default();
+        missing.extend(from_peers);
+        self.verdict.merge(missing);
+        self.completed = Some(round.at);
+        if let Some(m) = &self.metrics {
+            m.barrier_rounds.inc();
+        }
+        if let Some(p) = self.peers.as_mut() {
+            p.round_complete(round.at, self.verdict.status(), round.opened);
+        }
+        true
     }
 
-    fn ack(&mut self, conn: u64, source: RouterId, upto: u64, fin: bool) {
-        let _ = self.owner(source).send(WorkerMsg::Ack { conn, upto, fin });
-    }
-
-    fn drop_conn(&mut self, conn: u64, source: Option<RouterId>) {
-        // A connection that never greeted has no socket anywhere.
-        if let Some(source) = source {
-            let _ = self.owner(source).send(WorkerMsg::DropConn { conn });
+    /// Drives the round machine: completes the open round as far as it
+    /// can, then opens the next horizon — the source table's minimum, or
+    /// on a member the next value of the federation's round grid the
+    /// federated minimum has reached — until something waits.
+    fn pump(&mut self, sources: &SourceTable) {
+        loop {
+            if self.round.is_some() && !self.try_complete() {
+                return;
+            }
+            let next = match self.peers.as_mut() {
+                Some(p) => p.next_horizon(sources, self.advanced),
+                None => sources.global_min().filter(|wm| Some(*wm) > self.advanced),
+            };
+            let Some(f) = next else { return };
+            self.open(f, true);
         }
     }
 
-    fn gate_moved(&mut self, sources: &SourceTable) {
-        let global = sources.global_min();
-        if let Some(wm) = global.filter(|_| global > self.advanced) {
-            self.barrier(wm, true);
-            self.advanced = Some(wm);
+    /// Applies one in-sequence peer frame, live or replayed.
+    fn apply_peer(&mut self, frame: Frame, sources: &SourceTable) {
+        let Some(p) = self.peers.as_mut() else { return };
+        match frame {
+            Frame::FrontierExchange(f) => p.frontier(f, sources),
+            Frame::BoundaryEdges(b) => match b.round {
+                None => {
+                    let mut crosses = vec![Vec::new(); self.workers.len()];
+                    for rec in p.boundary_events(&b, self.advanced) {
+                        let owner = rec
+                            .conv()
+                            .and_then(|(key, _)| self.local(self.plan.of_conv(&key)));
+                        if let Some(k) = owner {
+                            crosses[k].push(rec);
+                        }
+                    }
+                    return self.send_crosses(crosses);
+                }
+                // A round contribution at or behind the completed
+                // horizon is a recovering peer's replay.
+                Some(t) if Some(t) > self.completed => p.file_digests(t, b.member, b.digests),
+                Some(_) => return,
+            },
+            Frame::PartialVerdict(v) if Some(v.round) > self.completed => {
+                p.file_partial(v.round, v.member, v.missing);
+            }
+            Frame::PeerRepairProof(r) => return p.check_proof(&r),
+            _ => return,
+        }
+        self.pump(sources);
+    }
+
+    /// Replays one journaled record of series 0 through the live apply
+    /// path, with journaling off.
+    fn replay(&mut self, frame: Frame, sources: &SourceTable, repairs: &RepairLedger) {
+        let Some(p) = self.peers.as_mut() else { return };
+        match frame {
+            // A round marker is the sole authority on which horizons
+            // opened before the crash. Serial rounds: the previous one
+            // completed before this marker was journaled.
+            Frame::Watermark { t, .. } => {
+                p.supersede(t);
+                if Some(t) > self.advanced {
+                    self.open(t, false);
+                }
+                self.pump(sources);
+            }
+            Frame::PeerHello(h) => {
+                p.greet(&h);
+            }
+            Frame::Repair(r) if r.stage == RepairStage::Gated => {
+                p.broadcast_repair(repairs, r.repair_id);
+            }
+            Frame::FrontierExchange(f) if f.member == p.member => p.replay_own_frontier(f),
+            other => {
+                if p.in_sequence(&other) {
+                    self.apply_peer(other, sources);
+                }
+            }
         }
     }
 
-    fn finish(
+    /// Whether this collector folds `r`'s stream (a federation member
+    /// folds only the routers its plan assigns it).
+    pub(crate) fn owns(&self, r: RouterId) -> bool {
+        self.peers.as_ref().is_none_or(|p| p.owns(r))
+    }
+
+    /// Forgets `conn` and hangs up on it (`source` is `None` for a
+    /// connection that never greeted as a router: a peer's, whose
+    /// socket worker 0 holds, or one with no socket anywhere).
+    pub(crate) fn drop_conn(&mut self, conn: u64, source: Option<RouterId>) {
+        let peer = self.peers.as_mut().is_some_and(|p| p.forget(conn));
+        if source.is_some() || peer {
+            self.send(source, WorkerMsg::DropConn { conn });
+        }
+    }
+
+    /// The source table's minimum promise may have moved: advertise it
+    /// to the peers and advance the fold as far as it allows.
+    pub(crate) fn gate_moved(&mut self, sources: &SourceTable) {
+        if let Some(p) = self.peers.as_mut() {
+            p.advertise(sources);
+        }
+        self.pump(sources);
+    }
+
+    /// A sibling member's frame; may complete rounds.
+    pub(crate) fn peer_frame(
+        &mut self,
+        conn: u64,
+        frame: Frame,
+        raw: Option<Vec<u8>>,
+        sources: &SourceTable,
+    ) {
+        if self
+            .peers
+            .as_mut()
+            .is_some_and(|p| p.receive(conn, &frame, raw))
+        {
+            self.apply_peer(frame, sources);
+        }
+    }
+
+    /// Closes the journal and hands the fold state back.
+    pub(crate) fn finish(
         self,
         stalled: Vec<RouterId>,
         repairs: RepairLedger,
     ) -> (FoldReport, Option<io::Error>) {
         for w in &self.workers {
-            let _ = w.tx.send(WorkerMsg::Shutdown);
+            let _ = w.send(WorkerMsg::Shutdown);
         }
         let mut parts: Vec<Option<FoldShard>> = self.workers.iter().map(|_| None).collect();
         let mut wal_err: Option<io::Error> = None;
         while parts.iter().any(Option::is_none) {
             match self.replies.recv() {
                 Ok(Reply::Done(done)) => {
-                    let (part, err) = *done;
+                    let (k, part, err) = *done;
                     wal_err = wal_err.or(err);
-                    let k = part.shard as usize;
                     parts[k] = Some(part);
                 }
                 Ok(_) => {}
                 Err(_) => break,
             }
         }
-        for w in self.workers {
-            let _ = w.join.join();
+        for j in self.joins {
+            let _ = j.join();
         }
         // The group-commit thread's verdict outranks a worker's: it is
         // the first to know when durability was lost.
@@ -969,9 +1180,16 @@ impl Backend for Shards {
             .into_iter()
             .map(|p| p.expect("every fold worker hands its shard back"))
             .collect();
-        (
-            FoldReport::new(parts, &self.verdict, self.advanced, stalled, repairs),
-            wal_err,
-        )
+        let report = FoldReport {
+            parts,
+            merged: OnceLock::new(),
+            waits: self.verdict.waits(),
+            status: self.verdict.status,
+            watermark: self.completed,
+            stalled,
+            repairs,
+            member: self.peers.map(|p| Box::new(p.into_fold())),
+        };
+        (report, wal_err)
     }
 }

@@ -534,3 +534,79 @@ fn chaos_repair_crashes_between_lifecycle_records() {
         );
     }
 }
+
+/// The federated repair crash case with every member folding on two
+/// workers: the owner journals the lifecycle into its series 0, a
+/// restart scans both series and regenerates the `Gated` broadcast from
+/// the replayed records, and the peers still hold one re-validated
+/// proof.
+#[test]
+fn federated_repair_at_two_shards_recovers_the_same_ledger() {
+    use cpvr_collector::FederationConfig;
+    use std::net::TcpListener;
+    let m = mint(37);
+    let live = gate_repair(&m.verifier, &m.proof);
+    assert!(live.is_reproduced());
+    let records = lifecycle(&m.proof, live.code());
+    let rid = m.proof.repair_id();
+
+    let tmp = TempDir::new("fed-repair-shards").unwrap();
+    let listeners: Vec<TcpListener> = (0..3)
+        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let peers: Vec<std::net::SocketAddr> =
+        listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    let cfgs = (0..3)
+        .map(|i| {
+            CollectorConfig::new(N_ROUTERS)
+                .with_shards(2)
+                .with_wal(WalConfig::new(tmp.path().join(format!("member-{i}"))))
+                .with_federation(FederationConfig {
+                    plan: FederationPlan::uniform(3),
+                    member: i,
+                    peers: peers.clone(),
+                })
+        })
+        .collect();
+    let mut fed = Federation::launch_on(cfgs, listeners).unwrap();
+
+    for r in &records {
+        fed.handle(0).journal_repair(r.clone()).expect("journal");
+    }
+    for peer in [1u32, 2] {
+        let metrics = fed.handle(peer).metrics().expect("metrics on").clone();
+        assert!(
+            wait_for(Duration::from_secs(30), || {
+                metrics.repair_peer_proofs.value() >= 1
+            }),
+            "member {peer} never received the proof broadcast"
+        );
+    }
+    let stopped = fed.stop_member(0).expect("stop member 0");
+    let live_ledger = stopped.fold.expect("fold").repairs().clone();
+    assert_eq!(
+        live_ledger.decision(rid),
+        Some((RepairStage::Applied, Some(0)))
+    );
+    let series = wal::list_series(&tmp.path().join("member-0")).unwrap();
+    assert_eq!(series, vec![Some(0), Some(1)], "one series per worker");
+
+    fed.restart_member(0).expect("restart member 0");
+    let recovered = fed.handle(0).recovery().expect("wal configured").clone();
+    assert_eq!(recovered.repairs_replayed, records.len());
+    let owner = fed.stop_member(0).expect("final stop");
+    assert_eq!(owner.stats.repair_records, 0, "nothing re-journaled live");
+    let fold = owner.fold.expect("fold");
+    assert_eq!(fold.shards(), 2);
+    assert_eq!(fold.repairs(), &live_ledger);
+
+    for peer in [1u32, 2] {
+        let rep = fed.stop_member(peer).expect("stop peer");
+        let fold = rep.fold.expect("fold");
+        let fold = fold.member().expect("a peer reports a member fold");
+        assert_eq!(fold.peer_repairs().len(), 1);
+        let status = fold.peer_repairs().get(&rid).expect("proof recorded");
+        assert_eq!(status.from, 0);
+        assert!(status.trusted_reproduced());
+    }
+}

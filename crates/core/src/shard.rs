@@ -17,6 +17,9 @@
 //!   to the addressee router's shard — EC affinity, so repeated traffic
 //!   for one equivalence class lands on one shard.
 //!
+//! [`FederationPlan::shard_plan`] refines each federation member's slot
+//! into `n` contiguous shards of one global plan.
+//!
 //! The plan is pure data (a boundary table); every thread can hold a
 //! copy and route without coordination.
 
@@ -26,6 +29,8 @@ use cpvr_types::{Ipv4Prefix, PrefixTrie, RouterId};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardPlan {
     shards: u32,
+    /// Shards per federation member (1 for a collector's own plan).
+    per_member: u32,
     /// Upper bounds (exclusive) of each shard's address range, as
     /// `u64` so the final bound `1 << 32` is representable.
     bounds: Vec<u64>,
@@ -39,7 +44,16 @@ impl ShardPlan {
         let bounds = (1..=shards as u64)
             .map(|k| (k << 32) / shards as u64)
             .collect();
-        ShardPlan { shards, bounds }
+        Self::of_bounds(1, bounds)
+    }
+
+    fn of_bounds(per_member: u32, bounds: Vec<u64>) -> Self {
+        let shards = bounds.len() as u32;
+        ShardPlan {
+            shards,
+            per_member,
+            bounds,
+        }
     }
 
     /// A plan whose range boundaries balance the given observed
@@ -62,7 +76,7 @@ impl ShardPlan {
             bounds.push(addrs[idx]);
         }
         bounds.push(1 << 32);
-        ShardPlan { shards, bounds }
+        Self::of_bounds(1, bounds)
     }
 
     /// A plan balanced over the prefixes present in a union trie (the
@@ -77,9 +91,18 @@ impl ShardPlan {
         self.shards
     }
 
-    /// The shard owning a router's export stream.
+    /// The shard owning a router's export stream: round-robin over
+    /// members, then over the member's own shards.
     pub fn of_router(&self, r: RouterId) -> u32 {
-        r.index() as u32 % self.shards
+        let (r, n) = (r.index() as u32, self.per_member);
+        let members = self.shards / n;
+        (r % members) * n + (r / members) % n
+    }
+
+    /// The federation member a shard belongs to (0 for a collector's
+    /// own plan).
+    pub fn member_of(&self, shard: u32) -> u32 {
+        shard / self.per_member
     }
 
     /// The shard owning a prefix (by its network address range).
@@ -153,6 +176,21 @@ impl FederationPlan {
     pub fn as_shard_plan(&self) -> &ShardPlan {
         &self.inner
     }
+
+    /// The fold plan of a member running `n` shards: each member's
+    /// prefix range splits `n` ways into contiguous global shards
+    /// `member·n .. member·n + n`, and its routers deal round-robin over
+    /// them. `n = 1` is [`as_shard_plan`](Self::as_shard_plan) exactly.
+    pub fn shard_plan(&self, n: u32) -> ShardPlan {
+        let n = n.max(1);
+        let mut lo = 0u64;
+        let mut bounds = Vec::with_capacity(self.inner.bounds.len() * n as usize);
+        for &hi in &self.inner.bounds {
+            bounds.extend((1..=u64::from(n)).map(|k| lo + (hi - lo) * k / u64::from(n)));
+            lo = hi;
+        }
+        ShardPlan::of_bounds(n, bounds)
+    }
 }
 
 #[cfg(test)]
@@ -222,5 +260,45 @@ mod tests {
             assert_eq!(fed.of_conv(&key), shards.of_conv(&key));
         }
         assert_eq!(fed.as_shard_plan(), &shards);
+    }
+
+    #[test]
+    fn member_shard_plans_refine_the_federation_plan() {
+        let prefixes: Vec<Ipv4Prefix> = (0..40u32)
+            .map(|i| Ipv4Prefix::from_bits(i.wrapping_mul(0x0907_0503), 24))
+            .collect();
+        for fed in [
+            FederationPlan::uniform(3),
+            FederationPlan::from_prefixes(&prefixes, 4),
+        ] {
+            assert_eq!(&fed.shard_plan(1), fed.as_shard_plan());
+            for n in [1u32, 2, 3] {
+                let plan = fed.shard_plan(n);
+                assert_eq!(plan.shards(), fed.members() * n);
+                for r in (0..40).map(RouterId) {
+                    assert_eq!(plan.member_of(plan.of_router(r)), fed.of_router(r));
+                }
+                let mut per_shard = vec![0usize; plan.shards() as usize];
+                for (i, p) in prefixes.iter().enumerate() {
+                    let to = RouterId(i as u32 % 7);
+                    for key in [
+                        (RouterId(0), to, cpvr_sim::Proto::Bgp, Some(*p)),
+                        (RouterId(0), to, cpvr_sim::Proto::Bgp, None),
+                    ] {
+                        assert_eq!(plan.member_of(plan.of_conv(&key)), fed.of_conv(&key));
+                    }
+                    per_shard[plan.of_prefix(p) as usize] += 1;
+                }
+                // Refined ranges stay ordered: global shard index grows
+                // with the address.
+                let mut sorted = prefixes.clone();
+                sorted.sort_by_key(|p| p.bits());
+                let owners: Vec<u32> = sorted.iter().map(|p| plan.of_prefix(p)).collect();
+                assert!(owners.windows(2).all(|w| w[0] <= w[1]));
+                if n > 1 {
+                    assert!(per_shard.iter().filter(|c| **c > 0).count() > fed.members() as usize);
+                }
+            }
+        }
     }
 }

@@ -28,10 +28,11 @@ use cpvr_verify::{verify, Policy, VerifyReport};
 use std::collections::{BTreeMap, VecDeque};
 
 /// The verdict on a snapshot horizon.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum SnapshotStatus {
     /// The arrived events are causally closed; the snapshot is safe to
     /// verify.
+    #[default]
     Consistent,
     /// Records from these routers are outstanding; the verifier should
     /// wait for them before judging the data plane.

@@ -9,7 +9,8 @@
 //! * [`Federation::launch`] pre-binds every member's loopback listener
 //!   *first* — so each member's [`FederationConfig`] can carry the full
 //!   peer address list — then starts the members over their own WAL
-//!   directories.
+//!   directories; [`Federation::launch_with`] does the same from a base
+//!   config (e.g. members that fold on several worker shards).
 //! * [`Federation::launch_on`] is the explicit-plumbing variant for
 //!   tests that interpose chaos proxies on the collector↔collector
 //!   links or hand-build per-member configs.
@@ -81,6 +82,16 @@ impl Federation {
     /// into `wal_root/member-<i>`. Existing journals are replayed — so
     /// launching twice over the same root is a whole-federation restart.
     pub fn launch(plan: FederationPlan, n_routers: u32, wal_root: &Path) -> io::Result<Federation> {
+        Self::launch_with(plan, CollectorConfig::new(n_routers), wal_root)
+    }
+
+    /// [`launch`](Self::launch), with every member configured as `base`
+    /// plus its WAL directory and federation membership.
+    pub fn launch_with(
+        plan: FederationPlan,
+        base: CollectorConfig,
+        wal_root: &Path,
+    ) -> io::Result<Federation> {
         let members = plan.members();
         let listeners: Vec<TcpListener> = (0..members)
             .map(|_| TcpListener::bind("127.0.0.1:0"))
@@ -93,7 +104,8 @@ impl Federation {
             .map(|i| {
                 let dir = wal_root.join(format!("member-{i}"));
                 std::fs::create_dir_all(&dir)?;
-                Ok(CollectorConfig::new(n_routers)
+                Ok(base
+                    .clone()
                     .with_wal(WalConfig::new(&dir))
                     .with_federation(FederationConfig {
                         plan: plan.clone(),

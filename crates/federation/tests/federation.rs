@@ -402,3 +402,84 @@ fn partition_heal_converges_bit_identical() {
     let report = fed.shutdown().expect("merge");
     assert_equivalent(&report, &single, "post-heal");
 }
+
+/// A federation whose members each fold on `shards` worker threads:
+/// every member's slot of the plan refines into `shards` local shards.
+fn launch_sharded(root: &std::path::Path, shards: u32) -> Federation {
+    let listeners: Vec<TcpListener> = (0..MEMBERS)
+        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let peers: Vec<std::net::SocketAddr> =
+        listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    let plan = FederationPlan::uniform(MEMBERS);
+    let cfgs = (0..MEMBERS)
+        .map(|i| {
+            let dir = root.join(format!("member-{i}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            CollectorConfig::new(N_ROUTERS)
+                .with_shards(shards)
+                .with_wal(WalConfig::new(&dir))
+                .with_federation(FederationConfig {
+                    plan: plan.clone(),
+                    member: i,
+                    peers: peers.clone(),
+                })
+        })
+        .collect();
+    Federation::launch_on(cfgs, listeners).unwrap()
+}
+
+#[test]
+fn members_at_two_shards_match_single_collector() {
+    let events = sample_events(17);
+    let single = run_phased_single(&events);
+
+    let tmp = TempDir::new("fed-shards").unwrap();
+    let fed = launch_sharded(tmp.path(), 2);
+    let mut sinks = connect_sinks(&fed);
+    send_all(&mut sinks, &events);
+    for t in grid(&events) {
+        step_all(&fed, &mut sinks, t);
+    }
+    finish(&fed, sinks);
+    let report = fed.shutdown().expect("merge");
+    assert_eq!(report.global.shards(), 6, "two fold shards per member");
+    assert_equivalent(&report, &single, "live, shards=2");
+}
+
+#[test]
+fn member_at_two_shards_crash_recovery_preserves_equivalence() {
+    let events = sample_events(17);
+    let single = run_phased_single(&events);
+
+    let tmp = TempDir::new("fed-shards-crash").unwrap();
+    let mut fed = launch_sharded(tmp.path(), 2);
+    let mut sinks = connect_sinks(&fed);
+    send_all(&mut sinks, &events);
+    let steps = grid(&events);
+    let (first, rest) = steps.split_at(steps.len() / 2);
+    for &t in first {
+        step_all(&fed, &mut sinks, t);
+    }
+
+    // Member 0 journals into two series; its restart scans both, seeds
+    // both workers, and replays series 0's peer and round records.
+    fed.stop_member(0).expect("stop member 0");
+    fed.restart_member(0).expect("restart member 0");
+    let recovered = fed
+        .handle(0)
+        .recovery()
+        .expect("wal configured => recovery report")
+        .clone();
+    assert!(recovered.events_replayed > 0, "member 0 replayed its fold");
+    assert!(!recovered.torn_tail);
+    assert_eq!(recovered.watermark, Some(first[first.len() - 1]));
+
+    for &t in rest {
+        step_all(&fed, &mut sinks, t);
+    }
+    finish(&fed, sinks);
+    let report = fed.shutdown().expect("merge");
+    assert_eq!(report.global.shards(), 6);
+    assert_equivalent(&report, &single, "post-recovery, shards=2");
+}

@@ -138,3 +138,41 @@ fn an_eviction_at_two_shards_freezes_one_dump() {
         .count();
     assert_eq!(dumps, 1, "exactly one flight dump per eviction");
 }
+
+#[test]
+fn federation_members_at_two_shards_match_the_in_process_fold() {
+    use cpvr_collector::FederationConfig;
+    use std::net::TcpListener;
+    let events = sample_events(7);
+    let dir = TempDir::new("smoke-fed-shards").unwrap();
+    let listeners: Vec<TcpListener> = (0..3)
+        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let peers: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    let cfgs = (0..3)
+        .map(|i| {
+            CollectorConfig::new(N_ROUTERS)
+                .with_shards(2)
+                .with_wal(WalConfig::new(dir.path().join(format!("member-{i}"))))
+                .with_federation(FederationConfig {
+                    plan: FederationPlan::uniform(3),
+                    member: i,
+                    peers: peers.clone(),
+                })
+        })
+        .collect();
+    let fed = Federation::launch_on(cfgs, listeners).unwrap();
+    stream(
+        &events,
+        0..N_ROUTERS,
+        |r| fed.addr_of_router(r),
+        || fed.handles().map(|h| h.stats()).collect(),
+    );
+    let report = fed.shutdown().expect("members agree");
+    assert_eq!(report.global.shards(), 6);
+    assert_same_fold(
+        &report.global,
+        &reference_pipeline(&events, &END),
+        "federation, shards=2",
+    );
+}
