@@ -19,10 +19,9 @@ use cpvr_bench::ingest::IngestSession;
 use cpvr_collector::wal::{FsyncPolicy, TempDir, WalConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 
-fn run_session(wal: Option<WalConfig>, metrics: bool) -> u64 {
+fn run_session(wal: Option<WalConfig>) -> u64 {
     IngestSession {
         wal,
-        metrics,
         ..IngestSession::default()
     }
     .run()
@@ -30,8 +29,8 @@ fn run_session(wal: Option<WalConfig>, metrics: bool) -> u64 {
 
 fn bench(c: &mut Criterion) {
     // Headline numbers for EXPERIMENTS.md A7: one timed session per
-    // configuration, reported as events/second. Metrics stay on — the
-    // default deployment shape; A8 isolates their cost below.
+    // configuration, reported as events/second. Metrics are always on
+    // (A8 measured their cost at noise level).
     for (name, wal) in [
         ("no-wal", None),
         ("wal-everyn", Some(FsyncPolicy::EveryN(256))),
@@ -54,28 +53,6 @@ fn bench(c: &mut Criterion) {
             moved as f64 / dt
         );
     }
-
-    // A8: telemetry overhead, A/B over otherwise identical sessions.
-    // Interleaved pairs so machine drift hits both arms equally.
-    let mut on = 0.0f64;
-    let mut off = 0.0f64;
-    const ROUNDS: u32 = 3;
-    for _ in 0..ROUNDS {
-        for (metrics, acc) in [(false, &mut off), (true, &mut on)] {
-            let session = IngestSession {
-                metrics,
-                ..IngestSession::default()
-            };
-            let (moved, dt) = session.run_timed();
-            *acc += moved as f64 / dt;
-        }
-    }
-    let (on, off) = (on / f64::from(ROUNDS), off / f64::from(ROUNDS));
-    println!(
-        "[A8 obs-overhead] metrics-on {on:.0} events/sec vs metrics-off {off:.0} events/sec \
-         ({:+.1}% overhead)",
-        (off - on) / off * 100.0
-    );
 
     // A9: fold-shard scaling under a durable WAL. Same workload and
     // the same engine at every point (per-shard segment series,
@@ -105,17 +82,12 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("ingest_throughput");
     g.sample_size(10);
-    g.bench_function("loopback-8conns-no-wal", |b| {
-        b.iter(|| run_session(None, true))
-    });
-    g.bench_function("loopback-8conns-no-metrics", |b| {
-        b.iter(|| run_session(None, false))
-    });
+    g.bench_function("loopback-8conns-no-wal", |b| b.iter(|| run_session(None)));
     g.bench_function("loopback-8conns-wal", |b| {
         // Fresh directory per session so replay-at-start stays empty.
         b.iter(|| {
             let tmp = TempDir::new("ingest-bench-wal").unwrap();
-            run_session(Some(WalConfig::new(tmp.path())), true)
+            run_session(Some(WalConfig::new(tmp.path())))
         })
     });
     g.bench_function("loopback-8conns-wal-4shards", |b| {

@@ -59,8 +59,6 @@ pub struct IngestSession {
     pub shards: u32,
     /// Journal configuration; `None` streams without a WAL.
     pub wal: Option<WalConfig>,
-    /// Whether the telemetry registry is live during the session.
-    pub metrics: bool,
 }
 
 impl Default for IngestSession {
@@ -70,7 +68,6 @@ impl Default for IngestSession {
             total_events: DEFAULT_EVENTS,
             shards: 1,
             wal: None,
-            metrics: true,
         }
     }
 }
@@ -81,7 +78,6 @@ impl IngestSession {
     pub fn run(&self) -> u64 {
         let mut cfg = CollectorConfig::new(self.n_conns).with_shards(self.shards);
         cfg.wal = self.wal.clone();
-        cfg.metrics = self.metrics;
         let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
         let addr = handle.local_addr();
         let mut threads = Vec::new();

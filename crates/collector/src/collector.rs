@@ -38,6 +38,9 @@
 //!   different program, and a member is a collector, not a different
 //!   program either.
 //!
+//! Every thread counts into one [`CollectorMetrics`] registry, which is
+//! always on; [`CollectorHandle::stats`] is a view of it.
+//!
 //! ## Durability ordering
 //!
 //! An event's wire frame is appended to the WAL *before* the event is
@@ -66,15 +69,15 @@ use crate::pipeline::{PipelineConfig, RecoveryReport, WalScan};
 use crate::session;
 use crate::shard::{FoldReport, Shards};
 use crate::wal::WalConfig;
-use cpvr_core::{FoldRecord, ShardPlan};
+use cpvr_core::FoldRecord;
 use cpvr_obs::trace::stage;
-use cpvr_obs::{ExpoFormat, FlightDump, RingHandle, Snapshot};
+use cpvr_obs::{RingHandle, Snapshot};
 use cpvr_sim::IoEvent;
 use cpvr_types::trace::TRACE_CTX_WIRE_LEN;
 use cpvr_types::{RouterId, SimTime, TraceCtx};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -145,25 +148,15 @@ pub struct CollectorConfig {
     pub lease: LeaseConfig,
     /// Where to journal frames; `None` runs without durability.
     pub wal: Option<WalConfig>,
-    /// Whether to run the telemetry registry (default on; the cost on
-    /// the ingest path is a handful of relaxed atomics per event).
-    pub metrics: bool,
     /// How many fold workers run behind the session loop (default
     /// `1`). Routers and conversations are partitioned across the
-    /// workers, which are joined by a barrier round (see
-    /// [`crate::shard`]); each has its own WAL segment series, and one
-    /// group-commit thread fsyncs them all. Every count runs the same
-    /// code and folds to the same state — on a federation member too,
-    /// where the workers split the member's slot of the federation plan.
+    /// workers by [`ShardPlan::uniform`](cpvr_core::ShardPlan::uniform),
+    /// which are joined by a barrier round (see [`crate::shard`]); each
+    /// has its own WAL segment series, and one group-commit thread
+    /// fsyncs them all. Every count runs the same code and folds to the
+    /// same state — on a federation member too, where the workers split
+    /// the member's slot of the federation plan.
     pub shards: u32,
-    /// The partition to shard by. `None` uses
-    /// [`ShardPlan::uniform`]`(shards)`; deployments that know their
-    /// prefix layout should pass
-    /// [`ShardPlan::from_union_trie`]/[`ShardPlan::from_prefixes`] so
-    /// conversation ownership follows prefix ranges. A federation
-    /// member ignores it: its plan is
-    /// [`FederationPlan::shard_plan`](cpvr_core::FederationPlan::shard_plan)`(shards)`.
-    pub plan: Option<ShardPlan>,
     /// Runs this collector as one member of a federation: it folds only
     /// the routers its [`FederationPlan`](cpvr_core::FederationPlan)
     /// assigns to it and exchanges frontiers, boundary edges, and
@@ -182,9 +175,7 @@ impl CollectorConfig {
             poll_interval: Duration::from_millis(10),
             lease: LeaseConfig::default(),
             wal: None,
-            metrics: true,
             shards: 1,
-            plan: None,
             federation: None,
         }
     }
@@ -201,18 +192,9 @@ impl CollectorConfig {
         self
     }
 
-    /// Folds on `shards` worker threads (uniform
-    /// router partition unless [`Self::with_plan`] overrides it).
+    /// Folds on `shards` worker threads.
     pub fn with_shards(mut self, shards: u32) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Partitions the fold by an explicit [`ShardPlan`] (e.g. built
-    /// from the deployment's union prefix trie).
-    pub fn with_plan(mut self, plan: ShardPlan) -> Self {
-        self.shards = plan.shards();
-        self.plan = Some(plan);
         self
     }
 
@@ -229,43 +211,13 @@ impl CollectorConfig {
 
     /// How many fold workers this collector runs.
     pub(crate) fn fold_shards(&self) -> u32 {
-        match (&self.plan, &self.federation) {
-            (Some(plan), None) => plan.shards(),
-            _ => self.shards.max(1),
-        }
+        self.shards.max(1)
     }
 }
 
-/// Live counters, observable while the collector runs. Shared with the
-/// sharded coordinator in [`crate::shard`].
-#[derive(Default)]
-pub(crate) struct SharedStats {
-    pub(crate) connections: AtomicU64,
-    pub(crate) events: AtomicU64,
-    pub(crate) bytes: AtomicU64,
-    pub(crate) decode_errors: AtomicU64,
-    pub(crate) corrupt_frames: AtomicU64,
-    pub(crate) duplicate_events: AtomicU64,
-    pub(crate) gap_events: AtomicU64,
-    pub(crate) late_events: AtomicU64,
-    pub(crate) evictions: AtomicU64,
-    pub(crate) readmissions: AtomicU64,
-    pub(crate) repair_records: AtomicU64,
-    /// Nanos of the last globally advanced watermark; only meaningful
-    /// once `watermark_set` is true (zero is a valid watermark, so it
-    /// cannot double as the "never advanced" sentinel).
-    watermark_nanos: AtomicU64,
-    watermark_set: AtomicBool,
-}
-
-impl SharedStats {
-    pub(crate) fn set_watermark(&self, wm: SimTime) {
-        self.watermark_nanos.store(wm.as_nanos(), Ordering::Relaxed);
-        self.watermark_set.store(true, Ordering::Release);
-    }
-}
-
-/// A point-in-time copy of the collector's counters.
+/// A point-in-time copy of the collector's counters: a view of the
+/// telemetry registry ([`CollectorMetrics::stats`]), which is where the
+/// collector counts everything.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CollectorStats {
     /// Connections accepted over the collector's lifetime.
@@ -295,33 +247,12 @@ pub struct CollectorStats {
     /// Evicted sources re-admitted after reconnecting.
     pub readmissions: u64,
     /// Repair-lifecycle records journaled through
-    /// [`CollectorHandle::journal_repair`].
+    /// [`CollectorHandle::journal_repair`] (duplicates excluded).
     pub repair_records: u64,
-    /// The last globally advanced watermark.
+    /// The last globally advanced watermark. Published after every
+    /// gauge and flight record of its advance, so a caller that sees it
+    /// may read those.
     pub watermark: Option<SimTime>,
-}
-
-impl SharedStats {
-    fn snapshot(&self) -> CollectorStats {
-        let watermark = self
-            .watermark_set
-            .load(Ordering::Acquire)
-            .then(|| SimTime::from_nanos(self.watermark_nanos.load(Ordering::Relaxed)));
-        CollectorStats {
-            connections: self.connections.load(Ordering::Relaxed),
-            events: self.events.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
-            corrupt_frames: self.corrupt_frames.load(Ordering::Relaxed),
-            duplicate_events: self.duplicate_events.load(Ordering::Relaxed),
-            gap_events: self.gap_events.load(Ordering::Relaxed),
-            late_events: self.late_events.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            readmissions: self.readmissions.load(Ordering::Relaxed),
-            repair_records: self.repair_records.load(Ordering::Relaxed),
-            watermark,
-        }
-    }
 }
 
 /// One decoded event, classified once into its fold record, carrying
@@ -465,8 +396,9 @@ pub struct CollectorReport {
     /// What WAL recovery found at startup (`Some` iff a WAL was
     /// configured).
     pub recovery: Option<RecoveryReport>,
-    /// The final metrics snapshot, taken after the session drained
-    /// (`Some` iff metrics were enabled) — the shutdown `dump`.
+    /// The final metrics snapshot, taken after the session drained —
+    /// the shutdown `dump`. Always `Some`: metrics are always on; the
+    /// `Option` stays because the benchmark ledger names the type.
     pub metrics: Option<Snapshot>,
     /// Whether this collector ran standalone or as a federation member
     /// — and, for a member, the final per-peer frontier summary.
@@ -480,11 +412,10 @@ pub struct CollectorReport {
 pub struct CollectorHandle {
     addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
-    stats: Arc<SharedStats>,
     accept: Option<JoinHandle<()>>,
     session: Option<JoinHandle<(FoldReport, Option<io::Error>)>>,
     recovery: Option<RecoveryReport>,
-    metrics: Option<Arc<CollectorMetrics>>,
+    metrics: Arc<CollectorMetrics>,
     group_commit: Option<GroupCommitHandle>,
     /// Local channel into the session for repair-lifecycle records;
     /// dropped in `shutdown` so the session's receive loop can end.
@@ -527,27 +458,22 @@ impl Collector {
         }
         let workers = cfg.fold_shards();
         let members = cfg.federation.as_ref().map_or(0, |f| f.plan.members());
-        let metrics = cfg.metrics.then(|| {
-            Arc::new(CollectorMetrics::new(
-                cfg.pipeline.n_routers,
-                workers,
-                members,
-            ))
-        });
-        if let Some(m) = &metrics {
-            // Anomaly dumps land next to the WAL (a WAL-less collector
-            // keeps recording but never dumps), tagged with the member
-            // id so cpvr-trace can stitch dumps across a federation.
-            if let Some(wal_cfg) = &cfg.wal {
-                m.flight.arm(&wal_cfg.dir);
-            }
-            if let Some(fed) = &cfg.federation {
-                m.flight.set_member(i64::from(fed.member));
-            }
+        let metrics = Arc::new(CollectorMetrics::new(
+            cfg.pipeline.n_routers,
+            workers,
+            members,
+        ));
+        // Anomaly dumps land next to the WAL (a WAL-less collector keeps
+        // recording but never dumps), tagged with the member id so
+        // cpvr-trace can stitch dumps across a federation.
+        if let Some(wal_cfg) = &cfg.wal {
+            metrics.flight.arm(&wal_cfg.dir);
+        }
+        if let Some(fed) = &cfg.federation {
+            metrics.flight.set_member(i64::from(fed.member));
         }
 
         let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(SharedStats::default());
         let (tx, rx) = std::sync::mpsc::sync_channel::<Msg>(cfg.channel_capacity.max(1));
 
         // The journal scan yields the source table, the repair ledger,
@@ -558,34 +484,24 @@ impl Collector {
             Some(wal_cfg) => WalScan::read(cfg.pipeline, &wal_cfg.dir, workers as usize)?,
             None => WalScan::empty(cfg.pipeline),
         };
-        let shards = Shards::start(&cfg, &mut scan, metrics.clone())?;
+        let shards = Shards::start(&cfg, &mut scan, &metrics)?;
         let group_commit = shards.group_commit();
-        let session = session::spawn(
-            rx,
-            shards,
-            scan.sources,
-            scan.repairs,
-            &cfg,
-            &stats,
-            &metrics,
-        )?;
+        let session = session::spawn(rx, shards, scan.sources, scan.repairs, &cfg, &metrics)?;
         let recovery = cfg.wal.is_some().then_some(scan.report);
 
         let handle_tx = tx.clone();
         let accept = {
             let stop = Arc::clone(&stop);
-            let stats = Arc::clone(&stats);
             let cfg = cfg.clone();
-            let metrics = metrics.clone();
+            let metrics = Arc::clone(&metrics);
             thread::Builder::new()
                 .name("cpvr-accept".into())
-                .spawn(move || accept_loop(listener, tx, stop, stats, cfg, metrics))?
+                .spawn(move || accept_loop(listener, tx, stop, cfg, metrics))?
         };
 
         Ok(CollectorHandle {
             addr: local,
             stop,
-            stats,
             accept: Some(accept),
             session: Some(session),
             recovery,
@@ -602,9 +518,9 @@ impl CollectorHandle {
         self.addr
     }
 
-    /// A snapshot of the live counters.
+    /// A snapshot of the live counters, read from the registry.
     pub fn stats(&self) -> CollectorStats {
-        self.stats.snapshot()
+        self.metrics.stats()
     }
 
     /// The fold workers' group-commit handle, when one is running (any
@@ -622,10 +538,12 @@ impl CollectorHandle {
         self.recovery.as_ref()
     }
 
-    /// The live telemetry bundle, if metrics are enabled. Scraping over
-    /// the wire (`Frame::MetricsReq`) sees the same registry.
+    /// The live telemetry bundle. Scraping over the wire
+    /// (`Frame::MetricsReq`) sees the same registry. Always `Some`:
+    /// metrics are always on; the `Option` stays because the benchmark
+    /// ledger names the type.
     pub fn metrics(&self) -> Option<&Arc<CollectorMetrics>> {
-        self.metrics.as_ref()
+        Some(&self.metrics)
     }
 
     /// Journals one repair-lifecycle record through the session,
@@ -670,15 +588,15 @@ impl CollectorHandle {
         let role = pipeline
             .member()
             .map_or(CollectorRole::Standalone, |m| m.role());
+        // Read after the session joined: these are the final values,
+        // nothing is still incrementing.
         Ok(CollectorReport {
             pipeline,
-            stats: self.stats.snapshot(),
+            stats: self.metrics.stats(),
             stalled,
             role,
             recovery: self.recovery.take(),
-            // Snapshot after the session joined: these are the final
-            // values, nothing is still incrementing.
-            metrics: self.metrics.take().map(|m| m.snapshot()),
+            metrics: Some(self.metrics.snapshot()),
         })
     }
 }
@@ -687,9 +605,8 @@ fn accept_loop(
     listener: TcpListener,
     tx: SyncSender<Msg>,
     stop: Arc<AtomicBool>,
-    stats: Arc<SharedStats>,
     cfg: CollectorConfig,
-    metrics: Option<Arc<CollectorMetrics>>,
+    metrics: Arc<CollectorMetrics>,
 ) {
     let cfg = Arc::new(cfg);
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
@@ -699,15 +616,12 @@ fn accept_loop(
             Ok((stream, _peer)) => {
                 let conn = next_conn;
                 next_conn += 1;
-                stats.connections.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &metrics {
-                    m.connections.inc();
-                }
-                let (tx, stop, stats) = (tx.clone(), Arc::clone(&stop), Arc::clone(&stats));
-                let (cfg, metrics) = (Arc::clone(&cfg), metrics.clone());
+                metrics.connections.inc();
+                let (tx, stop) = (tx.clone(), Arc::clone(&stop));
+                let (cfg, metrics) = (Arc::clone(&cfg), Arc::clone(&metrics));
                 let h = thread::Builder::new()
                     .name(format!("cpvr-reader-{conn}"))
-                    .spawn(move || reader_loop(stream, conn, tx, stop, stats, &cfg, metrics))
+                    .spawn(move || reader_loop(stream, conn, tx, stop, &cfg, &metrics))
                     .expect("spawn reader thread");
                 readers.push(h);
             }
@@ -782,12 +696,11 @@ struct Reader<'a> {
     conn: u64,
     stream: &'a TcpStream,
     tx: SyncSender<Msg>,
-    stats: &'a SharedStats,
     cfg: &'a CollectorConfig,
-    metrics: Option<&'a CollectorMetrics>,
+    metrics: &'a CollectorMetrics,
     /// This connection's flight-recorder ring (decode-stage records and
     /// the CRC-burst anomaly trigger).
-    flight: Option<RingHandle>,
+    flight: RingHandle,
     greeted: bool,
     session: Option<u64>,
     is_peer: bool,
@@ -799,10 +712,7 @@ struct Reader<'a> {
 impl Reader<'_> {
     /// A protocol violation: counted, and the connection closes.
     fn fatal(&self, why: String) -> FrameOutcome {
-        self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics {
-            m.decode_errors.inc();
-        }
+        self.metrics.decode_errors.inc();
         FrameOutcome::Fatal(why)
     }
 
@@ -844,7 +754,6 @@ impl Reader<'_> {
         if !matches!(frame, Frame::Event { .. }) && !self.flush() {
             return FrameOutcome::SessionGone;
         }
-        let flight = self.flight.as_ref();
         let msg = match frame {
             Frame::Hello(hello) => {
                 if self.greeted {
@@ -876,15 +785,7 @@ impl Reader<'_> {
             // before (or entirely without) a hello: a monitoring probe is
             // not an event source and owes the collector no handshake.
             Frame::MetricsReq { format } => {
-                let body = match metrics {
-                    Some(m) => m.render(format),
-                    // Metrics disabled: an empty snapshot in the requested
-                    // format, not a dead connection — probes stay cheap.
-                    None => ExpoFormat::from_byte(format)
-                        .unwrap_or(ExpoFormat::Json)
-                        .render(&Snapshot::default())
-                        .into_bytes(),
-                };
+                let body = metrics.render(format);
                 let mut w = stream;
                 if w.write_all(&encode_frame(&Frame::MetricsResp { body }))
                     .is_err()
@@ -897,17 +798,9 @@ impl Reader<'_> {
             Frame::MetricsResp { .. } => return FrameOutcome::Continue,
             // An on-demand flight-recorder snapshot, answered inline like a
             // scrape (and, like one, legal without a hello — a debugging
-            // probe owes no handshake). Metrics disabled means there is no
-            // recorder; an empty dump keeps the probe protocol total.
+            // probe owes no handshake).
             Frame::DumpReq => {
-                let dump = match metrics {
-                    Some(m) => m.flight.snapshot("dump-req"),
-                    None => FlightDump {
-                        member: -1,
-                        reason: "dump-req".into(),
-                        records: Vec::new(),
-                    },
-                };
+                let dump = metrics.flight.snapshot("dump-req");
                 let body = cpvr_types::json::to_string_compact(&dump).into_bytes();
                 let mut w = stream;
                 if w.write_all(&encode_frame(&Frame::DumpResp { body }))
@@ -966,8 +859,8 @@ impl Reader<'_> {
                 raw,
             },
             Frame::Event { seq, event } => {
-                if let (Some(_), Some(m)) = (trace, metrics) {
-                    m.trace_bytes.add(TRACE_CTX_WIRE_LEN as u64);
+                if trace.is_some() {
+                    metrics.trace_bytes.add(TRACE_CTX_WIRE_LEN as u64);
                 }
                 // The one place a flight is sampled: a sender that traces
                 // chose this event itself; otherwise every `FLIGHT_SAMPLE`-th
@@ -975,7 +868,7 @@ impl Reader<'_> {
                 // minted, so the hops below read the same either way. The
                 // flight opens here, the earliest point the event exists
                 // inside the collector process.
-                let sampled = flight.is_some() && seq.is_multiple_of(FLIGHT_SAMPLE);
+                let sampled = seq.is_multiple_of(FLIGHT_SAMPLE);
                 let trace = trace
                     .or_else(|| {
                         self.session
@@ -983,8 +876,8 @@ impl Reader<'_> {
                             .map(|s| TraceCtx::for_flight(s, seq))
                     })
                     .map(|ctx| (ctx, Instant::now()));
-                if let (Some((ctx, _)), Some(f)) = (trace, flight) {
-                    f.record(
+                if let Some((ctx, _)) = trace {
+                    self.flight.record(
                         stage::DECODED,
                         Some(ctx.child(stage::SINK_SEND)),
                         u64::from(event.router.0),
@@ -1044,14 +937,12 @@ impl Reader<'_> {
     /// returns the quarantined-frame total.
     fn publish_decoder(&mut self, dec: &Decoder) -> u64 {
         let (corrupt, skipped) = (dec.corrupt_frames(), dec.skipped_bytes());
-        let new_corrupt = corrupt - self.reported_corrupt;
-        self.stats
-            .corrupt_frames
-            .fetch_add(new_corrupt, Ordering::Relaxed);
-        if let Some(m) = self.metrics {
-            m.frames_corrupt.add(new_corrupt);
-            m.resync_bytes.add(skipped - self.reported_skipped);
-        }
+        self.metrics
+            .frames_corrupt
+            .add(corrupt - self.reported_corrupt);
+        self.metrics
+            .resync_bytes
+            .add(skipped - self.reported_skipped);
         (self.reported_corrupt, self.reported_skipped) = (corrupt, skipped);
         corrupt
     }
@@ -1062,11 +953,9 @@ fn reader_loop(
     conn: u64,
     tx: SyncSender<Msg>,
     stop: Arc<AtomicBool>,
-    stats: Arc<SharedStats>,
     cfg: &CollectorConfig,
-    metrics: Option<Arc<CollectorMetrics>>,
+    metrics: &CollectorMetrics,
 ) {
-    let metrics = metrics.as_deref();
     let wal_enabled = cfg.wal.is_some();
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(cfg.poll_interval));
@@ -1082,13 +971,11 @@ fn reader_loop(
         conn,
         stream: &stream,
         tx,
-        stats: &stats,
         cfg,
         metrics,
-        flight: metrics.map(|m| {
-            m.flight
-                .register(&format!("reader-{conn}"), READER_RING_SLOTS)
-        }),
+        flight: metrics
+            .flight
+            .register(&format!("reader-{conn}"), READER_RING_SLOTS),
         greeted: false,
         session: None,
         is_peer: false,
@@ -1117,10 +1004,7 @@ fn reader_loop(
             Ok(n) => n,
             Err(e) => break Some(e.to_string()),
         };
-        stats.bytes.fetch_add(n as u64, Ordering::Relaxed);
-        if let Some(m) = metrics {
-            m.bytes.add(n as u64);
-        }
+        metrics.bytes.add(n as u64);
         dec.feed(&buf[..n]);
         loop {
             // Decode happens here, on the (parallel) reader thread —
@@ -1130,9 +1014,7 @@ fn reader_loop(
             let Some(msg) = dec.next_message(wal_enabled) else {
                 break;
             };
-            if let Some(m) = metrics {
-                m.decode_nanos.observe_since(t0);
-            }
+            metrics.decode_nanos.observe_since(t0);
             match rd.handle(msg) {
                 FrameOutcome::Continue => {}
                 FrameOutcome::Fatal(why) => break 'conn Some(why),
@@ -1147,12 +1029,8 @@ fn reader_loop(
         // persistently noisy link produces one dump per threshold run,
         // not one per frame).
         if corrupt.saturating_sub(crc_burst_base) >= CRC_BURST_THRESHOLD {
-            if let Some(f) = &rd.flight {
-                f.record(stage::CRC_BURST, None, conn, corrupt);
-            }
-            if let Some(m) = metrics {
-                m.flight_dump("crc-burst");
-            }
+            rd.flight.record(stage::CRC_BURST, None, conn, corrupt);
+            metrics.flight_dump("crc-burst");
             crc_burst_base = corrupt;
         }
         // Flush per read chunk: acks go out per batch, and a

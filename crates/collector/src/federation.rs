@@ -55,7 +55,7 @@ use crate::codec::{
     PeerRepairProof,
 };
 use crate::collector::CollectorConfig;
-use crate::metrics::CollectorMetrics;
+use crate::metrics::{furthest, gauge_nanos, lag_nanos, CollectorMetrics};
 use crate::pipeline::SourceTable;
 use crate::repair_journal::RepairLedger;
 use crate::session::FOLD_RING_SLOTS;
@@ -86,6 +86,17 @@ const PEER_CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 /// Reconnect backoff bounds.
 const PEER_RECONNECT_MIN: Duration = Duration::from_millis(50);
 const PEER_RECONNECT_MAX: Duration = Duration::from_secs(2);
+/// How long unacked frames may wait on a live link with no ack progress
+/// before the link is dropped to replay them. A frame damaged in flight
+/// is quarantined by the peer, which then drops every later frame as a
+/// gap and re-acks the same cursor: only a go-back-N replay heals that.
+/// A healthy member's acks can pause too: they leave behind worker 0's
+/// journaling backlog, and on a 2-vCPU box under bulk ingest, healthy
+/// links went up to ~770 ms between ack advances (two federations
+/// sharing the box; ~570 ms alone). The bound sits well clear of that,
+/// so a busy peer is not sent its whole window again;
+/// `cpvr_peer_ack_stalls_total` counts the drops.
+const PEER_ACK_STALL: Duration = Duration::from_secs(2);
 /// The session loop's maximum recv timeout on a member: peer links need
 /// pumping (reconnects, ack drains) even when no client traffic arrives.
 pub(crate) const LINK_TICK: Duration = Duration::from_millis(50);
@@ -198,6 +209,9 @@ struct PeerLink {
     dec: Decoder,
     last_attempt: Option<Instant>,
     backoff: Duration,
+    /// When the acks last advanced — or the link (re)connected, or the
+    /// buffer last went from empty to non-empty: the stall clock.
+    progress: Instant,
 }
 
 impl PeerLink {
@@ -211,6 +225,7 @@ impl PeerLink {
             dec: Decoder::new(),
             last_attempt: None,
             backoff: PEER_RECONNECT_MIN,
+            progress: Instant::now(),
         }
     }
 
@@ -226,6 +241,9 @@ impl PeerLink {
                 self.drop_conn();
             }
         }
+        if self.buf.is_empty() {
+            self.progress = Instant::now();
+        }
         self.buf.push_back((seq, bytes));
         n
     }
@@ -236,12 +254,14 @@ impl PeerLink {
     }
 
     /// Reconnects (with backoff) if down — handshaking and replaying
-    /// the whole unacked buffer — and drains any pending acks.
-    fn maintain(&mut self) {
+    /// the whole unacked buffer — and drains any pending acks; drops a
+    /// link whose acks stalled, so the next call replays. Returns whether
+    /// it dropped the link for a stall.
+    fn maintain(&mut self) -> bool {
         if self.conn.is_none() {
             if let Some(t) = self.last_attempt {
                 if t.elapsed() < self.backoff {
-                    return;
+                    return false;
                 }
             }
             self.last_attempt = Some(Instant::now());
@@ -252,6 +272,7 @@ impl PeerLink {
                     let _ = s.set_read_timeout(Some(PEER_ACK_POLL));
                     self.conn = Some(s);
                     self.backoff = PEER_RECONNECT_MIN;
+                    self.progress = Instant::now();
                     // Go-back-N: hello announces where the replay
                     // starts, then the entire unacked window follows.
                     self.hello.first_seq = self.buf.front().map_or(self.next_seq, |(s, _)| *s);
@@ -268,11 +289,18 @@ impl PeerLink {
                 }
                 Err(_) => {
                     self.backoff = (self.backoff * 2).min(PEER_RECONNECT_MAX);
-                    return;
+                    return false;
                 }
             }
         }
         self.pump_acks();
+        let stalled = self.conn.is_some()
+            && !self.buf.is_empty()
+            && self.progress.elapsed() >= PEER_ACK_STALL;
+        if stalled {
+            self.drop_conn();
+        }
+        stalled
     }
 
     /// Drains ack frames from the peer and prunes the replay buffer.
@@ -304,6 +332,7 @@ impl PeerLink {
                     if let Frame::Ack { upto } = msg.frame {
                         while self.buf.front().is_some_and(|(s, _)| *s < upto) {
                             self.buf.pop_front();
+                            self.progress = Instant::now();
                         }
                     }
                 }
@@ -366,10 +395,11 @@ pub(crate) struct Peers {
     /// round records into series 0 and holds the inbound peers' ack
     /// sockets. `None` while the journal replays.
     series0: Option<SyncSender<WorkerMsg>>,
+    /// The registry and the round machine's flight-recorder ring, both
+    /// `None` until [`go_live`](Self::go_live): the journal replay leaves
+    /// no telemetry — the live run already counted and recorded what it
+    /// regenerates.
     metrics: Option<Arc<CollectorMetrics>>,
-    /// Flight-recorder ring for the round machine (`None` during replay
-    /// and when metrics are off — recovery must not re-emit records the
-    /// live run already wrote).
     flight: Option<RingHandle>,
     /// Peer-gated repairs received as [`PeerRepairProof`] frames, after
     /// independent re-validation. Keyed by repair id; first frame wins
@@ -420,13 +450,11 @@ impl Peers {
     pub(crate) fn go_live(
         &mut self,
         series0: SyncSender<WorkerMsg>,
-        metrics: Option<Arc<CollectorMetrics>>,
+        metrics: &Arc<CollectorMetrics>,
     ) {
         self.series0 = Some(series0);
-        self.flight = metrics
-            .as_ref()
-            .map(|m| m.flight.register("member", FOLD_RING_SLOTS));
-        self.metrics = metrics;
+        self.flight = Some(metrics.flight.register("member", FOLD_RING_SLOTS));
+        self.metrics = Some(Arc::clone(metrics));
     }
 
     /// Whether this member folds `r`'s stream.
@@ -916,14 +944,10 @@ impl Peers {
         }
         let mut mins = self.peer_min.clone();
         mins[self.member as usize] = sources.global_min();
-        let furthest = mins.iter().filter_map(|v| *v).max();
-        for (j, v) in mins.iter().enumerate() {
-            m.peer_frontier[j].set(v.map_or(-1, |t| t.as_nanos() as i64));
-            let lag = match (furthest, v) {
-                (Some(f), Some(v)) => f.as_nanos().saturating_sub(v.as_nanos()) as i64,
-                _ => -1,
-            };
-            m.peer_lag[j].set(lag);
+        let furthest = furthest(mins.iter().copied());
+        for (j, v) in mins.into_iter().enumerate() {
+            m.peer_frontier[j].set(v.map_or(-1, gauge_nanos));
+            m.peer_lag[j].set(lag_nanos(furthest, v));
         }
     }
 
@@ -933,7 +957,9 @@ impl Peers {
     /// message-driven and never waits on it.
     pub(crate) fn tick(&mut self, sources: &SourceTable) {
         for l in self.links.iter_mut().flatten() {
-            l.maintain();
+            if let (true, Some(m)) = (l.maintain(), &self.metrics) {
+                m.peer_ack_stalls.inc();
+            }
         }
         self.publish_peers(sources);
     }

@@ -90,9 +90,11 @@ impl GroupCommit {
     /// Spawns the sync thread. `every` is the global record cadence
     /// (`u32::MAX` effectively never syncs on cadence — the
     /// `FsyncPolicy::Never` analogue; explicit `sync_now`/`stop` still
-    /// sync). Optional registry handles publish fsync count and
-    /// latency.
-    pub fn start(every: u32, metrics: Option<(cpvr_obs::Counter, cpvr_obs::Histogram)>) -> Self {
+    /// sync). The registry handles publish fsync count and latency.
+    pub fn start(
+        every: u32,
+        (syncs_total, fsync_nanos): (cpvr_obs::Counter, cpvr_obs::Histogram),
+    ) -> Self {
         let (tx, rx) = channel::<SyncReq>();
         let every = every.max(1);
         let join = std::thread::Builder::new()
@@ -118,10 +120,8 @@ impl GroupCommit {
                         }
                     }
                     *syncs += 1;
-                    if let Some((counter, histo)) = &metrics {
-                        counter.inc();
-                        histo.observe_since(start);
-                    }
+                    syncs_total.inc();
+                    fsync_nanos.observe_since(start);
                     result
                 };
                 while let Ok(req) = rx.recv() {
@@ -210,12 +210,20 @@ mod tests {
         Wal::open(cfg).unwrap()
     }
 
+    /// Fsync count and latency handles from a throwaway registry.
+    fn sync_metrics() -> (cpvr_obs::Counter, cpvr_obs::Histogram) {
+        let r = cpvr_obs::MetricsRegistry::new();
+        r.declare("syncs", cpvr_obs::MetricKind::Counter, "fsyncs");
+        r.declare("fsync", cpvr_obs::MetricKind::Histogram, "fsync latency");
+        (r.counter("syncs"), r.histogram("fsync"))
+    }
+
     #[test]
     fn cadence_spans_all_registered_series() {
         let tmp = TempDir::new("gc-cadence").unwrap();
         let mut w0 = deferred_wal(tmp.path(), 0);
         let mut w1 = deferred_wal(tmp.path(), 1);
-        let gc = GroupCommit::start(4, None);
+        let gc = GroupCommit::start(4, sync_metrics());
         let h = gc.handle();
         assert!(h.register(0, w0.active_file().unwrap()));
         assert!(h.register(1, w1.active_file().unwrap()));
@@ -241,7 +249,7 @@ mod tests {
 
     #[test]
     fn sync_now_ticket_fails_after_crash() {
-        let gc = GroupCommit::start(1024, None);
+        let gc = GroupCommit::start(1024, sync_metrics());
         let h = gc.handle();
         assert!(h.sync_now().is_ok());
         h.crash();

@@ -3,16 +3,19 @@
 //!
 //! [`CollectorMetrics`] is built once at [`Collector::start`] and shared
 //! (`Arc`) by the reader threads, the session loop, the fold workers, and
-//! the WAL. Declaring
-//! every family here — before any handle is resolved — is what lets the
-//! `obs-strict` feature turn a typo'd or undeclared metric name into a
-//! panic in CI instead of a silently empty time series in production.
+//! the WAL. It is always on, and it is the collector's one set of
+//! counters: [`CollectorStats`] is a view of it
+//! ([`CollectorMetrics::stats`]). Declaring every family here — before
+//! any handle is resolved — is what lets the `obs-strict` feature turn a
+//! typo'd or undeclared metric name into a panic in CI instead of a
+//! silently empty time series in production.
 //!
 //! The README's "Observability" section is the human-readable inventory
 //! of these names; keep the two in sync.
 //!
 //! [`Collector::start`]: crate::collector::Collector::start
 
+use std::sync::atomic::{fence, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cpvr_core::HbrSource;
@@ -22,6 +25,7 @@ use cpvr_obs::{
 use cpvr_types::{RouterId, SimTime};
 
 use crate::codec::{RepairRecord, RepairStage};
+use crate::collector::CollectorStats;
 use crate::pipeline::{SourceState, SourceTable};
 use crate::shard::{FoldGauges, Verdict};
 use crate::wal::WalMetrics;
@@ -34,6 +38,29 @@ pub fn source_state_code(s: SourceState) -> i64 {
         SourceState::Live => 1,
         SourceState::Lagging => 2,
         SourceState::Evicted => 3,
+    }
+}
+
+/// A simulated time as a nanosecond gauge value, saturating at
+/// `i64::MAX` — which is where a finished stream's `SimTime::MAX` lands,
+/// so it never reads as the −1 of "not yet".
+pub(crate) fn gauge_nanos(t: SimTime) -> i64 {
+    i64::try_from(t.as_nanos()).unwrap_or(i64::MAX)
+}
+
+/// The furthest of some promises or frontiers, for a lag gauge: a
+/// finished one (`SimTime::MAX`) is not ahead of anybody.
+pub(crate) fn furthest(all: impl Iterator<Item = Option<SimTime>>) -> Option<SimTime> {
+    all.flatten().filter(|t| *t != SimTime::MAX).max()
+}
+
+/// How far `v` trails `furthest`: −1 while `v` is unknown, 0 once it is
+/// finished.
+pub(crate) fn lag_nanos(furthest: Option<SimTime>, v: Option<SimTime>) -> i64 {
+    match (furthest, v) {
+        (_, None) => -1,
+        (Some(f), Some(v)) if v != SimTime::MAX => gauge_nanos(f.saturating_sub(v)),
+        _ => 0,
     }
 }
 
@@ -95,6 +122,7 @@ pub struct CollectorMetrics {
     pub(crate) boundary_events_sent: Counter,
     pub(crate) boundary_events_received: Counter,
     pub(crate) boundary_bytes_sent: Counter,
+    pub(crate) peer_ack_stalls: Counter,
     pub(crate) partial_verdict_nanos: Histogram,
     pub(crate) peer_frontier: Vec<Gauge>,
     pub(crate) peer_lag: Vec<Gauge>,
@@ -232,7 +260,8 @@ impl CollectorMetrics {
         r.declare(
             "cpvr_watermark_nanos",
             MetricKind::Gauge,
-            "Last globally advanced watermark, in simulated nanoseconds (-1 before the first advance)",
+            "Last globally advanced watermark, in simulated nanoseconds (-1 before the first advance, \
+             i64::MAX once every source finished)",
         );
         r.declare(
             "cpvr_events_folded",
@@ -289,7 +318,8 @@ impl CollectorMetrics {
         r.declare(
             "cpvr_shard_frontier_nanos",
             MetricKind::Gauge,
-            "Watermark a shard's fold last advanced to, in simulated nanoseconds",
+            "Watermark a shard's fold last advanced to, in simulated nanoseconds (-1 before the \
+             first, i64::MAX once every source finished)",
         );
         r.declare(
             "cpvr_shard_fold_lag_events",
@@ -321,7 +351,14 @@ impl CollectorMetrics {
         r.declare(
             "cpvr_boundary_bytes_sent_total",
             MetricKind::Counter,
-            "Wire bytes of peer frames sent to federation peers",
+            "Wire bytes of peer frames sent to federation peers (first sends; go-back-N replays \
+             are not counted)",
+        );
+        r.declare(
+            "cpvr_peer_ack_stalls_total",
+            MetricKind::Counter,
+            "Live peer links dropped because their unacked frames saw no ack progress for the \
+             stall bound; each drop replays the link's whole unacked window on reconnect",
         );
         r.declare(
             "cpvr_partial_verdict_nanos",
@@ -331,12 +368,14 @@ impl CollectorMetrics {
         r.declare(
             "cpvr_peer_frontier_nanos",
             MetricKind::Gauge,
-            "Min watermark a peer's last frontier exchange announced (-1 before the first)",
+            "Min watermark a peer's last frontier exchange announced (-1 before the first, \
+             i64::MAX once its sources finished)",
         );
         r.declare(
             "cpvr_peer_lag_nanos",
             MetricKind::Gauge,
-            "How far a peer's exchanged frontier trails the furthest member (-1 before it exchanges)",
+            "How far a peer's exchanged frontier trails the furthest unfinished member (-1 before \
+             it exchanges, 0 once it finished)",
         );
 
         // Proof-carrying repair lifecycle.
@@ -448,7 +487,8 @@ impl CollectorMetrics {
         r.declare(
             "cpvr_source_lag_nanos",
             MetricKind::Gauge,
-            "How far the source's promise trails the furthest promise (-1 before it promises)",
+            "How far the source's promise trails the furthest unfinished promise (-1 before it \
+             promises, 0 once it finished)",
         );
         r.declare(
             "cpvr_source_next_seq",
@@ -562,6 +602,7 @@ impl CollectorMetrics {
             boundary_events_sent: r.counter("cpvr_boundary_events_sent_total"),
             boundary_events_received: r.counter("cpvr_boundary_events_received_total"),
             boundary_bytes_sent: r.counter("cpvr_boundary_bytes_sent_total"),
+            peer_ack_stalls: r.counter("cpvr_peer_ack_stalls_total"),
             partial_verdict_nanos: r.histogram("cpvr_partial_verdict_nanos"),
             peer_frontier,
             peer_lag,
@@ -637,9 +678,9 @@ impl CollectorMetrics {
     }
 
     /// Publishes the fold-side gauges after an advance: fold counters,
-    /// HBG size, per-rule edge offers, the verdict and its wait
-    /// accounting, and the verdict horizon.
-    pub(crate) fn publish_fold(&self, g: &FoldGauges, verdict: &Verdict, wm: Option<SimTime>) {
+    /// HBG size, per-rule edge offers, and the verdict and its wait
+    /// accounting.
+    pub(crate) fn publish_fold(&self, g: &FoldGauges, verdict: &Verdict) {
         self.events_folded.set(g.processed as i64);
         self.events_pending.set(g.pending as i64);
         self.hbg_edges.set(g.edges as i64);
@@ -660,8 +701,37 @@ impl CollectorMetrics {
         self.waits_resolved.set(resolved as i64);
         self.snapshot_consistent
             .set(verdict.status().is_consistent() as i64);
-        if let Some(wm) = wm {
-            self.watermark_nanos.set(wm.as_nanos() as i64);
+    }
+
+    /// Publishes the verdict horizon — last, after every gauge and
+    /// flight record of its advance: the release fence pairs with the
+    /// acquire fence in [`stats`](Self::stats), so whoever sees this
+    /// watermark there also sees those.
+    pub(crate) fn publish_watermark(&self, wm: SimTime) {
+        fence(Ordering::Release);
+        self.watermark_nanos.set(gauge_nanos(wm));
+    }
+
+    /// The collector's counters, read from the registry.
+    pub fn stats(&self) -> CollectorStats {
+        let watermark = match self.watermark_nanos.value() {
+            i64::MAX => Some(SimTime::MAX),
+            nanos => u64::try_from(nanos).ok().map(SimTime::from_nanos),
+        };
+        fence(Ordering::Acquire);
+        CollectorStats {
+            connections: self.connections.value(),
+            events: self.events_received.value(),
+            bytes: self.bytes.value(),
+            decode_errors: self.decode_errors.value(),
+            corrupt_frames: self.frames_corrupt.value(),
+            duplicate_events: self.events_duplicate.value(),
+            gap_events: self.events_gap.value(),
+            late_events: self.events_late.value(),
+            evictions: self.evictions.value(),
+            readmissions: self.readmissions.value(),
+            repair_records: self.repair_records.value(),
+            watermark,
         }
     }
 
@@ -696,19 +766,44 @@ impl CollectorMetrics {
     /// Publishes the per-source lease/lag/cursor gauges from a source
     /// table.
     pub(crate) fn publish_sources(&self, table: &SourceTable) {
-        let furthest: Option<SimTime> = (0..self.sources.state.len() as u32)
-            .filter_map(|i| table.promise_of(RouterId(i)))
-            .max();
-        for i in 0..self.sources.state.len() as u32 {
-            let r = RouterId(i);
-            let idx = i as usize;
+        let routers = (0..self.sources.state.len() as u32).map(RouterId);
+        let furthest = furthest(routers.clone().map(|r| table.promise_of(r)));
+        for (idx, r) in routers.enumerate() {
             self.sources.state[idx].set(source_state_code(table.state(r)));
             self.sources.next_seq[idx].set(table.next_seq(r) as i64);
-            let lag = match (furthest, table.promise_of(r)) {
-                (Some(f), Some(p)) => f.as_nanos().saturating_sub(p.as_nanos()) as i64,
-                _ => -1,
-            };
-            self.sources.lag_nanos[idx].set(lag);
+            self.sources.lag_nanos[idx].set(lag_nanos(furthest, table.promise_of(r)));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A finished stream publishes `i64::MAX`, not the −1 of "never
+    /// advanced", reads back as `SimTime::MAX`, and neither leads nor
+    /// lags the sources still streaming.
+    #[test]
+    fn a_finished_stream_saturates_its_gauges() {
+        let m = CollectorMetrics::new(3, 1, 0);
+        assert_eq!(m.stats().watermark, None);
+        m.publish_watermark(SimTime::from_nanos(7));
+        assert_eq!(m.stats().watermark, Some(SimTime::from_nanos(7)));
+        m.publish_watermark(SimTime::MAX);
+        assert_eq!(m.watermark_nanos.value(), i64::MAX);
+        assert_eq!(m.stats().watermark, Some(SimTime::MAX));
+
+        let mut table = SourceTable::new(3);
+        table.bye(RouterId(0), 0);
+        table.promise(RouterId(1), SimTime::from_nanos(5), 0);
+        table.promise(RouterId(2), SimTime::from_nanos(9), 0);
+        m.publish_sources(&table);
+        let lags: Vec<i64> = m.sources.lag_nanos.iter().map(Gauge::value).collect();
+        assert_eq!(lags, [0, 4, 0]);
+
+        let fresh = SourceTable::new(3);
+        m.publish_sources(&fresh);
+        let lags: Vec<i64> = m.sources.lag_nanos.iter().map(Gauge::value).collect();
+        assert_eq!(lags, [-1, -1, -1]);
     }
 }

@@ -30,9 +30,9 @@
 
 use crate::codec::{Decoder, Frame};
 use crate::repair_journal::RepairLedger;
+use crate::shard::RULES;
 use crate::wal;
 use cpvr_core::builder::HbgBuilder;
-use cpvr_core::infer::InferConfig;
 use cpvr_core::snapshot::{ConsistencyTracker, SnapshotStatus};
 use cpvr_core::FoldRecord;
 use cpvr_sim::IoEvent;
@@ -46,30 +46,12 @@ pub struct PipelineConfig {
     /// Number of routers in the network (sizes the tracker, and tells
     /// the collector when every source has connected).
     pub n_routers: u32,
-    /// Minimum confidence for pattern-mined HBG edges. The networked
-    /// pipeline runs rule-based inference only (patterns need a trained
-    /// miner, which lives with the offline tooling), so this only
-    /// matters if a miner is attached later; `0.9` mirrors the control
-    /// loop's default.
-    pub min_confidence: f64,
 }
 
 impl PipelineConfig {
-    /// A config for `n_routers` with default inference tuning.
+    /// A config for `n_routers`.
     pub fn new(n_routers: u32) -> Self {
-        PipelineConfig {
-            n_routers,
-            min_confidence: 0.9,
-        }
-    }
-
-    pub(crate) fn infer(&self) -> InferConfig<'static> {
-        InferConfig {
-            rules: true,
-            patterns: None,
-            min_confidence: self.min_confidence,
-            proximate: false,
-        }
+        PipelineConfig { n_routers }
     }
 }
 
@@ -406,7 +388,7 @@ impl IngestPipeline {
     /// A fresh, empty pipeline.
     pub fn new(cfg: PipelineConfig) -> Self {
         IngestPipeline {
-            builder: HbgBuilder::new(&cfg.infer()),
+            builder: HbgBuilder::new(&RULES),
             tracker: ConsistencyTracker::new(cfg.n_routers as usize),
             sources: SourceTable::new(cfg.n_routers),
             watermark: None,

@@ -8,11 +8,11 @@
 //! gate, the duplicate/gap/late counters, the liveness-lease sweep
 //! (evict → journal → hang up → flight dump), the watermark-stall
 //! watchdog, the repair ledger and its flight records, and the
-//! publication of [`SharedStats`] and the metrics gauges. Each of those
-//! decisions is made here and nowhere else; DESIGN.md §6 "One ingest
-//! engine" lists them. How a watermark becomes a verdict — the fold
-//! workers, their barrier round, and on a member the peers taking part
-//! in it — is [`Shards`]'.
+//! publication of the registry's gauges, watermark last ([`CollectorStats`]
+//! is a view of that registry). Each of those decisions is made here and
+//! nowhere else; DESIGN.md §6 "One ingest engine" lists them. How a
+//! watermark becomes a verdict — the fold workers, their barrier round,
+//! and on a member the peers taking part in it — is [`Shards`]'.
 //!
 //! ## Durability ordering
 //!
@@ -23,9 +23,11 @@
 //! it, and writes an ack only after the events it covers were
 //! journaled (and committed, per the fsync policy). The log is
 //! therefore always at least as complete as the in-memory state.
+//!
+//! [`CollectorStats`]: crate::collector::CollectorStats
 
 use crate::codec::{encode_frame, Frame, RepairRecord, RepairStage};
-use crate::collector::{CollectorConfig, EventRec, LeaseConfig, Msg, SharedStats};
+use crate::collector::{CollectorConfig, EventRec, LeaseConfig, Msg};
 use crate::federation::LINK_TICK;
 use crate::metrics::CollectorMetrics;
 use crate::pipeline::{Offer, SourceState, SourceTable};
@@ -36,7 +38,6 @@ use cpvr_obs::RingHandle;
 use cpvr_types::{RouterId, SimTime, TraceCtx};
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -81,39 +82,29 @@ fn repair_stage_code(s: RepairStage) -> u32 {
 /// Emits one repair-lifecycle flight record (minting the deterministic
 /// repair trace when the journaled record carries none) and, when the
 /// gate came back DIVERGED or ERROR, freezes an anomaly dump.
-fn flight_repair_record(
-    record: &RepairRecord,
-    flight: Option<&RingHandle>,
-    metrics: Option<&CollectorMetrics>,
-) {
+fn flight_repair_record(record: &RepairRecord, flight: &RingHandle, metrics: &CollectorMetrics) {
     let ctx = record
         .trace
         .unwrap_or_else(|| TraceCtx::for_repair(record.repair_id));
     let verdict = u64::from(record.verdict.unwrap_or(0));
-    if let Some(f) = flight {
-        f.record(
-            repair_stage_code(record.stage),
-            Some(ctx),
+    flight.record(
+        repair_stage_code(record.stage),
+        Some(ctx),
+        record.repair_id,
+        verdict,
+    );
+    if record.stage == RepairStage::Gated && matches!(record.verdict, Some(1) | Some(2)) {
+        flight.record(
+            stage::GATE_ANOMALY,
+            Some(ctx.child(stage::REPAIR_GATED)),
             record.repair_id,
             verdict,
         );
-    }
-    if record.stage == RepairStage::Gated && matches!(record.verdict, Some(1) | Some(2)) {
-        if let Some(f) = flight {
-            f.record(
-                stage::GATE_ANOMALY,
-                Some(ctx.child(stage::REPAIR_GATED)),
-                record.repair_id,
-                verdict,
-            );
-        }
-        if let Some(m) = metrics {
-            m.flight_dump(if record.verdict == Some(1) {
-                "diverged"
-            } else {
-                "gate-error"
-            });
-        }
+        metrics.flight_dump(if record.verdict == Some(1) {
+            "diverged"
+        } else {
+            "gate-error"
+        });
     }
 }
 
@@ -143,30 +134,27 @@ impl StallWatch {
         &mut self,
         wm: Option<SimTime>,
         stall_after: Duration,
-        metrics: Option<&CollectorMetrics>,
-        flight: Option<&RingHandle>,
+        metrics: &CollectorMetrics,
+        flight: &RingHandle,
     ) {
         if wm != self.last {
             self.last = wm;
             self.since = Instant::now();
             self.pending = false;
-            if let Some(m) = metrics {
-                m.watermark_stall_seconds.set(0);
-                m.flight.clear_stall();
-            }
+            metrics.watermark_stall_seconds.set(0);
+            metrics.flight.clear_stall();
             return;
         }
         if !self.pending {
             return;
         }
         let stalled = self.since.elapsed();
-        let Some(m) = metrics else { return };
-        m.watermark_stall_seconds.set(stalled.as_secs() as i64);
+        metrics
+            .watermark_stall_seconds
+            .set(stalled.as_secs() as i64);
         if stalled >= stall_after {
-            if let Some(f) = flight {
-                f.record(stage::WATERMARK_STALL, None, stalled.as_secs(), 0);
-            }
-            m.flight_stall_dump();
+            flight.record(stage::WATERMARK_STALL, None, stalled.as_secs(), 0);
+            metrics.flight_stall_dump();
         }
     }
 }
@@ -190,9 +178,8 @@ struct Session<'a> {
     folded: usize,
     stall: StallWatch,
     lease: LeaseConfig,
-    stats: &'a SharedStats,
-    metrics: Option<&'a CollectorMetrics>,
-    flight: Option<RingHandle>,
+    metrics: &'a CollectorMetrics,
+    flight: RingHandle,
 }
 
 impl Session<'_> {
@@ -219,41 +206,34 @@ impl Session<'_> {
         let Some(wm) = self.shards.completed.filter(|wm| Some(*wm) != before) else {
             return;
         };
-        if let Some(m) = self.metrics {
-            m.fold_nanos.observe_since(start);
-        }
+        let m = self.metrics;
+        m.fold_nanos.observe_since(start);
         let folded_before = self.folded;
         self.publish();
-        if let Some(m) = self.metrics {
-            m.fold_batch
-                .observe(self.folded.saturating_sub(folded_before) as u64);
-        }
+        m.fold_batch
+            .observe(self.folded.saturating_sub(folded_before) as u64);
         // Sampled flights at or behind the new horizon are folded — the
         // first advance to pass one closes its session-side hop — and a
         // folded flight completes at the first consistent verdict: the
         // time in between is §4.3's wait instead of a false alarm.
-        let consistent = &self.shards.verdict.status().is_consistent();
-        let (flight, metrics) = (self.flight.as_ref(), self.metrics);
+        let consistent = self.shards.verdict.status().is_consistent();
+        let flight = &self.flight;
         let now = Instant::now();
         self.traced.retain_mut(|fl| {
             if fl.time > wm {
                 return true;
             }
             let folded = *fl.folded.get_or_insert_with(|| {
-                if let Some(f) = flight {
-                    f.record(
-                        stage::FOLDED,
-                        Some(fl.ctx.child(stage::JOURNALED)),
-                        fl.time.as_nanos(),
-                        0,
-                    );
-                }
-                if let Some(m) = metrics {
-                    m.flight_received_to_folded.observe_since(fl.received);
-                }
+                flight.record(
+                    stage::FOLDED,
+                    Some(fl.ctx.child(stage::JOURNALED)),
+                    fl.time.as_nanos(),
+                    0,
+                );
+                m.flight_received_to_folded.observe_since(fl.received);
                 now
             });
-            if let (true, Some(m)) = (consistent, metrics) {
+            if consistent {
                 m.flight_folded_to_consistent
                     .observe(now.duration_since(folded).as_nanos() as u64);
                 m.flights_completed.inc();
@@ -262,7 +242,7 @@ impl Session<'_> {
         });
         // Last: whoever polls the stats for this watermark may rely on
         // the gauges and flight records above being there already.
-        self.stats.set_watermark(wm);
+        m.publish_watermark(wm);
     }
 
     fn gate_moved(&mut self) {
@@ -272,14 +252,9 @@ impl Session<'_> {
     /// Publishes the fold and per-source gauges.
     fn publish(&mut self) {
         self.folded = self.shards.gauges.processed;
-        if let Some(m) = self.metrics {
-            m.publish_fold(
-                &self.shards.gauges,
-                &self.shards.verdict,
-                self.shards.completed,
-            );
-            m.publish_sources(&self.sources);
-        }
+        self.metrics
+            .publish_fold(&self.shards.gauges, &self.shards.verdict);
+        self.metrics.publish_sources(&self.sources);
     }
 
     fn on_msg(&mut self, msg: Msg) {
@@ -299,10 +274,7 @@ impl Session<'_> {
                     self.shards
                         .journal(Some(source), encode_frame(&Frame::Admit { source }), None);
                     self.sources.admit(source);
-                    self.stats.readmissions.fetch_add(1, Ordering::Relaxed);
-                    if let Some(m) = self.metrics {
-                        m.readmissions.inc();
-                    }
+                    self.metrics.readmissions.inc();
                 }
                 // Journal the handshake so recovery re-learns the
                 // session and keeps deduplicating its replays.
@@ -316,12 +288,10 @@ impl Session<'_> {
                 // An immediate ack tells a reconnecting client how much
                 // of its planned replay is already here.
                 self.ack(conn, source);
-                if let Some(m) = self.metrics {
-                    // A hello can flip a source back to Live — republish
-                    // so lease-state scrapes see it now, not at the next
-                    // watermark advance.
-                    m.publish_sources(&self.sources);
-                }
+                // A hello can flip a source back to Live — republish so
+                // lease-state scrapes see it now, not at the next
+                // watermark advance.
+                self.metrics.publish_sources(&self.sources);
                 self.gate_moved();
             }
             Msg::Events { conn, batch } => {
@@ -347,49 +317,34 @@ impl Session<'_> {
                             // or acks any of it, and before the barrier
                             // that stamps `FOLDED`.
                             if let Some((ctx, received)) = rec.trace {
-                                if let Some(f) = &self.flight {
-                                    f.record(
-                                        stage::JOURNALED,
-                                        Some(ctx.child(stage::DECODED)),
-                                        u64::from(source.0),
-                                        rec.seq,
-                                    );
-                                }
-                                let room = self.traced.len() < TRACED_PENDING_MAX;
-                                if room {
+                                self.flight.record(
+                                    stage::JOURNALED,
+                                    Some(ctx.child(stage::DECODED)),
+                                    u64::from(source.0),
+                                    rec.seq,
+                                );
+                                let m = self.metrics;
+                                if self.traced.len() < TRACED_PENDING_MAX {
                                     self.traced.push(Flight {
                                         time: rec.rec.time,
                                         ctx,
                                         received,
                                         folded: None,
                                     });
-                                }
-                                if let Some(m) = self.metrics {
-                                    let n = if room {
-                                        &m.flights_started
-                                    } else {
-                                        &m.flights_dropped
-                                    };
-                                    n.inc();
+                                    m.flights_started.inc();
+                                } else {
+                                    m.flights_dropped.inc();
                                 }
                             }
                             fresh.push(rec);
                         }
                     }
                 }
-                let ingested = fresh.len() as u64;
-                self.stats.events.fetch_add(ingested, Ordering::Relaxed);
-                self.stats.late_events.fetch_add(late, Ordering::Relaxed);
-                self.stats
-                    .duplicate_events
-                    .fetch_add(dups, Ordering::Relaxed);
-                self.stats.gap_events.fetch_add(gaps, Ordering::Relaxed);
-                if let Some(m) = self.metrics {
-                    m.events_received.add(ingested);
-                    m.events_duplicate.add(dups);
-                    m.events_gap.add(gaps);
-                    m.events_late.add(late);
-                }
+                let (ingested, m) = (fresh.len() as u64, self.metrics);
+                m.events_received.add(ingested);
+                m.events_duplicate.add(dups);
+                m.events_gap.add(gaps);
+                m.events_late.add(late);
                 if ingested > 0 {
                     self.stall.pending = true;
                 }
@@ -437,12 +392,10 @@ impl Session<'_> {
                 // barrier.
                 self.shards
                     .journal(None, encode_frame(&Frame::Repair(record.clone())), done);
-                self.stats.repair_records.fetch_add(1, Ordering::Relaxed);
                 if self.repairs.accept(&record) {
-                    if let Some(m) = self.metrics {
-                        m.publish_repair(&record, self.repairs.in_flight().len());
-                    }
-                    flight_repair_record(&record, self.flight.as_ref(), self.metrics);
+                    self.metrics
+                        .publish_repair(&record, self.repairs.in_flight().len());
+                    flight_repair_record(&record, &self.flight, self.metrics);
                     // The moment a repair is `Gated`, its proof goes to
                     // every peer.
                     if let (Some(p), RepairStage::Gated) = (&mut self.shards.peers, record.stage) {
@@ -487,17 +440,13 @@ impl Session<'_> {
                 self.shards
                     .journal(Some(r), encode_frame(&Frame::Evict { source: r }), None);
                 self.sources.evict(r);
-                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+                self.metrics.evictions.inc();
                 // Every eviction freezes exactly one black box: the dump
                 // holds the ring state that explains *why* the fold was
                 // gated when the lease gave up on this source.
-                if let Some(f) = &self.flight {
-                    f.record(stage::EVICTION, None, u64::from(r.0), silent.as_secs());
-                }
-                if let Some(m) = self.metrics {
-                    m.evictions.inc();
-                    m.flight_dump("eviction");
-                }
+                self.flight
+                    .record(stage::EVICTION, None, u64::from(r.0), silent.as_secs());
+                self.metrics.flight_dump("eviction");
                 evicted_any = true;
                 // Hang up on the evicted source: re-admission requires a
                 // fresh hello, and clients only re-hello on reconnect, so
@@ -517,12 +466,10 @@ impl Session<'_> {
         if evicted_any {
             self.gate_moved();
         }
-        if let Some(m) = self.metrics {
-            // Every sweep republishes the lease gauges, so a scrape sees
-            // a source flip Live → Lagging → Evicted as it happens rather
-            // than only when the watermark next moves.
-            m.publish_sources(&self.sources);
-        }
+        // Every sweep republishes the lease gauges, so a scrape sees a
+        // source flip Live → Lagging → Evicted as it happens rather than
+        // only when the watermark next moves.
+        self.metrics.publish_sources(&self.sources);
     }
 }
 
@@ -534,23 +481,12 @@ pub(crate) fn spawn(
     sources: SourceTable,
     repairs: RepairLedger,
     cfg: &CollectorConfig,
-    stats: &Arc<SharedStats>,
-    metrics: &Option<Arc<CollectorMetrics>>,
+    metrics: &Arc<CollectorMetrics>,
 ) -> io::Result<JoinHandle<(FoldReport, Option<io::Error>)>> {
-    let (lease, stats, metrics) = (cfg.lease, Arc::clone(stats), metrics.clone());
+    let (lease, metrics) = (cfg.lease, Arc::clone(metrics));
     thread::Builder::new()
         .name("cpvr-session".into())
-        .spawn(move || {
-            run(
-                rx,
-                shards,
-                sources,
-                repairs,
-                lease,
-                &stats,
-                metrics.as_deref(),
-            )
-        })
+        .spawn(move || run(rx, shards, sources, repairs, lease, &metrics))
 }
 
 /// Runs the session loop until every sender of `rx` is gone, then
@@ -561,8 +497,7 @@ fn run(
     sources: SourceTable,
     repairs: RepairLedger,
     lease: LeaseConfig,
-    stats: &SharedStats,
-    metrics: Option<&CollectorMetrics>,
+    metrics: &CollectorMetrics,
 ) -> (FoldReport, Option<io::Error>) {
     // Resuming after recovery: the recovered watermark keeps gating
     // late events even before sources reconnect.
@@ -578,16 +513,16 @@ fn run(
         folded: 0,
         stall: StallWatch::new(recovered),
         lease,
-        stats,
         metrics,
-        flight: metrics.map(|m| m.flight.register("session", FOLD_RING_SLOTS)),
+        flight: metrics.flight.register("session", FOLD_RING_SLOTS),
     };
-    if let Some(wm) = recovered {
-        stats.set_watermark(wm);
-    }
     // Scrapes arriving before any traffic should still see the
-    // recovered state, not all-zero gauges.
+    // recovered state, not all-zero gauges — the watermark last, as
+    // after every advance.
     s.publish();
+    if let Some(wm) = recovered {
+        metrics.publish_watermark(wm);
+    }
     // A recovered engine may have work its journal had not finished.
     s.gate_moved();
 
@@ -617,12 +552,8 @@ fn run(
             s.sweep();
             last_sweep = Instant::now();
         }
-        s.stall.observe(
-            s.shards.completed,
-            lease.stall_after,
-            metrics,
-            s.flight.as_ref(),
-        );
+        s.stall
+            .observe(s.shards.completed, lease.stall_after, metrics, &s.flight);
     }
     s.shards.finish(s.sources.stalled(), s.repairs)
 }

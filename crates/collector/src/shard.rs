@@ -57,12 +57,13 @@ use crate::codec::{encode_frame, Frame, RepairStage};
 use crate::collector::{CollectorConfig, EventRec};
 use crate::federation::{MemberFold, Peers};
 use crate::group_commit::{GroupCommit, GroupCommitHandle};
-use crate::metrics::CollectorMetrics;
+use crate::metrics::{gauge_nanos, CollectorMetrics};
 use crate::pipeline::{IngestPipeline, PipelineConfig, SourceTable, WalScan};
 use crate::repair_journal::RepairLedger;
 use crate::wal::{FsyncPolicy, Wal};
 use cpvr_core::builder::HbgBuilder;
 use cpvr_core::hbg::{Hbg, Hbr};
+use cpvr_core::infer::InferConfig;
 use cpvr_core::rules::RuleScope;
 use cpvr_core::snapshot::{ConvDigest, SnapshotStatus, TrackerSlice};
 use cpvr_core::{FoldRecord, HbrSource, ShardPlan};
@@ -77,6 +78,16 @@ use std::sync::{Arc, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
+/// The networked fold's inference, sharded or not: protocol rules only.
+/// Patterns need a trained miner, which lives with the offline tooling,
+/// so no confidence threshold applies.
+pub(crate) const RULES: InferConfig<'static> = InferConfig {
+    rules: true,
+    patterns: None,
+    min_confidence: 0.0,
+    proximate: false,
+};
+
 /// One shard of the fold: the per-event state of the routers and
 /// conversations a [`ShardPlan`] assigns to shard `shard`.
 pub(crate) struct FoldShard {
@@ -90,11 +101,10 @@ pub(crate) struct FoldShard {
 
 impl FoldShard {
     pub(crate) fn new(pipeline: &PipelineConfig, plan: ShardPlan, shard: u32) -> Self {
-        let infer = pipeline.infer();
         FoldShard {
             shard,
-            local: HbgBuilder::new_scoped(&infer, RuleScope::LocalOnly),
-            cross: HbgBuilder::new_scoped(&infer, RuleScope::CrossOnly),
+            local: HbgBuilder::new_scoped(&RULES, RuleScope::LocalOnly),
+            cross: HbgBuilder::new_scoped(&RULES, RuleScope::CrossOnly),
             slice: TrackerSlice::new(pipeline.n_routers as usize, plan.clone(), shard),
             plan,
             events: 0,
@@ -422,7 +432,7 @@ struct Worker {
     last_segment: u64,
     wal_err: Option<io::Error>,
     acks: HashMap<u64, TcpStream>,
-    metrics: Option<Arc<CollectorMetrics>>,
+    metrics: Arc<CollectorMetrics>,
     reply: Sender<Reply>,
 }
 
@@ -496,7 +506,7 @@ impl Worker {
     }
 
     fn run(mut self, rx: Receiver<WorkerMsg>) {
-        let local = self.local;
+        let (local, m) = (self.local, Arc::clone(&self.metrics));
         while let Ok(msg) = rx.recv() {
             match msg {
                 WorkerMsg::Ingest { batch, ack } => {
@@ -508,7 +518,7 @@ impl Worker {
                         if let Some(raw) = rec.raw.as_ref() {
                             if self.journal(raw) {
                                 journaled += 1;
-                                if let (Some(m), Some((_, received))) = (&self.metrics, rec.trace) {
+                                if let Some((_, received)) = rec.trace {
                                     m.flight_received_to_journaled.observe_since(received);
                                     flights.push(Instant::now());
                                 }
@@ -519,16 +529,14 @@ impl Worker {
                     for rec in &batch {
                         self.fold.ingest(rec.rec, rec.arrived_at);
                     }
-                    if let Some(m) = &self.metrics {
-                        m.events_journaled.add(u64::from(journaled));
-                    }
+                    m.events_journaled.add(u64::from(journaled));
                     // Ack only after the batch was journaled *and*
                     // committed per policy: acked ⇒ durable. Count only
                     // an ack that actually went out.
                     let Some((conn, upto, fin)) = ack else {
                         continue;
                     };
-                    if let (true, Some(m)) = (self.ack(conn, upto, fin), &self.metrics) {
+                    if self.ack(conn, upto, fin) {
                         m.events_acked.add(batch.len() as u64);
                         for appended in flights {
                             m.flight_journaled_to_acked.observe_since(appended);
@@ -575,13 +583,7 @@ impl Worker {
                         self.commit(1);
                     }
                     let outboxes = self.fold.advance_collect(wm);
-                    if let Some(g) = self
-                        .metrics
-                        .as_ref()
-                        .and_then(|m| m.shard_frontier.get(local))
-                    {
-                        g.set(wm.as_nanos() as i64);
-                    }
+                    m.shard_frontier[local].set(gauge_nanos(wm));
                     if self.reply.send(Reply::Phase1 { local, outboxes }).is_err() {
                         return;
                     }
@@ -591,13 +593,7 @@ impl Worker {
                         self.fold.slice.absorb(d);
                     }
                     let gauges = self.fold.gauges();
-                    if let Some(g) = self
-                        .metrics
-                        .as_ref()
-                        .and_then(|m| m.shard_fold_lag.get(local))
-                    {
-                        g.set(gauges.pending as i64);
-                    }
+                    m.shard_fold_lag[local].set(gauges.pending as i64);
                     let missing = self.fold.slice.missing();
                     if self.reply.send(Reply::Phase2 { missing, gauges }).is_err() {
                         return;
@@ -657,6 +653,9 @@ pub(crate) struct Shards {
     round: Option<Round>,
     /// The other members' shards, on a federation member.
     pub(crate) peers: Option<Peers>,
+    /// The registry the round counts into — `None` only while a
+    /// federation member replays its journal in [`Shards::start`]: the
+    /// live run already counted the rounds the replay regenerates.
     metrics: Option<Arc<CollectorMetrics>>,
 }
 
@@ -673,17 +672,14 @@ impl Shards {
     pub(crate) fn start(
         cfg: &CollectorConfig,
         scan: &mut WalScan,
-        metrics: Option<Arc<CollectorMetrics>>,
+        metrics: &Arc<CollectorMetrics>,
     ) -> io::Result<Shards> {
         let shards = cfg.fold_shards();
         let fed = cfg.federation.as_ref();
         let base = fed.map_or(0, |f| f.member * shards);
         let plan = match fed {
             Some(f) => f.plan.shard_plan(shards),
-            None => cfg
-                .plan
-                .clone()
-                .unwrap_or_else(|| ShardPlan::uniform(shards)),
+            None => ShardPlan::uniform(shards),
         };
         let fsync = cfg.wal.as_ref().map_or(FsyncPolicy::Never, |w| w.fsync);
         // Cadence: `EveryN(n)` syncs once per `n` appends across all
@@ -694,12 +690,11 @@ impl Shards {
                 FsyncPolicy::EveryN(n) => n.max(1),
                 FsyncPolicy::Always | FsyncPolicy::Never => u32::MAX,
             };
-            let gc_metrics = metrics.as_ref().map(|m| {
-                (
-                    m.registry.counter("cpvr_wal_syncs_total"),
-                    m.registry.histogram("cpvr_wal_fsync_nanos"),
-                )
-            });
+            let r = &metrics.registry;
+            let gc_metrics = (
+                r.counter("cpvr_wal_syncs_total"),
+                r.histogram("cpvr_wal_fsync_nanos"),
+            );
             GroupCommit::start(cadence, gc_metrics)
         });
 
@@ -717,9 +712,7 @@ impl Shards {
                 }
                 series_cfg.deferred_sync = true;
                 let mut w = Wal::open(series_cfg)?;
-                if let Some(m) = &metrics {
-                    w.set_metrics(m.wal_metrics());
-                }
+                w.set_metrics(metrics.wal_metrics());
                 last_segment = w.segment_index();
                 gc.handle().register(k, w.active_file()?);
                 wal = Some(w);
@@ -733,7 +726,7 @@ impl Shards {
                 last_segment,
                 wal_err: None,
                 acks: HashMap::new(),
-                metrics: metrics.clone(),
+                metrics: Arc::clone(metrics),
                 reply: reply_tx.clone(),
             };
             let (tx, rx) = std::sync::mpsc::sync_channel(cfg.channel_capacity.max(1));
@@ -757,7 +750,7 @@ impl Shards {
             gauges: FoldGauges::default(),
             round: None,
             peers: fed.map(|f| Peers::new(cfg, f)),
-            metrics,
+            metrics: Some(Arc::clone(metrics)),
         };
         this.seed(std::mem::take(&mut scan.events));
         if this.peers.is_none() {
@@ -779,7 +772,7 @@ impl Shards {
         }
         // The replay leaves no telemetry: the live run already counted
         // what it regenerates.
-        let metrics = this.metrics.take();
+        this.metrics.take();
         let durable = scan.report.watermark;
         for frame in std::mem::take(&mut scan.peer_log) {
             // A marker some series lacks (`> durable`, the min over series
@@ -790,7 +783,7 @@ impl Shards {
             }
         }
         scan.report.watermark = this.completed;
-        this.metrics = metrics.clone();
+        this.metrics = Some(Arc::clone(metrics));
         let series0 = this.workers[0].clone();
         if let Some(p) = this.peers.as_mut() {
             p.go_live(series0, metrics);

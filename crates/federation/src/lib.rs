@@ -57,7 +57,9 @@ pub struct MemberReport {
     pub stalled: Vec<RouterId>,
     /// What WAL replay found when this member (re)started.
     pub recovery: Option<RecoveryReport>,
-    /// The member's shutdown metrics dump, if metrics were enabled.
+    /// The member's shutdown metrics dump. Always `Some`: metrics are
+    /// always on; the `Option` stays because the benchmark ledger names
+    /// the type.
     pub metrics: Option<Snapshot>,
     /// The member's fold at exit. Present from
     /// [`Federation::stop_member`], where it would otherwise be lost;

@@ -11,7 +11,7 @@
 //! wait counters above all — are bit-comparable.
 
 use cpvr_collector::collector::{Collector, CollectorConfig, CollectorReport};
-use cpvr_collector::fault::{ChaosProxy, FaultPlan};
+use cpvr_collector::fault::{ChaosProxy, FaultKind, FaultPlan};
 use cpvr_collector::wal::{wait_for, TempDir, WalConfig};
 use cpvr_collector::{CollectorRole, FederationConfig, SocketSink};
 use cpvr_core::FederationPlan;
@@ -401,6 +401,84 @@ fn partition_heal_converges_bit_identical() {
     finish(&fed, sinks);
     let report = fed.shutdown().expect("merge");
     assert_equivalent(&report, &single, "post-heal");
+}
+
+/// One bit flipped on every member→member link while the links stay up:
+/// each receiver quarantines the damaged frame and then drops every
+/// later one as a gap, re-acking the same cursor. Only the sender's
+/// ack-stall trigger — drop the live link, reconnect, replay the
+/// unacked window — gets the federation past that, to the same fold as
+/// the single collector.
+#[test]
+fn a_corrupted_peer_frame_is_retransmitted() {
+    let events = sample_events(17);
+    let single = run_phased_single(&events);
+
+    let tmp = TempDir::new("fed-bitflip").unwrap();
+    let listeners: Vec<TcpListener> = (0..MEMBERS)
+        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let real: Vec<std::net::SocketAddr> =
+        listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    let plan = FederationPlan::uniform(MEMBERS);
+    // proxies[i][j] carries member i's frames to member j.
+    let proxies: Vec<Vec<Option<ChaosProxy>>> = (0..MEMBERS as usize)
+        .map(|i| {
+            real.iter()
+                .enumerate()
+                .map(|(j, &to)| {
+                    let flip =
+                        FaultPlan::from_schedule(vec![(600, FaultKind::FlipBit { mask: 0x10 })]);
+                    (i != j).then(|| ChaosProxy::start(to, flip).unwrap())
+                })
+                .collect()
+        })
+        .collect();
+    let cfgs: Vec<CollectorConfig> = (0..MEMBERS as usize)
+        .map(|i| {
+            let dir = tmp.path().join(format!("member-{i}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let peers = (0..MEMBERS as usize)
+                .map(|j| proxies[i][j].as_ref().map_or(real[i], |p| p.local_addr()))
+                .collect();
+            CollectorConfig::new(N_ROUTERS)
+                .with_wal(WalConfig::new(&dir))
+                .with_federation(FederationConfig {
+                    plan: plan.clone(),
+                    member: i as u32,
+                    peers,
+                })
+        })
+        .collect();
+    let fed = Federation::launch_on(cfgs, listeners).unwrap();
+    let mut sinks = connect_sinks(&fed);
+    send_all(&mut sinks, &events);
+    for t in grid(&events) {
+        step_all(&fed, &mut sinks, t);
+    }
+    finish(&fed, sinks);
+    for m in 0..MEMBERS {
+        assert!(
+            fed.handle(m).stats().corrupt_frames > 0,
+            "member {m}: the flip never landed on a peer frame"
+        );
+    }
+    // Each member received a damaged frame, so at least one link into
+    // each was dropped on a stall and replayed.
+    let stalls: u64 = (0..MEMBERS)
+        .map(|m| {
+            let metrics = fed.handle(m).metrics().expect("always Some");
+            metrics
+                .snapshot()
+                .counter_total("cpvr_peer_ack_stalls_total")
+        })
+        .sum();
+    assert!(
+        stalls >= u64::from(MEMBERS),
+        "{stalls} stall drops for {MEMBERS} damaged links"
+    );
+    let report = fed.shutdown().expect("merge");
+    assert_equivalent(&report, &single, "after a corrupted peer frame");
 }
 
 /// A federation whose members each fold on `shards` worker threads:
