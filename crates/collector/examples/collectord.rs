@@ -41,7 +41,7 @@
 //! too, every member folds its subset on that many worker threads.
 
 use cpvr_collector::client::scrape_snapshot;
-use cpvr_collector::collector::{Collector, CollectorConfig};
+use cpvr_collector::collector::{Collector, CollectorConfig, CollectorStats};
 use cpvr_collector::pipeline::{IngestPipeline, PipelineConfig};
 use cpvr_collector::wal::{wait_for, TempDir, WalConfig};
 use cpvr_collector::SocketSink;
@@ -59,6 +59,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const N_ROUTERS: u32 = 3;
+
+/// The error `main` exits with when a collector did not drain in time.
+fn drain_timeout(who: &str, stats: CollectorStats) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::TimedOut,
+        format!("{who} did not drain in time: {stats:?}"),
+    )
+}
 
 fn main() -> std::io::Result<()> {
     let mut wal_arg: Option<PathBuf> = None;
@@ -361,10 +369,8 @@ fn main() -> std::io::Result<()> {
             if !wait_for(Duration::from_secs(30), || {
                 f.handle(m).stats().watermark == Some(SimTime::MAX)
             }) {
-                eprintln!(
-                    "warning: member {m} did not drain in time: {:?}",
-                    f.handle(m).stats()
-                );
+                let stats = f.handle(m).stats();
+                return Err(drain_timeout(&format!("member {m}"), stats));
             }
         }
         reporter_stop.store(true, Ordering::SeqCst);
@@ -396,15 +402,16 @@ fn main() -> std::io::Result<()> {
     }
 
     let handle = single.expect("not federated");
-    let expected = handle.recovery().map_or(0, |r| r.events_replayed as u64) + streamed;
+    // Every streamed event ends up folded fresh, dropped as a duplicate,
+    // or — on a rerun over a WAL whose recovered watermark is already
+    // the end of time — dropped as late. Recovered events are not
+    // counted at all.
     if !wait_for(Duration::from_secs(30), || {
         let st = handle.stats();
-        st.events >= expected && st.watermark == Some(SimTime::MAX)
+        st.events + st.duplicate_events + st.late_events >= streamed
+            && st.watermark == Some(SimTime::MAX)
     }) {
-        eprintln!(
-            "warning: collector did not drain in time: {:?}",
-            handle.stats()
-        );
+        return Err(drain_timeout("collector", handle.stats()));
     }
     reporter_stop.store(true, Ordering::SeqCst);
     if let Some(h) = reporter {

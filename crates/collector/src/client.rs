@@ -33,16 +33,19 @@
 //! last-resort failure mode.
 
 use crate::codec::{encode_frame, write_frame, CodecVersion, Decoder, EventEncoder, Frame, Hello};
+use crate::link::{drain_replies, fresh_session, Window, ACK_POLL};
 use cpvr_obs::{ExpoFormat, Snapshot};
 use cpvr_sim::{EventSink, IoEvent};
 use cpvr_types::{RouterId, SimTime, TraceCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+/// Maximum unacknowledged events held for replay. When full, sends block
+/// briefly on ack progress, then fail: bounded memory inside a router.
+const REPLAY_CAPACITY: usize = 16 * 1024;
 
 /// Reconnection and replay tuning.
 #[derive(Clone, Copy, Debug)]
@@ -54,10 +57,6 @@ pub struct ReconnectPolicy {
     pub base_delay: Duration,
     /// Backoff cap.
     pub max_delay: Duration,
-    /// Maximum unacknowledged events held for replay. When full, sends
-    /// briefly block on ack progress and then fail — bounded memory
-    /// beats silent unbounded growth inside a router.
-    pub replay_capacity: usize,
     /// During [`drain`](SocketSink::drain): with the connection
     /// apparently healthy but acks not advancing for this long, assume
     /// frames were lost downstream and force a reconnect + replay (the
@@ -71,25 +70,9 @@ impl Default for ReconnectPolicy {
             max_attempts: 12,
             base_delay: Duration::from_millis(25),
             max_delay: Duration::from_secs(1),
-            replay_capacity: 16 * 1024,
             stall_after: Duration::from_millis(500),
         }
     }
-}
-
-/// A process-unique session id: identifies this client *instance* so
-/// the collector can tell a reconnect (same session, keep the sequence
-/// cursor) from a restart (new session, numbering starts over).
-fn fresh_session() -> u64 {
-    static COUNTER: AtomicU64 = AtomicU64::new(1);
-    (u64::from(std::process::id()) << 32) | COUNTER.fetch_add(1, Ordering::Relaxed)
-}
-
-/// What one non-blocking ack read produced.
-enum Pump {
-    Data(usize),
-    Idle,
-    Dead,
 }
 
 /// A buffered, reconnecting TCP connection to the collector, usable
@@ -101,14 +84,8 @@ pub struct SocketSink {
     n_routers: u32,
     session: u64,
     policy: ReconnectPolicy,
-    /// Sequence number the next event will carry.
-    next_seq: u64,
-    /// One past the highest sequence number the collector has
-    /// cumulatively acknowledged.
-    acked: u64,
-    /// Unacknowledged events, oldest first: `(seq, encoded frame)`.
-    /// Contiguous — pruned only from the front as acks arrive.
-    buffer: VecDeque<(u64, Vec<u8>)>,
+    /// Sent but unacknowledged events, numbered from 0.
+    window: Window,
     /// The last promise made, re-issued after a reconnect.
     last_wm: Option<(SimTime, u64)>,
     /// The bye frontier, if the stream was ended; re-issued likewise.
@@ -127,8 +104,6 @@ pub struct SocketSink {
     rng: StdRng,
     /// First unrecoverable error, latched; everything after is dropped.
     error: Option<io::Error>,
-    /// Events accepted (assigned a sequence number) so far.
-    sent: u64,
     /// Successful connection establishments.
     connects: u64,
     /// Trace-stamp every Nth event with a [`TraceCtx`] trailer
@@ -175,9 +150,7 @@ impl SocketSink {
             n_routers,
             session,
             policy,
-            next_seq: 0,
-            acked: 0,
-            buffer: VecDeque::new(),
+            window: Window::new(0),
             last_wm: None,
             bye_frontier: None,
             fin_seen: false,
@@ -185,7 +158,6 @@ impl SocketSink {
             enc: EventEncoder::new(codec),
             rng: StdRng::seed_from_u64(session ^ u64::from(source.0)),
             error: None,
-            sent: 0,
             connects: 0,
             trace_every: 0,
         };
@@ -219,17 +191,12 @@ impl SocketSink {
 
     /// Events accepted so far.
     pub fn sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// One past the highest event sequence the collector acknowledged.
-    pub fn acked(&self) -> u64 {
-        self.acked
+        self.window.next_seq()
     }
 
     /// Events currently held for replay (sent but unacknowledged).
     pub fn unacked(&self) -> usize {
-        self.buffer.len()
+        self.window.len()
     }
 
     /// Successful reconnections (establishments beyond the first).
@@ -292,16 +259,15 @@ impl SocketSink {
         // Ack reads poll with a tiny timeout instead of O_NONBLOCK —
         // nonblocking mode would be shared with the write side of the
         // same socket and turn sends into spin loops.
-        stream.set_read_timeout(Some(Duration::from_millis(1)))?;
+        stream.set_read_timeout(Some(ACK_POLL))?;
         let mut w = BufWriter::new(stream);
-        let first_seq = self.buffer.front().map_or(self.next_seq, |(s, _)| *s);
         write_frame(
             &mut w,
             &Frame::Hello(Hello {
                 source: self.source,
                 n_routers: self.n_routers,
                 session: self.session,
-                first_seq,
+                first_seq: self.window.first_seq(),
             }),
         )?;
         // Re-send every intern definition made this session before
@@ -311,7 +277,7 @@ impl SocketSink {
         // definitions; redefinition is idempotent, so blanket replay is
         // always safe and always sufficient.
         w.write_all(self.enc.definition_frames())?;
-        for (_, bytes) in &self.buffer {
+        for bytes in self.window.frames() {
             w.write_all(bytes)?;
         }
         if let Some((t, frontier)) = self.last_wm {
@@ -333,90 +299,52 @@ impl SocketSink {
     /// re-sends all recorded state, including whatever `bytes` encoded
     /// if it was an event/watermark/bye) on failure.
     fn write_or_reconnect(&mut self, bytes: &[u8]) -> io::Result<()> {
-        if let Some(w) = self.stream.as_mut() {
-            if w.write_all(bytes).is_ok() {
-                return Ok(());
-            }
-            self.stream = None;
+        if let Some(Ok(())) = self.stream.as_mut().map(|w| w.write_all(bytes)) {
+            return Ok(());
         }
         self.establish()
     }
 
     fn flush_stream(&mut self) -> io::Result<()> {
-        if let Some(w) = self.stream.as_mut() {
-            if w.flush().is_err() {
-                self.stream = None;
-                return self.establish();
-            }
+        if self.stream.as_mut().is_some_and(|w| w.flush().is_err()) {
+            return self.establish();
         }
         Ok(())
     }
 
     /// Drains any acks the collector has sent, pruning the replay
-    /// buffer. Never blocks beyond the 1 ms read timeout; a dead
-    /// connection is noted (reconnect happens lazily at the next write).
+    /// window. Never blocks beyond [`ACK_POLL`]; a dead connection is
+    /// noted (reconnect happens lazily at the next write).
     fn pump_acks(&mut self) {
-        let mut buf = [0u8; 4096];
-        loop {
-            let pumped = match self.stream.as_ref() {
-                None => return,
-                Some(w) => match w.get_ref().read(&mut buf) {
-                    Ok(0) => Pump::Dead,
-                    Ok(n) => Pump::Data(n),
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        Pump::Idle
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => Pump::Dead,
-                },
-            };
-            match pumped {
-                Pump::Idle => return,
-                Pump::Dead => {
-                    self.stream = None;
-                    return;
-                }
-                Pump::Data(n) => {
-                    self.ack_dec.feed(&buf[..n]);
-                    while let Some(msg) = self.ack_dec.next_message(false) {
-                        match msg.map(|m| m.frame) {
-                            Ok(Frame::Ack { upto }) => {
-                                if upto > self.acked {
-                                    self.acked = upto;
-                                }
-                                while self.buffer.front().is_some_and(|(s, _)| *s < self.acked) {
-                                    self.buffer.pop_front();
-                                }
-                            }
-                            Ok(Frame::Fin) => self.fin_seen = true,
-                            _ => {}
-                        }
-                    }
-                }
-            }
+        let Some(w) = &self.stream else { return };
+        let (window, fin_seen) = (&mut self.window, &mut self.fin_seen);
+        let alive = drain_replies(w.get_ref(), &mut self.ack_dec, |reply| match reply {
+            Frame::Ack { upto } => window.ack(upto),
+            Frame::Fin => *fin_seen = true,
+            _ => {}
+        });
+        if !alive {
+            self.stream = None;
         }
     }
 
     /// Blocks until the replay buffer has room, failing if acks make no
     /// progress for long enough that the collector must be gone.
     fn wait_for_room(&mut self) -> io::Result<()> {
-        if self.buffer.len() < self.policy.replay_capacity {
+        if self.window.len() < REPLAY_CAPACITY {
             return Ok(());
         }
         let _ = self.flush_stream();
         let deadline = Instant::now() + self.policy.stall_after.max(Duration::from_secs(1)) * 4;
-        while self.buffer.len() >= self.policy.replay_capacity {
+        while self.window.len() >= REPLAY_CAPACITY {
             self.pump_acks();
-            if self.buffer.len() < self.policy.replay_capacity {
+            if self.window.len() < REPLAY_CAPACITY {
                 break;
             }
             if Instant::now() >= deadline {
                 let e = io::Error::other(format!(
                     "replay buffer full at {} events and the collector is not acking",
-                    self.buffer.len()
+                    self.window.len()
                 ));
                 self.latch(&e);
                 return Err(e);
@@ -424,7 +352,7 @@ impl SocketSink {
             if self.stream.is_none() {
                 self.establish()?;
             }
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::sleep(ACK_POLL);
         }
         Ok(())
     }
@@ -433,25 +361,20 @@ impl SocketSink {
     pub fn send(&mut self, e: &IoEvent) -> io::Result<()> {
         self.check_latched()?;
         self.wait_for_room()?;
-        let seq = self.next_seq;
-        // The buffered bytes include any fresh intern definition frames
+        // The held bytes include any fresh intern definition frames
         // ahead of the event frame, so a go-back-N replay re-delivers
         // the definitions in order too (redefinition is idempotent).
-        let mut bytes = Vec::new();
-        let ctx = (self.trace_every > 0 && seq.is_multiple_of(self.trace_every))
-            .then(|| TraceCtx::for_flight(self.session, seq));
-        self.enc.encode_into_traced(seq, e, ctx, &mut bytes);
-        self.next_seq += 1;
-        self.sent += 1;
-        self.buffer.push_back((seq, bytes));
-        // Write straight from the buffer entry (no clone); a failure
+        let bytes = self.window.push(|seq| {
+            let ctx = (self.trace_every > 0 && seq.is_multiple_of(self.trace_every))
+                .then(|| TraceCtx::for_flight(self.session, seq));
+            let mut bytes = Vec::new();
+            self.enc.encode_into_traced(seq, e, ctx, &mut bytes);
+            bytes
+        });
+        // Write straight from the window (no clone); a failure
         // reconnects, and the reconnect replay covers it.
-        if let Some(w) = self.stream.as_mut() {
-            let bytes = &self.buffer.back().expect("just pushed").1;
-            if w.write_all(bytes).is_ok() {
-                return Ok(());
-            }
-            self.stream = None;
+        if let Some(Ok(())) = self.stream.as_mut().map(|w| w.write_all(bytes)) {
+            return Ok(());
         }
         self.establish()
     }
@@ -463,7 +386,7 @@ impl SocketSink {
     /// covers.
     pub fn watermark(&mut self, t: SimTime) -> io::Result<()> {
         self.check_latched()?;
-        let frontier = self.next_seq;
+        let frontier = self.window.next_seq();
         self.last_wm = Some((t, frontier));
         self.write_or_reconnect(&encode_frame(&Frame::Watermark { t, frontier }))?;
         self.flush_stream()?;
@@ -500,7 +423,7 @@ impl SocketSink {
     /// guarantees delivery.
     pub fn bye(&mut self) -> io::Result<()> {
         self.check_latched()?;
-        let frontier = self.next_seq;
+        let frontier = self.window.next_seq();
         self.bye_frontier = Some(frontier);
         self.write_or_reconnect(&encode_frame(&Frame::Bye { frontier }))?;
         self.flush_stream()
@@ -529,32 +452,23 @@ impl SocketSink {
     pub fn drain(&mut self, timeout: Duration) -> io::Result<bool> {
         self.check_latched()?;
         let deadline = Instant::now() + timeout;
-        let mut last_progress = Instant::now();
-        let mut last_acked = self.acked;
         let mut last_solicit = Instant::now();
+        self.window.restart_clock();
         let _ = self.flush_stream();
         loop {
             self.pump_acks();
-            if self.acked > last_acked {
-                last_acked = self.acked;
-                last_progress = Instant::now();
-            }
-            if self.acked >= self.next_seq && (self.bye_frontier.is_none() || self.fin_seen) {
+            if self.window.is_empty() && (self.bye_frontier.is_none() || self.fin_seen) {
                 return Ok(true);
             }
             if Instant::now() >= deadline {
                 return Ok(false);
             }
-            if self.stream.is_none() {
+            if self.stream.is_none() || self.window.stalled(self.policy.stall_after) {
+                // Go-back-N: a collector that stopped acking is stuck
+                // before a gap our frames were supposed to fill.
+                // Reconnect and replay from the ack cursor.
                 self.establish()?;
-                last_progress = Instant::now();
-            } else if last_progress.elapsed() >= self.policy.stall_after {
-                // Go-back-N: the collector stopped acking, which means
-                // it is stuck before a gap our frames were supposed to
-                // fill. Reconnect and replay from the ack cursor.
-                self.stream = None;
-                self.establish()?;
-                last_progress = Instant::now();
+                self.window.restart_clock();
             } else if last_solicit.elapsed() >= Duration::from_millis(25) {
                 // Solicit acks (and keep the lease fresh). An
                 // unconfirmed bye is re-sent instead of a heartbeat:
@@ -568,7 +482,7 @@ impl SocketSink {
                 let _ = self.flush_stream();
                 last_solicit = Instant::now();
             }
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::sleep(ACK_POLL);
         }
     }
 }

@@ -133,16 +133,6 @@ pub struct CollectorConfig {
     /// Deployment shape handed to the pipeline; also the number of
     /// distinct sources that must report before any event is folded.
     pub pipeline: PipelineConfig,
-    /// Bounded channel capacity between readers and the session. Full
-    /// channel = blocked readers = TCP backpressure.
-    pub channel_capacity: usize,
-    /// A connection that stays silent this long is dropped. (The
-    /// *source* behind it is governed separately by `lease` — a
-    /// heartbeating client never trips this.)
-    pub idle_timeout: Duration,
-    /// Poll tick for the nonblocking accept loop and reader-side stop /
-    /// idle checks.
-    pub poll_interval: Duration,
     /// Liveness-lease thresholds for marking sources lagging and
     /// evicting them from the watermark gate.
     pub lease: LeaseConfig,
@@ -170,9 +160,6 @@ impl CollectorConfig {
     pub fn new(n_routers: u32) -> Self {
         CollectorConfig {
             pipeline: PipelineConfig::new(n_routers),
-            channel_capacity: 1024,
-            idle_timeout: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(10),
             lease: LeaseConfig::default(),
             wal: None,
             shards: 1,
@@ -361,6 +348,17 @@ pub(crate) enum Msg {
     },
 }
 
+/// Capacity of the reader → session and session → worker channels.
+/// Full channel = blocked readers = TCP backpressure.
+pub(crate) const CHANNEL_CAPACITY: usize = 1024;
+
+/// A connection silent this long is dropped. (Its source is the lease's
+/// business — a heartbeating client never trips this.)
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Poll tick of the nonblocking accept loop and the readers' stop/idle checks.
+const POLL_INTERVAL: Duration = Duration::from_millis(10);
+
 /// Cap on events per channel message; bounds session-side latency and
 /// channel memory (capacity × batch × event size).
 const EVENT_BATCH_MAX: usize = 256;
@@ -474,7 +472,7 @@ impl Collector {
         }
 
         let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Msg>(cfg.channel_capacity.max(1));
+        let (tx, rx) = std::sync::mpsc::sync_channel::<Msg>(CHANNEL_CAPACITY);
 
         // The journal scan yields the source table, the repair ledger,
         // the recovered watermark and (on a member) the peer and round
@@ -626,9 +624,9 @@ fn accept_loop(
                 readers.push(h);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(cfg.poll_interval);
+                thread::sleep(POLL_INTERVAL);
             }
-            Err(_) => thread::sleep(cfg.poll_interval),
+            Err(_) => thread::sleep(POLL_INTERVAL),
         }
         readers.retain(|h| !h.is_finished());
     }
@@ -716,6 +714,28 @@ impl Reader<'_> {
         FrameOutcome::Fatal(why)
     }
 
+    /// The handshake check both hellos share: a connection greets once,
+    /// for a network of the configured size. Returns the ack stream the
+    /// session replies on.
+    fn greet(&mut self, who: &str, n_routers: u32) -> Result<Option<TcpStream>, FrameOutcome> {
+        if self.greeted {
+            return Err(self.fatal("duplicate hello".into()));
+        }
+        let expected = self.cfg.pipeline.n_routers;
+        if n_routers != expected {
+            return Err(self.fatal(format!(
+                "{who} believes the network has {n_routers} routers, collector is configured \
+                 for {expected} (this build reads protocol versions {ACCEPTED_VERSIONS:?})"
+            )));
+        }
+        self.greeted = true;
+        let ack = self.stream.try_clone().ok();
+        if let Some(a) = &ack {
+            let _ = a.set_write_timeout(Some(ACK_WRITE_TIMEOUT));
+        }
+        Ok(ack)
+    }
+
     /// Hands the batched events to the session; `false` once it is gone.
     fn flush(&mut self) -> bool {
         let batch = std::mem::take(&mut self.batch);
@@ -743,8 +763,7 @@ impl Reader<'_> {
     /// and forwards typed messages to the session.
     fn on_frame(&mut self, msg: DecodedMsg) -> FrameOutcome {
         let (conn, stream, metrics) = (self.conn, self.stream, self.metrics);
-        let (expect_n_routers, federated) =
-            (self.cfg.pipeline.n_routers, self.cfg.federation.is_some());
+        let federated = self.cfg.federation.is_some();
         let DecodedMsg {
             frame, raw, trace, ..
         } = msg;
@@ -756,28 +775,17 @@ impl Reader<'_> {
         }
         let msg = match frame {
             Frame::Hello(hello) => {
-                if self.greeted {
-                    return self.fatal("duplicate hello".into());
-                }
-                if hello.n_routers != expect_n_routers {
+                let ack = match self.greet("peer", hello.n_routers) {
+                    Ok(ack) => ack,
+                    Err(fatal) => return fatal,
+                };
+                if hello.source.0 >= hello.n_routers {
                     return self.fatal(format!(
-                        "peer believes the network has {} routers, collector is configured for {} \
-                             (this build reads protocol versions {ACCEPTED_VERSIONS:?})",
-                        hello.n_routers, expect_n_routers
+                        "peer claims to be router {} of a {}-router network",
+                        hello.source.0, hello.n_routers
                     ));
                 }
-                if hello.source.0 >= expect_n_routers {
-                    return self.fatal(format!(
-                        "peer claims to be router {} of a {expect_n_routers}-router network",
-                        hello.source.0
-                    ));
-                }
-                self.greeted = true;
                 self.session = Some(hello.session);
-                let ack = stream.try_clone().ok();
-                if let Some(a) = &ack {
-                    let _ = a.set_write_timeout(Some(ACK_WRITE_TIMEOUT));
-                }
                 Msg::Hello { conn, hello, ack }
             }
             // A scrape is answered inline by the reader thread — the
@@ -819,22 +827,11 @@ impl Reader<'_> {
                     return self
                         .fatal("peer hello on a collector that is not a federation member".into());
                 }
-                if self.greeted {
-                    return self.fatal("duplicate hello".into());
-                }
-                if hello.n_routers != expect_n_routers {
-                    return self.fatal(format!(
-                        "peer member believes the network has {} routers, collector is \
-                             configured for {}",
-                        hello.n_routers, expect_n_routers
-                    ));
-                }
-                self.greeted = true;
+                let ack = match self.greet("peer member", hello.n_routers) {
+                    Ok(ack) => ack,
+                    Err(fatal) => return fatal,
+                };
                 self.is_peer = true;
-                let ack = stream.try_clone().ok();
-                if let Some(a) = &ack {
-                    let _ = a.set_write_timeout(Some(ACK_WRITE_TIMEOUT));
-                }
                 Msg::PeerHello { conn, hello, ack }
             }
             _ if !self.greeted => {
@@ -958,11 +955,11 @@ fn reader_loop(
 ) {
     let wal_enabled = cfg.wal.is_some();
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(cfg.poll_interval));
+    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let mut r = PollingReader {
         stream: &stream,
         stop: &stop,
-        idle: cfg.idle_timeout,
+        idle: IDLE_TIMEOUT,
         last_data: Instant::now(),
     };
     let mut dec = Decoder::new();

@@ -38,25 +38,26 @@
 //!
 //! Members journal like every collector, plus — into series 0, in
 //! session order — inbound peer frames (before the ack that follows
-//! them there: peer links run the client sinks' go-back-N discipline),
-//! peer hellos, their own [`FrontierExchange`] records (so a recovering
-//! member regenerates the very frontier history its peers gated rounds
-//! on), and a marker per opened round. Recovery scans the journal like
-//! any collector's, seeds the workers (forwarding boundary events
-//! afresh), then replays series 0's peer and round records through the
-//! live apply path with journaling off, regenerating every round digest
-//! and partial verdict into the link buffers under a fresh session.
-//! Receivers deduplicate semantically — frontier minima max-merge,
-//! round frames at or behind the completed horizon drop, boundary
-//! events deduplicate by event id.
+//! them there: a peer link is the same go-back-N link as a client
+//! sink's, the `link` module), peer hellos, their own
+//! [`FrontierExchange`] records (so a recovering member regenerates the
+//! very frontier history its peers gated rounds on), and a marker per
+//! opened round. Recovery scans the journal like any collector's, seeds
+//! the workers (forwarding boundary events afresh), then replays series
+//! 0's peer and round records through the live apply path with
+//! journaling off, regenerating every round digest and partial verdict
+//! into the link windows under a fresh session. Receivers deduplicate
+//! semantically — frontier minima max-merge, round frames at or behind
+//! the completed horizon drop, boundary events deduplicate by event id.
 
 use crate::codec::{
     encode_frame, BoundaryEdges, Decoder, Frame, FrontierExchange, PartialVerdict, PeerHello,
     PeerRepairProof,
 };
 use crate::collector::CollectorConfig;
+use crate::link::{drain_replies, fresh_session, Cursor, Window, ACK_POLL};
 use crate::metrics::{furthest, gauge_nanos, lag_nanos, CollectorMetrics};
-use crate::pipeline::SourceTable;
+use crate::pipeline::{Offer, SourceTable};
 use crate::repair_journal::RepairLedger;
 use crate::session::FOLD_RING_SLOTS;
 use crate::shard::{FoldReport, WorkerMsg};
@@ -68,10 +69,9 @@ use cpvr_sim::{EventId, IoEvent};
 use cpvr_types::json::{from_str, to_string_compact};
 use cpvr_types::trace::TRACE_CTX_WIRE_LEN;
 use cpvr_types::{fnv1a64, RouterId, SimTime, TraceCtx};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -79,8 +79,6 @@ use std::time::{Duration, Instant};
 /// Write timeout on outbound peer links; a stalled peer forfeits the
 /// connection (frames stay buffered and replay on reconnect).
 const PEER_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
-/// Read poll on outbound peer links, for draining acks.
-const PEER_ACK_POLL: Duration = Duration::from_millis(1);
 /// Connect timeout for (re)dialing a peer.
 const PEER_CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 /// Reconnect backoff bounds.
@@ -100,14 +98,6 @@ const PEER_ACK_STALL: Duration = Duration::from_secs(2);
 /// The session loop's maximum recv timeout on a member: peer links need
 /// pumping (reconnects, ack drains) even when no client traffic arrives.
 pub(crate) const LINK_TICK: Duration = Duration::from_millis(50);
-
-/// A process-unique peer session id: a peer that sees a *new* session
-/// resets its inbound cursor to the announced `first_seq` instead of
-/// expecting the old stream to resume.
-fn fresh_session() -> u64 {
-    static COUNTER: AtomicU64 = AtomicU64::new(1);
-    (u64::from(std::process::id()) << 32) | COUNTER.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Federation membership for one collector.
 #[derive(Clone, Debug)]
@@ -193,25 +183,18 @@ impl PeerProofStatus {
     }
 }
 
-/// One outbound peer connection: a go-back-N sender mirroring the
-/// client sink's discipline. Frames get a per-link sequence number,
-/// stay buffered until the peer acks past them, and are replayed in
-/// order (behind a fresh [`PeerHello`]) on every reconnect.
+/// One outbound peer connection: a [`Window`] numbered from 1, replayed
+/// in order behind a fresh [`PeerHello`] on every reconnect.
 struct PeerLink {
     /// The handshake every (re)connect opens with; `first_seq` is
     /// filled in at connect time.
     hello: PeerHello,
     addr: SocketAddr,
-    next_seq: u64,
-    /// Unacked frames in send order: `(seq, wire bytes)`.
-    buf: VecDeque<(u64, Vec<u8>)>,
+    window: Window,
     conn: Option<TcpStream>,
     dec: Decoder,
     last_attempt: Option<Instant>,
     backoff: Duration,
-    /// When the acks last advanced — or the link (re)connected, or the
-    /// buffer last went from empty to non-empty: the stall clock.
-    progress: Instant,
 }
 
 impl PeerLink {
@@ -219,32 +202,21 @@ impl PeerLink {
         PeerLink {
             hello,
             addr,
-            next_seq: 1,
-            buf: VecDeque::new(),
+            window: Window::new(1),
             conn: None,
             dec: Decoder::new(),
             last_attempt: None,
             backoff: PEER_RECONNECT_MIN,
-            progress: Instant::now(),
         }
     }
 
-    /// Assigns the next link sequence number, buffers the frame, and
-    /// best-effort writes it. Returns the wire size.
+    /// Numbers, holds and best-effort writes one frame; returns its size.
     fn send(&mut self, make: impl FnOnce(u64) -> Frame) -> usize {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let bytes = encode_frame(&make(seq));
+        let bytes = self.window.push(|seq| encode_frame(&make(seq)));
         let n = bytes.len();
-        if let Some(c) = self.conn.as_mut() {
-            if c.write_all(&bytes).is_err() {
-                self.drop_conn();
-            }
+        if let Some(Err(_)) = self.conn.as_mut().map(|c| c.write_all(bytes)) {
+            self.drop_conn();
         }
-        if self.buf.is_empty() {
-            self.progress = Instant::now();
-        }
-        self.buf.push_back((seq, bytes));
         n
     }
 
@@ -254,9 +226,9 @@ impl PeerLink {
     }
 
     /// Reconnects (with backoff) if down — handshaking and replaying
-    /// the whole unacked buffer — and drains any pending acks; drops a
-    /// link whose acks stalled, so the next call replays. Returns whether
-    /// it dropped the link for a stall.
+    /// the whole window — and drains any pending acks; drops a link
+    /// whose acks stalled, so the next call replays. Returns whether it
+    /// dropped the link for a stall.
     fn maintain(&mut self) -> bool {
         if self.conn.is_none() {
             if let Some(t) = self.last_attempt {
@@ -266,25 +238,21 @@ impl PeerLink {
             }
             self.last_attempt = Some(Instant::now());
             match TcpStream::connect_timeout(&self.addr, PEER_CONNECT_TIMEOUT) {
-                Ok(s) => {
-                    let _ = s.set_nodelay(true);
-                    let _ = s.set_write_timeout(Some(PEER_WRITE_TIMEOUT));
-                    let _ = s.set_read_timeout(Some(PEER_ACK_POLL));
-                    self.conn = Some(s);
+                Ok(c) => {
+                    let _ = c.set_nodelay(true);
+                    let _ = c.set_write_timeout(Some(PEER_WRITE_TIMEOUT));
+                    let _ = c.set_read_timeout(Some(ACK_POLL));
                     self.backoff = PEER_RECONNECT_MIN;
-                    self.progress = Instant::now();
+                    self.window.restart_clock();
                     // Go-back-N: hello announces where the replay
                     // starts, then the entire unacked window follows.
-                    self.hello.first_seq = self.buf.front().map_or(self.next_seq, |(s, _)| *s);
+                    self.hello.first_seq = self.window.first_seq();
                     let hello = encode_frame(&Frame::PeerHello(self.hello.clone()));
-                    let replay: Vec<Vec<u8>> = self.buf.iter().map(|(_, b)| b.clone()).collect();
-                    let mut ok = true;
-                    if let Some(c) = self.conn.as_mut() {
-                        ok = c.write_all(&hello).is_ok()
-                            && replay.iter().all(|b| c.write_all(b).is_ok());
-                    }
-                    if !ok {
-                        self.drop_conn();
+                    let mut w = &c;
+                    if w.write_all(&hello).is_ok()
+                        && self.window.frames().all(|b| w.write_all(b).is_ok())
+                    {
+                        self.conn = Some(c);
                     }
                 }
                 Err(_) => {
@@ -293,62 +261,23 @@ impl PeerLink {
                 }
             }
         }
-        self.pump_acks();
-        let stalled = self.conn.is_some()
-            && !self.buf.is_empty()
-            && self.progress.elapsed() >= PEER_ACK_STALL;
+        if let Some(c) = &self.conn {
+            let window = &mut self.window;
+            if !drain_replies(c, &mut self.dec, |reply| {
+                if let Frame::Ack { upto } = reply {
+                    window.ack(upto);
+                }
+            }) {
+                self.drop_conn();
+            }
+        }
+        let stalled =
+            self.conn.is_some() && !self.window.is_empty() && self.window.stalled(PEER_ACK_STALL);
         if stalled {
             self.drop_conn();
         }
         stalled
     }
-
-    /// Drains ack frames from the peer and prunes the replay buffer.
-    fn pump_acks(&mut self) {
-        let Some(c) = self.conn.as_mut() else { return };
-        let mut tmp = [0u8; 4096];
-        loop {
-            match c.read(&mut tmp) {
-                Ok(0) => {
-                    self.drop_conn();
-                    return;
-                }
-                Ok(n) => self.dec.feed(&tmp[..n]),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    break;
-                }
-                Err(_) => {
-                    self.drop_conn();
-                    return;
-                }
-            }
-        }
-        loop {
-            match self.dec.next_message(false) {
-                Some(Ok(msg)) => {
-                    if let Frame::Ack { upto } = msg.frame {
-                        while self.buf.front().is_some_and(|(s, _)| *s < upto) {
-                            self.buf.pop_front();
-                            self.progress = Instant::now();
-                        }
-                    }
-                }
-                Some(Err(_)) => continue,
-                None => break,
-            }
-        }
-    }
-}
-
-/// The inbound go-back-N cursor for one peer: which session we are
-/// tracking and the next frame sequence we will accept.
-#[derive(Clone, Copy, Debug, Default)]
-struct PeerCursor {
-    session: Option<u64>,
-    next_seq: u64,
 }
 
 /// A federation member's peers, as the [`Shards`](crate::shard::Shards)
@@ -367,7 +296,7 @@ pub(crate) struct Peers {
     /// Outbound links, indexed by member; `None` at the own index.
     links: Vec<Option<PeerLink>>,
     /// Inbound cursors, indexed by member.
-    cursors: Vec<PeerCursor>,
+    cursors: Vec<Cursor>,
     /// Which member each inbound peer connection speaks for.
     conn_peer: HashMap<u64, u32>,
     /// Each peer's last advertised minimum (own slot unused).
@@ -427,7 +356,7 @@ impl Peers {
             n_routers,
             plan: fed.plan.clone(),
             links,
-            cursors: vec![PeerCursor::default(); members as usize],
+            cursors: vec![Cursor::default(); members as usize],
             conn_peer: HashMap::new(),
             peer_min: vec![None; members as usize],
             peer_frontier: vec![Vec::new(); members as usize],
@@ -777,13 +706,9 @@ impl Peers {
         if !fits || pm >= self.members || pm == self.member {
             return false;
         }
-        let cur = &mut self.cursors[pm as usize];
-        if cur.session != Some(hello.session) {
-            // A new peer instance (first contact or crash-recovered):
-            // its regenerated stream starts at the announced sequence.
-            cur.session = Some(hello.session);
-            cur.next_seq = hello.first_seq;
-        }
+        // A reconnect keeps the cursor; a new peer instance (first contact
+        // or crash-recovered) restarts it at the announced sequence.
+        self.cursors[pm as usize].hello(hello.session, hello.first_seq);
         true
     }
 
@@ -812,14 +737,10 @@ impl Peers {
         let Some((pm, seq)) = peer_header(frame).filter(|(pm, _)| *pm != self.member) else {
             return false;
         };
-        let Some(cur) = self.cursors.get_mut(pm as usize) else {
-            return false;
-        };
-        if cur.session.is_none() || seq != cur.next_seq {
-            return false;
-        }
-        cur.next_seq += 1;
-        true
+        // A frame before any hello drops: the cursor follows no session.
+        self.cursors
+            .get_mut(pm as usize)
+            .is_some_and(|cur| cur.session.is_some() && cur.offer(seq) == Offer::Fresh)
     }
 
     /// A live inbound peer frame: whether to apply it — iff it is next
@@ -972,7 +893,7 @@ impl Peers {
                 member: j as u32,
                 min: self.peer_min[j],
                 frontier: std::mem::take(&mut self.peer_frontier[j]),
-                unacked: self.links[j].as_ref().map_or(0, |l| l.buf.len() as u64),
+                unacked: self.links[j].as_ref().map_or(0, |l| l.window.len() as u64),
             })
             .collect();
         MemberFold {

@@ -10,7 +10,7 @@
 //! incremental verification machinery requires — surviving crashes on
 //! the way.
 //!
-//! Six layers, bottom up:
+//! Seven layers, bottom up:
 //!
 //! * [`codec`] — a CRC-protected wire format: one framer, one binary
 //!   event encoding for [`IoEvent`](cpvr_sim::IoEvent)s, the `Hello` /
@@ -19,6 +19,10 @@
 //!   [`codec::Decoder`] — resynchronizing over sockets, where it
 //!   quarantines corrupt frames instead of poisoning the connection,
 //!   and strict over journal records.
+//! * `link` — the one go-back-N link under both reliable hops, router
+//!   → collector and member → member: a sender window held until
+//!   cumulative acks pass it and replayed on reconnect, a receiver
+//!   cursor that drops duplicates and gaps, and the session-id mint.
 //! * [`wal`] — a segmented append-only write-ahead log whose records
 //!   are exactly the wire frames, with configurable fsync policy and
 //!   torn-tail detection on replay.
@@ -79,6 +83,7 @@ pub mod collector;
 pub mod fault;
 pub mod federation;
 pub mod group_commit;
+mod link;
 pub mod metrics;
 pub mod pipeline;
 pub mod repair_journal;

@@ -29,6 +29,7 @@
 //! watermark — and the connections can resume from there.
 
 use crate::codec::{Decoder, Frame};
+use crate::link::Cursor;
 use crate::repair_journal::RepairLedger;
 use crate::shard::RULES;
 use crate::wal;
@@ -107,14 +108,9 @@ struct SourceEntry {
     /// A promise received but held back because events below its
     /// frontier have not all arrived yet: `(time, frontier)`.
     pending: Option<(SimTime, u64)>,
-    /// The next sequence number expected — equivalently, one past the
-    /// highest contiguously accepted one. This is also what the
-    /// collector acks.
-    next_seq: u64,
-    /// The session the cursor belongs to; `None` before the first hello
-    /// (including after recovery, where sessions are re-learned from
-    /// the journaled hellos).
-    session: Option<u64>,
+    /// The sequence cursor; its `next_seq` is what the collector acks,
+    /// and recovery re-learns its session from the journaled hellos.
+    cursor: Cursor,
 }
 
 impl SourceEntry {
@@ -123,15 +119,14 @@ impl SourceEntry {
             state: SourceState::NeverConnected,
             promise: None,
             pending: None,
-            next_seq: 0,
-            session: None,
+            cursor: Cursor::default(),
         }
     }
 
     /// Applies the pending promise if its frontier has been reached.
     fn settle_pending(&mut self) {
         if let Some((t, frontier)) = self.pending {
-            if self.next_seq >= frontier {
+            if self.cursor.next_seq >= frontier {
                 self.promise = Some(self.promise.map_or(t, |p| p.max(t)));
                 self.pending = None;
             }
@@ -180,7 +175,7 @@ impl SourceTable {
     /// The sequence number `r`'s next event must carry — and the value
     /// the collector acknowledges.
     pub fn next_seq(&self, r: RouterId) -> u64 {
-        self.entry(r).next_seq
+        self.entry(r).cursor.next_seq
     }
 
     /// The applied promise of `r`, if any.
@@ -189,29 +184,13 @@ impl SourceTable {
     }
 
     /// Handshake: marks `r` live and reconciles the sequence cursor
-    /// with the client's session.
+    /// with the client's session (see [`HelloKind`]).
     pub fn hello(&mut self, r: RouterId, session: u64, first_seq: u64) -> HelloKind {
         let e = self.entry_mut(r);
-        let kind = match e.session {
-            None if e.state == SourceState::NeverConnected && e.next_seq == 0 => HelloKind::First,
-            // Session unknown (recovered log predates journaled hellos,
-            // or the entry was rebuilt from events alone): trust a
-            // replay that overlaps our cursor, reset otherwise.
-            None => {
-                if first_seq <= e.next_seq {
-                    HelloKind::Resumed
-                } else {
-                    HelloKind::NewSession
-                }
-            }
-            Some(s) if s == session => HelloKind::Resumed,
-            Some(_) => HelloKind::NewSession,
-        };
-        if kind == HelloKind::NewSession || kind == HelloKind::First {
-            e.next_seq = first_seq;
+        let kind = e.cursor.hello(session, first_seq);
+        if kind != HelloKind::Resumed {
             e.pending = None;
         }
-        e.session = Some(session);
         // An evicted source is only re-admitted explicitly (and
         // journaled) via `admit` — a handshake alone must not widen
         // the watermark gate behind the session loop's back.
@@ -225,15 +204,11 @@ impl SourceTable {
     /// cursor (and settling any pending promise) when it is fresh.
     pub fn offer(&mut self, r: RouterId, seq: u64) -> Offer {
         let e = self.entry_mut(r);
-        if seq < e.next_seq {
-            Offer::Duplicate
-        } else if seq > e.next_seq {
-            Offer::Gap
-        } else {
-            e.next_seq += 1;
+        let offer = e.cursor.offer(seq);
+        if offer == Offer::Fresh {
             e.settle_pending();
-            Offer::Fresh
         }
+        offer
     }
 
     /// Records a watermark promise `(t, frontier)`. Returns whether it
@@ -242,7 +217,7 @@ impl SourceTable {
     /// Promises only ever tighten: the maximum of everything applied.
     pub fn promise(&mut self, r: RouterId, t: SimTime, frontier: u64) -> bool {
         let e = self.entry_mut(r);
-        if e.next_seq >= frontier {
+        if e.cursor.next_seq >= frontier {
             e.promise = Some(e.promise.map_or(t, |p| p.max(t)));
             // A newer promise supersedes a parked older one only if it
             // is at least as late; keep whichever promises more.
@@ -600,8 +575,8 @@ impl WalScan {
                 match dec.decode_record(record) {
                     Ok(Frame::Event { seq, event }) => {
                         if sources.contains(event.router) {
-                            let e = sources.entry_mut(event.router);
-                            e.next_seq = e.next_seq.max(seq + 1);
+                            let cur = &mut sources.entry_mut(event.router).cursor;
+                            cur.next_seq = cur.next_seq.max(seq + 1);
                         }
                         events.push((seq, event));
                     }
@@ -614,7 +589,7 @@ impl WalScan {
                     Ok(Frame::Hello(h)) => {
                         if sources.contains(h.source) {
                             let e = sources.entry_mut(h.source);
-                            e.session = Some(h.session);
+                            e.cursor.session = Some(h.session);
                             if e.state == SourceState::NeverConnected {
                                 e.state = SourceState::Live;
                             }

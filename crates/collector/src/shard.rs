@@ -54,7 +54,7 @@
 //! [`FederationPlan::shard_plan`]: cpvr_core::FederationPlan::shard_plan
 
 use crate::codec::{encode_frame, Frame, RepairStage};
-use crate::collector::{CollectorConfig, EventRec};
+use crate::collector::{CollectorConfig, EventRec, CHANNEL_CAPACITY};
 use crate::federation::{MemberFold, Peers};
 use crate::group_commit::{GroupCommit, GroupCommitHandle};
 use crate::metrics::{gauge_nanos, CollectorMetrics};
@@ -729,7 +729,7 @@ impl Shards {
                 metrics: Arc::clone(metrics),
                 reply: reply_tx.clone(),
             };
-            let (tx, rx) = std::sync::mpsc::sync_channel(cfg.channel_capacity.max(1));
+            let (tx, rx) = std::sync::mpsc::sync_channel(CHANNEL_CAPACITY);
             workers.push(tx);
             joins.push(
                 thread::Builder::new()

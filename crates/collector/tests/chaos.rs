@@ -40,7 +40,6 @@ fn chaos_policy() -> ReconnectPolicy {
         base_delay: Duration::from_millis(2),
         max_delay: Duration::from_millis(100),
         stall_after: Duration::from_millis(150),
-        ..ReconnectPolicy::default()
     }
 }
 
