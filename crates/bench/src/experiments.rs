@@ -5,7 +5,7 @@ use cpvr_core::infer::{evaluate, infer_hbg, InferConfig, PatternMiner};
 use cpvr_core::provenance::{root_causes, RootCauseKind};
 use cpvr_core::repair::blocking_divergence;
 use cpvr_core::snapshot::{consistency_check, naive_verify_at, verify_when_consistent};
-use cpvr_core::{ControlLoop, Hbg};
+use cpvr_core::{install_inline_gate, ControlLoop, Hbg};
 use cpvr_sim::scenario::{paper_scenario, PaperScenario};
 use cpvr_sim::workload::IbgpShape;
 use cpvr_sim::{CaptureProfile, IoKind, LatencyProfile, Simulation, Trace};
@@ -252,8 +252,8 @@ pub fn fig2_violation_and_blocking(seed: u64) -> Fig2Result {
 
     // E4a: naive blocking, then uplink failure → blackhole.
     let mut b = converged_paper(LatencyProfile::fast(), CaptureProfile::ideal(), seed);
-    let p = b.prefix;
-    b.sim.set_fib_gate(Box::new(move |u| u.prefix != p));
+    let policy = paper_policy(&b);
+    install_inline_gate(&mut b.sim, vec![policy]);
     b.sim.schedule_config(
         b.sim.now() + SimTime::from_millis(10),
         RouterId(1),

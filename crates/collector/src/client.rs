@@ -503,10 +503,10 @@ fn probe(
         .ok_or_else(|| io::Error::other("address resolved to nothing"))?;
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_millis(50)))?;
+    // A collector that stays silent this long is not answering.
+    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.write_all(&encode_frame(request))?;
     stream.flush()?;
-    let deadline = Instant::now() + Duration::from_secs(5);
     let mut dec = Decoder::new();
     let mut buf = [0u8; 64 * 1024];
     loop {
@@ -521,13 +521,10 @@ fn probe(
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!("{what} timed out waiting for a response"),
-                    ));
-                }
-                continue;
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!("{what} timed out waiting for a response"),
+                ));
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),

@@ -271,41 +271,15 @@ pub struct BoundaryEdges {
     pub trace: Option<TraceCtx>,
 }
 
-// Hand-rolled (not `impl_json_struct!`) because `trace` must be
-// optional on decode — a pre-trace peer's frame has no such field.
-impl cpvr_types::json::ToJson for BoundaryEdges {
-    fn to_json(&self) -> cpvr_types::json::Value {
-        use cpvr_types::json::Value;
-        let mut fields = vec![
-            ("member".to_string(), self.member.to_json()),
-            ("seq".to_string(), self.seq.to_json()),
-            ("round".to_string(), self.round.to_json()),
-            ("events".to_string(), self.events.to_json()),
-            ("digests".to_string(), self.digests.to_json()),
-        ];
-        if let Some(ctx) = self.trace {
-            fields.push(("trace".to_string(), ctx.to_json()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl cpvr_types::json::FromJson for BoundaryEdges {
-    fn from_json(v: &cpvr_types::json::Value) -> Result<Self, cpvr_types::json::JsonError> {
-        use cpvr_types::json::FromJson;
-        Ok(BoundaryEdges {
-            member: FromJson::from_json(v.field("member")?)?,
-            seq: FromJson::from_json(v.field("seq")?)?,
-            round: FromJson::from_json(v.field("round")?)?,
-            events: FromJson::from_json(v.field("events")?)?,
-            digests: FromJson::from_json(v.field("digests")?)?,
-            trace: match v.field("trace") {
-                Ok(t) => Some(TraceCtx::from_json(t)?),
-                Err(_) => None,
-            },
-        })
-    }
-}
+cpvr_types::impl_json_struct!(BoundaryEdges {
+    member,
+    seq,
+    round,
+    events,
+    digests,
+    #[omit_none]
+    trace,
+});
 
 /// A member's partial verdict for one snapshot round: the routers its
 /// consistency-tracker slice is still waiting on at the round horizon.
@@ -327,37 +301,14 @@ pub struct PartialVerdict {
     pub trace: Option<TraceCtx>,
 }
 
-impl cpvr_types::json::ToJson for PartialVerdict {
-    fn to_json(&self) -> cpvr_types::json::Value {
-        use cpvr_types::json::Value;
-        let mut fields = vec![
-            ("member".to_string(), self.member.to_json()),
-            ("seq".to_string(), self.seq.to_json()),
-            ("round".to_string(), self.round.to_json()),
-            ("missing".to_string(), self.missing.to_json()),
-        ];
-        if let Some(ctx) = self.trace {
-            fields.push(("trace".to_string(), ctx.to_json()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl cpvr_types::json::FromJson for PartialVerdict {
-    fn from_json(v: &cpvr_types::json::Value) -> Result<Self, cpvr_types::json::JsonError> {
-        use cpvr_types::json::FromJson;
-        Ok(PartialVerdict {
-            member: FromJson::from_json(v.field("member")?)?,
-            seq: FromJson::from_json(v.field("seq")?)?,
-            round: FromJson::from_json(v.field("round")?)?,
-            missing: FromJson::from_json(v.field("missing")?)?,
-            trace: match v.field("trace") {
-                Ok(t) => Some(TraceCtx::from_json(t)?),
-                Err(_) => None,
-            },
-        })
-    }
-}
+cpvr_types::impl_json_struct!(PartialVerdict {
+    member,
+    seq,
+    round,
+    missing,
+    #[omit_none]
+    trace,
+});
 
 /// Where a repair is in its proof-carrying lifecycle. Journaled as
 /// [`Frame::Repair`] WAL records so recovery replays an in-flight
@@ -548,47 +499,16 @@ pub struct PeerRepairProof {
     pub trace: Option<TraceCtx>,
 }
 
-impl cpvr_types::json::ToJson for PeerRepairProof {
-    fn to_json(&self) -> cpvr_types::json::Value {
-        use cpvr_types::json::Value;
-        let mut fields = vec![
-            ("member".to_string(), self.member.to_json()),
-            ("seq".to_string(), self.seq.to_json()),
-            ("repair_id".to_string(), self.repair_id.to_json()),
-            ("digest".to_string(), self.digest.to_json()),
-            ("verdict".to_string(), Value::U64(u64::from(self.verdict))),
-            ("proof".to_string(), self.proof.to_json()),
-        ];
-        if let Some(ctx) = self.trace {
-            fields.push(("trace".to_string(), ctx.to_json()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl cpvr_types::json::FromJson for PeerRepairProof {
-    fn from_json(v: &cpvr_types::json::Value) -> Result<Self, cpvr_types::json::JsonError> {
-        use cpvr_types::json::FromJson;
-        let verdict = {
-            let n = u64::from_json(v.field("verdict")?)?;
-            u8::try_from(n).map_err(|_| {
-                cpvr_types::json::JsonError::new(format!("verdict {n} out of range"))
-            })?
-        };
-        Ok(PeerRepairProof {
-            member: FromJson::from_json(v.field("member")?)?,
-            seq: FromJson::from_json(v.field("seq")?)?,
-            repair_id: FromJson::from_json(v.field("repair_id")?)?,
-            digest: FromJson::from_json(v.field("digest")?)?,
-            verdict,
-            proof: FromJson::from_json(v.field("proof")?)?,
-            trace: match v.field("trace") {
-                Ok(t) => Some(TraceCtx::from_json(t)?),
-                Err(_) => None,
-            },
-        })
-    }
-}
+cpvr_types::impl_json_struct!(PeerRepairProof {
+    member,
+    seq,
+    repair_id,
+    digest,
+    verdict,
+    proof,
+    #[omit_none]
+    trace,
+});
 
 /// One unit of the wire protocol.
 #[derive(Clone, Debug, PartialEq)]

@@ -6,8 +6,11 @@
 //!
 //! Plain `std` threads, no async runtime:
 //!
-//! - an **accept thread** polls a nonblocking listener and spawns one
-//!   **reader thread** per connection;
+//! - an **accept thread** blocks in `accept` and spawns one **reader
+//!   thread** per connection, which blocks in `read` on its socket.
+//!   Nothing polls a stop flag: [`CollectorHandle::shutdown`] wakes the
+//!   acceptor with one connect of its own, and the acceptor then shuts
+//!   down every reader's socket, which ends the reader's `read`;
 //! - reader threads decode frames through the resynchronizing
 //!   [`Decoder`] (the CPU-heavy parse happens here, in parallel across
 //!   connections) and push typed messages into a **bounded** channel —
@@ -76,7 +79,7 @@ use cpvr_sim::IoEvent;
 use cpvr_types::trace::TRACE_CTX_WIRE_LEN;
 use cpvr_types::{RouterId, SimTime, TraceCtx};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
@@ -337,8 +340,9 @@ pub(crate) enum Msg {
     },
     /// A repair-lifecycle record submitted through
     /// [`CollectorHandle::journal_repair`]. The session journals it
-    /// (kind 16) before folding it into the ledger, then signals
-    /// `done` — so the caller returns only once the record is durable.
+    /// (kind 16) before folding it into the ledger, then has `done`
+    /// signalled behind the append — so the caller returns only once
+    /// the record is durable and folded.
     Repair {
         record: RepairRecord,
         done: Option<std::sync::mpsc::SyncSender<()>>,
@@ -352,12 +356,14 @@ pub(crate) enum Msg {
 /// Full channel = blocked readers = TCP backpressure.
 pub(crate) const CHANNEL_CAPACITY: usize = 1024;
 
-/// A connection silent this long is dropped. (Its source is the lease's
-/// business — a heartbeating client never trips this.)
+/// A connection silent this long is dropped: it is each reader's socket
+/// read timeout. (Its source is the lease's business — a heartbeating
+/// client never trips this.)
 const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Poll tick of the nonblocking accept loop and the readers' stop/idle checks.
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
+/// How long the acceptor backs off after a failed `accept` (and a
+/// shutdown after a failed wake-up connect) before trying again.
+pub(crate) const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Cap on events per channel message; bounds session-side latency and
 /// channel memory (capacity × batch × event size).
@@ -404,8 +410,8 @@ pub struct CollectorReport {
 }
 
 /// A running collector. Dropping the handle without calling
-/// [`shutdown`](Self::shutdown) detaches the threads (they stop once
-/// every connection closes and the handle's stop flag is never set);
+/// [`shutdown`](Self::shutdown) detaches the threads (the acceptor
+/// keeps accepting, and each reader stops when its connection closes);
 /// call `shutdown` to stop deterministically and collect the state.
 pub struct CollectorHandle {
     addr: std::net::SocketAddr,
@@ -435,7 +441,6 @@ impl Collector {
     /// each member's config can carry the full peer address list before
     /// any member runs.
     pub fn start_on(cfg: CollectorConfig, listener: TcpListener) -> io::Result<CollectorHandle> {
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
 
         if let Some(fed) = &cfg.federation {
@@ -571,6 +576,7 @@ impl CollectorHandle {
         self.stop.store(true, Ordering::SeqCst);
         drop(self.tx.take());
         if let Some(h) = self.accept.take() {
+            wake_acceptor(self.addr, &h);
             let _ = h.join();
         }
         let (pipeline, wal_err) = match self.session.take() {
@@ -607,73 +613,59 @@ fn accept_loop(
     metrics: Arc<CollectorMetrics>,
 ) {
     let cfg = Arc::new(cfg);
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
+    // Each reader with a second handle to its connection: shutting that
+    // handle down is what ends the reader's blocking read.
+    let mut readers: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
     let mut next_conn: u64 = 0;
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn = next_conn;
-                next_conn += 1;
-                metrics.connections.inc();
-                let (tx, stop) = (tx.clone(), Arc::clone(&stop));
-                let (cfg, metrics) = (Arc::clone(&cfg), Arc::clone(&metrics));
-                let h = thread::Builder::new()
-                    .name(format!("cpvr-reader-{conn}"))
-                    .spawn(move || reader_loop(stream, conn, tx, stop, &cfg, &metrics))
-                    .expect("spawn reader thread");
-                readers.push(h);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => thread::sleep(POLL_INTERVAL),
+    for stream in listener.incoming() {
+        // `shutdown` sets the flag, then connects to wake this `accept`.
+        if stop.load(Ordering::SeqCst) {
+            break;
         }
-        readers.retain(|h| !h.is_finished());
+        let stream = match stream {
+            Ok(stream) => stream,
+            Err(_) => {
+                thread::sleep(ACCEPT_BACKOFF);
+                continue;
+            }
+        };
+        // Without a second handle its reader could not be stopped.
+        let Ok(keep) = stream.try_clone() else {
+            continue;
+        };
+        let conn = next_conn;
+        next_conn += 1;
+        metrics.connections.inc();
+        let tx = tx.clone();
+        let (cfg, metrics) = (Arc::clone(&cfg), Arc::clone(&metrics));
+        let h = thread::Builder::new()
+            .name(format!("cpvr-reader-{conn}"))
+            .spawn(move || reader_loop(stream, conn, tx, &cfg, &metrics))
+            .expect("spawn reader thread");
+        readers.retain(|(h, _)| !h.is_finished());
+        readers.push((h, keep));
     }
-    for h in readers {
+    for (_, conn) in &readers {
+        let _ = conn.shutdown(Shutdown::Both);
+    }
+    for (h, _) in readers {
         let _ = h.join();
     }
     // `tx` drops here; once every reader's clone is gone the session's
     // receive loop ends and it returns the fold.
 }
 
-/// A `Read` adapter over a nonblocking-timeout socket that turns
-/// `WouldBlock` ticks into stop-flag and idle-deadline checks, so
-/// reads can block "interruptibly".
-struct PollingReader<'a> {
-    stream: &'a TcpStream,
-    stop: &'a AtomicBool,
-    idle: Duration,
-    last_data: Instant,
-}
-
-impl Read for PollingReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                return Err(io::Error::other("collector shutting down"));
-            }
-            match self.stream.read(buf) {
-                Ok(0) => return Ok(0),
-                Ok(n) => {
-                    self.last_data = Instant::now();
-                    return Ok(n);
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    if self.last_data.elapsed() >= self.idle {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "connection idle past the timeout",
-                        ));
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
+/// Wakes a thread blocked in `accept` on `addr` by connecting to it;
+/// retries only while the connect fails and the thread still runs.
+pub(crate) fn wake_acceptor(mut addr: SocketAddr, acceptor: &JoinHandle<()>) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    while !acceptor.is_finished() && TcpStream::connect(addr).is_err() {
+        thread::sleep(ACCEPT_BACKOFF);
     }
 }
 
@@ -945,23 +937,18 @@ impl Reader<'_> {
     }
 }
 
+const SESSION_GONE: &str = "the collector session is gone";
+
 fn reader_loop(
     stream: TcpStream,
     conn: u64,
     tx: SyncSender<Msg>,
-    stop: Arc<AtomicBool>,
     cfg: &CollectorConfig,
     metrics: &CollectorMetrics,
 ) {
-    let wal_enabled = cfg.wal.is_some();
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let mut r = PollingReader {
-        stream: &stream,
-        stop: &stop,
-        idle: IDLE_TIMEOUT,
-        last_data: Instant::now(),
-    };
+    let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
+    let wal_enabled = cfg.wal.is_some();
     let mut dec = Decoder::new();
     let mut buf = vec![0u8; 64 * 1024];
     let mut rd = Reader {
@@ -985,7 +972,7 @@ fn reader_loop(
     // currently only useful to a debugger, but the plumbing keeps the
     // failure paths honest about what went wrong.
     let _why_closed: Option<String> = 'conn: loop {
-        let n = match r.read(&mut buf) {
+        let n = match (&stream).read(&mut buf) {
             Ok(0) => {
                 // EOF: whatever is still buffered is all we will ever
                 // get — let the decoder fish out any complete frames.
@@ -993,12 +980,14 @@ fn reader_loop(
                     match rd.handle(msg) {
                         FrameOutcome::Continue => {}
                         FrameOutcome::Fatal(why) => break 'conn Some(why),
-                        FrameOutcome::SessionGone => return,
+                        FrameOutcome::SessionGone => break 'conn Some(SESSION_GONE.into()),
                     }
                 }
                 break None;
             }
             Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            // A read timeout: the connection sat idle past `IDLE_TIMEOUT`.
             Err(e) => break Some(e.to_string()),
         };
         metrics.bytes.add(n as u64);
@@ -1015,7 +1004,7 @@ fn reader_loop(
             match rd.handle(msg) {
                 FrameOutcome::Continue => {}
                 FrameOutcome::Fatal(why) => break 'conn Some(why),
-                FrameOutcome::SessionGone => return,
+                FrameOutcome::SessionGone => break 'conn Some(SESSION_GONE.into()),
             }
         }
         // Quarantined frames accumulate in the decoder; publish the
@@ -1033,10 +1022,13 @@ fn reader_loop(
         // Flush per read chunk: acks go out per batch, and a
         // client's replay-buffer pruning is only as fresh as its acks.
         if !rd.flush() {
-            return;
+            break Some(SESSION_GONE.into());
         }
     };
     rd.publish_decoder(&dec);
     rd.flush();
     let _ = rd.tx.send(Msg::Closed { conn });
+    // The acceptor holds a second handle to this socket: close it here,
+    // or the peer would not see the connection end.
+    let _ = stream.shutdown(Shutdown::Both);
 }

@@ -27,12 +27,13 @@
 //!
 //! [`Decoder`]: crate::codec::Decoder
 
+use crate::collector::{wake_acceptor, ACCEPT_BACKOFF};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -244,15 +245,19 @@ impl FaultCursor {
         steps
     }
 
-    /// The offset of the next unfired fault strictly below `end`, if it
-    /// is also at or past the current offset.
-    fn next_fault_within(&self, end: u64) -> Option<u64> {
-        let (at, _) = *self.plan.faults.get(self.idx)?;
-        (at >= self.offset && at < end).then_some(at)
+    /// The offset of the next unfired fault strictly below `end`. Faults
+    /// whose offset a drop or a disconnect already consumed never fire:
+    /// they are skipped, so they cannot stall the ones after them.
+    fn next_fault_within(&mut self, end: u64) -> Option<u64> {
+        while self.plan.faults.get(self.idx)?.0 < self.offset {
+            self.idx += 1;
+        }
+        let (at, _) = self.plan.faults[self.idx];
+        (at < end).then_some(at)
     }
 }
 
-/// Counters observable while a proxy runs.
+/// Counters observable while a proxy runs, and the live connection.
 #[derive(Default)]
 struct ProxyShared {
     connections: AtomicU64,
@@ -264,6 +269,34 @@ struct ProxyShared {
     /// immediately, so both ends see a dead link rather than a refused
     /// dial (exactly how a partition looks to TCP keepalives).
     partitioned: AtomicBool,
+    /// Set once the proxy is stopping.
+    stop: AtomicBool,
+    /// The `(client, upstream)` pair being pumped, if any: a partition
+    /// or stop severs it, which ends both pumps' blocking reads.
+    live: Mutex<Option<(TcpStream, TcpStream)>>,
+}
+
+impl ProxyShared {
+    /// Shuts down the live pair, if any.
+    fn sever(&self) {
+        if let Some((client, up)) = self.live.lock().unwrap().take() {
+            let _ = client.shutdown(Shutdown::Both);
+            let _ = up.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Registers the pair being pumped, unless a partition or stop has
+    /// landed since it was accepted; `false` means: do not pump it.
+    fn register(&self, client: &TcpStream, up: &TcpStream) -> bool {
+        let mut live = self.live.lock().unwrap();
+        // Checked under the lock `sever` takes, so a partition or stop
+        // either sees this pair registered or is seen here.
+        if self.partitioned.load(Ordering::SeqCst) || self.stop.load(Ordering::SeqCst) {
+            return false;
+        }
+        *live = client.try_clone().ok().zip(up.try_clone().ok());
+        live.is_some()
+    }
 }
 
 /// A point-in-time copy of a proxy's counters.
@@ -287,7 +320,6 @@ pub struct ProxyStats {
 /// fault cursor persists across that client's reconnects.
 pub struct ChaosProxy {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     shared: Arc<ProxyShared>,
     accept: Option<JoinHandle<()>>,
 }
@@ -297,20 +329,16 @@ impl ChaosProxy {
     /// `upstream` under `plan`.
     pub fn start(upstream: SocketAddr, plan: FaultPlan) -> io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(ProxyShared::default());
         let accept = {
-            let stop = Arc::clone(&stop);
             let shared = Arc::clone(&shared);
             thread::Builder::new()
                 .name("cpvr-chaos".into())
-                .spawn(move || accept_loop(listener, upstream, plan, stop, shared))?
+                .spawn(move || accept_loop(listener, upstream, plan, shared))?
         };
         Ok(ChaosProxy {
             addr,
-            stop,
             shared,
             accept: Some(accept),
         })
@@ -327,6 +355,7 @@ impl ChaosProxy {
     /// the byte story, it does not rewrite it.
     pub fn partition(&self) {
         self.shared.partitioned.store(true, Ordering::SeqCst);
+        self.shared.sever();
     }
 
     /// Ends a [`partition`](Self::partition): the next reconnect
@@ -347,20 +376,25 @@ impl ChaosProxy {
 
     /// Stops the proxy and returns its final counters.
     pub fn shutdown(mut self) -> ProxyStats {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.stop();
         self.stats()
+    }
+
+    /// Severs the live connection, wakes the acceptor and joins it.
+    fn stop(&mut self) {
+        let Some(h) = self.accept.take() else {
+            return;
+        };
+        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.sever();
+        wake_acceptor(self.addr, &h);
+        let _ = h.join();
     }
 }
 
 impl Drop for ChaosProxy {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.stop();
     }
 }
 
@@ -368,23 +402,19 @@ fn accept_loop(
     listener: TcpListener,
     upstream: SocketAddr,
     plan: FaultPlan,
-    stop: Arc<AtomicBool>,
     shared: Arc<ProxyShared>,
 ) {
     // The cursor outlives individual connections: a reconnecting client
     // continues the same fault story where the last connection left it.
     let mut cursor = FaultCursor::new(plan);
-    while !stop.load(Ordering::SeqCst) {
-        let client = match listener.accept() {
-            Ok((c, _)) => c,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-                continue;
-            }
-            Err(_) => {
-                thread::sleep(Duration::from_millis(2));
-                continue;
-            }
+    for client in listener.incoming() {
+        // `stop` sets the flag, then connects to wake this `accept`.
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(client) = client else {
+            thread::sleep(ACCEPT_BACKOFF);
+            continue;
         };
         if shared.partitioned.load(Ordering::SeqCst) {
             // Partitioned: the dial succeeds (the listener is up) but
@@ -398,87 +428,41 @@ fn accept_loop(
             Ok(s) => s,
             Err(_) => continue, // client sees the close and retries
         };
-        run_connection(client, up, &mut cursor, &stop, &shared);
+        if shared.register(&client, &up) {
+            run_connection(&client, &up, &mut cursor, &shared);
+        }
         shared.injected.store(cursor.injected, Ordering::Relaxed);
         shared.flipped.store(cursor.flipped, Ordering::Relaxed);
     }
 }
 
-/// Pumps one client connection through the fault cursor until EOF, a
-/// disconnect fault, an error, or shutdown.
+/// Pumps one registered client connection through the fault cursor
+/// until EOF, a disconnect fault, an error, or the pair being severed;
+/// severs it on the way out.
 fn run_connection(
-    client: TcpStream,
-    up: TcpStream,
+    client: &TcpStream,
+    up: &TcpStream,
     cursor: &mut FaultCursor,
-    stop: &Arc<AtomicBool>,
-    shared: &Arc<ProxyShared>,
+    shared: &ProxyShared,
 ) {
     let _ = client.set_nodelay(true);
     let _ = up.set_nodelay(true);
-    let _ = client.set_read_timeout(Some(Duration::from_millis(5)));
-    let done = Arc::new(AtomicBool::new(false));
-
-    // Ack direction (collector → client): transparent passthrough.
-    let s2c = {
-        let up = match up.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        let client = match client.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        let done = Arc::clone(&done);
-        let stop = Arc::clone(stop);
-        let shared_ack = Arc::clone(shared);
-        thread::spawn(move || {
-            let _ = up.set_read_timeout(Some(Duration::from_millis(5)));
-            let mut up = up;
-            let mut client = client;
-            let mut buf = [0u8; 4096];
-            loop {
-                if done.load(Ordering::SeqCst)
-                    || stop.load(Ordering::SeqCst)
-                    || shared_ack.partitioned.load(Ordering::SeqCst)
-                {
-                    return;
-                }
-                match up.read(&mut buf) {
-                    Ok(0) => return,
-                    Ok(n) => {
-                        if client.write_all(&buf[..n]).is_err() {
-                            return;
-                        }
-                    }
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut => {}
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return,
-                }
-            }
-        })
+    let (Ok(mut up_r), Ok(mut client_w)) = (up.try_clone(), client.try_clone()) else {
+        shared.sever();
+        return;
     };
+    // Ack direction (collector → client): transparent passthrough.
+    let s2c = thread::spawn(move || {
+        let _ = io::copy(&mut up_r, &mut client_w);
+    });
 
     // Data direction (client → collector): through the fault cursor.
-    let mut client_r = client.try_clone().ok();
-    let mut up_w = up.try_clone().ok();
+    let (mut client_r, mut up_w) = (client, up);
     let mut buf = [0u8; 4096];
     'pump: loop {
-        if stop.load(Ordering::SeqCst) || shared.partitioned.load(Ordering::SeqCst) {
-            break;
-        }
-        let (Some(cr), Some(uw)) = (client_r.as_mut(), up_w.as_mut()) else {
-            break;
-        };
-        let n = match cr.read(&mut buf) {
+        let n = match client_r.read(&mut buf) {
             Ok(0) => break, // client closed
             Ok(n) => n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => break,
         };
@@ -487,7 +471,7 @@ fn run_connection(
         for step in steps {
             match step {
                 Step::Write(bytes) => {
-                    if uw.write_all(&bytes).is_err() {
+                    if up_w.write_all(&bytes).is_err() {
                         break 'pump;
                     }
                 }
@@ -499,9 +483,7 @@ fn run_connection(
             }
         }
     }
-    done.store(true, Ordering::SeqCst);
-    let _ = client.shutdown(Shutdown::Both);
-    let _ = up.shutdown(Shutdown::Both);
+    shared.sever();
     let _ = s2c.join();
 }
 
@@ -580,6 +562,28 @@ mod tests {
         assert_eq!(c.offset, 6, "the lost tail still counts as consumed");
         // The stream continues cleanly on the next connection.
         assert_eq!(c.apply(b"gh"), vec![Step::Write(b"gh".to_vec())]);
+    }
+
+    #[test]
+    fn faults_behind_the_cursor_are_skipped_not_stalled_on() {
+        // The drop swallows offset 5, so the flip there never fires —
+        // but the flip at 20 still must.
+        let plan = FaultPlan::from_schedule(vec![
+            (0, FaultKind::Drop { len: 10 }),
+            (5, FaultKind::FlipBit { mask: 1 }),
+            (20, FaultKind::FlipBit { mask: 1 }),
+        ]);
+        let mut c = FaultCursor::new(plan);
+        let chunk: Vec<u8> = (0u8..30).collect();
+        let steps = c.apply(&chunk);
+        let [Step::Write(out)] = &steps[..] else {
+            panic!("expected one write, got {steps:?}");
+        };
+        assert_eq!(out.len(), 20);
+        assert_eq!(&out[..10], &chunk[10..20]);
+        assert_ne!(out[10], 20, "the byte at offset 20 is flipped");
+        assert_eq!(&out[11..], &chunk[21..]);
+        assert_eq!((c.injected, c.flipped), (2, 1));
     }
 
     #[test]

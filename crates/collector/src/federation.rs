@@ -400,7 +400,7 @@ impl Peers {
     }
 
     fn journal(&self, bytes: Vec<u8>) {
-        self.to_series0(WorkerMsg::Journal { bytes, done: None });
+        self.to_series0(WorkerMsg::Journal { bytes });
     }
 
     /// The other members' indices.

@@ -272,7 +272,7 @@ impl Session<'_> {
                     // Journal the re-admission before widening the
                     // gate, mirroring the eviction in `sweep`.
                     self.shards
-                        .journal(Some(source), encode_frame(&Frame::Admit { source }), None);
+                        .journal(Some(source), encode_frame(&Frame::Admit { source }));
                     self.sources.admit(source);
                     self.metrics.readmissions.inc();
                 }
@@ -280,7 +280,7 @@ impl Session<'_> {
                 // session and keeps deduplicating its replays.
                 let (session, first_seq) = (hello.session, hello.first_seq);
                 self.shards
-                    .journal(Some(source), encode_frame(&Frame::Hello(hello)), None);
+                    .journal(Some(source), encode_frame(&Frame::Hello(hello)));
                 self.sources.hello(source, session, first_seq);
                 self.conn_source.insert(conn, source);
                 self.shards
@@ -384,14 +384,12 @@ impl Session<'_> {
             // order — so a per-series replay sees define-before-use.
             // Idempotent on replay, so a definition whose events never
             // arrive is harmless.
-            Msg::Intern { router, raw } => self.shards.journal(Some(RouterId(router)), raw, None),
+            Msg::Intern { router, raw } => self.shards.journal(Some(RouterId(router)), raw),
             Msg::Repair { record, done } => {
                 // Journal the lifecycle record before folding it, so the
-                // ledger never runs ahead of the log; `done` (signalled
-                // once the append is flushed) is the caller's durability
-                // barrier.
+                // ledger never runs ahead of the log.
                 self.shards
-                    .journal(None, encode_frame(&Frame::Repair(record.clone())), done);
+                    .journal(None, encode_frame(&Frame::Repair(record.clone())));
                 if self.repairs.accept(&record) {
                     self.metrics
                         .publish_repair(&record, self.repairs.in_flight().len());
@@ -401,6 +399,11 @@ impl Session<'_> {
                     if let (Some(p), RepairStage::Gated) = (&mut self.shards.peers, record.stage) {
                         p.broadcast_repair(&self.repairs, record.repair_id);
                     }
+                }
+                // Worker 0 handles this after the append above, so the
+                // caller returns once the record is durable *and* folded.
+                if let Some(done) = done {
+                    self.shards.send(None, WorkerMsg::Done(done));
                 }
             }
             Msg::PeerHello { conn, hello, ack } => {
@@ -438,7 +441,7 @@ impl Session<'_> {
             let silent = now.saturating_duration_since(self.last_heard[i]);
             if silent >= self.lease.evict_after {
                 self.shards
-                    .journal(Some(r), encode_frame(&Frame::Evict { source: r }), None);
+                    .journal(Some(r), encode_frame(&Frame::Evict { source: r }));
                 self.sources.evict(r);
                 self.metrics.evictions.inc();
                 // Every eviction freezes exactly one black box: the dump

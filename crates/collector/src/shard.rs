@@ -382,13 +382,11 @@ pub(crate) enum WorkerMsg {
     /// Records of events whose conversations this worker owns but whose
     /// routers it does not.
     IngestCross { records: Vec<FoldRecord> },
-    /// Journal a control record; `done` (repair records only) is
-    /// signalled once the append is flushed, as the submitter's
-    /// durability barrier.
-    Journal {
-        bytes: Vec<u8>,
-        done: Option<SyncSender<()>>,
-    },
+    /// Journal a control record.
+    Journal { bytes: Vec<u8> },
+    /// Signal the sender: everything queued to this worker before it
+    /// has been handled (the barrier `journal_repair` waits on).
+    Done(SyncSender<()>),
     /// Adopt a greeted connection's ack socket.
     Adopt { conn: u64, ack: Option<TcpStream> },
     /// Write an ack (and fin, if the source finished) on a connection.
@@ -550,13 +548,13 @@ impl Worker {
                         self.fold.cross.ingest_record(rec);
                     }
                 }
-                WorkerMsg::Journal { bytes, done } => {
+                WorkerMsg::Journal { bytes } => {
                     if self.journal(&bytes) {
                         self.commit(1);
                     }
-                    if let Some(done) = done {
-                        let _ = done.send(());
-                    }
+                }
+                WorkerMsg::Done(done) => {
+                    let _ = done.send(());
                 }
                 WorkerMsg::Adopt { conn, ack } => {
                     if let Some(a) = ack {
@@ -819,14 +817,9 @@ impl Shards {
     }
 
     /// Appends one control record to the series journaling `home`'s
-    /// stream, signalling `done` once the append is flushed.
-    pub(crate) fn journal(
-        &self,
-        home: Option<RouterId>,
-        bytes: Vec<u8>,
-        done: Option<SyncSender<()>>,
-    ) {
-        self.send(home, WorkerMsg::Journal { bytes, done });
+    /// stream.
+    pub(crate) fn journal(&self, home: Option<RouterId>, bytes: Vec<u8>) {
+        self.send(home, WorkerMsg::Journal { bytes });
     }
 
     /// Stages `rec`'s fold record for the shard owning its conversation

@@ -18,6 +18,7 @@ mod common;
 
 use common::{assert_same_fold, dataplane_fingerprint, events_for, sample_events, N_ROUTERS};
 use cpvr_collector::client::{ReconnectPolicy, SocketSink};
+use cpvr_collector::codec::EventEncoder;
 use cpvr_collector::collector::{Collector, CollectorConfig, CollectorReport, LeaseConfig};
 use cpvr_collector::fault::{ChaosProxy, FaultPlan};
 use cpvr_collector::pipeline::{IngestPipeline, PipelineConfig};
@@ -43,6 +44,17 @@ fn chaos_policy() -> ReconnectPolicy {
     }
 }
 
+/// The bytes `events` take as one v3 stream, intern definitions
+/// included: the span a router's fault plan covers.
+fn stream_len(events: &[IoEvent]) -> u64 {
+    let mut enc = EventEncoder::default();
+    let mut out = Vec::new();
+    for (seq, e) in (0u64..).zip(events) {
+        enc.encode_into(seq, e, &mut out);
+    }
+    out.len() as u64
+}
+
 /// Streams `events` to a WAL-backed collector with every client behind
 /// a seeded chaos proxy; returns the final report plus the WAL dir.
 fn run_chaotic(events: &[IoEvent], seed: u64, dir: &TempDir) -> CollectorReport {
@@ -65,18 +77,18 @@ fn run_chaotic(events: &[IoEvent], seed: u64, dir: &TempDir) -> CollectorReport 
     let mut threads = Vec::new();
     for r in 0..N_ROUTERS {
         let router = RouterId(r);
-        // Per-router plan, derived from the matrix seed: the horizon
-        // roughly covers the encoded stream, so faults land throughout.
+        let mine = events_for(events, router);
+        // Per-router plan, derived from the matrix seed: the horizon is
+        // the router's encoded stream, so faults land throughout it.
         let plan = FaultPlan::from_seed(
             seed.wrapping_mul(0x9e37_79b9).wrapping_add(u64::from(r)),
-            60_000,
+            stream_len(&mine),
             30,
         );
         let proxy = ChaosProxy::start(addr, plan).expect("start proxy");
         let proxy_addr = proxy.local_addr();
         proxies.push(proxy);
 
-        let mine = events_for(events, router);
         let steps = steps.clone();
         threads.push(std::thread::spawn(move || {
             let mut sink = SocketSink::connect_with(proxy_addr, router, N_ROUTERS, chaos_policy())

@@ -333,6 +333,56 @@ fn diverged_gate_verdict_freezes_one_dump_at(shards: u32) {
     handle.shutdown().expect("clean shutdown");
 }
 
+/// `journal_repair` returns only once the record is journaled *and*
+/// folded: the ledger's counter and the flight ring show it at once,
+/// with no waiting — at any shard count, since worker 0 signals the
+/// caller behind the append.
+#[test]
+fn journal_repair_returns_after_the_fold() {
+    for shards in [1, 2] {
+        let dir = TempDir::new("flight-journal-repair").unwrap();
+        let cfg = CollectorConfig::new(1)
+            .with_wal(WalConfig::new(dir.path()))
+            .with_shards(shards);
+        let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
+        let rid = 0x5afe_f01d;
+        let want = TraceCtx::for_repair(rid).trace_id;
+        for (n, (r, code)) in [
+            (
+                rec(rid, RepairStage::Proposed, 1, None, Vec::new()),
+                stage::REPAIR_PROPOSED,
+            ),
+            (
+                rec(rid, RepairStage::Proven, 2, None, b"proof".to_vec()),
+                stage::REPAIR_PROVEN,
+            ),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            handle.journal_repair(r).expect("journal");
+            assert_eq!(
+                handle.stats().repair_records,
+                n as u64 + 1,
+                "shards {shards}"
+            );
+            let dump = handle
+                .metrics()
+                .expect("metrics on")
+                .flight
+                .snapshot("test");
+            assert!(
+                dump.records
+                    .iter()
+                    .any(|r| r.stage == code && r.trace.map(|c| c.trace_id) == Some(want)),
+                "shards {shards}: {} not in the flight ring when journal_repair returned",
+                stage::name(code)
+            );
+        }
+        handle.shutdown().expect("clean shutdown");
+    }
+}
+
 /// A withheld promise stalls the watermark while ingested events wait
 /// behind it: past `stall_after` the watchdog freezes exactly one
 /// `stall` dump however long the stall lasts, and re-arms once the

@@ -1,0 +1,58 @@
+//! An idle collector sleeps: its acceptor and readers block on their
+//! sockets instead of waking on a clock to poll a stop flag. With three
+//! connected but silent sources, the whole process may switch context
+//! only a few times a second (the session's lease sweep is the one
+//! clock left on this path).
+//!
+//! One test in its own binary, so no other test's threads share the
+//! process whose context switches are counted.
+
+#![cfg(target_os = "linux")]
+
+use cpvr_collector::client::SocketSink;
+use cpvr_collector::collector::{Collector, CollectorConfig};
+use cpvr_types::RouterId;
+use std::time::Duration;
+
+/// Voluntary plus involuntary context switches, summed over every live
+/// thread of this process.
+fn context_switches() -> u64 {
+    let mut total = 0;
+    for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
+        let Ok(status) = std::fs::read_to_string(task.unwrap().path().join("status")) else {
+            continue; // the thread exited under us
+        };
+        for line in status.lines() {
+            if let Some(n) = line
+                .strip_prefix("voluntary_ctxt_switches:")
+                .or_else(|| line.strip_prefix("nonvoluntary_ctxt_switches:"))
+            {
+                total += n.trim().parse::<u64>().unwrap();
+            }
+        }
+    }
+    total
+}
+
+#[test]
+fn an_idle_collector_does_not_wake_to_poll() {
+    const SOURCES: u32 = 3;
+    let handle = Collector::start(CollectorConfig::new(SOURCES), "127.0.0.1:0").expect("bind");
+    let sinks: Vec<SocketSink> = (0..SOURCES)
+        .map(|r| SocketSink::connect(handle.local_addr(), RouterId(r), SOURCES).expect("connect"))
+        .collect();
+    // Let the handshakes land before counting.
+    std::thread::sleep(Duration::from_millis(200));
+
+    let before = context_switches();
+    std::thread::sleep(Duration::from_secs(3));
+    let switches = context_switches() - before;
+    eprintln!("{switches} context switches in 3 s with {SOURCES} silent sources");
+    assert!(
+        switches <= 30,
+        "an idle collector switched context {switches} times in 3 s (at most 30)"
+    );
+
+    drop(sinks);
+    handle.shutdown().expect("clean shutdown");
+}

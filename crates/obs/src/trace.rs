@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use cpvr_types::json::{self, FromJson, JsonError, ToJson, Value};
+use cpvr_types::json;
 use cpvr_types::TraceCtx;
 
 /// Stage codes stamped on flight records. Codes are stable wire/JSON
@@ -282,39 +282,16 @@ pub struct FlightRecord {
     pub b: u64,
 }
 
-impl ToJson for FlightRecord {
-    fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("ring".to_string(), self.ring.to_json()),
-            ("n".to_string(), self.n.to_json()),
-            ("stage".to_string(), self.stage.to_json()),
-            ("t_nanos".to_string(), self.t_nanos.to_json()),
-        ];
-        if let Some(ctx) = self.trace {
-            fields.push(("trace".to_string(), ctx.to_json()));
-        }
-        fields.push(("a".to_string(), self.a.to_json()));
-        fields.push(("b".to_string(), self.b.to_json()));
-        Value::Object(fields)
-    }
-}
-
-impl FromJson for FlightRecord {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(FlightRecord {
-            ring: String::from_json(v.field("ring")?)?,
-            n: u64::from_json(v.field("n")?)?,
-            stage: u32::from_json(v.field("stage")?)?,
-            t_nanos: u64::from_json(v.field("t_nanos")?)?,
-            trace: match v.field("trace") {
-                Ok(t) => Some(TraceCtx::from_json(t)?),
-                Err(_) => None,
-            },
-            a: u64::from_json(v.field("a")?)?,
-            b: u64::from_json(v.field("b")?)?,
-        })
-    }
-}
+cpvr_types::impl_json_struct!(FlightRecord {
+    ring,
+    n,
+    stage,
+    t_nanos,
+    #[omit_none]
+    trace,
+    a,
+    b,
+});
 
 /// A frozen snapshot of every ring on one collector, as written to
 /// `flight-<reason>-<n>.json` and served over `DumpResp`.
@@ -330,25 +307,11 @@ pub struct FlightDump {
     pub records: Vec<FlightRecord>,
 }
 
-impl ToJson for FlightDump {
-    fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("member".to_string(), self.member.to_json()),
-            ("reason".to_string(), self.reason.to_json()),
-            ("records".to_string(), self.records.to_json()),
-        ])
-    }
-}
-
-impl FromJson for FlightDump {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(FlightDump {
-            member: i64::from_json(v.field("member")?)?,
-            reason: String::from_json(v.field("reason")?)?,
-            records: Vec::<FlightRecord>::from_json(v.field("records")?)?,
-        })
-    }
-}
+cpvr_types::impl_json_struct!(FlightDump {
+    member,
+    reason,
+    records
+});
 
 /// The collector-wide flight recorder: a registry of per-thread rings
 /// plus the anomaly-dump machinery. One per collector, shared as

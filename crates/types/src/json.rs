@@ -515,23 +515,47 @@ macro_rules! impl_json_newtype {
 }
 
 /// Implements `ToJson` / `FromJson` for a plain struct with named
-/// fields, serializing as an object in declaration order.
+/// fields, serializing as an object in the listed order. A field marked
+/// `#[omit_none]` (an `Option`) is left out of the object when `None`
+/// and read back as `None` when absent, so a member added after an
+/// encoding shipped leaves older writers' objects readable.
 #[macro_export]
 macro_rules! impl_json_struct {
-    ($ty:ident { $($f:ident),+ $(,)? }) => {
+    ($ty:ident { $($(#[$mark:ident])? $f:ident),+ $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Value {
-                $crate::json::Value::Object(vec![
-                    $((stringify!($f).to_string(), $crate::json::ToJson::to_json(&self.$f)),)+
-                ])
+                let mut fields = Vec::with_capacity([$(stringify!($f)),+].len());
+                fields.extend(
+                    [$($crate::impl_json_struct!(@put self, $f $(, $mark)?)),+]
+                        .into_iter()
+                        .flatten(),
+                );
+                $crate::json::Value::Object(fields)
             }
         }
         impl $crate::json::FromJson for $ty {
             fn from_json(v: &$crate::json::Value) -> Result<Self, $crate::json::JsonError> {
                 Ok($ty {
-                    $($f: $crate::json::FromJson::from_json(v.field(stringify!($f))?)?,)+
+                    $($f: $crate::impl_json_struct!(@get v, $f $(, $mark)?),)+
                 })
             }
+        }
+    };
+    (@put $s:ident, $f:ident) => {
+        Some((stringify!($f).to_string(), $crate::json::ToJson::to_json(&$s.$f)))
+    };
+    (@put $s:ident, $f:ident, omit_none) => {
+        $s.$f
+            .as_ref()
+            .map(|x| (stringify!($f).to_string(), $crate::json::ToJson::to_json(x)))
+    };
+    (@get $v:ident, $f:ident) => {
+        $crate::json::FromJson::from_json($v.field(stringify!($f))?)?
+    };
+    (@get $v:ident, $f:ident, omit_none) => {
+        match $v.field(stringify!($f)) {
+            Ok(x) => $crate::json::FromJson::from_json(x)?,
+            Err(_) => None,
         }
     };
 }
@@ -1012,5 +1036,28 @@ mod tests {
         let v = p.to_json();
         assert_eq!(Plain::from_json(&v).unwrap(), p);
         assert!(Plain::from_json(&Value::Object(vec![("n".into(), Value::U64(3))])).is_err());
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Tagged {
+        n: u32,
+        tag: Option<u32>,
+    }
+    crate::impl_json_struct!(Tagged {
+        n,
+        #[omit_none]
+        tag
+    });
+
+    #[test]
+    fn omit_none_fields_are_left_out_and_read_back_absent() {
+        let bare = Tagged { n: 1, tag: None };
+        let v = bare.to_json();
+        assert_eq!(v, Value::Object(vec![("n".into(), Value::U64(1))]));
+        assert_eq!(Tagged::from_json(&v).unwrap(), bare);
+        let tagged = Tagged { n: 1, tag: Some(7) };
+        assert_eq!(Tagged::from_json(&tagged.to_json()).unwrap(), tagged);
+        // An unmarked field is still required.
+        assert!(Tagged::from_json(&Value::Object(Vec::new())).is_err());
     }
 }

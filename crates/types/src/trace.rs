@@ -21,7 +21,6 @@
 //! monotonic clocks from different hosts cannot be compared directly.
 
 use crate::hash::Fnv1a64;
-use crate::json::{FromJson, JsonError, ToJson, Value};
 use crate::time::SimTime;
 
 /// Wire size of an encoded [`TraceCtx`] trailer.
@@ -121,23 +120,7 @@ impl TraceCtx {
     }
 }
 
-impl ToJson for TraceCtx {
-    fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("trace_id".to_string(), self.trace_id.to_json()),
-            ("parent".to_string(), self.parent.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TraceCtx {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(TraceCtx {
-            trace_id: u64::from_json(v.field("trace_id")?)?,
-            parent: u32::from_json(v.field("parent")?)?,
-        })
-    }
-}
+crate::impl_json_struct!(TraceCtx { trace_id, parent });
 
 #[cfg(test)]
 mod tests {
