@@ -15,14 +15,17 @@
 //!
 //! Every event is stamped with a session-scoped **sequence number** and
 //! kept in a bounded in-memory **replay buffer** until the collector's
-//! cumulative [`Ack`](crate::codec::Frame::Ack) covers it. A failed
-//! write (or an ack stall during `drain`, which is how a *silent* loss
-//! downstream is detected) triggers **reconnect with capped
-//! exponential backoff and jitter**: the sink re-Hellos with the same
-//! session, replays everything unacknowledged, and re-promises its last
-//! watermark. The collector deduplicates the replay by sequence number,
-//! so delivery is at-least-once on the wire and exactly-once in the
-//! fold.
+//! cumulative [`Ack`](crate::codec::Frame::Ack) covers it. The acks are
+//! read by the connection's own reply reader (the `link` module), which
+//! prunes the buffer and wakes a sink blocked on it; sends never wait
+//! for an ack unless the buffer is full. A failed write, a connection
+//! the reply reader saw die, or an ack stall while the sink waits for
+//! room or in `drain` (which is how a *silent* loss downstream is
+//! detected) triggers **reconnect with capped exponential backoff and
+//! jitter**: the sink re-Hellos with the same session, replays
+//! everything unacknowledged, and re-promises its last watermark. The
+//! collector deduplicates the replay by sequence number, so delivery is
+//! at-least-once on the wire and exactly-once in the fold.
 //!
 //! `EventSink::on_event` cannot return an error, so unrecoverable I/O
 //! failures (reconnect attempts exhausted, replay buffer overflow) are
@@ -32,20 +35,26 @@
 //! control plane it is observing — shedding the stream is the designed
 //! last-resort failure mode.
 
-use crate::codec::{encode_frame, write_frame, CodecVersion, Decoder, EventEncoder, Frame, Hello};
-use crate::link::{drain_replies, fresh_session, Window, ACK_POLL};
+use crate::codec::{encode_frame, write_frame, CodecVersion, EventEncoder, Frame, Hello};
+use crate::link::{fresh_session, read_frames, Link, LinkState, ReplyReader, Wake};
 use cpvr_obs::{ExpoFormat, Snapshot};
 use cpvr_sim::{EventSink, IoEvent};
 use cpvr_types::{RouterId, SimTime, TraceCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Maximum unacknowledged events held for replay. When full, sends block
-/// briefly on ack progress, then fail: bounded memory inside a router.
+/// on ack progress, replaying on a stall, then fail: bounded memory
+/// inside a router.
 const REPLAY_CAPACITY: usize = 16 * 1024;
+
+/// How often a sink waiting on the collector re-solicits an ack (and
+/// re-sends an unconfirmed bye).
+const SOLICIT_EVERY: Duration = Duration::from_millis(25);
 
 /// Reconnection and replay tuning.
 #[derive(Clone, Copy, Debug)]
@@ -57,10 +66,11 @@ pub struct ReconnectPolicy {
     pub base_delay: Duration,
     /// Backoff cap.
     pub max_delay: Duration,
-    /// During [`drain`](SocketSink::drain): with the connection
-    /// apparently healthy but acks not advancing for this long, assume
-    /// frames were lost downstream and force a reconnect + replay (the
-    /// go-back-N retransmission trigger).
+    /// While waiting for acks — for room in a full replay buffer, or in
+    /// [`drain`](SocketSink::drain) — with the connection apparently
+    /// healthy but acks not advancing for this long, assume frames were
+    /// lost downstream and force a reconnect + replay (the go-back-N
+    /// retransmission trigger).
     pub stall_after: Duration,
 }
 
@@ -79,23 +89,22 @@ impl Default for ReconnectPolicy {
 /// directly or as an [`EventSink`].
 pub struct SocketSink {
     addr: SocketAddr,
-    stream: Option<BufWriter<TcpStream>>,
+    /// The connection and its reply reader.
+    conn: Option<(BufWriter<TcpStream>, ReplyReader)>,
     source: RouterId,
     n_routers: u32,
     session: u64,
     policy: ReconnectPolicy,
-    /// Sent but unacknowledged events, numbered from 0.
-    window: Window,
+    /// Sent but unacknowledged events, numbered from 0, and what the
+    /// reply reader heard; shared with the reader.
+    link: Arc<Link>,
     /// The last promise made, re-issued after a reconnect.
     last_wm: Option<(SimTime, u64)>,
     /// The bye frontier, if the stream was ended; re-issued likewise.
+    /// Byes carry no sequence number, so the collector's
+    /// [`Frame::Fin`] on the *current* connection is the only proof one
+    /// was not lost.
     bye_frontier: Option<u64>,
-    /// Whether the collector confirmed (via [`Frame::Fin`]) that the
-    /// bye promise was applied on the *current* connection. Byes carry
-    /// no sequence number, so this is the only proof one was not lost.
-    fin_seen: bool,
-    /// Decodes the collector→client ack stream; reset per connection.
-    ack_dec: Decoder,
     /// Encodes event frames into reusable scratch buffers and owns this
     /// session's intern tables, whose definition frames are replayed on
     /// every reconnect.
@@ -145,16 +154,14 @@ impl SocketSink {
         let session = fresh_session();
         let mut sink = SocketSink {
             addr,
-            stream: None,
+            conn: None,
             source,
             n_routers,
             session,
             policy,
-            window: Window::new(0),
+            link: Link::new(0),
             last_wm: None,
             bye_frontier: None,
-            fin_seen: false,
-            ack_dec: Decoder::new(),
             enc: EventEncoder::new(codec),
             rng: StdRng::seed_from_u64(session ^ u64::from(source.0)),
             error: None,
@@ -191,12 +198,12 @@ impl SocketSink {
 
     /// Events accepted so far.
     pub fn sent(&self) -> u64 {
-        self.window.next_seq()
+        self.link.lock().window.next_seq()
     }
 
     /// Events currently held for replay (sent but unacknowledged).
     pub fn unacked(&self) -> usize {
-        self.window.len()
+        self.link.lock().window.len()
     }
 
     /// Successful reconnections (establishments beyond the first).
@@ -229,7 +236,7 @@ impl SocketSink {
     /// the last watermark promise, and the bye if one was issued. On
     /// exhaustion the error is latched and returned.
     fn establish(&mut self) -> io::Result<()> {
-        self.stream = None;
+        self.disconnect();
         let mut delay = self.policy.base_delay;
         let mut last_err: Option<io::Error> = None;
         for attempt in 0..self.policy.max_attempts.max(1) {
@@ -256,18 +263,17 @@ impl SocketSink {
     fn try_establish(&mut self) -> io::Result<()> {
         let stream = TcpStream::connect(self.addr)?;
         stream.set_nodelay(true)?;
-        // Ack reads poll with a tiny timeout instead of O_NONBLOCK —
-        // nonblocking mode would be shared with the write side of the
-        // same socket and turn sends into spin loops.
-        stream.set_read_timeout(Some(ACK_POLL))?;
         let mut w = BufWriter::new(stream);
+        // No reply reader runs yet, so holding the link across the
+        // replay's writes keeps nobody waiting.
+        let mut link = self.link.lock();
         write_frame(
             &mut w,
             &Frame::Hello(Hello {
                 source: self.source,
                 n_routers: self.n_routers,
                 session: self.session,
-                first_seq: self.window.first_seq(),
+                first_seq: link.window.first_seq(),
             }),
         )?;
         // Re-send every intern definition made this session before
@@ -277,7 +283,7 @@ impl SocketSink {
         // definitions; redefinition is idempotent, so blanket replay is
         // always safe and always sufficient.
         w.write_all(self.enc.definition_frames())?;
-        for bytes in self.window.frames() {
+        for bytes in link.window.frames() {
             w.write_all(bytes)?;
         }
         if let Some((t, frontier)) = self.last_wm {
@@ -287,95 +293,119 @@ impl SocketSink {
             write_frame(&mut w, &Frame::Bye { frontier })?;
         }
         w.flush()?;
-        self.ack_dec = Decoder::new();
-        // The fin confirmation is connection-scoped: the re-sent bye
-        // above will solicit a fresh one.
-        self.fin_seen = false;
-        self.stream = Some(w);
+        // The fin is connection-scoped: the re-sent bye above solicits
+        // a fresh one, which this reader hears.
+        let replies = ReplyReader::start(w.get_ref(), &self.link, &mut link)?;
+        drop(link);
+        self.conn = Some((w, replies));
         Ok(())
     }
 
-    /// Writes pre-encoded bytes, falling back to a full reconnect (which
-    /// re-sends all recorded state, including whatever `bytes` encoded
-    /// if it was an event/watermark/bye) on failure.
-    fn write_or_reconnect(&mut self, bytes: &[u8]) -> io::Result<()> {
-        if let Some(Ok(())) = self.stream.as_mut().map(|w| w.write_all(bytes)) {
+    /// Ends the current connection, flushing what it buffered.
+    fn disconnect(&mut self) {
+        if let Some((w, replies)) = self.conn.take() {
+            drop(w);
+            replies.stop();
+        }
+    }
+
+    /// Writes and flushes one control frame. A connection the reply
+    /// reader saw die, or a failed write, reconnects instead — at once,
+    /// so a quiet source does not sit on a dead connection — and the
+    /// reconnect re-sends whatever state the frame carried.
+    fn say(&mut self, frame: &Frame) -> io::Result<()> {
+        let alive = self.link.lock().conn.is_some();
+        let said = self
+            .conn
+            .as_mut()
+            .filter(|_| alive)
+            .is_some_and(|(w, _)| write_frame(&mut *w, frame).and_then(|_| w.flush()).is_ok());
+        if said {
             return Ok(());
         }
         self.establish()
     }
 
     fn flush_stream(&mut self) -> io::Result<()> {
-        if self.stream.as_mut().is_some_and(|w| w.flush().is_err()) {
+        if self.conn.as_mut().is_some_and(|(w, _)| w.flush().is_err()) {
             return self.establish();
         }
         Ok(())
     }
 
-    /// Drains any acks the collector has sent, pruning the replay
-    /// window. Never blocks beyond [`ACK_POLL`]; a dead connection is
-    /// noted (reconnect happens lazily at the next write).
-    fn pump_acks(&mut self) {
-        let Some(w) = &self.stream else { return };
-        let (window, fin_seen) = (&mut self.window, &mut self.fin_seen);
-        let alive = drain_replies(w.get_ref(), &mut self.ack_dec, |reply| match reply {
-            Frame::Ack { upto } => window.ack(upto),
-            Frame::Fin => *fin_seen = true,
-            _ => {}
-        });
-        if !alive {
-            self.stream = None;
+    /// Blocks until `done` holds, re-soliciting acks every
+    /// [`SOLICIT_EVERY`] and reconnecting to replay whenever the reply
+    /// reader saw the connection die or the acks stalled. Returns
+    /// `Ok(false)` at `deadline`.
+    fn wait_until(
+        &mut self,
+        deadline: Instant,
+        done: impl Fn(&LinkState) -> bool,
+    ) -> io::Result<bool> {
+        self.flush_stream()?;
+        let mut solicit_at = Instant::now() + SOLICIT_EVERY;
+        loop {
+            let until = Some(solicit_at.min(deadline));
+            match self.link.wait(self.policy.stall_after, until, &done) {
+                Wake::Done => return Ok(true),
+                // Go-back-N: a collector that stopped acking is stuck
+                // before a gap our frames were supposed to fill.
+                // Reconnect and replay from the ack cursor.
+                Wake::Dead | Wake::Stalled => self.establish()?,
+                Wake::Timeout if Instant::now() >= deadline => return Ok(false),
+                Wake::Timeout => {
+                    // Solicit acks (and keep the lease fresh). An
+                    // unconfirmed bye is re-sent instead of a heartbeat:
+                    // byes are unsequenced, so retransmission until the
+                    // fin arrives is what makes end-of-stream reliable.
+                    let fin = self.link.lock().fin;
+                    self.say(&match self.bye_frontier {
+                        Some(frontier) if !fin => Frame::Bye { frontier },
+                        _ => Frame::Heartbeat,
+                    })?;
+                    solicit_at = Instant::now() + SOLICIT_EVERY;
+                }
+            }
         }
     }
 
-    /// Blocks until the replay buffer has room, failing if acks make no
-    /// progress for long enough that the collector must be gone.
-    fn wait_for_room(&mut self) -> io::Result<()> {
-        if self.window.len() < REPLAY_CAPACITY {
-            return Ok(());
-        }
-        let _ = self.flush_stream();
-        let deadline = Instant::now() + self.policy.stall_after.max(Duration::from_secs(1)) * 4;
-        while self.window.len() >= REPLAY_CAPACITY {
-            self.pump_acks();
-            if self.window.len() < REPLAY_CAPACITY {
-                break;
-            }
-            if Instant::now() >= deadline {
+    /// Sends one event (buffered; held for replay until acknowledged).
+    /// With the replay buffer full it waits for room, replaying on a
+    /// stall, and fails if the collector will not ack.
+    pub fn send(&mut self, e: &IoEvent) -> io::Result<()> {
+        self.check_latched()?;
+        let room = |s: &LinkState| s.window.len() < REPLAY_CAPACITY;
+        if !room(&self.link.lock()) {
+            let patience = self.policy.stall_after.max(Duration::from_secs(1)) * 4;
+            if !self.wait_until(Instant::now() + patience, room)? {
                 let e = io::Error::other(format!(
                     "replay buffer full at {} events and the collector is not acking",
-                    self.window.len()
+                    self.unacked()
                 ));
                 self.latch(&e);
                 return Err(e);
             }
-            if self.stream.is_none() {
-                self.establish()?;
-            }
-            std::thread::sleep(ACK_POLL);
         }
-        Ok(())
-    }
-
-    /// Sends one event (buffered; held for replay until acknowledged).
-    pub fn send(&mut self, e: &IoEvent) -> io::Result<()> {
-        self.check_latched()?;
-        self.wait_for_room()?;
         // The held bytes include any fresh intern definition frames
         // ahead of the event frame, so a go-back-N replay re-delivers
         // the definitions in order too (redefinition is idempotent).
-        let bytes = self.window.push(|seq| {
-            let ctx = (self.trace_every > 0 && seq.is_multiple_of(self.trace_every))
-                .then(|| TraceCtx::for_flight(self.session, seq));
-            let mut bytes = Vec::new();
-            self.enc.encode_into_traced(seq, e, ctx, &mut bytes);
-            bytes
-        });
-        // Write straight from the window (no clone); a failure
-        // reconnects, and the reconnect replay covers it.
-        if let Some(Ok(())) = self.stream.as_mut().map(|w| w.write_all(bytes)) {
+        let seq = self.sent();
+        let ctx = (self.trace_every > 0 && seq.is_multiple_of(self.trace_every))
+            .then(|| TraceCtx::for_flight(self.session, seq));
+        let mut bytes = Vec::new();
+        self.enc.encode_into_traced(seq, e, ctx, &mut bytes);
+        // Written before it is held, so the link is never locked across
+        // a write; a failure reconnects, and the replay covers it.
+        let wrote = self
+            .conn
+            .as_mut()
+            .is_some_and(|(w, _)| w.write_all(&bytes).is_ok());
+        let mut link = self.link.lock();
+        link.window.push(|_| bytes);
+        if wrote && link.conn.is_some() {
             return Ok(());
         }
+        drop(link);
         self.establish()
     }
 
@@ -383,23 +413,12 @@ impl SocketSink {
     /// flushes so the collector can act on the promise immediately.
     /// The promise carries the current send frontier, so the collector
     /// applies it only once it has actually received everything it
-    /// covers.
+    /// covers. Returns without waiting for an ack.
     pub fn watermark(&mut self, t: SimTime) -> io::Result<()> {
         self.check_latched()?;
-        let frontier = self.window.next_seq();
+        let frontier = self.sent();
         self.last_wm = Some((t, frontier));
-        self.write_or_reconnect(&encode_frame(&Frame::Watermark { t, frontier }))?;
-        self.flush_stream()?;
-        self.pump_acks();
-        if self.stream.is_none() {
-            // The write landed in a kernel buffer the peer will never
-            // read (it closed under us — restart or fault injection);
-            // the ack pump just noticed. Re-establish now rather than
-            // lazily: a quiet source may not write again for a long
-            // time, and the reconnect replay re-delivers this promise.
-            self.establish()?;
-        }
-        Ok(())
+        self.say(&Frame::Watermark { t, frontier })
     }
 
     /// Tells the collector this source is alive (refreshing its
@@ -407,15 +426,7 @@ impl SocketSink {
     /// there is nothing else to say.
     pub fn heartbeat(&mut self) -> io::Result<()> {
         self.check_latched()?;
-        self.write_or_reconnect(&encode_frame(&Frame::Heartbeat))?;
-        self.flush_stream()?;
-        self.pump_acks();
-        if self.stream.is_none() {
-            // Same eager reconnect as `watermark`: liveness pings are
-            // exactly the traffic of an otherwise-quiet source.
-            self.establish()?;
-        }
-        Ok(())
+        self.say(&Frame::Heartbeat)
     }
 
     /// Announces end-of-stream and flushes. The connection stays open
@@ -423,10 +434,9 @@ impl SocketSink {
     /// guarantees delivery.
     pub fn bye(&mut self) -> io::Result<()> {
         self.check_latched()?;
-        let frontier = self.window.next_seq();
+        let frontier = self.sent();
         self.bye_frontier = Some(frontier);
-        self.write_or_reconnect(&encode_frame(&Frame::Bye { frontier }))?;
-        self.flush_stream()
+        self.say(&Frame::Bye { frontier })
     }
 
     /// Flushes buffered frames to the socket.
@@ -452,38 +462,23 @@ impl SocketSink {
     pub fn drain(&mut self, timeout: Duration) -> io::Result<bool> {
         self.check_latched()?;
         let deadline = Instant::now() + timeout;
-        let mut last_solicit = Instant::now();
-        self.window.restart_clock();
-        let _ = self.flush_stream();
-        loop {
-            self.pump_acks();
-            if self.window.is_empty() && (self.bye_frontier.is_none() || self.fin_seen) {
-                return Ok(true);
-            }
-            if Instant::now() >= deadline {
-                return Ok(false);
-            }
-            if self.stream.is_none() || self.window.stalled(self.policy.stall_after) {
-                // Go-back-N: a collector that stopped acking is stuck
-                // before a gap our frames were supposed to fill.
-                // Reconnect and replay from the ack cursor.
-                self.establish()?;
-                self.window.restart_clock();
-            } else if last_solicit.elapsed() >= Duration::from_millis(25) {
-                // Solicit acks (and keep the lease fresh). An
-                // unconfirmed bye is re-sent instead of a heartbeat:
-                // byes are unsequenced, so retransmission until the fin
-                // arrives is what makes end-of-stream reliable.
-                let solicit = match self.bye_frontier {
-                    Some(frontier) if !self.fin_seen => Frame::Bye { frontier },
-                    _ => Frame::Heartbeat,
-                };
-                let _ = self.write_or_reconnect(&encode_frame(&solicit));
-                let _ = self.flush_stream();
-                last_solicit = Instant::now();
-            }
-            std::thread::sleep(ACK_POLL);
+        self.link.lock().window.restart_clock();
+        let bye = self.bye_frontier.is_some();
+        self.wait_until(deadline, |s| s.window.is_empty() && (!bye || s.fin))
+    }
+}
+
+impl Drop for SocketSink {
+    /// Closes the connection after flushing it and lingering, up to
+    /// `stall_after`, for the acks of what was sent: the collector's
+    /// last acks land instead of meeting a closed socket.
+    fn drop(&mut self) {
+        if self.conn.as_mut().is_some_and(|(w, _)| w.flush().is_ok()) {
+            let stall = self.policy.stall_after;
+            let until = Instant::now().checked_add(stall);
+            self.link.wait(stall, until, |s| s.window.is_empty());
         }
+        self.disconnect();
     }
 }
 
@@ -507,36 +502,27 @@ fn probe(
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.write_all(&encode_frame(request))?;
     stream.flush()?;
-    let mut dec = Decoder::new();
-    let mut buf = [0u8; 64 * 1024];
-    loop {
-        let n = match stream.read(&mut buf) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    format!("collector closed the connection before answering the {what}"),
-                ))
-            }
-            Ok(n) => n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!("{what} timed out waiting for a response"),
-                ));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        dec.feed(&buf[..n]);
-        while let Some(msg) = dec.next_message(false) {
-            if let Some(body) = msg.ok().and_then(|m| body_of(m.frame)) {
-                return String::from_utf8(body)
-                    .map_err(|_| io::Error::other(format!("{what} response body was not UTF-8")));
-            }
-        }
-    }
+    let mut body = None;
+    let ended = read_frames(&stream, |f| {
+        body = body_of(f);
+        body.is_none()
+    });
+    let Some(body) = body else {
+        let e = ended.expect_err("only a body ends the read early");
+        return Err(match e.kind() {
+            io::ErrorKind::UnexpectedEof => io::Error::new(
+                e.kind(),
+                format!("collector closed the connection before answering the {what}"),
+            ),
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("{what} timed out waiting for a response"),
+            ),
+            _ => e,
+        });
+    };
+    String::from_utf8(body)
+        .map_err(|_| io::Error::other(format!("{what} response body was not UTF-8")))
 }
 
 /// Scrapes a collector's metrics over the wire: sends one

@@ -95,8 +95,8 @@ pub struct LeaseConfig {
     /// A source silent this long is evicted from the watermark gate so
     /// the fold can resume without it. Must exceed `lagging_after`.
     pub evict_after: Duration,
-    /// How often the session loop sweeps the leases (also the
-    /// granularity of its `recv` timeout).
+    /// How often the session loop sweeps the leases: its inbox wait
+    /// ends at the next sweep, the loop's one clock.
     pub sweep_interval: Duration,
     /// Watermark-stall watchdog: if events have been ingested but the
     /// global min-watermark has not advanced for this long, the

@@ -9,9 +9,11 @@
 //! ([`FederationPlan::shard_plan`]). The other members' shards are
 //! remote, and `Peers` — which `Shards` owns only on a member — stands
 //! in for them in every barrier round over the wire codec's peer frames
-//! (kinds 12–15). This module holds the peer links, the inbound
-//! cursors, the frontier advertisements and round grid, eager boundary
-//! forwarding, and peer repair-proof checks.
+//! (kinds 12–15). This module holds the peer links — each kept up by
+//! its own thread, which dials, replays and drops a stalled connection,
+//! so the session never ticks for them — the inbound cursors, the
+//! frontier advertisements and round grid, eager boundary forwarding,
+//! and peer repair-proof checks.
 //!
 //! ## The federated round
 //!
@@ -51,11 +53,11 @@
 //! the completed horizon drop, boundary events deduplicate by event id.
 
 use crate::codec::{
-    encode_frame, BoundaryEdges, Decoder, Frame, FrontierExchange, PartialVerdict, PeerHello,
+    encode_frame, BoundaryEdges, Frame, FrontierExchange, PartialVerdict, PeerHello,
     PeerRepairProof,
 };
 use crate::collector::CollectorConfig;
-use crate::link::{drain_replies, fresh_session, Cursor, Window, ACK_POLL};
+use crate::link::{fresh_session, Cursor, Link, ReplyReader, Wake};
 use crate::metrics::{furthest, gauge_nanos, lag_nanos, CollectorMetrics};
 use crate::pipeline::{Offer, SourceTable};
 use crate::repair_journal::RepairLedger;
@@ -71,9 +73,10 @@ use cpvr_types::trace::TRACE_CTX_WIRE_LEN;
 use cpvr_types::{fnv1a64, RouterId, SimTime, TraceCtx};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Write timeout on outbound peer links; a stalled peer forfeits the
@@ -95,9 +98,6 @@ const PEER_RECONNECT_MAX: Duration = Duration::from_secs(2);
 /// so a busy peer is not sent its whole window again;
 /// `cpvr_peer_ack_stalls_total` counts the drops.
 const PEER_ACK_STALL: Duration = Duration::from_secs(2);
-/// The session loop's maximum recv timeout on a member: peer links need
-/// pumping (reconnects, ack drains) even when no client traffic arrives.
-pub(crate) const LINK_TICK: Duration = Duration::from_millis(50);
 
 /// Federation membership for one collector.
 #[derive(Clone, Debug)]
@@ -183,101 +183,113 @@ impl PeerProofStatus {
     }
 }
 
-/// One outbound peer connection: a [`Window`] numbered from 1, replayed
-/// in order behind a fresh [`PeerHello`] on every reconnect.
+/// One outbound peer connection: a link window numbered from 1,
+/// replayed in order behind a fresh [`PeerHello`] on every reconnect.
+/// The session thread numbers, holds and first-sends frames; the link's
+/// own thread, from [`go_live`](Peers::go_live) until the link drops,
+/// dials, hellos, replays, and drops a connection that died or whose
+/// acks stalled.
 struct PeerLink {
+    link: Arc<Link>,
     /// The handshake every (re)connect opens with; `first_seq` is
     /// filled in at connect time.
     hello: PeerHello,
     addr: SocketAddr,
-    window: Window,
-    conn: Option<TcpStream>,
-    dec: Decoder,
-    last_attempt: Option<Instant>,
-    backoff: Duration,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl PeerLink {
     fn new(hello: PeerHello, addr: SocketAddr) -> Self {
         PeerLink {
+            link: Link::new(1),
             hello,
             addr,
-            window: Window::new(1),
-            conn: None,
-            dec: Decoder::new(),
-            last_attempt: None,
-            backoff: PEER_RECONNECT_MIN,
+            thread: None,
         }
     }
 
     /// Numbers, holds and best-effort writes one frame; returns its size.
+    /// A failed write ends the connection, which wakes the link's thread
+    /// to reconnect and replay.
     fn send(&mut self, make: impl FnOnce(u64) -> Frame) -> usize {
-        let bytes = self.window.push(|seq| encode_frame(&make(seq)));
-        let n = bytes.len();
-        if let Some(Err(_)) = self.conn.as_mut().map(|c| c.write_all(bytes)) {
-            self.drop_conn();
+        let mut guard = self.link.lock();
+        let s = &mut *guard;
+        let bytes = s.window.push(|seq| encode_frame(&make(seq)));
+        if let Some(mut c) = s.conn.as_ref() {
+            if c.write_all(bytes).is_err() {
+                let _ = c.shutdown(Shutdown::Both);
+            }
         }
+        let n = bytes.len();
+        drop(guard);
+        // The link's thread may now have a stall clock to watch.
+        self.link.notify();
         n
     }
 
-    fn drop_conn(&mut self) {
-        self.conn = None;
-        self.dec = Decoder::new();
+    /// Starts the link's thread.
+    fn go_live(&mut self, metrics: &Arc<CollectorMetrics>) {
+        let (link, hello, addr) = (Arc::clone(&self.link), self.hello.clone(), self.addr);
+        let metrics = Arc::clone(metrics);
+        let thread = thread::Builder::new()
+            .name(format!("cpvr-peer-{}", hello.member))
+            .spawn(move || keep_up(&link, hello, addr, &metrics));
+        self.thread = thread.ok();
     }
+}
 
-    /// Reconnects (with backoff) if down — handshaking and replaying
-    /// the whole window — and drains any pending acks; drops a link
-    /// whose acks stalled, so the next call replays. Returns whether it
-    /// dropped the link for a stall.
-    fn maintain(&mut self) -> bool {
-        if self.conn.is_none() {
-            if let Some(t) = self.last_attempt {
-                if t.elapsed() < self.backoff {
-                    return false;
-                }
-            }
-            self.last_attempt = Some(Instant::now());
-            match TcpStream::connect_timeout(&self.addr, PEER_CONNECT_TIMEOUT) {
-                Ok(c) => {
-                    let _ = c.set_nodelay(true);
-                    let _ = c.set_write_timeout(Some(PEER_WRITE_TIMEOUT));
-                    let _ = c.set_read_timeout(Some(ACK_POLL));
-                    self.backoff = PEER_RECONNECT_MIN;
-                    self.window.restart_clock();
-                    // Go-back-N: hello announces where the replay
-                    // starts, then the entire unacked window follows.
-                    self.hello.first_seq = self.window.first_seq();
-                    let hello = encode_frame(&Frame::PeerHello(self.hello.clone()));
-                    let mut w = &c;
-                    if w.write_all(&hello).is_ok()
-                        && self.window.frames().all(|b| w.write_all(b).is_ok())
-                    {
-                        self.conn = Some(c);
-                    }
-                }
-                Err(_) => {
-                    self.backoff = (self.backoff * 2).min(PEER_RECONNECT_MAX);
-                    return false;
-                }
-            }
+impl Drop for PeerLink {
+    fn drop(&mut self) {
+        self.link.lock().stopped = true;
+        self.link.notify();
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
         }
-        if let Some(c) = &self.conn {
-            let window = &mut self.window;
-            if !drain_replies(c, &mut self.dec, |reply| {
-                if let Frame::Ack { upto } = reply {
-                    window.ack(upto);
-                }
-            }) {
-                self.drop_conn();
-            }
-        }
-        let stalled =
-            self.conn.is_some() && !self.window.is_empty() && self.window.stalled(PEER_ACK_STALL);
-        if stalled {
-            self.drop_conn();
-        }
-        stalled
     }
+}
+
+/// A peer link's thread: dials with backoff, hellos and replays the
+/// whole window, then sleeps until the connection dies, its unacked
+/// frames see no ack progress for [`PEER_ACK_STALL`], or the link drops.
+fn keep_up(link: &Arc<Link>, mut hello: PeerHello, addr: SocketAddr, metrics: &CollectorMetrics) {
+    let mut backoff = PEER_RECONNECT_MIN;
+    let mut last_attempt: Option<Instant> = None;
+    loop {
+        if last_attempt.is_some_and(|t| link.stopped_by(t + backoff)) || link.lock().stopped {
+            return;
+        }
+        last_attempt = Some(Instant::now());
+        let Ok(replies) = dial(link, &mut hello, addr) else {
+            // A replay that failed to write is a failed attempt too.
+            backoff = (backoff * 2).min(PEER_RECONNECT_MAX);
+            continue;
+        };
+        backoff = PEER_RECONNECT_MIN;
+        let woke = link.wait(PEER_ACK_STALL, None, |s| s.stopped);
+        replies.stop();
+        match woke {
+            Wake::Done => return,
+            Wake::Stalled => metrics.peer_ack_stalls.inc(),
+            _ => {}
+        }
+    }
+}
+
+/// Connects to a peer and, holding the link so no first send can slip
+/// in ahead of it, writes the hello — announcing where the replay
+/// starts — and the entire unacked window, then starts its replies.
+fn dial(link: &Arc<Link>, hello: &mut PeerHello, addr: SocketAddr) -> io::Result<ReplyReader> {
+    let c = TcpStream::connect_timeout(&addr, PEER_CONNECT_TIMEOUT)?;
+    c.set_nodelay(true)?;
+    c.set_write_timeout(Some(PEER_WRITE_TIMEOUT))?;
+    let mut s = link.lock();
+    hello.first_seq = s.window.first_seq();
+    let mut w = &c;
+    w.write_all(&encode_frame(&Frame::PeerHello(hello.clone())))?;
+    for bytes in s.window.frames() {
+        w.write_all(bytes)?;
+    }
+    ReplyReader::start(&c, link, &mut s)
 }
 
 /// A federation member's peers, as the [`Shards`](crate::shard::Shards)
@@ -384,6 +396,9 @@ impl Peers {
         self.series0 = Some(series0);
         self.flight = Some(metrics.flight.register("member", FOLD_RING_SLOTS));
         self.metrics = Some(Arc::clone(metrics));
+        for l in self.links.iter_mut().flatten() {
+            l.go_live(metrics);
+        }
     }
 
     /// Whether this member folds `r`'s stream.
@@ -858,7 +873,7 @@ impl Peers {
 
     /// Publishes the per-peer frontier and lag gauges (the own slot
     /// carries the own source-table minimum).
-    fn publish_peers(&self, sources: &SourceTable) {
+    pub(crate) fn publish_peers(&self, sources: &SourceTable) {
         let Some(m) = &self.metrics else { return };
         if m.peer_frontier.len() != self.members as usize {
             return;
@@ -872,19 +887,6 @@ impl Peers {
         }
     }
 
-    /// Peer links need pumping (reconnects, ack drains) even when no
-    /// client traffic arrives. Reconnects and go-back-N buffer pruning
-    /// are fine at [`LINK_TICK`] granularity; round progress itself is
-    /// message-driven and never waits on it.
-    pub(crate) fn tick(&mut self, sources: &SourceTable) {
-        for l in self.links.iter_mut().flatten() {
-            if let (true, Some(m)) = (l.maintain(), &self.metrics) {
-                m.peer_ack_stalls.inc();
-            }
-        }
-        self.publish_peers(sources);
-    }
-
     /// What the member's fold report carries beside the fold.
     pub(crate) fn into_fold(mut self) -> MemberFold {
         let peers = self
@@ -893,7 +895,9 @@ impl Peers {
                 member: j as u32,
                 min: self.peer_min[j],
                 frontier: std::mem::take(&mut self.peer_frontier[j]),
-                unacked: self.links[j].as_ref().map_or(0, |l| l.window.len() as u64),
+                unacked: self.links[j]
+                    .as_ref()
+                    .map_or(0, |l| l.link.lock().window.len() as u64),
             })
             .collect();
         MemberFold {

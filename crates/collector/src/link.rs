@@ -9,20 +9,28 @@
 //! frame lost or damaged in flight stalls the acks until the sender
 //! replays from the gap. What differs per hop stays with the hop: how
 //! to connect, what else a reconnect re-sends, and how long a stall is.
+//!
+//! Acks wake the sender; nothing polls for them. Every connection gets
+//! a [`ReplyReader`], a thread that blocks in `read` with no timeout,
+//! applies each `Ack` and `Fin` to the [`Link`] — the window behind a
+//! mutex — and wakes whoever waits on its condvar; on EOF or an error it
+//! marks the connection dead and wakes the waiter too. [`Link::wait`] is
+//! the one wait both hops use: until a predicate holds, the connection
+//! dies, or the unacked frames see no ack progress for the stall bound.
+//! A reader is stopped like every blocking thread in the collector:
+//! `shutdown(Both)` on its socket, then join.
 
 use crate::codec::{Decoder, Frame};
 use crate::pipeline::{HelloKind, Offer};
 use cpvr_types::fnv1a64;
 use std::cmp::Ordering as Cmp;
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read};
-use std::net::TcpStream;
+use std::io::{self, ErrorKind, Read};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant, UNIX_EPOCH};
-
-/// Read timeout on a link's reply stream, and the sender's poll period.
-pub(crate) const ACK_POLL: Duration = Duration::from_millis(1);
 
 /// A session id for a new link instance. A receiver keeps its cursor
 /// for a session it has seen (a reconnect) and restarts it for a new
@@ -114,34 +122,169 @@ impl Window {
         self.progress = Instant::now();
     }
 
-    /// Whether the stall clock has run for `after`.
-    pub(crate) fn stalled(&self, after: Duration) -> bool {
-        self.progress.elapsed() >= after
+    /// When the stall clock runs out: `after` past the last progress,
+    /// while any frame is unacked.
+    pub(crate) fn stall_at(&self, after: Duration) -> Option<Instant> {
+        self.progress
+            .checked_add(after)
+            .filter(|_| !self.frames.is_empty())
     }
 }
 
-/// Hands each intact frame the receiver replied on `stream` to
-/// `on_reply`, until a read times out ([`ACK_POLL`]). Returns `false`
-/// once the connection is dead.
-pub(crate) fn drain_replies(
-    mut stream: &TcpStream,
-    dec: &mut Decoder,
-    mut on_reply: impl FnMut(Frame),
-) -> bool {
-    let mut buf = [0u8; 4096];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => return false,
-            Ok(n) => dec.feed(&buf[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                return true
+/// A sender's side of a link, shared by the threads that send on it and
+/// the [`ReplyReader`] of its current connection.
+pub(crate) struct Link {
+    state: Mutex<LinkState>,
+    woken: Condvar,
+}
+
+pub(crate) struct LinkState {
+    pub(crate) window: Window,
+    /// Whether the receiver sent a [`Frame::Fin`] on this connection.
+    pub(crate) fin: bool,
+    /// The connection, while its reply reader runs; `None` once it died.
+    pub(crate) conn: Option<TcpStream>,
+    /// Set when the link's owner lets go, for a thread that waits on it.
+    pub(crate) stopped: bool,
+}
+
+/// Why [`Link::wait`] returned: the predicate holds, the connection died
+/// (or there is none), unacked frames saw no ack progress for the stall
+/// bound, or the caller's deadline passed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Wake {
+    Done,
+    Dead,
+    Stalled,
+    Timeout,
+}
+
+impl Link {
+    /// A link with no connection whose first frame carries `first_seq`.
+    pub(crate) fn new(first_seq: u64) -> Arc<Link> {
+        let window = Window::new(first_seq);
+        let state = Mutex::new(LinkState {
+            window,
+            fin: false,
+            conn: None,
+            stopped: false,
+        });
+        Arc::new(Link {
+            state,
+            woken: Condvar::new(),
+        })
+    }
+
+    pub(crate) fn lock(&self) -> MutexGuard<'_, LinkState> {
+        self.state.lock().unwrap()
+    }
+
+    /// Wakes every waiter to re-check its predicate.
+    pub(crate) fn notify(&self) {
+        self.woken.notify_all();
+    }
+
+    /// Blocks until `done` holds, the connection dies, the unacked
+    /// frames see no ack progress for `stall_after`, or `until` passes.
+    pub(crate) fn wait(
+        &self,
+        stall_after: Duration,
+        until: Option<Instant>,
+        done: impl Fn(&LinkState) -> bool,
+    ) -> Wake {
+        let mut s = self.lock();
+        loop {
+            let (stall, now) = (s.window.stall_at(stall_after), Instant::now());
+            if done(&s) {
+                return Wake::Done;
+            } else if s.conn.is_none() {
+                return Wake::Dead;
+            } else if stall.is_some_and(|t| now >= t) {
+                return Wake::Stalled;
             }
+            s = match stall.into_iter().chain(until).min() {
+                Some(t) if now >= t => return Wake::Timeout,
+                Some(t) => self.woken.wait_timeout(s, t - now).unwrap().0,
+                None => self.woken.wait(s).unwrap(),
+            };
+        }
+    }
+
+    /// Sleeps until `until` unless stopped first; returns whether it was.
+    pub(crate) fn stopped_by(&self, until: Instant) -> bool {
+        let left = until.saturating_duration_since(Instant::now());
+        let woken = self
+            .woken
+            .wait_timeout_while(self.lock(), left, |s| !s.stopped);
+        woken.unwrap().0.stopped
+    }
+}
+
+/// The thread that reads one connection's replies into its [`Link`].
+pub(crate) struct ReplyReader {
+    conn: TcpStream,
+    thread: JoinHandle<()>,
+}
+
+impl ReplyReader {
+    /// Makes `conn` the live connection of `link` — whose state the
+    /// caller holds as `s`, so no send sees the link between two
+    /// connections — with no fin yet and the stall clock restarted for
+    /// the replay, and starts reading its replies.
+    pub(crate) fn start(conn: &TcpStream, link: &Arc<Link>, s: &mut LinkState) -> io::Result<Self> {
+        let (read, stop, live) = (conn.try_clone()?, conn.try_clone()?, conn.try_clone()?);
+        let link = Arc::clone(link);
+        let thread = thread::Builder::new()
+            .name("cpvr-replies".into())
+            .spawn(move || read_replies(read, &link))?;
+        (s.conn, s.fin) = (Some(live), false);
+        s.window.restart_clock();
+        Ok(ReplyReader { conn: stop, thread })
+    }
+
+    /// Ends the connection, which ends the reader's `read`, and joins it.
+    pub(crate) fn stop(self) {
+        let _ = self.conn.shutdown(Shutdown::Both);
+        let _ = self.thread.join();
+    }
+}
+
+/// Applies every reply, waking the link's waiters after each, until the
+/// connection ends; then marks it dead.
+fn read_replies(conn: TcpStream, link: &Link) {
+    let _ = read_frames(&conn, |frame| {
+        let mut s = link.lock();
+        match frame {
+            Frame::Ack { upto } => s.window.ack(upto),
+            Frame::Fin => s.fin = true,
+            _ => {}
+        }
+        drop(s);
+        link.notify();
+        true
+    });
+    link.lock().conn = None;
+    link.notify();
+}
+
+/// Hands every intact frame read off `conn` to `on_frame` until it
+/// returns `false`; otherwise returns the error that ended the
+/// connection (`UnexpectedEof` for a close).
+pub(crate) fn read_frames(
+    mut conn: &TcpStream,
+    mut on_frame: impl FnMut(Frame) -> bool,
+) -> io::Result<()> {
+    let (mut dec, mut buf) = (Decoder::new(), [0u8; 4096]);
+    loop {
+        match conn.read(&mut buf) {
+            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+            Ok(n) => dec.feed(&buf[..n]),
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return false,
+            Err(e) => return Err(e),
         }
         while let Some(msg) = dec.next_message(false) {
-            if let Ok(msg) = msg {
-                on_reply(msg.frame);
+            if msg.is_ok_and(|m| !on_frame(m.frame)) {
+                return Ok(());
             }
         }
     }
@@ -192,7 +335,7 @@ impl Cursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{encode_frame, write_frame};
+    use crate::codec::write_frame;
     use std::io::Write;
     use std::net::TcpListener;
 
@@ -202,7 +345,8 @@ mod tests {
     }
 
     fn stalled(w: &Window) -> bool {
-        w.stalled(Duration::from_secs(30))
+        w.stall_at(Duration::from_secs(30))
+            .is_some_and(|t| t <= Instant::now())
     }
 
     fn push(w: &mut Window) -> u64 {
@@ -291,29 +435,89 @@ mod tests {
         assert!(!stalled(&w));
     }
 
-    #[test]
-    fn replies_are_drained_until_the_connection_dies() {
+    /// A link on a fresh loopback connection with its reply reader
+    /// running, and the receiver's end of that connection.
+    fn connected(first_seq: u64) -> (Arc<Link>, ReplyReader, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        stream.set_read_timeout(Some(ACK_POLL)).expect("timeout");
-        let (mut peer, _) = listener.accept().expect("accept");
-        let mut dec = Decoder::new();
-        let mut got = Vec::new();
-        assert!(
-            drain_replies(&stream, &mut dec, |f| got.push(f)),
-            "idle is alive"
-        );
-        assert!(got.is_empty());
-        let mut bytes = encode_frame(&Frame::Ack { upto: 7 });
-        bytes.extend(b"line noise");
-        write_frame(&mut bytes, &Frame::Fin).expect("encode");
-        peer.write_all(&bytes).expect("write");
-        drop(peer);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while drain_replies(&stream, &mut dec, |f| got.push(f)) {
-            assert!(Instant::now() < deadline, "the close was never seen");
+        let conn = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (peer, _) = listener.accept().expect("accept");
+        let link = Link::new(first_seq);
+        let reader = ReplyReader::start(&conn, &link, &mut link.lock()).expect("start");
+        (link, reader, peer)
+    }
+
+    /// Writes `frame` from `peer` a little later, from another thread.
+    fn reply_later(mut peer: TcpStream, frame: Frame) -> thread::JoinHandle<TcpStream> {
+        thread::spawn(move || {
+            thread::sleep(Duration::from_millis(50));
+            let mut bytes = b"line noise".to_vec();
+            write_frame(&mut bytes, &frame).expect("encode");
+            peer.write_all(&bytes).expect("write");
+            peer
+        })
+    }
+
+    const PATIENCE: Duration = Duration::from_secs(30);
+
+    #[test]
+    fn an_ack_wakes_the_waiter_and_prunes_the_window() {
+        let (link, reader, peer) = connected(0);
+        for _ in 0..3 {
+            push(&mut link.lock().window);
         }
-        assert!(matches!(got[..], [Frame::Ack { upto: 7 }, Frame::Fin]));
+        let replier = reply_later(peer, Frame::Ack { upto: 2 });
+        let started = Instant::now();
+        let woke = link.wait(PATIENCE, None, |s| s.window.len() < 3);
+        assert_eq!(woke, Wake::Done);
+        assert!(started.elapsed() < PATIENCE / 2, "the ack woke the waiter");
+        assert_eq!(link.lock().window.first_seq(), 2);
+        let _peer = replier.join().expect("replier");
+        reader.stop();
+    }
+
+    #[test]
+    fn a_fin_is_seen() {
+        let (link, reader, peer) = connected(0);
+        let replier = reply_later(peer, Frame::Fin);
+        assert_eq!(link.wait(PATIENCE, None, |s| s.fin), Wake::Done);
+        let _peer = replier.join().expect("replier");
+        reader.stop();
+        assert!(link.lock().fin, "a stop keeps what the connection said");
+    }
+
+    #[test]
+    fn eof_marks_the_link_dead_and_wakes_the_waiter() {
+        let (link, reader, peer) = connected(0);
+        push(&mut link.lock().window);
+        let closer = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(50));
+            drop(peer);
+        });
+        assert_eq!(link.wait(PATIENCE, None, |_| false), Wake::Dead);
+        assert!(link.lock().conn.is_none());
+        closer.join().expect("closer");
+        reader.stop();
+    }
+
+    #[test]
+    fn a_stop_joins_while_the_peer_is_connected_and_silent() {
+        let (link, reader, _peer) = connected(0);
+        assert_eq!(
+            link.wait(PATIENCE, Some(Instant::now()), |_| false),
+            Wake::Timeout,
+            "a silent peer with nothing unacked is neither dead nor stalled"
+        );
+        reader.stop();
+        assert!(link.lock().conn.is_none(), "the stopped reader let go");
+    }
+
+    #[test]
+    fn unacked_frames_without_ack_progress_stall_the_wait() {
+        let (link, reader, _peer) = connected(0);
+        push(&mut link.lock().window);
+        let woke = link.wait(Duration::from_millis(20), None, |_| false);
+        assert_eq!(woke, Wake::Stalled);
+        reader.stop();
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! watchdog, the repair ledger and its flight records, and the
 //! publication of the registry's gauges, watermark last ([`CollectorStats`]
 //! is a view of that registry). Each of those decisions is made here and
-//! nowhere else; DESIGN.md §6 "One ingest engine" lists them. How a
+//! nowhere else; DESIGN.md §6 "One ingest engine" lists them. The loop
+//! blocks on its inbox until the next lease sweep, its one clock. How a
 //! watermark becomes a verdict — the fold workers, their barrier round,
 //! and on a member the peers taking part in it — is [`Shards`]'.
 //!
@@ -28,7 +29,6 @@
 
 use crate::codec::{encode_frame, Frame, RepairRecord, RepairStage};
 use crate::collector::{CollectorConfig, EventRec, LeaseConfig, Msg};
-use crate::federation::LINK_TICK;
 use crate::metrics::CollectorMetrics;
 use crate::pipeline::{Offer, SourceState, SourceTable};
 use crate::repair_journal::RepairLedger;
@@ -469,10 +469,14 @@ impl Session<'_> {
         if evicted_any {
             self.gate_moved();
         }
-        // Every sweep republishes the lease gauges, so a scrape sees a
-        // source flip Live → Lagging → Evicted as it happens rather than
-        // only when the watermark next moves.
+        // Every sweep republishes the lease gauges (and a member's peer
+        // gauges), so a scrape sees a source flip Live → Lagging →
+        // Evicted as it happens rather than only when the watermark next
+        // moves.
         self.metrics.publish_sources(&self.sources);
+        if let Some(p) = &self.shards.peers {
+            p.publish_peers(&self.sources);
+        }
     }
 }
 
@@ -529,31 +533,18 @@ fn run(
     // A recovered engine may have work its journal had not finished.
     s.gate_moved();
 
+    // Between lease sweeps the loop wakes only for a message.
     let sweep_every = lease.sweep_interval.min(Duration::from_secs(3600));
-    let tick = match s.shards.peers {
-        Some(_) => LINK_TICK.min(sweep_every),
-        None => sweep_every,
-    };
-    let mut last_sweep = Instant::now();
-    let mut last_tick: Option<Instant> = None;
+    let mut next_sweep = Instant::now() + sweep_every;
     loop {
-        // Tick-granular, not per-message: link upkeep blocks ~1 ms per
-        // link polling acks, which would pace the whole round machine
-        // if paid on every inbound frame.
-        if last_tick.is_none_or(|t| t.elapsed() >= tick) {
-            if let Some(p) = &mut s.shards.peers {
-                p.tick(&s.sources);
-            }
-            last_tick = Some(Instant::now());
-        }
-        match rx.recv_timeout(tick) {
+        match rx.recv_timeout(next_sweep.saturating_duration_since(Instant::now())) {
             Ok(msg) => s.on_msg(msg),
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
         }
-        if last_sweep.elapsed() >= sweep_every {
+        if Instant::now() >= next_sweep {
             s.sweep();
-            last_sweep = Instant::now();
+            next_sweep = Instant::now() + sweep_every;
         }
         s.stall
             .observe(s.shards.completed, lease.stall_after, metrics, &s.flight);

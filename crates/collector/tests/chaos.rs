@@ -20,10 +20,10 @@ use common::{assert_same_fold, dataplane_fingerprint, events_for, sample_events,
 use cpvr_collector::client::{ReconnectPolicy, SocketSink};
 use cpvr_collector::codec::EventEncoder;
 use cpvr_collector::collector::{Collector, CollectorConfig, CollectorReport, LeaseConfig};
-use cpvr_collector::fault::{ChaosProxy, FaultPlan};
+use cpvr_collector::fault::{ChaosProxy, FaultKind, FaultPlan};
 use cpvr_collector::pipeline::{IngestPipeline, PipelineConfig};
 use cpvr_collector::wal::{wait_for, TempDir, WalConfig};
-use cpvr_sim::IoEvent;
+use cpvr_sim::{EventId, IoEvent, IoKind};
 use cpvr_types::{RouterId, SimTime};
 use std::time::Duration;
 
@@ -514,4 +514,47 @@ fn transparent_proxy_is_invisible() {
         assert_eq!(p.shutdown().injected, 0);
     }
     assert_same_fold(&report.pipeline, &reference, "transparent proxy");
+}
+
+/// A sink that never drains fills its replay buffer behind one damaged
+/// frame: the collector quarantines it and drops everything after as a
+/// gap, so the acks stop at the damage. Waiting for room must then do
+/// what `drain` does on a stall — reconnect and replay — instead of
+/// giving up with a full buffer.
+#[test]
+fn a_full_window_behind_a_lost_frame_replays() {
+    const EVENTS: u32 = 20_000;
+    let handle = Collector::start(
+        CollectorConfig::new(1).with_lease(LeaseConfig::disabled()),
+        "127.0.0.1:0",
+    )
+    .expect("bind loopback");
+    let plan = FaultPlan::from_schedule(vec![(2_000, FaultKind::FlipBit { mask: 0x40 })]);
+    let proxy = ChaosProxy::start(handle.local_addr(), plan).expect("start proxy");
+    let mut sink = SocketSink::connect_with(proxy.local_addr(), RouterId(0), 1, chaos_policy())
+        .expect("connect through proxy");
+    for i in 0..EVENTS {
+        let e = IoEvent {
+            id: EventId(i),
+            router: RouterId(0),
+            time: SimTime::from_micros(u64::from(i) + 1),
+            arrived_at: None,
+            kind: IoKind::FibRemove {
+                prefix: "10.0.0.0/8".parse().unwrap(),
+            },
+        };
+        sink.send(&e)
+            .unwrap_or_else(|err| panic!("send {i} failed: {err}"));
+    }
+    assert!(
+        sink.drain(Duration::from_secs(60)).expect("drain"),
+        "the replay never got every event acked"
+    );
+    assert!(sink.reconnects() >= 1, "only a replay heals the gap");
+    assert_eq!(proxy.stats().flipped, 1, "the one fault fired");
+    drop(sink);
+    proxy.shutdown();
+    let report = handle.shutdown().expect("clean shutdown");
+    assert_eq!(report.stats.events, u64::from(EVENTS));
+    assert!(report.stats.corrupt_frames >= 1, "the damage was seen");
 }

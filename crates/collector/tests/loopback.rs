@@ -216,3 +216,26 @@ fn hello_mismatch_is_rejected_without_poisoning_the_collector() {
     assert_eq!(report.stats.watermark, None);
     assert_eq!(report.pipeline.events(), 0);
 }
+
+/// A watermark writes, flushes and returns: it does not wait on acks.
+/// 300 back-to-back promises on an idle loopback sink take well under a
+/// millisecond each, and the stream still drains afterwards.
+#[test]
+fn watermark_does_not_wait_on_acks() {
+    let handle = Collector::start(CollectorConfig::new(1), "127.0.0.1:0").expect("bind loopback");
+    let mut sink = SocketSink::connect(handle.local_addr(), RouterId(0), 1).expect("connect");
+    let started = std::time::Instant::now();
+    for i in 1..=300 {
+        sink.watermark(SimTime::from_millis(i)).expect("watermark");
+    }
+    let took = started.elapsed();
+    eprintln!("300 watermarks took {took:?}");
+    assert!(
+        took < Duration::from_millis(300),
+        "300 watermark calls took {took:?} (under 300 ms expected)"
+    );
+    sink.bye().expect("bye");
+    assert!(sink.drain(Duration::from_secs(30)).expect("drain"));
+    drop(sink);
+    handle.shutdown().expect("clean shutdown");
+}
