@@ -11,20 +11,17 @@
 
 use cpvr_bench::ingest::synthetic_events;
 use cpvr_collector::{CodecVersion, Decoder, EventEncoder, Frame};
-use cpvr_obs::{render_prometheus, FlightRecorder, MetricKind, MetricsRegistry};
+use cpvr_obs::{render_prometheus, FlightRecorder, MetricsRegistry};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
 fn registry_with_traffic() -> MetricsRegistry {
     let r = MetricsRegistry::new();
-    r.declare("bench_counter_total", MetricKind::Counter, "bench");
-    r.declare("bench_gauge", MetricKind::Gauge, "bench");
-    r.declare("bench_histogram", MetricKind::Histogram, "bench");
     for i in 0..1000u64 {
-        r.counter("bench_counter_total").add(i);
-        r.gauge("bench_gauge").set(i as i64);
-        r.histogram("bench_histogram").observe(i * 37);
+        r.counter("bench_counter_total", "bench").add(i);
+        r.gauge("bench_gauge", "bench").set(i as i64);
+        r.histogram("bench_histogram", "bench").observe(i * 37);
     }
     r
 }
@@ -34,8 +31,8 @@ fn bench(c: &mut Criterion) {
 
     // The per-event costs: one increment, one observation.
     let reg = registry_with_traffic();
-    let counter = reg.counter("bench_counter_total");
-    let histogram = reg.histogram("bench_histogram");
+    let counter = reg.counter("bench_counter_total", "bench");
+    let histogram = reg.histogram("bench_histogram", "bench");
     g.bench_function("counter_inc", |b| b.iter(|| counter.inc()));
     g.bench_function("histogram_observe", |b| {
         let mut v = 0u64;
@@ -56,14 +53,14 @@ fn bench(c: &mut Criterion) {
                 let reg = Arc::clone(&reg);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
-                    let ctr = reg.counter("bench_counter_total");
+                    let ctr = reg.counter("bench_counter_total", "bench");
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                         ctr.inc();
                     }
                 })
             })
             .collect();
-        let ctr = reg.counter("bench_counter_total");
+        let ctr = reg.counter("bench_counter_total", "bench");
         g.bench_function("counter_inc_contended_4writers", |b| b.iter(|| ctr.inc()));
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         for w in writers {

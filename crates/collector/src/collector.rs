@@ -293,9 +293,15 @@ pub(crate) enum Msg {
         /// this connection and will reconnect on stall).
         ack: Option<TcpStream>,
     },
+    /// A batch of events, with the original wire bytes of the v3 intern
+    /// definitions that arrived alongside them (only when a WAL is
+    /// configured). The worker journals the definitions ahead of the
+    /// events, into the series that journals the events using them, so a
+    /// per-series replay sees define-before-use.
     Events {
         conn: u64,
         batch: Vec<EventRec>,
+        defs: Vec<Vec<u8>>,
     },
     Watermark {
         conn: u64,
@@ -308,17 +314,6 @@ pub(crate) enum Msg {
     Bye {
         conn: u64,
         frontier: u64,
-    },
-    /// A v3 intern definition frame, forwarded for journaling only (the
-    /// reader's decoder already absorbed it). Sent only when a WAL is
-    /// configured; always *after* the events that preceded it on the
-    /// stream, so the journal preserves define-before-use order.
-    Intern {
-        /// The defining router, for shard routing (the definition must
-        /// land in the same WAL series as the events that use it).
-        router: u32,
-        /// The definition frame's original wire bytes.
-        raw: Vec<u8>,
     },
     /// A federation peer's handshake (only on federated collectors; the
     /// reader kills the connection otherwise).
@@ -695,6 +690,8 @@ struct Reader<'a> {
     session: Option<u64>,
     is_peer: bool,
     batch: Vec<EventRec>,
+    /// Raw intern definitions that arrived since the last flush.
+    defs: Vec<Vec<u8>>,
     reported_corrupt: u64,
     reported_skipped: u64,
 }
@@ -728,17 +725,18 @@ impl Reader<'_> {
         Ok(ack)
     }
 
-    /// Hands the batched events to the session; `false` once it is gone.
+    /// Hands the batched events and definitions to the session; `false`
+    /// once it is gone.
     fn flush(&mut self) -> bool {
-        let batch = std::mem::take(&mut self.batch);
-        batch.is_empty()
-            || self
-                .tx
-                .send(Msg::Events {
-                    conn: self.conn,
-                    batch,
-                })
-                .is_ok()
+        if self.batch.is_empty() && self.defs.is_empty() {
+            return true;
+        }
+        let msg = Msg::Events {
+            conn: self.conn,
+            batch: std::mem::take(&mut self.batch),
+            defs: std::mem::take(&mut self.defs),
+        };
+        self.tx.send(msg).is_ok()
     }
 
     /// Handles one decoder result. A decode error behind a valid CRC
@@ -761,8 +759,9 @@ impl Reader<'_> {
         } = msg;
         // Pending events must land before the control frame that follows
         // them — a watermark's promise covers them, and an ack solicited
-        // by a heartbeat must account for them.
-        if !matches!(frame, Frame::Event { .. }) && !self.flush() {
+        // by a heartbeat must account for them. Definitions ride in the
+        // batch, so they do not split it.
+        if !matches!(frame, Frame::Event { .. } | Frame::Intern(_)) && !self.flush() {
             return FrameOutcome::SessionGone;
         }
         let msg = match frame {
@@ -881,30 +880,21 @@ impl Reader<'_> {
                     trace,
                     ..EventRec::new(seq, event, federated)
                 });
-                if self.batch.len() >= EVENT_BATCH_MAX {
-                    let msg = Msg::Events {
-                        conn,
-                        batch: std::mem::take(&mut self.batch),
-                    };
-                    if self.tx.send(msg).is_err() {
-                        return FrameOutcome::SessionGone;
-                    }
+                if self.batch.len() >= EVENT_BATCH_MAX && !self.flush() {
+                    return FrameOutcome::SessionGone;
                 }
                 return FrameOutcome::Continue;
             }
             Frame::Watermark { t, frontier } => Msg::Watermark { conn, t, frontier },
             Frame::Heartbeat => Msg::Heartbeat { conn },
             Frame::Bye { frontier } => Msg::Bye { conn, frontier },
-            // The reader's decoder already absorbed the definition; all the
-            // session does with it is journal the original bytes, so there
-            // is nothing to forward on a WAL-less collector.
-            Frame::Intern(def) => match raw {
-                Some(raw) => Msg::Intern {
-                    router: def.router,
-                    raw,
-                },
-                None => return FrameOutcome::Continue,
-            },
+            // The reader's decoder already absorbed the definition; all that
+            // is left is to journal its original bytes with the batch, so
+            // there is nothing to keep on a WAL-less collector.
+            Frame::Intern(_) => {
+                self.defs.extend(raw);
+                return FrameOutcome::Continue;
+            }
             // Acks/fins flow collector → client; evictions/admissions and
             // repair-lifecycle records exist only in the journal (repairs
             // enter through [`CollectorHandle::journal_repair`], not the
@@ -964,6 +954,7 @@ fn reader_loop(
         session: None,
         is_peer: false,
         batch: Vec::new(),
+        defs: Vec::new(),
         reported_corrupt: 0,
         reported_skipped: 0,
     };

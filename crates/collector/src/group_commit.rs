@@ -213,9 +213,10 @@ mod tests {
     /// Fsync count and latency handles from a throwaway registry.
     fn sync_metrics() -> (cpvr_obs::Counter, cpvr_obs::Histogram) {
         let r = cpvr_obs::MetricsRegistry::new();
-        r.declare("syncs", cpvr_obs::MetricKind::Counter, "fsyncs");
-        r.declare("fsync", cpvr_obs::MetricKind::Histogram, "fsync latency");
-        (r.counter("syncs"), r.histogram("fsync"))
+        (
+            r.counter("syncs", "fsyncs"),
+            r.histogram("fsync", "fsync latency"),
+        )
     }
 
     #[test]

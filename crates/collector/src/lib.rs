@@ -50,7 +50,8 @@
 //!   `collectord` example).
 //! * [`metrics`] — the collector's telemetry surface over
 //!   [`cpvr_obs`]: every counter/gauge/histogram the ingest path
-//!   publishes, declared in one place ([`CollectorMetrics`]), plus the
+//!   publishes, each family named once, where its handle is resolved
+//!   ([`CollectorMetrics`]), plus the
 //!   flight recorder, which follows one event in 64 from `received`
 //!   through `journaled`/`acked` to `folded` and `snapshot-consistent`
 //!   and feeds the `cpvr_flight_*` latency histograms. Scraped live over the same TCP port via

@@ -1,17 +1,16 @@
 //! The collector's metric surface: every counter, gauge, and histogram
-//! the ingest path publishes, declared up front in one place.
+//! the ingest path publishes, each family named in one place.
 //!
 //! [`CollectorMetrics`] is built once at [`Collector::start`] and shared
 //! (`Arc`) by the reader threads, the session loop, the fold workers, and
 //! the WAL. It is always on, and it is the collector's one set of
 //! counters: [`CollectorStats`] is a view of it
-//! ([`CollectorMetrics::stats`]). Declaring every family here — before
-//! any handle is resolved — is what lets the `obs-strict` feature turn a
-//! typo'd or undeclared metric name into a panic in CI instead of a
-//! silently empty time series in production.
+//! ([`CollectorMetrics::stats`]). Resolving a handle declares its family
+//! — name, kind and help text in one call — so a family cannot be used
+//! without help, and no second list has to be kept in step.
 //!
-//! The README's "Observability" section is the human-readable inventory
-//! of these names; keep the two in sync.
+//! The inventory of these names is a scrape: every family with a series
+//! carries a `# HELP` line in the Prometheus rendering.
 //!
 //! [`Collector::start`]: crate::collector::Collector::start
 
@@ -19,9 +18,7 @@ use std::sync::atomic::{fence, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cpvr_core::HbrSource;
-use cpvr_obs::{
-    Counter, ExpoFormat, FlightRecorder, Gauge, Histogram, MetricKind, MetricsRegistry, Snapshot,
-};
+use cpvr_obs::{Counter, ExpoFormat, FlightRecorder, Gauge, Histogram, MetricsRegistry, Snapshot};
 use cpvr_types::{RouterId, SimTime};
 
 use crate::codec::{RepairRecord, RepairStage};
@@ -169,7 +166,7 @@ pub struct CollectorMetrics {
 }
 
 impl CollectorMetrics {
-    /// Declares every family and resolves the static handles for a
+    /// Resolves (and so declares) the static handles for a
     /// deployment of `n_routers`, folded by `shards` worker threads, as
     /// one member of a `members`-way federation (`members == 0` or `1`
     /// means standalone: no per-peer series are resolved).
@@ -177,363 +174,30 @@ impl CollectorMetrics {
         let registry = Arc::new(MetricsRegistry::new());
         let r = &registry;
 
-        // Connection / decode layer.
-        r.declare(
-            "cpvr_connections_total",
-            MetricKind::Counter,
-            "Connections accepted over the collector's lifetime",
-        );
-        r.declare(
-            "cpvr_bytes_received_total",
-            MetricKind::Counter,
-            "Raw bytes received across all connections",
-        );
-        r.declare(
-            "cpvr_frames_corrupt_total",
-            MetricKind::Counter,
-            "Frames quarantined by the resynchronizing decoder (CRC or header damage)",
-        );
-        r.declare(
-            "cpvr_decoder_resync_bytes_total",
-            MetricKind::Counter,
-            "Bytes skipped while hunting for the next frame header after damage",
-        );
-        r.declare(
-            "cpvr_decode_errors_total",
-            MetricKind::Counter,
-            "Fatal protocol errors (bad handshake, undecodable payload behind a valid CRC)",
-        );
-        r.declare(
-            "cpvr_decode_nanos",
-            MetricKind::Histogram,
-            "Wall-clock latency of decoding one frame off the read buffer (reader threads)",
-        );
-        r.declare(
-            "cpvr_metrics_scrapes_total",
-            MetricKind::Counter,
-            "MetricsReq frames served",
-        );
-
-        // Session event accounting.
-        r.declare(
-            "cpvr_events_received_total",
-            MetricKind::Counter,
-            "Fresh events accepted by the session (post dedup/gap/late filtering)",
-        );
-        r.declare(
-            "cpvr_events_journaled_total",
-            MetricKind::Counter,
-            "Fresh events appended to the WAL before ingestion",
-        );
-        r.declare(
-            "cpvr_events_acked_total",
-            MetricKind::Counter,
-            "Fresh events covered by a successfully written Ack",
-        );
-        r.declare(
-            "cpvr_events_duplicate_total",
-            MetricKind::Counter,
-            "Events dropped as already-accepted duplicates (reconnect replays)",
-        );
-        r.declare(
-            "cpvr_events_gap_total",
-            MetricKind::Counter,
-            "Events dropped for arriving ahead of sequence",
-        );
-        r.declare(
-            "cpvr_events_late_total",
-            MetricKind::Counter,
-            "Events dropped for arriving at or behind the advanced watermark",
-        );
-        r.declare(
-            "cpvr_evictions_total",
-            MetricKind::Counter,
-            "Sources evicted from the watermark gate by the liveness lease",
-        );
-        r.declare(
-            "cpvr_readmissions_total",
-            MetricKind::Counter,
-            "Evicted sources re-admitted after reconnecting",
-        );
-
-        // Fold / watermark state.
-        r.declare(
-            "cpvr_watermark_nanos",
-            MetricKind::Gauge,
-            "Last globally advanced watermark, in simulated nanoseconds (-1 before the first advance, \
-             i64::MAX once every source finished)",
-        );
-        r.declare(
-            "cpvr_events_folded",
-            MetricKind::Gauge,
-            "Events folded into the HBG so far",
-        );
-        r.declare(
-            "cpvr_events_pending",
-            MetricKind::Gauge,
-            "Ingested events still buffered behind the watermark",
-        );
-        r.declare(
-            "cpvr_hbg_edges",
-            MetricKind::Gauge,
-            "Happens-before edges resident in the graph",
-        );
-        r.declare(
-            "cpvr_hbg_edges_offered",
-            MetricKind::Gauge,
-            "Happens-before edges offered to the graph, by inference source (rule label)",
-        );
-        r.declare(
-            "cpvr_snapshot_consistent",
-            MetricKind::Gauge,
-            "1 while the consistency tracker's verdict is Consistent, 0 while it waits",
-        );
-        r.declare(
-            "cpvr_tracker_waits_issued",
-            MetricKind::Gauge,
-            "Consistent-to-wait verdict flips: times the tracker waited instead of alarming",
-        );
-        r.declare(
-            "cpvr_tracker_waits_resolved",
-            MetricKind::Gauge,
-            "Wait-to-consistent verdict flips: waits that resolved",
-        );
-        r.declare(
-            "cpvr_fold_nanos",
-            MetricKind::Histogram,
-            "Wall-clock latency of one watermark advance (builder fold + tracker recheck)",
-        );
-        r.declare(
-            "cpvr_fold_batch",
-            MetricKind::Histogram,
-            "Events folded per watermark advance",
-        );
-
-        // Sharded fold.
-        r.declare(
-            "cpvr_barrier_rounds_total",
-            MetricKind::Counter,
-            "Barrier rounds completed (on a federation member, every federated round)",
-        );
-        r.declare(
-            "cpvr_shard_frontier_nanos",
-            MetricKind::Gauge,
-            "Watermark a shard's fold last advanced to, in simulated nanoseconds (-1 before the \
-             first, i64::MAX once every source finished)",
-        );
-        r.declare(
-            "cpvr_shard_fold_lag_events",
-            MetricKind::Gauge,
-            "Ingested events a shard still buffers behind the watermark",
-        );
-        r.declare(
-            "cpvr_shard_barrier_stall_nanos",
-            MetricKind::Histogram,
-            "Wall-clock from barrier start to a shard's phase-1 reply",
-        );
-
-        // Federation.
-        r.declare(
-            "cpvr_federation_rounds_total",
-            MetricKind::Counter,
-            "Federated verdict rounds completed (partial verdicts merged into a global verdict)",
-        );
-        r.declare(
-            "cpvr_boundary_events_sent_total",
-            MetricKind::Counter,
-            "Ownership-boundary HBG events forwarded eagerly to the owning peer",
-        );
-        r.declare(
-            "cpvr_boundary_events_received_total",
-            MetricKind::Counter,
-            "Ownership-boundary HBG events accepted from peers (post dedup)",
-        );
-        r.declare(
-            "cpvr_boundary_bytes_sent_total",
-            MetricKind::Counter,
-            "Wire bytes of peer frames sent to federation peers (first sends; go-back-N replays \
-             are not counted)",
-        );
-        r.declare(
-            "cpvr_peer_ack_stalls_total",
-            MetricKind::Counter,
-            "Live peer links dropped because their unacked frames saw no ack progress for the \
-             stall bound; each drop replays the link's whole unacked window on reconnect",
-        );
-        r.declare(
-            "cpvr_partial_verdict_nanos",
-            MetricKind::Histogram,
-            "Wall-clock from opening a federated round to merging its global verdict",
-        );
-        r.declare(
-            "cpvr_peer_frontier_nanos",
-            MetricKind::Gauge,
-            "Min watermark a peer's last frontier exchange announced (-1 before the first, \
-             i64::MAX once its sources finished)",
-        );
-        r.declare(
-            "cpvr_peer_lag_nanos",
-            MetricKind::Gauge,
-            "How far a peer's exchanged frontier trails the furthest unfinished member (-1 before \
-             it exchanges, 0 once it finished)",
-        );
-
-        // Proof-carrying repair lifecycle.
-        r.declare(
-            "cpvr_repair_records_total",
-            MetricKind::Counter,
-            "Repair-lifecycle records journaled (duplicates excluded)",
-        );
-        r.declare(
-            "cpvr_repair_gate_reproduced_total",
-            MetricKind::Counter,
-            "Replay gates that returned REPRODUCED (the repair was applied)",
-        );
-        r.declare(
-            "cpvr_repair_gate_diverged_total",
-            MetricKind::Counter,
-            "Replay gates that returned DIVERGED (the repair was blocked)",
-        );
-        r.declare(
-            "cpvr_repair_gate_error_total",
-            MetricKind::Counter,
-            "Replay gates that returned ERROR (tampered or structurally invalid proof)",
-        );
-        r.declare(
-            "cpvr_repairs_in_flight",
-            MetricKind::Gauge,
-            "Repairs journaled but not yet decided (Applied/Blocked/RolledBack)",
-        );
-        r.declare(
-            "cpvr_repair_replay_nanos",
-            MetricKind::Histogram,
-            "Wall-clock of one replay-gate execution over a proof's transcript",
-        );
-        r.declare(
-            "cpvr_repair_skipped_low_confidence_total",
-            MetricKind::Counter,
-            "Root causes skipped for confidence below the control loop's threshold",
-        );
-        r.declare(
-            "cpvr_repair_peer_proofs_total",
-            MetricKind::Counter,
-            "Peer-advertised repair proofs received and re-validated by this member",
-        );
-
-        // Flight recorder / causal tracing.
-        r.declare(
-            "cpvr_flight_dumps_total",
-            MetricKind::Counter,
-            "Flight-recorder dumps written, by trigger reason",
-        );
-        r.declare(
-            "cpvr_flight_ring_overwrites",
-            MetricKind::Gauge,
-            "Flight-recorder ring records lost to wrap-around before any dump captured them",
-        );
-        r.declare(
-            "cpvr_trace_bytes_total",
-            MetricKind::Counter,
-            "Trace-context trailer bytes carried on the wire (sent and received)",
-        );
-        r.declare(
-            "cpvr_watermark_stall_seconds",
-            MetricKind::Gauge,
-            "Seconds since the global min-watermark last advanced (0 while it moves)",
-        );
-
-        r.declare(
-            "cpvr_flights_started_total",
-            MetricKind::Counter,
-            "Sampled event flights opened at Received",
-        );
-        r.declare(
-            "cpvr_flights_completed_total",
-            MetricKind::Counter,
-            "Sampled event flights that reached a consistent snapshot",
-        );
-        r.declare(
-            "cpvr_flights_dropped_total",
-            MetricKind::Counter,
-            "Sampled event flights evicted by the in-flight cap",
-        );
-        r.declare(
-            "cpvr_flight_received_to_journaled_nanos",
-            MetricKind::Histogram,
-            "Latency from socket receive to WAL append",
-        );
-        r.declare(
-            "cpvr_flight_journaled_to_acked_nanos",
-            MetricKind::Histogram,
-            "Latency from WAL append to the covering Ack",
-        );
-        r.declare(
-            "cpvr_flight_received_to_folded_nanos",
-            MetricKind::Histogram,
-            "End-to-end latency from receive to HBG fold",
-        );
-        r.declare(
-            "cpvr_flight_folded_to_consistent_nanos",
-            MetricKind::Histogram,
-            "Wait between HBG fold and snapshot consistency (the paper's wait-instead-of-false-alarm)",
-        );
-
-        // Per-source liveness / lag.
-        r.declare(
-            "cpvr_source_state",
-            MetricKind::Gauge,
-            "Source lease state: 0 never-connected, 1 live, 2 lagging, 3 evicted",
-        );
-        r.declare(
-            "cpvr_source_lag_nanos",
-            MetricKind::Gauge,
-            "How far the source's promise trails the furthest unfinished promise (-1 before it \
-             promises, 0 once it finished)",
-        );
-        r.declare(
-            "cpvr_source_next_seq",
-            MetricKind::Gauge,
-            "One past the highest contiguously accepted sequence number for the source",
-        );
-
-        // WAL.
-        r.declare(
-            "cpvr_wal_appends_total",
-            MetricKind::Counter,
-            "Records appended to the WAL",
-        );
-        r.declare(
-            "cpvr_wal_bytes_total",
-            MetricKind::Counter,
-            "Payload bytes appended to the WAL",
-        );
-        r.declare(
-            "cpvr_wal_syncs_total",
-            MetricKind::Counter,
-            "fsync (sync_data) calls issued by the WAL",
-        );
-        r.declare(
-            "cpvr_wal_rotations_total",
-            MetricKind::Counter,
-            "Segment rotations",
-        );
-        r.declare(
-            "cpvr_wal_fsync_nanos",
-            MetricKind::Histogram,
-            "Wall-clock latency of one WAL flush+fsync",
-        );
-
         let mut shard_frontier = Vec::new();
         let mut shard_fold_lag = Vec::new();
         let mut shard_barrier_stall = Vec::new();
         for k in 0..shards {
             let label = k.to_string();
             let l: &[(&str, &str)] = &[("shard", &label)];
-            let frontier = r.gauge_with("cpvr_shard_frontier_nanos", l);
+            let frontier = r.gauge_with(
+                "cpvr_shard_frontier_nanos",
+                "Watermark a shard's fold last advanced to, in simulated nanoseconds (-1 before the \
+                 first, i64::MAX once every source finished)",
+                l,
+            );
             frontier.set(-1);
             shard_frontier.push(frontier);
-            shard_fold_lag.push(r.gauge_with("cpvr_shard_fold_lag_events", l));
-            shard_barrier_stall.push(r.histogram_with("cpvr_shard_barrier_stall_nanos", l));
+            shard_fold_lag.push(r.gauge_with(
+                "cpvr_shard_fold_lag_events",
+                "Ingested events a shard still buffers behind the watermark",
+                l,
+            ));
+            shard_barrier_stall.push(r.histogram_with(
+                "cpvr_shard_barrier_stall_nanos",
+                "Wall-clock from barrier start to a shard's phase-1 reply",
+                l,
+            ));
         }
 
         let mut peer_frontier = Vec::new();
@@ -542,8 +206,18 @@ impl CollectorMetrics {
             for k in 0..members {
                 let label = k.to_string();
                 let l: &[(&str, &str)] = &[("peer", &label)];
-                peer_frontier.push(r.gauge_with("cpvr_peer_frontier_nanos", l));
-                peer_lag.push(r.gauge_with("cpvr_peer_lag_nanos", l));
+                peer_frontier.push(r.gauge_with(
+                    "cpvr_peer_frontier_nanos",
+                    "Min watermark a peer's last frontier exchange announced (-1 before the first, \
+                     i64::MAX once its sources finished)",
+                    l,
+                ));
+                peer_lag.push(r.gauge_with(
+                    "cpvr_peer_lag_nanos",
+                    "How far a peer's exchanged frontier trails the furthest unfinished member (-1 before \
+                     it exchanges, 0 once it finished)",
+                    l,
+                ));
             }
             for g in peer_frontier.iter().chain(&peer_lag) {
                 g.set(-1);
@@ -556,75 +230,238 @@ impl CollectorMetrics {
         for i in 0..n_routers {
             let label = i.to_string();
             let l: &[(&str, &str)] = &[("router", &label)];
-            state.push(r.gauge_with("cpvr_source_state", l));
-            lag_nanos.push(r.gauge_with("cpvr_source_lag_nanos", l));
-            next_seq.push(r.gauge_with("cpvr_source_next_seq", l));
+            state.push(r.gauge_with(
+                "cpvr_source_state",
+                "Source lease state: 0 never-connected, 1 live, 2 lagging, 3 evicted",
+                l,
+            ));
+            lag_nanos.push(r.gauge_with(
+                "cpvr_source_lag_nanos",
+                "How far the source's promise trails the furthest unfinished promise (-1 before it \
+                 promises, 0 once it finished)",
+                l,
+            ));
+            next_seq.push(r.gauge_with(
+                "cpvr_source_next_seq",
+                "One past the highest contiguously accepted sequence number for the source",
+                l,
+            ));
         }
         for g in &lag_nanos {
             g.set(-1);
         }
 
         CollectorMetrics {
-            connections: r.counter("cpvr_connections_total"),
-            bytes: r.counter("cpvr_bytes_received_total"),
-            frames_corrupt: r.counter("cpvr_frames_corrupt_total"),
-            resync_bytes: r.counter("cpvr_decoder_resync_bytes_total"),
-            decode_errors: r.counter("cpvr_decode_errors_total"),
-            decode_nanos: r.histogram("cpvr_decode_nanos"),
-            metrics_scrapes: r.counter("cpvr_metrics_scrapes_total"),
-            events_received: r.counter("cpvr_events_received_total"),
-            events_journaled: r.counter("cpvr_events_journaled_total"),
-            events_acked: r.counter("cpvr_events_acked_total"),
-            events_duplicate: r.counter("cpvr_events_duplicate_total"),
-            events_gap: r.counter("cpvr_events_gap_total"),
-            events_late: r.counter("cpvr_events_late_total"),
-            evictions: r.counter("cpvr_evictions_total"),
-            readmissions: r.counter("cpvr_readmissions_total"),
+            connections: r.counter(
+                "cpvr_connections_total",
+                "Connections accepted over the collector's lifetime",
+            ),
+            bytes: r.counter(
+                "cpvr_bytes_received_total",
+                "Raw bytes received across all connections",
+            ),
+            frames_corrupt: r.counter(
+                "cpvr_frames_corrupt_total",
+                "Frames quarantined by the resynchronizing decoder (CRC or header damage)",
+            ),
+            resync_bytes: r.counter(
+                "cpvr_decoder_resync_bytes_total",
+                "Bytes skipped while hunting for the next frame header after damage",
+            ),
+            decode_errors: r.counter(
+                "cpvr_decode_errors_total",
+                "Fatal protocol errors (bad handshake, undecodable payload behind a valid CRC)",
+            ),
+            decode_nanos: r.histogram(
+                "cpvr_decode_nanos",
+                "Wall-clock latency of decoding one frame off the read buffer (reader threads)",
+            ),
+            metrics_scrapes: r.counter(
+                "cpvr_metrics_scrapes_total",
+                "MetricsReq frames served",
+            ),
+            events_received: r.counter(
+                "cpvr_events_received_total",
+                "Fresh events accepted by the session (post dedup/gap/late filtering)",
+            ),
+            events_journaled: r.counter(
+                "cpvr_events_journaled_total",
+                "Fresh events appended to the WAL before ingestion",
+            ),
+            events_acked: r.counter(
+                "cpvr_events_acked_total",
+                "Fresh events covered by a successfully written Ack",
+            ),
+            events_duplicate: r.counter(
+                "cpvr_events_duplicate_total",
+                "Events dropped as already-accepted duplicates (reconnect replays)",
+            ),
+            events_gap: r.counter(
+                "cpvr_events_gap_total",
+                "Events dropped for arriving ahead of sequence",
+            ),
+            events_late: r.counter(
+                "cpvr_events_late_total",
+                "Events dropped for arriving at or behind the advanced watermark",
+            ),
+            evictions: r.counter(
+                "cpvr_evictions_total",
+                "Sources evicted from the watermark gate by the liveness lease",
+            ),
+            readmissions: r.counter(
+                "cpvr_readmissions_total",
+                "Evicted sources re-admitted after reconnecting",
+            ),
             watermark_nanos: {
-                let g = r.gauge("cpvr_watermark_nanos");
+                let g = r.gauge(
+                    "cpvr_watermark_nanos",
+                    "Last globally advanced watermark, in simulated nanoseconds (-1 before the first advance, \
+                     i64::MAX once every source finished)",
+                );
                 g.set(-1);
                 g
             },
-            events_folded: r.gauge("cpvr_events_folded"),
-            events_pending: r.gauge("cpvr_events_pending"),
-            hbg_edges: r.gauge("cpvr_hbg_edges"),
+            events_folded: r.gauge(
+                "cpvr_events_folded",
+                "Events folded into the HBG so far",
+            ),
+            events_pending: r.gauge(
+                "cpvr_events_pending",
+                "Ingested events still buffered behind the watermark",
+            ),
+            hbg_edges: r.gauge(
+                "cpvr_hbg_edges",
+                "Happens-before edges resident in the graph",
+            ),
             edges_offered: Mutex::new(Vec::new()),
-            snapshot_consistent: r.gauge("cpvr_snapshot_consistent"),
-            waits_issued: r.gauge("cpvr_tracker_waits_issued"),
-            waits_resolved: r.gauge("cpvr_tracker_waits_resolved"),
-            fold_nanos: r.histogram("cpvr_fold_nanos"),
-            fold_batch: r.histogram("cpvr_fold_batch"),
-            barrier_rounds: r.counter("cpvr_barrier_rounds_total"),
+            snapshot_consistent: r.gauge(
+                "cpvr_snapshot_consistent",
+                "1 while the consistency tracker's verdict is Consistent, 0 while it waits",
+            ),
+            waits_issued: r.gauge(
+                "cpvr_tracker_waits_issued",
+                "Consistent-to-wait verdict flips: times the tracker waited instead of alarming",
+            ),
+            waits_resolved: r.gauge(
+                "cpvr_tracker_waits_resolved",
+                "Wait-to-consistent verdict flips: waits that resolved",
+            ),
+            fold_nanos: r.histogram(
+                "cpvr_fold_nanos",
+                "Wall-clock latency of one watermark advance (builder fold + tracker recheck)",
+            ),
+            fold_batch: r.histogram(
+                "cpvr_fold_batch",
+                "Events folded per watermark advance",
+            ),
+            barrier_rounds: r.counter(
+                "cpvr_barrier_rounds_total",
+                "Barrier rounds completed (on a federation member, every federated round)",
+            ),
             shard_frontier,
             shard_fold_lag,
             shard_barrier_stall,
-            fed_rounds: r.counter("cpvr_federation_rounds_total"),
-            boundary_events_sent: r.counter("cpvr_boundary_events_sent_total"),
-            boundary_events_received: r.counter("cpvr_boundary_events_received_total"),
-            boundary_bytes_sent: r.counter("cpvr_boundary_bytes_sent_total"),
-            peer_ack_stalls: r.counter("cpvr_peer_ack_stalls_total"),
-            partial_verdict_nanos: r.histogram("cpvr_partial_verdict_nanos"),
+            fed_rounds: r.counter(
+                "cpvr_federation_rounds_total",
+                "Federated verdict rounds completed (partial verdicts merged into a global verdict)",
+            ),
+            boundary_events_sent: r.counter(
+                "cpvr_boundary_events_sent_total",
+                "Ownership-boundary HBG events forwarded eagerly to the owning peer",
+            ),
+            boundary_events_received: r.counter(
+                "cpvr_boundary_events_received_total",
+                "Ownership-boundary HBG events accepted from peers (post dedup)",
+            ),
+            boundary_bytes_sent: r.counter(
+                "cpvr_boundary_bytes_sent_total",
+                "Wire bytes of peer frames sent to federation peers (first sends; go-back-N replays \
+                 are not counted)",
+            ),
+            peer_ack_stalls: r.counter(
+                "cpvr_peer_ack_stalls_total",
+                "Live peer links dropped because their unacked frames saw no ack progress for the \
+                 stall bound; each drop replays the link's whole unacked window on reconnect",
+            ),
+            partial_verdict_nanos: r.histogram(
+                "cpvr_partial_verdict_nanos",
+                "Wall-clock from opening a federated round to merging its global verdict",
+            ),
             peer_frontier,
             peer_lag,
-            repair_records: r.counter("cpvr_repair_records_total"),
-            repair_gate_reproduced: r.counter("cpvr_repair_gate_reproduced_total"),
-            repair_gate_diverged: r.counter("cpvr_repair_gate_diverged_total"),
-            repair_gate_error: r.counter("cpvr_repair_gate_error_total"),
-            repairs_in_flight: r.gauge("cpvr_repairs_in_flight"),
-            repair_replay_nanos: r.histogram("cpvr_repair_replay_nanos"),
-            repair_skipped_low_confidence: r.counter("cpvr_repair_skipped_low_confidence_total"),
-            repair_peer_proofs: r.counter("cpvr_repair_peer_proofs_total"),
+            repair_records: r.counter(
+                "cpvr_repair_records_total",
+                "Repair-lifecycle records journaled (duplicates excluded)",
+            ),
+            repair_gate_reproduced: r.counter(
+                "cpvr_repair_gate_reproduced_total",
+                "Replay gates that returned REPRODUCED (the repair was applied)",
+            ),
+            repair_gate_diverged: r.counter(
+                "cpvr_repair_gate_diverged_total",
+                "Replay gates that returned DIVERGED (the repair was blocked)",
+            ),
+            repair_gate_error: r.counter(
+                "cpvr_repair_gate_error_total",
+                "Replay gates that returned ERROR (tampered or structurally invalid proof)",
+            ),
+            repairs_in_flight: r.gauge(
+                "cpvr_repairs_in_flight",
+                "Repairs journaled but not yet decided (Applied/Blocked/RolledBack)",
+            ),
+            repair_replay_nanos: r.histogram(
+                "cpvr_repair_replay_nanos",
+                "Wall-clock of one replay-gate execution over a proof's transcript",
+            ),
+            repair_skipped_low_confidence: r.counter(
+                "cpvr_repair_skipped_low_confidence_total",
+                "Root causes skipped for confidence below the control loop's threshold",
+            ),
+            repair_peer_proofs: r.counter(
+                "cpvr_repair_peer_proofs_total",
+                "Peer-advertised repair proofs received and re-validated by this member",
+            ),
             flight: Arc::new(FlightRecorder::new()),
-            flight_ring_overwrites: r.gauge("cpvr_flight_ring_overwrites"),
-            trace_bytes: r.counter("cpvr_trace_bytes_total"),
-            watermark_stall_seconds: r.gauge("cpvr_watermark_stall_seconds"),
-            flights_started: r.counter("cpvr_flights_started_total"),
-            flights_completed: r.counter("cpvr_flights_completed_total"),
-            flights_dropped: r.counter("cpvr_flights_dropped_total"),
-            flight_received_to_journaled: r.histogram("cpvr_flight_received_to_journaled_nanos"),
-            flight_journaled_to_acked: r.histogram("cpvr_flight_journaled_to_acked_nanos"),
-            flight_received_to_folded: r.histogram("cpvr_flight_received_to_folded_nanos"),
-            flight_folded_to_consistent: r.histogram("cpvr_flight_folded_to_consistent_nanos"),
+            flight_ring_overwrites: r.gauge(
+                "cpvr_flight_ring_overwrites",
+                "Flight-recorder ring records lost to wrap-around before any dump captured them",
+            ),
+            trace_bytes: r.counter(
+                "cpvr_trace_bytes_total",
+                "Trace-context trailer bytes carried on the wire (sent and received)",
+            ),
+            watermark_stall_seconds: r.gauge(
+                "cpvr_watermark_stall_seconds",
+                "Seconds since the global min-watermark last advanced (0 while it moves)",
+            ),
+            flights_started: r.counter(
+                "cpvr_flights_started_total",
+                "Sampled event flights opened at Received",
+            ),
+            flights_completed: r.counter(
+                "cpvr_flights_completed_total",
+                "Sampled event flights that reached a consistent snapshot",
+            ),
+            flights_dropped: r.counter(
+                "cpvr_flights_dropped_total",
+                "Sampled event flights evicted by the in-flight cap",
+            ),
+            flight_received_to_journaled: r.histogram(
+                "cpvr_flight_received_to_journaled_nanos",
+                "Latency from socket receive to WAL append",
+            ),
+            flight_journaled_to_acked: r.histogram(
+                "cpvr_flight_journaled_to_acked_nanos",
+                "Latency from WAL append to the covering Ack",
+            ),
+            flight_received_to_folded: r.histogram(
+                "cpvr_flight_received_to_folded_nanos",
+                "End-to-end latency from receive to HBG fold",
+            ),
+            flight_folded_to_consistent: r.histogram(
+                "cpvr_flight_folded_to_consistent_nanos",
+                "Wait between HBG fold and snapshot consistency (the paper's wait-instead-of-false-alarm)",
+            ),
             sources: SourceGauges {
                 state,
                 lag_nanos,
@@ -651,29 +488,34 @@ impl CollectorMetrics {
     /// recorder is unarmed) and publishes the dump/overwrite series.
     /// Returns the artifact path if one was written.
     pub(crate) fn flight_dump(&self, reason: &str) -> Option<std::path::PathBuf> {
-        let path = self.flight.dump(reason);
-        if path.is_some() {
-            self.registry
-                .counter_with("cpvr_flight_dumps_total", &[("reason", reason)])
-                .inc();
-        }
-        self.flight_ring_overwrites
-            .set(self.flight.ring_overwrites() as i64);
-        path
+        self.count_dump(reason, self.flight.dump(reason))
     }
 
     /// The one-shot watermark-stall dump (see
     /// [`FlightRecorder::dump_stall_once`]); counts it like any other
     /// anomaly dump on the episode's first firing.
     pub(crate) fn flight_stall_dump(&self) -> Option<std::path::PathBuf> {
-        let path = self.flight.dump_stall_once("stall");
+        self.count_dump("stall", self.flight.dump_stall_once("stall"))
+    }
+
+    /// Counts a written dump under its trigger reason and republishes the
+    /// ring's overwrite count.
+    fn count_dump(
+        &self,
+        reason: &str,
+        path: Option<std::path::PathBuf>,
+    ) -> Option<std::path::PathBuf> {
         if path.is_some() {
             self.registry
-                .counter_with("cpvr_flight_dumps_total", &[("reason", "stall")])
+                .counter_with(
+                    "cpvr_flight_dumps_total",
+                    "Flight-recorder dumps written, by trigger reason",
+                    &[("reason", reason)],
+                )
                 .inc();
-            self.flight_ring_overwrites
-                .set(self.flight.ring_overwrites() as i64);
         }
+        self.flight_ring_overwrites
+            .set(self.flight.ring_overwrites() as i64);
         path
     }
 
@@ -689,7 +531,11 @@ impl CollectorMetrics {
             let known = offered.iter().position(|(s, _)| s == source);
             let i = known.unwrap_or_else(|| {
                 let labels = [("rule", &*source.to_string())];
-                let gauge = self.registry.gauge_with("cpvr_hbg_edges_offered", &labels);
+                let gauge = self.registry.gauge_with(
+                    "cpvr_hbg_edges_offered",
+                    "Happens-before edges offered to the graph, by inference source (rule label)",
+                    &labels,
+                );
                 offered.push((*source, gauge));
                 offered.len() - 1
             });
@@ -739,11 +585,17 @@ impl CollectorMetrics {
     pub(crate) fn wal_metrics(&self) -> WalMetrics {
         let r = &self.registry;
         WalMetrics {
-            appends: r.counter("cpvr_wal_appends_total"),
-            bytes: r.counter("cpvr_wal_bytes_total"),
-            syncs: r.counter("cpvr_wal_syncs_total"),
-            rotations: r.counter("cpvr_wal_rotations_total"),
-            fsync_nanos: r.histogram("cpvr_wal_fsync_nanos"),
+            appends: r.counter("cpvr_wal_appends_total", "Records appended to the WAL"),
+            bytes: r.counter("cpvr_wal_bytes_total", "Payload bytes appended to the WAL"),
+            syncs: r.counter(
+                "cpvr_wal_syncs_total",
+                "fsync (sync_data) calls issued by the WAL",
+            ),
+            rotations: r.counter("cpvr_wal_rotations_total", "Segment rotations"),
+            fsync_nanos: r.histogram(
+                "cpvr_wal_fsync_nanos",
+                "Wall-clock latency of one WAL flush+fsync",
+            ),
         }
     }
 
@@ -805,5 +657,31 @@ mod tests {
         m.publish_sources(&fresh);
         let lags: Vec<i64> = m.sources.lag_nanos.iter().map(Gauge::value).collect();
         assert_eq!(lags, [-1, -1, -1]);
+    }
+
+    /// Every family a collector publishes renders with its help text:
+    /// each `# TYPE` line follows the `# HELP` line of the same family.
+    #[test]
+    fn every_family_carries_help() {
+        let m = CollectorMetrics::new(4, 2, 3);
+        m.wal_metrics();
+        let text = String::from_utf8(m.render(ExpoFormat::Prometheus.as_byte())).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let mut families = 0;
+        for (i, line) in lines.iter().enumerate() {
+            let Some(rest) = line.strip_prefix("# TYPE ") else {
+                continue;
+            };
+            let name = rest.split(' ').next().unwrap();
+            let help = format!("# HELP {name} ");
+            assert!(
+                i > 0 && lines[i - 1].starts_with(&help) && lines[i - 1].len() > help.len(),
+                "family `{name}` has no help text"
+            );
+            families += 1;
+        }
+        // All 64 but the two resolved on first use: per-rule edge offers
+        // and flight dumps by reason.
+        assert_eq!(families, 62);
     }
 }

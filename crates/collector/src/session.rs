@@ -294,7 +294,7 @@ impl Session<'_> {
                 self.metrics.publish_sources(&self.sources);
                 self.gate_moved();
             }
-            Msg::Events { conn, batch } => {
+            Msg::Events { conn, batch, defs } => {
                 let Some(source) = self.heard_from(conn) else {
                     return;
                 };
@@ -350,7 +350,7 @@ impl Session<'_> {
                 }
                 let upto = self.sources.next_seq(source);
                 let fin = self.sources.finished(source);
-                self.shards.ingest(conn, source, fresh, upto, fin);
+                self.shards.ingest(conn, source, fresh, defs, upto, fin);
                 // Filling a gap may have settled a parked promise.
                 self.gate_moved();
             }
@@ -378,13 +378,6 @@ impl Session<'_> {
                 self.gate_moved();
                 self.ack(conn, source);
             }
-            // A symbol definition journals into the series that will
-            // journal the events using it — ahead of them, because the
-            // reader flushed its batch first and channel order is stream
-            // order — so a per-series replay sees define-before-use.
-            // Idempotent on replay, so a definition whose events never
-            // arrive is harmless.
-            Msg::Intern { router, raw } => self.shards.journal(Some(RouterId(router)), raw),
             Msg::Repair { record, done } => {
                 // Journal the lifecycle record before folding it, so the
                 // ledger never runs ahead of the log.

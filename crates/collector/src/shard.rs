@@ -373,10 +373,14 @@ impl FoldReport {
 /// backpressure story as the reader → session channel.
 pub(crate) enum WorkerMsg {
     /// Fresh, in-order, non-late, classified events for an owned
-    /// router: journal the wire bytes (WAL-recovered events carry none —
+    /// router: journal the intern definitions that arrived with them,
+    /// then the events' wire bytes (WAL-recovered events carry none —
     /// they are durable already), ingest, then ack `(conn, upto, fin)`.
+    /// Definitions are idempotent on replay, so one whose events were
+    /// dropped as duplicates is harmless.
     Ingest {
         batch: Vec<EventRec>,
+        defs: Vec<Vec<u8>>,
         ack: Option<(u64, u64, bool)>,
     },
     /// Records of events whose conversations this worker owns but whose
@@ -507,10 +511,11 @@ impl Worker {
         let (local, m) = (self.local, Arc::clone(&self.metrics));
         while let Ok(msg) = rx.recv() {
             match msg {
-                WorkerMsg::Ingest { batch, ack } => {
+                WorkerMsg::Ingest { batch, defs, ack } => {
                     // Sampled flights in the batch, by when each was
                     // appended to the journal.
                     let mut flights: Vec<Instant> = Vec::new();
+                    let defined = defs.iter().filter(|d| self.journal(d)).count() as u32;
                     let mut journaled = 0u32;
                     for rec in &batch {
                         if let Some(raw) = rec.raw.as_ref() {
@@ -523,7 +528,7 @@ impl Worker {
                             }
                         }
                     }
-                    self.commit(journaled);
+                    self.commit(defined + journaled);
                     for rec in &batch {
                         self.fold.ingest(rec.rec, rec.arrived_at);
                     }
@@ -683,17 +688,13 @@ impl Shards {
         // Cadence: `EveryN(n)` syncs once per `n` appends across all
         // series; `Always` syncs via per-batch tickets; `Never` only on
         // rotation/close/stop.
-        let gc = cfg.wal.is_some().then(|| {
+        let wal_metrics = cfg.wal.is_some().then(|| metrics.wal_metrics());
+        let gc = wal_metrics.as_ref().map(|wm| {
             let cadence = match fsync {
                 FsyncPolicy::EveryN(n) => n.max(1),
                 FsyncPolicy::Always | FsyncPolicy::Never => u32::MAX,
             };
-            let r = &metrics.registry;
-            let gc_metrics = (
-                r.counter("cpvr_wal_syncs_total"),
-                r.histogram("cpvr_wal_fsync_nanos"),
-            );
-            GroupCommit::start(cadence, gc_metrics)
+            GroupCommit::start(cadence, (wm.syncs.clone(), wm.fsync_nanos.clone()))
         });
 
         let (reply_tx, replies) = std::sync::mpsc::channel::<Reply>();
@@ -701,7 +702,7 @@ impl Shards {
         for k in 0..shards {
             let mut wal = None;
             let mut last_segment = 0;
-            if let (Some(wal_cfg), Some(gc)) = (&cfg.wal, &gc) {
+            if let (Some(wal_cfg), Some(gc), Some(wm)) = (&cfg.wal, &gc, &wal_metrics) {
                 // A one-shard collector keeps the unnumbered series, so
                 // its directory reads like any single journal's.
                 let mut series_cfg = wal_cfg.clone();
@@ -710,7 +711,7 @@ impl Shards {
                 }
                 series_cfg.deferred_sync = true;
                 let mut w = Wal::open(series_cfg)?;
-                w.set_metrics(metrics.wal_metrics());
+                w.set_metrics(wm.clone());
                 last_segment = w.segment_index();
                 gc.handle().register(k, w.active_file()?);
                 wal = Some(w);
@@ -867,18 +868,23 @@ impl Shards {
         self.send_crosses(crosses);
         for (w, batch) in self.workers.iter().zip(seeds) {
             if !batch.is_empty() {
-                let _ = w.send(WorkerMsg::Ingest { batch, ack: None });
+                let _ = w.send(WorkerMsg::Ingest {
+                    batch,
+                    defs: Vec::new(),
+                    ack: None,
+                });
             }
         }
     }
 
-    /// Journals and buffers a batch of fresh events from `source`, then
-    /// acks `upto` (and `fin`) on `conn`.
+    /// Journals `defs` and a batch of fresh events from `source`, buffers
+    /// the events, then acks `upto` (and `fin`) on `conn`.
     pub(crate) fn ingest(
         &mut self,
         conn: u64,
         source: RouterId,
         batch: Vec<EventRec>,
+        defs: Vec<Vec<u8>>,
         upto: u64,
         fin: bool,
     ) {
@@ -889,7 +895,7 @@ impl Shards {
         }
         self.send_crosses(crosses);
         let ack = Some((conn, upto, fin));
-        self.send(Some(source), WorkerMsg::Ingest { batch, ack });
+        self.send(Some(source), WorkerMsg::Ingest { batch, defs, ack });
     }
 
     /// Phase 1 of the round at `f`: every own worker journals the

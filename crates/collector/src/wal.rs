@@ -117,6 +117,7 @@ pub struct Wal {
 /// Registry handles the WAL publishes through (see
 /// [`Wal::set_metrics`]); resolved by the collector so the WAL itself
 /// stays ignorant of metric names.
+#[derive(Clone)]
 pub struct WalMetrics {
     /// Records appended.
     pub appends: cpvr_obs::Counter,

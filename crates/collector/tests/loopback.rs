@@ -239,3 +239,75 @@ fn watermark_does_not_wait_on_acks() {
     drop(sink);
     handle.shutdown().expect("clean shutdown");
 }
+
+/// Intern definitions ride in the reader's event batch instead of
+/// splitting it: a stream of 2 048 events with a fresh prefix each — so
+/// every event is preceded by its own definition frame — is acked in
+/// batches, not once per event, and the journal still replays every
+/// event (each definition lands ahead of the events that use it).
+#[test]
+fn intern_frames_do_not_split_the_ack_batch() {
+    use cpvr_collector::codec::{encode_frame, Decoder, EventEncoder, Frame, Hello};
+    use cpvr_sim::workload::prefix_block;
+    use cpvr_sim::{EventId, IoKind};
+    use std::io::{Read, Write};
+
+    const N: u64 = 2048;
+    let wal_dir = TempDir::new("intern-acks").unwrap();
+    let cfg = CollectorConfig::new(1).with_wal(WalConfig::new(wal_dir.path()));
+    let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
+
+    let mut stream = Vec::new();
+    stream.extend(encode_frame(&Frame::Hello(Hello {
+        source: RouterId(0),
+        n_routers: 1,
+        session: 0x1a7e,
+        first_seq: 0,
+    })));
+    let mut enc = EventEncoder::default();
+    for (seq, prefix) in (0..N).zip(prefix_block(N as usize)) {
+        let time = SimTime::from_micros(seq + 1);
+        let event = IoEvent {
+            id: EventId(seq as u32),
+            router: RouterId(0),
+            time,
+            arrived_at: Some(time),
+            kind: IoKind::FibInstall {
+                prefix,
+                action: cpvr_dataplane::FibAction::Drop,
+            },
+        };
+        enc.encode_into(seq, &event, &mut stream);
+    }
+    stream.extend(encode_frame(&Frame::Heartbeat));
+
+    let mut conn = std::net::TcpStream::connect(handle.local_addr()).expect("tcp connect");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    conn.write_all(&stream).expect("write the stream");
+
+    let (mut dec, mut buf) = (Decoder::new(), [0u8; 4096]);
+    let (mut acks, mut upto) = (0u32, 0u64);
+    while upto < N {
+        let n = conn.read(&mut buf).expect("read acks");
+        assert!(n > 0, "the collector hung up after acking {upto} of {N}");
+        dec.feed(&buf[..n]);
+        while let Some(msg) = dec.next_message(false) {
+            if let Frame::Ack { upto: u } = msg.expect("decodable reply").frame {
+                acks += 1;
+                upto = u;
+            }
+        }
+    }
+    eprintln!("{acks} acks for {N} events");
+    assert!(
+        acks <= 64,
+        "{acks} acks for {N} events: batches split at intern frames"
+    );
+
+    drop(conn);
+    handle.shutdown().expect("clean shutdown");
+    let (recovered, _) = IngestPipeline::recover(PipelineConfig::new(1), wal_dir.path())
+        .expect("recover the journal");
+    assert_eq!(recovered.events(), N);
+}

@@ -164,13 +164,12 @@ impl ExpoFormat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{MetricKind, MetricsRegistry};
+    use crate::registry::MetricsRegistry;
 
     #[test]
     fn prometheus_escapes_labels() {
         let r = MetricsRegistry::new();
-        r.declare("c", MetricKind::Counter, "test");
-        r.counter_with("c", &[("path", "a\"b\\c\nd")]).inc();
+        r.counter_with("c", "test", &[("path", "a\"b\\c\nd")]).inc();
         let text = render_prometheus(&r.snapshot());
         assert!(text.contains(r#"c{path="a\"b\\c\nd"} 1"#), "{text}");
     }
@@ -178,8 +177,7 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative() {
         let r = MetricsRegistry::new();
-        r.declare("lat", MetricKind::Histogram, "test");
-        let h = r.histogram("lat");
+        let h = r.histogram("lat", "test");
         h.observe(1);
         h.observe(3);
         h.observe(3);

@@ -26,9 +26,10 @@
 //!   `MetricsResp` frames and embedded in `CollectorReport` at
 //!   shutdown.
 //!
-//! With the `obs-strict` cargo feature, using an undeclared metric or
-//! declaring a family twice panics; CI runs the collector loopback test
-//! in that mode so instrumentation and declarations cannot drift apart.
+//! A metric family is declared by the call that resolves its handle
+//! (name, kind and help text together), so there is no separate
+//! declaration to drift from its use; two resolves that disagree on
+//! kind or help panic.
 
 pub mod expo;
 pub mod registry;

@@ -35,9 +35,8 @@ fn shard_index() -> usize {
     SHARD.with(|s| *s)
 }
 
-/// The kind of a metric family; declaring a name twice with different
-/// kinds is always a programming error and panics even without
-/// `obs-strict`.
+/// The kind of a metric family; registering a name twice with different
+/// kinds is a programming error and panics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MetricKind {
     /// Monotonically increasing sum (sharded).
@@ -237,11 +236,12 @@ struct Series {
 
 /// The registry: a name → family map plus the live series.
 ///
-/// Lookup takes a read-write lock, so resolve handles once at wiring
+/// Resolving a handle declares its family: the call names the metric,
+/// its kind (by which method) and its help text, so each family is
+/// written in one place. A second resolve must agree on kind and help,
+/// or it panics. Lookup takes locks, so resolve handles once at wiring
 /// time and keep them; only scrapes and first-touch registration pay
-/// for the lock. With the `obs-strict` feature, touching an undeclared
-/// family or declaring one twice panics — CI runs the loopback test in
-/// that mode to catch drift between declarations and use sites.
+/// for them.
 pub struct MetricsRegistry {
     families: Mutex<BTreeMap<String, Family>>,
     series: RwLock<Series>,
@@ -262,63 +262,34 @@ impl MetricsRegistry {
         }
     }
 
-    /// Declares a metric family before use. Under `obs-strict` a second
-    /// declaration of the same name panics; otherwise it is idempotent.
-    /// A kind conflict panics unconditionally.
-    pub fn declare(&self, name: &str, kind: MetricKind, help: &str) {
-        let mut fams = self.families.lock().unwrap();
-        if let Some(f) = fams.get(name) {
-            assert!(
-                f.kind == kind,
-                "metric `{name}` declared as {:?} and {kind:?}",
-                f.kind
-            );
-            if cfg!(feature = "obs-strict") {
-                panic!("metric `{name}` declared twice");
-            }
-            return;
-        }
-        fams.insert(
-            name.to_string(),
-            Family {
-                kind,
-                help: help.to_string(),
-            },
+    /// Registers family `name` on first use; a later use must agree on
+    /// its kind and help text, or it panics.
+    fn family(&self, name: &str, kind: MetricKind, help: &str) {
+        let mut fams = self.families.lock().expect("a registry user panicked");
+        let f = fams.entry(name.to_string()).or_insert_with(|| Family {
+            kind,
+            help: help.to_string(),
+        });
+        assert!(
+            f.kind == kind,
+            "metric `{name}` declared as {:?} and {kind:?}",
+            f.kind
+        );
+        assert!(
+            f.help == help,
+            "metric `{name}` declared with help {:?} and {help:?}",
+            f.help
         );
     }
 
-    fn check_declared(&self, name: &str, kind: MetricKind) {
-        let mut fams = self.families.lock().unwrap();
-        match fams.get(name) {
-            Some(f) => assert!(
-                f.kind == kind,
-                "metric `{name}` declared as {:?}, used as {kind:?}",
-                f.kind
-            ),
-            None if cfg!(feature = "obs-strict") => {
-                panic!("metric `{name}` used without being declared")
-            }
-            None => {
-                fams.insert(
-                    name.to_string(),
-                    Family {
-                        kind,
-                        help: String::new(),
-                    },
-                );
-            }
-        }
+    /// The counter `name` with no labels, declaring its family.
+    pub fn counter(&self, name: &str, help: &str) -> Counter {
+        self.counter_with(name, help, &[])
     }
 
-    /// The counter `name` with no labels (registered on first touch
-    /// unless `obs-strict`).
-    pub fn counter(&self, name: &str) -> Counter {
-        self.counter_with(name, &[])
-    }
-
-    /// The counter `name` with the given labels.
-    pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        self.check_declared(name, MetricKind::Counter);
+    /// The counter `name` with the given labels, declaring its family.
+    pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
+        self.family(name, MetricKind::Counter, help);
         let key = series_key(name, labels);
         if let Some(c) = self.series.read().unwrap().counters.get(&key) {
             return c.clone();
@@ -327,14 +298,14 @@ impl MetricsRegistry {
         s.counters.entry(key).or_insert_with(Counter::new).clone()
     }
 
-    /// The gauge `name` with no labels.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.gauge_with(name, &[])
+    /// The gauge `name` with no labels, declaring its family.
+    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
+        self.gauge_with(name, help, &[])
     }
 
-    /// The gauge `name` with the given labels.
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        self.check_declared(name, MetricKind::Gauge);
+    /// The gauge `name` with the given labels, declaring its family.
+    pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
+        self.family(name, MetricKind::Gauge, help);
         let key = series_key(name, labels);
         if let Some(g) = self.series.read().unwrap().gauges.get(&key) {
             return g.clone();
@@ -343,14 +314,14 @@ impl MetricsRegistry {
         s.gauges.entry(key).or_insert_with(Gauge::new).clone()
     }
 
-    /// The histogram `name` with no labels.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.histogram_with(name, &[])
+    /// The histogram `name` with no labels, declaring its family.
+    pub fn histogram(&self, name: &str, help: &str) -> Histogram {
+        self.histogram_with(name, help, &[])
     }
 
-    /// The histogram `name` with the given labels.
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        self.check_declared(name, MetricKind::Histogram);
+    /// The histogram `name` with the given labels, declaring its family.
+    pub fn histogram_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
+        self.family(name, MetricKind::Histogram, help);
         let key = series_key(name, labels);
         if let Some(h) = self.series.read().unwrap().histograms.get(&key) {
             return h.clone();
@@ -397,7 +368,6 @@ impl MetricsRegistry {
                 .collect(),
             help: fams
                 .iter()
-                .filter(|(_, f)| !f.help.is_empty())
                 .map(|(name, f)| (name.clone(), f.help.clone()))
                 .collect(),
         }
@@ -511,7 +481,8 @@ pub struct Snapshot {
     pub gauges: Vec<GaugeSample>,
     /// All histogram series, in (name, labels) order.
     pub histograms: Vec<HistogramSample>,
-    /// `(family name, help text)` pairs for exposition.
+    /// `(family name, help text)` pairs for exposition, one per
+    /// registered family.
     pub help: Vec<(String, String)>,
 }
 
@@ -576,8 +547,7 @@ mod tests {
     #[test]
     fn counter_folds_shards() {
         let r = MetricsRegistry::new();
-        r.declare("c", MetricKind::Counter, "test counter");
-        let c = r.counter("c");
+        let c = r.counter("c", "test counter");
         c.add(3);
         c.inc();
         assert_eq!(c.value(), 4);
@@ -600,8 +570,7 @@ mod tests {
     #[test]
     fn gauge_set_and_add() {
         let r = MetricsRegistry::new();
-        r.declare("g", MetricKind::Gauge, "test gauge");
-        let g = r.gauge("g");
+        let g = r.gauge("g", "test gauge");
         g.set(10);
         g.add(-3);
         assert_eq!(g.value(), 7);
@@ -610,8 +579,7 @@ mod tests {
     #[test]
     fn histogram_buckets_and_quantiles() {
         let r = MetricsRegistry::new();
-        r.declare("h", MetricKind::Histogram, "test histogram");
-        let h = r.histogram("h");
+        let h = r.histogram("h", "test histogram");
         for v in [0u64, 1, 2, 3, 900, 1000, 1_000_000] {
             h.observe(v);
         }
@@ -632,9 +600,8 @@ mod tests {
     #[test]
     fn labels_are_order_insensitive() {
         let r = MetricsRegistry::new();
-        r.declare("c", MetricKind::Counter, "test counter");
-        let a = r.counter_with("c", &[("x", "1"), ("y", "2")]);
-        let b = r.counter_with("c", &[("y", "2"), ("x", "1")]);
+        let a = r.counter_with("c", "test counter", &[("x", "1"), ("y", "2")]);
+        let b = r.counter_with("c", "test counter", &[("y", "2"), ("x", "1")]);
         a.inc();
         b.inc();
         assert_eq!(a.value(), 2);
@@ -648,25 +615,15 @@ mod tests {
     #[should_panic(expected = "declared as")]
     fn kind_conflict_panics() {
         let r = MetricsRegistry::new();
-        r.declare("m", MetricKind::Counter, "test");
-        r.counter("m");
-        r.gauge("m");
+        r.counter("m", "test");
+        r.gauge("m", "test");
     }
 
-    #[cfg(feature = "obs-strict")]
     #[test]
-    #[should_panic(expected = "without being declared")]
-    fn strict_mode_rejects_undeclared() {
+    #[should_panic(expected = "declared with help")]
+    fn help_conflict_panics() {
         let r = MetricsRegistry::new();
-        r.counter("nope");
-    }
-
-    #[cfg(feature = "obs-strict")]
-    #[test]
-    #[should_panic(expected = "declared twice")]
-    fn strict_mode_rejects_double_declaration() {
-        let r = MetricsRegistry::new();
-        r.declare("m", MetricKind::Counter, "m");
-        r.declare("m", MetricKind::Counter, "m");
+        r.counter("m", "one help");
+        r.counter_with("m", "another help", &[("x", "1")]);
     }
 }

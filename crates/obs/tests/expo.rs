@@ -7,54 +7,38 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-use cpvr_obs::{render_prometheus, ExpoFormat, MetricKind, MetricsRegistry, Snapshot};
+use cpvr_obs::{render_prometheus, ExpoFormat, MetricsRegistry, Snapshot};
 use cpvr_obs::{CounterSample, GaugeSample, HistogramSample};
 use proptest::prelude::*;
 
 /// Builds a registry with one of everything, deterministically.
 fn sample_registry() -> MetricsRegistry {
     let r = MetricsRegistry::new();
-    r.declare(
-        "cpvr_events_received_total",
-        MetricKind::Counter,
-        "Fresh events accepted by the merger",
-    );
-    r.declare(
-        "cpvr_watermark_nanos",
-        MetricKind::Gauge,
-        "Global min-watermark in simulated nanoseconds",
-    );
-    r.declare(
-        "cpvr_wal_fsync_nanos",
-        MetricKind::Histogram,
-        "WAL fsync latency",
-    );
-    r.declare(
-        "cpvr_flight_dumps_total",
-        MetricKind::Counter,
-        "Flight-recorder dumps frozen, by anomaly trigger",
-    );
-    r.declare(
-        "cpvr_trace_bytes_total",
-        MetricKind::Counter,
-        "Bytes of TraceCtx trailers sent and received",
-    );
-    r.declare(
-        "cpvr_watermark_stall_seconds",
-        MetricKind::Gauge,
-        "Seconds the global watermark has been stuck",
-    );
-    r.counter("cpvr_events_received_total").add(42);
-    r.counter_with("cpvr_events_received_total", &[("router", "1")])
+    let received = "Fresh events accepted by the merger";
+    let dumps = "Flight-recorder dumps frozen, by anomaly trigger";
+    r.counter("cpvr_events_received_total", received).add(42);
+    r.counter_with("cpvr_events_received_total", received, &[("router", "1")])
         .add(7);
-    r.counter_with("cpvr_flight_dumps_total", &[("reason", "eviction")])
+    r.counter_with("cpvr_flight_dumps_total", dumps, &[("reason", "eviction")])
         .add(1);
-    r.counter_with("cpvr_flight_dumps_total", &[("reason", "diverged")])
+    r.counter_with("cpvr_flight_dumps_total", dumps, &[("reason", "diverged")])
         .add(2);
-    r.counter("cpvr_trace_bytes_total").add(1536);
-    r.gauge("cpvr_watermark_nanos").set(123);
-    r.gauge("cpvr_watermark_stall_seconds").set(31);
-    let h = r.histogram("cpvr_wal_fsync_nanos");
+    r.counter(
+        "cpvr_trace_bytes_total",
+        "Bytes of TraceCtx trailers sent and received",
+    )
+    .add(1536);
+    r.gauge(
+        "cpvr_watermark_nanos",
+        "Global min-watermark in simulated nanoseconds",
+    )
+    .set(123);
+    r.gauge(
+        "cpvr_watermark_stall_seconds",
+        "Seconds the global watermark has been stuck",
+    )
+    .set(31);
+    let h = r.histogram("cpvr_wal_fsync_nanos", "WAL fsync latency");
     for v in [0u64, 1, 900, 1000, 1_000_000] {
         h.observe(v);
     }
@@ -202,15 +186,13 @@ fn scrape_under_contended_writes_never_tears() {
     const VALUE: u64 = 1000; // 10 significant bits -> bucket edge 1023
 
     let reg = Arc::new(MetricsRegistry::new());
-    reg.declare("lat", MetricKind::Histogram, "contended histogram");
-    reg.declare("ops_total", MetricKind::Counter, "contended counter");
     let stop = Arc::new(AtomicBool::new(false));
 
     let writers: Vec<_> = (0..WRITERS)
         .map(|_| {
             let reg = Arc::clone(&reg);
-            let h = reg.histogram("lat");
-            let c = reg.counter("ops_total");
+            let h = reg.histogram("lat", "contended histogram");
+            let c = reg.counter("ops_total", "contended counter");
             thread::spawn(move || {
                 for _ in 0..PER_WRITER {
                     h.observe(VALUE);
