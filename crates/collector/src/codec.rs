@@ -52,9 +52,11 @@
 //!
 //! Everything that is not an event body is version-agnostic: compact
 //! JSON ([`cpvr_types::json`]) for the handshakes and the federation
-//! peer frames, raw little-endian integers for the high-frequency
-//! control frames, and a binary record for the repair journal. The
-//! fault-tolerance vocabulary rides on those:
+//! peer frames, little-endian integers for the high-frequency control
+//! frames, and a binary record for the repair journal. Every binary
+//! payload, event bodies included, is read through one
+//! [`cpvr_types::bin::Reader`] that must end exactly at the payload's
+//! end. The fault-tolerance vocabulary rides on those:
 //!
 //! * every [`Frame::Event`] carries a per-session **sequence number**,
 //!   so the collector can detect duplicates (re-sent after a reconnect)
@@ -76,11 +78,12 @@
 use cpvr_core::snapshot::ConvDigest;
 use cpvr_sim::wire::{self, InternDef, WireError};
 use cpvr_sim::IoEvent;
+use cpvr_types::bin::{self, BinError, Reader};
 use cpvr_types::crc32;
 use cpvr_types::intern::InternStore;
 use cpvr_types::json::{from_str, to_string_compact, JsonError};
 use cpvr_types::trace::TRACE_CTX_WIRE_LEN;
-use cpvr_types::{varint, Interns, RouterId, SimTime, TraceCtx};
+use cpvr_types::{Interns, RouterId, SimTime, TraceCtx};
 use std::fmt;
 use std::io::{self, Write};
 
@@ -334,29 +337,24 @@ pub enum RepairStage {
 }
 
 impl RepairStage {
+    /// Every stage, in declaration order — which is the wire byte order.
+    const ALL: [RepairStage; 6] = [
+        RepairStage::Proposed,
+        RepairStage::Proven,
+        RepairStage::Gated,
+        RepairStage::Applied,
+        RepairStage::Blocked,
+        RepairStage::RolledBack,
+    ];
+
     /// Wire byte for this stage.
     pub fn byte(self) -> u8 {
-        match self {
-            RepairStage::Proposed => 0,
-            RepairStage::Proven => 1,
-            RepairStage::Gated => 2,
-            RepairStage::Applied => 3,
-            RepairStage::Blocked => 4,
-            RepairStage::RolledBack => 5,
-        }
+        self as u8
     }
 
     /// Inverse of [`byte`](RepairStage::byte).
     pub fn from_byte(b: u8) -> Option<Self> {
-        Some(match b {
-            0 => RepairStage::Proposed,
-            1 => RepairStage::Proven,
-            2 => RepairStage::Gated,
-            3 => RepairStage::Applied,
-            4 => RepairStage::Blocked,
-            5 => RepairStage::RolledBack,
-            _ => return None,
-        })
+        Self::ALL.get(usize::from(b)).copied()
     }
 }
 
@@ -388,21 +386,19 @@ pub struct RepairRecord {
 }
 
 impl RepairRecord {
-    /// Serializes the binary payload.
+    /// Serializes the binary payload: `repair_id` LE64 · stage u8 ·
+    /// `at` LE64 · optional verdict (presence u8 + u8) · length-prefixed
+    /// proof bytes · optional 12-byte trace trailer.
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut p = Vec::with_capacity(38 + self.proof.len());
-        p.extend_from_slice(&self.repair_id.to_le_bytes());
+        bin::put_u64_le(&mut p, self.repair_id);
         p.push(self.stage.byte());
-        p.extend_from_slice(&self.at.as_nanos().to_le_bytes());
+        bin::put_u64_le(&mut p, self.at.as_nanos());
         match self.verdict {
-            Some(v) => {
-                p.push(1);
-                p.push(v);
-            }
+            Some(v) => p.extend_from_slice(&[1, v]),
             None => p.push(0),
         }
-        varint::write_u64(&mut p, self.proof.len() as u64);
-        p.extend_from_slice(&self.proof);
+        bin::put_len_prefixed(&mut p, &self.proof);
         if let Some(ctx) = self.trace {
             ctx.encode_to(&mut p);
         }
@@ -412,64 +408,34 @@ impl RepairRecord {
     /// Decodes the binary payload; rejects truncation, unknown stage
     /// bytes, and trailing garbage.
     pub fn decode_payload(p: &[u8]) -> Result<Self, CodecError> {
-        let bad = CodecError::BadPayload("repair record truncated");
-        if p.len() < 18 {
-            return Err(bad);
-        }
-        let repair_id = u64::from_le_bytes(p[..8].try_into().expect("8 bytes"));
-        let stage =
-            RepairStage::from_byte(p[8]).ok_or(CodecError::BadPayload("unknown repair stage"))?;
-        let at = SimTime::from_nanos(u64::from_le_bytes(p[9..17].try_into().expect("8 bytes")));
-        let mut pos = 17;
-        let verdict = match p[pos] {
-            0 => {
-                pos += 1;
+        read_payload(p, "malformed repair record", |r| {
+            let repair_id = r.u64_le()?;
+            let stage = r.u8()?;
+            let stage =
+                RepairStage::from_byte(stage).ok_or(BinError::BadTag("repair stage", stage))?;
+            let at = SimTime::from_nanos(r.u64_le()?);
+            let verdict = if r.flag("verdict option")? {
+                Some(r.u8()?)
+            } else {
                 None
-            }
-            1 => {
-                pos += 1;
-                let v = *p
-                    .get(pos)
-                    .ok_or(CodecError::BadPayload("repair record truncated at verdict"))?;
-                pos += 1;
-                Some(v)
-            }
-            _ => return Err(CodecError::BadPayload("bad verdict option tag")),
-        };
-        let len = varint::read_u64(p, &mut pos).ok_or(CodecError::BadPayload(
-            "repair record truncated at proof len",
-        ))?;
-        let len =
-            usize::try_from(len).map_err(|_| CodecError::BadPayload("proof length overflows"))?;
-        let end = pos
-            .checked_add(len)
-            .ok_or(CodecError::BadPayload("proof length overflows"))?;
-        if end > p.len() {
-            return Err(CodecError::BadPayload(
-                "repair record length disagrees with payload",
-            ));
-        }
-        // Anything after the proof must be exactly one trace trailer
-        // (records from pre-trace WALs end at the proof).
-        let trace = match p.len() - end {
-            0 => None,
-            TRACE_CTX_WIRE_LEN => Some(
-                TraceCtx::decode(&p[end..])
-                    .ok_or(CodecError::BadPayload("malformed trace trailer"))?,
-            ),
-            _ => {
-                return Err(CodecError::BadPayload(
-                    "repair record length disagrees with payload",
-                ))
-            }
-        };
-        Ok(RepairRecord {
-            repair_id,
-            stage,
-            at,
-            verdict,
-            proof: p[pos..end].to_vec(),
-            trace,
+            };
+            let proof = r.len_prefixed()?.to_vec();
+            // Anything after the proof must be exactly one trace trailer
+            // (records from pre-trace WALs end at the proof).
+            let trace = if r.remaining() == 0 {
+                None
+            } else {
+                let trailer = r.take(TRACE_CTX_WIRE_LEN)?;
+                Some(TraceCtx::decode(trailer).ok_or(BinError::Truncated)?)
+            };
+            Ok(RepairRecord {
+                repair_id,
+                stage,
+                at,
+                verdict,
+                proof,
+                trace,
+            })
         })
     }
 }
@@ -745,14 +711,23 @@ impl From<WireError> for CodecError {
     }
 }
 
-fn le_u64(bytes: &[u8], what: &'static str) -> Result<u64, CodecError> {
-    let arr: [u8; 8] = bytes.try_into().map_err(|_| CodecError::BadPayload(what))?;
-    Ok(u64::from_le_bytes(arr))
-}
-
-fn le_u32(bytes: &[u8], what: &'static str) -> Result<u32, CodecError> {
-    let arr: [u8; 4] = bytes.try_into().map_err(|_| CodecError::BadPayload(what))?;
-    Ok(u32::from_le_bytes(arr))
+/// Reads a binary payload through one [`Reader`] that must be used up.
+/// Any malformation is [`CodecError::BadPayload`], naming the field for
+/// a bad tag and `what` otherwise.
+fn read_payload<'a, T>(
+    payload: &'a [u8],
+    what: &'static str,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, BinError>,
+) -> Result<T, CodecError> {
+    let mut r = Reader::new(payload);
+    read(&mut r)
+        .and_then(|v| r.finish().map(|()| v))
+        .map_err(|e| {
+            CodecError::BadPayload(match e {
+                BinError::BadTag(field, _) => field,
+                BinError::Truncated | BinError::Trailing(_) => what,
+            })
+        })
 }
 
 fn json_payload<T: cpvr_types::json::FromJson>(
@@ -761,14 +736,6 @@ fn json_payload<T: cpvr_types::json::FromJson>(
 ) -> Result<T, CodecError> {
     let text = std::str::from_utf8(payload).map_err(|_| CodecError::BadPayload(not_utf8))?;
     Ok(from_str(text)?)
-}
-
-fn empty_payload(payload: &[u8], frame: Frame, what: &'static str) -> Result<Frame, CodecError> {
-    if payload.is_empty() {
-        Ok(frame)
-    } else {
-        Err(CodecError::BadPayload(what))
-    }
 }
 
 /// Decodes one CRC-checked payload into a typed [`Frame`] (plus the
@@ -790,40 +757,46 @@ fn decode_payload(
         }
         // The read-only journal format: nothing sends this any more.
         1 => {
-            if payload.len() < 8 {
-                return Err(CodecError::BadPayload("event payload shorter than its seq"));
-            }
+            let (seq, body) = read_payload(payload, "event payload shorter than its seq", |r| {
+                Ok((r.u64_le()?, r.take(r.remaining())?))
+            })?;
             Frame::Event {
-                seq: le_u64(&payload[..8], "event seq")?,
-                event: json_payload(&payload[8..], "event payload is not utf-8")?,
+                seq,
+                event: json_payload(body, "event payload is not utf-8")?,
             }
         }
-        2 => {
-            if payload.len() != 16 {
-                return Err(CodecError::BadPayload("watermark payload is not 16 bytes"));
-            }
-            Frame::Watermark {
-                t: SimTime::from_nanos(le_u64(&payload[..8], "watermark time")?),
-                frontier: le_u64(&payload[8..], "watermark frontier")?,
-            }
-        }
+        2 => read_payload(payload, "watermark payload is not 16 bytes", |r| {
+            Ok(Frame::Watermark {
+                t: SimTime::from_nanos(r.u64_le()?),
+                frontier: r.u64_le()?,
+            })
+        })?,
         3 => Frame::Bye {
-            frontier: le_u64(payload, "bye frontier")?,
+            frontier: read_payload(payload, "bye payload is not 8 bytes", Reader::u64_le)?,
         },
         4 => Frame::Ack {
-            upto: le_u64(payload, "ack upto")?,
+            upto: read_payload(payload, "ack payload is not 8 bytes", Reader::u64_le)?,
         },
-        5 => empty_payload(payload, Frame::Heartbeat, "heartbeat carries no payload")?,
+        5 => read_payload(payload, "heartbeat carries no payload", |_| {
+            Ok(Frame::Heartbeat)
+        })?,
         6 => Frame::Evict {
-            source: RouterId(le_u32(payload, "evict source")?),
+            source: RouterId(read_payload(
+                payload,
+                "evict payload is not 4 bytes",
+                Reader::u32_le,
+            )?),
         },
         7 => Frame::Admit {
-            source: RouterId(le_u32(payload, "admit source")?),
+            source: RouterId(read_payload(
+                payload,
+                "admit payload is not 4 bytes",
+                Reader::u32_le,
+            )?),
         },
-        8 => empty_payload(payload, Frame::Fin, "fin carries no payload")?,
-        9 => match payload {
-            [format] => Frame::MetricsReq { format: *format },
-            _ => return Err(CodecError::BadPayload("metrics request is one format byte")),
+        8 => read_payload(payload, "fin carries no payload", |_| Ok(Frame::Fin))?,
+        9 => Frame::MetricsReq {
+            format: read_payload(payload, "metrics request is one format byte", Reader::u8)?,
         },
         10 => Frame::MetricsResp {
             body: payload.to_vec(),
@@ -842,7 +815,9 @@ fn decode_payload(
         )?),
         16 => Frame::Repair(RepairRecord::decode_payload(payload)?),
         17 => Frame::PeerRepairProof(json_payload(payload, "peer repair proof is not utf-8")?),
-        18 => empty_payload(payload, Frame::DumpReq, "dump request carries no payload")?,
+        18 => read_payload(payload, "dump request carries no payload", |_| {
+            Ok(Frame::DumpReq)
+        })?,
         19 => Frame::DumpResp {
             body: payload.to_vec(),
         },
@@ -905,15 +880,15 @@ pub fn encode_frame(f: &Frame) -> Vec<u8> {
     append_frame_with(&mut out, version, f.kind(), |p| match f {
         Frame::Hello(h) => json(p, h),
         Frame::Event { seq, event } => {
-            p.extend_from_slice(&seq.to_le_bytes());
+            bin::put_u64_le(p, *seq);
             json(p, event);
         }
         Frame::Watermark { t, frontier } => {
-            p.extend_from_slice(&t.as_nanos().to_le_bytes());
-            p.extend_from_slice(&frontier.to_le_bytes());
+            bin::put_u64_le(p, t.as_nanos());
+            bin::put_u64_le(p, *frontier);
         }
-        Frame::Bye { frontier } => p.extend_from_slice(&frontier.to_le_bytes()),
-        Frame::Ack { upto } => p.extend_from_slice(&upto.to_le_bytes()),
+        Frame::Bye { frontier } => bin::put_u64_le(p, *frontier),
+        Frame::Ack { upto } => bin::put_u64_le(p, *upto),
         Frame::Heartbeat | Frame::Fin | Frame::DumpReq => {}
         Frame::Evict { source } | Frame::Admit { source } => {
             p.extend_from_slice(&source.0.to_le_bytes())

@@ -28,6 +28,7 @@
 //! naturally skips past it on the next recovery (replay of the *old*
 //! segment still stops at the tear; new records land in the new file).
 
+use cpvr_types::bin::Reader;
 use cpvr_types::crc32;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Read, Write};
@@ -361,32 +362,29 @@ pub fn replay_series(dir: &Path, series: Option<u32>) -> io::Result<WalReplay> {
         out.segments += 1;
         let mut data = Vec::new();
         File::open(segment_path(dir, series, idx))?.read_to_end(&mut data)?;
-        let mut at = 0usize;
-        let mut torn_here = false;
-        while data.len() - at >= RECORD_HEADER {
-            let len = u32::from_le_bytes(data[at..at + 4].try_into().expect("4 bytes")) as usize;
-            let crc = u32::from_le_bytes(data[at + 4..at + 8].try_into().expect("4 bytes"));
-            let start = at + RECORD_HEADER;
-            if len > MAX_RECORD_LEN as usize || data.len() - start < len {
-                torn_here = true;
+        let mut r = Reader::new(&data);
+        while r.remaining() > 0 {
+            // A short or corrupt record is a torn tail.
+            let Some(payload) = next_record(&mut r) else {
+                out.torn = true;
                 break;
-            }
-            let payload = &data[start..start + len];
-            if crc32::checksum(payload) != crc {
-                torn_here = true;
-                break;
-            }
+            };
             out.records.push(payload.to_vec());
-            out.bytes += len as u64;
-            at = start + len;
+            out.bytes += payload.len() as u64;
         }
-        if at < data.len() && !torn_here {
-            // Trailing bytes too short to even hold a header.
-            torn_here = true;
-        }
-        out.torn |= torn_here;
     }
     Ok(out)
+}
+
+/// Reads one `len` LE32 · `crc` LE32 · payload record; `None` if it is
+/// short, oversized or fails its checksum.
+fn next_record<'a>(r: &mut Reader<'a>) -> Option<&'a [u8]> {
+    let (len, crc) = (r.u32_le().ok()?, r.u32_le().ok()?);
+    if len > MAX_RECORD_LEN {
+        return None;
+    }
+    let payload = r.take(len as usize).ok()?;
+    (crc32::checksum(payload) == crc).then_some(payload)
 }
 
 /// Replays every series in a WAL directory, using up to `threads`

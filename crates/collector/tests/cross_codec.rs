@@ -406,3 +406,169 @@ proptest! {
         prop_assert!(!seqs.contains(&1), "damaged frame must not decode");
     }
 }
+
+/// Every binary body is strict at both ends: each proper prefix and each
+/// one-byte extension of a well-formed body is an error — never a
+/// panic, never a value. The bodies: a v3 event (a config change with
+/// its JSON blob, and a route-bearing advert, each untraced and
+/// traced), an intern definition, a repair record with and without its
+/// trace trailer, the golden binary proof, and every fixed-size control
+/// frame.
+#[test]
+fn every_binary_body_rejects_each_prefix_and_extension() {
+    use cpvr_collector::codec::{append_frame_with, RepairRecord, RepairStage, VERSION};
+    use cpvr_core::RepairProof;
+    use cpvr_types::{Interns, TraceCtx};
+
+    /// Asserts `decode` fails on every proper prefix of `body` (except
+    /// the lengths in `valid_prefixes`) and on every one-byte extension.
+    fn sweep<T: std::fmt::Debug, E>(
+        what: &str,
+        body: &[u8],
+        valid_prefixes: &[usize],
+        decode: impl Fn(&[u8]) -> Result<T, E>,
+    ) {
+        assert!(decode(body).is_ok(), "{what}: the intact body decodes");
+        for cut in (0..body.len()).filter(|c| !valid_prefixes.contains(c)) {
+            if let Ok(v) = decode(&body[..cut]) {
+                panic!("{what}: the {cut}-byte prefix decoded to {v:?}");
+            }
+        }
+        let mut longer = body.to_vec();
+        longer.push(0);
+        for b in 0..=u8::MAX {
+            *longer.last_mut().unwrap() = b;
+            if let Ok(v) = decode(&longer) {
+                panic!("{what}: extension by {b:#04x} decoded to {v:?}");
+            }
+        }
+    }
+
+    let prefix: Ipv4Prefix = "10.1.0.0/16".parse().unwrap();
+    let events = [
+        IoEvent {
+            id: EventId(3),
+            router: RouterId(2),
+            time: SimTime::from_nanos(1_234_567),
+            arrived_at: Some(SimTime::from_nanos(1_300_000)),
+            kind: IoKind::ConfigChange {
+                desc: "set weight".into(),
+                change: Some(ConfigChange::SetWeight {
+                    peer: PeerRef::External(ExtPeerId(4)),
+                    weight: 200,
+                }),
+                inverse: None,
+            },
+        },
+        IoEvent {
+            id: EventId(9),
+            router: RouterId(2),
+            time: SimTime::from_nanos(2_000_000),
+            arrived_at: None,
+            kind: IoKind::RecvAdvert {
+                proto: Proto::Bgp,
+                prefix: Some(prefix),
+                from: Some(PeerRef::Internal(RouterId(1))),
+                route: Some(Arc::new(BgpRoute {
+                    prefix,
+                    next_hop: NextHop::Router(RouterId(1)),
+                    local_pref: 150,
+                    as_path: vec![AsNum(65001), AsNum(65002)],
+                    origin: Origin::Egp,
+                    med: 7,
+                    communities: [1u32, 300].into_iter().collect(),
+                    originator: RouterId(1),
+                })),
+            },
+        },
+    ];
+    let mut interns = Interns::new();
+    let mut defs = Vec::new();
+    let mut store = InternStore::new();
+    for (i, event) in events.iter().enumerate() {
+        for trace in [None, Some(TraceCtx::for_flight(5, i as u64))] {
+            let mut body = Vec::new();
+            wire::encode_event_traced(40, event, trace, &mut interns, &mut defs, &mut body);
+            for d in defs.drain(..) {
+                assert!(store.apply(d.router, d.space, d.symbol, &d.bytes));
+                let mut payload = Vec::new();
+                wire::encode_intern_def(&d, &mut payload);
+                sweep("intern definition", &payload, &[], wire::decode_intern_def);
+            }
+            let what = format!("event {i} (traced: {})", trace.is_some());
+            sweep(&what, &body, &[], |b| wire::decode_event_traced(b, &store));
+        }
+    }
+
+    let record = RepairRecord {
+        repair_id: 0xca3a_6b15_ec2e_e15f,
+        stage: RepairStage::Gated,
+        at: SimTime::from_millis(3),
+        verdict: Some(1),
+        proof: vec![3, 1, 4, 1, 5],
+        trace: None,
+    };
+    let plain = record.encode_payload();
+    sweep("repair record", &plain, &[], RepairRecord::decode_payload);
+    let traced = RepairRecord {
+        trace: Some(TraceCtx::for_repair(record.repair_id)),
+        ..record.clone()
+    };
+    // The trailer carries no flag: the traced record cut right before it
+    // is the untraced record, by design.
+    let traced_bytes = traced.encode_payload();
+    assert_eq!(
+        RepairRecord::decode_payload(&traced_bytes[..plain.len()]).unwrap(),
+        record
+    );
+    sweep(
+        "traced repair record",
+        &traced_bytes,
+        &[plain.len()],
+        RepairRecord::decode_payload,
+    );
+
+    // The golden vector of `golden_frames.rs`: `RepairProof::encode_binary`.
+    let proof_hex = "\
+        03c9017b22726f75746572223a302c22616374696f6e223a7b224e6f746966794f70657261746f72\
+        223a22676f6c64656e20766563746f72227d2c22726f6f74223a7b226576656e74223a312c22726f\
+        75746572223a302c2274696d65223a313030303030302c226b696e64223a7b22436f6e6669674368\
+        616e6765223a7b226368616e6765223a6e756c6c2c22696e7665727365223a6e756c6c7d7d2c2263\
+        6f6e666964656e6365223a312e307d2c22726174696f6e616c65223a22676f6c64656e2076656374\
+        6f72227d029a9999999999e93f010100c0843d0df0ed5e0000000001138d08b15fc479cd00000000\
+        000000000000000000";
+    let proof: Vec<u8> = (0..proof_hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&proof_hex[i..i + 2], 16).unwrap())
+        .collect();
+    sweep("binary proof", &proof, &[], RepairProof::decode_binary);
+
+    // Fixed-size control frames: each payload re-framed with a valid CRC,
+    // so only the payload's length is wrong.
+    for frame in [
+        Frame::Watermark {
+            t: SimTime::from_millis(9),
+            frontier: 12,
+        },
+        Frame::Bye { frontier: 12 },
+        Frame::Ack { upto: 12 },
+        Frame::Heartbeat,
+        Frame::Evict {
+            source: RouterId(2),
+        },
+        Frame::Admit {
+            source: RouterId(2),
+        },
+        Frame::Fin,
+        Frame::MetricsReq { format: 1 },
+        Frame::DumpReq,
+    ] {
+        let kind = frame.kind();
+        let payload = encode_frame(&frame)[HEADER_LEN..].to_vec();
+        sweep(&format!("{frame:?}"), &payload, &[], |p| {
+            let mut record = Vec::new();
+            append_frame_with(&mut record, VERSION, kind, |out| out.extend_from_slice(p));
+            Decoder::new().decode_record(&record)
+        });
+    }
+}

@@ -217,6 +217,71 @@ fn hello_mismatch_is_rejected_without_poisoning_the_collector() {
     assert_eq!(report.pipeline.events(), 0);
 }
 
+/// A hello whose JSON nests 100 000 arrays deep is a decode error on its
+/// own connection — not a stack overflow on the reader thread that
+/// takes the whole collector down — and the paper scenario streamed
+/// afterwards still folds exactly like the in-process pipeline.
+#[test]
+fn a_deeply_nested_hello_closes_only_its_connection() {
+    use common::{assert_same_fold, events_for, reference_pipeline};
+    use cpvr_collector::codec::{append_frame_with, VERSION};
+    use std::io::{Read, Write};
+
+    let handle =
+        Collector::start(CollectorConfig::new(N_ROUTERS), "127.0.0.1:0").expect("bind loopback");
+    let addr = handle.local_addr();
+
+    // A CRC-valid kind-0 (hello) frame whose payload is 100 000 `[`.
+    let mut frame = Vec::new();
+    append_frame_with(&mut frame, VERSION, 0, |p| {
+        p.resize(p.len() + 100_000, b'[')
+    });
+    let mut bad = std::net::TcpStream::connect(addr).expect("tcp connect");
+    bad.write_all(&frame).expect("write nested hello");
+    assert!(
+        wait_for(Duration::from_secs(10), || handle.stats().decode_errors
+            >= 1),
+        "nested hello was not rejected"
+    );
+    bad.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut scratch = [0u8; 64];
+    assert_eq!(bad.read(&mut scratch).expect("read until close"), 0);
+
+    let events = sample_events(7);
+    let senders: Vec<_> = (0..N_ROUTERS)
+        .map(|r| {
+            let mine = events_for(&events, RouterId(r));
+            std::thread::spawn(move || {
+                let mut sink = SocketSink::connect(addr, RouterId(r), N_ROUTERS).expect("connect");
+                for e in &mine {
+                    sink.send(e).expect("send event");
+                }
+                sink.bye().expect("send bye");
+                sink.sent()
+            })
+        })
+        .collect();
+    let sent: u64 = senders.into_iter().map(|h| h.join().unwrap()).sum();
+    assert_eq!(sent as usize, events.len());
+    assert!(
+        wait_for(Duration::from_secs(30), || {
+            let s = handle.stats();
+            s.events == sent && s.watermark == Some(SimTime::MAX)
+        }),
+        "collector did not reach the final watermark: {:?}",
+        handle.stats()
+    );
+    drop(bad);
+
+    let report = handle.shutdown().expect("clean shutdown");
+    assert!(report.stats.decode_errors >= 1);
+    assert_same_fold(
+        &report.pipeline,
+        &reference_pipeline(&events, &[SimTime::MAX]),
+        "after a nested hello",
+    );
+}
+
 /// A watermark writes, flushes and returns: it does not wait on acks.
 /// 300 back-to-back promises on an idle loopback sink take well under a
 /// millisecond each, and the stream still drains afterwards.

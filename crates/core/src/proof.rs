@@ -27,19 +27,23 @@
 //! whole artifact round-trips through `cpvr_types::json`
 //! (externally-tagged, human-auditable) and through the v3-style
 //! binary codec ([`RepairProof::encode_binary`]) that the collector
-//! journals and federation peers exchange.
+//! journals. Federation peers exchange the JSON rendering together with
+//! an FNV-1a digest of the binary bytes, so a peer can re-encode and
+//! cross-check what it received.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::error::Error;
 
 use crate::hbg::Hbg;
 use crate::predict::fib_template;
 use crate::provenance::provenance_path;
 use crate::repair::RepairPlan;
 use cpvr_dataplane::{FibAction, FibUpdate, UpdateKind};
-use cpvr_sim::{EventId, IoEvent, IoKind, Trace};
+use cpvr_sim::{wire, EventId, IoEvent, IoKind, Trace};
+use cpvr_types::bin::{self, BinError, Reader};
 use cpvr_types::hash;
-use cpvr_types::json::{self, FromJson};
-use cpvr_types::{varint, Ipv4Prefix, RouterId, SimTime};
+use cpvr_types::json;
+use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
 use cpvr_verify::{
     violation_sigs, IncrementalVerifier, ReplayGate, ReplayTranscript, ReplayVerdict,
 };
@@ -344,266 +348,176 @@ pub fn gate_repair(verifier: &IncrementalVerifier, proof: &RepairProof) -> Repla
 }
 
 // ---------------------------------------------------------------------
-// Binary codec (v3 wire style: varints + length-prefixed bytes).
+// Binary codec: `cpvr_types::bin` fields, with the FIB-action and
+// JSON-blob layouts the event body uses (`cpvr_sim::wire`).
 // ---------------------------------------------------------------------
 
 /// Version byte heading every binary-encoded proof — matches the v3
 /// binary wire generation it ships in.
 pub const PROOF_CODEC_VERSION: u8 = 3;
 
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    varint::write_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn read_str(buf: &[u8], pos: &mut usize) -> Result<String, String> {
-    let len = varint::read_u64(buf, pos).ok_or("truncated string length")? as usize;
-    let end = pos.checked_add(len).filter(|&e| e <= buf.len());
-    let end = end.ok_or("string length overruns buffer")?;
-    let s = std::str::from_utf8(&buf[*pos..end]).map_err(|_| "invalid utf-8".to_string())?;
-    *pos = end;
-    Ok(s.to_string())
-}
-
-fn write_u64_le(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn read_u64_le(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
-    let end = pos.checked_add(8).filter(|&e| e <= buf.len());
-    let end = end.ok_or("truncated u64")?;
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&buf[*pos..end]);
-    *pos = end;
-    Ok(u64::from_le_bytes(b))
-}
-
 fn write_prefix(out: &mut Vec<u8>, p: &Ipv4Prefix) {
-    varint::write_u32(out, p.bits());
+    bin::put_varint(out, p.bits());
     out.push(p.len());
 }
 
-fn read_prefix(buf: &[u8], pos: &mut usize) -> Result<Ipv4Prefix, String> {
-    let bits = varint::read_u32(buf, pos).ok_or("truncated prefix bits")?;
-    let len = *buf.get(*pos).ok_or("truncated prefix length")?;
-    *pos += 1;
-    if len > 32 {
-        return Err(format!("prefix length {len} out of range"));
+fn read_prefix(r: &mut Reader<'_>) -> Result<Ipv4Prefix, BinError> {
+    let bits = r.varint_u32()?;
+    match r.u8()? {
+        len @ 0..=32 => Ok(Ipv4Prefix::from_bits(bits, len)),
+        len => Err(BinError::BadTag("prefix length", len)),
     }
-    Ok(Ipv4Prefix::from_bits(bits, len))
-}
-
-fn write_action(out: &mut Vec<u8>, a: &FibAction) {
-    match a {
-        FibAction::Forward(l) => {
-            out.push(0);
-            varint::write_u32(out, l.0);
-        }
-        FibAction::Exit(p) => {
-            out.push(1);
-            varint::write_u32(out, p.0);
-        }
-        FibAction::Local => out.push(2),
-        FibAction::Drop => out.push(3),
-    }
-}
-
-fn read_action(buf: &[u8], pos: &mut usize) -> Result<FibAction, String> {
-    let tag = *buf.get(*pos).ok_or("truncated action tag")?;
-    *pos += 1;
-    Ok(match tag {
-        0 => FibAction::Forward(cpvr_topo::LinkId(
-            varint::read_u32(buf, pos).ok_or("truncated link id")?,
-        )),
-        1 => FibAction::Exit(cpvr_topo::ExtPeerId(
-            varint::read_u32(buf, pos).ok_or("truncated peer id")?,
-        )),
-        2 => FibAction::Local,
-        3 => FibAction::Drop,
-        t => return Err(format!("unknown action tag {t}")),
-    })
 }
 
 fn write_update(out: &mut Vec<u8>, u: &FibUpdate) {
-    varint::write_u32(out, u.router.0);
+    bin::put_varint(out, u.router.0);
     write_prefix(out, &u.prefix);
     out.push(match u.kind {
         UpdateKind::Install => 0,
         UpdateKind::Remove => 1,
     });
-    write_action(out, &u.action);
-    varint::write_u64(out, u.at.as_nanos());
+    wire::encode_action(out, &u.action);
+    bin::put_varint(out, u.at.as_nanos());
 }
 
-fn read_update(buf: &[u8], pos: &mut usize) -> Result<FibUpdate, String> {
-    let router = RouterId(varint::read_u32(buf, pos).ok_or("truncated router id")?);
-    let prefix = read_prefix(buf, pos)?;
-    let kind = match *buf.get(*pos).ok_or("truncated update kind")? {
-        0 => UpdateKind::Install,
-        1 => UpdateKind::Remove,
-        k => return Err(format!("unknown update kind {k}")),
-    };
-    *pos += 1;
-    let action = read_action(buf, pos)?;
-    let at = SimTime::from_nanos(varint::read_u64(buf, pos).ok_or("truncated update time")?);
+fn read_update(r: &mut Reader<'_>) -> Result<FibUpdate, BinError> {
     Ok(FibUpdate {
-        router,
-        prefix,
-        kind,
-        action,
-        at,
+        router: RouterId(r.varint_u32()?),
+        prefix: read_prefix(r)?,
+        kind: match r.u8()? {
+            0 => UpdateKind::Install,
+            1 => UpdateKind::Remove,
+            k => return Err(BinError::BadTag("update kind", k)),
+        },
+        action: wire::decode_action(r)?,
+        at: SimTime::from_nanos(r.varint()?),
     })
+}
+
+fn read_string(r: &mut Reader<'_>) -> Result<String, Box<dyn Error>> {
+    Ok(std::str::from_utf8(r.len_prefixed()?)?.to_owned())
+}
+
+/// A varint count, then each of `items` written by `write`.
+fn write_vec<T>(out: &mut Vec<u8>, items: &[T], mut write: impl FnMut(&mut Vec<u8>, &T)) {
+    bin::put_varint(out, items.len() as u64);
+    for item in items {
+        write(out, item);
+    }
+}
+
+/// What [`write_vec`] writes: a count, then that many elements, each
+/// read by `read`.
+fn read_vec<T>(
+    r: &mut Reader<'_>,
+    mut read: impl FnMut(&mut Reader<'_>) -> Result<T, Box<dyn Error>>,
+) -> Result<Vec<T>, Box<dyn Error>> {
+    let n = r.count()?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(read(r)?);
+    }
+    Ok(out)
 }
 
 impl RepairProof {
     /// Encodes the proof in the v3 binary wire style: a version byte,
     /// then varint-framed fields with fixed 8-byte digests. The plan
     /// (which carries the arbitrarily-structured config change) rides
-    /// as length-prefixed canonical JSON — the same layering the wire
-    /// codec uses for structured payloads inside binary envelopes.
+    /// as a length-prefixed compact-JSON blob — the same layering the
+    /// wire codec uses for structured payloads inside binary envelopes.
     pub fn encode_binary(&self) -> Vec<u8> {
         let mut out = vec![PROOF_CODEC_VERSION];
-        write_str(&mut out, &json::to_string_compact(&self.plan));
-        varint::write_u32(&mut out, self.target.0);
-        write_u64_le(&mut out, self.min_confidence.to_bits());
-        varint::write_u64(&mut out, self.provenance.len() as u64);
-        for h in &self.provenance {
-            varint::write_u32(&mut out, h.event.0);
-            varint::write_u32(&mut out, h.router.0);
-            varint::write_u64(&mut out, h.time.as_nanos());
-            write_u64_le(&mut out, h.digest);
-        }
-        varint::write_u64(&mut out, self.chain.len() as u64);
-        for link in &self.chain {
-            write_u64_le(&mut out, *link);
-        }
-        varint::write_u64(&mut out, self.predicted.len() as u64);
-        for b in &self.predicted {
-            varint::write_u64(&mut out, b.behavior.len() as u64);
-            for s in &b.behavior {
-                write_str(&mut out, s);
+        wire::encode_json_blob(&mut out, &self.plan);
+        bin::put_varint(&mut out, self.target.0);
+        bin::put_u64_le(&mut out, self.min_confidence.to_bits());
+        write_vec(&mut out, &self.provenance, |out, h| {
+            bin::put_varint(out, h.event.0);
+            bin::put_varint(out, h.router.0);
+            bin::put_varint(out, h.time.as_nanos());
+            bin::put_u64_le(out, h.digest);
+        });
+        write_vec(&mut out, &self.chain, |out, link| {
+            bin::put_u64_le(out, *link)
+        });
+        write_vec(&mut out, &self.predicted, |out, b| {
+            write_vec(out, &b.behavior, |out, s| {
+                bin::put_len_prefixed(out, s.as_bytes())
+            });
+            write_vec(out, &b.prefixes, write_prefix);
+        });
+        write_vec(&mut out, &self.template, |out, (router, act)| {
+            bin::put_varint(out, router.0);
+            out.push(u8::from(act.is_some()));
+            if let Some(a) = act {
+                wire::encode_action(out, a);
             }
-            varint::write_u64(&mut out, b.prefixes.len() as u64);
-            for p in &b.prefixes {
-                write_prefix(&mut out, p);
-            }
-        }
-        varint::write_u64(&mut out, self.template.len() as u64);
-        for (r, act) in &self.template {
-            varint::write_u32(&mut out, r.0);
-            match act {
-                Some(a) => {
-                    out.push(1);
-                    write_action(&mut out, a);
-                }
-                None => out.push(0),
-            }
-        }
+        });
         let t = &self.transcript;
-        varint::write_u64(&mut out, t.base_violations.len() as u64);
-        for v in &t.base_violations {
-            varint::write_u64(&mut out, v.policy_idx as u64);
-            varint::write_u32(&mut out, v.ingress.0);
-            write_str(&mut out, &v.representative);
-            write_str(&mut out, &v.observed);
-        }
-        write_u64_le(&mut out, t.base_digest);
-        varint::write_u64(&mut out, t.undo.len() as u64);
-        for u in &t.undo {
-            write_update(&mut out, u);
-        }
-        varint::write_u64(&mut out, t.redo.len() as u64);
-        for u in &t.redo {
-            write_update(&mut out, u);
-        }
+        write_vec(&mut out, &t.base_violations, |out, v| {
+            bin::put_varint(out, v.policy_idx as u64);
+            bin::put_varint(out, v.ingress.0);
+            bin::put_len_prefixed(out, v.representative.as_bytes());
+            bin::put_len_prefixed(out, v.observed.as_bytes());
+        });
+        bin::put_u64_le(&mut out, t.base_digest);
+        write_vec(&mut out, &t.undo, write_update);
+        write_vec(&mut out, &t.redo, write_update);
         out
     }
 
     /// Decodes a binary proof. Every malformation — truncation, a bad
-    /// version byte, an unknown tag, invalid UTF-8 or JSON — is a
-    /// clean `Err`, never a panic.
+    /// version byte, an unknown tag, invalid UTF-8 or JSON, trailing
+    /// bytes — is a clean `Err`, never a panic.
     pub fn decode_binary(buf: &[u8]) -> Result<RepairProof, String> {
-        let pos = &mut 0usize;
-        let version = *buf.first().ok_or("empty proof buffer")?;
-        *pos = 1;
+        Self::read_binary(buf).map_err(|e| e.to_string())
+    }
+
+    fn read_binary(buf: &[u8]) -> Result<RepairProof, Box<dyn Error>> {
+        let mut r = Reader::new(buf);
+        let version = r.u8()?;
         if version != PROOF_CODEC_VERSION {
-            return Err(format!("unsupported proof codec version {version}"));
+            return Err(format!("unsupported proof codec version {version}").into());
         }
-        let plan_json = read_str(buf, pos)?;
-        let plan_value = json::parse(&plan_json).map_err(|e| e.to_string())?;
-        let plan = RepairPlan::from_json(&plan_value).map_err(|e| e.to_string())?;
-        let target = EventId(varint::read_u32(buf, pos).ok_or("truncated target")?);
-        let min_confidence = f64::from_bits(read_u64_le(buf, pos)?);
-        let n = varint::read_u64(buf, pos).ok_or("truncated provenance count")? as usize;
-        let mut provenance = Vec::new();
-        for _ in 0..n {
-            provenance.push(ProvenanceHop {
-                event: EventId(varint::read_u32(buf, pos).ok_or("truncated hop event")?),
-                router: RouterId(varint::read_u32(buf, pos).ok_or("truncated hop router")?),
-                time: SimTime::from_nanos(varint::read_u64(buf, pos).ok_or("truncated hop time")?),
-                digest: read_u64_le(buf, pos)?,
-            });
-        }
-        let n = varint::read_u64(buf, pos).ok_or("truncated chain count")? as usize;
-        let mut chain = Vec::new();
-        for _ in 0..n {
-            chain.push(read_u64_le(buf, pos)?);
-        }
-        let n = varint::read_u64(buf, pos).ok_or("truncated predicted count")? as usize;
-        let mut predicted = Vec::new();
-        for _ in 0..n {
-            let bn = varint::read_u64(buf, pos).ok_or("truncated behavior count")? as usize;
-            let mut behavior = Vec::new();
-            for _ in 0..bn {
-                behavior.push(read_str(buf, pos)?);
-            }
-            let pn = varint::read_u64(buf, pos).ok_or("truncated prefix count")? as usize;
-            let mut prefixes = Vec::new();
-            for _ in 0..pn {
-                prefixes.push(read_prefix(buf, pos)?);
-            }
-            predicted.push(PredictedBehavior { behavior, prefixes });
-        }
-        let n = varint::read_u64(buf, pos).ok_or("truncated template count")? as usize;
-        let mut template = Vec::new();
-        for _ in 0..n {
-            let r = RouterId(varint::read_u32(buf, pos).ok_or("truncated template router")?);
-            let has = *buf.get(*pos).ok_or("truncated template option")?;
-            *pos += 1;
-            let act = match has {
-                0 => None,
-                1 => Some(read_action(buf, pos)?),
-                t => return Err(format!("bad option tag {t}")),
+        let plan = wire::decode_json_blob(&mut r, "repair plan")?;
+        let target = EventId(r.varint_u32()?);
+        let min_confidence = f64::from_bits(r.u64_le()?);
+        let provenance = read_vec(&mut r, |r| {
+            Ok(ProvenanceHop {
+                event: EventId(r.varint_u32()?),
+                router: RouterId(r.varint_u32()?),
+                time: SimTime::from_nanos(r.varint()?),
+                digest: r.u64_le()?,
+            })
+        })?;
+        let chain = read_vec(&mut r, |r| Ok(r.u64_le()?))?;
+        let predicted = read_vec(&mut r, |r| {
+            Ok(PredictedBehavior {
+                behavior: read_vec(r, read_string)?,
+                prefixes: read_vec(r, |r| Ok(read_prefix(r)?))?,
+            })
+        })?;
+        let template = read_vec(&mut r, |r| {
+            let router = RouterId(r.varint_u32()?);
+            let act = if r.flag("template option")? {
+                Some(wire::decode_action(r)?)
+            } else {
+                None
             };
-            template.push((r, act));
-        }
-        let n = varint::read_u64(buf, pos).ok_or("truncated violation count")? as usize;
-        let mut base_violations = Vec::new();
-        for _ in 0..n {
-            base_violations.push(cpvr_verify::ViolationSig {
-                policy_idx: varint::read_u64(buf, pos).ok_or("truncated policy idx")? as usize,
-                ingress: RouterId(varint::read_u32(buf, pos).ok_or("truncated ingress")?),
-                representative: read_str(buf, pos)?,
-                observed: read_str(buf, pos)?,
-            });
-        }
-        let base_digest = read_u64_le(buf, pos)?;
-        let n = varint::read_u64(buf, pos).ok_or("truncated undo count")? as usize;
-        let mut undo = Vec::new();
-        for _ in 0..n {
-            undo.push(read_update(buf, pos)?);
-        }
-        let n = varint::read_u64(buf, pos).ok_or("truncated redo count")? as usize;
-        let mut redo = Vec::new();
-        for _ in 0..n {
-            redo.push(read_update(buf, pos)?);
-        }
-        if *pos != buf.len() {
-            return Err(format!(
-                "{} trailing bytes after proof payload",
-                buf.len() - *pos
-            ));
-        }
+            Ok((router, act))
+        })?;
+        let base_violations = read_vec(&mut r, |r| {
+            Ok(cpvr_verify::ViolationSig {
+                policy_idx: r.varint()? as usize,
+                ingress: RouterId(r.varint_u32()?),
+                representative: read_string(r)?,
+                observed: read_string(r)?,
+            })
+        })?;
+        let base_digest = r.u64_le()?;
+        let undo = read_vec(&mut r, |r| Ok(read_update(r)?))?;
+        let redo = read_vec(&mut r, |r| Ok(read_update(r)?))?;
+        r.finish()?;
         Ok(RepairProof {
             plan,
             target,
@@ -646,6 +560,7 @@ mod tests {
     use crate::provenance::{RootCause, RootCauseKind};
     use crate::repair::RepairAction;
     use cpvr_topo::LinkId;
+    use cpvr_types::json::FromJson;
 
     fn sample_proof() -> RepairProof {
         let root = RootCause {

@@ -4,8 +4,8 @@
 //! a `String`, the collector parses it back through a `Value` tree, and
 //! every router name, prefix, and description lands in its own heap
 //! allocation. This module is the v3 alternative: a dense binary layout
-//! read in a single left-to-right pass, with varint integers
-//! ([`cpvr_types::varint`]) and interned symbols
+//! read in a single left-to-right pass through one
+//! [`cpvr_types::bin::Reader`], with varint integers and interned symbols
 //! ([`cpvr_types::intern`]) for the two repeated byte-string shapes —
 //! event descriptions and 5-byte prefix encodings.
 //!
@@ -31,6 +31,10 @@
 //! JSON — they occur once per scenario mutation, so correctness beats
 //! compactness there.
 //!
+//! The repair proof (`cpvr_core::proof`) shares two layouts, encoded and
+//! decoded only here: [`FibAction`] ([`encode_action`]/[`decode_action`])
+//! and the JSON blob ([`encode_json_blob`]/[`decode_json_blob`]).
+//!
 //! Interning makes encode stateful: the first use of a symbol emits an
 //! [`InternDef`] that the caller must frame *before* the event that
 //! uses it. Decode is strict — every byte must be consumed, every tag
@@ -44,10 +48,10 @@ use std::sync::Arc;
 use cpvr_bgp::{BgpRoute, NextHop, Origin, PeerRef};
 use cpvr_dataplane::FibAction;
 use cpvr_topo::{ExtPeerId, LinkId};
+use cpvr_types::bin::{self, BinError, Reader};
 use cpvr_types::intern::{InternStore, Interns, SPACE_PREFIX, SPACE_STRING};
-use cpvr_types::json::{from_str, to_string_compact};
+use cpvr_types::json::{from_str, to_string_compact, FromJson, ToJson};
 use cpvr_types::trace::TRACE_CTX_WIRE_LEN;
-use cpvr_types::varint;
 use cpvr_types::{AsNum, Ipv4Prefix, RouterId, SimTime, TraceCtx};
 
 use crate::io::{EventId, IoEvent, IoKind, Proto};
@@ -91,6 +95,18 @@ impl fmt::Display for WireError {
     }
 }
 
+impl std::error::Error for WireError {}
+
+impl From<BinError> for WireError {
+    fn from(e: BinError) -> Self {
+        match e {
+            BinError::Truncated => WireError::Truncated,
+            BinError::Trailing(n) => WireError::Trailing(n),
+            BinError::BadTag(what, b) => WireError::BadTag(what, b),
+        }
+    }
+}
+
 /// A fresh symbol definition produced during encode. The transport must
 /// deliver it (as an `Intern` frame) before the event that uses it, and
 /// journal it to the WAL in the same order.
@@ -109,37 +125,74 @@ pub struct InternDef {
 /// Renders an intern definition as an `Intern` frame payload:
 /// `varint router · space u8 · varint symbol · varint len · bytes`.
 pub fn encode_intern_def(def: &InternDef, out: &mut Vec<u8>) {
-    varint::write_u32(out, def.router);
+    bin::put_varint(out, def.router);
     out.push(def.space);
-    varint::write_u32(out, def.symbol);
-    varint::write_u64(out, def.bytes.len() as u64);
-    out.extend_from_slice(&def.bytes);
+    bin::put_varint(out, def.symbol);
+    bin::put_len_prefixed(out, &def.bytes);
 }
 
 /// Parses an `Intern` frame payload. Strict: consumes the whole buffer.
 pub fn decode_intern_def(buf: &[u8]) -> Result<InternDef, WireError> {
-    let mut pos = 0;
-    let router = varint::read_u32(buf, &mut pos).ok_or(WireError::Truncated)?;
-    let space = *buf.get(pos).ok_or(WireError::Truncated)?;
-    pos += 1;
+    let mut r = Reader::new(buf);
+    let router = r.varint_u32()?;
+    let space = r.u8()?;
     if space != SPACE_STRING && space != SPACE_PREFIX {
         return Err(WireError::BadTag("intern space", space));
     }
-    let symbol = varint::read_u32(buf, &mut pos).ok_or(WireError::Truncated)?;
-    let len = varint::read_u64(buf, &mut pos).ok_or(WireError::Truncated)? as usize;
-    let rest = &buf[pos..];
-    if rest.len() < len {
-        return Err(WireError::Truncated);
-    }
-    if rest.len() > len {
-        return Err(WireError::Trailing(rest.len() - len));
-    }
+    let symbol = r.varint_u32()?;
+    let bytes = r.len_prefixed()?.to_vec();
+    r.finish()?;
     Ok(InternDef {
         router,
         space,
         symbol,
-        bytes: rest.to_vec(),
+        bytes,
     })
+}
+
+/// Appends a [`FibAction`]: a tag byte (0 forward, 1 exit, 2 local,
+/// 3 drop) and, for the first two, the link or peer id as a varint.
+pub fn encode_action(out: &mut Vec<u8>, a: &FibAction) {
+    match a {
+        FibAction::Forward(l) => {
+            out.push(0);
+            bin::put_varint(out, l.0);
+        }
+        FibAction::Exit(x) => {
+            out.push(1);
+            bin::put_varint(out, x.0);
+        }
+        FibAction::Local => out.push(2),
+        FibAction::Drop => out.push(3),
+    }
+}
+
+/// Reads what [`encode_action`] writes.
+pub fn decode_action(r: &mut Reader<'_>) -> Result<FibAction, BinError> {
+    match r.u8()? {
+        0 => Ok(FibAction::Forward(LinkId(r.varint_u32()?))),
+        1 => Ok(FibAction::Exit(ExtPeerId(r.varint_u32()?))),
+        2 => Ok(FibAction::Local),
+        3 => Ok(FibAction::Drop),
+        b => Err(BinError::BadTag("fib action", b)),
+    }
+}
+
+/// Appends `v` as a length-prefixed compact-JSON blob — the layout for
+/// structured payloads (a config change, a repair plan) inside a binary
+/// body.
+pub fn encode_json_blob<T: ToJson + ?Sized>(out: &mut Vec<u8>, v: &T) {
+    bin::put_len_prefixed(out, to_string_compact(v).as_bytes());
+}
+
+/// Reads what [`encode_json_blob`] writes; bad UTF-8 or JSON is
+/// [`WireError::BadJson`] for `what`.
+pub fn decode_json_blob<T: FromJson>(
+    r: &mut Reader<'_>,
+    what: &'static str,
+) -> Result<T, WireError> {
+    let text = std::str::from_utf8(r.len_prefixed()?).map_err(|_| WireError::BadJson(what))?;
+    from_str(text).map_err(|_| WireError::BadJson(what))
 }
 
 /// The 5-byte wire shape of a prefix: `[len, bits LE…]`.
@@ -149,11 +202,10 @@ fn prefix_bytes(p: Ipv4Prefix) -> [u8; 5] {
 }
 
 fn prefix_from_bytes(bytes: &[u8]) -> Option<Ipv4Prefix> {
-    if bytes.len() != 5 || bytes[0] > 32 {
-        return None;
-    }
-    let bits = u32::from_le_bytes([bytes[1], bytes[2], bytes[3], bytes[4]]);
-    Some(Ipv4Prefix::from_bits(bits, bytes[0]))
+    let mut r = Reader::new(bytes);
+    let (len, bits) = (r.u8().ok()?, r.u32_le().ok()?);
+    r.finish().ok()?;
+    (len <= 32).then(|| Ipv4Prefix::from_bits(bits, len))
 }
 
 /// Encoder state + output for one event body.
@@ -169,160 +221,82 @@ impl Enc<'_> {
         self.out.push(b);
     }
 
-    fn u32v(&mut self, v: u32) {
-        varint::write_u32(self.out, v);
+    fn varint(&mut self, v: impl Into<u64>) {
+        bin::put_varint(self.out, v);
     }
 
-    fn u64v(&mut self, v: u64) {
-        varint::write_u64(self.out, v);
+    /// A variant tag byte, then its id as a varint.
+    fn tagged(&mut self, tag: u8, id: u32) {
+        self.byte(tag);
+        self.varint(id);
     }
 
-    fn str_sym(&mut self, s: &str) {
-        let (sym, fresh) = self.interns.strings.intern(s.as_bytes());
-        if fresh {
-            self.defs.push(InternDef {
-                router: self.router,
-                space: SPACE_STRING,
-                symbol: sym,
-                bytes: s.as_bytes().to_vec(),
-            });
-        }
-        self.u32v(sym);
-    }
-
-    fn pfx_sym(&mut self, p: Ipv4Prefix) {
-        let bytes = prefix_bytes(p);
-        let (sym, fresh) = self.interns.prefixes.intern(&bytes);
-        if fresh {
-            self.defs.push(InternDef {
-                router: self.router,
-                space: SPACE_PREFIX,
-                symbol: sym,
-                bytes: bytes.to_vec(),
-            });
-        }
-        self.u32v(sym);
-    }
-
-    fn opt_pfx(&mut self, p: &Option<Ipv4Prefix>) {
-        match p {
+    /// A presence byte (0 absent, 1 present), then `v` if present.
+    fn opt<T>(&mut self, v: Option<T>, f: impl FnOnce(&mut Self, T)) {
+        match v {
             None => self.byte(0),
-            Some(p) => {
+            Some(v) => {
                 self.byte(1);
-                self.pfx_sym(*p);
+                f(self, v);
             }
         }
     }
 
+    /// The symbol for `bytes` in `space`, minting a definition on first
+    /// use.
+    fn sym(&mut self, space: u8, bytes: &[u8]) {
+        let table = self.interns.space_mut(space).expect("a known space");
+        let (symbol, fresh) = table.intern(bytes);
+        if fresh {
+            self.defs.push(InternDef {
+                router: self.router,
+                space,
+                symbol,
+                bytes: bytes.to_vec(),
+            });
+        }
+        self.varint(symbol);
+    }
+
+    fn str_sym(&mut self, s: &str) {
+        self.sym(SPACE_STRING, s.as_bytes());
+    }
+
+    fn pfx_sym(&mut self, p: Ipv4Prefix) {
+        self.sym(SPACE_PREFIX, &prefix_bytes(p));
+    }
+
+    /// [`Proto`] and [`Origin`] tags are their declaration order.
     fn proto(&mut self, p: Proto) {
-        self.byte(match p {
-            Proto::Bgp => 0,
-            Proto::Ospf => 1,
-            Proto::Rip => 2,
-            Proto::Eigrp => 3,
-        });
+        self.byte(p as u8);
     }
 
     fn peer(&mut self, p: &PeerRef) {
         match p {
-            PeerRef::Internal(r) => {
-                self.byte(0);
-                self.u32v(r.0);
-            }
-            PeerRef::External(x) => {
-                self.byte(1);
-                self.u32v(x.0);
-            }
-        }
-    }
-
-    fn opt_peer(&mut self, p: &Option<PeerRef>) {
-        match p {
-            None => self.byte(0),
-            Some(p) => {
-                self.byte(1);
-                self.peer(p);
-            }
+            PeerRef::Internal(r) => self.tagged(0, r.0),
+            PeerRef::External(x) => self.tagged(1, x.0),
         }
     }
 
     fn route(&mut self, r: &BgpRoute) {
         self.pfx_sym(r.prefix);
         match r.next_hop {
-            NextHop::External(x) => {
-                self.byte(0);
-                self.u32v(x.0);
-            }
-            NextHop::Router(rt) => {
-                self.byte(1);
-                self.u32v(rt.0);
-            }
+            NextHop::External(x) => self.tagged(0, x.0),
+            NextHop::Router(rt) => self.tagged(1, rt.0),
         }
-        self.u32v(r.local_pref);
-        self.u64v(r.as_path.len() as u64);
+        self.varint(r.local_pref);
+        self.varint(r.as_path.len() as u64);
         for asn in &r.as_path {
-            self.u32v(asn.0);
+            self.varint(asn.0);
         }
-        self.byte(match r.origin {
-            Origin::Igp => 0,
-            Origin::Egp => 1,
-            Origin::Incomplete => 2,
-        });
-        self.u32v(r.med);
+        self.byte(r.origin as u8);
+        self.varint(r.med);
         // BTreeSet iteration is sorted: the encoding is deterministic.
-        self.u64v(r.communities.len() as u64);
+        self.varint(r.communities.len() as u64);
         for c in &r.communities {
-            self.u32v(*c);
+            self.varint(*c);
         }
-        self.u32v(r.originator.0);
-    }
-
-    fn opt_route(&mut self, r: &Option<Arc<BgpRoute>>) {
-        match r {
-            None => self.byte(0),
-            Some(r) => {
-                self.byte(1);
-                self.route(r);
-            }
-        }
-    }
-
-    /// `Option<ConfigChange>` rides as presence + length-prefixed JSON.
-    fn opt_blob(&mut self, c: &Option<cpvr_bgp::ConfigChange>) {
-        match c {
-            None => self.byte(0),
-            Some(c) => {
-                self.byte(1);
-                let json = to_string_compact(c);
-                self.u64v(json.len() as u64);
-                self.out.extend_from_slice(json.as_bytes());
-            }
-        }
-    }
-
-    fn action(&mut self, a: &FibAction) {
-        match a {
-            FibAction::Forward(l) => {
-                self.byte(0);
-                self.u32v(l.0);
-            }
-            FibAction::Exit(x) => {
-                self.byte(1);
-                self.u32v(x.0);
-            }
-            FibAction::Local => self.byte(2),
-            FibAction::Drop => self.byte(3),
-        }
-    }
-
-    fn opt_u32(&mut self, v: Option<u32>) {
-        match v {
-            None => self.byte(0),
-            Some(v) => {
-                self.byte(1);
-                self.u32v(v);
-            }
-        }
+        self.varint(r.originator.0);
     }
 }
 
@@ -354,16 +328,16 @@ pub fn encode_event_traced(
     defs: &mut Vec<InternDef>,
     out: &mut Vec<u8>,
 ) {
-    varint::write_u64(out, seq);
+    bin::put_varint(out, seq);
     let mut e = Enc {
         interns,
         defs,
         router: event.router.0,
         out,
     };
-    e.u32v(event.id.0);
-    e.u32v(event.router.0);
-    e.u64v(event.time.0);
+    e.varint(event.id.0);
+    e.varint(event.router.0);
+    e.varint(event.time.0);
     let mut flags = 0u8;
     if event.arrived_at.is_some() {
         flags |= 1;
@@ -373,7 +347,7 @@ pub fn encode_event_traced(
     }
     e.byte(flags);
     if let Some(t) = event.arrived_at {
-        e.u64v(t.0);
+        e.varint(t.0);
     }
     match &event.kind {
         IoKind::ConfigChange {
@@ -383,8 +357,8 @@ pub fn encode_event_traced(
         } => {
             e.byte(0);
             e.str_sym(desc);
-            e.opt_blob(change);
-            e.opt_blob(inverse);
+            e.opt(change.as_ref(), |e, c| encode_json_blob(e.out, c));
+            e.opt(inverse.as_ref(), |e, c| encode_json_blob(e.out, c));
         }
         IoKind::SoftReconfig { desc } => {
             e.byte(1);
@@ -399,8 +373,8 @@ pub fn encode_event_traced(
             e.byte(2);
             e.str_sym(desc);
             e.byte(u8::from(*up));
-            e.opt_u32(link.map(|l| l.0));
-            e.opt_u32(peer.map(|p| p.0));
+            e.opt(link.map(|l| l.0), Enc::varint);
+            e.opt(peer.map(|p| p.0), Enc::varint);
         }
         IoKind::RecvAdvert {
             proto,
@@ -410,9 +384,9 @@ pub fn encode_event_traced(
         } => {
             e.byte(3);
             e.proto(*proto);
-            e.opt_pfx(prefix);
-            e.opt_peer(from);
-            e.opt_route(route);
+            e.opt(*prefix, Enc::pfx_sym);
+            e.opt(from.as_ref(), Enc::peer);
+            e.opt(route.as_deref(), Enc::route);
         }
         IoKind::RecvWithdraw {
             proto,
@@ -421,8 +395,8 @@ pub fn encode_event_traced(
         } => {
             e.byte(4);
             e.proto(*proto);
-            e.opt_pfx(prefix);
-            e.opt_peer(from);
+            e.opt(*prefix, Enc::pfx_sym);
+            e.opt(from.as_ref(), Enc::peer);
         }
         IoKind::RibInstall {
             proto,
@@ -432,7 +406,7 @@ pub fn encode_event_traced(
             e.byte(5);
             e.proto(*proto);
             e.pfx_sym(*prefix);
-            e.opt_route(route);
+            e.opt(route.as_deref(), Enc::route);
         }
         IoKind::RibRemove { proto, prefix } => {
             e.byte(6);
@@ -442,7 +416,7 @@ pub fn encode_event_traced(
         IoKind::FibInstall { prefix, action } => {
             e.byte(7);
             e.pfx_sym(*prefix);
-            e.action(action);
+            encode_action(e.out, action);
         }
         IoKind::FibRemove { prefix } => {
             e.byte(8);
@@ -456,15 +430,15 @@ pub fn encode_event_traced(
         } => {
             e.byte(9);
             e.proto(*proto);
-            e.opt_pfx(prefix);
-            e.opt_peer(to);
-            e.opt_route(route);
+            e.opt(*prefix, Enc::pfx_sym);
+            e.opt(to.as_ref(), Enc::peer);
+            e.opt(route.as_deref(), Enc::route);
         }
         IoKind::SendWithdraw { proto, prefix, to } => {
             e.byte(10);
             e.proto(*proto);
-            e.opt_pfx(prefix);
-            e.opt_peer(to);
+            e.opt(*prefix, Enc::pfx_sym);
+            e.opt(to.as_ref(), Enc::peer);
         }
     }
     if let Some(ctx) = trace {
@@ -472,74 +446,54 @@ pub fn encode_event_traced(
     }
 }
 
-/// Cursor over an event body during decode.
+/// An event body's [`Reader`] plus the sending router's symbol tables.
 struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    r: Reader<'a>,
     interns: &'a Interns,
 }
 
 impl<'a> Dec<'a> {
-    fn byte(&mut self) -> Result<u8, WireError> {
-        let b = *self.buf.get(self.pos).ok_or(WireError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
+    /// A presence flag for `what`, then the value if present.
+    fn opt<T>(
+        &mut self,
+        what: &'static str,
+        f: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Option<T>, WireError> {
+        if self.r.flag(what)? {
+            f(self).map(Some)
+        } else {
+            Ok(None)
+        }
     }
 
-    fn u32v(&mut self) -> Result<u32, WireError> {
-        varint::read_u32(self.buf, &mut self.pos).ok_or(WireError::Truncated)
-    }
-
-    fn u64v(&mut self) -> Result<u64, WireError> {
-        varint::read_u64(self.buf, &mut self.pos).ok_or(WireError::Truncated)
+    /// The bytes a symbol in `space` was defined as.
+    fn sym(&mut self, space: u8) -> Result<&'a [u8], WireError> {
+        let symbol = self.r.varint_u32()?;
+        let table = self.interns.space(space);
+        let bytes = table.and_then(|t| t.resolve(symbol));
+        bytes.ok_or(WireError::UnknownSymbol { space, symbol })
     }
 
     fn desc(&mut self) -> Result<String, WireError> {
-        let sym = self.u32v()?;
-        let bytes = self
-            .interns
-            .strings
-            .resolve(sym)
-            .ok_or(WireError::UnknownSymbol {
-                space: SPACE_STRING,
-                symbol: sym,
-            })?;
-        std::str::from_utf8(bytes)
+        std::str::from_utf8(self.sym(SPACE_STRING)?)
             .map(str::to_owned)
             .map_err(|_| WireError::BadSymbolBytes("string"))
     }
 
     fn pfx(&mut self) -> Result<Ipv4Prefix, WireError> {
-        let sym = self.u32v()?;
-        let bytes = self
-            .interns
-            .prefixes
-            .resolve(sym)
-            .ok_or(WireError::UnknownSymbol {
-                space: SPACE_PREFIX,
-                symbol: sym,
-            })?;
-        prefix_from_bytes(bytes).ok_or(WireError::BadSymbolBytes("prefix"))
+        prefix_from_bytes(self.sym(SPACE_PREFIX)?).ok_or(WireError::BadSymbolBytes("prefix"))
     }
 
-    fn presence(&mut self, what: &'static str) -> Result<bool, WireError> {
-        match self.byte()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(WireError::BadTag(what, b)),
-        }
+    fn u32v(&mut self) -> Result<u32, WireError> {
+        Ok(self.r.varint_u32()?)
     }
 
-    fn opt_pfx(&mut self) -> Result<Option<Ipv4Prefix>, WireError> {
-        Ok(if self.presence("prefix presence")? {
-            Some(self.pfx()?)
-        } else {
-            None
-        })
+    fn change(&mut self) -> Result<cpvr_bgp::ConfigChange, WireError> {
+        decode_json_blob(&mut self.r, "config change")
     }
 
     fn proto(&mut self) -> Result<Proto, WireError> {
-        match self.byte()? {
+        match self.r.u8()? {
             0 => Ok(Proto::Bgp),
             1 => Ok(Proto::Ospf),
             2 => Ok(Proto::Rip),
@@ -549,55 +503,40 @@ impl<'a> Dec<'a> {
     }
 
     fn peer(&mut self) -> Result<PeerRef, WireError> {
-        match self.byte()? {
+        match self.r.u8()? {
             0 => Ok(PeerRef::Internal(RouterId(self.u32v()?))),
             1 => Ok(PeerRef::External(ExtPeerId(self.u32v()?))),
             b => Err(WireError::BadTag("peer", b)),
         }
     }
 
-    fn opt_peer(&mut self) -> Result<Option<PeerRef>, WireError> {
-        Ok(if self.presence("peer presence")? {
-            Some(self.peer()?)
-        } else {
-            None
-        })
-    }
-
-    fn route(&mut self) -> Result<BgpRoute, WireError> {
+    fn route(&mut self) -> Result<Arc<BgpRoute>, WireError> {
         let prefix = self.pfx()?;
-        let next_hop = match self.byte()? {
+        let next_hop = match self.r.u8()? {
             0 => NextHop::External(ExtPeerId(self.u32v()?)),
             1 => NextHop::Router(RouterId(self.u32v()?)),
             b => return Err(WireError::BadTag("next_hop", b)),
         };
         let local_pref = self.u32v()?;
-        let n = self.u64v()? as usize;
-        if n > self.buf.len() - self.pos.min(self.buf.len()) {
-            // A length a damaged frame can't back: fail before allocating.
-            return Err(WireError::Truncated);
-        }
+        let n = self.r.count()?;
         let mut as_path = Vec::with_capacity(n);
         for _ in 0..n {
             as_path.push(AsNum(self.u32v()?));
         }
-        let origin = match self.byte()? {
+        let origin = match self.r.u8()? {
             0 => Origin::Igp,
             1 => Origin::Egp,
             2 => Origin::Incomplete,
             b => return Err(WireError::BadTag("origin", b)),
         };
         let med = self.u32v()?;
-        let n = self.u64v()? as usize;
-        if n > self.buf.len() - self.pos.min(self.buf.len()) {
-            return Err(WireError::Truncated);
-        }
+        let n = self.r.count()?;
         let mut communities = BTreeSet::new();
         for _ in 0..n {
             communities.insert(self.u32v()?);
         }
         let originator = RouterId(self.u32v()?);
-        Ok(BgpRoute {
+        Ok(Arc::new(BgpRoute {
             prefix,
             next_hop,
             local_pref,
@@ -606,50 +545,7 @@ impl<'a> Dec<'a> {
             med,
             communities,
             originator,
-        })
-    }
-
-    fn opt_route(&mut self) -> Result<Option<Arc<BgpRoute>>, WireError> {
-        Ok(if self.presence("route presence")? {
-            Some(Arc::new(self.route()?))
-        } else {
-            None
-        })
-    }
-
-    fn opt_blob(&mut self) -> Result<Option<cpvr_bgp::ConfigChange>, WireError> {
-        if !self.presence("blob presence")? {
-            return Ok(None);
-        }
-        let len = self.u64v()? as usize;
-        let end = self.pos.checked_add(len).ok_or(WireError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let text = std::str::from_utf8(&self.buf[self.pos..end])
-            .map_err(|_| WireError::BadJson("config change"))?;
-        self.pos = end;
-        from_str::<cpvr_bgp::ConfigChange>(text)
-            .map(Some)
-            .map_err(|_| WireError::BadJson("config change"))
-    }
-
-    fn action(&mut self) -> Result<FibAction, WireError> {
-        match self.byte()? {
-            0 => Ok(FibAction::Forward(LinkId(self.u32v()?))),
-            1 => Ok(FibAction::Exit(ExtPeerId(self.u32v()?))),
-            2 => Ok(FibAction::Local),
-            3 => Ok(FibAction::Drop),
-            b => Err(WireError::BadTag("fib action", b)),
-        }
-    }
-
-    fn opt_u32(&mut self, what: &'static str) -> Result<Option<u32>, WireError> {
-        Ok(if self.presence(what)? {
-            Some(self.u32v()?)
-        } else {
-            None
-        })
+        }))
     }
 }
 
@@ -672,53 +568,52 @@ pub fn decode_event_traced(
     store: &InternStore,
 ) -> Result<(u64, IoEvent, Option<TraceCtx>), WireError> {
     let empty = Interns::new();
-    let mut pos = 0;
-    let seq = varint::read_u64(buf, &mut pos).ok_or(WireError::Truncated)?;
-    let id = varint::read_u32(buf, &mut pos).ok_or(WireError::Truncated)?;
-    let router = varint::read_u32(buf, &mut pos).ok_or(WireError::Truncated)?;
+    let mut r = Reader::new(buf);
+    let seq = r.varint()?;
+    let id = r.varint_u32()?;
+    let router = r.varint_u32()?;
     let mut d = Dec {
-        buf,
-        pos,
+        r,
         interns: store.of(router).unwrap_or(&empty),
     };
-    let time = SimTime(d.u64v()?);
-    let flags = d.byte()?;
+    let time = SimTime(d.r.varint()?);
+    let flags = d.r.u8()?;
     if flags & !0b11 != 0 {
         return Err(WireError::BadTag("event flags", flags));
     }
     let arrived_at = if flags & 1 != 0 {
-        Some(SimTime(d.u64v()?))
+        Some(SimTime(d.r.varint()?))
     } else {
         None
     };
-    let kind = match d.byte()? {
+    let kind = match d.r.u8()? {
         0 => IoKind::ConfigChange {
             desc: d.desc()?,
-            change: d.opt_blob()?,
-            inverse: d.opt_blob()?,
+            change: d.opt("blob presence", Dec::change)?,
+            inverse: d.opt("blob presence", Dec::change)?,
         },
         1 => IoKind::SoftReconfig { desc: d.desc()? },
         2 => IoKind::LinkStatus {
             desc: d.desc()?,
-            up: d.presence("link up")?,
-            link: d.opt_u32("link presence")?.map(LinkId),
-            peer: d.opt_u32("ext peer presence")?.map(ExtPeerId),
+            up: d.r.flag("link up")?,
+            link: d.opt("link presence", Dec::u32v)?.map(LinkId),
+            peer: d.opt("ext peer presence", Dec::u32v)?.map(ExtPeerId),
         },
         3 => IoKind::RecvAdvert {
             proto: d.proto()?,
-            prefix: d.opt_pfx()?,
-            from: d.opt_peer()?,
-            route: d.opt_route()?,
+            prefix: d.opt("prefix presence", Dec::pfx)?,
+            from: d.opt("peer presence", Dec::peer)?,
+            route: d.opt("route presence", Dec::route)?,
         },
         4 => IoKind::RecvWithdraw {
             proto: d.proto()?,
-            prefix: d.opt_pfx()?,
-            from: d.opt_peer()?,
+            prefix: d.opt("prefix presence", Dec::pfx)?,
+            from: d.opt("peer presence", Dec::peer)?,
         },
         5 => IoKind::RibInstall {
             proto: d.proto()?,
             prefix: d.pfx()?,
-            route: d.opt_route()?,
+            route: d.opt("route presence", Dec::route)?,
         },
         6 => IoKind::RibRemove {
             proto: d.proto()?,
@@ -726,40 +621,29 @@ pub fn decode_event_traced(
         },
         7 => IoKind::FibInstall {
             prefix: d.pfx()?,
-            action: d.action()?,
+            action: decode_action(&mut d.r)?,
         },
         8 => IoKind::FibRemove { prefix: d.pfx()? },
         9 => IoKind::SendAdvert {
             proto: d.proto()?,
-            prefix: d.opt_pfx()?,
-            to: d.opt_peer()?,
-            route: d.opt_route()?,
+            prefix: d.opt("prefix presence", Dec::pfx)?,
+            to: d.opt("peer presence", Dec::peer)?,
+            route: d.opt("route presence", Dec::route)?,
         },
         10 => IoKind::SendWithdraw {
             proto: d.proto()?,
-            prefix: d.opt_pfx()?,
-            to: d.opt_peer()?,
+            prefix: d.opt("prefix presence", Dec::pfx)?,
+            to: d.opt("peer presence", Dec::peer)?,
         },
         b => return Err(WireError::BadTag("io kind", b)),
     };
     let trace = if flags & 2 != 0 {
-        let end = d
-            .pos
-            .checked_add(TRACE_CTX_WIRE_LEN)
-            .ok_or(WireError::Truncated)?;
-        if end > buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let ctx =
-            TraceCtx::decode(&buf[d.pos..end]).ok_or(WireError::BadSymbolBytes("trace trailer"))?;
-        d.pos = end;
-        Some(ctx)
+        let trailer = d.r.take(TRACE_CTX_WIRE_LEN)?;
+        Some(TraceCtx::decode(trailer).ok_or(WireError::BadSymbolBytes("trace trailer"))?)
     } else {
         None
     };
-    if d.pos != buf.len() {
-        return Err(WireError::Trailing(buf.len() - d.pos));
-    }
+    d.r.finish()?;
     Ok((
         seq,
         IoEvent {

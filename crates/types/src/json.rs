@@ -95,13 +95,6 @@ impl Value {
         out
     }
 
-    /// Appends the compact rendering to an existing buffer — lets hot
-    /// paths (the collector's per-connection encoders) reuse one scratch
-    /// `String` instead of allocating per value.
-    pub fn render_compact_into(&self, out: &mut String) {
-        self.write_compact(out);
-    }
-
     fn write_compact(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
@@ -234,12 +227,6 @@ pub trait FromJson: Sized {
 /// Serializes any [`ToJson`] type to pretty-printed JSON.
 pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
     value.to_json().render_pretty()
-}
-
-/// Appends the compact JSON form of any [`ToJson`] type to `out`,
-/// reusing the caller's scratch buffer instead of allocating.
-pub fn to_string_compact_into<T: ToJson + ?Sized>(value: &T, out: &mut String) {
-    value.to_json().render_compact_into(out);
 }
 
 /// Serializes any [`ToJson`] type to compact (whitespace-free) JSON —
@@ -701,11 +688,19 @@ macro_rules! impl_json_enum {
 // ---------------------------------------------------------------------
 // Parser.
 
-/// Parses a JSON document, rejecting trailing garbage.
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, and frames arrive off the network on threads with the default
+/// stack, so a document of nothing but `[` must be an error, not a stack
+/// overflow. The deepest document this workspace writes is far shallower.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document, rejecting trailing garbage and nesting
+/// deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -719,6 +714,7 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -763,14 +759,29 @@ impl Parser<'_> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(JsonError::new(format!(
                 "unexpected input at byte {}",
                 self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, JsonError>) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, JsonError> {
@@ -978,6 +989,16 @@ mod tests {
         assert!(parse("{} trailing").is_err());
         assert!(u32::from_json(&Value::Str("3".into())).is_err());
         assert!(u8::from_json(&Value::U64(300)).is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_bound).is_ok());
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&past).is_err());
     }
 
     #[derive(Debug, PartialEq)]

@@ -14,8 +14,10 @@
 //!   ordered, and printable in the units the paper's Fig. 5 uses ([`time`]).
 //! * CRC-32 (IEEE) checksums ([`crc32`]) — the integrity check shared by
 //!   the collector's wire codec and its write-ahead log.
-//! * LEB128 varints ([`varint`]) and intern tables ([`intern`]) — the
-//!   building blocks of the collector's binary wire codec (v3).
+//! * One binary reader and its writers ([`bin`]: LEB128 varints, length
+//!   prefixes, presence tags) and intern tables ([`intern`]) — the
+//!   building blocks of every binary body: the collector's wire codec
+//!   (v3), its repair journal, and the repair proof.
 //!
 //! The crate is deliberately dependency-free (per the workspace design
 //! rules) and fully deterministic: no hashing with random state leaks into
@@ -24,6 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bin;
 pub mod crc32;
 pub mod hash;
 pub mod ids;
@@ -33,7 +36,6 @@ pub mod prefix;
 pub mod time;
 pub mod trace;
 pub mod trie;
-pub mod varint;
 
 pub use hash::{fnv1a64, Fnv1a64};
 pub use ids::{AsNum, IfaceId, RouterId};

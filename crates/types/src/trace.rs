@@ -20,6 +20,7 @@
 //! record (0 at the mint). It orders records *within* one trace when
 //! monotonic clocks from different hosts cannot be compared directly.
 
+use crate::bin::Reader;
 use crate::hash::Fnv1a64;
 use crate::time::SimTime;
 
@@ -95,28 +96,15 @@ impl TraceCtx {
         out.extend_from_slice(&self.parent.to_le_bytes());
     }
 
-    /// The 12-byte wire form as an array (for fixed-size trailers).
-    pub fn to_wire(&self) -> [u8; TRACE_CTX_WIRE_LEN] {
-        let mut b = [0u8; TRACE_CTX_WIRE_LEN];
-        b[..8].copy_from_slice(&self.trace_id.to_le_bytes());
-        b[8..].copy_from_slice(&self.parent.to_le_bytes());
-        b
-    }
-
     /// Decodes a trailer that must be exactly
     /// [`TRACE_CTX_WIRE_LEN`] bytes; `None` on any other length.
     pub fn decode(buf: &[u8]) -> Option<TraceCtx> {
-        if buf.len() != TRACE_CTX_WIRE_LEN {
-            return None;
-        }
-        let mut id = [0u8; 8];
-        id.copy_from_slice(&buf[..8]);
-        let mut parent = [0u8; 4];
-        parent.copy_from_slice(&buf[8..]);
-        Some(TraceCtx {
-            trace_id: u64::from_le_bytes(id),
-            parent: u32::from_le_bytes(parent),
-        })
+        let mut r = Reader::new(buf);
+        let ctx = TraceCtx {
+            trace_id: r.u64_le().ok()?,
+            parent: r.u32_le().ok()?,
+        };
+        r.finish().ok().map(|()| ctx)
     }
 }
 
@@ -135,7 +123,6 @@ mod tests {
         let mut buf = Vec::new();
         ctx.encode_to(&mut buf);
         assert_eq!(buf.len(), TRACE_CTX_WIRE_LEN);
-        assert_eq!(buf, ctx.to_wire());
         assert_eq!(TraceCtx::decode(&buf), Some(ctx));
         assert_eq!(TraceCtx::decode(&buf[..11]), None);
         assert_eq!(TraceCtx::decode(&[0u8; 13]), None);
