@@ -1,24 +1,26 @@
-//! WAL group commit: one dedicated thread aggregates fsyncs across all
-//! fold workers' WAL series.
+//! WAL group commit: one dedicated thread applies the
+//! [`FsyncPolicy`] across all fold workers' WAL series.
 //!
-//! A bare [`Wal`](crate::Wal) applies `FsyncPolicy::EveryN` per handle:
-//! every N-th append pays a blocking `fsync` on the appending thread.
-//! The fold workers instead open their WALs in deferred-sync mode
-//! ([`crate::WalConfig::deferred_sync`]): a worker only `flush()`es per
-//! ingest batch and credits the group-commit thread with the records
-//! appended, and the thread fsyncs *every registered segment file at
-//! once* when the global (cross-shard, cross-connection) counter
-//! reaches N. One thread absorbs all fsync latency, the fold threads
-//! never block on the disk, and the worst-case loss window stays N
-//! records — counted across the whole collector instead of per stream.
+//! A [`Wal`](crate::Wal) only frames and buffers; this is the one place
+//! that knows what a policy means. A worker flushes each ingest batch
+//! and [`commit`](GroupCommitHandle::commit)s the records it appended,
+//! and the thread fsyncs *every registered segment file at once*:
 //!
-//! Under [`FsyncPolicy::Always`](crate::FsyncPolicy) workers instead
-//! call [`GroupCommitHandle::sync_now`] and wait for the ticket before
-//! acking, so acked ⇒ fsynced holds even though the fsync itself runs
-//! on the sync thread — the property the durability tests crash the
-//! sync thread to probe — and concurrent batches coalesce into shared
-//! fsync cycles.
+//! * under `EveryN(n)` when the global (cross-shard, cross-connection)
+//!   count of committed records reaches `n` — the commit is a credit,
+//!   the fold threads never block on the disk, and the worst-case loss
+//!   window stays `n` records counted across the whole collector;
+//! * under `Always` on every commit, which blocks until that fsync is
+//!   done, so acked ⇒ fsynced holds even though the fsync itself runs
+//!   on the sync thread — the property the durability tests crash the
+//!   sync thread to probe — and concurrent batches coalesce into shared
+//!   fsync cycles;
+//! * under `Never` only at [`stop`](GroupCommit::stop).
+//!
+//! Rotation and [`Wal::close`](crate::Wal::close) sync inline whatever
+//! the policy, so a segment a writer has left is always durable.
 
+use crate::FsyncPolicy;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io;
@@ -29,11 +31,12 @@ enum SyncReq {
     /// (Re-)register shard `k`'s active segment file; replaces any
     /// previous handle for `k` (rotation).
     Register { shard: u32, file: File },
-    /// `n` records were appended (and flushed) by some shard.
-    Appended { n: u32 },
-    /// Fsync everything now and report; the ticket a worker waits on
-    /// before acking under `FsyncPolicy::Always`.
-    SyncNow { done: Sender<io::Result<()>> },
+    /// `n` records were appended and flushed by some shard; `done` is
+    /// the ticket an `Always` commit waits on.
+    Commit {
+        n: u32,
+        done: Option<Sender<io::Result<()>>>,
+    },
     /// Test hook: die without syncing, as a crashed sync thread would.
     Crash,
     /// Final sync, report, exit.
@@ -41,34 +44,45 @@ enum SyncReq {
 }
 
 /// A worker-side handle to the group-commit thread. Cheap to clone;
-/// every call returns `false`/`Err` once the thread is gone (crashed or
-/// stopped), which callers must treat as a durability fault.
+/// every call fails once the thread is gone (crashed or stopped),
+/// which callers must treat as a durability fault.
 #[derive(Clone)]
 pub struct GroupCommitHandle {
     tx: Sender<SyncReq>,
+    policy: FsyncPolicy,
+}
+
+fn gone() -> io::Error {
+    io::Error::other("group-commit thread is gone")
 }
 
 impl GroupCommitHandle {
     /// Registers (or, after a rotation, replaces) shard `k`'s active
     /// segment file.
-    pub fn register(&self, shard: u32, file: File) -> bool {
-        self.tx.send(SyncReq::Register { shard, file }).is_ok()
-    }
-
-    /// Credits `n` appended-and-flushed records toward the global
-    /// EveryN counter.
-    pub fn appended(&self, n: u32) -> bool {
-        self.tx.send(SyncReq::Appended { n }).is_ok()
-    }
-
-    /// Fsyncs every registered file and returns once done — the
-    /// blocking ticket for `FsyncPolicy::Always`.
-    pub fn sync_now(&self) -> io::Result<()> {
-        let (done_tx, done_rx) = channel();
+    pub fn register(&self, shard: u32, file: File) -> io::Result<()> {
         self.tx
-            .send(SyncReq::SyncNow { done: done_tx })
-            .map_err(|_| io::Error::other("group-commit thread is gone"))?;
-        done_rx
+            .send(SyncReq::Register { shard, file })
+            .map_err(|_| gone())
+    }
+
+    /// Commits `n` appended-and-flushed records: under `Always`, returns
+    /// once every registered file is fsynced; otherwise a cadence credit
+    /// that returns at once.
+    pub fn commit(&self, n: u32) -> io::Result<()> {
+        if self.policy != FsyncPolicy::Always {
+            return self
+                .tx
+                .send(SyncReq::Commit { n, done: None })
+                .map_err(|_| gone());
+        }
+        let (done, ticket) = channel();
+        self.tx
+            .send(SyncReq::Commit {
+                n,
+                done: Some(done),
+            })
+            .map_err(|_| gone())?;
+        ticket
             .recv()
             .map_err(|_| io::Error::other("group-commit thread died mid-sync"))?
     }
@@ -83,44 +97,37 @@ impl GroupCommitHandle {
 /// The owning side of the group-commit thread.
 pub struct GroupCommit {
     handle: GroupCommitHandle,
-    join: Option<JoinHandle<u64>>,
+    join: JoinHandle<()>,
 }
 
 impl GroupCommit {
-    /// Spawns the sync thread. `every` is the global record cadence
-    /// (`u32::MAX` effectively never syncs on cadence — the
-    /// `FsyncPolicy::Never` analogue; explicit `sync_now`/`stop` still
-    /// sync). The registry handles publish fsync count and latency.
+    /// Spawns the sync thread applying `policy`. The registry handles
+    /// count and time its fsyncs.
     pub fn start(
-        every: u32,
-        (syncs_total, fsync_nanos): (cpvr_obs::Counter, cpvr_obs::Histogram),
+        policy: FsyncPolicy,
+        (syncs, fsync_nanos): (cpvr_obs::Counter, cpvr_obs::Histogram),
     ) -> Self {
         let (tx, rx) = channel::<SyncReq>();
-        let every = every.max(1);
+        // Whether `pending` committed records are due an fsync.
+        let due = move |pending: u64| match policy {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::EveryN(n) => pending >= u64::from(n.max(1)),
+            FsyncPolicy::Never => false,
+        };
         let join = std::thread::Builder::new()
             .name("cpvr-wal-sync".into())
             .spawn(move || {
                 let mut files: HashMap<u32, File> = HashMap::new();
                 let mut pending: u64 = 0;
-                let mut syncs: u64 = 0;
                 let mut latched: Option<io::Error> = None;
-                let sync_all = |files: &HashMap<u32, File>,
-                                syncs: &mut u64,
-                                latched: &mut Option<io::Error>|
-                 -> io::Result<()> {
+                // Fsyncs every file, latching the first error for `stop`.
+                let sync_all = |files: &HashMap<u32, File>, latched: &mut Option<io::Error>| {
                     let start = std::time::Instant::now();
-                    let mut result = Ok(());
-                    for f in files.values() {
-                        if let Err(e) = f.sync_data() {
-                            if latched.is_none() {
-                                *latched = Some(io::Error::new(e.kind(), e.to_string()));
-                            }
-                            result = Err(e);
-                            break;
-                        }
+                    let result = files.values().try_for_each(File::sync_data);
+                    if let (Err(e), None) = (&result, &latched) {
+                        *latched = Some(io::Error::new(e.kind(), e.to_string()));
                     }
-                    *syncs += 1;
-                    syncs_total.inc();
+                    syncs.inc();
                     fsync_nanos.observe_since(start);
                     result
                 };
@@ -129,40 +136,35 @@ impl GroupCommit {
                         SyncReq::Register { shard, file } => {
                             files.insert(shard, file);
                         }
-                        SyncReq::Appended { n } => {
-                            pending += n as u64;
-                            if pending >= every as u64 {
-                                let _ = sync_all(&files, &mut syncs, &mut latched);
+                        SyncReq::Commit { n, done } => {
+                            pending += u64::from(n);
+                            let r = if due(pending) {
                                 pending = 0;
-                            }
-                        }
-                        SyncReq::SyncNow { done } => {
-                            let r = sync_all(&files, &mut syncs, &mut latched);
-                            pending = 0;
-                            let _ = done.send(r);
-                        }
-                        SyncReq::Crash => return syncs,
-                        SyncReq::Stop { done } => {
-                            let r = if pending > 0 || latched.is_none() {
-                                sync_all(&files, &mut syncs, &mut latched)
+                                sync_all(&files, &mut latched)
                             } else {
                                 Ok(())
                             };
-                            let _ = done.send(match (r, latched.take()) {
-                                (Err(e), _) => Err(e),
-                                (Ok(()), Some(e)) => Err(e),
-                                (Ok(()), None) => Ok(()),
-                            });
-                            return syncs;
+                            if let Some(done) = done {
+                                let _ = done.send(r);
+                            }
+                        }
+                        SyncReq::Crash => return,
+                        SyncReq::Stop { done } => {
+                            let r = if pending > 0 || latched.is_none() {
+                                sync_all(&files, &mut latched)
+                            } else {
+                                Ok(())
+                            };
+                            let _ = done.send(r.and(latched.take().map_or(Ok(()), Err)));
+                            return;
                         }
                     }
                 }
-                syncs
             })
             .expect("spawn group-commit thread");
         GroupCommit {
-            handle: GroupCommitHandle { tx },
-            join: Some(join),
+            handle: GroupCommitHandle { tx, policy },
+            join,
         }
     }
 
@@ -171,44 +173,30 @@ impl GroupCommit {
         self.handle.clone()
     }
 
-    /// Final sync, then join. Returns the total group fsyncs issued, or
-    /// the first latched sync error. A crashed thread reports as an
-    /// error (its final sync never happened).
-    pub fn stop(mut self) -> io::Result<u64> {
+    /// Final sync, then join. Returns the first latched sync error; a
+    /// crashed thread reports as an error (its final sync never
+    /// happened).
+    pub fn stop(self) -> io::Result<()> {
         let (done_tx, done_rx) = channel();
-        let send_ok = self.handle.tx.send(SyncReq::Stop { done: done_tx }).is_ok();
-        let result = if send_ok {
-            done_rx
+        let result = match self.handle.tx.send(SyncReq::Stop { done: done_tx }) {
+            Ok(()) => done_rx
                 .recv()
                 .map_err(|_| io::Error::other("group-commit thread died before final sync"))
-                .and_then(|r| r)
-        } else {
-            Err(io::Error::other(
+                .and_then(|r| r),
+            Err(_) => Err(io::Error::other(
                 "group-commit thread crashed before shutdown",
-            ))
+            )),
         };
-        let syncs = self
-            .join
-            .take()
-            .expect("joined once")
-            .join()
-            .unwrap_or_default();
-        result.map(|()| syncs)
+        let _ = self.join.join();
+        result
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{replay_series, TempDir, Wal, WalConfig};
-    use crate::FsyncPolicy;
-
-    fn deferred_wal(dir: &std::path::Path, shard: u32) -> Wal {
-        let mut cfg = WalConfig::new(dir).for_series(shard);
-        cfg.deferred_sync = true;
-        cfg.fsync = FsyncPolicy::EveryN(4);
-        Wal::open(cfg).unwrap()
-    }
+    use crate::wal::{replay_series, wait_for, TempDir, Wal, WalConfig};
+    use std::time::Duration;
 
     /// Fsync count and latency handles from a throwaway registry.
     fn sync_metrics() -> (cpvr_obs::Counter, cpvr_obs::Histogram) {
@@ -221,44 +209,77 @@ mod tests {
 
     #[test]
     fn cadence_spans_all_registered_series() {
-        let tmp = TempDir::new("gc-cadence").unwrap();
-        let mut w0 = deferred_wal(tmp.path(), 0);
-        let mut w1 = deferred_wal(tmp.path(), 1);
-        let gc = GroupCommit::start(4, sync_metrics());
-        let h = gc.handle();
-        assert!(h.register(0, w0.active_file().unwrap()));
-        assert!(h.register(1, w1.active_file().unwrap()));
-        // 3 appends on shard 0 + 2 on shard 1 cross the global cadence
-        // of 4 even though neither shard alone does.
-        for i in 0..3 {
-            w0.append(format!("a{i}").as_bytes()).unwrap();
+        for policy in [
+            FsyncPolicy::Always,
+            FsyncPolicy::EveryN(4),
+            FsyncPolicy::Never,
+        ] {
+            let tmp = TempDir::new("gc-cadence").unwrap();
+            let mut w0 = Wal::open(WalConfig::new(tmp.path()).for_series(0)).unwrap();
+            let mut w1 = Wal::open(WalConfig::new(tmp.path()).for_series(1)).unwrap();
+            let (syncs, fsync_nanos) = sync_metrics();
+            let gc = GroupCommit::start(policy, (syncs.clone(), fsync_nanos));
+            let h = gc.handle();
+            h.register(0, w0.active_file().unwrap()).unwrap();
+            h.register(1, w1.active_file().unwrap()).unwrap();
+            // 3 appends on shard 0 + 2 on shard 1 cross the global
+            // cadence of 4 even though neither shard alone does.
+            for (i, (w, n)) in [(&mut w0, 3), (&mut w1, 2)].into_iter().enumerate() {
+                for r in 0..n {
+                    w.append(format!("{i}-{r}").as_bytes()).unwrap();
+                }
+                w.flush().unwrap();
+                h.commit(n).unwrap();
+                if policy == FsyncPolicy::Always {
+                    assert_eq!(
+                        syncs.value(),
+                        i as u64 + 1,
+                        "an Always commit returns fsynced"
+                    );
+                }
+            }
+            if policy == FsyncPolicy::EveryN(4) {
+                assert!(
+                    wait_for(Duration::from_secs(5), || syncs.value() >= 1),
+                    "five credits over two series must cross EveryN(4)"
+                );
+            }
+            // Commits are processed in order, so the count at stop says
+            // how many fsyncs the commits themselves issued.
+            gc.stop().unwrap();
+            let expected = match policy {
+                FsyncPolicy::Always => 3,
+                FsyncPolicy::EveryN(_) => 2,
+                FsyncPolicy::Never => 1,
+            };
+            assert_eq!(
+                syncs.value(),
+                expected,
+                "{policy:?}: commits plus the final sync"
+            );
+            w0.close().unwrap();
+            w1.close().unwrap();
+            assert_eq!(replay_series(tmp.path(), Some(0)).unwrap().records.len(), 3);
+            assert_eq!(replay_series(tmp.path(), Some(1)).unwrap().records.len(), 2);
         }
-        w0.flush().unwrap();
-        assert!(h.appended(3));
-        for i in 0..2 {
-            w1.append(format!("b{i}").as_bytes()).unwrap();
-        }
-        w1.flush().unwrap();
-        assert!(h.appended(2));
-        let syncs = gc.stop().unwrap();
-        assert!(syncs >= 2, "cadence sync plus final sync, got {syncs}");
-        w0.close().unwrap();
-        w1.close().unwrap();
-        assert_eq!(replay_series(tmp.path(), Some(0)).unwrap().records.len(), 3);
-        assert_eq!(replay_series(tmp.path(), Some(1)).unwrap().records.len(), 2);
     }
 
     #[test]
-    fn sync_now_ticket_fails_after_crash() {
-        let gc = GroupCommit::start(1024, sync_metrics());
+    fn commit_fails_after_crash() {
+        let gc = GroupCommit::start(FsyncPolicy::Always, sync_metrics());
         let h = gc.handle();
-        assert!(h.sync_now().is_ok());
+        assert!(h.commit(1).is_ok());
         h.crash();
         assert!(
-            h.sync_now().is_err(),
+            h.commit(1).is_err(),
             "a ticket must never report durability a dead sync thread cannot provide"
         );
-        assert!(!h.appended(1));
+        // The failed ticket saw the thread gone, so a credit fails too.
+        let credit = GroupCommitHandle {
+            policy: FsyncPolicy::EveryN(1024),
+            ..h
+        };
+        assert!(credit.commit(1).is_err());
         assert!(gc.stop().is_err(), "crash must surface at shutdown");
     }
 }

@@ -24,8 +24,11 @@
 //!   cumulative acks pass it and replayed on reconnect, a receiver
 //!   cursor that drops duplicates and gaps, and the session-id mint.
 //! * [`wal`] — a segmented append-only write-ahead log whose records
-//!   are exactly the wire frames, with configurable fsync policy and
-//!   torn-tail detection on replay.
+//!   are exactly the wire frames, with torn-tail detection on replay.
+//!   It only frames, buffers, rotates and replays.
+//! * [`group_commit`] — the one owner of the [`FsyncPolicy`]: a thread
+//!   that fsyncs every worker's WAL series at once, per commit under
+//!   `Always`, per `n` records across all series under `EveryN(n)`.
 //! * [`pipeline`] + [`collector`] + [`shard`] + [`federation`] — the
 //!   threaded TCP server: one reader thread per router connection, a
 //!   bounded channel for backpressure, and **one ingest engine** — a

@@ -17,6 +17,7 @@
 use std::sync::atomic::{fence, Ordering};
 use std::sync::{Arc, Mutex};
 
+use cpvr_core::snapshot::Verdict;
 use cpvr_core::HbrSource;
 use cpvr_obs::{Counter, ExpoFormat, FlightRecorder, Gauge, Histogram, MetricsRegistry, Snapshot};
 use cpvr_types::{RouterId, SimTime};
@@ -24,7 +25,7 @@ use cpvr_types::{RouterId, SimTime};
 use crate::codec::{RepairRecord, RepairStage};
 use crate::collector::CollectorStats;
 use crate::pipeline::{SourceState, SourceTable};
-use crate::shard::{FoldGauges, Verdict};
+use crate::shard::FoldGauges;
 use crate::wal::WalMetrics;
 
 /// The numeric encoding of [`SourceState`] published by the per-source

@@ -40,7 +40,7 @@
 //! foreign digests in origin order (the peers' after the own, in member
 //! order). *Phase 2*: workers report their missing sets, which a member
 //! ships to the peers as its partial verdict while theirs arrive.
-//! *Merge*: every missing set merges into the global `Verdict` —
+//! *Merge*: every missing set merges into the global [`Verdict`] —
 //! provably equal to the monolithic [`ConsistencyTracker`] verdict — and
 //! wait transitions are counted on the merged sequence, so §4.3 wait
 //! statistics are shard- and member-count-invariant. With no peers
@@ -60,12 +60,12 @@ use crate::group_commit::{GroupCommit, GroupCommitHandle};
 use crate::metrics::{gauge_nanos, CollectorMetrics};
 use crate::pipeline::{IngestPipeline, PipelineConfig, SourceTable, WalScan};
 use crate::repair_journal::RepairLedger;
-use crate::wal::{FsyncPolicy, Wal};
+use crate::wal::Wal;
 use cpvr_core::builder::HbgBuilder;
 use cpvr_core::hbg::{Hbg, Hbr};
 use cpvr_core::infer::InferConfig;
 use cpvr_core::rules::RuleScope;
-use cpvr_core::snapshot::{ConvDigest, SnapshotStatus, TrackerSlice};
+use cpvr_core::snapshot::{ConvDigest, SnapshotStatus, TrackerSlice, Verdict};
 use cpvr_core::{FoldRecord, HbrSource, ShardPlan};
 use cpvr_dataplane::DataPlane;
 use cpvr_sim::IoEvent;
@@ -178,51 +178,6 @@ impl FoldGauges {
         self.pending += other.pending;
         self.edges += other.edges;
         self.offer(&other.offered);
-    }
-}
-
-/// The global snapshot verdict and its wait accounting: the merge of
-/// every shard's missing set at one horizon, and the §4.3 transitions
-/// the monolithic tracker would have counted on that verdict sequence.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Verdict {
-    status: SnapshotStatus,
-    waiting: bool,
-    issued: u64,
-    resolved: u64,
-}
-
-impl Verdict {
-    /// Lands the verdict of one horizon from the concatenated missing
-    /// sets of every shard.
-    pub(crate) fn merge(&mut self, mut missing: Vec<RouterId>) {
-        missing.sort_unstable();
-        missing.dedup();
-        self.status = if missing.is_empty() {
-            SnapshotStatus::Consistent
-        } else {
-            SnapshotStatus::WaitFor(missing)
-        };
-        match (self.waiting, self.status.is_consistent()) {
-            (false, false) => {
-                self.issued += 1;
-                self.waiting = true;
-            }
-            (true, true) => {
-                self.resolved += 1;
-                self.waiting = false;
-            }
-            _ => {}
-        }
-    }
-
-    pub(crate) fn status(&self) -> &SnapshotStatus {
-        &self.status
-    }
-
-    /// `(issued, resolved)` wait transitions.
-    pub(crate) fn waits(&self) -> (u64, u64) {
-        (self.issued, self.resolved)
     }
 }
 
@@ -430,7 +385,6 @@ struct Worker {
     fold: FoldShard,
     wal: Option<Wal>,
     gc: Option<GroupCommitHandle>,
-    fsync: FsyncPolicy,
     last_segment: u64,
     wal_err: Option<io::Error>,
     acks: HashMap<u64, TcpStream>,
@@ -456,9 +410,9 @@ impl Worker {
         true
     }
 
-    /// Flushes the batch and hands durability to the group-commit
-    /// thread: a cadence credit under `EveryN`/`Never`, a blocking
-    /// ticket under `Always` (so the subsequent ack implies fsynced).
+    /// Flushes the batch and commits it to the group-commit thread,
+    /// which applies the fsync policy (under `Always` the commit returns
+    /// fsynced, so the subsequent ack implies durable).
     fn commit(&mut self, appended: u32) {
         if self.wal_err.is_some() || appended == 0 {
             return;
@@ -466,22 +420,14 @@ impl Worker {
         let (Some(w), Some(gc)) = (self.wal.as_mut(), &self.gc) else {
             return;
         };
-        let gone = || io::Error::other("group-commit thread is gone");
         let committed = w.flush().and_then(|()| {
             // A rotation opened a new active file; the group-commit
             // thread must fsync that one from now on.
             if w.segment_index() != self.last_segment {
                 self.last_segment = w.segment_index();
-                if !gc.register(self.local as u32, w.active_file()?) {
-                    return Err(gone());
-                }
+                gc.register(self.local as u32, w.active_file()?)?;
             }
-            match self.fsync {
-                FsyncPolicy::Always => gc.sync_now(),
-                FsyncPolicy::EveryN(_) | FsyncPolicy::Never => {
-                    gc.appended(appended).then_some(()).ok_or_else(gone)
-                }
-            }
+            gc.commit(appended)
         });
         self.wal_err = committed.err();
     }
@@ -684,18 +630,11 @@ impl Shards {
             Some(f) => f.plan.shard_plan(shards),
             None => ShardPlan::uniform(shards),
         };
-        let fsync = cfg.wal.as_ref().map_or(FsyncPolicy::Never, |w| w.fsync);
-        // Cadence: `EveryN(n)` syncs once per `n` appends across all
-        // series; `Always` syncs via per-batch tickets; `Never` only on
-        // rotation/close/stop.
         let wal_metrics = cfg.wal.is_some().then(|| metrics.wal_metrics());
-        let gc = wal_metrics.as_ref().map(|wm| {
-            let cadence = match fsync {
-                FsyncPolicy::EveryN(n) => n.max(1),
-                FsyncPolicy::Always | FsyncPolicy::Never => u32::MAX,
-            };
-            GroupCommit::start(cadence, (wm.syncs.clone(), wm.fsync_nanos.clone()))
-        });
+        let gc =
+            cfg.wal.as_ref().zip(wal_metrics.as_ref()).map(|(w, wm)| {
+                GroupCommit::start(w.fsync, (wm.syncs.clone(), wm.fsync_nanos.clone()))
+            });
 
         let (reply_tx, replies) = std::sync::mpsc::channel::<Reply>();
         let (mut workers, mut joins) = (Vec::new(), Vec::new());
@@ -706,14 +645,11 @@ impl Shards {
                 // A one-shard collector keeps the unnumbered series, so
                 // its directory reads like any single journal's.
                 let mut series_cfg = wal_cfg.clone();
-                if shards > 1 {
-                    series_cfg = series_cfg.for_series(k);
-                }
-                series_cfg.deferred_sync = true;
+                series_cfg.series = (shards > 1).then_some(k);
                 let mut w = Wal::open(series_cfg)?;
                 w.set_metrics(wm.clone());
                 last_segment = w.segment_index();
-                gc.handle().register(k, w.active_file()?);
+                gc.handle().register(k, w.active_file()?)?;
                 wal = Some(w);
             }
             let worker = Worker {
@@ -721,7 +657,6 @@ impl Shards {
                 fold: FoldShard::new(&cfg.pipeline, plan.clone(), base + k),
                 wal,
                 gc: gc.as_ref().map(GroupCommit::handle),
-                fsync,
                 last_segment,
                 wal_err: None,
                 acks: HashMap::new(),
@@ -1176,7 +1111,7 @@ impl Shards {
             parts,
             merged: OnceLock::new(),
             waits: self.verdict.waits(),
-            status: self.verdict.status,
+            status: self.verdict.status().clone(),
             watermark: self.completed,
             stalled,
             repairs,

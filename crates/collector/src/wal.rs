@@ -27,6 +27,15 @@
 //! tail from a crash is left untouched as forensic evidence and replay
 //! naturally skips past it on the next recovery (replay of the *old*
 //! segment still stops at the tear; new records land in the new file).
+//!
+//! The log is mechanism only: [`Wal::append`] frames a record into the
+//! write buffer and returns. When the bytes reach the kernel
+//! ([`Wal::flush`]) and stable storage ([`Wal::sync`]) is the owner's
+//! call — the collector's fold workers flush once per batch, and the
+//! group-commit thread ([`crate::group_commit`]) alone applies the
+//! [`FsyncPolicy`] across every series. Rotation syncs the finished
+//! segment inline and [`Wal::close`] syncs the active one, so a segment
+//! the writer has left is always durable.
 
 use cpvr_types::bin::Reader;
 use cpvr_types::crc32;
@@ -42,17 +51,22 @@ const RECORD_HEADER: usize = 8;
 /// on replay — mirrors [`crate::codec::MAX_FRAME_LEN`] plus header room.
 const MAX_RECORD_LEN: u32 = (1 << 24) + 64;
 
-/// When to `fsync` the active segment.
+/// When a collector's journal reaches stable storage. [`Wal`] never
+/// reads it; the group-commit thread
+/// ([`GroupCommit`](crate::GroupCommit)) applies it across all series.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// Sync after every record. Maximum durability, minimum throughput.
+    /// Every batch is fsynced before it is acked. Maximum durability,
+    /// minimum throughput.
     Always,
-    /// Sync after every `n` records (and on rotation/close). The default
-    /// is `EveryN(256)` — bounded loss, near-`Never` throughput.
+    /// One fsync per `n` records appended across all series (and on
+    /// rotation/close). The default is `EveryN(256)` — bounded loss,
+    /// near-`Never` throughput.
     EveryN(u32),
-    /// Never sync explicitly; rely on the OS page cache. A crash of the
-    /// *process* loses nothing (the kernel still has the writes); a
-    /// crash of the *machine* loses the cached tail.
+    /// No fsync on cadence — only rotation, close and shutdown sync;
+    /// rely on the OS page cache between them. A crash of the *process*
+    /// loses nothing acked (every batch is flushed to the kernel before
+    /// its ack); a crash of the *machine* loses the cached tail.
     Never,
 }
 
@@ -63,33 +77,24 @@ pub struct WalConfig {
     pub dir: PathBuf,
     /// Rotate to a new segment once the active one reaches this size.
     pub segment_bytes: u64,
-    /// Durability policy for the active segment.
+    /// Durability policy, applied by the owner's group commit.
     pub fsync: FsyncPolicy,
     /// Which segment series this handle writes. `None` is the
     /// unnumbered series (`wal-NNNNNNNN.seg`); `Some(k)` is shard `k`'s
     /// series (`wal-s<k>-NNNNNNNN.seg`). Series share the directory but
     /// never a file, so one writer per series needs no locking.
     pub series: Option<u32>,
-    /// When true, [`Wal::append`] neither flushes nor fsyncs — the
-    /// owner batches durability itself: [`Wal::flush`] per batch, and
-    /// fsyncs aggregated across all series by a group-commit thread
-    /// holding [`Wal::active_file`] clones. Rotation and
-    /// [`Wal::close`] still sync inline, so a finished segment is
-    /// always durable before the writer moves on.
-    pub deferred_sync: bool,
 }
 
 impl WalConfig {
     /// A config with default tuning (8 MiB segments, sync every 256
-    /// records, unnumbered series, inline durability) for the given
-    /// directory.
+    /// records, unnumbered series) for the given directory.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         WalConfig {
             dir: dir.into(),
             segment_bytes: 8 * 1024 * 1024,
             fsync: FsyncPolicy::EveryN(256),
             series: None,
-            deferred_sync: false,
         }
     }
 
@@ -107,10 +112,6 @@ pub struct Wal {
     seg_len: u64,
     file: BufWriter<File>,
     since_sync: u32,
-    /// Total records appended through this handle.
-    appended: u64,
-    /// Total explicit fsyncs issued through this handle.
-    syncs: u64,
     /// Registry handles, when the owning collector is instrumented.
     metrics: Option<WalMetrics>,
 }
@@ -206,8 +207,6 @@ impl Wal {
             seg_len: 0,
             file: BufWriter::new(file),
             since_sync: 0,
-            appended: 0,
-            syncs: 0,
             metrics: None,
         })
     }
@@ -218,9 +217,10 @@ impl Wal {
         self.metrics = Some(metrics);
     }
 
-    /// Appends one record and applies the fsync policy. Returns only
-    /// once the record is at least in the kernel (flushed), and — per
-    /// policy — on stable storage (synced).
+    /// Appends one record to the write buffer, rotating first if it
+    /// would overflow the active segment. The record reaches the kernel
+    /// on the next [`flush`](Self::flush) (or when the buffer fills)
+    /// and stable storage on the next [`sync`](Self::sync).
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
         let len = payload.len() as u64;
         assert!(
@@ -236,33 +236,16 @@ impl Wal {
             .write_all(&crc32::checksum(payload).to_le_bytes())?;
         self.file.write_all(payload)?;
         self.seg_len += record_len;
-        self.appended += 1;
         self.since_sync += 1;
         if let Some(m) = &self.metrics {
             m.appends.inc();
             m.bytes.add(len);
         }
-        if self.cfg.deferred_sync {
-            // Durability is batched by the owner (flush per batch,
-            // fsyncs aggregated by the group-commit thread).
-            return Ok(());
-        }
-        match self.cfg.fsync {
-            FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::EveryN(n) => {
-                if self.since_sync >= n.max(1) {
-                    self.sync()?;
-                } else {
-                    self.file.flush()?;
-                }
-            }
-            FsyncPolicy::Never => self.file.flush()?,
-        }
         Ok(())
     }
 
     /// Flushes buffered writes to the OS without fsyncing — the
-    /// per-batch step of deferred-sync (group commit) operation.
+    /// per-batch step of a group-committed writer.
     pub fn flush(&mut self) -> io::Result<()> {
         self.file.flush()
     }
@@ -280,7 +263,6 @@ impl Wal {
         self.file.flush()?;
         self.file.get_ref().sync_data()?;
         self.since_sync = 0;
-        self.syncs += 1;
         if let Some(m) = &self.metrics {
             m.syncs.inc();
             m.fsync_nanos.observe_since(start);
@@ -303,22 +285,10 @@ impl Wal {
         Ok(())
     }
 
-    /// Total records appended through this handle.
-    pub fn appended(&self) -> u64 {
-        self.appended
-    }
-
-    /// Total explicit fsyncs issued (policy-driven, rotation, and
-    /// manual [`sync`](Wal::sync) calls alike).
-    pub fn syncs(&self) -> u64 {
-        self.syncs
-    }
-
-    /// Records appended since the last fsync — the worst-case loss
-    /// window if the machine dies right now. Under
-    /// [`FsyncPolicy::EveryN`] this must never reach `n`, including
-    /// across segment rotations (rotation syncs the old segment before
-    /// switching, so the window never silently widens per segment).
+    /// Records appended since this handle's last [`sync`](Self::sync)
+    /// (rotation and [`close`](Self::close) sync too). Fsyncs the
+    /// group-commit thread issues on an [`active_file`](Self::active_file)
+    /// clone do not reset it.
     pub fn pending_sync(&self) -> u32 {
         self.since_sync
     }
@@ -504,7 +474,6 @@ mod tests {
         for r in &records {
             wal.append(r).unwrap();
         }
-        assert_eq!(wal.appended(), 100);
         wal.close().unwrap();
         let replayed = replay(tmp.path()).unwrap();
         assert_eq!(replayed.records, records);
@@ -594,48 +563,6 @@ mod tests {
     }
 
     #[test]
-    fn every_n_counter_carries_across_rotation() {
-        // EveryN's unsynced window must stay bounded by n even when
-        // appends straddle segment rotations: rotation itself syncs
-        // (counted), and the per-record counter must not be reset by a
-        // segment switch without that sync. 40 small records with
-        // 64-byte segments rotate many times; n = 7 never divides the
-        // per-segment record count evenly, so a per-segment counter
-        // reset would show up as pending_sync exceeding the cadence or
-        // syncs going missing.
-        let tmp = TempDir::new("wal-rotsync").unwrap();
-        let mut cfg = WalConfig::new(tmp.path());
-        cfg.segment_bytes = 64;
-        cfg.fsync = FsyncPolicy::EveryN(7);
-        let mut wal = Wal::open(cfg).unwrap();
-        let mut max_pending = 0u32;
-        for i in 0..40 {
-            wal.append(&record(i)).unwrap();
-            assert!(
-                wal.pending_sync() < 7,
-                "record {i}: {} records unsynced under EveryN(7)",
-                wal.pending_sync()
-            );
-            max_pending = max_pending.max(wal.pending_sync());
-        }
-        assert!(wal.segment_index() > 1, "test needs several rotations");
-        assert!(
-            max_pending > 0,
-            "policy should leave some records pending between syncs"
-        );
-        // Syncs come from the policy cadence and from rotations; with
-        // both active there must be at least ceil(40/7) of them.
-        assert!(wal.syncs() >= 40 / 7, "too few syncs: {}", wal.syncs());
-        let seg_before_close = wal.segment_index();
-        wal.close().unwrap();
-        // Nothing torn, nothing lost, order preserved across segments.
-        let replayed = replay(tmp.path()).unwrap();
-        assert_eq!(replayed.records.len(), 40);
-        assert!(!replayed.torn);
-        assert_eq!(replayed.segments as u64, seg_before_close + 1);
-    }
-
-    #[test]
     fn replay_tolerates_an_empty_trailing_segment() {
         // A collector that recovers and immediately crashes (or shuts
         // down before journaling anything) leaves a zero-byte trailing
@@ -668,23 +595,22 @@ mod tests {
     }
 
     #[test]
-    fn fsync_policies_all_produce_identical_logs() {
-        for policy in [
-            FsyncPolicy::Always,
-            FsyncPolicy::EveryN(3),
-            FsyncPolicy::Never,
-        ] {
-            let tmp = TempDir::new("wal-sync").unwrap();
-            let mut cfg = WalConfig::new(tmp.path());
-            cfg.fsync = policy;
-            let mut wal = Wal::open(cfg).unwrap();
-            for i in 0..10 {
-                wal.append(&record(i)).unwrap();
-            }
-            wal.close().unwrap();
-            let replayed = replay(tmp.path()).unwrap();
-            assert_eq!(replayed.records.len(), 10, "{policy:?}");
-            assert!(!replayed.torn, "{policy:?}");
+    fn append_only_buffers_until_the_owner_flushes() {
+        let tmp = TempDir::new("wal-buffer").unwrap();
+        let mut wal = Wal::open(WalConfig::new(tmp.path())).unwrap();
+        for i in 0..3 {
+            wal.append(&record(i)).unwrap();
         }
+        let seg = segment_path(tmp.path(), None, 0);
+        let on_disk = || fs::metadata(&seg).unwrap().len();
+        assert_eq!(on_disk(), 0, "append must leave the bytes in the buffer");
+        wal.flush().unwrap();
+        let written: usize = (0..3).map(|i| RECORD_HEADER + record(i).len()).sum();
+        assert_eq!(on_disk(), written as u64);
+        assert_eq!(wal.pending_sync(), 3, "a flush is not a sync");
+        wal.sync().unwrap();
+        assert_eq!(wal.pending_sync(), 0);
+        wal.close().unwrap();
+        assert_eq!(replay(tmp.path()).unwrap().records.len(), 3);
     }
 }

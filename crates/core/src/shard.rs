@@ -12,8 +12,7 @@
 //!   in the fold) are assigned by **prefix range**
 //!   ([`of_prefix`](ShardPlan::of_prefix)): the address space is split
 //!   into `shards` contiguous ranges, either uniformly or balanced over
-//!   the prefixes observed in a [`cpvr_types::PrefixTrie`] (e.g. the
-//!   data plane's union trie). Conversations with no prefix fall back
+//!   a set of observed prefixes. Conversations with no prefix fall back
 //!   to the addressee router's shard — EC affinity, so repeated traffic
 //!   for one equivalence class lands on one shard.
 //!
@@ -23,7 +22,7 @@
 //! The plan is pure data (a boundary table); every thread can hold a
 //! copy and route without coordination.
 
-use cpvr_types::{Ipv4Prefix, PrefixTrie, RouterId};
+use cpvr_types::{Ipv4Prefix, RouterId};
 
 /// Deterministic shard routing for routers, prefixes, and conversations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -77,13 +76,6 @@ impl ShardPlan {
         }
         bounds.push(1 << 32);
         Self::of_bounds(1, bounds)
-    }
-
-    /// A plan balanced over the prefixes present in a union trie (the
-    /// collector uses the data plane's
-    /// [`prefix_union`](cpvr_dataplane::DataPlane::prefix_union)).
-    pub fn from_union_trie<V>(trie: &PrefixTrie<V>, shards: u32) -> Self {
-        Self::from_prefixes(&trie.prefixes().collect::<Vec<_>>(), shards)
     }
 
     /// Number of shards in the plan.

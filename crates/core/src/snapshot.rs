@@ -46,6 +46,55 @@ impl SnapshotStatus {
     }
 }
 
+/// The verdict of the latest horizon and its §4.3 wait accounting —
+/// the one home of both. Each horizon lands one missing set: a
+/// [`ConsistencyTracker`] merges its own, the sharded collector the
+/// concatenation of every shard's (and on a federation member, every
+/// peer's), so wait statistics are shard- and member-count-invariant.
+#[derive(Clone, Debug, Default)]
+pub struct Verdict {
+    status: SnapshotStatus,
+    /// Consistent→waiting transitions: how many times the verifier chose
+    /// to *wait* instead of raising a false alarm (the paper's Fig. 1c
+    /// discipline, as a number).
+    issued: u64,
+    /// Waiting→consistent transitions: waits that resolved once the
+    /// missing messages arrived.
+    resolved: u64,
+}
+
+impl Verdict {
+    /// Lands the next horizon's verdict from its missing routers, in any
+    /// order and with duplicates.
+    pub fn merge(&mut self, mut missing: Vec<RouterId>) -> &SnapshotStatus {
+        missing.sort_unstable();
+        missing.dedup();
+        let was_waiting = !self.status.is_consistent();
+        self.status = if missing.is_empty() {
+            SnapshotStatus::Consistent
+        } else {
+            SnapshotStatus::WaitFor(missing)
+        };
+        match (was_waiting, self.status.is_consistent()) {
+            (false, false) => self.issued += 1,
+            (true, true) => self.resolved += 1,
+            _ => {}
+        }
+        &self.status
+    }
+
+    /// The verdict at the last merged horizon (`Consistent` before any).
+    pub fn status(&self) -> &SnapshotStatus {
+        &self.status
+    }
+
+    /// `(issued, resolved)` wait transitions. `issued - resolved` is 1
+    /// while a wait is outstanding and 0 otherwise.
+    pub fn waits(&self) -> (u64, u64) {
+        (self.issued, self.resolved)
+    }
+}
+
 /// Checks causal closure of the events that have arrived by `horizon`.
 pub fn consistency_check(trace: &Trace, horizon: SimTime) -> SnapshotStatus {
     let mut sends: BTreeMap<ConvKey, Vec<SimTime>> = BTreeMap::new();
@@ -312,15 +361,8 @@ pub struct ConsistencyTracker {
     /// [`drain_applied`](Self::drain_applied) — the delta feed for an
     /// incremental verifier mirroring this tracker's data plane.
     applied: Vec<FibUpdate>,
-    /// Consistent→waiting transitions seen by [`advance`](Self::advance):
-    /// how many times the tracker chose to *wait* instead of raising a
-    /// false alarm (the paper's Fig. 1c discipline, as a number).
-    waits_issued: u64,
-    /// Waiting→consistent transitions: waits that resolved once the
-    /// missing messages arrived.
-    waits_resolved: u64,
-    /// Whether the last advance verdict was a wait.
-    waiting: bool,
+    /// The [`advance`](Self::advance) verdicts and their waits.
+    verdict: Verdict,
 }
 
 impl ConsistencyTracker {
@@ -330,9 +372,7 @@ impl ConsistencyTracker {
             streams: Streams::new(n_routers),
             convs: Conversations::default(),
             applied: Vec::new(),
-            waits_issued: 0,
-            waits_resolved: 0,
-            waiting: false,
+            verdict: Verdict::default(),
         }
     }
 
@@ -360,19 +400,7 @@ impl ConsistencyTracker {
         let (convs, applied) = (&mut self.convs, &mut self.applied);
         self.streams
             .replay(horizon, |d| convs.note(&d), |u| applied.push(u));
-        let st = self.status();
-        match (self.waiting, st.is_consistent()) {
-            (false, false) => {
-                self.waits_issued += 1;
-                self.waiting = true;
-            }
-            (true, true) => {
-                self.waits_resolved += 1;
-                self.waiting = false;
-            }
-            _ => {}
-        }
-        st
+        self.verdict.merge(self.convs.missing()).clone()
     }
 
     /// `(issued, resolved)` wait transitions over this tracker's life:
@@ -381,17 +409,12 @@ impl ConsistencyTracker {
     /// back. `issued - resolved` is 1 while a wait is outstanding and 0
     /// otherwise.
     pub fn wait_stats(&self) -> (u64, u64) {
-        (self.waits_issued, self.waits_resolved)
+        self.verdict.waits()
     }
 
     /// The verdict at the current horizon, without advancing.
     pub fn status(&self) -> SnapshotStatus {
-        let missing = self.convs.missing();
-        if missing.is_empty() {
-            SnapshotStatus::Consistent
-        } else {
-            SnapshotStatus::WaitFor(missing)
-        }
+        self.verdict.status().clone()
     }
 
     /// The data plane assembled from the arrived FIB records — identical
