@@ -392,19 +392,11 @@ impl IngestPipeline {
     /// Advances both consumers to `watermark` and returns the snapshot
     /// verdict there. Watermarks never move backwards; a stale value is
     /// clamped to the current one.
-    ///
-    /// The tracker's FIB delta feed is discarded here: no collector
-    /// fold consumes it (a downstream verifier is rebuilt from
-    /// [`tracker`](Self::tracker)`().dataplane()`), and left undrained
-    /// it would hold one update per FIB event for the collector's
-    /// lifetime.
     pub fn advance(&mut self, watermark: SimTime) -> SnapshotStatus {
         let wm = self.watermark.map_or(watermark, |w| w.max(watermark));
         self.watermark = Some(wm);
         self.builder.advance(wm);
-        let status = self.tracker.advance(wm);
-        self.tracker.drain_applied();
-        status
+        self.tracker.advance(wm)
     }
 
     /// The last advanced watermark, if any.
@@ -436,14 +428,6 @@ impl IngestPipeline {
     /// The consistency tracker.
     pub fn tracker(&self) -> &ConsistencyTracker {
         &self.tracker
-    }
-
-    /// Mutable access to the tracker. Its
-    /// [`drain_applied`](ConsistencyTracker::drain_applied) feed is
-    /// always empty between calls: [`advance`](Self::advance) discards
-    /// it.
-    pub fn tracker_mut(&mut self) -> &mut ConsistencyTracker {
-        &mut self.tracker
     }
 
     /// The verdict at the current watermark, without advancing.
@@ -787,22 +771,23 @@ mod tests {
         assert_eq!(t.global_min(), Some(SimTime::MAX));
     }
 
-    /// No collector fold drains the tracker's FIB delta feed, so the
-    /// pipeline must not let it accumulate: after any number of
-    /// advances nothing is left behind, while the data plane those
-    /// deltas built is intact.
+    /// Each advance leaves the tracker's data plane equal to every
+    /// arrived FIB event applied in order, removes of absent prefixes
+    /// included.
     #[test]
-    fn advance_leaves_no_undrained_fib_deltas() {
+    fn advance_applies_the_arrived_fib_events() {
+        use cpvr_dataplane::DataPlane;
         use cpvr_sim::workload::prefix_block;
         use cpvr_sim::{EventId, IoKind};
         const N: u64 = 600;
         let prefixes = prefix_block(8);
         let mut p = IngestPipeline::new(PipelineConfig::new(2));
+        let mut mirror = DataPlane::new(2);
         for k in 0..6 {
             for i in k * N / 6..(k + 1) * N / 6 {
                 let time = SimTime::from_micros(i + 1);
                 let prefix = prefixes[i as usize % prefixes.len()];
-                p.ingest(&IoEvent {
+                let e = IoEvent {
                     id: EventId(i as u32),
                     router: RouterId((i % 2) as u32),
                     time,
@@ -815,19 +800,18 @@ mod tests {
                     } else {
                         IoKind::FibRemove { prefix }
                     },
-                });
+                };
+                p.ingest(&e);
+                mirror.apply(&FoldRecord::of(&e).fib_update().expect("a FIB event"));
             }
             p.advance(SimTime::from_micros((k + 1) * N / 6));
-            assert!(p.tracker_mut().drain_applied().is_empty(), "advance {k}");
+            for r in (0..2).map(RouterId) {
+                let got = p.tracker().dataplane().fib(r);
+                assert_eq!(got.entries(), mirror.fib(r).entries(), "advance {k}");
+            }
         }
         assert_eq!(p.builder().processed() as u64, N);
-        let installed: usize = (0..2)
-            .map(|r| p.tracker().dataplane().fib(RouterId(r)).len())
-            .sum();
-        assert!(
-            installed > 0,
-            "the deltas were applied before being dropped"
-        );
+        assert!(!mirror.fib(RouterId(1)).is_empty());
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! ## The pending queue holds records and pays only for disorder
 //!
 //! What waits for the watermark is the event's 48-byte [`FoldRecord`],
-//! classified once at ingest — not the 184-byte [`IoEvent`] with its
+//! classified once at ingest — not the 136-byte [`IoEvent`] with its
 //! description, config payload or BGP route — and the sweeps match on
 //! the record. A caller that also feeds a tracker classifies once for
 //! both ([`ingest_record`](HbgBuilder::ingest_record)).

@@ -19,6 +19,7 @@ use crate::provenance::{root_causes, RootCauseKind};
 use crate::repair::{propose_repairs_report, RepairAction, RepairPlan};
 use crate::snapshot::{ConsistencyTracker, SnapshotStatus};
 use cpvr_bgp::ConfigChange;
+use cpvr_dataplane::FibUpdate;
 use cpvr_sim::{EventId, IoKind, Simulation};
 use cpvr_topo::Topology;
 use cpvr_types::{RouterId, SimTime};
@@ -206,10 +207,11 @@ impl ControlLoop {
                 tracker.borrow_mut().ingest(e);
             }));
         }
-        // The resident verifier mirrors the tracker's data plane via
-        // drained FIB deltas; it is rebuilt only when the topology state
-        // the verdicts depend on changes.
+        // The resident verifier mirrors the tracker's data plane via the
+        // FIB deltas each advance reports; it is rebuilt only when the
+        // topology state the verdicts depend on changes.
         let mut verifier: Option<IncrementalVerifier> = None;
+        let mut deltas: Vec<FibUpdate> = Vec::new();
         let mut last_sig: Vec<bool> = Vec::new();
         let end = sim.now() + budget;
         let mut t = sim.now();
@@ -217,7 +219,7 @@ impl ControlLoop {
             t = (t + self.interval).min(end);
             sim.run_until(t);
             // §5: only verify causally closed views.
-            match tracker.borrow_mut().advance(t) {
+            match tracker.borrow_mut().advance_with(t, |u| deltas.push(u)) {
                 SnapshotStatus::WaitFor(rs) => {
                     report
                         .timeline
@@ -230,17 +232,17 @@ impl ControlLoop {
             // epoch into the incremental engine (deltas accumulate
             // harmlessly across waits). A topology-state change
             // invalidates every cached verdict → rebuild from the
-            // tracker's current snapshot instead (discarding the drained
+            // tracker's current snapshot instead (discarding the
             // deltas, which that snapshot already contains).
-            let deltas = tracker.borrow_mut().drain_applied();
             let sig = topo_signature(sim.topology());
             match &mut verifier {
                 Some(v) if sig == last_sig => {
-                    for u in &deltas {
-                        v.apply(u);
+                    for u in deltas.drain(..) {
+                        v.apply(&u);
                     }
                 }
                 _ => {
+                    deltas.clear();
                     verifier = Some(IncrementalVerifier::new(
                         sim.topology().clone(),
                         tracker.borrow().dataplane().clone(),

@@ -357,10 +357,6 @@ impl Streams {
 pub struct ConsistencyTracker {
     streams: Streams,
     convs: Conversations,
-    /// FIB updates applied to the data plane since the last
-    /// [`drain_applied`](Self::drain_applied) — the delta feed for an
-    /// incremental verifier mirroring this tracker's data plane.
-    applied: Vec<FibUpdate>,
     /// The [`advance`](Self::advance) verdicts and their waits.
     verdict: Verdict,
 }
@@ -371,7 +367,6 @@ impl ConsistencyTracker {
         ConsistencyTracker {
             streams: Streams::new(n_routers),
             convs: Conversations::default(),
-            applied: Vec::new(),
             verdict: Verdict::default(),
         }
     }
@@ -397,9 +392,21 @@ impl ConsistencyTracker {
     /// and returns the causal-closure verdict — identical to
     /// [`consistency_check`] over the same events.
     pub fn advance(&mut self, horizon: SimTime) -> SnapshotStatus {
-        let (convs, applied) = (&mut self.convs, &mut self.applied);
-        self.streams
-            .replay(horizon, |d| convs.note(&d), |u| applied.push(u));
+        self.advance_with(horizon, |_| {})
+    }
+
+    /// [`advance`](Self::advance), handing every FIB update it applies
+    /// to `on_fib` in application order. Replaying them against a mirror
+    /// of the data plane before the call reproduces
+    /// [`dataplane`](Self::dataplane) after it, which is how the control
+    /// loop feeds its incremental verifier.
+    pub fn advance_with(
+        &mut self,
+        horizon: SimTime,
+        on_fib: impl FnMut(FibUpdate),
+    ) -> SnapshotStatus {
+        let convs = &mut self.convs;
+        self.streams.replay(horizon, |d| convs.note(&d), on_fib);
         self.verdict.merge(self.convs.missing()).clone()
     }
 
@@ -423,26 +430,14 @@ impl ConsistencyTracker {
         &self.streams.dp
     }
 
-    /// Takes the FIB updates applied since the last drain, in application
-    /// order. Replaying them against a mirror of the previous drain's
-    /// data plane reproduces [`dataplane`](Self::dataplane) exactly,
-    /// which is how the control loop feeds its incremental verifier.
-    /// Whoever advances a tracker must drain it: the feed grows by one
-    /// entry per arrived FIB record until taken.
-    pub fn drain_applied(&mut self) -> Vec<FibUpdate> {
-        std::mem::take(&mut self.applied)
-    }
-
     /// Rebuilds a tracker from a durably logged history: ingests every
     /// event, then advances once to `horizon`. The verdict, data plane,
     /// and per-router frontiers come out identical to a tracker that
     /// processed the same events live with any interleaving of advances
     /// up to the same horizon — application order within one `advance`
-    /// is the per-stream `(time, id)` order either way. The only live
-    /// state *not* reproduced is the [`drain_applied`](Self::drain_applied)
-    /// delta feed (a recovering verifier rebuilds from
-    /// [`dataplane`](Self::dataplane) instead), so recovery drains and
-    /// discards it.
+    /// is the per-stream `(time, id)` order either way. Recovery
+    /// reports no FIB updates: a recovering verifier rebuilds from
+    /// [`dataplane`](Self::dataplane).
     pub fn recover<'a, I>(n_routers: usize, events: I, horizon: SimTime) -> Self
     where
         I: IntoIterator<Item = &'a IoEvent>,
@@ -452,7 +447,6 @@ impl ConsistencyTracker {
             t.ingest(e);
         }
         t.advance(horizon);
-        t.drain_applied();
         t
     }
 }
@@ -1007,7 +1001,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_applied_replays_to_the_tracker_dataplane() {
+    fn advance_with_deltas_replay_to_the_tracker_dataplane() {
         let mut b = TB::new();
         let p = pfx("8.8.8.0/24");
         let q = pfx("9.9.9.0/24");
@@ -1035,8 +1029,8 @@ mod tests {
             tracker.ingest(e);
         }
         let mut mirror = DataPlane::new(1);
-        tracker.advance(SimTime::from_millis(50));
-        let batch = tracker.drain_applied();
+        let mut batch = Vec::new();
+        tracker.advance_with(SimTime::from_millis(50), |u| batch.push(u));
         assert_eq!(batch.len(), 2, "only the arrived installs");
         for u in &batch {
             mirror.fib_mut(u.router).apply(u);
@@ -1045,10 +1039,12 @@ mod tests {
             mirror.fib(RouterId(0)).entries(),
             tracker.dataplane().fib(RouterId(0)).entries()
         );
-        // Drain is destructive; the next advance delivers only the rest.
-        assert!(tracker.drain_applied().is_empty());
-        tracker.advance(SimTime::from_millis(100));
-        let rest = tracker.drain_applied();
+        // Each advance reports only what it applied itself.
+        let mut again = Vec::new();
+        tracker.advance_with(SimTime::from_millis(50), |u| again.push(u));
+        assert!(again.is_empty());
+        let mut rest = Vec::new();
+        tracker.advance_with(SimTime::from_millis(100), |u| rest.push(u));
         assert_eq!(rest.len(), 1);
         for u in &rest {
             mirror.fib_mut(u.router).apply(u);

@@ -258,7 +258,6 @@ fn route_bearing_bgp_fold_stays_within_the_allocation_budget() {
             let h = batch.last().expect("chunks are non-empty").time;
             builder.advance(h);
             tracker.advance(h);
-            tracker.drain_applied();
         }
     });
 

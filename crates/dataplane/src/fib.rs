@@ -1,7 +1,8 @@
 //! Forwarding information base.
 
 use cpvr_topo::{ExtPeerId, LinkId};
-use cpvr_types::{Ipv4Prefix, PrefixTrie, RouterId, SimTime};
+use cpvr_types::hash::WordMap;
+use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -69,17 +70,34 @@ pub struct FibUpdate {
     pub at: SimTime,
 }
 
-/// One router's forwarding table.
-#[derive(Clone, Debug, Default)]
+/// One router's forwarding table: an exact-match hash table from prefix
+/// to entry, plus a count of entries per prefix length.
+///
+/// Every write (an install, a replace, a remove — what a [`FibUpdate`]
+/// does) and every exact read is one hash probe; nothing on that path
+/// reads order. Longest-prefix match probes `dst` masked to each length
+/// that has entries, longest first — a handful of lengths in any real
+/// table. The readers that promise prefix order
+/// ([`entries`](Self::entries), [`prefixes`](Self::prefixes)) sort what
+/// they collect; the ordered structure the verifier walks is the union
+/// [`DataPlane::prefix_union`](crate::DataPlane::prefix_union) builds.
+///
+/// The table is a [`WordMap`]: its keys are prefixes the owning router
+/// installed, decoded and validated like every key of the fold's other
+/// per-event maps, so the same in-domain argument covers the hasher.
+#[derive(Clone)]
 pub struct Fib {
-    entries: PrefixTrie<FibEntry>,
+    entries: WordMap<Ipv4Prefix, FibEntry>,
+    /// `per_len[l]` is the number of entries of prefix length `l`.
+    per_len: [u32; 33],
 }
 
 impl Fib {
     /// An empty FIB.
     pub fn new() -> Self {
         Fib {
-            entries: PrefixTrie::new(),
+            entries: WordMap::default(),
+            per_len: [0; 33],
         }
     }
 
@@ -95,12 +113,20 @@ impl Fib {
 
     /// Installs (or replaces) an entry, returning the previous one if any.
     pub fn install(&mut self, prefix: Ipv4Prefix, entry: FibEntry) -> Option<FibEntry> {
-        self.entries.insert(prefix, entry)
+        let old = self.entries.insert(prefix, entry);
+        if old.is_none() {
+            self.per_len[usize::from(prefix.len())] += 1;
+        }
+        old
     }
 
     /// Removes the entry for `prefix`, returning it if present.
     pub fn remove(&mut self, prefix: &Ipv4Prefix) -> Option<FibEntry> {
-        self.entries.remove(prefix)
+        let old = self.entries.remove(prefix);
+        if old.is_some() {
+            self.per_len[usize::from(prefix.len())] -= 1;
+        }
+        old
     }
 
     /// The entry exactly at `prefix`.
@@ -110,24 +136,32 @@ impl Fib {
 
     /// Longest-prefix-match lookup for a destination address.
     pub fn lookup(&self, dst: Ipv4Addr) -> Option<(Ipv4Prefix, FibEntry)> {
-        self.entries.longest_match(dst).map(|(p, e)| (p, *e))
+        (0..=32u8)
+            .rev()
+            .filter(|&len| self.per_len[usize::from(len)] != 0)
+            .find_map(|len| {
+                let p = Ipv4Prefix::new(dst, len);
+                self.entries.get(&p).map(|e| (p, *e))
+            })
     }
 
     /// All entries in prefix order.
     pub fn entries(&self) -> Vec<(Ipv4Prefix, FibEntry)> {
-        self.entries.iter().map(|(p, e)| (p, *e)).collect()
+        let mut v: Vec<_> = self.entries.iter().map(|(p, e)| (*p, *e)).collect();
+        v.sort_unstable_by_key(|(p, _)| *p);
+        v
     }
 
     /// All prefixes with an entry, in prefix order.
     pub fn prefixes(&self) -> Vec<Ipv4Prefix> {
-        self.entries.prefixes().collect()
+        let mut v: Vec<_> = self.unordered_prefixes().collect();
+        v.sort_unstable();
+        v
     }
 
-    /// The underlying prefix trie, for callers that want to walk the
-    /// table structurally (equivalence-class slicing) without collecting
-    /// intermediate vectors.
-    pub fn trie(&self) -> &PrefixTrie<FibEntry> {
-        &self.entries
+    /// Every prefix with an entry, in no particular order.
+    pub(crate) fn unordered_prefixes(&self) -> impl Iterator<Item = Ipv4Prefix> + '_ {
+        self.entries.keys().copied()
     }
 
     /// Applies a [`FibUpdate`] to this table. The update's router field is
@@ -147,6 +181,19 @@ impl Fib {
                 self.remove(&u.prefix);
             }
         }
+    }
+}
+
+impl Default for Fib {
+    fn default() -> Self {
+        Fib::new()
+    }
+}
+
+/// Entries in prefix order, whatever order the table holds them in.
+impl fmt::Debug for Fib {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.entries()).finish()
     }
 }
 

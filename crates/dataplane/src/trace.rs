@@ -237,7 +237,9 @@ impl DataPlane {
     /// The union of all prefixes present in any FIB, deduplicated, in
     /// prefix order. This is the input to equivalence-class slicing.
     pub fn all_prefixes(&self) -> Vec<Ipv4Prefix> {
-        self.prefix_union().prefixes().collect()
+        let mut all = self.installed_prefixes();
+        all.dedup();
+        all
     }
 
     /// The union of all installed prefixes as a trie, each mapped to the
@@ -245,19 +247,22 @@ impl DataPlane {
     /// the trie-driven equivalence-class computation walks, and the one
     /// an incremental verifier keeps live across [`FibUpdate`]s (the
     /// refcount tells it when a prefix leaves the union entirely).
+    ///
+    /// Built in one pass from sorted `(prefix, count)` runs: inserting
+    /// the FIBs' hash-ordered keys one at a time would pay an ordered
+    /// insert per installation instead of one bulk build.
     pub fn prefix_union(&self) -> PrefixTrie<usize> {
-        let mut t: PrefixTrie<usize> = PrefixTrie::new();
-        for f in &self.fibs {
-            for p in f.trie().prefixes() {
-                match t.get_mut(&p) {
-                    Some(c) => *c += 1,
-                    None => {
-                        t.insert(p, 1);
-                    }
-                }
-            }
-        }
-        t
+        self.installed_prefixes()
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len()))
+            .collect()
+    }
+
+    /// Every FIB's prefixes, one per installation, in prefix order.
+    fn installed_prefixes(&self) -> Vec<Ipv4Prefix> {
+        let mut all: Vec<Ipv4Prefix> = self.fibs.iter().flat_map(Fib::unordered_prefixes).collect();
+        all.sort_unstable();
+        all
     }
 }
 

@@ -132,9 +132,9 @@ impl Hasher for WordHasher {
 }
 
 /// A `HashMap` hashed by [`WordHasher`], for the three maps the fold
-/// probes once or twice per captured event: a router's prefix cells and
+/// probes once or twice per captured event — a router's prefix cells and
 /// the latest-send cells of rule matching, and the snapshot tracker's
-/// conversations.
+/// conversations — and for every FIB, which takes one probe per update.
 ///
 /// Giving up `RandomState` gives up its protection against keys crafted
 /// to collide, so this is sound only where the keys are not an
@@ -146,7 +146,8 @@ impl Hasher for WordHasher {
 /// that hashes bytes off the wire (the intern tables, session and
 /// source maps) keeps the default hasher, and so does every map that is
 /// not on the per-event path. Nothing observable may depend on this
-/// map's iteration order; the fold never iterates these maps.
+/// map's iteration order: the fold never iterates these maps, and a
+/// FIB's ordered readers sort what they collect.
 pub type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
 //! A prefix-keyed ordered map with longest-prefix-match lookup.
 //!
-//! This is the workhorse structure for RIBs, FIBs, and the verifier's
-//! equivalence-class slicing. [`Ipv4Prefix`] orders by `(network,
-//! length)`, which is exactly a binary trie's depth-first order: a prefix
-//! sorts immediately before everything it covers, and the addresses it
-//! covers form one contiguous key range. So the table is a
+//! This is the ordered structure behind the verifier's installed-prefix
+//! union and its equivalence-class slicing, where order is the point (a
+//! FIB, which never reads order, is an exact-match hash table instead).
+//! [`Ipv4Prefix`] orders by `(network, length)`, which is exactly a
+//! binary trie's depth-first order: a prefix sorts immediately before
+//! everything it covers, and the addresses it covers form one contiguous
+//! key range. So the table is a
 //! `BTreeMap<Ipv4Prefix, V>` — a subtree is a range scan, the maximal
 //! descendants are "first key in the range, skip past what it covers,
 //! repeat", and longest-prefix-match is a predecessor walk — and costs
