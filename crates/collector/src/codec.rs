@@ -50,6 +50,11 @@
 //! the legacy rendering the compatibility tests build old journals
 //! from.
 //!
+//! Kind 14 keeps a read-only form too: a member's eager boundary batch
+//! carries the fold records of the events it forwards — what a shard
+//! channel carries inside one collector — and member journals written
+//! before that hold whole events, which decode to their records.
+//!
 //! Everything that is not an event body is version-agnostic: compact
 //! JSON ([`cpvr_types::json`]) for the handshakes and the federation
 //! peer frames, little-endian integers for the high-frequency control
@@ -76,6 +81,7 @@
 //!   stragglers were evicted from the watermark gate.
 
 use cpvr_core::snapshot::ConvDigest;
+use cpvr_core::FoldRecord;
 use cpvr_sim::wire::{self, InternDef, WireError};
 use cpvr_sim::IoEvent;
 use cpvr_types::bin::{self, BinError, Reader};
@@ -240,13 +246,16 @@ cpvr_types::impl_json_struct!(FrontierExchange {
 /// Happened-before material whose endpoints span a federation ownership
 /// boundary, shipped member→member. Dual use:
 ///
-/// * **Eager batches** (`round: None`): full [`IoEvent`]s belonging to
-///   conversations *owned by the receiver* but captured at routers owned
-///   by the sender, each tagged with its origin source sequence number
-///   so the receiver can deduplicate regenerated replays. The receiver
-///   feeds them to its cross-scope HBG builder, which buffers pending
-///   events and folds in `(time, id)` order at the next advance — so
-///   eager delivery order never matters.
+/// * **Eager batches** (`round: None`): the [`FoldRecord`]s of events
+///   belonging to conversations *owned by the receiver* but captured at
+///   routers owned by the sender — the very records a shard channel
+///   carries inside one collector. The receiver deduplicates
+///   regenerated replays by event id and feeds the records to its
+///   cross-scope HBG builder, which buffers pending records and folds in
+///   `(time, id)` order at the next advance — so eager delivery order
+///   never matters. Journals written before records replaced events
+///   hold an `events` member of `(origin_seq, event)` pairs instead;
+///   it decodes to the records [`FoldRecord::of`] gives for them.
 /// * **Round batches** (`round: Some(t)`): the sender's conversation
 ///   digests for the snapshot round at horizon `t`, exactly the
 ///   [`ConvDigest`]s the sharded fold exchanges at a watermark barrier.
@@ -260,11 +269,11 @@ pub struct BoundaryEdges {
     pub member: u32,
     /// Link sequence number.
     pub seq: u64,
-    /// `None` for an eager event batch; `Some(horizon)` for a snapshot
+    /// `None` for an eager record batch; `Some(horizon)` for a snapshot
     /// round's digest batch.
     pub round: Option<SimTime>,
-    /// Eager boundary events as `(origin_seq, event)` pairs.
-    pub events: Vec<(u64, IoEvent)>,
+    /// Eager boundary records.
+    pub records: Vec<FoldRecord>,
     /// Round digests in the sender's per-stream origin order.
     pub digests: Vec<ConvDigest>,
     /// Causal-trace context for the round this batch belongs to.
@@ -274,15 +283,46 @@ pub struct BoundaryEdges {
     pub trace: Option<TraceCtx>,
 }
 
-cpvr_types::impl_json_struct!(BoundaryEdges {
-    member,
-    seq,
-    round,
-    events,
-    digests,
-    #[omit_none]
-    trace,
-});
+// Hand-rolled (not `impl_json_struct!`) for the old `events` member,
+// read back as records.
+impl cpvr_types::json::ToJson for BoundaryEdges {
+    fn to_json(&self) -> cpvr_types::json::Value {
+        use cpvr_types::json::Value;
+        let mut fields = vec![
+            ("member".to_string(), self.member.to_json()),
+            ("seq".to_string(), self.seq.to_json()),
+            ("round".to_string(), self.round.to_json()),
+            ("records".to_string(), self.records.to_json()),
+            ("digests".to_string(), self.digests.to_json()),
+        ];
+        fields.extend(self.trace.map(|t| ("trace".to_string(), t.to_json())));
+        Value::Object(fields)
+    }
+}
+
+impl cpvr_types::json::FromJson for BoundaryEdges {
+    fn from_json(v: &cpvr_types::json::Value) -> Result<Self, cpvr_types::json::JsonError> {
+        use cpvr_types::json::FromJson;
+        let records = match v.field("records") {
+            Ok(r) => FromJson::from_json(r)?,
+            Err(_) => Vec::<(u64, IoEvent)>::from_json(v.field("events")?)?
+                .iter()
+                .map(|(_, e)| FoldRecord::of(e))
+                .collect(),
+        };
+        Ok(BoundaryEdges {
+            member: FromJson::from_json(v.field("member")?)?,
+            seq: FromJson::from_json(v.field("seq")?)?,
+            round: FromJson::from_json(v.field("round")?)?,
+            records,
+            digests: FromJson::from_json(v.field("digests")?)?,
+            trace: match v.field("trace") {
+                Ok(t) => FromJson::from_json(t)?,
+                Err(_) => None,
+            },
+        })
+    }
+}
 
 /// A member's partial verdict for one snapshot round: the routers its
 /// consistency-tracker slice is still waiting on at the round horizon.
@@ -570,7 +610,7 @@ pub enum Frame {
     PeerHello(PeerHello),
     /// Federation: a member's per-source watermark frontier.
     FrontierExchange(FrontierExchange),
-    /// Federation: boundary events / round digests crossing an
+    /// Federation: boundary records / round digests crossing an
     /// ownership boundary.
     BoundaryEdges(BoundaryEdges),
     /// Federation: a member's partial snapshot verdict for one round.
@@ -1321,7 +1361,7 @@ mod tests {
                 member: 2,
                 seq: 6,
                 round: None,
-                events: vec![(9, sample_event())],
+                records: vec![FoldRecord::of(&sample_event())],
                 digests: Vec::new(),
                 trace: None,
             }),
@@ -1329,7 +1369,7 @@ mod tests {
                 member: 2,
                 seq: 7,
                 round: Some(SimTime::from_millis(42)),
-                events: Vec::new(),
+                records: Vec::new(),
                 digests: vec![ConvDigest {
                     key: (
                         RouterId(0),

@@ -252,10 +252,6 @@ pub(crate) struct EventRec {
     pub(crate) seq: u64,
     pub(crate) rec: FoldRecord,
     pub(crate) arrived_at: Option<SimTime>,
-    /// The event itself, kept only on a federation member, which may
-    /// forward it to a peer as a boundary event: the fold needs nothing
-    /// but the record.
-    pub(crate) event: Option<Box<IoEvent>>,
     pub(crate) raw: Option<Vec<u8>>,
     /// Set on a sampled flight: the trace context its hops are recorded
     /// under — the one the frame's trailer carried, or the one the
@@ -264,13 +260,13 @@ pub(crate) struct EventRec {
 }
 
 impl EventRec {
-    /// Classifies `event`, keeping it only if a peer may need it.
-    pub(crate) fn new(seq: u64, event: IoEvent, keep: bool) -> Self {
+    /// Classifies `event`: the fold, and every shard or member it
+    /// crosses to, needs nothing but the record.
+    pub(crate) fn new(seq: u64, event: &IoEvent) -> Self {
         EventRec {
             seq,
-            rec: FoldRecord::of(&event),
+            rec: FoldRecord::of(event),
             arrived_at: event.arrived_at,
-            event: keep.then(|| Box::new(event)),
             raw: None,
             trace: None,
         }
@@ -687,7 +683,10 @@ struct Reader<'a> {
     /// the CRC-burst anomaly trigger).
     flight: RingHandle,
     greeted: bool,
-    session: Option<u64>,
+    /// The router and session a router hello named: the session
+    /// sequences this connection's events under that router, so an
+    /// event naming any other is a protocol violation.
+    source: Option<(RouterId, u64)>,
     is_peer: bool,
     batch: Vec<EventRec>,
     /// Raw intern definitions that arrived since the last flush.
@@ -776,7 +775,7 @@ impl Reader<'_> {
                         hello.source.0, hello.n_routers
                     ));
                 }
-                self.session = Some(hello.session);
+                self.source = Some((hello.source, hello.session));
                 Msg::Hello { conn, hello, ack }
             }
             // A scrape is answered inline by the reader thread — the
@@ -847,6 +846,16 @@ impl Reader<'_> {
                 raw,
             },
             Frame::Event { seq, event } => {
+                let session = match self.source {
+                    Some((r, session)) if r == event.router => session,
+                    Some((r, _)) => {
+                        return self.fatal(format!(
+                            "event names router {} on router {}'s connection",
+                            event.router.0, r.0
+                        ))
+                    }
+                    None => return self.fatal("event on a peer connection".into()),
+                };
                 if trace.is_some() {
                     metrics.trace_bytes.add(TRACE_CTX_WIRE_LEN as u64);
                 }
@@ -858,11 +867,7 @@ impl Reader<'_> {
                 // inside the collector process.
                 let sampled = seq.is_multiple_of(FLIGHT_SAMPLE);
                 let trace = trace
-                    .or_else(|| {
-                        self.session
-                            .filter(|_| sampled)
-                            .map(|s| TraceCtx::for_flight(s, seq))
-                    })
+                    .or_else(|| sampled.then(|| TraceCtx::for_flight(session, seq)))
                     .map(|ctx| (ctx, Instant::now()));
                 if let Some((ctx, _)) = trace {
                     self.flight.record(
@@ -878,7 +883,7 @@ impl Reader<'_> {
                 self.batch.push(EventRec {
                     raw,
                     trace,
-                    ..EventRec::new(seq, event, federated)
+                    ..EventRec::new(seq, &event)
                 });
                 if self.batch.len() >= EVENT_BATCH_MAX && !self.flush() {
                     return FrameOutcome::SessionGone;
@@ -951,7 +956,7 @@ fn reader_loop(
             .flight
             .register(&format!("reader-{conn}"), READER_RING_SLOTS),
         greeted: false,
-        session: None,
+        source: None,
         is_peer: false,
         batch: Vec::new(),
         defs: Vec::new(),

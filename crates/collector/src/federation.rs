@@ -12,7 +12,7 @@
 //! (kinds 12–15). This module holds the peer links — each kept up by
 //! its own thread, which dials, replays and drops a stalled connection,
 //! so the session never ticks for them — the inbound cursors, the
-//! frontier advertisements and round grid, eager boundary forwarding,
+//! frontier advertisements and round grid, the eager boundary frames,
 //! and peer repair-proof checks.
 //!
 //! ## The federated round
@@ -29,11 +29,14 @@
 //! verdict once all arrived — bit-identical to the monolithic
 //! tracker's by the tracker slice's decomposition property.
 //!
-//! Cross-member happens-before edges need the raw boundary *events*:
-//! every ingested batch forwards the accepted events whose
-//! conversations a peer owns in an untagged [`BoundaryEdges`] frame,
+//! Cross-member happens-before edges need the boundary conversation
+//! sides, and a side crosses to a peer exactly as it crosses to another
+//! own shard: as its [`FoldRecord`]. `Shards::route_cross` groups every
+//! ingested batch's records by the global shard owning their
+//! conversations; own shards get them over their channel, and each peer
+//! owning some gets them in one untagged [`BoundaryEdges`] frame,
 //! eagerly, not at round open. TCP FIFO ordering makes the fold sound:
-//! a member forwards every boundary event at or below `F` before it
+//! a member forwards every boundary record at or below `F` before it
 //! advertises a minimum of `F` on the same link.
 //!
 //! ## Durability and recovery
@@ -45,12 +48,12 @@
 //! [`FrontierExchange`] records (so a recovering member regenerates the
 //! very frontier history its peers gated rounds on), and a marker per
 //! opened round. Recovery scans the journal like any collector's, seeds
-//! the workers (forwarding boundary events afresh), then replays series
+//! the workers (forwarding boundary records afresh), then replays series
 //! 0's peer and round records through the live apply path with
 //! journaling off, regenerating every round digest and partial verdict
 //! into the link windows under a fresh session. Receivers deduplicate
 //! semantically — frontier minima max-merge, round frames at or behind
-//! the completed horizon drop, boundary events deduplicate by event id.
+//! the completed horizon drop, boundary records deduplicate by event id.
 
 use crate::codec::{
     encode_frame, BoundaryEdges, Frame, FrontierExchange, PartialVerdict, PeerHello,
@@ -67,7 +70,7 @@ use cpvr_core::snapshot::{ConvDigest, SnapshotStatus};
 use cpvr_core::{chain_over, FederationPlan, FoldRecord, RepairProof};
 use cpvr_obs::trace::stage;
 use cpvr_obs::RingHandle;
-use cpvr_sim::{EventId, IoEvent};
+use cpvr_sim::EventId;
 use cpvr_types::json::{from_str, to_string_compact};
 use cpvr_types::trace::TRACE_CTX_WIRE_LEN;
 use cpvr_types::{fnv1a64, RouterId, SimTime, TraceCtx};
@@ -296,10 +299,12 @@ fn dial(link: &Arc<Link>, hello: &mut PeerHello, addr: SocketAddr) -> io::Result
 /// engine sees them: the remote participants of every barrier round. It
 /// holds the outbound links and inbound cursors, the frontier
 /// advertisements and the round grid they build, the peers' round
-/// contributions until their round merges, eager boundary forwarding,
-/// and peer repair-proof checks. The same methods serve the live loop
-/// and WAL replay: during replay nothing is journaled or acked, and
-/// outbound frames accumulate in the link buffers.
+/// contributions until their round merges, the eager boundary frames
+/// (sent as `Shards::send_crosses` groups them, received through the
+/// late gate, deduplication and the router check), and peer
+/// repair-proof checks. The same methods serve the live loop and WAL
+/// replay: during replay nothing is journaled or acked, and outbound
+/// frames accumulate in the link buffers.
 pub(crate) struct Peers {
     pub(crate) member: u32,
     pub(crate) members: u32,
@@ -327,9 +332,7 @@ pub(crate) struct Peers {
     /// member)`, until their round merges.
     digests: BTreeMap<(SimTime, u32), Vec<ConvDigest>>,
     partials: BTreeMap<(SimTime, u32), Vec<RouterId>>,
-    /// Eager boundary events staged per peer since the last flush.
-    eager: Vec<Vec<(u64, IoEvent)>>,
-    /// Ids (with times) of foreign boundary events already handed to a
+    /// Ids (with times) of foreign boundary records already handed to a
     /// cross builder; pruned at each opened horizon.
     cross_seen: HashMap<EventId, SimTime>,
     /// Worker 0's inbox, which journals this member's peer, frontier and
@@ -376,7 +379,6 @@ impl Peers {
             pending_horizons: BTreeSet::new(),
             digests: BTreeMap::new(),
             partials: BTreeMap::new(),
-            eager: vec![Vec::new(); members as usize],
             cross_seen: HashMap::new(),
             series0: None,
             metrics: None,
@@ -458,40 +460,27 @@ impl Peers {
         }
     }
 
-    /// Stages an own-router event for member `j`, which owns its
-    /// conversation.
-    pub(crate) fn stage(&mut self, j: u32, seq: u64, event: &IoEvent) {
-        self.eager[j as usize].push((seq, event.clone()));
-    }
-
-    /// Ships every staged eager boundary batch as an untagged
-    /// [`BoundaryEdges`] frame.
-    pub(crate) fn flush_eager(&mut self) {
-        for j in 0..self.members as usize {
-            if self.eager[j].is_empty() {
-                continue;
-            }
-            let events = std::mem::take(&mut self.eager[j]);
-            let count = events.len() as u64;
-            let member = self.member;
-            self.send_to(j, move |seq| {
-                Frame::BoundaryEdges(BoundaryEdges {
-                    member,
-                    seq,
-                    round: None,
-                    events,
-                    digests: Vec::new(),
-                    // Eager per-event forwards stay untraced: stamping
-                    // every boundary event would put the 12-byte
-                    // trailer on the hot path for no causal gain — the
-                    // flight they belong to is already traced at the
-                    // sink.
-                    trace: None,
-                })
-            });
-            if let Some(m) = &self.metrics {
-                m.boundary_events_sent.add(count);
-            }
+    /// Ships member `j` the records of one ingested batch whose
+    /// conversations its shards own, as an untagged [`BoundaryEdges`]
+    /// frame.
+    pub(crate) fn forward(&mut self, j: usize, records: Vec<FoldRecord>) {
+        let (count, member) = (records.len() as u64, self.member);
+        self.send_to(j, move |seq| {
+            Frame::BoundaryEdges(BoundaryEdges {
+                member,
+                seq,
+                round: None,
+                records,
+                digests: Vec::new(),
+                // Eager forwards stay untraced: stamping every boundary
+                // record would put the 12-byte trailer on the hot path
+                // for no causal gain — the flight they belong to is
+                // already traced at the sink.
+                trace: None,
+            })
+        });
+        if let Some(m) = &self.metrics {
+            m.boundary_events_sent.add(count);
         }
     }
 
@@ -618,7 +607,7 @@ impl Peers {
     /// tagged with the round (an empty digest list still ships — it is
     /// the round-completion marker).
     pub(crate) fn open_round(&mut self, f: SimTime, outboxes: Vec<Vec<ConvDigest>>) {
-        // Boundary events at or behind the horizon are folded; their
+        // Boundary records at or behind the horizon are folded; their
         // dedup entries have no future duplicates to catch (the late
         // gate drops those first).
         self.cross_seen.retain(|_, t| *t > f);
@@ -638,7 +627,7 @@ impl Peers {
                     member,
                     seq,
                     round: Some(f),
-                    events: Vec::new(),
+                    records: Vec::new(),
                     digests,
                     trace: round_trace,
                 })
@@ -803,24 +792,30 @@ impl Peers {
         self.publish_peers(sources);
     }
 
-    /// The fold records of a peer's eager boundary events that are new,
-    /// ahead of the late gate, and about conversations this member owns.
+    /// The records of a peer's eager boundary batch that are new, ahead
+    /// of the late gate, about conversations this member owns, and name
+    /// only routers of the plan: the cross builders index their cells by
+    /// router, so a hostile id must not reach them.
     pub(crate) fn boundary_events(
         &mut self,
-        b: &BoundaryEdges,
+        records: Vec<FoldRecord>,
         advanced: Option<SimTime>,
     ) -> Vec<FoldRecord> {
+        let n = self.n_routers;
         let mut fresh = Vec::new();
-        for (_, e) in &b.events {
-            if advanced.is_some_and(|wm| e.time <= wm) || self.cross_seen.contains_key(&e.id) {
+        for rec in records {
+            if advanced.is_some_and(|wm| rec.time <= wm)
+                || self.cross_seen.contains_key(&rec.id)
+                || rec.router.0 >= n
+                || rec.peer.is_some_and(|p| p.0 >= n)
+            {
                 continue;
             }
-            let rec = FoldRecord::of(e);
             if rec
                 .conv()
                 .is_some_and(|(key, _)| self.plan.of_conv(&key) == self.member)
             {
-                self.cross_seen.insert(e.id, e.time);
+                self.cross_seen.insert(rec.id, rec.time);
                 fresh.push(rec);
             }
         }

@@ -372,7 +372,7 @@ impl CollectorMetrics {
             ),
             boundary_events_received: r.counter(
                 "cpvr_boundary_events_received_total",
-                "Ownership-boundary HBG events accepted from peers (post dedup)",
+                "Ownership-boundary HBG events accepted from peers (post late gate, dedup and router check)",
             ),
             boundary_bytes_sent: r.counter(
                 "cpvr_boundary_bytes_sent_total",

@@ -557,11 +557,9 @@ impl WalScan {
                 // corruption. Skip and count rather than abort
                 // recovery.
                 match dec.decode_record(record) {
-                    Ok(Frame::Event { seq, event }) => {
-                        if sources.contains(event.router) {
-                            let cur = &mut sources.entry_mut(event.router).cursor;
-                            cur.next_seq = cur.next_seq.max(seq + 1);
-                        }
+                    Ok(Frame::Event { seq, event }) if sources.contains(event.router) => {
+                        let cur = &mut sources.entry_mut(event.router).cursor;
+                        cur.next_seq = cur.next_seq.max(seq + 1);
                         events.push((seq, event));
                     }
                     Ok(Frame::Watermark { t, frontier }) => {
@@ -619,7 +617,10 @@ impl WalScan {
                     | Ok(Frame::Heartbeat)
                     | Ok(Frame::MetricsReq { .. })
                     | Ok(Frame::MetricsResp { .. }) => {}
-                    Err(_) => corrupt += 1,
+                    // An event naming no router of the table was never
+                    // accepted live: seeding it would index past the
+                    // fold's streams.
+                    Ok(Frame::Event { .. }) | Err(_) => corrupt += 1,
                 }
             }
             series_wms.push(series_wm);
@@ -672,8 +673,9 @@ pub struct RecoveryReport {
     pub torn_tail: bool,
     /// Segment files scanned.
     pub segments: usize,
-    /// Records that were intact on disk but failed frame decoding — a
-    /// writer bug if ever nonzero.
+    /// Records that were intact on disk but failed frame decoding, or
+    /// events naming a router outside the source table — a writer bug
+    /// if ever nonzero.
     pub corrupt_records: usize,
     /// Sources that were evicted at the time of the crash (journaled
     /// evictions not cancelled by a journaled re-admission).

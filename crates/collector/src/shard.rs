@@ -26,9 +26,10 @@
 //! shared group-commit thread, and the ack sockets of what it journals,
 //! so an ack is written strictly after the events it covers. The reader
 //! classified each event once ([`FoldRecord`]); the engine only routes
-//! the record — to its router's worker, to the worker owning its
-//! conversation when that is another, or to the member owning it as an
-//! eager boundary forward.
+//! the record — to its router's worker, and to the global shard owning
+//! its conversation when that is another: over the worker's channel
+//! when the shard is this collector's, in one eager boundary frame per
+//! batch to the member whose shard it is otherwise.
 //!
 //! ## The barrier round
 //!
@@ -758,46 +759,60 @@ impl Shards {
         self.send(home, WorkerMsg::Journal { bytes });
     }
 
-    /// Stages `rec`'s fold record for the shard owning its conversation
-    /// when that is not `owner`, the shard owning its router: an own
-    /// shard's cross builder, or the eager forward to the member whose
-    /// shard it is.
-    fn route_cross(&mut self, owner: u32, rec: &EventRec, crosses: &mut [Vec<FoldRecord>]) {
-        let Some((key, _)) = rec.rec.conv() else {
-            return;
-        };
-        let g = self.plan.of_conv(&key);
-        match (g == owner, self.local(g), self.peers.as_mut(), &rec.event) {
-            (true, ..) => {}
-            (_, Some(k), ..) => crosses[k].push(rec.rec),
-            (_, None, Some(p), Some(e)) => p.stage(self.plan.member_of(g), rec.seq, e),
-            _ => {}
+    /// One empty group per global shard, for [`route_cross`](Self::route_cross).
+    fn cross_groups(&self) -> Vec<Vec<FoldRecord>> {
+        vec![Vec::new(); self.plan.shards() as usize]
+    }
+
+    /// Groups `rec` under the global shard owning its conversation when
+    /// that is not the shard owning its router (which feeds its own
+    /// cross builder on ingest).
+    fn route_cross(&self, rec: FoldRecord, crosses: &mut [Vec<FoldRecord>]) {
+        if let Some((key, _)) = rec.conv() {
+            let g = self.plan.of_conv(&key);
+            if g != self.plan.of_router(rec.router) {
+                crosses[g as usize].push(rec);
+            }
         }
     }
 
-    /// Cross-conversation copies go out *before* the owner's batch can
-    /// trigger any later barrier, so a shard's cross builder always has
-    /// both sides of an HBR by the time the watermark folds it.
+    /// Hands every group to its shard: an own shard's worker as one
+    /// `IngestCross`, another member's shards as one eager boundary frame
+    /// to that member. Cross records go out *before* the owner's batch can
+    /// trigger any later barrier (on a peer link, before any frontier
+    /// advertisement that covers them), so a shard's cross builder always
+    /// has both sides of an HBR by the time the watermark folds it.
     fn send_crosses(&mut self, crosses: Vec<Vec<FoldRecord>>) {
-        for (w, records) in self.workers.iter().zip(crosses) {
-            if !records.is_empty() {
-                let _ = w.send(WorkerMsg::IngestCross { records });
+        let mut remote = vec![Vec::new(); self.peers.as_ref().map_or(0, |p| p.members as usize)];
+        for (g, records) in (0..).zip(crosses) {
+            if records.is_empty() {
+                continue;
+            }
+            match self.local(g) {
+                Some(k) => {
+                    let _ = self.workers[k].send(WorkerMsg::IngestCross { records });
+                }
+                None => remote[self.plan.member_of(g) as usize].extend(records),
             }
         }
         if let Some(p) = self.peers.as_mut() {
-            p.flush_eager();
+            for (j, records) in remote.into_iter().enumerate() {
+                if !records.is_empty() {
+                    p.forward(j, records);
+                }
+            }
         }
     }
 
     /// Hands WAL-recovered events to their owning workers.
     fn seed(&mut self, events: Vec<(u64, IoEvent)>) {
         let mut seeds: Vec<Vec<EventRec>> = self.workers.iter().map(|_| Vec::new()).collect();
-        let mut crosses = vec![Vec::new(); self.workers.len()];
+        let mut crosses = self.cross_groups();
         for (seq, event) in events {
             // Already durable, never traced.
-            let rec = EventRec::new(seq, event, self.peers.is_some());
+            let rec = EventRec::new(seq, &event);
             let owner = self.plan.of_router(rec.rec.router);
-            self.route_cross(owner, &rec, &mut crosses);
+            self.route_cross(rec.rec, &mut crosses);
             seeds[self.local(owner).unwrap_or(0)].push(rec);
         }
         self.send_crosses(crosses);
@@ -823,10 +838,9 @@ impl Shards {
         upto: u64,
         fin: bool,
     ) {
-        let owner = self.plan.of_router(source);
-        let mut crosses = vec![Vec::new(); self.workers.len()];
+        let mut crosses = self.cross_groups();
         for rec in &batch {
-            self.route_cross(owner, rec, &mut crosses);
+            self.route_cross(rec.rec, &mut crosses);
         }
         self.send_crosses(crosses);
         let ack = Some((conn, upto, fin));
@@ -976,14 +990,10 @@ impl Shards {
             Frame::FrontierExchange(f) => p.frontier(f, sources),
             Frame::BoundaryEdges(b) => match b.round {
                 None => {
-                    let mut crosses = vec![Vec::new(); self.workers.len()];
-                    for rec in p.boundary_events(&b, self.advanced) {
-                        let owner = rec
-                            .conv()
-                            .and_then(|(key, _)| self.local(self.plan.of_conv(&key)));
-                        if let Some(k) = owner {
-                            crosses[k].push(rec);
-                        }
+                    let fresh = p.boundary_events(b.records, self.advanced);
+                    let mut crosses = self.cross_groups();
+                    for rec in fresh {
+                        self.route_cross(rec, &mut crosses);
                     }
                     return self.send_crosses(crosses);
                 }

@@ -376,3 +376,39 @@ fn a_reconnect_after_a_restart_leaves_a_self_contained_journal() {
         dataplane_fingerprint(reference.tracker().dataplane())
     );
 }
+
+/// A journaled event naming a router outside the source table was never
+/// accepted live (the reader holds an event to its hello's router), so
+/// recovery counts it as a corrupt record and seeds nothing from it: both
+/// the in-process recovery and a collector started over the directory
+/// recover only the well-formed event. Seeded, it would index past the
+/// fold's streams.
+#[test]
+fn a_journaled_event_outside_the_source_table_is_corrupt() {
+    use cpvr_collector::codec::encode_frame;
+
+    let events = sample_events(7);
+    let good = events_for(&events, RouterId(0))[0].clone();
+    let stray = IoEvent {
+        router: RouterId(7),
+        ..good.clone()
+    };
+    let dir = TempDir::new("stray-event").unwrap();
+    let mut w = Wal::open(WalConfig::new(dir.path())).unwrap();
+    for (seq, event) in [(0, good), (1, stray)] {
+        w.append(&encode_frame(&Frame::Event { seq, event }))
+            .unwrap();
+    }
+    w.close().unwrap();
+
+    let (recovered, report) =
+        IngestPipeline::recover(PipelineConfig::new(N_ROUTERS), dir.path()).unwrap();
+    assert_eq!((recovered.events(), report.events_replayed), (1, 1));
+    assert_eq!(report.corrupt_records, 1);
+
+    let cfg = CollectorConfig::new(N_ROUTERS).with_wal(WalConfig::new(dir.path()));
+    let handle = Collector::start(cfg, "127.0.0.1:0").expect("start over the journal");
+    assert_eq!(handle.recovery().unwrap().corrupt_records, 1);
+    let report = handle.shutdown().expect("clean shutdown");
+    assert_eq!(report.pipeline.events(), 1);
+}

@@ -22,8 +22,10 @@ use cpvr_collector::codec::{
 use cpvr_collector::wal::{self, TempDir, Wal, WalConfig};
 use cpvr_core::provenance::{RootCause, RootCauseKind};
 use cpvr_core::repair::RepairAction;
+use cpvr_core::rules::KindClass;
 use cpvr_core::snapshot::ConvDigest;
-use cpvr_core::{chain_over, ProvenanceHop, RepairPlan, RepairProof};
+use cpvr_core::{chain_over, FoldRecord, ProvenanceHop, RepairPlan, RepairProof};
+use cpvr_dataplane::FibAction;
 use cpvr_sim::wire::InternDef;
 use cpvr_sim::{EventId, IoEvent, IoKind, Proto};
 use cpvr_topo::LinkId;
@@ -74,7 +76,10 @@ const METRICS_RESP: &str = "4357020a0f000000c6b7d4e37b22636f756e74657273223a5b5d
 // Kind 11 on its own.
 const INTERN: &str = "4357030b09000000f5885e7902010005080000000a";
 // Kinds 12–15: the federation peer frames; 14 and 15 with and without
-// the optional `trace` member.
+// the optional `trace` member. `BOUNDARY` and `BOUNDARY_TRACED` carry
+// eager events in the `events` member the encoder no longer writes:
+// they are decode-only, and `BOUNDARY_RECORDS*` (generated when the
+// `records` member replaced them) are what the encoder writes.
 const PEER_HELLO: &str = "\
      4357020c4900000089e122827b226d656d626572223a312c226d656d62657273223a332c226e5f72\
      6f7574657273223a362c2273657373696f6e223a333733353933313634362c2266697273745f7365\
@@ -100,6 +105,36 @@ const BOUNDARY_TRACED: &str = "\
      6f223a22426770222c22707265666978223a2231302e302e302e302f38222c2269735f73656e6422\
      3a747275652c2274696d65223a34313030303030307d5d2c227472616365223a7b2274726163655f\
      6964223a343237323832373635323835363832333837332c22706172656e74223a32307d7d";
+const BOUNDARY_RECORDS: &str = "\
+     4357020ef2010000ad7d31e07b226d656d626572223a322c22736571223a372c22726f756e64223a\
+     34323030303030302c227265636f726473223a5b7b2274696d65223a34323030303030302c226964\
+     223a372c22726f75746572223a322c22636c617373223a22466962526d222c2270726f746f223a6e\
+     756c6c2c22707265666978223a2231302e302e302e302f38222c2270656572223a6e756c6c2c2261\
+     6374696f6e223a2244726f70227d2c7b2274696d65223a34313030303030302c226964223a362c22\
+     726f75746572223a302c22636c617373223a2253656e644164222c2270726f746f223a2242677022\
+     2c22707265666978223a2231302e302e302e302f38222c2270656572223a342c22616374696f6e22\
+     3a2244726f70227d2c7b2274696d65223a34313030303030302c226964223a31302c22726f757465\
+     72223a302c22636c617373223a22466962496e222c2270726f746f223a6e756c6c2c227072656669\
+     78223a2231302e302e302e302f38222c2270656572223a6e756c6c2c22616374696f6e223a7b2246\
+     6f7277617264223a337d7d5d2c2264696765737473223a5b7b2266726f6d223a302c22746f223a34\
+     2c2270726f746f223a22426770222c22707265666978223a2231302e302e302e302f38222c226973\
+     5f73656e64223a747275652c2274696d65223a34313030303030307d5d7d";
+const BOUNDARY_RECORDS_TRACED: &str = "\
+     4357020e27020000b5f83c737b226d656d626572223a322c22736571223a372c22726f756e64223a\
+     34323030303030302c227265636f726473223a5b7b2274696d65223a34323030303030302c226964\
+     223a372c22726f75746572223a322c22636c617373223a22466962526d222c2270726f746f223a6e\
+     756c6c2c22707265666978223a2231302e302e302e302f38222c2270656572223a6e756c6c2c2261\
+     6374696f6e223a2244726f70227d2c7b2274696d65223a34313030303030302c226964223a362c22\
+     726f75746572223a302c22636c617373223a2253656e644164222c2270726f746f223a2242677022\
+     2c22707265666978223a2231302e302e302e302f38222c2270656572223a342c22616374696f6e22\
+     3a2244726f70227d2c7b2274696d65223a34313030303030302c226964223a31302c22726f757465\
+     72223a302c22636c617373223a22466962496e222c2270726f746f223a6e756c6c2c227072656669\
+     78223a2231302e302e302e302f38222c2270656572223a6e756c6c2c22616374696f6e223a7b2246\
+     6f7277617264223a337d7d5d2c2264696765737473223a5b7b2266726f6d223a302c22746f223a34\
+     2c2270726f746f223a22426770222c22707265666978223a2231302e302e302e302f38222c226973\
+     5f73656e64223a747275652c2274696d65223a34313030303030307d5d2c227472616365223a7b22\
+     74726163655f6964223a343237323832373635323835363832333837332c22706172656e74223a32\
+     307d7d";
 const PARTIAL: &str = "\
      4357020f35000000173449897b226d656d626572223a302c22736571223a382c22726f756e64223a\
      34323030303030302c226d697373696e67223a5b312c335d7d";
@@ -207,12 +242,37 @@ fn rib_event() -> IoEvent {
     }
 }
 
-fn boundary(trace: Option<TraceCtx>) -> Frame {
+/// The records of a FIB removal, a BGP send to router 4 (the digest's
+/// conversation below) and a FIB install forwarding over link 3.
+fn records() -> Vec<FoldRecord> {
+    let prefix = Some("10.0.0.0/8".parse().unwrap());
+    let send = FoldRecord {
+        time: SimTime::from_millis(41),
+        id: EventId(6),
+        router: RouterId(0),
+        class: KindClass::SendAd,
+        proto: Some(Proto::Bgp),
+        prefix,
+        peer: Some(RouterId(4)),
+        action: FibAction::Drop,
+    };
+    let install = FoldRecord {
+        id: EventId(10),
+        class: KindClass::FibIn,
+        proto: None,
+        peer: None,
+        action: FibAction::Forward(LinkId(3)),
+        ..send
+    };
+    vec![FoldRecord::of(&fib_event()), send, install]
+}
+
+fn boundary(records: Vec<FoldRecord>, trace: Option<TraceCtx>) -> Frame {
     Frame::BoundaryEdges(BoundaryEdges {
         member: 2,
         seq: 7,
         round: Some(SimTime::from_millis(42)),
-        events: vec![(9, fib_event())],
+        records,
         digests: vec![ConvDigest {
             key: (
                 RouterId(0),
@@ -373,8 +433,11 @@ fn typed_frames() -> Vec<(&'static str, Frame)> {
                 ],
             }),
         ),
-        (BOUNDARY, boundary(None)),
-        (BOUNDARY_TRACED, boundary(Some(round.child(20)))),
+        (BOUNDARY_RECORDS, boundary(records(), None)),
+        (
+            BOUNDARY_RECORDS_TRACED,
+            boundary(records(), Some(round.child(20))),
+        ),
         (PARTIAL, partial(None)),
         (PARTIAL_TRACED, partial(Some(round.child(22)))),
         (REPAIR, repair(None)),
@@ -414,6 +477,19 @@ fn old_hellos_still_decode() {
     for vector in [HELLO_CODEC_2, HELLO_NO_CODEC] {
         let got = Decoder::new().decode_record(&unhex(vector)).unwrap();
         assert_eq!(got, hello());
+    }
+}
+
+/// Kind-14 bodies written before eager batches carried fold records
+/// hold `(origin_seq, event)` pairs; member journals keep them, so they
+/// decode to the records of their events.
+#[test]
+fn old_boundary_bodies_still_decode() {
+    let round = TraceCtx::for_round(SimTime::from_millis(42));
+    let fib = vec![FoldRecord::of(&fib_event())];
+    for (vector, trace) in [(BOUNDARY, None), (BOUNDARY_TRACED, Some(round.child(20)))] {
+        let got = Decoder::new().decode_record(&unhex(vector)).unwrap();
+        assert_eq!(got, boundary(fib.clone(), trace));
     }
 }
 

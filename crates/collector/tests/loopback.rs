@@ -282,6 +282,102 @@ fn a_deeply_nested_hello_closes_only_its_connection() {
     );
 }
 
+/// The reader holds an event to the router its connection greeted as:
+/// an event naming another router closes that connection and counts one
+/// decode error, and the other sources fold on. An event naming router
+/// 7 of 3 that reached a fold worker would index past its streams and
+/// panic it, and the next barrier would wait forever for its reply;
+/// every wait here has a deadline, so that is a failed test, not a hung
+/// one.
+#[test]
+fn an_event_naming_another_router_closes_its_connection() {
+    use common::{assert_same_fold, events_for, reference_pipeline};
+    use cpvr_collector::codec::{encode_frame, EventEncoder, Frame, Hello};
+    use std::io::{ErrorKind, Read, Write};
+
+    let handle =
+        Collector::start(CollectorConfig::new(N_ROUTERS), "127.0.0.1:0").expect("bind loopback");
+    let addr = handle.local_addr();
+    let events = sample_events(7);
+
+    // A raw client greets as router 1, then sends one of router 1's
+    // events relabeled as router 7's.
+    let mut stream = encode_frame(&Frame::Hello(Hello {
+        source: RouterId(1),
+        n_routers: N_ROUTERS,
+        session: 0x57a7,
+        first_seq: 0,
+    }));
+    let stray = IoEvent {
+        router: RouterId(7),
+        ..events_for(&events, RouterId(1))[0].clone()
+    };
+    EventEncoder::default().encode_into(0, &stray, &mut stream);
+    let mut bad = std::net::TcpStream::connect(addr).expect("tcp connect");
+    bad.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    bad.write_all(&stream).expect("write hello and event");
+    // The hello may be acked before the event is read; then the
+    // connection ends.
+    let mut scratch = [0u8; 256];
+    let closed = loop {
+        match bad.read(&mut scratch) {
+            Ok(0) => break true,
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                break false
+            }
+            Err(_) => break true,
+        }
+    };
+    assert!(closed, "the connection stayed open after a stray event");
+    assert!(
+        wait_for(Duration::from_secs(10), || handle.stats().decode_errors
+            == 1),
+        "the stray event was not counted as a decode error"
+    );
+
+    // Every router then streams its trace and folds to the end.
+    let senders: Vec<_> = (0..N_ROUTERS)
+        .map(|r| {
+            let mine = events_for(&events, RouterId(r));
+            std::thread::spawn(move || {
+                let mut sink = SocketSink::connect(addr, RouterId(r), N_ROUTERS).expect("connect");
+                for e in &mine {
+                    sink.send(e).expect("send event");
+                }
+                sink.bye().expect("send bye");
+                sink.sent()
+            })
+        })
+        .collect();
+    let sent: u64 = senders.into_iter().map(|h| h.join().unwrap()).sum();
+    assert!(
+        wait_for(Duration::from_secs(30), || {
+            let s = handle.stats();
+            s.events == sent && s.watermark == Some(SimTime::MAX)
+        }),
+        "collector did not reach the final watermark: {:?}",
+        handle.stats()
+    );
+    drop(bad);
+
+    let (done, report) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        let _ = done.send(handle.shutdown());
+    });
+    let report = report
+        .recv_timeout(Duration::from_secs(30))
+        .expect("shutdown returns within the deadline")
+        .expect("clean shutdown");
+    stopper.join().expect("the shutdown thread ends");
+    assert_eq!(report.stats.decode_errors, 1);
+    assert_same_fold(
+        &report.pipeline,
+        &reference_pipeline(&events, &[SimTime::MAX]),
+        "after a stray event",
+    );
+}
+
 /// A watermark writes, flushes and returns: it does not wait on acks.
 /// 300 back-to-back promises on an idle loopback sink take well under a
 /// millisecond each, and the stream still drains afterwards.

@@ -33,7 +33,6 @@
 pub mod builder;
 pub mod control;
 pub mod distributed;
-pub mod export;
 pub mod gate;
 pub mod hbg;
 pub mod infer;
@@ -49,7 +48,6 @@ pub mod whatif;
 pub use builder::HbgBuilder;
 pub use control::{ControlLoop, GuardAction, GuardReport};
 pub use distributed::{partition, RouterSubgraph};
-pub use export::{trace_from_json, trace_to_json};
 pub use gate::{install_inline_gate, GateStats};
 pub use hbg::{Hbg, Hbr, HbrSource};
 pub use infer::{infer_hbg, InferConfig, InferStats, PatternMiner};

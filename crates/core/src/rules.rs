@@ -155,6 +155,34 @@ impl FoldRecord {
     }
 }
 
+// The record's one JSON layout: what a federation member forwards to
+// the peer owning the record's conversation (`BoundaryEdges` eager
+// batches).
+cpvr_types::impl_json_enum!(KindClass {
+    Config,
+    Soft,
+    Link,
+    RecvAd,
+    RecvWd,
+    RibIn,
+    RibRm,
+    FibIn,
+    FibRm,
+    SendAd,
+    SendWd,
+});
+
+cpvr_types::impl_json_struct!(FoldRecord {
+    time,
+    id,
+    router,
+    class,
+    proto,
+    prefix,
+    peer,
+    action,
+});
+
 /// A "most recent occurrence" cell: all event ids sharing the latest
 /// timestamp for a key (batched I/Os share timestamps, e.g. the
 /// announcements of one BGP update message). The first id lives inline;

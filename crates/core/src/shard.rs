@@ -11,8 +11,7 @@
 //! - **Conversations** (send→recv pairs, the only cross-router coupling
 //!   in the fold) are assigned by **prefix range**
 //!   ([`of_prefix`](ShardPlan::of_prefix)): the address space is split
-//!   into `shards` contiguous ranges, either uniformly or balanced over
-//!   a set of observed prefixes. Conversations with no prefix fall back
+//!   into `shards` equal contiguous ranges. Conversations with no prefix fall back
 //!   to the addressee router's shard — EC affinity, so repeated traffic
 //!   for one equivalence class lands on one shard.
 //!
@@ -53,29 +52,6 @@ impl ShardPlan {
             per_member,
             bounds,
         }
-    }
-
-    /// A plan whose range boundaries balance the given observed
-    /// prefixes: each shard owns (as close as possible) an equal count
-    /// of them. Falls back to [`uniform`](Self::uniform) when fewer
-    /// prefixes than shards are given.
-    pub fn from_prefixes(prefixes: &[Ipv4Prefix], shards: u32) -> Self {
-        let shards = shards.max(1);
-        let mut addrs: Vec<u64> = prefixes.iter().map(|p| p.bits() as u64).collect();
-        addrs.sort_unstable();
-        addrs.dedup();
-        if addrs.len() < shards as usize {
-            return Self::uniform(shards);
-        }
-        let mut bounds: Vec<u64> = Vec::with_capacity(shards as usize);
-        for k in 1..shards as u64 {
-            // First address of shard k: the boundary is exclusive for
-            // shard k-1.
-            let idx = (k as usize * addrs.len()) / shards as usize;
-            bounds.push(addrs[idx]);
-        }
-        bounds.push(1 << 32);
-        Self::of_bounds(1, bounds)
     }
 
     /// Number of shards in the plan.
@@ -139,14 +115,6 @@ impl FederationPlan {
         }
     }
 
-    /// A federation whose conversation ranges balance the given observed
-    /// prefixes (see [`ShardPlan::from_prefixes`]).
-    pub fn from_prefixes(prefixes: &[Ipv4Prefix], members: u32) -> Self {
-        FederationPlan {
-            inner: ShardPlan::from_prefixes(prefixes, members),
-        }
-    }
-
     /// Number of members in the federation.
     pub fn members(&self) -> u32 {
         self.inner.shards()
@@ -162,17 +130,10 @@ impl FederationPlan {
         self.inner.of_conv(key)
     }
 
-    /// The underlying shard plan — what a member hands to its
-    /// [`TrackerSlice`](crate::snapshot::TrackerSlice), whose slice
-    /// index is the member index.
-    pub fn as_shard_plan(&self) -> &ShardPlan {
-        &self.inner
-    }
-
     /// The fold plan of a member running `n` shards: each member's
     /// prefix range splits `n` ways into contiguous global shards
     /// `member·n .. member·n + n`, and its routers deal round-robin over
-    /// them. `n = 1` is [`as_shard_plan`](Self::as_shard_plan) exactly.
+    /// them. `n = 1` is the member plan itself: shard `k` is member `k`.
     pub fn shard_plan(&self, n: u32) -> ShardPlan {
         let n = n.max(1);
         let mut lo = 0u64;
@@ -215,19 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn from_prefixes_balances_counts() {
-        let prefixes: Vec<Ipv4Prefix> = (0..64u32)
-            .map(|i| Ipv4Prefix::from_bits(i << 24, 24))
-            .collect();
-        let plan = ShardPlan::from_prefixes(&prefixes, 4);
-        let mut per = [0usize; 4];
-        for p in &prefixes {
-            per[plan.of_prefix(p) as usize] += 1;
-        }
-        assert_eq!(per, [16, 16, 16, 16]);
-    }
-
-    #[test]
     fn conv_without_prefix_uses_addressee() {
         let plan = ShardPlan::uniform(4);
         let key = (RouterId(0), RouterId(3), cpvr_sim::Proto::Bgp, None);
@@ -251,7 +199,7 @@ mod tests {
             );
             assert_eq!(fed.of_conv(&key), shards.of_conv(&key));
         }
-        assert_eq!(fed.as_shard_plan(), &shards);
+        assert_eq!(fed.shard_plan(1), shards);
     }
 
     #[test]
@@ -259,11 +207,8 @@ mod tests {
         let prefixes: Vec<Ipv4Prefix> = (0..40u32)
             .map(|i| Ipv4Prefix::from_bits(i.wrapping_mul(0x0907_0503), 24))
             .collect();
-        for fed in [
-            FederationPlan::uniform(3),
-            FederationPlan::from_prefixes(&prefixes, 4),
-        ] {
-            assert_eq!(&fed.shard_plan(1), fed.as_shard_plan());
+        for fed in [FederationPlan::uniform(3), FederationPlan::uniform(4)] {
+            assert_eq!(fed.shard_plan(1), ShardPlan::uniform(fed.members()));
             for n in [1u32, 2, 3] {
                 let plan = fed.shard_plan(n);
                 assert_eq!(plan.shards(), fed.members() * n);

@@ -741,7 +741,3 @@ cpvr_types::impl_json_struct!(IoEvent {
     arrived_at,
     kind,
 });
-cpvr_types::impl_json_struct!(Trace {
-    events,
-    truth_edges
-});

@@ -24,31 +24,6 @@ pub struct ShortestPaths {
     pub first_hop: Vec<Option<(RouterId, LinkId)>>,
 }
 
-impl ShortestPaths {
-    /// Reconstructs the router sequence of the best path to `dst`
-    /// (inclusive of both endpoints), or `None` if unreachable.
-    pub fn path_to(&self, topo: &Topology, dst: RouterId) -> Option<Vec<RouterId>> {
-        self.dist[dst.index()]?;
-        // Walk forward from source following first hops recomputed per
-        // node: we only store first hops from the source, so instead walk
-        // backward using repeated SPF is wasteful — walk forward greedily.
-        let mut path = vec![self.source];
-        let mut cur = self.source;
-        let mut guard = 0;
-        while cur != dst {
-            let sp = dijkstra(topo, cur);
-            let (next, _) = sp.first_hop[dst.index()]?;
-            path.push(next);
-            cur = next;
-            guard += 1;
-            if guard > topo.num_routers() {
-                return None; // defensive: should be impossible
-            }
-        }
-        Some(path)
-    }
-}
-
 /// Dijkstra over up links with deterministic tie-breaking (lower router id,
 /// then lower link id, wins).
 pub fn dijkstra(topo: &Topology, source: RouterId) -> ShortestPaths {
@@ -173,15 +148,6 @@ mod tests {
         let sp = dijkstra(&t, RouterId(0));
         assert_eq!(sp.dist[2], None);
         assert_eq!(sp.first_hop[2], None);
-    }
-
-    #[test]
-    fn path_reconstruction() {
-        let t = shapes::line(4);
-        let sp = dijkstra(&t, RouterId(0));
-        let p = sp.path_to(&t, RouterId(3)).unwrap();
-        assert_eq!(p, vec![RouterId(0), RouterId(1), RouterId(2), RouterId(3)]);
-        assert_eq!(sp.path_to(&t, RouterId(0)).unwrap(), vec![RouterId(0)]);
     }
 
     #[test]

@@ -136,21 +136,6 @@ impl Link {
             panic!("{r} is not an endpoint of {}", self.id)
         }
     }
-
-    /// The local interface of `r` on this link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is not an endpoint of this link.
-    pub fn iface_of(&self, r: RouterId) -> IfaceId {
-        if self.a.0 == r {
-            self.a.1
-        } else if self.b.0 == r {
-            self.b.1
-        } else {
-            panic!("{r} is not an endpoint of {}", self.id)
-        }
-    }
 }
 
 /// An eBGP neighbor outside the administrative domain (e.g. an upstream
@@ -317,15 +302,6 @@ impl Topology {
         self.ext_peers[id.index()].state = state;
     }
 
-    /// Sets the IGP cost of a link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn set_igp_cost(&mut self, id: LinkId, cost: u32) {
-        self.links[id.index()].igp_cost = cost;
-    }
-
     // -- construction (used by the builder) ------------------------------
 
     pub(crate) fn push_router(&mut self, r: Router) {
@@ -400,7 +376,8 @@ mod tests {
         let l = t.link_between(RouterId(0), RouterId(1)).unwrap();
         assert_eq!(l.other_end(RouterId(0)).0, RouterId(1));
         assert_eq!(l.other_end(RouterId(1)).0, RouterId(0));
-        let i = l.iface_of(RouterId(0));
+        // Router 0's interface on the link, as its far end sees it.
+        let (_, i) = l.other_end(RouterId(1));
         assert_eq!(t.iface(RouterId(0), i).attachment, Attachment::Link(l.id));
     }
 
@@ -449,14 +426,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn igp_cost_mutation() {
-        let mut t = triangle();
-        let l = t.link_between(RouterId(0), RouterId(2)).unwrap().id;
-        t.set_igp_cost(l, 55);
-        assert_eq!(t.link(l).igp_cost, 55);
     }
 }
 

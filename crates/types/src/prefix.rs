@@ -84,11 +84,6 @@ impl Ipv4Prefix {
         self.len
     }
 
-    /// True for the zero-length default route.
-    pub fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     /// The first address covered by the prefix (the network address).
     pub fn first_addr(&self) -> Ipv4Addr {
         Ipv4Addr::from(self.bits)
@@ -256,7 +251,7 @@ mod tests {
     fn default_contains_everything() {
         assert!(Ipv4Prefix::DEFAULT.contains_addr("255.255.255.255".parse().unwrap()));
         assert!(Ipv4Prefix::DEFAULT.covers(&p("1.2.3.4/32")));
-        assert!(Ipv4Prefix::DEFAULT.is_default());
+        assert_eq!(Ipv4Prefix::DEFAULT.len(), 0);
     }
 
     #[test]

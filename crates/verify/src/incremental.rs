@@ -299,14 +299,6 @@ impl IncrementalVerifier {
         &self.policies
     }
 
-    /// Replaces the topology and rebuilds: traces depend on link and
-    /// peer state, so cached verdicts are all stale after a topology
-    /// change.
-    pub fn set_topology(&mut self, topo: Topology) {
-        self.topo = topo;
-        self.rebuild();
-    }
-
     /// Work counters since construction.
     pub fn stats(&self) -> IncrementalStats {
         self.stats
@@ -470,17 +462,18 @@ mod tests {
     #[test]
     fn topology_change_rebuilds() {
         let (topo, dp, policies) = setup();
-        let mut iv = IncrementalVerifier::new(topo.clone(), dp, policies.clone());
+        let iv = IncrementalVerifier::new(topo.clone(), dp.clone(), policies.clone());
         assert!(iv.ok());
-        // Down the preferred uplink: the cached verdicts are stale until
-        // set_topology rebuilds them.
+        // Down the preferred uplink: traces depend on peer state, so a
+        // topology change means a verifier built over the new topology
+        // (as `ControlLoop` does).
         let mut t2 = topo;
         let e2 = match &policies[0] {
             Policy::PreferredExit { primary, .. } => *primary,
             _ => unreachable!(),
         };
         t2.set_ext_peer_state(e2, cpvr_topo::LinkState::Down);
-        iv.set_topology(t2.clone());
+        let iv = IncrementalVerifier::new(t2.clone(), dp, policies.clone());
         assert!(!iv.ok(), "exit via a downed peer must now violate");
         assert_batch_equivalent(&iv, &t2, &policies);
     }
