@@ -1,11 +1,14 @@
 //! A18 — where the ledger's `setup_s` goes: a sampling profiler over its
 //! two halves, for a box with no `perf`.
 //!
-//! `profile_setup --shape bgp|fib --phase gen|fold [--reps N]` rebuilds
-//! one of the ledger's generator shapes — `bgp`: a 12-router iBGP mesh
-//! under announce/withdraw churn and syslog capture, cloned, sorted by
-//! `(time, id)` and renumbered to 160 000 events; `fib`: 12 × 35 000
-//! local FIB installs and removes — and samples either that generation
+//! `profile_setup --shape bgp|fib|storm --phase gen|fold [--reps N]`
+//! rebuilds one of the ledger's generator shapes — `bgp`: a 12-router
+//! iBGP mesh under announce/withdraw churn and syslog capture, cloned,
+//! sorted by `(time, id)` and renumbered to 160 000 events; `fib`:
+//! 12 × 35 000 local FIB installs and removes; `storm`: the 12-router
+//! two-exit network carrying 512 prefixes under seeded local-pref faults
+//! and rollbacks, cut to 120 000 events the same way — and samples
+//! either that generation
 //! (`gen`) or the reference fold over it (`fold`: `IngestPipeline`,
 //! ingest everything, advance a four-horizon grid). `ITIMER_PROF` raises
 //! `SIGPROF` every 4 ms of CPU; the handler stores glibc's `backtrace`
@@ -14,11 +17,14 @@
 //! self and inclusive percentages per symbol. Linux with glibc only; a
 //! developer tool that nothing depends on and that claims no metric.
 
+use cpvr_bgp::policy::{Clause, MatchCond};
+use cpvr_bgp::{ConfigChange, PeerRef, RouteMap, SetAction};
 use cpvr_collector::{IngestPipeline, PipelineConfig};
 use cpvr_dataplane::FibAction;
+use cpvr_sim::scenario::two_exit_scenario;
 use cpvr_sim::workload::{ibgp_configs, prefix_block, random_topology, schedule_churn, IbgpShape};
 use cpvr_sim::{CaptureProfile, EventId, IoEvent, IoKind, LatencyProfile, Simulation};
-use cpvr_types::{RouterId, SimTime};
+use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -284,6 +290,51 @@ fn fib_shape() -> Vec<IoEvent> {
     ledger_order(events, keep)
 }
 
+/// The `repair-storm` generator shape: after the preferred exit and
+/// then the backup announce 512 prefixes in 64-prefix sub-blocks, the
+/// border router behind the preferred exit demotes one sub-block below
+/// the backup's local-pref and rolls it back, over and over.
+fn storm_shape() -> Vec<IoEvent> {
+    const EVENTS: usize = 120_000;
+    const PREFIXES: usize = 512;
+    const FAULT_BLOCK: usize = 64;
+    let (latency, capture) = (LatencyProfile::cisco(), CaptureProfile::syslog());
+    let (mut sim, left, right) = two_exit_scenario(12, latency, capture, 1);
+    sim.start();
+    sim.run_to_quiescence(usize::MAX);
+    let mut rng = StdRng::seed_from_u64(1);
+    let prefixes = prefix_block(PREFIXES);
+    for (i, chunk) in prefixes.chunks(FAULT_BLOCK).enumerate() {
+        let at = sim.now() + SimTime::from_millis(40 * i as u64 + rng.gen_range(1..10));
+        sim.schedule_ext_announce(at, right, chunk);
+        sim.schedule_ext_announce(at + SimTime::from_millis(30), left, chunk);
+    }
+    sim.run_to_quiescence(usize::MAX);
+    let healthy = RouteMap::set_all(vec![SetAction::LocalPref(30)]);
+    while sim.trace().len() < EVENTS {
+        let block = prefixes[rng.gen_range(0..PREFIXES / FAULT_BLOCK) * FAULT_BLOCK];
+        let faulty = RouteMap {
+            clauses: vec![
+                Clause {
+                    matches: vec![MatchCond::PrefixIn(Ipv4Prefix::from_bits(block.bits(), 18))],
+                    permit: true,
+                    sets: vec![SetAction::LocalPref(rng.gen_range(5..15))],
+                },
+                Clause::permit_all(vec![SetAction::LocalPref(30)]),
+            ],
+        };
+        for map in [faulty, healthy.clone()] {
+            let change = ConfigChange::SetImport {
+                peer: PeerRef::External(right),
+                map,
+            };
+            sim.schedule_config(sim.now() + SimTime::from_millis(20), RouterId(11), change);
+            sim.run_to_quiescence(usize::MAX);
+        }
+    }
+    ledger_order(sim.trace().events.clone(), EVENTS)
+}
+
 /// The ledger's reference fold: ingest everything, then advance through
 /// four horizons at equal event-count intervals and to the end.
 fn fold(events: &[IoEvent]) {
@@ -312,7 +363,8 @@ fn main() {
     let generate = match shape.as_str() {
         "bgp" => bgp_shape,
         "fib" => fib_shape,
-        other => panic!("--shape is bgp or fib, not {other}"),
+        "storm" => storm_shape,
+        other => panic!("--shape is bgp, fib or storm, not {other}"),
     };
     let stacks = match phase.as_str() {
         "gen" => sample(|| (0..reps).for_each(|_| drop(std::hint::black_box(generate())))),

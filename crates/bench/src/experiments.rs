@@ -16,7 +16,7 @@ use cpvr_verify::{equivalence_classes, Policy};
 const MAX_EVENTS: usize = 500_000;
 
 /// The probe address inside the paper's prefix `P`.
-pub fn probe() -> std::net::Ipv4Addr {
+pub(crate) fn probe() -> std::net::Ipv4Addr {
     "8.8.8.8".parse().expect("static address")
 }
 

@@ -12,11 +12,11 @@ use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
 use std::time::Duration;
 
 /// Default connection count for the ingest workload.
-pub const DEFAULT_CONNS: u32 = 8;
+pub(crate) const DEFAULT_CONNS: u32 = 8;
 /// Default total event count for the ingest workload.
-pub const DEFAULT_EVENTS: usize = 40_000;
+pub(crate) const DEFAULT_EVENTS: usize = 40_000;
 /// A watermark is promised after every this many events per connection.
-pub const WATERMARK_EVERY: usize = 500;
+pub(crate) const WATERMARK_EVERY: usize = 500;
 
 /// The synthetic per-router event stream: FIB churn over a rolling
 /// prefix set, ids globally unique, times strictly increasing.

@@ -9,7 +9,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod experiments;
+pub(crate) mod experiments;
 pub mod ingest;
 
 pub use experiments::*;

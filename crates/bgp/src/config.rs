@@ -72,7 +72,7 @@ pub struct BgpConfig {
     /// The router this configuration belongs to.
     pub router: RouterId,
     /// Its AS.
-    pub asn: AsNum,
+    pub(crate) asn: AsNum,
     /// Configured sessions.
     pub sessions: Vec<SessionCfg>,
     /// Vendor decision-process profile.
@@ -95,19 +95,13 @@ impl BgpConfig {
         }
     }
 
-    /// Adds a session (builder style).
-    pub fn with_session(mut self, s: SessionCfg) -> Self {
-        self.sessions.push(s);
-        self
-    }
-
     /// Looks up a session by peer.
-    pub fn session(&self, peer: PeerRef) -> Option<&SessionCfg> {
+    pub(crate) fn session(&self, peer: PeerRef) -> Option<&SessionCfg> {
         self.sessions.iter().find(|s| s.peer == peer)
     }
 
     /// Mutable session lookup.
-    pub fn session_mut(&mut self, peer: PeerRef) -> Option<&mut SessionCfg> {
+    pub(crate) fn session_mut(&mut self, peer: PeerRef) -> Option<&mut SessionCfg> {
         self.sessions.iter_mut().find(|s| s.peer == peer)
     }
 }
@@ -184,7 +178,7 @@ impl ConfigChange {
 
     /// Applies the change to a configuration. Returns `false` if the
     /// target session does not exist (the change is a no-op).
-    pub fn apply(&self, cfg: &mut BgpConfig) -> bool {
+    pub(crate) fn apply(&self, cfg: &mut BgpConfig) -> bool {
         match self {
             ConfigChange::SetImport { peer, map } => match cfg.session_mut(*peer) {
                 Some(s) => {
@@ -247,9 +241,12 @@ mod tests {
     use cpvr_topo::ExtPeerId;
 
     fn cfg() -> BgpConfig {
-        BgpConfig::new(RouterId(0), AsNum(65000))
-            .with_session(SessionCfg::new(PeerRef::Internal(RouterId(1))))
-            .with_session(SessionCfg::new(PeerRef::External(ExtPeerId(0))))
+        let mut c = BgpConfig::new(RouterId(0), AsNum(65000));
+        c.sessions
+            .push(SessionCfg::new(PeerRef::Internal(RouterId(1))));
+        c.sessions
+            .push(SessionCfg::new(PeerRef::External(ExtPeerId(0))));
+        c
     }
 
     #[test]

@@ -155,11 +155,6 @@ impl Survivors<'_> {
     }
 }
 
-/// Convenience: the best candidate itself.
-pub fn select(vendor: VendorProfile, cands: &[Candidate]) -> Option<&Candidate> {
-    best_path(vendor, cands).map(|i| &cands[i])
-}
-
 /// A deterministic multipath variant: all candidates that tie with the
 /// best through step 7 (used with Add-Path to expose every equally good
 /// exit). Returns indices in input order.
@@ -369,12 +364,5 @@ mod tests {
         Arc::make_mut(&mut c.route).originator = RouterId(2);
         let mp = best_paths_multipath(VendorProfile::Standard, &[a, b, c]);
         assert_eq!(mp, vec![0, 1]);
-    }
-
-    #[test]
-    fn select_returns_candidate() {
-        let a = cand(base_route(), internal(1));
-        let got = select(VendorProfile::Standard, std::slice::from_ref(&a)).unwrap();
-        assert_eq!(got.from, internal(1));
     }
 }

@@ -47,7 +47,7 @@ pub trait IgpView {
 #[derive(Clone, Debug, Default)]
 pub struct StaticIgpView {
     /// `router → (metric, first hop)`.
-    pub routes: BTreeMap<RouterId, (u32, (RouterId, LinkId))>,
+    pub(crate) routes: BTreeMap<RouterId, (u32, (RouterId, LinkId))>,
 }
 
 impl IgpView for StaticIgpView {

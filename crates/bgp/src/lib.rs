@@ -13,7 +13,7 @@
 //! * route maps with match/set clauses ([`policy`]), applied at import and
 //!   export, supporting the local-preference configurations of the paper's
 //!   Figs. 1–2.
-//! * proper RIB structure ([`rib`]): raw Adj-RIB-In (so *soft
+//! * proper RIB structure (`rib`): raw Adj-RIB-In (so *soft
 //!   reconfiguration* — re-running policy over stored routes, the 25 s
 //!   event in the paper's Fig. 5 — is possible), Loc-RIB, and Adj-RIB-Out
 //!   (so withdrawals and duplicate suppression are exact) — one record
@@ -30,15 +30,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
+pub(crate) mod config;
 pub mod decision;
-pub mod instance;
+pub(crate) mod instance;
 pub mod policy;
-pub mod rib;
-pub mod route;
+pub(crate) mod rib;
+pub(crate) mod route;
 
 pub use config::{BgpConfig, ConfigChange, SessionCfg};
 pub use decision::VendorProfile;
-pub use instance::{BgpInstance, BgpOutputs, FibChange, IgpView, RibChange, StaticIgpView};
+pub use instance::{BgpInstance, BgpOutputs, IgpView, StaticIgpView};
 pub use policy::{Clause, MatchCond, RouteMap, SetAction};
 pub use route::{BgpRoute, BgpUpdate, NextHop, Origin, PeerRef};

@@ -32,7 +32,7 @@ pub enum MatchCond {
 
 impl MatchCond {
     /// Does the condition hold for `route`?
-    pub fn matches(&self, route: &BgpRoute) -> bool {
+    pub(crate) fn matches(&self, route: &BgpRoute) -> bool {
         match self {
             MatchCond::PrefixIn(p) => p.covers(&route.prefix),
             MatchCond::PrefixEq(p) => *p == route.prefix,
@@ -60,7 +60,7 @@ pub enum SetAction {
 
 impl SetAction {
     /// Applies the action to `route`.
-    pub fn apply(&self, route: &mut BgpRoute) {
+    pub(crate) fn apply(&self, route: &mut BgpRoute) {
         match self {
             SetAction::LocalPref(v) => route.local_pref = *v,
             SetAction::Med(v) => route.med = *v,
@@ -101,7 +101,7 @@ impl Clause {
     }
 
     /// A deny-all clause.
-    pub fn deny_all() -> Self {
+    pub(crate) fn deny_all() -> Self {
         Clause {
             matches: Vec::new(),
             permit: false,
@@ -144,7 +144,7 @@ impl RouteMap {
     /// route the map permits unchanged comes back as the same allocation
     /// (one more reference); only a firing set action makes a copy, which
     /// is what keeps a route shared from Adj-RIB-In to Adj-RIB-Out.
-    pub fn eval(&self, route: &Arc<BgpRoute>) -> Option<Arc<BgpRoute>> {
+    pub(crate) fn eval(&self, route: &Arc<BgpRoute>) -> Option<Arc<BgpRoute>> {
         let fired = self
             .clauses
             .iter()

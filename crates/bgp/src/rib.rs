@@ -73,21 +73,21 @@ impl PrefixRib {
 
 /// The per-prefix table. See the module docs for layout and costs.
 #[derive(Clone, Debug, Default)]
-pub struct Rib {
+pub(crate) struct Rib {
     pub(crate) table: BTreeMap<Ipv4Prefix, PrefixRib>,
     next_seq: u64,
 }
 
 impl Rib {
     /// An empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Rib::default()
     }
 
     /// Records an announcement from `peer`. If `add_path` is false, any
     /// other paths for the prefix from this peer are implicitly replaced.
     /// Returns the arrival sequence number.
-    pub fn announce(&mut self, peer: PeerRef, route: Arc<BgpRoute>, add_path: bool) -> u64 {
+    pub(crate) fn announce(&mut self, peer: PeerRef, route: Arc<BgpRoute>, add_path: bool) -> u64 {
         let paths = &mut self.table.entry(route.prefix).or_default().paths;
         if !add_path {
             paths.retain(|(pr, _), _| *pr != peer);
@@ -101,7 +101,7 @@ impl Rib {
     /// Removes paths for `prefix` from `peer`. With `originator` given,
     /// only that path; otherwise all of the peer's paths for the prefix.
     /// Returns how many entries were removed.
-    pub fn withdraw(
+    pub(crate) fn withdraw(
         &mut self,
         peer: PeerRef,
         prefix: Ipv4Prefix,
@@ -122,7 +122,7 @@ impl Rib {
 
     /// Drops every path learned from `peer` (session teardown). Returns
     /// the prefixes affected, sorted.
-    pub fn drop_peer(&mut self, peer: PeerRef) -> Vec<Ipv4Prefix> {
+    pub(crate) fn drop_peer(&mut self, peer: PeerRef) -> Vec<Ipv4Prefix> {
         let mut affected = Vec::new();
         for (prefix, rec) in &mut self.table {
             let before = rec.paths.len();
@@ -136,14 +136,19 @@ impl Rib {
 
     /// Forgets everything advertised to `peer` (its session is gone, so
     /// the peer has discarded it too).
-    pub fn drop_sent_to(&mut self, peer: PeerRef) {
+    pub(crate) fn drop_sent_to(&mut self, peer: PeerRef) {
         for rec in self.table.values_mut() {
             rec.sent.retain(|(pr, _), _| *pr != peer);
         }
     }
+}
 
+/// Read-side views the unit tests here and in `instance` inspect a RIB
+/// through; the speaker itself walks `table` directly.
+#[cfg(test)]
+impl Rib {
     /// All paths for `prefix`, in key order: `(peer, route, seq)`.
-    pub fn paths_for(&self, prefix: Ipv4Prefix) -> Vec<(PeerRef, &BgpRoute, u64)> {
+    pub(crate) fn paths_for(&self, prefix: Ipv4Prefix) -> Vec<(PeerRef, &BgpRoute, u64)> {
         self.table
             .get(&prefix)
             .into_iter()
@@ -154,7 +159,7 @@ impl Rib {
 
     /// Everything currently advertised to `peer`, in `(prefix,
     /// originator)` order.
-    pub fn sent_to(&self, peer: PeerRef) -> Vec<&BgpRoute> {
+    pub(crate) fn sent_to(&self, peer: PeerRef) -> Vec<&BgpRoute> {
         self.table
             .values()
             .flat_map(|rec| &rec.sent)
@@ -164,7 +169,7 @@ impl Rib {
     }
 
     /// Advertised originators for `(peer, prefix)`.
-    pub fn originators(&self, peer: PeerRef, prefix: Ipv4Prefix) -> Vec<RouterId> {
+    pub(crate) fn originators(&self, peer: PeerRef, prefix: Ipv4Prefix) -> Vec<RouterId> {
         self.table
             .get(&prefix)
             .into_iter()

@@ -111,7 +111,7 @@ pub struct BgpRoute {
 }
 
 /// Default local preference when none is set by policy (RFC-conventional).
-pub const DEFAULT_LOCAL_PREF: u32 = 100;
+pub(crate) const DEFAULT_LOCAL_PREF: u32 = 100;
 
 impl BgpRoute {
     /// A minimal eBGP-learned route as it arrives from an external peer:
@@ -165,7 +165,7 @@ pub struct BgpUpdate {
 
 impl BgpUpdate {
     /// True if the update carries nothing.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.announce.is_empty() && self.withdraw.is_empty()
     }
 }

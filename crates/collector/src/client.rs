@@ -440,7 +440,7 @@ impl SocketSink {
     }
 
     /// Flushes buffered frames to the socket.
-    pub fn flush(&mut self) -> io::Result<()> {
+    pub(crate) fn flush(&mut self) -> io::Result<()> {
         if self.error.is_some() {
             return Ok(()); // already latched; nothing useful to do
         }

@@ -94,7 +94,7 @@ use std::fmt;
 use std::io::{self, Write};
 
 /// First two bytes of every frame.
-pub const MAGIC: [u8; 2] = *b"CW";
+pub(crate) const MAGIC: [u8; 2] = *b"CW";
 
 /// The header version of every frame except v3 event bodies and intern
 /// definitions: control, peer and journal frames are encoded at this
@@ -105,14 +105,14 @@ pub const VERSION: u8 = 2;
 /// The header version of binary event bodies ([`cpvr_sim::wire`]) and
 /// [`Frame::Intern`] definition frames — the only event encoding a
 /// sender emits.
-pub const VERSION_V3: u8 = 3;
+pub(crate) const VERSION_V3: u8 = 3;
 
 /// The header versions this build reads.
-pub const ACCEPTED_VERSIONS: [u8; 2] = [VERSION, VERSION_V3];
+pub(crate) const ACCEPTED_VERSIONS: [u8; 2] = [VERSION, VERSION_V3];
 
 /// Frames larger than this are rejected before allocation — a corrupt or
 /// hostile length field must not OOM the collector.
-pub const MAX_FRAME_LEN: u32 = 1 << 24;
+pub(crate) const MAX_FRAME_LEN: u32 = 1 << 24;
 
 /// Header size in bytes.
 pub const HEADER_LEN: usize = 12;
@@ -186,7 +186,7 @@ impl cpvr_types::json::FromJson for Hello {
 /// identifies a *member* of a [`FederationPlan`] rather than a router
 /// source.
 ///
-/// [`FederationPlan`]: cpvr_core::shard::FederationPlan
+/// [`FederationPlan`]: cpvr_core::FederationPlan
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PeerHello {
     /// The sending member's index in the federation plan.
@@ -388,12 +388,12 @@ impl RepairStage {
     ];
 
     /// Wire byte for this stage.
-    pub fn byte(self) -> u8 {
+    pub(crate) fn byte(self) -> u8 {
         self as u8
     }
 
     /// Inverse of [`byte`](RepairStage::byte).
-    pub fn from_byte(b: u8) -> Option<Self> {
+    pub(crate) fn from_byte(b: u8) -> Option<Self> {
         Self::ALL.get(usize::from(b)).copied()
     }
 }
@@ -668,13 +668,13 @@ impl Frame {
 pub enum CodecError {
     /// The underlying reader/writer failed.
     Io(io::Error),
-    /// The first two bytes were not [`MAGIC`].
+    /// The first two bytes were not `MAGIC`.
     BadMagic([u8; 2]),
-    /// The version byte is not one of [`ACCEPTED_VERSIONS`].
+    /// The version byte is not one of `ACCEPTED_VERSIONS`.
     BadVersion(u8),
     /// An unknown kind byte.
     BadKind(u8),
-    /// The length field exceeds [`MAX_FRAME_LEN`].
+    /// The length field exceeds `MAX_FRAME_LEN`.
     TooLarge(u32),
     /// A journal record is not exactly one frame: its header describes
     /// `frame` bytes (or it is shorter than a header) and the record
@@ -1019,7 +1019,7 @@ impl EventEncoder {
 }
 
 /// Writes one frame.
-pub fn write_frame<W: Write>(w: &mut W, f: &Frame) -> io::Result<()> {
+pub(crate) fn write_frame<W: Write>(w: &mut W, f: &Frame) -> io::Result<()> {
     w.write_all(&encode_frame(f))
 }
 
@@ -1268,7 +1268,7 @@ impl Decoder {
     /// duplication fault) and returns every frame found as a
     /// [`DecodedMsg`] (or its decode error), with intern definitions
     /// absorbed along the way; the buffer is empty afterwards.
-    pub fn finish(&mut self, keep_raw: bool) -> Vec<Result<DecodedMsg, CodecError>> {
+    pub(crate) fn finish(&mut self, keep_raw: bool) -> Vec<Result<DecodedMsg, CodecError>> {
         let mut out = Vec::new();
         while self.pending() > 0 {
             if let Some(m) = self.next_message(keep_raw) {

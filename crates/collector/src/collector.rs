@@ -20,7 +20,7 @@
 //!   violations (bad hello, garbage that passed its CRC) kill a
 //!   connection;
 //! - one **session thread** runs the session loop: it owns the
-//!   [`SourceTable`], deduplicates events by per-source sequence number,
+//!   `SourceTable`, deduplicates events by per-source sequence number,
 //!   applies frontier-gated watermark promises, runs the **liveness
 //!   leases** (a source silent past [`LeaseConfig::lagging_after`] is
 //!   flagged, one silent past [`LeaseConfig::evict_after`] is evicted
@@ -31,7 +31,7 @@
 //!   `(time, id)` order is known — the precondition for
 //!   [`HbgBuilder::advance`]'s deterministic sweep;
 //! - behind the session, one engine folds: `shards` **fold workers**
-//!   ([`crate::shard`]; each journals its routers' events into its own
+//!   (`crate::shard`; each journals its routers' events into its own
 //!   WAL series, folds them, and writes [`Frame::Ack`] frames back so
 //!   clients can prune their replay buffers) plus one **group-commit
 //!   thread** for their fsyncs. On a federation member the same
@@ -41,7 +41,7 @@
 //!   different program, and a member is a collector, not a different
 //!   program either.
 //!
-//! Every thread counts into one [`CollectorMetrics`] registry, which is
+//! Every thread counts into one `CollectorMetrics` registry, which is
 //! always on; [`CollectorHandle::stats`] is a view of it.
 //!
 //! ## Durability ordering
@@ -57,7 +57,6 @@
 //! recovery.
 //!
 //! [`HbgBuilder::advance`]: cpvr_core::builder::HbgBuilder::advance
-//! [`SourceTable`]: crate::pipeline::SourceTable
 //! [`Decoder`]: crate::codec::Decoder
 //! [`IngestPipeline::recover`]: crate::pipeline::IngestPipeline::recover
 
@@ -89,7 +88,7 @@ use std::time::{Duration, Instant};
 /// Liveness-lease thresholds for the session loop's sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct LeaseConfig {
-    /// A source silent this long is marked [`SourceState::Lagging`](crate::pipeline::SourceState::Lagging)
+    /// A source silent this long is marked `SourceState::Lagging`
     /// (diagnostic only — it still gates the watermark).
     pub lagging_after: Duration,
     /// A source silent this long is evicted from the watermark gate so
@@ -135,10 +134,10 @@ impl LeaseConfig {
 pub struct CollectorConfig {
     /// Deployment shape handed to the pipeline; also the number of
     /// distinct sources that must report before any event is folded.
-    pub pipeline: PipelineConfig,
+    pub(crate) pipeline: PipelineConfig,
     /// Liveness-lease thresholds for marking sources lagging and
     /// evicting them from the watermark gate.
-    pub lease: LeaseConfig,
+    pub(crate) lease: LeaseConfig,
     /// Where to journal frames; `None` runs without durability.
     pub wal: Option<WalConfig>,
     /// How many fold workers run behind the session loop (default
@@ -149,7 +148,7 @@ pub struct CollectorConfig {
     /// fsyncs them all. Every count runs the same code and folds to the
     /// same state — on a federation member too, where the workers split
     /// the member's slot of the federation plan.
-    pub shards: u32,
+    pub(crate) shards: u32,
     /// Runs this collector as one member of a federation: it folds only
     /// the routers its [`FederationPlan`](cpvr_core::FederationPlan)
     /// assigns to it and exchanges frontiers, boundary edges, and
@@ -206,7 +205,7 @@ impl CollectorConfig {
 }
 
 /// A point-in-time copy of the collector's counters: a view of the
-/// telemetry registry ([`CollectorMetrics::stats`]), which is where the
+/// telemetry registry (`CollectorMetrics::stats`), which is where the
 /// collector counts everything.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CollectorStats {
@@ -520,7 +519,7 @@ impl CollectorHandle {
     /// The fold workers' group-commit handle, when one is running (any
     /// shard count with a WAL, federation members included). Exposed as
     /// a fault-injection hook:
-    /// [`crash`](GroupCommitHandle::crash) kills the sync thread as an
+    /// `GroupCommitHandle::crash` kills the sync thread as an
     /// I/O fault would, after which `shutdown` must surface the error
     /// while every event acked *before* the crash stays replayable.
     pub fn group_commit(&self) -> Option<&GroupCommitHandle> {

@@ -110,11 +110,6 @@ impl FaultPlan {
         }
         Self::from_schedule(faults)
     }
-
-    /// The schedule, in offset order.
-    pub fn faults(&self) -> &[(u64, FaultKind)] {
-        &self.faults
-    }
 }
 
 /// What the pump should do next, in order.
@@ -260,9 +255,7 @@ impl FaultCursor {
 /// Counters observable while a proxy runs, and the live connection.
 #[derive(Default)]
 struct ProxyShared {
-    connections: AtomicU64,
     injected: AtomicU64,
-    disconnects: AtomicU64,
     flipped: AtomicU64,
     /// While set, the proxy models a network partition: live
     /// connections are torn down and new ones are accepted but dropped
@@ -302,12 +295,8 @@ impl ProxyShared {
 /// A point-in-time copy of a proxy's counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProxyStats {
-    /// Client connections accepted over the proxy's lifetime.
-    pub connections: u64,
     /// Faults injected so far.
     pub injected: u64,
-    /// Of those, forced disconnects.
-    pub disconnects: u64,
     /// Of those, bit flips that actually damaged a forwarded byte —
     /// each one is guaranteed visible damage (`mask | 1` never
     /// round-trips), so downstream quarantine/resync telemetry can be
@@ -367,9 +356,7 @@ impl ChaosProxy {
     /// A snapshot of the proxy's counters.
     pub fn stats(&self) -> ProxyStats {
         ProxyStats {
-            connections: self.shared.connections.load(Ordering::Relaxed),
             injected: self.shared.injected.load(Ordering::Relaxed),
-            disconnects: self.shared.disconnects.load(Ordering::Relaxed),
             flipped: self.shared.flipped.load(Ordering::Relaxed),
         }
     }
@@ -422,7 +409,6 @@ fn accept_loop(
             let _ = client.shutdown(Shutdown::Both);
             continue;
         }
-        shared.connections.fetch_add(1, Ordering::Relaxed);
         // The collector should be up, but don't die if it is mid-restart.
         let up = match TcpStream::connect(upstream) {
             Ok(s) => s,
@@ -476,10 +462,7 @@ fn run_connection(
                     }
                 }
                 Step::Sleep(d) => thread::sleep(d),
-                Step::Disconnect => {
-                    shared.disconnects.fetch_add(1, Ordering::Relaxed);
-                    break 'pump;
-                }
+                Step::Disconnect => break 'pump,
             }
         }
     }
@@ -496,12 +479,12 @@ mod tests {
         let a = FaultPlan::from_seed(42, 100_000, 25);
         let b = FaultPlan::from_seed(42, 100_000, 25);
         assert_eq!(a, b);
-        assert_eq!(a.faults().len(), 25);
+        assert_eq!(a.faults.len(), 25);
         let c = FaultPlan::from_seed(43, 100_000, 25);
         assert_ne!(a, c, "different seeds should differ");
         // Offsets come sorted and within the horizon.
         let mut prev = 0;
-        for &(at, _) in a.faults() {
+        for &(at, _) in &a.faults {
             assert!(at >= prev && at < 100_000);
             prev = at;
         }

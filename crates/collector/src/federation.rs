@@ -115,7 +115,7 @@ pub struct FederationConfig {
 }
 
 /// What kind of collector produced a
-/// [`CollectorReport`](crate::CollectorReport): a standalone/sharded
+/// [`CollectorReport`](crate::collector::CollectorReport): a standalone/sharded
 /// collector, or one member of a federation — with its last view of
 /// every peer.
 #[derive(Clone, Debug)]
@@ -140,10 +140,6 @@ pub struct PeerSummary {
     pub member: u32,
     /// The peer's last advertised source-table minimum.
     pub min: Option<SimTime>,
-    /// The peer's last advertised per-router frontier detail.
-    pub frontier: Vec<(RouterId, Option<SimTime>)>,
-    /// Frames still unacknowledged on the outbound link at shutdown.
-    pub unacked: u64,
 }
 
 /// The `(member, link sequence)` header of a peer frame (kinds 12–15,
@@ -883,16 +879,12 @@ impl Peers {
     }
 
     /// What the member's fold report carries beside the fold.
-    pub(crate) fn into_fold(mut self) -> MemberFold {
+    pub(crate) fn into_fold(self) -> MemberFold {
         let peers = self
             .peers()
             .map(|j| PeerSummary {
                 member: j as u32,
                 min: self.peer_min[j],
-                frontier: std::mem::take(&mut self.peer_frontier[j]),
-                unacked: self.links[j]
-                    .as_ref()
-                    .map_or(0, |l| l.link.lock().window.len() as u64),
             })
             .collect();
         MemberFold {
@@ -925,16 +917,6 @@ pub struct MemberFold {
 }
 
 impl MemberFold {
-    /// This member's index.
-    pub fn member(&self) -> u32 {
-        self.member
-    }
-
-    /// Federation size.
-    pub fn members(&self) -> u32 {
-        self.members
-    }
-
     /// Repairs other members gated and advertised to this one, with the
     /// outcome of this member's independent re-validation.
     pub fn peer_repairs(&self) -> &BTreeMap<u64, PeerProofStatus> {
@@ -942,7 +924,7 @@ impl MemberFold {
     }
 
     /// The member's role, for the collector report.
-    pub fn role(&self) -> CollectorRole {
+    pub(crate) fn role(&self) -> CollectorRole {
         CollectorRole::Member {
             member: self.member,
             members: self.members,

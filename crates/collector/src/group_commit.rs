@@ -59,7 +59,7 @@ fn gone() -> io::Error {
 impl GroupCommitHandle {
     /// Registers (or, after a rotation, replaces) shard `k`'s active
     /// segment file.
-    pub fn register(&self, shard: u32, file: File) -> io::Result<()> {
+    pub(crate) fn register(&self, shard: u32, file: File) -> io::Result<()> {
         self.tx
             .send(SyncReq::Register { shard, file })
             .map_err(|_| gone())
@@ -68,7 +68,7 @@ impl GroupCommitHandle {
     /// Commits `n` appended-and-flushed records: under `Always`, returns
     /// once every registered file is fsynced; otherwise a cadence credit
     /// that returns at once.
-    pub fn commit(&self, n: u32) -> io::Result<()> {
+    pub(crate) fn commit(&self, n: u32) -> io::Result<()> {
         if self.policy != FsyncPolicy::Always {
             return self
                 .tx
@@ -95,7 +95,7 @@ impl GroupCommitHandle {
 }
 
 /// The owning side of the group-commit thread.
-pub struct GroupCommit {
+pub(crate) struct GroupCommit {
     handle: GroupCommitHandle,
     join: JoinHandle<()>,
 }
@@ -103,7 +103,7 @@ pub struct GroupCommit {
 impl GroupCommit {
     /// Spawns the sync thread applying `policy`. The registry handles
     /// count and time its fsyncs.
-    pub fn start(
+    pub(crate) fn start(
         policy: FsyncPolicy,
         (syncs, fsync_nanos): (cpvr_obs::Counter, cpvr_obs::Histogram),
     ) -> Self {
@@ -169,14 +169,14 @@ impl GroupCommit {
     }
 
     /// A clonable worker-side handle.
-    pub fn handle(&self) -> GroupCommitHandle {
+    pub(crate) fn handle(&self) -> GroupCommitHandle {
         self.handle.clone()
     }
 
     /// Final sync, then join. Returns the first latched sync error; a
     /// crashed thread reports as an error (its final sync never
     /// happened).
-    pub fn stop(self) -> io::Result<()> {
+    pub(crate) fn stop(self) -> io::Result<()> {
         let (done_tx, done_rx) = channel();
         let result = match self.handle.tx.send(SyncReq::Stop { done: done_tx }) {
             Ok(()) => done_rx
@@ -215,8 +215,16 @@ mod tests {
             FsyncPolicy::Never,
         ] {
             let tmp = TempDir::new("gc-cadence").unwrap();
-            let mut w0 = Wal::open(WalConfig::new(tmp.path()).for_series(0)).unwrap();
-            let mut w1 = Wal::open(WalConfig::new(tmp.path()).for_series(1)).unwrap();
+            let mut w0 = Wal::open(WalConfig {
+                series: Some(0),
+                ..WalConfig::new(tmp.path())
+            })
+            .unwrap();
+            let mut w1 = Wal::open(WalConfig {
+                series: Some(1),
+                ..WalConfig::new(tmp.path())
+            })
+            .unwrap();
             let (syncs, fsync_nanos) = sync_metrics();
             let gc = GroupCommit::start(policy, (syncs.clone(), fsync_nanos));
             let h = gc.handle();

@@ -26,10 +26,10 @@
 //! * [`wal`] — a segmented append-only write-ahead log whose records
 //!   are exactly the wire frames, with torn-tail detection on replay.
 //!   It only frames, buffers, rotates and replays.
-//! * [`group_commit`] — the one owner of the [`FsyncPolicy`]: a thread
+//! * `group_commit` — the one owner of the [`FsyncPolicy`]: a thread
 //!   that fsyncs every worker's WAL series at once, per commit under
 //!   `Always`, per `n` records across all series under `EveryN(n)`.
-//! * [`pipeline`] + [`collector`] + [`shard`] + [`federation`] — the
+//! * [`pipeline`] + [`collector`] + `shard` + [`federation`] — the
 //!   threaded TCP server: one reader thread per router connection, a
 //!   bounded channel for backpressure, and **one ingest engine** — a
 //!   single session loop that deduplicates events by sequence number,
@@ -41,7 +41,7 @@
 //!   `(time, id)` order is known. Behind it, `shards ≥ 1` fold workers
 //!   (on a federation member, joined in every barrier round by the
 //!   other members' shards) journal to the WAL and fold
-//!   [`FoldShard`](shard)s of
+//!   `FoldShard`s of
 //!   [`HbgBuilder`](cpvr_core::builder::HbgBuilder)s and a
 //!   [`TrackerSlice`](cpvr_core::snapshot::TrackerSlice) whose union is
 //!   the in-process [`IngestPipeline`] fold.
@@ -51,15 +51,15 @@
 //!   reconnect with capped exponential backoff — so a simulation
 //!   doubles as a load generator for a real collector process (see the
 //!   `collectord` example).
-//! * [`metrics`] — the collector's telemetry surface over
+//! * `metrics` — the collector's telemetry surface over
 //!   [`cpvr_obs`]: every counter/gauge/histogram the ingest path
 //!   publishes, each family named once, where its handle is resolved
-//!   ([`CollectorMetrics`]), plus the
+//!   (`CollectorMetrics`), plus the
 //!   flight recorder, which follows one event in 64 from `received`
 //!   through `journaled`/`acked` to `folded` and `snapshot-consistent`
 //!   and feeds the `cpvr_flight_*` latency histograms. Scraped live over the same TCP port via
 //!   `Frame::MetricsReq` (Prometheus text or the workspace JSON), and
-//!   dumped into the [`CollectorReport`] at shutdown.
+//!   dumped into the [`CollectorReport`](collector::CollectorReport) at shutdown.
 //! * [`fault`] — a deterministic fault-injection harness: a seeded
 //!   [`fault::FaultPlan`] applied by a [`fault::ChaosProxy`] that sits
 //!   between clients and the collector, dropping, corrupting,
@@ -86,32 +86,20 @@ pub mod codec;
 pub mod collector;
 pub mod fault;
 pub mod federation;
-pub mod group_commit;
+pub(crate) mod group_commit;
 mod link;
-pub mod metrics;
+pub(crate) mod metrics;
 pub mod pipeline;
-pub mod repair_journal;
+pub(crate) mod repair_journal;
 mod session;
-pub mod shard;
+pub(crate) mod shard;
 pub mod wal;
 
-pub use client::{dump_flight, scrape, scrape_snapshot, ReconnectPolicy, SocketSink};
-pub use codec::{
-    CodecVersion, DecodedMsg, Decoder, EventEncoder, Frame, Hello, PeerRepairProof, RepairRecord,
-    RepairStage,
-};
-pub use collector::{
-    Collector, CollectorConfig, CollectorHandle, CollectorReport, CollectorStats, LeaseConfig,
-};
-pub use fault::{ChaosProxy, FaultKind, FaultPlan};
-pub use federation::{
-    merge_members, CollectorRole, FederationConfig, MemberFold, PeerProofStatus, PeerSummary,
-};
-pub use group_commit::{GroupCommit, GroupCommitHandle};
-pub use metrics::{source_state_code, CollectorMetrics};
-pub use pipeline::{
-    IngestPipeline, Offer, PipelineConfig, RecoveryReport, SourceState, SourceTable,
-};
-pub use repair_journal::{RepairEntry, RepairLedger};
+pub use client::{dump_flight, ReconnectPolicy, SocketSink};
+pub use codec::{CodecVersion, Decoder, EventEncoder, Frame, RepairRecord, RepairStage};
+pub use collector::CollectorStats;
+pub use federation::{merge_members, CollectorRole, FederationConfig};
+pub use pipeline::{IngestPipeline, PipelineConfig};
+pub use repair_journal::RepairLedger;
 pub use shard::FoldReport;
-pub use wal::{FsyncPolicy, Wal, WalConfig, WalMetrics, WalReplay};
+pub use wal::{FsyncPolicy, Wal};

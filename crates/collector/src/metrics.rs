@@ -30,7 +30,7 @@ use crate::wal::WalMetrics;
 
 /// The numeric encoding of [`SourceState`] published by the per-source
 /// state gauge (`cpvr_source_state`).
-pub fn source_state_code(s: SourceState) -> i64 {
+pub(crate) fn source_state_code(s: SourceState) -> i64 {
     match s {
         SourceState::NeverConnected => 0,
         SourceState::Live => 1,
@@ -73,7 +73,7 @@ struct SourceGauges {
 /// registry itself for scrapes.
 pub struct CollectorMetrics {
     /// The registry every series lives in; scrapes snapshot this.
-    pub registry: Arc<MetricsRegistry>,
+    pub(crate) registry: Arc<MetricsRegistry>,
 
     // Connection / decode layer (reader threads).
     pub(crate) connections: Counter,
@@ -131,10 +131,6 @@ pub struct CollectorMetrics {
     pub(crate) repair_gate_diverged: Counter,
     pub(crate) repair_gate_error: Counter,
     pub(crate) repairs_in_flight: Gauge,
-    /// Wall-clock of one replay-gate execution. Public: the gate runs
-    /// in the control plane, which observes here after journaling the
-    /// `Gated` record.
-    pub repair_replay_nanos: Histogram,
     /// Root causes skipped for falling below the control loop's
     /// confidence threshold. Public: published from
     /// [`GuardReport::skipped_low_confidence`](cpvr_core::GuardReport).
@@ -171,7 +167,7 @@ impl CollectorMetrics {
     /// deployment of `n_routers`, folded by `shards` worker threads, as
     /// one member of a `members`-way federation (`members == 0` or `1`
     /// means standalone: no per-peer series are resolved).
-    pub fn new(n_routers: u32, shards: u32, members: u32) -> Self {
+    pub(crate) fn new(n_routers: u32, shards: u32, members: u32) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
         let r = &registry;
 
@@ -410,10 +406,6 @@ impl CollectorMetrics {
                 "cpvr_repairs_in_flight",
                 "Repairs journaled but not yet decided (Applied/Blocked/RolledBack)",
             ),
-            repair_replay_nanos: r.histogram(
-                "cpvr_repair_replay_nanos",
-                "Wall-clock of one replay-gate execution over a proof's transcript",
-            ),
             repair_skipped_low_confidence: r.counter(
                 "cpvr_repair_skipped_low_confidence_total",
                 "Root causes skipped for confidence below the control loop's threshold",
@@ -474,7 +466,7 @@ impl CollectorMetrics {
 
     /// Renders the registry in the requested exposition format. Unknown
     /// format tags fall back to JSON (see `Frame::MetricsReq`).
-    pub fn render(&self, format_tag: u8) -> Vec<u8> {
+    pub(crate) fn render(&self, format_tag: u8) -> Vec<u8> {
         self.metrics_scrapes.inc();
         let fmt = ExpoFormat::from_byte(format_tag).unwrap_or(ExpoFormat::Json);
         fmt.render(&self.registry.snapshot()).into_bytes()
@@ -560,7 +552,7 @@ impl CollectorMetrics {
     }
 
     /// The collector's counters, read from the registry.
-    pub fn stats(&self) -> CollectorStats {
+    pub(crate) fn stats(&self) -> CollectorStats {
         let watermark = match self.watermark_nanos.value() {
             i64::MAX => Some(SimTime::MAX),
             nanos => u64::try_from(nanos).ok().map(SimTime::from_nanos),
@@ -681,8 +673,8 @@ mod tests {
             );
             families += 1;
         }
-        // All 64 but the two resolved on first use: per-rule edge offers
+        // All 63 but the two resolved on first use: per-rule edge offers
         // and flight dumps by reason.
-        assert_eq!(families, 62);
+        assert_eq!(families, 61);
     }
 }

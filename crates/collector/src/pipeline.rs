@@ -7,10 +7,10 @@
 //! what WAL recovery rebuilds, and what every collector deployment —
 //! any shard count, any federation — is held bit-identical to.
 //!
-//! The pipeline also owns the [`SourceTable`]: per-router sequence
+//! The pipeline also owns the `SourceTable`: per-router sequence
 //! cursors (duplicate/gap detection for at-least-once delivery),
 //! frontier-gated watermark promises, and liveness state
-//! ([`SourceState`]). The table is what turns a set of unreliable
+//! (`SourceState`). The table is what turns a set of unreliable
 //! per-router streams into one stream the deterministic fold can trust:
 //! an event is folded at most once, and the global watermark — the
 //! *minimum* applied promise across all non-evicted sources — never
@@ -23,7 +23,7 @@
 //! and re-admission records rebuild the watermark gate, and the
 //! pipeline advances once to the largest durably logged watermark.
 //! Because both consumers fold events in `(time, id)` order regardless
-//! of how advances were batched (see [`HbgBuilder::recover`] and
+//! of how advances were batched (see
 //! [`ConsistencyTracker::recover`]), the recovered state is
 //! bit-identical to the state the crashed process had at that
 //! watermark — and the connections can resume from there.
@@ -46,7 +46,7 @@ use std::path::Path;
 pub struct PipelineConfig {
     /// Number of routers in the network (sizes the tracker, and tells
     /// the collector when every source has connected).
-    pub n_routers: u32,
+    pub(crate) n_routers: u32,
 }
 
 impl PipelineConfig {
@@ -58,7 +58,7 @@ impl PipelineConfig {
 
 /// Liveness of one router source, as seen by the collector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SourceState {
+pub(crate) enum SourceState {
     /// No connection has ever presented this router. The source still
     /// gates the watermark — the fold must not run ahead of a router
     /// that simply has not come up yet.
@@ -76,7 +76,7 @@ pub enum SourceState {
 
 /// What [`SourceTable::offer`] decided about an incoming event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Offer {
+pub(crate) enum Offer {
     /// Next in sequence: ingest it.
     Fresh,
     /// Already accepted (a reconnect replay): drop it.
@@ -89,7 +89,7 @@ pub enum Offer {
 
 /// How a [`SourceTable::hello`] related to what the table knew.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HelloKind {
+pub(crate) enum HelloKind {
     /// First handshake for this router.
     First,
     /// Same session as before: a reconnect. Sequence state is kept so
@@ -137,13 +137,13 @@ impl SourceEntry {
 /// Per-source delivery and liveness state for all routers of the
 /// deployment. See the module docs for the invariants it maintains.
 #[derive(Clone, Debug)]
-pub struct SourceTable {
+pub(crate) struct SourceTable {
     entries: Vec<SourceEntry>,
 }
 
 impl SourceTable {
     /// A table with every router [`SourceState::NeverConnected`].
-    pub fn new(n_routers: u32) -> Self {
+    pub(crate) fn new(n_routers: u32) -> Self {
         SourceTable {
             entries: (0..n_routers).map(|_| SourceEntry::new()).collect(),
         }
@@ -163,29 +163,29 @@ impl SourceTable {
     }
 
     /// Whether `r` names a router this table was sized for.
-    pub fn contains(&self, r: RouterId) -> bool {
+    pub(crate) fn contains(&self, r: RouterId) -> bool {
         (r.0 as usize) < self.entries.len()
     }
 
     /// The liveness state of `r`.
-    pub fn state(&self, r: RouterId) -> SourceState {
+    pub(crate) fn state(&self, r: RouterId) -> SourceState {
         self.entry(r).state
     }
 
     /// The sequence number `r`'s next event must carry — and the value
     /// the collector acknowledges.
-    pub fn next_seq(&self, r: RouterId) -> u64 {
+    pub(crate) fn next_seq(&self, r: RouterId) -> u64 {
         self.entry(r).cursor.next_seq
     }
 
     /// The applied promise of `r`, if any.
-    pub fn promise_of(&self, r: RouterId) -> Option<SimTime> {
+    pub(crate) fn promise_of(&self, r: RouterId) -> Option<SimTime> {
         self.entry(r).promise
     }
 
     /// Handshake: marks `r` live and reconciles the sequence cursor
     /// with the client's session (see [`HelloKind`]).
-    pub fn hello(&mut self, r: RouterId, session: u64, first_seq: u64) -> HelloKind {
+    pub(crate) fn hello(&mut self, r: RouterId, session: u64, first_seq: u64) -> HelloKind {
         let e = self.entry_mut(r);
         let kind = e.cursor.hello(session, first_seq);
         if kind != HelloKind::Resumed {
@@ -202,7 +202,7 @@ impl SourceTable {
 
     /// Classifies an incoming event by sequence number, advancing the
     /// cursor (and settling any pending promise) when it is fresh.
-    pub fn offer(&mut self, r: RouterId, seq: u64) -> Offer {
+    pub(crate) fn offer(&mut self, r: RouterId, seq: u64) -> Offer {
         let e = self.entry_mut(r);
         let offer = e.cursor.offer(seq);
         if offer == Offer::Fresh {
@@ -215,7 +215,7 @@ impl SourceTable {
     /// was applied now; a promise whose frontier outruns the received
     /// prefix is parked until [`offer`](SourceTable::offer) catches up.
     /// Promises only ever tighten: the maximum of everything applied.
-    pub fn promise(&mut self, r: RouterId, t: SimTime, frontier: u64) -> bool {
+    pub(crate) fn promise(&mut self, r: RouterId, t: SimTime, frontier: u64) -> bool {
         let e = self.entry_mut(r);
         if e.cursor.next_seq >= frontier {
             e.promise = Some(e.promise.map_or(t, |p| p.max(t)));
@@ -241,18 +241,18 @@ impl SourceTable {
 
     /// Graceful end-of-stream: a promise of "forever", gated on the
     /// final frontier like any other.
-    pub fn bye(&mut self, r: RouterId, frontier: u64) -> bool {
+    pub(crate) fn bye(&mut self, r: RouterId, frontier: u64) -> bool {
         self.promise(r, SimTime::MAX, frontier)
     }
 
     /// Whether `r` has delivered its entire stream (a settled bye).
-    pub fn finished(&self, r: RouterId) -> bool {
+    pub(crate) fn finished(&self, r: RouterId) -> bool {
         self.entry(r).promise == Some(SimTime::MAX)
     }
 
     /// Marks a lagging source live again — it spoke within its lease.
     /// No-op in any other state.
-    pub fn refresh(&mut self, r: RouterId) {
+    pub(crate) fn refresh(&mut self, r: RouterId) {
         let e = self.entry_mut(r);
         if e.state == SourceState::Lagging {
             e.state = SourceState::Live;
@@ -261,7 +261,7 @@ impl SourceTable {
 
     /// Marks a silent source as lagging (diagnostic only — it still
     /// gates the watermark). No-op unless currently live.
-    pub fn set_lagging(&mut self, r: RouterId) -> bool {
+    pub(crate) fn set_lagging(&mut self, r: RouterId) -> bool {
         let e = self.entry_mut(r);
         if e.state == SourceState::Live {
             e.state = SourceState::Lagging;
@@ -274,7 +274,7 @@ impl SourceTable {
     /// Evicts a source from the watermark gate. Returns whether the
     /// state changed (callers journal the eviction exactly when it
     /// does).
-    pub fn evict(&mut self, r: RouterId) -> bool {
+    pub(crate) fn evict(&mut self, r: RouterId) -> bool {
         let e = self.entry_mut(r);
         if e.state == SourceState::Evicted {
             false
@@ -286,7 +286,7 @@ impl SourceTable {
 
     /// Re-admits an evicted source (it reconnected). Returns whether
     /// the state changed.
-    pub fn admit(&mut self, r: RouterId) -> bool {
+    pub(crate) fn admit(&mut self, r: RouterId) -> bool {
         let e = self.entry_mut(r);
         if e.state == SourceState::Evicted {
             e.state = SourceState::Live;
@@ -301,7 +301,7 @@ impl SourceTable {
     /// any non-evicted source has never promised. An evicted source
     /// neither gates nor contributes — that is the whole point of
     /// eviction.
-    pub fn global_min(&self) -> Option<SimTime> {
+    pub(crate) fn global_min(&self) -> Option<SimTime> {
         let mut min: Option<SimTime> = None;
         let mut gated = false;
         for e in &self.entries {
@@ -325,7 +325,7 @@ impl SourceTable {
     /// connected, never promised, or its promise is parked behind lost
     /// events awaiting retransmission). Empty when the fold is free to
     /// advance.
-    pub fn stalled(&self) -> Vec<RouterId> {
+    pub(crate) fn stalled(&self) -> Vec<RouterId> {
         self.entries
             .iter()
             .enumerate()
@@ -335,7 +335,7 @@ impl SourceTable {
     }
 
     /// Every currently evicted source.
-    pub fn evicted(&self) -> Vec<RouterId> {
+    pub(crate) fn evicted(&self) -> Vec<RouterId> {
         self.entries
             .iter()
             .enumerate()
@@ -347,7 +347,6 @@ impl SourceTable {
 
 /// The incremental verification state downstream of the collector.
 pub struct IngestPipeline {
-    cfg: PipelineConfig,
     builder: HbgBuilder,
     tracker: ConsistencyTracker,
     sources: SourceTable,
@@ -369,7 +368,6 @@ impl IngestPipeline {
             watermark: None,
             events: 0,
             repairs: RepairLedger::new(),
-            cfg,
         }
     }
 
@@ -380,7 +378,7 @@ impl IngestPipeline {
 
     /// Classifies one event and buffers the record into both consumers.
     /// The caller is responsible for having deduplicated it (see
-    /// [`SourceTable::offer`]); the fold is deterministic, not
+    /// `SourceTable::offer`); the fold is deterministic, not
     /// idempotent.
     pub fn ingest(&mut self, e: &IoEvent) {
         let rec = FoldRecord::of(e);
@@ -409,17 +407,6 @@ impl IngestPipeline {
         self.events
     }
 
-    /// The per-source delivery/liveness table.
-    pub fn sources(&self) -> &SourceTable {
-        &self.sources
-    }
-
-    /// The sources currently preventing the watermark from advancing.
-    /// See [`SourceTable::stalled`].
-    pub fn stalled_sources(&self) -> Vec<RouterId> {
-        self.sources.stalled()
-    }
-
     /// The happens-before graph builder.
     pub fn builder(&self) -> &HbgBuilder {
         &self.builder
@@ -433,11 +420,6 @@ impl IngestPipeline {
     /// The verdict at the current watermark, without advancing.
     pub fn status(&self) -> SnapshotStatus {
         self.tracker.status()
-    }
-
-    /// The deployment config this pipeline was built with.
-    pub fn config(&self) -> PipelineConfig {
-        self.cfg
     }
 
     /// Rebuilds a pipeline from the WAL at `dir`: the scan of the

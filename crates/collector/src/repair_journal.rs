@@ -27,7 +27,7 @@ pub struct RepairEntry {
     /// The repair's content digest ([`RepairRecord::repair_id`]).
     pub repair_id: u64,
     /// Lifecycle transitions in journal order.
-    pub stages: Vec<(RepairStage, SimTime)>,
+    pub(crate) stages: Vec<(RepairStage, SimTime)>,
     /// The proof's v3 binary bytes, from the `Proven` record (empty
     /// until one arrives).
     pub proof: Vec<u8>,
@@ -38,12 +38,12 @@ pub struct RepairEntry {
 
 impl RepairEntry {
     /// The last journaled stage, if any.
-    pub fn last_stage(&self) -> Option<RepairStage> {
+    pub(crate) fn last_stage(&self) -> Option<RepairStage> {
         self.stages.last().map(|&(s, _)| s)
     }
 
     /// Whether this repair has reached a terminal decision.
-    pub fn decided(&self) -> bool {
+    pub(crate) fn decided(&self) -> bool {
         matches!(
             self.last_stage(),
             Some(RepairStage::Applied | RepairStage::Blocked | RepairStage::RolledBack)
@@ -140,7 +140,7 @@ impl RepairLedger {
     /// members' folds for comparison against a single collector). An
     /// id present in both keeps the union of stages in `self`-first
     /// order.
-    pub fn absorb(&mut self, other: &RepairLedger) {
+    pub(crate) fn absorb(&mut self, other: &RepairLedger) {
         for e in other.entries() {
             for &(stage, at) in &e.stages {
                 self.accept(&RepairRecord {

@@ -301,7 +301,7 @@ impl FoldReport {
     }
 
     /// Sources that were still gating the watermark at shutdown.
-    pub fn stalled_sources(&self) -> Vec<RouterId> {
+    pub(crate) fn stalled_sources(&self) -> Vec<RouterId> {
         self.stalled.clone()
     }
 

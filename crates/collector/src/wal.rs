@@ -30,9 +30,9 @@
 //!
 //! The log is mechanism only: [`Wal::append`] frames a record into the
 //! write buffer and returns. When the bytes reach the kernel
-//! ([`Wal::flush`]) and stable storage ([`Wal::sync`]) is the owner's
+//! (`Wal::flush`) and stable storage ([`Wal::sync`]) is the owner's
 //! call — the collector's fold workers flush once per batch, and the
-//! group-commit thread ([`crate::group_commit`]) alone applies the
+//! group-commit thread (`crate::group_commit`) alone applies the
 //! [`FsyncPolicy`] across every series. Rotation syncs the finished
 //! segment inline and [`Wal::close`] syncs the active one, so a segment
 //! the writer has left is always durable.
@@ -53,7 +53,7 @@ const MAX_RECORD_LEN: u32 = (1 << 24) + 64;
 
 /// When a collector's journal reaches stable storage. [`Wal`] never
 /// reads it; the group-commit thread
-/// ([`GroupCommit`](crate::GroupCommit)) applies it across all series.
+/// (`GroupCommit`) applies it across all series.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Every batch is fsynced before it is acked. Maximum durability,
@@ -74,7 +74,7 @@ pub enum FsyncPolicy {
 #[derive(Clone, Debug)]
 pub struct WalConfig {
     /// Directory holding the segment files (created if absent).
-    pub dir: PathBuf,
+    pub(crate) dir: PathBuf,
     /// Rotate to a new segment once the active one reaches this size.
     pub segment_bytes: u64,
     /// Durability policy, applied by the owner's group commit.
@@ -83,7 +83,7 @@ pub struct WalConfig {
     /// unnumbered series (`wal-NNNNNNNN.seg`); `Some(k)` is shard `k`'s
     /// series (`wal-s<k>-NNNNNNNN.seg`). Series share the directory but
     /// never a file, so one writer per series needs no locking.
-    pub series: Option<u32>,
+    pub(crate) series: Option<u32>,
 }
 
 impl WalConfig {
@@ -96,12 +96,6 @@ impl WalConfig {
             fsync: FsyncPolicy::EveryN(256),
             series: None,
         }
-    }
-
-    /// The same config, writing shard `k`'s segment series.
-    pub fn for_series(mut self, k: u32) -> Self {
-        self.series = Some(k);
-        self
     }
 }
 
@@ -120,17 +114,17 @@ pub struct Wal {
 /// [`Wal::set_metrics`]); resolved by the collector so the WAL itself
 /// stays ignorant of metric names.
 #[derive(Clone)]
-pub struct WalMetrics {
+pub(crate) struct WalMetrics {
     /// Records appended.
-    pub appends: cpvr_obs::Counter,
+    pub(crate) appends: cpvr_obs::Counter,
     /// Payload bytes appended.
-    pub bytes: cpvr_obs::Counter,
+    pub(crate) bytes: cpvr_obs::Counter,
     /// fsync (`sync_data`) calls issued.
-    pub syncs: cpvr_obs::Counter,
+    pub(crate) syncs: cpvr_obs::Counter,
     /// Segment rotations.
-    pub rotations: cpvr_obs::Counter,
+    pub(crate) rotations: cpvr_obs::Counter,
     /// Wall-clock latency of one flush+fsync, in nanoseconds.
-    pub fsync_nanos: cpvr_obs::Histogram,
+    pub(crate) fsync_nanos: cpvr_obs::Histogram,
 }
 
 fn segment_path(dir: &Path, series: Option<u32>, index: u64) -> PathBuf {
@@ -213,13 +207,13 @@ impl Wal {
 
     /// Attaches registry handles; every later append/sync/rotation is
     /// published through them.
-    pub fn set_metrics(&mut self, metrics: WalMetrics) {
+    pub(crate) fn set_metrics(&mut self, metrics: WalMetrics) {
         self.metrics = Some(metrics);
     }
 
     /// Appends one record to the write buffer, rotating first if it
     /// would overflow the active segment. The record reaches the kernel
-    /// on the next [`flush`](Self::flush) (or when the buffer fills)
+    /// on the next `flush` (or when the buffer fills)
     /// and stable storage on the next [`sync`](Self::sync).
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
         let len = payload.len() as u64;
@@ -246,14 +240,14 @@ impl Wal {
 
     /// Flushes buffered writes to the OS without fsyncing — the
     /// per-batch step of a group-committed writer.
-    pub fn flush(&mut self) -> io::Result<()> {
+    pub(crate) fn flush(&mut self) -> io::Result<()> {
         self.file.flush()
     }
 
     /// A clone of the active segment's file handle, for a group-commit
     /// thread to fsync out-of-band. Must be re-fetched after a
     /// rotation ([`segment_index`](Self::segment_index) changes).
-    pub fn active_file(&self) -> io::Result<File> {
+    pub(crate) fn active_file(&self) -> io::Result<File> {
         self.file.get_ref().try_clone()
     }
 
@@ -287,14 +281,14 @@ impl Wal {
 
     /// Records appended since this handle's last [`sync`](Self::sync)
     /// (rotation and [`close`](Self::close) sync too). Fsyncs the
-    /// group-commit thread issues on an [`active_file`](Self::active_file)
+    /// group-commit thread issues on an `active_file`
     /// clone do not reset it.
     pub fn pending_sync(&self) -> u32 {
         self.since_sync
     }
 
     /// Index of the active segment file.
-    pub fn segment_index(&self) -> u64 {
+    pub(crate) fn segment_index(&self) -> u64 {
         self.seg_index
     }
 
@@ -318,12 +312,12 @@ pub struct WalReplay {
     /// How many segment files were scanned.
     pub segments: usize,
     /// Total intact payload bytes recovered.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 /// Reads every intact record of one series, in append order across its
 /// segments. A missing directory replays as empty.
-pub fn replay_series(dir: &Path, series: Option<u32>) -> io::Result<WalReplay> {
+pub(crate) fn replay_series(dir: &Path, series: Option<u32>) -> io::Result<WalReplay> {
     let mut out = WalReplay::default();
     if !dir.exists() {
         return Ok(out);

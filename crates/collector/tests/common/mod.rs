@@ -11,12 +11,12 @@ use cpvr_sim::{CaptureProfile, IoEvent, LatencyProfile};
 use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
 
 /// Routers in the paper scenario.
-pub const N_ROUTERS: u32 = 3;
+pub(crate) const N_ROUTERS: u32 = 3;
 
 /// A comparable rendering of every FIB entry and capture time.
-pub type DpFingerprint = Vec<(u32, Vec<(Ipv4Prefix, FibEntry)>, SimTime)>;
+pub(crate) type DpFingerprint = Vec<(u32, Vec<(Ipv4Prefix, FibEntry)>, SimTime)>;
 
-pub fn dataplane_fingerprint(dp: &DataPlane) -> DpFingerprint {
+pub(crate) fn dataplane_fingerprint(dp: &DataPlane) -> DpFingerprint {
     (0..dp.num_routers() as u32)
         .map(|r| {
             let r = RouterId(r);
@@ -27,11 +27,11 @@ pub fn dataplane_fingerprint(dp: &DataPlane) -> DpFingerprint {
 
 /// Runs the paper scenario to quiescence twice (announce, re-announce)
 /// and returns the full capture trace.
-pub fn sample_events(seed: u64) -> Vec<IoEvent> {
+pub(crate) fn sample_events(seed: u64) -> Vec<IoEvent> {
     sample_events_with(CaptureProfile::ideal(), seed)
 }
 
-pub fn sample_events_with(capture: CaptureProfile, seed: u64) -> Vec<IoEvent> {
+pub(crate) fn sample_events_with(capture: CaptureProfile, seed: u64) -> Vec<IoEvent> {
     let mut s = paper_scenario(LatencyProfile::fast(), capture, seed);
     s.sim.start();
     s.sim.run_to_quiescence(100_000);
@@ -47,7 +47,7 @@ pub fn sample_events_with(capture: CaptureProfile, seed: u64) -> Vec<IoEvent> {
 }
 
 /// `events` for one router, in the deterministic wire order.
-pub fn events_for(events: &[IoEvent], router: RouterId) -> Vec<IoEvent> {
+pub(crate) fn events_for(events: &[IoEvent], router: RouterId) -> Vec<IoEvent> {
     let mut mine: Vec<IoEvent> = events
         .iter()
         .filter(|e| e.router == router)
@@ -59,7 +59,7 @@ pub fn events_for(events: &[IoEvent], router: RouterId) -> Vec<IoEvent> {
 
 /// The in-process truth every collector run must reproduce exactly:
 /// the whole trace ingested, then advanced through `grid`.
-pub fn reference_pipeline(events: &[IoEvent], grid: &[SimTime]) -> IngestPipeline {
+pub(crate) fn reference_pipeline(events: &[IoEvent], grid: &[SimTime]) -> IngestPipeline {
     let mut p = IngestPipeline::new(PipelineConfig::new(N_ROUTERS));
     for e in events {
         p.ingest(e);
@@ -72,7 +72,7 @@ pub fn reference_pipeline(events: &[IoEvent], grid: &[SimTime]) -> IngestPipelin
 
 /// Everything about a fold that does not depend on how its advances
 /// were batched: events, HBG, verdict, watermark, data plane.
-pub fn assert_same_fold(got: &FoldReport, reference: &IngestPipeline, label: &str) {
+pub(crate) fn assert_same_fold(got: &FoldReport, reference: &IngestPipeline, label: &str) {
     assert_eq!(got.events(), reference.events(), "{label}: event count");
     assert_eq!(
         got.processed(),

@@ -6,7 +6,7 @@
 //! obstacle to running verification *inside* the control plane. The
 //! [`HbgBuilder`] instead ingests [`IoEvent`]s as the network emits them
 //! and keeps the graph current in O(new events): the same sweep state
-//! the batch matchers use ([`RuleSweep`], `SweepState`) is simply kept
+//! the batch matchers use (`RuleSweep`, `SweepState`) is simply kept
 //! alive between epochs instead of being rebuilt.
 //!
 //! ## Watermarks
@@ -255,12 +255,6 @@ impl HbgBuilder {
         &self.g
     }
 
-    /// The current watermark ([`SimTime::ZERO`] before the first
-    /// [`advance`](Self::advance)).
-    pub fn watermark(&self) -> SimTime {
-        self.watermark.unwrap_or(SimTime::ZERO)
-    }
-
     /// How many events have been folded into the graph.
     pub fn processed(&self) -> usize {
         self.processed
@@ -287,28 +281,6 @@ impl HbgBuilder {
             .iter()
             .map(|(source, n)| (source.to_string(), *n))
             .collect()
-    }
-
-    /// Rebuilds a builder from a durably logged history: ingests every
-    /// event, then advances once to `watermark`. Because
-    /// [`advance`](Self::advance) folds in `(time, id)` order regardless
-    /// of how its work was split across calls, the result is identical
-    /// to the builder that processed the same events live with any
-    /// interleaving of advances up to the same watermark — the property
-    /// crash recovery from a write-ahead log depends on.
-    ///
-    /// Events stamped after `watermark` stay buffered, exactly as they
-    /// would have in the live run.
-    pub fn recover<'a, I>(cfg: &InferConfig<'_>, events: I, watermark: SimTime) -> Self
-    where
-        I: IntoIterator<Item = &'a IoEvent>,
-    {
-        let mut b = Self::new(cfg);
-        for e in events {
-            b.ingest(e);
-        }
-        b.advance(watermark);
-        b
     }
 }
 

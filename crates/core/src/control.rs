@@ -84,10 +84,10 @@ pub struct GuardReport {
     pub final_ok: bool,
     /// Root causes found but not acted on because their confidence fell
     /// below the loop's threshold (previously dropped silently).
-    pub skipped_low_confidence: usize,
+    pub(crate) skipped_low_confidence: usize,
     /// Every proof minted during the run, in mint order — applied and
     /// blocked alike, for auditing and journaling.
-    pub proofs: Vec<RepairProof>,
+    pub(crate) proofs: Vec<RepairProof>,
 }
 
 impl GuardReport {
@@ -96,14 +96,6 @@ impl GuardReport {
         self.timeline
             .iter()
             .filter(|(_, a)| matches!(a, GuardAction::Repaired { .. }))
-            .count()
-    }
-
-    /// Number of repairs blocked by the replay gate.
-    pub fn blocked(&self) -> usize {
-        self.timeline
-            .iter()
-            .filter(|(_, a)| matches!(a, GuardAction::Blocked { .. }))
             .count()
     }
 

@@ -22,15 +22,13 @@ use std::collections::BTreeSet;
 
 /// One router's share of the happens-before graph.
 pub struct RouterSubgraph {
-    /// The owning router.
-    pub router: RouterId,
     /// Ids of this router's events.
-    pub events: Vec<EventId>,
+    pub(crate) events: Vec<EventId>,
     /// Intra-router HBRs (both endpoints on this router).
-    pub edges: Vec<Hbr>,
+    pub(crate) edges: Vec<Hbr>,
     /// Cross-router dependencies: `(local recv event, sending router,
     /// remote send event)`.
-    pub inbound: Vec<(EventId, RouterId, EventId)>,
+    pub(crate) inbound: Vec<(EventId, RouterId, EventId)>,
 }
 
 /// Statistics of a distributed provenance query.
@@ -53,8 +51,7 @@ pub fn partition(trace: &Trace) -> Vec<RouterSubgraph> {
         .max()
         .unwrap_or(0);
     let mut subs: Vec<RouterSubgraph> = (0..n_routers)
-        .map(|r| RouterSubgraph {
-            router: RouterId(r as u32),
+        .map(|_| RouterSubgraph {
             events: Vec::new(),
             edges: Vec::new(),
             inbound: Vec::new(),
@@ -175,13 +172,14 @@ mod tests {
         let subs = partition(&trace);
         let total: usize = subs.iter().map(|s| s.events.len()).sum();
         assert_eq!(total, trace.len());
-        for sub in &subs {
+        for (r, sub) in subs.iter().enumerate() {
+            let r = RouterId(r as u32);
             for e in &sub.events {
-                assert_eq!(trace.events[e.index()].router, sub.router);
+                assert_eq!(trace.events[e.index()].router, r);
             }
             for h in &sub.edges {
-                assert_eq!(trace.events[h.from.index()].router, sub.router);
-                assert_eq!(trace.events[h.to.index()].router, sub.router);
+                assert_eq!(trace.events[h.from.index()].router, r);
+                assert_eq!(trace.events[h.to.index()].router, r);
             }
         }
     }

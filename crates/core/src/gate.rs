@@ -22,9 +22,9 @@ use std::rc::Rc;
 #[derive(Clone, Debug, Default)]
 pub struct GateStats {
     /// Updates allowed through to hardware.
-    pub allowed: usize,
+    pub(crate) allowed: usize,
     /// Updates blocked because applying them would violate policy.
-    pub blocked: Vec<FibUpdate>,
+    pub(crate) blocked: Vec<FibUpdate>,
 }
 
 struct GateState {

@@ -126,7 +126,7 @@ impl Hbg {
     }
 
     /// The edges out of `e`, in insertion order.
-    pub fn out_edges(&self, e: EventId) -> impl Iterator<Item = &Hbr> {
+    pub(crate) fn out_edges(&self, e: EventId) -> impl Iterator<Item = &Hbr> {
         self.outs.of(e).map(|i| &self.edges[i])
     }
 
@@ -201,7 +201,7 @@ impl Hbg {
     }
 
     /// Direct consequents of `e` with confidence ≥ `min_conf`.
-    pub fn children(&self, e: EventId, min_conf: f64) -> Vec<EventId> {
+    pub(crate) fn children(&self, e: EventId, min_conf: f64) -> Vec<EventId> {
         self.out_edges(e)
             .filter(|h| h.confidence >= min_conf)
             .map(|h| h.to)
@@ -260,29 +260,10 @@ impl Hbg {
         }
     }
 
-    /// Renders the graph against its trace as an indented event list with
-    /// edge annotations — the textual analogue of the paper's Fig. 4/5
-    /// drawings.
-    pub fn render(&self, trace: &Trace, min_conf: f64) -> String {
-        let mut s = String::new();
-        for e in trace.by_time() {
-            s.push_str(&format!("{e}\n"));
-            for edge in self.in_edges(e.id).filter(|h| h.confidence >= min_conf) {
-                s.push_str(&format!(
-                    "    <- {} ({} conf {:.2})\n",
-                    trace.events[edge.from.index()],
-                    edge.source,
-                    edge.confidence
-                ));
-            }
-        }
-        s
-    }
-
     /// Precision/recall of this graph's edges against the trace's ground
     /// truth, considering only edges with confidence ≥ `min_conf`.
     /// Returns `(precision, recall, true_positives)`.
-    pub fn score_against_truth(&self, trace: &Trace, min_conf: f64) -> (f64, f64, usize) {
+    pub(crate) fn score_against_truth(&self, trace: &Trace, min_conf: f64) -> (f64, f64, usize) {
         use std::collections::BTreeSet;
         let truth: BTreeSet<(EventId, EventId)> = trace.truth_edges.iter().copied().collect();
         let mine: BTreeSet<(EventId, EventId)> = self

@@ -43,13 +43,13 @@ pub(crate) enum Relation {
 /// preceded (within the window, under `rel`) by an event of signature
 /// `ante`.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Pattern {
+pub(crate) struct Pattern {
     ante: Sig,
     cons: Sig,
     rel: Relation,
     /// Fraction of `cons` occurrences in training that had such a
     /// predecessor.
-    pub confidence: f64,
+    pub(crate) confidence: f64,
 }
 
 /// Statistical pattern miner (§4.2 "Pattern matching").
@@ -90,7 +90,7 @@ impl PatternMiner {
     /// The learned patterns with their confidences, sorted by descending
     /// confidence (ties broken by signature, so the order — and
     /// everything downstream of it — is fully deterministic).
-    pub fn patterns(&self) -> Vec<Pattern> {
+    pub(crate) fn patterns(&self) -> Vec<Pattern> {
         let mut out: Vec<Pattern> = self
             .counts
             .iter()
@@ -118,7 +118,12 @@ impl PatternMiner {
     /// proximate-cause heuristic the rule matcher uses. This trades a
     /// little recall for a large precision gain (experiment A2), at no
     /// cost in protocol knowledge.
-    pub fn apply_with(&self, events: &[&IoEvent], min_conf: f64, proximate_only: bool) -> Vec<Hbr> {
+    pub(crate) fn apply_with(
+        &self,
+        events: &[&IoEvent],
+        min_conf: f64,
+        proximate_only: bool,
+    ) -> Vec<Hbr> {
         let engine = PatternEngine::compile(self, min_conf);
         let mut state = SweepState::default();
         let mut out = Vec::new();
@@ -348,7 +353,7 @@ pub struct InferStats {
     /// Fraction of true edges that were inferred.
     pub recall: f64,
     /// Correct edges.
-    pub true_positives: usize,
+    pub(crate) true_positives: usize,
     /// Total inferred edges (at the evaluation threshold).
     pub edges: usize,
 }

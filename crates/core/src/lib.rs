@@ -25,39 +25,34 @@
 //!    also quantify.
 //! 6. **Predict** outcomes early using the repetitiveness of control
 //!    plane behavior across prefix equivalence classes ([`predict`], §6).
-//! 7. Drive the whole loop against a live network ([`control`], Fig. 3).
+//! 7. Drive the whole loop against a live network (`control`, Fig. 3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod control;
+pub(crate) mod control;
 pub mod distributed;
-pub mod gate;
+pub(crate) mod gate;
 pub mod hbg;
 pub mod infer;
 pub mod predict;
-pub mod proof;
+pub(crate) mod proof;
 pub mod provenance;
 pub mod repair;
 pub mod rules;
-pub mod shard;
+pub(crate) mod shard;
 pub mod snapshot;
-pub mod whatif;
 
 pub use builder::HbgBuilder;
 pub use control::{ControlLoop, GuardAction, GuardReport};
-pub use distributed::{partition, RouterSubgraph};
-pub use gate::{install_inline_gate, GateStats};
-pub use hbg::{Hbg, Hbr, HbrSource};
-pub use infer::{infer_hbg, InferConfig, InferStats, PatternMiner};
+pub use gate::install_inline_gate;
+pub use hbg::{Hbg, HbrSource};
+pub use infer::{infer_hbg, InferConfig};
 pub use predict::OutcomePredictor;
 pub use proof::{chain_over, gate_repair, prove, PredictedBehavior, ProvenanceHop, RepairProof};
-pub use provenance::{provenance_path, root_causes, RootCause};
-pub use repair::{propose_repairs, propose_repairs_report, RepairPlan, RepairReport};
+pub use provenance::{provenance_path, root_causes};
+pub use repair::{propose_repairs, propose_repairs_report, RepairPlan};
 pub use rules::FoldRecord;
 pub use shard::{FederationPlan, ShardPlan};
-pub use snapshot::{
-    classify_conv, consistency_check, ConsistencyTracker, ConvDigest, ConvKey, SnapshotStatus,
-    TrackerSlice,
-};
+pub use snapshot::{consistency_check, ConsistencyTracker, ConvDigest, SnapshotStatus};

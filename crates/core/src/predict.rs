@@ -142,7 +142,7 @@ impl OutcomePredictor {
 /// The *final* FIB action per router, among the consequences of `e`
 /// within the window (later events override earlier ones). Public
 /// because repair proofs embed this template as the predicted
-/// consequence set the repair reverts (see [`crate::proof`]).
+/// consequence set the repair reverts (see `crate::proof`).
 pub fn fib_template(
     trace: &Trace,
     hbg: &Hbg,

@@ -354,7 +354,7 @@ pub fn gate_repair(verifier: &IncrementalVerifier, proof: &RepairProof) -> Repla
 
 /// Version byte heading every binary-encoded proof — matches the v3
 /// binary wire generation it ships in.
-pub const PROOF_CODEC_VERSION: u8 = 3;
+pub(crate) const PROOF_CODEC_VERSION: u8 = 3;
 
 fn write_prefix(out: &mut Vec<u8>, p: &Ipv4Prefix) {
     bin::put_varint(out, p.bits());

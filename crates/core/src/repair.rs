@@ -43,13 +43,6 @@ pub struct RepairPlan {
     pub rationale: String,
 }
 
-impl RepairPlan {
-    /// True if the plan actually changes the network (vs. notifying).
-    pub fn is_actionable(&self) -> bool {
-        matches!(self.action, RepairAction::RevertConfig(_))
-    }
-}
-
 impl fmt::Display for RepairPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.action {
@@ -76,7 +69,7 @@ impl fmt::Display for RepairPlan {
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct RepairReport {
     /// Actionable and notify plans, most-confident cause first.
-    pub plans: Vec<RepairPlan>,
+    pub(crate) plans: Vec<RepairPlan>,
     /// Causes below the confidence threshold, in input order.
     pub skipped_low_confidence: Vec<RootCause>,
 }
@@ -258,7 +251,7 @@ mod tests {
         )];
         let plans = propose_repairs(&causes, 0.5);
         assert_eq!(plans.len(), 1);
-        assert!(plans[0].is_actionable());
+        assert!(matches!(plans[0].action, RepairAction::RevertConfig(_)));
         assert_eq!(
             plans[0].action,
             RepairAction::RevertConfig(ConfigChange::SetAddPath(false))
@@ -288,7 +281,9 @@ mod tests {
         ];
         let plans = propose_repairs(&causes, 0.5);
         assert_eq!(plans.len(), 2);
-        assert!(plans.iter().all(|p| !p.is_actionable()));
+        assert!(plans
+            .iter()
+            .all(|p| !matches!(p.action, RepairAction::RevertConfig(_))));
     }
 
     #[test]
@@ -336,7 +331,7 @@ mod tests {
             1.0,
         )];
         let plans = propose_repairs(&causes, 0.5);
-        assert!(!plans[0].is_actionable());
+        assert!(!matches!(plans[0].action, RepairAction::RevertConfig(_)));
     }
 
     #[test]

@@ -116,12 +116,12 @@ impl FoldRecord {
     }
 
     /// The (class, protocol) signature.
-    pub fn sig(&self) -> (KindClass, Option<Proto>) {
+    pub(crate) fn sig(&self) -> (KindClass, Option<Proto>) {
         (self.class, self.proto)
     }
 
     /// The fold order: `(time, id)`.
-    pub fn key(&self) -> (SimTime, EventId) {
+    pub(crate) fn key(&self) -> (SimTime, EventId) {
         (self.time, self.id)
     }
 
@@ -306,7 +306,7 @@ impl<'a> Candidates<'a> {
     }
 }
 
-/// Which rule classes a [`RuleSweep`] applies — the knob that makes rule
+/// Which rule classes a `RuleSweep` applies — the knob that makes rule
 /// matching shardable.
 ///
 /// Every rule except send→recv relates two events *on the same router*
@@ -339,25 +339,25 @@ pub enum RuleScope {
 /// incremental [`HbgBuilder`](crate::builder::HbgBuilder), whole or
 /// scoped per fold shard.
 #[derive(Clone, Default)]
-pub struct RuleSweep {
+pub(crate) struct RuleSweep {
     maps: Maps,
 }
 
 impl RuleSweep {
     /// A fresh sweep with empty nearest-match state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RuleSweep::default()
     }
 
     /// [`step_record`](Self::step_record) over a freshly classified `e`.
-    pub fn step(&mut self, e: &IoEvent, scope: RuleScope, out: &mut Vec<Hbr>) {
+    pub(crate) fn step(&mut self, e: &IoEvent, scope: RuleScope, out: &mut Vec<Hbr>) {
         self.step_record(&FoldRecord::of(e), scope, out);
     }
 
     /// Processes one event: appends the matched HBRs (consequent `e`) to
     /// `out`, then folds `e` into the nearest-match cells its scope
     /// reads. Events must be fed in `(time, id)` order.
-    pub fn step_record(&mut self, e: &FoldRecord, scope: RuleScope, out: &mut Vec<Hbr>) {
+    pub(crate) fn step_record(&mut self, e: &FoldRecord, scope: RuleScope, out: &mut Vec<Hbr>) {
         use KindClass::*;
         let Maps { routers, send } = &mut self.maps;
         let (r, t, id) = (e.router, e.time, e.id);
@@ -494,7 +494,7 @@ impl RuleSweep {
 /// Runs rule matching over a set of events (must be from the same trace;
 /// typically either all events or only those that have arrived at the
 /// verifier). Returns the inferred HBRs.
-pub fn match_rules(events: &[&IoEvent]) -> Vec<Hbr> {
+pub(crate) fn match_rules(events: &[&IoEvent]) -> Vec<Hbr> {
     let mut sorted: Vec<&IoEvent> = events.to_vec();
     sorted.sort_by_key(|e| (e.time, e.id));
     let mut sweep = RuleSweep::new();

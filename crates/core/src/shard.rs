@@ -74,7 +74,7 @@ impl ShardPlan {
     }
 
     /// The shard owning a prefix (by its network address range).
-    pub fn of_prefix(&self, p: &Ipv4Prefix) -> u32 {
+    pub(crate) fn of_prefix(&self, p: &Ipv4Prefix) -> u32 {
         let addr = p.bits() as u64;
         self.bounds.partition_point(|b| *b <= addr) as u32
     }

@@ -130,7 +130,7 @@ pub fn consistency_check(trace: &Trace, horizon: SimTime) -> SnapshotStatus {
 }
 
 /// A send/recv conversation: `(sender, addressee, proto, prefix)`.
-pub type ConvKey = (RouterId, RouterId, Proto, Option<Ipv4Prefix>);
+pub(crate) type ConvKey = (RouterId, RouterId, Proto, Option<Ipv4Prefix>);
 
 /// Classifies an event as one side of an internal conversation
 /// ([`FoldRecord::conv`]): `Some((key, is_send))` for internal send/recv
@@ -400,7 +400,7 @@ impl ConsistencyTracker {
     /// of the data plane before the call reproduces
     /// [`dataplane`](Self::dataplane) after it, which is how the control
     /// loop feeds its incremental verifier.
-    pub fn advance_with(
+    pub(crate) fn advance_with(
         &mut self,
         horizon: SimTime,
         on_fib: impl FnMut(FibUpdate),

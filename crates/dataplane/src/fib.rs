@@ -94,7 +94,7 @@ pub struct Fib {
 
 impl Fib {
     /// An empty FIB.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fib {
             entries: WordMap::default(),
             per_len: [0; 33],

@@ -4,7 +4,7 @@
 //! router; the data plane verifier's *input* is a snapshot of all of them.
 //! This crate provides:
 //!
-//! * [`Fib`] — one router's longest-prefix-match forwarding table.
+//! * `Fib` — one router's longest-prefix-match forwarding table.
 //! * [`FibAction`] — what a matching packet does (forward over a link, exit
 //!   to an external peer, deliver locally, or drop).
 //! * [`FibUpdate`] — a single install/remove delta, the unit the paper's
@@ -18,8 +18,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fib;
-pub mod trace;
+pub(crate) mod fib;
+pub(crate) mod trace;
 
-pub use fib::{Fib, FibAction, FibEntry, FibUpdate, UpdateKind};
+pub use fib::{FibAction, FibEntry, FibUpdate, UpdateKind};
 pub use trace::{DataPlane, Hop, TraceOutcome, TraceResult};

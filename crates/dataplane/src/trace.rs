@@ -15,11 +15,11 @@ use std::net::Ipv4Addr;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Hop {
     /// The router making the forwarding decision.
-    pub router: RouterId,
+    pub(crate) router: RouterId,
     /// The FIB prefix that matched, if any.
     pub matched: Option<Ipv4Prefix>,
     /// The action taken.
-    pub action: Option<FibAction>,
+    pub(crate) action: Option<FibAction>,
 }
 
 /// How a traced packet ended up.

@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 use cpvr_collector::collector::{Collector, CollectorConfig, CollectorHandle, CollectorStats};
-use cpvr_collector::pipeline::RecoveryReport;
 use cpvr_collector::wal::WalConfig;
 use cpvr_collector::{merge_members, CollectorRole, FederationConfig, FoldReport};
 use cpvr_core::FederationPlan;
@@ -53,10 +52,6 @@ pub struct MemberReport {
     pub stats: CollectorStats,
     /// Standalone vs member — for a member, the final per-peer summary.
     pub role: CollectorRole,
-    /// Owned sources still gating the watermark at shutdown.
-    pub stalled: Vec<RouterId>,
-    /// What WAL replay found when this member (re)started.
-    pub recovery: Option<RecoveryReport>,
     /// The member's shutdown metrics dump. Always `Some`: metrics are
     /// always on; the `Option` stays because the benchmark ledger names
     /// the type.
@@ -217,8 +212,6 @@ impl Federation {
         Ok(MemberReport {
             stats: report.stats,
             role: report.role,
-            stalled: report.stalled,
-            recovery: report.recovery,
             metrics: report.metrics,
             fold: Some(report.pipeline),
         })
@@ -257,8 +250,6 @@ impl Federation {
             members.push(MemberReport {
                 stats: report.stats,
                 role: report.role,
-                stalled: report.stalled,
-                recovery: report.recovery,
                 metrics: report.metrics,
                 fold: None,
             });

@@ -86,11 +86,6 @@ impl EigrpInstance {
         }
     }
 
-    /// The router this instance runs on.
-    pub fn router(&self) -> RouterId {
-        self.me
-    }
-
     /// The current route table.
     pub fn table(&self) -> &BTreeMap<Ipv4Prefix, IgpRoute> {
         &self.table
@@ -362,12 +357,11 @@ mod tests {
     use super::*;
     use cpvr_topo::builder::{shapes, TopologyBuilder};
     use cpvr_topo::{LinkState, Topology};
-    use cpvr_types::AsNum;
 
     fn converge(topo: &Topology, insts: &mut [EigrpInstance]) {
         let mut queue: Vec<(RouterId, RouterId, EigrpMsg)> = Vec::new();
         for i in insts.iter_mut() {
-            let me = i.router();
+            let me = i.me;
             for (to, m) in i.start(topo).msgs {
                 queue.push((me, to, m));
             }
@@ -411,7 +405,7 @@ mod tests {
         // R1's successor to R3's loopback is via R2 (20); direct R3 (25)
         // has RD 0 < FD 20, so it IS a feasible successor. Failing R1—R2
         // must repair locally to the direct path.
-        let mut b = TopologyBuilder::new(AsNum(1));
+        let mut b = TopologyBuilder::new();
         let r1 = b.router("R1");
         let r2 = b.router("R2");
         let r3 = b.router("R3");

@@ -74,7 +74,7 @@ impl<M> IgpOutputs<M> {
 ///
 /// Shared by all three protocols: each recomputes its table from protocol
 /// state and then diffs, which keeps "what changed" logic in one place.
-pub fn diff_tables(
+pub(crate) fn diff_tables(
     old: &BTreeMap<Ipv4Prefix, IgpRoute>,
     new: &BTreeMap<Ipv4Prefix, IgpRoute>,
 ) -> Vec<IgpDelta> {

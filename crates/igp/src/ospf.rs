@@ -61,35 +61,9 @@ impl OspfInstance {
         }
     }
 
-    /// The router this instance runs on.
-    pub fn router(&self) -> RouterId {
-        self.me
-    }
-
     /// The current route table (prefix → selected route).
     pub fn table(&self) -> &BTreeMap<Ipv4Prefix, IgpRoute> {
         &self.table
-    }
-
-    /// The current link-state database, keyed by originator.
-    pub fn lsdb(&self) -> &BTreeMap<RouterId, Lsa> {
-        &self.lsdb
-    }
-
-    /// Metric of the best path to another router's loopback, if reachable.
-    ///
-    /// BGP uses this for its "lowest IGP metric to the next hop" decision
-    /// step.
-    pub fn metric_to(&self, topo: &Topology, other: RouterId) -> Option<u32> {
-        let lb = Ipv4Prefix::host(topo.router(other).loopback);
-        self.table.get(&lb).map(|r| r.metric)
-    }
-
-    /// First hop toward another router's loopback, if reachable and not
-    /// local.
-    pub fn next_hop_to(&self, topo: &Topology, other: RouterId) -> Option<(RouterId, LinkId)> {
-        let lb = Ipv4Prefix::host(topo.router(other).loopback);
-        self.table.get(&lb).and_then(|r| r.next_hop)
     }
 
     /// Builds this router's own LSA from its local view of the topology.
@@ -283,6 +257,23 @@ impl OspfInstance {
     }
 }
 
+/// Route-table views the unit tests check convergence through.
+#[cfg(test)]
+impl OspfInstance {
+    /// Metric of the best path to another router's loopback, if reachable.
+    fn metric_to(&self, topo: &Topology, other: RouterId) -> Option<u32> {
+        let lb = Ipv4Prefix::host(topo.router(other).loopback);
+        self.table.get(&lb).map(|r| r.metric)
+    }
+
+    /// First hop toward another router's loopback, if reachable and not
+    /// local.
+    fn next_hop_to(&self, topo: &Topology, other: RouterId) -> Option<(RouterId, LinkId)> {
+        let lb = Ipv4Prefix::host(topo.router(other).loopback);
+        self.table.get(&lb).and_then(|r| r.next_hop)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,7 +285,7 @@ mod tests {
     fn converge(topo: &Topology, insts: &mut [OspfInstance]) -> usize {
         let mut queue: Vec<(RouterId, RouterId, OspfMsg)> = Vec::new();
         for i in insts.iter_mut() {
-            let me = i.router();
+            let me = i.me;
             let out = i.start(topo);
             for (to, m) in out.msgs {
                 queue.push((me, to, m));

@@ -4,9 +4,8 @@
 //! advertisements to neighbors, hop-count-style metrics with
 //! infinity = 16, split horizon with poisoned reverse, and triggered
 //! updates carrying explicit metric-16 poisons when routes die. Periodic
-//! refresh and garbage-collection timers are owned by the simulator (which
-//! schedules [`RipInstance::tick`]), keeping this state machine clock-free
-//! and deterministic.
+//! refresh and garbage-collection timers are not modelled, which keeps
+//! this state machine clock-free and deterministic.
 
 use crate::{diff_tables, IgpOutputs, IgpRoute};
 use cpvr_topo::{LinkId, Topology};
@@ -49,11 +48,6 @@ impl RipInstance {
             entries: BTreeMap::new(),
             table: BTreeMap::new(),
         }
-    }
-
-    /// The router this instance runs on.
-    pub fn router(&self) -> RouterId {
-        self.me
     }
 
     /// The current route table.
@@ -151,15 +145,6 @@ impl RipInstance {
         out
     }
 
-    /// Periodic refresh: re-advertise the full table (the simulator calls
-    /// this on RIP's update timer).
-    pub fn tick(&mut self, topo: &Topology) -> IgpOutputs<RipMsg> {
-        IgpOutputs {
-            msgs: self.advertisements(topo),
-            deltas: Vec::new(),
-        }
-    }
-
     /// Builds per-neighbor advertisements with split horizon + poisoned
     /// reverse: routes learned from a neighbor are advertised back to it
     /// with metric 16. Tombstoned routes are advertised at 16 to everyone.
@@ -225,7 +210,7 @@ mod tests {
     fn converge(topo: &Topology, insts: &mut [RipInstance]) {
         let mut queue: Vec<(RouterId, RouterId, RipMsg)> = Vec::new();
         for i in insts.iter_mut() {
-            let me = i.router();
+            let me = i.me;
             for (to, m) in i.start(topo).msgs {
                 queue.push((me, to, m));
             }
@@ -415,16 +400,6 @@ mod tests {
         assert!(ads
             .iter()
             .all(|(_, m)| m.routes.iter().all(|(pp, _)| *pp != p)));
-    }
-
-    #[test]
-    fn tick_readvertises_without_deltas() {
-        let topo = shapes::line(2);
-        let mut a = RipInstance::new(RouterId(0));
-        let _ = a.start(&topo);
-        let out = a.tick(&topo);
-        assert!(!out.msgs.is_empty());
-        assert!(out.deltas.is_empty());
     }
 
     #[test]

@@ -115,11 +115,11 @@ pub fn render_prometheus(s: &Snapshot) -> String {
 
 /// Renders the snapshot as one compact-JSON document (the `MetricsResp`
 /// payload for [`crate::ExpoFormat::Json`]).
-pub fn render_json(s: &Snapshot) -> String {
+pub(crate) fn render_json(s: &Snapshot) -> String {
     s.to_json_string()
 }
 
-/// Parses a snapshot back out of [`render_json`] output.
+/// Parses a snapshot back out of `render_json` output.
 pub fn parse_json(s: &str) -> Result<Snapshot, JsonError> {
     Snapshot::from_json_str(s)
 }

@@ -21,7 +21,7 @@
 //!   decoded → journaled → folded hops here and observes the
 //!   transition latencies into registry histograms from the same
 //!   records.
-//! - [`expo`]: Prometheus text and compact-JSON exposition of a
+//! - `expo`: Prometheus text and compact-JSON exposition of a
 //!   [`Snapshot`], served live over the collector's `MetricsReq` /
 //!   `MetricsResp` frames and embedded in `CollectorReport` at
 //!   shutdown.
@@ -31,13 +31,13 @@
 //! declaration to drift from its use; two resolves that disagree on
 //! kind or help panic.
 
-pub mod expo;
-pub mod registry;
+pub(crate) mod expo;
+pub(crate) mod registry;
 pub mod trace;
 
-pub use expo::{parse_json, render_json, render_prometheus, ExpoFormat};
+pub use expo::{parse_json, render_prometheus, ExpoFormat};
 pub use registry::{
-    Counter, CounterSample, Gauge, GaugeSample, Histogram, HistogramSample, MetricKind,
-    MetricsRegistry, Snapshot,
+    Counter, CounterSample, Gauge, GaugeSample, Histogram, HistogramSample, MetricsRegistry,
+    Snapshot,
 };
-pub use trace::{chrome_trace, stitch, FlightDump, FlightRecord, FlightRecorder, RingHandle};
+pub use trace::{chrome_trace, stitch, FlightDump, FlightRecorder, RingHandle};

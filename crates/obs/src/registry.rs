@@ -20,7 +20,7 @@ use cpvr_types::json::{self, JsonError};
 ///
 /// Threads map onto shards by a registration-order id, so up to this
 /// many concurrent writers never contend on the same cache line.
-pub const COUNTER_SHARDS: usize = 16;
+pub(crate) const COUNTER_SHARDS: usize = 16;
 
 /// A cache-line-sized cell so neighbouring shards never false-share.
 #[repr(align(64))]
@@ -38,7 +38,7 @@ fn shard_index() -> usize {
 /// The kind of a metric family; registering a name twice with different
 /// kinds is a programming error and panics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MetricKind {
+pub(crate) enum MetricKind {
     /// Monotonically increasing sum (sharded).
     Counter,
     /// Instantaneous signed value.
@@ -49,7 +49,7 @@ pub enum MetricKind {
 
 impl MetricKind {
     /// The Prometheus `# TYPE` keyword for this kind.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
@@ -119,12 +119,6 @@ impl Gauge {
         self.cell.store(v, Relaxed);
     }
 
-    /// Adjusts the value by `d` (may be negative).
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.cell.fetch_add(d, Relaxed);
-    }
-
     /// Reads the current value.
     pub fn value(&self) -> i64 {
         self.cell.load(Relaxed)
@@ -133,10 +127,10 @@ impl Gauge {
 
 /// Bucket count: index 0 holds the value 0, index `i >= 1` holds values
 /// with exactly `i` significant bits, i.e. `[2^(i-1), 2^i - 1]`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// The inclusive upper bound of bucket `i` (`u64::MAX` for the last).
-pub fn bucket_upper_bound(i: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(i: usize) -> u64 {
     match i {
         0 => 0,
         64 => u64::MAX,
@@ -440,7 +434,7 @@ impl HistogramSample {
     /// The upper bound of the first bucket at which the cumulative
     /// count reaches `q` of the total (0 when empty). Log-bucketed, so
     /// the answer carries at most one power-of-two of overshoot.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -458,11 +452,6 @@ impl HistogramSample {
     /// Median estimate.
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)
-    }
-
-    /// 90th percentile estimate.
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
     }
 
     /// 99th percentile estimate.
@@ -568,12 +557,11 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_and_add() {
+    fn gauge_set() {
         let r = MetricsRegistry::new();
         let g = r.gauge("g", "test gauge");
         g.set(10);
-        g.add(-3);
-        assert_eq!(g.value(), 7);
+        assert_eq!(g.value(), 10);
     }
 
     #[test]

@@ -268,7 +268,7 @@ pub struct FlightRecord {
     pub ring: String,
     /// Global record number within its ring (monotone, gap-free per
     /// ring until overwritten).
-    pub n: u64,
+    pub(crate) n: u64,
     /// Stage code (see [`stage`]).
     pub stage: u32,
     /// Monotonic nanos since the recorder's epoch. Comparable within
@@ -353,11 +353,6 @@ impl FlightRecorder {
     /// `flight-<reason>-<n>.json` (typically next to the WAL).
     pub fn arm(&self, dir: &Path) {
         *self.dump_dir.lock().unwrap() = Some(dir.to_path_buf());
-    }
-
-    /// Whether anomaly dumps are armed (a dump directory is set).
-    pub fn armed(&self) -> bool {
-        self.dump_dir.lock().unwrap().is_some()
     }
 
     /// Tags dumps with the federation member id for stitching.
@@ -460,16 +455,6 @@ pub struct Timeline {
     /// (the causal hop counter, comparable across members), then by
     /// member and local time (comparable only within a member).
     pub records: Vec<(i64, FlightRecord)>,
-}
-
-impl Timeline {
-    /// The distinct federation members contributing to this story.
-    pub fn members(&self) -> Vec<i64> {
-        let mut m: Vec<i64> = self.records.iter().map(|(mem, _)| *mem).collect();
-        m.sort_unstable();
-        m.dedup();
-        m
-    }
 }
 
 /// Merges dumps from any number of federation members into causal
@@ -669,7 +654,6 @@ mod tests {
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let rec = FlightRecorder::new();
-        assert!(!rec.armed());
         assert!(rec.dump("eviction").is_none(), "unarmed dump must no-op");
         rec.arm(&dir);
         rec.set_member(2);
@@ -742,7 +726,8 @@ mod tests {
         assert_eq!(timelines.len(), 1);
         let tl = &timelines[0];
         assert_eq!(tl.trace_id, ctx.trace_id);
-        assert_eq!(tl.members(), vec![0, 1, 2]);
+        let members: Vec<i64> = tl.records.iter().map(|(m, _)| *m).collect();
+        assert_eq!(members, vec![0, 0, 1, 2]);
         // Hop order follows the parent stage chain, not local clocks.
         let stages: Vec<u32> = tl.records.iter().map(|(_, r)| r.stage).collect();
         assert_eq!(

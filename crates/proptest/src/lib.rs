@@ -38,7 +38,7 @@ impl TestRng {
     }
 
     /// Next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -47,13 +47,13 @@ impl TestRng {
     }
 
     /// Uniform in `[0, n)`.
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0);
         ((self.next_u64() as u128 * n as u128) >> 64) as u64
     }
 
     /// Uniform in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
+    pub(crate) fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
@@ -97,7 +97,7 @@ impl<S: Strategy> DynStrategy<S::Value> for S {
 #[derive(Clone, Debug)]
 pub struct ProptestConfig {
     /// How many random cases each property runs.
-    pub cases: u32,
+    pub(crate) cases: u32,
 }
 
 impl Default for ProptestConfig {

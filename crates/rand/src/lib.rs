@@ -53,7 +53,7 @@ impl<T: RngCore> Rng for T {}
 ///
 /// The sample type is a trait *parameter* (not an associated type), and
 /// [`SampleRange`] has one blanket impl per range shape over
-/// [`SampleUniform`] element types — the same structure as upstream
+/// `SampleUniform` element types — the same structure as upstream
 /// `rand`, which is what lets the expected result type drive inference
 /// of the range's integer literals.
 pub trait SampleRange<T> {
@@ -62,7 +62,7 @@ pub trait SampleRange<T> {
 }
 
 /// Types that can be drawn uniformly from a range.
-pub trait SampleUniform: Copy + PartialOrd {
+pub(crate) trait SampleUniform: Copy + PartialOrd {
     /// Uniform sample from `[lo, hi)` (or `[lo, hi]` when `inclusive`).
     fn sample_between<G: RngCore>(rng: &mut G, lo: Self, hi: Self, inclusive: bool) -> Self;
 }

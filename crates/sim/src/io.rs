@@ -356,11 +356,6 @@ impl Trace {
         v
     }
 
-    /// Events of one router, in capture order.
-    pub fn of_router(&self, r: RouterId) -> Vec<&IoEvent> {
-        self.events.iter().filter(|e| e.router == r).collect()
-    }
-
     /// Effective capture arrival times under per-router FIFO export: a
     /// router ships its log records in local-time order (syslog over a
     /// stream), so a record cannot arrive before any earlier record of
@@ -405,7 +400,7 @@ impl Trace {
     ///
     /// Panics if `cutoffs.len()` is smaller than the largest router index
     /// in the trace.
-    pub fn fib_snapshot(&self, cutoffs: &[SimTime]) -> DataPlane {
+    pub(crate) fn fib_snapshot(&self, cutoffs: &[SimTime]) -> DataPlane {
         let mut dp = DataPlane::new(cutoffs.len());
         for (r, t) in cutoffs.iter().enumerate() {
             dp.set_taken_at(RouterId(r as u32), *t);
@@ -463,38 +458,6 @@ impl Trace {
         }
         out.sort();
         out
-    }
-
-    /// A summary of the trace: `(class label, count)` per event class,
-    /// in a stable order — handy for reports and sanity checks.
-    pub fn stats(&self) -> Vec<(&'static str, usize)> {
-        let mut counts = [0usize; 9];
-        for e in &self.events {
-            let idx = match &e.kind {
-                IoKind::ConfigChange { .. } => 0,
-                IoKind::SoftReconfig { .. } => 1,
-                IoKind::LinkStatus { .. } => 2,
-                IoKind::RecvAdvert { .. } => 3,
-                IoKind::RecvWithdraw { .. } => 4,
-                IoKind::RibInstall { .. } | IoKind::RibRemove { .. } => 5,
-                IoKind::FibInstall { .. } | IoKind::FibRemove { .. } => 6,
-                IoKind::SendAdvert { .. } => 7,
-                IoKind::SendWithdraw { .. } => 8,
-            };
-            counts[idx] += 1;
-        }
-        const LABELS: [&str; 9] = [
-            "config",
-            "soft-reconfig",
-            "link-status",
-            "recv-advert",
-            "recv-withdraw",
-            "rib",
-            "fib",
-            "send-advert",
-            "send-withdraw",
-        ];
-        LABELS.iter().copied().zip(counts).collect()
     }
 
     /// Renders the trace as a human-readable log.
@@ -681,36 +644,6 @@ mod tests {
         assert!(s.contains("R2"), "{s}");
         assert!(s.contains("send BGP advert 8.8.8.0/24 to R1"), "{s}");
         assert!(s.contains("25s"), "{s}");
-    }
-
-    #[test]
-    fn stats_count_event_classes() {
-        let mut tr = Trace::default();
-        tr.events
-            .push(ev(0, 0, 1, IoKind::SoftReconfig { desc: "a".into() }));
-        tr.events.push(ev(
-            1,
-            0,
-            2,
-            IoKind::FibRemove {
-                prefix: pfx("8.8.8.0/24"),
-            },
-        ));
-        tr.events.push(ev(
-            2,
-            0,
-            3,
-            IoKind::FibInstall {
-                prefix: pfx("8.8.8.0/24"),
-                action: FibAction::Drop,
-            },
-        ));
-        let stats = tr.stats();
-        let get = |label: &str| stats.iter().find(|(l, _)| *l == label).unwrap().1;
-        assert_eq!(get("soft-reconfig"), 1);
-        assert_eq!(get("fib"), 2);
-        assert_eq!(get("config"), 0);
-        assert_eq!(stats.iter().map(|(_, c)| c).sum::<usize>(), 3);
     }
 }
 

@@ -16,16 +16,16 @@ use rand::Rng;
 
 /// A delay distribution: `base ± jitter`, uniform.
 #[derive(Clone, Copy, Debug)]
-pub struct Delay {
+pub(crate) struct Delay {
     /// Mean delay.
-    pub base: SimTime,
+    pub(crate) base: SimTime,
     /// Maximum absolute deviation from the mean.
-    pub jitter: SimTime,
+    pub(crate) jitter: SimTime,
 }
 
 impl Delay {
     /// A constant (jitter-free) delay.
-    pub const fn fixed(t: SimTime) -> Self {
+    pub(crate) const fn fixed(t: SimTime) -> Self {
         Delay {
             base: t,
             jitter: SimTime::ZERO,
@@ -33,7 +33,7 @@ impl Delay {
     }
 
     /// Samples the delay.
-    pub fn sample(&self, rng: &mut impl Rng) -> SimTime {
+    pub(crate) fn sample(&self, rng: &mut impl Rng) -> SimTime {
         if self.jitter.as_nanos() == 0 {
             return self.base;
         }
@@ -49,18 +49,18 @@ impl Delay {
 pub struct LatencyProfile {
     /// Config entered → control plane starts applying it (soft
     /// reconfiguration).
-    pub config_apply: Delay,
+    pub(crate) config_apply: Delay,
     /// Input processed → RIB updated (the decision process).
-    pub decision: Delay,
+    pub(crate) decision: Delay,
     /// RIB updated → FIB entry programmed.
-    pub fib_install: Delay,
+    pub(crate) fib_install: Delay,
     /// RIB updated → advertisement leaves the router.
-    pub advert_send: Delay,
+    pub(crate) advert_send: Delay,
     /// Advertisement propagation across a link (includes the peer's
     /// ingress processing).
-    pub link_prop: Delay,
+    pub(crate) link_prop: Delay,
     /// Hardware status change → control plane notices.
-    pub link_notify: Delay,
+    pub(crate) link_notify: Delay,
 }
 
 impl LatencyProfile {
@@ -113,9 +113,9 @@ impl LatencyProfile {
 #[derive(Clone, Copy, Debug)]
 pub struct CaptureProfile {
     /// Export delay from router to verifier.
-    pub delay: Delay,
+    pub(crate) delay: Delay,
     /// Probability a record is lost entirely (`0.0..=1.0`).
-    pub loss: f64,
+    pub(crate) loss: f64,
 }
 
 impl CaptureProfile {
@@ -148,7 +148,7 @@ impl CaptureProfile {
 
     /// Samples the arrival time at the verifier for an event at `t`;
     /// `None` = the record is lost.
-    pub fn sample(&self, t: SimTime, rng: &mut impl Rng) -> Option<SimTime> {
+    pub(crate) fn sample(&self, t: SimTime, rng: &mut impl Rng) -> Option<SimTime> {
         if self.loss > 0.0 && rng.gen_bool(self.loss.min(1.0)) {
             return None;
         }

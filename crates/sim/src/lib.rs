@@ -32,12 +32,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod io;
-pub mod latency;
-pub mod router;
+pub(crate) mod engine;
+pub(crate) mod io;
+pub(crate) mod latency;
+pub(crate) mod router;
 pub mod scenario;
-pub mod sink;
+pub(crate) mod sink;
 pub mod wire;
 pub mod workload;
 
@@ -45,5 +45,4 @@ pub use engine::{FibGate, Simulation};
 pub use io::{EventId, IoEvent, IoKind, Proto, Trace};
 pub use latency::{CaptureProfile, LatencyProfile};
 pub use router::{IgpKind, RouterConfig};
-pub use scenario::paper_scenario;
-pub use sink::{EventSink, RecordingSink, RouterShardSink};
+pub use sink::{EventSink, RouterShardSink};

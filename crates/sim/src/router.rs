@@ -34,7 +34,7 @@ pub struct RouterConfig {
 
 /// A unified IGP protocol message.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum IgpMsg {
+pub(crate) enum IgpMsg {
     /// An OSPF message.
     Ospf(OspfMsg),
     /// A RIP message.
@@ -47,7 +47,9 @@ impl IgpMsg {
     /// `(prefix, is_withdraw)` pairs this message conveys, for I/O
     /// capture. OSPF LSAs are not per-prefix and yield a single
     /// `(None, false)` entry.
-    pub fn captured_prefixes(&self) -> impl Iterator<Item = (Option<Ipv4Prefix>, bool)> + '_ {
+    pub(crate) fn captured_prefixes(
+        &self,
+    ) -> impl Iterator<Item = (Option<Ipv4Prefix>, bool)> + '_ {
         // A message is one entry, or the vectors of a distance-vector
         // update, which withdraw from some metric up.
         type Vectors = [(Ipv4Prefix, u32)];
@@ -72,7 +74,7 @@ impl IgpMsg {
 
 /// One router's IGP instance, protocol-erased.
 #[derive(Clone, Debug)]
-pub enum IgpRunner {
+pub(crate) enum IgpRunner {
     /// OSPF-lite.
     Ospf(OspfInstance),
     /// RIP.
@@ -90,7 +92,7 @@ fn wrap<M>(out: IgpOutputs<M>, f: impl Fn(M) -> IgpMsg) -> IgpOutputs<IgpMsg> {
 
 impl IgpRunner {
     /// Creates the chosen IGP for router `me`.
-    pub fn new(kind: IgpKind, me: RouterId) -> Self {
+    pub(crate) fn new(kind: IgpKind, me: RouterId) -> Self {
         match kind {
             IgpKind::Ospf => IgpRunner::Ospf(OspfInstance::new(me)),
             IgpKind::Rip => IgpRunner::Rip(RipInstance::new(me)),
@@ -99,7 +101,7 @@ impl IgpRunner {
     }
 
     /// Which protocol this is, for I/O event tagging.
-    pub fn proto(&self) -> Proto {
+    pub(crate) fn proto(&self) -> Proto {
         match self {
             IgpRunner::Ospf(_) => Proto::Ospf,
             IgpRunner::Rip(_) => Proto::Rip,
@@ -109,12 +111,12 @@ impl IgpRunner {
 
     /// Does this protocol advertise only after the FIB install (EIGRP)?
     /// Determines the happens-before structure of emitted send events.
-    pub fn adverts_after_fib(&self) -> bool {
+    pub(crate) fn adverts_after_fib(&self) -> bool {
         matches!(self, IgpRunner::Eigrp(_))
     }
 
     /// Starts the instance.
-    pub fn start(&mut self, topo: &Topology) -> IgpOutputs<IgpMsg> {
+    pub(crate) fn start(&mut self, topo: &Topology) -> IgpOutputs<IgpMsg> {
         match self {
             IgpRunner::Ospf(i) => wrap(i.start(topo), IgpMsg::Ospf),
             IgpRunner::Rip(i) => wrap(i.start(topo), IgpMsg::Rip),
@@ -123,7 +125,7 @@ impl IgpRunner {
     }
 
     /// Reacts to a local link status change.
-    pub fn link_change(&mut self, topo: &Topology) -> IgpOutputs<IgpMsg> {
+    pub(crate) fn link_change(&mut self, topo: &Topology) -> IgpOutputs<IgpMsg> {
         match self {
             IgpRunner::Ospf(i) => wrap(i.link_change(topo), IgpMsg::Ospf),
             IgpRunner::Rip(i) => wrap(i.link_change(topo), IgpMsg::Rip),
@@ -133,7 +135,12 @@ impl IgpRunner {
 
     /// Handles a protocol message from a neighbor. Messages of the wrong
     /// protocol are ignored (cannot happen in a well-formed simulation).
-    pub fn recv(&mut self, topo: &Topology, from: RouterId, msg: IgpMsg) -> IgpOutputs<IgpMsg> {
+    pub(crate) fn recv(
+        &mut self,
+        topo: &Topology,
+        from: RouterId,
+        msg: IgpMsg,
+    ) -> IgpOutputs<IgpMsg> {
         match (self, msg) {
             (IgpRunner::Ospf(i), IgpMsg::Ospf(m)) => wrap(i.recv(topo, from, m), IgpMsg::Ospf),
             (IgpRunner::Rip(i), IgpMsg::Rip(m)) => wrap(i.recv(topo, from, m), IgpMsg::Rip),
@@ -143,7 +150,7 @@ impl IgpRunner {
     }
 
     /// The current IGP route table.
-    pub fn table(&self) -> &BTreeMap<Ipv4Prefix, IgpRoute> {
+    pub(crate) fn table(&self) -> &BTreeMap<Ipv4Prefix, IgpRoute> {
         match self {
             IgpRunner::Ospf(i) => i.table(),
             IgpRunner::Rip(i) => i.table(),
@@ -154,14 +161,14 @@ impl IgpRunner {
 
 /// Adapts an IGP route table to the [`IgpView`] BGP consumes: loopback
 /// reachability is looked up as a /32 host route.
-pub struct IgpTableView<'a> {
+pub(crate) struct IgpTableView<'a> {
     table: &'a BTreeMap<Ipv4Prefix, IgpRoute>,
     topo: &'a Topology,
 }
 
 impl<'a> IgpTableView<'a> {
     /// Wraps a table and its topology.
-    pub fn new(table: &'a BTreeMap<Ipv4Prefix, IgpRoute>, topo: &'a Topology) -> Self {
+    pub(crate) fn new(table: &'a BTreeMap<Ipv4Prefix, IgpRoute>, topo: &'a Topology) -> Self {
         IgpTableView { table, topo }
     }
 }
@@ -184,12 +191,12 @@ pub struct SimRouter {
     /// The BGP speaker.
     pub bgp: BgpInstance,
     /// The IGP instance.
-    pub igp: IgpRunner,
+    pub(crate) igp: IgpRunner,
 }
 
 impl SimRouter {
     /// Builds a router from its configuration.
-    pub fn new(cfg: &RouterConfig) -> Self {
+    pub(crate) fn new(cfg: &RouterConfig) -> Self {
         let me = cfg.bgp.router;
         SimRouter {
             bgp: BgpInstance::new(cfg.bgp.clone()),

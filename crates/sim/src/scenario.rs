@@ -142,11 +142,11 @@ pub fn two_as_scenario(
     use cpvr_topo::TopologyBuilder;
     let as_a = AsNum(65000);
     let as_b = AsNum(65001);
-    let mut b = TopologyBuilder::new(as_a);
-    let r1 = b.router_in_as("R1", as_a);
-    let r2 = b.router_in_as("R2", as_a);
-    let r3 = b.router_in_as("R3", as_b);
-    let r4 = b.router_in_as("R4", as_b);
+    let mut b = TopologyBuilder::new();
+    let r1 = b.router("R1");
+    let r2 = b.router("R2");
+    let r3 = b.router("R3");
+    let r4 = b.router("R4");
     b.link(r1, r2, 10);
     b.link(r2, r3, 10);
     b.link(r3, r4, 10);

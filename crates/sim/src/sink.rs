@@ -9,8 +9,7 @@
 //! * an in-process tap feeds an incremental `HbgBuilder` /
 //!   `ConsistencyTracker` directly (what `ControlLoop::run` installs);
 //! * `cpvr-collector`'s `SocketSink` frames the event onto a TCP stream
-//!   toward a remote collector;
-//! * a [`RecordingSink`] accumulates events for tests.
+//!   toward a remote collector.
 //!
 //! Closures keep working: any `FnMut(&IoEvent)` is an `EventSink` via
 //! the blanket impl, so `sim.set_event_sink(Box::new(|e| ...))` stays
@@ -36,26 +35,6 @@ pub trait EventSink {
 impl<F: FnMut(&IoEvent)> EventSink for F {
     fn on_event(&mut self, e: &IoEvent) {
         self(e)
-    }
-}
-
-/// A sink that clones every event into a vector — the test recorder.
-#[derive(Debug, Default)]
-pub struct RecordingSink {
-    /// Everything observed, in capture order.
-    pub events: Vec<IoEvent>,
-}
-
-impl RecordingSink {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        RecordingSink::default()
-    }
-}
-
-impl EventSink for RecordingSink {
-    fn on_event(&mut self, e: &IoEvent) {
-        self.events.push(e.clone());
     }
 }
 
@@ -104,16 +83,6 @@ mod tests {
             arrived_at: None,
             kind: IoKind::SoftReconfig { desc: "x".into() },
         }
-    }
-
-    #[test]
-    fn recording_sink_keeps_capture_order() {
-        let mut s = RecordingSink::new();
-        s.on_event(&ev(0, 0));
-        s.on_event(&ev(1, 1));
-        assert_eq!(s.events.len(), 2);
-        assert_eq!(s.events[0].id, EventId(0));
-        assert_eq!(s.events[1].router, RouterId(1));
     }
 
     #[test]

@@ -300,19 +300,6 @@ impl Enc<'_> {
     }
 }
 
-/// Appends `varint seq` + the binary body of `event` to `out`
-/// (untraced). Equivalent to [`encode_event_traced`] with no context;
-/// the bytes are identical, so callers that never trace pay nothing.
-pub fn encode_event(
-    seq: u64,
-    event: &IoEvent,
-    interns: &mut Interns,
-    defs: &mut Vec<InternDef>,
-    out: &mut Vec<u8>,
-) {
-    encode_event_traced(seq, event, None, interns, defs, out);
-}
-
 /// Appends `varint seq` + the binary body of `event` to `out`, with
 /// an optional causal-trace trailer (flags bit1 + 12 bytes at the end
 /// of the body).
@@ -774,7 +761,7 @@ mod tests {
         let mut defs = Vec::new();
         for (i, event) in sample_events().iter().enumerate() {
             let mut body = Vec::new();
-            encode_event(i as u64, event, &mut interns, &mut defs, &mut body);
+            encode_event_traced(i as u64, event, None, &mut interns, &mut defs, &mut body);
             let store = store_from(&defs);
             let (seq, back) = decode_event(&body, &store).expect("decode");
             assert_eq!(seq, i as u64);
@@ -783,7 +770,7 @@ mod tests {
             // fresh definitions.
             let before = defs.len();
             let mut body2 = Vec::new();
-            encode_event(i as u64, event, &mut interns, &mut defs, &mut body2);
+            encode_event_traced(i as u64, event, None, &mut interns, &mut defs, &mut body2);
             assert_eq!(defs.len(), before);
             assert_eq!(body2, body, "re-encode is deterministic");
         }
@@ -795,11 +782,11 @@ mod tests {
         let mut defs = Vec::new();
         let e = &sample_events()[6]; // FibInstall: one prefix symbol
         let mut body = Vec::new();
-        encode_event(0, e, &mut interns, &mut defs, &mut body);
+        encode_event_traced(0, e, None, &mut interns, &mut defs, &mut body);
         let n = defs.len();
         assert!(n >= 1);
         let mut body2 = Vec::new();
-        encode_event(1, e, &mut interns, &mut defs, &mut body2);
+        encode_event_traced(1, e, None, &mut interns, &mut defs, &mut body2);
         assert_eq!(defs.len(), n, "no fresh definitions on reuse");
     }
 
@@ -808,7 +795,14 @@ mod tests {
         let mut interns = Interns::new();
         let mut defs = Vec::new();
         let mut body = Vec::new();
-        encode_event(0, &sample_events()[7], &mut interns, &mut defs, &mut body);
+        encode_event_traced(
+            0,
+            &sample_events()[7],
+            None,
+            &mut interns,
+            &mut defs,
+            &mut body,
+        );
         // Decoding without the definitions must fail cleanly.
         let empty = InternStore::new();
         match decode_event(&body, &empty) {
@@ -822,7 +816,14 @@ mod tests {
         let mut interns = Interns::new();
         let mut defs = Vec::new();
         let mut body = Vec::new();
-        encode_event(7, &sample_events()[2], &mut interns, &mut defs, &mut body);
+        encode_event_traced(
+            7,
+            &sample_events()[2],
+            None,
+            &mut interns,
+            &mut defs,
+            &mut body,
+        );
         let store = store_from(&defs);
         for cut in 0..body.len() {
             assert!(
@@ -858,7 +859,7 @@ mod tests {
         let mut interns = Interns::new();
         let mut defs = Vec::new();
         let mut body = Vec::new();
-        encode_event(9, &e, &mut interns, &mut defs, &mut body);
+        encode_event_traced(9, &e, None, &mut interns, &mut defs, &mut body);
         let store = store_from(&defs);
         let (seq, back) = decode_event(&body, &store).expect("decode");
         assert_eq!(seq, 9);
@@ -891,7 +892,7 @@ mod tests {
             // Untraced encoding is byte-identical across both entry
             // points (old WALs / old peers keep decoding).
             let mut plain = Vec::new();
-            encode_event(i as u64, event, &mut interns, &mut defs, &mut plain);
+            encode_event_traced(i as u64, event, None, &mut interns, &mut defs, &mut plain);
             let mut plain2 = Vec::new();
             encode_event_traced(i as u64, event, None, &mut interns, &mut defs, &mut plain2);
             assert_eq!(plain, plain2);
@@ -916,7 +917,7 @@ mod tests {
         }
         // An unknown flag bit is a malformed frame, not a guess.
         let mut plain = Vec::new();
-        encode_event(3, e, &mut interns, &mut defs, &mut plain);
+        encode_event_traced(3, e, None, &mut interns, &mut defs, &mut plain);
         // flags byte sits after varint seq·id·router·time; find it by
         // re-encoding with bit1 set and diffing.
         let mut diff = None;

@@ -53,7 +53,7 @@ pub fn random_topology(
 ) -> (Topology, Vec<ExtPeerId>) {
     assert!(n >= 2);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = TopologyBuilder::new(AsNum(65000));
+    let mut b = TopologyBuilder::new();
     let ids: Vec<RouterId> = (0..n).map(|i| b.router(&format!("R{}", i + 1))).collect();
     // Random spanning tree: attach each new node to a random earlier one.
     for i in 1..n {

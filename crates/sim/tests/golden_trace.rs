@@ -195,7 +195,7 @@ fn random_mesh_churn(seed: u64) -> u64 {
 /// (reflected routes keep their originator, so this walks the
 /// originator-keyed records).
 fn route_reflection(seed: u64) -> u64 {
-    let mut b = TopologyBuilder::new(AsNum(65000));
+    let mut b = TopologyBuilder::new();
     let hub = b.router("R1");
     let spokes: Vec<RouterId> = (2..=5).map(|i| b.router(&format!("R{i}"))).collect();
     for s in &spokes {

@@ -6,9 +6,7 @@
 //! care about concrete addresses can query them back from the built
 //! topology; nothing else in the workspace hard-codes them.
 
-use crate::topology::{
-    Attachment, ExtPeerId, ExternalPeer, Iface, Link, LinkId, LinkState, Router, Topology,
-};
+use crate::topology::{ExtPeerId, ExternalPeer, Iface, Link, LinkId, LinkState, Router, Topology};
 use cpvr_types::{AsNum, IfaceId, Ipv4Prefix, RouterId};
 use std::net::Ipv4Addr;
 
@@ -18,7 +16,7 @@ use std::net::Ipv4Addr;
 /// use cpvr_topo::TopologyBuilder;
 /// use cpvr_types::AsNum;
 ///
-/// let mut b = TopologyBuilder::new(AsNum(65000));
+/// let mut b = TopologyBuilder::new();
 /// let r1 = b.router("R1");
 /// let r2 = b.router("R2");
 /// b.link(r1, r2, 10);
@@ -28,18 +26,21 @@ use std::net::Ipv4Addr;
 /// ```
 pub struct TopologyBuilder {
     topo: Topology,
-    default_asn: AsNum,
     next_link_net: u32,
     next_ext_net: u32,
 }
 
+impl Default for TopologyBuilder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl TopologyBuilder {
-    /// Starts a builder; routers default to `default_asn` unless added with
-    /// [`router_in_as`](Self::router_in_as).
-    pub fn new(default_asn: AsNum) -> Self {
+    /// Starts an empty builder.
+    pub fn new() -> Self {
         TopologyBuilder {
             topo: Topology::new(),
-            default_asn,
             next_link_net: u32::from(Ipv4Addr::new(10, 0, 0, 0)),
             next_ext_net: u32::from(Ipv4Addr::new(10, 1, 0, 0)),
         }
@@ -48,39 +49,20 @@ impl TopologyBuilder {
     /// Adds a router in the default AS. Names should be unique; lookups by
     /// name return the first match.
     pub fn router(&mut self, name: &str) -> RouterId {
-        let asn = self.default_asn;
-        self.router_in_as(name, asn)
-    }
-
-    /// Adds a router in a specific AS (for multi-AS topologies).
-    pub fn router_in_as(&mut self, name: &str, asn: AsNum) -> RouterId {
         let id = RouterId(self.topo.num_routers() as u32);
         let loopback = Ipv4Addr::from(u32::from(Ipv4Addr::new(10, 255, 0, 1)) + id.0);
         self.topo.push_router(Router {
-            id,
             name: name.to_string(),
-            asn,
             loopback,
             ifaces: Vec::new(),
         });
         id
     }
 
-    fn add_iface(
-        &mut self,
-        r: RouterId,
-        addr: Ipv4Addr,
-        subnet: Ipv4Prefix,
-        att: Attachment,
-    ) -> IfaceId {
+    fn add_iface(&mut self, r: RouterId, subnet: Ipv4Prefix) -> IfaceId {
         let router = self.topo.router_mut(r);
         let id = IfaceId(router.ifaces.len() as u32);
-        router.ifaces.push(Iface {
-            id,
-            addr,
-            subnet,
-            attachment: att,
-        });
+        router.ifaces.push(Iface { subnet });
         id
     }
 
@@ -95,11 +77,9 @@ impl TopologyBuilder {
         let net = self.next_link_net;
         self.next_link_net += 4;
         let subnet = Ipv4Prefix::from_bits(net, 30);
-        let addr_a = Ipv4Addr::from(net + 1);
-        let addr_b = Ipv4Addr::from(net + 2);
         let id = LinkId(self.topo.num_links() as u32);
-        let ia = self.add_iface(a, addr_a, subnet, Attachment::Link(id));
-        let ib = self.add_iface(b, addr_b, subnet, Attachment::Link(id));
+        let ia = self.add_iface(a, subnet);
+        let ib = self.add_iface(b, subnet);
         self.topo.push_link(Link {
             id,
             a: (a, ia),
@@ -117,15 +97,12 @@ impl TopologyBuilder {
         let net = self.next_ext_net;
         self.next_ext_net += 4;
         let subnet = Ipv4Prefix::from_bits(net, 30);
-        let addr_r = Ipv4Addr::from(net + 1);
-        let addr_p = Ipv4Addr::from(net + 2);
         let id = ExtPeerId(self.topo.num_ext_peers() as u32);
-        let iface = self.add_iface(r, addr_r, subnet, Attachment::External(id));
+        let iface = self.add_iface(r, subnet);
         self.topo.push_ext_peer(ExternalPeer {
             id,
             name: name.to_string(),
             asn,
-            addr: addr_p,
             attach: (r, iface),
             state: LinkState::Up,
         });
@@ -148,7 +125,7 @@ pub mod shapes {
     ///
     /// Returns `(topology, ext_via_r1, ext_via_r2)`.
     pub fn paper_triangle() -> (Topology, ExtPeerId, ExtPeerId) {
-        let mut b = TopologyBuilder::new(AsNum(65000));
+        let mut b = TopologyBuilder::new();
         let r1 = b.router("R1");
         let r2 = b.router("R2");
         let r3 = b.router("R3");
@@ -162,7 +139,7 @@ pub mod shapes {
 
     /// A line of `n` routers: R1 — R2 — … — Rn, unit cost.
     pub fn line(n: usize) -> Topology {
-        let mut b = TopologyBuilder::new(AsNum(65000));
+        let mut b = TopologyBuilder::new();
         let ids: Vec<RouterId> = (0..n).map(|i| b.router(&format!("R{}", i + 1))).collect();
         for w in ids.windows(2) {
             b.link(w[0], w[1], 10);
@@ -177,7 +154,7 @@ pub mod shapes {
     /// Panics if `n < 3`.
     pub fn ring(n: usize) -> Topology {
         assert!(n >= 3, "a ring needs at least 3 routers");
-        let mut b = TopologyBuilder::new(AsNum(65000));
+        let mut b = TopologyBuilder::new();
         let ids: Vec<RouterId> = (0..n).map(|i| b.router(&format!("R{}", i + 1))).collect();
         for w in ids.windows(2) {
             b.link(w[0], w[1], 10);
@@ -194,7 +171,7 @@ pub mod shapes {
     /// Panics if either dimension is zero.
     pub fn grid(rows: usize, cols: usize) -> Topology {
         assert!(rows > 0 && cols > 0);
-        let mut b = TopologyBuilder::new(AsNum(65000));
+        let mut b = TopologyBuilder::new();
         let mut ids = Vec::with_capacity(rows * cols);
         for i in 0..rows * cols {
             ids.push(b.router(&format!("R{}", i + 1)));
@@ -221,7 +198,7 @@ pub mod shapes {
     /// Panics if `n < 2`.
     pub fn two_exit_line(n: usize) -> (Topology, ExtPeerId, ExtPeerId) {
         assert!(n >= 2);
-        let mut b = TopologyBuilder::new(AsNum(65000));
+        let mut b = TopologyBuilder::new();
         let ids: Vec<RouterId> = (0..n).map(|i| b.router(&format!("R{}", i + 1))).collect();
         for w in ids.windows(2) {
             b.link(w[0], w[1], 10);
@@ -240,44 +217,18 @@ mod tests {
     #[test]
     fn loopbacks_are_unique() {
         let t = shapes::line(10);
-        let mut addrs: Vec<Ipv4Addr> = t.routers().iter().map(|r| r.loopback).collect();
+        let mut addrs: Vec<Ipv4Addr> = t.router_ids().map(|r| t.router(r).loopback).collect();
         addrs.sort();
         addrs.dedup();
         assert_eq!(addrs.len(), 10);
     }
 
     #[test]
-    fn link_assigns_endpoint_addrs_in_subnet() {
-        let mut b = TopologyBuilder::new(AsNum(1));
-        let r1 = b.router("R1");
-        let r2 = b.router("R2");
-        let l = b.link(r1, r2, 5);
-        let t = b.build();
-        let link = t.link(l);
-        let ia = t.iface(link.a.0, link.a.1);
-        let ib = t.iface(link.b.0, link.b.1);
-        assert!(link.subnet.contains_addr(ia.addr));
-        assert!(link.subnet.contains_addr(ib.addr));
-        assert_ne!(ia.addr, ib.addr);
-        assert_eq!(link.igp_cost, 5);
-    }
-
-    #[test]
     #[should_panic(expected = "self-links")]
     fn self_link_panics() {
-        let mut b = TopologyBuilder::new(AsNum(1));
+        let mut b = TopologyBuilder::new();
         let r1 = b.router("R1");
         b.link(r1, r1, 1);
-    }
-
-    #[test]
-    fn multi_as_routers() {
-        let mut b = TopologyBuilder::new(AsNum(65000));
-        let _r1 = b.router("R1");
-        let r2 = b.router_in_as("R2", AsNum(65001));
-        let t = b.build();
-        assert_eq!(t.router(r2).asn, AsNum(65001));
-        assert_eq!(t.router(RouterId(0)).asn, AsNum(65000));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! crate uses these as its ground truth oracle in tests, and the verifier
 //! uses them when reasoning about where traffic should flow.
 
-use crate::topology::{LinkId, Topology};
+use crate::topology::Topology;
 use cpvr_types::RouterId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -12,66 +12,31 @@ use std::collections::BinaryHeap;
 /// The result of a single-source shortest-path computation.
 #[derive(Clone, Debug)]
 pub struct ShortestPaths {
-    /// Source router.
-    pub source: RouterId,
-    /// `dist[r]` = cost of the best path from `source` to `r`, or `None`
+    /// `dist[r]` = cost of the best path from the source to `r`, or `None`
     /// if unreachable.
     pub dist: Vec<Option<u32>>,
-    /// `first_hop[r]` = (neighbor, link) of the first hop on the best path
-    /// from `source` to `r`. `None` for the source itself and unreachable
-    /// routers. Ties are broken toward the lower router id, matching the
-    /// deterministic tie-break used by the IGP.
-    pub first_hop: Vec<Option<(RouterId, LinkId)>>,
 }
 
-/// Dijkstra over up links with deterministic tie-breaking (lower router id,
-/// then lower link id, wins).
+/// Dijkstra over up links.
 pub fn dijkstra(topo: &Topology, source: RouterId) -> ShortestPaths {
-    let n = topo.num_routers();
-    let mut dist: Vec<Option<u32>> = vec![None; n];
-    let mut first_hop: Vec<Option<(RouterId, LinkId)>> = vec![None; n];
-    // Heap entries: Reverse((cost, router, first_hop_key)) so the smallest
-    // cost pops first; the extra keys make tie-breaking deterministic.
-    let mut heap: BinaryHeap<Reverse<(u32, u32, u32, u32)>> = BinaryHeap::new();
+    let mut dist: Vec<Option<u32>> = vec![None; topo.num_routers()];
+    let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
     dist[source.index()] = Some(0);
-    heap.push(Reverse((0, source.0, u32::MAX, u32::MAX)));
-    while let Some(Reverse((d, r, fh_r, fh_l))) = heap.pop() {
+    heap.push(Reverse((0, source.0)));
+    while let Some(Reverse((d, r))) = heap.pop() {
         let r_id = RouterId(r);
         if dist[r_id.index()] != Some(d) {
             continue; // stale entry
         }
-        // Record first hop when popping a settled node (skip the source).
-        if r_id != source && first_hop[r_id.index()].is_none() && fh_r != u32::MAX {
-            first_hop[r_id.index()] = Some((RouterId(fh_r), LinkId(fh_l)));
-        }
-        let mut neigh = topo.up_neighbors(r_id);
-        neigh.sort();
-        for (nb, link) in neigh {
-            let cost = topo.link(link).igp_cost;
-            let nd = d + cost;
-            let better = match dist[nb.index()] {
-                None => true,
-                Some(old) => nd < old,
-            };
-            if better {
+        for (nb, link) in topo.up_neighbors(r_id) {
+            let nd = d + topo.link(link).igp_cost;
+            if dist[nb.index()].is_none_or(|old| nd < old) {
                 dist[nb.index()] = Some(nd);
-                first_hop[nb.index()] = None;
-                // Propagate the first hop: if we're relaxing from the
-                // source, the neighbor itself is the first hop.
-                let (nfr, nfl) = if r_id == source {
-                    (nb.0, link.0)
-                } else {
-                    (fh_r, fh_l)
-                };
-                heap.push(Reverse((nd, nb.0, nfr, nfl)));
+                heap.push(Reverse((nd, nb.0)));
             }
         }
     }
-    ShortestPaths {
-        source,
-        dist,
-        first_hop,
-    }
+    ShortestPaths { dist }
 }
 
 /// True if every router can reach every other router over up links.
@@ -88,15 +53,12 @@ mod tests {
     use super::*;
     use crate::builder::{shapes, TopologyBuilder};
     use crate::topology::LinkState;
-    use cpvr_types::AsNum;
 
     #[test]
     fn line_distances() {
         let t = shapes::line(4);
         let sp = dijkstra(&t, RouterId(0));
         assert_eq!(sp.dist, vec![Some(0), Some(10), Some(20), Some(30)]);
-        assert_eq!(sp.first_hop[3].unwrap().0, RouterId(1));
-        assert_eq!(sp.first_hop[0], None);
     }
 
     #[test]
@@ -105,16 +67,13 @@ mod tests {
         let sp = dijkstra(&t, RouterId(0));
         // R5 (index 4) is adjacent via the closing link.
         assert_eq!(sp.dist[4], Some(10));
-        assert_eq!(sp.first_hop[4].unwrap().0, RouterId(4));
-        // R3 (index 2) is two hops either way; tie-break picks lower id
-        // neighbor first (R2 side).
+        // R3 (index 2) is two hops either way.
         assert_eq!(sp.dist[2], Some(20));
-        assert_eq!(sp.first_hop[2].unwrap().0, RouterId(1));
     }
 
     #[test]
     fn respects_costs() {
-        let mut b = TopologyBuilder::new(AsNum(1));
+        let mut b = TopologyBuilder::new();
         let r1 = b.router("R1");
         let r2 = b.router("R2");
         let r3 = b.router("R3");
@@ -124,7 +83,6 @@ mod tests {
         let t = b.build();
         let sp = dijkstra(&t, r1);
         assert_eq!(sp.dist[r2.index()], Some(20));
-        assert_eq!(sp.first_hop[r2.index()].unwrap().0, r3);
     }
 
     #[test]
@@ -135,7 +93,6 @@ mod tests {
         let sp = dijkstra(&t, RouterId(0));
         // Must now go the long way to R2 (index 1): 0→3→2→1 = 30.
         assert_eq!(sp.dist[1], Some(30));
-        assert_eq!(sp.first_hop[1].unwrap().0, RouterId(3));
     }
 
     #[test]
@@ -147,7 +104,6 @@ mod tests {
         assert!(!is_connected(&t));
         let sp = dijkstra(&t, RouterId(0));
         assert_eq!(sp.dist[2], None);
-        assert_eq!(sp.first_hop[2], None);
     }
 
     #[test]

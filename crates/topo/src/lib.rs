@@ -16,7 +16,7 @@
 
 pub mod builder;
 pub mod graph;
-pub mod topology;
+pub(crate) mod topology;
 
 pub use builder::TopologyBuilder;
-pub use topology::{ExtPeerId, ExternalPeer, Iface, Link, LinkId, LinkState, Router, Topology};
+pub use topology::{ExtPeerId, LinkId, LinkState, Topology};

@@ -10,7 +10,7 @@ pub struct LinkId(pub u32);
 
 impl LinkId {
     /// Returns the id as a `usize`, for indexing per-link tables.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -33,7 +33,7 @@ pub struct ExtPeerId(pub u32);
 
 impl ExtPeerId {
     /// Returns the id as a `usize`, for indexing per-peer tables.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -70,12 +70,8 @@ impl LinkState {
 /// A router in the administrative domain.
 #[derive(Clone, Debug)]
 pub struct Router {
-    /// The router's id.
-    pub id: RouterId,
     /// Human-readable name (e.g. `"R1"`).
     pub name: String,
-    /// The autonomous system the router belongs to.
-    pub asn: AsNum,
     /// A stable loopback address used as router-id / iBGP peering address.
     pub loopback: Ipv4Addr,
     /// Interfaces, indexed by [`IfaceId`].
@@ -85,23 +81,8 @@ pub struct Router {
 /// One router interface.
 #[derive(Clone, Debug)]
 pub struct Iface {
-    /// The interface id, local to its router.
-    pub id: IfaceId,
-    /// The interface address.
-    pub addr: Ipv4Addr,
     /// The connected subnet.
     pub subnet: Ipv4Prefix,
-    /// Attachment: an internal link or an external peer.
-    pub attachment: Attachment,
-}
-
-/// What an interface connects to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Attachment {
-    /// Connected to another router in the domain via a link.
-    Link(LinkId),
-    /// Connected to an external peer.
-    External(ExtPeerId),
 }
 
 /// A point-to-point link between two in-domain routers.
@@ -146,11 +127,9 @@ pub struct ExternalPeer {
     /// The peer id.
     pub id: ExtPeerId,
     /// Human-readable name (e.g. `"ProviderA"`).
-    pub name: String,
+    pub(crate) name: String,
     /// The peer's AS.
     pub asn: AsNum,
-    /// The peer's address on the shared subnet.
-    pub addr: Ipv4Addr,
     /// The in-domain router and interface it attaches to.
     pub attach: (RouterId, IfaceId),
     /// Current state of the attachment ("uplink up/down").
@@ -168,7 +147,7 @@ pub struct Topology {
 impl Topology {
     /// Creates an empty topology; normally built via
     /// [`TopologyBuilder`](crate::TopologyBuilder).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Topology::default()
     }
 
@@ -185,11 +164,6 @@ impl Topology {
     /// Number of external peers.
     pub fn num_ext_peers(&self) -> usize {
         self.ext_peers.len()
-    }
-
-    /// All routers, in id order.
-    pub fn routers(&self) -> &[Router] {
-        &self.routers
     }
 
     /// All router ids, in order.
@@ -216,11 +190,6 @@ impl Topology {
         &self.routers[id.index()]
     }
 
-    /// Looks up a router by name.
-    pub fn router_by_name(&self, name: &str) -> Option<&Router> {
-        self.routers.iter().find(|r| r.name == name)
-    }
-
     /// Looks up a link.
     ///
     /// # Panics
@@ -244,15 +213,6 @@ impl Topology {
         self.ext_peers.iter().find(|p| p.name == name)
     }
 
-    /// An interface of a router.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range.
-    pub fn iface(&self, r: RouterId, i: IfaceId) -> &Iface {
-        &self.routers[r.index()].ifaces[i.index()]
-    }
-
     /// The in-domain neighbors of `r` reachable over *up* links, with the
     /// link used, in link-id order.
     pub fn up_neighbors(&self, r: RouterId) -> Vec<(RouterId, LinkId)> {
@@ -261,20 +221,6 @@ impl Topology {
             .filter(|l| l.state.is_up() && (l.a.0 == r || l.b.0 == r))
             .map(|l| (l.other_end(r).0, l.id))
             .collect()
-    }
-
-    /// All in-domain neighbors of `r` regardless of link state.
-    pub fn neighbors(&self, r: RouterId) -> Vec<(RouterId, LinkId)> {
-        self.links
-            .iter()
-            .filter(|l| l.a.0 == r || l.b.0 == r)
-            .map(|l| (l.other_end(r).0, l.id))
-            .collect()
-    }
-
-    /// External peers attached to `r`, in peer-id order.
-    pub fn ext_peers_of(&self, r: RouterId) -> Vec<&ExternalPeer> {
-        self.ext_peers.iter().filter(|p| p.attach.0 == r).collect()
     }
 
     /// Finds the link between two routers, if one exists (first by id).
@@ -305,7 +251,6 @@ impl Topology {
     // -- construction (used by the builder) ------------------------------
 
     pub(crate) fn push_router(&mut self, r: Router) {
-        debug_assert_eq!(r.id.index(), self.routers.len());
         self.routers.push(r);
     }
 
@@ -330,7 +275,7 @@ mod tests {
     use crate::builder::TopologyBuilder;
 
     fn triangle() -> Topology {
-        let mut b = TopologyBuilder::new(AsNum(65000));
+        let mut b = TopologyBuilder::new();
         let r1 = b.router("R1");
         let r2 = b.router("R2");
         let r3 = b.router("R3");
@@ -353,8 +298,6 @@ mod tests {
     #[test]
     fn lookup_by_name() {
         let t = triangle();
-        assert_eq!(t.router_by_name("R2").unwrap().id, RouterId(1));
-        assert!(t.router_by_name("R9").is_none());
         assert_eq!(t.ext_peer_by_name("ExtB").unwrap().asn, AsNum(200));
     }
 
@@ -367,18 +310,14 @@ mod tests {
         t.set_link_state(l, LinkState::Down);
         let up: Vec<RouterId> = t.up_neighbors(r1).into_iter().map(|(r, _)| r).collect();
         assert_eq!(up, vec![RouterId(2)]);
-        assert_eq!(t.neighbors(r1).len(), 2, "all-neighbors ignores state");
     }
 
     #[test]
-    fn link_other_end_and_iface() {
+    fn link_other_end() {
         let t = triangle();
         let l = t.link_between(RouterId(0), RouterId(1)).unwrap();
         assert_eq!(l.other_end(RouterId(0)).0, RouterId(1));
         assert_eq!(l.other_end(RouterId(1)).0, RouterId(0));
-        // Router 0's interface on the link, as its far end sees it.
-        let (_, i) = l.other_end(RouterId(1));
-        assert_eq!(t.iface(RouterId(0), i).attachment, Attachment::Link(l.id));
     }
 
     #[test]
@@ -387,15 +326,6 @@ mod tests {
         let t = triangle();
         let l = t.link_between(RouterId(0), RouterId(1)).unwrap();
         l.other_end(RouterId(2));
-    }
-
-    #[test]
-    fn ext_peer_attachment() {
-        let t = triangle();
-        let peers = t.ext_peers_of(RouterId(0));
-        assert_eq!(peers.len(), 1);
-        assert_eq!(peers[0].name, "ExtA");
-        assert!(t.ext_peers_of(RouterId(2)).is_empty());
     }
 
     #[test]
@@ -414,7 +344,7 @@ mod tests {
         subnets.extend(
             t.ext_peers()
                 .iter()
-                .map(|p| t.iface(p.attach.0, p.attach.1).subnet),
+                .map(|p| t.router(p.attach.0).ifaces[p.attach.1.index()].subnet),
         );
         for i in 0..subnets.len() {
             for j in (i + 1)..subnets.len() {

@@ -13,9 +13,6 @@
 
 use std::fmt;
 
-/// Maximum encoded size of a `u64` varint (⌈64 / 7⌉ bytes).
-pub const MAX_LEN: usize = 10;
-
 /// Why a binary field failed to read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BinError {
@@ -215,7 +212,8 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
-            assert!(buf.len() <= MAX_LEN);
+            // A `u64` varint is at most ⌈64 / 7⌉ bytes.
+            assert!(buf.len() <= 10);
             let mut r = Reader::new(&buf);
             assert_eq!(r.varint(), Ok(v), "value {v}");
             assert_eq!(

@@ -17,7 +17,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Streaming FNV-1a 64-bit hasher.
 #[derive(Clone, Copy, Debug)]
@@ -37,7 +37,7 @@ impl Fnv1a64 {
 
     /// A hasher seeded from a previous digest — the primitive behind
     /// [`chain`].
-    pub fn with_seed(seed: u64) -> Self {
+    pub(crate) fn with_seed(seed: u64) -> Self {
         Fnv1a64(seed)
     }
 

@@ -5,7 +5,7 @@
 //! ([`InternTable::intern`]) assigns symbols first-come-first-served and
 //! reports when a symbol is fresh so the caller can emit an explicit
 //! definition frame before the first use. The decoder side
-//! ([`InternTable::define`] / [`InternTable::resolve`]) replays those
+//! (`InternTable::define` / [`InternTable::resolve`]) replays those
 //! definitions; because definitions always precede use on the wire *and*
 //! in the WAL journal, replaying a journal in order rebuilds exactly the
 //! table the live collector had.
@@ -13,7 +13,7 @@
 //! Symbols are scoped per source router and per *space* (strings vs
 //! prefixes), so two routers, or a prefix and a description, can never
 //! collide. A reconnecting client restarts its numbering from zero and
-//! re-sends definitions; [`InternTable::define`] therefore accepts
+//! re-sends definitions; `InternTable::define` therefore accepts
 //! redefinition of an existing symbol.
 
 use std::collections::HashMap;
@@ -32,21 +32,6 @@ pub struct InternTable {
 }
 
 impl InternTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of defined symbols.
-    pub fn len(&self) -> usize {
-        self.syms.len()
-    }
-
-    /// True if no symbol has been defined yet.
-    pub fn is_empty(&self) -> bool {
-        self.syms.is_empty()
-    }
-
     /// Encoder side: returns the symbol for `bytes`, assigning the next
     /// free one on first use. The second component is `true` when the
     /// symbol is fresh and a definition must be emitted before use.
@@ -65,7 +50,7 @@ impl InternTable {
     /// (a reconnecting encoder restarts numbering from zero). Returns
     /// `false` — and changes nothing — for a symbol from the future,
     /// which indicates a damaged or misordered stream.
-    pub fn define(&mut self, sym: u32, bytes: &[u8]) -> bool {
+    pub(crate) fn define(&mut self, sym: u32, bytes: &[u8]) -> bool {
         let i = sym as usize;
         if i < self.syms.len() {
             if self.syms[i] != bytes {
@@ -93,9 +78,9 @@ impl InternTable {
 #[derive(Debug, Default, Clone)]
 pub struct Interns {
     /// UTF-8 string symbols ([`SPACE_STRING`]).
-    pub strings: InternTable,
+    pub(crate) strings: InternTable,
     /// Prefix symbols ([`SPACE_PREFIX`]).
-    pub prefixes: InternTable,
+    pub(crate) prefixes: InternTable,
 }
 
 impl Interns {
@@ -158,11 +143,11 @@ mod tests {
 
     #[test]
     fn intern_assigns_dense_symbols_once() {
-        let mut t = InternTable::new();
+        let mut t = InternTable::default();
         assert_eq!(t.intern(b"alpha"), (0, true));
         assert_eq!(t.intern(b"beta"), (1, true));
         assert_eq!(t.intern(b"alpha"), (0, false));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.syms.len(), 2);
         assert_eq!(t.resolve(0), Some(&b"alpha"[..]));
         assert_eq!(t.resolve(1), Some(&b"beta"[..]));
         assert_eq!(t.resolve(2), None);
@@ -170,11 +155,11 @@ mod tests {
 
     #[test]
     fn define_replays_in_order_and_rejects_gaps() {
-        let mut t = InternTable::new();
+        let mut t = InternTable::default();
         assert!(t.define(0, b"alpha"));
         assert!(t.define(1, b"beta"));
         assert!(!t.define(5, b"gap"), "symbol from the future");
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.syms.len(), 2);
         assert_eq!(t.resolve(1), Some(&b"beta"[..]));
     }
 
@@ -182,7 +167,7 @@ mod tests {
     fn redefinition_rebinds_a_symbol() {
         // A reconnecting encoder restarts numbering: sym 0 now means a
         // different string, and the old binding must be gone.
-        let mut t = InternTable::new();
+        let mut t = InternTable::default();
         assert!(t.define(0, b"old"));
         assert!(t.define(0, b"new"));
         assert_eq!(t.resolve(0), Some(&b"new"[..]));
@@ -192,7 +177,7 @@ mod tests {
         assert_eq!(t.intern(b"new"), (0, false));
         // Idempotent redefinition is a no-op.
         assert!(t.define(0, b"new"));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.syms.len(), 2);
     }
 
     #[test]

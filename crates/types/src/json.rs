@@ -692,10 +692,10 @@ macro_rules! impl_json_enum {
 /// level, and frames arrive off the network on threads with the default
 /// stack, so a document of nothing but `[` must be an error, not a stack
 /// overflow. The deepest document this workspace writes is far shallower.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// Parses a JSON document, rejecting trailing garbage and nesting
-/// deeper than [`MAX_DEPTH`].
+/// deeper than `MAX_DEPTH`.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),

@@ -69,7 +69,7 @@ impl Ipv4Prefix {
     }
 
     /// The network address.
-    pub fn network(&self) -> Ipv4Addr {
+    pub(crate) fn network(&self) -> Ipv4Addr {
         Ipv4Addr::from(self.bits)
     }
 

@@ -57,12 +57,12 @@ impl SimTime {
     }
 
     /// The time as fractional milliseconds (for reporting).
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// The time as fractional seconds (for reporting).
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 

@@ -58,11 +58,6 @@ impl<V> PrefixTrie<V> {
         self.map.is_empty()
     }
 
-    /// Removes every entry.
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
     /// Inserts `value` at `prefix`, returning the previous value if any.
     pub fn insert(&mut self, prefix: Ipv4Prefix, value: V) -> Option<V> {
         self.map.insert(prefix, value)
@@ -76,11 +71,6 @@ impl<V> PrefixTrie<V> {
     /// Returns a mutable reference to the value stored exactly at `prefix`.
     pub fn get_mut(&mut self, prefix: &Ipv4Prefix) -> Option<&mut V> {
         self.map.get_mut(prefix)
-    }
-
-    /// True if a value is stored exactly at `prefix`.
-    pub fn contains(&self, prefix: &Ipv4Prefix) -> bool {
-        self.map.contains_key(prefix)
     }
 
     /// Removes and returns the value at `prefix`.

@@ -24,12 +24,12 @@ pub struct DistStats {
     /// Distributed: partial-result messages passed between routers.
     pub dist_messages: usize,
     /// Distributed: total per-router lookups performed.
-    pub dist_total_work: usize,
+    pub(crate) dist_total_work: usize,
     /// Distributed: the busiest router's lookup count (the bottleneck).
     pub dist_max_node_work: usize,
     /// Distributed: modeled wall-clock in link-delay units (longest
     /// dependency chain = deepest trace).
-    pub dist_latency_hops: usize,
+    pub(crate) dist_latency_hops: usize,
     /// Centralized: FIB entries shipped to the verifier (snapshot cost).
     pub central_snapshot_entries: usize,
     /// Centralized: lookups performed at the verifier (all the work in

@@ -15,7 +15,7 @@
 //!    100K prefixes — which makes outcome prediction for early blocking
 //!    feasible.
 
-use cpvr_dataplane::{DataPlane, FibAction, FibUpdate};
+use cpvr_dataplane::{DataPlane, FibUpdate};
 use cpvr_types::{Ipv4Prefix, PrefixTrie, RouterId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -38,7 +38,7 @@ pub struct EquivClass {
 /// policy keyed on known prefixes.
 ///
 /// Implemented by inserting the prefixes into a [`PrefixTrie`] and
-/// walking it ([`equivalence_classes_in`]) — one ordered lookup per
+/// walking it (`equivalence_classes_in`) — one ordered lookup per
 /// class boundary, O(n log n) for n prefixes, replacing the all-pairs
 /// `covers()` scan this crate started with.
 pub fn equivalence_classes_of(prefixes: &[Ipv4Prefix]) -> Vec<EquivClass> {
@@ -50,7 +50,7 @@ pub fn equivalence_classes_of(prefixes: &[Ipv4Prefix]) -> Vec<EquivClass> {
 /// stored prefix owns one class for the space its maximal stored
 /// descendants leave uncovered. Stored order is prefix order, so the
 /// output matches [`equivalence_classes_of`] on the same prefix set.
-pub fn equivalence_classes_in<V>(trie: &PrefixTrie<V>) -> Vec<EquivClass> {
+pub(crate) fn equivalence_classes_in<V>(trie: &PrefixTrie<V>) -> Vec<EquivClass> {
     trie.prefixes().filter_map(|p| class_of(trie, p)).collect()
 }
 
@@ -58,7 +58,7 @@ pub fn equivalence_classes_in<V>(trie: &PrefixTrie<V>) -> Vec<EquivClass> {
 /// `None` when its maximal stored descendants cover it entirely.
 /// `prefix` itself need not be stored — a policy scope gets its class
 /// the same way.
-pub fn class_of<V>(trie: &PrefixTrie<V>, prefix: Ipv4Prefix) -> Option<EquivClass> {
+pub(crate) fn class_of<V>(trie: &PrefixTrie<V>, prefix: Ipv4Prefix) -> Option<EquivClass> {
     // children_of yields maximal descendants: pairwise disjoint ranges
     // in ascending order, exactly what the cursor sweep needs — and the
     // sweep stops asking at the first gap.
@@ -98,11 +98,6 @@ fn uncovered_address(p: Ipv4Prefix, ranges: impl Iterator<Item = (u32, u32)>) ->
     }
 }
 
-/// The network-wide behavior vector of one prefix: what each router's FIB
-/// does with its representative traffic. `None` = no entry on that
-/// router.
-pub type BehaviorVector = Vec<Option<FibAction>>;
-
 /// Groups every installed prefix by its behavior vector. The map's size
 /// is the number of behavioral classes.
 pub fn behavior_classes(dp: &DataPlane) -> BTreeMap<Vec<String>, Vec<Ipv4Prefix>> {
@@ -135,7 +130,7 @@ fn behavior_vector(dp: &DataPlane, prefix: Ipv4Prefix) -> Vec<String> {
 /// region; the next [`BehaviorCache::classes`] call recomputes vectors
 /// only inside dirty regions and reuses everything else.
 #[derive(Clone, Debug, Default)]
-pub struct BehaviorCache {
+pub(crate) struct BehaviorCache {
     /// Cached behavior vector per installed prefix.
     vectors: BTreeMap<Ipv4Prefix, Vec<String>>,
     /// Address regions touched by updates since the last refresh.
@@ -147,29 +142,29 @@ pub struct BehaviorCache {
 impl BehaviorCache {
     /// An empty, unprimed cache; the first [`classes`](Self::classes)
     /// call computes everything.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Marks the address region touched by `update` dirty.
-    pub fn invalidate(&mut self, update: &FibUpdate) {
+    pub(crate) fn invalidate(&mut self, update: &FibUpdate) {
         self.invalidate_region(update.prefix);
     }
 
     /// Marks every cached prefix overlapping `region` for recomputation.
-    pub fn invalidate_region(&mut self, region: Ipv4Prefix) {
+    pub(crate) fn invalidate_region(&mut self, region: Ipv4Prefix) {
         self.dirty.insert(region);
     }
 
     /// Drops everything; the next refresh recomputes from scratch.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.vectors.clear();
         self.dirty.clear();
         self.primed = false;
     }
 
     /// The current behavior classes, refreshing only dirty regions.
-    pub fn classes(&mut self, dp: &DataPlane) -> BTreeMap<Vec<String>, Vec<Ipv4Prefix>> {
+    pub(crate) fn classes(&mut self, dp: &DataPlane) -> BTreeMap<Vec<String>, Vec<Ipv4Prefix>> {
         self.refresh(dp);
         let mut out: BTreeMap<Vec<String>, Vec<Ipv4Prefix>> = BTreeMap::new();
         for (prefix, vector) in &self.vectors {
@@ -209,7 +204,7 @@ impl BehaviorCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpvr_dataplane::FibEntry;
+    use cpvr_dataplane::{FibAction, FibEntry};
     use cpvr_topo::LinkId;
     use cpvr_types::SimTime;
 

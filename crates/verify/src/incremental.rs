@@ -31,23 +31,6 @@ use cpvr_topo::Topology;
 use cpvr_types::{Ipv4Prefix, PrefixTrie};
 use std::collections::BTreeMap;
 
-/// Counters describing how much work the incremental engine did and how
-/// much it avoided.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IncrementalStats {
-    /// FIB updates applied via [`IncrementalVerifier::apply`].
-    pub updates_applied: usize,
-    /// Per-policy classes re-traced because they overlap an update.
-    pub classes_recomputed: usize,
-    /// Per-policy classes whose cached verdict was reused.
-    pub classes_reused: usize,
-    /// Forwarding traces executed (initial build + deltas).
-    pub traces_run: usize,
-    /// [`IncrementalVerifier::gate`] calls that found a violation and
-    /// rolled the update back.
-    pub gate_rollbacks: usize,
-}
-
 /// The cached outcome of checking one policy against one class.
 #[derive(Clone, Debug)]
 struct ClassResult {
@@ -71,7 +54,6 @@ pub struct IncrementalVerifier {
     /// sorts before every owner it covers.
     verdicts: BTreeMap<(usize, Ipv4Prefix), ClassResult>,
     behavior: BehaviorCache,
-    stats: IncrementalStats,
 }
 
 impl IncrementalVerifier {
@@ -85,7 +67,6 @@ impl IncrementalVerifier {
             installed: PrefixTrie::new(),
             verdicts: BTreeMap::new(),
             behavior: BehaviorCache::new(),
-            stats: IncrementalStats::default(),
         };
         v.rebuild();
         v
@@ -94,7 +75,7 @@ impl IncrementalVerifier {
     /// Recomputes everything from the current mirror: the union trie,
     /// every class, every verdict. Used at construction and after
     /// topology changes.
-    pub fn rebuild(&mut self) {
+    pub(crate) fn rebuild(&mut self) {
         self.installed = self.dp.prefix_union();
         self.behavior.clear();
         let mut jobs: Vec<(usize, EquivClass)> = Vec::new();
@@ -106,8 +87,6 @@ impl IncrementalVerifier {
         let results = run_class_checks(&self.topo, &self.dp, &self.policies, &jobs);
         self.verdicts.clear();
         for ((idx, ec), (violations, traces)) in jobs.into_iter().zip(results) {
-            self.stats.classes_recomputed += 1;
-            self.stats.traces_run += traces;
             self.verdicts.insert(
                 (idx, ec.prefix),
                 ClassResult {
@@ -125,7 +104,6 @@ impl IncrementalVerifier {
     /// [`verify_incremental`](crate::verify_incremental) on the post-update
     /// data plane with `changed = [update.prefix]`.
     pub fn apply(&mut self, update: &FibUpdate) -> VerifyReport {
-        self.stats.updates_applied += 1;
         let prev = self.dp.fib(update.router).get(&update.prefix).copied();
         self.dp.fib_mut(update.router).apply(update);
         self.behavior.invalidate(update);
@@ -159,7 +137,6 @@ impl IncrementalVerifier {
         }
 
         let mut jobs: Vec<(usize, EquivClass)> = Vec::new();
-        let mut reused = 0usize;
         let mut fresh: BTreeMap<(usize, Ipv4Prefix), ClassResult> = BTreeMap::new();
         for (idx, policy) in self.policies.iter().enumerate() {
             let scope = policy.prefix();
@@ -171,7 +148,6 @@ impl IncrementalVerifier {
                     .range((idx, Ipv4Prefix::DEFAULT)..=(idx, Ipv4Prefix::from_bits(u32::MAX, 32)));
                 for (k, v) in kept {
                     fresh.insert(*k, v.clone());
-                    reused += 1;
                 }
                 continue;
             }
@@ -190,7 +166,6 @@ impl IncrementalVerifier {
                         .expect("disjoint class must already have a verdict");
                     debug_assert_eq!(old.ec, ec, "disjoint class changed shape");
                     fresh.insert((idx, ec.prefix), old.clone());
-                    reused += 1;
                 }
             }
         }
@@ -211,9 +186,6 @@ impl IncrementalVerifier {
                 },
             );
         }
-        self.stats.classes_recomputed += report.ecs_checked;
-        self.stats.classes_reused += reused;
-        self.stats.traces_run += report.traces_run;
         self.verdicts = fresh;
         report
     }
@@ -252,7 +224,6 @@ impl IncrementalVerifier {
             // Removing a missing entry changed nothing; no inverse.
             None => {}
         }
-        self.stats.gate_rollbacks += 1;
         Err(report)
     }
 
@@ -275,14 +246,6 @@ impl IncrementalVerifier {
         self.verdicts.values().all(|r| r.violations.is_empty())
     }
 
-    /// The current `(policy index, class)` pairs in check order.
-    pub fn classes(&self) -> Vec<(usize, EquivClass)> {
-        self.verdicts
-            .iter()
-            .map(|((idx, _), r)| (*idx, r.ec.clone()))
-            .collect()
-    }
-
     /// The §6 behavior classes of the mirrored data plane, served from a
     /// cache invalidated only in regions touched by applied updates.
     pub fn behavior_classes(&mut self) -> BTreeMap<Vec<String>, Vec<Ipv4Prefix>> {
@@ -293,22 +256,13 @@ impl IncrementalVerifier {
     pub fn dataplane(&self) -> &DataPlane {
         &self.dp
     }
-
-    /// The policies being enforced.
-    pub fn policies(&self) -> &[Policy] {
-        &self.policies
-    }
-
-    /// Work counters since construction.
-    pub fn stats(&self) -> IncrementalStats {
-        self.stats
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{behavior_classes, verify, verify_incremental};
+    use crate::ec::behavior_classes;
+    use crate::{verify, verify_incremental};
     use cpvr_dataplane::{FibAction, FibEntry};
     use cpvr_topo::builder::shapes;
     use cpvr_types::{RouterId, SimTime};
@@ -391,7 +345,6 @@ mod tests {
     fn disjoint_update_reuses_everything() {
         let (topo, dp, policies) = setup();
         let mut iv = IncrementalVerifier::new(topo.clone(), dp, policies.clone());
-        let before = iv.stats();
         let u = FibUpdate {
             router: RouterId(0),
             prefix: p("99.0.0.0/8"),
@@ -401,8 +354,6 @@ mod tests {
         };
         let delta = iv.apply(&u);
         assert_eq!(delta.traces_run, 0, "no policy class overlaps 99/8");
-        assert_eq!(iv.stats().traces_run, before.traces_run);
-        assert!(iv.stats().classes_reused > before.classes_reused);
         assert_batch_equivalent(&iv, &topo, &policies);
     }
 

@@ -10,18 +10,18 @@
 //!   *behavioral* classes (prefixes treated identically network-wide),
 //!   the §6 notion under which 100K-prefix networks collapse to <15
 //!   classes.
-//! * [`policy`] — the policy language: reachability, loop freedom,
+//! * `policy` — the policy language: reachability, loop freedom,
 //!   blackhole freedom, waypointing, and the paper's running example
 //!   ("exit via R2 while its uplink is up, else R1") as
 //!   [`Policy::PreferredExit`].
-//! * [`verifier`] — the batch checker, kept as the oracle: full
+//! * `verifier` — the batch checker, kept as the oracle: full
 //!   ([`verify`]) and delta-scoped ([`verify_incremental`]) verification
 //!   over a [`DataPlane`](cpvr_dataplane::DataPlane) snapshot.
-//! * [`incremental`] — the production engine: [`IncrementalVerifier`]
+//! * `incremental` — the production engine: [`IncrementalVerifier`]
 //!   keeps the equivalence classes and per-class verdicts live across a
 //!   stream of FIB updates, re-checking only classes whose address space
 //!   intersects each update.
-//! * [`replay`] — replay-validated repair gating: [`ReplayGate`]
+//! * `replay` — replay-validated repair gating: [`ReplayGate`]
 //!   re-executes a repair proof's deterministic transcript against a
 //!   shadow clone of the resident verifier and returns
 //!   REPRODUCED/DIVERGED/ERROR; the blocking verdicts roll back the
@@ -48,17 +48,13 @@
 
 pub mod distributed;
 pub mod ec;
-pub mod incremental;
-pub mod policy;
-pub mod replay;
-pub mod verifier;
+pub(crate) mod incremental;
+pub(crate) mod policy;
+pub(crate) mod replay;
+pub(crate) mod verifier;
 
-pub use distributed::{distributed_verify, DistStats};
-pub use ec::{
-    behavior_classes, class_of, equivalence_classes, equivalence_classes_in, BehaviorCache,
-    EquivClass,
-};
-pub use incremental::{IncrementalStats, IncrementalVerifier};
-pub use policy::{Policy, Violation};
+pub use ec::equivalence_classes;
+pub use incremental::IncrementalVerifier;
+pub use policy::Policy;
 pub use replay::{violation_sigs, ReplayGate, ReplayTranscript, ReplayVerdict, ViolationSig};
-pub use verifier::{policy_equivalence_classes, verify, verify_incremental, VerifyReport};
+pub use verifier::{verify, verify_incremental, VerifyReport};

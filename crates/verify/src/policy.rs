@@ -99,15 +99,15 @@ impl fmt::Display for Policy {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
     /// Which policy (index into the checked policy list).
-    pub policy_idx: usize,
+    pub(crate) policy_idx: usize,
     /// The policy itself, for self-contained reports.
     pub policy: Policy,
     /// The ingress router whose traffic violates it.
-    pub ingress: RouterId,
+    pub(crate) ingress: RouterId,
     /// The representative destination that was traced.
-    pub representative: std::net::Ipv4Addr,
+    pub(crate) representative: std::net::Ipv4Addr,
     /// What actually happened.
-    pub observed: String,
+    pub(crate) observed: String,
 }
 
 impl fmt::Display for Violation {

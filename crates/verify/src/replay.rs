@@ -35,7 +35,7 @@ use cpvr_types::{Ipv4Prefix, RouterId};
 use crate::incremental::IncrementalVerifier;
 use crate::policy::Violation;
 
-/// A canonical, serializable signature of one [`Violation`] — enough to
+/// A canonical, serializable signature of one `Violation` — enough to
 /// compare violation *sets* across replay without carrying the full
 /// policy AST in every transcript.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -52,7 +52,7 @@ pub struct ViolationSig {
 
 impl ViolationSig {
     /// The signature of one violation.
-    pub fn of(v: &Violation) -> Self {
+    pub(crate) fn of(v: &Violation) -> Self {
         ViolationSig {
             policy_idx: v.policy_idx,
             ingress: v.ingress,
@@ -77,7 +77,7 @@ pub struct ReplayTranscript {
     /// Violations observed on the live state when the repair was
     /// minted, in canonical order (see [`violation_sigs`]).
     pub base_violations: Vec<ViolationSig>,
-    /// [`ReplayTranscript::state_digest`] over the touched
+    /// `ReplayTranscript::state_digest` over the touched
     /// (router, prefix) pairs at mint time.
     pub base_digest: u64,
     /// FIB deltas that revert the root cause's consequences, in
@@ -93,7 +93,7 @@ pub struct ReplayTranscript {
 impl ReplayTranscript {
     /// Every (router, prefix) pair the transcript touches, sorted and
     /// deduplicated — the footprint the state digest covers.
-    pub fn touched_pairs(&self) -> Vec<(RouterId, Ipv4Prefix)> {
+    pub(crate) fn touched_pairs(&self) -> Vec<(RouterId, Ipv4Prefix)> {
         let set: BTreeSet<(RouterId, Ipv4Prefix)> = self
             .undo
             .iter()
@@ -107,7 +107,7 @@ impl ReplayTranscript {
     /// and forwarding action per pair, in pair order. Install times are
     /// deliberately excluded — they are capture bookkeeping, not
     /// forwarding behavior.
-    pub fn state_digest(dp: &DataPlane, pairs: &[(RouterId, Ipv4Prefix)]) -> u64 {
+    pub(crate) fn state_digest(dp: &DataPlane, pairs: &[(RouterId, Ipv4Prefix)]) -> u64 {
         let mut h = Fnv1a64::new();
         for &(router, prefix) in pairs {
             h.update_u64(u64::from(router.0));

@@ -105,13 +105,6 @@ pub(crate) fn classes_under<V>(trie: &PrefixTrie<V>, scope: Ipv4Prefix) -> Vec<E
     out
 }
 
-/// The equivalence classes a policy scoped to `scope` would check against
-/// this data plane. Exposed for tests and tooling that want to inspect
-/// the slicing without running traces.
-pub fn policy_equivalence_classes(dp: &DataPlane, scope: Ipv4Prefix) -> Vec<EquivClass> {
-    classes_under(&dp.prefix_union(), scope)
-}
-
 /// Runs `(policy index, class)` jobs, each yielding its violations and
 /// trace count, in job order.
 pub(crate) fn run_class_checks(
@@ -392,14 +385,14 @@ mod tests {
         let (_, mut dp, e1, _) = good_paper_dp();
         dp.fib_mut(RouterId(0))
             .install(p("8.8.8.0/25"), entry(FibAction::Exit(e1)));
-        let ecs = policy_equivalence_classes(&dp, p("8.8.8.0/24"));
+        let ecs = classes_under(&dp.prefix_union(), p("8.8.8.0/24"));
         assert_eq!(ecs.len(), 2);
         assert_eq!(ecs[0].prefix, p("8.8.8.0/24"));
         // The scope's own class dodges the /25 hijack.
         assert!(!p("8.8.8.0/25").contains_addr(ecs[0].representative));
         assert_eq!(ecs[1].prefix, p("8.8.8.0/25"));
         // A scope with no installed routes still gets its own class.
-        let bare = policy_equivalence_classes(&dp, p("9.9.9.0/24"));
+        let bare = classes_under(&dp.prefix_union(), p("9.9.9.0/24"));
         assert_eq!(bare.len(), 1);
         assert_eq!(bare[0].prefix, p("9.9.9.0/24"));
     }

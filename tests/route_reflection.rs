@@ -17,7 +17,7 @@ const MAX_EVENTS: usize = 400_000;
 /// sessions only to R1. External provider at R2.
 fn star(with_reflection: bool, seed: u64) -> (Simulation, ExtPeerId) {
     let asn = AsNum(65000);
-    let mut b = TopologyBuilder::new(asn);
+    let mut b = TopologyBuilder::new();
     let hub = b.router("R1");
     let spokes: Vec<RouterId> = (2..=4).map(|i| b.router(&format!("R{i}"))).collect();
     for s in &spokes {
