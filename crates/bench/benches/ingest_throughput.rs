@@ -1,6 +1,6 @@
 //! A7: networked ingest throughput — how fast the TCP collector can
 //! move captured events from 8 concurrent router connections through
-//! the codec, the (optional) WAL, and the incremental verification
+//! the codec, the WAL, and the incremental verification
 //! pipeline. One "session" is the full life cycle: start a collector on
 //! loopback, stream the events across the connections with periodic
 //! watermarks, drain to the final watermark, shut down.
@@ -13,39 +13,25 @@
 //! v2-vs-v3 arms went with the v2 sender (EXPERIMENTS.md keeps their
 //! table).
 //!
-//! The workload itself lives in `cpvr_bench::ingest`.
+//! The workload itself lives in `cpvr_bench::ingest`. Every collector
+//! journals, so every arm runs a WAL; they differ in fsync cadence.
 
 use cpvr_bench::ingest::IngestSession;
 use cpvr_collector::wal::{FsyncPolicy, TempDir, WalConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 
-fn run_session(wal: Option<WalConfig>) -> u64 {
-    IngestSession {
-        wal,
-        ..IngestSession::default()
-    }
-    .run()
-}
-
 fn bench(c: &mut Criterion) {
     // Headline numbers for EXPERIMENTS.md A7: one timed session per
-    // configuration, reported as events/second. Metrics are always on
+    // fsync policy, reported as events/second. Metrics are always on
     // (A8 measured their cost at noise level).
-    for (name, wal) in [
-        ("no-wal", None),
-        ("wal-everyn", Some(FsyncPolicy::EveryN(256))),
-        ("wal-never", Some(FsyncPolicy::Never)),
+    for (name, fsync) in [
+        ("wal-everyn", FsyncPolicy::EveryN(256)),
+        ("wal-never", FsyncPolicy::Never),
     ] {
         let tmp = TempDir::new("ingest-bench").unwrap();
-        let wal = wal.map(|fsync| {
-            let mut w = WalConfig::new(tmp.path());
-            w.fsync = fsync;
-            w
-        });
-        let session = IngestSession {
-            wal,
-            ..IngestSession::default()
-        };
+        let mut wal = WalConfig::new(tmp.path());
+        wal.fsync = fsync;
+        let session = IngestSession::new(wal);
         let (moved, dt) = session.run_timed();
         println!(
             "[A7 {name}] {moved} events / {} conns in {dt:.3}s = {:.0} events/sec",
@@ -70,8 +56,7 @@ fn bench(c: &mut Criterion) {
                 w.fsync = fsync;
                 let session = IngestSession {
                     shards,
-                    wal: Some(w),
-                    ..IngestSession::default()
+                    ..IngestSession::new(w)
                 };
                 let (moved, dt) = session.run_timed();
                 best = best.max(moved as f64 / dt);
@@ -82,12 +67,11 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("ingest_throughput");
     g.sample_size(10);
-    g.bench_function("loopback-8conns-no-wal", |b| b.iter(|| run_session(None)));
     g.bench_function("loopback-8conns-wal", |b| {
         // Fresh directory per session so replay-at-start stays empty.
         b.iter(|| {
             let tmp = TempDir::new("ingest-bench-wal").unwrap();
-            run_session(Some(WalConfig::new(tmp.path())))
+            IngestSession::new(WalConfig::new(tmp.path())).run()
         })
     });
     g.bench_function("loopback-8conns-wal-4shards", |b| {
@@ -95,8 +79,7 @@ fn bench(c: &mut Criterion) {
             let tmp = TempDir::new("ingest-bench-wal4").unwrap();
             IngestSession {
                 shards: 4,
-                wal: Some(WalConfig::new(tmp.path())),
-                ..IngestSession::default()
+                ..IngestSession::new(WalConfig::new(tmp.path()))
             }
             .run()
         })

@@ -57,27 +57,29 @@ pub struct IngestSession {
     pub total_events: usize,
     /// Fold shards (`1` = the legacy single merger).
     pub shards: u32,
-    /// Journal configuration; `None` streams without a WAL.
-    pub wal: Option<WalConfig>,
+    /// Where the collector journals (use a fresh directory per session,
+    /// so replay at start stays empty).
+    pub wal: WalConfig,
 }
 
-impl Default for IngestSession {
-    fn default() -> Self {
+impl IngestSession {
+    /// The default workload (8 connections, 40 000 events, one shard)
+    /// journaled to `wal`.
+    pub fn new(wal: WalConfig) -> Self {
         IngestSession {
             n_conns: DEFAULT_CONNS,
             total_events: DEFAULT_EVENTS,
             shards: 1,
-            wal: None,
+            wal,
         }
     }
-}
 
-impl IngestSession {
     /// Runs the session and returns the number of events moved — the
     /// caller times the call to turn it into a throughput figure.
     pub fn run(&self) -> u64 {
-        let mut cfg = CollectorConfig::new(self.n_conns).with_shards(self.shards);
-        cfg.wal = self.wal.clone();
+        let cfg = CollectorConfig::new(self.n_conns)
+            .with_shards(self.shards)
+            .with_wal(self.wal.clone());
         let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
         let addr = handle.local_addr();
         let mut threads = Vec::new();

@@ -157,19 +157,18 @@ fn main() -> std::io::Result<()> {
                 "  member {m} listening on {} owns routers {owned:?}",
                 f.addr(m)
             );
-            if let Some(r) = f.handle(m).recovery() {
-                println!(
-                    "  member {m} recovered from wal: {} events, watermark {:?}, {} segment(s){}",
-                    r.events_replayed,
-                    r.watermark,
-                    r.segments,
-                    if r.torn_tail {
-                        ", torn tail discarded"
-                    } else {
-                        ""
-                    },
-                );
-            }
+            let r = f.handle(m).recovery();
+            println!(
+                "  member {m} recovered from wal: {} events, watermark {:?}, {} segment(s){}",
+                r.events_replayed,
+                r.watermark,
+                r.segments,
+                if r.torn_tail {
+                    ", torn tail discarded"
+                } else {
+                    ""
+                },
+            );
         }
         fed = Some(f);
     } else {
@@ -182,19 +181,18 @@ fn main() -> std::io::Result<()> {
             handle.local_addr(),
             wal_dir.display()
         );
-        if let Some(r) = handle.recovery() {
-            println!(
-                "recovered from wal: {} events, watermark {:?}, {} segment(s){}",
-                r.events_replayed,
-                r.watermark,
-                r.segments,
-                if r.torn_tail {
-                    ", torn tail discarded"
-                } else {
-                    ""
-                },
-            );
-        }
+        let r = handle.recovery();
+        println!(
+            "recovered from wal: {} events, watermark {:?}, {} segment(s){}",
+            r.events_replayed,
+            r.watermark,
+            r.segments,
+            if r.torn_tail {
+                ", torn tail discarded"
+            } else {
+                ""
+            },
+        );
         single = Some(handle);
     }
     let scrape_addrs: Vec<SocketAddr> = match (&single, &fed) {

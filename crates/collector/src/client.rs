@@ -452,7 +452,7 @@ impl SocketSink {
     }
 
     /// Blocks until the collector has acknowledged every event sent
-    /// (i.e. journaled them, when it runs a WAL) — and, if
+    /// (i.e. journaled them: every collector runs a WAL) — and, if
     /// [`bye`](Self::bye) was called, until the collector confirmed the
     /// bye promise was applied — reconnecting and replaying as needed,
     /// including on a *silent* stall, where the connection looks

@@ -1266,12 +1266,13 @@ impl Decoder {
     /// frame is garbage. Repeatedly rescans the remainder (a truncated
     /// frame's payload may contain a later, complete frame after a
     /// duplication fault) and returns every frame found as a
-    /// [`DecodedMsg`] (or its decode error), with intern definitions
-    /// absorbed along the way; the buffer is empty afterwards.
-    pub(crate) fn finish(&mut self, keep_raw: bool) -> Vec<Result<DecodedMsg, CodecError>> {
+    /// [`DecodedMsg`] with its wire bytes kept (or its decode error),
+    /// with intern definitions absorbed along the way; the buffer is
+    /// empty afterwards.
+    pub(crate) fn finish(&mut self) -> Vec<Result<DecodedMsg, CodecError>> {
         let mut out = Vec::new();
         while self.pending() > 0 {
-            if let Some(m) = self.next_message(keep_raw) {
+            if let Some(m) = self.next_message(true) {
                 out.push(m);
                 continue;
             }
@@ -1426,7 +1427,7 @@ mod tests {
         while let Some(msg) = dec.next_message(false) {
             got.extend(msg.ok().map(|m| m.frame));
         }
-        got.extend(dec.finish(false).into_iter().flatten().map(|m| m.frame));
+        got.extend(dec.finish().into_iter().flatten().map(|m| m.frame));
         got
     }
 
@@ -1823,7 +1824,7 @@ mod tests {
                 // its payload decoder, cleanly.
                 while dec.next_message(false).is_some() {}
             }
-            dec.finish(false);
+            dec.finish();
             prop_assert_eq!(dec.pending(), 0);
             let _ = decode(&bytes);
         }

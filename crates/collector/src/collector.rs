@@ -85,7 +85,9 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Liveness-lease thresholds for the session loop's sweep.
+/// Liveness-lease thresholds for the session loop's sweep. The sweep's
+/// cadence follows from them: a quarter of the tightest threshold, at
+/// most once a second.
 #[derive(Clone, Copy, Debug)]
 pub struct LeaseConfig {
     /// A source silent this long is marked `SourceState::Lagging`
@@ -94,9 +96,6 @@ pub struct LeaseConfig {
     /// A source silent this long is evicted from the watermark gate so
     /// the fold can resume without it. Must exceed `lagging_after`.
     pub evict_after: Duration,
-    /// How often the session loop sweeps the leases: its inbox wait
-    /// ends at the next sweep, the loop's one clock.
-    pub sweep_interval: Duration,
     /// Watermark-stall watchdog: if events have been ingested but the
     /// global min-watermark has not advanced for this long, the
     /// `cpvr_watermark_stall_seconds` gauge keeps climbing and the
@@ -110,7 +109,6 @@ impl Default for LeaseConfig {
         LeaseConfig {
             lagging_after: Duration::from_secs(15),
             evict_after: Duration::from_secs(60),
-            sweep_interval: Duration::from_millis(500),
             stall_after: Duration::from_secs(30),
         }
     }
@@ -123,9 +121,21 @@ impl LeaseConfig {
         LeaseConfig {
             lagging_after: Duration::MAX,
             evict_after: Duration::MAX,
-            sweep_interval: Duration::from_secs(1),
             stall_after: Duration::MAX,
         }
+    }
+
+    /// How often the session loop sweeps the leases (its inbox wait ends
+    /// at the next sweep): a quarter of the tightest threshold the sweep
+    /// enforces, so none is overshot by more than a quarter, and at most
+    /// a second, the resolution of the stall and lease gauges it
+    /// publishes.
+    pub(crate) fn sweep_interval(&self) -> Duration {
+        let tightest = self
+            .lagging_after
+            .min(self.evict_after)
+            .min(self.stall_after);
+        (tightest / 4).min(Duration::from_secs(1))
     }
 }
 
@@ -138,8 +148,9 @@ pub struct CollectorConfig {
     /// Liveness-lease thresholds for marking sources lagging and
     /// evicting them from the watermark gate.
     pub(crate) lease: LeaseConfig,
-    /// Where to journal frames; `None` runs without durability.
-    pub wal: Option<WalConfig>,
+    /// Where to journal frames. Required: [`Collector::start`] refuses a
+    /// config without one (set it with [`with_wal`](Self::with_wal)).
+    pub(crate) wal: Option<WalConfig>,
     /// How many fold workers run behind the session loop (default
     /// `1`). Routers and conversations are partitioned across the
     /// workers by [`ShardPlan::uniform`](cpvr_core::ShardPlan::uniform),
@@ -153,12 +164,13 @@ pub struct CollectorConfig {
     /// the routers its [`FederationPlan`](cpvr_core::FederationPlan)
     /// assigns to it and exchanges frontiers, boundary edges, and
     /// partial verdicts with its peers (see [`crate::federation`]).
-    /// Requires a WAL.
     pub federation: Option<FederationConfig>,
 }
 
 impl CollectorConfig {
-    /// A config for `n_routers` with default tuning and no WAL.
+    /// A config for `n_routers` with default tuning. It names no WAL
+    /// yet, and every collector journals: add one with
+    /// [`with_wal`](Self::with_wal) before [`Collector::start`].
     pub fn new(n_routers: u32) -> Self {
         CollectorConfig {
             pipeline: PipelineConfig::new(n_routers),
@@ -169,7 +181,8 @@ impl CollectorConfig {
         }
     }
 
-    /// Enables the WAL.
+    /// Sets the WAL every event, watermark and control record is
+    /// journaled to before it takes effect (required).
     pub fn with_wal(mut self, wal: WalConfig) -> Self {
         self.wal = Some(wal);
         self
@@ -189,10 +202,8 @@ impl CollectorConfig {
 
     /// Runs this collector as one federation member (see
     /// [`crate::federation`]), folding its slot of the federation plan
-    /// on `shards` workers. [`Collector::start`] rejects the config
-    /// unless a WAL is configured: a member's durability story
-    /// (regenerating outbound peer traffic on recovery) requires the
-    /// journal.
+    /// on `shards` workers. A member recovers by replaying its journal,
+    /// which regenerates its outbound peer traffic.
     pub fn with_federation(mut self, fed: FederationConfig) -> Self {
         self.federation = Some(fed);
         self
@@ -245,8 +256,9 @@ pub struct CollectorStats {
 }
 
 /// One decoded event, classified once into its fold record, carrying
-/// its wire encoding for the WAL when one is configured (re-encoding
-/// downstream would serialize the cost).
+/// its wire encoding for the WAL (re-encoding downstream would
+/// serialize the cost); a WAL-recovered event carries none, being
+/// durable already.
 pub(crate) struct EventRec {
     pub(crate) seq: u64,
     pub(crate) rec: FoldRecord,
@@ -289,10 +301,10 @@ pub(crate) enum Msg {
         ack: Option<TcpStream>,
     },
     /// A batch of events, with the original wire bytes of the v3 intern
-    /// definitions that arrived alongside them (only when a WAL is
-    /// configured). The worker journals the definitions ahead of the
-    /// events, into the series that journals the events using them, so a
-    /// per-series replay sees define-before-use.
+    /// definitions that arrived alongside them. The worker journals the
+    /// definitions ahead of the events, into the series that journals
+    /// the events using them, so a per-series replay sees
+    /// define-before-use.
     Events {
         conn: u64,
         batch: Vec<EventRec>,
@@ -321,12 +333,11 @@ pub(crate) enum Msg {
     },
     /// A frontier / boundary-edge / partial-verdict / repair-proof
     /// frame from a federation peer, with its original wire bytes for
-    /// the journal (`None` on a WAL-less collector — which `start`
-    /// rejects for members, so in practice always `Some`).
+    /// the journal.
     Peer {
         conn: u64,
         frame: Frame,
-        raw: Option<Vec<u8>>,
+        raw: Vec<u8>,
     },
     /// A repair-lifecycle record submitted through
     /// [`CollectorHandle::journal_repair`]. The session journals it
@@ -387,9 +398,8 @@ pub struct CollectorReport {
     /// routers that never connected, never promised, or whose promise
     /// is parked behind lost events. Empty for a fully drained run.
     pub stalled: Vec<RouterId>,
-    /// What WAL recovery found at startup (`Some` iff a WAL was
-    /// configured).
-    pub recovery: Option<RecoveryReport>,
+    /// What WAL recovery found at startup.
+    pub recovery: RecoveryReport,
     /// The final metrics snapshot, taken after the session drained —
     /// the shutdown `dump`. Always `Some`: metrics are always on; the
     /// `Option` stays because the benchmark ledger names the type.
@@ -408,9 +418,9 @@ pub struct CollectorHandle {
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
     session: Option<JoinHandle<(FoldReport, Option<io::Error>)>>,
-    recovery: Option<RecoveryReport>,
+    recovery: RecoveryReport,
     metrics: Arc<CollectorMetrics>,
-    group_commit: Option<GroupCommitHandle>,
+    group_commit: GroupCommitHandle,
     /// Local channel into the session for repair-lifecycle records;
     /// dropped in `shutdown` so the session's receive loop can end.
     tx: Option<SyncSender<Msg>>,
@@ -420,8 +430,9 @@ pub struct CollectorHandle {
 pub struct Collector;
 
 impl Collector {
-    /// Binds `addr`, recovers from the WAL if one is configured, and
-    /// starts the accept, session and fold threads.
+    /// Binds `addr`, recovers from the WAL, and starts the accept,
+    /// session and fold threads. A config without a WAL is refused with
+    /// `InvalidInput`: every collector journals.
     pub fn start(cfg: CollectorConfig, addr: impl ToSocketAddrs) -> io::Result<CollectorHandle> {
         Self::start_on(cfg, TcpListener::bind(addr)?)
     }
@@ -432,14 +443,11 @@ impl Collector {
     /// any member runs.
     pub fn start_on(cfg: CollectorConfig, listener: TcpListener) -> io::Result<CollectorHandle> {
         let local = listener.local_addr()?;
-
+        let bad = |why: &str| Err(io::Error::new(io::ErrorKind::InvalidInput, why));
+        let Some(wal_cfg) = &cfg.wal else {
+            return bad("a collector requires a WAL: set one with CollectorConfig::with_wal");
+        };
         if let Some(fed) = &cfg.federation {
-            let bad = |why: &str| Err(io::Error::new(io::ErrorKind::InvalidInput, why));
-            if cfg.wal.is_none() {
-                return bad(
-                    "federation requires a WAL: recovery regenerates peer traffic from the journal",
-                );
-            }
             if fed.member >= fed.plan.members() {
                 return bad("federation member index out of range for the plan");
             }
@@ -456,12 +464,9 @@ impl Collector {
             workers,
             members,
         ));
-        // Anomaly dumps land next to the WAL (a WAL-less collector keeps
-        // recording but never dumps), tagged with the member id so
+        // Anomaly dumps land next to the WAL, tagged with the member id so
         // cpvr-trace can stitch dumps across a federation.
-        if let Some(wal_cfg) = &cfg.wal {
-            metrics.flight.arm(&wal_cfg.dir);
-        }
+        metrics.flight.arm(&wal_cfg.dir);
         if let Some(fed) = &cfg.federation {
             metrics.flight.set_member(i64::from(fed.member));
         }
@@ -473,14 +478,11 @@ impl Collector {
         // the recovered watermark and (on a member) the peer and round
         // records to replay; the workers fold the scanned events
         // themselves, once.
-        let mut scan = match &cfg.wal {
-            Some(wal_cfg) => WalScan::read(cfg.pipeline, &wal_cfg.dir, workers as usize)?,
-            None => WalScan::empty(cfg.pipeline),
-        };
-        let shards = Shards::start(&cfg, &mut scan, &metrics)?;
+        let mut scan = WalScan::read(cfg.pipeline, &wal_cfg.dir, workers as usize)?;
+        let shards = Shards::start(&cfg, wal_cfg, &mut scan, &metrics)?;
         let group_commit = shards.group_commit();
         let session = session::spawn(rx, shards, scan.sources, scan.repairs, &cfg, &metrics)?;
-        let recovery = cfg.wal.is_some().then_some(scan.report);
+        let recovery = scan.report;
 
         let handle_tx = tx.clone();
         let accept = {
@@ -516,19 +518,18 @@ impl CollectorHandle {
         self.metrics.stats()
     }
 
-    /// The fold workers' group-commit handle, when one is running (any
-    /// shard count with a WAL, federation members included). Exposed as
-    /// a fault-injection hook:
-    /// `GroupCommitHandle::crash` kills the sync thread as an
-    /// I/O fault would, after which `shutdown` must surface the error
-    /// while every event acked *before* the crash stays replayable.
-    pub fn group_commit(&self) -> Option<&GroupCommitHandle> {
-        self.group_commit.as_ref()
+    /// The fold workers' group-commit handle. Exposed as a
+    /// fault-injection hook: `GroupCommitHandle::crash` kills the sync
+    /// thread as an I/O fault would, after which `shutdown` must surface
+    /// the error while every event acked *before* the crash stays
+    /// replayable.
+    pub fn group_commit(&self) -> &GroupCommitHandle {
+        &self.group_commit
     }
 
-    /// What WAL recovery found at startup, if a WAL was configured.
-    pub fn recovery(&self) -> Option<&RecoveryReport> {
-        self.recovery.as_ref()
+    /// What WAL recovery found at startup.
+    pub fn recovery(&self) -> &RecoveryReport {
+        &self.recovery
     }
 
     /// The live telemetry bundle. Scraping over the wire
@@ -589,7 +590,7 @@ impl CollectorHandle {
             stats: self.metrics.stats(),
             stalled,
             role,
-            recovery: self.recovery.take(),
+            recovery: self.recovery,
             metrics: Some(self.metrics.snapshot()),
         })
     }
@@ -842,7 +843,7 @@ impl Reader<'_> {
             | Frame::PeerRepairProof(_)) => Msg::Peer {
                 conn,
                 frame: peer,
-                raw,
+                raw: raw.expect("the reader keeps every frame's bytes"),
             },
             Frame::Event { seq, event } => {
                 let session = match self.source {
@@ -876,9 +877,8 @@ impl Reader<'_> {
                         seq,
                     );
                 }
-                // `raw` is the frame's original wire bytes (captured only
-                // when a WAL is configured): the journal holds them
-                // byte-for-byte instead of re-encoding.
+                // `raw` is the frame's original wire bytes: the journal
+                // holds them byte-for-byte instead of re-encoding.
                 self.batch.push(EventRec {
                     raw,
                     trace,
@@ -893,8 +893,7 @@ impl Reader<'_> {
             Frame::Heartbeat => Msg::Heartbeat { conn },
             Frame::Bye { frontier } => Msg::Bye { conn, frontier },
             // The reader's decoder already absorbed the definition; all that
-            // is left is to journal its original bytes with the batch, so
-            // there is nothing to keep on a WAL-less collector.
+            // is left is to journal its original bytes with the batch.
             Frame::Intern(_) => {
                 self.defs.extend(raw);
                 return FrameOutcome::Continue;
@@ -942,7 +941,6 @@ fn reader_loop(
 ) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
-    let wal_enabled = cfg.wal.is_some();
     let mut dec = Decoder::new();
     let mut buf = vec![0u8; 64 * 1024];
     let mut rd = Reader {
@@ -971,7 +969,7 @@ fn reader_loop(
             Ok(0) => {
                 // EOF: whatever is still buffered is all we will ever
                 // get — let the decoder fish out any complete frames.
-                for msg in dec.finish(wal_enabled) {
+                for msg in dec.finish() {
                     match rd.handle(msg) {
                         FrameOutcome::Continue => {}
                         FrameOutcome::Fatal(why) => break 'conn Some(why),
@@ -992,7 +990,7 @@ fn reader_loop(
             // in place out of the read buffer for v3 — and the decode
             // histogram times exactly this step.
             let t0 = Instant::now();
-            let Some(msg) = dec.next_message(wal_enabled) else {
+            let Some(msg) = dec.next_message(true) else {
                 break;
             };
             metrics.decode_nanos.observe_since(t0);

@@ -747,14 +747,14 @@ impl Peers {
     /// in sequence on a connection greeted as its sender — after handing
     /// its wire bytes to series 0, appended before the ack that follows
     /// them there.
-    pub(crate) fn receive(&mut self, conn: u64, frame: &Frame, raw: Option<Vec<u8>>) -> bool {
+    pub(crate) fn receive(&mut self, conn: u64, frame: &Frame, raw: Vec<u8>) -> bool {
         // Drop a frame mislabeled against its connection's handshake.
         let member = peer_header(frame).map(|(m, _)| m);
         let Some(&pm) = self.conn_peer.get(&conn).filter(|pm| Some(**pm) == member) else {
             return false;
         };
         let fresh = self.in_sequence(frame);
-        if let (true, Some(raw)) = (fresh, raw) {
+        if fresh {
             self.journal(raw);
         }
         // Ack the cursor even on duplicates: re-acks let a replaying

@@ -66,10 +66,13 @@
 //!   duplicating, delaying, and disconnecting the byte stream on a
 //!   reproducible schedule.
 //!
-//! Crash recovery is the point of the WAL: every event is journaled
-//! before it is ingested and every global watermark before the fold
-//! advances, so the log is always at least as complete as the
-//! in-memory state. Replaying it (ingest everything, advance once to
+//! Crash recovery is the point of the WAL, so a WAL is not optional:
+//! [`collector::Collector::start`] refuses a config that names none
+//! ([`collector::CollectorConfig::with_wal`] sets it). Every event is
+//! journaled before it is ingested and every global watermark before
+//! the fold advances, so the log is always at least as complete as the
+//! in-memory state, an ack always means "journaled", and the flight
+//! recorder's anomaly dumps always land next to the journal. Replaying it (ingest everything, advance once to
 //! the last logged watermark) reconstructs the pre-crash pipeline
 //! *bit-identically* — the fold is deterministic in `(time, id)` order
 //! no matter how the advances were batched. The `crash_recovery`

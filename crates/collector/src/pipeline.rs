@@ -487,17 +487,6 @@ pub(crate) struct WalScan {
 }
 
 impl WalScan {
-    /// What a collector without a journal starts from.
-    pub(crate) fn empty(cfg: PipelineConfig) -> Self {
-        WalScan {
-            sources: SourceTable::new(cfg.n_routers),
-            events: Vec::new(),
-            peer_log: Vec::new(),
-            repairs: RepairLedger::new(),
-            report: RecoveryReport::default(),
-        }
-    }
-
     /// Decodes every intact record of every series in `dir` (series
     /// replayed on up to `threads` threads, merged in series order).
     ///
@@ -640,7 +629,7 @@ impl WalScan {
 }
 
 /// What a WAL recovery found.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct RecoveryReport {
     /// Event frames replayed into the pipeline.
     pub events_replayed: usize,

@@ -110,14 +110,18 @@ fn flight_repair_record(record: &RepairRecord, flight: &RingHandle, metrics: &Co
 
 /// The watermark-stall watchdog: tracks how long the verdict horizon
 /// has sat still while ingested events wait behind it, publishing the
-/// `cpvr_watermark_stall_seconds` gauge and firing the one-shot flight
-/// dump past [`LeaseConfig::stall_after`].
+/// `cpvr_watermark_stall_seconds` gauge and, once per stall episode past
+/// [`LeaseConfig::stall_after`], recording one stall marker and firing
+/// the one-shot flight dump.
 struct StallWatch {
     last: Option<SimTime>,
     since: Instant,
     /// Events ingested since the watermark last moved — a still
     /// watermark with nothing behind it is idle, not stalled.
     pending: bool,
+    /// This episode's marker is recorded; re-armed when the watermark
+    /// moves.
+    marked: bool,
 }
 
 impl StallWatch {
@@ -126,6 +130,7 @@ impl StallWatch {
             last: initial,
             since: Instant::now(),
             pending: false,
+            marked: false,
         }
     }
 
@@ -141,6 +146,7 @@ impl StallWatch {
             self.last = wm;
             self.since = Instant::now();
             self.pending = false;
+            self.marked = false;
             metrics.watermark_stall_seconds.set(0);
             metrics.flight.clear_stall();
             return;
@@ -152,7 +158,10 @@ impl StallWatch {
         metrics
             .watermark_stall_seconds
             .set(stalled.as_secs() as i64);
-        if stalled >= stall_after {
+        // Once per episode: repeated markers would overwrite the ring
+        // records a later dump needs to explain the stall.
+        if stalled >= stall_after && !self.marked {
+            self.marked = true;
             flight.record(stage::WATERMARK_STALL, None, stalled.as_secs(), 0);
             metrics.flight_stall_dump();
         }
@@ -527,7 +536,7 @@ fn run(
     s.gate_moved();
 
     // Between lease sweeps the loop wakes only for a message.
-    let sweep_every = lease.sweep_interval.min(Duration::from_secs(3600));
+    let sweep_every = lease.sweep_interval();
     let mut next_sweep = Instant::now() + sweep_every;
     loop {
         match rx.recv_timeout(next_sweep.saturating_duration_since(Instant::now())) {

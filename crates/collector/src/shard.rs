@@ -61,7 +61,7 @@ use crate::group_commit::{GroupCommit, GroupCommitHandle};
 use crate::metrics::{gauge_nanos, CollectorMetrics};
 use crate::pipeline::{IngestPipeline, PipelineConfig, SourceTable, WalScan};
 use crate::repair_journal::RepairLedger;
-use crate::wal::Wal;
+use crate::wal::{Wal, WalConfig};
 use cpvr_core::builder::HbgBuilder;
 use cpvr_core::hbg::{Hbg, Hbr};
 use cpvr_core::infer::InferConfig;
@@ -384,8 +384,8 @@ struct Worker {
     /// WAL series and metric label).
     local: usize,
     fold: FoldShard,
-    wal: Option<Wal>,
-    gc: Option<GroupCommitHandle>,
+    wal: Wal,
+    gc: GroupCommitHandle,
     last_segment: u64,
     wal_err: Option<io::Error>,
     acks: HashMap<u64, TcpStream>,
@@ -401,10 +401,7 @@ impl Worker {
         if self.wal_err.is_some() {
             return false;
         }
-        let Some(w) = self.wal.as_mut() else {
-            return false;
-        };
-        if let Err(e) = w.append(bytes) {
+        if let Err(e) = self.wal.append(bytes) {
             self.wal_err = Some(e);
             return false;
         }
@@ -418,9 +415,7 @@ impl Worker {
         if self.wal_err.is_some() || appended == 0 {
             return;
         }
-        let (Some(w), Some(gc)) = (self.wal.as_mut(), &self.gc) else {
-            return;
-        };
+        let (w, gc) = (&mut self.wal, &self.gc);
         let committed = w.flush().and_then(|()| {
             // A rotation opened a new active file; the group-commit
             // thread must fsync that one from now on.
@@ -465,6 +460,8 @@ impl Worker {
                     let defined = defs.iter().filter(|d| self.journal(d)).count() as u32;
                     let mut journaled = 0u32;
                     for rec in &batch {
+                        // A WAL-recovered event carries no bytes: it is
+                        // durable already.
                         if let Some(raw) = rec.raw.as_ref() {
                             if self.journal(raw) {
                                 journaled += 1;
@@ -550,14 +547,11 @@ impl Worker {
                     }
                 }
                 WorkerMsg::Shutdown => {
-                    if let Some(w) = self.wal.take() {
-                        if let (Err(e), None) = (w.close(), &self.wal_err) {
-                            self.wal_err = Some(e);
-                        }
-                    }
-                    let _ =
-                        self.reply
-                            .send(Reply::Done(Box::new((local, self.fold, self.wal_err))));
+                    let closed = self.wal.close();
+                    let wal_err = self.wal_err.or(closed.err());
+                    let _ = self
+                        .reply
+                        .send(Reply::Done(Box::new((local, self.fold, wal_err))));
                     return;
                 }
             }
@@ -588,7 +582,7 @@ pub(crate) struct Shards {
     workers: Vec<SyncSender<WorkerMsg>>,
     joins: Vec<JoinHandle<()>>,
     replies: Receiver<Reply>,
-    gc: Option<GroupCommit>,
+    gc: GroupCommit,
     /// The horizon of the open (or last opened) round: the late gate. A
     /// fresh event at or behind it can no longer be folded in order.
     pub(crate) advanced: Option<SimTime>,
@@ -610,8 +604,8 @@ pub(crate) struct Shards {
 }
 
 impl Shards {
-    /// Opens one WAL series per own shard (when `cfg.wal` is set),
-    /// starts the group-commit thread and the workers, and seeds them
+    /// Opens one WAL series per own shard in `wal`'s directory, starts
+    /// the group-commit thread and the workers, and seeds them
     /// with the WAL-recovered events in `scan` (already durable: no
     /// re-journaling, no acks). A standalone collector then runs one
     /// barrier at the recovered watermark, so verdict and wait
@@ -621,6 +615,7 @@ impl Shards {
     /// verdict history and every outbound peer frame.
     pub(crate) fn start(
         cfg: &CollectorConfig,
+        wal: &WalConfig,
         scan: &mut WalScan,
         metrics: &Arc<CollectorMetrics>,
     ) -> io::Result<Shards> {
@@ -631,34 +626,25 @@ impl Shards {
             Some(f) => f.plan.shard_plan(shards),
             None => ShardPlan::uniform(shards),
         };
-        let wal_metrics = cfg.wal.is_some().then(|| metrics.wal_metrics());
-        let gc =
-            cfg.wal.as_ref().zip(wal_metrics.as_ref()).map(|(w, wm)| {
-                GroupCommit::start(w.fsync, (wm.syncs.clone(), wm.fsync_nanos.clone()))
-            });
+        let wm = metrics.wal_metrics();
+        let gc = GroupCommit::start(wal.fsync, (wm.syncs.clone(), wm.fsync_nanos.clone()));
 
         let (reply_tx, replies) = std::sync::mpsc::channel::<Reply>();
         let (mut workers, mut joins) = (Vec::new(), Vec::new());
         for k in 0..shards {
-            let mut wal = None;
-            let mut last_segment = 0;
-            if let (Some(wal_cfg), Some(gc), Some(wm)) = (&cfg.wal, &gc, &wal_metrics) {
-                // A one-shard collector keeps the unnumbered series, so
-                // its directory reads like any single journal's.
-                let mut series_cfg = wal_cfg.clone();
-                series_cfg.series = (shards > 1).then_some(k);
-                let mut w = Wal::open(series_cfg)?;
-                w.set_metrics(wm.clone());
-                last_segment = w.segment_index();
-                gc.handle().register(k, w.active_file()?)?;
-                wal = Some(w);
-            }
+            // A one-shard collector keeps the unnumbered series, so its
+            // directory reads like any single journal's.
+            let mut series_cfg = wal.clone();
+            series_cfg.series = (shards > 1).then_some(k);
+            let mut w = Wal::open(series_cfg)?;
+            w.set_metrics(wm.clone());
+            gc.handle().register(k, w.active_file()?)?;
             let worker = Worker {
                 local: k as usize,
                 fold: FoldShard::new(&cfg.pipeline, plan.clone(), base + k),
-                wal,
-                gc: gc.as_ref().map(GroupCommit::handle),
-                last_segment,
+                last_segment: w.segment_index(),
+                wal: w,
+                gc: gc.handle(),
                 wal_err: None,
                 acks: HashMap::new(),
                 metrics: Arc::clone(metrics),
@@ -726,9 +712,9 @@ impl Shards {
         Ok(this)
     }
 
-    /// The group-commit thread's handle, when a WAL is configured.
-    pub(crate) fn group_commit(&self) -> Option<GroupCommitHandle> {
-        self.gc.as_ref().map(GroupCommit::handle)
+    /// The group-commit thread's handle.
+    pub(crate) fn group_commit(&self) -> GroupCommitHandle {
+        self.gc.handle()
     }
 
     /// The index among this collector's workers of global shard `g`, if
@@ -1071,7 +1057,7 @@ impl Shards {
         &mut self,
         conn: u64,
         frame: Frame,
-        raw: Option<Vec<u8>>,
+        raw: Vec<u8>,
         sources: &SourceTable,
     ) {
         if self
@@ -1110,7 +1096,7 @@ impl Shards {
         }
         // The group-commit thread's verdict outranks a worker's: it is
         // the first to know when durability was lost.
-        if let Some(Err(e)) = self.gc.map(GroupCommit::stop) {
+        if let Err(e) = self.gc.stop() {
             wal_err = Some(e);
         }
         let parts = parts

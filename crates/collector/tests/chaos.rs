@@ -149,10 +149,6 @@ fn run_chaotic(events: &[IoEvent], seed: u64, dir: &TempDir) -> CollectorReport 
     // with leases disabled nothing is ever folded past, so no event
     // may arrive behind the watermark.
     assert_eq!(report.stats.late_events, 0, "seed {seed}");
-    assert!(
-        report.recovery.is_some(),
-        "WAL run carries a recovery report"
-    );
     eprintln!(
         "seed {seed}: {injected} faults injected, {reconnects} reconnects, \
          {} corrupt frames quarantined, {} dups, {} gaps",
@@ -336,7 +332,6 @@ fn eviction_unblocks_the_fold_and_readmission_restores_identity() {
     let lease = LeaseConfig {
         lagging_after: Duration::from_millis(100),
         evict_after: Duration::from_millis(300),
-        sweep_interval: Duration::from_millis(25),
         stall_after: Duration::from_secs(30),
     };
     let dir = TempDir::new("chaos-evict").unwrap();
@@ -477,8 +472,9 @@ fn eviction_unblocks_the_fold_and_readmission_restores_identity() {
 fn transparent_proxy_is_invisible() {
     let events = sample_events(7);
     let reference = reference_pipeline(&events);
-    let handle =
-        Collector::start(CollectorConfig::new(N_ROUTERS), "127.0.0.1:0").expect("bind loopback");
+    let dir = TempDir::new("chaos-transparent").unwrap();
+    let cfg = CollectorConfig::new(N_ROUTERS).with_wal(WalConfig::new(dir.path()));
+    let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
     let addr = handle.local_addr();
 
     let mut proxies = Vec::new();
@@ -524,8 +520,11 @@ fn transparent_proxy_is_invisible() {
 #[test]
 fn a_full_window_behind_a_lost_frame_replays() {
     const EVENTS: u32 = 20_000;
+    let dir = TempDir::new("chaos-full-window").unwrap();
     let handle = Collector::start(
-        CollectorConfig::new(1).with_lease(LeaseConfig::disabled()),
+        CollectorConfig::new(1)
+            .with_wal(WalConfig::new(dir.path()))
+            .with_lease(LeaseConfig::disabled()),
         "127.0.0.1:0",
     )
     .expect("bind loopback");

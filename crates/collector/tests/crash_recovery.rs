@@ -198,10 +198,7 @@ fn collector_restart_resumes_from_recovered_watermark() {
     // Restart over the same directory, stream nothing, shut down.
     let cfg = CollectorConfig::new(N_ROUTERS).with_wal(WalConfig::new(wal_dir.path()));
     let handle = Collector::start(cfg, "127.0.0.1:0").expect("restart");
-    let recovered = handle
-        .recovery()
-        .expect("wal configured => recovery report")
-        .clone();
+    let recovered = handle.recovery().clone();
     assert_eq!(recovered.events_replayed, events.len());
     assert_eq!(recovered.watermark, Some(SimTime::MAX));
     assert!(!recovered.torn_tail);
@@ -245,7 +242,7 @@ fn a_journal_written_by_the_inline_merger_recovers_and_keeps_ingesting() {
 
     let cfg = CollectorConfig::new(N_ROUTERS).with_wal(WalConfig::new(dir.path()));
     let handle = Collector::start(cfg, "127.0.0.1:0").expect("start over the fixture");
-    let recovered = handle.recovery().expect("wal configured").clone();
+    let recovered = handle.recovery().clone();
     assert_eq!(recovered.events_replayed, journaled);
     assert_eq!(recovered.watermark, Some(mid));
     assert_eq!(recovered.corrupt_records, 0);
@@ -333,7 +330,7 @@ fn a_reconnect_after_a_restart_leaves_a_self_contained_journal() {
     // Same address, same directory: the sinks find the new collector by
     // reconnecting, and it journals into a fresh segment.
     let handle = Collector::start(cfg(), addr).expect("restart on the same port");
-    assert_eq!(handle.recovery().unwrap().events_replayed, first.len());
+    assert_eq!(handle.recovery().events_replayed, first.len());
     for sink in &mut sinks {
         for e in events_for(&second, sink.source()) {
             sink.send(&e).expect("send");
@@ -408,7 +405,7 @@ fn a_journaled_event_outside_the_source_table_is_corrupt() {
 
     let cfg = CollectorConfig::new(N_ROUTERS).with_wal(WalConfig::new(dir.path()));
     let handle = Collector::start(cfg, "127.0.0.1:0").expect("start over the journal");
-    assert_eq!(handle.recovery().unwrap().corrupt_records, 1);
+    assert_eq!(handle.recovery().corrupt_records, 1);
     let report = handle.shutdown().expect("clean shutdown");
     assert_eq!(report.pipeline.events(), 1);
 }

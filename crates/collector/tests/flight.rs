@@ -395,7 +395,6 @@ fn a_stalled_watermark_freezes_one_dump_and_rearms() {
         .with_wal(WalConfig::new(dir.path()))
         .with_shards(2)
         .with_lease(LeaseConfig {
-            sweep_interval: Duration::from_millis(10),
             stall_after: Duration::from_millis(100),
             ..LeaseConfig::disabled()
         });
@@ -420,6 +419,15 @@ fn a_stalled_watermark_freezes_one_dump_and_rearms() {
     );
     std::thread::sleep(Duration::from_millis(300));
     assert_eq!(stall_dumps(), 1, "one dump per stall episode, not per tick");
+    // The episode's marker is recorded once too: repeated markers would
+    // overwrite the ring records a later dump needs to explain the stall.
+    let live: FlightDump = from_str(&dump_flight(addr).expect("dump over the wire")).unwrap();
+    let markers = live
+        .records
+        .iter()
+        .filter(|r| r.stage == stage::WATERMARK_STALL)
+        .count();
+    assert_eq!(markers, 1, "one stall marker per episode, not per tick");
 
     // The promise arrives, the watermark moves, the watchdog re-arms...
     silent.watermark(SimTime::from_millis(1)).expect("promise");

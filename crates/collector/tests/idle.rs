@@ -1,8 +1,10 @@
 //! An idle collector sleeps: its acceptor and readers block on their
 //! sockets instead of waking on a clock to poll a stop flag. With three
 //! connected but silent sources, the whole process may switch context
-//! only a few times a second (the session's lease sweep is the one
-//! clock left on this path).
+//! only a few times a second. The one clock left on this path is the
+//! session's lease sweep, which runs at a quarter of the tightest lease
+//! threshold and at most once a second — once a second at the default
+//! leases.
 //!
 //! One test in its own binary, so no other test's threads share the
 //! process whose context switches are counted.
@@ -11,6 +13,7 @@
 
 use cpvr_collector::client::SocketSink;
 use cpvr_collector::collector::{Collector, CollectorConfig};
+use cpvr_collector::wal::{TempDir, WalConfig};
 use cpvr_types::RouterId;
 use std::time::Duration;
 
@@ -37,7 +40,9 @@ fn context_switches() -> u64 {
 #[test]
 fn an_idle_collector_does_not_wake_to_poll() {
     const SOURCES: u32 = 3;
-    let handle = Collector::start(CollectorConfig::new(SOURCES), "127.0.0.1:0").expect("bind");
+    let dir = TempDir::new("idle").unwrap();
+    let cfg = CollectorConfig::new(SOURCES).with_wal(WalConfig::new(dir.path()));
+    let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind");
     let sinks: Vec<SocketSink> = (0..SOURCES)
         .map(|r| SocketSink::connect(handle.local_addr(), RouterId(r), SOURCES).expect("connect"))
         .collect();

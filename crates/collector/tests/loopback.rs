@@ -166,13 +166,26 @@ fn concurrent_streams_match_in_process_pipeline() {
     );
 }
 
+/// Every collector journals: a config that names no WAL is refused
+/// before any thread starts, and the error says how to give it one.
+#[test]
+fn a_collector_without_a_wal_is_refused() {
+    let err = match Collector::start(CollectorConfig::new(1), "127.0.0.1:0") {
+        Ok(_) => panic!("a WAL-less collector started"),
+        Err(e) => e,
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("with_wal"), "{err}");
+}
+
 #[test]
 fn hello_mismatch_is_rejected_without_poisoning_the_collector() {
     use cpvr_collector::codec::{encode_frame, Frame, Hello};
     use std::io::{Read, Write};
 
-    let handle =
-        Collector::start(CollectorConfig::new(N_ROUTERS), "127.0.0.1:0").expect("bind loopback");
+    let wal_dir = TempDir::new("hello-mismatch").unwrap();
+    let cfg = CollectorConfig::new(N_ROUTERS).with_wal(WalConfig::new(wal_dir.path()));
+    let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
     let addr = handle.local_addr();
 
     // Wrong n_routers: the collector must drop the connection. A raw
@@ -227,8 +240,9 @@ fn a_deeply_nested_hello_closes_only_its_connection() {
     use cpvr_collector::codec::{append_frame_with, VERSION};
     use std::io::{Read, Write};
 
-    let handle =
-        Collector::start(CollectorConfig::new(N_ROUTERS), "127.0.0.1:0").expect("bind loopback");
+    let wal_dir = TempDir::new("nested-hello").unwrap();
+    let cfg = CollectorConfig::new(N_ROUTERS).with_wal(WalConfig::new(wal_dir.path()));
+    let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
     let addr = handle.local_addr();
 
     // A CRC-valid kind-0 (hello) frame whose payload is 100 000 `[`.
@@ -295,8 +309,9 @@ fn an_event_naming_another_router_closes_its_connection() {
     use cpvr_collector::codec::{encode_frame, EventEncoder, Frame, Hello};
     use std::io::{ErrorKind, Read, Write};
 
-    let handle =
-        Collector::start(CollectorConfig::new(N_ROUTERS), "127.0.0.1:0").expect("bind loopback");
+    let wal_dir = TempDir::new("foreign-event").unwrap();
+    let cfg = CollectorConfig::new(N_ROUTERS).with_wal(WalConfig::new(wal_dir.path()));
+    let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
     let addr = handle.local_addr();
     let events = sample_events(7);
 
@@ -383,7 +398,9 @@ fn an_event_naming_another_router_closes_its_connection() {
 /// millisecond each, and the stream still drains afterwards.
 #[test]
 fn watermark_does_not_wait_on_acks() {
-    let handle = Collector::start(CollectorConfig::new(1), "127.0.0.1:0").expect("bind loopback");
+    let wal_dir = TempDir::new("watermark-no-wait").unwrap();
+    let cfg = CollectorConfig::new(1).with_wal(WalConfig::new(wal_dir.path()));
+    let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
     let mut sink = SocketSink::connect(handle.local_addr(), RouterId(0), 1).expect("connect");
     let started = std::time::Instant::now();
     for i in 1..=300 {

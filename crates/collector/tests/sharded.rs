@@ -50,7 +50,10 @@ fn phased_grid(events: &[IoEvent]) -> Vec<SimTime> {
 /// order-sensitive observables — wait-accounting transitions above
 /// all — are bit-comparable across shard counts.
 fn run_phased(events: &[IoEvent], shards: u32) -> CollectorReport {
-    let cfg = CollectorConfig::new(N_ROUTERS).with_shards(shards);
+    let dir = TempDir::new("sharded-phased").unwrap();
+    let cfg = CollectorConfig::new(N_ROUTERS)
+        .with_wal(WalConfig::new(dir.path()))
+        .with_shards(shards);
     let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
     let addr = handle.local_addr();
     let mut sinks: Vec<SocketSink> = (0..N_ROUTERS)
@@ -257,10 +260,7 @@ fn acked_before_group_commit_crash_are_durable(shards: u32) {
     // Kill the sync thread exactly as an I/O fault would. The fold
     // keeps running degraded: later events still fold and ack, but
     // durability is gone and shutdown has to say so.
-    handle
-        .group_commit()
-        .expect("WAL => group-commit handle")
-        .crash();
+    handle.group_commit().crash();
 
     for sink in &mut sinks {
         let mine = events_for(&events, sink.source());

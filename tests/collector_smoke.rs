@@ -65,7 +65,11 @@ fn every_shard_count_matches_the_in_process_fold() {
     let events = sample_events(7);
     let reference = reference_pipeline(&events, &END);
     for shards in [1, 4] {
-        let got = run_single(&events, CollectorConfig::new(N_ROUTERS).with_shards(shards));
+        let dir = TempDir::new("smoke-shards").unwrap();
+        let cfg = CollectorConfig::new(N_ROUTERS)
+            .with_wal(WalConfig::new(dir.path()))
+            .with_shards(shards);
+        let got = run_single(&events, cfg);
         assert_eq!(got.shards(), shards);
         assert_same_fold(&got, &reference, &format!("shards={shards}"));
     }
@@ -80,7 +84,7 @@ fn a_restart_recovers_the_journaled_fold() {
     assert_same_fold(&run_single(&events, cfg()), &reference, "live");
 
     let handle = Collector::start(cfg(), "127.0.0.1:0").expect("restart");
-    let recovery = handle.recovery().expect("a WAL was configured").clone();
+    let recovery = handle.recovery().clone();
     assert_eq!(recovery.events_replayed, events.len());
     assert_eq!(recovery.watermark, Some(SimTime::MAX));
     let recovered = handle.shutdown().expect("clean shutdown").pipeline;
@@ -117,7 +121,6 @@ fn an_eviction_at_two_shards_freezes_one_dump() {
         .with_lease(LeaseConfig {
             lagging_after: Duration::from_millis(50),
             evict_after: Duration::from_millis(400),
-            sweep_interval: Duration::from_millis(10),
             stall_after: Duration::MAX,
         });
     let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
