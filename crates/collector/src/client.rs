@@ -401,7 +401,7 @@ impl SocketSink {
             .as_mut()
             .is_some_and(|(w, _)| w.write_all(&bytes).is_ok());
         let mut link = self.link.lock();
-        link.window.push(|_| bytes);
+        link.window.push(Instant::now(), |_| bytes);
         if wrote && link.conn.is_some() {
             return Ok(());
         }
@@ -462,7 +462,7 @@ impl SocketSink {
     pub fn drain(&mut self, timeout: Duration) -> io::Result<bool> {
         self.check_latched()?;
         let deadline = Instant::now() + timeout;
-        self.link.lock().window.restart_clock();
+        self.link.lock().window.restart_clock(Instant::now());
         let bye = self.bye_frontier.is_some();
         self.wait_until(deadline, |s| s.window.is_empty() && (!bye || s.fin))
     }

@@ -85,9 +85,9 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Liveness-lease thresholds for the session loop's sweep. The sweep's
-/// cadence follows from them: a quarter of the tightest threshold, at
-/// most once a second.
+/// Liveness-lease thresholds. Each fires exactly when it runs out: the
+/// session loop sleeps until the earliest `last heard + threshold` (or
+/// the stall watchdog's next step), and with none pending, indefinitely.
 #[derive(Clone, Copy, Debug)]
 pub struct LeaseConfig {
     /// A source silent this long is marked `SourceState::Lagging`
@@ -96,8 +96,8 @@ pub struct LeaseConfig {
     /// A source silent this long is evicted from the watermark gate so
     /// the fold can resume without it. Must exceed `lagging_after`.
     pub evict_after: Duration,
-    /// Watermark-stall watchdog: if events have been ingested but the
-    /// global min-watermark has not advanced for this long, the
+    /// Watermark-stall watchdog: if an event has waited this long behind
+    /// a global min-watermark that has not advanced since it arrived, the
     /// `cpvr_watermark_stall_seconds` gauge keeps climbing and the
     /// flight recorder takes a one-shot `stall` dump (re-armed when the
     /// watermark next moves). Diagnostic only — never evicts anything.
@@ -123,19 +123,6 @@ impl LeaseConfig {
             evict_after: Duration::MAX,
             stall_after: Duration::MAX,
         }
-    }
-
-    /// How often the session loop sweeps the leases (its inbox wait ends
-    /// at the next sweep): a quarter of the tightest threshold the sweep
-    /// enforces, so none is overshot by more than a quarter, and at most
-    /// a second, the resolution of the stall and lease gauges it
-    /// publishes.
-    pub(crate) fn sweep_interval(&self) -> Duration {
-        let tightest = self
-            .lagging_after
-            .min(self.evict_after)
-            .min(self.stall_after);
-        (tightest / 4).min(Duration::from_secs(1))
     }
 }
 

@@ -100,7 +100,7 @@ const PEER_RECONNECT_MAX: Duration = Duration::from_secs(2);
 /// sharing the box; ~570 ms alone). The bound sits well clear of that,
 /// so a busy peer is not sent its whole window again;
 /// `cpvr_peer_ack_stalls_total` counts the drops.
-const PEER_ACK_STALL: Duration = Duration::from_secs(2);
+pub(crate) const PEER_ACK_STALL: Duration = Duration::from_secs(2);
 
 /// Federation membership for one collector.
 #[derive(Clone, Debug)]
@@ -211,9 +211,9 @@ impl PeerLink {
     /// A failed write ends the connection, which wakes the link's thread
     /// to reconnect and replay.
     fn send(&mut self, make: impl FnOnce(u64) -> Frame) -> usize {
-        let mut guard = self.link.lock();
+        let (mut guard, now) = (self.link.lock(), Instant::now());
         let s = &mut *guard;
-        let bytes = s.window.push(|seq| encode_frame(&make(seq)));
+        let bytes = s.window.push(now, |seq| encode_frame(&make(seq)));
         if let Some(mut c) = s.conn.as_ref() {
             if c.write_all(bytes).is_err() {
                 let _ = c.shutdown(Shutdown::Both);

@@ -58,9 +58,9 @@ pub(crate) struct Window {
     next_seq: u64,
     /// Unacked frames, oldest first: `(seq, wire bytes)`. Contiguous.
     frames: VecDeque<(u64, Vec<u8>)>,
-    /// Restarted when acks advance, when the window goes from empty to
-    /// non-empty, and by [`restart_clock`](Self::restart_clock).
-    progress: Instant,
+    /// Restarted (at the `now` handed in) when acks advance, when the
+    /// window fills from empty, and by [`restart_clock`](Self::restart_clock).
+    progress: Option<Instant>,
 }
 
 impl Window {
@@ -69,30 +69,30 @@ impl Window {
         Window {
             next_seq: first_seq,
             frames: VecDeque::new(),
-            progress: Instant::now(),
+            progress: None,
         }
     }
 
     /// Numbers one frame, holds the bytes `encode` makes for its
     /// sequence number, and returns them for the first send.
-    pub(crate) fn push(&mut self, encode: impl FnOnce(u64) -> Vec<u8>) -> &[u8] {
+    pub(crate) fn push(&mut self, now: Instant, encode: impl FnOnce(u64) -> Vec<u8>) -> &[u8] {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.frames.is_empty() {
-            self.restart_clock();
+            self.restart_clock(now);
         }
         self.frames.push_back((seq, encode(seq)));
         &self.frames.back().expect("just pushed").1
     }
 
     /// Applies a cumulative ack: every frame below `upto` arrived.
-    pub(crate) fn ack(&mut self, upto: u64) {
+    pub(crate) fn ack(&mut self, upto: u64, now: Instant) {
         let before = self.frames.len();
         while self.frames.front().is_some_and(|(s, _)| *s < upto) {
             self.frames.pop_front();
         }
         if self.frames.len() < before {
-            self.restart_clock();
+            self.restart_clock(now);
         }
     }
 
@@ -118,16 +118,16 @@ impl Window {
         self.frames.is_empty()
     }
 
-    pub(crate) fn restart_clock(&mut self) {
-        self.progress = Instant::now();
+    pub(crate) fn restart_clock(&mut self, now: Instant) {
+        self.progress = Some(now);
     }
 
     /// When the stall clock runs out: `after` past the last progress,
     /// while any frame is unacked.
     pub(crate) fn stall_at(&self, after: Duration) -> Option<Instant> {
         self.progress
+            .filter(|_| !self.frames.is_empty())?
             .checked_add(after)
-            .filter(|_| !self.frames.is_empty())
     }
 }
 
@@ -238,7 +238,7 @@ impl ReplyReader {
             .name("cpvr-replies".into())
             .spawn(move || read_replies(read, &link))?;
         (s.conn, s.fin) = (Some(live), false);
-        s.window.restart_clock();
+        s.window.restart_clock(Instant::now());
         Ok(ReplyReader { conn: stop, thread })
     }
 
@@ -255,7 +255,7 @@ fn read_replies(conn: TcpStream, link: &Link) {
     let _ = read_frames(&conn, |frame| {
         let mut s = link.lock();
         match frame {
-            Frame::Ack { upto } => s.window.ack(upto),
+            Frame::Ack { upto } => s.window.ack(upto, Instant::now()),
             Frame::Fin => s.fin = true,
             _ => {}
         }
@@ -339,19 +339,16 @@ mod tests {
     use std::io::Write;
     use std::net::TcpListener;
 
-    /// Puts the stall clock a minute in the past.
-    fn backdate(w: &mut Window) {
-        w.progress -= Duration::from_secs(60);
+    const STALL: Duration = Duration::from_secs(30);
+
+    /// Whether `w`'s stall clock has run out at `now`.
+    fn stalled(w: &Window, now: Instant) -> bool {
+        w.stall_at(STALL).is_some_and(|t| t <= now)
     }
 
-    fn stalled(w: &Window) -> bool {
-        w.stall_at(Duration::from_secs(30))
-            .is_some_and(|t| t <= Instant::now())
-    }
-
-    fn push(w: &mut Window) -> u64 {
+    fn push(w: &mut Window, now: Instant) -> u64 {
         let mut seq = None;
-        w.push(|s| {
+        w.push(now, |s| {
             seq = Some(s);
             s.to_le_bytes().to_vec()
         });
@@ -360,9 +357,12 @@ mod tests {
 
     #[test]
     fn a_window_numbers_frames_from_its_first_sequence() {
-        let mut w = Window::new(1);
+        let (mut w, t) = (Window::new(1), Instant::now());
         assert_eq!((w.first_seq(), w.next_seq()), (1, 1));
-        assert_eq!([push(&mut w), push(&mut w), push(&mut w)], [1, 2, 3]);
+        assert_eq!(
+            [push(&mut w, t), push(&mut w, t), push(&mut w, t)],
+            [1, 2, 3]
+        );
         assert_eq!(w.len(), 3);
         let held: Vec<&[u8]> = w.frames().collect();
         assert_eq!(
@@ -373,66 +373,87 @@ mod tests {
                 &3u64.to_le_bytes()
             ]
         );
-        assert_eq!(w.push(|s| vec![s as u8]), &[4]);
+        assert_eq!(w.push(t, |s| vec![s as u8]), &[4]);
     }
 
     #[test]
     fn a_cumulative_ack_prunes_the_front_and_moves_the_replay_start() {
-        let mut w = Window::new(0);
+        let (mut w, t) = (Window::new(0), Instant::now());
         for _ in 0..5 {
-            push(&mut w);
+            push(&mut w, t);
         }
         assert_eq!(w.first_seq(), 0);
-        w.ack(2);
+        w.ack(2, t);
         assert_eq!((w.first_seq(), w.len()), (2, 3));
-        w.ack(1);
+        w.ack(1, t);
         assert_eq!(
             (w.first_seq(), w.len()),
             (2, 3),
             "a stale ack prunes nothing"
         );
-        w.ack(5);
+        w.ack(5, t);
         assert!(w.is_empty());
         assert_eq!(
             w.first_seq(),
             5,
             "an empty window replays from the next frame"
         );
-        assert_eq!(push(&mut w), 5);
+        assert_eq!(push(&mut w, t), 5);
         assert_eq!(w.first_seq(), 5);
     }
 
     #[test]
     fn the_stall_clock_restarts_on_ack_progress_only() {
-        let mut w = Window::new(0);
-        push(&mut w);
-        push(&mut w);
-        backdate(&mut w);
-        assert!(stalled(&w));
-        w.ack(0);
-        assert!(stalled(&w), "an ack that prunes nothing is no progress");
-        w.ack(1);
-        assert!(!stalled(&w), "an advancing ack restarts the clock");
+        let (mut w, t0) = (Window::new(0), Instant::now());
+        push(&mut w, t0);
+        push(&mut w, t0);
+        let t1 = t0 + 2 * STALL;
+        assert!(stalled(&w, t1));
+        w.ack(0, t1);
+        assert!(stalled(&w, t1), "an ack that prunes nothing is no progress");
+        w.ack(1, t1);
+        assert!(!stalled(&w, t1), "an advancing ack restarts the clock");
+        assert_eq!(w.stall_at(STALL), Some(t1 + STALL));
     }
 
     #[test]
     fn the_stall_clock_restarts_when_the_window_fills_from_empty() {
-        let mut w = Window::new(0);
-        backdate(&mut w);
-        push(&mut w);
-        assert!(!stalled(&w), "the first unacked frame starts the clock");
-        backdate(&mut w);
-        push(&mut w);
-        assert!(stalled(&w), "a frame behind an unacked one does not");
+        let (mut w, t0) = (Window::new(0), Instant::now());
+        assert_eq!(w.stall_at(STALL), None, "nothing unacked, nothing stalls");
+        let t1 = t0 + 2 * STALL;
+        push(&mut w, t1);
+        assert!(!stalled(&w, t1), "the first unacked frame starts the clock");
+        let t2 = t1 + 2 * STALL;
+        push(&mut w, t2);
+        assert!(stalled(&w, t2), "a frame behind an unacked one does not");
     }
 
     #[test]
     fn restart_clock_restarts_the_stall_clock() {
-        let mut w = Window::new(0);
-        push(&mut w);
-        backdate(&mut w);
-        w.restart_clock();
-        assert!(!stalled(&w));
+        let (mut w, t0) = (Window::new(0), Instant::now());
+        push(&mut w, t0);
+        let t1 = t0 + 2 * STALL;
+        w.restart_clock(t1);
+        assert!(!stalled(&w, t1));
+        assert!(stalled(&w, t1 + STALL));
+    }
+
+    /// A peer link replays its window after exactly two seconds without
+    /// ack progress, and not a nanosecond before.
+    #[test]
+    fn a_peer_link_window_stalls_exactly_at_peer_ack_stall() {
+        use crate::federation::PEER_ACK_STALL;
+        assert_eq!(PEER_ACK_STALL, Duration::from_secs(2));
+        let (mut w, t0) = (Window::new(1), Instant::now());
+        push(&mut w, t0);
+        let out = |w: &Window, at| w.stall_at(PEER_ACK_STALL).is_some_and(|t| t <= at);
+        assert!(!out(&w, t0 + PEER_ACK_STALL - Duration::from_nanos(1)));
+        assert!(out(&w, t0 + PEER_ACK_STALL));
+        let t1 = t0 + PEER_ACK_STALL / 2;
+        push(&mut w, t1);
+        w.ack(2, t1);
+        assert!(!out(&w, t0 + PEER_ACK_STALL), "the ack restarted it");
+        assert!(out(&w, t1 + PEER_ACK_STALL));
     }
 
     /// A link on a fresh loopback connection with its reply reader
@@ -463,7 +484,7 @@ mod tests {
     fn an_ack_wakes_the_waiter_and_prunes_the_window() {
         let (link, reader, peer) = connected(0);
         for _ in 0..3 {
-            push(&mut link.lock().window);
+            push(&mut link.lock().window, Instant::now());
         }
         let replier = reply_later(peer, Frame::Ack { upto: 2 });
         let started = Instant::now();
@@ -488,7 +509,7 @@ mod tests {
     #[test]
     fn eof_marks_the_link_dead_and_wakes_the_waiter() {
         let (link, reader, peer) = connected(0);
-        push(&mut link.lock().window);
+        push(&mut link.lock().window, Instant::now());
         let closer = thread::spawn(move || {
             thread::sleep(Duration::from_millis(50));
             drop(peer);
@@ -514,7 +535,7 @@ mod tests {
     #[test]
     fn unacked_frames_without_ack_progress_stall_the_wait() {
         let (link, reader, _peer) = connected(0);
-        push(&mut link.lock().window);
+        push(&mut link.lock().window, Instant::now());
         let woke = link.wait(Duration::from_millis(20), None, |_| false);
         assert_eq!(woke, Wake::Stalled);
         reader.stop();

@@ -425,7 +425,7 @@ impl CollectorMetrics {
             ),
             watermark_stall_seconds: r.gauge(
                 "cpvr_watermark_stall_seconds",
-                "Seconds since the global min-watermark last advanced (0 while it moves)",
+                "Seconds the first event waiting behind a still global min-watermark has waited",
             ),
             flights_started: r.counter(
                 "cpvr_flights_started_total",

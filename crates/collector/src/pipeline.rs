@@ -250,25 +250,26 @@ impl SourceTable {
         self.entry(r).promise == Some(SimTime::MAX)
     }
 
-    /// Marks a lagging source live again — it spoke within its lease.
-    /// No-op in any other state.
-    pub(crate) fn refresh(&mut self, r: RouterId) {
+    /// Moves `r` from state `from` to `to`; returns whether it was in
+    /// `from` (a no-op in any other state).
+    fn shift(&mut self, r: RouterId, from: SourceState, to: SourceState) -> bool {
         let e = self.entry_mut(r);
-        if e.state == SourceState::Lagging {
-            e.state = SourceState::Live;
+        let moved = e.state == from;
+        if moved {
+            e.state = to;
         }
+        moved
     }
 
-    /// Marks a silent source as lagging (diagnostic only — it still
-    /// gates the watermark). No-op unless currently live.
+    /// Marks a lagging source live again — it spoke within its lease.
+    pub(crate) fn refresh(&mut self, r: RouterId) -> bool {
+        self.shift(r, SourceState::Lagging, SourceState::Live)
+    }
+
+    /// Marks a silent live source as lagging (diagnostic only — it still
+    /// gates the watermark).
     pub(crate) fn set_lagging(&mut self, r: RouterId) -> bool {
-        let e = self.entry_mut(r);
-        if e.state == SourceState::Live {
-            e.state = SourceState::Lagging;
-            true
-        } else {
-            false
-        }
+        self.shift(r, SourceState::Live, SourceState::Lagging)
     }
 
     /// Evicts a source from the watermark gate. Returns whether the
@@ -284,16 +285,9 @@ impl SourceTable {
         }
     }
 
-    /// Re-admits an evicted source (it reconnected). Returns whether
-    /// the state changed.
+    /// Re-admits an evicted source (it reconnected).
     pub(crate) fn admit(&mut self, r: RouterId) -> bool {
-        let e = self.entry_mut(r);
-        if e.state == SourceState::Evicted {
-            e.state = SourceState::Live;
-            true
-        } else {
-            false
-        }
+        self.shift(r, SourceState::Evicted, SourceState::Live)
     }
 
     /// The global watermark the fold may advance to: the minimum

@@ -5,15 +5,14 @@
 //! federation running either — runs [`run`] on its session thread. The
 //! loop holds the [`SourceTable`] (dedup cursors, frontier-gated
 //! promises, lease state), the connection → router map, the late-event
-//! gate, the duplicate/gap/late counters, the liveness-lease sweep
-//! (evict → journal → hang up → flight dump), the watermark-stall
-//! watchdog, the repair ledger and its flight records, and the
-//! publication of the registry's gauges, watermark last ([`CollectorStats`]
-//! is a view of that registry). Each of those decisions is made here and
-//! nowhere else; DESIGN.md §6 "One ingest engine" lists them. The loop
-//! blocks on its inbox until the next lease sweep, its one clock. How a
-//! watermark becomes a verdict — the fold workers, their barrier round,
-//! and on a member the peers taking part in it — is [`Shards`]'.
+//! gate, the duplicate/gap/late counters, the liveness leases (evict →
+//! journal → hang up → flight dump), the watermark-stall watchdog, the
+//! repair ledger and its flight records, and the publication of the
+//! registry's gauges, watermark last ([`CollectorStats`] is a view of
+//! that registry). Each of those decisions is made here and nowhere
+//! else; DESIGN.md §6 "One ingest engine" lists them. How a watermark
+//! becomes a verdict — the fold workers, their barrier round, and on a
+//! member the peers taking part in it — is [`Shards`]'.
 //!
 //! ## Durability ordering
 //!
@@ -43,6 +42,18 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+/// The flight-recorder stage code for one repair-lifecycle stage.
+fn repair_stage_code(s: RepairStage) -> u32 {
+    match s {
+        RepairStage::Proposed => stage::REPAIR_PROPOSED,
+        RepairStage::Proven => stage::REPAIR_PROVEN,
+        RepairStage::Gated => stage::REPAIR_GATED,
+        RepairStage::Applied => stage::REPAIR_APPLIED,
+        RepairStage::Blocked => stage::REPAIR_BLOCKED,
+        RepairStage::RolledBack => stage::REPAIR_ROLLED_BACK,
+    }
+}
+
 /// Flight-recorder ring capacity of the session thread's rings (its
 /// own, and a federation member's round machine): they record every
 /// journal/fold/repair and round stamp, so they are deeper than a
@@ -65,18 +76,6 @@ struct Flight {
     received: Instant,
     /// When a watermark advance folded it, once one has.
     folded: Option<Instant>,
-}
-
-/// The flight-recorder stage code for one repair-lifecycle stage.
-fn repair_stage_code(s: RepairStage) -> u32 {
-    match s {
-        RepairStage::Proposed => stage::REPAIR_PROPOSED,
-        RepairStage::Proven => stage::REPAIR_PROVEN,
-        RepairStage::Gated => stage::REPAIR_GATED,
-        RepairStage::Applied => stage::REPAIR_APPLIED,
-        RepairStage::Blocked => stage::REPAIR_BLOCKED,
-        RepairStage::RolledBack => stage::REPAIR_ROLLED_BACK,
-    }
 }
 
 /// Emits one repair-lifecycle flight record (minting the deterministic
@@ -108,67 +107,62 @@ fn flight_repair_record(record: &RepairRecord, flight: &RingHandle, metrics: &Co
     }
 }
 
-/// The watermark-stall watchdog: tracks how long the verdict horizon
-/// has sat still while ingested events wait behind it, publishing the
-/// `cpvr_watermark_stall_seconds` gauge and, once per stall episode past
-/// [`LeaseConfig::stall_after`], recording one stall marker and firing
-/// the one-shot flight dump.
+/// The watermark-stall watchdog: how long the first event still waiting
+/// behind an unmoved verdict horizon has waited. It publishes the
+/// `cpvr_watermark_stall_seconds` gauge as each whole second passes
+/// and, once per stall episode past [`LeaseConfig::stall_after`],
+/// records one stall marker and fires the one-shot flight dump.
+#[derive(Default)]
 struct StallWatch {
-    last: Option<SimTime>,
-    since: Instant,
-    /// Events ingested since the watermark last moved — a still
+    /// When the first event began waiting behind the still watermark:
+    /// the episode's start. `None` while nothing waits — a still
     /// watermark with nothing behind it is idle, not stalled.
-    pending: bool,
-    /// This episode's marker is recorded; re-armed when the watermark
-    /// moves.
+    since: Option<Instant>,
+    /// Waited as of the last step (the gauge shows its whole seconds).
+    seen: Duration,
+    /// This episode's marker is recorded.
     marked: bool,
 }
 
 impl StallWatch {
-    fn new(initial: Option<SimTime>) -> StallWatch {
-        StallWatch {
-            last: initial,
-            since: Instant::now(),
-            pending: false,
-            marked: false,
-        }
+    /// The watchdog's next step: the marker, or the gauge's next second.
+    fn deadline(&self, stall_after: Duration) -> Option<Instant> {
+        let since = self.since?;
+        let tick = since + Duration::from_secs(self.seen.as_secs() + 1);
+        let marker = since.checked_add(stall_after).filter(|_| !self.marked);
+        Some(marker.map_or(tick, |m| m.min(tick)))
     }
 
-    /// One watchdog tick against the current watermark.
-    fn observe(
-        &mut self,
-        wm: Option<SimTime>,
-        stall_after: Duration,
-        metrics: &CollectorMetrics,
-        flight: &RingHandle,
-    ) {
-        if wm != self.last {
-            self.last = wm;
-            self.since = Instant::now();
-            self.pending = false;
-            self.marked = false;
-            metrics.watermark_stall_seconds.set(0);
-            metrics.flight.clear_stall();
-            return;
+    /// The watermark moved: what waited is folded, so the episode ends.
+    fn moved(&mut self, metrics: &CollectorMetrics) {
+        *self = StallWatch::default();
+        metrics.watermark_stall_seconds.set(0);
+        metrics.flight.clear_stall();
+    }
+
+    /// One watchdog step at `now`.
+    fn tick(&mut self, now: Instant, after: Duration, m: &CollectorMetrics, flight: &RingHandle) {
+        let Some(since) = self.since else { return };
+        let (seen, stalled) = (self.seen, now.saturating_duration_since(since));
+        self.seen = stalled;
+        if stalled.as_secs() != seen.as_secs() {
+            m.watermark_stall_seconds.set(stalled.as_secs() as i64);
         }
-        if !self.pending {
-            return;
-        }
-        let stalled = self.since.elapsed();
-        metrics
-            .watermark_stall_seconds
-            .set(stalled.as_secs() as i64);
         // Once per episode: repeated markers would overwrite the ring
         // records a later dump needs to explain the stall.
-        if stalled >= stall_after && !self.marked {
+        if stalled >= after && !self.marked {
             self.marked = true;
             flight.record(stage::WATERMARK_STALL, None, stalled.as_secs(), 0);
-            metrics.flight_stall_dump();
+            m.flight_stall_dump();
         }
     }
 }
 
-/// The session loop's state: everything protocol-shaped.
+/// The session loop's state: everything protocol-shaped. It decides on
+/// the `now` it is handed with each input (a message, or a timer that
+/// fired) and works out its next [`deadline`](Session::deadline) from
+/// its own state; [`run`] reads the clock for it. Inside, only latency
+/// histograms read the clock: they measure, they do not decide.
 struct Session<'a> {
     shards: Shards,
     sources: SourceTable,
@@ -191,12 +185,70 @@ struct Session<'a> {
     flight: RingHandle,
 }
 
-impl Session<'_> {
+impl<'a> Session<'a> {
+    /// A session over `shards` resuming from the recovered `sources` and
+    /// `repairs`, started at `now`.
+    fn new(
+        shards: Shards,
+        sources: SourceTable,
+        repairs: RepairLedger,
+        lease: LeaseConfig,
+        metrics: &'a CollectorMetrics,
+        now: Instant,
+    ) -> Self {
+        let mut s = Session {
+            last_heard: vec![now; sources.n_routers()],
+            shards,
+            sources,
+            repairs,
+            conn_source: HashMap::new(),
+            traced: Vec::new(),
+            folded: 0,
+            stall: StallWatch::default(),
+            lease,
+            metrics,
+            flight: metrics.flight.register("session", FOLD_RING_SLOTS),
+        };
+        // Scrapes arriving before any traffic should still see the
+        // recovered state, not all-zero gauges — the watermark last, as
+        // after every advance.
+        s.publish();
+        if let Some(wm) = s.shards.completed {
+            metrics.publish_watermark(wm);
+        }
+        // A recovered engine may have work its journal had not finished.
+        s.gate_moved();
+        s
+    }
+
+    /// When the session next decides anything without a message: the
+    /// earliest lease expiry, or the stall watchdog's next step.
+    fn deadline(&self) -> Option<Instant> {
+        let ids = (0..self.last_heard.len() as u32).map(RouterId);
+        let stall = self.stall.deadline(self.lease.stall_after);
+        ids.filter_map(|r| self.lease_expiry(r)).chain(stall).min()
+    }
+
+    /// When `r`'s lease next runs out (into lagging if live, else into
+    /// eviction); `None` once `r` delivered its whole stream or is out
+    /// (as is every router a federation member does not own).
+    fn lease_expiry(&self, r: RouterId) -> Option<Instant> {
+        let after = match self.sources.state(r) {
+            _ if self.sources.finished(r) => return None,
+            SourceState::Evicted => return None,
+            SourceState::Live => self.lease.lagging_after,
+            SourceState::NeverConnected | SourceState::Lagging => self.lease.evict_after,
+        };
+        self.last_heard[r.0 as usize].checked_add(after)
+    }
+
     /// Looks up the router behind `conn` and renews its lease.
-    fn heard_from(&mut self, conn: u64) -> Option<RouterId> {
+    fn heard_from(&mut self, conn: u64, now: Instant) -> Option<RouterId> {
         let source = *self.conn_source.get(&conn)?;
-        self.last_heard[source.0 as usize] = Instant::now();
-        self.sources.refresh(source);
+        self.last_heard[source.0 as usize] = now;
+        if self.sources.refresh(source) {
+            self.metrics.publish_sources(&self.sources);
+        }
         Some(source)
     }
 
@@ -217,6 +269,7 @@ impl Session<'_> {
         };
         let m = self.metrics;
         m.fold_nanos.observe_since(start);
+        self.stall.moved(m);
         let folded_before = self.folded;
         self.publish();
         m.fold_batch
@@ -254,7 +307,9 @@ impl Session<'_> {
         m.publish_watermark(wm);
     }
 
+    /// The source table changed: republish it, then advance the fold.
     fn gate_moved(&mut self) {
+        self.metrics.publish_sources(&self.sources);
         self.drive(|b, sources| b.gate_moved(sources));
     }
 
@@ -266,7 +321,8 @@ impl Session<'_> {
         self.metrics.publish_sources(&self.sources);
     }
 
-    fn on_msg(&mut self, msg: Msg) {
+    /// One message from a reader (or the handle), received at `now`.
+    fn on_msg(&mut self, msg: Msg, now: Instant) {
         match msg {
             Msg::Hello { conn, hello, ack } => {
                 let source = hello.source;
@@ -276,10 +332,10 @@ impl Session<'_> {
                     // up; the sink will resolve its real collector.
                     return;
                 }
-                self.last_heard[source.0 as usize] = Instant::now();
+                self.last_heard[source.0 as usize] = now;
                 if self.sources.state(source) == SourceState::Evicted {
                     // Journal the re-admission before widening the
-                    // gate, mirroring the eviction in `sweep`.
+                    // gate, mirroring the eviction in `on_timer`.
                     self.shards
                         .journal(Some(source), encode_frame(&Frame::Admit { source }));
                     self.sources.admit(source);
@@ -297,14 +353,10 @@ impl Session<'_> {
                 // An immediate ack tells a reconnecting client how much
                 // of its planned replay is already here.
                 self.ack(conn, source);
-                // A hello can flip a source back to Live — republish so
-                // lease-state scrapes see it now, not at the next
-                // watermark advance.
-                self.metrics.publish_sources(&self.sources);
                 self.gate_moved();
             }
             Msg::Events { conn, batch, defs } => {
-                let Some(source) = self.heard_from(conn) else {
+                let Some(source) = self.heard_from(conn, now) else {
                     return;
                 };
                 let gate = self.shards.advanced;
@@ -355,7 +407,8 @@ impl Session<'_> {
                 m.events_gap.add(gaps);
                 m.events_late.add(late);
                 if ingested > 0 {
-                    self.stall.pending = true;
+                    // The first event to wait starts the stall clock.
+                    self.stall.since.get_or_insert(now);
                 }
                 let upto = self.sources.next_seq(source);
                 let fin = self.sources.finished(source);
@@ -364,7 +417,7 @@ impl Session<'_> {
                 self.gate_moved();
             }
             Msg::Watermark { conn, t, frontier } => {
-                let Some(source) = self.heard_from(conn) else {
+                let Some(source) = self.heard_from(conn, now) else {
                     return;
                 };
                 self.sources.promise(source, t, frontier);
@@ -372,12 +425,12 @@ impl Session<'_> {
                 self.ack(conn, source);
             }
             Msg::Heartbeat { conn } => {
-                if let Some(source) = self.heard_from(conn) {
+                if let Some(source) = self.heard_from(conn, now) {
                     self.ack(conn, source);
                 }
             }
             Msg::Bye { conn, frontier } => {
-                let Some(source) = self.heard_from(conn) else {
+                let Some(source) = self.heard_from(conn, now) else {
                     return;
                 };
                 // A graceful goodbye: the source promises it will never
@@ -426,59 +479,48 @@ impl Session<'_> {
         }
     }
 
-    /// One pass of the liveness leases: flag silent sources as lagging,
-    /// evict ones silent past the eviction threshold (journaled first),
-    /// and advance the fold if an eviction released the gate.
-    fn sweep(&mut self) {
-        let now = Instant::now();
-        let mut evicted_any = false;
+    /// A deadline passed: flags or evicts (journaled first) each source
+    /// whose lease ran out, advances the fold, steps the stall watchdog.
+    fn on_timer(&mut self, now: Instant) {
+        let mut expired = false;
         for i in 0..self.last_heard.len() {
             let r = RouterId(i as u32);
-            // A source that delivered its whole stream (settled bye)
-            // owes nobody a heartbeat; an evicted one is already out (as
-            // is every router a federation member does not own).
-            if self.sources.state(r) == SourceState::Evicted || self.sources.finished(r) {
+            if self.lease_expiry(r).is_none_or(|t| t > now) {
                 continue;
             }
+            expired = true;
             let silent = now.saturating_duration_since(self.last_heard[i]);
-            if silent >= self.lease.evict_after {
-                self.shards
-                    .journal(Some(r), encode_frame(&Frame::Evict { source: r }));
-                self.sources.evict(r);
-                self.metrics.evictions.inc();
-                // Every eviction freezes exactly one black box: the dump
-                // holds the ring state that explains *why* the fold was
-                // gated when the lease gave up on this source.
-                self.flight
-                    .record(stage::EVICTION, None, u64::from(r.0), silent.as_secs());
-                self.metrics.flight_dump("eviction");
-                evicted_any = true;
-                // Hang up on the evicted source: re-admission requires a
-                // fresh hello, and clients only re-hello on reconnect, so
-                // leaving the connection up would strand a source that is
-                // merely slow (not dead) in un-admitted limbo.
-                let shards = &mut self.shards;
-                self.conn_source.retain(|&conn, source| {
-                    if *source == r {
-                        shards.drop_conn(conn, Some(r));
-                    }
-                    *source != r
-                });
-            } else if silent >= self.lease.lagging_after {
+            if silent < self.lease.evict_after {
                 self.sources.set_lagging(r);
+                continue;
             }
+            self.shards
+                .journal(Some(r), encode_frame(&Frame::Evict { source: r }));
+            self.sources.evict(r);
+            self.metrics.evictions.inc();
+            // Every eviction freezes exactly one black box: the dump
+            // holds the ring state that explains *why* the fold was
+            // gated when the lease gave up on this source.
+            self.flight
+                .record(stage::EVICTION, None, u64::from(r.0), silent.as_secs());
+            self.metrics.flight_dump("eviction");
+            // Hang up on the evicted source: re-admission requires a
+            // fresh hello, and clients only re-hello on reconnect, so
+            // leaving the connection up would strand a source that is
+            // merely slow (not dead) in un-admitted limbo.
+            let shards = &mut self.shards;
+            self.conn_source.retain(|&conn, source| {
+                if *source == r {
+                    shards.drop_conn(conn, Some(r));
+                }
+                *source != r
+            });
         }
-        if evicted_any {
+        if expired {
             self.gate_moved();
         }
-        // Every sweep republishes the lease gauges (and a member's peer
-        // gauges), so a scrape sees a source flip Live → Lagging →
-        // Evicted as it happens rather than only when the watermark next
-        // moves.
-        self.metrics.publish_sources(&self.sources);
-        if let Some(p) = &self.shards.peers {
-            p.publish_peers(&self.sources);
-        }
+        let (after, flight) = (self.lease.stall_after, &self.flight);
+        self.stall.tick(now, after, self.metrics, flight);
     }
 }
 
@@ -498,7 +540,7 @@ pub(crate) fn spawn(
         .spawn(move || run(rx, shards, sources, repairs, lease, &metrics))
 }
 
-/// Runs the session loop until every sender of `rx` is gone, then
+/// The [`Session`]'s shell, until every sender of `rx` is gone; then
 /// closes the engine and returns the fold.
 fn run(
     rx: Receiver<Msg>,
@@ -508,48 +550,544 @@ fn run(
     lease: LeaseConfig,
     metrics: &CollectorMetrics,
 ) -> (FoldReport, Option<io::Error>) {
-    // Resuming after recovery: the recovered watermark keeps gating
-    // late events even before sources reconnect.
-    let recovered = shards.completed;
-    let last_heard = vec![Instant::now(); sources.n_routers()];
-    let mut s = Session {
-        shards,
-        sources,
-        repairs,
-        conn_source: HashMap::new(),
-        last_heard,
-        traced: Vec::new(),
-        folded: 0,
-        stall: StallWatch::new(recovered),
-        lease,
-        metrics,
-        flight: metrics.flight.register("session", FOLD_RING_SLOTS),
-    };
-    // Scrapes arriving before any traffic should still see the
-    // recovered state, not all-zero gauges — the watermark last, as
-    // after every advance.
-    s.publish();
-    if let Some(wm) = recovered {
-        metrics.publish_watermark(wm);
-    }
-    // A recovered engine may have work its journal had not finished.
-    s.gate_moved();
-
-    // Between lease sweeps the loop wakes only for a message.
-    let sweep_every = lease.sweep_interval();
-    let mut next_sweep = Instant::now() + sweep_every;
+    let mut s = Session::new(shards, sources, repairs, lease, metrics, Instant::now());
     loop {
-        match rx.recv_timeout(next_sweep.saturating_duration_since(Instant::now())) {
-            Ok(msg) => s.on_msg(msg),
+        let deadline = s.deadline();
+        let got = match deadline {
+            Some(d) => rx.recv_timeout(d.saturating_duration_since(Instant::now())),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        let now = Instant::now();
+        match got {
+            Ok(msg) => s.on_msg(msg, now),
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
         }
-        if Instant::now() >= next_sweep {
-            s.sweep();
-            next_sweep = Instant::now() + sweep_every;
+        if deadline.is_some_and(|d| d <= now) {
+            s.on_timer(now);
         }
-        s.stall
-            .observe(s.shards.completed, lease.stall_after, metrics, &s.flight);
     }
     s.shards.finish(s.sources.stalled(), s.repairs)
+}
+
+#[cfg(test)]
+mod tests {
+    //! The session in virtual time: no sockets, no sleeps. Each test
+    //! starts the real engine over a throwaway journal, hands the session
+    //! constructed instants, and reads the decisions it made.
+
+    use super::*;
+    use crate::codec::Hello;
+    use crate::collector::CollectorStats;
+    use crate::metrics::source_state_code;
+    use crate::pipeline::{IngestPipeline, PipelineConfig, WalScan};
+    use crate::wal::{FsyncPolicy, TempDir, WalConfig};
+    use cpvr_sim::scenario::paper_scenario;
+    use cpvr_sim::{CaptureProfile, IoEvent, LatencyProfile};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cmp::Ordering;
+    use std::ops::Range;
+    use std::sync::OnceLock;
+
+    /// Routers in the paper scenario.
+    const N: u32 = 3;
+
+    const MS: Duration = Duration::from_millis(1);
+
+    /// A collector's engine and registry over a fresh journal: what
+    /// `Collector::start` builds, minus the acceptor and the readers.
+    struct Rig {
+        dir: TempDir,
+        cfg: CollectorConfig,
+        metrics: Arc<CollectorMetrics>,
+    }
+
+    impl Rig {
+        fn new(shards: u32, lease: LeaseConfig) -> Rig {
+            let dir = TempDir::new("session").expect("temp dir");
+            let mut wal = WalConfig::new(dir.path());
+            wal.fsync = FsyncPolicy::Never;
+            let cfg = CollectorConfig::new(N)
+                .with_wal(wal)
+                .with_shards(shards)
+                .with_lease(lease);
+            let metrics = Arc::new(CollectorMetrics::new(N, cfg.fold_shards(), 0));
+            Rig { dir, cfg, metrics }
+        }
+
+        /// Arms the flight recorder next to the journal, as a collector does.
+        fn armed(self) -> Rig {
+            self.metrics.flight.arm(self.dir.path());
+            self
+        }
+
+        /// Starts the engine, and a session on it at `now`.
+        fn session(&self, now: Instant) -> Session<'_> {
+            let workers = self.cfg.fold_shards() as usize;
+            let mut scan = WalScan::read(self.cfg.pipeline, self.dir.path(), workers).unwrap();
+            let wal = self.cfg.wal.as_ref().expect("a journal");
+            let shards = Shards::start(&self.cfg, wal, &mut scan, &self.metrics).unwrap();
+            let (sources, repairs, lease) = (scan.sources, scan.repairs, self.cfg.lease);
+            Session::new(shards, sources, repairs, lease, &self.metrics, now)
+        }
+
+        /// The lease state gauge of router `r`.
+        fn state_gauge(&self, r: u32) -> Option<i64> {
+            let label = r.to_string();
+            let snap = self.metrics.snapshot();
+            snap.gauge("cpvr_source_state", &[("router", &label)])
+        }
+    }
+
+    /// Router `r`'s handshake on connection `conn`, with no ack socket.
+    fn hello(conn: u64, r: u32, first_seq: u64) -> Msg {
+        let hello = Hello {
+            source: RouterId(r),
+            n_routers: N,
+            session: 0x5e55_0000 + u64::from(r),
+            first_seq,
+        };
+        Msg::Hello {
+            conn,
+            hello,
+            ack: None,
+        }
+    }
+
+    fn promise(conn: u64, t: SimTime, frontier: u64) -> Msg {
+        Msg::Watermark { conn, t, frontier }
+    }
+
+    fn events<'e>(conn: u64, batch: impl IntoIterator<Item = (u64, &'e IoEvent)>) -> Msg {
+        let batch = batch.into_iter().map(|(seq, e)| EventRec::new(seq, e));
+        Msg::Events {
+            conn,
+            batch: batch.collect(),
+            defs: Vec::new(),
+        }
+    }
+
+    /// The paper scenario's capture, announce and re-announce: 104
+    /// events over three routers.
+    fn trace() -> &'static [IoEvent] {
+        static TRACE: OnceLock<Vec<IoEvent>> = OnceLock::new();
+        TRACE.get_or_init(|| {
+            let latency = LatencyProfile::fast();
+            let mut s = paper_scenario(latency, CaptureProfile::ideal(), 1);
+            s.sim.start();
+            s.sim.run_to_quiescence(100_000);
+            let later = |ms| s.sim.now() + SimTime::from_millis(ms);
+            let (first, second) = (later(5), later(400));
+            s.sim.schedule_ext_announce(first, s.ext_r1, &[s.prefix]);
+            s.sim.schedule_ext_announce(second, s.ext_r2, &[s.prefix]);
+            s.sim.run_to_quiescence(100_000);
+            s.sim.trace().events.clone()
+        })
+    }
+
+    /// Router `r`'s events in wire order.
+    fn stream(r: u32) -> Vec<IoEvent> {
+        let mut mine: Vec<IoEvent> = trace()
+            .iter()
+            .filter(|e| e.router == RouterId(r))
+            .cloned()
+            .collect();
+        mine.sort_by_key(|e| (e.time, e.id));
+        mine
+    }
+
+    /// At the default leases an idle collector with live sources sleeps
+    /// until the first lagging deadline, and a source is marked lagging
+    /// exactly there — published at once — and live again, published at
+    /// once, on its next word.
+    #[test]
+    fn a_source_is_marked_lagging_exactly_at_lagging_after() {
+        let lease = LeaseConfig::default();
+        let rig = Rig::new(1, lease);
+        let t0 = Instant::now();
+        let mut s = rig.session(t0);
+        for r in 0..N {
+            s.on_msg(hello(u64::from(r), r, 0), t0);
+        }
+        let later = t0 + 5 * MS;
+        s.on_msg(Msg::Heartbeat { conn: 0 }, later);
+        assert_eq!(s.deadline(), Some(t0 + lease.lagging_after));
+
+        let live = source_state_code(SourceState::Live);
+        let lagging = source_state_code(SourceState::Lagging);
+        s.on_timer(t0 + lease.lagging_after - Duration::from_nanos(1));
+        assert_eq!(rig.state_gauge(1), Some(live));
+        s.on_timer(t0 + lease.lagging_after);
+        assert_eq!(s.sources.state(RouterId(1)), SourceState::Lagging);
+        assert_eq!(s.sources.state(RouterId(0)), SourceState::Live);
+        assert_eq!(rig.state_gauge(1), Some(lagging), "published when it flips");
+        assert_eq!(s.deadline(), Some(later + lease.lagging_after));
+
+        s.on_msg(Msg::Heartbeat { conn: 1 }, t0 + lease.lagging_after + MS);
+        assert_eq!(s.sources.state(RouterId(1)), SourceState::Live);
+        assert_eq!(
+            rig.state_gauge(1),
+            Some(live),
+            "Lagging → Live is published too"
+        );
+        assert_eq!(rig.metrics.stats().evictions, 0);
+        s.shards.finish(Vec::new(), RepairLedger::new());
+    }
+
+    /// A silent source is evicted exactly `evict_after` after it was
+    /// last heard: the eviction is journaled, its connection hung up,
+    /// and one dump frozen; a later hello re-admits it.
+    #[test]
+    fn a_source_is_evicted_journaled_and_hung_up_exactly_at_evict_after() {
+        let lease = LeaseConfig {
+            lagging_after: Duration::from_secs(1),
+            evict_after: Duration::from_secs(3),
+            stall_after: Duration::MAX,
+        };
+        let rig = Rig::new(2, lease).armed();
+        let t0 = Instant::now();
+        let mut s = rig.session(t0);
+        for r in 0..N {
+            s.on_msg(hello(u64::from(r), r, 0), t0);
+        }
+        let heard = t0 + 700 * MS;
+        for conn in [0, 1] {
+            s.on_msg(Msg::Heartbeat { conn }, heard);
+        }
+        // Router 2's lease: lagging at 1 s, out at 3 s.
+        s.on_timer(t0 + lease.lagging_after);
+        assert_eq!(s.deadline(), Some(heard + lease.lagging_after));
+        s.on_timer(heard + lease.lagging_after);
+        assert_eq!(s.deadline(), Some(t0 + lease.evict_after));
+
+        s.on_timer(t0 + lease.evict_after - Duration::from_nanos(1));
+        assert_eq!(s.sources.state(RouterId(2)), SourceState::Lagging);
+        assert!(s.conn_source.contains_key(&2));
+        s.on_timer(t0 + lease.evict_after);
+        assert_eq!(s.sources.state(RouterId(2)), SourceState::Evicted);
+        assert!(!s.conn_source.contains_key(&2), "hung up");
+        assert_eq!(rig.metrics.stats().evictions, 1);
+        assert_eq!(
+            rig.metrics.flight.last_reason().as_deref(),
+            Some("eviction")
+        );
+        let evicted = source_state_code(SourceState::Evicted);
+        assert_eq!(rig.state_gauge(2), Some(evicted));
+        assert_eq!(s.deadline(), Some(heard + lease.evict_after));
+
+        // The hung-up connection is not heard from any more.
+        let e = &stream(2)[0];
+        s.on_msg(events(2, [(0, e)]), t0 + lease.evict_after + MS);
+        assert_eq!(rig.metrics.stats().events, 0);
+        let (_, err) = s.shards.finish(Vec::new(), RepairLedger::new());
+        assert!(err.is_none());
+        let scan = WalScan::read(rig.cfg.pipeline, rig.dir.path(), 2).unwrap();
+        assert_eq!(
+            scan.sources.state(RouterId(2)),
+            SourceState::Evicted,
+            "journaled"
+        );
+        assert_eq!(scan.sources.state(RouterId(1)), SourceState::Live);
+    }
+
+    /// The stall clock starts when the first event waits behind a still
+    /// watermark, not when the watermark last moved: after an idle spell
+    /// far longer than `stall_after`, the marker lands exactly
+    /// `stall_after` after the first waiting event. With no leases and
+    /// nothing waiting the session has no deadline at all.
+    #[test]
+    fn a_stall_marker_lands_exactly_at_stall_after_the_first_waiting_event() {
+        let stall_after = Duration::from_millis(400);
+        let lease = LeaseConfig {
+            stall_after,
+            ..LeaseConfig::disabled()
+        };
+        let rig = Rig::new(1, lease).armed();
+        let t0 = Instant::now();
+        let mut s = rig.session(t0);
+        for r in 0..N {
+            s.on_msg(hello(u64::from(r), r, 0), t0);
+        }
+        assert_eq!(s.deadline(), None, "idle and lease-free: never wakes");
+
+        // Router 0 sends after a long idle spell and promises past it;
+        // routers 1 and 2 never promise, so the event waits.
+        let t1 = t0 + Duration::from_secs(10);
+        let mine = stream(0);
+        s.on_msg(events(0, [(0, &mine[0])]), t1);
+        let (t, frontier) = (mine[1].time, 1);
+        s.on_msg(promise(0, t, frontier), t1);
+        assert_eq!(s.shards.completed, None, "the watermark is still");
+        assert_eq!(rig.metrics.flight.dumps_written(), 0, "no dump at once");
+        assert_eq!(s.deadline(), Some(t1 + stall_after));
+
+        s.on_timer(t1 + stall_after - Duration::from_nanos(1));
+        assert_eq!(rig.metrics.flight.dumps_written(), 0);
+        s.on_timer(t1 + stall_after);
+        assert_eq!(rig.metrics.flight.dumps_written(), 1);
+        assert_eq!(rig.metrics.flight.last_reason().as_deref(), Some("stall"));
+        // The gauge ticks each whole second; the marker does not repeat.
+        assert_eq!(s.deadline(), Some(t1 + Duration::from_secs(1)));
+        s.on_timer(t1 + Duration::from_secs(2));
+        assert_eq!(rig.metrics.watermark_stall_seconds.value(), 2);
+        assert_eq!(rig.metrics.flight.dumps_written(), 1);
+
+        // The other routers promise: the watermark moves, the episode ends.
+        let now = t1 + Duration::from_secs(2);
+        for conn in [1, 2] {
+            s.on_msg(promise(conn, t, 0), now);
+        }
+        assert_eq!(s.shards.completed, Some(t));
+        assert_eq!(rig.metrics.watermark_stall_seconds.value(), 0);
+        assert_eq!(s.deadline(), None);
+        s.shards.finish(Vec::new(), RepairLedger::new());
+    }
+
+    /// The seeded driver's leases: short enough that a scripted silence
+    /// evicts its source, and that the stall watchdog fires meanwhile.
+    const DRIVER_LEASE: LeaseConfig = LeaseConfig {
+        lagging_after: Duration::from_secs(1),
+        evict_after: Duration::from_secs(3),
+        stall_after: Duration::from_secs(2),
+    };
+
+    /// One router's sender as the driver plays it.
+    struct Sender {
+        r: u32,
+        stream: Vec<IoEvent>,
+        /// The sequence number of the next event it sends in order.
+        sent: u64,
+        /// The connection it speaks on.
+        conn: u64,
+        /// A scripted silence: it says nothing until then, and then
+        /// speaks on a new connection.
+        silent_until: Option<Instant>,
+        byed: bool,
+    }
+
+    /// What the script delivered, classified by the driver's own model
+    /// of the session's rules: a cursor per source, and the late gate as
+    /// read before each delivery.
+    #[derive(Default)]
+    struct Script {
+        cursor: [u64; N as usize],
+        accepted: Vec<IoEvent>,
+        dups: u64,
+        gaps: u64,
+        late: u64,
+        silences: u64,
+    }
+
+    impl Script {
+        /// Delivers `sd`'s events `seqs` as one batch at `now`.
+        fn deliver(&mut self, s: &mut Session<'_>, sd: &Sender, seqs: Range<u64>, now: Instant) {
+            let (gate, next) = (s.shards.advanced, &mut self.cursor[sd.r as usize]);
+            for seq in seqs.clone() {
+                let e = &sd.stream[seq as usize];
+                match seq.cmp(next) {
+                    Ordering::Less => self.dups += 1,
+                    Ordering::Greater => self.gaps += 1,
+                    Ordering::Equal if gate.is_some_and(|g| e.time <= g) => {
+                        *next += 1;
+                        self.late += 1;
+                    }
+                    Ordering::Equal => {
+                        *next += 1;
+                        self.accepted.push(e.clone());
+                    }
+                }
+            }
+            let batch = seqs.map(|q| (q, &sd.stream[q as usize]));
+            s.on_msg(events(sd.conn, batch), now);
+        }
+    }
+
+    /// One seeded run: the three routers' streams delivered in a seeded
+    /// interleaving under virtual time, with duplicate batches, gaps
+    /// later refilled, same-session reconnect replays, silences past
+    /// `evict_after` followed by re-admission, and byes. Timers fire at
+    /// the session's own deadlines, as the shell's would. Returns the
+    /// fold, the script, and the session's counters.
+    fn drive(seed: u64, shards: u32) -> (FoldReport, Script, CollectorStats) {
+        let rig = Rig::new(shards, DRIVER_LEASE);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut now = Instant::now();
+        let mut s = rig.session(now);
+        let mut script = Script::default();
+        let mut senders: Vec<Sender> = (0..N)
+            .map(|r| Sender {
+                r,
+                stream: stream(r),
+                sent: 0,
+                conn: u64::from(r),
+                silent_until: None,
+                byed: false,
+            })
+            .collect();
+        let mut next_conn = u64::from(N);
+        for sd in &senders {
+            s.on_msg(hello(sd.conn, sd.r, 0), now);
+        }
+        loop {
+            let awake: Vec<usize> = (0..senders.len())
+                .filter(|&i| !senders[i].byed && senders[i].silent_until.is_none_or(|t| t <= now))
+                .collect();
+            let to = if awake.is_empty() {
+                let wakes = senders.iter().filter_map(|sd| sd.silent_until);
+                match wakes.min() {
+                    Some(t) => t,
+                    None => break,
+                }
+            } else {
+                now + rng.gen_range(0..=20u32) * MS
+            };
+            while let Some(d) = s.deadline().filter(|d| *d <= to) {
+                s.on_timer(d);
+                let moved = s.deadline().is_none_or(|next| next > d);
+                assert!(moved, "seed {seed}: a timer step must move the deadline");
+            }
+            now = to;
+            if awake.is_empty() {
+                continue;
+            }
+            let sd = &mut senders[awake[rng.gen_range(0..awake.len())]];
+            if sd.silent_until.take().is_some() || !s.conn_source.contains_key(&sd.conn) {
+                // A reconnect after a silence or a hang-up: the old
+                // reader's close and the new connection's hello arrive in
+                // either order, and the sender replays from a little
+                // behind where it was.
+                let (old, back) = (sd.conn, rng.gen_range(0..=4u64).min(sd.sent));
+                let closed_first = rng.gen_bool(0.5);
+                if closed_first {
+                    s.on_msg(Msg::Closed { conn: old }, now);
+                }
+                (sd.conn, sd.sent) = (next_conn, sd.sent - back);
+                next_conn += 1;
+                s.on_msg(hello(sd.conn, sd.r, sd.sent), now);
+                if !closed_first {
+                    s.on_msg(Msg::Closed { conn: old }, now);
+                }
+                continue;
+            }
+            let len = sd.stream.len() as u64;
+            match rng.gen_range(0..100u32) {
+                // A duplicate batch: events already sent, again.
+                0..=7 if sd.sent > 0 => {
+                    let end = rng.gen_range(1..=sd.sent);
+                    let start = end.saturating_sub(rng.gen_range(1..=4u64));
+                    script.deliver(&mut s, sd, start..end, now);
+                }
+                // A gap: a batch from past the next event, which the
+                // in-order batches refill later.
+                8..=15 if sd.sent + 2 <= len => {
+                    let start = rng.gen_range(sd.sent + 1..len);
+                    let end = (start + rng.gen_range(1..=4u64)).min(len);
+                    script.deliver(&mut s, sd, start..end, now);
+                }
+                // The connection drops; the next turn reconnects.
+                16..=19 => s.on_msg(Msg::Closed { conn: sd.conn }, now),
+                // A silence past the eviction threshold.
+                20..=21 if script.silences < 2 => {
+                    let extra = rng.gen_range(0..1000u32) * MS;
+                    sd.silent_until = Some(now + DRIVER_LEASE.evict_after + extra);
+                    script.silences += 1;
+                }
+                22..=27 => s.on_msg(Msg::Heartbeat { conn: sd.conn }, now),
+                _ => {
+                    let end = (sd.sent + rng.gen_range(1..=8u64)).min(len);
+                    script.deliver(&mut s, sd, sd.sent..end, now);
+                    sd.sent = end;
+                    let (conn, frontier) = (sd.conn, end);
+                    if end == len {
+                        s.on_msg(Msg::Bye { conn, frontier }, now);
+                        sd.byed = true;
+                    } else if rng.gen_bool(0.5) {
+                        // Everything before the next event is sent.
+                        let t = sd.stream[end as usize].time.as_nanos() - 1;
+                        let t = SimTime::from_nanos(t);
+                        s.on_msg(promise(conn, t, end), now);
+                    }
+                }
+            }
+        }
+        let ended = s.shards.completed == Some(SimTime::MAX);
+        assert!(ended, "seed {seed}: every stream ended");
+        let (report, err) = s.shards.finish(s.sources.stalled(), s.repairs);
+        assert!(err.is_none(), "seed {seed}: {err:?}");
+        (report, script, rig.metrics.stats())
+    }
+
+    /// Everything about a fold two runs of one script must agree on.
+    fn fold_of(r: &FoldReport) -> impl PartialEq + std::fmt::Debug {
+        let dp = r.dataplane();
+        let fibs: Vec<_> = (0..N)
+            .map(|i| (dp.fib(RouterId(i)).entries(), dp.taken_at(RouterId(i))))
+            .collect();
+        let (edges, counts) = (r.canonical_edges(), r.edge_counts());
+        let shape = (r.events(), r.processed(), r.pending(), r.watermark());
+        (shape, edges, counts, r.status(), r.wait_stats(), fibs)
+    }
+
+    /// One seed's two checks: the fold equals the in-process pipeline
+    /// over exactly the events the script says the session accepted,
+    /// with the counters the script predicts; and a second run of the
+    /// seed gives the identical fold and counters.
+    fn check_seed(seed: u64, shards: u32) {
+        let (report, script, stats) = drive(seed, shards);
+        let label = format!("seed {seed} at {shards} shard(s)");
+        let mut reference = IngestPipeline::new(PipelineConfig::new(N));
+        for e in &script.accepted {
+            reference.ingest(e);
+        }
+        reference.advance(SimTime::MAX);
+        let dp = reference.tracker().dataplane();
+        let fibs: Vec<_> = (0..N)
+            .map(|i| (dp.fib(RouterId(i)).entries(), dp.taken_at(RouterId(i))))
+            .collect();
+        let b = reference.builder();
+        assert_eq!(report.events(), reference.events(), "{label}: events");
+        assert_eq!(report.processed(), b.processed(), "{label}: folded");
+        let edges = b.hbg().canonical_edges();
+        assert_eq!(report.canonical_edges(), edges, "{label}: HBG");
+        assert_eq!(report.edge_counts(), b.edge_counts(), "{label}: per rule");
+        assert_eq!(report.status(), reference.status(), "{label}: verdict");
+        assert_eq!(report.watermark(), reference.watermark(), "{label}");
+        let got: Vec<_> = (0..N)
+            .map(|i| {
+                let dp = report.dataplane();
+                (dp.fib(RouterId(i)).entries(), dp.taken_at(RouterId(i)))
+            })
+            .collect();
+        assert_eq!(got, fibs, "{label}: data plane");
+        let counted = (stats.events, stats.duplicate_events, stats.gap_events);
+        let scripted = (script.accepted.len() as u64, script.dups, script.gaps);
+        assert_eq!(counted, scripted, "{label}: fresh, duplicate, gap");
+        assert_eq!(stats.late_events, script.late, "{label}: late");
+        let leases = (stats.evictions, stats.readmissions);
+        assert_eq!(leases, (script.silences, script.silences), "{label}");
+
+        let (again, _, stats_again) = drive(seed, shards);
+        assert_eq!(fold_of(&report), fold_of(&again), "{label}: rerun");
+        assert_eq!(format!("{stats:?}"), format!("{stats_again:?}"), "{label}");
+    }
+
+    #[test]
+    fn seeded_driver_matches_the_in_process_fold() {
+        for seed in 0..64 {
+            check_seed(seed, 1 + (seed % 2) as u32);
+        }
+    }
+
+    /// The sweep CI runs: a thousand seeds at one and at two fold
+    /// shards, one seed after another.
+    #[test]
+    #[ignore = "a thousand seeds per shard count; CI runs it"]
+    fn seeded_driver_sweep() {
+        for shards in [1, 2] {
+            for seed in 0..1000 {
+                check_seed(seed, shards);
+            }
+        }
+    }
 }

@@ -445,3 +445,49 @@ fn a_stalled_watermark_freezes_one_dump_and_rearms() {
     drop((talker, silent));
     handle.shutdown().expect("clean shutdown");
 }
+
+/// The stall clock starts when the first event waits behind a still
+/// watermark, not when the watermark last moved: after an idle spell
+/// twice `stall_after` long, the first event does not freeze a dump at
+/// once — none within `stall_after / 2` — and exactly one lands once it
+/// has waited `stall_after`.
+#[test]
+fn an_idle_spell_does_not_count_toward_a_stall() {
+    let stall_after = Duration::from_millis(400);
+    let dir = TempDir::new("flight-idle-stall").unwrap();
+    let cfg = CollectorConfig::new(2)
+        .with_wal(WalConfig::new(dir.path()))
+        .with_lease(LeaseConfig {
+            stall_after,
+            ..LeaseConfig::disabled()
+        });
+    let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
+    let addr = handle.local_addr();
+    let stall_dumps = || {
+        std::fs::read_dir(dir.path())
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().starts_with("flight-stall-"))
+            .count()
+    };
+
+    let mut talker = SocketSink::connect(addr, RouterId(0), 2).expect("connect");
+    let silent = SocketSink::connect(addr, RouterId(1), 2).expect("connect");
+    std::thread::sleep(stall_after * 2);
+    let sent = std::time::Instant::now();
+    talker.send(&sample_event(0, 1)).expect("send");
+    // Router 1 withholds its promise: the event waits behind the gate.
+    talker.watermark(SimTime::from_millis(1)).expect("promise");
+    std::thread::sleep((stall_after / 2).saturating_sub(sent.elapsed()));
+    assert_eq!(stall_dumps(), 0, "the idle spell counted toward the stall");
+    assert!(
+        wait_for(Duration::from_secs(10), || stall_dumps() == 1),
+        "the stall never froze a dump"
+    );
+    assert!(sent.elapsed() >= stall_after, "the dump came early");
+    std::thread::sleep(stall_after);
+    assert_eq!(stall_dumps(), 1, "one dump per stall episode");
+
+    drop((talker, silent));
+    handle.shutdown().expect("clean shutdown");
+}

@@ -1,10 +1,10 @@
 //! An idle collector sleeps: its acceptor and readers block on their
 //! sockets instead of waking on a clock to poll a stop flag. With three
 //! connected but silent sources, the whole process may switch context
-//! only a few times a second. The one clock left on this path is the
-//! session's lease sweep, which runs at a quarter of the tightest lease
-//! threshold and at most once a second — once a second at the default
-//! leases.
+//! only a few times a second. The session loop has no sweep cadence
+//! either: it sleeps until its next deadline, which with live, silent
+//! sources is the first lease running out (15 s at the default leases,
+//! well past this test's 3 s window).
 //!
 //! One test in its own binary, so no other test's threads share the
 //! process whose context switches are counted.

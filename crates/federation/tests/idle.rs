@@ -1,9 +1,9 @@
 //! An idle federation sleeps: with every source connected but silent,
 //! the members' peer links block — their reply readers in `read`, their
-//! own threads on a condvar — and each member's session loop wakes only
-//! for its lease sweep, once a second at the default leases (a quarter
-//! of the tightest lease threshold, capped at a second). Nothing ticks
-//! to pump the links.
+//! own threads on a condvar — and each member's session loop sleeps
+//! until its next deadline, the first lease running out (15 s at the
+//! default leases, past this test's 3 s window). Nothing ticks to pump
+//! the links.
 //!
 //! One test in its own binary, so no other test's threads share the
 //! process whose context switches are counted.
