@@ -122,6 +122,9 @@ struct StallWatch {
     seen: Duration,
     /// This episode's marker is recorded.
     marked: bool,
+    /// The newest event time ingested so far: while it lies beyond the
+    /// verdict horizon, events wait.
+    newest: Option<SimTime>,
 }
 
 impl StallWatch {
@@ -133,9 +136,23 @@ impl StallWatch {
         Some(marker.map_or(tick, |m| m.min(tick)))
     }
 
-    /// The watermark moved: what waited is folded, so the episode ends.
-    fn moved(&mut self, metrics: &CollectorMetrics) {
-        *self = StallWatch::default();
+    /// Events up to `newest` were ingested at `now`: the first to wait
+    /// starts the stall clock.
+    fn ingested(&mut self, newest: SimTime, now: Instant) {
+        self.newest = self.newest.max(Some(newest));
+        self.since.get_or_insert(now);
+    }
+
+    /// The watermark moved to `wm` at `now`: what waited behind it is
+    /// folded, so the episode ends. Events ingested beyond `wm` are
+    /// still waiting, so for them a new episode starts at `now`.
+    fn moved(&mut self, wm: SimTime, now: Instant, metrics: &CollectorMetrics) {
+        let newest = self.newest;
+        *self = StallWatch {
+            since: newest.filter(|t| *t > wm).map(|_| now),
+            newest,
+            ..StallWatch::default()
+        };
         metrics.watermark_stall_seconds.set(0);
         metrics.flight.clear_stall();
     }
@@ -217,7 +234,7 @@ impl<'a> Session<'a> {
             metrics.publish_watermark(wm);
         }
         // A recovered engine may have work its journal had not finished.
-        s.gate_moved();
+        s.gate_moved(now);
         s
     }
 
@@ -258,9 +275,10 @@ impl<'a> Session<'a> {
             .send(Some(source), WorkerMsg::Ack { conn, upto, fin });
     }
 
-    /// Runs one engine step that may land verdicts, then publishes
-    /// whatever horizon it reached.
-    fn drive(&mut self, step: impl FnOnce(&mut Shards, &SourceTable)) {
+    /// Runs one engine step, for an input handed to the session at
+    /// `now`, that may land verdicts; then publishes whatever horizon it
+    /// reached.
+    fn drive(&mut self, now: Instant, step: impl FnOnce(&mut Shards, &SourceTable)) {
         let before = self.shards.completed;
         let start = Instant::now();
         step(&mut self.shards, &self.sources);
@@ -269,7 +287,7 @@ impl<'a> Session<'a> {
         };
         let m = self.metrics;
         m.fold_nanos.observe_since(start);
-        self.stall.moved(m);
+        self.stall.moved(wm, now, m);
         let folded_before = self.folded;
         self.publish();
         m.fold_batch
@@ -280,7 +298,7 @@ impl<'a> Session<'a> {
         // time in between is §4.3's wait instead of a false alarm.
         let consistent = self.shards.verdict.status().is_consistent();
         let flight = &self.flight;
-        let now = Instant::now();
+        let stamp = Instant::now();
         self.traced.retain_mut(|fl| {
             if fl.time > wm {
                 return true;
@@ -293,11 +311,11 @@ impl<'a> Session<'a> {
                     0,
                 );
                 m.flight_received_to_folded.observe_since(fl.received);
-                now
+                stamp
             });
             if consistent {
                 m.flight_folded_to_consistent
-                    .observe(now.duration_since(folded).as_nanos() as u64);
+                    .observe(stamp.duration_since(folded).as_nanos() as u64);
                 m.flights_completed.inc();
             }
             !consistent
@@ -307,10 +325,11 @@ impl<'a> Session<'a> {
         m.publish_watermark(wm);
     }
 
-    /// The source table changed: republish it, then advance the fold.
-    fn gate_moved(&mut self) {
+    /// The source table changed at `now`: republish it, then advance
+    /// the fold.
+    fn gate_moved(&mut self, now: Instant) {
         self.metrics.publish_sources(&self.sources);
-        self.drive(|b, sources| b.gate_moved(sources));
+        self.drive(now, |b, sources| b.gate_moved(sources));
     }
 
     /// Publishes the fold and per-source gauges.
@@ -353,7 +372,7 @@ impl<'a> Session<'a> {
                 // An immediate ack tells a reconnecting client how much
                 // of its planned replay is already here.
                 self.ack(conn, source);
-                self.gate_moved();
+                self.gate_moved(now);
             }
             Msg::Events { conn, batch, defs } => {
                 let Some(source) = self.heard_from(conn, now) else {
@@ -406,22 +425,21 @@ impl<'a> Session<'a> {
                 m.events_duplicate.add(dups);
                 m.events_gap.add(gaps);
                 m.events_late.add(late);
-                if ingested > 0 {
-                    // The first event to wait starts the stall clock.
-                    self.stall.since.get_or_insert(now);
+                if let Some(newest) = fresh.iter().map(|rec| rec.rec.time).max() {
+                    self.stall.ingested(newest, now);
                 }
                 let upto = self.sources.next_seq(source);
                 let fin = self.sources.finished(source);
                 self.shards.ingest(conn, source, fresh, defs, upto, fin);
                 // Filling a gap may have settled a parked promise.
-                self.gate_moved();
+                self.gate_moved(now);
             }
             Msg::Watermark { conn, t, frontier } => {
                 let Some(source) = self.heard_from(conn, now) else {
                     return;
                 };
                 self.sources.promise(source, t, frontier);
-                self.gate_moved();
+                self.gate_moved(now);
                 self.ack(conn, source);
             }
             Msg::Heartbeat { conn } => {
@@ -437,7 +455,7 @@ impl<'a> Session<'a> {
                 // emit again, gated on its final frontier like any other
                 // promise.
                 self.sources.bye(source, frontier);
-                self.gate_moved();
+                self.gate_moved(now);
                 self.ack(conn, source);
             }
             Msg::Repair { record, done } => {
@@ -467,7 +485,7 @@ impl<'a> Session<'a> {
                 }
             }
             Msg::Peer { conn, frame, raw } => {
-                self.drive(|b, sources| b.peer_frame(conn, frame, raw, sources));
+                self.drive(now, |b, sources| b.peer_frame(conn, frame, raw, sources));
             }
             Msg::Closed { conn } => {
                 // Keep the router's state: an abnormal close stalls the
@@ -517,7 +535,7 @@ impl<'a> Session<'a> {
             });
         }
         if expired {
-            self.gate_moved();
+            self.gate_moved(now);
         }
         let (after, flight) = (self.lease.stall_after, &self.flight);
         self.stall.tick(now, after, self.metrics, flight);
@@ -841,6 +859,49 @@ mod tests {
         assert_eq!(s.shards.completed, Some(t));
         assert_eq!(rig.metrics.watermark_stall_seconds.value(), 0);
         assert_eq!(s.deadline(), None);
+        s.shards.finish(Vec::new(), RepairLedger::new());
+    }
+
+    /// Events still waiting beyond an advance start a new stall episode
+    /// at that advance: router 0 sends 35 events, every router promises
+    /// the first one's time, the fold advances to it — and then nothing
+    /// more arrives. The session keeps a deadline, and the one marker
+    /// lands `stall_after` after the advance.
+    #[test]
+    fn events_waiting_beyond_an_advance_still_stall() {
+        let stall_after = Duration::from_millis(400);
+        let lease = LeaseConfig {
+            stall_after,
+            ..LeaseConfig::disabled()
+        };
+        let rig = Rig::new(1, lease).armed();
+        let t0 = Instant::now();
+        let mut s = rig.session(t0);
+        for r in 0..N {
+            s.on_msg(hello(u64::from(r), r, 0), t0);
+        }
+        let mine = stream(0);
+        let sent = &mine[..35];
+        s.on_msg(events(0, (0..).zip(sent)), t0);
+        let t = sent[0].time;
+        assert!(sent.iter().any(|e| e.time > t), "some events lie beyond it");
+
+        let t1 = t0 + 100 * MS;
+        s.on_msg(promise(0, t, sent.len() as u64), t1);
+        for conn in [1, 2] {
+            s.on_msg(promise(conn, t, 0), t1);
+        }
+        assert_eq!(s.shards.completed, Some(t), "the fold advanced");
+        assert_eq!(s.deadline(), Some(t1 + stall_after));
+
+        s.on_timer(t1 + stall_after - Duration::from_nanos(1));
+        assert_eq!(rig.metrics.flight.dumps_written(), 0);
+        s.on_timer(t1 + stall_after);
+        assert_eq!(rig.metrics.flight.dumps_written(), 1);
+        assert_eq!(rig.metrics.flight.last_reason().as_deref(), Some("stall"));
+        s.on_timer(t1 + Duration::from_secs(3));
+        assert_eq!(rig.metrics.watermark_stall_seconds.value(), 3);
+        assert_eq!(rig.metrics.flight.dumps_written(), 1, "one marker");
         s.shards.finish(Vec::new(), RepairLedger::new());
     }
 

@@ -38,27 +38,33 @@
 //! pop, nothing else; stragglers are sorted — adaptively, so their own
 //! in-order stretches are merged rather than re-sorted — once per
 //! advance, together with only the part of the run they interleave with.
-//! Folding an event allocates nothing: the queue, the per-event edge
-//! buffer and the graph's flat adjacency arrays grow geometrically and
-//! are reused, and the rule cells keep their first id inline
+//! The queue and the graph's per-vertex adjacency cells grow by fixed
+//! blocks (`BlockQueue`, in `blocks.rs`): a backlog is never copied, and a
+//! queue that streams reuses one spare block instead of allocating.
+//! Folding an event allocates nothing: the per-event edge buffer, the
+//! sort scratch and the graph's edge arrays grow geometrically and are
+//! reused, and the rule cells keep their first id inline
 //! ([`rules`](crate::rules)).
 
+use crate::blocks::BlockQueue;
 use crate::hbg::{Hbg, Hbr, HbrSource};
 use crate::infer::{Cand, InferConfig, PatternEngine, SweepState};
 use crate::rules::{FoldRecord, RuleScope, RuleSweep};
 use cpvr_sim::{EventId, IoEvent};
 use cpvr_types::SimTime;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Ingested events awaiting the watermark: `queue[..sorted]` is a
 /// `(time, id)`-sorted run that [`pop_through`](Self::pop_through) drains
 /// from the front; `queue[sorted..]` is the tail of arrivals that sorted
 /// before the run's last event (or behind another straggler), in arrival
-/// order.
+/// order. The queue grows by fixed blocks, so a backlog is never copied.
 #[derive(Clone, Default)]
 struct Pending {
-    queue: VecDeque<FoldRecord>,
+    queue: BlockQueue<FoldRecord>,
     sorted: usize,
+    /// What [`settle`](Self::settle) sorts; kept to reuse its allocation.
+    scratch: Vec<FoldRecord>,
 }
 
 impl Pending {
@@ -74,19 +80,9 @@ impl Pending {
     /// it finds that suffix and the tail's in-order stretches as
     /// already-sorted runs and merges them.
     fn settle(&mut self) {
-        if self.sorted == self.queue.len() {
-            return;
-        }
-        let all = self.queue.make_contiguous();
-        let (run, tail) = all.split_at(self.sorted);
-        let first = tail
-            .iter()
-            .map(FoldRecord::key)
-            .min()
-            .expect("tail is non-empty");
-        let lo = run.partition_point(|e| e.key() <= first);
-        all[lo..].sort_by_key(FoldRecord::key);
-        self.sorted = all.len();
+        self.queue
+            .sort_tail(self.sorted, FoldRecord::key, &mut self.scratch);
+        self.sorted = self.queue.len();
     }
 
     /// Removes and returns the earliest event of the run if it is

@@ -7,6 +7,7 @@
 //! the supporting HBRs clear a confidence threshold, so confidence is a
 //! first-class field and every traversal takes a threshold.
 
+use crate::blocks::BlockQueue;
 use cpvr_sim::{EventId, Trace};
 use std::fmt;
 
@@ -75,18 +76,18 @@ const NIL: u32 = u32::MAX;
 
 /// One direction's adjacency lists, threaded through flat arrays in
 /// insertion order: a vertex costs one fixed-size `(head, tail)` cell
-/// and an edge one `next` index — no per-vertex heap allocation.
+/// and an edge one `next` index — no per-vertex heap allocation. The
+/// cells are written as each event is ingested, so they grow by fixed
+/// blocks that are never copied; the edge indices grow geometrically.
 #[derive(Clone, Debug, Default)]
 struct Adjacency {
-    ends: Vec<(u32, u32)>,
+    ends: BlockQueue<(u32, u32)>,
     next: Vec<u32>,
 }
 
 impl Adjacency {
     fn grow_to(&mut self, n: usize) {
-        if n > self.ends.len() {
-            self.ends.resize(n, (NIL, NIL));
-        }
+        self.ends.extend_to(n, (NIL, NIL));
     }
 
     /// Appends the newest edge, `idx == next.len()`, to `v`'s list.

@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub(crate) mod blocks;
 pub mod builder;
 pub(crate) mod control;
 pub mod distributed;

@@ -18,6 +18,7 @@
 //! answers by *waiting* for the named routers instead of raising a false
 //! alarm.
 
+use crate::blocks::BlockQueue;
 use crate::rules::FoldRecord;
 use cpvr_dataplane::{DataPlane, FibUpdate};
 use cpvr_sim::{EventId, IoEvent, Proto, Trace};
@@ -142,7 +143,7 @@ pub fn classify_conv(e: &IoEvent) -> Option<(ConvKey, bool)> {
 }
 
 /// One ingested record on a router's export stream.
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 struct StreamRecord {
     rec: FoldRecord,
     /// Raw sampled arrival; `None` = the record was lost.
@@ -150,10 +151,11 @@ struct StreamRecord {
 }
 
 /// One router's export stream: the not-yet-consumed records in
-/// `(time, id)` order behind the consumption frontier.
+/// `(time, id)` order behind the consumption frontier, in fixed blocks
+/// that a backlog never copies and a drained stream hands back.
 #[derive(Clone, Default)]
 struct RouterStream {
-    records: VecDeque<StreamRecord>,
+    records: BlockQueue<StreamRecord>,
     /// `(time, id)` of the last record consumed (arrived and applied) or
     /// permanently lost; consumed records are dropped.
     consumed: Option<(SimTime, EventId)>,
@@ -163,7 +165,9 @@ struct RouterStream {
 }
 
 impl RouterStream {
-    fn push(&mut self, rec: FoldRecord, raw: Option<SimTime>) {
+    /// Adds one record in `(time, id)` order; `scratch` holds the later
+    /// records while an out-of-order one is slotted in.
+    fn push(&mut self, rec: FoldRecord, raw: Option<SimTime>, scratch: &mut Vec<StreamRecord>) {
         let key = rec.key();
         debug_assert!(
             self.consumed.is_none_or(|c| c < key),
@@ -173,11 +177,11 @@ impl RouterStream {
         );
         // A router exports in order, so the record nearly always extends
         // the stream.
+        let r = StreamRecord { rec, raw };
         if self.records.back().is_none_or(|b| b.rec.key() < key) {
-            self.records.push_back(StreamRecord { rec, raw });
+            self.records.push_back(r);
         } else {
-            let pos = self.records.partition_point(|r| r.rec.key() < key);
-            self.records.insert(pos, StreamRecord { rec, raw });
+            self.records.insert_sorted(r, |r| r.rec.key(), scratch);
         }
     }
 
@@ -185,8 +189,8 @@ impl RouterStream {
     /// `horizon`, stepping over lost ones.
     fn pop_arrived(&mut self, horizon: SimTime) -> Option<FoldRecord> {
         loop {
-            let StreamRecord { rec, raw } = self.records.front()?;
-            match *raw {
+            let StreamRecord { rec, raw } = *self.records.front()?;
+            match raw {
                 // Lost: never arrives, never clamps later records. Step
                 // over it permanently — but only once the horizon has
                 // passed its event time, so that a not-yet-ingested event
@@ -207,7 +211,7 @@ impl RouterStream {
                     self.high = Some(eff);
                 }
             }
-            let StreamRecord { rec, raw } = self.records.pop_front().expect("peeked");
+            self.records.pop_front();
             self.consumed = Some(rec.key());
             if raw.is_some() {
                 return Some(rec);
@@ -290,6 +294,8 @@ impl Conversations {
 struct Streams {
     streams: Vec<RouterStream>,
     dp: DataPlane,
+    /// [`RouterStream::push`]'s scratch; kept to reuse its allocation.
+    scratch: Vec<StreamRecord>,
 }
 
 impl Streams {
@@ -297,11 +303,12 @@ impl Streams {
         Streams {
             streams: vec![RouterStream::default(); n_routers],
             dp: DataPlane::new(n_routers),
+            scratch: Vec::new(),
         }
     }
 
     fn ingest(&mut self, rec: FoldRecord, raw: Option<SimTime>) {
-        self.streams[rec.router.index()].push(rec, raw);
+        self.streams[rec.router.index()].push(rec, raw, &mut self.scratch);
     }
 
     /// Consumes every record that has arrived by `horizon`, each

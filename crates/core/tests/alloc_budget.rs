@@ -16,7 +16,12 @@
 //!   both consumers — holding the whole fold to 0.35 allocations per
 //!   event. What is left is state the fold must create: a cell per
 //!   `(router, prefix)` and per conversation. Buffering the events
-//!   themselves cost one more allocation for every route.
+//!   themselves cost one more allocation for every route;
+//! * a backlog of 200 000 router-local FIB records ingested before the
+//!   first advance, with no reallocation at all and at most one
+//!   allocation per 512 records: the pending queue, the router streams
+//!   and the graph's per-vertex cells grow by fixed blocks, so a backlog
+//!   is never copied into a larger buffer.
 //!
 //! The count is per thread, so the tests may run side by side.
 
@@ -33,24 +38,33 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 thread_local! {
-    /// This thread's allocations since it started counting; `None` when
-    /// it is not.
-    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+    /// This thread's `(alloc, realloc)` calls since it started counting;
+    /// `None` when it is not.
+    static CALLS: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
 }
 
 struct Counting;
 
-fn count() {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+fn count(realloc: bool) {
+    let _ = CALLS.try_with(|n| {
+        n.set(
+            n.get()
+                .map(|(a, r)| if realloc { (a, r + 1) } else { (a + 1, r) }),
+        )
+    });
 }
 
-/// Heap allocations (and reallocations) `work` makes on this thread.
-fn allocations_of(work: impl FnOnce()) -> u64 {
-    ALLOCATIONS.with(|n| n.set(Some(0)));
+/// Heap `(allocations, reallocations)` `work` makes on this thread.
+fn heap_calls_of(work: impl FnOnce()) -> (u64, u64) {
+    CALLS.with(|n| n.set(Some((0, 0))));
     work();
-    ALLOCATIONS
-        .with(|n| n.replace(None))
-        .expect("counting was on")
+    CALLS.with(|n| n.replace(None)).expect("counting was on")
+}
+
+/// Heap allocations and reallocations `work` makes on this thread.
+fn allocations_of(work: impl FnOnce()) -> u64 {
+    let (allocs, reallocs) = heap_calls_of(work);
+    allocs + reallocs
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -58,7 +72,7 @@ fn allocations_of(work: impl FnOnce()) -> u64 {
 // const-initialised thread-local, which does not allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(false);
         // SAFETY: the caller upholds `alloc`'s contract for `layout`.
         unsafe { System.alloc(layout) }
     }
@@ -70,7 +84,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(true);
         // SAFETY: as for `dealloc`; the caller upholds `realloc`'s
         // contract for `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -269,5 +283,55 @@ fn route_bearing_bgp_fold_stays_within_the_allocation_budget() {
         "{allocations} heap allocations while folding {} events ({per_event:.3} per event); \
          the budget is 0.35 per event",
         events.len()
+    );
+}
+
+/// Records ingested before the first advance.
+const BACKLOG: usize = 200_000;
+
+#[test]
+fn a_backlog_grows_without_reallocating() {
+    let prefixes = prefix_block(PREFIXES);
+    let records: Vec<(FoldRecord, Option<SimTime>)> = (0..BACKLOG)
+        .map(|i| {
+            let time = SimTime::from_micros(i as u64 + 1);
+            let e = IoEvent {
+                id: EventId(i as u32),
+                router: RouterId(i as u32 % ROUTERS),
+                time,
+                arrived_at: Some(time),
+                kind: IoKind::FibInstall {
+                    prefix: prefixes[i % PREFIXES],
+                    action: FibAction::Local,
+                },
+            };
+            (FoldRecord::of(&e), e.arrived_at)
+        })
+        .collect();
+    let mut builder = HbgBuilder::new(&InferConfig {
+        rules: true,
+        patterns: None,
+        min_confidence: 0.0,
+        proximate: false,
+    });
+    let mut tracker = ConsistencyTracker::new(ROUTERS as usize);
+    let (allocs, reallocs) = heap_calls_of(|| {
+        for &(rec, arrived_at) in &records {
+            builder.ingest_record(rec);
+            tracker.ingest_record(rec, arrived_at);
+        }
+    });
+
+    assert_eq!(builder.pending(), BACKLOG);
+    assert_eq!(builder.advance(SimTime::MAX), BACKLOG);
+    assert!(tracker.advance(SimTime::MAX).is_consistent());
+    assert_eq!(
+        reallocs, 0,
+        "{reallocs} reallocations while {BACKLOG} records waited: a buffer grew by copying"
+    );
+    let budget = BACKLOG as u64 / 512;
+    assert!(
+        allocs <= budget,
+        "{allocs} heap allocations while {BACKLOG} records waited; the budget is {budget}"
     );
 }
