@@ -25,7 +25,9 @@
 //! jitter**: the sink re-Hellos with the same session, replays
 //! everything unacknowledged, and re-promises its last watermark. The
 //! collector deduplicates the replay by sequence number, so delivery is
-//! at-least-once on the wire and exactly-once in the fold.
+//! at-least-once on the wire and exactly-once in the fold. When to
+//! solicit, redial or give up is the link's sender's decision; the sink
+//! passes it its [`ReconnectPolicy`], its jitter and `SOLICIT_EVERY`.
 //!
 //! `EventSink::on_event` cannot return an error, so unrecoverable I/O
 //! failures (reconnect attempts exhausted, replay buffer overflow) are
@@ -36,12 +38,12 @@
 //! last-resort failure mode.
 
 use crate::codec::{encode_frame, write_frame, CodecVersion, EventEncoder, Frame, Hello};
-use crate::link::{fresh_session, read_frames, Link, LinkState, ReplyReader, Wake};
+use crate::link::{fresh_session, read_frames, Link, Next, ReplyReader, Sender};
 use cpvr_obs::{ExpoFormat, Snapshot};
 use cpvr_sim::{EventSink, IoEvent};
 use cpvr_types::{RouterId, SimTime, TraceCtx};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
@@ -54,15 +56,16 @@ const REPLAY_CAPACITY: usize = 16 * 1024;
 
 /// How often a sink waiting on the collector re-solicits an ack (and
 /// re-sends an unconfirmed bye).
-const SOLICIT_EVERY: Duration = Duration::from_millis(25);
+pub(crate) const SOLICIT_EVERY: Duration = Duration::from_millis(25);
 
 /// Reconnection and replay tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct ReconnectPolicy {
-    /// Connection attempts per (re)connect episode before giving up and
+    /// Failed connection attempts in a row before giving up and
     /// latching the error.
     pub max_attempts: u32,
-    /// Backoff before the second attempt; doubles per failure.
+    /// Backoff after a failed attempt, doubling per failure; also the
+    /// least gap between a connection that came up and the next attempt.
     pub base_delay: Duration,
     /// Backoff cap.
     pub max_delay: Duration,
@@ -89,28 +92,21 @@ impl Default for ReconnectPolicy {
 /// directly or as an [`EventSink`].
 pub struct SocketSink {
     addr: SocketAddr,
-    /// The connection and its reply reader.
+    /// The connection and its reply reader; dropping them flushes what
+    /// was buffered, ends the connection and joins the reader.
     conn: Option<(BufWriter<TcpStream>, ReplyReader)>,
-    source: RouterId,
-    n_routers: u32,
-    session: u64,
+    /// The handshake every (re)connect opens with; `first_seq` is
+    /// filled in at connect time.
+    hello: Hello,
     policy: ReconnectPolicy,
-    /// Sent but unacknowledged events, numbered from 0, and what the
-    /// reply reader heard; shared with the reader.
+    /// The sender, numbering events from 0; shared with the reader.
     link: Arc<Link>,
     /// The last promise made, re-issued after a reconnect.
     last_wm: Option<(SimTime, u64)>,
-    /// The bye frontier, if the stream was ended; re-issued likewise.
-    /// Byes carry no sequence number, so the collector's
-    /// [`Frame::Fin`] on the *current* connection is the only proof one
-    /// was not lost.
-    bye_frontier: Option<u64>,
     /// Encodes event frames into reusable scratch buffers and owns this
     /// session's intern tables, whose definition frames are replayed on
     /// every reconnect.
     enc: EventEncoder,
-    /// Backoff jitter.
-    rng: StdRng,
     /// First unrecoverable error, latched; everything after is dropped.
     error: Option<io::Error>,
     /// Successful connection establishments.
@@ -152,18 +148,22 @@ impl SocketSink {
             .next()
             .ok_or_else(|| io::Error::other("address resolved to nothing"))?;
         let session = fresh_session();
+        // Jittered redials: reconnect storms from many clients
+        // decorrelate instead of synchronizing.
+        let jitter = StdRng::seed_from_u64(session ^ u64::from(source.0));
         let mut sink = SocketSink {
             addr,
             conn: None,
-            source,
-            n_routers,
-            session,
+            hello: Hello {
+                source,
+                n_routers,
+                session,
+                first_seq: 0,
+            },
             policy,
-            link: Link::new(0),
+            link: Link::new(Sender::new(0, policy, Some(SOLICIT_EVERY), Some(jitter))),
             last_wm: None,
-            bye_frontier: None,
             enc: EventEncoder::new(codec),
-            rng: StdRng::seed_from_u64(session ^ u64::from(source.0)),
             error: None,
             connects: 0,
             trace_every: 0,
@@ -188,12 +188,12 @@ impl SocketSink {
 
     /// The router this connection speaks for.
     pub fn source(&self) -> RouterId {
-        self.source
+        self.hello.source
     }
 
     /// This client instance's session id.
     pub fn session(&self) -> u64 {
-        self.session
+        self.hello.session
     }
 
     /// Events accepted so far.
@@ -231,35 +231,15 @@ impl SocketSink {
         }
     }
 
-    /// Establishes a connection with capped exponential backoff +
-    /// jitter, then re-sends the handshake, the unacknowledged replay,
-    /// the last watermark promise, and the bye if one was issued. On
-    /// exhaustion the error is latched and returned.
+    /// Drops the connection and redials until one is up; when the sender
+    /// gives up, the error is latched and returned.
     fn establish(&mut self) -> io::Result<()> {
-        self.disconnect();
-        let mut delay = self.policy.base_delay;
-        let mut last_err: Option<io::Error> = None;
-        for attempt in 0..self.policy.max_attempts.max(1) {
-            if attempt > 0 {
-                // Jitter in [0.5, 1.5): reconnect storms from many
-                // clients decorrelate instead of synchronizing.
-                let jitter = self.rng.gen_range(0.5f64..1.5);
-                std::thread::sleep(delay.mul_f64(jitter));
-                delay = (delay * 2).min(self.policy.max_delay);
-            }
-            match self.try_establish() {
-                Ok(()) => {
-                    self.connects += 1;
-                    return Ok(());
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        let e = last_err.unwrap_or_else(|| io::Error::other("no connection attempts made"));
-        self.latch(&e);
-        Err(e)
+        self.conn = None;
+        self.wait(None, |s| s.up).map(drop)
     }
 
+    /// One dial: the handshake, the intern definitions, the replay, the
+    /// last watermark promise, and the bye if one was issued.
     fn try_establish(&mut self) -> io::Result<()> {
         let stream = TcpStream::connect(self.addr)?;
         stream.set_nodelay(true)?;
@@ -267,15 +247,8 @@ impl SocketSink {
         // No reply reader runs yet, so holding the link across the
         // replay's writes keeps nobody waiting.
         let mut link = self.link.lock();
-        write_frame(
-            &mut w,
-            &Frame::Hello(Hello {
-                source: self.source,
-                n_routers: self.n_routers,
-                session: self.session,
-                first_seq: link.window.first_seq(),
-            }),
-        )?;
+        self.hello.first_seq = link.window.first_seq();
+        write_frame(&mut w, &Frame::Hello(self.hello.clone()))?;
         // Re-send every intern definition made this session before
         // any event can reference one. The collector we reach may have
         // restarted with an empty symbol table, and acked (pruned)
@@ -289,7 +262,7 @@ impl SocketSink {
         if let Some((t, frontier)) = self.last_wm {
             write_frame(&mut w, &Frame::Watermark { t, frontier })?;
         }
-        if let Some(frontier) = self.bye_frontier {
+        if let Some(frontier) = link.bye {
             write_frame(&mut w, &Frame::Bye { frontier })?;
         }
         w.flush()?;
@@ -301,69 +274,55 @@ impl SocketSink {
         Ok(())
     }
 
-    /// Ends the current connection, flushing what it buffered.
-    fn disconnect(&mut self) {
-        if let Some((w, replies)) = self.conn.take() {
-            drop(w);
-            replies.stop();
-        }
+    /// Writes and flushes one control frame on a live connection;
+    /// `false` if the reply reader saw it end or the write failed.
+    fn write(&mut self, frame: &Frame) -> bool {
+        let up = self.link.lock().up;
+        let conn = self.conn.as_mut().filter(|_| up);
+        conn.is_some_and(|(w, _)| write_frame(&mut *w, frame).and_then(|_| w.flush()).is_ok())
     }
 
-    /// Writes and flushes one control frame. A connection the reply
-    /// reader saw die, or a failed write, reconnects instead — at once,
-    /// so a quiet source does not sit on a dead connection — and the
-    /// reconnect re-sends whatever state the frame carried.
+    /// Writes one control frame, or reconnects — at once, so a quiet
+    /// source does not sit on a dead connection — and the reconnect
+    /// re-sends whatever state the frame carried.
     fn say(&mut self, frame: &Frame) -> io::Result<()> {
-        let alive = self.link.lock().conn.is_some();
-        let said = self
-            .conn
-            .as_mut()
-            .filter(|_| alive)
-            .is_some_and(|(w, _)| write_frame(&mut *w, frame).and_then(|_| w.flush()).is_ok());
-        if said {
+        if self.write(frame) {
             return Ok(());
         }
         self.establish()
     }
 
-    fn flush_stream(&mut self) -> io::Result<()> {
+    /// The sink's shell around its sender: blocks until `done` holds
+    /// (`Ok(true)`) or `until` passes (`Ok(false)`), soliciting and
+    /// redialing as told. When the sender gives up, the last dial's
+    /// error is latched and returned.
+    fn wait(&mut self, until: Option<Instant>, done: impl Fn(&Sender) -> bool) -> io::Result<bool> {
+        // A failed flush drops the connection, and the sender redials.
         if self.conn.as_mut().is_some_and(|(w, _)| w.flush().is_err()) {
-            return self.establish();
+            self.conn = None;
         }
-        Ok(())
-    }
-
-    /// Blocks until `done` holds, re-soliciting acks every
-    /// [`SOLICIT_EVERY`] and reconnecting to replay whenever the reply
-    /// reader saw the connection die or the acks stalled. Returns
-    /// `Ok(false)` at `deadline`.
-    fn wait_until(
-        &mut self,
-        deadline: Instant,
-        done: impl Fn(&LinkState) -> bool,
-    ) -> io::Result<bool> {
-        self.flush_stream()?;
-        let mut solicit_at = Instant::now() + SOLICIT_EVERY;
+        let mut failed = None;
         loop {
-            let until = Some(solicit_at.min(deadline));
-            match self.link.wait(self.policy.stall_after, until, &done) {
-                Wake::Done => return Ok(true),
-                // Go-back-N: a collector that stopped acking is stuck
-                // before a gap our frames were supposed to fill.
-                // Reconnect and replay from the ack cursor.
-                Wake::Dead | Wake::Stalled => self.establish()?,
-                Wake::Timeout if Instant::now() >= deadline => return Ok(false),
-                Wake::Timeout => {
-                    // Solicit acks (and keep the lease fresh). An
-                    // unconfirmed bye is re-sent instead of a heartbeat:
-                    // byes are unsequenced, so retransmission until the
-                    // fin arrives is what makes end-of-stream reliable.
-                    let fin = self.link.lock().fin;
-                    self.say(&match self.bye_frontier {
-                        Some(frontier) if !fin => Frame::Bye { frontier },
-                        _ => Frame::Heartbeat,
-                    })?;
-                    solicit_at = Instant::now() + SOLICIT_EVERY;
+            match self.link.ask(until, &done) {
+                Next::Done => return Ok(true),
+                Next::Wait(_) => return Ok(false),
+                Next::Solicit(frame) => {
+                    if !self.write(&frame) {
+                        self.conn = None;
+                    }
+                }
+                Next::Redial { .. } => {
+                    self.conn = None;
+                    match self.try_establish() {
+                        Ok(()) => self.connects += 1,
+                        Err(e) => failed = Some(e),
+                    }
+                }
+                Next::GiveUp => {
+                    let e =
+                        failed.unwrap_or_else(|| io::Error::other("reconnect attempts exhausted"));
+                    self.latch(&e);
+                    return Err(e);
                 }
             }
         }
@@ -374,10 +333,10 @@ impl SocketSink {
     /// stall, and fails if the collector will not ack.
     pub fn send(&mut self, e: &IoEvent) -> io::Result<()> {
         self.check_latched()?;
-        let room = |s: &LinkState| s.window.len() < REPLAY_CAPACITY;
+        let room = |s: &Sender| s.window.len() < REPLAY_CAPACITY;
         if !room(&self.link.lock()) {
             let patience = self.policy.stall_after.max(Duration::from_secs(1)) * 4;
-            if !self.wait_until(Instant::now() + patience, room)? {
+            if !self.wait(Some(Instant::now() + patience), room)? {
                 let e = io::Error::other(format!(
                     "replay buffer full at {} events and the collector is not acking",
                     self.unacked()
@@ -391,7 +350,7 @@ impl SocketSink {
         // the definitions in order too (redefinition is idempotent).
         let seq = self.sent();
         let ctx = (self.trace_every > 0 && seq.is_multiple_of(self.trace_every))
-            .then(|| TraceCtx::for_flight(self.session, seq));
+            .then(|| TraceCtx::for_flight(self.hello.session, seq));
         let mut bytes = Vec::new();
         self.enc.encode_into_traced(seq, e, ctx, &mut bytes);
         // Written before it is held, so the link is never locked across
@@ -402,7 +361,7 @@ impl SocketSink {
             .is_some_and(|(w, _)| w.write_all(&bytes).is_ok());
         let mut link = self.link.lock();
         link.window.push(Instant::now(), |_| bytes);
-        if wrote && link.conn.is_some() {
+        if wrote && link.up {
             return Ok(());
         }
         drop(link);
@@ -435,20 +394,8 @@ impl SocketSink {
     pub fn bye(&mut self) -> io::Result<()> {
         self.check_latched()?;
         let frontier = self.sent();
-        self.bye_frontier = Some(frontier);
+        self.link.lock().bye = Some(frontier);
         self.say(&Frame::Bye { frontier })
-    }
-
-    /// Flushes buffered frames to the socket.
-    pub(crate) fn flush(&mut self) -> io::Result<()> {
-        if self.error.is_some() {
-            return Ok(()); // already latched; nothing useful to do
-        }
-        let r = self.flush_stream();
-        if let Err(e) = &r {
-            self.latch(e);
-        }
-        r
     }
 
     /// Blocks until the collector has acknowledged every event sent
@@ -461,24 +408,26 @@ impl SocketSink {
     /// on timeout.
     pub fn drain(&mut self, timeout: Duration) -> io::Result<bool> {
         self.check_latched()?;
-        let deadline = Instant::now() + timeout;
-        self.link.lock().window.restart_clock(Instant::now());
-        let bye = self.bye_frontier.is_some();
-        self.wait_until(deadline, |s| s.window.is_empty() && (!bye || s.fin))
+        let now = Instant::now();
+        self.link.lock().window.restart_clock(now);
+        self.wait(Some(now + timeout), |s| !s.outstanding())
     }
 }
 
 impl Drop for SocketSink {
-    /// Closes the connection after flushing it and lingering, up to
-    /// `stall_after`, for the acks of what was sent: the collector's
-    /// last acks land instead of meeting a closed socket.
+    /// Flushes the connection and, before it closes, lingers up to
+    /// `stall_after` for the acks of what was sent — soliciting them,
+    /// never redialing — so the collector's last acks do not meet a
+    /// closed socket.
     fn drop(&mut self) {
         if self.conn.as_mut().is_some_and(|(w, _)| w.flush().is_ok()) {
-            let stall = self.policy.stall_after;
-            let until = Instant::now().checked_add(stall);
-            self.link.wait(stall, until, |s| s.window.is_empty());
+            let until = Instant::now().checked_add(self.policy.stall_after);
+            while let Next::Solicit(frame) = self.link.ask(until, |s| s.window.is_empty()) {
+                if !self.write(&frame) {
+                    break;
+                }
+            }
         }
-        self.disconnect();
     }
 }
 
@@ -569,6 +518,9 @@ impl EventSink for SocketSink {
     }
 
     fn flush(&mut self) {
-        let _ = SocketSink::flush(self);
+        // Once latched there is nothing useful to do; a failure latches.
+        if self.error.is_none() && self.conn.as_mut().is_some_and(|(w, _)| w.flush().is_err()) {
+            let _ = self.establish();
+        }
     }
 }

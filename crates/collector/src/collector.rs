@@ -51,10 +51,13 @@
 //! it, and an eviction/re-admission frame *before* the gate changes —
 //! and an ack is only sent *after* the events it covers were journaled.
 //! The log is therefore always at least as complete as the in-memory
-//! state, so replaying it (see [`IngestPipeline::recover`]) reconstructs
-//! the pre-crash fold exactly: at-least-once logging plus sequence
-//! deduplication plus a deterministic fold is effectively exactly-once
-//! recovery.
+//! state, so replaying it — [`Collector::start`] scans the journal
+//! (`WalScan::read`) and seeds the fold workers from the scan
+//! (`Shards::start`) — reconstructs the pre-crash fold exactly:
+//! at-least-once logging plus sequence deduplication plus a
+//! deterministic fold is effectively exactly-once recovery.
+//! [`IngestPipeline::recover`] folds the same scan in-process, as the
+//! oracle the recovered fold is tested against.
 //!
 //! [`HbgBuilder::advance`]: cpvr_core::builder::HbgBuilder::advance
 //! [`Decoder`]: crate::codec::Decoder
@@ -62,7 +65,6 @@
 
 use crate::codec::{
     encode_frame, CodecError, DecodedMsg, Decoder, Frame, Hello, PeerHello, RepairRecord,
-    ACCEPTED_VERSIONS,
 };
 use crate::federation::{CollectorRole, FederationConfig};
 use crate::group_commit::GroupCommitHandle;
@@ -651,10 +653,10 @@ pub(crate) fn wake_acceptor(mut addr: SocketAddr, acceptor: &JoinHandle<()>) {
 enum FrameOutcome {
     /// Keep reading.
     Continue,
-    /// Protocol violation: close the connection (already counted).
-    Fatal(String),
-    /// The session hung up; nothing left to report to.
-    SessionGone,
+    /// Close the connection: a protocol violation (counted by
+    /// [`Reader::fatal`]), a probe answer that could not be written, or
+    /// the session hung up.
+    Close,
 }
 
 /// One connection's reader state: the protocol state machine
@@ -684,24 +686,17 @@ struct Reader<'a> {
 
 impl Reader<'_> {
     /// A protocol violation: counted, and the connection closes.
-    fn fatal(&self, why: String) -> FrameOutcome {
+    fn fatal(&self) -> FrameOutcome {
         self.metrics.decode_errors.inc();
-        FrameOutcome::Fatal(why)
+        FrameOutcome::Close
     }
 
     /// The handshake check both hellos share: a connection greets once,
     /// for a network of the configured size. Returns the ack stream the
     /// session replies on.
-    fn greet(&mut self, who: &str, n_routers: u32) -> Result<Option<TcpStream>, FrameOutcome> {
-        if self.greeted {
-            return Err(self.fatal("duplicate hello".into()));
-        }
-        let expected = self.cfg.pipeline.n_routers;
-        if n_routers != expected {
-            return Err(self.fatal(format!(
-                "{who} believes the network has {n_routers} routers, collector is configured \
-                 for {expected} (this build reads protocol versions {ACCEPTED_VERSIONS:?})"
-            )));
+    fn greet(&mut self, n_routers: u32) -> Result<Option<TcpStream>, FrameOutcome> {
+        if self.greeted || n_routers != self.cfg.pipeline.n_routers {
+            return Err(self.fatal());
         }
         self.greeted = true;
         let ack = self.stream.try_clone().ok();
@@ -731,7 +726,7 @@ impl Reader<'_> {
     fn handle(&mut self, msg: Result<DecodedMsg, CodecError>) -> FrameOutcome {
         match msg {
             Ok(msg) => self.on_frame(msg),
-            Err(e) => self.fatal(e.to_string()),
+            Err(_) => self.fatal(),
         }
     }
 
@@ -748,19 +743,17 @@ impl Reader<'_> {
         // by a heartbeat must account for them. Definitions ride in the
         // batch, so they do not split it.
         if !matches!(frame, Frame::Event { .. } | Frame::Intern(_)) && !self.flush() {
-            return FrameOutcome::SessionGone;
+            return FrameOutcome::Close;
         }
         let msg = match frame {
             Frame::Hello(hello) => {
-                let ack = match self.greet("peer", hello.n_routers) {
+                let ack = match self.greet(hello.n_routers) {
                     Ok(ack) => ack,
                     Err(fatal) => return fatal,
                 };
+                // A router outside the network it names.
                 if hello.source.0 >= hello.n_routers {
-                    return self.fatal(format!(
-                        "peer claims to be router {} of a {}-router network",
-                        hello.source.0, hello.n_routers
-                    ));
+                    return self.fatal();
                 }
                 self.source = Some((hello.source, hello.session));
                 Msg::Hello { conn, hello, ack }
@@ -775,7 +768,7 @@ impl Reader<'_> {
                 if w.write_all(&encode_frame(&Frame::MetricsResp { body }))
                     .is_err()
                 {
-                    return FrameOutcome::Fatal("metrics response write failed".into());
+                    return FrameOutcome::Close;
                 }
                 return FrameOutcome::Continue;
             }
@@ -791,7 +784,7 @@ impl Reader<'_> {
                 if w.write_all(&encode_frame(&Frame::DumpResp { body }))
                     .is_err()
                 {
-                    return FrameOutcome::Fatal("dump response write failed".into());
+                    return FrameOutcome::Close;
                 }
                 return FrameOutcome::Continue;
             }
@@ -801,19 +794,16 @@ impl Reader<'_> {
             // first frame.
             Frame::PeerHello(hello) => {
                 if !federated {
-                    return self
-                        .fatal("peer hello on a collector that is not a federation member".into());
+                    return self.fatal();
                 }
-                let ack = match self.greet("peer member", hello.n_routers) {
+                let ack = match self.greet(hello.n_routers) {
                     Ok(ack) => ack,
                     Err(fatal) => return fatal,
                 };
                 self.is_peer = true;
                 Msg::PeerHello { conn, hello, ack }
             }
-            _ if !self.greeted => {
-                return self.fatal("first frame was not a hello".into());
-            }
+            _ if !self.greeted => return self.fatal(),
             // Peer traffic is only legal on a connection a PeerHello opened;
             // a router client sending it is a peer bug, not line noise.
             Frame::FrontierExchange(_)
@@ -822,7 +812,7 @@ impl Reader<'_> {
             | Frame::PeerRepairProof(_)
                 if !self.is_peer =>
             {
-                return self.fatal("peer frame on a router connection".into());
+                return self.fatal();
             }
             peer @ (Frame::FrontierExchange(_)
             | Frame::BoundaryEdges(_)
@@ -833,15 +823,11 @@ impl Reader<'_> {
                 raw: raw.expect("the reader keeps every frame's bytes"),
             },
             Frame::Event { seq, event } => {
+                // An event must name its connection's router, and a peer
+                // connection carries none.
                 let session = match self.source {
                     Some((r, session)) if r == event.router => session,
-                    Some((r, _)) => {
-                        return self.fatal(format!(
-                            "event names router {} on router {}'s connection",
-                            event.router.0, r.0
-                        ))
-                    }
-                    None => return self.fatal("event on a peer connection".into()),
+                    _ => return self.fatal(),
                 };
                 if trace.is_some() {
                     metrics.trace_bytes.add(TRACE_CTX_WIRE_LEN as u64);
@@ -872,7 +858,7 @@ impl Reader<'_> {
                     ..EventRec::new(seq, &event)
                 });
                 if self.batch.len() >= EVENT_BATCH_MAX && !self.flush() {
-                    return FrameOutcome::SessionGone;
+                    return FrameOutcome::Close;
                 }
                 return FrameOutcome::Continue;
             }
@@ -897,7 +883,7 @@ impl Reader<'_> {
             | Frame::Repair(_) => return FrameOutcome::Continue,
         };
         if self.tx.send(msg).is_err() {
-            return FrameOutcome::SessionGone;
+            return FrameOutcome::Close;
         }
         FrameOutcome::Continue
     }
@@ -916,8 +902,6 @@ impl Reader<'_> {
         corrupt
     }
 }
-
-const SESSION_GONE: &str = "the collector session is gone";
 
 fn reader_loop(
     stream: TcpStream,
@@ -948,27 +932,23 @@ fn reader_loop(
         reported_skipped: 0,
     };
     let mut crc_burst_base = 0u64;
-    // The loop's break value describes why the connection ended; it is
-    // currently only useful to a debugger, but the plumbing keeps the
-    // failure paths honest about what went wrong.
-    let _why_closed: Option<String> = 'conn: loop {
+    'conn: loop {
         let n = match (&stream).read(&mut buf) {
             Ok(0) => {
                 // EOF: whatever is still buffered is all we will ever
                 // get — let the decoder fish out any complete frames.
                 for msg in dec.finish() {
-                    match rd.handle(msg) {
-                        FrameOutcome::Continue => {}
-                        FrameOutcome::Fatal(why) => break 'conn Some(why),
-                        FrameOutcome::SessionGone => break 'conn Some(SESSION_GONE.into()),
+                    if let FrameOutcome::Close = rd.handle(msg) {
+                        break;
                     }
                 }
-                break None;
+                break;
             }
             Ok(n) => n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            // A read timeout: the connection sat idle past `IDLE_TIMEOUT`.
-            Err(e) => break Some(e.to_string()),
+            // A read timeout (the connection sat idle past
+            // `IDLE_TIMEOUT`) or an error.
+            Err(_) => break,
         };
         metrics.bytes.add(n as u64);
         dec.feed(&buf[..n]);
@@ -981,10 +961,8 @@ fn reader_loop(
                 break;
             };
             metrics.decode_nanos.observe_since(t0);
-            match rd.handle(msg) {
-                FrameOutcome::Continue => {}
-                FrameOutcome::Fatal(why) => break 'conn Some(why),
-                FrameOutcome::SessionGone => break 'conn Some(SESSION_GONE.into()),
+            if let FrameOutcome::Close = rd.handle(msg) {
+                break 'conn;
             }
         }
         // Quarantined frames accumulate in the decoder; publish the
@@ -1002,9 +980,9 @@ fn reader_loop(
         // Flush per read chunk: acks go out per batch, and a
         // client's replay-buffer pruning is only as fresh as its acks.
         if !rd.flush() {
-            break Some(SESSION_GONE.into());
+            break;
         }
-    };
+    }
     rd.publish_decoder(&dec);
     rd.flush();
     let _ = rd.tx.send(Msg::Closed { conn });

@@ -55,12 +55,13 @@
 //! semantically — frontier minima max-merge, round frames at or behind
 //! the completed horizon drop, boundary records deduplicate by event id.
 
+use crate::client::ReconnectPolicy;
 use crate::codec::{
     encode_frame, BoundaryEdges, Frame, FrontierExchange, PartialVerdict, PeerHello,
     PeerRepairProof,
 };
 use crate::collector::CollectorConfig;
-use crate::link::{fresh_session, Cursor, Link, ReplyReader, Wake};
+use crate::link::{fresh_session, Cursor, Link, Next, ReplyReader, Sender};
 use crate::metrics::{furthest, gauge_nanos, lag_nanos, CollectorMetrics};
 use crate::pipeline::{Offer, SourceTable};
 use crate::repair_journal::RepairLedger;
@@ -88,8 +89,8 @@ const PEER_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
 /// Connect timeout for (re)dialing a peer.
 const PEER_CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 /// Reconnect backoff bounds.
-const PEER_RECONNECT_MIN: Duration = Duration::from_millis(50);
-const PEER_RECONNECT_MAX: Duration = Duration::from_secs(2);
+pub(crate) const PEER_RECONNECT_MIN: Duration = Duration::from_millis(50);
+pub(crate) const PEER_RECONNECT_MAX: Duration = Duration::from_secs(2);
 /// How long unacked frames may wait on a live link with no ack progress
 /// before the link is dropped to replay them. A frame damaged in flight
 /// is quarantined by the peer, which then drops every later frame as a
@@ -101,6 +102,15 @@ const PEER_RECONNECT_MAX: Duration = Duration::from_secs(2);
 /// so a busy peer is not sent its whole window again;
 /// `cpvr_peer_ack_stalls_total` counts the drops.
 pub(crate) const PEER_ACK_STALL: Duration = Duration::from_secs(2);
+/// A peer link's redials and stall bound. It never gives up, never
+/// solicits (acks follow every frame the peer journals), and redials
+/// without jitter: a federation has a handful of links, not a storm.
+pub(crate) const PEER_POLICY: ReconnectPolicy = ReconnectPolicy {
+    max_attempts: u32::MAX,
+    base_delay: PEER_RECONNECT_MIN,
+    max_delay: PEER_RECONNECT_MAX,
+    stall_after: PEER_ACK_STALL,
+};
 
 /// Federation membership for one collector.
 #[derive(Clone, Debug)]
@@ -200,7 +210,7 @@ struct PeerLink {
 impl PeerLink {
     fn new(hello: PeerHello, addr: SocketAddr) -> Self {
         PeerLink {
-            link: Link::new(1),
+            link: Link::new(Sender::new(1, PEER_POLICY, None, None)),
             hello,
             addr,
             thread: None,
@@ -247,30 +257,18 @@ impl Drop for PeerLink {
     }
 }
 
-/// A peer link's thread: dials with backoff, hellos and replays the
-/// whole window, then sleeps until the connection dies, its unacked
-/// frames see no ack progress for [`PEER_ACK_STALL`], or the link drops.
+/// A peer link's thread, a shell around its sender: dials when told
+/// to — hello, then the whole window — and drops the connection it is
+/// told died or stalled, until the link drops.
 fn keep_up(link: &Arc<Link>, mut hello: PeerHello, addr: SocketAddr, metrics: &CollectorMetrics) {
-    let mut backoff = PEER_RECONNECT_MIN;
-    let mut last_attempt: Option<Instant> = None;
-    loop {
-        if last_attempt.is_some_and(|t| link.stopped_by(t + backoff)) || link.lock().stopped {
-            return;
+    let mut replies = None;
+    while let Next::Redial { stalled } = link.ask(None, |s| s.stopped) {
+        if stalled {
+            metrics.peer_ack_stalls.inc();
         }
-        last_attempt = Some(Instant::now());
-        let Ok(replies) = dial(link, &mut hello, addr) else {
-            // A replay that failed to write is a failed attempt too.
-            backoff = (backoff * 2).min(PEER_RECONNECT_MAX);
-            continue;
-        };
-        backoff = PEER_RECONNECT_MIN;
-        let woke = link.wait(PEER_ACK_STALL, None, |s| s.stopped);
-        replies.stop();
-        match woke {
-            Wake::Done => return,
-            Wake::Stalled => metrics.peer_ack_stalls.inc(),
-            _ => {}
-        }
+        // The old connection's reader stops before a new one starts.
+        drop(replies.take());
+        replies = dial(link, &mut hello, addr).ok();
     }
 }
 

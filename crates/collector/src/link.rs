@@ -7,22 +7,24 @@
 //! hellos with the window's first sequence number and replays the whole
 //! window. The receiver's [`Cursor`] accepts only the next frame, so a
 //! frame lost or damaged in flight stalls the acks until the sender
-//! replays from the gap. What differs per hop stays with the hop: how
-//! to connect, what else a reconnect re-sends, and how long a stall is.
+//! replays from the gap.
 //!
-//! Acks wake the sender; nothing polls for them. Every connection gets
-//! a [`ReplyReader`], a thread that blocks in `read` with no timeout,
-//! applies each `Ack` and `Fin` to the [`Link`] — the window behind a
-//! mutex — and wakes whoever waits on its condvar; on EOF or an error it
-//! marks the connection dead and wakes the waiter too. [`Link::wait`] is
-//! the one wait both hops use: until a predicate holds, the connection
-//! dies, or the unacked frames see no ack progress for the stall bound.
-//! A reader is stopped like every blocking thread in the collector:
-//! `shutdown(Both)` on its socket, then join.
+//! One [`Sender`] decides, on the `now` it is handed, when to solicit,
+//! redial or give up; what differs per hop is data handed to it, and
+//! what a (re)connect writes stays with the hop. The threads are shells:
+//! [`Link::ask`] reads the clock once per wake and sleeps on the link's
+//! condvar until the sender's deadline, and the hop does the I/O the
+//! answer names. Acks wake the sender; nothing polls for them. Each
+//! connection's [`ReplyReader`] blocks in `read`, applies every `Ack`
+//! and `Fin` and wakes the waiter, and marks the connection down on EOF;
+//! it is stopped by `shutdown(Both)` on its socket, then join.
 
+use crate::client::ReconnectPolicy;
 use crate::codec::{Decoder, Frame};
 use crate::pipeline::{HelloKind, Offer};
 use cpvr_types::fnv1a64;
+use rand::rngs::StdRng;
+use rand::Rng;
 use std::cmp::Ordering as Cmp;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read};
@@ -131,51 +133,150 @@ impl Window {
     }
 }
 
-/// A sender's side of a link, shared by the threads that send on it and
-/// the [`ReplyReader`] of its current connection.
-pub(crate) struct Link {
-    state: Mutex<LinkState>,
-    woken: Condvar,
+/// What a [`Sender`] answers at a `now`: what the caller waits for
+/// holds; wait until an instant (`None`: until woken); write a frame
+/// that solicits an ack; drop the connection, if any, and dial — hello,
+/// then the window (`stalled`: it was up, but its acks stalled); or give
+/// up, the hop's dial attempts spent.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Next {
+    Done,
+    Wait(Option<Instant>),
+    Solicit(Frame),
+    Redial { stalled: bool },
+    GiveUp,
 }
 
-pub(crate) struct LinkState {
+/// A sender's side of a link, shared by the threads that send on it and
+/// the [`ReplyReader`] of its current connection: the window, the fin,
+/// whether a connection is up, and the state machine on them — the
+/// solicit clock and the redial backoff. It reads no clock:
+/// [`next`](Self::next) decides on the `now` it is handed.
+pub(crate) struct Sender {
     pub(crate) window: Window,
     /// Whether the receiver sent a [`Frame::Fin`] on this connection.
     pub(crate) fin: bool,
-    /// The connection, while its reply reader runs; `None` once it died.
+    /// The bye frontier, once the stream ended: byes are unsequenced, so
+    /// a solicit re-sends it until a fin arrives on the connection.
+    pub(crate) bye: Option<u64>,
+    /// Whether a connection is up (its reply reader runs), and that
+    /// connection, on which a peer link writes its first sends.
+    pub(crate) up: bool,
     pub(crate) conn: Option<TcpStream>,
     /// Set when the link's owner lets go, for a thread that waits on it.
     pub(crate) stopped: bool,
+    /// What differs per hop, as data: the stall bound and the redial
+    /// backoff, the period of ack solicits while something is
+    /// outstanding, and the jitter that scales each dial's delay by a
+    /// draw in [0.5, 1.5).
+    policy: ReconnectPolicy,
+    solicit_every: Option<Duration>,
+    jitter: Option<StdRng>,
+    solicit_at: Option<Instant>,
+    /// The earliest next dial (`None`: at once), the delay before the
+    /// one after it, and the dials answered since one was seen to
+    /// connect, which resets both.
+    dial_at: Option<Instant>,
+    delay: Duration,
+    dials: u32,
 }
 
-/// Why [`Link::wait`] returned: the predicate holds, the connection died
-/// (or there is none), unacked frames saw no ack progress for the stall
-/// bound, or the caller's deadline passed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Wake {
-    Done,
-    Dead,
-    Stalled,
-    Timeout,
+impl Sender {
+    /// A sender with no connection whose first frame carries `first_seq`.
+    pub(crate) fn new(
+        first_seq: u64,
+        policy: ReconnectPolicy,
+        solicit_every: Option<Duration>,
+        jitter: Option<StdRng>,
+    ) -> Self {
+        Sender {
+            window: Window::new(first_seq),
+            fin: false,
+            bye: None,
+            up: false,
+            conn: None,
+            stopped: false,
+            delay: policy.base_delay,
+            policy,
+            solicit_every,
+            jitter,
+            solicit_at: None,
+            dial_at: None,
+            dials: 0,
+        }
+    }
+
+    /// Whether the receiver owes an ack: unacked frames, or a bye's fin.
+    pub(crate) fn outstanding(&self) -> bool {
+        !self.window.is_empty() || self.bye.is_some() && !self.fin
+    }
+
+    /// What next at `now`, given whether what the caller waits for
+    /// holds. After a `Redial`, the caller dials before it asks again.
+    pub(crate) fn next(&mut self, now: Instant, done: bool) -> Next {
+        let base = self.policy.base_delay;
+        if self.up && self.dials > 0 {
+            // A dial connected, and its replay went out since: the acks
+            // are due from now, and the next dial is `base` off.
+            (self.dials, self.delay, self.dial_at) = (0, base, now.checked_add(base));
+            self.window.restart_clock(now);
+        }
+        if done {
+            self.solicit_at = None;
+            return Next::Done;
+        }
+        if !self.up && self.dials >= self.policy.max_attempts.max(1) {
+            (self.dials, self.delay, self.dial_at) = (0, base, None);
+            return Next::GiveUp;
+        }
+        let stall = self.window.stall_at(self.policy.stall_after);
+        let stalled = self.up && stall.is_some_and(|t| t <= now);
+        if stalled || !self.up && self.dial_at.is_none_or(|t| t <= now) {
+            let scale = self.jitter.as_mut().map_or(1.0, |r| r.gen_range(0.5..1.5));
+            self.dial_at = now.checked_add(self.delay.mul_f64(scale));
+            self.delay = (self.delay * 2).min(self.policy.max_delay);
+            self.dials += 1;
+            return Next::Redial { stalled };
+        }
+        let every = self.solicit_every.filter(|_| self.up && self.outstanding());
+        self.solicit_at = every.map(|e| self.solicit_at.unwrap_or(now + e));
+        match (every, self.solicit_at) {
+            (Some(e), Some(t)) if t <= now => {
+                self.solicit_at = Some(now + e);
+                Next::Solicit(match self.bye {
+                    Some(frontier) if !self.fin => Frame::Bye { frontier },
+                    _ => Frame::Heartbeat,
+                })
+            }
+            _ => Next::Wait(self.deadline()),
+        }
+    }
+
+    /// When the caller's wait should end: the next dial while the
+    /// connection is down, else the stall bound or the next solicit.
+    /// `None` while nothing ticks.
+    pub(crate) fn deadline(&self) -> Option<Instant> {
+        if !self.up {
+            return self.dial_at;
+        }
+        let stall = self.window.stall_at(self.policy.stall_after);
+        stall.into_iter().chain(self.solicit_at).min()
+    }
+}
+
+/// A [`Sender`] behind a mutex, and the condvar its waiters sleep on.
+pub(crate) struct Link {
+    state: Mutex<Sender>,
+    woken: Condvar,
 }
 
 impl Link {
-    /// A link with no connection whose first frame carries `first_seq`.
-    pub(crate) fn new(first_seq: u64) -> Arc<Link> {
-        let window = Window::new(first_seq);
-        let state = Mutex::new(LinkState {
-            window,
-            fin: false,
-            conn: None,
-            stopped: false,
-        });
-        Arc::new(Link {
-            state,
-            woken: Condvar::new(),
-        })
+    pub(crate) fn new(sender: Sender) -> Arc<Link> {
+        let (state, woken) = (Mutex::new(sender), Condvar::new());
+        Arc::new(Link { state, woken })
     }
 
-    pub(crate) fn lock(&self) -> MutexGuard<'_, LinkState> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Sender> {
         self.state.lock().unwrap()
     }
 
@@ -184,73 +285,65 @@ impl Link {
         self.woken.notify_all();
     }
 
-    /// Blocks until `done` holds, the connection dies, the unacked
-    /// frames see no ack progress for `stall_after`, or `until` passes.
-    pub(crate) fn wait(
-        &self,
-        stall_after: Duration,
-        until: Option<Instant>,
-        done: impl Fn(&LinkState) -> bool,
-    ) -> Wake {
+    /// The one wait both hops use: asks the sender what next, reading
+    /// the clock once per wake, and sleeps on the condvar while the
+    /// answer is to wait — until the sender's deadline or `until`.
+    /// Returns any other answer, or the wait once `until` has passed.
+    pub(crate) fn ask(&self, until: Option<Instant>, done: impl Fn(&Sender) -> bool) -> Next {
         let mut s = self.lock();
         loop {
-            let (stall, now) = (s.window.stall_at(stall_after), Instant::now());
-            if done(&s) {
-                return Wake::Done;
-            } else if s.conn.is_none() {
-                return Wake::Dead;
-            } else if stall.is_some_and(|t| now >= t) {
-                return Wake::Stalled;
-            }
-            s = match stall.into_iter().chain(until).min() {
-                Some(t) if now >= t => return Wake::Timeout,
-                Some(t) => self.woken.wait_timeout(s, t - now).unwrap().0,
+            let (now, done) = (Instant::now(), done(&s));
+            let next = s.next(now, done);
+            let Next::Wait(deadline) = next else {
+                return next;
+            };
+            s = match deadline.into_iter().chain(until).min() {
+                Some(_) if until.is_some_and(|t| t <= now) => return next,
+                Some(t) => {
+                    let left = t.saturating_duration_since(now);
+                    self.woken.wait_timeout(s, left).unwrap().0
+                }
                 None => self.woken.wait(s).unwrap(),
             };
         }
     }
-
-    /// Sleeps until `until` unless stopped first; returns whether it was.
-    pub(crate) fn stopped_by(&self, until: Instant) -> bool {
-        let left = until.saturating_duration_since(Instant::now());
-        let woken = self
-            .woken
-            .wait_timeout_while(self.lock(), left, |s| !s.stopped);
-        woken.unwrap().0.stopped
-    }
 }
 
 /// The thread that reads one connection's replies into its [`Link`].
+/// Dropping it ends the connection, which ends the reader's `read`, and
+/// joins it.
 pub(crate) struct ReplyReader {
     conn: TcpStream,
-    thread: JoinHandle<()>,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl ReplyReader {
-    /// Makes `conn` the live connection of `link` — whose state the
+    /// Makes `conn` the live connection of `link` — whose sender the
     /// caller holds as `s`, so no send sees the link between two
-    /// connections — with no fin yet and the stall clock restarted for
-    /// the replay, and starts reading its replies.
-    pub(crate) fn start(conn: &TcpStream, link: &Arc<Link>, s: &mut LinkState) -> io::Result<Self> {
+    /// connections — with no fin yet, and starts reading its replies.
+    pub(crate) fn start(conn: &TcpStream, link: &Arc<Link>, s: &mut Sender) -> io::Result<Self> {
         let (read, stop, live) = (conn.try_clone()?, conn.try_clone()?, conn.try_clone()?);
         let link = Arc::clone(link);
         let thread = thread::Builder::new()
             .name("cpvr-replies".into())
             .spawn(move || read_replies(read, &link))?;
-        (s.conn, s.fin) = (Some(live), false);
-        s.window.restart_clock(Instant::now());
+        (s.conn, s.fin, s.up) = (Some(live), false, true);
+        let thread = Some(thread);
         Ok(ReplyReader { conn: stop, thread })
     }
+}
 
-    /// Ends the connection, which ends the reader's `read`, and joins it.
-    pub(crate) fn stop(self) {
+impl Drop for ReplyReader {
+    fn drop(&mut self) {
         let _ = self.conn.shutdown(Shutdown::Both);
-        let _ = self.thread.join();
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
     }
 }
 
 /// Applies every reply, waking the link's waiters after each, until the
-/// connection ends; then marks it dead.
+/// connection ends; then marks it down.
 fn read_replies(conn: TcpStream, link: &Link) {
     let _ = read_frames(&conn, |frame| {
         let mut s = link.lock();
@@ -263,7 +356,9 @@ fn read_replies(conn: TcpStream, link: &Link) {
         link.notify();
         true
     });
-    link.lock().conn = None;
+    let mut s = link.lock();
+    (s.conn, s.up) = (None, false);
+    drop(s);
     link.notify();
 }
 
@@ -335,11 +430,15 @@ impl Cursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::SOLICIT_EVERY;
     use crate::codec::write_frame;
+    use crate::federation::{PEER_ACK_STALL, PEER_POLICY, PEER_RECONNECT_MAX, PEER_RECONNECT_MIN};
+    use rand::SeedableRng;
     use std::io::Write;
     use std::net::TcpListener;
 
     const STALL: Duration = Duration::from_secs(30);
+    const NS: Duration = Duration::from_nanos(1);
 
     /// Whether `w`'s stall clock has run out at `now`.
     fn stalled(w: &Window, now: Instant) -> bool {
@@ -353,6 +452,23 @@ mod tests {
             s.to_le_bytes().to_vec()
         });
         seq.expect("push numbers the frame")
+    }
+
+    /// A sink's sender under `policy`, its jitter seeded with `seed`.
+    fn sink(policy: ReconnectPolicy, seed: u64) -> Sender {
+        let jitter = StdRng::seed_from_u64(seed);
+        Sender::new(0, policy, Some(SOLICIT_EVERY), Some(jitter))
+    }
+
+    fn peer() -> Sender {
+        Sender::new(1, PEER_POLICY, None, None)
+    }
+
+    /// Asks `s` at `at`, expects to be told to dial, and lets the dial
+    /// connect or fail — what a shell's dial does to `up`.
+    fn dial(s: &mut Sender, at: Instant, connects: bool) {
+        assert!(matches!(s.next(at, false), Next::Redial { .. }));
+        s.up = connects;
     }
 
     #[test]
@@ -439,30 +555,160 @@ mod tests {
     }
 
     /// A peer link replays its window after exactly two seconds without
-    /// ack progress, and not a nanosecond before.
+    /// ack progress, and not a nanosecond before; its sender says so at
+    /// that instant, and its redials back off from 50 ms to the 2 s cap.
     #[test]
     fn a_peer_link_window_stalls_exactly_at_peer_ack_stall() {
-        use crate::federation::PEER_ACK_STALL;
         assert_eq!(PEER_ACK_STALL, Duration::from_secs(2));
         let (mut w, t0) = (Window::new(1), Instant::now());
         push(&mut w, t0);
         let out = |w: &Window, at| w.stall_at(PEER_ACK_STALL).is_some_and(|t| t <= at);
-        assert!(!out(&w, t0 + PEER_ACK_STALL - Duration::from_nanos(1)));
+        assert!(!out(&w, t0 + PEER_ACK_STALL - NS));
         assert!(out(&w, t0 + PEER_ACK_STALL));
         let t1 = t0 + PEER_ACK_STALL / 2;
         push(&mut w, t1);
         w.ack(2, t1);
         assert!(!out(&w, t0 + PEER_ACK_STALL), "the ack restarted it");
         assert!(out(&w, t1 + PEER_ACK_STALL));
+
+        // The sender on a live connection with one unacked frame: told
+        // to drop and redial exactly at the stall bound.
+        let mut s = peer();
+        dial(&mut s, t0, true);
+        push(&mut s.window, t0);
+        let stall = t0 + PEER_ACK_STALL;
+        assert_eq!(s.next(t0, false), Next::Wait(Some(stall)));
+        assert_eq!(s.next(stall - NS, false), Next::Wait(Some(stall)));
+        assert_eq!(s.next(stall, false), Next::Redial { stalled: true });
+
+        // Every failed dial doubles the wait for the next, to the cap.
+        let (mut at, mut want) = (stall, PEER_RECONNECT_MIN);
+        for _ in 0..8 {
+            s.up = false;
+            let next = at + want;
+            assert_eq!(s.next(at, false), Next::Wait(Some(next)));
+            assert_eq!(s.next(next - NS, false), Next::Wait(Some(next)));
+            assert_eq!(s.next(next, false), Next::Redial { stalled: false });
+            (at, want) = (next, PEER_RECONNECT_MAX.min(want + want));
+        }
+        assert_eq!(want, PEER_RECONNECT_MAX, "the backoff reached its cap");
+
+        // A dial that connects resets it: a connection that dies at once
+        // is redialed 50 ms after that dial, and a failure waits 50 ms.
+        s.up = true;
+        assert_eq!(s.next(at, false), Next::Wait(Some(at + PEER_ACK_STALL)));
+        s.up = false;
+        let redial = at + PEER_RECONNECT_MIN;
+        assert_eq!(s.next(at, false), Next::Wait(Some(redial)));
+        dial(&mut s, redial, false);
+        let again = redial + PEER_RECONNECT_MIN;
+        assert_eq!(s.next(redial, false), Next::Wait(Some(again)));
+    }
+
+    /// A draining sink solicits an ack every `SOLICIT_EVERY` while
+    /// frames are unacked, and redials at its `stall_after`; after a bye
+    /// with no fin, the solicit re-sends the bye.
+    #[test]
+    fn a_draining_sink_solicits_on_its_period_and_redials_at_its_stall() {
+        let policy = ReconnectPolicy::default();
+        assert_eq!(SOLICIT_EVERY, Duration::from_millis(25));
+        let t0 = Instant::now();
+        let mut s = sink(policy, 7);
+        dial(&mut s, t0, true);
+        push(&mut s.window, t0);
+        s.window.restart_clock(t0);
+        assert_eq!(s.next(t0, false), Next::Wait(Some(t0 + SOLICIT_EVERY)));
+        let solicits = (policy.stall_after.as_nanos() / SOLICIT_EVERY.as_nanos()) as u32;
+        for k in 1..solicits {
+            let due = t0 + SOLICIT_EVERY * k;
+            assert_eq!(s.next(due - NS, false), Next::Wait(Some(due)));
+            assert_eq!(s.next(due, false), Next::Solicit(Frame::Heartbeat));
+        }
+        let stall = t0 + policy.stall_after;
+        assert_eq!(s.next(stall - NS, false), Next::Wait(Some(stall)));
+        assert_eq!(s.next(stall, false), Next::Redial { stalled: true });
+
+        let mut s = sink(policy, 7);
+        dial(&mut s, t0, true);
+        s.bye = Some(0);
+        assert_eq!(s.next(t0, false), Next::Wait(Some(t0 + SOLICIT_EVERY)));
+        let due = t0 + SOLICIT_EVERY;
+        assert_eq!(
+            s.next(due, false),
+            Next::Solicit(Frame::Bye { frontier: 0 })
+        );
+        s.fin = true;
+        assert_eq!(s.next(due, false), Next::Wait(None), "the fin confirmed it");
+        assert_eq!(s.next(due, true), Next::Done);
+    }
+
+    /// A sink's failed dials wait a jittered [0.5, 1.5) × the doubling
+    /// delay, capped at `max_delay`, and it gives up after
+    /// `max_attempts`; the next ask starts over.
+    #[test]
+    fn a_sink_redials_with_jittered_backoff_and_gives_up() {
+        let policy = ReconnectPolicy::default();
+        let t0 = Instant::now();
+        let mut spread = (Duration::MAX, Duration::ZERO);
+        for seed in 0..32 {
+            let mut s = sink(policy, seed);
+            let mut at = t0;
+            dial(&mut s, at, false);
+            for failed in 1..policy.max_attempts {
+                let delay = (policy.base_delay * (1 << (failed - 1))).min(policy.max_delay);
+                let Next::Wait(Some(next)) = s.next(at, false) else {
+                    panic!("seed {seed}: failure {failed} must wait for the next dial");
+                };
+                let scale = (next - at).as_secs_f64() / delay.as_secs_f64();
+                assert!((0.5..1.5).contains(&scale), "seed {seed}: scale {scale}");
+                spread = (spread.0.min(next - at), spread.1.max(next - at));
+                assert_eq!(s.next(next - NS, false), Next::Wait(Some(next)));
+                at = next;
+                dial(&mut s, at, false);
+            }
+            assert_eq!(s.next(at, false), Next::GiveUp);
+            assert_eq!(s.next(at, false), Next::Redial { stalled: false });
+        }
+        assert!(spread.0 < policy.base_delay, "jitter shortens some delays");
+        assert!(spread.1 > policy.max_delay, "and lengthens some at the cap");
+    }
+
+    /// Nothing ticks on an idle link: with an empty window on a live
+    /// connection, neither hop's sender has a deadline.
+    #[test]
+    fn an_empty_window_on_a_live_connection_has_no_deadline() {
+        let t0 = Instant::now();
+        for mut s in [sink(ReconnectPolicy::default(), 7), peer()] {
+            dial(&mut s, t0, true);
+            assert_eq!(s.next(t0, false), Next::Wait(None));
+            assert_eq!(s.deadline(), None);
+            let seq = push(&mut s.window, t0);
+            assert!(s.next(t0, false) != Next::Wait(None));
+            s.window.ack(seq + 1, t0 + STALL);
+            assert_eq!(s.next(t0 + STALL, false), Next::Wait(None));
+            assert_eq!(s.deadline(), None);
+        }
+    }
+
+    /// A sender that neither solicits nor gives up, with stall bound
+    /// `stall`.
+    fn quiet(stall: Duration) -> Sender {
+        let policy = ReconnectPolicy {
+            max_attempts: u32::MAX,
+            base_delay: PATIENCE,
+            max_delay: PATIENCE,
+            stall_after: stall,
+        };
+        Sender::new(0, policy, None, None)
     }
 
     /// A link on a fresh loopback connection with its reply reader
     /// running, and the receiver's end of that connection.
-    fn connected(first_seq: u64) -> (Arc<Link>, ReplyReader, TcpStream) {
+    fn connected(stall: Duration) -> (Arc<Link>, ReplyReader, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let conn = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
         let (peer, _) = listener.accept().expect("accept");
-        let link = Link::new(first_seq);
+        let link = Link::new(quiet(stall));
         let reader = ReplyReader::start(&conn, &link, &mut link.lock()).expect("start");
         (link, reader, peer)
     }
@@ -482,63 +728,65 @@ mod tests {
 
     #[test]
     fn an_ack_wakes_the_waiter_and_prunes_the_window() {
-        let (link, reader, peer) = connected(0);
+        let (link, reader, peer) = connected(PATIENCE);
         for _ in 0..3 {
             push(&mut link.lock().window, Instant::now());
         }
         let replier = reply_later(peer, Frame::Ack { upto: 2 });
         let started = Instant::now();
-        let woke = link.wait(PATIENCE, None, |s| s.window.len() < 3);
-        assert_eq!(woke, Wake::Done);
+        let woke = link.ask(None, |s| s.window.len() < 3);
+        assert_eq!(woke, Next::Done);
         assert!(started.elapsed() < PATIENCE / 2, "the ack woke the waiter");
         assert_eq!(link.lock().window.first_seq(), 2);
         let _peer = replier.join().expect("replier");
-        reader.stop();
+        drop(reader);
     }
 
     #[test]
     fn a_fin_is_seen() {
-        let (link, reader, peer) = connected(0);
+        let (link, reader, peer) = connected(PATIENCE);
         let replier = reply_later(peer, Frame::Fin);
-        assert_eq!(link.wait(PATIENCE, None, |s| s.fin), Wake::Done);
+        assert_eq!(link.ask(None, |s| s.fin), Next::Done);
         let _peer = replier.join().expect("replier");
-        reader.stop();
+        drop(reader);
         assert!(link.lock().fin, "a stop keeps what the connection said");
     }
 
     #[test]
     fn eof_marks_the_link_dead_and_wakes_the_waiter() {
-        let (link, reader, peer) = connected(0);
+        let (link, reader, peer) = connected(PATIENCE);
         push(&mut link.lock().window, Instant::now());
         let closer = thread::spawn(move || {
             thread::sleep(Duration::from_millis(50));
             drop(peer);
         });
-        assert_eq!(link.wait(PATIENCE, None, |_| false), Wake::Dead);
+        let woke = link.ask(None, |_| false);
+        assert_eq!(woke, Next::Redial { stalled: false });
         assert!(link.lock().conn.is_none());
+        assert!(!link.lock().up);
         closer.join().expect("closer");
-        reader.stop();
+        drop(reader);
     }
 
     #[test]
     fn a_stop_joins_while_the_peer_is_connected_and_silent() {
-        let (link, reader, _peer) = connected(0);
+        let (link, reader, _peer) = connected(PATIENCE);
         assert_eq!(
-            link.wait(PATIENCE, Some(Instant::now()), |_| false),
-            Wake::Timeout,
+            link.ask(Some(Instant::now()), |_| false),
+            Next::Wait(None),
             "a silent peer with nothing unacked is neither dead nor stalled"
         );
-        reader.stop();
+        drop(reader);
         assert!(link.lock().conn.is_none(), "the stopped reader let go");
     }
 
     #[test]
     fn unacked_frames_without_ack_progress_stall_the_wait() {
-        let (link, reader, _peer) = connected(0);
+        let (link, reader, _peer) = connected(Duration::from_millis(20));
         push(&mut link.lock().window, Instant::now());
-        let woke = link.wait(Duration::from_millis(20), None, |_| false);
-        assert_eq!(woke, Wake::Stalled);
-        reader.stop();
+        let woke = link.ask(None, |_| false);
+        assert_eq!(woke, Next::Redial { stalled: true });
+        drop(reader);
     }
 
     #[test]

@@ -584,6 +584,11 @@ impl CollectorMetrics {
                 "cpvr_wal_syncs_total",
                 "fsync (sync_data) calls issued by the WAL",
             ),
+            dir_syncs: r.counter(
+                "cpvr_wal_dir_syncs_total",
+                "fsync calls issued on the WAL directory after each new segment, and on the \
+                 parent of a WAL directory the collector created",
+            ),
             rotations: r.counter("cpvr_wal_rotations_total", "Segment rotations"),
             fsync_nanos: r.histogram(
                 "cpvr_wal_fsync_nanos",
@@ -673,8 +678,8 @@ mod tests {
             );
             families += 1;
         }
-        // All 63 but the two resolved on first use: per-rule edge offers
+        // All 64 but the two resolved on first use: per-rule edge offers
         // and flight dumps by reason.
-        assert_eq!(families, 61);
+        assert_eq!(families, 62);
     }
 }

@@ -16,12 +16,15 @@
 //! *minimum* applied promise across all non-evicted sources — never
 //! passes an event that was sent but lost in flight.
 //!
-//! Recovery ([`IngestPipeline::recover`]) replays the WAL: every intact
-//! record is decoded as a wire frame, events are re-ingested (and their
-//! sequence numbers replayed into the table, so a reconnecting client's
-//! replay is deduplicated even across a collector restart), eviction
-//! and re-admission records rebuild the watermark gate, and the
-//! pipeline advances once to the largest durably logged watermark.
+//! Recovery replays the WAL. The scan (`WalScan::read`) decodes every
+//! intact record as a wire frame, replays events' sequence numbers into
+//! the table (so a reconnecting client's replay is deduplicated even
+//! across a collector restart), and lets eviction and re-admission
+//! records rebuild the watermark gate. A collector seeds its fold
+//! workers from the scan (`Shards::start`);
+//! [`IngestPipeline::recover`], the in-process oracle, re-ingests the
+//! scanned events into one pipeline and advances once to the largest
+//! durably logged watermark.
 //! Because both consumers fold events in `(time, id)` order regardless
 //! of how advances were batched (see
 //! [`ConsistencyTracker::recover`]), the recovered state is

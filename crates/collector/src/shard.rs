@@ -636,8 +636,7 @@ impl Shards {
             // directory reads like any single journal's.
             let mut series_cfg = wal.clone();
             series_cfg.series = (shards > 1).then_some(k);
-            let mut w = Wal::open(series_cfg)?;
-            w.set_metrics(wm.clone());
+            let w = Wal::open_with(series_cfg, Some(wm.clone()))?;
             gc.handle().register(k, w.active_file()?)?;
             let worker = Worker {
                 local: k as usize,

@@ -2,8 +2,11 @@
 //!
 //! The collector appends every accepted wire frame to the WAL *before*
 //! acting on it, so a crash loses at most the unsynced tail and
-//! recovery ([`crate::pipeline::IngestPipeline::recover`]) can rebuild
-//! the verification state up to the last durable watermark.
+//! recovery (`WalScan::read`, then `Shards::start` seeding the fold
+//! workers) can rebuild the verification state up to the last durable
+//! watermark. [`IngestPipeline::recover`](crate::pipeline::IngestPipeline::recover)
+//! folds the same scan in-process: it is the test oracle, not a
+//! collector's path.
 //!
 //! On-disk layout: a directory of segment files named
 //! `wal-00000000.seg`, `wal-00000001.seg`, … Each segment is a sequence
@@ -35,7 +38,10 @@
 //! group-commit thread (`crate::group_commit`) alone applies the
 //! [`FsyncPolicy`] across every series. Rotation syncs the finished
 //! segment inline and [`Wal::close`] syncs the active one, so a segment
-//! the writer has left is always durable.
+//! the writer has left is always durable. A new segment's directory
+//! entry is made durable before any record lands in it: the directory
+//! is fsynced right after the segment is created, and its parent too
+//! when [`Wal::open`] had to create the directory.
 
 use cpvr_types::bin::Reader;
 use cpvr_types::crc32;
@@ -121,6 +127,9 @@ pub(crate) struct WalMetrics {
     pub(crate) bytes: cpvr_obs::Counter,
     /// fsync (`sync_data`) calls issued.
     pub(crate) syncs: cpvr_obs::Counter,
+    /// fsync calls issued on a directory: the WAL's, after each new
+    /// segment, and the parents of directories [`Wal::open`] created.
+    pub(crate) dir_syncs: cpvr_obs::Counter,
     /// Segment rotations.
     pub(crate) rotations: cpvr_obs::Counter,
     /// Wall-clock latency of one flush+fsync, in nanoseconds.
@@ -183,32 +192,60 @@ pub fn list_series(dir: &Path) -> io::Result<Vec<Option<u32>>> {
     Ok(out)
 }
 
+/// Creates segment `index` of `cfg`'s series and makes its directory
+/// entry durable, before any record can land in it.
+fn create_segment(cfg: &WalConfig, index: u64, metrics: Option<&WalMetrics>) -> io::Result<File> {
+    let file = OpenOptions::new()
+        .create_new(true)
+        .write(true)
+        .open(segment_path(&cfg.dir, cfg.series, index))?;
+    sync_dir(&cfg.dir, metrics)?;
+    Ok(file)
+}
+
+/// Fsyncs a directory (`""` is the working one), making the entries
+/// created in it durable.
+fn sync_dir(dir: &Path, metrics: Option<&WalMetrics>) -> io::Result<()> {
+    File::open(Path::new(".").join(dir))?.sync_all()?;
+    if let Some(m) = metrics {
+        m.dir_syncs.inc();
+    }
+    Ok(())
+}
+
 impl Wal {
     /// Opens (creating the directory if needed) and starts a *new*
     /// segment after any existing ones.
     pub fn open(cfg: WalConfig) -> io::Result<Self> {
+        Self::open_with(cfg, None)
+    }
+
+    /// [`open`](Self::open), publishing every append, sync and rotation
+    /// — and the directory syncs of the open itself — through `metrics`.
+    pub(crate) fn open_with(cfg: WalConfig, metrics: Option<WalMetrics>) -> io::Result<Self> {
+        let created: Vec<PathBuf> = cfg
+            .dir
+            .ancestors()
+            .take_while(|d| !d.as_os_str().is_empty() && !d.exists())
+            .map(Path::to_path_buf)
+            .collect();
         fs::create_dir_all(&cfg.dir)?;
+        // Outermost first: each new directory's entry lives in its parent.
+        for dir in created.iter().rev() {
+            sync_dir(dir.parent().unwrap_or(Path::new("")), metrics.as_ref())?;
+        }
         let next = list_segments(&cfg.dir, cfg.series)?
             .last()
             .map_or(0, |last| last + 1);
-        let file = OpenOptions::new()
-            .create_new(true)
-            .write(true)
-            .open(segment_path(&cfg.dir, cfg.series, next))?;
+        let file = create_segment(&cfg, next, metrics.as_ref())?;
         Ok(Wal {
             cfg,
             seg_index: next,
             seg_len: 0,
             file: BufWriter::new(file),
             since_sync: 0,
-            metrics: None,
+            metrics,
         })
-    }
-
-    /// Attaches registry handles; every later append/sync/rotation is
-    /// published through them.
-    pub(crate) fn set_metrics(&mut self, metrics: WalMetrics) {
-        self.metrics = Some(metrics);
     }
 
     /// Appends one record to the write buffer, rotating first if it
@@ -270,10 +307,7 @@ impl Wal {
             m.rotations.inc();
         }
         self.seg_index += 1;
-        let file = OpenOptions::new()
-            .create_new(true)
-            .write(true)
-            .open(segment_path(&self.cfg.dir, self.cfg.series, self.seg_index))?;
+        let file = create_segment(&self.cfg, self.seg_index, self.metrics.as_ref())?;
         self.file = BufWriter::new(file);
         self.seg_len = 0;
         Ok(())
@@ -606,5 +640,33 @@ mod tests {
         assert_eq!(wal.pending_sync(), 0);
         wal.close().unwrap();
         assert_eq!(replay(tmp.path()).unwrap().records.len(), 3);
+    }
+
+    /// A new segment's directory entry is made durable: opening into a
+    /// new directory syncs it and its parent, each rotation syncs it
+    /// once more, and reopening syncs it for the reopen's segment.
+    #[test]
+    fn new_segments_and_a_created_directory_are_synced() {
+        let tmp = TempDir::new("wal-dir-sync").unwrap();
+        let m = crate::metrics::CollectorMetrics::new(1, 1, 1).wal_metrics();
+        let mut cfg = WalConfig::new(tmp.path().join("journal"));
+        cfg.segment_bytes = 64; // force frequent rotation
+        let mut wal = Wal::open_with(cfg.clone(), Some(m.clone())).unwrap();
+        assert_eq!(m.dir_syncs.value(), 2, "the new directory and its parent");
+        assert_eq!(m.syncs.value(), 0, "directory syncs are counted apart");
+        for i in 0..40 {
+            wal.append(&record(i)).unwrap();
+        }
+        let rotations = wal.segment_index();
+        assert!(rotations > 0, "tiny segments must rotate");
+        assert_eq!(m.rotations.value(), rotations);
+        assert_eq!(m.dir_syncs.value(), 2 + rotations);
+        assert_eq!(m.syncs.value(), rotations, "rotation syncs the old segment");
+        wal.close().unwrap();
+        Wal::open_with(cfg, Some(m.clone()))
+            .unwrap()
+            .close()
+            .unwrap();
+        assert_eq!(m.dir_syncs.value(), 3 + rotations);
     }
 }
