@@ -72,10 +72,10 @@ fn bench(c: &mut Criterion) {
     // (the unsampled 63 in 64 pay a branch on an `Option`).
     {
         let ring = FlightRecorder::new().register("bench", 512);
-        let mut seq = 0u64;
+        let (mut seq, now) = (0u64, std::time::Instant::now());
         g.bench_function("flight_record", |b| {
             b.iter(|| {
-                ring.record(2, None, 0, black_box(seq));
+                ring.record(black_box(now), 2, None, 0, black_box(seq));
                 seq = seq.wrapping_add(1);
             })
         });

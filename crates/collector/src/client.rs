@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 /// Maximum unacknowledged events held for replay. When full, sends block
 /// on ack progress, replaying on a stall, then fail: bounded memory
 /// inside a router.
-const REPLAY_CAPACITY: usize = 16 * 1024;
+pub(crate) const REPLAY_CAPACITY: usize = 16 * 1024;
 
 /// How often a sink waiting on the collector re-solicits an ack (and
 /// re-sends an unconfirmed bye).
@@ -333,10 +333,13 @@ impl SocketSink {
     /// stall, and fails if the collector will not ack.
     pub fn send(&mut self, e: &IoEvent) -> io::Result<()> {
         self.check_latched()?;
+        // The entry's one clock reading: the full buffer's patience runs
+        // from it, and the held frame is stamped with it.
+        let now = Instant::now();
         let room = |s: &Sender| s.window.len() < REPLAY_CAPACITY;
         if !room(&self.link.lock()) {
             let patience = self.policy.stall_after.max(Duration::from_secs(1)) * 4;
-            if !self.wait(Some(Instant::now() + patience), room)? {
+            if !self.wait(Some(now + patience), room)? {
                 let e = io::Error::other(format!(
                     "replay buffer full at {} events and the collector is not acking",
                     self.unacked()
@@ -360,7 +363,7 @@ impl SocketSink {
             .as_mut()
             .is_some_and(|(w, _)| w.write_all(&bytes).is_ok());
         let mut link = self.link.lock();
-        link.window.push(Instant::now(), |_| bytes);
+        link.window.push(now, |_| bytes);
         if wrote && link.up {
             return Ok(());
         }

@@ -11,6 +11,10 @@
 //!   Nothing polls a stop flag: [`CollectorHandle::shutdown`] wakes the
 //!   acceptor with one connect of its own, and the acceptor then shuts
 //!   down every reader's socket, which ends the reader's `read`;
+//! - every thread is a shell that reads the clock once per wake and
+//!   hands that `now` to the code that decides (DESIGN.md §6 "One clock
+//!   for every collector thread"); what a reader or a worker writes
+//!   back goes to the connection's `Wire`;
 //! - reader threads decode frames through the resynchronizing
 //!   [`Decoder`] (the CPU-heavy parse happens here, in parallel across
 //!   connections) and push typed messages into a **bounded** channel —
@@ -287,7 +291,7 @@ pub(crate) enum Msg {
         /// A write handle to the connection, for acks. `None` if the
         /// clone failed (the client then simply never sees acks on
         /// this connection and will reconnect on stall).
-        ack: Option<TcpStream>,
+        ack: Option<Box<dyn Wire>>,
     },
     /// A batch of events, with the original wire bytes of the v3 intern
     /// definitions that arrived alongside them. The worker journals the
@@ -318,7 +322,7 @@ pub(crate) enum Msg {
         hello: PeerHello,
         /// A write handle to the connection, for go-back-N acks back to
         /// the sending member.
-        ack: Option<TcpStream>,
+        ack: Option<Box<dyn Wire>>,
     },
     /// A frontier / boundary-edge / partial-verdict / repair-proof
     /// frame from a federation peer, with its original wire bytes for
@@ -346,10 +350,10 @@ pub(crate) enum Msg {
 /// Full channel = blocked readers = TCP backpressure.
 pub(crate) const CHANNEL_CAPACITY: usize = 1024;
 
-/// A connection silent this long is dropped: it is each reader's socket
-/// read timeout. (Its source is the lease's business — a heartbeating
-/// client never trips this.)
-const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+/// A connection silent this long past the reader's last wake is
+/// dropped. (Its source is the lease's business — a heartbeating client
+/// never trips this.)
+pub(crate) const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// How long the acceptor backs off after a failed `accept` (and a
 /// shutdown after a failed wake-up connect) before trying again.
@@ -375,6 +379,30 @@ const FLIGHT_SAMPLE: u64 = 64;
 /// Quarantined frames on one connection within one burst window before
 /// the reader takes a `crc-burst` flight dump.
 const CRC_BURST_THRESHOLD: u64 = 32;
+
+/// One connection's write half, as the collector writes it: a reader's
+/// probe answers, a worker's acks, a peer link's first sends. A socket
+/// in a deployment; a test may stand a buffer in for one.
+pub(crate) trait Wire: Write + Send {
+    /// A second handle on the same connection, for the worker that acks
+    /// it (`None` if none can be made: that connection is never acked,
+    /// and its sender replays on the stall).
+    fn handle(&self) -> Option<Box<dyn Wire>>;
+    /// Ends the connection both ways: its reader sees the end.
+    fn hang_up(&self);
+}
+
+impl Wire for TcpStream {
+    fn handle(&self) -> Option<Box<dyn Wire>> {
+        let ack = self.try_clone().ok()?;
+        let _ = ack.set_write_timeout(Some(ACK_WRITE_TIMEOUT));
+        Some(Box::new(ack))
+    }
+
+    fn hang_up(&self) {
+        let _ = self.shutdown(Shutdown::Both);
+    }
+}
 
 /// The final accounting returned by [`CollectorHandle::shutdown`].
 pub struct CollectorReport {
@@ -468,9 +496,14 @@ impl Collector {
         // records to replay; the workers fold the scanned events
         // themselves, once.
         let mut scan = WalScan::read(cfg.pipeline, &wal_cfg.dir, workers as usize)?;
-        let shards = Shards::start(&cfg, wal_cfg, &mut scan, &metrics)?;
+        let now = Instant::now();
+        let mut shards = Shards::start(&cfg, wal_cfg, &mut scan, &metrics, now)?;
+        if let Some(p) = shards.peers.as_mut() {
+            p.dial_out(&metrics);
+        }
         let group_commit = shards.group_commit();
-        let session = session::spawn(rx, shards, scan.sources, scan.repairs, &cfg, &metrics)?;
+        let recovered = (scan.sources, scan.repairs);
+        let session = session::spawn(rx, shards, recovered, &cfg, &metrics, now)?;
         let recovery = scan.report;
 
         let handle_tx = tx.clone();
@@ -659,12 +692,16 @@ enum FrameOutcome {
     Close,
 }
 
-/// One connection's reader state: the protocol state machine
-/// [`on_frame`](Self::on_frame) drives, the events batched for the
-/// session, and the decoder counters already published.
-struct Reader<'a> {
+/// One connection's reader state: its decoder, the protocol state
+/// machine [`on_frame`](Self::on_frame) drives, the events batched for
+/// the session, and the decoder counters already published. It decides
+/// on the `now` each wake hands it — [`feed`](Self::feed) — and
+/// [`reader_loop`] is its socket shell; `out` is the connection's write
+/// half, for probe answers and the ack handle.
+pub(crate) struct Reader<'a, W> {
     conn: u64,
-    stream: &'a TcpStream,
+    out: W,
+    dec: Decoder,
     tx: SyncSender<Msg>,
     cfg: &'a CollectorConfig,
     metrics: &'a CollectorMetrics,
@@ -682,9 +719,108 @@ struct Reader<'a> {
     defs: Vec<Vec<u8>>,
     reported_corrupt: u64,
     reported_skipped: u64,
+    /// The quarantined-frame count the next `crc-burst` dump counts from.
+    crc_burst_base: u64,
+    /// When the connection closes for silence: `IDLE_TIMEOUT` past the
+    /// last wake.
+    idle_at: Option<Instant>,
 }
 
-impl Reader<'_> {
+impl<'a, W: Wire> Reader<'a, W> {
+    /// A reader for connection `conn`, accepted at `now`.
+    pub(crate) fn new(
+        out: W,
+        conn: u64,
+        tx: SyncSender<Msg>,
+        cfg: &'a CollectorConfig,
+        metrics: &'a CollectorMetrics,
+        now: Instant,
+    ) -> Self {
+        Reader {
+            conn,
+            out,
+            dec: Decoder::new(),
+            tx,
+            cfg,
+            metrics,
+            flight: metrics
+                .flight
+                .register(&format!("reader-{conn}"), READER_RING_SLOTS),
+            greeted: false,
+            source: None,
+            is_peer: false,
+            batch: Vec::new(),
+            defs: Vec::new(),
+            reported_corrupt: 0,
+            reported_skipped: 0,
+            crc_burst_base: 0,
+            idle_at: now.checked_add(IDLE_TIMEOUT),
+        }
+    }
+
+    /// When the connection closes for silence (`None`: never).
+    pub(crate) fn deadline(&self) -> Option<Instant> {
+        self.idle_at
+    }
+
+    /// One wake's bytes, received at `now`: decodes every complete
+    /// frame, hands the results to the session, and publishes the
+    /// decoder's counters. `false` means: close the connection.
+    pub(crate) fn feed(&mut self, bytes: &[u8], now: Instant) -> bool {
+        self.idle_at = now.checked_add(IDLE_TIMEOUT);
+        self.metrics.bytes.add(bytes.len() as u64);
+        self.dec.feed(bytes);
+        loop {
+            // Decode happens here, on the (parallel) reader thread —
+            // in place out of the read buffer for v3 — and the decode
+            // histogram times exactly this step on the wall clock.
+            let t0 = Instant::now();
+            let Some(msg) = self.dec.next_message(true) else {
+                break;
+            };
+            self.metrics.decode_nanos.observe_since(t0);
+            if let FrameOutcome::Close = self.handle(msg, now) {
+                return false;
+            }
+        }
+        // Quarantined frames accumulate in the decoder; publish the
+        // delta so the counter tracks live.
+        let corrupt = self.publish_decoder();
+        // A burst of quarantined frames on one connection is an anomaly
+        // worth a black-box dump (one per burst; the base re-arms so a
+        // persistently noisy link produces one dump per threshold run,
+        // not one per frame).
+        if corrupt.saturating_sub(self.crc_burst_base) >= CRC_BURST_THRESHOLD {
+            self.flight
+                .record(now, stage::CRC_BURST, None, self.conn, corrupt);
+            self.metrics.flight_dump("crc-burst");
+            self.crc_burst_base = corrupt;
+        }
+        // Flush per read chunk: acks go out per batch, and a
+        // client's replay-buffer pruning is only as fresh as its acks.
+        self.flush()
+    }
+
+    /// The connection ended at `now`: whatever is still buffered is all
+    /// there will ever be — the decoder fishes out any complete frames.
+    pub(crate) fn finish(&mut self, now: Instant) {
+        for msg in self.dec.finish() {
+            if let FrameOutcome::Close = self.handle(msg, now) {
+                break;
+            }
+        }
+    }
+
+    /// Hands the session what is left and the close, and hangs up.
+    pub(crate) fn close(mut self) {
+        self.publish_decoder();
+        self.flush();
+        let _ = self.tx.send(Msg::Closed { conn: self.conn });
+        // The acceptor holds a second handle to this socket: close it
+        // here, or the peer would not see the connection end.
+        self.out.hang_up();
+    }
+
     /// A protocol violation: counted, and the connection closes.
     fn fatal(&self) -> FrameOutcome {
         self.metrics.decode_errors.inc();
@@ -692,18 +828,14 @@ impl Reader<'_> {
     }
 
     /// The handshake check both hellos share: a connection greets once,
-    /// for a network of the configured size. Returns the ack stream the
+    /// for a network of the configured size. Returns the ack handle the
     /// session replies on.
-    fn greet(&mut self, n_routers: u32) -> Result<Option<TcpStream>, FrameOutcome> {
+    fn greet(&mut self, n_routers: u32) -> Result<Option<Box<dyn Wire>>, FrameOutcome> {
         if self.greeted || n_routers != self.cfg.pipeline.n_routers {
             return Err(self.fatal());
         }
         self.greeted = true;
-        let ack = self.stream.try_clone().ok();
-        if let Some(a) = &ack {
-            let _ = a.set_write_timeout(Some(ACK_WRITE_TIMEOUT));
-        }
-        Ok(ack)
+        Ok(self.out.handle())
     }
 
     /// Hands the batched events and definitions to the session; `false`
@@ -723,17 +855,17 @@ impl Reader<'_> {
     /// Handles one decoder result. A decode error behind a valid CRC
     /// means these bytes are what the peer actually sent: a peer bug,
     /// not line noise — fatal.
-    fn handle(&mut self, msg: Result<DecodedMsg, CodecError>) -> FrameOutcome {
+    fn handle(&mut self, msg: Result<DecodedMsg, CodecError>, now: Instant) -> FrameOutcome {
         match msg {
-            Ok(msg) => self.on_frame(msg),
+            Ok(msg) => self.on_frame(msg, now),
             Err(_) => self.fatal(),
         }
     }
 
-    /// Handles one decoded frame: validates the protocol state machine
-    /// and forwards typed messages to the session.
-    fn on_frame(&mut self, msg: DecodedMsg) -> FrameOutcome {
-        let (conn, stream, metrics) = (self.conn, self.stream, self.metrics);
+    /// Handles one decoded frame, received at `now`: validates the
+    /// protocol state machine and forwards typed messages to the session.
+    fn on_frame(&mut self, msg: DecodedMsg, now: Instant) -> FrameOutcome {
+        let (conn, metrics) = (self.conn, self.metrics);
         let federated = self.cfg.federation.is_some();
         let DecodedMsg {
             frame, raw, trace, ..
@@ -764,8 +896,9 @@ impl Reader<'_> {
             // not an event source and owes the collector no handshake.
             Frame::MetricsReq { format } => {
                 let body = metrics.render(format);
-                let mut w = stream;
-                if w.write_all(&encode_frame(&Frame::MetricsResp { body }))
+                if self
+                    .out
+                    .write_all(&encode_frame(&Frame::MetricsResp { body }))
                     .is_err()
                 {
                     return FrameOutcome::Close;
@@ -780,8 +913,9 @@ impl Reader<'_> {
             Frame::DumpReq => {
                 let dump = metrics.flight.snapshot("dump-req");
                 let body = cpvr_types::json::to_string_compact(&dump).into_bytes();
-                let mut w = stream;
-                if w.write_all(&encode_frame(&Frame::DumpResp { body }))
+                if self
+                    .out
+                    .write_all(&encode_frame(&Frame::DumpResp { body }))
                     .is_err()
                 {
                     return FrameOutcome::Close;
@@ -841,9 +975,10 @@ impl Reader<'_> {
                 let sampled = seq.is_multiple_of(FLIGHT_SAMPLE);
                 let trace = trace
                     .or_else(|| sampled.then(|| TraceCtx::for_flight(session, seq)))
-                    .map(|ctx| (ctx, Instant::now()));
+                    .map(|ctx| (ctx, now));
                 if let Some((ctx, _)) = trace {
                     self.flight.record(
+                        now,
                         stage::DECODED,
                         Some(ctx.child(stage::SINK_SEND)),
                         u64::from(event.router.0),
@@ -890,8 +1025,8 @@ impl Reader<'_> {
 
     /// Publishes the decoder's quarantine and resync counters' growth;
     /// returns the quarantined-frame total.
-    fn publish_decoder(&mut self, dec: &Decoder) -> u64 {
-        let (corrupt, skipped) = (dec.corrupt_frames(), dec.skipped_bytes());
+    fn publish_decoder(&mut self) -> u64 {
+        let (corrupt, skipped) = (self.dec.corrupt_frames(), self.dec.skipped_bytes());
         self.metrics
             .frames_corrupt
             .add(corrupt - self.reported_corrupt);
@@ -903,6 +1038,10 @@ impl Reader<'_> {
     }
 }
 
+/// A reader's socket shell: reads the clock once per wake and hands
+/// the reader what arrived, until the connection ends, the reader closes
+/// it, or it sat idle past the reader's deadline — which a fixed read
+/// timeout implements, as every wake restarts it.
 fn reader_loop(
     stream: TcpStream,
     conn: u64,
@@ -912,81 +1051,30 @@ fn reader_loop(
 ) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
-    let mut dec = Decoder::new();
+    let mut rd = Reader::new(stream, conn, tx, cfg, metrics, Instant::now());
     let mut buf = vec![0u8; 64 * 1024];
-    let mut rd = Reader {
-        conn,
-        stream: &stream,
-        tx,
-        cfg,
-        metrics,
-        flight: metrics
-            .flight
-            .register(&format!("reader-{conn}"), READER_RING_SLOTS),
-        greeted: false,
-        source: None,
-        is_peer: false,
-        batch: Vec::new(),
-        defs: Vec::new(),
-        reported_corrupt: 0,
-        reported_skipped: 0,
-    };
-    let mut crc_burst_base = 0u64;
-    'conn: loop {
-        let n = match (&stream).read(&mut buf) {
+    loop {
+        let got = (&rd.out).read(&mut buf);
+        let now = Instant::now();
+        match got {
             Ok(0) => {
-                // EOF: whatever is still buffered is all we will ever
-                // get — let the decoder fish out any complete frames.
-                for msg in dec.finish() {
-                    if let FrameOutcome::Close = rd.handle(msg) {
-                        break;
-                    }
-                }
+                rd.finish(now);
                 break;
             }
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            // A read timeout (the connection sat idle past
-            // `IDLE_TIMEOUT`) or an error.
+            Ok(n) if rd.feed(&buf[..n], now) => {}
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if is_timeout(&e) && rd.deadline().is_none_or(|t| t > now) => {}
             Err(_) => break,
-        };
-        metrics.bytes.add(n as u64);
-        dec.feed(&buf[..n]);
-        loop {
-            // Decode happens here, on the (parallel) reader thread —
-            // in place out of the read buffer for v3 — and the decode
-            // histogram times exactly this step.
-            let t0 = Instant::now();
-            let Some(msg) = dec.next_message(true) else {
-                break;
-            };
-            metrics.decode_nanos.observe_since(t0);
-            if let FrameOutcome::Close = rd.handle(msg) {
-                break 'conn;
-            }
-        }
-        // Quarantined frames accumulate in the decoder; publish the
-        // delta so the counter tracks live.
-        let corrupt = rd.publish_decoder(&dec);
-        // A burst of quarantined frames on one connection is an anomaly
-        // worth a black-box dump (one per burst; the base re-arms so a
-        // persistently noisy link produces one dump per threshold run,
-        // not one per frame).
-        if corrupt.saturating_sub(crc_burst_base) >= CRC_BURST_THRESHOLD {
-            rd.flight.record(stage::CRC_BURST, None, conn, corrupt);
-            metrics.flight_dump("crc-burst");
-            crc_burst_base = corrupt;
-        }
-        // Flush per read chunk: acks go out per batch, and a
-        // client's replay-buffer pruning is only as fresh as its acks.
-        if !rd.flush() {
-            break;
         }
     }
-    rd.publish_decoder(&dec);
-    rd.flush();
-    let _ = rd.tx.send(Msg::Closed { conn });
-    // The acceptor holds a second handle to this socket: close it here,
-    // or the peer would not see the connection end.
-    let _ = stream.shutdown(Shutdown::Both);
+    rd.close();
+}
+
+/// Whether a read ended on its socket timeout.
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }

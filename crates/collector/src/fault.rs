@@ -1,11 +1,11 @@
 //! Deterministic fault injection for the collector stack.
 //!
-//! The chaos tests need a *misbehaving network* whose misbehavior is
-//! reproducible: a [`FaultPlan`] is a seeded schedule of faults pinned
-//! to **byte offsets of the client→collector stream** (not wall-clock
-//! time), so the same seed always damages the same bytes no matter how
-//! the OS schedules the threads. A [`ChaosProxy`] sits between one
-//! client and the collector and applies the plan while pumping bytes:
+//! The seeded driver (`session::driver`) needs a *misbehaving network*
+//! whose misbehavior is reproducible: a [`FaultPlan`] is a seeded
+//! schedule of faults pinned to **byte offsets of one client's stream**
+//! (not to time), so the same seed always damages the same bytes. The
+//! driver moves each connection's bytes through that client's
+//! [`FaultCursor`]:
 //!
 //! * [`FaultKind::Drop`] — a contiguous byte range vanishes (models
 //!   partial writes and lost segments);
@@ -13,33 +13,26 @@
 //!   the frame CRC, quarantined by the [`Decoder`]);
 //! * [`FaultKind::Duplicate`] — a copy of recently forwarded bytes is
 //!   re-injected (models retransmission bugs and replay);
-//! * [`FaultKind::Delay`] — the pump stalls briefly (models congestion
-//!   and reordering pressure);
+//! * [`FaultKind::Delay`] — delivery pauses (models congestion); the
+//!   driver holds the connection that long in virtual time;
 //! * [`FaultKind::Disconnect`] — the connection is torn down mid-stream
-//!   (the client reconnects through the proxy and replays).
+//!   (the client reconnects and replays).
 //!
-//! The fault cursor survives reconnects: offsets count every byte the
-//! client ever sent through the proxy, across connections, so a plan is
-//! one deterministic story per proxy regardless of how many times the
-//! client comes back. The collector→client direction (acks) passes
-//! through untouched — the protocol's recovery machinery, not ack
-//! luck, is what the tests exercise.
+//! The cursor survives reconnects: offsets count every byte the client
+//! ever sent, across connections, so a plan is one deterministic story
+//! per client regardless of how many times it comes back. The reply
+//! direction (acks) passes untouched — the protocol's recovery
+//! machinery, not ack luck, is what the driver exercises.
 //!
 //! [`Decoder`]: crate::codec::Decoder
 
-use crate::collector::{wake_acceptor, ACCEPT_BACKOFF};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 /// One injected fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// Swallow the next `len` bytes of the stream.
     Drop {
         /// Bytes to drop.
@@ -55,9 +48,9 @@ pub enum FaultKind {
         /// Bytes to duplicate (bounded by what was recently seen).
         len: usize,
     },
-    /// Stall the pump for `ms` milliseconds.
+    /// Hold the rest of the stream for `ms` milliseconds.
     Delay {
-        /// Stall duration in milliseconds.
+        /// Hold duration in milliseconds.
         ms: u64,
     },
     /// Tear the connection down; the client must reconnect.
@@ -67,18 +60,18 @@ pub enum FaultKind {
 /// A deterministic schedule of faults over the client→collector byte
 /// stream: `(byte_offset, fault)` pairs in offset order.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FaultPlan {
+pub(crate) struct FaultPlan {
     faults: Vec<(u64, FaultKind)>,
 }
 
 impl FaultPlan {
-    /// No faults: the proxy is a transparent pipe.
-    pub fn none() -> Self {
+    /// No faults: a transparent pipe.
+    pub(crate) fn none() -> Self {
         FaultPlan { faults: Vec::new() }
     }
 
     /// An explicit schedule (offsets need not be pre-sorted).
-    pub fn from_schedule(mut faults: Vec<(u64, FaultKind)>) -> Self {
+    pub(crate) fn from_schedule(mut faults: Vec<(u64, FaultKind)>) -> Self {
         faults.sort_by_key(|(at, _)| *at);
         FaultPlan { faults }
     }
@@ -86,7 +79,7 @@ impl FaultPlan {
     /// `n` faults at seeded-random offsets within the first `horizon`
     /// bytes of the stream. The same `(seed, horizon, n)` always yields
     /// the same plan — byte-for-byte reproducible chaos.
-    pub fn from_seed(seed: u64, horizon: u64, n: usize) -> Self {
+    pub(crate) fn from_seed(seed: u64, horizon: u64, n: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut faults = Vec::with_capacity(n);
         for _ in 0..n {
@@ -112,12 +105,12 @@ impl FaultPlan {
     }
 }
 
-/// What the pump should do next, in order.
+/// What the carrier of a stream should do next, in order.
 #[derive(Debug, PartialEq, Eq)]
-enum Step {
-    /// Forward these bytes upstream.
+pub(crate) enum Step {
+    /// Deliver these bytes.
     Write(Vec<u8>),
-    /// Stall this long.
+    /// Hold the rest of the stream this long.
     Sleep(Duration),
     /// Tear the connection down (remaining input is consumed unsent).
     Disconnect,
@@ -127,9 +120,9 @@ enum Step {
 const RECENT_CAP: usize = 256;
 
 /// The mutable execution state of a plan: how far into the stream we
-/// are and which faults have fired. Pure byte-in/steps-out, so the
-/// transformation is unit-testable without sockets.
-struct FaultCursor {
+/// are and which faults have fired. Pure byte-in/steps-out: no socket,
+/// no clock.
+pub(crate) struct FaultCursor {
     plan: FaultPlan,
     /// Bytes of client input consumed so far (fault offsets live in
     /// this space — *arrival* bytes, including ones later dropped).
@@ -138,15 +131,18 @@ struct FaultCursor {
     idx: usize,
     /// Ring of recently forwarded bytes, for duplication.
     recent: Vec<u8>,
-    injected: u64,
+    /// Faults fired so far.
+    pub(crate) injected: u64,
     /// Of the injected faults, flips that actually damaged a forwarded
     /// byte (a flip scheduled past the end of its chunk fires without
-    /// damaging anything).
-    flipped: u64,
+    /// damaging anything). Each is visible damage — `mask | 1` never
+    /// round-trips — so the decoder's quarantine and resync counters
+    /// can be checked against it.
+    pub(crate) flipped: u64,
 }
 
 impl FaultCursor {
-    fn new(plan: FaultPlan) -> Self {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         FaultCursor {
             plan,
             offset: 0,
@@ -170,7 +166,7 @@ impl FaultCursor {
     /// chunk length — dropped and post-disconnect bytes still count,
     /// which is what keeps fault positions independent of earlier
     /// faults' effects.
-    fn apply(&mut self, chunk: &[u8]) -> Vec<Step> {
+    pub(crate) fn apply(&mut self, chunk: &[u8]) -> Vec<Step> {
         let mut steps = Vec::new();
         let mut at = 0usize; // cursor into `chunk`
         let end = self.offset + chunk.len() as u64;
@@ -250,224 +246,6 @@ impl FaultCursor {
         let (at, _) = self.plan.faults[self.idx];
         (at < end).then_some(at)
     }
-}
-
-/// Counters observable while a proxy runs, and the live connection.
-#[derive(Default)]
-struct ProxyShared {
-    injected: AtomicU64,
-    flipped: AtomicU64,
-    /// While set, the proxy models a network partition: live
-    /// connections are torn down and new ones are accepted but dropped
-    /// immediately, so both ends see a dead link rather than a refused
-    /// dial (exactly how a partition looks to TCP keepalives).
-    partitioned: AtomicBool,
-    /// Set once the proxy is stopping.
-    stop: AtomicBool,
-    /// The `(client, upstream)` pair being pumped, if any: a partition
-    /// or stop severs it, which ends both pumps' blocking reads.
-    live: Mutex<Option<(TcpStream, TcpStream)>>,
-}
-
-impl ProxyShared {
-    /// Shuts down the live pair, if any.
-    fn sever(&self) {
-        if let Some((client, up)) = self.live.lock().unwrap().take() {
-            let _ = client.shutdown(Shutdown::Both);
-            let _ = up.shutdown(Shutdown::Both);
-        }
-    }
-
-    /// Registers the pair being pumped, unless a partition or stop has
-    /// landed since it was accepted; `false` means: do not pump it.
-    fn register(&self, client: &TcpStream, up: &TcpStream) -> bool {
-        let mut live = self.live.lock().unwrap();
-        // Checked under the lock `sever` takes, so a partition or stop
-        // either sees this pair registered or is seen here.
-        if self.partitioned.load(Ordering::SeqCst) || self.stop.load(Ordering::SeqCst) {
-            return false;
-        }
-        *live = client.try_clone().ok().zip(up.try_clone().ok());
-        live.is_some()
-    }
-}
-
-/// A point-in-time copy of a proxy's counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProxyStats {
-    /// Faults injected so far.
-    pub injected: u64,
-    /// Of those, bit flips that actually damaged a forwarded byte —
-    /// each one is guaranteed visible damage (`mask | 1` never
-    /// round-trips), so downstream quarantine/resync telemetry can be
-    /// checked against this.
-    pub flipped: u64,
-}
-
-/// A TCP proxy that applies a [`FaultPlan`] to the client→upstream byte
-/// stream. One client at a time (each router gets its own proxy); the
-/// fault cursor persists across that client's reconnects.
-pub struct ChaosProxy {
-    addr: SocketAddr,
-    shared: Arc<ProxyShared>,
-    accept: Option<JoinHandle<()>>,
-}
-
-impl ChaosProxy {
-    /// Binds an ephemeral loopback port and starts proxying to
-    /// `upstream` under `plan`.
-    pub fn start(upstream: SocketAddr, plan: FaultPlan) -> io::Result<Self> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        let shared = Arc::new(ProxyShared::default());
-        let accept = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("cpvr-chaos".into())
-                .spawn(move || accept_loop(listener, upstream, plan, shared))?
-        };
-        Ok(ChaosProxy {
-            addr,
-            shared,
-            accept: Some(accept),
-        })
-    }
-
-    /// The address clients should connect to.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Severs the link: existing connections drop and new ones are
-    /// accepted but immediately closed, until [`heal`](Self::heal).
-    /// The fault cursor keeps its position — a partition interrupts
-    /// the byte story, it does not rewrite it.
-    pub fn partition(&self) {
-        self.shared.partitioned.store(true, Ordering::SeqCst);
-        self.shared.sever();
-    }
-
-    /// Ends a [`partition`](Self::partition): the next reconnect
-    /// through the proxy reaches the upstream again.
-    pub fn heal(&self) {
-        self.shared.partitioned.store(false, Ordering::SeqCst);
-    }
-
-    /// A snapshot of the proxy's counters.
-    pub fn stats(&self) -> ProxyStats {
-        ProxyStats {
-            injected: self.shared.injected.load(Ordering::Relaxed),
-            flipped: self.shared.flipped.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Stops the proxy and returns its final counters.
-    pub fn shutdown(mut self) -> ProxyStats {
-        self.stop();
-        self.stats()
-    }
-
-    /// Severs the live connection, wakes the acceptor and joins it.
-    fn stop(&mut self) {
-        let Some(h) = self.accept.take() else {
-            return;
-        };
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.sever();
-        wake_acceptor(self.addr, &h);
-        let _ = h.join();
-    }
-}
-
-impl Drop for ChaosProxy {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    upstream: SocketAddr,
-    plan: FaultPlan,
-    shared: Arc<ProxyShared>,
-) {
-    // The cursor outlives individual connections: a reconnecting client
-    // continues the same fault story where the last connection left it.
-    let mut cursor = FaultCursor::new(plan);
-    for client in listener.incoming() {
-        // `stop` sets the flag, then connects to wake this `accept`.
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(client) = client else {
-            thread::sleep(ACCEPT_BACKOFF);
-            continue;
-        };
-        if shared.partitioned.load(Ordering::SeqCst) {
-            // Partitioned: the dial succeeds (the listener is up) but
-            // the link is dead — hang up without touching the upstream.
-            let _ = client.shutdown(Shutdown::Both);
-            continue;
-        }
-        // The collector should be up, but don't die if it is mid-restart.
-        let up = match TcpStream::connect(upstream) {
-            Ok(s) => s,
-            Err(_) => continue, // client sees the close and retries
-        };
-        if shared.register(&client, &up) {
-            run_connection(&client, &up, &mut cursor, &shared);
-        }
-        shared.injected.store(cursor.injected, Ordering::Relaxed);
-        shared.flipped.store(cursor.flipped, Ordering::Relaxed);
-    }
-}
-
-/// Pumps one registered client connection through the fault cursor
-/// until EOF, a disconnect fault, an error, or the pair being severed;
-/// severs it on the way out.
-fn run_connection(
-    client: &TcpStream,
-    up: &TcpStream,
-    cursor: &mut FaultCursor,
-    shared: &ProxyShared,
-) {
-    let _ = client.set_nodelay(true);
-    let _ = up.set_nodelay(true);
-    let (Ok(mut up_r), Ok(mut client_w)) = (up.try_clone(), client.try_clone()) else {
-        shared.sever();
-        return;
-    };
-    // Ack direction (collector → client): transparent passthrough.
-    let s2c = thread::spawn(move || {
-        let _ = io::copy(&mut up_r, &mut client_w);
-    });
-
-    // Data direction (client → collector): through the fault cursor.
-    let (mut client_r, mut up_w) = (client, up);
-    let mut buf = [0u8; 4096];
-    'pump: loop {
-        let n = match client_r.read(&mut buf) {
-            Ok(0) => break, // client closed
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        };
-        let steps = cursor.apply(&buf[..n]);
-        shared.injected.store(cursor.injected, Ordering::Relaxed);
-        for step in steps {
-            match step {
-                Step::Write(bytes) => {
-                    if up_w.write_all(&bytes).is_err() {
-                        break 'pump;
-                    }
-                }
-                Step::Sleep(d) => thread::sleep(d),
-                Step::Disconnect => break 'pump,
-            }
-        }
-    }
-    shared.sever();
-    let _ = s2c.join();
 }
 
 #[cfg(test)]
@@ -590,5 +368,92 @@ mod tests {
         assert_ne!(out[4], b'6');
         assert_eq!(out[5], b'7');
         assert_eq!(c.injected, 2);
+    }
+
+    /// Concatenates adjacent writes, so step lists compare across
+    /// chunkings.
+    fn merged(steps: impl IntoIterator<Item = Step>) -> Vec<Step> {
+        let mut out: Vec<Step> = Vec::new();
+        for step in steps {
+            match (out.last_mut(), step) {
+                (Some(Step::Write(acc)), Step::Write(b)) => acc.extend(b),
+                (_, step) => out.push(step),
+            }
+        }
+        out
+    }
+
+    /// Each kind fires exactly at its offset on a constructed 32-byte
+    /// stream, whether the stream arrives in one chunk or split before
+    /// or at the fault.
+    #[test]
+    fn each_kind_fires_at_its_exact_offset() {
+        let stream: Vec<u8> = (0u8..32).collect();
+        let at = |r: std::ops::Range<u8>| r.collect::<Vec<u8>>();
+        let cat = |parts: &[Vec<u8>]| parts.concat();
+        let cases = [
+            (
+                FaultKind::Drop { len: 2 },
+                vec![Step::Write(cat(&[at(0..10), at(12..32)]))],
+            ),
+            (
+                FaultKind::FlipBit { mask: 4 },
+                vec![Step::Write(cat(&[at(0..10), vec![10 ^ 5], at(11..32)]))],
+            ),
+            (
+                FaultKind::Duplicate { len: 3 },
+                vec![Step::Write(cat(&[at(0..10), at(7..10), at(10..32)]))],
+            ),
+            (
+                FaultKind::Delay { ms: 7 },
+                vec![
+                    Step::Write(at(0..10)),
+                    Step::Sleep(Duration::from_millis(7)),
+                    Step::Write(at(10..32)),
+                ],
+            ),
+            (
+                FaultKind::Disconnect,
+                vec![Step::Write(at(0..10)), Step::Disconnect],
+            ),
+        ];
+        for (kind, want) in cases {
+            for split in [32, 10, 5] {
+                let mut c = FaultCursor::new(FaultPlan::from_schedule(vec![(10, kind)]));
+                let (a, b) = stream.split_at(split);
+                let got = merged(c.apply(a).into_iter().chain(c.apply(b)));
+                assert_eq!(got, want, "{kind:?} split at {split}");
+                assert_eq!((c.offset, c.injected), (32, 1), "{kind:?}");
+                let flips = u64::from(matches!(kind, FaultKind::FlipBit { .. }));
+                assert_eq!(c.flipped, flips, "{kind:?}");
+            }
+        }
+    }
+
+    /// A reconnect does not restart the byte story: the bytes a
+    /// disconnect cut off still count, and the next connection's bytes
+    /// carry on from there.
+    #[test]
+    fn offsets_keep_counting_across_a_reconnect() {
+        let plan = FaultPlan::from_schedule(vec![
+            (5, FaultKind::Disconnect),
+            (12, FaultKind::FlipBit { mask: 0x10 }),
+        ]);
+        let mut c = FaultCursor::new(plan);
+        let first = c.apply(b"01234567");
+        assert_eq!(
+            first,
+            vec![Step::Write(b"01234".to_vec()), Step::Disconnect]
+        );
+        assert_eq!(c.offset, 8, "the cut-off tail counts");
+        // The client reconnects and replays from its byte 3.
+        let second = c.apply(b"34567890");
+        let flipped = [&b"3456"[..], &[b'7' ^ 0x11], b"890"].concat();
+        assert_eq!(
+            second,
+            vec![Step::Write(flipped)],
+            "offset 12 is byte 4 here"
+        );
+        assert_eq!((c.offset, c.injected, c.flipped), (16, 2, 1));
     }
 }

@@ -60,7 +60,7 @@ use crate::codec::{
     encode_frame, BoundaryEdges, Frame, FrontierExchange, PartialVerdict, PeerHello,
     PeerRepairProof,
 };
-use crate::collector::CollectorConfig;
+use crate::collector::{CollectorConfig, Wire};
 use crate::link::{fresh_session, Cursor, Link, Next, ReplyReader, Sender};
 use crate::metrics::{furthest, gauge_nanos, lag_nanos, CollectorMetrics};
 use crate::pipeline::{Offer, SourceTable};
@@ -77,9 +77,9 @@ use cpvr_types::trace::TRACE_CTX_WIRE_LEN;
 use cpvr_types::{fnv1a64, RouterId, SimTime, TraceCtx};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::SyncSender;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -194,10 +194,10 @@ impl PeerProofStatus {
 
 /// One outbound peer connection: a link window numbered from 1,
 /// replayed in order behind a fresh [`PeerHello`] on every reconnect.
-/// The session thread numbers, holds and first-sends frames; the link's
-/// own thread, from [`go_live`](Peers::go_live) until the link drops,
-/// dials, hellos, replays, and drops a connection that died or whose
-/// acks stalled.
+/// The session thread numbers, holds and first-sends frames on the
+/// `now` it is handed; the link's own thread, its shell from
+/// [`dial_out`](Peers::dial_out) until the link drops, dials, hellos,
+/// replays, and drops a connection that died or whose acks stalled.
 struct PeerLink {
     link: Arc<Link>,
     /// The handshake every (re)connect opens with; `first_seq` is
@@ -217,16 +217,16 @@ impl PeerLink {
         }
     }
 
-    /// Numbers, holds and best-effort writes one frame; returns its size.
-    /// A failed write ends the connection, which wakes the link's thread
-    /// to reconnect and replay.
-    fn send(&mut self, make: impl FnOnce(u64) -> Frame) -> usize {
-        let (mut guard, now) = (self.link.lock(), Instant::now());
+    /// Numbers, holds and best-effort writes one frame at `now`;
+    /// returns its size. A failed write ends the connection, which wakes
+    /// the link's thread to reconnect and replay.
+    fn send(&mut self, now: Instant, make: impl FnOnce(u64) -> Frame) -> usize {
+        let mut guard = self.link.lock();
         let s = &mut *guard;
         let bytes = s.window.push(now, |seq| encode_frame(&make(seq)));
-        if let Some(mut c) = s.conn.as_ref() {
+        if let Some(c) = s.conn.as_mut() {
             if c.write_all(bytes).is_err() {
-                let _ = c.shutdown(Shutdown::Both);
+                c.hang_up();
             }
         }
         let n = bytes.len();
@@ -236,8 +236,8 @@ impl PeerLink {
         n
     }
 
-    /// Starts the link's thread.
-    fn go_live(&mut self, metrics: &Arc<CollectorMetrics>) {
+    /// Starts the link's thread, its socket shell.
+    fn dial_out(&mut self, metrics: &Arc<CollectorMetrics>) {
         let (link, hello, addr) = (Arc::clone(&self.link), self.hello.clone(), self.addr);
         let metrics = Arc::clone(metrics);
         let thread = thread::Builder::new()
@@ -392,8 +392,12 @@ impl Peers {
         self.series0 = Some(series0);
         self.flight = Some(metrics.flight.register("member", FOLD_RING_SLOTS));
         self.metrics = Some(Arc::clone(metrics));
+    }
+
+    /// Starts every outbound link's socket shell.
+    pub(crate) fn dial_out(&mut self, metrics: &Arc<CollectorMetrics>) {
         for l in self.links.iter_mut().flatten() {
-            l.go_live(metrics);
+            l.dial_out(metrics);
         }
     }
 
@@ -420,10 +424,11 @@ impl Peers {
         (0..self.members as usize).filter(move |j| *j != me)
     }
 
-    /// Sends a frame on the link to member `j` (no-op for self).
-    fn send_to(&mut self, j: usize, make: impl FnOnce(u64) -> Frame) {
+    /// Sends a frame on the link to member `j` at `now` (no-op for
+    /// self).
+    fn send_to(&mut self, j: usize, now: Instant, make: impl FnOnce(u64) -> Frame) {
         if let Some(link) = self.links[j].as_mut() {
-            let n = link.send(make);
+            let n = link.send(now, make);
             if let Some(m) = &self.metrics {
                 m.boundary_bytes_sent.add(n as u64);
             }
@@ -431,10 +436,11 @@ impl Peers {
     }
 
     /// Sends every peer the frame `make` builds for its link sequence
-    /// number, counting the trace trailer if the frame carries one.
-    fn broadcast(&mut self, traced: bool, make: impl Fn(u64) -> Frame) {
+    /// number at `now`, counting the trace trailer if the frame carries
+    /// one.
+    fn broadcast(&mut self, traced: bool, now: Instant, make: impl Fn(u64) -> Frame) {
         for j in self.peers() {
-            self.send_to(j, &make);
+            self.send_to(j, now, &make);
             if traced {
                 self.count_trace();
             }
@@ -447,19 +453,20 @@ impl Peers {
         }
     }
 
-    /// Leaves one round-machine flight record (none during replay).
-    fn record(&self, stage: u32, ctx: TraceCtx, a: u64, b: u64) {
+    /// Leaves one round-machine flight record stamped `now` (none
+    /// during replay).
+    fn record(&self, now: Instant, stage: u32, ctx: TraceCtx, a: u64, b: u64) {
         if let Some(f) = &self.flight {
-            f.record(stage, Some(ctx), a, b);
+            f.record(now, stage, Some(ctx), a, b);
         }
     }
 
     /// Ships member `j` the records of one ingested batch whose
     /// conversations its shards own, as an untagged [`BoundaryEdges`]
     /// frame.
-    pub(crate) fn forward(&mut self, j: usize, records: Vec<FoldRecord>) {
+    pub(crate) fn forward(&mut self, j: usize, records: Vec<FoldRecord>, now: Instant) {
         let (count, member) = (records.len() as u64, self.member);
-        self.send_to(j, move |seq| {
+        self.send_to(j, now, move |seq| {
             Frame::BoundaryEdges(BoundaryEdges {
                 member,
                 seq,
@@ -484,7 +491,7 @@ impl Peers {
     /// they reconstructed the identical artifact. Recovery replays this
     /// same path, so a recovering owner regenerates its proof
     /// advertisements the way it regenerates frontier history.
-    pub(crate) fn broadcast_repair(&mut self, ledger: &RepairLedger, repair_id: u64) {
+    pub(crate) fn broadcast_repair(&mut self, ledger: &RepairLedger, repair_id: u64, now: Instant) {
         let Some(e) = ledger.get(repair_id) else {
             return;
         };
@@ -503,8 +510,9 @@ impl Peers {
         let ctx = TraceCtx::for_repair(repair_id);
         let trace = Some(ctx.child(stage::PROOF_BROADCAST));
         let gated = ctx.child(stage::REPAIR_GATED);
-        self.record(stage::PROOF_BROADCAST, gated, repair_id, u64::from(verdict));
-        self.broadcast(true, |seq| {
+        let v = u64::from(verdict);
+        self.record(now, stage::PROOF_BROADCAST, gated, repair_id, v);
+        self.broadcast(true, now, |seq| {
             Frame::PeerRepairProof(PeerRepairProof {
                 member,
                 seq,
@@ -561,7 +569,7 @@ impl Peers {
     /// moved, journaling the record first: a recovering member must
     /// regenerate the identical frontier history, or a peer that never
     /// saw some intermediate value would fold a different round grid.
-    pub(crate) fn advertise(&mut self, sources: &SourceTable) {
+    pub(crate) fn advertise(&mut self, sources: &SourceTable, now: Instant) {
         let Some(m) = sources.global_min() else {
             return;
         };
@@ -579,16 +587,16 @@ impl Peers {
                 .collect(),
         };
         self.journal(encode_frame(&Frame::FrontierExchange(f.clone())));
-        self.replay_own_frontier(f);
+        self.replay_own_frontier(f, now);
         self.publish_peers(sources);
     }
 
     /// Applies one own frontier record — live, or replayed from the
     /// journal: restores the advertised-minimum history and sends it.
-    pub(crate) fn replay_own_frontier(&mut self, f: FrontierExchange) {
+    pub(crate) fn replay_own_frontier(&mut self, f: FrontierExchange, now: Instant) {
         self.last_sent_min = self.last_sent_min.max(f.min);
         self.pending_horizons.extend(f.min);
-        self.broadcast(false, |seq| {
+        self.broadcast(false, now, |seq| {
             Frame::FrontierExchange(FrontierExchange {
                 seq,
                 frontier: f.frontier.clone(),
@@ -600,7 +608,7 @@ impl Peers {
     /// Ships each peer its round digests as a [`BoundaryEdges`] frame
     /// tagged with the round (an empty digest list still ships — it is
     /// the round-completion marker).
-    pub(crate) fn open_round(&mut self, f: SimTime, outboxes: Vec<Vec<ConvDigest>>) {
+    pub(crate) fn open_round(&mut self, f: SimTime, outboxes: Vec<Vec<ConvDigest>>, now: Instant) {
         // Boundary records at or behind the horizon are folded; their
         // dedup entries have no future duplicates to catch (the late
         // gate drops those first).
@@ -611,12 +619,18 @@ impl Peers {
         // so the round's hops stitch without any clock agreement.
         let ctx = TraceCtx::for_round(f);
         let round_trace = Some(ctx.child(stage::ROUND_OPENED));
-        self.record(stage::ROUND_OPENED, ctx, f.as_nanos(), u64::from(member));
+        self.record(
+            now,
+            stage::ROUND_OPENED,
+            ctx,
+            f.as_nanos(),
+            u64::from(member),
+        );
         for (j, digests) in outboxes.into_iter().enumerate() {
             if j == self.member as usize {
                 continue;
             }
-            self.send_to(j, move |seq| {
+            self.send_to(j, now, move |seq| {
                 Frame::BoundaryEdges(BoundaryEdges {
                     member,
                     seq,
@@ -631,16 +645,17 @@ impl Peers {
     }
 
     /// Broadcasts this member's partial verdict for round `f`.
-    pub(crate) fn send_partial(&mut self, f: SimTime, missing: &[RouterId]) {
+    pub(crate) fn send_partial(&mut self, f: SimTime, missing: &[RouterId], now: Instant) {
         let (member, ctx) = (self.member, TraceCtx::for_round(f));
         let boundary = ctx.child(stage::ROUND_BOUNDARY);
         self.record(
+            now,
             stage::ROUND_PARTIAL,
             boundary,
             f.as_nanos(),
             missing.len() as u64,
         );
-        self.broadcast(true, |seq| {
+        self.broadcast(true, now, |seq| {
             Frame::PartialVerdict(PartialVerdict {
                 member,
                 seq,
@@ -651,20 +666,28 @@ impl Peers {
         });
     }
 
-    /// The round at `f` merged its global verdict.
-    pub(crate) fn round_complete(&mut self, f: SimTime, status: &SnapshotStatus, opened: Instant) {
+    /// The round at `f`, opened at `opened`, merged its global verdict
+    /// at `now`.
+    pub(crate) fn round_complete(
+        &mut self,
+        f: SimTime,
+        status: &SnapshotStatus,
+        opened: Instant,
+        now: Instant,
+    ) {
         let missing = match status {
             SnapshotStatus::WaitFor(m) => m.len() as u64,
             _ => 0,
         };
         let ctx = TraceCtx::for_round(f).child(stage::ROUND_PARTIAL);
-        self.record(stage::ROUND_COMPLETE, ctx, f.as_nanos(), missing);
+        self.record(now, stage::ROUND_COMPLETE, ctx, f.as_nanos(), missing);
         // Digests a recovering peer re-sent while the round was in
         // flight are duplicates now.
         self.digests.retain(|(t, _), _| *t > f);
         if let Some(m) = &self.metrics {
             m.fed_rounds.inc();
-            m.partial_verdict_nanos.observe_since(opened);
+            let waited = now.saturating_duration_since(opened);
+            m.partial_verdict_nanos.observe(waited.as_nanos() as u64);
         }
     }
 
@@ -713,7 +736,7 @@ impl Peers {
     /// A live peer handshake: journaled so replay re-learns the session
     /// and keeps deduplicating the peer's regenerated stream, then acked
     /// with the cursor.
-    pub(crate) fn hello(&mut self, conn: u64, hello: PeerHello, ack: Option<TcpStream>) {
+    pub(crate) fn hello(&mut self, conn: u64, hello: PeerHello, ack: Option<Box<dyn Wire>>) {
         if !self.greet(&hello) {
             return;
         }
@@ -822,8 +845,8 @@ impl Peers {
     /// Re-validates a peer-advertised repair proof. First frame per
     /// repair wins: a recovering owner's regenerated broadcast is a
     /// duplicate, and the validation is deterministic in the frame
-    /// contents anyway.
-    pub(crate) fn check_proof(&mut self, p: &PeerRepairProof) {
+    /// contents anyway. `now` stamps the flight record.
+    pub(crate) fn check_proof(&mut self, p: &PeerRepairProof, now: Instant) {
         if self.peer_repairs.contains_key(&p.repair_id) {
             return;
         }
@@ -851,7 +874,7 @@ impl Peers {
             .unwrap_or_else(|| TraceCtx::for_repair(p.repair_id))
             .child(stage::PROOF_BROADCAST);
         let checks = u64::from(p.member) << 2 | u64::from(chain_ok) << 1 | u64::from(digest_ok);
-        self.record(stage::PEER_PROOF_VERIFIED, ctx, p.repair_id, checks);
+        self.record(now, stage::PEER_PROOF_VERIFIED, ctx, p.repair_id, checks);
         if p.trace.is_some() {
             self.count_trace();
         }
@@ -949,6 +972,8 @@ pub fn merge_members(mut folds: Vec<FoldReport>) -> io::Result<FoldReport> {
     }
     let mut global = folds.remove(0);
     global.member = None;
+    // Member 0's own view may have been materialized already.
+    global.merged = OnceLock::new();
     for (i, f) in folds.into_iter().enumerate() {
         if (&f.status, f.waits, f.watermark) != (&global.status, global.waits, global.watermark) {
             return Err(io::Error::other(format!(
@@ -963,4 +988,14 @@ pub fn merge_members(mut folds: Vec<FoldReport>) -> io::Result<FoldReport> {
     global.stalled.sort_unstable();
     global.stalled.dedup();
     Ok(global)
+}
+
+#[cfg(test)]
+impl Peers {
+    /// The link to member `j` and the hello it opens with, for a test's
+    /// shell to drive.
+    pub(crate) fn link_to(&self, j: usize) -> Option<(Arc<Link>, PeerHello)> {
+        let l = self.links[j].as_ref()?;
+        Some((Arc::clone(&l.link), l.hello.clone()))
+    }
 }

@@ -11,7 +11,7 @@
 //!   the fold threads never block on the disk, and the worst-case loss
 //!   window stays `n` records counted across the whole collector;
 //! * under `Always` on every commit, which blocks until that fsync is
-//!   done, so acked ⇒ fsynced holds even though the fsync itself runs
+//!   done, so an ack follows its fsync even though the fsync itself runs
 //!   on the sync thread — the property the durability tests crash the
 //!   sync thread to probe — and concurrent batches coalesce into shared
 //!   fsync cycles;

@@ -60,11 +60,13 @@
 //!   and feeds the `cpvr_flight_*` latency histograms. Scraped live over the same TCP port via
 //!   `Frame::MetricsReq` (Prometheus text or the workspace JSON), and
 //!   dumped into the [`CollectorReport`](collector::CollectorReport) at shutdown.
-//! * [`fault`] — a deterministic fault-injection harness: a seeded
-//!   [`fault::FaultPlan`] applied by a [`fault::ChaosProxy`] that sits
-//!   between clients and the collector, dropping, corrupting,
-//!   duplicating, delaying, and disconnecting the byte stream on a
-//!   reproducible schedule.
+//! * `fault` (tests only) — a seeded `FaultPlan` of byte-offset faults
+//!   and the cursor that applies it, dropping, corrupting, duplicating,
+//!   delaying and disconnecting a client's byte stream on a reproducible
+//!   schedule. The session's seeded driver (`session::driver`) carries
+//!   every connection's bytes through it: sources, readers, the session,
+//!   the fold workers and a federation's peer links in one process, on
+//!   one virtual clock.
 //!
 //! Crash recovery is the point of the WAL, so a WAL is not optional:
 //! [`collector::Collector::start`] refuses a config that names none
@@ -78,8 +80,8 @@
 //! no matter how the advances were batched. The `crash_recovery`
 //! integration test kills a run at every record boundary and proves the
 //! recovered state finishes the stream exactly like an uninterrupted
-//! run; the `chaos` integration test does the same under injected
-//! network faults, end to end.
+//! run; the seeded driver does the same under injected network faults,
+//! end to end, with every thread's clock handed to it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -87,7 +89,6 @@
 pub mod client;
 pub mod codec;
 pub mod collector;
-pub mod fault;
 pub mod federation;
 pub(crate) mod group_commit;
 mod link;
@@ -106,3 +107,6 @@ pub use pipeline::{IngestPipeline, PipelineConfig};
 pub use repair_journal::RepairLedger;
 pub use shard::FoldReport;
 pub use wal::{FsyncPolicy, Wal};
+
+#[cfg(test)]
+mod fault;

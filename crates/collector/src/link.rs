@@ -21,6 +21,7 @@
 
 use crate::client::ReconnectPolicy;
 use crate::codec::{Decoder, Frame};
+use crate::collector::Wire;
 use crate::pipeline::{HelloKind, Offer};
 use cpvr_types::fnv1a64;
 use rand::rngs::StdRng;
@@ -162,7 +163,7 @@ pub(crate) struct Sender {
     /// Whether a connection is up (its reply reader runs), and that
     /// connection, on which a peer link writes its first sends.
     pub(crate) up: bool,
-    pub(crate) conn: Option<TcpStream>,
+    pub(crate) conn: Option<Box<dyn Wire>>,
     /// Set when the link's owner lets go, for a thread that waits on it.
     pub(crate) stopped: bool,
     /// What differs per hop, as data: the stall bound and the redial
@@ -327,6 +328,7 @@ impl ReplyReader {
         let thread = thread::Builder::new()
             .name("cpvr-replies".into())
             .spawn(move || read_replies(read, &link))?;
+        let live: Box<dyn Wire> = Box::new(live);
         (s.conn, s.fin, s.up) = (Some(live), false, true);
         let thread = Some(thread);
         Ok(ReplyReader { conn: stop, thread })

@@ -441,11 +441,11 @@ impl CollectorMetrics {
             ),
             flight_received_to_journaled: r.histogram(
                 "cpvr_flight_received_to_journaled_nanos",
-                "Latency from socket receive to WAL append",
+                "Latency from socket receive to the hand-off to the journaling worker",
             ),
             flight_journaled_to_acked: r.histogram(
                 "cpvr_flight_journaled_to_acked_nanos",
-                "Latency from WAL append to the covering Ack",
+                "Latency from the hand-off to the worker wake that journals, commits and acks the batch",
             ),
             flight_received_to_folded: r.histogram(
                 "cpvr_flight_received_to_folded_nanos",

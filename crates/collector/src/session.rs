@@ -81,12 +81,18 @@ struct Flight {
 /// Emits one repair-lifecycle flight record (minting the deterministic
 /// repair trace when the journaled record carries none) and, when the
 /// gate came back DIVERGED or ERROR, freezes an anomaly dump.
-fn flight_repair_record(record: &RepairRecord, flight: &RingHandle, metrics: &CollectorMetrics) {
+fn flight_repair_record(
+    record: &RepairRecord,
+    flight: &RingHandle,
+    metrics: &CollectorMetrics,
+    now: Instant,
+) {
     let ctx = record
         .trace
         .unwrap_or_else(|| TraceCtx::for_repair(record.repair_id));
     let verdict = u64::from(record.verdict.unwrap_or(0));
     flight.record(
+        now,
         repair_stage_code(record.stage),
         Some(ctx),
         record.repair_id,
@@ -94,6 +100,7 @@ fn flight_repair_record(record: &RepairRecord, flight: &RingHandle, metrics: &Co
     );
     if record.stage == RepairStage::Gated && matches!(record.verdict, Some(1) | Some(2)) {
         flight.record(
+            now,
             stage::GATE_ANOMALY,
             Some(ctx.child(stage::REPAIR_GATED)),
             record.repair_id,
@@ -169,7 +176,7 @@ impl StallWatch {
         // records a later dump needs to explain the stall.
         if stalled >= after && !self.marked {
             self.marked = true;
-            flight.record(stage::WATERMARK_STALL, None, stalled.as_secs(), 0);
+            flight.record(now, stage::WATERMARK_STALL, None, stalled.as_secs(), 0);
             m.flight_stall_dump();
         }
     }
@@ -178,8 +185,9 @@ impl StallWatch {
 /// The session loop's state: everything protocol-shaped. It decides on
 /// the `now` it is handed with each input (a message, or a timer that
 /// fired) and works out its next [`deadline`](Session::deadline) from
-/// its own state; [`run`] reads the clock for it. Inside, only latency
-/// histograms read the clock: they measure, they do not decide.
+/// its own state; [`run`] reads the clock for it. Inside, only the fold
+/// step's wall-clock histogram reads the clock: it measures, it does
+/// not decide.
 struct Session<'a> {
     shards: Shards,
     sources: SourceTable,
@@ -298,24 +306,25 @@ impl<'a> Session<'a> {
         // time in between is §4.3's wait instead of a false alarm.
         let consistent = self.shards.verdict.status().is_consistent();
         let flight = &self.flight;
-        let stamp = Instant::now();
         self.traced.retain_mut(|fl| {
             if fl.time > wm {
                 return true;
             }
             let folded = *fl.folded.get_or_insert_with(|| {
                 flight.record(
+                    now,
                     stage::FOLDED,
                     Some(fl.ctx.child(stage::JOURNALED)),
                     fl.time.as_nanos(),
                     0,
                 );
-                m.flight_received_to_folded.observe_since(fl.received);
-                stamp
+                m.flight_received_to_folded
+                    .observe(nanos_since(fl.received, now));
+                now
             });
             if consistent {
                 m.flight_folded_to_consistent
-                    .observe(stamp.duration_since(folded).as_nanos() as u64);
+                    .observe(nanos_since(folded, now));
                 m.flights_completed.inc();
             }
             !consistent
@@ -329,7 +338,7 @@ impl<'a> Session<'a> {
     /// the fold.
     fn gate_moved(&mut self, now: Instant) {
         self.metrics.publish_sources(&self.sources);
-        self.drive(now, |b, sources| b.gate_moved(sources));
+        self.drive(now, |b, sources| b.gate_moved(sources, now));
     }
 
     /// Publishes the fold and per-source gauges.
@@ -398,12 +407,15 @@ impl<'a> Session<'a> {
                             // that stamps `FOLDED`.
                             if let Some((ctx, received)) = rec.trace {
                                 self.flight.record(
+                                    now,
                                     stage::JOURNALED,
                                     Some(ctx.child(stage::DECODED)),
                                     u64::from(source.0),
                                     rec.seq,
                                 );
                                 let m = self.metrics;
+                                m.flight_received_to_journaled
+                                    .observe(nanos_since(received, now));
                                 if self.traced.len() < TRACED_PENDING_MAX {
                                     self.traced.push(Flight {
                                         time: rec.rec.time,
@@ -430,7 +442,8 @@ impl<'a> Session<'a> {
                 }
                 let upto = self.sources.next_seq(source);
                 let fin = self.sources.finished(source);
-                self.shards.ingest(conn, source, fresh, defs, upto, fin);
+                self.shards
+                    .ingest(conn, source, fresh, defs, (upto, fin), now);
                 // Filling a gap may have settled a parked promise.
                 self.gate_moved(now);
             }
@@ -466,11 +479,11 @@ impl<'a> Session<'a> {
                 if self.repairs.accept(&record) {
                     self.metrics
                         .publish_repair(&record, self.repairs.in_flight().len());
-                    flight_repair_record(&record, &self.flight, self.metrics);
+                    flight_repair_record(&record, &self.flight, self.metrics, now);
                     // The moment a repair is `Gated`, its proof goes to
                     // every peer.
                     if let (Some(p), RepairStage::Gated) = (&mut self.shards.peers, record.stage) {
-                        p.broadcast_repair(&self.repairs, record.repair_id);
+                        p.broadcast_repair(&self.repairs, record.repair_id, now);
                     }
                 }
                 // Worker 0 handles this after the append above, so the
@@ -485,7 +498,9 @@ impl<'a> Session<'a> {
                 }
             }
             Msg::Peer { conn, frame, raw } => {
-                self.drive(now, |b, sources| b.peer_frame(conn, frame, raw, sources));
+                self.drive(now, |b, sources| {
+                    b.peer_frame(conn, frame, raw, sources, now)
+                });
             }
             Msg::Closed { conn } => {
                 // Keep the router's state: an abnormal close stalls the
@@ -519,8 +534,8 @@ impl<'a> Session<'a> {
             // Every eviction freezes exactly one black box: the dump
             // holds the ring state that explains *why* the fold was
             // gated when the lease gave up on this source.
-            self.flight
-                .record(stage::EVICTION, None, u64::from(r.0), silent.as_secs());
+            let (a, b) = (u64::from(r.0), silent.as_secs());
+            self.flight.record(now, stage::EVICTION, None, a, b);
             self.metrics.flight_dump("eviction");
             // Hang up on the evicted source: re-admission requires a
             // fresh hello, and clients only re-hello on reconnect, so
@@ -542,40 +557,41 @@ impl<'a> Session<'a> {
     }
 }
 
+/// The nanoseconds from `since` to `now` (0 if `now` is earlier).
+fn nanos_since(since: Instant, now: Instant) -> u64 {
+    now.saturating_duration_since(since).as_nanos() as u64
+}
+
 /// Starts the session thread: [`run`] over `shards`, resuming from the
-/// recovered `sources` and `repairs`.
+/// recovered `sources` and `repairs`, started at `now`.
 pub(crate) fn spawn(
     rx: Receiver<Msg>,
     shards: Shards,
-    sources: SourceTable,
-    repairs: RepairLedger,
+    (sources, repairs): (SourceTable, RepairLedger),
     cfg: &CollectorConfig,
     metrics: &Arc<CollectorMetrics>,
+    now: Instant,
 ) -> io::Result<JoinHandle<(FoldReport, Option<io::Error>)>> {
     let (lease, metrics) = (cfg.lease, Arc::clone(metrics));
     thread::Builder::new()
         .name("cpvr-session".into())
-        .spawn(move || run(rx, shards, sources, repairs, lease, &metrics))
+        .spawn(move || {
+            let s = Session::new(shards, sources, repairs, lease, &metrics, now);
+            run(rx, s, now)
+        })
 }
 
-/// The [`Session`]'s shell, until every sender of `rx` is gone; then
-/// closes the engine and returns the fold.
-fn run(
-    rx: Receiver<Msg>,
-    shards: Shards,
-    sources: SourceTable,
-    repairs: RepairLedger,
-    lease: LeaseConfig,
-    metrics: &CollectorMetrics,
-) -> (FoldReport, Option<io::Error>) {
-    let mut s = Session::new(shards, sources, repairs, lease, metrics, Instant::now());
+/// The [`Session`]'s shell, from its start at `now` until every sender
+/// of `rx` is gone; then closes the engine and returns the fold. It
+/// reads the clock once per wake.
+fn run(rx: Receiver<Msg>, mut s: Session<'_>, mut now: Instant) -> (FoldReport, Option<io::Error>) {
     loop {
         let deadline = s.deadline();
         let got = match deadline {
-            Some(d) => rx.recv_timeout(d.saturating_duration_since(Instant::now())),
+            Some(d) => rx.recv_timeout(d.saturating_duration_since(now)),
             None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
-        let now = Instant::now();
+        now = Instant::now();
         match got {
             Ok(msg) => s.on_msg(msg, now),
             Err(RecvTimeoutError::Timeout) => {}
@@ -589,6 +605,9 @@ fn run(
 }
 
 #[cfg(test)]
+mod driver;
+
+#[cfg(test)]
 mod tests {
     //! The session in virtual time: no sockets, no sleeps. Each test
     //! starts the real engine over a throwaway journal, hands the session
@@ -599,7 +618,6 @@ mod tests {
     use crate::collector::CollectorStats;
     use crate::metrics::source_state_code;
     use crate::pipeline::{IngestPipeline, PipelineConfig, WalScan};
-    use crate::wal::{FsyncPolicy, TempDir, WalConfig};
     use cpvr_sim::scenario::paper_scenario;
     use cpvr_sim::{CaptureProfile, IoEvent, LatencyProfile};
     use rand::rngs::StdRng;
@@ -613,50 +631,8 @@ mod tests {
 
     const MS: Duration = Duration::from_millis(1);
 
-    /// A collector's engine and registry over a fresh journal: what
-    /// `Collector::start` builds, minus the acceptor and the readers.
-    struct Rig {
-        dir: TempDir,
-        cfg: CollectorConfig,
-        metrics: Arc<CollectorMetrics>,
-    }
-
-    impl Rig {
-        fn new(shards: u32, lease: LeaseConfig) -> Rig {
-            let dir = TempDir::new("session").expect("temp dir");
-            let mut wal = WalConfig::new(dir.path());
-            wal.fsync = FsyncPolicy::Never;
-            let cfg = CollectorConfig::new(N)
-                .with_wal(wal)
-                .with_shards(shards)
-                .with_lease(lease);
-            let metrics = Arc::new(CollectorMetrics::new(N, cfg.fold_shards(), 0));
-            Rig { dir, cfg, metrics }
-        }
-
-        /// Arms the flight recorder next to the journal, as a collector does.
-        fn armed(self) -> Rig {
-            self.metrics.flight.arm(self.dir.path());
-            self
-        }
-
-        /// Starts the engine, and a session on it at `now`.
-        fn session(&self, now: Instant) -> Session<'_> {
-            let workers = self.cfg.fold_shards() as usize;
-            let mut scan = WalScan::read(self.cfg.pipeline, self.dir.path(), workers).unwrap();
-            let wal = self.cfg.wal.as_ref().expect("a journal");
-            let shards = Shards::start(&self.cfg, wal, &mut scan, &self.metrics).unwrap();
-            let (sources, repairs, lease) = (scan.sources, scan.repairs, self.cfg.lease);
-            Session::new(shards, sources, repairs, lease, &self.metrics, now)
-        }
-
-        /// The lease state gauge of router `r`.
-        fn state_gauge(&self, r: u32) -> Option<i64> {
-            let label = r.to_string();
-            let snap = self.metrics.snapshot();
-            snap.gauge("cpvr_source_state", &[("router", &label)])
-        }
-    }
+    // A collector's engine and registry over a fresh journal.
+    use super::driver::Member as Rig;
 
     /// Router `r`'s handshake on connection `conn`, with no ack socket.
     fn hello(conn: u64, r: u32, first_seq: u64) -> Msg {

@@ -55,7 +55,7 @@
 //! [`FederationPlan::shard_plan`]: cpvr_core::FederationPlan::shard_plan
 
 use crate::codec::{encode_frame, Frame, RepairStage};
-use crate::collector::{CollectorConfig, EventRec, CHANNEL_CAPACITY};
+use crate::collector::{CollectorConfig, EventRec, Wire, CHANNEL_CAPACITY};
 use crate::federation::{MemberFold, Peers};
 use crate::group_commit::{GroupCommit, GroupCommitHandle};
 use crate::metrics::{gauge_nanos, CollectorMetrics};
@@ -72,8 +72,7 @@ use cpvr_dataplane::DataPlane;
 use cpvr_sim::IoEvent;
 use cpvr_types::{RouterId, SimTime};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Write};
-use std::net::TcpStream;
+use std::io;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::{Arc, OnceLock};
 use std::thread::{self, JoinHandle};
@@ -195,7 +194,7 @@ impl FoldGauges {
 /// members of one federation into the global report.
 pub struct FoldReport {
     pub(crate) parts: Vec<FoldShard>,
-    merged: OnceLock<Merged>,
+    pub(crate) merged: OnceLock<Merged>,
     pub(crate) status: SnapshotStatus,
     pub(crate) waits: (u64, u64),
     pub(crate) watermark: Option<SimTime>,
@@ -205,7 +204,7 @@ pub struct FoldReport {
 }
 
 /// The union of a report's shards, materialized on first use.
-struct Merged {
+pub(crate) struct Merged {
     hbg: Hbg,
     edge_counts: BTreeMap<String, u64>,
     dataplane: DataPlane,
@@ -333,11 +332,13 @@ pub(crate) enum WorkerMsg {
     /// then the events' wire bytes (WAL-recovered events carry none —
     /// they are durable already), ingest, then ack `(conn, upto, fin)`.
     /// Definitions are idempotent on replay, so one whose events were
-    /// dropped as duplicates is harmless.
+    /// dropped as duplicates is harmless. `at` is when the session handed
+    /// the batch over: the journaled hop of its sampled flights.
     Ingest {
         batch: Vec<EventRec>,
         defs: Vec<Vec<u8>>,
         ack: Option<(u64, u64, bool)>,
+        at: Instant,
     },
     /// Records of events whose conversations this worker owns but whose
     /// routers it does not.
@@ -347,8 +348,11 @@ pub(crate) enum WorkerMsg {
     /// Signal the sender: everything queued to this worker before it
     /// has been handled (the barrier `journal_repair` waits on).
     Done(SyncSender<()>),
-    /// Adopt a greeted connection's ack socket.
-    Adopt { conn: u64, ack: Option<TcpStream> },
+    /// Adopt a greeted connection's ack handle.
+    Adopt {
+        conn: u64,
+        ack: Option<Box<dyn Wire>>,
+    },
     /// Write an ack (and fin, if the source finished) on a connection.
     Ack { conn: u64, upto: u64, fin: bool },
     /// Drop (and hang up) a connection's ack socket.
@@ -388,7 +392,7 @@ struct Worker {
     gc: GroupCommitHandle,
     last_segment: u64,
     wal_err: Option<io::Error>,
-    acks: HashMap<u64, TcpStream>,
+    acks: HashMap<u64, Box<dyn Wire>>,
     metrics: Arc<CollectorMetrics>,
     reply: Sender<Reply>,
 }
@@ -449,113 +453,119 @@ impl Worker {
         true
     }
 
+    /// The worker's shell: reads the clock once per message and hands
+    /// both to [`on_msg`](Self::on_msg), until the shutdown, which hands
+    /// the fold shard back.
     fn run(mut self, rx: Receiver<WorkerMsg>) {
-        let (local, m) = (self.local, Arc::clone(&self.metrics));
         while let Ok(msg) = rx.recv() {
-            match msg {
-                WorkerMsg::Ingest { batch, defs, ack } => {
-                    // Sampled flights in the batch, by when each was
-                    // appended to the journal.
-                    let mut flights: Vec<Instant> = Vec::new();
-                    let defined = defs.iter().filter(|d| self.journal(d)).count() as u32;
-                    let mut journaled = 0u32;
-                    for rec in &batch {
-                        // A WAL-recovered event carries no bytes: it is
-                        // durable already.
-                        if let Some(raw) = rec.raw.as_ref() {
-                            if self.journal(raw) {
-                                journaled += 1;
-                                if let Some((_, received)) = rec.trace {
-                                    m.flight_received_to_journaled.observe_since(received);
-                                    flights.push(Instant::now());
-                                }
-                            }
-                        }
-                    }
-                    self.commit(defined + journaled);
-                    for rec in &batch {
-                        self.fold.ingest(rec.rec, rec.arrived_at);
-                    }
-                    m.events_journaled.add(u64::from(journaled));
-                    // Ack only after the batch was journaled *and*
-                    // committed per policy: acked ⇒ durable. Count only
-                    // an ack that actually went out.
-                    let Some((conn, upto, fin)) = ack else {
-                        continue;
-                    };
-                    if self.ack(conn, upto, fin) {
-                        m.events_acked.add(batch.len() as u64);
-                        for appended in flights {
-                            m.flight_journaled_to_acked.observe_since(appended);
-                        }
-                    }
-                }
-                // Records whose conversations this shard owns but whose
-                // routers it does not: cross-builder feed only.
-                WorkerMsg::IngestCross { records } => {
-                    for rec in records {
-                        self.fold.cross.ingest_record(rec);
-                    }
-                }
-                WorkerMsg::Journal { bytes } => {
-                    if self.journal(&bytes) {
-                        self.commit(1);
-                    }
-                }
-                WorkerMsg::Done(done) => {
-                    let _ = done.send(());
-                }
-                WorkerMsg::Adopt { conn, ack } => {
-                    if let Some(a) = ack {
-                        self.acks.insert(conn, a);
-                    }
-                }
-                WorkerMsg::Ack { conn, upto, fin } => {
-                    self.ack(conn, upto, fin);
-                }
-                WorkerMsg::DropConn { conn } => {
-                    if let Some(s) = self.acks.remove(&conn) {
-                        let _ = s.shutdown(std::net::Shutdown::Both);
-                    }
-                }
-                WorkerMsg::Advance { wm, journal } => {
-                    // The watermark record precedes the fold in this
-                    // series, which is what makes the recovered
-                    // min-over-series-of-max watermark sound. The
-                    // frontier field is meaningless for a global
-                    // watermark; zero by convention.
-                    if journal
-                        && self.journal(&encode_frame(&Frame::Watermark { t: wm, frontier: 0 }))
-                    {
-                        self.commit(1);
-                    }
-                    let outboxes = self.fold.advance_collect(wm);
-                    m.shard_frontier[local].set(gauge_nanos(wm));
-                    if self.reply.send(Reply::Phase1 { local, outboxes }).is_err() {
-                        return;
-                    }
-                }
-                WorkerMsg::Deliver { digests } => {
-                    for d in &digests {
-                        self.fold.slice.absorb(d);
-                    }
-                    let gauges = self.fold.gauges();
-                    m.shard_fold_lag[local].set(gauges.pending as i64);
-                    let missing = self.fold.slice.missing();
-                    if self.reply.send(Reply::Phase2 { missing, gauges }).is_err() {
-                        return;
-                    }
-                }
-                WorkerMsg::Shutdown => {
-                    let closed = self.wal.close();
-                    let wal_err = self.wal_err.or(closed.err());
-                    let _ = self
-                        .reply
-                        .send(Reply::Done(Box::new((local, self.fold, wal_err))));
-                    return;
-                }
+            if let WorkerMsg::Shutdown = msg {
+                let closed = self.wal.close();
+                let wal_err = self.wal_err.or(closed.err());
+                let done = Box::new((self.local, self.fold, wal_err));
+                let _ = self.reply.send(Reply::Done(done));
+                return;
+            }
+            if !self.on_msg(msg, Instant::now()) {
+                return;
             }
         }
+    }
+
+    /// One message, taken up at `now`; `false` once the engine is gone.
+    fn on_msg(&mut self, msg: WorkerMsg, now: Instant) -> bool {
+        let (local, m) = (self.local, Arc::clone(&self.metrics));
+        match msg {
+            WorkerMsg::Ingest {
+                batch,
+                defs,
+                ack,
+                at,
+            } => {
+                let defined = defs.iter().filter(|d| self.journal(d)).count() as u32;
+                let (mut journaled, mut flights) = (0u32, 0u64);
+                for rec in &batch {
+                    // A WAL-recovered event carries no bytes: it is
+                    // durable already.
+                    if let Some(raw) = rec.raw.as_ref() {
+                        if self.journal(raw) {
+                            journaled += 1;
+                            flights += u64::from(rec.trace.is_some());
+                        }
+                    }
+                }
+                self.commit(defined + journaled);
+                for rec in &batch {
+                    self.fold.ingest(rec.rec, rec.arrived_at);
+                }
+                m.events_journaled.add(u64::from(journaled));
+                // Ack only after the batch was journaled *and* committed
+                // per policy, so the ack survives a killed process (and,
+                // under `Always`, a power loss). Count only an ack that
+                // actually went out.
+                let Some((conn, upto, fin)) = ack else {
+                    return true;
+                };
+                if self.ack(conn, upto, fin) {
+                    m.events_acked.add(batch.len() as u64);
+                    let waited = now.saturating_duration_since(at).as_nanos() as u64;
+                    for _ in 0..flights {
+                        m.flight_journaled_to_acked.observe(waited);
+                    }
+                }
+            }
+            // Records whose conversations this shard owns but whose
+            // routers it does not: cross-builder feed only.
+            WorkerMsg::IngestCross { records } => {
+                for rec in records {
+                    self.fold.cross.ingest_record(rec);
+                }
+            }
+            WorkerMsg::Journal { bytes } => {
+                if self.journal(&bytes) {
+                    self.commit(1);
+                }
+            }
+            WorkerMsg::Done(done) => {
+                let _ = done.send(());
+            }
+            WorkerMsg::Adopt { conn, ack } => {
+                if let Some(a) = ack {
+                    self.acks.insert(conn, a);
+                }
+            }
+            WorkerMsg::Ack { conn, upto, fin } => {
+                self.ack(conn, upto, fin);
+            }
+            WorkerMsg::DropConn { conn } => {
+                if let Some(a) = self.acks.remove(&conn) {
+                    a.hang_up();
+                }
+            }
+            WorkerMsg::Advance { wm, journal } => {
+                // The watermark record precedes the fold in this series,
+                // which is what makes the recovered min-over-series-of-max
+                // watermark sound. The frontier field is meaningless for
+                // a global watermark; zero by convention.
+                if journal && self.journal(&encode_frame(&Frame::Watermark { t: wm, frontier: 0 }))
+                {
+                    self.commit(1);
+                }
+                let outboxes = self.fold.advance_collect(wm);
+                m.shard_frontier[local].set(gauge_nanos(wm));
+                return self.reply.send(Reply::Phase1 { local, outboxes }).is_ok();
+            }
+            WorkerMsg::Deliver { digests } => {
+                for d in &digests {
+                    self.fold.slice.absorb(d);
+                }
+                let gauges = self.fold.gauges();
+                m.shard_fold_lag[local].set(gauges.pending as i64);
+                let missing = self.fold.slice.missing();
+                return self.reply.send(Reply::Phase2 { missing, gauges }).is_ok();
+            }
+            WorkerMsg::Shutdown => unreachable!("the shell hands the shard back"),
+        }
+        true
     }
 }
 
@@ -612,12 +622,14 @@ impl Shards {
     /// accounting match a monolithic recovery exactly; a federation
     /// member instead replays its journaled peer and round records
     /// through the live apply path, which regenerates its rounds, its
-    /// verdict history and every outbound peer frame.
+    /// verdict history and every outbound peer frame. `now` stamps what
+    /// the recovery hands on.
     pub(crate) fn start(
         cfg: &CollectorConfig,
         wal: &WalConfig,
         scan: &mut WalScan,
         metrics: &Arc<CollectorMetrics>,
+        now: Instant,
     ) -> io::Result<Shards> {
         let shards = cfg.fold_shards();
         let fed = cfg.federation.as_ref();
@@ -672,13 +684,13 @@ impl Shards {
             peers: fed.map(|f| Peers::new(cfg, f)),
             metrics: Some(Arc::clone(metrics)),
         };
-        this.seed(std::mem::take(&mut scan.events));
+        this.seed(std::mem::take(&mut scan.events), now);
         if this.peers.is_none() {
             if let Some(wm) = scan.report.watermark {
                 // Not journaled: the watermark is already durable in
                 // every series that folded to it.
-                this.open(wm, false);
-                this.try_complete();
+                this.open(wm, false, now);
+                this.try_complete(now);
             }
             return Ok(this);
         }
@@ -699,7 +711,7 @@ impl Shards {
             // of their last marker) opened a round whose events in that
             // series may be lost; the live run reopens it.
             if !matches!(frame, Frame::Watermark { t, .. } if Some(t) > durable) {
-                this.replay(frame, &scan.sources, &scan.repairs);
+                this.replay(frame, &scan.sources, &scan.repairs, now);
             }
         }
         scan.report.watermark = this.completed;
@@ -767,7 +779,7 @@ impl Shards {
     /// trigger any later barrier (on a peer link, before any frontier
     /// advertisement that covers them), so a shard's cross builder always
     /// has both sides of an HBR by the time the watermark folds it.
-    fn send_crosses(&mut self, crosses: Vec<Vec<FoldRecord>>) {
+    fn send_crosses(&mut self, crosses: Vec<Vec<FoldRecord>>, now: Instant) {
         let mut remote = vec![Vec::new(); self.peers.as_ref().map_or(0, |p| p.members as usize)];
         for (g, records) in (0..).zip(crosses) {
             if records.is_empty() {
@@ -783,14 +795,14 @@ impl Shards {
         if let Some(p) = self.peers.as_mut() {
             for (j, records) in remote.into_iter().enumerate() {
                 if !records.is_empty() {
-                    p.forward(j, records);
+                    p.forward(j, records, now);
                 }
             }
         }
     }
 
     /// Hands WAL-recovered events to their owning workers.
-    fn seed(&mut self, events: Vec<(u64, IoEvent)>) {
+    fn seed(&mut self, events: Vec<(u64, IoEvent)>, now: Instant) {
         let mut seeds: Vec<Vec<EventRec>> = self.workers.iter().map(|_| Vec::new()).collect();
         let mut crosses = self.cross_groups();
         for (seq, event) in events {
@@ -800,45 +812,57 @@ impl Shards {
             self.route_cross(rec.rec, &mut crosses);
             seeds[self.local(owner).unwrap_or(0)].push(rec);
         }
-        self.send_crosses(crosses);
+        self.send_crosses(crosses, now);
         for (w, batch) in self.workers.iter().zip(seeds) {
             if !batch.is_empty() {
                 let _ = w.send(WorkerMsg::Ingest {
                     batch,
                     defs: Vec::new(),
                     ack: None,
+                    at: now,
                 });
             }
         }
     }
 
-    /// Journals `defs` and a batch of fresh events from `source`, buffers
-    /// the events, then acks `upto` (and `fin`) on `conn`.
+    /// Journals `defs` and a batch of fresh events from `source`, handed
+    /// over at `now`, buffers the events, then acks `upto` (and `fin`)
+    /// on `conn`.
     pub(crate) fn ingest(
         &mut self,
         conn: u64,
         source: RouterId,
         batch: Vec<EventRec>,
         defs: Vec<Vec<u8>>,
-        upto: u64,
-        fin: bool,
+        (upto, fin): (u64, bool),
+        now: Instant,
     ) {
         let mut crosses = self.cross_groups();
         for rec in &batch {
             self.route_cross(rec.rec, &mut crosses);
         }
-        self.send_crosses(crosses);
-        let ack = Some((conn, upto, fin));
-        self.send(Some(source), WorkerMsg::Ingest { batch, defs, ack });
+        self.send_crosses(crosses, now);
+        let (ack, at) = (Some((conn, upto, fin)), now);
+        self.send(
+            Some(source),
+            WorkerMsg::Ingest {
+                batch,
+                defs,
+                ack,
+                at,
+            },
+        );
     }
 
-    /// Phase 1 of the round at `f`: every own worker journals the
-    /// watermark (unless recovering), folds to it, and returns its
-    /// foreign-conversation digests — regrouped here per own
+    /// Phase 1 of the round at `f`, opened at `now`: every own worker
+    /// journals the watermark (unless recovering), folds to it, and
+    /// returns its foreign-conversation digests — regrouped here per own
     /// destination shard, and shipped per member to the peers.
-    fn open(&mut self, f: SimTime, journal: bool) {
+    fn open(&mut self, f: SimTime, journal: bool, now: Instant) {
         self.advanced = Some(f);
-        let opened = Instant::now();
+        // The barrier-stall histogram times each worker's phase 1 on the
+        // wall clock; no decision reads it.
+        let started = Instant::now();
         for w in &self.workers {
             let _ = w.send(WorkerMsg::Advance { wm: f, journal });
         }
@@ -856,7 +880,7 @@ impl Shards {
                 .as_ref()
                 .and_then(|m| m.shard_barrier_stall.get(local))
             {
-                h.observe_since(opened);
+                h.observe_since(started);
             }
             outboxes[local] = out;
         }
@@ -874,13 +898,13 @@ impl Shards {
             }
         }
         if let Some(p) = self.peers.as_mut() {
-            p.open_round(f, remote);
+            p.open_round(f, remote, now);
         }
         self.round = Some(Round {
             at: f,
             deliver,
             missing: None,
-            opened,
+            opened: now,
         });
     }
 
@@ -888,9 +912,9 @@ impl Shards {
     /// allow (without peers nothing waits): deliver the own and every
     /// peer's digests, phase 2 (the own shards' missing sets, shipped to
     /// the peers as this member's partial verdict), then one merge of
-    /// every missing set into the global verdict. Returns whether the
-    /// round completed.
-    fn try_complete(&mut self) -> bool {
+    /// every missing set into the global verdict, at `now`. Returns
+    /// whether the round completed.
+    fn try_complete(&mut self, now: Instant) -> bool {
         let Some(mut round) = self.round.take() else {
             return false;
         };
@@ -925,7 +949,7 @@ impl Shards {
             }
             self.gauges = gauges;
             if let Some(p) = self.peers.as_mut() {
-                p.send_partial(round.at, &missing);
+                p.send_partial(round.at, &missing, now);
             }
             round.missing = Some(missing);
         }
@@ -945,7 +969,7 @@ impl Shards {
             m.barrier_rounds.inc();
         }
         if let Some(p) = self.peers.as_mut() {
-            p.round_complete(round.at, self.verdict.status(), round.opened);
+            p.round_complete(round.at, self.verdict.status(), round.opened, now);
         }
         true
     }
@@ -954,9 +978,9 @@ impl Shards {
     /// can, then opens the next horizon — the source table's minimum, or
     /// on a member the next value of the federation's round grid the
     /// federated minimum has reached — until something waits.
-    fn pump(&mut self, sources: &SourceTable) {
+    fn pump(&mut self, sources: &SourceTable, now: Instant) {
         loop {
-            if self.round.is_some() && !self.try_complete() {
+            if self.round.is_some() && !self.try_complete(now) {
                 return;
             }
             let next = match self.peers.as_mut() {
@@ -964,12 +988,12 @@ impl Shards {
                 None => sources.global_min().filter(|wm| Some(*wm) > self.advanced),
             };
             let Some(f) = next else { return };
-            self.open(f, true);
+            self.open(f, true, now);
         }
     }
 
-    /// Applies one in-sequence peer frame, live or replayed.
-    fn apply_peer(&mut self, frame: Frame, sources: &SourceTable) {
+    /// Applies one in-sequence peer frame, live or replayed, at `now`.
+    fn apply_peer(&mut self, frame: Frame, sources: &SourceTable, now: Instant) {
         let Some(p) = self.peers.as_mut() else { return };
         match frame {
             Frame::FrontierExchange(f) => p.frontier(f, sources),
@@ -980,7 +1004,7 @@ impl Shards {
                     for rec in fresh {
                         self.route_cross(rec, &mut crosses);
                     }
-                    return self.send_crosses(crosses);
+                    return self.send_crosses(crosses, now);
                 }
                 // A round contribution at or behind the completed
                 // horizon is a recovering peer's replay.
@@ -990,15 +1014,21 @@ impl Shards {
             Frame::PartialVerdict(v) if Some(v.round) > self.completed => {
                 p.file_partial(v.round, v.member, v.missing);
             }
-            Frame::PeerRepairProof(r) => return p.check_proof(&r),
+            Frame::PeerRepairProof(r) => return p.check_proof(&r, now),
             _ => return,
         }
-        self.pump(sources);
+        self.pump(sources, now);
     }
 
     /// Replays one journaled record of series 0 through the live apply
     /// path, with journaling off.
-    fn replay(&mut self, frame: Frame, sources: &SourceTable, repairs: &RepairLedger) {
+    fn replay(
+        &mut self,
+        frame: Frame,
+        sources: &SourceTable,
+        repairs: &RepairLedger,
+        now: Instant,
+    ) {
         let Some(p) = self.peers.as_mut() else { return };
         match frame {
             // A round marker is the sole authority on which horizons
@@ -1007,20 +1037,20 @@ impl Shards {
             Frame::Watermark { t, .. } => {
                 p.supersede(t);
                 if Some(t) > self.advanced {
-                    self.open(t, false);
+                    self.open(t, false, now);
                 }
-                self.pump(sources);
+                self.pump(sources, now);
             }
             Frame::PeerHello(h) => {
                 p.greet(&h);
             }
             Frame::Repair(r) if r.stage == RepairStage::Gated => {
-                p.broadcast_repair(repairs, r.repair_id);
+                p.broadcast_repair(repairs, r.repair_id, now);
             }
-            Frame::FrontierExchange(f) if f.member == p.member => p.replay_own_frontier(f),
+            Frame::FrontierExchange(f) if f.member == p.member => p.replay_own_frontier(f, now),
             other => {
                 if p.in_sequence(&other) {
-                    self.apply_peer(other, sources);
+                    self.apply_peer(other, sources, now);
                 }
             }
         }
@@ -1042,29 +1072,31 @@ impl Shards {
         }
     }
 
-    /// The source table's minimum promise may have moved: advertise it
-    /// to the peers and advance the fold as far as it allows.
-    pub(crate) fn gate_moved(&mut self, sources: &SourceTable) {
+    /// The source table's minimum promise may have moved at `now`:
+    /// advertise it to the peers and advance the fold as far as it
+    /// allows.
+    pub(crate) fn gate_moved(&mut self, sources: &SourceTable, now: Instant) {
         if let Some(p) = self.peers.as_mut() {
-            p.advertise(sources);
+            p.advertise(sources, now);
         }
-        self.pump(sources);
+        self.pump(sources, now);
     }
 
-    /// A sibling member's frame; may complete rounds.
+    /// A sibling member's frame, received at `now`; may complete rounds.
     pub(crate) fn peer_frame(
         &mut self,
         conn: u64,
         frame: Frame,
         raw: Vec<u8>,
         sources: &SourceTable,
+        now: Instant,
     ) {
         if self
             .peers
             .as_mut()
             .is_some_and(|p| p.receive(conn, &frame, raw))
         {
-            self.apply_peer(frame, sources);
+            self.apply_peer(frame, sources, now);
         }
     }
 
@@ -1113,5 +1145,22 @@ impl Shards {
             member: self.peers.map(|p| Box::new(p.into_fold())),
         };
         (report, wal_err)
+    }
+}
+
+#[cfg(test)]
+impl Shards {
+    /// Waits until every worker has handled everything queued to it.
+    pub(crate) fn quiesce(&self) {
+        let done: Vec<_> = (self.workers.iter())
+            .map(|w| {
+                let (tx, rx) = std::sync::mpsc::sync_channel(1);
+                let _ = w.send(WorkerMsg::Done(tx));
+                rx
+            })
+            .collect();
+        for rx in done {
+            let _ = rx.recv();
+        }
     }
 }

@@ -386,36 +386,32 @@ fn next_record<'a>(r: &mut Reader<'a>) -> Option<&'a [u8]> {
 }
 
 /// Replays every series in a WAL directory, using up to `threads`
-/// reader threads (series are independent files, so they replay in
-/// parallel). Results are returned in deterministic series order (the
-/// unnumbered series first, then shard series ascending) — the
-/// same result at any thread count.
+/// threads (series are independent files, so they replay in parallel):
+/// the calling thread and `threads - 1` helpers run one worker loop, so
+/// one thread spawns nothing. Results are returned in deterministic
+/// series order (the unnumbered series first, then shard series
+/// ascending) — the same result at any thread count.
 pub fn replay_all(dir: &Path, threads: usize) -> io::Result<Vec<(Option<u32>, WalReplay)>> {
     let series = list_series(dir)?;
     let threads = threads.clamp(1, series.len().max(1));
-    let mut out: Vec<(Option<u32>, io::Result<WalReplay>)> = Vec::with_capacity(series.len());
-    if threads <= 1 {
-        for s in series {
-            out.push((s, replay_series(dir, s)));
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let slots: Vec<std::sync::Mutex<Option<io::Result<WalReplay>>>> =
+        series.iter().map(|_| std::sync::Mutex::new(None)).collect();
+    let work = || loop {
+        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let Some(s) = series.get(i) else { break };
+        *slots[i].lock().unwrap() = Some(replay_series(dir, *s));
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
         }
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Vec<std::sync::Mutex<Option<io::Result<WalReplay>>>> =
-            series.iter().map(|_| std::sync::Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(s) = series.get(i) else { break };
-                    *slots[i].lock().unwrap() = Some(replay_series(dir, *s));
-                });
-            }
-        });
-        for (s, slot) in series.iter().zip(slots) {
-            out.push((*s, slot.into_inner().unwrap().expect("worker filled slot")));
-        }
-    }
-    out.into_iter().map(|(s, r)| Ok((s, r?))).collect()
+        work();
+    });
+    let filled = slots.into_iter().map(|slot| slot.into_inner().unwrap());
+    (series.into_iter().zip(filled))
+        .map(|(s, r)| Ok((s, r.expect("the worker loop fills every slot")?)))
+        .collect()
 }
 
 /// Reads every intact record from the WAL directory: all series, each

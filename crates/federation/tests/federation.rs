@@ -1,8 +1,9 @@
 //! The federation's oracle: N peer-connected collectors must reproduce
 //! a single merged collector bit-for-bit on the same trace — snapshot
 //! verdict, wait accounting, HBG edge multiset, and assembled data
-//! plane — live, after one member crash-recovers from its WAL, and
-//! across a collector↔collector partition/heal cycle.
+//! plane — live, and after one member crash-recovers from its WAL. A
+//! partition/heal cycle and a damaged peer frame run in the collector's
+//! seeded driver (`cpvr-collector`'s `session::driver`), on virtual time.
 //!
 //! The streaming schedule is *phased* (everything sent and drained
 //! before the watermark grid steps in lockstep across all sources, each
@@ -11,7 +12,6 @@
 //! wait counters above all — are bit-comparable.
 
 use cpvr_collector::collector::{Collector, CollectorConfig, CollectorReport};
-use cpvr_collector::fault::{ChaosProxy, FaultKind, FaultPlan};
 use cpvr_collector::wal::{wait_for, TempDir, WalConfig};
 use cpvr_collector::{CollectorRole, FederationConfig, SocketSink};
 use cpvr_core::FederationPlan;
@@ -282,200 +282,6 @@ fn member_crash_recovery_preserves_equivalence() {
     finish(&fed, sinks);
     let report = fed.shutdown().expect("merge");
     assert_equivalent(&report, &single, "post-recovery");
-}
-
-/// Severs every collector↔collector link touching member 0 (router
-/// links stay up), holds the partition long enough to prove the fold
-/// stalls rather than diverges, heals, and requires the go-back-N
-/// replay to converge to the single collector bit-for-bit.
-///
-/// Ignored unless `CHAOS_PARTITION` is set — this is the CI chaos arm.
-#[test]
-fn partition_heal_converges_bit_identical() {
-    if std::env::var("CHAOS_PARTITION").is_err() {
-        eprintln!("skipping: set CHAOS_PARTITION=1 to run the partition/heal cycle");
-        return;
-    }
-    let events = sample_events(17);
-    let single = run_phased_single(&events);
-
-    // Real listeners first, then one chaos proxy per *ordered* member
-    // pair: member i dials proxies[i][j], which forwards to member j.
-    let tmp = TempDir::new("fed-partition").unwrap();
-    let listeners: Vec<TcpListener> = (0..MEMBERS)
-        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
-        .collect();
-    let real: Vec<std::net::SocketAddr> =
-        listeners.iter().map(|l| l.local_addr().unwrap()).collect();
-    let plan = FederationPlan::uniform(MEMBERS);
-    let mut proxies: Vec<Vec<Option<ChaosProxy>>> = Vec::new();
-    for i in 0..MEMBERS as usize {
-        let mut row = Vec::new();
-        for (j, &to) in real.iter().enumerate() {
-            row.push(if i == j {
-                None
-            } else {
-                Some(ChaosProxy::start(to, FaultPlan::none()).unwrap())
-            });
-        }
-        proxies.push(row);
-    }
-    let cfgs: Vec<CollectorConfig> = (0..MEMBERS)
-        .map(|i| {
-            let dir = tmp.path().join(format!("member-{i}"));
-            std::fs::create_dir_all(&dir).unwrap();
-            let peers = (0..MEMBERS as usize)
-                .map(|j| {
-                    proxies[i as usize][j]
-                        .as_ref()
-                        .map_or(real[i as usize], |p| p.local_addr())
-                })
-                .collect();
-            CollectorConfig::new(N_ROUTERS)
-                .with_wal(WalConfig::new(&dir))
-                .with_federation(FederationConfig {
-                    plan: plan.clone(),
-                    member: i,
-                    peers,
-                })
-        })
-        .collect();
-    let fed = Federation::launch_on(cfgs, listeners).unwrap();
-    let mut sinks = connect_sinks(&fed);
-    send_all(&mut sinks, &events);
-
-    let steps = grid(&events);
-    let (first, rest) = steps.split_at(steps.len() / 2);
-    for &t in first {
-        step_all(&fed, &mut sinks, t);
-    }
-    let held = first[first.len() - 1];
-
-    // Partition: both directions of every link touching member 0.
-    for (j, row) in proxies.iter().enumerate().skip(1) {
-        proxies[0][j].as_ref().unwrap().partition();
-        row[0].as_ref().unwrap().partition();
-    }
-    // Clients keep promising into the partition; the federated minimum
-    // cannot move without member 0's frontier, so every member must
-    // hold the last completed horizon instead of folding ahead.
-    let during: Vec<SimTime> = rest[..rest.len().min(3)].to_vec();
-    for &t in &during {
-        for sink in sinks.iter_mut() {
-            sink.watermark(t).expect("watermark");
-        }
-    }
-    std::thread::sleep(Duration::from_millis(500));
-    for m in 0..MEMBERS {
-        assert_eq!(
-            fed.handle(m).stats().watermark,
-            Some(held),
-            "member {m} folded ahead during the partition"
-        );
-    }
-
-    // Heal: links reconnect with capped backoff and the go-back-N
-    // buffers replay every frontier, boundary batch, and partial in
-    // order — the queued grid values fold serially to convergence.
-    for (j, row) in proxies.iter().enumerate().skip(1) {
-        proxies[0][j].as_ref().unwrap().heal();
-        row[0].as_ref().unwrap().heal();
-    }
-    if let Some(&t) = during.last() {
-        for m in 0..fed.members() {
-            assert!(
-                wait_for(Duration::from_secs(30), || {
-                    fed.handle(m).stats().watermark == Some(t)
-                }),
-                "member {m}: never converged to {t:?} after heal: {:?}",
-                fed.handle(m).stats()
-            );
-        }
-    }
-    for &t in &rest[during.len()..] {
-        step_all(&fed, &mut sinks, t);
-    }
-    finish(&fed, sinks);
-    let report = fed.shutdown().expect("merge");
-    assert_equivalent(&report, &single, "post-heal");
-}
-
-/// One bit flipped on every member→member link while the links stay up:
-/// each receiver quarantines the damaged frame and then drops every
-/// later one as a gap, re-acking the same cursor. Only the sender's
-/// ack-stall trigger — drop the live link, reconnect, replay the
-/// unacked window — gets the federation past that, to the same fold as
-/// the single collector.
-#[test]
-fn a_corrupted_peer_frame_is_retransmitted() {
-    let events = sample_events(17);
-    let single = run_phased_single(&events);
-
-    let tmp = TempDir::new("fed-bitflip").unwrap();
-    let listeners: Vec<TcpListener> = (0..MEMBERS)
-        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
-        .collect();
-    let real: Vec<std::net::SocketAddr> =
-        listeners.iter().map(|l| l.local_addr().unwrap()).collect();
-    let plan = FederationPlan::uniform(MEMBERS);
-    // proxies[i][j] carries member i's frames to member j.
-    let proxies: Vec<Vec<Option<ChaosProxy>>> = (0..MEMBERS as usize)
-        .map(|i| {
-            real.iter()
-                .enumerate()
-                .map(|(j, &to)| {
-                    let flip =
-                        FaultPlan::from_schedule(vec![(600, FaultKind::FlipBit { mask: 0x10 })]);
-                    (i != j).then(|| ChaosProxy::start(to, flip).unwrap())
-                })
-                .collect()
-        })
-        .collect();
-    let cfgs: Vec<CollectorConfig> = (0..MEMBERS as usize)
-        .map(|i| {
-            let dir = tmp.path().join(format!("member-{i}"));
-            std::fs::create_dir_all(&dir).unwrap();
-            let peers = (0..MEMBERS as usize)
-                .map(|j| proxies[i][j].as_ref().map_or(real[i], |p| p.local_addr()))
-                .collect();
-            CollectorConfig::new(N_ROUTERS)
-                .with_wal(WalConfig::new(&dir))
-                .with_federation(FederationConfig {
-                    plan: plan.clone(),
-                    member: i as u32,
-                    peers,
-                })
-        })
-        .collect();
-    let fed = Federation::launch_on(cfgs, listeners).unwrap();
-    let mut sinks = connect_sinks(&fed);
-    send_all(&mut sinks, &events);
-    for t in grid(&events) {
-        step_all(&fed, &mut sinks, t);
-    }
-    finish(&fed, sinks);
-    for m in 0..MEMBERS {
-        assert!(
-            fed.handle(m).stats().corrupt_frames > 0,
-            "member {m}: the flip never landed on a peer frame"
-        );
-    }
-    // Each member received a damaged frame, so at least one link into
-    // each was dropped on a stall and replayed.
-    let stalls: u64 = (0..MEMBERS)
-        .map(|m| {
-            let metrics = fed.handle(m).metrics().expect("always Some");
-            metrics
-                .snapshot()
-                .counter_total("cpvr_peer_ack_stalls_total")
-        })
-        .sum();
-    assert!(
-        stalls >= u64::from(MEMBERS),
-        "{stalls} stall drops for {MEMBERS} damaged links"
-    );
-    let report = fed.shutdown().expect("merge");
-    assert_equivalent(&report, &single, "after a corrupted peer frame");
 }
 
 /// A federation whose members each fold on `shards` worker threads:

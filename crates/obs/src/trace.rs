@@ -232,9 +232,11 @@ pub struct RingHandle {
 }
 
 impl RingHandle {
-    /// Appends one record. `trace` is `None` for untraced records
-    /// (anomaly markers that are not part of any sampled story).
-    pub fn record(&self, stage: u32, trace: Option<TraceCtx>, a: u64, b: u64) {
+    /// Appends one record stamped `now`, the caller's clock reading
+    /// (a stamp before the recorder's epoch reads 0). `trace` is `None`
+    /// for untraced records (anomaly markers that are not part of any
+    /// sampled story).
+    pub fn record(&self, now: Instant, stage: u32, trace: Option<TraceCtx>, a: u64, b: u64) {
         let h = self.ring.head.load(Ordering::Relaxed);
         let cap = self.ring.slots.len() as u64;
         let slot = &self.ring.slots[(h % cap) as usize];
@@ -246,7 +248,7 @@ impl RingHandle {
             None => (0, 0),
         };
         let packed = (stage as u64) | ((parent as u64) << 32);
-        let t = self.epoch.elapsed().as_nanos() as u64;
+        let t = now.saturating_duration_since(self.epoch).as_nanos() as u64;
         slot.words[0].store(packed, Ordering::Relaxed);
         slot.words[1].store(t, Ordering::Relaxed);
         slot.words[2].store(trace_id, Ordering::Relaxed);
@@ -271,8 +273,9 @@ pub struct FlightRecord {
     pub(crate) n: u64,
     /// Stage code (see [`stage`]).
     pub stage: u32,
-    /// Monotonic nanos since the recorder's epoch. Comparable within
-    /// one process only — never across federation members.
+    /// The writer's stamp, in nanos since the recorder's epoch.
+    /// Comparable within one process only — never across federation
+    /// members.
     pub t_nanos: u64,
     /// The causal story this record belongs to, if traced.
     pub trace: Option<TraceCtx>,
@@ -358,6 +361,12 @@ impl FlightRecorder {
     /// Tags dumps with the federation member id for stitching.
     pub fn set_member(&self, member: i64) {
         self.member.store(member as u64, Ordering::Relaxed);
+    }
+
+    /// The instant record stamps count from: a caller on a virtual clock
+    /// that starts here gets stamps that are its own offsets.
+    pub fn epoch(&self) -> Instant {
+        self.epoch
     }
 
     /// Registers a new single-producer ring with `capacity` slots.
@@ -594,7 +603,7 @@ mod tests {
         let rec = FlightRecorder::new();
         let h = rec.register("merger", 4);
         for i in 0..10u64 {
-            h.record(stage::FOLDED, None, i, 0);
+            h.record(Instant::now(), stage::FOLDED, None, i, 0);
         }
         let snap = rec.snapshot("test");
         // Capacity 4, 10 writes: records 6..=9 survive, oldest first.
@@ -638,7 +647,7 @@ mod tests {
                 trace_id: i.max(1),
                 parent: 0,
             };
-            h.record(stage::FOLDED, Some(ctx), i, i);
+            h.record(Instant::now(), stage::FOLDED, Some(ctx), i, i);
         }
         stop.store(true, Ordering::Relaxed);
         let total: u64 = readers.into_iter().map(|t| t.join().unwrap()).sum();
@@ -658,8 +667,9 @@ mod tests {
         rec.arm(&dir);
         rec.set_member(2);
         let h = rec.register("reader-0", 16);
-        h.record(stage::EVICTION, None, 7, 0);
+        h.record(Instant::now(), stage::EVICTION, None, 7, 0);
         h.record(
+            Instant::now(),
             stage::REPAIR_GATED,
             Some(TraceCtx::for_repair(99).child(stage::REPAIR_PROVEN)),
             99,
