@@ -5,9 +5,8 @@
 //! and went with the switch: the collector's metrics are always on.)
 //!
 //! The codec group is the per-event cost floor of the wire: one event
-//! encoded into / decoded out of a reusable buffer — the same operation
-//! the collector's `cpvr_decode_nanos` histogram times on live reader
-//! threads.
+//! encoded into / decoded out of a reusable buffer, as a collector's
+//! reader threads decode them.
 
 use cpvr_bench::ingest::synthetic_events;
 use cpvr_collector::{CodecVersion, Decoder, EventEncoder, Frame};

@@ -378,7 +378,7 @@ pub enum RepairStage {
 
 impl RepairStage {
     /// Every stage, in declaration order — which is the wire byte order.
-    const ALL: [RepairStage; 6] = [
+    pub(crate) const ALL: [RepairStage; 6] = [
         RepairStage::Proposed,
         RepairStage::Proven,
         RepairStage::Gated,

@@ -315,8 +315,9 @@ pub(crate) enum Msg {
         conn: u64,
         frontier: u64,
     },
-    /// A federation peer's handshake (only on federated collectors; the
-    /// reader kills the connection otherwise).
+    /// A federation peer's handshake (only from another member of the
+    /// collector's federation plan; the reader kills the connection
+    /// otherwise).
     PeerHello {
         conn: u64,
         hello: PeerHello,
@@ -770,15 +771,9 @@ impl<'a, W: Wire> Reader<'a, W> {
         self.idle_at = now.checked_add(IDLE_TIMEOUT);
         self.metrics.bytes.add(bytes.len() as u64);
         self.dec.feed(bytes);
-        loop {
-            // Decode happens here, on the (parallel) reader thread —
-            // in place out of the read buffer for v3 — and the decode
-            // histogram times exactly this step on the wall clock.
-            let t0 = Instant::now();
-            let Some(msg) = self.dec.next_message(true) else {
-                break;
-            };
-            self.metrics.decode_nanos.observe_since(t0);
+        // Decode happens here, on the (parallel) reader thread — in
+        // place out of the read buffer for v3.
+        while let Some(msg) = self.dec.next_message(true) {
             if let FrameOutcome::Close = self.handle(msg, now) {
                 return false;
             }
@@ -866,7 +861,6 @@ impl<'a, W: Wire> Reader<'a, W> {
     /// protocol state machine and forwards typed messages to the session.
     fn on_frame(&mut self, msg: DecodedMsg, now: Instant) -> FrameOutcome {
         let (conn, metrics) = (self.conn, self.metrics);
-        let federated = self.cfg.federation.is_some();
         let DecodedMsg {
             frame, raw, trace, ..
         } = msg;
@@ -924,10 +918,11 @@ impl<'a, W: Wire> Reader<'a, W> {
             }
             Frame::DumpResp { .. } => return FrameOutcome::Continue,
             // A peer collector's handshake: only meaningful on a federation
-            // member, and — like a router hello — only as the connection's
-            // first frame.
+            // member, from another member of its plan, and — like a router
+            // hello — only as the connection's first frame.
             Frame::PeerHello(hello) => {
-                if !federated {
+                let fed = self.cfg.federation.as_ref();
+                if !fed.is_some_and(|f| f.admits(&hello)) {
                     return self.fatal();
                 }
                 let ack = match self.greet(hello.n_routers) {

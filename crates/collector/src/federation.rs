@@ -62,7 +62,7 @@ use crate::codec::{
 };
 use crate::collector::{CollectorConfig, Wire};
 use crate::link::{fresh_session, Cursor, Link, Next, ReplyReader, Sender};
-use crate::metrics::{furthest, gauge_nanos, lag_nanos, CollectorMetrics};
+use crate::metrics::{furthest, lag_nanos, CollectorMetrics};
 use crate::pipeline::{Offer, SourceTable};
 use crate::repair_journal::RepairLedger;
 use crate::session::FOLD_RING_SLOTS;
@@ -122,6 +122,16 @@ pub struct FederationConfig {
     /// Every member's listen address, self included (the own slot is
     /// never dialed). Must have exactly `plan.members()` entries.
     pub peers: Vec<SocketAddr>,
+}
+
+impl FederationConfig {
+    /// Whether a peer handshake comes from another member of this plan:
+    /// the same federation size, a member index inside it, not our own.
+    /// A reader answers any other hello as a protocol violation.
+    pub(crate) fn admits(&self, hello: &PeerHello) -> bool {
+        let members = self.plan.members();
+        hello.members == members && hello.member < members && hello.member != self.member
+    }
 }
 
 /// What kind of collector produced a
@@ -719,27 +729,23 @@ impl Peers {
         Some(filed.into_iter().flatten().collect())
     }
 
-    /// Validates a peer handshake and applies it to the inbound cursor.
-    /// Returns whether the hello was acceptable.
-    pub(crate) fn greet(&mut self, hello: &PeerHello) -> bool {
-        let pm = hello.member;
-        let fits = hello.members == self.members && hello.n_routers == self.n_routers;
-        if !fits || pm >= self.members || pm == self.member {
-            return false;
-        }
+    /// Applies a peer handshake to the inbound cursor. The reader
+    /// admitted it ([`FederationConfig::admits`]) before it was
+    /// journaled; a journal written under a larger plan may still name
+    /// a member this one lacks, whose frames `in_sequence` drops too.
+    pub(crate) fn greet(&mut self, hello: &PeerHello) {
         // A reconnect keeps the cursor; a new peer instance (first contact
         // or crash-recovered) restarts it at the announced sequence.
-        self.cursors[pm as usize].hello(hello.session, hello.first_seq);
-        true
+        if let Some(cur) = self.cursors.get_mut(hello.member as usize) {
+            cur.hello(hello.session, hello.first_seq);
+        }
     }
 
     /// A live peer handshake: journaled so replay re-learns the session
     /// and keeps deduplicating the peer's regenerated stream, then acked
     /// with the cursor.
     pub(crate) fn hello(&mut self, conn: u64, hello: PeerHello, ack: Option<Box<dyn Wire>>) {
-        if !self.greet(&hello) {
-            return;
-        }
+        self.greet(&hello);
         let member = hello.member;
         self.journal(encode_frame(&Frame::PeerHello(hello)));
         self.conn_peer.insert(conn, member);
@@ -883,18 +889,17 @@ impl Peers {
         }
     }
 
-    /// Publishes the per-peer frontier and lag gauges (the own slot
-    /// carries the own source-table minimum).
+    /// Publishes the per-peer lag gauges (the own slot carries the own
+    /// source-table minimum).
     pub(crate) fn publish_peers(&self, sources: &SourceTable) {
         let Some(m) = &self.metrics else { return };
-        if m.peer_frontier.len() != self.members as usize {
+        if m.peer_lag.len() != self.members as usize {
             return;
         }
         let mut mins = self.peer_min.clone();
         mins[self.member as usize] = sources.global_min();
         let furthest = furthest(mins.iter().copied());
         for (j, v) in mins.into_iter().enumerate() {
-            m.peer_frontier[j].set(v.map_or(-1, gauge_nanos));
             m.peer_lag[j].set(lag_nanos(furthest, v));
         }
     }

@@ -15,10 +15,9 @@
 //! [`Collector::start`]: crate::collector::Collector::start
 
 use std::sync::atomic::{fence, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cpvr_core::snapshot::Verdict;
-use cpvr_core::HbrSource;
 use cpvr_obs::{Counter, ExpoFormat, FlightRecorder, Gauge, Histogram, MetricsRegistry, Snapshot};
 use cpvr_types::{RouterId, SimTime};
 
@@ -66,7 +65,6 @@ pub(crate) fn lag_nanos(furthest: Option<SimTime>, v: Option<SimTime>) -> i64 {
 struct SourceGauges {
     state: Vec<Gauge>,
     lag_nanos: Vec<Gauge>,
-    next_seq: Vec<Gauge>,
 }
 
 /// All metric handles the collector's threads write through, plus the
@@ -81,7 +79,6 @@ pub struct CollectorMetrics {
     pub(crate) frames_corrupt: Counter,
     pub(crate) resync_bytes: Counter,
     pub(crate) decode_errors: Counter,
-    pub(crate) decode_nanos: Histogram,
     pub(crate) metrics_scrapes: Counter,
 
     // Session: per-event accounting.
@@ -98,20 +95,11 @@ pub struct CollectorMetrics {
     pub(crate) watermark_nanos: Gauge,
     pub(crate) events_folded: Gauge,
     pub(crate) events_pending: Gauge,
-    pub(crate) hbg_edges: Gauge,
-    /// The `cpvr_hbg_edges_offered{rule=…}` gauges, each resolved in
-    /// the registry the first time its source is published.
-    edges_offered: Mutex<Vec<(HbrSource, Gauge)>>,
-    pub(crate) snapshot_consistent: Gauge,
     pub(crate) waits_issued: Gauge,
     pub(crate) waits_resolved: Gauge,
-    pub(crate) fold_nanos: Histogram,
-    pub(crate) fold_batch: Histogram,
 
     // Fold shards (one slot per worker).
     pub(crate) barrier_rounds: Counter,
-    pub(crate) shard_frontier: Vec<Gauge>,
-    pub(crate) shard_fold_lag: Vec<Gauge>,
     pub(crate) shard_barrier_stall: Vec<Histogram>,
 
     // Federation (empty vecs when the collector is not a federation
@@ -122,7 +110,6 @@ pub struct CollectorMetrics {
     pub(crate) boundary_bytes_sent: Counter,
     pub(crate) peer_ack_stalls: Counter,
     pub(crate) partial_verdict_nanos: Histogram,
-    pub(crate) peer_frontier: Vec<Gauge>,
     pub(crate) peer_lag: Vec<Gauge>,
 
     // Proof-carrying repair lifecycle.
@@ -131,10 +118,6 @@ pub struct CollectorMetrics {
     pub(crate) repair_gate_diverged: Counter,
     pub(crate) repair_gate_error: Counter,
     pub(crate) repairs_in_flight: Gauge,
-    /// Root causes skipped for falling below the control loop's
-    /// confidence threshold. Public: published from
-    /// [`GuardReport::skipped_low_confidence`](cpvr_core::GuardReport).
-    pub repair_skipped_low_confidence: Counter,
     /// Peer-advertised repair proofs received and independently
     /// re-validated by this federation member. Public so harnesses can
     /// wait on proof propagation.
@@ -145,7 +128,6 @@ pub struct CollectorMetrics {
     /// can snapshot or arm it directly; the collector arms it with the
     /// WAL directory at start.
     pub flight: Arc<FlightRecorder>,
-    pub(crate) flight_ring_overwrites: Gauge,
     pub(crate) trace_bytes: Counter,
     pub(crate) watermark_stall_seconds: Gauge,
     // Sampled event flights (received → journaled → acked → folded →
@@ -171,59 +153,32 @@ impl CollectorMetrics {
         let registry = Arc::new(MetricsRegistry::new());
         let r = &registry;
 
-        let mut shard_frontier = Vec::new();
-        let mut shard_fold_lag = Vec::new();
-        let mut shard_barrier_stall = Vec::new();
-        for k in 0..shards {
-            let label = k.to_string();
-            let l: &[(&str, &str)] = &[("shard", &label)];
-            let frontier = r.gauge_with(
-                "cpvr_shard_frontier_nanos",
-                "Watermark a shard's fold last advanced to, in simulated nanoseconds (-1 before the \
-                 first, i64::MAX once every source finished)",
-                l,
-            );
-            frontier.set(-1);
-            shard_frontier.push(frontier);
-            shard_fold_lag.push(r.gauge_with(
-                "cpvr_shard_fold_lag_events",
-                "Ingested events a shard still buffers behind the watermark",
-                l,
-            ));
-            shard_barrier_stall.push(r.histogram_with(
-                "cpvr_shard_barrier_stall_nanos",
-                "Wall-clock from barrier start to a shard's phase-1 reply",
-                l,
-            ));
-        }
+        let shard_barrier_stall = (0..shards)
+            .map(|k| {
+                r.histogram_with(
+                    "cpvr_shard_barrier_stall_nanos",
+                    "Wall-clock from barrier start to a shard's phase-1 reply",
+                    &[("shard", &k.to_string())],
+                )
+            })
+            .collect();
 
-        let mut peer_frontier = Vec::new();
         let mut peer_lag = Vec::new();
         if members > 1 {
             for k in 0..members {
-                let label = k.to_string();
-                let l: &[(&str, &str)] = &[("peer", &label)];
-                peer_frontier.push(r.gauge_with(
-                    "cpvr_peer_frontier_nanos",
-                    "Min watermark a peer's last frontier exchange announced (-1 before the first, \
-                     i64::MAX once its sources finished)",
-                    l,
-                ));
-                peer_lag.push(r.gauge_with(
+                let g = r.gauge_with(
                     "cpvr_peer_lag_nanos",
                     "How far a peer's exchanged frontier trails the furthest unfinished member (-1 before \
                      it exchanges, 0 once it finished)",
-                    l,
-                ));
-            }
-            for g in peer_frontier.iter().chain(&peer_lag) {
+                    &[("peer", &k.to_string())],
+                );
                 g.set(-1);
+                peer_lag.push(g);
             }
         }
 
         let mut state = Vec::with_capacity(n_routers as usize);
         let mut lag_nanos = Vec::with_capacity(n_routers as usize);
-        let mut next_seq = Vec::with_capacity(n_routers as usize);
         for i in 0..n_routers {
             let label = i.to_string();
             let l: &[(&str, &str)] = &[("router", &label)];
@@ -236,11 +191,6 @@ impl CollectorMetrics {
                 "cpvr_source_lag_nanos",
                 "How far the source's promise trails the furthest unfinished promise (-1 before it \
                  promises, 0 once it finished)",
-                l,
-            ));
-            next_seq.push(r.gauge_with(
-                "cpvr_source_next_seq",
-                "One past the highest contiguously accepted sequence number for the source",
                 l,
             ));
         }
@@ -268,10 +218,6 @@ impl CollectorMetrics {
             decode_errors: r.counter(
                 "cpvr_decode_errors_total",
                 "Fatal protocol errors (bad handshake, undecodable payload behind a valid CRC)",
-            ),
-            decode_nanos: r.histogram(
-                "cpvr_decode_nanos",
-                "Wall-clock latency of decoding one frame off the read buffer (reader threads)",
             ),
             metrics_scrapes: r.counter(
                 "cpvr_metrics_scrapes_total",
@@ -326,15 +272,6 @@ impl CollectorMetrics {
                 "cpvr_events_pending",
                 "Ingested events still buffered behind the watermark",
             ),
-            hbg_edges: r.gauge(
-                "cpvr_hbg_edges",
-                "Happens-before edges resident in the graph",
-            ),
-            edges_offered: Mutex::new(Vec::new()),
-            snapshot_consistent: r.gauge(
-                "cpvr_snapshot_consistent",
-                "1 while the consistency tracker's verdict is Consistent, 0 while it waits",
-            ),
             waits_issued: r.gauge(
                 "cpvr_tracker_waits_issued",
                 "Consistent-to-wait verdict flips: times the tracker waited instead of alarming",
@@ -343,20 +280,10 @@ impl CollectorMetrics {
                 "cpvr_tracker_waits_resolved",
                 "Wait-to-consistent verdict flips: waits that resolved",
             ),
-            fold_nanos: r.histogram(
-                "cpvr_fold_nanos",
-                "Wall-clock latency of one watermark advance (builder fold + tracker recheck)",
-            ),
-            fold_batch: r.histogram(
-                "cpvr_fold_batch",
-                "Events folded per watermark advance",
-            ),
             barrier_rounds: r.counter(
                 "cpvr_barrier_rounds_total",
                 "Barrier rounds completed (on a federation member, every federated round)",
             ),
-            shard_frontier,
-            shard_fold_lag,
             shard_barrier_stall,
             fed_rounds: r.counter(
                 "cpvr_federation_rounds_total",
@@ -384,7 +311,6 @@ impl CollectorMetrics {
                 "cpvr_partial_verdict_nanos",
                 "Wall-clock from opening a federated round to merging its global verdict",
             ),
-            peer_frontier,
             peer_lag,
             repair_records: r.counter(
                 "cpvr_repair_records_total",
@@ -406,19 +332,11 @@ impl CollectorMetrics {
                 "cpvr_repairs_in_flight",
                 "Repairs journaled but not yet decided (Applied/Blocked/RolledBack)",
             ),
-            repair_skipped_low_confidence: r.counter(
-                "cpvr_repair_skipped_low_confidence_total",
-                "Root causes skipped for confidence below the control loop's threshold",
-            ),
             repair_peer_proofs: r.counter(
                 "cpvr_repair_peer_proofs_total",
                 "Peer-advertised repair proofs received and re-validated by this member",
             ),
             flight: Arc::new(FlightRecorder::new()),
-            flight_ring_overwrites: r.gauge(
-                "cpvr_flight_ring_overwrites",
-                "Flight-recorder ring records lost to wrap-around before any dump captured them",
-            ),
             trace_bytes: r.counter(
                 "cpvr_trace_bytes_total",
                 "Trace-context trailer bytes carried on the wire (sent and received)",
@@ -455,11 +373,7 @@ impl CollectorMetrics {
                 "cpvr_flight_folded_to_consistent_nanos",
                 "Wait between HBG fold and snapshot consistency (the paper's wait-instead-of-false-alarm)",
             ),
-            sources: SourceGauges {
-                state,
-                lag_nanos,
-                next_seq,
-            },
+            sources: SourceGauges { state, lag_nanos },
             registry,
         }
     }
@@ -478,8 +392,8 @@ impl CollectorMetrics {
     }
 
     /// Takes an anomaly dump of the flight recorder (a no-op when the
-    /// recorder is unarmed) and publishes the dump/overwrite series.
-    /// Returns the artifact path if one was written.
+    /// recorder is unarmed) and counts it. Returns the artifact path if
+    /// one was written.
     pub(crate) fn flight_dump(&self, reason: &str) -> Option<std::path::PathBuf> {
         self.count_dump(reason, self.flight.dump(reason))
     }
@@ -491,8 +405,7 @@ impl CollectorMetrics {
         self.count_dump("stall", self.flight.dump_stall_once("stall"))
     }
 
-    /// Counts a written dump under its trigger reason and republishes the
-    /// ring's overwrite count.
+    /// Counts a written dump under its trigger reason.
     fn count_dump(
         &self,
         reason: &str,
@@ -507,39 +420,17 @@ impl CollectorMetrics {
                 )
                 .inc();
         }
-        self.flight_ring_overwrites
-            .set(self.flight.ring_overwrites() as i64);
         path
     }
 
-    /// Publishes the fold-side gauges after an advance: fold counters,
-    /// HBG size, per-rule edge offers, and the verdict and its wait
-    /// accounting.
+    /// Publishes the fold-side gauges after an advance: fold counters
+    /// and the verdict's wait accounting.
     pub(crate) fn publish_fold(&self, g: &FoldGauges, verdict: &Verdict) {
         self.events_folded.set(g.processed as i64);
         self.events_pending.set(g.pending as i64);
-        self.hbg_edges.set(g.edges as i64);
-        let mut offered = self.edges_offered.lock().expect("a publisher panicked");
-        for (source, n) in &g.offered {
-            let known = offered.iter().position(|(s, _)| s == source);
-            let i = known.unwrap_or_else(|| {
-                let labels = [("rule", &*source.to_string())];
-                let gauge = self.registry.gauge_with(
-                    "cpvr_hbg_edges_offered",
-                    "Happens-before edges offered to the graph, by inference source (rule label)",
-                    &labels,
-                );
-                offered.push((*source, gauge));
-                offered.len() - 1
-            });
-            offered[i].1.set(*n as i64);
-        }
-        drop(offered);
         let (issued, resolved) = verdict.waits();
         self.waits_issued.set(issued as i64);
         self.waits_resolved.set(resolved as i64);
-        self.snapshot_consistent
-            .set(verdict.status().is_consistent() as i64);
     }
 
     /// Publishes the verdict horizon — last, after every gauge and
@@ -613,14 +504,13 @@ impl CollectorMetrics {
         self.repairs_in_flight.set(in_flight as i64);
     }
 
-    /// Publishes the per-source lease/lag/cursor gauges from a source
+    /// Publishes the per-source lease and lag gauges from a source
     /// table.
     pub(crate) fn publish_sources(&self, table: &SourceTable) {
         let routers = (0..self.sources.state.len() as u32).map(RouterId);
         let furthest = furthest(routers.clone().map(|r| table.promise_of(r)));
         for (idx, r) in routers.enumerate() {
             self.sources.state[idx].set(source_state_code(table.state(r)));
-            self.sources.next_seq[idx].set(table.next_seq(r) as i64);
             self.sources.lag_nanos[idx].set(lag_nanos(furthest, table.promise_of(r)));
         }
     }
@@ -678,8 +568,8 @@ mod tests {
             );
             families += 1;
         }
-        // All 64 but the two resolved on first use: per-rule edge offers
-        // and flight dumps by reason.
-        assert_eq!(families, 62);
+        // All 52 but the one resolved on first use: flight dumps by
+        // reason.
+        assert_eq!(families, 51);
     }
 }

@@ -42,16 +42,10 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// The flight-recorder stage code for one repair-lifecycle stage.
+/// The flight-recorder stage code for one repair-lifecycle stage: codes
+/// 10–15 follow the stages' wire bytes.
 fn repair_stage_code(s: RepairStage) -> u32 {
-    match s {
-        RepairStage::Proposed => stage::REPAIR_PROPOSED,
-        RepairStage::Proven => stage::REPAIR_PROVEN,
-        RepairStage::Gated => stage::REPAIR_GATED,
-        RepairStage::Applied => stage::REPAIR_APPLIED,
-        RepairStage::Blocked => stage::REPAIR_BLOCKED,
-        RepairStage::RolledBack => stage::REPAIR_ROLLED_BACK,
-    }
+    stage::REPAIR_PROPOSED + u32::from(s.byte())
 }
 
 /// Flight-recorder ring capacity of the session thread's rings (its
@@ -185,9 +179,7 @@ impl StallWatch {
 /// The session loop's state: everything protocol-shaped. It decides on
 /// the `now` it is handed with each input (a message, or a timer that
 /// fired) and works out its next [`deadline`](Session::deadline) from
-/// its own state; [`run`] reads the clock for it. Inside, only the fold
-/// step's wall-clock histogram reads the clock: it measures, it does
-/// not decide.
+/// its own state; [`run`] reads the clock for it.
 struct Session<'a> {
     shards: Shards,
     sources: SourceTable,
@@ -202,8 +194,6 @@ struct Session<'a> {
     /// Sampled flights handed to the engine and not yet part of a
     /// consistent snapshot.
     traced: Vec<Flight>,
-    /// Events folded as of the last published advance.
-    folded: usize,
     stall: StallWatch,
     lease: LeaseConfig,
     metrics: &'a CollectorMetrics,
@@ -228,7 +218,6 @@ impl<'a> Session<'a> {
             repairs,
             conn_source: HashMap::new(),
             traced: Vec::new(),
-            folded: 0,
             stall: StallWatch::default(),
             lease,
             metrics,
@@ -288,18 +277,13 @@ impl<'a> Session<'a> {
     /// reached.
     fn drive(&mut self, now: Instant, step: impl FnOnce(&mut Shards, &SourceTable)) {
         let before = self.shards.completed;
-        let start = Instant::now();
         step(&mut self.shards, &self.sources);
         let Some(wm) = self.shards.completed.filter(|wm| Some(*wm) != before) else {
             return;
         };
         let m = self.metrics;
-        m.fold_nanos.observe_since(start);
         self.stall.moved(wm, now, m);
-        let folded_before = self.folded;
         self.publish();
-        m.fold_batch
-            .observe(self.folded.saturating_sub(folded_before) as u64);
         // Sampled flights at or behind the new horizon are folded — the
         // first advance to pass one closes its session-side hop — and a
         // folded flight completes at the first consistent verdict: the
@@ -342,8 +326,7 @@ impl<'a> Session<'a> {
     }
 
     /// Publishes the fold and per-source gauges.
-    fn publish(&mut self) {
-        self.folded = self.shards.gauges.processed;
+    fn publish(&self) {
         self.metrics
             .publish_fold(&self.shards.gauges, &self.shards.verdict);
         self.metrics.publish_sources(&self.sources);
@@ -1107,6 +1090,23 @@ mod tests {
         let (again, _, stats_again) = drive(seed, shards);
         assert_eq!(fold_of(&report), fold_of(&again), "{label}: rerun");
         assert_eq!(format!("{stats:?}"), format!("{stats_again:?}"), "{label}");
+    }
+
+    /// Flight stage codes 10–15 are the repair stages in wire-byte
+    /// order; dumps from older builds keep their meaning.
+    #[test]
+    fn repair_stage_codes_follow_the_wire_bytes() {
+        let codes: Vec<u32> = RepairStage::ALL.map(repair_stage_code).to_vec();
+        assert_eq!(codes, [10, 11, 12, 13, 14, 15]);
+        let named = [
+            stage::REPAIR_PROPOSED,
+            stage::REPAIR_PROVEN,
+            stage::REPAIR_GATED,
+            stage::REPAIR_APPLIED,
+            stage::REPAIR_BLOCKED,
+            stage::REPAIR_ROLLED_BACK,
+        ];
+        assert_eq!(codes, named);
     }
 
     #[test]

@@ -22,11 +22,16 @@
 //! (a thousand seeds each in the ignored sweep), a scripted eviction and
 //! re-admission, a full replay window behind one damaged frame, a
 //! partitioned and healed federation, and a damaged peer frame that only
-//! a `PEER_ACK_STALL` replay heals.
+//! a `PEER_ACK_STALL` replay heals. Last, one table of every fault class
+//! the harness can inject, each told from telemetry alone: DESIGN.md §6
+//! "Every fault class in telemetry alone".
 
 use super::Session;
 use crate::client::{ReconnectPolicy, REPLAY_CAPACITY, SOLICIT_EVERY};
-use crate::codec::{encode_frame, write_frame, Decoder, EventEncoder, Frame, Hello, PeerHello};
+use crate::codec::{
+    encode_frame, write_frame, Decoder, EventEncoder, Frame, Hello, PeerHello, RepairRecord,
+    RepairStage,
+};
 use crate::collector::CHANNEL_CAPACITY;
 use crate::collector::IDLE_TIMEOUT;
 use crate::collector::{CollectorConfig, CollectorStats, LeaseConfig, Msg, Reader, Wire};
@@ -38,7 +43,8 @@ use crate::pipeline::{IngestPipeline, PipelineConfig, WalScan};
 use crate::shard::{FoldReport, Shards};
 use crate::wal::{FsyncPolicy, TempDir, WalConfig};
 use cpvr_core::FederationPlan;
-use cpvr_obs::Snapshot;
+use cpvr_obs::trace::stage;
+use cpvr_obs::{FlightDump, Snapshot};
 use cpvr_sim::scenario::paper_scenario;
 use cpvr_sim::{CaptureProfile, EventId, IoEvent, IoKind, LatencyProfile};
 use cpvr_types::{RouterId, SimTime};
@@ -277,6 +283,9 @@ struct World<'r> {
     t: Duration,
     /// Member pairs `(from, to)` whose links are partitioned.
     cut: Vec<(usize, usize)>,
+    /// A member that hangs: its session, its readers and its peer links
+    /// stand still, and what is sent to it piles up unread.
+    hung: Option<usize>,
 }
 
 impl<'r> World<'r> {
@@ -294,6 +303,7 @@ impl<'r> World<'r> {
             next_conn: vec![0; members.len()],
             t: Duration::ZERO,
             cut: Vec::new(),
+            hung: None,
         };
         for from in 0..members.len() {
             for to in 0..members.len() {
@@ -476,7 +486,8 @@ impl<'r> World<'r> {
         for round in 0.. {
             assert!(round < 100_000, "the world never settles at {:?}", self.t);
             let mut moved = false;
-            for m in 0..self.members.len() {
+            let hung = self.hung;
+            for m in (0..self.members.len()).filter(|m| Some(*m) != hung) {
                 moved |= self.fire_timers(m);
             }
             for s in &self.sessions {
@@ -521,7 +532,7 @@ impl<'r> World<'r> {
     /// Client `c` reads its connection's replies; an ended connection
     /// is down for it, and cut for its reader.
     fn hear(&mut self, c: usize) -> bool {
-        let Some(k) = self.clients[c].conn else {
+        let Some(k) = self.clients[c].conn.filter(|_| !self.frozen(c)) else {
             return false;
         };
         let now = self.client_now(c);
@@ -552,7 +563,7 @@ impl<'r> World<'r> {
     /// end, if the connection ended.
     fn deliver(&mut self, k: usize) -> bool {
         let (m, client) = (self.conns[k].member, self.conns[k].client);
-        if self.conns[k].reader.is_none() {
+        if self.conns[k].reader.is_none() || Some(m) == self.hung {
             return false;
         }
         let now = self.now(m);
@@ -618,6 +629,9 @@ impl<'r> World<'r> {
     /// Asks client `c`'s sender what next — a router's only while it is
     /// blocked on something, a peer link's always — and does it.
     fn ask(&mut self, c: usize) -> bool {
+        if self.frozen(c) {
+            return false;
+        }
         let now = self.client_now(c);
         let link = Arc::clone(&self.clients[c].link);
         let mut s = link.lock();
@@ -659,6 +673,11 @@ impl<'r> World<'r> {
             }
             Next::GiveUp => panic!("client {c} gave up at {:?}", self.t),
         }
+    }
+
+    /// Client `c` is a peer link of the hung member.
+    fn frozen(&self, c: usize) -> bool {
+        matches!(self.clients[c].role, Role::Peer { from, .. } if Some(from) == self.hung)
     }
 
     /// Client `c` lets its connection go.
@@ -824,12 +843,11 @@ impl<'r> World<'r> {
             .map(|(s, m)| {
                 let (fold, err) = s.shards.finish(s.sources.stalled(), s.repairs);
                 assert!(err.is_none(), "{err:?}");
-                let dump = m.metrics.flight.snapshot("driver");
                 Outcome {
                     fold,
                     stats: m.metrics.stats(),
                     metrics: m.metrics.snapshot(),
-                    dump: cpvr_types::json::to_string_compact(&dump),
+                    dump: m.metrics.flight.snapshot("driver"),
                 }
             })
             .collect()
@@ -841,7 +859,7 @@ struct Outcome {
     fold: FoldReport,
     stats: CollectorStats,
     metrics: Snapshot,
-    dump: String,
+    dump: FlightDump,
 }
 
 /// A run's observables two runs of one seed must agree on, byte for
@@ -862,7 +880,8 @@ fn fingerprint(outcomes: &[Outcome]) -> Vec<String> {
                 f.edge_counts(),
             );
             let verdict = (f.status(), f.wait_stats(), f.watermark(), fibs);
-            format!("{fold:?} {verdict:?} {:?} {}", o.stats, o.dump)
+            let dump = cpvr_types::json::to_string_compact(&o.dump);
+            format!("{fold:?} {verdict:?} {:?} {dump}", o.stats)
         })
         .collect()
 }
@@ -1646,4 +1665,439 @@ fn a_corrupted_peer_frame_is_retransmitted() {
         wall < Duration::from_secs(1),
         "the stall replay took {wall:?} of wall time"
     );
+}
+
+/// A peer hello for another plan is a protocol violation: the reader
+/// counts one decode error and hangs up, rather than keep a connection
+/// whose every frame the member would drop.
+#[test]
+fn a_peer_hello_for_another_plan_is_refused() {
+    let members = Member::federation(&[1, 1], LeaseConfig::disabled());
+    let mut w = World::new(&members, |_, _| FaultPlan::none());
+    let link = w.peer_link(0, 1);
+    if let Role::Peer { hello, .. } = &mut w.clients[link].role {
+        hello.members = 3;
+    }
+    w.settle();
+    assert_eq!(w.conns.len(), 2, "each member dialed the other once");
+    let k = (0..w.conns.len()).find(|&k| w.conns[k].client == link);
+    let k = k.expect("member 0 dialed member 1");
+    assert!(w.conns[k].reader.is_none(), "member 1 hung up");
+    assert!(w.clients[link].conn.is_none(), "member 0 saw the hang-up");
+    let snap = members[1].metrics.snapshot();
+    assert_eq!(snap.counter_total("cpvr_decode_errors_total"), 1);
+}
+
+// ---- every fault class, told apart by telemetry alone ----
+
+/// The leases the fault classes run under: a source silent for 3 s is
+/// evicted, and an event waiting 2 s behind a still watermark stalls.
+const WATCHED: LeaseConfig = LeaseConfig {
+    lagging_after: Duration::from_secs(1),
+    evict_after: Duration::from_secs(3),
+    stall_after: Duration::from_secs(2),
+};
+
+/// How long a run goes on after its script: past every bound above and
+/// past `PEER_ACK_STALL`, so each class has fired once.
+const SPAN: Duration = Duration::from_millis(3500);
+
+/// The byte of member 0's link to member 1 a peer-link fault hits.
+const PEER_AT: u64 = 600;
+
+/// One fault class the harness can inject, into a two-member federation
+/// of the paper scenario: routers 0 and 2 stream to member 0, router 1
+/// to member 1.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Fault {
+    /// One byte fault halfway into router 0's stream.
+    Router(FaultKind),
+    /// One byte fault on member 0's link to member 1.
+    Peer(FaultKind),
+    /// Router 2 sends half its stream, promises nothing and goes silent.
+    Silent,
+    /// Router 2 promises the first horizon and no later one, though it
+    /// keeps talking.
+    Withheld,
+    /// Member 1 hangs once the first horizon is promised.
+    Hung,
+    /// Router 0's stream carries an event of router 1.
+    Foreign,
+    /// Member 0's link greets member 1 as one of three members.
+    WrongPlan,
+    /// Every router captures through syslog.
+    Skewed,
+    /// Member 0 journals a `Gated` repair record with this verdict.
+    Gated(u8),
+}
+
+/// What an operator reads for a fault class; each reads 0 on a
+/// fault-free run.
+#[derive(Clone, Copy, Debug)]
+enum Signal {
+    /// A counter family's total.
+    Counter(&'static str),
+    /// An unlabelled gauge.
+    Gauge(&'static str),
+    /// `cpvr_connections_total` beyond the one dial of each of the
+    /// member's clients (its routers and its peer).
+    Redials,
+    /// The flight records of one stage.
+    Stage(u32),
+}
+
+/// How a class's culprit is named.
+#[derive(Clone, Copy, Debug)]
+enum Blame {
+    /// By the `EVICTION` record's router, whose `cpvr_source_state`
+    /// reads 3.
+    Evicted,
+    /// By the one series of a lag gauge family above 0, through its
+    /// label.
+    Lag(&'static str, &'static str),
+}
+
+/// One row of DESIGN.md's fault-class table: the class, what moves at
+/// which member, and who the telemetry names as the culprit.
+struct Class {
+    fault: Fault,
+    moves: &'static [(usize, Signal)],
+    culprit: Option<(usize, Blame, &'static str)>,
+}
+
+/// One member's telemetry: its registry and its flight recorder.
+type Telemetry = (Snapshot, FlightDump);
+
+impl Signal {
+    fn read(self, (snap, dump): &Telemetry, member: usize) -> i64 {
+        match self {
+            Signal::Counter(name) => snap.counter_total(name) as i64,
+            Signal::Gauge(name) => snap.gauge(name, &[]).expect("a published gauge"),
+            Signal::Redials => {
+                // Member 0: routers 0 and 2 and member 1's link; member
+                // 1: router 1 and member 0's link.
+                let clients = [3, 2][member];
+                snap.counter_total("cpvr_connections_total") as i64 - clients
+            }
+            Signal::Stage(code) => dump.records.iter().filter(|r| r.stage == code).count() as i64,
+        }
+    }
+}
+
+impl Blame {
+    fn name(self, (snap, dump): &Telemetry) -> String {
+        match self {
+            Blame::Evicted => {
+                let evicted = dump.records.iter().filter(|r| r.stage == stage::EVICTION);
+                let routers: Vec<String> = evicted.map(|r| r.a.to_string()).collect();
+                let [router] = &routers[..] else {
+                    panic!("evictions of {routers:?}");
+                };
+                let state = snap.gauge("cpvr_source_state", &[("router", router)]);
+                assert_eq!(state, Some(3), "router {router} reads evicted");
+                router.clone()
+            }
+            Blame::Lag(family, label) => {
+                let lagging = snap
+                    .gauges
+                    .iter()
+                    .filter(|g| g.name == family && g.value > 0);
+                let named: Vec<&str> = lagging
+                    .flat_map(|g| g.labels.iter().filter(|(k, _)| k == label))
+                    .map(|(_, v)| v.as_str())
+                    .collect();
+                let [one] = &named[..] else {
+                    panic!("{family} lags at {named:?}");
+                };
+                one.to_string()
+            }
+        }
+    }
+}
+
+const DROP: FaultKind = FaultKind::Drop { len: 16 };
+const FLIP: FaultKind = FaultKind::FlipBit { mask: 0x10 };
+const DUPLICATE: FaultKind = FaultKind::Duplicate { len: 64 };
+/// Shorter than every lease, stall bound and sink policy: no trace.
+const DELAY: FaultKind = FaultKind::Delay { ms: 50 };
+
+const CORRUPT: Signal = Signal::Counter("cpvr_frames_corrupt_total");
+const ACK_STALLS: Signal = Signal::Counter("cpvr_peer_ack_stalls_total");
+const DECODE_ERRORS: Signal = Signal::Counter("cpvr_decode_errors_total");
+
+/// Every fault class, in DESIGN.md's order. Byte faults name no
+/// culprit: no family is kept per source for them.
+const CLASSES: &[Class] = &[
+    Class {
+        fault: Fault::Router(DROP),
+        moves: &[(0, CORRUPT)],
+        culprit: None,
+    },
+    Class {
+        fault: Fault::Router(FLIP),
+        moves: &[(0, CORRUPT)],
+        culprit: None,
+    },
+    Class {
+        fault: Fault::Router(DUPLICATE),
+        moves: &[(0, Signal::Counter("cpvr_events_duplicate_total"))],
+        culprit: None,
+    },
+    Class {
+        fault: Fault::Router(DELAY),
+        moves: &[],
+        culprit: None,
+    },
+    Class {
+        fault: Fault::Router(FaultKind::Disconnect),
+        moves: &[(0, Signal::Redials)],
+        culprit: None,
+    },
+    Class {
+        fault: Fault::Peer(DROP),
+        moves: &[(1, CORRUPT), (0, ACK_STALLS)],
+        culprit: None,
+    },
+    Class {
+        fault: Fault::Peer(FLIP),
+        moves: &[(1, CORRUPT), (0, ACK_STALLS)],
+        culprit: None,
+    },
+    Class {
+        fault: Fault::Peer(DUPLICATE),
+        moves: &[(1, CORRUPT), (0, ACK_STALLS)],
+        culprit: None,
+    },
+    Class {
+        fault: Fault::Peer(DELAY),
+        moves: &[],
+        culprit: None,
+    },
+    Class {
+        fault: Fault::Peer(FaultKind::Disconnect),
+        moves: &[(1, Signal::Redials)],
+        culprit: None,
+    },
+    Class {
+        fault: Fault::Silent,
+        moves: &[
+            (0, Signal::Counter("cpvr_evictions_total")),
+            (0, Signal::Stage(stage::EVICTION)),
+        ],
+        culprit: Some((0, Blame::Evicted, "2")),
+    },
+    Class {
+        fault: Fault::Withheld,
+        moves: &[
+            (0, Signal::Gauge("cpvr_watermark_stall_seconds")),
+            (0, Signal::Stage(stage::WATERMARK_STALL)),
+        ],
+        culprit: Some((0, Blame::Lag("cpvr_source_lag_nanos", "router"), "2")),
+    },
+    Class {
+        fault: Fault::Hung,
+        moves: &[(0, ACK_STALLS)],
+        culprit: Some((0, Blame::Lag("cpvr_peer_lag_nanos", "peer"), "1")),
+    },
+    Class {
+        fault: Fault::Foreign,
+        moves: &[(0, DECODE_ERRORS)],
+        culprit: None,
+    },
+    Class {
+        fault: Fault::WrongPlan,
+        moves: &[(1, DECODE_ERRORS)],
+        culprit: None,
+    },
+    Class {
+        fault: Fault::Skewed,
+        moves: &[
+            (0, Signal::Gauge("cpvr_tracker_waits_issued")),
+            (0, Signal::Gauge("cpvr_tracker_waits_resolved")),
+            (1, Signal::Gauge("cpvr_tracker_waits_issued")),
+            (1, Signal::Gauge("cpvr_tracker_waits_resolved")),
+        ],
+        culprit: None,
+    },
+    Class {
+        fault: Fault::Gated(0),
+        moves: &[(0, Signal::Counter("cpvr_repair_gate_reproduced_total"))],
+        culprit: None,
+    },
+    Class {
+        fault: Fault::Gated(1),
+        moves: &[
+            (0, Signal::Counter("cpvr_repair_gate_diverged_total")),
+            (0, Signal::Stage(stage::GATE_ANOMALY)),
+        ],
+        culprit: None,
+    },
+    Class {
+        fault: Fault::Gated(2),
+        moves: &[
+            (0, Signal::Counter("cpvr_repair_gate_error_total")),
+            (0, Signal::Stage(stage::GATE_ANOMALY)),
+        ],
+        culprit: None,
+    },
+];
+
+impl World<'_> {
+    /// The client that is member `from`'s link to member `to`.
+    fn peer_link(&self, from: usize, to: usize) -> usize {
+        let link = |c: &Client| matches!(c.role, Role::Peer { from: f, .. } if f == from);
+        (self.clients.iter())
+            .position(|c| link(c) && c.to == to)
+            .expect("a peer link")
+    }
+}
+
+/// Every member's telemetry after one run under `fault` (`None`: the
+/// fault-free run). The routers send their streams, promise a horizon
+/// every 20 ms of the trace, say bye and drain; then the run goes on
+/// for `SPAN`, or until every stream is folded to the end, with every
+/// router that has not said bye heartbeating.
+fn observe(fault: Option<Fault>) -> Vec<Telemetry> {
+    let events = trace(fault == Some(Fault::Skewed));
+    let members = Member::federation(&[1, 1], WATCHED);
+    let mut w = World::new(&members, |from, to| match fault {
+        Some(Fault::Peer(kind)) if (from, to) == (0, 1) => {
+            FaultPlan::from_schedule(vec![(PEER_AT, kind)])
+        }
+        _ => FaultPlan::none(),
+    });
+    if fault == Some(Fault::WrongPlan) {
+        let link = w.peer_link(0, 1);
+        if let Role::Peer { hello, .. } = &mut w.clients[link].role {
+            hello.members = 3;
+        }
+    }
+    let routers: Vec<usize> = (0..N)
+        .map(|r| {
+            let mut mine = stream(events, r);
+            let mut plan = FaultPlan::none();
+            match fault {
+                Some(Fault::Router(kind)) if r == 0 => {
+                    plan = FaultPlan::from_schedule(vec![(stream_len(&mine) / 2, kind)]);
+                }
+                Some(Fault::Foreign) if r == 0 => {
+                    let mid = mine.len() / 2;
+                    let foreign = IoEvent {
+                        router: RouterId(1),
+                        ..mine[mid].clone()
+                    };
+                    mine.insert(mid, foreign);
+                }
+                _ => {}
+            }
+            w.router(r, mine, plan, chaos_policy())
+        })
+        .collect();
+    let culprit = routers[2];
+    let silent = |c: usize| c == culprit && fault == Some(Fault::Silent);
+    for &c in &routers {
+        let all = w.sink(c).events.len();
+        w.send(c, if silent(c) { all / 2 } else { all });
+    }
+    for (i, t) in grid(events).into_iter().step_by(10).enumerate() {
+        for &c in &routers {
+            let withheld = c == culprit && fault == Some(Fault::Withheld) && i > 0;
+            if !silent(c) && !withheld {
+                w.promise(c, t);
+            }
+        }
+        w.advance(MS);
+        if i == 0 && fault == Some(Fault::Hung) {
+            w.hung = Some(1);
+        }
+    }
+    let byes = !matches!(fault, Some(Fault::Withheld | Fault::Hung));
+    let talking: Vec<usize> = routers.iter().copied().filter(|&c| !silent(c)).collect();
+    for &c in talking.iter().filter(|_| byes) {
+        w.bye(c);
+        w.drain(c);
+    }
+    if let Some(Fault::Gated(verdict)) = fault {
+        let record = RepairRecord {
+            repair_id: 0x9a7e,
+            stage: RepairStage::Gated,
+            at: SimTime::ZERO,
+            verdict: Some(verdict),
+            proof: Vec::new(),
+            trace: None,
+        };
+        let now = w.now(0);
+        w.sessions[0].on_msg(Msg::Repair { record, done: None }, now);
+    }
+    let until = w.t + SPAN;
+    let done = |w: &World<'_>| routers.iter().all(|&c| w.drained(c)) && w.everywhere(SimTime::MAX);
+    while w.t < until {
+        for &c in talking.iter().filter(|_| !byes) {
+            w.heartbeat(c);
+        }
+        if w.run_until(until.min(w.t + 250 * MS), done) {
+            break;
+        }
+    }
+    let outcomes = w.finish();
+    outcomes.into_iter().map(|o| (o.metrics, o.dump)).collect()
+}
+
+/// A run's telemetry two runs of it must agree on: every counter and
+/// gauge series, every histogram's count (histograms stamped off the
+/// wall clock vary in value), and the flight dumps byte for byte.
+fn telemetry_print(run: &[Telemetry]) -> Vec<String> {
+    run.iter()
+        .map(|(snap, dump)| {
+            let counts: Vec<_> = (snap.histograms.iter())
+                .map(|h| (&h.name, &h.labels, h.count))
+                .collect();
+            let dump = cpvr_types::json::to_string_compact(dump);
+            format!("{:?} {:?} {counts:?} {dump}", snap.counters, snap.gauges)
+        })
+        .collect()
+}
+
+/// Every fault class the harness injects shows in telemetry alone: the
+/// fault-free run leaves every signal of the table at 0; each class
+/// moves the signals its row names (a `Delay` shorter than every lease
+/// moves none) and names its culprit where the table says one is named.
+/// A second pass gives the same telemetry.
+#[test]
+fn telemetry_names_every_fault_class() {
+    let pass = || {
+        let runs = CLASSES.iter().map(|c| observe(Some(c.fault)));
+        std::iter::once(observe(None))
+            .chain(runs)
+            .collect::<Vec<_>>()
+    };
+    let first = pass();
+    let signals: Vec<Signal> = CLASSES
+        .iter()
+        .flat_map(|c| c.moves.iter().map(|m| m.1))
+        .collect();
+    let still = |run: &[Telemetry], label: &str| {
+        for (m, t) in run.iter().enumerate() {
+            for s in &signals {
+                assert_eq!(s.read(t, m), 0, "{label}: {s:?} moved at member {m}");
+            }
+        }
+    };
+    still(&first[0], "fault-free");
+    for (class, run) in CLASSES.iter().zip(&first[1..]) {
+        let label = format!("{:?}", class.fault);
+        if class.moves.is_empty() {
+            still(run, &label);
+        }
+        for &(m, s) in class.moves {
+            assert!(s.read(&run[m], m) > 0, "{label}: {s:?} still at member {m}");
+        }
+        if let Some((m, blame, who)) = class.culprit {
+            assert_eq!(blame.name(&run[m]), who, "{label}: culprit");
+        }
+    }
+    let second = pass();
+    for (a, b) in first.iter().zip(&second) {
+        assert_eq!(telemetry_print(a), telemetry_print(b), "a rerun");
+    }
 }

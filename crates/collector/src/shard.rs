@@ -58,7 +58,7 @@ use crate::codec::{encode_frame, Frame, RepairStage};
 use crate::collector::{CollectorConfig, EventRec, Wire, CHANNEL_CAPACITY};
 use crate::federation::{MemberFold, Peers};
 use crate::group_commit::{GroupCommit, GroupCommitHandle};
-use crate::metrics::{gauge_nanos, CollectorMetrics};
+use crate::metrics::CollectorMetrics;
 use crate::pipeline::{IngestPipeline, PipelineConfig, SourceTable, WalScan};
 use crate::repair_journal::RepairLedger;
 use crate::wal::{Wal, WalConfig};
@@ -67,7 +67,7 @@ use cpvr_core::hbg::{Hbg, Hbr};
 use cpvr_core::infer::InferConfig;
 use cpvr_core::rules::RuleScope;
 use cpvr_core::snapshot::{ConvDigest, SnapshotStatus, TrackerSlice, Verdict};
-use cpvr_core::{FoldRecord, HbrSource, ShardPlan};
+use cpvr_core::{FoldRecord, ShardPlan};
 use cpvr_dataplane::DataPlane;
 use cpvr_sim::IoEvent;
 use cpvr_types::{RouterId, SimTime};
@@ -139,16 +139,10 @@ impl FoldShard {
     }
 
     pub(crate) fn gauges(&self) -> FoldGauges {
-        let mut g = FoldGauges {
+        FoldGauges {
             processed: self.local.processed(),
             pending: self.local.pending(),
-            ..FoldGauges::default()
-        };
-        for b in [&self.local, &self.cross] {
-            g.edges += b.hbg().edges().len();
-            g.offer(b.edge_tallies());
         }
-        g
     }
 }
 
@@ -158,26 +152,12 @@ impl FoldShard {
 pub(crate) struct FoldGauges {
     pub(crate) processed: usize,
     pub(crate) pending: usize,
-    pub(crate) edges: usize,
-    /// Edges offered per inference rule.
-    pub(crate) offered: Vec<(HbrSource, u64)>,
 }
 
 impl FoldGauges {
-    fn offer(&mut self, tallies: &[(HbrSource, u64)]) {
-        for (source, n) in tallies {
-            match self.offered.iter_mut().find(|(s, _)| s == source) {
-                Some((_, total)) => *total += n,
-                None => self.offered.push((*source, *n)),
-            }
-        }
-    }
-
     fn add(&mut self, other: &FoldGauges) {
         self.processed += other.processed;
         self.pending += other.pending;
-        self.edges += other.edges;
-        self.offer(&other.offered);
     }
 }
 
@@ -551,7 +531,6 @@ impl Worker {
                     self.commit(1);
                 }
                 let outboxes = self.fold.advance_collect(wm);
-                m.shard_frontier[local].set(gauge_nanos(wm));
                 return self.reply.send(Reply::Phase1 { local, outboxes }).is_ok();
             }
             WorkerMsg::Deliver { digests } => {
@@ -559,7 +538,6 @@ impl Worker {
                     self.fold.slice.absorb(d);
                 }
                 let gauges = self.fold.gauges();
-                m.shard_fold_lag[local].set(gauges.pending as i64);
                 let missing = self.fold.slice.missing();
                 return self.reply.send(Reply::Phase2 { missing, gauges }).is_ok();
             }

@@ -29,10 +29,6 @@ const N_ROUTERS: u32 = 3;
 struct Minted {
     verifier: IncrementalVerifier,
     proof: RepairProof,
-    /// How many root causes an impossibly strict confidence bar would
-    /// skip — a nonzero count to drive the skipped-low-confidence
-    /// telemetry in the chaos arm.
-    skipped_at_high_bar: usize,
 }
 
 fn mint(seed: u64) -> Minted {
@@ -108,11 +104,7 @@ fn mint(seed: u64) -> Minted {
         skipped_at_high_bar > 0,
         "an impossible bar skips every cause"
     );
-    Minted {
-        verifier,
-        proof,
-        skipped_at_high_bar,
-    }
+    Minted { verifier, proof }
 }
 
 fn rec(id: u64, stage: RepairStage, at: u64, verdict: Option<u8>, proof: Vec<u8>) -> RepairRecord {
@@ -442,17 +434,11 @@ fn chaos_repair_crashes_between_lifecycle_records() {
     let mut records = lifecycle(&m.proof, live.code());
     records.extend(lifecycle(&forged, forged_verdict.code()));
 
-    // Uninterrupted reference run, telemetry included. The control
-    // loop's low-confidence skips publish through the same bundle.
+    // Uninterrupted reference run, telemetry included.
     let ref_dir = TempDir::new("chaos-repair-ref").unwrap();
     let (reference, ref_snap) = {
         let cfg = CollectorConfig::new(N_ROUTERS).with_wal(WalConfig::new(ref_dir.path()));
         let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
-        handle
-            .metrics()
-            .expect("metrics on by default")
-            .repair_skipped_low_confidence
-            .add(m.skipped_at_high_bar as u64);
         for r in &records {
             handle.journal_repair(r.clone()).expect("journal");
         }
@@ -470,10 +456,6 @@ fn chaos_repair_crashes_between_lifecycle_records() {
     assert_eq!(
         counter_total(&ref_snap, "cpvr_repair_gate_diverged_total"),
         0
-    );
-    assert_eq!(
-        counter_total(&ref_snap, "cpvr_repair_skipped_low_confidence_total"),
-        m.skipped_at_high_bar as u64
     );
 
     let log = wal::replay(ref_dir.path()).unwrap();

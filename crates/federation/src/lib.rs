@@ -12,8 +12,7 @@
 //!   directories; [`Federation::launch_with`] does the same from a base
 //!   config (e.g. members that fold on several worker shards).
 //! * [`Federation::launch_on`] is the explicit-plumbing variant for
-//!   tests that interpose chaos proxies on the collector↔collector
-//!   links or hand-build per-member configs.
+//!   callers that hand-build per-member configs.
 //! * [`Federation::restart_member`] stops one member and starts a fresh
 //!   process instance over the same WAL directory and listen address —
 //!   the crash-recovery path: the member replays its journal,
@@ -116,8 +115,7 @@ impl Federation {
 
     /// Starts one member per `(config, listener)` pair. Every config
     /// must carry a [`FederationConfig`] over the same plan, with
-    /// member indices `0..n` in order; the peer addresses may point
-    /// anywhere (e.g. at chaos proxies fronting the real listeners).
+    /// member indices `0..n` in order, and its peer addresses.
     pub fn launch_on(
         cfgs: Vec<CollectorConfig>,
         listeners: Vec<TcpListener>,

@@ -72,8 +72,8 @@ pub mod stage {
     pub const REPAIR_ROLLED_BACK: u32 = 15;
     /// A gated proof was broadcast to federation peers.
     pub const PROOF_BROADCAST: u32 = 16;
-    /// A peer re-validated a broadcast proof
-    /// (payload a = repair_id, b = originating member).
+    /// A peer re-validated a broadcast proof (payload a = repair_id,
+    /// b = originating member << 2 | chain ok << 1 | digest ok).
     pub const PEER_PROOF_VERIFIED: u32 = 17;
     /// A federated round opened at a fold horizon.
     pub const ROUND_OPENED: u32 = 20;
@@ -153,7 +153,6 @@ struct Ring {
     /// Total records ever written (monotone; `head > capacity` means
     /// the ring has wrapped and overwritten `head - capacity` records).
     head: AtomicU64,
-    overwrites: AtomicU64,
 }
 
 impl Ring {
@@ -167,7 +166,6 @@ impl Ring {
             label,
             slots,
             head: AtomicU64::new(0),
-            overwrites: AtomicU64::new(0),
         }
     }
 
@@ -256,9 +254,6 @@ impl RingHandle {
         slot.words[4].store(b, Ordering::Relaxed);
         // Even value encoding the record number publishes the slot.
         slot.seq.store(2 * (h + 1), Ordering::Release);
-        if h >= cap {
-            self.ring.overwrites.fetch_add(1, Ordering::Relaxed);
-        }
         self.ring.head.store(h + 1, Ordering::Release);
     }
 }
@@ -442,16 +437,6 @@ impl FlightRecorder {
     pub fn last_reason(&self) -> Option<String> {
         self.last_reason.lock().unwrap().clone()
     }
-
-    /// Total records overwritten (lost to wrap-around) across rings.
-    pub fn ring_overwrites(&self) -> u64 {
-        self.rings
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|r| r.overwrites.load(Ordering::Relaxed))
-            .sum()
-    }
 }
 
 /// One causal story reconstructed from a set of dumps: every record
@@ -611,7 +596,6 @@ mod tests {
         assert_eq!(ns, vec![6, 7, 8, 9]);
         let payloads: Vec<u64> = snap.records.iter().map(|r| r.a).collect();
         assert_eq!(payloads, vec![6, 7, 8, 9]);
-        assert_eq!(rec.ring_overwrites(), 6);
     }
 
     #[test]
