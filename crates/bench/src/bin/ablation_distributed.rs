@@ -46,7 +46,7 @@ fn main() {
             .find(|e| matches!(e.kind, IoKind::FibInstall { .. }))
             .expect("fib events exist")
             .id;
-        let (roots, stats) = distributed_root_events(&trace, &subs, bad);
+        let (roots, stats) = distributed_root_events(&subs, bad);
         println!(
             "{:>3} {:>10} {:>18} {:>12}",
             n,

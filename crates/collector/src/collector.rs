@@ -206,6 +206,14 @@ impl CollectorConfig {
     pub(crate) fn fold_shards(&self) -> u32 {
         self.shards.max(1)
     }
+
+    /// The routers whose streams this collector folds: every one, or a
+    /// federation member's share of its plan.
+    pub(crate) fn routers(&self) -> impl Iterator<Item = RouterId> + '_ {
+        let fed = self.federation.as_ref();
+        let all = (0..self.pipeline.n_routers).map(RouterId);
+        all.filter(move |r| fed.is_none_or(|f| f.plan.of_router(*r) == f.member))
+    }
 }
 
 /// A point-in-time copy of the collector's counters: a view of the
@@ -477,11 +485,7 @@ impl Collector {
         }
         let workers = cfg.fold_shards();
         let members = cfg.federation.as_ref().map_or(0, |f| f.plan.members());
-        let metrics = Arc::new(CollectorMetrics::new(
-            cfg.pipeline.n_routers,
-            workers,
-            members,
-        ));
+        let metrics = Arc::new(CollectorMetrics::new(cfg.routers(), workers, members));
         // Anomaly dumps land next to the WAL, tagged with the member id so
         // cpvr-trace can stitch dumps across a federation.
         metrics.flight.arm(&wal_cfg.dir);

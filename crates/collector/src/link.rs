@@ -175,11 +175,16 @@ pub(crate) struct Sender {
     jitter: Option<StdRng>,
     solicit_at: Option<Instant>,
     /// The earliest next dial (`None`: at once), the delay before the
-    /// one after it, and the dials answered since one was seen to
-    /// connect, which resets both.
+    /// one after it, and the dials answered since one succeeded, which
+    /// resets both: its far end acked on the connection it made
+    /// ([`on_ack`](Self::on_ack)), or the connection outlived the stall
+    /// bound. One that ends before either failed.
     dial_at: Option<Instant>,
     delay: Duration,
     dials: u32,
+    /// Whether the last dial's connection has been seen up — its acks
+    /// are due from then; true while no dial is outstanding.
+    seen_up: bool,
 }
 
 impl Sender {
@@ -204,6 +209,20 @@ impl Sender {
             solicit_at: None,
             dial_at: None,
             dials: 0,
+            seen_up: true,
+        }
+    }
+
+    /// Applies an ack read on the current connection. The dial that made
+    /// it succeeded once an ack moves the window or finds it empty — a
+    /// receiver that hellos back and then rejects the replay never acks
+    /// past where the dial started — and the next dial is `base` off.
+    pub(crate) fn on_ack(&mut self, upto: u64, now: Instant) {
+        let before = self.window.len();
+        self.window.ack(upto, now);
+        if self.dials > 0 && (self.window.len() < before || self.window.is_empty()) {
+            let base = self.policy.base_delay;
+            (self.dials, self.delay, self.dial_at) = (0, base, now.checked_add(base));
         }
     }
 
@@ -216,10 +235,10 @@ impl Sender {
     /// holds. After a `Redial`, the caller dials before it asks again.
     pub(crate) fn next(&mut self, now: Instant, done: bool) -> Next {
         let base = self.policy.base_delay;
-        if self.up && self.dials > 0 {
+        if self.up && !self.seen_up {
             // A dial connected, and its replay went out since: the acks
-            // are due from now, and the next dial is `base` off.
-            (self.dials, self.delay, self.dial_at) = (0, base, now.checked_add(base));
+            // are due from now.
+            self.seen_up = true;
             self.window.restart_clock(now);
         }
         if done {
@@ -233,10 +252,15 @@ impl Sender {
         let stall = self.window.stall_at(self.policy.stall_after);
         let stalled = self.up && stall.is_some_and(|t| t <= now);
         if stalled || !self.up && self.dial_at.is_none_or(|t| t <= now) {
+            if stalled {
+                // The connection outlived the stall bound: its dial did
+                // not fail, and the backoff starts over.
+                (self.dials, self.delay) = (0, base);
+            }
             let scale = self.jitter.as_mut().map_or(1.0, |r| r.gen_range(0.5..1.5));
             self.dial_at = now.checked_add(self.delay.mul_f64(scale));
             self.delay = (self.delay * 2).min(self.policy.max_delay);
-            self.dials += 1;
+            (self.dials, self.seen_up) = (self.dials + 1, false);
             return Next::Redial { stalled };
         }
         let every = self.solicit_every.filter(|_| self.up && self.outstanding());
@@ -350,7 +374,7 @@ fn read_replies(conn: TcpStream, link: &Link) {
     let _ = read_frames(&conn, |frame| {
         let mut s = link.lock();
         match frame {
-            Frame::Ack { upto } => s.window.ack(upto, Instant::now()),
+            Frame::Ack { upto } => s.on_ack(upto, Instant::now()),
             Frame::Fin => s.fin = true,
             _ => {}
         }
@@ -595,13 +619,20 @@ mod tests {
         }
         assert_eq!(want, PEER_RECONNECT_MAX, "the backoff reached its cap");
 
-        // A dial that connects resets it: a connection that dies at once
-        // is redialed 50 ms after that dial, and a failure waits 50 ms.
+        // A dial that connects but dies before its far end acks on it
+        // failed too: the next waits the capped backoff. One whose far
+        // end acks resets it: a failure after that waits 50 ms.
         s.up = true;
         assert_eq!(s.next(at, false), Next::Wait(Some(at + PEER_ACK_STALL)));
         s.up = false;
-        let redial = at + PEER_RECONNECT_MIN;
-        assert_eq!(s.next(at, false), Next::Wait(Some(redial)));
+        let next = at + PEER_RECONNECT_MAX;
+        assert_eq!(s.next(at, false), Next::Wait(Some(next)));
+        dial(&mut s, next, true);
+        s.on_ack(s.window.next_seq(), next);
+        assert_eq!(s.next(next, false), Next::Wait(None));
+        s.up = false;
+        let redial = next + PEER_RECONNECT_MIN;
+        assert_eq!(s.next(next, false), Next::Wait(Some(redial)));
         dial(&mut s, redial, false);
         let again = redial + PEER_RECONNECT_MIN;
         assert_eq!(s.next(redial, false), Next::Wait(Some(again)));

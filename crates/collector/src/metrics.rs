@@ -61,8 +61,9 @@ pub(crate) fn lag_nanos(furthest: Option<SimTime>, v: Option<SimTime>) -> i64 {
     }
 }
 
-/// Per-source gauge handles, one slot per router.
+/// Per-source gauge handles, one slot per router the collector folds.
 struct SourceGauges {
+    routers: Vec<RouterId>,
     state: Vec<Gauge>,
     lag_nanos: Vec<Gauge>,
 }
@@ -149,7 +150,11 @@ impl CollectorMetrics {
     /// deployment of `n_routers`, folded by `shards` worker threads, as
     /// one member of a `members`-way federation (`members == 0` or `1`
     /// means standalone: no per-peer series are resolved).
-    pub(crate) fn new(n_routers: u32, shards: u32, members: u32) -> Self {
+    pub(crate) fn new(
+        routers: impl IntoIterator<Item = RouterId>,
+        shards: u32,
+        members: u32,
+    ) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
         let r = &registry;
 
@@ -177,10 +182,11 @@ impl CollectorMetrics {
             }
         }
 
-        let mut state = Vec::with_capacity(n_routers as usize);
-        let mut lag_nanos = Vec::with_capacity(n_routers as usize);
-        for i in 0..n_routers {
-            let label = i.to_string();
+        let routers: Vec<RouterId> = routers.into_iter().collect();
+        let mut state = Vec::with_capacity(routers.len());
+        let mut lag_nanos = Vec::with_capacity(routers.len());
+        for router in &routers {
+            let label = router.0.to_string();
             let l: &[(&str, &str)] = &[("router", &label)];
             state.push(r.gauge_with(
                 "cpvr_source_state",
@@ -373,7 +379,11 @@ impl CollectorMetrics {
                 "cpvr_flight_folded_to_consistent_nanos",
                 "Wait between HBG fold and snapshot consistency (the paper's wait-instead-of-false-alarm)",
             ),
-            sources: SourceGauges { state, lag_nanos },
+            sources: SourceGauges {
+                routers,
+                state,
+                lag_nanos,
+            },
             registry,
         }
     }
@@ -507,7 +517,7 @@ impl CollectorMetrics {
     /// Publishes the per-source lease and lag gauges from a source
     /// table.
     pub(crate) fn publish_sources(&self, table: &SourceTable) {
-        let routers = (0..self.sources.state.len() as u32).map(RouterId);
+        let routers = self.sources.routers.iter().copied();
         let furthest = furthest(routers.clone().map(|r| table.promise_of(r)));
         for (idx, r) in routers.enumerate() {
             self.sources.state[idx].set(source_state_code(table.state(r)));
@@ -525,7 +535,7 @@ mod tests {
     /// lags the sources still streaming.
     #[test]
     fn a_finished_stream_saturates_its_gauges() {
-        let m = CollectorMetrics::new(3, 1, 0);
+        let m = CollectorMetrics::new((0..3).map(RouterId), 1, 0);
         assert_eq!(m.stats().watermark, None);
         m.publish_watermark(SimTime::from_nanos(7));
         assert_eq!(m.stats().watermark, Some(SimTime::from_nanos(7)));
@@ -551,7 +561,7 @@ mod tests {
     /// each `# TYPE` line follows the `# HELP` line of the same family.
     #[test]
     fn every_family_carries_help() {
-        let m = CollectorMetrics::new(4, 2, 3);
+        let m = CollectorMetrics::new((0..4).map(RouterId), 2, 3);
         m.wal_metrics();
         let text = String::from_utf8(m.render(ExpoFormat::Prometheus.as_byte())).unwrap();
         let lines: Vec<&str> = text.lines().collect();

@@ -92,7 +92,11 @@ impl Member {
         if let Some(fed) = fed {
             cfg = cfg.with_federation(fed);
         }
-        let metrics = Arc::new(CollectorMetrics::new(N, cfg.fold_shards(), members));
+        let metrics = Arc::new(CollectorMetrics::new(
+            cfg.routers(),
+            cfg.fold_shards(),
+            members,
+        ));
         if let Some(m) = member {
             metrics.flight.set_member(m);
         }
@@ -244,6 +248,9 @@ struct Router {
     hello: Hello,
     last_wm: Option<(SimTime, u64)>,
     want: Option<Want>,
+    /// Its sender gave up redialing: as `SocketSink` latches the error,
+    /// the sink does nothing more.
+    gave_up: bool,
 }
 
 enum Role {
@@ -268,6 +275,9 @@ struct Client {
     replies: Decoder,
     /// Dials that connected.
     connects: u64,
+    /// When each dial was made, on the virtual clock, and the first
+    /// sequence number it replayed from.
+    dialed: Vec<(Duration, u64)>,
 }
 
 /// Members, their sessions and connections, and their clients, on one
@@ -320,6 +330,7 @@ impl<'r> World<'r> {
                     conn: None,
                     replies: Decoder::new(),
                     connects: 0,
+                    dialed: Vec::new(),
                 });
             }
         }
@@ -353,6 +364,7 @@ impl<'r> World<'r> {
                 hello,
                 last_wm: None,
                 want: Some(Want::Up),
+                gave_up: false,
             })),
             to,
             epoch: self.members[to].epoch(),
@@ -361,6 +373,7 @@ impl<'r> World<'r> {
             conn: None,
             replies: Decoder::new(),
             connects: 0,
+            dialed: Vec::new(),
         });
         self.clients.len() - 1
     }
@@ -545,7 +558,7 @@ impl<'r> World<'r> {
         let mut s = client.link.lock();
         while let Some(msg) = client.replies.next_message(false) {
             match msg.map(|m| m.frame) {
-                Ok(Frame::Ack { upto }) => s.window.ack(upto, now),
+                Ok(Frame::Ack { upto }) => s.on_ack(upto, now),
                 Ok(Frame::Fin) => s.fin = true,
                 _ => {}
             }
@@ -636,6 +649,7 @@ impl<'r> World<'r> {
         let link = Arc::clone(&self.clients[c].link);
         let mut s = link.lock();
         let done = match &self.clients[c].role {
+            Role::Router(r) if r.gave_up => return false,
             Role::Router(r) => match r.want {
                 None => return false,
                 Some(Want::Up) => s.up,
@@ -671,7 +685,11 @@ impl<'r> World<'r> {
                 self.dial(c);
                 true
             }
-            Next::GiveUp => panic!("client {c} gave up at {:?}", self.t),
+            Next::GiveUp => {
+                let r = self.sink(c);
+                (r.want, r.gave_up) = (None, true);
+                true
+            }
         }
     }
 
@@ -695,6 +713,8 @@ impl<'r> World<'r> {
     /// across a partition fails.
     fn dial(&mut self, c: usize) {
         let to = self.clients[c].to;
+        let first_seq = self.clients[c].link.lock().window.first_seq();
+        self.clients[c].dialed.push((self.t, first_seq));
         if let Role::Peer { from, .. } = self.clients[c].role {
             if self.cut.contains(&(from, to)) {
                 return;
@@ -1795,6 +1815,14 @@ impl Blame {
                 };
                 let state = snap.gauge("cpvr_source_state", &[("router", router)]);
                 assert_eq!(state, Some(3), "router {router} reads evicted");
+                // A member has rows only for its own routers, so the
+                // state family alone names the culprit.
+                let states = snap.gauges.iter().filter(|g| g.name == "cpvr_source_state");
+                let evicted: Vec<&str> = (states.filter(|g| g.value == 3))
+                    .flat_map(|g| g.labels.iter().filter(|(k, _)| k == "router"))
+                    .map(|(_, v)| v.as_str())
+                    .collect();
+                assert_eq!(evicted, [router.as_str()], "routers reading evicted");
                 router.clone()
             }
             Blame::Lag(family, label) => {
@@ -1958,6 +1986,11 @@ impl World<'_> {
 /// for `SPAN`, or until every stream is folded to the end, with every
 /// router that has not said bye heartbeating.
 fn observe(fault: Option<Fault>) -> Vec<Telemetry> {
+    observe_with(fault, |_| {})
+}
+
+/// [`observe`], letting `inspect` look at the world before it closes.
+fn observe_with(fault: Option<Fault>, inspect: impl FnOnce(&World<'_>)) -> Vec<Telemetry> {
     let events = trace(fault == Some(Fault::Skewed));
     let members = Member::federation(&[1, 1], WATCHED);
     let mut w = World::new(&members, |from, to| match fault {
@@ -2039,8 +2072,43 @@ fn observe(fault: Option<Fault>) -> Vec<Telemetry> {
             break;
         }
     }
+    inspect(&w);
     let outcomes = w.finish();
     outcomes.into_iter().map(|o| (o.metrics, o.dump)).collect()
+}
+
+/// The foreign-event run's culprit: member 0 hellos back on every
+/// connection router 0's sink makes, then closes it on the replayed
+/// foreign event. With no ack past where its replay started, each such
+/// dial failed: the episode — the dials replaying from one sequence
+/// number — holds `max_attempts` dials, each waiting the jittered
+/// doubling of the one before, and ends in a give-up.
+#[test]
+fn a_rejected_sink_backs_off_and_gives_up() {
+    let policy = chaos_policy();
+    let mut seen = None;
+    observe_with(Some(Fault::Foreign), |w| {
+        let router0 = |c: &&Client| matches!(&c.role, Role::Router(r) if r.hello.source.0 == 0);
+        let client = w.clients.iter().find(router0).expect("router 0's sink");
+        let Role::Router(r) = &client.role else {
+            unreachable!("found by role")
+        };
+        seen = Some((r.gave_up, client.dialed.clone()));
+    });
+    let (gave_up, dialed) = seen.expect("inspected");
+    let last = dialed.last().expect("it dialed").1;
+    let episode: Vec<Duration> = (dialed.iter().filter(|d| d.1 == last))
+        .map(|d| d.0)
+        .collect();
+    let first = &dialed[..dialed.len().min(8)];
+    assert!(gave_up, "{} dials, the first {first:?}", dialed.len());
+    assert_eq!(episode.len(), policy.max_attempts as usize, "{first:?}");
+    for (k, dials) in episode.windows(2).enumerate() {
+        let nominal = (policy.base_delay * (1 << k.min(16))).min(policy.max_delay);
+        let gap = dials[1] - dials[0];
+        let jittered = nominal / 2..nominal * 3 / 2 + MS;
+        assert!(jittered.contains(&gap), "wait {k}: {gap:?} for {nominal:?}");
+    }
 }
 
 /// A run's telemetry two runs of it must agree on: every counter and
@@ -2084,6 +2152,23 @@ fn telemetry_names_every_fault_class() {
         }
     };
     still(&first[0], "fault-free");
+    // Each member exports a source row for the routers it folds, and for
+    // no other.
+    let members = Member::federation(&[1, 1], WATCHED);
+    for (m, (snap, _)) in first[0].iter().enumerate() {
+        let rows = snap
+            .gauges
+            .iter()
+            .filter(|g| g.name.starts_with("cpvr_source_"));
+        let routers = rows.flat_map(|g| g.labels.iter().filter(|(k, _)| k == "router"));
+        let mut routers: Vec<u32> = routers.map(|(_, v)| v.parse().expect("an id")).collect();
+        routers.sort_unstable();
+        routers.dedup();
+        let own: Vec<u32> = (0..N)
+            .filter(|&r| Member::owner(&members, r) == m)
+            .collect();
+        assert_eq!(routers, own, "member {m}'s source rows");
+    }
     for (class, run) in CLASSES.iter().zip(&first[1..]) {
         let label = format!("{:?}", class.fault);
         if class.moves.is_empty() {

@@ -644,7 +644,8 @@ mod tests {
     #[test]
     fn new_segments_and_a_created_directory_are_synced() {
         let tmp = TempDir::new("wal-dir-sync").unwrap();
-        let m = crate::metrics::CollectorMetrics::new(1, 1, 1).wal_metrics();
+        let m =
+            crate::metrics::CollectorMetrics::new([cpvr_types::RouterId(0)], 1, 1).wal_metrics();
         let mut cfg = WalConfig::new(tmp.path().join("journal"));
         cfg.segment_bytes = 64; // force frequent rotation
         let mut wal = Wal::open_with(cfg.clone(), Some(m.clone())).unwrap();

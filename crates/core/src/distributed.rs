@@ -21,6 +21,7 @@ use cpvr_types::RouterId;
 use std::collections::BTreeSet;
 
 /// One router's share of the happens-before graph.
+#[derive(Default)]
 pub struct RouterSubgraph {
     /// Ids of this router's events.
     pub(crate) events: Vec<EventId>,
@@ -44,18 +45,9 @@ pub struct DistProvenanceStats {
 pub fn partition(trace: &Trace) -> Vec<RouterSubgraph> {
     let refs: Vec<&IoEvent> = trace.events.iter().collect();
     let hbrs = match_rules(&refs);
-    let n_routers = trace
-        .events
-        .iter()
-        .map(|e| e.router.index() + 1)
-        .max()
-        .unwrap_or(0);
-    let mut subs: Vec<RouterSubgraph> = (0..n_routers)
-        .map(|_| RouterSubgraph {
-            events: Vec::new(),
-            edges: Vec::new(),
-            inbound: Vec::new(),
-        })
+    let n_routers = trace.events.iter().map(|e| e.router.index() + 1).max();
+    let mut subs: Vec<RouterSubgraph> = (0..n_routers.unwrap_or(0))
+        .map(|_| RouterSubgraph::default())
         .collect();
     for e in &trace.events {
         subs[e.router.index()].events.push(e.id);
@@ -79,10 +71,10 @@ pub fn partition(trace: &Trace) -> Vec<RouterSubgraph> {
 }
 
 /// Distributed provenance: walks from `from` to the root causes using
-/// only per-router subgraphs and explicit message passing. Returns the
-/// roots (as event ids) plus messaging statistics.
+/// only per-router subgraphs and explicit message passing, starting at
+/// the router whose subgraph holds `from`. Returns the roots (as event
+/// ids) plus messaging statistics.
 pub fn distributed_root_events(
-    trace: &Trace,
     subs: &[RouterSubgraph],
     from: EventId,
 ) -> (Vec<EventId>, DistProvenanceStats) {
@@ -92,8 +84,9 @@ pub fn distributed_root_events(
     let mut roots: BTreeSet<EventId> = BTreeSet::new();
     // Work items are (router, event) pairs; moving to a different router
     // costs a message.
-    let mut stack: Vec<(RouterId, EventId)> = vec![(trace.events[from.index()].router, from)];
-    let mut current_router = trace.events[from.index()].router;
+    let at = subs.iter().position(|s| s.events.contains(&from));
+    let mut current_router = RouterId(at.expect("`from` is a partitioned event") as u32);
+    let mut stack: Vec<(RouterId, EventId)> = vec![(current_router, from)];
     involved.insert(current_router);
     while let Some((router, ev)) = stack.pop() {
         if !visited.insert(ev) {
@@ -188,7 +181,7 @@ mod tests {
     fn distributed_walk_matches_centralized_roots() {
         let (trace, bad) = fig2_trace();
         let subs = partition(&trace);
-        let (dist_roots, stats) = distributed_root_events(&trace, &subs, bad);
+        let (dist_roots, stats) = distributed_root_events(&subs, bad);
         let g = infer_hbg(
             &trace,
             &InferConfig {
@@ -221,7 +214,7 @@ mod tests {
             .iter()
             .find(|e| e.router == RouterId(2) && matches!(e.kind, IoKind::FibInstall { .. }))
             .expect("R3 installed something at boot");
-        let (_, stats) = distributed_root_events(&trace, &subs, boot_fib.id);
+        let (_, stats) = distributed_root_events(&subs, boot_fib.id);
         assert_eq!(stats.messages, 0, "single-router chains need no messages");
         assert_eq!(stats.routers_involved, 1);
     }

@@ -201,14 +201,6 @@ impl Hbg {
             .collect()
     }
 
-    /// Direct consequents of `e` with confidence ≥ `min_conf`.
-    pub(crate) fn children(&self, e: EventId, min_conf: f64) -> Vec<EventId> {
-        self.out_edges(e)
-            .filter(|h| h.confidence >= min_conf)
-            .map(|h| h.to)
-            .collect()
-    }
-
     /// All transitive antecedents of `e` (sorted, deduplicated).
     pub fn ancestors(&self, e: EventId, min_conf: f64) -> Vec<EventId> {
         self.closure(e, min_conf, true)
@@ -219,19 +211,18 @@ impl Hbg {
         self.closure(e, min_conf, false)
     }
 
+    /// Touches only the closure itself: its cost follows the subgraph,
+    /// not the events the graph holds.
     fn closure(&self, e: EventId, min_conf: f64, up: bool) -> Vec<EventId> {
-        let mut seen = vec![false; self.num_events()];
+        let mut seen = std::collections::HashSet::new();
         let mut stack = vec![e];
         let mut out = Vec::new();
         while let Some(cur) = stack.pop() {
-            let step = if up {
-                self.parents(cur, min_conf)
-            } else {
-                self.children(cur, min_conf)
-            };
-            for nxt in step {
-                if !seen[nxt.index()] {
-                    seen[nxt.index()] = true;
+            let adjacency = if up { &self.ins } else { &self.outs };
+            let step = adjacency.of(cur).map(|i| &self.edges[i]);
+            let step = step.filter(|h| h.confidence >= min_conf);
+            for nxt in step.map(|h| if up { h.from } else { h.to }) {
+                if seen.insert(nxt) {
                     out.push(nxt);
                     stack.push(nxt);
                 }
@@ -309,7 +300,8 @@ mod tests {
     fn parents_children() {
         let g = chain(3);
         assert_eq!(g.parents(EventId(1), 0.5), vec![EventId(0)]);
-        assert_eq!(g.children(EventId(1), 0.5), vec![EventId(2)]);
+        let children: Vec<_> = g.out_edges(EventId(1)).map(|h| h.to).collect();
+        assert_eq!(children, vec![EventId(2)]);
         assert!(g.parents(EventId(0), 0.5).is_empty());
     }
 

@@ -46,7 +46,7 @@ pub(crate) mod shard;
 pub mod snapshot;
 
 pub use builder::HbgBuilder;
-pub use control::{ControlLoop, GuardAction, GuardReport};
+pub use control::{ControlLoop, Guard, GuardAction, GuardReport};
 pub use gate::install_inline_gate;
 pub use hbg::{Hbg, HbrSource};
 pub use infer::{infer_hbg, InferConfig};

@@ -14,9 +14,10 @@
 //! would-be state and block/revert the root cause early.
 
 use crate::hbg::Hbg;
+use crate::provenance::CaptureView;
 use crate::rules::{FoldRecord, KindClass};
-use cpvr_dataplane::{DataPlane, FibAction, FibEntry};
-use cpvr_sim::{IoEvent, IoKind, Proto, Trace};
+use cpvr_dataplane::{DataPlane, FibAction, FibUpdate, UpdateKind};
+use cpvr_sim::{EventId, IoEvent, IoKind, Proto, Trace};
 use cpvr_topo::Topology;
 use cpvr_types::{RouterId, SimTime};
 use cpvr_verify::{verify_incremental, Policy};
@@ -80,7 +81,7 @@ impl OutcomePredictor {
         for e in &trace.events {
             let Some(sig) = input_sig(e) else { continue };
             let horizon = e.time + window;
-            let template = fib_template(trace, hbg, e, horizon, min_conf);
+            let template = fib_template(trace, hbg, e.id, horizon, min_conf);
             *self
                 .model
                 .entry(sig)
@@ -116,58 +117,46 @@ impl OutcomePredictor {
         window: SimTime,
         min_conf: f64,
     ) -> (usize, usize, usize) {
-        let mut hits = 0;
-        let mut misses = 0;
-        let mut unknown = 0;
-        for e in &trace.events {
-            if input_sig(e).is_none() {
-                continue;
-            }
-            let Some((predicted, _)) = self.predict(e) else {
-                unknown += 1;
-                continue;
-            };
-            let horizon = e.time + window;
-            let actual = fib_template(trace, hbg, e, horizon, min_conf);
-            if actual == predicted {
-                hits += 1;
-            } else {
-                misses += 1;
+        let (mut hits, mut misses, mut unknown) = (0, 0, 0);
+        for e in trace.events.iter().filter(|e| input_sig(e).is_some()) {
+            let actual = || fib_template(trace, hbg, e.id, e.time + window, min_conf);
+            match self.predict(e) {
+                None => unknown += 1,
+                Some((predicted, _)) if predicted == actual() => hits += 1,
+                Some(_) => misses += 1,
             }
         }
         (hits, misses, unknown)
     }
 }
 
-/// The *final* FIB action per router, among the consequences of `e`
-/// within the window (later events override earlier ones). Public
-/// because repair proofs embed this template as the predicted
-/// consequence set the repair reverts (see `crate::proof`).
-pub fn fib_template(
-    trace: &Trace,
+/// The *final* FIB action per router, among the consequences of `root`
+/// stamped ≤ `horizon` (later events override earlier ones). Repair
+/// proofs embed this template as the predicted consequence set the
+/// repair reverts (see `crate::proof`).
+pub(crate) fn fib_template(
+    view: &impl CaptureView,
     hbg: &Hbg,
-    e: &IoEvent,
+    root: EventId,
     horizon: SimTime,
     min_conf: f64,
 ) -> OutcomeTemplate {
+    if view.record(root).is_none() {
+        return Vec::new();
+    }
     let mut latest: BTreeMap<RouterId, (SimTime, Option<FibAction>)> = BTreeMap::new();
-    for d in hbg.descendants(e.id, min_conf) {
-        let ev = &trace.events[d.index()];
-        if ev.time > horizon {
-            continue;
-        }
-        let entry = match &ev.kind {
-            IoKind::FibInstall { action, .. } => Some((ev.time, Some(*action))),
-            IoKind::FibRemove { .. } => Some((ev.time, None)),
-            _ => None,
+    for r in hbg
+        .descendants(root, min_conf)
+        .into_iter()
+        .filter_map(|d| view.record(d))
+    {
+        let act = match r.class {
+            KindClass::FibIn => Some(r.action),
+            KindClass::FibRm => None,
+            _ => continue,
         };
-        if let Some((t, act)) = entry {
-            match latest.get(&ev.router) {
-                Some((old_t, _)) if *old_t >= t => {}
-                _ => {
-                    latest.insert(ev.router, (t, act));
-                }
-            }
+        if r.time <= horizon && latest.get(&r.router).is_none_or(|(old, _)| *old < r.time) {
+            latest.insert(r.router, (r.time, act));
         }
     }
     latest.into_iter().map(|(r, (_, act))| (r, act)).collect()
@@ -192,21 +181,20 @@ impl OutcomePredictor {
         let prefix = e.kind.prefix()?;
         let (template, _conf) = self.predict(e)?;
         let mut predicted = current.clone();
-        for (router, action) in &template {
-            match action {
-                Some(a) => {
-                    predicted.fib_mut(*router).install(
-                        prefix,
-                        FibEntry {
-                            action: *a,
-                            installed_at: e.time,
-                        },
-                    );
-                }
-                None => {
-                    predicted.fib_mut(*router).remove(&prefix);
-                }
-            }
+        for &(router, action) in &template {
+            let kind = if action.is_some() {
+                UpdateKind::Install
+            } else {
+                UpdateKind::Remove
+            };
+            let action = action.unwrap_or(FibAction::Drop);
+            predicted.apply(&FibUpdate {
+                router,
+                prefix,
+                kind,
+                action,
+                at: e.time,
+            });
         }
         let report = verify_incremental(topo, &predicted, policies, &[prefix]);
         Some(!report.ok())

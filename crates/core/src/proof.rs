@@ -5,8 +5,9 @@
 //! that the revert is correct. [`RepairProof`] is that evidence:
 //!
 //! * the **HBG provenance path** from the root-cause leaf down to the
-//!   problematic FIB event, each hop carrying a content digest of the
-//!   captured event it names;
+//!   problematic FIB event, each hop carrying a digest of what a
+//!   collector holds of the event it names (its fold record and
+//!   input-table entry);
 //! * a **hash chain** over those digests ([`cpvr_types::hash::chain`]),
 //!   so flipping any byte of any hop — or reordering hops — breaks
 //!   every downstream link and the gate returns ERROR, never Applied;
@@ -14,7 +15,7 @@
 //!   map (the §6 "<15 classes at 100K prefixes" notion that
 //!   [`crate::predict`] learns templates over) of the shadow state
 //!   after the repair, plus the root cause's FIB-consequence template
-//!   from [`crate::predict::fib_template`];
+//!   from `crate::predict::fib_template`;
 //! * a **deterministic replay transcript** derived from the (time,id)
 //!   fold: undo steps that revert the root cause's FIB consequences
 //!   and redo steps that reproduce them, with the base violations and
@@ -22,34 +23,33 @@
 //!   minted against.
 //!
 //! [`gate_repair`] re-validates all of it against the resident
-//! verifier's shadow state and returns the
-//! REPRODUCED/DIVERGED/ERROR verdict the control loop blocks on. The
-//! whole artifact round-trips through `cpvr_types::json`
-//! (externally-tagged, human-auditable) and through the v3-style
-//! binary codec ([`RepairProof::encode_binary`]) that the collector
-//! journals. Federation peers exchange the JSON rendering together with
-//! an FNV-1a digest of the binary bytes, so a peer can re-encode and
-//! cross-check what it received.
+//! verifier's shadow state and returns the REPRODUCED/DIVERGED/ERROR
+//! verdict the control loop blocks on. The artifact round-trips through
+//! `cpvr_types::json` and through the binary codec
+//! ([`RepairProof::encode_binary`]) that the collector journals;
+//! federation peers exchange the JSON with an FNV-1a digest of the
+//! binary bytes, so a peer can re-encode and cross-check it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 
 use crate::hbg::Hbg;
 use crate::predict::fib_template;
-use crate::provenance::provenance_path;
+use crate::provenance::{provenance_path, CaptureView, FibKey, RootCauseKind};
 use crate::repair::RepairPlan;
+use crate::rules::FoldRecord;
 use cpvr_dataplane::{FibAction, FibUpdate, UpdateKind};
-use cpvr_sim::{wire, EventId, IoEvent, IoKind, Trace};
+use cpvr_sim::{wire, EventId, Trace};
 use cpvr_types::bin::{self, BinError, Reader};
 use cpvr_types::hash;
-use cpvr_types::json;
 use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
 use cpvr_verify::{
     violation_sigs, IncrementalVerifier, ReplayGate, ReplayTranscript, ReplayVerdict,
 };
 
 /// One hop of the provenance path, with a content digest of the
-/// captured event it names (FNV-1a over the event's canonical JSON).
+/// captured event it names (FNV-1a over its record and input-table
+/// entry).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProvenanceHop {
     /// The event at this hop.
@@ -58,7 +58,7 @@ pub struct ProvenanceHop {
     pub router: RouterId,
     /// When it happened.
     pub time: SimTime,
-    /// FNV-1a 64 digest of the event's canonical compact JSON.
+    /// FNV-1a 64 digest of the event's record and input-table entry.
     pub digest: u64,
 }
 
@@ -90,7 +90,7 @@ pub struct RepairProof {
     /// undo steps).
     pub predicted: Vec<PredictedBehavior>,
     /// The root cause's FIB-consequence template from
-    /// [`crate::predict::fib_template`] — the final action per router
+    /// `crate::predict::fib_template` — the final action per router
     /// among the consequences the repair reverts.
     pub template: Vec<(RouterId, Option<FibAction>)>,
     /// The deterministic replay transcript the gate re-executes.
@@ -122,9 +122,9 @@ impl RepairProof {
 /// `trace` and `hbg` must be the capture and graph the plan's root
 /// cause was walked from; `target` is the problematic FIB event;
 /// `verifier` is the resident verifier whose state the transcript's
-/// base digest pins. The transcript is derived purely from the
-/// (time,id)-ordered FIB events of the trace, so minting is
-/// deterministic: the same inputs always produce the same proof bytes.
+/// base digest pins. Minting reads the (time,id)-ordered FIB history of
+/// the pairs the root cause touched, so the same inputs always produce
+/// the same proof bytes, whichever view of the capture holds them.
 pub fn prove(
     trace: &Trace,
     hbg: &Hbg,
@@ -133,21 +133,50 @@ pub fn prove(
     target: EventId,
     min_confidence: f64,
 ) -> RepairProof {
-    let horizon = trace
-        .events
-        .get(target.index())
-        .map(|e| e.time)
-        .unwrap_or(SimTime::MAX);
+    prove_in(trace, hbg, verifier, plan, target, min_confidence)
+}
+
+/// A hop's digest: FNV-1a 64 over the event's [`FoldRecord`] in a fixed
+/// binary layout, then its input-table entry, if it has one, as a
+/// compact-JSON blob — what a collector holds of the event.
+fn hop_digest(rec: &FoldRecord, input: Option<RootCauseKind>) -> u64 {
+    let mut out = Vec::with_capacity(64);
+    bin::put_varint(&mut out, rec.time.as_nanos());
+    bin::put_varint(&mut out, rec.id.0);
+    bin::put_varint(&mut out, rec.router.0);
+    out.extend([rec.class as u8, rec.proto.map_or(0, |p| p as u8 + 1)]);
+    out.push(u8::from(rec.prefix.is_some()));
+    if let Some(p) = &rec.prefix {
+        write_prefix(&mut out, p);
+    }
+    bin::put_varint(&mut out, rec.peer.map_or(0, |r| u64::from(r.0) + 1));
+    wire::encode_action(&mut out, &rec.action);
+    if let Some(input) = &input {
+        wire::encode_json_blob(&mut out, input);
+    }
+    cpvr_types::fnv1a64(&out)
+}
+
+/// [`prove`] over any view of the capture.
+pub(crate) fn prove_in(
+    view: &impl CaptureView,
+    hbg: &Hbg,
+    verifier: &IncrementalVerifier,
+    plan: &RepairPlan,
+    target: EventId,
+    min_confidence: f64,
+) -> RepairProof {
+    let horizon = view.record(target).map_or(SimTime::MAX, |r| r.time);
     // Provenance path + per-hop content digests + chain.
     let path = provenance_path(hbg, plan.root.event, target, min_confidence);
     let provenance: Vec<ProvenanceHop> = path
         .iter()
-        .filter_map(|id| trace.events.get(id.index()))
-        .map(|e| ProvenanceHop {
-            event: e.id,
-            router: e.router,
-            time: e.time,
-            digest: cpvr_types::fnv1a64(json::to_string_compact(e).as_bytes()),
+        .filter_map(|id| view.record(*id))
+        .map(|r| ProvenanceHop {
+            event: r.id,
+            router: r.router,
+            time: r.time,
+            digest: hop_digest(&r, view.input(r.id)),
         })
         .collect();
     let chain = chain_over(&provenance);
@@ -156,111 +185,65 @@ pub fn prove(
     // plus the pre-consequence state of every touched (router, prefix)
     // pair — reconstructed by walking the captured FIB stream so the
     // removal steps know which action they removed. Only the touched
-    // pairs' history matters, so the walk tracks (and sorts) nothing
-    // else: its cost follows the incident, not the trace.
+    // pairs' history matters, so the walk reads nothing else: its cost
+    // follows the incident, not the capture.
     let consequences: BTreeSet<EventId> = std::iter::once(plan.root.event)
         .chain(hbg.descendants(plan.root.event, min_confidence))
         .collect();
-    let fib_key = |e: &IoEvent| match &e.kind {
-        IoKind::FibInstall { prefix, .. } | IoKind::FibRemove { prefix } if e.time <= horizon => {
-            Some((e.router, *prefix))
-        }
-        _ => None,
-    };
-    let touched: BTreeSet<(RouterId, Ipv4Prefix)> = consequences
+    let touched: BTreeSet<FibKey> = consequences
         .iter()
-        .filter_map(|id| trace.events.get(id.index()))
-        .filter_map(fib_key)
+        .filter_map(|id| view.record(*id))
+        .filter(|r| r.time <= horizon)
+        .filter_map(|r| r.fib_update())
+        .map(|u| (u.router, u.prefix))
         .collect();
-    let mut fib_events: Vec<_> = trace
-        .events
-        .iter()
-        .filter(|e| fib_key(e).is_some_and(|key| touched.contains(&key)))
-        .collect();
-    fib_events.sort_by_key(|e| (e.time, e.id));
-    let mut state: BTreeMap<(RouterId, Ipv4Prefix), (FibAction, SimTime)> = BTreeMap::new();
-    let mut pre: BTreeMap<(RouterId, Ipv4Prefix), Option<(FibAction, SimTime)>> = BTreeMap::new();
+    // Each touched pair's installed entry as the walk goes, and its
+    // entry before the first consequence.
+    let mut state: BTreeMap<FibKey, FibUpdate> = BTreeMap::new();
+    let mut pre: BTreeMap<FibKey, Option<FibUpdate>> = BTreeMap::new();
     let mut redo: Vec<FibUpdate> = Vec::new();
-    for e in fib_events {
-        let (prefix, install_action) = match &e.kind {
-            IoKind::FibInstall { prefix, action } => (*prefix, Some(*action)),
-            IoKind::FibRemove { prefix } => (*prefix, None),
-            _ => unreachable!("filtered to FIB events"),
+    let mut history = view.fib_history(&touched, horizon);
+    history.sort_by_key(FoldRecord::key);
+    for r in history {
+        let mut u = r.fib_update().expect("a FIB history holds FIB records");
+        let key = (u.router, u.prefix);
+        let prior = match u.kind {
+            UpdateKind::Install => state.insert(key, u),
+            UpdateKind::Remove => state.remove(&key),
         };
-        let key = (e.router, prefix);
-        if consequences.contains(&e.id) {
-            pre.entry(key).or_insert_with(|| state.get(&key).copied());
-            redo.push(match install_action {
-                Some(action) => FibUpdate {
-                    router: e.router,
-                    prefix,
-                    kind: UpdateKind::Install,
-                    action,
-                    at: e.time,
-                },
-                None => FibUpdate {
-                    router: e.router,
-                    prefix,
-                    kind: UpdateKind::Remove,
-                    // The removed action, when the stream recorded one;
-                    // removing an absent entry is a no-op either way.
-                    action: state.get(&key).map(|(a, _)| *a).unwrap_or(FibAction::Drop),
-                    at: e.time,
-                },
-            });
+        if u.kind == UpdateKind::Remove {
+            // The removed action, when the stream recorded one;
+            // removing an absent entry is a no-op either way.
+            u.action = prior.map_or(FibAction::Drop, |p| p.action);
         }
-        match install_action {
-            Some(action) => {
-                state.insert(key, (action, e.time));
-            }
-            None => {
-                state.remove(&key);
-            }
+        if consequences.contains(&r.id) {
+            pre.entry(key).or_insert(prior);
+            redo.push(u);
         }
     }
     // Undo: restore every touched pair to its pre-consequence state, in
     // deterministic pair order.
     let undo: Vec<FibUpdate> = pre
-        .iter()
-        .map(|(&(router, prefix), prior)| match prior {
-            Some((action, at)) => FibUpdate {
-                router,
-                prefix,
-                kind: UpdateKind::Install,
-                action: *action,
-                at: *at,
-            },
-            None => FibUpdate {
+        .into_iter()
+        .map(|((router, prefix), prior)| {
+            prior.unwrap_or_else(|| FibUpdate {
                 router,
                 prefix,
                 kind: UpdateKind::Remove,
                 action: state
                     .get(&(router, prefix))
-                    .map(|(a, _)| *a)
-                    .unwrap_or(FibAction::Drop),
+                    .map_or(FibAction::Drop, |s| s.action),
                 at: horizon,
-            },
+            })
         })
         .collect();
-
-    let transcript = ReplayTranscript {
+    let mut transcript = ReplayTranscript {
         base_violations: violation_sigs(&verifier.report().violations),
         base_digest: 0,
         undo,
         redo,
     };
-    let transcript = ReplayTranscript {
-        base_digest: transcript.digest_on(verifier.dataplane()),
-        ..transcript
-    };
-
-    // Predicted post-repair EC behaviors: the behavior-class map of the
-    // shadow state after the undo steps.
-    let mut shadow = verifier.clone();
-    for u in &transcript.undo {
-        shadow.apply(u);
-    }
-    let predicted = behaviors_of(&mut shadow);
+    transcript.base_digest = transcript.digest_on(verifier.dataplane());
 
     RepairProof {
         plan: plan.clone(),
@@ -268,33 +251,24 @@ pub fn prove(
         min_confidence,
         provenance,
         chain,
-        predicted,
-        template: fib_template_of(trace, hbg, plan.root.event, horizon, min_confidence),
+        // The behavior-class map of the shadow state after the undo steps.
+        predicted: predicted_after(verifier, &transcript.undo),
+        template: fib_template(view, hbg, plan.root.event, horizon, min_confidence),
         transcript,
     }
 }
 
-/// The behavior-class map of `v`, in canonical (sorted) order.
-fn behaviors_of(v: &mut IncrementalVerifier) -> Vec<PredictedBehavior> {
-    v.behavior_classes()
-        .into_iter()
+/// The behavior-class map, in canonical (sorted) order, of a shadow of
+/// `v` after `undo`: the predicted post-repair EC behaviors.
+fn predicted_after(v: &IncrementalVerifier, undo: &[FibUpdate]) -> Vec<PredictedBehavior> {
+    let mut shadow = v.clone();
+    for u in undo {
+        shadow.apply(u);
+    }
+    let classes = shadow.behavior_classes().into_iter();
+    classes
         .map(|(behavior, prefixes)| PredictedBehavior { behavior, prefixes })
         .collect()
-}
-
-/// [`fib_template`] keyed by event id, tolerating ids outside the
-/// trace (yields an empty template rather than panicking).
-fn fib_template_of(
-    trace: &Trace,
-    hbg: &Hbg,
-    root: EventId,
-    horizon: SimTime,
-    min_conf: f64,
-) -> Vec<(RouterId, Option<FibAction>)> {
-    match trace.events.get(root.index()) {
-        Some(e) => fib_template(trace, hbg, e, horizon, min_conf),
-        None => Vec::new(),
-    }
 }
 
 /// Re-validates `proof` against the resident verifier and returns the
@@ -321,13 +295,11 @@ pub fn gate_repair(verifier: &IncrementalVerifier, proof: &RepairProof) -> Repla
     // cycle means the walk was forged, even if the chain was recomputed
     // over the looped hops and is internally consistent.
     let mut seen = BTreeSet::new();
-    for h in &proof.provenance {
-        if !seen.insert(h.event) {
-            return ReplayVerdict::Error(format!(
-                "provenance path revisits event {}: self-loop or cycle in the evidence",
-                h.event.0
-            ));
-        }
+    if let Some(h) = proof.provenance.iter().find(|h| !seen.insert(h.event)) {
+        return ReplayVerdict::Error(format!(
+            "provenance path revisits event {}: self-loop or cycle in the evidence",
+            h.event.0
+        ));
     }
     let verdict = ReplayGate::execute(verifier, &proof.transcript);
     if !verdict.is_reproduced() {
@@ -335,11 +307,7 @@ pub fn gate_repair(verifier: &IncrementalVerifier, proof: &RepairProof) -> Repla
     }
     // The replay reproduced; the predicted post-repair behaviors must
     // match what the repair would actually produce.
-    let mut shadow = verifier.clone();
-    for u in &proof.transcript.undo {
-        shadow.apply(u);
-    }
-    if behaviors_of(&mut shadow) != proof.predicted {
+    if predicted_after(verifier, &proof.transcript.undo) != proof.predicted {
         return ReplayVerdict::Diverged(
             "predicted post-repair behavior classes differ from the shadow replay".into(),
         );
@@ -560,7 +528,7 @@ mod tests {
     use crate::provenance::{RootCause, RootCauseKind};
     use crate::repair::RepairAction;
     use cpvr_topo::LinkId;
-    use cpvr_types::json::FromJson;
+    use cpvr_types::json::{self, FromJson};
 
     fn sample_proof() -> RepairProof {
         let root = RootCause {

@@ -6,10 +6,12 @@
 //! leaf nodes we encounter represent the root cause(s) of the event."
 
 use crate::hbg::Hbg;
+use crate::rules::{FoldRecord, KindClass};
 use cpvr_bgp::{ConfigChange, PeerRef};
-use cpvr_sim::{EventId, IoKind, Trace};
+use cpvr_sim::{EventId, IoEvent, IoKind, Trace};
 use cpvr_topo::{ExtPeerId, LinkId};
 use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Classification of a root-cause event.
@@ -101,57 +103,116 @@ impl fmt::Display for RootCause {
     }
 }
 
-/// Classifies a trace event as a root-cause kind.
-fn classify(kind: &IoKind) -> RootCauseKind {
-    match kind {
+/// A FIB table entry's address: `(router, prefix)`.
+pub(crate) type FibKey = (RouterId, Ipv4Prefix);
+
+/// What Fig. 3's chain reads of the capture: each event's
+/// [`FoldRecord`], the input table, and the FIB history of a set of
+/// `(router, prefix)` pairs. Two views implement it: a [`Trace`], read on
+/// demand (the batch oracles), and the guard's [`FoldState`].
+pub(crate) trait CaptureView {
+    /// The record of event `id`, if the view holds it.
+    fn record(&self, id: EventId) -> Option<FoldRecord>;
+    /// The input-table entry of event `id` ([`input_of`] its event).
+    fn input(&self, id: EventId) -> Option<RootCauseKind>;
+    /// The FIB records on `keys` stamped ≤ `horizon`, in any order.
+    fn fib_history(&self, keys: &BTreeSet<FibKey>, horizon: SimTime) -> Vec<FoldRecord>;
+}
+
+impl CaptureView for Trace {
+    fn record(&self, id: EventId) -> Option<FoldRecord> {
+        self.events.get(id.index()).map(FoldRecord::of)
+    }
+
+    fn input(&self, id: EventId) -> Option<RootCauseKind> {
+        input_of(&self.events.get(id.index())?.kind)
+    }
+
+    fn fib_history(&self, keys: &BTreeSet<FibKey>, horizon: SimTime) -> Vec<FoldRecord> {
+        let touched = |e: &&IoEvent| match &e.kind {
+            IoKind::FibInstall { prefix, .. } | IoKind::FibRemove { prefix } => {
+                e.time <= horizon && keys.contains(&(e.router, *prefix))
+            }
+            _ => false,
+        };
+        let touched = self.events.iter().filter(touched);
+        touched.map(FoldRecord::of).collect()
+    }
+}
+
+/// The input table's entry for an event: what its [`FoldRecord`] cannot
+/// say of it as a root cause — a config change's change and inverse, a
+/// link status, the external peer of a recv; `None` for other events.
+pub(crate) fn input_of(kind: &IoKind) -> Option<RootCauseKind> {
+    Some(match kind {
         IoKind::ConfigChange {
-            change, inverse, ..
-        } => match change {
-            Some(_) => RootCauseKind::ConfigChange {
-                change: change.clone(),
-                inverse: inverse.clone(),
-            },
-            None => RootCauseKind::ProtocolStart,
+            change: change @ Some(_),
+            inverse,
+            ..
+        } => RootCauseKind::ConfigChange {
+            change: change.clone(),
+            inverse: inverse.clone(),
         },
         IoKind::LinkStatus { up, link, peer, .. } => RootCauseKind::Hardware {
             up: *up,
             link: *link,
             peer: *peer,
         },
-        IoKind::RecvAdvert { prefix, from, .. } => RootCauseKind::ExternalRoute {
-            peer: match from {
-                Some(PeerRef::External(p)) => Some(*p),
-                _ => None,
-            },
+        IoKind::RecvAdvert {
+            prefix,
+            from: Some(PeerRef::External(p)),
+            ..
+        }
+        | IoKind::RecvWithdraw {
+            prefix,
+            from: Some(PeerRef::External(p)),
+            ..
+        } => RootCauseKind::ExternalRoute {
+            peer: Some(*p),
             prefix: *prefix,
-            withdraw: false,
+            withdraw: matches!(kind, IoKind::RecvWithdraw { .. }),
         },
-        IoKind::RecvWithdraw { prefix, from, .. } => RootCauseKind::ExternalRoute {
-            peer: match from {
-                Some(PeerRef::External(p)) => Some(*p),
-                _ => None,
-            },
-            prefix: *prefix,
-            withdraw: true,
+        _ => return None,
+    })
+}
+
+/// Classifies a root-cause leaf from its record and input-table entry.
+fn classify(rec: &FoldRecord, input: Option<RootCauseKind>) -> RootCauseKind {
+    input.unwrap_or(match rec.class {
+        KindClass::Config => RootCauseKind::ProtocolStart,
+        KindClass::RecvAd | KindClass::RecvWd => RootCauseKind::ExternalRoute {
+            peer: None,
+            prefix: rec.prefix,
+            withdraw: rec.class == KindClass::RecvWd,
         },
         _ => RootCauseKind::Unexplained,
-    }
+    })
 }
 
 /// Traces the root causes of `from` through the HBG, classifying each
 /// leaf. Results are sorted by descending confidence, then by time
 /// (most recent first) — the likeliest culprits lead.
 pub fn root_causes(trace: &Trace, hbg: &Hbg, from: EventId, min_conf: f64) -> Vec<RootCause> {
+    root_causes_in(trace, hbg, from, min_conf)
+}
+
+/// [`root_causes`] over any view of the capture.
+pub(crate) fn root_causes_in(
+    view: &impl CaptureView,
+    hbg: &Hbg,
+    from: EventId,
+    min_conf: f64,
+) -> Vec<RootCause> {
     let leaves = hbg.root_ancestors(from, min_conf);
     let mut out: Vec<RootCause> = leaves
         .into_iter()
         .map(|leaf| {
-            let e = &trace.events[leaf.index()];
+            let rec = view.record(leaf).expect("a leaf is captured");
             RootCause {
                 event: leaf,
-                router: e.router,
-                time: e.time,
-                kind: classify(&e.kind),
+                router: rec.router,
+                time: rec.time,
+                kind: classify(&rec, view.input(leaf)),
                 confidence: bottleneck_confidence(hbg, leaf, from, min_conf),
             }
         })
@@ -169,10 +230,7 @@ pub fn root_causes(trace: &Trace, hbg: &Hbg, from: EventId, min_conf: f64) -> Ve
 /// exists (shouldn't happen for a reported leaf), 1.0 when
 /// `leaf == target`.
 pub fn bottleneck_confidence(hbg: &Hbg, leaf: EventId, target: EventId, min_conf: f64) -> f64 {
-    match widest_path(hbg, leaf, target, min_conf) {
-        Some((conf, _)) => conf,
-        None => 0.0,
-    }
+    widest_path(hbg, leaf, target, min_conf).map_or(0.0, |(conf, _)| conf)
 }
 
 /// The widest-path node sequence from `leaf` down to `target`
@@ -184,10 +242,7 @@ pub fn bottleneck_confidence(hbg: &Hbg, leaf: EventId, target: EventId, min_conf
 /// edges), an out-of-range id or an unreachable target yields an empty
 /// path.
 pub fn provenance_path(hbg: &Hbg, leaf: EventId, target: EventId, min_conf: f64) -> Vec<EventId> {
-    match widest_path(hbg, leaf, target, min_conf) {
-        Some((_, path)) => path,
-        None => Vec::new(),
-    }
+    widest_path(hbg, leaf, target, min_conf).map_or_else(Vec::new, |(_, path)| path)
 }
 
 /// Widest-path (maximum bottleneck) search from `leaf` to `target`:
@@ -200,22 +255,10 @@ fn widest_path(
     target: EventId,
     min_conf: f64,
 ) -> Option<(f64, Vec<EventId>)> {
-    use std::cmp::Ordering;
     use std::collections::{BinaryHeap, HashMap};
-
-    #[derive(PartialEq)]
-    struct Entry(f64, EventId);
-    impl Eq for Entry {}
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> Ordering {
-            self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-        }
-    }
+    // Confidences are non-negative, and non-negative floats order as
+    // their bit patterns do.
+    let entry = |conf: f64, node: EventId| (conf.to_bits(), node);
 
     let n = hbg.num_events();
     if leaf.index() >= n || target.index() >= n {
@@ -225,8 +268,9 @@ fn widest_path(
     // nodes the search touched only: the cost is that of the subgraph
     // below `leaf`, whatever else the graph holds.
     let mut best: HashMap<EventId, (f64, EventId)> = HashMap::from([(leaf, (1.0, leaf))]);
-    let mut heap = BinaryHeap::from([Entry(1.0, leaf)]);
-    while let Some(Entry(conf, node)) = heap.pop() {
+    let mut heap = BinaryHeap::from([entry(1.0, leaf)]);
+    while let Some((bits, node)) = heap.pop() {
+        let conf = f64::from_bits(bits);
         if node == target {
             let mut path = vec![target];
             let mut cur = target;
@@ -244,7 +288,7 @@ fn widest_path(
             let nc = conf.min(h.confidence);
             if nc > best.get(&h.to).map_or(0.0, |(c, _)| *c) {
                 best.insert(h.to, (nc, node));
-                heap.push(Entry(nc, h.to));
+                heap.push(entry(nc, h.to));
             }
         }
     }

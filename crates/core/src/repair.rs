@@ -13,9 +13,10 @@
 //! control/data-plane gap that blocking creates (the Fig. 2b hazard).
 
 use crate::provenance::{RootCause, RootCauseKind};
+use crate::snapshot::fib_updates;
 use cpvr_bgp::ConfigChange;
 use cpvr_dataplane::DataPlane;
-use cpvr_sim::{IoKind, Trace};
+use cpvr_sim::Trace;
 use cpvr_types::{Ipv4Prefix, RouterId, SimTime};
 use std::fmt;
 
@@ -64,8 +65,8 @@ impl fmt::Display for RepairPlan {
 /// cause that was *not* planned because its confidence fell below the
 /// threshold. Skipped causes used to be dropped silently, which left
 /// operators unable to tell "no cause found" from "cause found but too
-/// uncertain to act on" — now they ride along for reporting and feed
-/// the `cpvr_repair_skipped_low_confidence_total` metric.
+/// uncertain to act on" — now they ride along in
+/// [`skipped_low_confidence`](Self::skipped_low_confidence).
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct RepairReport {
     /// Actionable and notify plans, most-confident cause first.
@@ -79,7 +80,6 @@ pub struct RepairReport {
 /// when confidence is high enough) — but surfaced, not swallowed.
 pub fn propose_repairs_report(causes: &[RootCause], min_confidence: f64) -> RepairReport {
     let mut report = RepairReport::default();
-    let out = &mut report.plans;
     for root in causes {
         if root.confidence < min_confidence {
             report.skipped_low_confidence.push(root.clone());
@@ -139,7 +139,7 @@ pub fn propose_repairs_report(causes: &[RootCause], min_confidence: f64) -> Repa
                 rationale: "boot-time or unexplained provenance".into(),
             },
         };
-        out.push(plan);
+        report.plans.push(plan);
     }
     report
 }
@@ -166,60 +166,29 @@ pub fn blocking_divergence(
     live: &DataPlane,
     horizon: SimTime,
 ) -> Vec<(RouterId, Ipv4Prefix)> {
-    let mut events: Vec<&cpvr_sim::IoEvent> = trace.events.iter().collect();
-    events.sort_by_key(|e| (e.time, e.id));
+    let fibs = fib_updates(trace, horizon);
     // Cover every router either side mentions: captured FIB events may
     // reference routers the live snapshot doesn't carry (partial
     // capture), and those entries are divergent by definition.
-    let n = events
-        .iter()
-        .filter(|e| {
-            e.time <= horizon
-                && matches!(e.kind, IoKind::FibInstall { .. } | IoKind::FibRemove { .. })
-        })
-        .map(|e| e.router.index() + 1)
-        .chain([live.num_routers()])
-        .max()
-        .unwrap_or(0);
+    let n = fibs.iter().map(|u| u.router.index() + 1);
+    let n = n.chain([live.num_routers()]).max().unwrap_or(0);
     let mut intended = DataPlane::new(n);
-    for e in events {
-        if e.time > horizon {
-            break;
-        }
-        match &e.kind {
-            IoKind::FibInstall { prefix, action } => {
-                intended.fib_mut(e.router).install(
-                    *prefix,
-                    cpvr_dataplane::FibEntry {
-                        action: *action,
-                        installed_at: e.time,
-                    },
-                );
-            }
-            IoKind::FibRemove { prefix } => {
-                intended.fib_mut(e.router).remove(prefix);
-            }
-            _ => {}
-        }
+    for u in &fibs {
+        intended.apply(u);
     }
+    let action = |dp: &DataPlane, r: RouterId, p: &Ipv4Prefix| {
+        (r.index() < dp.num_routers()).then(|| dp.fib(r).get(p).map(|e| e.action))?
+    };
     let mut out = Vec::new();
-    for r in 0..n as u32 {
-        let rid = RouterId(r);
+    for rid in (0..n as u32).map(RouterId) {
         let mut prefixes: Vec<Ipv4Prefix> = intended.fib(rid).prefixes();
         if rid.index() < live.num_routers() {
             prefixes.extend(live.fib(rid).prefixes());
         }
         prefixes.sort();
         prefixes.dedup();
-        for p in prefixes {
-            let want = intended.fib(rid).get(&p).map(|e| e.action);
-            let have = (rid.index() < live.num_routers())
-                .then(|| live.fib(rid).get(&p).map(|e| e.action))
-                .flatten();
-            if want != have {
-                out.push((rid, p));
-            }
-        }
+        let diverges = |p: &Ipv4Prefix| action(&intended, rid, p) != action(live, rid, p);
+        out.extend(prefixes.into_iter().filter(diverges).map(|p| (rid, p)));
     }
     out
 }
@@ -228,7 +197,7 @@ pub fn blocking_divergence(
 mod tests {
     use super::*;
     use cpvr_dataplane::{FibAction, FibEntry};
-    use cpvr_sim::{EventId, IoEvent};
+    use cpvr_sim::{EventId, IoEvent, IoKind};
 
     fn root(kind: RootCauseKind, conf: f64) -> RootCause {
         RootCause {

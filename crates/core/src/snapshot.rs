@@ -612,6 +612,14 @@ impl TrackerSlice {
     }
 }
 
+/// The trace's FIB updates stamped ≤ `horizon`, in `(time, id)` order.
+pub(crate) fn fib_updates(trace: &Trace, horizon: SimTime) -> Vec<FibUpdate> {
+    let fibs = trace.events.iter().filter(|e| e.time <= horizon);
+    let mut fibs: Vec<FoldRecord> = fibs.map(FoldRecord::of).collect();
+    fibs.sort_by_key(FoldRecord::key);
+    fibs.iter().filter_map(FoldRecord::fib_update).collect()
+}
+
 /// Assembles the FIB state from the FIB events that arrived by `horizon`
 /// — the naive snapshot a data-plane verifier without HBG support would
 /// use.
@@ -679,8 +687,7 @@ impl TransientReport {
         self.violating.is_empty()
     }
 
-    /// The total time spent in violation, approximated as the span from
-    /// each violating checkpoint to the next checkpoint.
+    /// The time of the first violating checkpoint.
     pub fn first_violation(&self) -> Option<SimTime> {
         self.violating.first().map(|(t, _)| *t)
     }
@@ -702,26 +709,17 @@ pub fn verify_throughout(
     from: SimTime,
     to: SimTime,
 ) -> TransientReport {
-    let mut events: Vec<&IoEvent> = trace.events.iter().collect();
-    events.sort_by_key(|e| (e.time, e.id));
-    let n = topo.num_routers();
-    let mut dp = DataPlane::new(n);
+    let mut dp = DataPlane::new(topo.num_routers());
     let mut report = TransientReport::default();
-    for e in events {
-        let Some(update) = FoldRecord::of(e).fib_update() else {
-            continue;
-        };
-        if e.time > to {
-            break;
-        }
+    for update in fib_updates(trace, to) {
         dp.apply(&update);
-        if e.time < from {
+        if update.at < from {
             continue;
         }
         report.checkpoints += 1;
         let vr = cpvr_verify::verify_incremental(topo, &dp, policies, &[update.prefix]);
         if !vr.ok() {
-            report.violating.push((e.time, vr.violations.len()));
+            report.violating.push((update.at, vr.violations.len()));
         }
     }
     report

@@ -85,7 +85,7 @@ fn main() {
         .expect("R1 reprogrammed P");
 
     let subs = partition(&trace);
-    let (roots, pstats) = distributed_root_events(&trace, &subs, bad);
+    let (roots, pstats) = distributed_root_events(&subs, bad);
     println!(
         "\ndistributed provenance from {}:",
         trace.events[bad.index()]
